@@ -338,7 +338,17 @@ class ClusterRouter:
         self._request_ids = itertools.count(1)
         # Durable-put version clock: one total order across the router,
         # so anti-entropy's (version, hash) winner rule is unambiguous.
-        self._versions = itertools.count(1)
+        # Over an existing store root it resumes above every version the
+        # shards recovered; restarting at 1 would acknowledge puts that
+        # lose to the stored versions.
+        stores = (getattr(shard, "store", None) for shard in shards)
+        self._versions = itertools.count(
+            1
+            + max(
+                (store.max_version() for store in stores if store is not None),
+                default=0,
+            )
+        )
         self._repair_inflight = False
         # Latency reservoir feeding the derived hedge delay.
         self._latencies: deque = deque(maxlen=512)

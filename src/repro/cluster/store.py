@@ -627,6 +627,13 @@ class ShardStore:
         with self._lock:
             return tuple(sorted(self._index))
 
+    def max_version(self) -> int:
+        """Highest version in the index (0 when empty), quarantined keys too."""
+        with self._lock:
+            return max(
+                (entry.version for entry in self._index.values()), default=0
+            )
+
     def stats(self) -> dict:
         with self._lock:
             quarantined = sum(

@@ -25,6 +25,7 @@ import repro.telemetry as telemetry
 from repro.codec.decoder import DECODES, FrameDecoder
 from repro.codec.encoder import ENCODES, RD_SEARCHES, EncoderConfig, FrameEncoder
 from repro.codec.profiles import H265_PROFILE, CodecProfile
+from repro.codec.ratecontrol import rate_law_qp, solve_qp
 from repro.parallel import ParallelConfig
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import (
@@ -566,6 +567,9 @@ class TensorCodec:
         (data-destroying) encode would be perverse, so the codec
         returns its *finest* encode with ``budget_met = False``.  The
         absolute overshoot is a few dozen bytes by construction.
+        (:func:`repro.codec.ratecontrol.search_qp_for_bitrate` returns
+        the coarsest encode instead: it has frames and a budget, not a
+        tensor whose values someone will read back.)
 
         The same principle applies *before* the budget becomes strictly
         unmeetable: when the QP-independent bytes (container metadata,
@@ -574,74 +578,56 @@ class TensorCodec:
         payload, not by coding it better.  Such budgets are declared
         unmeetable in spirit and also get the finest-encode fallback.
         """
+
+        def encode_at(qp: float) -> CompressedTensor:
+            return self._encode_at(
+                frames, grids, layout, frame_shape, tensor, qp, deadline
+            )
+
         with telemetry.span("ratecontrol.search_bitrate"):
-            lo, hi = 0.0, 51.0
-            telemetry.count("ratecontrol.iterations")
-            best = self._encode_at(
-                frames, grids, layout, frame_shape, tensor, hi, deadline
+            # The metadata is the same size at every QP.
+            empty = CompressedTensor(
+                b"", layout, grids, frame_shape, str(tensor.dtype),
+                self.profile.name, 0.0,
             )
-            fixed_bits = 8.0 * (best.nbytes - len(best.data)) + _stream_fixed_bits(
-                layout.num_tiles
-            )
-            if fixed_bits > 0.5 * budget * max(1, best.num_values):
-                telemetry.count("ratecontrol.iterations")
-                finest = self._encode_at(
-                    frames, grids, layout, frame_shape, tensor, lo, deadline
+            values = max(1, empty.num_values)
+            fixed_bits = 8.0 * empty.nbytes + _stream_fixed_bits(layout.num_tiles)
+            met = not fixed_bits > 0.5 * budget * values
+            if met:
+                _, best, met = solve_qp(
+                    encode_at,
+                    lambda compressed: compressed.bits_per_value,
+                    budget,
+                    self.qp_search_precision,
+                    guess=rate_law_qp(frames, budget - fixed_bits / values),
+                    deadline=deadline,
                 )
-                finest.budget_met = False
-                return finest
-            if best.bits_per_value > budget:
+            if not met:
                 telemetry.count("ratecontrol.iterations")
-                finest = self._encode_at(
-                    frames, grids, layout, frame_shape, tensor, lo, deadline
-                )
-                finest.budget_met = False
-                return finest
-            telemetry.count("ratecontrol.iterations")
-            finest = self._encode_at(
-                frames, grids, layout, frame_shape, tensor, lo, deadline
-            )
-            if finest.bits_per_value <= budget:
-                return finest
-            while hi - lo > self.qp_search_precision:
-                if deadline is not None:
-                    deadline.check("ratecontrol.search_bitrate")
-                mid = (lo + hi) / 2.0
-                telemetry.count("ratecontrol.iterations")
-                candidate = self._encode_at(
-                    frames, grids, layout, frame_shape, tensor, mid, deadline
-                )
-                if candidate.bits_per_value <= budget:
-                    best, hi = candidate, mid
-                else:
-                    lo = mid
+                best = encode_at(0.0)
+                best.budget_met = False
         return best
 
     def _search_mse(
         self, frames, grids, layout, frame_shape, tensor, max_mse: float,
         deadline: Optional[Deadline] = None,
     ) -> CompressedTensor:
-        """Largest QP whose tensor-domain MSE stays within the budget."""
+        """Largest QP whose tensor-domain MSE stays within the budget.
+
+        When even QP 0 misses the target that finest encode is returned,
+        best effort.
+        """
         with telemetry.span("ratecontrol.search_mse"):
-            lo, hi = 0.0, 51.0
-            telemetry.count("ratecontrol.iterations")
-            finest = self._encode_at(
-                frames, grids, layout, frame_shape, tensor, lo, deadline
+            _, best, met = solve_qp(
+                lambda qp: self._encode_at(
+                    frames, grids, layout, frame_shape, tensor, qp, deadline
+                ),
+                lambda compressed: self._tensor_mse(compressed, tensor),
+                max_mse,
+                self.qp_search_precision,
+                distortion=True,
+                deadline=deadline,
             )
-            if self._tensor_mse(finest, tensor) > max_mse:
+            if not met:
                 telemetry.count("ratecontrol.target_miss")
-                return finest  # cannot meet the target; return best effort
-            best = finest
-            while hi - lo > self.qp_search_precision:
-                if deadline is not None:
-                    deadline.check("ratecontrol.search_mse")
-                mid = (lo + hi) / 2.0
-                telemetry.count("ratecontrol.iterations")
-                candidate = self._encode_at(
-                    frames, grids, layout, frame_shape, tensor, mid, deadline
-                )
-                if self._tensor_mse(candidate, tensor) <= max_mse:
-                    best, lo = candidate, mid
-                else:
-                    hi = mid
         return best

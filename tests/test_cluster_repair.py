@@ -105,6 +105,30 @@ class TestQuorumPut:
         assert response.replicas_acked >= 1
 
 
+class TestReopenedRouter:
+    def test_version_clock_resumes_above_the_stored_versions(self, tmp_path):
+        with make_router(tmp_path) as first:
+            for n in range(5):
+                assert first.put(b"put-%d" % n, "kr").ok
+        with make_router(tmp_path) as reopened:
+            owners = owners_of(reopened, "kr")
+            late = owners[1]
+            reopened.shard(late).kill()
+            drain(reopened, late)
+            sixth = reopened.put(b"put-5", "kr")
+            assert sixth.ok and sixth.version == 6
+            assert reopened.get("kr").value == b"put-5"
+            # The owner that missed the sixth put still holds the fifth;
+            # repair must elect the sixth, not the stored version 5.
+            reopened.shard(late).revive()
+            readmit(reopened, late)
+            assert repair_until_converged(reopened).converged
+            for shard_id in owners:
+                store = reopened.shard(shard_id).store
+                assert store.get("kr") == b"put-5"
+                assert store.digest()["kr"][0] == 6
+
+
 class TestVerifiedGet:
     def test_get_round_trip_bit_exact(self, router):
         payload = bytes(range(256)) * 8
