@@ -34,8 +34,9 @@ and gated on byte-identity against the first rung:
 
 - ``legacy``     -- the interleaved reference decoder, serial.  The
   tracked decode speedups are measured against this rung.
-- ``vectorized`` -- the two-phase plan/reconstruct decoder (native
-  scan kernel when available, fused pure-Python loop otherwise).
+- ``vectorized`` -- the plan / residuals / reconstruct decoder (the
+  whole-slice C kernels when available, their pure-Python twin
+  otherwise).
 - ``parallel``   -- the vectorized decoder behind slice-parallel
   fan-out.  The decoder itself falls back to serial below its
   payload/slice/CPU thresholds; the bench records what actually ran.

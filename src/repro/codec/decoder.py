@@ -19,17 +19,23 @@ Two decode implementations share that contract (``decode=`` on
 - ``"legacy"``     -- the original interleaved loop: per leaf, drain
   bins, dequantize, inverse-transform, predict, write.  Kept as the
   reference implementation.
-- ``"vectorized"`` -- the default two-phase *plan -> reconstruct*
-  path.  Phase one drains the range decoder into a flat leaf plan
-  (modes, motion vectors, coefficient scans) using the fused
-  :meth:`~repro.codec.entropy.arithmetic.BinaryDecoder.decode_coeff_scan`
-  hot loop; phase two dequantizes and inverse-transforms all
-  same-size leaves in one batched GEMM (sharing the encoder's
-  lru-cached DCT basis / zigzag operators) and then applies
-  prediction in dependency order.  Byte-identical to ``"legacy"`` on
-  every stream, including corrupt-stream and concealment behaviour --
-  the bench identity gate and ``tests/test_fast_decode.py`` /
-  ``tests/test_decode_fuzz.py`` enforce this.
+- ``"vectorized"`` -- the default *plan -> residuals -> reconstruct*
+  path, three whole-slice stages over one array plan
+  (:class:`LeafPlan`).  Stage one drains the range decoder into the
+  plan (modes, motion vectors, coefficient scans); stage two
+  dequantizes and inverse-transforms all same-size leaves in one
+  batched GEMM (sharing the encoder's lru-cached DCT basis / zigzag
+  operators); stage three predicts and reconstructs every leaf in
+  decode order.  Stages one and three are each one GIL-free C call
+  (``native.plan_slice`` / ``native.reconstruct_slice``) with a
+  pure-Python twin (``_walk_slice`` / ``_apply_predictions``) that
+  produces and consumes the same arrays -- the no-compiler /
+  ``LLM265_PURE_PYTHON=1`` floor, and the path that re-decodes any
+  slice a kernel refuses, so every error is raised by Python code.
+  Sample-identical to ``"legacy"`` on every stream, including
+  corrupt-stream and concealment behaviour -- the bench identity gate
+  and ``tests/test_fast_decode.py`` / ``tests/test_decode_fuzz.py``
+  enforce this.
 """
 
 from __future__ import annotations
@@ -37,13 +43,14 @@ from __future__ import annotations
 import os
 import time
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 import repro.telemetry as telemetry
 from repro.codec import intra
 from repro.codec.encoder import QpDither, unpack_header
+from repro.codec.entropy import native
 from repro.codec.entropy.arithmetic import BinaryDecoder
 from repro.codec.profiles import PROFILES_BY_ID
 from repro.codec.quantizer import dequantize, qstep
@@ -74,6 +81,38 @@ DECODES = ("vectorized", "legacy")
 _PARALLEL_MIN_SLICES = 4
 #: ... and at least this many payload bytes (32 KiB) to fan out.
 _PARALLEL_MIN_BYTES = 1 << 15
+
+
+class LeafPlan:
+    """Flat decode plan of one slice: one column per leaf, in decode order.
+
+    ``rows`` is a C-contiguous ``(len(FIELDS), capacity)`` int64 table
+    of which the first ``n_leaves`` columns are filled; ``levels``
+    holds the quantized levels of every coded leaf, still in scan
+    order, ``size * size`` of them starting at the leaf's
+    ``coeff_offset``.  Conventions: ``mode`` is -1 where no intra mode
+    was coded (inter leaves, streams without intra), ``ry``/``rx`` are
+    the reference block origin of an inter leaf (else 0),
+    ``ctu_index`` numbers the leaf's CTU in raster order (its QP is
+    looked up there) and ``coeff_offset`` is -1 for a cbf = 0 leaf.
+
+    The slice kernel (``_slice_kernel.c``, rows ``P_*``) and the Python
+    walk fill this layout, and the residual and reconstruct stages --
+    numpy, ``_recon_kernel.c`` and the Python loop -- read it.
+    """
+
+    FIELDS = native.PLAN_FIELDS
+
+    __slots__ = ("rows", "levels", "n_leaves")
+
+    def __init__(self, rows: np.ndarray, levels: np.ndarray, n_leaves: int) -> None:
+        self.rows = rows
+        self.levels = levels
+        self.n_leaves = n_leaves
+
+    def field(self, name: str) -> np.ndarray:
+        """One plan row, trimmed to the filled columns."""
+        return self.rows[self.FIELDS.index(name), : self.n_leaves]
 
 
 def _effective_cpus() -> int:
@@ -161,6 +200,13 @@ class FrameDecoder:
             # On a single-CPU machine fan-out is pure overhead no matter
             # how large the payload: decode is CPU-bound end to end.
             and _effective_cpus() > 1
+            # Threads only overlap work that releases the GIL: the two
+            # whole-slice kernels.  The per-leaf Python of the twin and
+            # of the legacy decoder measured ~0.5x under threads.
+            and (
+                par.executor != "thread"
+                or (self._decode_mode == "vectorized" and native.available())
+            )
         )
         if par_capable and not use_parallel:
             telemetry.count("decode.parallel_threshold_fallbacks")
@@ -172,27 +218,37 @@ class FrameDecoder:
             # loop.  Concealment and inter streams stay on the serial path.
             # Tasks ship the 21 raw header bytes (workers parse + cache
             # them once per stream shape), not the unpacked frame context.
+            # One task per worker that can actually run (decode is
+            # CPU-bound), each a run of consecutive slices: dispatching
+            # a task costs about what a small slice takes to decode.
             warm_pool(par)
+            runs = min(par.resolved_workers(), _effective_cpus(), h["n_frames"])
+            run = -(-h["n_frames"] // runs)
             tasks = [
                 (
                     self._raw_header,
-                    slices[i],
-                    i,
+                    slices[first : first + run],
+                    first,
                     pad_h,
                     pad_w,
-                    i * ctus_per_frame,
+                    ctus_per_frame,
                     self._decode_mode,
                 )
-                for i in range(h["n_frames"])
+                for first in range(0, h["n_frames"], run)
             ]
             with telemetry.span("frames.decode"):
-                recons = parallel_map(
-                    _decode_slice_worker,
+                outcomes = parallel_map(
+                    _decode_slices_worker,
                     tasks,
                     par,
                     label="decode",
                     deadline=self._deadline,
                 )
+            recons = [recon for run_recons, _ in outcomes for recon in run_recons]
+            if self._stats is not None:
+                for _, worker_stats in outcomes:
+                    if worker_stats is not None:
+                        self._stats.merge(worker_stats)
             frames = [
                 np.clip(np.rint(r[:height, :width]), 0, 255).astype(np.uint8)
                 for r in recons
@@ -399,97 +455,177 @@ class FrameDecoder:
         value = int(self._modes[y, x])
         return value if value >= 0 else None
 
-    # -- per-frame (vectorized: plan -> batched reconstruct) ------------
+    # -- per-frame (vectorized: plan -> residuals -> reconstruct) -------
     #
-    # Bit-exactness argument.  Phase one touches every adaptive context
-    # and every dither step in exactly the legacy order (the quadtree
-    # walk is identical; mode decoding depends only on *neighbour
-    # modes*, which the plan records leaf-by-leaf, never on pixels), so
-    # the entropy decode consumes identical bins and fails on identical
-    # inputs.  Phase two's batched dequantize is the same elementwise
-    # multiply legacy performs per leaf, the batched inverse DCT runs
-    # the same (n, n) x (n, n) GEMM per stacked slice as the legacy
-    # batch-of-one call, and prediction replays in decode order against
-    # a reconstruction mask that is, at every leaf, the exact mask the
-    # interleaved loop would have had.
+    # Bit-exactness argument.  Stage one touches every adaptive context
+    # in exactly the legacy order (the quadtree walk is identical; mode
+    # decoding depends only on *neighbour modes*, which the walk records
+    # leaf by leaf, never on pixels), so the entropy decode consumes
+    # identical bins and fails on identical inputs.  Stage two's batched
+    # dequantize is the same elementwise multiply legacy performs per
+    # leaf and the batched inverse DCT runs the same (n, n) x (n, n)
+    # GEMM per stacked slice as the legacy batch-of-one call.  Stage
+    # three replays prediction in decode order against a reconstruction
+    # mask that is, at every leaf, the exact mask the interleaved loop
+    # would have had; its C form evaluates the same expressions in the
+    # same order with no fused multiply-add (docs/PERFORMANCE.md).
 
     def _decode_frame_vectorized(
         self, height: int, width: int, frame_index: int, dither: QpDither
     ) -> np.ndarray:
         h = self._header
         ctu = h["ctu"]
-        self._recon = np.zeros((height, width), dtype=np.float64)
-        self._mask = np.zeros((height, width), dtype=bool)
-        self._modes = np.full((height, width), -1, dtype=np.int16)
         self._inter_allowed = (
             h["use_inter"] and frame_index > 0 and self._reference is not None
         )
-        registry = self._registry
         stats = self._stats
+        # One QP per CTU in raster order; leaves find theirs by ctu_index.
+        qps = [dither.next() for _ in range((height // ctu) * (width // ctu))]
+        if self._registry is not None:
+            for qp in qps:
+                self._registry.observe("decode.qp", qp)
 
-        # Phase 1: drain the range decoder into a flat leaf plan.
+        # Stage 1: drain the range decoder into the leaf plan.
         started = time.perf_counter() if stats is not None else 0.0
-        leaves: List[tuple] = []
         with telemetry.span("decode.entropy"):
-            for y0 in range(0, height, ctu):
-                for x0 in range(0, width, ctu):
-                    self._qp = dither.next()
-                    if registry is not None:
-                        registry.count("decode.ctu")
-                        registry.observe("decode.qp", self._qp)
-                    self._plan_cu(y0, x0, ctu, 0, leaves)
+            plan = self._plan_slice(height, width)
         if stats is not None:
             now = time.perf_counter()
             stats.add_seconds("entropy", now - started)
             stats.add_count("coeff_bins", self._dec.scan_bins)
+            _count_structure(stats, plan, len(qps))
             started = now
 
-        # Phase 2: one batched dequantize + inverse transform per size.
+        # Stage 2: one batched dequantize + inverse transform per size.
         with telemetry.span("decode.reconstruct"):
-            residuals = self._batch_residuals(leaves, h["use_transform"], stats)
+            resid_offset, resid = self._batch_residuals(
+                plan, qps, h["use_transform"], stats
+            )
         if stats is not None:
             now = time.perf_counter()
             stats.add_seconds("reconstruct", now - started)
             started = now
 
-        # Phase 3: prediction in dependency (decode) order.
+        # Stage 3: prediction in dependency (decode) order.
         with telemetry.span("decode.predict"):
-            self._apply_predictions(leaves, residuals, height, width)
+            recon = self._reconstruct(plan, resid_offset, resid, height, width)
         if stats is not None:
             stats.add_seconds("predict", time.perf_counter() - started)
-        return self._recon
+        return recon
+
+    def _plan_slice(self, height: int, width: int) -> LeafPlan:
+        """Stage one: the slice kernel, else (or after it) the Python walk."""
+        h = self._header
+        if native.available() and (
+            not self._inter_allowed or self._reference.shape == (height, width)
+        ):
+            # Exact upper bounds: no leaf is smaller than 4 x 4 (or than
+            # a CTU when partitioning is off) and coded areas are disjoint.
+            smallest = max(4, h["min_cu"] if h["use_partition"] else h["ctu"])
+            rows = np.empty(
+                (len(LeafPlan.FIELDS), (height // smallest) * (width // smallest)),
+                dtype=np.int64,
+            )
+            levels = np.empty(height * width, dtype=np.int64)
+            outcome = native.plan_slice(
+                self._dec,
+                self._ctx.banks(),
+                height,
+                width,
+                h["ctu"],
+                h["min_cu"],
+                h["use_partition"],
+                h["use_intra"],
+                self._inter_allowed,
+                self._profile.all_modes,
+                rows,
+                levels,
+            )
+            if outcome is not None:
+                status, n_leaves, n_levels = outcome
+                if status == 0:
+                    return LeafPlan(rows, levels[:n_levels], n_leaves)
+                # The kernel refused the slice and formats no error:
+                # decode it again from a fresh coder with the Python
+                # walk, which raises the canonical typed error at the
+                # same bin it always did.
+                self._dec = BinaryDecoder(self._dec._data)
+                self._ctx = CodecContexts()
+        return self._walk_slice(height, width)
+
+    def _walk_slice(self, height: int, width: int) -> LeafPlan:
+        """Pure-Python twin of ``native.plan_slice``: same plan, same state."""
+        ctu = self._header["ctu"]
+        # The plan-time mask/mode maps drive neighbour-mode contexts
+        # exactly as the interleaved loop's post-leaf updates would.
+        self._mask = np.zeros((height, width), dtype=bool)
+        self._modes = np.full((height, width), -1, dtype=np.int16)
+        leaves: List[tuple] = []
+        scans: List[np.ndarray] = []
+        ctu_index = 0
+        for y0 in range(0, height, ctu):
+            for x0 in range(0, width, ctu):
+                self._plan_cu(y0, x0, ctu, 0, ctu_index, leaves, scans)
+                ctu_index += 1
+        rows = np.ascontiguousarray(
+            np.array(leaves, dtype=np.int64).reshape(-1, len(LeafPlan.FIELDS)).T
+        )
+        plan = LeafPlan(
+            rows,
+            np.concatenate(scans) if scans else np.empty(0, dtype=np.int64),
+            len(leaves),
+        )
+        # Leaves were appended with a 0 / -1 cbf marker; coded leaves
+        # take consecutive size * size runs of the level buffer.
+        offsets = plan.field("coeff_offset")
+        coded = offsets >= 0
+        areas = plan.field("size")[coded] ** 2
+        offsets[coded] = np.cumsum(areas) - areas
+        return plan
 
     def _plan_cu(
-        self, y0: int, x0: int, size: int, depth: int, leaves: List[tuple]
+        self,
+        y0: int,
+        x0: int,
+        size: int,
+        depth: int,
+        ctu_index: int,
+        leaves: List[tuple],
+        scans: List[np.ndarray],
     ) -> None:
         h = self._header
         if h["use_partition"] and size > h["min_cu"]:
             if self._dec.decode_bit(self._ctx.split, min(depth, 5)):
-                if self._registry is not None:
-                    self._registry.count("decode.cu.split")
                 half = size // 2
                 for qy in (0, 1):
                     for qx in (0, 1):
                         self._plan_cu(
-                            y0 + qy * half, x0 + qx * half, half, depth + 1, leaves
+                            y0 + qy * half,
+                            x0 + qx * half,
+                            half,
+                            depth + 1,
+                            ctu_index,
+                            leaves,
+                            scans,
                         )
                 return
-        self._plan_leaf(y0, x0, size, leaves)
+        self._plan_leaf(y0, x0, size, ctu_index, leaves, scans)
 
     def _plan_leaf(
-        self, y0: int, x0: int, size: int, leaves: List[tuple]
+        self,
+        y0: int,
+        x0: int,
+        size: int,
+        ctu_index: int,
+        leaves: List[tuple],
+        scans: List[np.ndarray],
     ) -> None:
         h = self._header
         is_inter = False
         if self._inter_allowed:
             is_inter = bool(self._dec.decode_bit(self._ctx.pred_flag, 0))
-        if self._registry is not None:
-            self._registry.count("decode.cu.leaf")
-            self._registry.count(
-                "decode.mode.inter" if is_inter else "decode.mode.intra"
-            )
 
-        mode: Optional[int] = None
+        mode = -1
         ry = rx = 0
         if is_inter:
             mv = decode_mv(self._dec, self._ctx)
@@ -509,88 +645,142 @@ class FrameDecoder:
             )
 
         scanned = decode_coeff_block_scanned(self._dec, self._ctx, size)
-        leaves.append((y0, x0, size, mode, is_inter, ry, rx, self._qp, scanned))
-        # The plan-time mask/mode maps drive neighbour-mode contexts
-        # exactly as the interleaved loop's post-leaf updates would.
+        if scanned is not None:
+            scans.append(scanned)
+        leaves.append(
+            (y0, x0, size, mode, int(is_inter), ry, rx, ctu_index,
+             -1 if scanned is None else 0)
+        )
         sl = (slice(y0, y0 + size), slice(x0, x0 + size))
         self._mask[sl] = True
-        self._modes[sl] = mode if mode is not None else intra.DC
+        self._modes[sl] = mode if mode >= 0 else intra.DC
 
     def _batch_residuals(
         self,
-        leaves: List[tuple],
+        plan: LeafPlan,
+        qps: List[int],
         use_transform: bool,
         stats: Optional[DecodeStats],
-    ) -> Dict[int, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Dequantize + inverse-transform every coded leaf, batched by size.
 
-        Returns residual grids keyed by leaf index; cbf=0 leaves are
-        absent (their residual is exactly zero, added as such by the
-        prediction pass -- the legacy path's IDCT of an all-zero block
-        is also exactly zero).
+        Returns ``(resid_offset, resid)``: the row-major residual grids
+        of all coded leaves concatenated into one float64 vector, and
+        per leaf the offset of its grid in it -- -1 for cbf=0 leaves,
+        whose residual is exactly zero and is added as such by the
+        prediction pass (the legacy path's IDCT of an all-zero block is
+        also exactly zero).
         """
-        groups: Dict[int, List[int]] = {}
-        for index, leaf in enumerate(leaves):
-            if leaf[8] is not None:
-                groups.setdefault(leaf[2], []).append(index)
-        residuals: Dict[int, np.ndarray] = {}
-        for n, indices in sorted(groups.items()):
-            scan_rows = np.stack([leaves[i][8] for i in indices])
-            steps = np.array(
-                [qstep(leaves[i][7]) for i in indices], dtype=np.float64
-            )
+        sizes = plan.field("size")
+        coeff = plan.field("coeff_offset")
+        coded = coeff >= 0
+        step_of_qp = {qp: qstep(qp) for qp in set(qps)}
+        steps = np.array([step_of_qp[qp] for qp in qps], dtype=np.float64)[
+            plan.field("ctu_index")
+        ]
+        resid_offset = np.full(plan.n_leaves, -1, dtype=np.int64)
+        grids_by_size: List[np.ndarray] = []
+        total = 0
+        for n in np.unique(sizes[coded]).tolist():
+            indices = np.flatnonzero(coded & (sizes == n))
+            area = n * n
+            scan_rows = plan.levels[coeff[indices, None] + np.arange(area)]
             # Same elementwise product as per-leaf ``dequantize``; the
             # zigzag unscan is one fancy-index store across the batch.
-            dequant = scan_rows.astype(np.float64) * steps[:, None]
-            flat = np.empty((len(indices), n * n), dtype=np.float64)
+            dequant = scan_rows.astype(np.float64) * steps[indices, None]
+            flat = np.empty((len(indices), area), dtype=np.float64)
             flat[:, zigzag_order(n)] = dequant
             grids = flat.reshape(len(indices), n, n)
             if use_transform:
                 grids = inverse_dct2_batch(grids)
-            for j, index in enumerate(indices):
-                residuals[index] = grids[j]
+            resid_offset[indices] = total + area * np.arange(len(indices))
+            grids_by_size.append(grids.reshape(-1))
+            total += grids.size
         if stats is not None:
-            stats.add_count("batches", len(groups))
-            stats.add_count("batched_blocks", len(residuals))
-        return residuals
+            stats.add_count("batches", len(grids_by_size))
+            stats.add_count("batched_blocks", int(coded.sum()))
+        resid = (
+            np.concatenate(grids_by_size)
+            if grids_by_size
+            else np.empty(0, dtype=np.float64)
+        )
+        return resid_offset, resid
 
-    def _apply_predictions(
+    def _reconstruct(
         self,
-        leaves: List[tuple],
-        residuals: Dict[int, np.ndarray],
+        plan: LeafPlan,
+        resid_offset: np.ndarray,
+        resid: np.ndarray,
         height: int,
         width: int,
-    ) -> None:
-        h = self._header
-        use_intra = h["use_intra"]
-        recon = self._recon
+    ) -> np.ndarray:
+        """Stage three: the reconstruct kernel, else the Python loop."""
+        recon = np.zeros((height, width), dtype=np.float64)
         # Fresh mask: at leaf k it holds exactly leaves 0..k-1, which is
         # what the interleaved loop's reference gather saw at leaf k.
         mask = np.zeros((height, width), dtype=bool)
-        zeros: Dict[int, np.ndarray] = {}
-        for index, (y0, x0, size, mode, is_inter, ry, rx, _qp, _sc) in enumerate(
-            leaves
+        reference = self._reference if self._inter_allowed else None
+        if not (
+            native.available()
+            and native.reconstruct_slice(
+                recon, mask, reference, plan.rows, plan.n_leaves, resid_offset, resid
+            )
+        ):
+            self._apply_predictions(plan, resid_offset, resid, recon, mask)
+        return recon
+
+    def _apply_predictions(
+        self,
+        plan: LeafPlan,
+        resid_offset: np.ndarray,
+        resid: np.ndarray,
+        recon: np.ndarray,
+        mask: np.ndarray,
+    ) -> None:
+        """Pure-Python twin of ``native.reconstruct_slice``."""
+        zeros = {
+            n: np.zeros((n, n), dtype=np.float64)
+            for n in np.unique(plan.field("size")).tolist()
+        }
+        leaves = plan.rows[:, : plan.n_leaves].T.tolist()
+        for (y0, x0, size, mode, is_inter, ry, rx, _ctu, _coeff), offset in zip(
+            leaves, resid_offset.tolist()
         ):
             if is_inter:
                 prediction = self._reference[
                     ry : ry + size, rx : rx + size
                 ].astype(np.float64)
-            elif use_intra:
+            elif mode >= 0:
                 top, left = intra.gather_references(recon, mask, y0, x0, size)
                 prediction = intra.predict(top, left, mode, size)
             else:
                 prediction = np.full((size, size), 128.0)
-            residual = residuals.get(index)
-            if residual is None:
-                residual = zeros.get(size)
-                if residual is None:
-                    residual = zeros.setdefault(
-                        size, np.zeros((size, size), dtype=np.float64)
-                    )
+            if offset >= 0:
+                residual = resid[offset : offset + size * size].reshape(size, size)
+            else:
+                residual = zeros[size]
             sl = (slice(y0, y0 + size), slice(x0, x0 + size))
             recon[sl] = np.clip(prediction + residual, 0.0, 255.0)
             mask[sl] = True
-        self._mask = mask
+
+
+def _count_structure(stats: DecodeStats, plan: LeafPlan, n_ctus: int) -> None:
+    """Structural ``decode.*`` counters, derived from a finished plan.
+
+    The same numbers the legacy decoder counts leaf by leaf; every
+    split turns one quadtree node into four, hence the split count.
+    Counters that would be zero are left absent, as legacy leaves them.
+    """
+    n_inter = int(plan.field("is_inter").sum())
+    for name, value in (
+        ("ctu", n_ctus),
+        ("cu.leaf", plan.n_leaves),
+        ("cu.split", (plan.n_leaves - n_ctus) // 3),
+        ("mode.inter", n_inter),
+        ("mode.intra", plan.n_leaves - n_inter),
+    ):
+        if value:
+            stats.add_count(name, value)
 
 
 @lru_cache(maxsize=64)
@@ -605,37 +795,47 @@ def _worker_header(raw_header: bytes) -> dict:
     return unpack_header(raw_header)
 
 
-def _decode_slice_worker(args) -> np.ndarray:
-    """Decode one framed slice in isolation (module-level: picklable).
+def _decode_slices_worker(args) -> Tuple[List[np.ndarray], Optional[DecodeStats]]:
+    """Decode a run of consecutive slices in isolation (picklable).
 
     Mirrors the strict-mode body of :meth:`FrameDecoder._decode_slice`:
-    fresh entropy state per slice, the frame's dither jumped to via the
-    closed form, and the same exception wrapping so parallel failures
-    surface as the identical :class:`CorruptStreamError`.
+    fresh entropy state per slice, the first frame's dither jumped to
+    via the closed form, and the same exception wrapping so parallel
+    failures surface as the identical :class:`CorruptStreamError`.  When
+    the dispatcher is collecting telemetry (``parallel_map`` then runs
+    this under a child registry) the run's :class:`DecodeStats` ledger
+    travels back with the samples, so the parent publishes the same
+    ``decode.*`` counters fanned out as it does serially; stage seconds
+    then add up across workers and may exceed wall time.
     """
-    raw_header, segment, frame_index, pad_h, pad_w, dither_steps, mode = args
+    raw_header, segments, first_index, pad_h, pad_w, ctus_per_frame, mode = args
     header = _worker_header(raw_header)
     dec = FrameDecoder.__new__(FrameDecoder)
     dec._header = header
     dec._profile = PROFILES_BY_ID[header["profile_id"]]
     dec._conceal = False
     dec._parallel = None
-    dec._registry = None
-    dec._stats = None
+    dec._registry = telemetry.current()
+    dec._stats = DecodeStats() if dec._registry is not None else None
     dec._reference = None
     dec._decode_mode = mode
     dec.report = ConcealmentReport()
-    dither = QpDither.advanced(header["qp_base"], header["qp_frac"], dither_steps)
-    dec._dec = BinaryDecoder(segment)
-    dec._ctx = CodecContexts()
-    try:
-        return dec._decode_frame_any(pad_h, pad_w, frame_index, dither)
-    except CorruptStreamError:
-        raise
-    except Exception as exc:
-        raise CorruptStreamError(
-            f"slice {frame_index}: undecodable ({type(exc).__name__}: {exc})"
-        ) from exc
+    dither = QpDither.advanced(
+        header["qp_base"], header["qp_frac"], first_index * ctus_per_frame
+    )
+    recons = []
+    for frame_index, segment in enumerate(segments, first_index):
+        dec._dec = BinaryDecoder(segment)
+        dec._ctx = CodecContexts()
+        try:
+            recons.append(dec._decode_frame_any(pad_h, pad_w, frame_index, dither))
+        except CorruptStreamError:
+            raise
+        except Exception as exc:
+            raise CorruptStreamError(
+                f"slice {frame_index}: undecodable ({type(exc).__name__}: {exc})"
+            ) from exc
+    return recons, dec._stats
 
 
 def decode_frames(

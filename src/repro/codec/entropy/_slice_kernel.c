@@ -1,0 +1,521 @@
+/* Whole-slice entropy decode: one call drains one CRC-verified slice.
+ *
+ * Walks the CTU quadtree exactly as FrameDecoder._plan_cu / _plan_leaf
+ * do -- split flags, pred_flag, the 3-entry MPM intra-mode scheme read
+ * against a plan-time mode map, motion vectors (adaptive UEG + sign,
+ * bounds-checked against the reference frame), cbf, the last-position
+ * UEG and the fused significance / level / sign coefficient scan of
+ * BinaryDecoder.decode_coeff_scan -- and fills one flat leaf plan: a
+ * (PLAN_ROWS, leaf_cap) int64 table with one column per leaf in decode
+ * order plus one scan-order level buffer that coded leaves index
+ * through their coeff_offset row (-1 = cbf 0, no levels stored).
+ *
+ * The range decoder is the same LZMA-style design as arithmetic.py
+ * (32-bit range/code, 11-bit probabilities, shift-5 adaptation, one
+ * byte shift per renormalisation: adapted probabilities stay inside
+ * [31, 2017], so a single shift always restores range >= 2^24) and
+ * every operation is exact in uint32/int64, so the plan, the coder
+ * state written back through state_io and every context bank -- the
+ * live array('i') buffers of one CodecContexts, adapted in place --
+ * are bit-identical to the Python walk.  tests/test_fast_decode.py
+ * locks the two together.
+ *
+ * This file is a trust boundary: the slice bytes are hostile input.
+ * Every table write is capacity-checked, every decoded index is
+ * range-checked, and nothing is ever formatted here: any non-zero
+ * status makes the caller re-decode the slice with the Python walk,
+ * which raises the canonical typed error.
+ *
+ * Return status: 0 = ok, 1 = runaway Exp-Golomb suffix, 2 = level
+ * magnitude beyond int64, 3 = last position out of range, 4 = intra
+ * mode index out of range, 5 = motion vector outside the reference,
+ * 6 = plan or level capacity would be exceeded, 7 = block geometry
+ * this kernel does not handle.
+ *
+ * Built on demand by repro.codec.entropy.native.
+ */
+
+#include <stdint.h>
+
+#define PROB_BITS 11
+#define PROB_ONE 2048
+#define ADAPT_SHIFT 5
+#define TOP (1u << 24)
+
+/* Context layout of repro.codec.syntax (CodecContexts). */
+#define LAST_PREFIX 10
+#define SIG_CTX_PER_CLASS 3
+#define LEVEL_PREFIX 3
+#define RUN_PREFIX 4
+#define UEG_K 1
+
+#define MODE_PLANAR 0
+#define MODE_DC 1
+#define ANGULAR_FIRST 2
+#define N_ANGULAR 33
+
+enum {
+    ST_OK,
+    ST_UEG,
+    ST_OVERFLOW,
+    ST_LAST,
+    ST_MODE,
+    ST_MV,
+    ST_CAPACITY,
+    ST_GEOMETRY
+};
+
+/* Plan rows, in the order of native.PLAN_FIELDS. */
+enum {
+    P_Y0,
+    P_X0,
+    P_SIZE,
+    P_MODE,
+    P_INTER,
+    P_RY,
+    P_RX,
+    P_CTU,
+    P_COEFF,
+    PLAN_ROWS
+};
+
+/* Bank order of the `banks` argument (CodecContexts attribute order). */
+enum { B_SPLIT, B_PRED, B_MPM_FLAG, B_MPM_INDEX, B_CBF, B_LAST, B_SIG,
+       B_LEVEL, B_MV, N_BANKS };
+
+typedef struct {
+    const uint8_t *data;
+    int64_t dlen, pos;
+    uint32_t rng, code;
+    int64_t bins; /* coefficient-scan bins, as BinaryDecoder.scan_bins */
+    int32_t *const *banks;
+    int64_t height, width, min_cu;
+    int use_partition, use_intra, inter_allowed;
+    const int32_t *all_modes;
+    int64_t n_modes;
+    int8_t *mode_map; /* one cell per 4x4 samples, -1 = not yet planned */
+    int64_t map_w;
+    int64_t *plan, leaf_cap, n_leaves;
+    int64_t *levels, level_cap, n_levels;
+    int64_t ctu_index;
+} slice;
+
+#define NEXT_BYTE(data, dlen, pos) ((pos) < (dlen) ? (data)[(pos)] : 0)
+
+/* BinaryDecoder.decode_bit. */
+static inline int ctx_bin(slice *s, int32_t *probs, int64_t idx)
+{
+    int32_t prob = probs[idx];
+    uint32_t bound = (s->rng >> PROB_BITS) * (uint32_t)prob;
+    int bit;
+    if (s->code < bound) {
+        s->rng = bound;
+        probs[idx] = prob + ((PROB_ONE - prob) >> ADAPT_SHIFT);
+        bit = 0;
+    } else {
+        s->code -= bound;
+        s->rng -= bound;
+        probs[idx] = prob - (prob >> ADAPT_SHIFT);
+        bit = 1;
+    }
+    if (s->rng < TOP) {
+        s->rng <<= 8;
+        s->code = (s->code << 8) | NEXT_BYTE(s->data, s->dlen, s->pos);
+        s->pos++;
+    }
+    return bit;
+}
+
+/* BinaryDecoder.decode_bypass. */
+static inline int bypass_bin(slice *s)
+{
+    int bit = 0;
+    s->rng >>= 1;
+    if (s->code >= s->rng) {
+        s->code -= s->rng;
+        bit = 1;
+    }
+    if (s->rng < TOP) {
+        s->rng <<= 8;
+        s->code = (s->code << 8) | NEXT_BYTE(s->data, s->dlen, s->pos);
+        s->pos++;
+    }
+    return bit;
+}
+
+/* BinaryDecoder.decode_ueg for the small syntax elements (last
+ * position, motion vectors).  Every value these may legally take is
+ * far below 2^60, so a longer Exp-Golomb prefix is reported as runaway
+ * here and left to the Python walk to classify. */
+static int small_ueg(slice *s, int32_t *probs, int64_t base,
+                     int64_t max_prefix, int64_t *value)
+{
+    int64_t prefix = 0, prefix_len = 0, j;
+    uint64_t shifted = 1, suffix = 0;
+    while (prefix < max_prefix) {
+        int64_t ctx = prefix < max_prefix - 1 ? prefix : max_prefix - 1;
+        if (ctx_bin(s, probs, base + ctx) == 0) {
+            *value = prefix;
+            return ST_OK;
+        }
+        prefix++;
+    }
+    while (bypass_bin(s) == 0)
+        if (++prefix_len > 60)
+            return ST_UEG;
+    for (j = 0; j < prefix_len; j++)
+        shifted = (shifted << 1) | (uint64_t)bypass_bin(s);
+    for (j = 0; j < UEG_K; j++)
+        suffix = (suffix << 1) | (uint64_t)bypass_bin(s);
+    *value = max_prefix + (int64_t)(((shifted - 1) << UEG_K) | suffix);
+    return ST_OK;
+}
+
+/* BinaryDecoder.decode_coeff_scan on localized coder state (this is
+ * the hot loop: ~99 % of a slice's bins), writing n_scan levels in
+ * scan order to `out`. */
+static int coeff_scan(slice *s, int64_t n, int64_t cls, int64_t last,
+                      int64_t *out)
+{
+    const uint8_t *data = s->data;
+    int64_t dlen = s->dlen, pos = s->pos;
+    uint32_t rng = s->rng, code = s->code;
+    int32_t *sig_probs = s->banks[B_SIG] + cls * SIG_CTX_PER_CLASS;
+    int32_t *level_probs = s->banks[B_LEVEL] + cls * LEVEL_PREFIX;
+    int64_t bins = last; /* one significance bin per non-last position */
+    int64_t n_scan = n * n;
+    int status = ST_OK;
+    int64_t i, j;
+
+    for (i = 0; i < n_scan; i++)
+        out[i] = 0;
+
+    for (i = last; i >= 0; i--) {
+        if (i != last) {
+            int64_t idx = i < 2 ? 0 : (i < n ? 1 : 2);
+            int32_t prob = sig_probs[idx];
+            uint32_t bound = (rng >> PROB_BITS) * (uint32_t)prob;
+            if (code < bound) {
+                rng = bound;
+                sig_probs[idx] = prob + ((PROB_ONE - prob) >> ADAPT_SHIFT);
+                if (rng < TOP) {
+                    rng <<= 8;
+                    code = (code << 8) | NEXT_BYTE(data, dlen, pos);
+                    pos++;
+                }
+                continue;
+            }
+            code -= bound;
+            rng -= bound;
+            sig_probs[idx] = prob - (prob >> ADAPT_SHIFT);
+            if (rng < TOP) {
+                rng <<= 8;
+                code = (code << 8) | NEXT_BYTE(data, dlen, pos);
+                pos++;
+            }
+        }
+        /* Magnitude: adaptive truncated-unary prefix ... */
+        int64_t prefix = 0;
+        while (prefix < LEVEL_PREFIX) {
+            int64_t idx = prefix < LEVEL_PREFIX - 1 ? prefix : LEVEL_PREFIX - 1;
+            int32_t prob = level_probs[idx];
+            uint32_t bound = (rng >> PROB_BITS) * (uint32_t)prob;
+            int bit;
+            if (code < bound) {
+                rng = bound;
+                level_probs[idx] = prob + ((PROB_ONE - prob) >> ADAPT_SHIFT);
+                bit = 0;
+            } else {
+                code -= bound;
+                rng -= bound;
+                level_probs[idx] = prob - (prob >> ADAPT_SHIFT);
+                bit = 1;
+            }
+            if (rng < TOP) {
+                rng <<= 8;
+                code = (code << 8) | NEXT_BYTE(data, dlen, pos);
+                pos++;
+            }
+            if (bit == 0)
+                break;
+            prefix++;
+        }
+        unsigned __int128 value;
+        if (prefix < LEVEL_PREFIX) {
+            value = (unsigned __int128)prefix;
+            bins += prefix + 2; /* prefix bins + terminator + sign */
+        } else {
+            /* ... plus an order-k Exp-Golomb bypass suffix. */
+            int64_t prefix_len = 0;
+            for (;;) {
+                int bit = 0;
+                rng >>= 1;
+                if (code >= rng) {
+                    code -= rng;
+                    bit = 1;
+                }
+                if (rng < TOP) {
+                    rng <<= 8;
+                    code = (code << 8) | NEXT_BYTE(data, dlen, pos);
+                    pos++;
+                }
+                if (bit)
+                    break;
+                if (++prefix_len > 64) {
+                    status = ST_UEG;
+                    goto done;
+                }
+            }
+            unsigned __int128 shifted = 1;
+            for (j = 0; j < prefix_len + UEG_K; j++) {
+                /* prefix_len mantissa bins, then the k suffix bins:
+                 * ((shifted - 1) << k) | suffix, accumulated as one
+                 * run and re-based below. */
+                rng >>= 1;
+                shifted <<= 1;
+                if (code >= rng) {
+                    code -= rng;
+                    shifted |= 1;
+                }
+                if (rng < TOP) {
+                    rng <<= 8;
+                    code = (code << 8) | NEXT_BYTE(data, dlen, pos);
+                    pos++;
+                }
+            }
+            value = (unsigned __int128)LEVEL_PREFIX + shifted -
+                    ((unsigned __int128)1 << UEG_K);
+            bins += LEVEL_PREFIX + 2 * prefix_len + UEG_K + 2;
+        }
+        unsigned __int128 magnitude = value + 1;
+        /* Sign bypass bin (counted in the magnitude's tally above). */
+        int negative = 0;
+        rng >>= 1;
+        if (code >= rng) {
+            code -= rng;
+            negative = 1;
+        }
+        if (rng < TOP) {
+            rng <<= 8;
+            code = (code << 8) | NEXT_BYTE(data, dlen, pos);
+            pos++;
+        }
+        if (magnitude > (unsigned __int128)INT64_MAX) {
+            status = ST_OVERFLOW;
+            goto done;
+        }
+        out[i] = negative ? -(int64_t)magnitude : (int64_t)magnitude;
+    }
+    s->bins += bins;
+done:
+    s->pos = pos;
+    s->rng = rng;
+    s->code = code;
+    return status;
+}
+
+/* FrameDecoder._neighbor_mode on the 4x4-granular mode map. */
+static inline int neighbor_mode(const slice *s, int64_t y, int64_t x)
+{
+    if (y < 0 || x < 0)
+        return -1;
+    return s->mode_map[(y >> 2) * s->map_w + (x >> 2)];
+}
+
+static inline int in_mpm(const int *mpm, int mode)
+{
+    return mode == mpm[0] || mode == mpm[1] || mode == mpm[2];
+}
+
+/* intra.most_probable_modes + syntax.decode_intra_mode. */
+static int intra_mode(slice *s, int left, int top, int64_t *mode_out)
+{
+    static const int fallbacks[3] = {MODE_PLANAR, MODE_DC, 26};
+    int a = left >= 0 ? left : MODE_DC;
+    int b = top >= 0 ? top : MODE_DC;
+    int mpm[3];
+    int64_t i, remaining = 0, width = 1, index = 0;
+
+    if (a == b) {
+        if (a < ANGULAR_FIRST) {
+            mpm[0] = MODE_PLANAR;
+            mpm[1] = MODE_DC;
+            mpm[2] = 26;
+        } else {
+            mpm[0] = a;
+            mpm[1] = ANGULAR_FIRST +
+                     (a - ANGULAR_FIRST + N_ANGULAR - 1) % N_ANGULAR;
+            mpm[2] = ANGULAR_FIRST + (a - ANGULAR_FIRST + 1) % N_ANGULAR;
+        }
+    } else {
+        mpm[0] = a;
+        mpm[1] = b;
+        mpm[2] = -1;
+        for (i = 0; i < 3; i++)
+            if (fallbacks[i] != a && fallbacks[i] != b) {
+                mpm[2] = fallbacks[i];
+                break;
+            }
+    }
+    if (ctx_bin(s, s->banks[B_MPM_FLAG], 0)) {
+        if (ctx_bin(s, s->banks[B_MPM_INDEX], 0) == 0)
+            *mode_out = mpm[0];
+        else
+            *mode_out = mpm[1 + ctx_bin(s, s->banks[B_MPM_INDEX], 1)];
+        return ST_OK;
+    }
+    for (i = 0; i < s->n_modes; i++)
+        if (!in_mpm(mpm, s->all_modes[i]))
+            remaining++;
+    if (remaining == 0)
+        return ST_MODE;
+    while (((int64_t)1 << width) < remaining)
+        width++; /* max(1, (remaining - 1).bit_length()) */
+    for (i = 0; i < width; i++)
+        index = (index << 1) | bypass_bin(s);
+    if (index >= remaining)
+        return ST_MODE;
+    for (i = 0; i < s->n_modes; i++)
+        if (!in_mpm(mpm, s->all_modes[i]) && index-- == 0) {
+            *mode_out = s->all_modes[i];
+            return ST_OK;
+        }
+    return ST_MODE;
+}
+
+/* FrameDecoder._plan_leaf. */
+static int leaf(slice *s, int64_t y0, int64_t x0, int64_t size)
+{
+    int64_t cls, mode = -1, ry = 0, rx = 0, coeff = -1, y, x, col;
+    int is_inter = 0, status;
+
+    switch (size) {
+    case 4: cls = 0; break;
+    case 8: cls = 1; break;
+    case 16: cls = 2; break;
+    case 32: cls = 3; break;
+    case 64: cls = 4; break;
+    default: return ST_GEOMETRY;
+    }
+    if (s->n_leaves >= s->leaf_cap)
+        return ST_CAPACITY;
+    if (s->inter_allowed)
+        is_inter = ctx_bin(s, s->banks[B_PRED], 0);
+    if (is_inter) {
+        int64_t mv[2];
+        int axis;
+        for (axis = 0; axis < 2; axis++) {
+            status = small_ueg(s, s->banks[B_MV], axis * RUN_PREFIX,
+                               RUN_PREFIX, &mv[axis]);
+            if (status)
+                return status;
+            if (mv[axis] && bypass_bin(s))
+                mv[axis] = -mv[axis];
+        }
+        ry = y0 + mv[0];
+        rx = x0 + mv[1];
+        /* The reference frame has this slice's (padded) dimensions. */
+        if (ry < 0 || ry > s->height - size || rx < 0 ||
+            rx > s->width - size)
+            return ST_MV;
+    } else if (s->use_intra) {
+        status = intra_mode(s, neighbor_mode(s, y0, x0 - 1),
+                            neighbor_mode(s, y0 - 1, x0), &mode);
+        if (status)
+            return status;
+    }
+    if (ctx_bin(s, s->banks[B_CBF], 0)) {
+        int64_t last;
+        status = small_ueg(s, s->banks[B_LAST], cls * LAST_PREFIX,
+                           LAST_PREFIX, &last);
+        if (status)
+            return status;
+        if (last >= size * size)
+            return ST_LAST;
+        if (s->n_levels + size * size > s->level_cap)
+            return ST_CAPACITY;
+        coeff = s->n_levels;
+        status = coeff_scan(s, size, cls, last, s->levels + coeff);
+        if (status)
+            return status;
+        s->n_levels += size * size;
+    }
+    col = s->n_leaves++;
+    s->plan[P_Y0 * s->leaf_cap + col] = y0;
+    s->plan[P_X0 * s->leaf_cap + col] = x0;
+    s->plan[P_SIZE * s->leaf_cap + col] = size;
+    s->plan[P_MODE * s->leaf_cap + col] = mode;
+    s->plan[P_INTER * s->leaf_cap + col] = is_inter;
+    s->plan[P_RY * s->leaf_cap + col] = ry;
+    s->plan[P_RX * s->leaf_cap + col] = rx;
+    s->plan[P_CTU * s->leaf_cap + col] = s->ctu_index;
+    s->plan[P_COEFF * s->leaf_cap + col] = coeff;
+    /* Neighbour-mode contexts see inter / no-intra leaves as DC. */
+    for (y = y0 >> 2; y < (y0 + size) >> 2; y++)
+        for (x = x0 >> 2; x < (x0 + size) >> 2; x++)
+            s->mode_map[y * s->map_w + x] =
+                (int8_t)(mode >= 0 ? mode : MODE_DC);
+    return ST_OK;
+}
+
+/* FrameDecoder._plan_cu.  Recursion is bounded: size starts at a CTU
+ * of at most 64 and halves down to no less than 4. */
+static int cu(slice *s, int64_t y0, int64_t x0, int64_t size, int64_t depth)
+{
+    if (s->use_partition && size > s->min_cu &&
+        ctx_bin(s, s->banks[B_SPLIT], depth < 5 ? depth : 5)) {
+        int64_t half = size / 2;
+        int q, status;
+        if (half < 4)
+            return ST_GEOMETRY;
+        for (q = 0; q < 4; q++) {
+            status = cu(s, y0 + (q >> 1) * half, x0 + (q & 1) * half, half,
+                        depth + 1);
+            if (status)
+                return status;
+        }
+        return ST_OK;
+    }
+    return leaf(s, y0, x0, size);
+}
+
+/* state_io: {pos, range, code, scan_bins, n_leaves, n_levels}; the
+ * first three are read as the coder's entry state, all six written
+ * back on every return.  mode_map holds (height / 4) * (width / 4)
+ * cells the caller initialised to -1. */
+int64_t llm265_decode_slice(
+    const uint8_t *data, int64_t dlen, int64_t *state_io,
+    int32_t *const *banks,
+    int64_t height, int64_t width, int64_t ctu, int64_t min_cu,
+    int64_t use_partition, int64_t use_intra, int64_t inter_allowed,
+    const int32_t *all_modes, int64_t n_modes,
+    int8_t *mode_map,
+    int64_t *plan, int64_t leaf_cap,
+    int64_t *levels, int64_t level_cap)
+{
+    slice s = {
+        data, dlen, state_io[0], (uint32_t)state_io[1],
+        (uint32_t)state_io[2], 0, banks, height, width, min_cu,
+        use_partition != 0, use_intra != 0, inter_allowed != 0,
+        all_modes, n_modes, mode_map, width / 4,
+        plan, leaf_cap, 0, levels, level_cap, 0, 0,
+    };
+    int64_t y0, x0;
+    int status = ST_OK;
+
+    if ((ctu != 4 && ctu != 8 && ctu != 16 && ctu != 32 && ctu != 64) ||
+        height <= 0 || width <= 0 || height % ctu || width % ctu)
+        status = ST_GEOMETRY;
+    for (y0 = 0; y0 < height && !status; y0 += ctu)
+        for (x0 = 0; x0 < width && !status; x0 += ctu) {
+            status = cu(&s, y0, x0, ctu, 0);
+            s.ctu_index++;
+        }
+    state_io[0] = s.pos;
+    state_io[1] = s.rng;
+    state_io[2] = s.code;
+    state_io[3] = s.bins;
+    state_io[4] = s.n_leaves;
+    state_io[5] = s.n_levels;
+    return status;
+}

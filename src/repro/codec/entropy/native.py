@@ -1,37 +1,47 @@
-"""Optional native kernels for the entropy-coder hot loops.
+"""Optional native kernels for the codec hot loops.
 
-Three small C kernels share one self-building pipeline:
+Five kernels, built from four C files by one self-building pipeline:
 
-``scan``   ``_scan_kernel.c``  -- fused coefficient-scan *decode*, a
-           line-for-line transliteration of
-           :meth:`BinaryDecoder.decode_coeff_scan` (PR 5).
+``slice``  ``_slice_kernel.c`` -- whole-slice entropy *decode*: one
+           call walks the CTU quadtree of a slice (split flags, modes,
+           motion vectors, cbf, last position, fused coefficient scan)
+           and fills the flat leaf plan of
+           :class:`repro.codec.decoder.LeafPlan`.
+``recon``  ``_recon_kernel.c`` -- whole-slice *reconstruction* over that
+           plan: reference gather, planar / DC / angular / inter
+           prediction, + residual, clip, for every leaf in one call.
+``refs``   the same ``_recon_kernel.c`` (one shared object, second
+           symbol) -- intra reference gather with boundary
+           substitution, on its own for the encoder.
 ``write``  ``_write_kernel.c`` -- whole-coefficient-block *encode*
            (cbf bin + last UEG + the fused scan), the exact mirror of
            the fast path in :func:`repro.codec.syntax.encode_coeff_block`.
 ``cost``   ``_cost_kernel.c``  -- batched quantize + fixed-point rate
            accumulation for the turbo RD search.
-``refs``   ``_refs_kernel.c``  -- intra reference gather with boundary
-           substitution (pure data movement shared by every path).
 
-Each kernel is compiled with the system C compiler the first time it is
-needed and cached under ``_build/`` keyed by a content hash of its own
-source, so editing one kernel never invalidates the others.  Shared
-objects whose hash no longer matches any current source are pruned on
-first use (counted by the ``native.cache_pruned`` telemetry counter) so
-the cache cannot accumulate orphans across source edits.
+Each C file is compiled with the system C compiler the first time one
+of its kernels is needed and cached under ``_build/`` keyed by a content
+hash of its own source, so editing one file never invalidates the
+others.  Shared objects whose hash no longer matches any current source
+are pruned on first use (counted by the ``native.cache_pruned``
+telemetry counter) so the cache cannot accumulate orphans across source
+edits.
 
 Everything degrades gracefully and *per kernel*: no compiler, a failed
-build, a failed ``dlopen``, or ``LLM265_PURE_PYTHON=1`` in the
-environment make the corresponding dispatch helper return ``None`` and
-the caller silently uses the pure-Python path instead (same bits out,
-slower).  A build failure is recorded once per kernel per process -- one
-``native.build_failed`` flight-recorder event and counter, never a
-retry per call.  Nothing is downloaded and no third-party package is
-involved -- the kernels are three C files, ``cc``, and ``ctypes``.
+build, a failed ``dlopen``, a failed load-time self-check, or
+``LLM265_PURE_PYTHON=1`` in the environment make the corresponding
+dispatch helper decline and the caller silently uses the pure-Python
+path instead (same bits out, slower).  A failure is recorded once per
+kernel per process -- one ``native.build_failed`` flight-recorder event
+and counter, never a retry per call.  Nothing is downloaded and no
+third-party package is involved -- the kernels are C files, ``cc``, and
+``ctypes``.
 
 The kernels release the GIL for the duration of each call (plain
-``ctypes.CDLL`` behaviour), which is what lets thread-parallel encode
-and decode scale on multi-core machines.
+``ctypes.CDLL`` behaviour).  That only buys thread parallelism where a
+call covers enough work: the two whole-slice decode kernels do (a slice
+is two calls), the per-block encode kernels do not (see
+docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -46,15 +56,15 @@ import tempfile
 import threading
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "available",
-    "build_info",
     "kernel_status",
-    "scan",
+    "plan_slice",
+    "reconstruct_slice",
     "write",
     "cost",
     "cost_fused",
@@ -73,17 +83,39 @@ _PROB_ARGS = [
     ctypes.c_int64,  # k
 ]
 
-_SCAN_ARGTYPES = [
+_SLICE_ARGTYPES = [
     ctypes.c_char_p,  # data
     ctypes.c_int64,  # dlen
-    ctypes.POINTER(ctypes.c_int64),  # pos_io
-    ctypes.POINTER(ctypes.c_uint32),  # rng_io
-    ctypes.POINTER(ctypes.c_uint32),  # code_io
-    ctypes.c_int64,  # n_scan
-    ctypes.c_int64,  # last
-    *_PROB_ARGS,
-    ctypes.c_void_p,  # out
-    ctypes.POINTER(ctypes.c_int64),  # bins_io
+    ctypes.c_void_p,  # state_io (int64[6])
+    ctypes.c_void_p,  # banks (int32 *[9])
+    ctypes.c_int64,  # height
+    ctypes.c_int64,  # width
+    ctypes.c_int64,  # ctu
+    ctypes.c_int64,  # min_cu
+    ctypes.c_int64,  # use_partition
+    ctypes.c_int64,  # use_intra
+    ctypes.c_int64,  # inter_allowed
+    ctypes.c_void_p,  # all_modes (int32)
+    ctypes.c_int64,  # n_modes
+    ctypes.c_void_p,  # mode_map (int8)
+    ctypes.c_void_p,  # plan (int64, 9 x leaf_cap)
+    ctypes.c_int64,  # leaf_cap
+    ctypes.c_void_p,  # levels (int64)
+    ctypes.c_int64,  # level_cap
+]
+
+_RECON_ARGTYPES = [
+    ctypes.c_void_p,  # recon (float64)
+    ctypes.c_void_p,  # mask (uint8/bool)
+    ctypes.c_int64,  # height
+    ctypes.c_int64,  # width
+    ctypes.c_void_p,  # reference (float64, NULL when no inter leaf)
+    ctypes.c_void_p,  # plan (int64, 9 x stride)
+    ctypes.c_int64,  # stride
+    ctypes.c_int64,  # n_leaves
+    ctypes.c_void_p,  # resid_offset (int64)
+    ctypes.c_void_p,  # resid (float64)
+    ctypes.c_int64,  # resid_len
 ]
 
 _WRITE_ARGTYPES = [
@@ -134,14 +166,43 @@ _COST_ARGTYPES = [
 ]
 
 
+def _dc_sum(lib, values: np.ndarray) -> float:
+    """The reconstruct kernel's DC reduction of a float64 vector."""
+    fn = lib.llm265_dc_sum
+    fn.restype = ctypes.c_double
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    return fn(values.ctypes.data, len(values))
+
+
+def _check_dc_sum(lib) -> None:
+    """Load-time self-check of the one numpy-internal dependency.
+
+    DC prediction is the only reduction on the reconstruct path, and
+    the kernel reproduces the summation order of *this* numpy build's
+    ``np.sum`` (pairwise, eight lanes).  A numpy that sums differently
+    would make the kernel's samples drift from the Python path's, so
+    the kernel is refused instead: 64 non-representable doubles whose
+    sum depends on the order, compared bit for bit.
+    """
+    values = np.arange(1, 65, dtype=np.float64) / 7.0 + 1e-3
+    for n in (4, 8, 16, 32, 64):
+        if _dc_sum(lib, values[:n]) != float(values[:n].sum()):
+            raise RuntimeError(
+                f"DC reduction disagrees with numpy {np.__version__} at n={n}"
+            )
+
+
 @dataclass
 class _Kernel:
-    name: str  # build-cache prefix, e.g. "scan" -> scan_kernel_<tag>.so
-    source: str  # C file next to this module
+    name: str
+    source: str  # C file next to this module; kernels may share one
     symbol: str
     argtypes: list
+    check: Optional[Callable] = None  # load-time self-check of the library
     state: str = "unloaded"  # unloaded | building | ready | pure-python
     #                        | no-compiler | failed
+    lib: object = None
     fn: object = None
     lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -149,10 +210,17 @@ class _Kernel:
 _KERNELS: Dict[str, _Kernel] = {
     k.name: k
     for k in (
-        _Kernel("scan", "_scan_kernel.c", "llm265_decode_coeff_scan", _SCAN_ARGTYPES),
+        _Kernel("slice", "_slice_kernel.c", "llm265_decode_slice", _SLICE_ARGTYPES),
+        _Kernel(
+            "recon",
+            "_recon_kernel.c",
+            "llm265_reconstruct_slice",
+            _RECON_ARGTYPES,
+            check=_check_dc_sum,
+        ),
         _Kernel("write", "_write_kernel.c", "llm265_encode_coeff_block", _WRITE_ARGTYPES),
         _Kernel("cost", "_cost_kernel.c", "llm265_cost_blocks", _COST_ARGTYPES),
-        _Kernel("refs", "_refs_kernel.c", "llm265_gather_refs", _REFS_ARGTYPES),
+        _Kernel("refs", "_recon_kernel.c", "llm265_gather_refs", _REFS_ARGTYPES),
     )
 }
 
@@ -176,9 +244,14 @@ def _source_path(kernel: _Kernel) -> str:
 # of the baseline ABI, so it is opted into explicitly (never
 # -march=native: the cached .so must stay valid if the build directory
 # travels to a different machine of the same architecture).
+# -ffp-contract=off forbids fusing a*b+c into one FMA: the reconstruct
+# kernel's planar and angular blends must round every product like
+# numpy does, and GCC's default (fast) would fuse them wherever the
+# target has FMA in its baseline (aarch64, or a CC/CFLAGS that adds it).
 _CFLAGS = (
     "-O2",
     "-fno-math-errno",
+    "-ffp-contract=off",
     *(("-msse4.1",) if platform.machine() in ("x86_64", "AMD64") else ()),
     "-shared",
     "-fPIC",
@@ -192,6 +265,12 @@ def _source_tag(kernel: _Kernel) -> str:
     # Flags participate in the cache key: a flag change must rebuild.
     digest.update(" ".join(_CFLAGS).encode())
     return digest.hexdigest()[:16]
+
+
+def _so_path(kernel: _Kernel) -> str:
+    """Cached shared object of a kernel's C file (shared by its kernels)."""
+    stem = os.path.splitext(kernel.source)[0].lstrip("_")
+    return os.path.join(_BUILD_DIR, f"{stem}_{_source_tag(kernel)}.so")
 
 
 _pruned = False
@@ -212,7 +291,7 @@ def _prune_stale() -> int:
         entries = os.listdir(_BUILD_DIR)
     except OSError:
         return 0
-    live = {f"{k.name}_kernel_{_source_tag(k)}.so" for k in _KERNELS.values()}
+    live = {os.path.basename(_so_path(k)) for k in _KERNELS.values()}
     removed = 0
     for name in entries:
         if not name.endswith(".so") or name in live:
@@ -246,9 +325,7 @@ def _record_failure(kernel: _Kernel, reason: str) -> None:
 def _build_and_load(kernel: _Kernel):
     """Compile (if not cached) and dlopen one kernel; may raise."""
     src = _source_path(kernel)
-    so_path = os.path.join(
-        _BUILD_DIR, f"{kernel.name}_kernel_{_source_tag(kernel)}.so"
-    )
+    so_path = _so_path(kernel)
     if not os.path.exists(so_path):
         cc = _compiler()
         if cc is None:
@@ -271,9 +348,12 @@ def _build_and_load(kernel: _Kernel):
             if os.path.exists(tmp):
                 os.unlink(tmp)
     lib = ctypes.CDLL(so_path)
+    if kernel.check is not None:
+        kernel.check(lib)
     fn = getattr(lib, kernel.symbol)
     fn.restype = ctypes.c_int64
     fn.argtypes = kernel.argtypes
+    kernel.lib = lib
     return fn
 
 
@@ -305,20 +385,14 @@ def _resolve(name: str):
 
 
 def available() -> bool:
-    """True when the compiled *scan* kernel is loaded and usable.
+    """True when both whole-slice decode kernels are loaded and usable.
 
-    Kept with this exact meaning (and no arguments) for back-compat:
-    decoder call sites and tests monkeypatch it to force the pure path.
-    The encode-side kernels are gated by :func:`write` / :func:`cost`
-    returning ``None`` instead.
+    The decoder asks this once per slice (and once per fan-out
+    decision); tests monkeypatch it to force the pure-Python walk.  The
+    encode-side kernels are gated by :func:`write` / :func:`cost` /
+    :func:`refs` declining instead.
     """
-    return _resolve("scan") is not None
-
-
-def build_info() -> str:
-    """Scan-kernel state string for legacy callers; see kernel_status."""
-    _resolve("scan")
-    return _KERNELS["scan"].state
+    return _resolve("slice") is not None and _resolve("recon") is not None
 
 
 def kernel_status(resolve: bool = True) -> Dict[str, str]:
@@ -360,75 +434,171 @@ def _prob_buffer(probs) -> Tuple[array, bool]:
     return array("i", probs), True
 
 
-def scan(
-    dec,
-    n_scan: int,
-    last: int,
-    sig_probs: List[int],
-    sig_base: int,
-    sig_buckets: Sequence[int],
-    level_probs: List[int],
-    level_base: int,
-    max_prefix: int,
-    k: int,
-) -> Optional[np.ndarray]:
-    """Run the native scan; return int64 levels or None if unavailable.
+#: Minimum length of each context bank handed to :func:`plan_slice`, in
+#: the order of ``CodecContexts.banks()`` (the kernel indexes them with
+#: the context layout of :mod:`repro.codec.syntax`).
+_SLICE_BANK_SIZES = (6, 1, 1, 2, 2, 50, 15, 15, 8)
 
-    Mirrors :meth:`BinaryDecoder.decode_coeff_scan` exactly, including
-    the state left on ``dec`` and in the context probability lists on
-    *both* success and error paths.  Raises :class:`CorruptStreamError`
-    for a runaway Exp-Golomb suffix and :class:`OverflowError` for a
-    magnitude that does not fit int64 (what ``np.asarray`` raises on
-    the pure path's big int), so callers cannot tell the paths apart.
+#: Rows of a leaf-plan table, in order (``P_*`` in the two C files);
+#: :class:`repro.codec.decoder.LeafPlan` documents their meaning.
+PLAN_FIELDS = (
+    "y0", "x0", "size", "mode", "is_inter", "ry", "rx", "ctu_index",
+    "coeff_offset",
+)
+PLAN_ROWS = len(PLAN_FIELDS)
+
+
+def _c_array(arr: np.ndarray, dtype, ndim: int) -> bool:
+    """True for a C-contiguous array of exactly this dtype and rank."""
+    return arr.dtype == dtype and arr.ndim == ndim and arr.flags.c_contiguous
+
+
+def _plan_table(rows: np.ndarray) -> bool:
+    return _c_array(rows, np.int64, 2) and rows.shape[0] == PLAN_ROWS
+
+
+def plan_slice(
+    dec,
+    banks: Sequence[array],
+    height: int,
+    width: int,
+    ctu: int,
+    min_cu: int,
+    use_partition: bool,
+    use_intra: bool,
+    inter_allowed: bool,
+    all_modes: Sequence[int],
+    rows: np.ndarray,
+    levels: np.ndarray,
+) -> Optional[Tuple[int, int, int]]:
+    """Drain one slice into a leaf plan; ``None`` when unavailable.
+
+    ``dec`` is a :class:`BinaryDecoder` positioned at the start of the
+    slice, ``banks`` the live ``array('i')`` probability banks of one
+    ``CodecContexts`` (adapted in place), ``rows`` a C-contiguous
+    ``(PLAN_ROWS, leaf_cap)`` int64 table and ``levels`` an int64
+    vector; both capacities are taken from the arrays and enforced by
+    the kernel.  ``inter_allowed`` promises a reference frame of
+    exactly ``height x width`` samples.
+
+    Returns ``(status, n_leaves, n_levels)``.  On status 0 the plan
+    holds exactly what ``FrameDecoder``'s Python walk would have
+    produced and ``dec`` (position, range, code, ``scan_bins``) and
+    the banks are left in the same state.  Any other status means the
+    slice is not decodable by the kernel -- corrupt input or an
+    exceeded capacity -- with ``dec`` and the banks part-consumed: the
+    caller re-decodes from a fresh coder with the Python walk, which
+    raises the canonical error.
     """
-    fn = _resolve("scan")
+    fn = _resolve("slice")
     if fn is None:
         return None
-    from repro.resilience.errors import CorruptStreamError
-
     data = dec._data
-    pos = ctypes.c_int64(dec._pos)
-    rng = ctypes.c_uint32(dec._range)
-    code = ctypes.c_uint32(dec._code)
-    bins = ctypes.c_int64(0)
-    sig_arr, sig_copied = _prob_buffer(sig_probs)
-    lvl_arr, lvl_copied = _prob_buffer(level_probs)
-    buckets = _bucket_array(sig_buckets)
-    out = np.empty(n_scan, dtype=np.int64)
+    if type(data) is not bytes:
+        data = bytes(data)  # c_char_p takes nothing else
+    if (
+        height <= 0
+        or width <= 0
+        or height % 4
+        or width % 4
+        or not _plan_table(rows)
+        or not _c_array(levels, np.int64, 1)
+        or len(banks) != len(_SLICE_BANK_SIZES)
+        or any(
+            type(bank) is not array or bank.typecode != "i" or len(bank) < size
+            for bank, size in zip(banks, _SLICE_BANK_SIZES)
+        )
+    ):
+        return None
+    state = np.array([dec._pos, dec._range, dec._code, 0, 0, 0], dtype=np.int64)
+    bank_ptrs = (ctypes.c_void_p * len(banks))(
+        *(bank.buffer_info()[0] for bank in banks)
+    )
+    modes = array("i", all_modes)
+    mode_map = np.full((height // 4) * (width // 4), -1, dtype=np.int8)
     status = fn(
         data,
         len(data),
-        ctypes.byref(pos),
-        ctypes.byref(rng),
-        ctypes.byref(code),
-        n_scan,
-        last,
-        sig_arr.buffer_info()[0],
-        sig_base,
-        buckets.buffer_info()[0],
-        lvl_arr.buffer_info()[0],
-        level_base,
-        max_prefix,
-        k,
-        out.ctypes.data,
-        ctypes.byref(bins),
+        state.ctypes.data,
+        bank_ptrs,
+        height,
+        width,
+        ctu,
+        min_cu,
+        use_partition,
+        use_intra,
+        inter_allowed,
+        modes.buffer_info()[0],
+        len(modes),
+        mode_map.ctypes.data,
+        rows.ctypes.data,
+        rows.shape[1],
+        levels.ctypes.data,
+        len(levels),
     )
-    # Write state back unconditionally -- the Python loop also adapts
-    # contexts and advances the coder before raising.  (Live ContextSet
-    # banks were adapted in place; only copied-in sequences need it.)
-    if sig_copied:
-        sig_probs[:] = sig_arr
-    if lvl_copied:
-        level_probs[:] = lvl_arr
-    dec._pos = pos.value
-    dec._range = rng.value
-    dec._code = code.value
-    dec.scan_bins += bins.value
-    if status == 1:
-        raise CorruptStreamError("corrupt UEG suffix")
-    if status == 2:
-        raise OverflowError("decoded coefficient magnitude exceeds int64")
-    return out
+    pos, rng, code, bins, n_leaves, n_levels = state.tolist()
+    if status == 0:
+        dec._pos = pos
+        dec._range = rng
+        dec._code = code
+        dec.scan_bins += bins
+    return status, n_leaves, n_levels
+
+
+def reconstruct_slice(
+    recon: np.ndarray,
+    mask: np.ndarray,
+    reference: Optional[np.ndarray],
+    rows: np.ndarray,
+    n_leaves: int,
+    resid_offset: np.ndarray,
+    resid: np.ndarray,
+) -> bool:
+    """Predict + reconstruct every leaf of a plan; True iff it was done.
+
+    ``recon`` (float64) and ``mask`` (bool) are zero-filled
+    ``height x width`` planes; on success ``recon`` holds the samples
+    ``FrameDecoder._apply_predictions`` computes, bit for bit, and
+    ``mask`` is all True.  ``reference`` is the previous frame's plane
+    (same shape) or ``None``.  ``resid`` concatenates the row-major
+    residual grids and ``resid_offset[i]`` locates leaf ``i``'s (-1: no
+    residual).  The kernel validates the whole plan before it writes a
+    sample, so ``False`` (kernel unavailable, unsuitable arrays, or a
+    plan it refuses) leaves both planes untouched for the Python loop.
+    """
+    fn = _resolve("recon")
+    if fn is None:
+        return False
+    if not (
+        _c_array(recon, np.float64, 2)
+        and _c_array(mask, np.bool_, 2)
+        and mask.shape == recon.shape
+        and _plan_table(rows)
+        and 0 <= n_leaves <= rows.shape[1]
+        and _c_array(resid_offset, np.int64, 1)
+        and len(resid_offset) == n_leaves
+        and _c_array(resid, np.float64, 1)
+    ):
+        return False
+    if reference is not None and not (
+        _c_array(reference, np.float64, 2) and reference.shape == recon.shape
+    ):
+        return False
+    height, width = recon.shape
+    status = fn(
+        recon.ctypes.data,
+        mask.ctypes.data,
+        height,
+        width,
+        None if reference is None else reference.ctypes.data,
+        rows.ctypes.data,
+        rows.shape[1],
+        n_leaves,
+        resid_offset.ctypes.data,
+        resid.ctypes.data,
+        len(resid),
+    )
+    return status == 0
 
 
 # Worst-case bins per coefficient: 1 significance + max_prefix (<= 10

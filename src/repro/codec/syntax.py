@@ -8,6 +8,7 @@ coding.  Keeping both directions in one module makes drift much harder.
 from __future__ import annotations
 
 import math
+from array import array
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
@@ -47,6 +48,24 @@ class CodecContexts:
         self.sig = ContextSet(_NUM_SIZE_CLASSES * _SIG_CTX_PER_CLASS)
         self.level = ContextSet(_NUM_SIZE_CLASSES * _LEVEL_PREFIX)
         self.mv = ContextSet(2 * _RUN_PREFIX)
+
+    def banks(self) -> Tuple[array, ...]:
+        """The live probability banks in the slice kernel's ``B_*`` order.
+
+        ``native.plan_slice`` adapts these ``array('i')`` buffers in
+        place, exactly as the primitive calls on this object would.
+        """
+        return (
+            self.split.probs,
+            self.pred_flag.probs,
+            self.mpm_flag.probs,
+            self.mpm_index.probs,
+            self.cbf.probs,
+            self.last.probs,
+            self.sig.probs,
+            self.level.probs,
+            self.mv.probs,
+        )
 
 
 def _sig_ctx(cls: int, index: int, n: int) -> int:
@@ -214,10 +233,11 @@ def decode_coeff_block_scanned(
     but returns the levels still in *scan order* -- ``None`` for an
     all-zero block (cbf = 0), else a length ``n*n`` int64 vector --
     leaving the zigzag unscan to the caller, which batches it across
-    every same-size leaf of the frame.  The bin draining itself runs
-    through the compiled scan kernel when one is available
-    (:mod:`repro.codec.entropy.native`), else the fused pure-Python
-    :meth:`BinaryDecoder.decode_coeff_scan` loop -- both bit-exact.
+    every same-size leaf of the frame.  The bins are drained by the
+    fused pure-Python :meth:`BinaryDecoder.decode_coeff_scan` loop: this
+    is the per-leaf step of the decoder's Python walk, the twin of the
+    compiled whole-slice kernel (``native.plan_slice``), which contains
+    the same loop.
     """
     cls = size_class(n)
     if dec.decode_bit(ctx.cbf, 0) == 0:
@@ -225,21 +245,6 @@ def decode_coeff_block_scanned(
     last = dec.decode_ueg(ctx.last, cls * _LAST_PREFIX, _LAST_PREFIX, k=1)
     if last >= n * n:
         raise CorruptStreamError("corrupt stream: last coefficient out of range")
-    if native.available():
-        fast = native.scan(
-            dec,
-            n * n,
-            last,
-            ctx.sig.probs,
-            cls * _SIG_CTX_PER_CLASS,
-            _sig_buckets(n),
-            ctx.level.probs,
-            cls * _LEVEL_PREFIX,
-            _LEVEL_PREFIX,
-            1,
-        )
-        if fast is not None:
-            return fast
     scanned = dec.decode_coeff_scan(
         n * n,
         last,

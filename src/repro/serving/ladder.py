@@ -55,8 +55,13 @@ class Rung:
 
 #: turbo+threads -> vectorized serial -> legacy serial.  Thread (not
 #: process) fan-out on the top rung: request bodies already run on
-#: supervised threads, and numpy / the native scan and write kernels
-#: release the GIL in the hot loops.  The decode axis steps down in
+#: supervised threads.  What that buys is measured, not assumed
+#: (docs/PERFORMANCE.md): decode overlaps -- a slice is two GIL-free
+#: whole-slice C calls around a numpy GEMM, 1.4x on 2 cores, and the
+#: decoder stays serial when those kernels are unavailable -- while
+#: encode does not yet (per-block kernel calls under the GIL: p50
+#: 359-362 ms threaded vs 295-302 ms serial for a 1 MiB op), pending a
+#: whole-slice pass-2 kernel.  The decode axis steps down in
 #: lockstep with rd-search: the floor rung serves with the interleaved
 #: reference decoder and the pure-Python entropy writer, so a rung-2
 #: response exercises no fast-path code at all.  (``encode="native"``

@@ -128,15 +128,20 @@ class DecodeStats:
     """Per-decode ledger: stage timings + structural counters.
 
     The decode-side sibling of :class:`EncodeStats`, filled by the
-    vectorized two-phase :class:`~repro.codec.decoder.FrameDecoder`
-    path: wall seconds per stage (``entropy`` -- draining the range
-    decoder into the leaf plan, ``reconstruct`` -- batched dequantize +
-    inverse transform, ``predict`` -- dependency-order prediction) and
-    counters (``coeff_bins`` consumed by the fused scan loop,
-    ``batched_blocks`` / ``batches`` describing the GEMM grouping).
-    The legacy interleaved path cannot split its stages, so it
-    publishes no ledger; structural ``decode.*`` registry counters are
-    emitted identically by both paths.
+    default (``vectorized``) :class:`~repro.codec.decoder.FrameDecoder`
+    path: wall seconds per whole-slice stage (``entropy`` -- draining
+    the range decoder into the leaf plan, ``reconstruct`` -- batched
+    dequantize + inverse transform, ``predict`` -- dependency-order
+    prediction) and counters: ``coeff_bins`` consumed by the
+    coefficient scan, ``batched_blocks`` / ``batches`` describing the
+    GEMM grouping, and the structural ``ctu`` / ``cu.leaf`` /
+    ``cu.split`` / ``mode.intra`` / ``mode.inter`` derived from each
+    slice's finished plan.  Slice workers return theirs with the
+    samples and the dispatcher merges them, so the published ledger is
+    the same serial or fanned out.  The legacy interleaved path cannot
+    split its stages, so it publishes no ledger and counts the
+    structural ``decode.*`` counters leaf by leaf straight into the
+    registry -- the same numbers.
     """
 
     __slots__ = ("counts", "seconds")

@@ -6,8 +6,14 @@ on clean streams: same typed error (``CorruptStreamError`` /
 ``TruncatedStreamError`` / ...) in strict mode, and in concealment
 mode the same frames and the same per-slice concealment report.  This
 file drives both decoders over seeded bit-flips and truncations and
-asserts exactly that, for the native scan kernel and the pure-Python
-fallback alike.
+asserts exactly that, for the whole-slice kernels and their
+pure-Python twin alike.
+
+Slice CRCs stop most random damage before the entropy decoder sees it,
+so a second family of inputs damages slice *bodies* and re-frames them
+with a valid checksum: those reach the slice kernel, which must refuse
+them with a status and leave the error -- type *and message* -- to the
+twin's re-decode.
 """
 
 from __future__ import annotations
@@ -16,9 +22,12 @@ import numpy as np
 import pytest
 
 from repro.codec.decoder import decode_frames, decode_frames_with_report
-from repro.codec.encoder import EncoderConfig, FrameEncoder
+from repro.codec.encoder import EncoderConfig, FrameEncoder, unpack_header
 from repro.codec.entropy import native
+from repro.codec.entropy.arithmetic import BinaryDecoder, BinaryEncoder
+from repro.codec.syntax import CodecContexts
 from repro.resilience.errors import TruncatedStreamError
+from repro.resilience.framing import deframe_slices, frame_slices
 
 _TRIALS = 40
 
@@ -43,6 +52,25 @@ def _damage(data: bytes, rng: np.random.Generator) -> bytes:
     return data[: int(rng.integers(1, len(data)))]
 
 
+def _damage_bodies(data: bytes, rng: np.random.Generator) -> bytes:
+    """Damage slice bodies, then re-frame them so every CRC verifies."""
+    size = unpack_header(data)["header_size"]
+    slices, _ = deframe_slices(data[size:])
+    victim = int(rng.integers(0, len(slices)))
+    body = bytearray(slices[victim])
+    kind = rng.random()
+    if kind < 0.5:
+        for _ in range(int(rng.integers(1, 6))):
+            body[int(rng.integers(0, len(body)))] ^= 1 << int(rng.integers(0, 8))
+    elif kind < 0.75:
+        del body[int(rng.integers(1, len(body))) :]
+    else:
+        start = int(rng.integers(0, len(body)))
+        body[start:] = bytes(rng.integers(0, 256, len(body) - start, dtype=np.uint8))
+    slices[victim] = bytes(body)
+    return data[:size] + frame_slices(slices)
+
+
 def _strict_outcome(data: bytes, decode: str):
     """(error type name | 'ok', frames) for a strict decode."""
     try:
@@ -51,11 +79,19 @@ def _strict_outcome(data: bytes, decode: str):
         return type(exc).__name__, None
 
 
+def _strict_message(data: bytes) -> str:
+    try:
+        decode_frames(data, decode="vectorized")
+    except Exception as exc:  # noqa: BLE001
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
 @pytest.fixture(params=["native", "pure"])
 def scan_mode(request, monkeypatch):
     if request.param == "native":
         if not native.available():
-            pytest.skip("native scan kernel unavailable")
+            pytest.skip("slice kernels unavailable")
     else:
         monkeypatch.setattr(native, "available", lambda: False)
     return request.param
@@ -104,6 +140,109 @@ class TestDecodeFuzz:
             legacy_kind, _ = _strict_outcome(bad, "legacy")
             fast_kind, _ = _strict_outcome(bad, "vectorized")
             assert fast_kind == legacy_kind, f"trial {trial}"
+
+    @pytest.mark.parametrize("use_inter", [False, True])
+    def test_crc_valid_damage_matches_legacy(self, scan_mode, use_inter):
+        data = _stream(seed=53, n=3, use_inter=use_inter)
+        rng = np.random.default_rng(0xB0D1E5)
+        failed = 0
+        for trial in range(_TRIALS):
+            bad = _damage_bodies(data, rng)
+            legacy_kind, legacy_frames = _strict_outcome(bad, "legacy")
+            fast_kind, fast_frames = _strict_outcome(bad, "vectorized")
+            assert fast_kind == legacy_kind, f"trial {trial}"
+            if legacy_kind == "ok":
+                for a, b in zip(legacy_frames, fast_frames):
+                    np.testing.assert_array_equal(a, b)
+            else:
+                failed += 1
+            legacy_frames, legacy_report = decode_frames_with_report(
+                bad, decode="legacy"
+            )
+            fast_frames, fast_report = decode_frames_with_report(
+                bad, decode="vectorized"
+            )
+            assert fast_report.concealed == legacy_report.concealed, f"trial {trial}"
+            for a, b in zip(legacy_frames, fast_frames):
+                np.testing.assert_array_equal(a, b)
+        # Garbage bins mostly parse as *something* on intra streams; on
+        # inter streams a wild motion vector is near certain.
+        assert failed or not use_inter
+
+    @pytest.mark.skipif(
+        not native.available(), reason="slice kernels unavailable"
+    )
+    @pytest.mark.parametrize("use_inter", [False, True])
+    def test_kernel_errors_are_the_twins_errors(self, monkeypatch, use_inter):
+        # The kernel formats no error: whatever it refuses is decoded
+        # again by the Python walk, so the message cannot drift.
+        data = _stream(seed=59, n=3, use_inter=use_inter)
+        rng = np.random.default_rng(0x7717)
+        cases = [_damage_bodies(data, rng) for _ in range(_TRIALS)]
+        rng = np.random.default_rng(0x7718)
+        cases += [_damage(data, rng) for _ in range(_TRIALS // 2)]
+        via_kernels = [_strict_message(bad) for bad in cases]
+        monkeypatch.setattr(native, "available", lambda: False)
+        via_twin = [_strict_message(bad) for bad in cases]
+        assert via_kernels == via_twin
+        assert any(message != "ok" for message in via_kernels)
+
+    def test_directed_refusals(self, scan_mode):
+        # One hand-written slice per entropy-level error the format
+        # has (a wild motion vector is the random fuzz's staple): the
+        # kernel answers each with its status, and the decode raises
+        # the twin's error -- same type as legacy, same message as the
+        # twin alone.
+        header = FrameEncoder(
+            EncoderConfig(qp=24.0, use_partition=False, use_intra=False)
+        ).encode([np.full((32, 32), 128, dtype=np.uint8)]).data
+        header = header[: unpack_header(header)["header_size"]]
+        level_base = 3 * 3  # size class of the one 32 x 32 leaf
+
+        def last_out_of_range(enc, ctx):
+            enc.encode_ueg(ctx.last, 30, 5000, 10, k=1)
+
+        def runaway_suffix(enc, ctx):
+            enc.encode_ueg(ctx.last, 30, 0, 10, k=1)
+            for prefix in range(3):
+                enc.encode_bit(ctx.level, level_base + min(prefix, 2), 1)
+            for _ in range(70):
+                enc.encode_bypass(0)
+
+        def level_beyond_int64(enc, ctx):
+            enc.encode_ueg(ctx.last, 30, 0, 10, k=1)
+            enc.encode_ueg(ctx.level, level_base, 1 << 65, 3, k=1)
+            enc.encode_bypass(1)
+
+        expected = {
+            last_out_of_range: (3, "last coefficient out of range"),
+            runaway_suffix: (1, "corrupt UEG suffix"),
+            level_beyond_int64: (2, "OverflowError"),
+        }
+        for write, (status, text) in expected.items():
+            enc = BinaryEncoder()
+            ctx = CodecContexts()
+            enc.encode_bit(ctx.cbf, 0, 1)
+            write(enc, ctx)
+            body = enc.finish()
+            bad = header + frame_slices([body])
+            message = _strict_message(bad)
+            assert message.startswith("CorruptStreamError") and text in message
+            assert _strict_outcome(bad, "legacy")[0] == "CorruptStreamError"
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(native, "available", lambda: False)
+                assert _strict_message(bad) == message
+            _, report = decode_frames_with_report(bad, decode="vectorized")
+            assert report.concealed == [(0, "undecodable slice")]
+            if scan_mode == "native":
+                outcome = native.plan_slice(
+                    BinaryDecoder(body),
+                    CodecContexts().banks(),
+                    32, 32, 32, 8, False, False, False, (0, 1),
+                    np.empty((native.PLAN_ROWS, 1), dtype=np.int64),
+                    np.empty(32 * 32, dtype=np.int64),
+                )
+                assert outcome[0] == status
 
     def test_typed_errors_surface(self):
         data = _stream(seed=43)

@@ -1,14 +1,17 @@
-"""The fast decode path: two-phase decoder, fused scan, decode ladder.
+"""The fast decode path: whole-slice kernels, their twin, decode ladder.
 
-The contract under test (ISSUE 5 tentpole): the vectorized plan ->
-reconstruct decoder -- through the fused pure-Python scan loop AND the
-optional native scan kernel -- is *byte-identical* to the legacy
-interleaved decoder on every profile, QP, and prediction mode,
-including the decoder state and context probabilities it leaves
-behind.  Plus the dispatch policy around it: parallel decode falls
-back to serial below the slice/byte/CPU thresholds (pinned here), the
-``decode=`` knob plumbs through every public layer, and the
-``decode.*`` telemetry ledger is published.
+The contract under test: the vectorized plan -> residuals ->
+reconstruct decoder -- through the two whole-slice C kernels AND
+through their pure-Python twin -- is *sample-identical* to the legacy
+interleaved decoder on every profile, QP, frame shape and prediction
+mode: same ``uint8`` frames, same float64 reconstruction plane, same
+coder state and context probabilities left behind, and (kernels vs
+twin) the same leaf-plan arrays.  Plus the dispatch policy around it:
+parallel decode falls back to serial below the slice/byte/CPU
+thresholds (pinned here) and, on a thread executor, whenever the slice
+kernels are not usable; the ``decode=`` knob plumbs through every
+public layer; and the ``decode.*`` telemetry ledger is the same serial
+or fanned out.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import pytest
 
 import repro.telemetry as telemetry
 from repro.codec import decoder as decoder_mod
-from repro.codec import syntax
+from repro.codec import intra
 from repro.codec.decoder import (
     DECODES,
     FrameDecoder,
@@ -36,10 +39,11 @@ from repro.codec.syntax import (
     encode_coeff_block,
 )
 from repro.codec.transform import zigzag_unscan
+from repro.resilience.framing import deframe_slices
 from repro.parallel import ParallelConfig, pool_stats, warm_pool
 from repro.serving.ladder import DEFAULT_LADDER, Rung
 from repro.serving.service import CodecService
-from repro.telemetry import DECODE_STAGES, DecodeStats
+from repro.telemetry import DECODE_STAGES, DecodeStats, flightrecorder
 from repro.tensor.checkpoint import load_checkpoint, save_checkpoint
 from repro.tensor.codec import TensorCodec
 
@@ -74,20 +78,91 @@ def _coeff_stream(seed=3, blocks=12, n=8, spread=9):
     return enc.finish(), all_levels
 
 
+def _big_stream(qp=18.0):
+    # Noisy frames so the payload clears the 32 KiB byte threshold.
+    rng = np.random.default_rng(5)
+    frames = [
+        rng.integers(0, 256, (128, 128)).astype(np.uint8) for _ in range(4)
+    ]
+    return FrameEncoder(EncoderConfig(qp=qp)).encode(frames).data
+
+
 def _force_pure(monkeypatch):
     monkeypatch.setattr(native, "available", lambda: False)
 
 
-# -- fused scan loop vs. the primitive sequence ------------------------
+needs_kernels = pytest.mark.skipif(
+    not native.available(), reason="slice kernels unavailable"
+)
+
+
+class _Probe(FrameDecoder):
+    """A decoder that records what each slice left behind.
+
+    Per slice: the float64 reconstruction plane, the range decoder's
+    final ``(pos, range, code)`` and ``scan_bins``, a copy of every
+    context bank, and (vectorized only) the leaf plan.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.slices = []
+        self._last_plan = None
+
+    def _plan_slice(self, height, width):
+        self._last_plan = super()._plan_slice(height, width)
+        return self._last_plan
+
+    def _decode_frame_any(self, *args):
+        self._last_plan = None
+        recon = super()._decode_frame_any(*args)
+        dec = self._dec
+        self.slices.append(
+            {
+                "recon": recon.copy(),
+                "state": (dec._pos, dec._range, dec._code),
+                "bins": dec.scan_bins,
+                "banks": [list(bank) for bank in self._ctx.banks()],
+                "plan": self._last_plan,
+            }
+        )
+        return recon
+
+
+def _probe(data, decode="vectorized"):
+    decoder = _Probe(data, decode=decode)
+    return decoder.decode(), decoder.slices
+
+
+def _probe_twin(data):
+    """Vectorized decode with the kernels switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        _force_pure(patch)
+        return _probe(data)
+
+
+def _assert_same_plan(a, b):
+    assert a.n_leaves == b.n_leaves
+    np.testing.assert_array_equal(
+        a.rows[:, : a.n_leaves], b.rows[:, : b.n_leaves]
+    )
+    np.testing.assert_array_equal(a.levels, b.levels)
+
+
+_STREAM_CONFIGS = [
+    dict(profile=H264_PROFILE, qp=20.0),
+    dict(profile=H265_PROFILE, qp=26.0),
+    dict(profile=AV1_PROFILE, qp=31.5),
+    dict(profile=H265_PROFILE, qp=22.0, use_inter=True),
+]
+
+
+# -- the slice entropy stage vs. the primitive sequence -----------------
 
 
 class TestFusedScan:
-    @pytest.mark.parametrize("force_pure", [True, False])
-    def test_scanned_decode_matches_primitives(self, monkeypatch, force_pure):
-        if force_pure:
-            _force_pure(monkeypatch)
-        elif not native.available():
-            pytest.skip("native scan kernel unavailable")
+    def test_block_scan_matches_primitives(self):
+        # The twin's per-leaf step against the primitive-call decoder.
         for n in (4, 8, 16):
             data, all_levels = _coeff_stream(seed=n, n=n)
             ref = BinaryDecoder(data)
@@ -104,52 +179,247 @@ class TestFusedScan:
                 )
                 np.testing.assert_array_equal(a, levels)
                 np.testing.assert_array_equal(b, levels)
-                # The coder state and every adapted context must agree
-                # after each block, or later blocks would diverge.
                 assert (fast._pos, fast._range, fast._code) == (
                     ref._pos,
                     ref._range,
                     ref._code,
                 )
-                assert fast_ctx.sig.probs == ref_ctx.sig.probs
-                assert fast_ctx.level.probs == ref_ctx.level.probs
-                assert fast_ctx.last.probs == ref_ctx.last.probs
+                assert fast_ctx.banks() == ref_ctx.banks()
 
+    @pytest.mark.parametrize("force_pure", [True, False])
+    def test_scanned_decode_matches_primitives(self, monkeypatch, force_pure):
+        # After every slice the plan stage (kernel or twin) must leave
+        # the coder and *every* context bank exactly where the legacy
+        # decoder's primitive calls leave them, or later slices of a
+        # shared-state design -- and every identity claim -- would drift.
+        if force_pure:
+            _force_pure(monkeypatch)
+        elif not native.available():
+            pytest.skip("slice kernels unavailable")
+        for config in _STREAM_CONFIGS:
+            data = FrameEncoder(EncoderConfig(**config)).encode(
+                _frames(n=3, h=48, w=80)
+            ).data
+            legacy_frames, legacy = _probe(data, decode="legacy")
+            fast_frames, fast = _probe(data)
+            assert len(fast) == len(legacy) == 3
+            for a, b in zip(legacy, fast):
+                assert b["state"] == a["state"]
+                assert b["banks"] == a["banks"]
+                assert b["recon"].tobytes() == a["recon"].tobytes()
+            for a, b in zip(legacy_frames, fast_frames):
+                np.testing.assert_array_equal(a, b)
+
+    @needs_kernels
     def test_scan_bins_counted(self):
-        data, _ = _coeff_stream()
-        dec = BinaryDecoder(data)
-        ctx = CodecContexts()
-        for _ in range(12):
-            decode_coeff_block_scanned(dec, ctx, 8)
-        assert dec.scan_bins > 0
+        data = FrameEncoder(EncoderConfig(qp=22.0)).encode(_frames(n=2)).data
+        _, kernel = _probe(data)
+        _, twin = _probe_twin(data)
+        for a, b in zip(kernel, twin):
+            assert a["bins"] == b["bins"] > 0
 
-    @pytest.mark.skipif(
-        not native.available(), reason="native scan kernel unavailable"
-    )
-    def test_native_and_pure_loops_agree(self, monkeypatch):
-        data, _ = _coeff_stream(seed=17, blocks=20, spread=40)
-        nat = BinaryDecoder(data)
-        nat_ctx = CodecContexts()
-        nat_blocks = [decode_coeff_block_scanned(nat, nat_ctx, 8) for _ in range(20)]
-        _force_pure(monkeypatch)
-        pure = BinaryDecoder(data)
-        pure_ctx = CodecContexts()
-        pure_blocks = [
-            decode_coeff_block_scanned(pure, pure_ctx, 8) for _ in range(20)
-        ]
-        for a, b in zip(nat_blocks, pure_blocks):
-            np.testing.assert_array_equal(a, b)
-        assert (nat._pos, nat._range, nat._code, nat.scan_bins) == (
-            pure._pos,
-            pure._range,
-            pure._code,
-            pure.scan_bins,
+    @needs_kernels
+    def test_native_and_pure_loops_agree(self):
+        for config in _STREAM_CONFIGS:
+            data = FrameEncoder(EncoderConfig(**config)).encode(
+                _frames(n=3, h=48, w=80, seed=17)
+            ).data
+            _, kernel = _probe(data)
+            _, twin = _probe_twin(data)
+            for a, b in zip(kernel, twin):
+                _assert_same_plan(a["plan"], b["plan"])
+                assert a["state"] == b["state"]
+                assert a["bins"] == b["bins"]
+                assert a["banks"] == b["banks"]
+                assert a["recon"].tobytes() == b["recon"].tobytes()
+
+    @needs_kernels
+    def test_undersized_plan_buffers_are_refused(self):
+        # Capacities are passed in and checked: a table or level buffer
+        # too small for the slice gives a non-zero status, writes
+        # nothing past the capacity it was given (guard words intact),
+        # and what it did write is the prefix of the full plan.
+        data = FrameEncoder(EncoderConfig(qp=22.0)).encode(_frames(n=1)).data
+        _, (full,) = _probe(data)
+        plan = full["plan"]
+        decoder = FrameDecoder(data)
+        h = decoder._header
+        (segment,), _ = deframe_slices(decoder._payload, expected=1)
+        guard = np.int64(0x5A5A5A5A5A5A5A5A)
+        rows_n = native.PLAN_ROWS
+
+        def run(leaf_cap, level_cap):
+            table = np.full(rows_n * leaf_cap + 8, guard)
+            levels = np.full(level_cap + 8, guard)
+            outcome = native.plan_slice(
+                BinaryDecoder(segment),
+                CodecContexts().banks(),
+                64,
+                64,
+                h["ctu"],
+                h["min_cu"],
+                h["use_partition"],
+                h["use_intra"],
+                False,
+                decoder._profile.all_modes,
+                table[: rows_n * leaf_cap].reshape(rows_n, leaf_cap),
+                levels[:level_cap],
+            )
+            assert (table[rows_n * leaf_cap :] == guard).all()
+            assert (levels[level_cap:] == guard).all()
+            return outcome, table[: rows_n * leaf_cap].reshape(rows_n, leaf_cap)
+
+        (status, n_leaves, n_levels), rows = run(plan.n_leaves, len(plan.levels))
+        assert (status, n_leaves, n_levels) == (0, plan.n_leaves, len(plan.levels))
+        np.testing.assert_array_equal(rows, plan.rows[:, : plan.n_leaves])
+
+        short = plan.n_leaves // 2
+        (status, n_leaves, _), rows = run(short, len(plan.levels))
+        assert status != 0 and n_leaves == short
+        np.testing.assert_array_equal(rows, plan.rows[:, :short])
+
+        (status, _, n_levels), _ = run(plan.n_leaves, len(plan.levels) - 1)
+        assert status != 0 and n_levels <= len(plan.levels) - 1
+
+        (status, n_leaves, n_levels), _ = run(0, 0)
+        assert status != 0 and (n_leaves, n_levels) == (0, 0)
+
+
+# -- the reconstruct kernel vs. numpy ------------------------------------
+
+
+@needs_kernels
+class TestReconstructKernel:
+    def test_fp_contract_is_off(self):
+        # The planar and angular blends are a*b + c*d: a compiler free
+        # to fuse them (GCC's default wherever the target has FMA)
+        # rounds once where numpy rounds twice.
+        assert "-ffp-contract=off" in native._CFLAGS
+
+    @staticmethod
+    def _one_leaf(recon, mask, n, mode, resid):
+        rows = np.zeros((native.PLAN_ROWS, 1), dtype=np.int64)
+        rows[:, 0] = (n, n, n, mode, 0, 0, 0, 0, 0)
+        offset = np.array([-1 if resid is None else 0], dtype=np.int64)
+        flat = np.empty(0) if resid is None else resid.reshape(-1)
+        assert native.reconstruct_slice(recon, mask, None, rows, 1, offset, flat)
+        return recon[n : 2 * n, n : 2 * n]
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+    def test_every_mode_matches_numpy_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        plane = rng.uniform(0.0, 255.0, (3 * n, 3 * n))
+        available = np.zeros((3 * n, 3 * n), dtype=bool)
+        available[:n, :] = True  # rows above (incl. above-right)
+        available[:, :n] = True  # columns left (incl. below-left)
+        resid = rng.uniform(-300.0, 300.0, (n, n))  # drives both clips
+        top, left = intra.gather_references_scalar(plane, available, n, n, n)
+        for mode in range(-1, intra.NUM_MODES):
+            predicted = (
+                np.full((n, n), 128.0)
+                if mode < 0
+                else intra.predict(top, left, mode, n)
+            )
+            for residual in (None, resid):
+                want = np.clip(
+                    predicted + (0.0 if residual is None else residual), 0.0, 255.0
+                )
+                mask = available.copy()
+                got = self._one_leaf(plane.copy(), mask, n, mode, residual)
+                assert got.tobytes() == want.tobytes(), (n, mode)
+                assert mask[n : 2 * n, n : 2 * n].all()
+
+    def test_unavailable_boundary_and_inter_copy(self):
+        n = 8
+        rng = np.random.default_rng(1)
+        recon = np.zeros((2 * n, 2 * n))
+        mask = np.zeros((2 * n, 2 * n), dtype=bool)
+        reference = rng.uniform(0.0, 255.0, (2 * n, 2 * n))
+        rows = np.zeros((native.PLAN_ROWS, 2), dtype=np.int64)
+        rows[:, 0] = (0, 0, n, intra.DC, 0, 0, 0, 0, -1)  # nothing to gather
+        rows[:, 1] = (n, n, n, -1, 1, 3, 5, 0, -1)  # inter, block at (3, 5)
+        offsets = np.array([-1, -1], dtype=np.int64)
+        assert native.reconstruct_slice(
+            recon, mask, reference, rows, 2, offsets, np.empty(0)
         )
-        assert nat_ctx.sig.probs == pure_ctx.sig.probs
-        assert nat_ctx.level.probs == pure_ctx.level.probs
+        assert (recon[:n, :n] == 128.0).all()
+        np.testing.assert_array_equal(recon[n:, n:], reference[3 : 3 + n, 5 : 5 + n])
+
+    def test_bad_plans_are_refused_untouched(self):
+        n = 8
+        rows = np.zeros((native.PLAN_ROWS, 1), dtype=np.int64)
+        good = (0, 0, n, intra.DC, 0, 0, 0, 0, -1)
+        for column, offset in (
+            ((0, 0, 3 * n, intra.DC, 0, 0, 0, 0, -1), -1),  # leaves the frame
+            ((0, 0, 128, intra.DC, 0, 0, 0, 0, -1), -1),  # no such block size
+            ((0, 0, n, 35, 0, 0, 0, 0, -1), -1),  # no such mode
+            ((0, 0, n, -1, 1, 0, 0, 0, -1), -1),  # inter without a reference
+            (good, 1),  # residual grid past the buffer
+        ):
+            rows[:, 0] = column
+            recon = np.zeros((2 * n, 2 * n))
+            mask = np.zeros((2 * n, 2 * n), dtype=bool)
+            assert not native.reconstruct_slice(
+                recon, mask, None, rows, 1,
+                np.array([offset], dtype=np.int64), np.zeros(n * n),
+            )
+            assert not recon.any() and not mask.any()
+
+    def test_dc_sum_is_numpys_sum(self):
+        lib = native._KERNELS["recon"].lib
+        rng = np.random.default_rng(7)
+        for n in [4, 8, 16, 32, 64] + list(range(1, 129, 7)):
+            for _ in range(200):
+                padded = rng.uniform(0.0, 255.0, n + 2)
+                values = padded[1 : n + 1]  # a view, as predict_dc sums
+                assert native._dc_sum(lib, values) == values.sum(), n
+
+    def test_self_check_failure_falls_back_to_the_twin(self, monkeypatch):
+        # "Same samples" must not depend on which numpy is installed: a
+        # DC reduction that disagrees with np.sum refuses the kernel.
+        monkeypatch.delenv("LLM265_PURE_PYTHON", raising=False)
+        kernel = native._KERNELS["recon"]
+        for attr, value in (("state", "unloaded"), ("fn", None), ("lib", None)):
+            monkeypatch.setattr(kernel, attr, value)
+        real = native._dc_sum
+        monkeypatch.setattr(
+            native, "_dc_sum", lambda lib, values: real(lib, values) + 1e-9
+        )
+        recorder = flightrecorder.FlightRecorder()
+        previous = flightrecorder.set_recorder(recorder)
+        try:
+            assert not native.available()
+            assert not native.available()  # resolved once, no retry
+        finally:
+            flightrecorder.set_recorder(previous)
+        assert kernel.state == "failed"
+        events = [
+            e for e in recorder.snapshot() if e["kind"] == "native.build_failed"
+        ]
+        assert len(events) == 1 and events[0]["fields"]["kernel"] == "recon"
+        assert native.kernel_status()["refs"] == "ready"  # same .so, no check
+        data = FrameEncoder(EncoderConfig(qp=24.0)).encode(_frames(n=1)).data
+        for a, b in zip(decode_frames(data), decode_frames(data, decode="legacy")):
+            np.testing.assert_array_equal(a, b)
 
 
 # -- whole-stream identity ---------------------------------------------
+
+
+def _assert_three_way_identity(data):
+    """kernels == twin == legacy: uint8 frames and float64 planes."""
+    legacy_frames, legacy = _probe(data, decode="legacy")
+    twin_frames, twin = _probe_twin(data)
+    runs = [(twin_frames, twin)]
+    if native.available():
+        runs.append(_probe(data))
+    for frames, slices in runs:
+        assert len(frames) == len(legacy_frames)
+        for a, b in zip(legacy_frames, frames):
+            assert b.dtype == np.uint8
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(legacy, slices):
+            assert b["recon"].tobytes() == a["recon"].tobytes()
 
 
 class TestVectorizedIdentity:
@@ -167,6 +437,30 @@ class TestVectorizedIdentity:
         assert len(legacy) == len(fast)
         for a, b in zip(legacy, fast):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "profile", [H264_PROFILE, H265_PROFILE, AV1_PROFILE]
+    )
+    @pytest.mark.parametrize("qp", [18.0, 24.5, 26.0, 34.0])
+    @pytest.mark.parametrize("use_inter", [False, True])
+    def test_identity_matrix(self, profile, qp, use_inter):
+        # Frame shapes that are and are not CTU multiples (the decoder
+        # works on the padded plane), integer and dithered QPs.
+        for h, w in ((64, 64), (50, 70), (33, 17)):
+            data = FrameEncoder(
+                EncoderConfig(profile=profile, qp=qp, use_inter=use_inter)
+            ).encode(_frames(n=3 if use_inter else 2, h=h, w=w, seed=h + w)).data
+            _assert_three_way_identity(data)
+
+    @pytest.mark.parametrize(
+        "tool", ["use_partition", "use_intra", "use_transform"]
+    )
+    def test_identity_with_tools_off(self, tool):
+        for use_inter in (False, True):
+            data = FrameEncoder(
+                EncoderConfig(qp=24.5, use_inter=use_inter, **{tool: False})
+            ).encode(_frames(n=2, h=40, w=72, seed=3)).data
+            _assert_three_way_identity(data)
 
     def test_identity_with_inter_prediction(self):
         frames = _frames(seed=23)
@@ -225,23 +519,46 @@ class TestParallelDecodeThresholds:
         assert decoder_mod._PARALLEL_MIN_SLICES == 4
         assert decoder_mod._PARALLEL_MIN_BYTES == 32768
 
-    def _big_stream(self):
-        # Noisy frames so the payload clears the 32 KiB byte threshold.
-        rng = np.random.default_rng(5)
-        frames = [
-            rng.integers(0, 256, (128, 128)).astype(np.uint8) for _ in range(4)
-        ]
-        return FrameEncoder(EncoderConfig(qp=18.0)).encode(frames).data
-
+    @needs_kernels
     def test_dispatches_above_thresholds(self, monkeypatch):
         monkeypatch.setattr(decoder_mod, "_effective_cpus", lambda: 8)
-        data = self._big_stream()
+        data = _big_stream()
         pool = ParallelConfig(workers=2, executor="thread")
         before = pool_stats()["dispatches"]
         par = decode_frames(data, parallel=pool)
         assert pool_stats()["dispatches"] == before + 1
         for a, b in zip(decode_frames(data), par):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("decode", DECODES)
+    def test_threads_need_the_slice_kernels(self, monkeypatch, decode):
+        # Per-leaf Python holds the GIL, so a thread pool only slows it
+        # down: without the kernels (or on the legacy decoder) a thread
+        # executor stays serial and says so; a process executor, which
+        # does not share a GIL, still dispatches.
+        monkeypatch.setattr(decoder_mod, "_effective_cpus", lambda: 8)
+        if decode == "vectorized":
+            _force_pure(monkeypatch)
+        data = _big_stream()
+        serial = decode_frames(data, decode=decode)
+        before = pool_stats()["dispatches"]
+        with telemetry.session() as registry:
+            threaded = decode_frames(
+                data,
+                parallel=ParallelConfig(workers=2, executor="thread"),
+                decode=decode,
+            )
+        assert pool_stats()["dispatches"] == before
+        assert registry.counters.get("decode.parallel_threshold_fallbacks") == 1
+        forked = decode_frames(
+            data,
+            parallel=ParallelConfig(workers=2, executor="process"),
+            decode=decode,
+        )
+        assert pool_stats()["dispatches"] == before + 1
+        for a, b, c in zip(serial, threaded, forked):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, c)
 
     def test_small_slice_count_falls_back(self, monkeypatch):
         monkeypatch.setattr(decoder_mod, "_effective_cpus", lambda: 8)
@@ -268,7 +585,7 @@ class TestParallelDecodeThresholds:
 
     def test_single_cpu_falls_back(self, monkeypatch):
         monkeypatch.setattr(decoder_mod, "_effective_cpus", lambda: 1)
-        data = self._big_stream()
+        data = _big_stream()
         pool = ParallelConfig(workers=2, executor="thread")
         before = pool_stats()["dispatches"]
         with telemetry.session() as registry:
@@ -358,6 +675,64 @@ class TestDecodeTelemetry:
         # Spans nest under the frame span, so match on the leaf name.
         leaves = {path.rsplit("/", 1)[-1] for path in registry.spans}
         assert {"decode.entropy", "decode.reconstruct", "decode.predict"} <= leaves
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_fanned_out_decode_keeps_its_ledger(self, monkeypatch, executor):
+        # Regression: slice workers used to run with no registry and no
+        # ledger, so the production (2-thread) config reported only
+        # decode.frames.  Every decode.* counter must now be the same
+        # serial or fanned out (stage seconds are timings: present, not
+        # equal).
+        if executor == "thread" and not native.available():
+            pytest.skip("threads dispatch only with the slice kernels")
+        monkeypatch.setattr(decoder_mod, "_effective_cpus", lambda: 8)
+        data = _big_stream(qp=18.5)  # dithered: both QPs in decode.qp
+
+        def counters(parallel):
+            before = pool_stats()["dispatches"]
+            with telemetry.session() as registry:
+                decode_frames(data, parallel=parallel)
+            dispatched = pool_stats()["dispatches"] - before
+            return dispatched, {
+                name: value
+                for name, value in registry.counters.items()
+                if name.startswith("decode.")
+            }, registry.histograms["decode.qp"].to_dict()
+
+        _, serial, serial_qp = counters(None)
+        dispatched, fanned, fanned_qp = counters(
+            ParallelConfig(workers=2, executor=executor)
+        )
+        assert dispatched == 1
+        assert set(fanned) == set(serial)
+        for name in (
+            "decode.frames", "decode.ctu", "decode.cu.leaf", "decode.cu.split",
+            "decode.mode.intra", "decode.coeff_bins", "decode.batches",
+            "decode.batched_blocks",
+        ):
+            assert fanned[name] == serial[name] > 0, name
+        for stage in DECODE_STAGES:
+            assert fanned[f"decode.seconds.{stage}"] > 0.0
+        assert fanned_qp == serial_qp
+
+    def test_structural_counters_match_legacy(self):
+        # Derived from the plan arrays, not counted leaf by leaf -- and
+        # still the numbers the legacy walk counts.
+        names = (
+            "decode.ctu", "decode.cu.leaf", "decode.cu.split",
+            "decode.mode.intra", "decode.mode.inter",
+        )
+        for use_inter in (False, True):
+            data = FrameEncoder(
+                EncoderConfig(qp=24.0, use_inter=use_inter)
+            ).encode(_frames(n=3, seed=9)).data
+            seen = {}
+            for mode in DECODES:
+                with telemetry.session() as registry:
+                    decode_frames(data, decode=mode)
+                seen[mode] = {name: registry.counters.get(name) for name in names}
+            assert seen["vectorized"] == seen["legacy"]
+            assert seen["legacy"]["decode.cu.leaf"] > 0
 
     def test_legacy_publishes_no_stage_ledger(self):
         frames = _frames()

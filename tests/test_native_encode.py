@@ -207,7 +207,7 @@ class TestRefsKernel:
 class TestBuildPipeline:
     def test_kernel_status_shape(self):
         status = native.kernel_status(resolve=False)
-        assert set(status) == {"scan", "write", "cost", "refs"}
+        assert set(status) == {"slice", "recon", "write", "cost", "refs"}
         allowed = {"unloaded", "building", "ready", "pure-python",
                    "no-compiler", "failed"}
         assert set(status.values()) <= allowed
@@ -229,16 +229,19 @@ class TestBuildPipeline:
             assert registry.counters.get("native.cache_pruned", 0) >= 1
             # Live kernels survived the sweep.
             for kernel in native._KERNELS.values():
-                live = os.path.join(
-                    native._BUILD_DIR,
-                    f"{kernel.name}_kernel_{native._source_tag(kernel)}.so",
-                )
                 if kernel.state == "ready":
-                    assert os.path.exists(live)
+                    assert os.path.exists(native._so_path(kernel))
         finally:
             for path in (stale, keep):
                 if os.path.exists(path):
                     os.unlink(path)
+
+    def test_refs_and_recon_share_one_object(self):
+        # The reference gather exists once: in the reconstruct kernel's
+        # translation unit, exported a second time for the encoder.
+        recon, refs = native._KERNELS["recon"], native._KERNELS["refs"]
+        assert native._so_path(recon) == native._so_path(refs)
+        assert os.path.basename(native._so_path(recon)).startswith("recon_kernel_")
 
     def test_gc_runs_once_per_process(self, monkeypatch):
         monkeypatch.setattr(native, "_pruned", True)
