@@ -23,12 +23,14 @@ Two decode implementations share that contract (``decode=`` on
   path, three whole-slice stages over one array plan
   (:class:`LeafPlan`).  Stage one drains the range decoder into the
   plan (modes, motion vectors, coefficient scans); stage two
-  dequantizes and inverse-transforms all same-size leaves in one
-  batched GEMM (sharing the encoder's lru-cached DCT basis / zigzag
-  operators); stage three predicts and reconstructs every leaf in
-  decode order.  Stages one and three are each one GIL-free C call
-  (``native.plan_slice`` / ``native.reconstruct_slice``) with a
-  pure-Python twin (``_walk_slice`` / ``_apply_predictions``) that
+  dequantizes, unscans and inverse-transforms all same-size leaves in
+  one batch (the encoder's lru-cached DCT basis / zigzag tables, the
+  codec's order-defined transform); stage three predicts and
+  reconstructs every leaf in decode order.  Stages one and three are
+  each one GIL-free C call (``native.plan_slice`` /
+  ``native.reconstruct_slice``), stage two one per block size
+  (``native.residuals``), each with a Python twin (``_walk_slice`` /
+  ``_apply_predictions`` / the numpy batch in ``_batch_residuals``) that
   produces and consumes the same arrays -- the no-compiler /
   ``LLM265_PURE_PYTHON=1`` floor, and the path that re-decodes any
   slice a kernel refuses, so every error is raised by Python code.
@@ -61,7 +63,7 @@ from repro.codec.syntax import (
     decode_intra_mode,
     decode_mv,
 )
-from repro.codec.transform import inverse_dct2_batch, zigzag_order
+from repro.codec.transform import dct_matrix, inverse_dct2_batch, zigzag_order
 from repro.parallel import ParallelConfig, parallel_map, warm_pool
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import ConcealmentReport, CorruptStreamError
@@ -463,12 +465,14 @@ class FrameDecoder:
     # leaf by leaf, never on pixels), so the entropy decode consumes
     # identical bins and fails on identical inputs.  Stage two's batched
     # dequantize is the same elementwise multiply legacy performs per
-    # leaf and the batched inverse DCT runs the same (n, n) x (n, n)
-    # GEMM per stacked slice as the legacy batch-of-one call.  Stage
-    # three replays prediction in decode order against a reconstruction
-    # mask that is, at every leaf, the exact mask the interleaved loop
-    # would have had; its C form evaluates the same expressions in the
-    # same order with no fused multiply-add (docs/PERFORMANCE.md).
+    # leaf and the inverse DCT is the codec's one order-defined
+    # transform on every path; with the kernels loaded the stage is one
+    # C call per block size (``native.residuals``: the same multiply,
+    # unscan and transform).  Stage three replays prediction in decode
+    # order against a reconstruction mask that is, at every leaf, the
+    # exact mask the interleaved loop would have had; its C form
+    # evaluates the same expressions in the same order with no fused
+    # multiply-add (docs/PERFORMANCE.md).
 
     def _decode_frame_vectorized(
         self, height: int, width: int, frame_index: int, dither: QpDither
@@ -684,15 +688,25 @@ class FrameDecoder:
         for n in np.unique(sizes[coded]).tolist():
             indices = np.flatnonzero(coded & (sizes == n))
             area = n * n
-            scan_rows = plan.levels[coeff[indices, None] + np.arange(area)]
-            # Same elementwise product as per-leaf ``dequantize``; the
-            # zigzag unscan is one fancy-index store across the batch.
-            dequant = scan_rows.astype(np.float64) * steps[indices, None]
-            flat = np.empty((len(indices), area), dtype=np.float64)
-            flat[:, zigzag_order(n)] = dequant
-            grids = flat.reshape(len(indices), n, n)
-            if use_transform:
-                grids = inverse_dct2_batch(grids)
+            grids = (
+                native.residuals(
+                    plan.levels, coeff[indices], steps[indices],
+                    zigzag_order(n), dct_matrix(n), use_transform,
+                )
+                if native.available()
+                else None
+            )
+            if grids is None:
+                scan_rows = plan.levels[coeff[indices, None] + np.arange(area)]
+                # Same elementwise product as per-leaf ``dequantize``;
+                # the zigzag unscan is one fancy-index store across the
+                # batch.
+                dequant = scan_rows.astype(np.float64) * steps[indices, None]
+                flat = np.empty((len(indices), area), dtype=np.float64)
+                flat[:, zigzag_order(n)] = dequant
+                grids = flat.reshape(len(indices), n, n)
+                if use_transform:
+                    grids = inverse_dct2_batch(grids)
             resid_offset[indices] = total + area * np.arange(len(indices))
             grids_by_size.append(grids.reshape(-1))
             total += grids.size

@@ -47,6 +47,7 @@ from repro.codec.syntax import (
     estimate_mode_bits_many,
 )
 from repro.codec.transform import (
+    SUPPORTED_SIZES,
     dct_matrix,
     forward_dct2_batch,
     inverse_dct2_batch,
@@ -62,21 +63,23 @@ from repro.codec.transform import (
 #: benchmark baseline.  ``"turbo"`` is a two-pass whole-frame search:
 #: pass 1 costs every (block, size, mode) candidate in batched form
 #: against *source* references via cached prediction->coefficient
-#: operators and runs the quadtree DP, pass 2 re-codes only the chosen
-#: leaves against the true reconstruction (see
+#: operators, pass 2 runs the quadtree DP and re-codes only the chosen
+#: leaves against the true reconstruction -- one whole-slice C call
+#: with ``encode="native"`` (see
 #: :meth:`FrameEncoder._encode_frame_turbo`).  Fastest; streams stay
 #: valid and drift-free, but decisions may differ slightly from the
 #: exact search.  Inter frames fall back to the per-leaf variant
 #: (:meth:`FrameEncoder._plan_leaf_intra_turbo`).
 RD_SEARCHES = ("vectorized", "legacy", "turbo")
 
-#: Entropy/costing backends: ``"native"`` dispatches the fused
-#: coefficient-scan writer and the batched turbo RD costing to the
-#: self-building C kernels (:mod:`repro.codec.entropy.native`) when
-#: they are available, falling back transparently to the pure-Python
-#: paths otherwise.  ``"python"`` pins the pure-Python paths even with
-#: the kernels loaded -- the bit-exactness reference the benchmark
-#: identity gates and the differential fuzz suite compare against.
+#: Entropy/costing backends: ``"native"`` dispatches the whole-slice
+#: turbo pass 2, the fused coefficient-scan writer and the batched turbo
+#: RD costing to the self-building C kernels
+#: (:mod:`repro.codec.entropy.native`) when they are available, falling
+#: back transparently to the pure-Python paths otherwise.  ``"python"``
+#: pins the pure-Python paths even with the kernels loaded -- the
+#: bit-exactness reference the benchmark identity gates and the
+#: differential fuzz suite compare against.
 #: Streams are byte-identical between the two by construction and by
 #: test (tests/test_encode_fuzz.py, tests/test_native_encode.py).
 ENCODES = ("native", "python")
@@ -181,6 +184,19 @@ def _level_rate_table() -> np.ndarray:
     )
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=None)
+def _transform_tables(sizes: Tuple[int, ...]) -> tuple:
+    """``(dct_matrix, zigzag_order)`` per size class, ``None`` where unused.
+
+    The slice-encode kernel takes its basis and scan tables from here,
+    so kernel and twin transform with the very same doubles.
+    """
+    return tuple(
+        (dct_matrix(n), zigzag_order(n)) if n in sizes else None
+        for n in SUPPORTED_SIZES
+    )
 
 
 def _quantize_costs(
@@ -479,11 +495,20 @@ class FrameEncoder:
     """Encodes a sequence of 8-bit grayscale frames into one bitstream."""
 
     def __init__(self, config: Optional[EncoderConfig] = None) -> None:
-        self.config = config or EncoderConfig()
-        if self.config.profile.min_cu_size < 4:
+        self.config = cfg = config or EncoderConfig()
+        if cfg.profile.min_cu_size < 4:
             raise ValueError("minimum CU size is 4")
+        self._ctu = cfg.profile.ctu_size if cfg.use_partition else cfg.fixed_cu_size
+        self._min_cu = (
+            cfg.profile.min_cu_size if cfg.use_partition else cfg.fixed_cu_size
+        )
         self._stats: Optional[telemetry.EncodeStats] = None
-        self._native_ok = self.config.encode == "native"
+        self._reference: Optional[np.ndarray] = None
+        self._native_ok = cfg.encode == "native"
+        #: Intra frames take the two-pass whole-frame turbo path.
+        self._turbo_frames = (
+            cfg.rd_search == "turbo" and cfg.use_transform and cfg.use_intra
+        )
 
     # -- public API ----------------------------------------------------
 
@@ -500,22 +525,15 @@ class FrameEncoder:
                 raise ValueError("frames must be uint8")
 
         cfg = self.config
-        self._ctu = cfg.profile.ctu_size if cfg.use_partition else cfg.fixed_cu_size
-        self._min_cu = (
-            cfg.profile.min_cu_size if cfg.use_partition else cfg.fixed_cu_size
-        )
         header = pack_header(cfg, width, height, len(frames))
         qp_base = header[_HEADER_BODY_SIZE - 4]
         qp_frac = header[_HEADER_BODY_SIZE - 3]
-        dither = QpDither(qp_base, qp_frac)
 
         registry = telemetry.current()
         stats = self._stats = (
             telemetry.EncodeStats() if registry is not None else None
         )
-        self._reference: Optional[np.ndarray] = None
-        sse_total = 0.0
-        slices: List[bytes] = []
+        self._reference = None
         par = cfg.parallel
         # Frames are independent slices unless inter prediction chains
         # them (each frame then references the previous reconstruction),
@@ -537,6 +555,18 @@ class FrameEncoder:
             and len(frames) >= _PARALLEL_MIN_SLICES
             and sum(f.nbytes for f in frames) >= _PARALLEL_MIN_BYTES
             and _effective_cpus() > 1
+            # Threads only overlap work that releases the GIL: pass 1's
+            # GEMMs and the whole-slice kernel.  The per-leaf Python of
+            # the twin and of the exact searches measured slower under
+            # threads than serial.
+            and (
+                par.executor != "thread"
+                or (
+                    self._turbo_frames
+                    and self._native_ok
+                    and native.encode_available()
+                )
+            )
         )
         if par_capable and not use_parallel:
             telemetry.count("encode.parallel_threshold_fallbacks")
@@ -545,56 +575,48 @@ class FrameEncoder:
                 pad_h = height + (-height) % self._ctu
                 pad_w = width + (-width) % self._ctu
                 ctus_per_frame = (pad_h // self._ctu) * (pad_w // self._ctu)
+                # One task per worker that can actually run (encode is
+                # CPU-bound), each a run of consecutive slices.
+                runs = min(par.resolved_workers(), _effective_cpus(), len(frames))
+                run = -(-len(frames) // runs)
                 tasks = [
                     (
                         cfg,
-                        frame,
-                        index,
+                        frames[first : first + run],
+                        first,
                         qp_base,
                         qp_frac,
-                        index * ctus_per_frame,
+                        first * ctus_per_frame,
                         stats is not None,
                     )
-                    for index, frame in enumerate(frames)
+                    for first in range(0, len(frames), run)
                 ]
-                results = parallel_map(
-                    _encode_slice_worker,
+                outcomes = parallel_map(
+                    _encode_slices_worker,
                     tasks,
                     par,
                     label="encode",
                     deadline=cfg.deadline,
                 )
-                for slice_bytes, frame_sse, worker_stats in results:
-                    slices.append(slice_bytes)
-                    sse_total += frame_sse
-                    if stats is not None and worker_stats is not None:
+                coded = [pair for run_coded, _ in outcomes for pair in run_coded]
+                if stats is not None:
+                    for _, worker_stats in outcomes:
                         stats.merge(worker_stats)
             else:
                 if par is not None:
                     telemetry.count("parallel.serial_fallbacks")
+                dither = QpDither(qp_base, qp_frac)
+                coded = []
                 for index, frame in enumerate(frames):
                     if cfg.deadline is not None:
                         cfg.deadline.check("frames.encode")
-                    padded = pad_frame(frame, self._ctu)
-                    # Each frame is one error-resilience slice: a fresh
-                    # coder and fresh contexts make it independently
-                    # decodable, so a damaged slice can be concealed
-                    # without desynchronising the rest of the stream.
-                    enc = BinaryEncoder()
-                    ctx = CodecContexts()
                     with telemetry.span("frame"):
-                        recon = self._encode_frame(enc, ctx, padded, index, dither)
-                    crop = recon[:height, :width]
-                    sse_total += float(
-                        np.sum(
-                            (crop.astype(np.float64) - frame.astype(np.float64)) ** 2
-                        )
-                    )
-                    self._reference = recon
-                    slices.append(frame_slice(enc.finish()))
-                    if stats is not None:
-                        stats.add_bits("slice_hdr", 8 * SLICE_OVERHEAD)
-            payload = b"".join(slices)
+                        coded.append(self._encode_slice(frame, index, dither))
+            payload = b"".join(slice_bytes for slice_bytes, _ in coded)
+        # Summed in frame order on every path, so the float is the same.
+        sse_total = 0.0
+        for _, frame_sse in coded:
+            sse_total += frame_sse
         num_values = height * width * len(frames)
         stats_dict: Optional[dict] = None
         if stats is not None:
@@ -612,6 +634,29 @@ class FrameEncoder:
             mse=sse_total / num_values,
             stats=stats_dict,
         )
+
+    # -- per-slice -----------------------------------------------------
+
+    def _encode_slice(
+        self, frame: np.ndarray, index: int, dither: QpDither
+    ) -> Tuple[bytes, float]:
+        """One frame as one framed slice: ``(slice bytes, frame SSE)``.
+
+        Each frame is one error-resilience slice: a fresh coder and
+        fresh contexts make it independently decodable, so a damaged
+        slice can be concealed without desynchronising the rest of the
+        stream.  The reconstruction becomes the next frame's reference.
+        """
+        height, width = frame.shape
+        enc = BinaryEncoder()
+        ctx = CodecContexts()
+        recon = self._encode_frame(enc, ctx, pad_frame(frame, self._ctu), index, dither)
+        crop = recon[:height, :width]
+        frame_sse = float(np.sum((crop - frame.astype(np.float64)) ** 2))
+        self._reference = recon
+        if self._stats is not None:
+            self._stats.add_bits("slice_hdr", 8 * SLICE_OVERHEAD)
+        return frame_slice(enc.finish()), frame_sse
 
     # -- per-frame -----------------------------------------------------
 
@@ -634,12 +679,7 @@ class FrameEncoder:
         )
 
         stats = self._stats
-        if (
-            cfg.rd_search == "turbo"
-            and cfg.use_transform
-            and cfg.use_intra
-            and not self._inter_allowed
-        ):
+        if self._turbo_frames and not self._inter_allowed:
             return self._encode_frame_turbo(enc, ctx, dither)
         for y0 in range(0, height, self._ctu):
             for x0 in range(0, width, self._ctu):
@@ -878,12 +918,17 @@ class FrameEncoder:
         trick: at working QPs the reconstruction tracks the source
         closely, so decisions made against the source are near-identical
         while removing the serial commit->gather dependency that forces
-        the per-leaf searches to run block by block.  A quadtree DP then
-        picks the partition per CTU with the same split-flag arithmetic
-        as :meth:`_plan_cu`, and pass 2 re-codes only the chosen leaves
-        against the *true* reconstruction, so the emitted stream is
-        exactly decodable -- drift-free by construction, like every
-        other search mode.
+        the per-leaf searches to run block by block.  Pass 2 picks the
+        partition per CTU with a quadtree DP (the same split-flag
+        arithmetic as :meth:`_plan_cu`), re-codes only the chosen leaves
+        against the *true* reconstruction and writes the slice, so the
+        emitted stream is exactly decodable -- drift-free by
+        construction, like every other search mode.  With
+        ``encode="native"`` pass 2 is one GIL-free call
+        (``native.encode_slice``); :meth:`_turbo_choose` /
+        :meth:`_turbo_commit` / :meth:`_write_cu` are its pure-Python
+        twin -- same bytes, same float64 plane, same context banks --
+        which also re-codes any slice the kernel refuses.
         """
         frame = self._frame
         height, width = frame.shape
@@ -915,6 +960,10 @@ class FrameEncoder:
         if stats is not None:
             stats.add_seconds("plan", perf_counter() - pass1_start)
 
+        if self._native_ok and self._turbo_pass2_native(
+            enc, ctx, qp_map, sizes, best_mode, best_cost
+        ):
+            return self._recon
         for cy in range(rows):
             for cx in range(cols):
                 qp = float(qp_map[cy, cx])
@@ -939,6 +988,103 @@ class FrameEncoder:
                 stats.add_seconds("plan", t1 - t0)
                 stats.add_seconds("write", perf_counter() - t1)
         return self._recon
+
+    def _turbo_pass2_native(
+        self,
+        enc: BinaryEncoder,
+        ctx: CodecContexts,
+        qp_map: np.ndarray,
+        sizes: List[int],
+        best_mode: Dict[int, np.ndarray],
+        best_cost: Dict[int, np.ndarray],
+    ) -> bool:
+        """Pass 2 in the slice-encode kernel; False = the twin must run.
+
+        On success ``enc``, ``ctx``, ``self._recon`` and the stats
+        ledger are exactly what the Python loop would have left.  When
+        the kernel declines (unavailable) nothing was touched; when it
+        refuses mid-slice (a capacity, an unsupported geometry) the
+        part-adapted contexts and planes are made fresh again so the
+        twin re-codes the slice from the start.
+        """
+        frame = self._frame
+        height, width = frame.shape
+        stats = self._stats
+        started = perf_counter() if stats is not None else 0.0
+        qps = qp_map.ravel().tolist()
+        # Exact upper bounds: leaves are disjoint and none is smaller
+        # than the last size; four bytes per sample is far beyond any
+        # stream the format produces at QP >= 0 (overflow -> twin).
+        rows = np.empty(
+            (native.PLAN_ROWS, (height // sizes[-1]) * (width // sizes[-1])),
+            dtype=np.int64,
+        )
+        levels = np.empty(height * width, dtype=np.int64)
+        out = np.empty(4 * height * width + 64, dtype=np.uint8)
+        bits = (
+            np.zeros(len(native.ENCODE_BIT_CLASSES), dtype=np.int64)
+            if stats is not None
+            else None
+        )
+        outcome = native.encode_slice(
+            enc,
+            ctx.banks(),
+            frame,
+            self._ctu,
+            self._min_cu,
+            self.config.use_partition,
+            [best_mode[n] for n in sizes],
+            [best_cost[n] for n in sizes],
+            np.array([qstep(qp) for qp in qps], dtype=np.float64),
+            np.array([rd_lambda(qp) for qp in qps], dtype=np.float64),
+            self.config.profile.deadzone,
+            self.config.profile.all_modes,
+            _transform_tables(tuple(sizes)),
+            self._recon,
+            self._mask,
+            rows,
+            levels,
+            out,
+            bits,
+        )
+        if outcome is None:
+            return False
+        status, n_leaves, n_levels = outcome
+        if status != 0:
+            telemetry.count("encode.kernel_refusals")
+            ctx.reset()
+            self._recon.fill(0.0)
+            self._mask.fill(False)
+            return False
+        if stats is not None:
+            stats.add_seconds("write", perf_counter() - started)
+            for qp in qps:
+                stats.add_qp(int(qp))
+            # The ledger the twin keeps leaf by leaf, from the plan:
+            # every split turns one quadtree node into four, every leaf
+            # is an intra leaf with one coefficient block.  Entries the
+            # twin would never have touched stay absent.
+            n_ctus = len(qps)
+            for name, value in (
+                ("ctu", n_ctus),
+                ("cu.leaf", n_leaves),
+                ("cu.split", (n_leaves - n_ctus) // 3),
+                ("mode.intra", n_leaves),
+                ("coeff_blocks", n_leaves),
+                ("coeff_nonzero", int(np.count_nonzero(levels[:n_levels]))),
+            ):
+                if value:
+                    stats.add_count(name, value)
+            # ENCODE_BIT_CLASSES order: split flags exist only under a
+            # tree, last / sig / level only with a coded block.
+            coded = n_levels > 0
+            touched = (len(sizes) > 1, True, True, coded, coded, coded)
+            for name, value, used in zip(
+                native.ENCODE_BIT_CLASSES, bits.tolist(), touched
+            ):
+                if used:
+                    stats.add_bits(name, value)
+        return True
 
     def _turbo_pass1_size(
         self, n: int, blk_qp: np.ndarray
@@ -1061,14 +1207,14 @@ class FrameEncoder:
         """Exact single-mode leaf coding (quantize, reconstruct, commit).
 
         Identical arithmetic to :meth:`_code_residual` restricted to one
-        prediction; the reconstruction is what the decoder will produce
-        for these levels, bit for bit.
+        prediction, and to ``code_leaf`` in ``_encode_kernel.c``
+        operation for operation; the reconstruction is what the decoder
+        will produce for these levels, bit for bit.
         """
         orig = self._frame[y0 : y0 + size, x0 : x0 + size]
         top, left = intra.gather_references(self._recon, self._mask, y0, x0, size)
         prediction = intra.predict(top, left, mode, size)
-        basis = dct_matrix(size)
-        coeffs = np.matmul(np.matmul(basis, orig - prediction), basis.T)
+        coeffs = forward_dct2_batch(orig - prediction)
         step = self._qstep
         scaled = coeffs / step
         deadzone = self.config.profile.deadzone
@@ -1077,7 +1223,7 @@ class FrameEncoder:
         else:
             levels = np.rint(scaled)
         levels = levels.astype(np.int64)
-        residual = np.matmul(np.matmul(basis.T, levels * step), basis)
+        residual = inverse_dct2_batch(levels * step)
         recon = np.clip(prediction + residual, 0.0, 255.0)
         self._commit_block(y0, x0, size, recon, mode)
         return ("leaf", mode, False, (0, 0), levels)
@@ -1213,8 +1359,7 @@ class FrameEncoder:
         size = orig.shape[0]
         residuals = orig - predictions
         if cfg.use_transform:
-            basis = dct_matrix(size)
-            coeffs = np.matmul(np.matmul(basis, residuals), basis.T)
+            coeffs = forward_dct2_batch(residuals)
         else:
             coeffs = residuals
         step = self._qstep
@@ -1228,7 +1373,7 @@ class FrameEncoder:
             levels = np.round(scaled).astype(np.int64)
         dequant = levels * step
         if cfg.use_transform:
-            resid_rec = np.matmul(np.matmul(basis.T, dequant), basis)
+            resid_rec = inverse_dct2_batch(dequant)
         else:
             resid_rec = dequant
         recons = np.clip(predictions + resid_rec, 0.0, 255.0)
@@ -1410,43 +1555,26 @@ class FrameEncoder:
         return self._neighbor_mode(y, x)
 
 
-def _encode_slice_worker(args):
-    """Encode one frame as an independent slice (parallel worker body).
+def _encode_slices_worker(args):
+    """Encode a run of consecutive frames as slices (parallel worker body).
 
     Module-level so process pools can pickle it.  Telemetry registries
     are thread-local and absent in workers, so when instrumentation is
     on the worker builds an explicit :class:`telemetry.EncodeStats` and
-    returns it for the session to merge in frame order.
+    returns it for the session to merge in run order.
 
-    Returns ``(framed_slice_bytes, frame_sse, stats_or_None)``.
+    Returns ``([(framed_slice_bytes, frame_sse), ...], stats_or_None)``.
     """
-    config, frame, index, qp_base, qp_frac, dither_steps, want_stats = args
-    if config.deadline is not None:
-        config.deadline.check("frames.encode.worker")
+    config, frames, first_index, qp_base, qp_frac, dither_steps, want_stats = args
     encoder = FrameEncoder(config)
-    encoder._ctu = (
-        config.profile.ctu_size if config.use_partition else config.fixed_cu_size
-    )
-    encoder._min_cu = (
-        config.profile.min_cu_size if config.use_partition else config.fixed_cu_size
-    )
     encoder._stats = telemetry.EncodeStats() if want_stats else None
-    encoder._reference = None
-    height, width = frame.shape
     dither = QpDither.advanced(qp_base, qp_frac, dither_steps)
-    enc = BinaryEncoder()
-    ctx = CodecContexts()
-    recon = encoder._encode_frame(
-        enc, ctx, pad_frame(frame, encoder._ctu), index, dither
-    )
-    crop = recon[:height, :width]
-    frame_sse = float(
-        np.sum((crop.astype(np.float64) - frame.astype(np.float64)) ** 2)
-    )
-    slice_bytes = frame_slice(enc.finish())
-    if encoder._stats is not None:
-        encoder._stats.add_bits("slice_hdr", 8 * SLICE_OVERHEAD)
-    return slice_bytes, frame_sse, encoder._stats
+    coded = []
+    for index, frame in enumerate(frames, first_index):
+        if config.deadline is not None:
+            config.deadline.check("frames.encode.worker")
+        coded.append(encoder._encode_slice(frame, index, dither))
+    return coded, encoder._stats
 
 
 def encode_frames(

@@ -1,0 +1,541 @@
+/* Whole-slice intra encode: one call plans, codes and writes a slice.
+ *
+ * Everything FrameEncoder._encode_frame_turbo does after its batched
+ * pass 1 -- _turbo_choose, _turbo_commit / _code_leaf_fixed_mode and
+ * _write_cu -- over the pass-1 best_mode / best_cost tables:
+ *
+ *   1. the quadtree DP per CTU with _turbo_choose's exact arithmetic
+ *      (split_cost = lambda, += the four children in z-order, the leaf
+ *      kept on ties);
+ *   2. for every chosen leaf in decode order: reference gather ->
+ *      predict -> residual -> forward DCT -> dead-zone quantize ->
+ *      dequantize -> inverse DCT -> + prediction -> clip -> commit into
+ *      recon / mask / mode map;
+ *   3. the split flags, MPM intra modes, cbf, last-position UEG and
+ *      the fused coefficient scan into the range coder, adapting the
+ *      live context banks of one CodecContexts in place.
+ *
+ * Two other files reach the compiler through this one and are part of
+ * its content hash (native._Kernel.includes): the range coder and the
+ * block writer of _write_kernel.c, and the reference gather and intra
+ * predictors of _recon_kernel.c.
+ *
+ * The transform is the codec's one order-defined 2-D DCT pair
+ * (llm265_dct2_batch, also exported for repro.codec.transform):
+ * forward basis @ x @ basis.T, inverse basis.T @ x @ basis, evaluated
+ * left to right as two plain matrix products in which every output is
+ * accumulated from +0.0 sequentially in k, every product rounded to
+ * double before it is added.  The loop below vectorises across outputs
+ * (j), never across k, and the build forbids fused multiply-add
+ * (-ffp-contract=off), so the result is bit-identical to the numpy
+ * definition in transform._ordered_matmul -- checked when the library
+ * is loaded (native._check_dct).  With the predictors and the clip
+ * being the decoder's own code, the float64 plane produced here is
+ * the plane the decoder reconstructs, bit for bit.
+ *
+ * Every write is capacity-checked and nothing is formatted here: any
+ * non-zero status makes the caller re-code the slice with the Python
+ * twin from a fresh coder and fresh contexts.
+ *
+ * Return status: 0 = ok, 1 = output bytes would exceed out_cap, 2 =
+ * plan or level capacity would be exceeded, 3 = geometry this kernel
+ * does not handle (sizes, missing tables), 4 = a pass-1 mode the
+ * profile cannot signal, 5 = a level that does not fit int64.
+ *
+ * Built on demand by repro.codec.entropy.native.
+ */
+
+#include <math.h>
+#include <stdint.h>
+
+#include "_recon_kernel.c"
+#include "_write_kernel.c"
+
+/* Context layout of repro.codec.syntax (CodecContexts). */
+#define LAST_PREFIX 10
+#define SIG_CTX_PER_CLASS 3
+#define LEVEL_PREFIX 3
+#define UEG_K 1
+#define N_ANGULAR 33
+
+#define N_CLASSES 5 /* block sizes 4, 8, 16, 32, 64 */
+#define MAX_DEPTH 5 /* a 64 CTU split down to 4 */
+#define MAX_NODES 341 /* 1 + 4 + 16 + 64 + 256 */
+
+enum { ST_OK, ST_BYTES, ST_CAPACITY, ST_GEOMETRY, ST_MODE, ST_LEVEL };
+
+/* Bank order of the `banks` argument (CodecContexts.banks()). */
+enum { B_SPLIT, B_PRED, B_MPM_FLAG, B_MPM_INDEX, B_CBF, B_LAST, B_SIG,
+       B_LEVEL, B_MV, N_BANKS };
+
+/* -- the ordered transform ---------------------------------------------- */
+
+/* out = a @ r for n x n row-major matrices, n a multiple of 4 (out
+ * aliases neither): out[i][j] = ((0 + a[i][0] r[0][j]) + a[i][1]
+ * r[1][j]) + ...  A tile of 4 rows x 4 columns of outputs is held in
+ * eight two-lane accumulators across the k loop; lanes are independent
+ * outputs, so the vector type changes the speed and never a bit of the
+ * result. */
+typedef double v2d __attribute__((vector_size(16), aligned(8), may_alias));
+
+static void ordered_mm(const double *a, const double *r, double *out,
+                       int64_t n)
+{
+    int64_t i, j, k;
+    int t;
+
+    for (i = 0; i < n; i += 4)
+        for (j = 0; j < n; j += 4) {
+            v2d acc[8] = {{0.0}};
+            for (k = 0; k < n; k++) {
+                v2d lo = *(const v2d *)(r + k * n + j);
+                v2d hi = *(const v2d *)(r + k * n + j + 2);
+                _Pragma("GCC unroll 4") for (t = 0; t < 4; t++) {
+                    double s = a[(i + t) * n + k];
+                    acc[2 * t] += s * lo;
+                    acc[2 * t + 1] += s * hi;
+                }
+            }
+            _Pragma("GCC unroll 4") for (t = 0; t < 4; t++) {
+                *(v2d *)(out + (i + t) * n + j) = acc[2 * t];
+                *(v2d *)(out + (i + t) * n + j + 2) = acc[2 * t + 1];
+            }
+        }
+}
+
+static void transpose(const double *m, double *out, int64_t n)
+{
+    int64_t i, j;
+    for (i = 0; i < n; i++)
+        for (j = 0; j < n; j++)
+            out[j * n + i] = m[i * n + j];
+}
+
+/* Forward: basis @ x @ basis.T; inverse: basis.T @ x @ basis. */
+static void dct2(const double *x, double *out, int64_t n, const double *basis,
+                 const double *basis_t, int inverse)
+{
+    double tmp[MAX_LEAF * MAX_LEAF];
+    ordered_mm(inverse ? basis_t : basis, x, tmp, n);
+    ordered_mm(tmp, inverse ? basis : basis_t, out, n);
+}
+
+static int size_class(int64_t n)
+{
+    switch (n) {
+    case 4: return 0;
+    case 8: return 1;
+    case 16: return 2;
+    case 32: return 3;
+    case 64: return 4;
+    default: return -1;
+    }
+}
+
+/* `count` n x n blocks of x into out (x != out).  Status 1 =
+ * unsupported size. */
+int64_t llm265_dct2_batch(const double *x, double *out, int64_t count,
+                          int64_t n, const double *basis, int64_t inverse)
+{
+    double basis_t[MAX_LEAF * MAX_LEAF];
+    int64_t b;
+
+    if (size_class(n) < 0)
+        return 1;
+    transpose(basis, basis_t, n);
+    for (b = 0; b < count; b++)
+        dct2(x + b * n * n, out + b * n * n, n, basis, basis_t, inverse != 0);
+    return 0;
+}
+
+/* The decoder's residual stage for `count` coded n x n leaves: leaf b's
+ * scan-order levels start at levels[offsets[b]]; dequantize (level *
+ * steps[b], the per-leaf `dequantize`), zigzag unscan (grid[zigzag[i]]
+ * = scan[i]) and, with `transform`, the inverse DCT, into out (count x
+ * n x n).  Status 1 = unsupported size, 2 = a leaf outside `levels`. */
+int64_t llm265_residual_batch(const int64_t *levels, int64_t n_levels,
+                              const int64_t *offsets, const double *steps,
+                              int64_t count, int64_t n, const int64_t *zigzag,
+                              const double *basis, int64_t transform,
+                              double *out)
+{
+    double basis_t[MAX_LEAF * MAX_LEAF], grid[MAX_LEAF * MAX_LEAF];
+    int64_t area = n * n, b, i;
+
+    if (size_class(n) < 0)
+        return 1;
+    for (b = 0; b < count; b++)
+        if (offsets[b] < 0 || offsets[b] > n_levels - area)
+            return 2;
+    transpose(basis, basis_t, n);
+    for (b = 0; b < count; b++) {
+        const int64_t *scan = levels + offsets[b];
+        double *dst = transform ? grid : out + b * area;
+        for (i = 0; i < area; i++)
+            dst[zigzag[i]] = (double)scan[i] * steps[b];
+        if (transform)
+            dct2(grid, out + b * area, n, basis, basis_t, 1);
+    }
+    return 0;
+}
+
+/* -- the slice ------------------------------------------------------------ */
+
+typedef struct {
+    coder c;
+    const double *frame;
+    int64_t height, width, min_cu;
+    int use_partition;
+    /* Pass-1 tables by quadtree depth (block size ctu >> depth), each
+     * (height / size) x (width / size) row-major. */
+    const int64_t *const *best_mode;
+    const double *const *best_cost;
+    double step, lambda; /* of the current CTU */
+    double deadzone;
+    const int32_t *all_modes;
+    int64_t n_modes;
+    /* By size class: DCT basis, its transpose (filled on first use of
+     * the class) and the zigzag scan order. */
+    const double *const *basis;
+    const int64_t *const *zigzag;
+    double basis_t[16 + 64 + 256 + 1024 + 4096];
+    int have_basis_t[N_CLASSES];
+    int32_t *const *banks;
+    double *recon;
+    uint8_t *mask;
+    int8_t *mode_map; /* one cell per 4x4 samples, -1 = not yet coded */
+    int64_t map_w;
+    int64_t *plan, leaf_cap, n_leaves;
+    int64_t *levels, level_cap, n_levels;
+    int64_t ctu_index;
+    uint8_t split[MAX_NODES]; /* DP decisions of the current CTU */
+} enc_slice;
+
+static const int NODE_BASE[MAX_DEPTH] = {0, 1, 5, 21, 85};
+static const int BASIS_T_BASE[N_CLASSES] = {0, 16, 80, 336, 1360};
+
+/* A node of the current CTU's quadtree: (ly, lx) on the depth's grid. */
+static inline int node_index(int depth, int64_t ly, int64_t lx)
+{
+    return NODE_BASE[depth] + (int)(ly << depth) + (int)lx;
+}
+
+/* FrameEncoder._turbo_choose: fills s->split, returns the node's cost. */
+static double choose(enc_slice *s, int64_t y0, int64_t x0, int64_t size,
+                     int depth, int64_t ly, int64_t lx)
+{
+    double leaf_cost =
+        s->best_cost[depth][(y0 / size) * (s->width / size) + x0 / size];
+    double split_cost = s->lambda;
+    int64_t half = size / 2;
+    int q;
+
+    if (!(s->use_partition && size > s->min_cu))
+        return leaf_cost;
+    for (q = 0; q < 4; q++)
+        split_cost += choose(s, y0 + (q >> 1) * half, x0 + (q & 1) * half,
+                             half, depth + 1, 2 * ly + (q >> 1),
+                             2 * lx + (q & 1));
+    if (leaf_cost + s->lambda <= split_cost) {
+        s->split[node_index(depth, ly, lx)] = 0;
+        return leaf_cost + s->lambda;
+    }
+    s->split[node_index(depth, ly, lx)] = 1;
+    return split_cost;
+}
+
+static inline int neighbor_mode(const enc_slice *s, int64_t y, int64_t x)
+{
+    if (y < 0 || x < 0)
+        return -1;
+    return s->mode_map[(y >> 2) * s->map_w + (x >> 2)];
+}
+
+/* intra.most_probable_modes + syntax.encode_intra_mode. */
+static int write_intra_mode(enc_slice *s, int left, int top, int mode)
+{
+    static const int fallbacks[3] = {MODE_PLANAR, MODE_DC, 26};
+    int a = left >= 0 ? left : MODE_DC;
+    int b = top >= 0 ? top : MODE_DC;
+    int mpm[3];
+    int64_t i, remaining = 0, index = -1, width = 1;
+    coder *c = &s->c;
+
+    if (a == b) {
+        if (a < ANGULAR_FIRST) {
+            mpm[0] = MODE_PLANAR;
+            mpm[1] = MODE_DC;
+            mpm[2] = 26;
+        } else {
+            mpm[0] = a;
+            mpm[1] = ANGULAR_FIRST +
+                     (a - ANGULAR_FIRST + N_ANGULAR - 1) % N_ANGULAR;
+            mpm[2] = ANGULAR_FIRST + (a - ANGULAR_FIRST + 1) % N_ANGULAR;
+        }
+    } else {
+        mpm[0] = a;
+        mpm[1] = b;
+        mpm[2] = -1;
+        for (i = 0; i < 3; i++)
+            if (fallbacks[i] != a && fallbacks[i] != b) {
+                mpm[2] = fallbacks[i];
+                break;
+            }
+    }
+    for (i = 0; i < 3; i++)
+        if (mpm[i] == mode) {
+            if (ctx_bin(c, s->banks[B_MPM_FLAG], 0, 1) ||
+                ctx_bin(c, s->banks[B_MPM_INDEX], 0, i > 0) ||
+                (i > 0 && ctx_bin(c, s->banks[B_MPM_INDEX], 1, (int)i - 1)))
+                return ST_BYTES;
+            return ST_OK;
+        }
+    /* Index among the profile's modes outside the MPM set, coded in
+     * max(1, (remaining - 1).bit_length()) bypass bins, msb first. */
+    for (i = 0; i < s->n_modes; i++) {
+        int m = s->all_modes[i];
+        if (m == mpm[0] || m == mpm[1] || m == mpm[2])
+            continue;
+        if (m == mode)
+            index = remaining;
+        remaining++;
+    }
+    if (index < 0)
+        return ST_MODE;
+    while (((int64_t)1 << width) < remaining)
+        width++;
+    if (ctx_bin(c, s->banks[B_MPM_FLAG], 0, 0))
+        return ST_BYTES;
+    for (i = width - 1; i >= 0; i--)
+        if (bypass_bin(c, (int)((index >> i) & 1)))
+            return ST_BYTES;
+    return ST_OK;
+}
+
+/* FrameEncoder._code_leaf_fixed_mode + the leaf half of _write_cu. */
+static int code_leaf(enc_slice *s, int64_t y0, int64_t x0, int64_t n,
+                     int depth)
+{
+    double top[2 * MAX_LEAF + 1], left[2 * MAX_LEAF + 1];
+    double pred[MAX_LEAF * MAX_LEAF], work[MAX_LEAF * MAX_LEAF];
+    double coef[MAX_LEAF * MAX_LEAF];
+    int64_t quant[MAX_LEAF * MAX_LEAF];
+    int cls = size_class(n);
+    int64_t area = n * n, width = s->width;
+    int64_t mode, i, y, x, last = -1, col, coeff = -1;
+    const double *basis, *basis_t;
+    const int64_t *zigzag;
+    double off = 0.5 - s->deadzone, step = s->step;
+    int status;
+
+    if (cls < 0 || !s->basis[cls] || !s->zigzag[cls])
+        return ST_GEOMETRY;
+    if (s->n_leaves >= s->leaf_cap)
+        return ST_CAPACITY;
+    mode = s->best_mode[depth][(y0 / n) * (width / n) + x0 / n];
+    if (mode < 0 || mode > ANGULAR_LAST)
+        return ST_MODE;
+    basis = s->basis[cls];
+    zigzag = s->zigzag[cls];
+    if (!s->have_basis_t[cls]) {
+        transpose(basis, s->basis_t + BASIS_T_BASE[cls], n);
+        s->have_basis_t[cls] = 1;
+    }
+    basis_t = s->basis_t + BASIS_T_BASE[cls];
+
+    llm265_gather_refs(s->recon, s->mask, s->height, width, y0, x0, n, top,
+                       left);
+    predict(top, left, (int)mode, n, pred);
+    for (y = 0; y < n; y++)
+        for (x = 0; x < n; x++)
+            work[y * n + x] =
+                s->frame[(y0 + y) * width + x0 + x] - pred[y * n + x];
+    dct2(work, coef, n, basis, basis_t, 0);
+    for (i = 0; i < area; i++) {
+        double scaled = coef[i] / step;
+        double level = s->deadzone != 0.0
+                           ? trunc(scaled + copysign(off, scaled))
+                           : rint(scaled);
+        if (!(fabs(level) < 9.0e18))
+            return ST_LEVEL;
+        quant[i] = (int64_t)level;
+        work[i] = (double)quant[i] * step;
+    }
+    dct2(work, coef, n, basis, basis_t, 1);
+    for (y = 0; y < n; y++) {
+        double *out = s->recon + (y0 + y) * width + x0;
+        uint8_t *seen = s->mask + (y0 + y) * width + x0;
+        for (x = 0; x < n; x++) {
+            /* np.clip(prediction + residual, 0.0, 255.0) */
+            double v = pred[y * n + x] + coef[y * n + x];
+            if (v == v) {
+                v = v > 0.0 ? v : 0.0;
+                v = v < 255.0 ? v : 255.0;
+            }
+            out[x] = v;
+            seen[x] = 1;
+        }
+    }
+    for (y = y0 >> 2; y < (y0 + n) >> 2; y++)
+        for (x = x0 >> 2; x < (x0 + n) >> 2; x++)
+            s->mode_map[y * s->map_w + x] = (int8_t)mode;
+
+    status = write_intra_mode(s, neighbor_mode(s, y0, x0 - 1),
+                              neighbor_mode(s, y0 - 1, x0), (int)mode);
+    if (status)
+        return status;
+    charge(&s->c, E_INTRA_MODE);
+    for (i = area - 1; i >= 0; i--)
+        if (quant[zigzag[i]]) {
+            last = i;
+            break;
+        }
+    if (last < 0) {
+        if (ctx_bin(&s->c, s->banks[B_CBF], 0, 0))
+            return ST_BYTES;
+        charge(&s->c, E_CBF);
+    } else {
+        int64_t *scanned = s->levels + s->n_levels;
+        if (s->n_levels + area > s->level_cap)
+            return ST_CAPACITY;
+        for (i = 0; i < area; i++)
+            scanned[i] = quant[zigzag[i]];
+        if (coeff_block(&s->c, scanned, last, n, s->banks[B_CBF],
+                        s->banks[B_LAST] + cls * LAST_PREFIX, LAST_PREFIX,
+                        UEG_K, s->banks[B_SIG] + cls * SIG_CTX_PER_CLASS,
+                        s->banks[B_LEVEL] + cls * LEVEL_PREFIX, LEVEL_PREFIX,
+                        UEG_K))
+            return ST_BYTES;
+        coeff = s->n_levels;
+        s->n_levels += area;
+    }
+    col = s->n_leaves++;
+    s->plan[P_Y0 * s->leaf_cap + col] = y0;
+    s->plan[P_X0 * s->leaf_cap + col] = x0;
+    s->plan[P_SIZE * s->leaf_cap + col] = n;
+    s->plan[P_MODE * s->leaf_cap + col] = mode;
+    s->plan[P_INTER * s->leaf_cap + col] = 0;
+    s->plan[P_RY * s->leaf_cap + col] = 0;
+    s->plan[P_RX * s->leaf_cap + col] = 0;
+    s->plan[P_CTU * s->leaf_cap + col] = s->ctu_index;
+    s->plan[P_COEFF * s->leaf_cap + col] = coeff;
+    return ST_OK;
+}
+
+/* FrameEncoder._turbo_commit + _write_cu over the DP's decisions. */
+static int code_cu(enc_slice *s, int64_t y0, int64_t x0, int64_t size,
+                   int depth, int64_t ly, int64_t lx)
+{
+    if (s->use_partition && size > s->min_cu) {
+        int is_split = s->split[node_index(depth, ly, lx)];
+        int64_t half = size / 2;
+        int q, status;
+        if (ctx_bin(&s->c, s->banks[B_SPLIT], depth < 5 ? depth : 5,
+                    is_split))
+            return ST_BYTES;
+        charge(&s->c, E_SPLIT);
+        if (is_split) {
+            for (q = 0; q < 4; q++) {
+                status = code_cu(s, y0 + (q >> 1) * half,
+                                 x0 + (q & 1) * half, half, depth + 1,
+                                 2 * ly + (q >> 1), 2 * lx + (q & 1));
+                if (status)
+                    return status;
+            }
+            return ST_OK;
+        }
+    }
+    return code_leaf(s, y0, x0, size, depth);
+}
+
+/* frame, recon (zero-filled) and mask (zero-filled) are height x width;
+ * mode_map holds (height / 4) * (width / 4) cells initialised to -1;
+ * ctu_step / ctu_lambda have one entry per CTU in raster order;
+ * best_mode / best_cost have one table per quadtree depth in use;
+ * basis / zigzag have N_CLASSES entries (NULL where the size is
+ * unused).  state_io = {low, range, cache, cache_size, out_len,
+ * n_leaves, n_levels}: the first four are read as the coder's entry
+ * state, all seven written back on every return.  bits is an
+ * int64[N_ELEMENTS] ledger the deltas are added to, or NULL. */
+int64_t llm265_encode_slice(
+    const double *frame, int64_t height, int64_t width,
+    int64_t ctu, int64_t min_cu, int64_t use_partition,
+    const int64_t *const *best_mode, const double *const *best_cost,
+    const double *ctu_step, const double *ctu_lambda, double deadzone,
+    const int32_t *all_modes, int64_t n_modes,
+    const double *const *basis, const int64_t *const *zigzag,
+    int32_t *const *banks, int64_t *state_io,
+    uint8_t *out, int64_t out_cap,
+    double *recon, uint8_t *mask, int8_t *mode_map,
+    int64_t *plan, int64_t leaf_cap, int64_t *levels, int64_t level_cap,
+    int64_t *bits)
+{
+    enc_slice s;
+    int64_t y0, x0, depth_sizes = 1, size;
+    int status = ST_OK, i;
+
+    s.c.low = (uint64_t)state_io[0];
+    s.c.rng = (uint32_t)state_io[1];
+    s.c.cache = state_io[2];
+    s.c.csize = state_io[3];
+    s.c.out = out;
+    s.c.cap = out_cap;
+    s.c.len = 0;
+    s.c.bits = bits;
+    s.c.mark = 0;
+    s.frame = frame;
+    s.height = height;
+    s.width = width;
+    s.min_cu = min_cu;
+    s.use_partition = use_partition != 0;
+    s.best_mode = best_mode;
+    s.best_cost = best_cost;
+    s.deadzone = deadzone;
+    s.all_modes = all_modes;
+    s.n_modes = n_modes;
+    s.basis = basis;
+    s.zigzag = zigzag;
+    for (i = 0; i < N_CLASSES; i++)
+        s.have_basis_t[i] = 0;
+    s.banks = banks;
+    s.recon = recon;
+    s.mask = mask;
+    s.mode_map = mode_map;
+    s.map_w = width / 4;
+    s.plan = plan;
+    s.leaf_cap = leaf_cap;
+    s.n_leaves = 0;
+    s.levels = levels;
+    s.level_cap = level_cap;
+    s.n_levels = 0;
+    s.ctu_index = 0;
+
+    if (size_class(ctu) < 0 || height <= 0 || width <= 0 || height % ctu ||
+        width % ctu || s.c.rng < TOP)
+        status = ST_GEOMETRY;
+    if (s.use_partition) {
+        /* The tree bottoms out at min_cu after whole halvings. */
+        for (size = ctu; size > min_cu; size /= 2)
+            depth_sizes++;
+        if (min_cu < 4 || depth_sizes > MAX_DEPTH ||
+            (min_cu << (depth_sizes - 1)) != ctu)
+            status = ST_GEOMETRY;
+    }
+    s.c.mark = status ? 0 : tell(&s.c);
+    for (y0 = 0; y0 < height && !status; y0 += ctu)
+        for (x0 = 0; x0 < width && !status; x0 += ctu) {
+            s.step = ctu_step[s.ctu_index];
+            s.lambda = ctu_lambda[s.ctu_index];
+            choose(&s, y0, x0, ctu, 0, 0, 0);
+            status = code_cu(&s, y0, x0, ctu, 0, 0, 0);
+            s.ctu_index++;
+        }
+    state_io[0] = (int64_t)s.c.low;
+    state_io[1] = s.c.rng;
+    state_io[2] = s.c.cache;
+    state_io[3] = s.c.csize;
+    state_io[4] = s.c.len;
+    state_io[5] = s.n_leaves;
+    state_io[6] = s.n_levels;
+    return status;
+}

@@ -4,6 +4,9 @@
  * in syntax.encode_coeff_block does: the cbf=1 context bin, the
  * last-position adaptive-UEG code, then the fused significance /
  * level / sign scan of BinaryEncoder.encode_coeff_scan.  The range
+ * coder and the block writer are also the writer of the whole-slice
+ * encoder: _encode_kernel.c #includes this file (so it is part of that
+ * kernel's content hash, see native._Kernel.includes).  The range
  * coder is the same LZMA-style design (32-bit range, 64-bit low with
  * carry propagation, 11-bit probabilities, shift-5 adaptation) and
  * every integer operation is exact in uint32/uint64, so the bytes
@@ -39,6 +42,10 @@
 #define TOP (1u << 24)
 #define MASK32 0xFFFFFFFFull
 
+/* Element classes of the optional bit ledger, a subset of
+ * telemetry.codecstats.BIT_CLASSES in stream order. */
+enum { E_SPLIT, E_INTRA_MODE, E_CBF, E_LAST, E_SIG, E_LEVEL, N_ELEMENTS };
+
 typedef struct {
     uint64_t low;
     uint32_t rng;
@@ -47,7 +54,29 @@ typedef struct {
     uint8_t *out;
     int64_t cap;
     int64_t len;
+    int64_t *bits; /* int64[N_ELEMENTS] ledger, NULL = not instrumented */
+    int64_t mark;  /* tell() where the last charged element ended */
 } coder;
+
+/* BinaryEncoder.tell_bits for a coder whose `out` holds every byte
+ * emitted so far; 32 - bit_length(rng) is clz (rng >= 2^24 between
+ * bins, so never zero). */
+static inline int64_t tell(const coder *c)
+{
+    return 8 * (c->len + c->csize) + __builtin_clz(c->rng);
+}
+
+/* Book the bits since the previous element boundary to one class: the
+ * same telescoping tell_bits deltas the instrumented Python writer
+ * takes around each element. */
+static inline void charge(coder *c, int element)
+{
+    if (c->bits) {
+        int64_t now = tell(c);
+        c->bits[element] += now - c->mark;
+        c->mark = now;
+    }
+}
 
 /* BinaryEncoder._shift_low driven by the `while range < TOP` loop of
  * _renorm: shift the range up one byte at a time, flushing the carry
@@ -139,33 +168,32 @@ static inline int ueg(coder *c, int32_t *probs, int64_t base,
     return 0;
 }
 
-int64_t llm265_encode_coeff_block(
-    const int64_t *scanned, int64_t last,
-    int32_t *cbf_probs, int64_t cbf_index,
-    int32_t *last_probs, int64_t last_base,
-    int64_t last_max_prefix, int64_t last_k,
-    int32_t *sig_probs, int64_t sig_base, const int32_t *sig_buckets,
-    int32_t *level_probs, int64_t level_base,
-    int64_t max_prefix, int64_t k,
-    uint64_t *low_io, uint32_t *rng_io,
-    int64_t *cache_io, int64_t *cache_size_io,
-    uint8_t *out, int64_t out_cap, int64_t *out_len_io)
+/* cbf = 1, the last-position UEG and the fused scan of one n x n block
+ * whose highest nonzero scan position is `last`.  The four probability
+ * pointers address the block's own contexts (class offsets applied by
+ * the caller); the significance context of scan position i is bucket
+ * 0 (i < 2), 1 (i < n) or 2, syntax._sig_buckets. */
+static int coeff_block(coder *c, const int64_t *scanned, int64_t last,
+                       int64_t n, int32_t *cbf_prob, int32_t *last_probs,
+                       int64_t last_max_prefix, int64_t last_k,
+                       int32_t *sig_probs, int32_t *level_probs,
+                       int64_t max_prefix, int64_t k)
 {
-    coder c = {*low_io, *rng_io, *cache_io, *cache_size_io,
-               out,     out_cap, 0};
     int64_t i;
 
-    if (ctx_bin(&c, cbf_probs, cbf_index, 1))
+    if (ctx_bin(c, cbf_prob, 0, 1))
         return 1;
-    if (ueg(&c, last_probs, last_base, (uint64_t)last, last_max_prefix,
-            last_k))
+    charge(c, E_CBF);
+    if (ueg(c, last_probs, 0, (uint64_t)last, last_max_prefix, last_k))
         return 1;
+    charge(c, E_LAST);
     for (i = last; i >= 0; i--) {
         int64_t level = scanned[i];
         if (i != last) {
-            if (ctx_bin(&c, sig_probs, sig_base + sig_buckets[i],
+            if (ctx_bin(c, sig_probs, i < 2 ? 0 : (i < n ? 1 : 2),
                         level != 0))
                 return 1;
+            charge(c, E_SIG);
             if (level == 0)
                 continue;
         }
@@ -174,11 +202,36 @@ int64_t llm265_encode_coeff_block(
          * exact, matching Python's unbounded ints. */
         uint64_t mag = level < 0 ? (uint64_t)0 - (uint64_t)level
                                  : (uint64_t)level;
-        if (ueg(&c, level_probs, level_base, mag - 1, max_prefix, k))
+        if (ueg(c, level_probs, 0, mag - 1, max_prefix, k))
             return 1;
-        if (bypass_bin(&c, level < 0))
+        if (bypass_bin(c, level < 0))
             return 1;
+        charge(c, E_LEVEL);
     }
+    return 0;
+}
+
+int64_t llm265_encode_coeff_block(
+    const int64_t *scanned, int64_t last, int64_t n,
+    int32_t *cbf_probs, int64_t cbf_index,
+    int32_t *last_probs, int64_t last_base,
+    int64_t last_max_prefix, int64_t last_k,
+    int32_t *sig_probs, int64_t sig_base,
+    int32_t *level_probs, int64_t level_base,
+    int64_t max_prefix, int64_t k,
+    uint64_t *low_io, uint32_t *rng_io,
+    int64_t *cache_io, int64_t *cache_size_io,
+    uint8_t *out, int64_t out_cap, int64_t *out_len_io)
+{
+    coder c = {*low_io, *rng_io, *cache_io, *cache_size_io,
+               out,     out_cap, 0,         0,
+               0};
+
+    if (coeff_block(&c, scanned, last, n, cbf_probs + cbf_index,
+                    last_probs + last_base, last_max_prefix, last_k,
+                    sig_probs + sig_base, level_probs + level_base,
+                    max_prefix, k))
+        return 1;
     *low_io = c.low;
     *rng_io = c.rng;
     *cache_io = c.cache;

@@ -1,6 +1,6 @@
 """Optional native kernels for the codec hot loops.
 
-Five kernels, built from four C files by one self-building pipeline:
+Six kernels, built from five C files by one self-building pipeline:
 
 ``slice``  ``_slice_kernel.c`` -- whole-slice entropy *decode*: one
            call walks the CTU quadtree of a slice (split flags, modes,
@@ -16,13 +16,22 @@ Five kernels, built from four C files by one self-building pipeline:
 ``write``  ``_write_kernel.c`` -- whole-coefficient-block *encode*
            (cbf bin + last UEG + the fused scan), the exact mirror of
            the fast path in :func:`repro.codec.syntax.encode_coeff_block`.
+``encode`` ``_encode_kernel.c`` -- whole-slice intra *encode*: the
+           quadtree DP over the turbo search's pass-1 tables, exact
+           coding of every chosen leaf (predict, ordered DCT, quantize,
+           reconstruct) and all of the slice's entropy coding in one
+           call.  It ``#include``s the range coder of the write kernel
+           and the predictors of the recon kernel, and also exports the
+           codec's order-defined DCT pair (:func:`dct2`) and, built on
+           it, the decoder's residual stage (:func:`residuals`).
 ``cost``   ``_cost_kernel.c``  -- batched quantize + fixed-point rate
            accumulation for the turbo RD search.
 
 Each C file is compiled with the system C compiler the first time one
 of its kernels is needed and cached under ``_build/`` keyed by a content
-hash of its own source, so editing one file never invalidates the
-others.  Shared objects whose hash no longer matches any current source
+hash of every file that reaches the compiler -- its own source and the
+files it ``#include``s -- so an edit rebuilds exactly the objects that
+contain it.  Shared objects whose hash no longer matches any current source
 are pruned on first use (counted by the ``native.cache_pruned``
 telemetry counter) so the cache cannot accumulate orphans across source
 edits.
@@ -39,9 +48,9 @@ third-party package is involved -- the kernels are C files, ``cc``, and
 
 The kernels release the GIL for the duration of each call (plain
 ``ctypes.CDLL`` behaviour).  That only buys thread parallelism where a
-call covers enough work: the two whole-slice decode kernels do (a slice
-is two calls), the per-block encode kernels do not (see
-docs/PERFORMANCE.md).
+call covers enough work: the whole-slice kernels do (a slice is two
+calls to decode, one to encode after pass 1), the per-block kernels do
+not (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -65,23 +74,18 @@ __all__ = [
     "kernel_status",
     "plan_slice",
     "reconstruct_slice",
+    "encode_available",
+    "encode_slice",
+    "dct2",
+    "residuals",
     "write",
     "cost",
     "cost_fused",
     "refs",
 ]
 
-_BUILD_DIR = os.path.join(os.path.dirname(__file__), "_build")
-
-_PROB_ARGS = [
-    ctypes.c_void_p,  # sig_probs
-    ctypes.c_int64,  # sig_base
-    ctypes.c_void_p,  # sig_buckets
-    ctypes.c_void_p,  # level_probs
-    ctypes.c_int64,  # level_base
-    ctypes.c_int64,  # max_prefix
-    ctypes.c_int64,  # k
-]
+_SOURCE_DIR = os.path.dirname(__file__)
+_BUILD_DIR = os.path.join(_SOURCE_DIR, "_build")
 
 _SLICE_ARGTYPES = [
     ctypes.c_char_p,  # data
@@ -121,13 +125,19 @@ _RECON_ARGTYPES = [
 _WRITE_ARGTYPES = [
     ctypes.c_void_p,  # scanned (int64)
     ctypes.c_int64,  # last
+    ctypes.c_int64,  # n (block edge)
     ctypes.c_void_p,  # cbf_probs
     ctypes.c_int64,  # cbf_index
     ctypes.c_void_p,  # last_probs
     ctypes.c_int64,  # last_base
     ctypes.c_int64,  # last_max_prefix
     ctypes.c_int64,  # last_k
-    *_PROB_ARGS,
+    ctypes.c_void_p,  # sig_probs
+    ctypes.c_int64,  # sig_base
+    ctypes.c_void_p,  # level_probs
+    ctypes.c_int64,  # level_base
+    ctypes.c_int64,  # max_prefix
+    ctypes.c_int64,  # k
     ctypes.POINTER(ctypes.c_uint64),  # low_io
     ctypes.POINTER(ctypes.c_uint32),  # rng_io
     ctypes.POINTER(ctypes.c_int64),  # cache_io
@@ -135,6 +145,58 @@ _WRITE_ARGTYPES = [
     ctypes.c_void_p,  # out
     ctypes.c_int64,  # out_cap
     ctypes.POINTER(ctypes.c_int64),  # out_len_io
+]
+
+_ENCODE_ARGTYPES = [
+    ctypes.c_void_p,  # frame (float64)
+    ctypes.c_int64,  # height
+    ctypes.c_int64,  # width
+    ctypes.c_int64,  # ctu
+    ctypes.c_int64,  # min_cu
+    ctypes.c_int64,  # use_partition
+    ctypes.c_void_p,  # best_mode (int64 *[depths])
+    ctypes.c_void_p,  # best_cost (float64 *[depths])
+    ctypes.c_void_p,  # ctu_step (float64)
+    ctypes.c_void_p,  # ctu_lambda (float64)
+    ctypes.c_double,  # deadzone
+    ctypes.c_void_p,  # all_modes (int32)
+    ctypes.c_int64,  # n_modes
+    ctypes.c_void_p,  # basis (float64 *[5], by size class)
+    ctypes.c_void_p,  # zigzag (int64 *[5], by size class)
+    ctypes.c_void_p,  # banks (int32 *[9])
+    ctypes.c_void_p,  # state_io (int64[7])
+    ctypes.c_void_p,  # out (uint8)
+    ctypes.c_int64,  # out_cap
+    ctypes.c_void_p,  # recon (float64)
+    ctypes.c_void_p,  # mask (uint8/bool)
+    ctypes.c_void_p,  # mode_map (int8)
+    ctypes.c_void_p,  # plan (int64, 9 x leaf_cap)
+    ctypes.c_int64,  # leaf_cap
+    ctypes.c_void_p,  # levels (int64)
+    ctypes.c_int64,  # level_cap
+    ctypes.c_void_p,  # bits (int64[6] ledger, NULL = not instrumented)
+]
+
+_DCT_ARGTYPES = [
+    ctypes.c_void_p,  # x (float64)
+    ctypes.c_void_p,  # out (float64)
+    ctypes.c_int64,  # count
+    ctypes.c_int64,  # n
+    ctypes.c_void_p,  # basis (float64, n x n)
+    ctypes.c_int64,  # inverse
+]
+
+_RESIDUAL_ARGTYPES = [
+    ctypes.c_void_p,  # levels (int64)
+    ctypes.c_int64,  # n_levels
+    ctypes.c_void_p,  # offsets (int64, one per leaf)
+    ctypes.c_void_p,  # steps (float64, one per leaf)
+    ctypes.c_int64,  # count
+    ctypes.c_int64,  # n
+    ctypes.c_void_p,  # zigzag (int64, n * n)
+    ctypes.c_void_p,  # basis (float64, n x n)
+    ctypes.c_int64,  # transform
+    ctypes.c_void_p,  # out (float64, count x n x n)
 ]
 
 _REFS_ARGTYPES = [
@@ -193,6 +255,45 @@ def _check_dc_sum(lib) -> None:
             )
 
 
+def _dct2(lib, blocks: np.ndarray, basis: np.ndarray, inverse: bool) -> np.ndarray:
+    """The encode library's ordered 2-D DCT of ``(count, n, n)`` blocks."""
+    out = np.empty_like(blocks)
+    n = blocks.shape[-1]
+    status = lib.llm265_dct2_batch(
+        blocks.ctypes.data, out.ctypes.data, blocks.size // (n * n), n,
+        basis.ctypes.data, inverse,
+    )
+    if status:
+        raise ValueError(f"ordered DCT refused n={n} (status {status})")
+    return out
+
+
+def _check_dct(lib) -> None:
+    """Declare the library's DCT entries and check them against the definition.
+
+    The numpy twin (:func:`repro.codec.transform._ordered_dct2`) *is*
+    the definition of the codec's DCT pair; a library that disagrees
+    with it on any size -- a compiler that fused or reassociated the
+    accumulation -- would make kernel-coded reconstructions drift from
+    twin-coded and decoded ones, so it is refused instead and every
+    caller stays on the twin.
+    """
+    from repro.codec import transform
+
+    lib.llm265_dct2_batch.restype = ctypes.c_int64
+    lib.llm265_dct2_batch.argtypes = _DCT_ARGTYPES
+    lib.llm265_residual_batch.restype = ctypes.c_int64
+    lib.llm265_residual_batch.argtypes = _RESIDUAL_ARGTYPES
+    for n in transform.SUPPORTED_SIZES:
+        blocks = (np.arange(3 * n * n, dtype=np.float64) % 61.0 - 30.0) / 7.0
+        blocks = blocks.reshape(3, n, n) + 1e-3
+        basis = transform.dct_matrix(n)
+        for inverse in (False, True):
+            want = transform._ordered_dct2(blocks, basis, inverse)
+            if _dct2(lib, blocks, basis, inverse).tobytes() != want.tobytes():
+                raise RuntimeError(f"ordered DCT disagrees with numpy at n={n}")
+
+
 @dataclass
 class _Kernel:
     name: str
@@ -200,6 +301,7 @@ class _Kernel:
     symbol: str
     argtypes: list
     check: Optional[Callable] = None  # load-time self-check of the library
+    includes: Tuple[str, ...] = ()  # C files the source #includes
     state: str = "unloaded"  # unloaded | building | ready | pure-python
     #                        | no-compiler | failed
     lib: object = None
@@ -219,6 +321,14 @@ _KERNELS: Dict[str, _Kernel] = {
             check=_check_dc_sum,
         ),
         _Kernel("write", "_write_kernel.c", "llm265_encode_coeff_block", _WRITE_ARGTYPES),
+        _Kernel(
+            "encode",
+            "_encode_kernel.c",
+            "llm265_encode_slice",
+            _ENCODE_ARGTYPES,
+            check=_check_dct,
+            includes=("_recon_kernel.c", "_write_kernel.c"),
+        ),
         _Kernel("cost", "_cost_kernel.c", "llm265_cost_blocks", _COST_ARGTYPES),
         _Kernel("refs", "_recon_kernel.c", "llm265_gather_refs", _REFS_ARGTYPES),
     )
@@ -233,7 +343,15 @@ def _compiler() -> Optional[str]:
 
 
 def _source_path(kernel: _Kernel) -> str:
-    return os.path.join(os.path.dirname(__file__), kernel.source)
+    return os.path.join(_SOURCE_DIR, kernel.source)
+
+
+def _compiled_files(kernel: _Kernel) -> List[str]:
+    """Every file that reaches the compiler for this kernel's object."""
+    return [
+        os.path.join(_SOURCE_DIR, name)
+        for name in (kernel.source, *kernel.includes)
+    ]
 
 
 # -fno-math-errno lets the compiler inline rint/trunc/copysign (their
@@ -260,8 +378,9 @@ _CFLAGS = (
 
 def _source_tag(kernel: _Kernel) -> str:
     digest = hashlib.sha256()
-    with open(_source_path(kernel), "rb") as fh:
-        digest.update(fh.read())
+    for path in _compiled_files(kernel):
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
     # Flags participate in the cache key: a flag change must rebuild.
     digest.update(" ".join(_CFLAGS).encode())
     return digest.hexdigest()[:16]
@@ -389,10 +508,20 @@ def available() -> bool:
 
     The decoder asks this once per slice (and once per fan-out
     decision); tests monkeypatch it to force the pure-Python walk.  The
-    encode-side kernels are gated by :func:`write` / :func:`cost` /
-    :func:`refs` declining instead.
+    per-block encode kernels are gated by :func:`write` / :func:`cost`
+    / :func:`refs` declining instead.
     """
     return _resolve("slice") is not None and _resolve("recon") is not None
+
+
+def encode_available() -> bool:
+    """True when the whole-slice encode kernel is loaded and usable.
+
+    The encoder asks this once per fan-out decision (threads only
+    overlap a slice that is coded in one GIL-free call) and once per
+    slice through :func:`encode_slice` declining.
+    """
+    return _resolve("encode") is not None
 
 
 def kernel_status(resolve: bool = True) -> Dict[str, str]:
@@ -405,19 +534,6 @@ def kernel_status(resolve: bool = True) -> Dict[str, str]:
         for name in _KERNELS:
             _resolve(name)
     return {name: k.state for name, k in _KERNELS.items()}
-
-
-# Per-size bucket arrays are tiny and fixed; cache their C form.
-_bucket_cache: dict = {}
-
-
-def _bucket_array(buckets: Sequence[int]) -> array:
-    key = tuple(buckets)
-    arr = _bucket_cache.get(key)
-    if arr is None:
-        arr = array("i", key)
-        _bucket_cache[key] = arr
-    return arr
 
 
 def _prob_buffer(probs) -> Tuple[array, bool]:
@@ -455,6 +571,25 @@ def _c_array(arr: np.ndarray, dtype, ndim: int) -> bool:
 
 def _plan_table(rows: np.ndarray) -> bool:
     return _c_array(rows, np.int64, 2) and rows.shape[0] == PLAN_ROWS
+
+
+def _bank_pointers(banks: Sequence[array]):
+    """``int32 *[9]`` over the live banks of one ``CodecContexts``, or None."""
+    if len(banks) != len(_SLICE_BANK_SIZES) or any(
+        type(bank) is not array or bank.typecode != "i" or len(bank) < size
+        for bank, size in zip(banks, _SLICE_BANK_SIZES)
+    ):
+        return None
+    return (ctypes.c_void_p * len(banks))(
+        *(bank.buffer_info()[0] for bank in banks)
+    )
+
+
+def _pointer_table(arrays: Sequence[Optional[np.ndarray]]):
+    """``void *[]`` over numpy arrays (``None`` -> NULL)."""
+    return (ctypes.c_void_p * len(arrays))(
+        *(None if a is None else a.ctypes.data for a in arrays)
+    )
 
 
 def plan_slice(
@@ -503,17 +638,12 @@ def plan_slice(
         or width % 4
         or not _plan_table(rows)
         or not _c_array(levels, np.int64, 1)
-        or len(banks) != len(_SLICE_BANK_SIZES)
-        or any(
-            type(bank) is not array or bank.typecode != "i" or len(bank) < size
-            for bank, size in zip(banks, _SLICE_BANK_SIZES)
-        )
     ):
         return None
+    bank_ptrs = _bank_pointers(banks)
+    if bank_ptrs is None:
+        return None
     state = np.array([dec._pos, dec._range, dec._code, 0, 0, 0], dtype=np.int64)
-    bank_ptrs = (ctypes.c_void_p * len(banks))(
-        *(bank.buffer_info()[0] for bank in banks)
-    )
     modes = array("i", all_modes)
     mode_map = np.full((height // 4) * (width // 4), -1, dtype=np.int8)
     status = fn(
@@ -601,6 +731,229 @@ def reconstruct_slice(
     return status == 0
 
 
+#: Element classes of the encode kernel's bit ledger, in its ``E_*``
+#: order (a subset of ``telemetry.codecstats.BIT_CLASSES``).
+ENCODE_BIT_CLASSES = ("split", "intra_mode", "cbf", "last", "sig", "level")
+
+
+def encode_slice(
+    enc,
+    banks: Sequence[array],
+    frame: np.ndarray,
+    ctu: int,
+    min_cu: int,
+    use_partition: bool,
+    best_mode: Sequence[np.ndarray],
+    best_cost: Sequence[np.ndarray],
+    ctu_step: np.ndarray,
+    ctu_lambda: np.ndarray,
+    deadzone: float,
+    all_modes: Sequence[int],
+    tables: Sequence[Optional[Tuple[np.ndarray, np.ndarray]]],
+    recon: np.ndarray,
+    mask: np.ndarray,
+    rows: np.ndarray,
+    levels: np.ndarray,
+    out: np.ndarray,
+    bits: Optional[np.ndarray] = None,
+) -> Optional[Tuple[int, int, int]]:
+    """Plan, code and write one intra slice; ``None`` when unavailable.
+
+    ``enc`` is a fresh :class:`BinaryEncoder` and ``banks`` the live
+    banks of a fresh ``CodecContexts``; ``frame`` is the padded source
+    plane as float64.  ``best_mode`` / ``best_cost`` are the turbo
+    search's pass-1 tables, one ``(height // size, width // size)``
+    int64 / float64 array per quadtree depth (``size = ctu >> depth``,
+    down to ``min_cu``; only depth 0 without partitioning), and
+    ``ctu_step`` / ``ctu_lambda`` the quantizer step and Lagrangian of
+    every CTU in raster order.  ``tables`` holds, per size class
+    (4, 8, 16, 32, 64), the ``(dct_matrix, zigzag_order)`` pair or
+    ``None`` for a size the tree cannot reach.  ``recon`` (float64) and
+    ``mask`` (bool) are zero-filled planes of the frame's shape,
+    ``rows`` / ``levels`` a :class:`repro.codec.decoder.LeafPlan`
+    layout and ``out`` a uint8 byte buffer; all three capacities are
+    taken from the arrays and enforced by the kernel.  ``bits``, when
+    given, is an int64 array of ``len(ENCODE_BIT_CLASSES)`` that
+    receives the exact ``tell_bits`` delta of every element class.
+
+    Returns ``(status, n_leaves, n_levels)``.  On status 0 ``enc``
+    (bytes, low / range / carry cache), the banks, ``recon``, the plan
+    and ``bits`` hold exactly what ``FrameEncoder``'s Python twin
+    (``_turbo_choose`` / ``_turbo_commit`` / ``_write_cu``) leaves
+    behind, and ``mask`` is all True.  Any other status -- a capacity
+    that would be exceeded, an unsupported geometry -- leaves ``enc``
+    untouched but the banks and planes part-written: the caller
+    re-codes the slice from a fresh coder and fresh contexts with the
+    twin.
+    """
+    fn = _resolve("encode")
+    if fn is None:
+        return None
+    if not (_c_array(frame, np.float64, 2) and frame.size):
+        return None
+    height, width = frame.shape
+    depths = 1
+    if use_partition:
+        while ctu >> (depths - 1) > min_cu and depths <= 5:
+            depths += 1
+    if (
+        ctu <= 0
+        or height % ctu
+        or width % ctu
+        or height % 4
+        or width % 4
+        or len(best_mode) != depths
+        or len(best_cost) != depths
+        or any(
+            not _c_array(modes, np.int64, 2)
+            or not _c_array(costs, np.float64, 2)
+            or (ctu >> depth) < 4
+            or modes.shape != (height // (ctu >> depth), width // (ctu >> depth))
+            or costs.shape != modes.shape
+            for depth, (modes, costs) in enumerate(zip(best_mode, best_cost))
+        )
+        or not _c_array(ctu_step, np.float64, 1)
+        or not _c_array(ctu_lambda, np.float64, 1)
+        or len(ctu_step) != (height // ctu) * (width // ctu)
+        or len(ctu_lambda) != len(ctu_step)
+        or len(tables) != 5
+        or any(
+            pair is not None
+            and not (
+                _c_array(pair[0], np.float64, 2)
+                and pair[0].shape == (4 << cls, 4 << cls)
+                and _c_array(pair[1], np.int64, 1)
+                and len(pair[1]) == (4 << cls) ** 2
+            )
+            for cls, pair in enumerate(tables)
+        )
+        or not _c_array(recon, np.float64, 2)
+        or not _c_array(mask, np.bool_, 2)
+        or recon.shape != frame.shape
+        or mask.shape != frame.shape
+        or not _plan_table(rows)
+        or not _c_array(levels, np.int64, 1)
+        or not _c_array(out, np.uint8, 1)
+        or (
+            bits is not None
+            and not (
+                _c_array(bits, np.int64, 1)
+                and len(bits) >= len(ENCODE_BIT_CLASSES)
+            )
+        )
+    ):
+        return None
+    bank_ptrs = _bank_pointers(banks)
+    if bank_ptrs is None:
+        return None
+    state = np.array(
+        [enc._low, enc._range, enc._cache, enc._cache_size, 0, 0, 0],
+        dtype=np.int64,
+    )
+    modes = array("i", all_modes)
+    mode_map = np.full((height // 4) * (width // 4), -1, dtype=np.int8)
+    status = fn(
+        frame.ctypes.data,
+        height,
+        width,
+        ctu,
+        min_cu,
+        use_partition,
+        _pointer_table(best_mode),
+        _pointer_table(best_cost),
+        ctu_step.ctypes.data,
+        ctu_lambda.ctypes.data,
+        deadzone,
+        modes.buffer_info()[0],
+        len(modes),
+        _pointer_table([pair and pair[0] for pair in tables]),
+        _pointer_table([pair and pair[1] for pair in tables]),
+        bank_ptrs,
+        state.ctypes.data,
+        out.ctypes.data,
+        len(out),
+        recon.ctypes.data,
+        mask.ctypes.data,
+        mode_map.ctypes.data,
+        rows.ctypes.data,
+        rows.shape[1],
+        levels.ctypes.data,
+        len(levels),
+        None if bits is None else bits.ctypes.data,
+    )
+    low, rng, cache, csize, out_len, n_leaves, n_levels = state.tolist()
+    if status == 0:
+        enc._low = low
+        enc._range = rng
+        enc._cache = cache
+        enc._cache_size = csize
+        enc._out += out[:out_len].tobytes()
+    return status, n_leaves, n_levels
+
+
+def dct2(blocks: np.ndarray, basis: np.ndarray, inverse: bool) -> Optional[np.ndarray]:
+    """Ordered 2-D DCT of ``(..., n, n)`` float64 blocks; None if unavailable.
+
+    The C form of :func:`repro.codec.transform._ordered_dct2` (forward
+    ``basis @ x @ basis.T``, inverse ``basis.T @ x @ basis``, every
+    output accumulated sequentially in ``k``) from the encode kernel's
+    library -- bit-identical to the numpy definition, which the
+    library is checked against when it is loaded.
+    """
+    if _resolve("encode") is None:
+        return None
+    n = basis.shape[0]
+    if (
+        blocks.dtype != np.float64
+        or blocks.ndim < 2
+        or blocks.shape[-2:] != (n, n)
+        or not _c_array(basis, np.float64, 2)
+    ):
+        return None
+    return _dct2(
+        _KERNELS["encode"].lib, np.ascontiguousarray(blocks), basis, inverse
+    )
+
+
+def residuals(
+    levels: np.ndarray,
+    offsets: np.ndarray,
+    steps: np.ndarray,
+    zigzag: np.ndarray,
+    basis: np.ndarray,
+    use_transform: bool,
+) -> Optional[np.ndarray]:
+    """Residual grids ``(count, n, n)`` of coded leaves; None = use numpy.
+
+    The decoder's residual stage for one block size in one call: leaf
+    ``b``'s scan-order ``levels[offsets[b]:][:n*n]`` dequantized by
+    ``steps[b]``, zigzag-unscanned and (``use_transform``) put through
+    the ordered inverse DCT -- the same doubles as the numpy form in
+    ``FrameDecoder._batch_residuals``, which runs when this declines.
+    """
+    if _resolve("encode") is None:
+        return None
+    n = basis.shape[0]
+    count = len(offsets)
+    if not (
+        _c_array(levels, np.int64, 1)
+        and _c_array(offsets, np.int64, 1)
+        and _c_array(steps, np.float64, 1)
+        and len(steps) == count
+        and _c_array(zigzag, np.int64, 1)
+        and len(zigzag) == n * n
+        and _c_array(basis, np.float64, 2)
+    ):
+        return None
+    out = np.empty((count, n, n), dtype=np.float64)
+    status = _KERNELS["encode"].lib.llm265_residual_batch(
+        levels.ctypes.data, len(levels), offsets.ctypes.data, steps.ctypes.data,
+        count, n, zigzag.ctypes.data, basis.ctypes.data, use_transform,
+        out.ctypes.data,
+    )
+    return None if status else out
+
+
 # Worst-case bins per coefficient: 1 significance + max_prefix (<= 10
 # via the last-prefix, 3 in the coeff scan) truncated-unary bins + the
 # Exp-Golomb suffix (2 * 63 + 1 + k bins for an int64 magnitude) + 1
@@ -625,6 +978,7 @@ def write(
     enc,
     scanned: np.ndarray,
     last: int,
+    n: int,
     cbf_probs: List[int],
     cbf_index: int,
     last_probs: List[int],
@@ -633,7 +987,6 @@ def write(
     last_k: int,
     sig_probs: List[int],
     sig_base: int,
-    sig_buckets: Sequence[int],
     level_probs: List[int],
     level_base: int,
     max_prefix: int,
@@ -641,9 +994,11 @@ def write(
 ) -> bool:
     """Run the native block write; return True iff the bits were emitted.
 
-    Encodes the whole non-empty coefficient block -- the cbf=1 context
-    bin, the last-position UEG code and the fused significance/level/
-    sign scan -- exactly as the pure-Python fast path does: bytes
+    Encodes the whole non-empty ``n x n`` coefficient block -- the
+    cbf=1 context bin, the last-position UEG code and the fused
+    significance/level/sign scan (significance contexts bucketed by
+    scan position as :func:`repro.codec.syntax._sig_buckets` does) --
+    exactly as the pure-Python fast path does: bytes
     appended to ``enc._out``, coder state (low/range/carry cache) and
     every adapted context probability land bit-identical.  The coder
     state on ``enc`` is written back only on success; the scratch
@@ -665,7 +1020,6 @@ def write(
     last_arr, last_copied = _prob_buffer(last_probs)
     sig_arr, sig_copied = _prob_buffer(sig_probs)
     lvl_arr, lvl_copied = _prob_buffer(level_probs)
-    buckets = _bucket_array(sig_buckets)
     # + 64 headroom covers the cbf bin and the last-position UEG code
     # (<= last_max_prefix + the Exp-Golomb suffix of a 12-bit value).
     cap = _MAX_BINS_PER_COEFF * (last + 1) + enc._cache_size + 64
@@ -673,6 +1027,7 @@ def write(
     status = fn(
         scanned.ctypes.data,
         last,
+        n,
         cbf_arr.buffer_info()[0],
         cbf_index,
         last_arr.buffer_info()[0],
@@ -681,7 +1036,6 @@ def write(
         last_k,
         sig_arr.buffer_info()[0],
         sig_base,
-        buckets.buffer_info()[0],
         lvl_arr.buffer_info()[0],
         level_base,
         max_prefix,

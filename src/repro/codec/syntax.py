@@ -49,11 +49,20 @@ class CodecContexts:
         self.level = ContextSet(_NUM_SIZE_CLASSES * _LEVEL_PREFIX)
         self.mv = ContextSet(2 * _RUN_PREFIX)
 
-    def banks(self) -> Tuple[array, ...]:
-        """The live probability banks in the slice kernel's ``B_*`` order.
+    def reset(self) -> None:
+        """Every context back to the equiprobable start-of-slice state."""
+        for bank in (
+            self.split, self.pred_flag, self.mpm_flag, self.mpm_index,
+            self.cbf, self.last, self.sig, self.level, self.mv,
+        ):
+            bank.reset()
 
-        ``native.plan_slice`` adapts these ``array('i')`` buffers in
-        place, exactly as the primitive calls on this object would.
+    def banks(self) -> Tuple[array, ...]:
+        """The live probability banks in the slice kernels' ``B_*`` order.
+
+        ``native.plan_slice`` and ``native.encode_slice`` adapt these
+        ``array('i')`` buffers in place, exactly as the primitive calls
+        on this object would.
         """
         return (
             self.split.probs,
@@ -125,6 +134,7 @@ def encode_coeff_block(
             enc,
             scanned,
             last,
+            n,
             ctx.cbf.probs,
             0,
             ctx.last.probs,
@@ -133,7 +143,6 @@ def encode_coeff_block(
             1,
             ctx.sig.probs,
             cls * _SIG_CTX_PER_CLASS,
-            _sig_buckets(n),
             ctx.level.probs,
             cls * _LEVEL_PREFIX,
             _LEVEL_PREFIX,

@@ -4,6 +4,16 @@ Uses the orthonormal DCT-II so ``inverse(forward(x)) == x`` up to float
 round-off and coefficient energy equals pixel energy (Parseval), which
 is what lets the quantizer's distortion be reasoned about per
 coefficient.
+
+The transform pair has one *order-defined* definition
+(:func:`_ordered_dct2`): two plain matrix products evaluated left to
+right, every output accumulated from +0.0 sequentially in ``k``, every
+product rounded to double before it is added.  Encoder and decoder
+reconstructions go through it -- in C when the encode kernel's library
+is loaded (``native.dct2``, checked against the definition at load),
+in numpy otherwise -- so the float64 planes they build agree bit for
+bit on every machine and path instead of following whatever order a
+BLAS happens to sum in.
 """
 
 from __future__ import annotations
@@ -11,6 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from repro.codec.entropy import native
 
 SUPPORTED_SIZES = (4, 8, 16, 32, 64)
 
@@ -27,13 +39,46 @@ def dct_matrix(n: int) -> np.ndarray:
     return basis
 
 
+def _ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over the last two axes with a defined summation order.
+
+    ``out[..., i, j] = ((0 + a[i, 0] b[0, j]) + a[i, 1] b[1, j]) + ...``:
+    one elementwise multiply and one elementwise add per ``k``, so no
+    BLAS blocking, pairwise reduction or fused multiply-add can reorder
+    or re-round the sum.
+    """
+    acc = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.float64)
+    for k in range(a.shape[-1]):
+        acc += a[..., :, k, None] * b[..., k, None, :]
+    return acc
+
+
+def _ordered_dct2(blocks: np.ndarray, basis: np.ndarray, inverse: bool) -> np.ndarray:
+    """The definition of the codec's 2-D DCT pair (numpy form).
+
+    Forward ``basis @ x @ basis.T``, inverse ``basis.T @ x @ basis``,
+    both as two :func:`_ordered_matmul` products evaluated left to
+    right.  ``_encode_kernel.c`` implements exactly this and is refused
+    at load if it ever disagrees.
+    """
+    if inverse:
+        return _ordered_matmul(_ordered_matmul(basis.T, blocks), basis)
+    return _ordered_matmul(_ordered_matmul(basis, blocks), basis.T)
+
+
+def _dct2_batch(blocks: np.ndarray, inverse: bool) -> np.ndarray:
+    blocks = np.asarray(blocks, dtype=np.float64)
+    basis = dct_matrix(blocks.shape[-1])
+    out = native.dct2(blocks, basis, inverse)
+    return _ordered_dct2(blocks, basis, inverse) if out is None else out
+
+
 def forward_dct2(block: np.ndarray) -> np.ndarray:
     """2-D DCT of a square block (rows then columns)."""
     n = block.shape[0]
     if block.shape != (n, n):
         raise ValueError("forward_dct2 expects a square block")
-    basis = dct_matrix(n)
-    return basis @ block.astype(np.float64) @ basis.T
+    return _dct2_batch(block, inverse=False)
 
 
 def inverse_dct2(coeffs: np.ndarray) -> np.ndarray:
@@ -41,22 +86,17 @@ def inverse_dct2(coeffs: np.ndarray) -> np.ndarray:
     n = coeffs.shape[0]
     if coeffs.shape != (n, n):
         raise ValueError("inverse_dct2 expects a square block")
-    basis = dct_matrix(n)
-    return basis.T @ coeffs.astype(np.float64) @ basis
+    return _dct2_batch(coeffs, inverse=True)
 
 
 def forward_dct2_batch(blocks: np.ndarray) -> np.ndarray:
-    """2-D DCT of a stack of square blocks, shape ``(b, n, n)``."""
-    n = blocks.shape[-1]
-    basis = dct_matrix(n)
-    return np.matmul(np.matmul(basis, blocks.astype(np.float64)), basis.T)
+    """2-D DCT of a stack of square blocks, shape ``(..., n, n)``."""
+    return _dct2_batch(blocks, inverse=False)
 
 
 def inverse_dct2_batch(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`forward_dct2_batch`."""
-    n = coeffs.shape[-1]
-    basis = dct_matrix(n)
-    return np.matmul(np.matmul(basis.T, coeffs.astype(np.float64)), basis)
+    return _dct2_batch(coeffs, inverse=True)
 
 
 @lru_cache(maxsize=None)

@@ -56,18 +56,18 @@ class Rung:
 #: turbo+threads -> vectorized serial -> legacy serial.  Thread (not
 #: process) fan-out on the top rung: request bodies already run on
 #: supervised threads.  What that buys is measured, not assumed
-#: (docs/PERFORMANCE.md): decode overlaps -- a slice is two GIL-free
-#: whole-slice C calls around a numpy GEMM, 1.4x on 2 cores, and the
-#: decoder stays serial when those kernels are unavailable -- while
-#: encode does not yet (per-block kernel calls under the GIL: p50
-#: 359-362 ms threaded vs 295-302 ms serial for a 1 MiB op), pending a
-#: whole-slice pass-2 kernel.  The decode axis steps down in
-#: lockstep with rd-search: the floor rung serves with the interleaved
-#: reference decoder and the pure-Python entropy writer, so a rung-2
-#: response exercises no fast-path code at all.  (``encode="native"``
-#: on the upper rungs degrades by itself to pure Python when no
-#: compiler is present -- same bytes, slower -- so it is not a
-#: correctness axis the ladder needs to step through.)
+#: (docs/PERFORMANCE.md): a slice is GIL-free whole-slice C calls in
+#: both directions -- three kernels to decode, pass 1's GEMM + cost
+#: kernel then one kernel to encode -- so two threads overlap (decode
+#: 1.45x on 2 cores; encode 1.1x under numpy's BLAS pool, 1.85x with
+#: it off), and both sides stay serial when their kernels are
+#: unavailable.  The decode axis steps down in lockstep with
+#: rd-search: the floor rung serves with the interleaved reference
+#: decoder and the pure-Python entropy writer, so a rung-2 response
+#: exercises no fast-path code at all.
+#: (``encode="native"`` on the upper rungs degrades by itself to pure
+#: Python when no compiler is present -- same bytes, slower -- so it is
+#: not a correctness axis the ladder needs to step through.)
 DEFAULT_LADDER: Tuple[Rung, ...] = (
     Rung(
         "turbo",

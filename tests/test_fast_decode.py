@@ -21,7 +21,7 @@ import pytest
 
 import repro.telemetry as telemetry
 from repro.codec import decoder as decoder_mod
-from repro.codec import intra
+from repro.codec import intra, transform
 from repro.codec.decoder import (
     DECODES,
     FrameDecoder,
@@ -401,6 +401,62 @@ class TestReconstructKernel:
         data = FrameEncoder(EncoderConfig(qp=24.0)).encode(_frames(n=1)).data
         for a, b in zip(decode_frames(data), decode_frames(data, decode="legacy")):
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.skipif(
+    not native.encode_available(), reason="encode library unavailable"
+)
+class TestResidualKernel:
+    """``native.residuals`` against the numpy form in ``_batch_residuals``."""
+
+    @staticmethod
+    def _leaves(n, count=7):
+        rng = np.random.default_rng(n)
+        levels = rng.integers(-40, 41, size=(count + 3) * n * n)
+        levels[rng.random(levels.size) < 0.5] = 0
+        # Out of order, with gaps: nothing relies on leaves being packed.
+        offsets = rng.permutation(count + 3)[:count] * (n * n)
+        steps = rng.uniform(0.3, 9.0, count)
+        return levels.astype(np.int64), offsets.astype(np.int64), steps
+
+    @pytest.mark.parametrize("use_transform", [True, False])
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+    def test_matches_numpy_bit_for_bit(self, n, use_transform):
+        levels, offsets, steps = self._leaves(n)
+        zigzag, basis = transform.zigzag_order(n), transform.dct_matrix(n)
+        scan_rows = levels[offsets[:, None] + np.arange(n * n)]
+        flat = np.empty((len(offsets), n * n))
+        flat[:, zigzag] = scan_rows.astype(np.float64) * steps[:, None]
+        want = flat.reshape(-1, n, n)
+        if use_transform:
+            want = transform._ordered_dct2(want, basis, True)
+        got = native.residuals(levels, offsets, steps, zigzag, basis, use_transform)
+        assert got.tobytes() == want.tobytes()
+
+    def test_declines_what_it_cannot_index(self):
+        n = 8
+        levels, offsets, steps = self._leaves(n)
+        zigzag, basis = transform.zigzag_order(n), transform.dct_matrix(n)
+        for bad in (-1, len(levels) - n * n + 1):  # before / past the buffer
+            moved = offsets.copy()
+            moved[3] = bad
+            assert native.residuals(levels, moved, steps, zigzag, basis, True) is None
+        assert native.residuals(levels, offsets, steps[:-1], zigzag, basis, True) is None
+        assert (
+            native.residuals(levels, offsets, steps, zigzag[:-1], basis, True) is None
+        )
+        odd = np.eye(12)  # no such block size
+        assert (
+            native.residuals(levels, offsets, steps, np.arange(144), odd, True) is None
+        )
+
+    def test_decoder_uses_numpy_when_it_declines(self, monkeypatch):
+        data = FrameEncoder(EncoderConfig(qp=24.0)).encode(_frames(n=2)).data
+        _, want = _probe(data)
+        monkeypatch.setattr(native, "residuals", lambda *args: None)
+        _, got = _probe(data)
+        for a, b in zip(want, got):
+            assert a["recon"].tobytes() == b["recon"].tobytes()
 
 
 # -- whole-stream identity ---------------------------------------------

@@ -51,6 +51,9 @@ needs_cost = pytest.mark.skipif(
 needs_refs = pytest.mark.skipif(
     _READY.get("refs") != "ready", reason="refs kernel unavailable"
 )
+needs_encode = pytest.mark.skipif(
+    _READY.get("encode") != "ready", reason="slice-encode kernel unavailable"
+)
 
 
 def _blocks(seed: int = 0):
@@ -207,7 +210,7 @@ class TestRefsKernel:
 class TestBuildPipeline:
     def test_kernel_status_shape(self):
         status = native.kernel_status(resolve=False)
-        assert set(status) == {"slice", "recon", "write", "cost", "refs"}
+        assert set(status) == {"slice", "recon", "write", "encode", "cost", "refs"}
         allowed = {"unloaded", "building", "ready", "pure-python",
                    "no-compiler", "failed"}
         assert set(status.values()) <= allowed
@@ -331,6 +334,7 @@ class TestParallelDispatch:
         serial = FrameEncoder(EncoderConfig(qp=24.0)).encode(frames)
         assert got.data == serial.data
 
+    @needs_encode
     def test_parallel_stream_identical_when_dispatched(self, monkeypatch):
         import repro.codec.encoder as encoder_mod
 
@@ -340,16 +344,18 @@ class TestParallelDispatch:
             rng.integers(0, 255, (128, 128)).astype(np.uint8)
             for _ in range(_PARALLEL_MIN_SLICES)
         ]
+        # Threads fan out only where a slice is one GIL-free kernel call:
+        # the turbo search (tests/test_slice_encode.py pins the rule).
         par = ParallelConfig(workers=2, executor="thread")
         with telemetry.session() as registry:
             got = FrameEncoder(
-                EncoderConfig(qp=24.0, parallel=par)
+                EncoderConfig(qp=24.0, rd_search="turbo", parallel=par)
             ).encode(frames)
             fallbacks = registry.counters.get(
                 "encode.parallel_threshold_fallbacks", 0
             )
         assert fallbacks == 0  # this one actually fanned out
-        serial = FrameEncoder(EncoderConfig(qp=24.0)).encode(frames)
+        serial = FrameEncoder(EncoderConfig(qp=24.0, rd_search="turbo")).encode(frames)
         assert got.data == serial.data and got.mse == serial.mse
 
 
