@@ -40,7 +40,7 @@ def test_throughput_intra_prediction(benchmark):
     top, left = intra.gather_references(frame, mask, 16, 16, 16)
 
     def predict_all():
-        return intra.predict_batch(top, left, list(range(35)), 16)
+        return intra.predict_many(top, left, list(range(35)), 16)
 
     result = benchmark(predict_all)
     assert result.shape == (35, 16, 16)

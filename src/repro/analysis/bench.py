@@ -3,10 +3,11 @@
 Measures encode / decode MB/s on a seeded synthetic tensor at the
 standard QPs, for a fixed ladder of engine configurations:
 
-- ``baseline``   -- the pre-optimisation serial path (legacy scalar RD
-  search, primitive-call entropy writer, pure-Python coder).  This is
-  the reference the tracked speedups are measured against.
-- ``vectorized`` -- the default engine: vectorized RD mode search and
+- ``baseline``   -- the pre-optimisation serial path
+  (:class:`repro.codec.reference.ReferenceEncoder`: scalar RD search,
+  primitive-call entropy writer, pure-Python coder).  This is the
+  reference the tracked speedups are measured against.
+- ``vectorized`` -- the exact engine: vectorized RD mode search and
   the fused entropy writer, still serial and still pure Python
   (``encode="python"``).  Byte-identical to ``baseline`` by
   construction (same decisions, faster evaluation); the bench
@@ -19,8 +20,8 @@ standard QPs, for a fixed ladder of engine configurations:
   bytes/MSE are tracked as a quality delta rather than required
   identical.
 - ``native``     -- turbo plus the self-building C kernels
-  (``encode="native"``): the fused entropy write kernel, the batched
-  RD cost kernel, and the reference-gather kernel.  Byte-identical to
+  (``encode="native"``, the production configuration): the batched RD
+  cost kernel and the whole-slice encode kernel.  Byte-identical to
   pure-Python ``turbo`` (same decisions, same bits -- the kernels are
   bit-exact transliterations) and verified on every run; this rung's
   speedup over ``baseline`` is the headline encode number.
@@ -32,12 +33,13 @@ standard QPs, for a fixed ladder of engine configurations:
 Decode gets its own ladder, timed on the ``turbo`` stream of each QP
 and gated on byte-identity against the first rung:
 
-- ``legacy``     -- the interleaved reference decoder, serial.  The
-  tracked decode speedups are measured against this rung.
-- ``vectorized`` -- the plan / residuals / reconstruct decoder (the
-  whole-slice C kernels when available, their pure-Python twin
-  otherwise).
-- ``parallel``   -- the vectorized decoder behind slice-parallel
+- ``legacy``     -- the interleaved reference decoder
+  (:func:`repro.codec.reference.decode_frames`), serial.  The tracked
+  decode speedups are measured against this rung.
+- ``vectorized`` -- the production plan / residuals / reconstruct
+  decoder (the whole-slice C kernels when available, their
+  pure-Python twin otherwise).
+- ``parallel``   -- the production decoder behind slice-parallel
   fan-out.  The decoder itself falls back to serial below its
   payload/slice/CPU thresholds; the bench records what actually ran.
 
@@ -55,6 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.codec import reference
 from repro.codec.decoder import decode_frames
 from repro.codec.encoder import EncoderConfig, FrameEncoder
 from repro.codec.entropy import native
@@ -66,9 +69,9 @@ from repro.tensor.precision import grid_for
 #: JSON schema identifier written into every result file.
 #: v2 added the decode ladder (legacy / vectorized / parallel) with
 #: per-rung ``decode_speedup`` fields.  v3 added the ``native`` encode
-#: rung (C write/cost/refs kernels, gated byte-identical to pure-Python
-#: turbo), pinned the pure rungs to ``encode="python"``, replaced the
-#: ``scan_kernel`` config string with the per-kernel ``kernels`` map,
+#: rung (C kernels, gated byte-identical to pure-Python turbo), pinned
+#: the pure rungs to ``encode="python"``, replaced the ``scan_kernel``
+#: config string with the per-kernel ``kernels`` map,
 #: and added ``median_native_encode_speedup`` to the summary.
 SCHEMA = "llm265-bench-v3"
 #: Standard QPs: fine / mid / coarse operating points.
@@ -163,21 +166,18 @@ def _paired_ratio(a: List[float], b: List[float]) -> float:
     return (ratios[mid - 1] + ratios[mid]) / 2
 
 
-def bench_configs(workers: int) -> Dict[str, EncoderConfig]:
-    """The benchmark ladder, slowest (pre-PR reference) first."""
-
-    def cfg(**kw) -> EncoderConfig:
-        return EncoderConfig(profile=H265_PROFILE, qp=24.0, **kw)
-
+def bench_ladder(workers: int) -> Dict[str, Tuple[type, dict]]:
+    """The benchmark ladder, slowest (pre-PR reference) first:
+    rung name -> (encoder class, ``EncoderConfig`` fields)."""
+    turbo = dict(rd_search="turbo", encode="native")
     return {
-        "baseline": cfg(rd_search="legacy", fast_entropy=False, encode="python"),
-        "vectorized": cfg(encode="python"),
-        "turbo": cfg(rd_search="turbo", encode="python"),
-        "native": cfg(rd_search="turbo", encode="native"),
-        "parallel": cfg(
-            rd_search="turbo",
-            encode="native",
-            parallel=ParallelConfig(workers=workers, executor="thread"),
+        "baseline": (reference.ReferenceEncoder, {}),
+        "vectorized": (FrameEncoder, dict(rd_search="vectorized", encode="python")),
+        "turbo": (FrameEncoder, dict(rd_search="turbo", encode="python")),
+        "native": (FrameEncoder, turbo),
+        "parallel": (
+            FrameEncoder,
+            dict(turbo, parallel=ParallelConfig(workers=workers, executor="thread")),
         ),
     }
 
@@ -193,24 +193,17 @@ def run_benchmark(
     """Run the full ladder; returns the JSON-ready result document."""
     frames, tensor_bytes = make_frames(size_mb, tile=tile)
     mb = tensor_bytes / (1 << 20)
-    ladder = bench_configs(workers)
+    ladder = bench_ladder(workers)
 
     results = []
     divergent = False
     for qp in qps:
         row: dict = {"qp": qp, "encode": {}, "decode": {}}
         streams: Dict[str, bytes] = {}
-        for name, base_cfg in ladder.items():
-            cfg = EncoderConfig(
-                profile=profile,
-                qp=qp,
-                rd_search=base_cfg.rd_search,
-                fast_entropy=base_cfg.fast_entropy,
-                encode=base_cfg.encode,
-                parallel=base_cfg.parallel,
-            )
+        for name, (encoder, fields) in ladder.items():
+            cfg = EncoderConfig(profile=profile, qp=qp, **fields)
             seconds, result = _time_best(
-                lambda c=cfg: FrameEncoder(c).encode(frames), repeats
+                lambda e=encoder, c=cfg: e(c).encode(frames), repeats
             )
             streams[name] = result.data
             row["encode"][name] = {
@@ -240,11 +233,9 @@ def run_benchmark(
         par_cfg = ParallelConfig(workers=workers, executor="thread")
         warm_pool(par_cfg)
         decode_ladder = {
-            "legacy": lambda: decode_frames(data, decode="legacy"),
-            "vectorized": lambda: decode_frames(data, decode="vectorized"),
-            "parallel": lambda: decode_frames(
-                data, parallel=par_cfg, decode="vectorized"
-            ),
+            "legacy": lambda: reference.decode_frames(data),
+            "vectorized": lambda: decode_frames(data),
+            "parallel": lambda: decode_frames(data, parallel=par_cfg),
         }
         decoded: Dict[str, list] = {}
         # Decode is cheap next to encode, so spend extra samples: the

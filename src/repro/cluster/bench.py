@@ -92,11 +92,7 @@ def _run_point(
     )
     router = ClusterRouter(config)
     references = _ClusterReferenceStore(
-        ClusterChaosConfig(qp=qp, tile=tile, seed=seed),
-        rung_searches={
-            r.name: r.rd_search
-            for r in router.shard(router.shard_ids[0]).service.ladder.rungs
-        },
+        ClusterChaosConfig(qp=qp, tile=tile, seed=seed)
     )
     arrivals = generate_arrivals(
         TrafficConfig(
@@ -104,7 +100,7 @@ def _run_point(
             base_rate_rps=base_rate_rps,
             # Default bursts (3x) would exceed the single-core capacity
             # the soak is provisioned against; the tail would then
-            # measure the overload spiral, not routing or hedging.
+            # measure queueing, not routing or hedging.
             burst_factor=burst_factor,
             seed=seed + 101 + traffic_seed_salt,
         )
@@ -121,7 +117,7 @@ def _run_point(
                 qp=qp, fault_gate=gate,
             )
         return router.decode(
-            references.blob(key, "vectorized"), arrival.tensor_id,
+            references.blob(key), arrival.tensor_id,
             fault_gate=gate,
         )
 

@@ -13,31 +13,28 @@ arrival and supports two failure policies:
   continues with the next slice and every patched region is listed in
   the returned :class:`~repro.resilience.errors.ConcealmentReport`.
 
-Two decode implementations share that contract (``decode=`` on
-:class:`FrameDecoder` / :func:`decode_frames`):
+A slice is decoded by three whole-slice stages over one array plan
+(:class:`LeafPlan`): *plan -> residuals -> reconstruct*.  Stage one
+drains the range decoder into the plan (modes, motion vectors,
+coefficient scans); stage two dequantizes, unscans and
+inverse-transforms all same-size leaves in one batch (the encoder's
+lru-cached DCT basis / zigzag tables, the codec's order-defined
+transform); stage three predicts and reconstructs every leaf in decode
+order.  Stages one and three are each one GIL-free C call
+(``native.plan_slice`` / ``native.reconstruct_slice``), stage two one
+per block size (``native.residuals``), each with a Python twin
+(``_walk_slice`` / ``_apply_predictions`` / the numpy batch in
+``_batch_residuals``) that produces and consumes the same arrays.  The
+decoder picks per slice from what it observes, not from an option:
+kernels when ``native.available()``, the twin otherwise (no compiler,
+``LLM265_PURE_PYTHON=1``) and for any slice a kernel refuses
+(``decode.kernel_refusals``), so every error is raised by Python code.
 
-- ``"legacy"``     -- the original interleaved loop: per leaf, drain
-  bins, dequantize, inverse-transform, predict, write.  Kept as the
-  reference implementation.
-- ``"vectorized"`` -- the default *plan -> residuals -> reconstruct*
-  path, three whole-slice stages over one array plan
-  (:class:`LeafPlan`).  Stage one drains the range decoder into the
-  plan (modes, motion vectors, coefficient scans); stage two
-  dequantizes, unscans and inverse-transforms all same-size leaves in
-  one batch (the encoder's lru-cached DCT basis / zigzag tables, the
-  codec's order-defined transform); stage three predicts and
-  reconstructs every leaf in decode order.  Stages one and three are
-  each one GIL-free C call (``native.plan_slice`` /
-  ``native.reconstruct_slice``), stage two one per block size
-  (``native.residuals``), each with a Python twin (``_walk_slice`` /
-  ``_apply_predictions`` / the numpy batch in ``_batch_residuals``) that
-  produces and consumes the same arrays -- the no-compiler /
-  ``LLM265_PURE_PYTHON=1`` floor, and the path that re-decodes any
-  slice a kernel refuses, so every error is raised by Python code.
-  Sample-identical to ``"legacy"`` on every stream, including
-  corrupt-stream and concealment behaviour -- the bench identity gate
-  and ``tests/test_fast_decode.py`` / ``tests/test_decode_fuzz.py``
-  enforce this.
+The interleaved per-leaf decoder this design replaced lives in
+:mod:`repro.codec.reference`; it is sample-identical on every stream,
+including corrupt-stream and concealment behaviour -- the bench
+identity gate, ``tests/test_fast_decode.py``,
+``tests/test_decode_fuzz.py`` and the golden vectors enforce this.
 """
 
 from __future__ import annotations
@@ -55,10 +52,9 @@ from repro.codec.encoder import QpDither, unpack_header
 from repro.codec.entropy import native
 from repro.codec.entropy.arithmetic import BinaryDecoder
 from repro.codec.profiles import PROFILES_BY_ID
-from repro.codec.quantizer import dequantize, qstep
+from repro.codec.quantizer import qstep
 from repro.codec.syntax import (
     CodecContexts,
-    decode_coeff_block,
     decode_coeff_block_scanned,
     decode_intra_mode,
     decode_mv,
@@ -72,9 +68,6 @@ from repro.telemetry.codecstats import DecodeStats
 
 #: Mid-gray sample used to zero-fill a concealed frame with no neighbour.
 _CONCEAL_FILL = 128.0
-
-#: Decode implementations selectable via ``decode=`` (fastest first).
-DECODES = ("vectorized", "legacy")
 
 #: Parallel decode dispatch thresholds.  Below either bound the fan-out
 #: overhead (task submission, result marshalling, worker warm-up) costs
@@ -130,8 +123,6 @@ class FrameDecoder:
 
     ``conceal=True`` switches from fail-loud to decode-past-damage;
     :attr:`report` describes what (if anything) was concealed.
-    ``decode`` selects the implementation (see module docstring); both
-    produce byte-identical samples, reports, and typed errors.
     """
 
     def __init__(
@@ -140,10 +131,7 @@ class FrameDecoder:
         conceal: bool = False,
         parallel: Optional[ParallelConfig] = None,
         deadline: Optional[Deadline] = None,
-        decode: str = "vectorized",
     ) -> None:
-        if decode not in DECODES:
-            raise ValueError(f"decode must be one of {DECODES}, got {decode!r}")
         self._deadline = deadline
         self._header = unpack_header(data)
         try:
@@ -156,7 +144,6 @@ class FrameDecoder:
         self._payload = data[self._header["header_size"] :]
         self._conceal = conceal
         self._parallel = parallel
-        self._decode_mode = decode
         self._ctx: Optional[CodecContexts] = None
         self._dec: Optional[BinaryDecoder] = None
         self._registry = None
@@ -203,12 +190,9 @@ class FrameDecoder:
             # how large the payload: decode is CPU-bound end to end.
             and _effective_cpus() > 1
             # Threads only overlap work that releases the GIL: the two
-            # whole-slice kernels.  The per-leaf Python of the twin and
-            # of the legacy decoder measured ~0.5x under threads.
-            and (
-                par.executor != "thread"
-                or (self._decode_mode == "vectorized" and native.available())
-            )
+            # whole-slice kernels.  The per-leaf Python of the twin
+            # measured ~0.5x under threads.
+            and (par.executor != "thread" or native.available())
         )
         if par_capable and not use_parallel:
             telemetry.count("decode.parallel_threshold_fallbacks")
@@ -234,7 +218,6 @@ class FrameDecoder:
                     pad_h,
                     pad_w,
                     ctus_per_frame,
-                    self._decode_mode,
                 )
                 for first in range(0, h["n_frames"], run)
             ]
@@ -307,7 +290,7 @@ class FrameDecoder:
         self._dec = BinaryDecoder(segment)
         self._ctx = CodecContexts()
         try:
-            return self._decode_frame_any(height, width, frame_index, dither)
+            return self._decode_frame(height, width, frame_index, dither)
         except CorruptStreamError:
             if not self._conceal:
                 raise
@@ -355,117 +338,16 @@ class FrameDecoder:
             return self._reference.copy()  # neighbour (temporal) prediction
         return np.full((height, width), _CONCEAL_FILL, dtype=np.float64)
 
-    def _decode_frame_any(
-        self, height: int, width: int, frame_index: int, dither: QpDither
-    ) -> np.ndarray:
-        if self._decode_mode == "legacy":
-            return self._decode_frame(height, width, frame_index, dither)
-        return self._decode_frame_vectorized(height, width, frame_index, dither)
-
-    # -- per-frame (legacy: interleaved CABAC replay) -------------------
-
-    def _decode_frame(
-        self, height: int, width: int, frame_index: int, dither: QpDither
-    ) -> np.ndarray:
-        h = self._header
-        ctu = h["ctu"]
-        self._recon = np.zeros((height, width), dtype=np.float64)
-        self._mask = np.zeros((height, width), dtype=bool)
-        self._modes = np.full((height, width), -1, dtype=np.int16)
-        self._inter_allowed = (
-            h["use_inter"] and frame_index > 0 and self._reference is not None
-        )
-        registry = self._registry
-        for y0 in range(0, height, ctu):
-            for x0 in range(0, width, ctu):
-                self._qp = dither.next()
-                if registry is not None:
-                    registry.count("decode.ctu")
-                    registry.observe("decode.qp", self._qp)
-                self._decode_cu(y0, x0, ctu, depth=0)
-        return self._recon
-
-    def _decode_cu(self, y0: int, x0: int, size: int, depth: int) -> None:
-        h = self._header
-        if h["use_partition"] and size > h["min_cu"]:
-            if self._dec.decode_bit(self._ctx.split, min(depth, 5)):
-                if self._registry is not None:
-                    self._registry.count("decode.cu.split")
-                half = size // 2
-                for qy in (0, 1):
-                    for qx in (0, 1):
-                        self._decode_cu(
-                            y0 + qy * half, x0 + qx * half, half, depth + 1
-                        )
-                return
-        self._decode_leaf(y0, x0, size)
-
-    def _decode_leaf(self, y0: int, x0: int, size: int) -> None:
-        h = self._header
-        is_inter = False
-        if self._inter_allowed:
-            is_inter = bool(self._dec.decode_bit(self._ctx.pred_flag, 0))
-        if self._registry is not None:
-            self._registry.count("decode.cu.leaf")
-            self._registry.count(
-                "decode.mode.inter" if is_inter else "decode.mode.intra"
-            )
-
-        mode: Optional[int] = None
-        if is_inter:
-            mv = decode_mv(self._dec, self._ctx)
-            ry, rx = y0 + mv[0], x0 + mv[1]
-            ref_h, ref_w = self._reference.shape
-            if not (0 <= ry <= ref_h - size and 0 <= rx <= ref_w - size):
-                raise CorruptStreamError(
-                    f"motion vector {mv} points outside the reference frame"
-                )
-            prediction = self._reference[ry : ry + size, rx : rx + size].astype(
-                np.float64
-            )
-        elif h["use_intra"]:
-            left_mode = self._neighbor_mode(y0, x0 - 1)
-            top_mode = self._neighbor_mode(y0 - 1, x0)
-            mode = decode_intra_mode(
-                self._dec, self._ctx, left_mode, top_mode, self._profile.all_modes
-            )
-            top, left = intra.gather_references(
-                self._recon, self._mask, y0, x0, size
-            )
-            prediction = intra.predict(top, left, mode, size)
-        else:
-            prediction = np.full((size, size), 128.0)
-
-        levels = decode_coeff_block(self._dec, self._ctx, size)
-        dequant = dequantize(levels[None], self._qp)
-        if h["use_transform"]:
-            residual = inverse_dct2_batch(dequant)[0]
-        else:
-            residual = dequant[0]
-        recon = np.clip(prediction + residual, 0.0, 255.0)
-
-        sl = (slice(y0, y0 + size), slice(x0, x0 + size))
-        self._recon[sl] = recon
-        self._mask[sl] = True
-        self._modes[sl] = mode if mode is not None else intra.DC
-
-    def _neighbor_mode(self, y: int, x: int) -> Optional[int]:
-        if y < 0 or x < 0:
-            return None
-        if not self._mask[y, x]:
-            return None
-        value = int(self._modes[y, x])
-        return value if value >= 0 else None
-
-    # -- per-frame (vectorized: plan -> residuals -> reconstruct) -------
+    # -- per-frame: plan -> residuals -> reconstruct ---------------------
     #
-    # Bit-exactness argument.  Stage one touches every adaptive context
-    # in exactly the legacy order (the quadtree walk is identical; mode
+    # Bit-exactness argument, against the interleaved reference decoder
+    # (repro.codec.reference).  Stage one touches every adaptive context
+    # in exactly its order (the quadtree walk is identical; mode
     # decoding depends only on *neighbour modes*, which the walk records
     # leaf by leaf, never on pixels), so the entropy decode consumes
     # identical bins and fails on identical inputs.  Stage two's batched
-    # dequantize is the same elementwise multiply legacy performs per
-    # leaf and the inverse DCT is the codec's one order-defined
+    # dequantize is the same elementwise multiply the reference performs
+    # per leaf and the inverse DCT is the codec's one order-defined
     # transform on every path; with the kernels loaded the stage is one
     # C call per block size (``native.residuals``: the same multiply,
     # unscan and transform).  Stage three replays prediction in decode
@@ -474,7 +356,7 @@ class FrameDecoder:
     # evaluates the same expressions in the same order with no fused
     # multiply-add (docs/PERFORMANCE.md).
 
-    def _decode_frame_vectorized(
+    def _decode_frame(
         self, height: int, width: int, frame_index: int, dither: QpDither
     ) -> np.ndarray:
         h = self._header
@@ -553,6 +435,7 @@ class FrameDecoder:
                 # decode it again from a fresh coder with the Python
                 # walk, which raises the canonical typed error at the
                 # same bin it always did.
+                telemetry.count("decode.kernel_refusals")
                 self._dec = BinaryDecoder(self._dec._data)
                 self._ctx = CodecContexts()
         return self._walk_slice(height, width)
@@ -636,7 +519,8 @@ class FrameDecoder:
             ry, rx = y0 + mv[0], x0 + mv[1]
             ref_h, ref_w = self._reference.shape
             # Validated at plan time so a corrupt MV surfaces at the
-            # same bin position (and with the same message) as legacy.
+            # same bin position (and with the same message) as the
+            # reference decoder.
             if not (0 <= ry <= ref_h - size and 0 <= rx <= ref_w - size):
                 raise CorruptStreamError(
                     f"motion vector {mv} points outside the reference frame"
@@ -659,6 +543,14 @@ class FrameDecoder:
         self._mask[sl] = True
         self._modes[sl] = mode if mode >= 0 else intra.DC
 
+    def _neighbor_mode(self, y: int, x: int) -> Optional[int]:
+        if y < 0 or x < 0:
+            return None
+        if not self._mask[y, x]:
+            return None
+        value = int(self._modes[y, x])
+        return value if value >= 0 else None
+
     def _batch_residuals(
         self,
         plan: LeafPlan,
@@ -672,8 +564,8 @@ class FrameDecoder:
         of all coded leaves concatenated into one float64 vector, and
         per leaf the offset of its grid in it -- -1 for cbf=0 leaves,
         whose residual is exactly zero and is added as such by the
-        prediction pass (the legacy path's IDCT of an all-zero block is
-        also exactly zero).
+        prediction pass (the IDCT of an all-zero block is also exactly
+        zero).
         """
         sizes = plan.field("size")
         coeff = plan.field("coeff_offset")
@@ -683,6 +575,9 @@ class FrameDecoder:
             plan.field("ctu_index")
         ]
         resid_offset = np.full(plan.n_leaves, -1, dtype=np.int64)
+        # The residual kernel lives in the encode library: not loaded is
+        # not a refusal.
+        use_kernel = native.available() and native.encode_available()
         grids_by_size: List[np.ndarray] = []
         total = 0
         for n in np.unique(sizes[coded]).tolist():
@@ -693,10 +588,12 @@ class FrameDecoder:
                     plan.levels, coeff[indices], steps[indices],
                     zigzag_order(n), dct_matrix(n), use_transform,
                 )
-                if native.available()
+                if use_kernel
                 else None
             )
             if grids is None:
+                if use_kernel:
+                    telemetry.count("decode.kernel_refusals")
                 scan_rows = plan.levels[coeff[indices, None] + np.arange(area)]
                 # Same elementwise product as per-leaf ``dequantize``;
                 # the zigzag unscan is one fancy-index store across the
@@ -734,13 +631,13 @@ class FrameDecoder:
         # what the interleaved loop's reference gather saw at leaf k.
         mask = np.zeros((height, width), dtype=bool)
         reference = self._reference if self._inter_allowed else None
-        if not (
-            native.available()
-            and native.reconstruct_slice(
+        if native.available():
+            if native.reconstruct_slice(
                 recon, mask, reference, plan.rows, plan.n_leaves, resid_offset, resid
-            )
-        ):
-            self._apply_predictions(plan, resid_offset, resid, recon, mask)
+            ):
+                return recon
+            telemetry.count("decode.kernel_refusals")
+        self._apply_predictions(plan, resid_offset, resid, recon, mask)
         return recon
 
     def _apply_predictions(
@@ -781,9 +678,9 @@ class FrameDecoder:
 def _count_structure(stats: DecodeStats, plan: LeafPlan, n_ctus: int) -> None:
     """Structural ``decode.*`` counters, derived from a finished plan.
 
-    The same numbers the legacy decoder counts leaf by leaf; every
+    The same numbers the reference decoder counts leaf by leaf; every
     split turns one quadtree node into four, hence the split count.
-    Counters that would be zero are left absent, as legacy leaves them.
+    Counters that would be zero are left absent, as it leaves them.
     """
     n_inter = int(plan.field("is_inter").sum())
     for name, value in (
@@ -822,7 +719,7 @@ def _decode_slices_worker(args) -> Tuple[List[np.ndarray], Optional[DecodeStats]
     ``decode.*`` counters fanned out as it does serially; stage seconds
     then add up across workers and may exceed wall time.
     """
-    raw_header, segments, first_index, pad_h, pad_w, ctus_per_frame, mode = args
+    raw_header, segments, first_index, pad_h, pad_w, ctus_per_frame = args
     header = _worker_header(raw_header)
     dec = FrameDecoder.__new__(FrameDecoder)
     dec._header = header
@@ -832,7 +729,6 @@ def _decode_slices_worker(args) -> Tuple[List[np.ndarray], Optional[DecodeStats]
     dec._registry = telemetry.current()
     dec._stats = DecodeStats() if dec._registry is not None else None
     dec._reference = None
-    dec._decode_mode = mode
     dec.report = ConcealmentReport()
     dither = QpDither.advanced(
         header["qp_base"], header["qp_frac"], first_index * ctus_per_frame
@@ -842,7 +738,7 @@ def _decode_slices_worker(args) -> Tuple[List[np.ndarray], Optional[DecodeStats]
         dec._dec = BinaryDecoder(segment)
         dec._ctx = CodecContexts()
         try:
-            recons.append(dec._decode_frame_any(pad_h, pad_w, frame_index, dither))
+            recons.append(dec._decode_frame(pad_h, pad_w, frame_index, dither))
         except CorruptStreamError:
             raise
         except Exception as exc:
@@ -856,7 +752,6 @@ def decode_frames(
     data: bytes,
     conceal: bool = False,
     parallel: Optional[ParallelConfig] = None,
-    decode: str = "vectorized",
 ) -> List[np.ndarray]:
     """Decode a complete bitstream into its frame sequence.
 
@@ -865,19 +760,15 @@ def decode_frames(
     :func:`decode_frames_with_report` when the concealment details
     matter.  ``parallel`` opts intra-only, undamaged streams into
     slice-parallel decoding (sample-identical to serial decode; streams
-    below the slice/byte dispatch thresholds stay serial).  ``decode``
-    selects the implementation ladder rung (``"vectorized"`` default,
-    ``"legacy"`` reference) -- output is byte-identical either way.
+    below the slice/byte dispatch thresholds stay serial).
     """
-    return FrameDecoder(
-        data, conceal=conceal, parallel=parallel, decode=decode
-    ).decode()
+    return FrameDecoder(data, conceal=conceal, parallel=parallel).decode()
 
 
 def decode_frames_with_report(
-    data: bytes, conceal: bool = True, decode: str = "vectorized"
+    data: bytes, conceal: bool = True
 ) -> Tuple[List[np.ndarray], ConcealmentReport]:
     """Decode and return ``(frames, concealment report)``."""
-    decoder = FrameDecoder(data, conceal=conceal, decode=decode)
+    decoder = FrameDecoder(data, conceal=conceal)
     frames = decoder.decode()
     return frames, decoder.report

@@ -37,13 +37,12 @@ from repro.resilience.errors import (
     TruncatedStreamError,
 )
 from repro.resilience.framing import SLICE_OVERHEAD, crc32, frame_slice
-from repro.codec.quantizer import dequantize, qstep, quantize, rd_lambda
+from repro.codec.quantizer import dequantize, qstep, rd_lambda
 from repro.codec.syntax import (
     CodecContexts,
     encode_coeff_block,
     encode_intra_mode,
     encode_mv,
-    estimate_mode_bits,
     estimate_mode_bits_many,
 )
 from repro.codec.transform import (
@@ -51,33 +50,31 @@ from repro.codec.transform import (
     dct_matrix,
     forward_dct2_batch,
     inverse_dct2_batch,
-    satd_batch,
     zigzag_order,
     zigzag_unscan,
 )
 
-#: RD mode-search strategies: ``"vectorized"`` evaluates every candidate
-#: mode in one batched pass (with an optional SATD pre-screen, see
-#: ``EncoderConfig.satd_prune``) and is bit-exact with ``"legacy"``, the
-#: original scalar per-mode loop kept as the regression reference and
-#: benchmark baseline.  ``"turbo"`` is a two-pass whole-frame search:
-#: pass 1 costs every (block, size, mode) candidate in batched form
-#: against *source* references via cached prediction->coefficient
-#: operators, pass 2 runs the quadtree DP and re-codes only the chosen
-#: leaves against the true reconstruction -- one whole-slice C call
-#: with ``encode="native"`` (see
-#: :meth:`FrameEncoder._encode_frame_turbo`).  Fastest; streams stay
-#: valid and drift-free, but decisions may differ slightly from the
-#: exact search.  Inter frames fall back to the per-leaf variant
-#: (:meth:`FrameEncoder._plan_leaf_intra_turbo`).
-RD_SEARCHES = ("vectorized", "legacy", "turbo")
+#: RD mode-search strategies.  ``"turbo"`` (the default, and what the
+#: service runs) is a two-pass whole-frame search: pass 1 costs every
+#: (block, size, mode) candidate in batched form against *source*
+#: references via cached prediction->coefficient operators, pass 2 runs
+#: the quadtree DP and re-codes only the chosen leaves against the true
+#: reconstruction -- one whole-slice C call with ``encode="native"``
+#: (see :meth:`FrameEncoder._encode_frame_turbo`).  Streams are valid
+#: and drift-free; decisions may differ slightly from the exact search.
+#: ``"vectorized"`` is the exact per-leaf search (every candidate mode
+#: reconstructed and costed in one batched pass); inter frames and
+#: ``use_transform=False`` streams always take its planner, ``turbo``
+#: included (:meth:`FrameEncoder._plan_leaf_intra_turbo` is the per-leaf
+#: turbo variant inter frames use).  The original scalar search it is
+#: byte-identical to lives in :mod:`repro.codec.reference`.
+RD_SEARCHES = ("turbo", "vectorized")
 
-#: Entropy/costing backends: ``"native"`` dispatches the whole-slice
-#: turbo pass 2, the fused coefficient-scan writer and the batched turbo
-#: RD costing to the self-building C kernels
-#: (:mod:`repro.codec.entropy.native`) when they are available, falling
-#: back transparently to the pure-Python paths otherwise.  ``"python"``
-#: pins the pure-Python paths even with the kernels loaded -- the
+#: Costing/coding backends: ``"native"`` dispatches the whole-slice
+#: turbo pass 2 and the batched turbo RD costing to the self-building C
+#: kernels (:mod:`repro.codec.entropy.native`) when they are available,
+#: falling back transparently to the pure-Python twin otherwise.
+#: ``"python"`` pins the twin even with the kernels loaded -- the
 #: bit-exactness reference the benchmark identity gates and the
 #: differential fuzz suite compare against.
 #: Streams are byte-identical between the two by construction and by
@@ -288,30 +285,14 @@ class EncoderConfig:
     use_inter: bool = False
     fixed_cu_size: int = 8  # CU grid when partitioning is disabled
     search_range: int = 7  # inter motion search radius (full pel)
-    #: Mode-search strategy, one of :data:`RD_SEARCHES`.  With
-    #: ``satd_prune=0``, "vectorized" and "legacy" produce byte-identical
-    #: streams ("legacy" exists as the regression reference / bench
-    #: baseline).  "turbo" is the fastest: a two-pass whole-frame search
-    #: (batched source-reference costing + quadtree DP, then exact
-    #: re-coding of the chosen leaves) whose decisions may differ
-    #: slightly from the exact search (output is always a valid,
-    #: drift-free stream; requires ``use_transform``, silently treated
-    #: as "vectorized" otherwise).
-    rd_search: str = "vectorized"
-    #: SATD pre-screen width: evaluate exact RD cost only for the top-K
-    #: candidates ranked by Hadamard SATD (0 disables pruning and makes
-    #: the vectorized search bit-exact with the legacy one).  Encoder
-    #: side only -- any value yields a valid, decodable stream.
-    satd_prune: int = 0
-    #: Use the fused coefficient-scan entropy writer (bit-exact with the
-    #: primitive loop; False reproduces the pre-optimisation write path,
-    #: which benchmarks use as the baseline).
-    fast_entropy: bool = True
-    #: Entropy/costing backend, one of :data:`ENCODES`.  "native" uses
-    #: the compiled write/cost kernels when available (byte-identical
-    #: output, see :data:`ENCODES`); "python" pins the pure-Python
-    #: reference paths.  Only meaningful with ``fast_entropy=True`` --
-    #: the primitive-call writer is always pure Python.
+    #: Mode-search strategy, one of :data:`RD_SEARCHES`: "turbo" (two
+    #: batched passes, the default) or "vectorized" (the exact per-leaf
+    #: search).  "turbo" needs ``use_transform`` and is silently
+    #: treated as "vectorized" without it.
+    rd_search: str = "turbo"
+    #: Costing/coding backend, one of :data:`ENCODES`.  "native" uses
+    #: the compiled kernels when available (byte-identical output, see
+    #: :data:`ENCODES`); "python" pins their pure-Python twin.
     encode: str = "native"
     #: Slice-parallel fan-out policy (None = serial).  Frames are
     #: independently decodable slices, so parallel output is
@@ -337,8 +318,6 @@ class EncoderConfig:
             raise ValueError(
                 f"encode must be one of {ENCODES}, got {self.encode!r}"
             )
-        if self.satd_prune < 0:
-            raise ValueError("satd_prune must be >= 0 (0 = no pruning)")
 
     def flags(self) -> int:
         value = 0
@@ -756,39 +735,37 @@ class FrameEncoder:
 
     def _plan_leaf_intra(self, y0: int, x0: int, size: int) -> Tuple[float, _Plan]:
         cfg = self.config
-        orig = self._frame[y0 : y0 + size, x0 : x0 + size]
         if not cfg.use_intra:
+            orig = self._frame[y0 : y0 + size, x0 : x0 + size]
             prediction = np.full((size, size), 128.0)
             cost, levels, recon = self._code_residual(orig, prediction[None])
             plan = ("leaf", None, False, (0, 0), levels[0])
             self._commit_block(y0, x0, size, recon[0], intra.DC)
             return cost[0], plan
-        if cfg.rd_search == "legacy":
-            return self._plan_leaf_intra_legacy(y0, x0, size)
         if cfg.rd_search == "turbo" and cfg.use_transform:
             return self._plan_leaf_intra_turbo(y0, x0, size)
+        return self._search_intra(y0, x0, size)
 
+    def _search_intra(self, y0: int, x0: int, size: int) -> Tuple[float, _Plan]:
+        """Exact intra mode search: every candidate coded and costed.
+
+        Coarse candidates in one batch, then the winner's refine set;
+        the best mode's reconstruction is committed.
+        :class:`repro.codec.reference.ReferenceEncoder` overrides this
+        with the scalar search it is byte-identical to.
+        """
+        cfg = self.config
+        orig = self._frame[y0 : y0 + size, x0 : x0 + size]
         top, left = intra.gather_references(self._recon, self._mask, y0, x0, size)
         left_mode = self._neighbor_mode(y0, x0 - 1)
         top_mode = self._neighbor_mode(y0 - 1, x0)
 
         modes = list(cfg.profile.coarse_modes())
         preds = intra.predict_many(top, left, modes, size)
-        mode_bits = estimate_mode_bits_many(modes, left_mode, top_mode)
-        prune = cfg.satd_prune
-        if 0 < prune < len(modes):
-            # Rank candidates by Hadamard SATD plus the signalling-rate
-            # term, keep the top ``prune``, and evaluate exact RD only
-            # for the survivors.  np.sort keeps survivors in original
-            # candidate order so argmin tie-breaking matches an unpruned
-            # search restricted to the same set.
-            screen = satd_batch(orig[None] - preds) + self._lambda * mode_bits
-            keep = np.sort(np.argpartition(screen, prune - 1)[:prune])
-            modes = [modes[i] for i in keep]
-            preds = preds[keep]
-            mode_bits = mode_bits[keep]
         costs, levels, recons = self._code_residual(orig, preds)
-        costs = costs + self._lambda * mode_bits
+        costs = costs + self._lambda * estimate_mode_bits_many(
+            modes, left_mode, top_mode
+        )
         best = int(np.argmin(costs))
 
         refine = cfg.profile.refine_modes(modes[best])
@@ -1228,52 +1205,6 @@ class FrameEncoder:
         self._commit_block(y0, x0, size, recon, mode)
         return ("leaf", mode, False, (0, 0), levels)
 
-    def _plan_leaf_intra_legacy(
-        self, y0: int, x0: int, size: int
-    ) -> Tuple[float, _Plan]:
-        """Original scalar mode search (``rd_search="legacy"``).
-
-        Kept verbatim as the regression reference: with
-        ``satd_prune=0`` the vectorized search must reproduce this
-        path's decisions -- and therefore its bitstream -- exactly.  It
-        is also the honest pre-optimisation baseline that
-        ``benchmarks/bench_throughput.py`` reports speedups against.
-        """
-        cfg = self.config
-        orig = self._frame[y0 : y0 + size, x0 : x0 + size]
-        top, left = intra.gather_references_scalar(
-            self._recon, self._mask, y0, x0, size
-        )
-        left_mode = self._neighbor_mode(y0, x0 - 1)
-        top_mode = self._neighbor_mode(y0 - 1, x0)
-
-        modes = list(cfg.profile.coarse_modes())
-        preds = intra.predict_batch(top, left, modes, size)
-        costs, levels, recons = self._code_residual_legacy(orig, preds)
-        mode_bits = np.array(
-            [estimate_mode_bits(m, left_mode, top_mode) for m in modes]
-        )
-        costs = costs + self._lambda * mode_bits
-        best = int(np.argmin(costs))
-
-        refine = cfg.profile.refine_modes(modes[best])
-        if refine:
-            r_modes = list(refine)
-            r_preds = intra.predict_batch(top, left, r_modes, size)
-            r_costs, r_levels, r_recons = self._code_residual_legacy(orig, r_preds)
-            r_costs = r_costs + self._lambda * np.array(
-                [estimate_mode_bits(m, left_mode, top_mode) for m in r_modes]
-            )
-            r_best = int(np.argmin(r_costs))
-            if r_costs[r_best] < costs[best]:
-                plan = ("leaf", r_modes[r_best], False, (0, 0), r_levels[r_best])
-                self._commit_block(y0, x0, size, r_recons[r_best], r_modes[r_best])
-                return float(r_costs[r_best]), plan
-
-        plan = ("leaf", modes[best], False, (0, 0), levels[best])
-        self._commit_block(y0, x0, size, recons[best], modes[best])
-        return float(costs[best]), plan
-
     def _plan_leaf_inter(self, y0: int, x0: int, size: int) -> Tuple[float, _Plan]:
         orig = self._frame[y0 : y0 + size, x0 : x0 + size]
         mv = self._motion_search(y0, x0, size)
@@ -1346,11 +1277,10 @@ class FrameEncoder:
         Returns (rd_costs, quantized_levels, reconstructions) with the
         leading batch axis matching ``predictions``.
 
-        This is the trimmed hot-path body: quantization is inlined with
-        the CTU's cached quantizer step, array-copy conversions are
-        dropped, and the rate proxy avoids redundant masking.  Every
-        output is bit-identical to :meth:`_code_residual_legacy` (the
-        vectorized-vs-legacy byte-identity tests pin this transitively).
+        Quantization is inlined with the CTU's cached quantizer step.
+        Every output is bit-identical to the reference encoder's
+        quantizer-call form (tests/test_reference_codec.py pins this
+        through byte-identical streams).
         """
         cfg = self.config
         stats = self._stats
@@ -1387,48 +1317,6 @@ class FrameEncoder:
         any_nz = nonzero.any(axis=1)
         last = size * size - 1 - np.argmax(nonzero[:, ::-1], axis=1)
         level_bits = ((2.0 * np.log2(mags + 1.0) + 2.0) * nonzero).sum(axis=1)
-        bits = np.where(any_nz, 4.0 + (last + 1) + level_bits, 1.0)
-        return sse + self._lambda * bits, levels, recons
-
-    def _code_residual_legacy(
-        self, orig: np.ndarray, predictions: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Original residual-coding body, preserved verbatim.
-
-        Used by the ``rd_search="legacy"`` planner so the benchmark
-        baseline keeps the pre-optimisation cost profile; outputs are
-        bit-identical to :meth:`_code_residual`.
-        """
-        cfg = self.config
-        if self._stats is not None:
-            self._stats.add_count("residual_batches")
-        size = orig.shape[0]
-        residuals = orig[None] - predictions
-        if cfg.use_transform:
-            coeffs = forward_dct2_batch(residuals)
-        else:
-            coeffs = residuals
-        levels = quantize(coeffs, self._qp, deadzone=cfg.profile.deadzone)
-        dequant = dequantize(levels, self._qp)
-        if cfg.use_transform:
-            resid_rec = inverse_dct2_batch(dequant)
-        else:
-            resid_rec = dequant
-        recons = np.clip(predictions + resid_rec, 0.0, 255.0)
-        sse = np.sum((recons - orig[None]) ** 2, axis=(1, 2))
-
-        # Vectorised rate proxy (mirrors syntax.estimate_coeff_bits).
-        zz = zigzag_order(size)
-        scanned = levels.reshape(levels.shape[0], -1)[:, zz]
-        mags = np.abs(scanned).astype(np.float64)
-        nonzero = mags > 0
-        any_nz = nonzero.any(axis=1)
-        last = np.where(
-            any_nz, size * size - 1 - np.argmax(nonzero[:, ::-1], axis=1), -1
-        )
-        level_bits = np.sum(
-            np.where(nonzero, 2.0 * np.log2(mags + 1.0) + 2.0, 0.0), axis=1
-        )
         bits = np.where(any_nz, 4.0 + (last + 1) + level_bits, 1.0)
         return sse + self._lambda * bits, levels, recons
 
@@ -1535,14 +1423,17 @@ class FrameEncoder:
             )
             if stats is not None:
                 stats.add_bits("intra_mode", enc.tell_bits() - mark)
-        encode_coeff_block(
-            enc,
-            ctx,
-            levels,
-            stats,
-            fast=cfg.fast_entropy,
-            native_ok=self._native_ok,
-        )
+        self._write_coeffs(enc, ctx, levels)
+
+    def _write_coeffs(
+        self, enc: BinaryEncoder, ctx: CodecContexts, levels: np.ndarray
+    ) -> None:
+        """One coefficient block into the coder (fused scan unless tracing).
+
+        :class:`repro.codec.reference.ReferenceEncoder` overrides this
+        with the primitive-call writer.
+        """
+        encode_coeff_block(enc, ctx, levels, self._stats)
 
     def _neighbor_mode_for_signal(self, y: int, x: int) -> Optional[int]:
         """Neighbour mode exactly as the decoder will know it.

@@ -1,37 +1,25 @@
-/* Native hot loop for coefficient-block entropy encoding.
+/* Range coder and coefficient-block writer of the slice-encode kernel.
  *
- * Encodes one whole coefficient block exactly as the Python fast path
- * in syntax.encode_coeff_block does: the cbf=1 context bin, the
+ * Not a kernel of its own: _encode_kernel.c #includes this file (so it
+ * is part of that kernel's content hash, see native._Kernel.includes).
+ * coeff_block() codes one whole coefficient block exactly as
+ * syntax.encode_coeff_block does: the cbf=1 context bin, the
  * last-position adaptive-UEG code, then the fused significance /
  * level / sign scan of BinaryEncoder.encode_coeff_scan.  The range
- * coder and the block writer are also the writer of the whole-slice
- * encoder: _encode_kernel.c #includes this file (so it is part of that
- * kernel's content hash, see native._Kernel.includes).  The range
  * coder is the same LZMA-style design (32-bit range, 64-bit low with
  * carry propagation, 11-bit probabilities, shift-5 adaptation) and
  * every integer operation is exact in uint32/uint64, so the bytes
  * emitted -- and the coder state left behind (low/range/carry cache
  * and every context probability) -- are bit-identical to the
- * pure-Python loops.  tests/test_native_encode.py and
+ * pure-Python loops.  tests/test_slice_encode.py and
  * tests/test_encode_fuzz.py lock the two together.
  *
  * Carry propagation never rewrites already-emitted bytes: a carry out
  * of the 32-bit low lands in the pending (cache, cache_size) pair at
- * the moment those bytes are flushed, which is what lets this kernel
- * append to a caller-provided scratch buffer that Python then extends
- * onto the encoder's output bytearray.  The scratch capacity the
- * Python wrapper allocates is derived from the worst-case bin count
- * (each bin triggers at most one byte shift), so the overflow status
- * below is a can't-happen guard, not a working code path.
- *
- * Built on demand by repro.codec.entropy.native (cc -O2 -shared); the
- * pure-Python loops remain the behaviourally-identical fallback.
- *
- * Return status: 0 = ok, 1 = scratch buffer overflow.  Coder state is
- * only written back on status 0; since the wrapper sizes the scratch
- * for the worst case, it treats status 1 as a broken invariant and
- * raises (the context banks are adapted in place, so a silent fallback
- * after a partial write could not restore them).
+ * the moment those bytes are flushed, which is what lets the coder
+ * append to a caller-provided output buffer.  Every function returns
+ * 0 = ok, 1 = output buffer full (the slice kernel turns that into a
+ * refusal and the Python twin re-codes the slice).
  */
 
 #include <stdint.h>
@@ -208,34 +196,5 @@ static int coeff_block(coder *c, const int64_t *scanned, int64_t last,
             return 1;
         charge(c, E_LEVEL);
     }
-    return 0;
-}
-
-int64_t llm265_encode_coeff_block(
-    const int64_t *scanned, int64_t last, int64_t n,
-    int32_t *cbf_probs, int64_t cbf_index,
-    int32_t *last_probs, int64_t last_base,
-    int64_t last_max_prefix, int64_t last_k,
-    int32_t *sig_probs, int64_t sig_base,
-    int32_t *level_probs, int64_t level_base,
-    int64_t max_prefix, int64_t k,
-    uint64_t *low_io, uint32_t *rng_io,
-    int64_t *cache_io, int64_t *cache_size_io,
-    uint8_t *out, int64_t out_cap, int64_t *out_len_io)
-{
-    coder c = {*low_io, *rng_io, *cache_io, *cache_size_io,
-               out,     out_cap, 0,         0,
-               0};
-
-    if (coeff_block(&c, scanned, last, n, cbf_probs + cbf_index,
-                    last_probs + last_base, last_max_prefix, last_k,
-                    sig_probs + sig_base, level_probs + level_base,
-                    max_prefix, k))
-        return 1;
-    *low_io = c.low;
-    *rng_io = c.rng;
-    *cache_io = c.cache;
-    *cache_size_io = c.csize;
-    *out_len_io = c.len;
     return 0;
 }

@@ -1,6 +1,8 @@
 """Optional native kernels for the codec hot loops.
 
-Six kernels, built from five C files by one self-building pipeline:
+Five kernels, built from four C files by one self-building pipeline
+(a fifth file, ``_write_kernel.c`` -- the range coder and the
+coefficient-block writer -- is only ever ``#include``d):
 
 ``slice``  ``_slice_kernel.c`` -- whole-slice entropy *decode*: one
            call walks the CTU quadtree of a slice (split flags, modes,
@@ -13,15 +15,14 @@ Six kernels, built from five C files by one self-building pipeline:
 ``refs``   the same ``_recon_kernel.c`` (one shared object, second
            symbol) -- intra reference gather with boundary
            substitution, on its own for the encoder.
-``write``  ``_write_kernel.c`` -- whole-coefficient-block *encode*
-           (cbf bin + last UEG + the fused scan), the exact mirror of
-           the fast path in :func:`repro.codec.syntax.encode_coeff_block`.
 ``encode`` ``_encode_kernel.c`` -- whole-slice intra *encode*: the
            quadtree DP over the turbo search's pass-1 tables, exact
            coding of every chosen leaf (predict, ordered DCT, quantize,
            reconstruct) and all of the slice's entropy coding in one
-           call.  It ``#include``s the range coder of the write kernel
-           and the predictors of the recon kernel, and also exports the
+           call.  It ``#include``s the range coder and block writer of
+           ``_write_kernel.c`` (the mirror of the fused path in
+           :func:`repro.codec.syntax.encode_coeff_block`) and the
+           predictors of the recon kernel, and also exports the
            codec's order-defined DCT pair (:func:`dct2`) and, built on
            it, the decoder's residual stage (:func:`residuals`).
 ``cost``   ``_cost_kernel.c``  -- batched quantize + fixed-point rate
@@ -78,7 +79,6 @@ __all__ = [
     "encode_slice",
     "dct2",
     "residuals",
-    "write",
     "cost",
     "cost_fused",
     "refs",
@@ -120,31 +120,6 @@ _RECON_ARGTYPES = [
     ctypes.c_void_p,  # resid_offset (int64)
     ctypes.c_void_p,  # resid (float64)
     ctypes.c_int64,  # resid_len
-]
-
-_WRITE_ARGTYPES = [
-    ctypes.c_void_p,  # scanned (int64)
-    ctypes.c_int64,  # last
-    ctypes.c_int64,  # n (block edge)
-    ctypes.c_void_p,  # cbf_probs
-    ctypes.c_int64,  # cbf_index
-    ctypes.c_void_p,  # last_probs
-    ctypes.c_int64,  # last_base
-    ctypes.c_int64,  # last_max_prefix
-    ctypes.c_int64,  # last_k
-    ctypes.c_void_p,  # sig_probs
-    ctypes.c_int64,  # sig_base
-    ctypes.c_void_p,  # level_probs
-    ctypes.c_int64,  # level_base
-    ctypes.c_int64,  # max_prefix
-    ctypes.c_int64,  # k
-    ctypes.POINTER(ctypes.c_uint64),  # low_io
-    ctypes.POINTER(ctypes.c_uint32),  # rng_io
-    ctypes.POINTER(ctypes.c_int64),  # cache_io
-    ctypes.POINTER(ctypes.c_int64),  # cache_size_io
-    ctypes.c_void_p,  # out
-    ctypes.c_int64,  # out_cap
-    ctypes.POINTER(ctypes.c_int64),  # out_len_io
 ]
 
 _ENCODE_ARGTYPES = [
@@ -320,7 +295,6 @@ _KERNELS: Dict[str, _Kernel] = {
             _RECON_ARGTYPES,
             check=_check_dc_sum,
         ),
-        _Kernel("write", "_write_kernel.c", "llm265_encode_coeff_block", _WRITE_ARGTYPES),
         _Kernel(
             "encode",
             "_encode_kernel.c",
@@ -508,8 +482,8 @@ def available() -> bool:
 
     The decoder asks this once per slice (and once per fan-out
     decision); tests monkeypatch it to force the pure-Python walk.  The
-    per-block encode kernels are gated by :func:`write` / :func:`cost`
-    / :func:`refs` declining instead.
+    per-block encode kernels are gated by :func:`cost` / :func:`refs`
+    declining instead.
     """
     return _resolve("slice") is not None and _resolve("recon") is not None
 
@@ -534,20 +508,6 @@ def kernel_status(resolve: bool = True) -> Dict[str, str]:
         for name in _KERNELS:
             _resolve(name)
     return {name: k.state for name, k in _KERNELS.items()}
-
-
-def _prob_buffer(probs) -> Tuple[array, bool]:
-    """C view of a context-probability bank.
-
-    ``ContextSet.probs`` is already an ``array('i')`` -- the kernel
-    adapts the live contexts in place and nothing needs copying in
-    either direction.  Plain sequences (tests, external callers) are
-    copied in, and the second element tells the caller a write-back is
-    needed.
-    """
-    if type(probs) is array and probs.typecode == "i":
-        return probs, False
-    return array("i", probs), True
 
 
 #: Minimum length of each context bank handed to :func:`plan_slice`, in
@@ -952,122 +912,6 @@ def residuals(
         out.ctypes.data,
     )
     return None if status else out
-
-
-# Worst-case bins per coefficient: 1 significance + max_prefix (<= 10
-# via the last-prefix, 3 in the coeff scan) truncated-unary bins + the
-# Exp-Golomb suffix (2 * 63 + 1 + k bins for an int64 magnitude) + 1
-# sign.  133 is a safe per-coefficient ceiling for every profile in the
-# format; each bin shifts out at most one byte.
-_MAX_BINS_PER_COEFF = 133
-
-# The write scratch is reused per thread (the cap is worst-case sized,
-# so allocating it fresh per block dominated the wrapper's cost).
-_scratch_local = threading.local()
-
-
-def _scratch(cap: int) -> np.ndarray:
-    buf = getattr(_scratch_local, "buf", None)
-    if buf is None or len(buf) < cap:
-        buf = np.empty(max(cap, 1 << 16), dtype=np.uint8)
-        _scratch_local.buf = buf
-    return buf
-
-
-def write(
-    enc,
-    scanned: np.ndarray,
-    last: int,
-    n: int,
-    cbf_probs: List[int],
-    cbf_index: int,
-    last_probs: List[int],
-    last_base: int,
-    last_max_prefix: int,
-    last_k: int,
-    sig_probs: List[int],
-    sig_base: int,
-    level_probs: List[int],
-    level_base: int,
-    max_prefix: int,
-    k: int,
-) -> bool:
-    """Run the native block write; return True iff the bits were emitted.
-
-    Encodes the whole non-empty ``n x n`` coefficient block -- the
-    cbf=1 context bin, the last-position UEG code and the fused
-    significance/level/sign scan (significance contexts bucketed by
-    scan position as :func:`repro.codec.syntax._sig_buckets` does) --
-    exactly as the pure-Python fast path does: bytes
-    appended to ``enc._out``, coder state (low/range/carry cache) and
-    every adapted context probability land bit-identical.  The coder
-    state on ``enc`` is written back only on success; the scratch
-    capacity is worst-case sized, so a nonzero kernel status means a
-    broken sizing invariant and raises rather than risking a silent
-    half-adapted context bank.
-    """
-    fn = _resolve("write")
-    if fn is None:
-        return False
-    if scanned.dtype != np.int64 or not scanned.flags.c_contiguous:
-        scanned = np.ascontiguousarray(scanned, dtype=np.int64)
-    low = ctypes.c_uint64(enc._low)
-    rng = ctypes.c_uint32(enc._range)
-    cache = ctypes.c_int64(enc._cache)
-    csize = ctypes.c_int64(enc._cache_size)
-    out_len = ctypes.c_int64(0)
-    cbf_arr, cbf_copied = _prob_buffer(cbf_probs)
-    last_arr, last_copied = _prob_buffer(last_probs)
-    sig_arr, sig_copied = _prob_buffer(sig_probs)
-    lvl_arr, lvl_copied = _prob_buffer(level_probs)
-    # + 64 headroom covers the cbf bin and the last-position UEG code
-    # (<= last_max_prefix + the Exp-Golomb suffix of a 12-bit value).
-    cap = _MAX_BINS_PER_COEFF * (last + 1) + enc._cache_size + 64
-    scratch = _scratch(cap)
-    status = fn(
-        scanned.ctypes.data,
-        last,
-        n,
-        cbf_arr.buffer_info()[0],
-        cbf_index,
-        last_arr.buffer_info()[0],
-        last_base,
-        last_max_prefix,
-        last_k,
-        sig_arr.buffer_info()[0],
-        sig_base,
-        lvl_arr.buffer_info()[0],
-        level_base,
-        max_prefix,
-        k,
-        ctypes.byref(low),
-        ctypes.byref(rng),
-        ctypes.byref(cache),
-        ctypes.byref(csize),
-        scratch.ctypes.data,
-        cap,
-        ctypes.byref(out_len),
-    )
-    if status != 0:
-        raise RuntimeError(
-            "native write kernel overflowed its worst-case scratch "
-            f"(last={last}, cap={cap})"
-        )
-    if cbf_copied:
-        cbf_probs[:] = cbf_arr
-    if last_copied:
-        last_probs[:] = last_arr
-    if sig_copied:
-        sig_probs[:] = sig_arr
-    if lvl_copied:
-        level_probs[:] = lvl_arr
-    enc._low = low.value
-    enc._range = rng.value
-    enc._cache = cache.value
-    enc._cache_size = csize.value
-    if out_len.value:
-        enc._out += scratch[: out_len.value].tobytes()
-    return True
 
 
 def cost(

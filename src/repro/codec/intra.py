@@ -84,10 +84,11 @@ def gather_references(
 
     The boundary walk, availability test, and nearest-neighbour fill
     are fully vectorised (this runs once per candidate block in the RD
-    search, so it is hot); output is bit-identical to the original
-    per-sample loop.  When the compiled refs kernel is available it
-    does the walk instead -- pure data movement, so the arrays (and
-    every stream downstream of them) are unchanged byte for byte.
+    search, so it is hot); output is bit-identical to the per-sample
+    loop in :mod:`repro.codec.reference`.  When the compiled refs
+    kernel is available it does the walk instead -- pure data movement,
+    so the arrays (and every stream downstream of them) are unchanged
+    byte for byte.
     """
     gathered = native.refs(recon, mask, y0, x0, n)
     if gathered is not None:
@@ -115,47 +116,6 @@ def gather_references(
         first = int(np.argmax(available))
         fill[:first] = first
         values = values[fill]
-
-    left = values[: 2 * n + 1][::-1].copy()  # left[0] = corner, then downward
-    top = values[2 * n :].copy()  # top[0] = corner, then rightward
-    return top, left
-
-
-def gather_references_scalar(
-    recon: np.ndarray, mask: np.ndarray, y0: int, x0: int, n: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Original per-sample reference walk, preserved verbatim.
-
-    Bit-identical to :func:`gather_references`; kept (and used by the
-    ``rd_search="legacy"`` encoder path) so the benchmark baseline's
-    per-leaf cost profile stays faithful to the pre-optimisation
-    encoder rather than silently inheriting the vectorised walk.
-    """
-    height, width = recon.shape
-    # Boundary walk: left column bottom-to-top, corner, top row left-to-right.
-    coords: List[Tuple[int, int]] = []
-    for i in range(2 * n, 0, -1):
-        coords.append((y0 + i - 1, x0 - 1))
-    coords.append((y0 - 1, x0 - 1))
-    for i in range(1, 2 * n + 1):
-        coords.append((y0 - 1, x0 + i - 1))
-
-    values = np.empty(len(coords), dtype=np.float64)
-    available = np.zeros(len(coords), dtype=bool)
-    for idx, (r, c) in enumerate(coords):
-        if 0 <= r < height and 0 <= c < width and mask[r, c]:
-            values[idx] = recon[r, c]
-            available[idx] = True
-
-    if not available.any():
-        values[:] = _DEFAULT_SAMPLE
-    else:
-        first = int(np.argmax(available))
-        values[:first] = values[first]
-        available[:first] = True
-        for idx in range(first + 1, len(coords)):
-            if not available[idx]:
-                values[idx] = values[idx - 1]
 
     left = values[: 2 * n + 1][::-1].copy()  # left[0] = corner, then downward
     top = values[2 * n :].copy()  # top[0] = corner, then rightward
@@ -244,19 +204,6 @@ def predict(
     if mode == DC:
         return predict_dc(top, left, n)
     return predict_angular(top, left, mode, n)
-
-
-def predict_batch(
-    top: np.ndarray, left: np.ndarray, modes: List[int], n: int
-) -> np.ndarray:
-    """Stack predictions for several candidate modes, shape (m, n, n).
-
-    This is the scalar reference path (one :func:`predict` call per
-    mode), kept as-is so the ``rd_search="legacy"`` encoder config is
-    both bit- and performance-faithful to the pre-parallel encoder.
-    The vectorised RD search uses :func:`predict_many` instead.
-    """
-    return np.stack([predict(top, left, mode, n) for mode in modes])
 
 
 @lru_cache(maxsize=None)
@@ -352,9 +299,9 @@ def predict_many(
 ) -> np.ndarray:
     """Predictions for all candidate ``modes`` in one shot, shape (m, n, n).
 
-    The vectorised counterpart of :func:`predict_batch`: angular modes
-    are grouped by family (vertical / horizontal) and evaluated with a
-    single batched gather each instead of one Python dispatch per mode.
+    Angular modes are grouped by family (vertical / horizontal) and
+    evaluated with a single batched gather each instead of one Python
+    dispatch per mode.
     Each output plane is bit-identical to ``predict(top, left, mode, n)``.
     """
     out = np.empty((len(modes), n, n), dtype=np.float64)

@@ -1,0 +1,393 @@
+"""Reference implementations of the codec: the code production is compared against.
+
+Everything here produces the same bytes (encode) and the same samples,
+typed errors and concealment reports (decode) as
+:mod:`repro.codec.encoder` / :mod:`repro.codec.decoder`, the slow and
+obvious way: one scalar prediction per candidate mode, quantizer calls
+instead of inlined arithmetic, one primitive coder call per bin, and a
+decoder that interleaves entropy decoding with reconstruction leaf by
+leaf.  It exists so that tests, fuzzers and ``llm265 bench``'s
+``baseline`` / decode-``legacy`` rungs have something independent to
+hold the production code to.
+
+Nothing that serves a request imports this module -- not
+``repro.tensor``, ``repro.serving``, ``repro.cluster`` or ``repro.cli``
+(tests/test_reference_codec.py asserts it) -- and no option selects
+it: callers name it explicitly.
+
+- :class:`ReferenceEncoder` is :class:`FrameEncoder` with its two hooks
+  overridden: the exact intra search (scalar reference walk, per-mode
+  prediction, :func:`quantize` / :func:`dequantize` calls) and the
+  coefficient writer (primitive calls).  Inter leaves, the quadtree
+  recursion and the slice framing are the production encoder's.
+- :class:`ReferenceDecoder` is :class:`FrameDecoder` with its per-frame
+  hook overridden by the interleaved loop; header parsing, slice
+  framing, concealment and error wrapping are the production
+  decoder's.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.codec import intra
+from repro.codec.decoder import FrameDecoder
+from repro.codec.encoder import (
+    EncodeResult,
+    EncoderConfig,
+    FrameEncoder,
+    QpDither,
+    _Plan,
+)
+from repro.codec.entropy.arithmetic import BinaryDecoder, BinaryEncoder
+from repro.codec.intra import _DEFAULT_SAMPLE, most_probable_modes, predict
+from repro.codec.quantizer import dequantize, quantize
+from repro.codec.syntax import (
+    _LAST_PREFIX,
+    _LEVEL_PREFIX,
+    CodecContexts,
+    _sig_ctx,
+    decode_intra_mode,
+    decode_mv,
+    encode_coeff_block_primitive,
+    size_class,
+)
+from repro.codec.transform import (
+    forward_dct2_batch,
+    inverse_dct2_batch,
+    zigzag_order,
+    zigzag_unscan,
+)
+from repro.resilience.deadline import Deadline
+from repro.resilience.errors import ConcealmentReport, CorruptStreamError
+
+__all__ = [
+    "ReferenceDecoder",
+    "ReferenceEncoder",
+    "decode_coeff_block",
+    "decode_frames",
+    "decode_frames_with_report",
+    "encode_frames",
+    "estimate_mode_bits",
+    "gather_references_scalar",
+    "predict_batch",
+]
+
+
+# -- scalar primitives ---------------------------------------------------
+
+
+def gather_references_scalar(
+    recon: np.ndarray, mask: np.ndarray, y0: int, x0: int, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-sample reference walk, bit-identical to
+    :func:`repro.codec.intra.gather_references` (numpy walk and refs
+    kernel)."""
+    height, width = recon.shape
+    # Boundary walk: left column bottom-to-top, corner, top row left-to-right.
+    coords: List[Tuple[int, int]] = []
+    for i in range(2 * n, 0, -1):
+        coords.append((y0 + i - 1, x0 - 1))
+    coords.append((y0 - 1, x0 - 1))
+    for i in range(1, 2 * n + 1):
+        coords.append((y0 - 1, x0 + i - 1))
+
+    values = np.empty(len(coords), dtype=np.float64)
+    available = np.zeros(len(coords), dtype=bool)
+    for idx, (r, c) in enumerate(coords):
+        if 0 <= r < height and 0 <= c < width and mask[r, c]:
+            values[idx] = recon[r, c]
+            available[idx] = True
+
+    if not available.any():
+        values[:] = _DEFAULT_SAMPLE
+    else:
+        first = int(np.argmax(available))
+        values[:first] = values[first]
+        available[:first] = True
+        for idx in range(first + 1, len(coords)):
+            if not available[idx]:
+                values[idx] = values[idx - 1]
+
+    left = values[: 2 * n + 1][::-1].copy()  # left[0] = corner, then downward
+    top = values[2 * n :].copy()  # top[0] = corner, then rightward
+    return top, left
+
+
+def predict_batch(
+    top: np.ndarray, left: np.ndarray, modes: List[int], n: int
+) -> np.ndarray:
+    """Predictions for several candidate modes, shape (m, n, n): one
+    :func:`repro.codec.intra.predict` call per mode (production batches
+    them in :func:`repro.codec.intra.predict_many`)."""
+    return np.stack([predict(top, left, mode, n) for mode in modes])
+
+
+def decode_coeff_block(
+    dec: BinaryDecoder, ctx: CodecContexts, n: int
+) -> np.ndarray:
+    """Primitive-call inverse of :func:`repro.codec.syntax.encode_coeff_block`;
+    returns an ``n`` x ``n`` grid."""
+    cls = size_class(n)
+    scanned = np.zeros(n * n, dtype=np.int64)
+    if dec.decode_bit(ctx.cbf, 0) == 0:
+        return zigzag_unscan(scanned, n)
+    last = dec.decode_ueg(ctx.last, cls * _LAST_PREFIX, _LAST_PREFIX, k=1)
+    if last >= n * n:
+        raise CorruptStreamError("corrupt stream: last coefficient out of range")
+    for i in range(last, -1, -1):
+        if i != last:
+            significant = dec.decode_bit(ctx.sig, _sig_ctx(cls, i, n))
+            if not significant:
+                continue
+        magnitude = (
+            dec.decode_ueg(ctx.level, cls * _LEVEL_PREFIX, _LEVEL_PREFIX, k=1) + 1
+        )
+        sign = dec.decode_bypass()
+        scanned[i] = -magnitude if sign else magnitude
+    return zigzag_unscan(scanned, n)
+
+
+def estimate_mode_bits(
+    mode: int, left_mode: Optional[int], top_mode: Optional[int]
+) -> float:
+    """Rate proxy for intra mode signalling (scalar form of
+    :func:`repro.codec.syntax.estimate_mode_bits_many`)."""
+    mpm = most_probable_modes(left_mode, top_mode)
+    return 2.0 if mode in mpm else 6.5
+
+
+# -- encoder --------------------------------------------------------------
+
+
+class ReferenceEncoder(FrameEncoder):
+    """The exact search and the bitstream writer, spelled out.
+
+    ``config`` supplies profile, QP and stage flags; the search is
+    always the exact one, serial and pure Python, whatever
+    ``rd_search`` / ``encode`` / ``parallel`` say.
+    """
+
+    def __init__(self, config: Optional[EncoderConfig] = None) -> None:
+        super().__init__(
+            dataclasses.replace(
+                config or EncoderConfig(),
+                rd_search="vectorized",
+                encode="python",
+                parallel=None,
+            )
+        )
+
+    def _search_intra(
+        self, y0: int, x0: int, size: int
+    ) -> Tuple[float, _Plan]:
+        """The original scalar mode search.
+
+        :meth:`FrameEncoder._search_intra` must reproduce this search's
+        decisions -- and therefore its bitstream -- exactly.  It is also
+        the pre-optimisation baseline ``llm265 bench`` reports speedups
+        against.
+        """
+        cfg = self.config
+        orig = self._frame[y0 : y0 + size, x0 : x0 + size]
+        top, left = gather_references_scalar(
+            self._recon, self._mask, y0, x0, size
+        )
+        left_mode = self._neighbor_mode(y0, x0 - 1)
+        top_mode = self._neighbor_mode(y0 - 1, x0)
+
+        modes = list(cfg.profile.coarse_modes())
+        preds = predict_batch(top, left, modes, size)
+        costs, levels, recons = self._code_residual_scalar(orig, preds)
+        mode_bits = np.array(
+            [estimate_mode_bits(m, left_mode, top_mode) for m in modes]
+        )
+        costs = costs + self._lambda * mode_bits
+        best = int(np.argmin(costs))
+
+        refine = cfg.profile.refine_modes(modes[best])
+        if refine:
+            r_modes = list(refine)
+            r_preds = predict_batch(top, left, r_modes, size)
+            r_costs, r_levels, r_recons = self._code_residual_scalar(orig, r_preds)
+            r_costs = r_costs + self._lambda * np.array(
+                [estimate_mode_bits(m, left_mode, top_mode) for m in r_modes]
+            )
+            r_best = int(np.argmin(r_costs))
+            if r_costs[r_best] < costs[best]:
+                plan = ("leaf", r_modes[r_best], False, (0, 0), r_levels[r_best])
+                self._commit_block(y0, x0, size, r_recons[r_best], r_modes[r_best])
+                return float(r_costs[r_best]), plan
+
+        plan = ("leaf", modes[best], False, (0, 0), levels[best])
+        self._commit_block(y0, x0, size, recons[best], modes[best])
+        return float(costs[best]), plan
+
+    def _code_residual_scalar(
+        self, orig: np.ndarray, predictions: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`FrameEncoder._code_residual` through the quantizer's
+        public functions; outputs are bit-identical."""
+        cfg = self.config
+        if self._stats is not None:
+            self._stats.add_count("residual_batches")
+        size = orig.shape[0]
+        residuals = orig[None] - predictions
+        if cfg.use_transform:
+            coeffs = forward_dct2_batch(residuals)
+        else:
+            coeffs = residuals
+        levels = quantize(coeffs, self._qp, deadzone=cfg.profile.deadzone)
+        dequant = dequantize(levels, self._qp)
+        if cfg.use_transform:
+            resid_rec = inverse_dct2_batch(dequant)
+        else:
+            resid_rec = dequant
+        recons = np.clip(predictions + resid_rec, 0.0, 255.0)
+        sse = np.sum((recons - orig[None]) ** 2, axis=(1, 2))
+
+        # Vectorised rate proxy (mirrors syntax.estimate_coeff_bits).
+        zz = zigzag_order(size)
+        scanned = levels.reshape(levels.shape[0], -1)[:, zz]
+        mags = np.abs(scanned).astype(np.float64)
+        nonzero = mags > 0
+        any_nz = nonzero.any(axis=1)
+        last = np.where(
+            any_nz, size * size - 1 - np.argmax(nonzero[:, ::-1], axis=1), -1
+        )
+        level_bits = np.sum(
+            np.where(nonzero, 2.0 * np.log2(mags + 1.0) + 2.0, 0.0), axis=1
+        )
+        bits = np.where(any_nz, 4.0 + (last + 1) + level_bits, 1.0)
+        return sse + self._lambda * bits, levels, recons
+
+    def _write_coeffs(
+        self, enc: BinaryEncoder, ctx: CodecContexts, levels: np.ndarray
+    ) -> None:
+        encode_coeff_block_primitive(enc, ctx, levels, self._stats)
+
+
+def encode_frames(
+    frames: Sequence[np.ndarray], config: Optional[EncoderConfig] = None
+) -> EncodeResult:
+    """:func:`repro.codec.encoder.encode_frames` on the reference encoder."""
+    return ReferenceEncoder(config).encode(frames)
+
+
+# -- decoder --------------------------------------------------------------
+
+
+class ReferenceDecoder(FrameDecoder):
+    """The interleaved decoder: per leaf, drain bins, dequantize,
+    inverse-transform, predict, write.  Serial only."""
+
+    def __init__(
+        self,
+        data: bytes,
+        conceal: bool = False,
+        deadline: Optional[Deadline] = None,
+    ) -> None:
+        super().__init__(data, conceal=conceal, deadline=deadline)
+
+    def _decode_frame(
+        self, height: int, width: int, frame_index: int, dither: QpDither
+    ) -> np.ndarray:
+        h = self._header
+        ctu = h["ctu"]
+        self._recon = np.zeros((height, width), dtype=np.float64)
+        self._mask = np.zeros((height, width), dtype=bool)
+        self._modes = np.full((height, width), -1, dtype=np.int16)
+        self._inter_allowed = (
+            h["use_inter"] and frame_index > 0 and self._reference is not None
+        )
+        registry = self._registry
+        for y0 in range(0, height, ctu):
+            for x0 in range(0, width, ctu):
+                self._qp = dither.next()
+                if registry is not None:
+                    registry.count("decode.ctu")
+                    registry.observe("decode.qp", self._qp)
+                self._decode_cu(y0, x0, ctu, depth=0)
+        return self._recon
+
+    def _decode_cu(self, y0: int, x0: int, size: int, depth: int) -> None:
+        h = self._header
+        if h["use_partition"] and size > h["min_cu"]:
+            if self._dec.decode_bit(self._ctx.split, min(depth, 5)):
+                if self._registry is not None:
+                    self._registry.count("decode.cu.split")
+                half = size // 2
+                for qy in (0, 1):
+                    for qx in (0, 1):
+                        self._decode_cu(
+                            y0 + qy * half, x0 + qx * half, half, depth + 1
+                        )
+                return
+        self._decode_leaf(y0, x0, size)
+
+    def _decode_leaf(self, y0: int, x0: int, size: int) -> None:
+        h = self._header
+        is_inter = False
+        if self._inter_allowed:
+            is_inter = bool(self._dec.decode_bit(self._ctx.pred_flag, 0))
+        if self._registry is not None:
+            self._registry.count("decode.cu.leaf")
+            self._registry.count(
+                "decode.mode.inter" if is_inter else "decode.mode.intra"
+            )
+
+        mode: Optional[int] = None
+        if is_inter:
+            mv = decode_mv(self._dec, self._ctx)
+            ry, rx = y0 + mv[0], x0 + mv[1]
+            ref_h, ref_w = self._reference.shape
+            if not (0 <= ry <= ref_h - size and 0 <= rx <= ref_w - size):
+                raise CorruptStreamError(
+                    f"motion vector {mv} points outside the reference frame"
+                )
+            prediction = self._reference[ry : ry + size, rx : rx + size].astype(
+                np.float64
+            )
+        elif h["use_intra"]:
+            left_mode = self._neighbor_mode(y0, x0 - 1)
+            top_mode = self._neighbor_mode(y0 - 1, x0)
+            mode = decode_intra_mode(
+                self._dec, self._ctx, left_mode, top_mode, self._profile.all_modes
+            )
+            top, left = intra.gather_references(
+                self._recon, self._mask, y0, x0, size
+            )
+            prediction = intra.predict(top, left, mode, size)
+        else:
+            prediction = np.full((size, size), 128.0)
+
+        levels = decode_coeff_block(self._dec, self._ctx, size)
+        dequant = dequantize(levels[None], self._qp)
+        if h["use_transform"]:
+            residual = inverse_dct2_batch(dequant)[0]
+        else:
+            residual = dequant[0]
+        recon = np.clip(prediction + residual, 0.0, 255.0)
+
+        sl = (slice(y0, y0 + size), slice(x0, x0 + size))
+        self._recon[sl] = recon
+        self._mask[sl] = True
+        self._modes[sl] = mode if mode is not None else intra.DC
+
+
+def decode_frames(data: bytes, conceal: bool = False) -> List[np.ndarray]:
+    """:func:`repro.codec.decoder.decode_frames` on the reference decoder."""
+    return ReferenceDecoder(data, conceal=conceal).decode()
+
+
+def decode_frames_with_report(
+    data: bytes, conceal: bool = True
+) -> Tuple[List[np.ndarray], ConcealmentReport]:
+    """:func:`repro.codec.decoder.decode_frames_with_report` on the
+    reference decoder."""
+    decoder = ReferenceDecoder(data, conceal=conceal)
+    frames = decoder.decode()
+    return frames, decoder.report

@@ -14,10 +14,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.codec.entropy import native
 from repro.codec.entropy.arithmetic import BinaryDecoder, BinaryEncoder, ContextSet
 from repro.codec.intra import most_probable_modes
-from repro.codec.transform import zigzag_scan, zigzag_unscan
+from repro.codec.transform import zigzag_scan
 from repro.resilience.errors import CorruptStreamError
 
 _NUM_SIZE_CLASSES = 5  # block sizes 4, 8, 16, 32, 64
@@ -96,73 +95,61 @@ def _sig_buckets(n: int) -> Tuple[int, ...]:
 
 
 def encode_coeff_block(
-    enc: BinaryEncoder, ctx: CodecContexts, levels: np.ndarray, stats=None,
-    fast: bool = True, native_ok: bool = True,
+    enc: BinaryEncoder, ctx: CodecContexts, levels: np.ndarray, stats=None
 ) -> None:
     """Entropy-code one quantized coefficient block (any square size).
 
-    ``stats`` (a :class:`repro.telemetry.EncodeStats`, or None) receives
-    the exact bit split of this block over the ``cbf`` / ``last`` /
-    ``sig`` / ``level`` element classes, measured with
-    :meth:`BinaryEncoder.tell_bits` deltas (sign bins are folded into
-    ``level``).
+    Without ``stats`` the significance / level / sign scan is emitted by
+    the fused pure-Python scan coder -- the twin of ``coeff_block`` in
+    ``_write_kernel.c``, which the slice-encode kernel uses.  With
+    ``stats`` (a :class:`repro.telemetry.EncodeStats`) the block goes
+    through :func:`encode_coeff_block_primitive`, which measures the
+    exact bit split; both emit the same bin sequence (tests pin the
+    fused coder against the primitive loop).
+    """
+    if stats is not None:
+        encode_coeff_block_primitive(enc, ctx, levels, stats)
+        return
+    n = levels.shape[0]
+    cls = size_class(n)
+    scanned = zigzag_scan(levels)
+    nz = np.nonzero(scanned)[0]
+    if nz.size == 0:
+        enc.encode_bit(ctx.cbf, 0, 0)
+        return
+    last = int(nz[-1])
+    enc.encode_bit(ctx.cbf, 0, 1)
+    enc.encode_ueg(ctx.last, cls * _LAST_PREFIX, last, _LAST_PREFIX, k=1)
+    enc.encode_coeff_scan(
+        scanned.tolist(),
+        last,
+        ctx.sig.probs,
+        cls * _SIG_CTX_PER_CLASS,
+        _sig_buckets(n),
+        ctx.level.probs,
+        cls * _LEVEL_PREFIX,
+        _LEVEL_PREFIX,
+        1,
+    )
 
-    ``fast=False`` forces the primitive-call loop even without stats --
-    used by benchmarks to reproduce the pre-optimisation write path and
-    by tests to pin the fused coder against the primitives.
 
-    ``native_ok=False`` keeps the fast path on the pure-Python fused
-    coder even when the compiled write kernel is loaded -- the
-    ``encode="python"`` rung, and the reference side of the native
-    identity gates.
+def encode_coeff_block_primitive(
+    enc: BinaryEncoder, ctx: CodecContexts, levels: np.ndarray, stats=None
+) -> None:
+    """:func:`encode_coeff_block` as one primitive coder call per bin.
+
+    The definition of the block syntax, the writer of
+    :mod:`repro.codec.reference`, and the instrumented writer: ``stats``
+    (or None) receives the exact bit split of this block over the
+    ``cbf`` / ``last`` / ``sig`` / ``level`` element classes, measured
+    with :meth:`BinaryEncoder.tell_bits` deltas (sign bins are folded
+    into ``level``).
     """
     n = levels.shape[0]
     cls = size_class(n)
     scanned = zigzag_scan(levels)
     nz = np.nonzero(scanned)[0]
     track = stats is not None
-    if fast and not track:
-        # Fast path: same bin sequence, emitted by the compiled write
-        # kernel when one is available, else the fused pure-Python scan
-        # coder (bit-exact with the instrumented loop below by
-        # construction and by test).
-        if nz.size == 0:
-            enc.encode_bit(ctx.cbf, 0, 0)
-            return
-        last = int(nz[-1])
-        if native_ok and native.write(
-            enc,
-            scanned,
-            last,
-            n,
-            ctx.cbf.probs,
-            0,
-            ctx.last.probs,
-            cls * _LAST_PREFIX,
-            _LAST_PREFIX,
-            1,
-            ctx.sig.probs,
-            cls * _SIG_CTX_PER_CLASS,
-            ctx.level.probs,
-            cls * _LEVEL_PREFIX,
-            _LEVEL_PREFIX,
-            1,
-        ):
-            return
-        enc.encode_bit(ctx.cbf, 0, 1)
-        enc.encode_ueg(ctx.last, cls * _LAST_PREFIX, last, _LAST_PREFIX, k=1)
-        enc.encode_coeff_scan(
-            scanned.tolist(),
-            last,
-            ctx.sig.probs,
-            cls * _SIG_CTX_PER_CLASS,
-            _sig_buckets(n),
-            ctx.level.probs,
-            cls * _LEVEL_PREFIX,
-            _LEVEL_PREFIX,
-            1,
-        )
-        return
     if track:
         mark = enc.tell_bits()
         stats.add_count("coeff_blocks")
@@ -208,45 +195,21 @@ def encode_coeff_block(
         stats.add_count("coeff_nonzero", int(nz.size))
 
 
-def decode_coeff_block(
-    dec: BinaryDecoder, ctx: CodecContexts, n: int
-) -> np.ndarray:
-    """Inverse of :func:`encode_coeff_block`; returns an ``n`` x ``n`` grid."""
-    cls = size_class(n)
-    scanned = np.zeros(n * n, dtype=np.int64)
-    if dec.decode_bit(ctx.cbf, 0) == 0:
-        return zigzag_unscan(scanned, n)
-    last = dec.decode_ueg(ctx.last, cls * _LAST_PREFIX, _LAST_PREFIX, k=1)
-    if last >= n * n:
-        raise CorruptStreamError("corrupt stream: last coefficient out of range")
-    for i in range(last, -1, -1):
-        if i != last:
-            significant = dec.decode_bit(ctx.sig, _sig_ctx(cls, i, n))
-            if not significant:
-                continue
-        magnitude = (
-            dec.decode_ueg(ctx.level, cls * _LEVEL_PREFIX, _LEVEL_PREFIX, k=1) + 1
-        )
-        sign = dec.decode_bypass()
-        scanned[i] = -magnitude if sign else magnitude
-    return zigzag_unscan(scanned, n)
-
-
 def decode_coeff_block_scanned(
     dec: BinaryDecoder, ctx: CodecContexts, n: int
 ) -> Optional[np.ndarray]:
-    """Fast-path inverse of :func:`encode_coeff_block`.
+    """Inverse of :func:`encode_coeff_block`, levels left in scan order.
 
-    Consumes exactly the bins :func:`decode_coeff_block` would (same
-    contexts, same order, same :class:`CorruptStreamError` conditions)
-    but returns the levels still in *scan order* -- ``None`` for an
-    all-zero block (cbf = 0), else a length ``n*n`` int64 vector --
-    leaving the zigzag unscan to the caller, which batches it across
-    every same-size leaf of the frame.  The bins are drained by the
-    fused pure-Python :meth:`BinaryDecoder.decode_coeff_scan` loop: this
-    is the per-leaf step of the decoder's Python walk, the twin of the
-    compiled whole-slice kernel (``native.plan_slice``), which contains
-    the same loop.
+    Returns ``None`` for an all-zero block (cbf = 0), else a length
+    ``n*n`` int64 vector -- the zigzag unscan is left to the caller,
+    which batches it across every same-size leaf of the frame.  The
+    bins are drained by the fused pure-Python
+    :meth:`BinaryDecoder.decode_coeff_scan` loop: this is the per-leaf
+    step of the decoder's Python walk, the twin of the compiled
+    whole-slice kernel (``native.plan_slice``), which contains the same
+    loop.  :func:`repro.codec.reference.decode_coeff_block` is the
+    primitive-call form (same contexts, same order, same
+    :class:`CorruptStreamError` conditions).
     """
     cls = size_class(n)
     if dec.decode_bit(ctx.cbf, 0) == 0:
@@ -326,22 +289,11 @@ def decode_intra_mode(
     return remaining[index]
 
 
-def estimate_mode_bits(
-    mode: int, left_mode: Optional[int], top_mode: Optional[int]
-) -> float:
-    """Rate proxy for intra mode signalling."""
-    mpm = most_probable_modes(left_mode, top_mode)
-    return 2.0 if mode in mpm else 6.5
-
-
 def estimate_mode_bits_many(
     modes: Sequence[int], left_mode: Optional[int], top_mode: Optional[int]
 ) -> np.ndarray:
-    """Vector form of :func:`estimate_mode_bits` for one candidate list.
-
-    Computes the MPM set once instead of per candidate; each entry is
-    exactly ``estimate_mode_bits(mode, left_mode, top_mode)``.
-    """
+    """Rate proxy for intra mode signalling, one entry per candidate:
+    2 bits for a most-probable mode, 6.5 otherwise."""
     mpm = most_probable_modes(left_mode, top_mode)
     # A plain comprehension beats np.isin by ~10x for an 11-candidate
     # list against a 3-entry MPM set (this runs once per leaf trial).

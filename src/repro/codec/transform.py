@@ -100,38 +100,6 @@ def inverse_dct2_batch(coeffs: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def hadamard_matrix(n: int) -> np.ndarray:
-    """Sylvester-ordered Hadamard matrix of size ``n`` x ``n`` (n = 2^k).
-
-    Used by the encoder's SATD pre-screen: a Hadamard transform is a
-    butterfly-only stand-in for the DCT, so the sum of absolute
-    transformed-residual values ranks prediction candidates almost as
-    well as the full RD cost at a fraction of the work (the classic
-    fast-mode-decision trick in real encoders).
-    """
-    if n <= 0 or n & (n - 1):
-        raise ValueError(f"Hadamard size must be a power of two, got {n}")
-    h = np.array([[1.0]])
-    while h.shape[0] < n:
-        h = np.block([[h, h], [h, -h]])
-    h.setflags(write=False)
-    return h
-
-
-def satd_batch(residuals: np.ndarray) -> np.ndarray:
-    """Sum of absolute Hadamard-transformed differences per block.
-
-    ``residuals`` has shape ``(m, n, n)``; returns shape ``(m,)``.
-    Normalised by ``n`` so values are comparable to (pixel-domain) SSE
-    magnitudes across block sizes.
-    """
-    n = residuals.shape[-1]
-    h = hadamard_matrix(n)
-    transformed = np.matmul(np.matmul(h, residuals), h.T)
-    return np.abs(transformed).sum(axis=(-2, -1)) / n
-
-
-@lru_cache(maxsize=None)
 def zigzag_order(n: int) -> np.ndarray:
     """Flat indices of an ``n`` x ``n`` block in diagonal (zig-zag) scan.
 

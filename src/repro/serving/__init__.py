@@ -11,8 +11,8 @@ availability:
 - :mod:`repro.serving.breaker` -- per-backend circuit breaking.
 - :mod:`repro.serving.supervisor` -- crash/hang detection, pool
   restart, bounded retry with seeded backoff.
-- :mod:`repro.serving.ladder` -- the degradation ladder (turbo ->
-  vectorized -> legacy, shrinking parallelism).
+- :mod:`repro.serving.ladder` -- the degradation ladder (one search;
+  kernels + threads -> kernels -> pure-Python twin).
 - :mod:`repro.serving.slo` -- latency percentiles, availability, and
   shed/degraded/retried accounting exported as ``serving.*`` telemetry.
 - :mod:`repro.serving.service` -- :class:`CodecService`, the request

@@ -6,15 +6,15 @@ injectable clock so tests and the chaos harness never sleep:
 - **closed** -- requests flow; consecutive failures are counted.
 - **open** -- after ``failure_threshold`` consecutive failures the
   breaker trips: :meth:`allow` answers False until ``cooldown_s`` has
-  elapsed, so a struggling backend (a degenerate rd-search rung, a
-  crash-looping pool) gets air instead of a retry storm.
+  elapsed, so a struggling backend (a crash-looping pool, a rung
+  whose kernels keep dying) gets air instead of a retry storm.
 - **half-open** -- after the cooldown a bounded number of probe
   requests are let through; one success re-closes the breaker, one
   failure re-opens it (with a fresh cooldown).
 
 In the serving layer each degradation-ladder rung owns one breaker, so
-"turbo keeps dying" trips only the turbo rung while vectorized and
-legacy keep serving.
+"turbo keeps dying" trips only the turbo rung while serial and python
+keep serving.
 """
 
 from __future__ import annotations

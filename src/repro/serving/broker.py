@@ -79,8 +79,7 @@ class RequestBroker:
     def pressure(self) -> float:
         """Load factor in [0, ~2]: 1.0 = all execution slots busy.
 
-        The degradation ladder reads this to pick a starting rung;
-        values above 1.0 mean callers are already queueing.
+        Values above 1.0 mean callers are already queueing.
         """
         with self._lock:
             return (self._inflight + self._queued) / self.max_inflight

@@ -7,8 +7,8 @@ stragglers, and corrupts decode payloads -- then asserts the serving
 contract on **every** response:
 
 - ``ok`` and not ``degraded``: the payload is *bit-exact* with a clean
-  serial run at the same ladder rung (encode: identical container
-  bytes; decode: identical tensor).
+  serial run, whichever ladder rung served it (encode: identical
+  container bytes; decode: identical tensor).
 - ``ok`` and ``degraded``: the input really was damaged, and the
   concealment report says what was patched.
 - not ``ok``: the error is one of the typed serving failures.
@@ -103,47 +103,38 @@ class ChaosConfig:
 
 
 class _ReferenceStore:
-    """Clean serial encodes, per (tensor, ladder rung).
+    """Clean serial encodes, one per tensor.
 
-    The ladder legitimately changes encode *decisions* (turbo and
-    vectorized pick different modes), so bit-exactness is judged
-    against a healthy serial encode at the rung the response reports.
+    Every ladder rung runs the same search, so one healthy serial
+    encode is the bit-exact reference for a response from any rung.
     """
 
-    def __init__(self, tensors: List[np.ndarray], config: ChaosConfig,
-                 rung_searches: Dict[str, str]) -> None:
+    def __init__(self, tensors: List[np.ndarray], config: ChaosConfig) -> None:
         self._tensors = tensors
-        self._config = config
-        self._rung_searches = rung_searches
-        self._blobs: Dict[Tuple[int, str], bytes] = {}
+        self._codec = TensorCodec(tile=config.tile)
+        self._qp = config.qp
+        self._blobs: Dict[int, bytes] = {}
         self._decoded: Dict[int, np.ndarray] = {}
 
-    def blob(self, tensor_index: int, rung: str) -> bytes:
-        key = (tensor_index, rung)
-        if key not in self._blobs:
-            codec = TensorCodec(
-                tile=self._config.tile, rd_search=self._rung_searches[rung]
+    def blob(self, tensor_index: int) -> bytes:
+        if tensor_index not in self._blobs:
+            compressed = self._codec.encode(
+                self._tensors[tensor_index], qp=self._qp
             )
-            compressed = codec.encode(
-                self._tensors[tensor_index], qp=self._config.qp
-            )
-            self._blobs[key] = compressed.to_bytes()
-        return self._blobs[key]
+            self._blobs[tensor_index] = compressed.to_bytes()
+        return self._blobs[tensor_index]
 
     def decoded(self, tensor_index: int) -> np.ndarray:
-        """Reference reconstruction of the canonical (vectorized) blob."""
+        """Reference reconstruction of the clean blob."""
         if tensor_index not in self._decoded:
-            blob = self.blob(tensor_index, "vectorized")
-            codec = TensorCodec(tile=self._config.tile)
-            self._decoded[tensor_index] = codec.decode(
-                CompressedTensor.from_bytes(blob)
+            self._decoded[tensor_index] = self._codec.decode(
+                CompressedTensor.from_bytes(self.blob(tensor_index))
             )
         return self._decoded[tensor_index]
 
     def payload_start(self, tensor_index: int) -> int:
         """First corruptible byte: past container metadata + stream header."""
-        blob = self.blob(tensor_index, "vectorized")
-        compressed = CompressedTensor.from_bytes(blob)
+        compressed = CompressedTensor.from_bytes(self.blob(tensor_index))
         meta_len = compressed.nbytes - len(compressed.data)
         return meta_len + _HEADER_SIZE
 
@@ -231,8 +222,7 @@ def _run_chaos_instrumented(config: ChaosConfig, registry) -> dict:
             seed=config.seed,
         )
     )
-    rung_searches = {r.name: r.rd_search for r in service.ladder.rungs}
-    references = _ReferenceStore(tensors, config, rung_searches)
+    references = _ReferenceStore(tensors, config)
 
     worker_faults = FaultInjector(
         seed=config.seed + 1,
@@ -291,7 +281,7 @@ def _run_chaos_instrumented(config: ChaosConfig, registry) -> dict:
             )
         else:
             checked["decode"] += 1
-            clean = references.blob(tensor_index, "vectorized")
+            clean = references.blob(tensor_index)
             blob, damaged = _damage_payload(
                 clean, references.payload_start(tensor_index), byte_faults
             )
@@ -362,12 +352,11 @@ def _check_encode(
             violation(index, "encode", "untyped: encode marked degraded",
                       response)
             return
-        expected = references.blob(tensor_index, response.rung)
-        if response.value.to_bytes() != expected:
+        if response.value.to_bytes() != references.blob(tensor_index):
             violation(
                 index, "encode",
-                f"silent corruption: bytes differ from serial "
-                f"{response.rung} reference", response,
+                "silent corruption: bytes differ from the serial reference",
+                response,
             )
     elif not isinstance(response.error, TYPED_ERRORS):
         violation(index, "encode",

@@ -1,21 +1,21 @@
-"""The degradation ladder: trade encode throughput knobs for survival.
+"""The degradation ladder: shed moving parts, never change the codec.
 
-PR 3 left the codec with a throughput ladder (turbo / vectorized /
-legacy rd-search, slice parallelism); this module makes those rungs a
-*runtime* policy.  Under pressure (broker queue building up) or
-repeated failure (a rung's circuit breaker tripping), requests step
-down to cheaper-to-supervise configurations instead of failing:
+Every rung runs the *same* search (two-pass ``turbo``) and therefore
+emits the same bytes for the same request; what a step down removes is
+one piece of machinery that can fail:
 
-  rung 0  turbo       fastest search, slice-parallel threads
-  rung 1  vectorized  batched exact search, no fan-out
-  rung 2  legacy      scalar reference loop, serial
+  rung 0  turbo   C kernels + a 2-thread slice pool
+  rung 1  serial  C kernels, no pool
+  rung 2  python  the kernels' pure-Python twin, serial
 
-Every rung yields a *valid, full-fidelity* bitstream -- stepping down
-changes speed and byte-level encode decisions, never correctness, so a
-response served from a lower rung is not "degraded" in the lossy sense
-(that flag is reserved for concealment).  The rung used is recorded in
-the response and in ``serving.rung.*`` counters so capacity planning
-can see how often the service is running hot.
+A request moves down only when a rung *fails* (its supervised attempts
+are exhausted, or its circuit breaker is open) -- never because the
+service is busy: no rung is cheaper than the top one, so load is the
+broker's business (queue, then shed typed ``Overloaded``), not the
+ladder's.  Stepping down changes speed, never bytes and never
+correctness, so a response served from a lower rung is not "degraded"
+in the lossy sense (that flag is reserved for concealment).  The rung
+used is recorded in the response and in ``serving.rung.*`` counters.
 """
 
 from __future__ import annotations
@@ -33,51 +33,37 @@ __all__ = ["DEFAULT_LADDER", "DegradationLadder", "Rung"]
 
 @dataclass(frozen=True)
 class Rung:
-    """One service configuration: search/encode/decode strategies + fan-out."""
+    """One service configuration: search, fan-out and backend."""
 
     name: str
     rd_search: str
     parallel: Optional[ParallelConfig] = None
-    decode: str = "vectorized"
     encode: str = "native"
 
     def __post_init__(self) -> None:
-        from repro.codec.decoder import DECODES
         from repro.codec.encoder import ENCODES, RD_SEARCHES
 
         if self.rd_search not in RD_SEARCHES:
             raise ValueError(f"unknown rd_search {self.rd_search!r}")
-        if self.decode not in DECODES:
-            raise ValueError(f"unknown decode {self.decode!r}")
         if self.encode not in ENCODES:
             raise ValueError(f"unknown encode {self.encode!r}")
 
 
-#: turbo+threads -> vectorized serial -> legacy serial.  Thread (not
-#: process) fan-out on the top rung: request bodies already run on
+#: kernels + threads -> kernels -> twin, one search throughout.  Thread
+#: (not process) fan-out on the top rung: request bodies already run on
 #: supervised threads.  What that buys is measured, not assumed
 #: (docs/PERFORMANCE.md): a slice is GIL-free whole-slice C calls in
 #: both directions -- three kernels to decode, pass 1's GEMM + cost
 #: kernel then one kernel to encode -- so two threads overlap (decode
 #: 1.45x on 2 cores; encode 1.1x under numpy's BLAS pool, 1.85x with
 #: it off), and both sides stay serial when their kernels are
-#: unavailable.  The decode axis steps down in lockstep with
-#: rd-search: the floor rung serves with the interleaved reference
-#: decoder and the pure-Python entropy writer, so a rung-2 response
-#: exercises no fast-path code at all.
-#: (``encode="native"`` on the upper rungs degrades by itself to pure
-#: Python when no compiler is present -- same bytes, slower -- so it is
-#: not a correctness axis the ladder needs to step through.)
+#: unavailable.  The decoder has no backend field to pin: it uses the
+#: kernels whenever they are loaded, so the floor rung differs from
+#: ``serial`` on the encode side only.
 DEFAULT_LADDER: Tuple[Rung, ...] = (
-    Rung(
-        "turbo",
-        "turbo",
-        ParallelConfig(workers=2, executor="thread"),
-        decode="vectorized",
-        encode="native",
-    ),
-    Rung("vectorized", "vectorized", None, decode="vectorized", encode="native"),
-    Rung("legacy", "legacy", None, decode="legacy", encode="python"),
+    Rung("turbo", "turbo", ParallelConfig(workers=2, executor="thread")),
+    Rung("serial", "turbo"),
+    Rung("python", "turbo", encode="python"),
 )
 
 
@@ -114,26 +100,6 @@ class DegradationLadder:
 
     def __len__(self) -> int:
         return len(self.rungs)
-
-    def start_for_pressure(self, pressure: float) -> int:
-        """Starting rung for the current load factor.
-
-        Below 1.0 (slots free) start at the top; each additional unit
-        of queued load steps one rung down -- under a thundering herd
-        the whole fleet of requests shifts to cheaper configurations,
-        which is precisely when cheap matters.
-        """
-        if pressure < 1.0:
-            return 0
-        step = min(len(self.rungs) - 1, int(pressure))
-        if step:
-            telemetry.count("serving.pressure_downshifts")
-            flightrecorder.record(
-                "ladder.pressure_downshift",
-                rung=self.rungs[step].name,
-                pressure=round(pressure, 3),
-            )
-        return step
 
     def select(self, start: int = 0) -> Tuple[int, Rung]:
         """First admissible rung at or below ``start`` (floor: last rung)."""

@@ -18,7 +18,7 @@ chaos harness asserts:
   fault outlasted supervision).
 
 Request flow: broker admission (bounded, typed shedding) -> ladder
-rung selection (load + per-rung circuit breakers) -> supervised
+rung selection (per-rung circuit breakers) -> supervised
 execution (bounded attempt timeouts, seeded-backoff retries, child
 deadlines so abandoned attempts self-cancel) -> on persistent failure,
 step down the ladder; for damaged decodes, fall through to
@@ -152,15 +152,13 @@ class CodecService:
                 tile=cfg.tile,
                 parallel=rung.parallel,
                 rd_search=rung.rd_search,
-                decode=rung.decode,
                 encode=rung.encode,
             )
             for rung in self.ladder.rungs
         }
-        # Concealment of damaged inputs always runs on the serial legacy
-        # decoder: the fast path is byte-identical there too (fuzz-gated),
-        # but a salvage pass is the wrong moment for clever code.
-        self._conceal_codec = TensorCodec(tile=cfg.tile, decode="legacy")
+        # Concealment of damaged inputs runs serially: the strict
+        # attempt has already fed these bytes to the decoder once.
+        self._conceal_codec = TensorCodec(tile=cfg.tile)
         # Decode pools are paid for at construction, not on the first
         # hot request.
         for rung in self.ladder.rungs:
@@ -317,8 +315,7 @@ class CodecService:
         conceal_fallback: Optional[Callable],
     ) -> ServeResponse:
         cfg = self.config
-        start = self.ladder.start_for_pressure(self.broker.pressure())
-        index = start
+        index = 0
         retries = 0
         last_error: Optional[BaseException] = None
         while True:
@@ -330,13 +327,13 @@ class CodecService:
                 )
                 retries += attempts - 1
                 self.ladder.record(index, True)
-                return self._success(kind, rung, value, retries, index - start)
+                return self._success(kind, rung, value, retries, index)
             except DeadlineExceeded as exc:
                 # Budget gone: no rung can help.  Not a backend failure,
                 # so the breaker is left alone.
                 return ServeResponse(
                     ok=False, kind=kind, error=exc, rung=rung.name,
-                    retries=retries, ladder_steps=index - start,
+                    retries=retries, ladder_steps=index,
                 )
             except RetriesExhausted as exc:
                 retries += exc.attempts - 1
@@ -358,7 +355,7 @@ class CodecService:
                 self._postmortem(kind, exc)
                 return ServeResponse(
                     ok=False, kind=kind, error=exc, rung=rung.name,
-                    retries=retries, ladder_steps=index - start,
+                    retries=retries, ladder_steps=index,
                 )
             except CorruptStreamError as exc:
                 # Damaged input, not a sick backend: concealment is the
@@ -430,7 +427,7 @@ class CodecService:
             value=value,
             rung=rung.name,
             retries=retries,
-            ladder_steps=max(0, ladder_steps),
+            ladder_steps=ladder_steps,
             report=report,
         )
 

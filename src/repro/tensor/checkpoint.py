@@ -247,17 +247,15 @@ def load_checkpoint(
     path: str,
     codec: Optional[TensorCodec] = None,
     parallel: Optional[ParallelConfig] = None,
-    decode: str = "vectorized",
 ) -> Dict[str, np.ndarray]:
     """Load a checkpoint written by :func:`save_checkpoint`.
 
     Strict: any damaged entry raises :class:`CorruptStreamError`.  Use
     :func:`load_checkpoint_with_report` to salvage the intact tensors
-    from a damaged file.  ``parallel`` and ``decode`` (both ignored
-    when an explicit ``codec`` is passed) select slice-parallel tile
-    decoding and the decode path (``"vectorized"`` / ``"legacy"``).
+    from a damaged file.  ``parallel`` (ignored when an explicit
+    ``codec`` is passed) selects slice-parallel tile decoding.
     """
-    codec = codec or TensorCodec(tile=128, parallel=parallel, decode=decode)
+    codec = codec or TensorCodec(tile=128, parallel=parallel)
     with open(path, "rb") as handle:
         blob = handle.read()
     state: Dict[str, np.ndarray] = {}
@@ -271,15 +269,13 @@ def load_checkpoint(
 def load_checkpoint_with_report(
     path: str,
     codec: Optional[TensorCodec] = None,
-    decode: str = "vectorized",
 ) -> Tuple[Dict[str, np.ndarray], CheckpointLoadReport]:
     """Tolerant load: skip damaged entries, report what was lost.
 
     Structural damage to the file header still raises -- there is
-    nothing to salvage without the entry table.  ``decode`` selects
-    the decode path when no explicit ``codec`` is passed.
+    nothing to salvage without the entry table.
     """
-    codec = codec or TensorCodec(tile=128, decode=decode)
+    codec = codec or TensorCodec(tile=128)
     with open(path, "rb") as handle:
         blob = handle.read()
     report = CheckpointLoadReport()

@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 import repro.telemetry as telemetry
-from repro.codec.decoder import DECODES, FrameDecoder
+from repro.codec.decoder import FrameDecoder
 from repro.codec.encoder import ENCODES, RD_SEARCHES, EncoderConfig, FrameEncoder
 from repro.codec.profiles import H265_PROFILE, CodecProfile
 from repro.codec.ratecontrol import rate_law_qp, solve_qp
@@ -332,21 +332,14 @@ class TensorCodec:
         reconstructions are bit-identical to serial operation (slices
         are independently codable); ``None`` keeps everything serial.
     rd_search:
-        Mode-search strategy forwarded to the frame encoder
-        (``"vectorized"`` default, ``"turbo"`` fastest, ``"legacy"``
-        reference); the serving degradation ladder steps requests down
-        this axis under load.
-    decode:
-        Decode-path strategy forwarded to the frame decoder:
-        ``"vectorized"`` (default) runs the two-phase plan/reconstruct
-        decoder, ``"legacy"`` the interleaved reference decoder.  Both
-        produce byte-identical reconstructions; stored as
-        :attr:`decode_mode` (``decode`` the method keeps its name).
+        Mode-search strategy forwarded to the frame encoder:
+        ``"turbo"`` (default, what the service runs) or
+        ``"vectorized"`` (the exact per-leaf search).
     encode:
-        Entropy/costing backend forwarded to the frame encoder:
-        ``"native"`` (default) uses the compiled write/cost kernels
-        when available, ``"python"`` pins the pure-Python reference
-        paths.  Bitstreams are byte-identical either way; stored as
+        Costing/coding backend forwarded to the frame encoder:
+        ``"native"`` (default) uses the compiled kernels when
+        available, ``"python"`` pins their pure-Python twin.
+        Bitstreams are byte-identical either way; stored as
         :attr:`encode_mode` (``encode`` the method keeps its name).
     """
 
@@ -358,8 +351,7 @@ class TensorCodec:
         qp_search_precision: float = 0.25,
         alignment: str = "minmax",
         parallel: Optional[ParallelConfig] = None,
-        rd_search: str = "vectorized",
-        decode: str = "vectorized",
+        rd_search: str = "turbo",
         encode: str = "native",
     ) -> None:
         if alignment not in ("minmax", "mx"):
@@ -368,8 +360,6 @@ class TensorCodec:
             raise ValueError(
                 f"rd_search must be one of {RD_SEARCHES}, got {rd_search!r}"
             )
-        if decode not in DECODES:
-            raise ValueError(f"decode must be one of {DECODES}, got {decode!r}")
         if encode not in ENCODES:
             raise ValueError(f"encode must be one of {ENCODES}, got {encode!r}")
         self.profile = profile
@@ -379,7 +369,6 @@ class TensorCodec:
         self.alignment = alignment
         self.parallel = parallel
         self.rd_search = rd_search
-        self.decode_mode = decode
         self.encode_mode = encode
 
     # -- encoding --------------------------------------------------------
@@ -469,7 +458,6 @@ class TensorCodec:
                 conceal=conceal,
                 parallel=self.parallel,
                 deadline=deadline,
-                decode=self.decode_mode,
             )
             decoded_frames = decoder.decode()
             if not decoder.report.clean:

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.codec.entropy.arithmetic import BinaryDecoder, BinaryEncoder
 from repro.codec.profiles import H265_PROFILE
+from repro.codec.reference import decode_coeff_block
 from repro.codec.syntax import (
     CodecContexts,
-    decode_coeff_block,
     decode_intra_mode,
     decode_mv,
     encode_coeff_block,

@@ -1,8 +1,9 @@
-"""Differential fuzz: legacy vs. vectorized decode on damaged streams.
+"""Differential fuzz: reference vs. production decode on damaged streams.
 
-The vectorized decoder is only a valid substitute if it is
-*indistinguishable* from the legacy decoder on hostile input, not just
-on clean streams: same typed error (``CorruptStreamError`` /
+The production decoder (``"vectorized"`` below) is only a valid
+substitute if it is *indistinguishable* from the interleaved reference
+decoder (``repro.codec.reference``, ``"legacy"`` below) on hostile
+input, not just on clean streams: same typed error (``CorruptStreamError`` /
 ``TruncatedStreamError`` / ...) in strict mode, and in concealment
 mode the same frames and the same per-slice concealment report.  This
 file drives both decoders over seeded bit-flips and truncations and
@@ -13,7 +14,8 @@ Slice CRCs stop most random damage before the entropy decoder sees it,
 so a second family of inputs damages slice *bodies* and re-frames them
 with a valid checksum: those reach the slice kernel, which must refuse
 them with a status and leave the error -- type *and message* -- to the
-twin's re-decode.
+twin's re-decode -- and count ``decode.kernel_refusals``, which stays
+absent on every stream the kernels accept.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.telemetry as telemetry
+from repro.codec import reference
 from repro.codec.decoder import decode_frames, decode_frames_with_report
 from repro.codec.encoder import EncoderConfig, FrameEncoder, unpack_header
 from repro.codec.entropy import native
@@ -71,20 +75,22 @@ def _damage_bodies(data: bytes, rng: np.random.Generator) -> bytes:
     return data[:size] + frame_slices(slices)
 
 
+_DECODERS = {
+    "vectorized": (decode_frames, decode_frames_with_report),
+    "legacy": (reference.decode_frames, reference.decode_frames_with_report),
+}
+
+
 def _strict_outcome(data: bytes, decode: str):
-    """(error type name | 'ok', frames) for a strict decode."""
+    """("Type: message" | 'ok', frames) for a strict decode."""
     try:
-        return "ok", decode_frames(data, decode=decode)
-    except Exception as exc:  # noqa: BLE001 -- the *type* is the assertion
-        return type(exc).__name__, None
+        return "ok", _DECODERS[decode][0](data)
+    except Exception as exc:  # noqa: BLE001 -- type and text are the assertion
+        return f"{type(exc).__name__}: {exc}", None
 
 
 def _strict_message(data: bytes) -> str:
-    try:
-        decode_frames(data, decode="vectorized")
-    except Exception as exc:  # noqa: BLE001
-        return f"{type(exc).__name__}: {exc}"
-    return "ok"
+    return _strict_outcome(data, "vectorized")[0]
 
 
 @pytest.fixture(params=["native", "pure"])
@@ -116,12 +122,8 @@ class TestDecodeFuzz:
         concealed_any = False
         for trial in range(_TRIALS):
             bad = _damage(data, rng)
-            legacy_frames, legacy_report = decode_frames_with_report(
-                bad, decode="legacy"
-            )
-            fast_frames, fast_report = decode_frames_with_report(
-                bad, decode="vectorized"
-            )
+            legacy_frames, legacy_report = reference.decode_frames_with_report(bad)
+            fast_frames, fast_report = decode_frames_with_report(bad)
             assert fast_report.total_slices == legacy_report.total_slices, (
                 f"trial {trial}"
             )
@@ -156,12 +158,8 @@ class TestDecodeFuzz:
                     np.testing.assert_array_equal(a, b)
             else:
                 failed += 1
-            legacy_frames, legacy_report = decode_frames_with_report(
-                bad, decode="legacy"
-            )
-            fast_frames, fast_report = decode_frames_with_report(
-                bad, decode="vectorized"
-            )
+            legacy_frames, legacy_report = reference.decode_frames_with_report(bad)
+            fast_frames, fast_report = decode_frames_with_report(bad)
             assert fast_report.concealed == legacy_report.concealed, f"trial {trial}"
             for a, b in zip(legacy_frames, fast_frames):
                 np.testing.assert_array_equal(a, b)
@@ -226,13 +224,18 @@ class TestDecodeFuzz:
             write(enc, ctx)
             body = enc.finish()
             bad = header + frame_slices([body])
-            message = _strict_message(bad)
+            with telemetry.session() as registry:
+                message = _strict_message(bad)
             assert message.startswith("CorruptStreamError") and text in message
-            assert _strict_outcome(bad, "legacy")[0] == "CorruptStreamError"
+            # The refusal is counted; the twin alone refuses nothing.
+            assert registry.counters.get("decode.kernel_refusals", 0) == (
+                1 if scan_mode == "native" else 0
+            )
+            assert _strict_outcome(bad, "legacy")[0] == message
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(native, "available", lambda: False)
                 assert _strict_message(bad) == message
-            _, report = decode_frames_with_report(bad, decode="vectorized")
+            _, report = decode_frames_with_report(bad)
             assert report.concealed == [(0, "undecodable slice")]
             if scan_mode == "native":
                 outcome = native.plan_slice(
@@ -247,7 +250,7 @@ class TestDecodeFuzz:
     def test_typed_errors_surface(self):
         data = _stream(seed=43)
         with pytest.raises(TruncatedStreamError):
-            decode_frames(data[: len(data) // 3], decode="vectorized")
+            decode_frames(data[: len(data) // 3])
         # Empty and garbage inputs fail identically across paths.
         for bad in (b"", b"\x00" * 64):
             legacy_kind, _ = _strict_outcome(bad, "legacy")

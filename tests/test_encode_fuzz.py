@@ -1,13 +1,15 @@
 """Differential fuzz: native C encode kernels vs. the pure-Python coder.
 
 The mirror of ``test_decode_fuzz.py`` for the encode side.  The
-``encode="native"`` backend (fused write kernel, batched cost kernel,
-reference-gather kernel) is only a valid substitute if the streams it
-emits are *byte-identical* to the pure-Python paths across the whole
-configuration space -- every profile, QP, RD search, and intra/inter
-mode -- and the instrumented stats path reports the same exact
-``tell_bits`` split.  This file drives both backends over seeded random
-tensors and asserts exactly that.
+``encode="native"`` backend (whole-slice encode kernel, batched cost
+kernel, reference-gather kernel) is only a valid substitute if the
+streams it emits are *byte-identical* to the pure-Python paths across
+the whole configuration space -- every profile, QP, RD search, and
+intra/inter mode -- and the instrumented stats path reports the same
+exact ``tell_bits`` split.  This file drives both backends over seeded
+random tensors and asserts exactly that, with the reference encoder
+(``repro.codec.reference``, the ``legacy`` id) as the third party of
+the exact search.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.codec import reference
 from repro.codec.decoder import decode_frames
 from repro.codec.encoder import EncoderConfig, FrameEncoder
 from repro.codec.entropy import native
@@ -25,7 +28,7 @@ pytestmark = pytest.mark.skipif(
     any(
         state != "ready"
         for name, state in native.kernel_status().items()
-        if name in ("write", "cost", "refs")
+        if name in ("encode", "cost", "refs")
     ),
     reason="native encode kernels unavailable (no compiler or pure-python)",
 )
@@ -58,16 +61,21 @@ class TestEncodeFuzz:
     @pytest.mark.parametrize("profile", sorted(PROFILES_BY_NAME))
     @pytest.mark.parametrize("rd_search", ["vectorized", "legacy", "turbo"])
     def test_streams_identical_across_profiles(self, profile, rd_search):
+        # "legacy": both backends of the exact search against the
+        # reference encoder's bytes.
         frames = _frames(7)
         for qp in _QPS:
+            config = dict(profile=PROFILES_BY_NAME[profile], qp=qp)
             a, b = _pair(
                 frames,
-                profile=PROFILES_BY_NAME[profile],
-                qp=qp,
-                rd_search=rd_search,
+                rd_search="vectorized" if rd_search == "legacy" else rd_search,
+                **config,
             )
             assert a.data == b.data, f"{profile} {rd_search} qp={qp}"
             assert a.mse == b.mse
+            if rd_search == "legacy":
+                ref = reference.encode_frames(frames, EncoderConfig(**config))
+                assert ref.data == a.data and ref.mse == a.mse
 
     @pytest.mark.parametrize("use_inter", [False, True])
     def test_streams_identical_inter_intra(self, use_inter):

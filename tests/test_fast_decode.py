@@ -1,17 +1,17 @@
-"""The fast decode path: whole-slice kernels, their twin, decode ladder.
+"""The decode path: whole-slice kernels, their twin, the reference decoder.
 
-The contract under test: the vectorized plan -> residuals ->
-reconstruct decoder -- through the two whole-slice C kernels AND
-through their pure-Python twin -- is *sample-identical* to the legacy
-interleaved decoder on every profile, QP, frame shape and prediction
-mode: same ``uint8`` frames, same float64 reconstruction plane, same
-coder state and context probabilities left behind, and (kernels vs
-twin) the same leaf-plan arrays.  Plus the dispatch policy around it:
-parallel decode falls back to serial below the slice/byte/CPU
-thresholds (pinned here) and, on a thread executor, whenever the slice
-kernels are not usable; the ``decode=`` knob plumbs through every
-public layer; and the ``decode.*`` telemetry ledger is the same serial
-or fanned out.
+The contract under test: the plan -> residuals -> reconstruct decoder
+-- through the two whole-slice C kernels AND through their pure-Python
+twin -- is *sample-identical* to the interleaved reference decoder
+(``repro.codec.reference``, "legacy" in the names below) on every
+profile, QP, frame shape and prediction mode: same ``uint8`` frames,
+same float64 reconstruction plane, same coder state and context
+probabilities left behind, and (kernels vs twin) the same leaf-plan
+arrays.  Plus the dispatch policy around it: parallel decode falls
+back to serial below the slice/byte/CPU thresholds (pinned here) and,
+on a thread executor, whenever the slice kernels are not usable; no
+public layer has a ``decode=`` option left; and the ``decode.*``
+telemetry ledger is the same serial or fanned out.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import dataclasses
+
 import repro.telemetry as telemetry
 from repro.codec import decoder as decoder_mod
-from repro.codec import intra, transform
+from repro.codec import intra, reference, transform
 from repro.codec.decoder import (
-    DECODES,
     FrameDecoder,
     decode_frames,
     decode_frames_with_report,
@@ -32,9 +33,9 @@ from repro.codec.encoder import EncoderConfig, FrameEncoder
 from repro.codec.entropy import native
 from repro.codec.entropy.arithmetic import BinaryDecoder, BinaryEncoder
 from repro.codec.profiles import AV1_PROFILE, H264_PROFILE, H265_PROFILE
+from repro.codec.reference import decode_coeff_block
 from repro.codec.syntax import (
     CodecContexts,
-    decode_coeff_block,
     decode_coeff_block_scanned,
     encode_coeff_block,
 )
@@ -96,12 +97,12 @@ needs_kernels = pytest.mark.skipif(
 )
 
 
-class _Probe(FrameDecoder):
-    """A decoder that records what each slice left behind.
+class _ProbeMixin:
+    """Records what each slice left behind.
 
     Per slice: the float64 reconstruction plane, the range decoder's
     final ``(pos, range, code)`` and ``scan_bins``, a copy of every
-    context bank, and (vectorized only) the leaf plan.
+    context bank, and (production decoder only) the leaf plan.
     """
 
     def __init__(self, *args, **kwargs):
@@ -113,9 +114,9 @@ class _Probe(FrameDecoder):
         self._last_plan = super()._plan_slice(height, width)
         return self._last_plan
 
-    def _decode_frame_any(self, *args):
+    def _decode_frame(self, *args):
         self._last_plan = None
-        recon = super()._decode_frame_any(*args)
+        recon = super()._decode_frame(*args)
         dec = self._dec
         self.slices.append(
             {
@@ -129,13 +130,25 @@ class _Probe(FrameDecoder):
         return recon
 
 
-def _probe(data, decode="vectorized"):
-    decoder = _Probe(data, decode=decode)
-    return decoder.decode(), decoder.slices
+class _Probe(_ProbeMixin, FrameDecoder):
+    pass
+
+
+class _ReferenceProbe(_ProbeMixin, reference.ReferenceDecoder):
+    pass
+
+
+def _probe(data, decoder=_Probe):
+    probe = decoder(data)
+    return probe.decode(), probe.slices
+
+
+def _probe_legacy(data):
+    return _probe(data, _ReferenceProbe)
 
 
 def _probe_twin(data):
-    """Vectorized decode with the kernels switched off."""
+    """Production decode with the kernels switched off."""
     with pytest.MonkeyPatch.context() as patch:
         _force_pure(patch)
         return _probe(data)
@@ -200,7 +213,7 @@ class TestFusedScan:
             data = FrameEncoder(EncoderConfig(**config)).encode(
                 _frames(n=3, h=48, w=80)
             ).data
-            legacy_frames, legacy = _probe(data, decode="legacy")
+            legacy_frames, legacy = _probe_legacy(data)
             fast_frames, fast = _probe(data)
             assert len(fast) == len(legacy) == 3
             for a, b in zip(legacy, fast):
@@ -313,7 +326,7 @@ class TestReconstructKernel:
         available[:n, :] = True  # rows above (incl. above-right)
         available[:, :n] = True  # columns left (incl. below-left)
         resid = rng.uniform(-300.0, 300.0, (n, n))  # drives both clips
-        top, left = intra.gather_references_scalar(plane, available, n, n, n)
+        top, left = reference.gather_references_scalar(plane, available, n, n, n)
         for mode in range(-1, intra.NUM_MODES):
             predicted = (
                 np.full((n, n), 128.0)
@@ -399,7 +412,7 @@ class TestReconstructKernel:
         assert len(events) == 1 and events[0]["fields"]["kernel"] == "recon"
         assert native.kernel_status()["refs"] == "ready"  # same .so, no check
         data = FrameEncoder(EncoderConfig(qp=24.0)).encode(_frames(n=1)).data
-        for a, b in zip(decode_frames(data), decode_frames(data, decode="legacy")):
+        for a, b in zip(decode_frames(data), reference.decode_frames(data)):
             np.testing.assert_array_equal(a, b)
 
 
@@ -452,9 +465,26 @@ class TestResidualKernel:
 
     def test_decoder_uses_numpy_when_it_declines(self, monkeypatch):
         data = FrameEncoder(EncoderConfig(qp=24.0)).encode(_frames(n=2)).data
-        _, want = _probe(data)
+        with telemetry.session() as registry:
+            _, want = _probe(data)
+        assert "decode.kernel_refusals" not in registry.counters
         monkeypatch.setattr(native, "residuals", lambda *args: None)
-        _, got = _probe(data)
+        with telemetry.session() as registry:
+            _, got = _probe(data)
+        for a, b in zip(want, got):
+            assert a["recon"].tobytes() == b["recon"].tobytes()
+        if native.available():
+            # One per (slice, block size) batch the kernel turned down.
+            assert registry.counters["decode.kernel_refusals"] >= 2
+
+    @needs_kernels
+    def test_reconstruct_refusal_is_counted(self, monkeypatch):
+        data = FrameEncoder(EncoderConfig(qp=24.0)).encode(_frames(n=2)).data
+        _, want = _probe(data)
+        monkeypatch.setattr(native, "reconstruct_slice", lambda *args: False)
+        with telemetry.session() as registry:
+            _, got = _probe(data)
+        assert registry.counters["decode.kernel_refusals"] == 2  # one a slice
         for a, b in zip(want, got):
             assert a["recon"].tobytes() == b["recon"].tobytes()
 
@@ -464,11 +494,14 @@ class TestResidualKernel:
 
 def _assert_three_way_identity(data):
     """kernels == twin == legacy: uint8 frames and float64 planes."""
-    legacy_frames, legacy = _probe(data, decode="legacy")
+    legacy_frames, legacy = _probe_legacy(data)
     twin_frames, twin = _probe_twin(data)
     runs = [(twin_frames, twin)]
     if native.available():
-        runs.append(_probe(data))
+        with telemetry.session() as registry:
+            runs.append(_probe(data))
+        # A clean stream is never handed back to the twin.
+        assert "decode.kernel_refusals" not in registry.counters
     for frames, slices in runs:
         assert len(frames) == len(legacy_frames)
         for a, b in zip(legacy_frames, frames):
@@ -488,8 +521,8 @@ class TestVectorizedIdentity:
         data = FrameEncoder(EncoderConfig(profile=profile, qp=qp)).encode(
             frames
         ).data
-        legacy = decode_frames(data, decode="legacy")
-        fast = decode_frames(data, decode="vectorized")
+        legacy = reference.decode_frames(data)
+        fast = decode_frames(data)
         assert len(legacy) == len(fast)
         for a, b in zip(legacy, fast):
             np.testing.assert_array_equal(a, b)
@@ -524,8 +557,8 @@ class TestVectorizedIdentity:
             frames
         ).data
         for a, b in zip(
-            decode_frames(data, decode="legacy"),
-            decode_frames(data, decode="vectorized"),
+            reference.decode_frames(data),
+            decode_frames(data),
         ):
             np.testing.assert_array_equal(a, b)
 
@@ -533,8 +566,8 @@ class TestVectorizedIdentity:
         frames = _frames(seed=31)
         data = FrameEncoder(EncoderConfig(qp=25.37)).encode(frames).data
         for a, b in zip(
-            decode_frames(data, decode="legacy"),
-            decode_frames(data, decode="vectorized"),
+            reference.decode_frames(data),
+            decode_frames(data),
         ):
             np.testing.assert_array_equal(a, b)
 
@@ -543,8 +576,8 @@ class TestVectorizedIdentity:
         frames = _frames(seed=41)
         data = FrameEncoder(EncoderConfig(qp=24.0)).encode(frames).data
         for a, b in zip(
-            decode_frames(data, decode="legacy"),
-            decode_frames(data, decode="vectorized"),
+            reference.decode_frames(data),
+            decode_frames(data),
         ):
             np.testing.assert_array_equal(a, b)
 
@@ -552,12 +585,10 @@ class TestVectorizedIdentity:
         frames = _frames(seed=7)
         data = bytearray(FrameEncoder(EncoderConfig(qp=24.0)).encode(frames).data)
         data[len(data) // 2] ^= 0x40  # damage one slice body
-        legacy_frames, legacy_report = decode_frames_with_report(
-            bytes(data), decode="legacy"
+        legacy_frames, legacy_report = reference.decode_frames_with_report(
+            bytes(data)
         )
-        fast_frames, fast_report = decode_frames_with_report(
-            bytes(data), decode="vectorized"
-        )
+        fast_frames, fast_report = decode_frames_with_report(bytes(data))
         assert legacy_report.concealed == fast_report.concealed
         assert legacy_report.total_slices == fast_report.total_slices
         assert legacy_report.concealed  # the flip actually hit something
@@ -586,30 +617,27 @@ class TestParallelDecodeThresholds:
         for a, b in zip(decode_frames(data), par):
             np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("decode", DECODES)
+    # One id: the interleaved decoder, the other case this used to cover,
+    # left FrameDecoder for repro.codec.reference and has no fan-out.
+    @pytest.mark.parametrize("decode", ["vectorized"])
     def test_threads_need_the_slice_kernels(self, monkeypatch, decode):
         # Per-leaf Python holds the GIL, so a thread pool only slows it
-        # down: without the kernels (or on the legacy decoder) a thread
-        # executor stays serial and says so; a process executor, which
-        # does not share a GIL, still dispatches.
+        # down: without the kernels a thread executor stays serial and
+        # says so; a process executor, which does not share a GIL,
+        # still dispatches.
         monkeypatch.setattr(decoder_mod, "_effective_cpus", lambda: 8)
-        if decode == "vectorized":
-            _force_pure(monkeypatch)
+        _force_pure(monkeypatch)
         data = _big_stream()
-        serial = decode_frames(data, decode=decode)
+        serial = decode_frames(data)
         before = pool_stats()["dispatches"]
         with telemetry.session() as registry:
             threaded = decode_frames(
-                data,
-                parallel=ParallelConfig(workers=2, executor="thread"),
-                decode=decode,
+                data, parallel=ParallelConfig(workers=2, executor="thread")
             )
         assert pool_stats()["dispatches"] == before
         assert registry.counters.get("decode.parallel_threshold_fallbacks") == 1
         forked = decode_frames(
-            data,
-            parallel=ParallelConfig(workers=2, executor="process"),
-            decode=decode,
+            data, parallel=ParallelConfig(workers=2, executor="process")
         )
         assert pool_stats()["dispatches"] == before + 1
         for a, b, c in zip(serial, threaded, forked):
@@ -660,52 +688,67 @@ class TestParallelDecodeThresholds:
         assert warm_pool(ParallelConfig(workers=4, executor="serial")) is False
 
 
-# -- decode= plumbing ---------------------------------------------------
+# -- no decode= option: the decoder picks by what it observes -----------
 
 
 class TestDecodePlumbing:
     def test_frame_decoder_rejects_unknown_mode(self):
+        # There is no mode to name any more: the option is gone from
+        # every layer, not defaulted.
         data = FrameEncoder(EncoderConfig(qp=24.0)).encode(_frames(n=1)).data
-        with pytest.raises(ValueError, match="decode"):
-            FrameDecoder(data, decode="bogus")
-        with pytest.raises(ValueError, match="decode"):
-            decode_frames(data, decode="bogus")
+        assert not hasattr(decoder_mod, "DECODES")
+        with pytest.raises(TypeError, match="decode"):
+            FrameDecoder(data, decode="vectorized")
+        with pytest.raises(TypeError, match="decode"):
+            decode_frames(data, decode="vectorized")
+        with pytest.raises(TypeError, match="decode"):
+            decode_frames_with_report(data, decode="vectorized")
 
-    def test_tensor_codec_decode_modes_agree(self):
+    def test_tensor_codec_decode_modes_agree(self, monkeypatch):
+        # Kernels and twin, the two paths a TensorCodec can observe.
         tensor = _tensor()
-        for mode in DECODES:
-            codec = TensorCodec(tile=32, decode=mode)
-            assert codec.decode_mode == mode
-        compressed = TensorCodec(tile=32).encode(tensor, qp=24.0)
-        out = {
-            mode: TensorCodec(tile=32, decode=mode).decode(compressed)
-            for mode in DECODES
-        }
-        np.testing.assert_array_equal(out["vectorized"], out["legacy"])
-        with pytest.raises(ValueError, match="decode"):
-            TensorCodec(decode="bogus")
+        codec = TensorCodec(tile=32)
+        compressed = codec.encode(tensor, qp=24.0)
+        with_kernels = codec.decode(compressed)
+        _force_pure(monkeypatch)
+        np.testing.assert_array_equal(with_kernels, codec.decode(compressed))
+        assert not hasattr(codec, "decode_mode")
+        with pytest.raises(TypeError, match="decode"):
+            TensorCodec(decode="vectorized")
 
-    def test_checkpoint_decode_param(self, tmp_path):
+    def test_checkpoint_decode_param(self, tmp_path, monkeypatch):
         path = str(tmp_path / "model.llmckpt")
         save_checkpoint({"w": _tensor(seed=9)}, path)
-        a = load_checkpoint(path, decode="legacy")
-        b = load_checkpoint(path, decode="vectorized")
+        with pytest.raises(TypeError, match="decode"):
+            load_checkpoint(path, decode="vectorized")
+        a = load_checkpoint(path)
+        _force_pure(monkeypatch)
+        b = load_checkpoint(path)
         np.testing.assert_array_equal(a["w"], b["w"])
 
     def test_rung_decode_field(self):
-        with pytest.raises(ValueError, match="decode"):
-            Rung("x", "turbo", decode="bogus")
-        assert [rung.decode for rung in DEFAULT_LADDER] == [
-            "vectorized",
-            "vectorized",
-            "legacy",
+        # Pinned with benchmarks/stack/tests: a rung is a search, a
+        # fan-out and an encode backend -- nothing about decode.
+        assert [f.name for f in dataclasses.fields(Rung)] == [
+            "name",
+            "rd_search",
+            "parallel",
+            "encode",
         ]
+        with pytest.raises(TypeError, match="decode"):
+            Rung("x", "turbo", decode="vectorized")
 
     def test_service_builds_per_rung_decoders(self):
         service = CodecService()
         for rung in DEFAULT_LADDER:
-            assert service._codecs[rung.name].decode_mode == rung.decode
-        assert service._conceal_codec.decode_mode == "legacy"
+            codec = service._codecs[rung.name]
+            assert (codec.rd_search, codec.encode_mode, codec.parallel) == (
+                rung.rd_search,
+                rung.encode,
+                rung.parallel,
+            )
+        # Concealment is a plain serial codec.
+        assert service._conceal_codec.parallel is None
         tensor = _tensor(seed=13, edge=32)
         encoded = service.encode(tensor, qp=24.0)
         assert encoded.ok
@@ -722,7 +765,7 @@ class TestDecodeTelemetry:
         frames = _frames()
         data = FrameEncoder(EncoderConfig(qp=24.0)).encode(frames).data
         with telemetry.session() as registry:
-            decode_frames(data, decode="vectorized")
+            decode_frames(data)
         for stage in DECODE_STAGES:
             assert registry.counters[f"decode.seconds.{stage}"] >= 0.0
         assert registry.counters["decode.coeff_bins"] > 0
@@ -783,9 +826,12 @@ class TestDecodeTelemetry:
                 EncoderConfig(qp=24.0, use_inter=use_inter)
             ).encode(_frames(n=3, seed=9)).data
             seen = {}
-            for mode in DECODES:
+            for mode, decode in (
+                ("vectorized", decode_frames),
+                ("legacy", reference.decode_frames),
+            ):
                 with telemetry.session() as registry:
-                    decode_frames(data, decode=mode)
+                    decode(data)
                 seen[mode] = {name: registry.counters.get(name) for name in names}
             assert seen["vectorized"] == seen["legacy"]
             assert seen["legacy"]["decode.cu.leaf"] > 0
@@ -794,7 +840,7 @@ class TestDecodeTelemetry:
         frames = _frames()
         data = FrameEncoder(EncoderConfig(qp=24.0)).encode(frames).data
         with telemetry.session() as registry:
-            decode_frames(data, decode="legacy")
+            reference.decode_frames(data)
         assert registry.counters["decode.frames"] == len(frames)
         assert "decode.seconds.entropy" not in registry.counters
 

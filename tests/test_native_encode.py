@@ -3,8 +3,8 @@
 Covers, kernel by kernel, the exactness contracts the fuzz suite
 (``test_encode_fuzz.py``) relies on at the stream level:
 
-- the write kernel against the primitive-call entropy coder (bytes and
-  adapted context banks);
+- the fused coefficient-block writer against the primitive-call entropy
+  coder (bytes and adapted context banks);
 - the cost kernel, flat and fused layouts, against the numpy quantizer
   (bitwise, all four outputs);
 - the refs kernel against the original scalar boundary walk;
@@ -34,17 +34,19 @@ from repro.codec.encoder import (
 )
 from repro.codec.entropy import native
 from repro.codec.entropy.arithmetic import BinaryEncoder
-from repro.codec.intra import gather_references, gather_references_scalar
-from repro.codec.syntax import CodecContexts, encode_coeff_block
+from repro.codec.intra import gather_references
+from repro.codec.reference import gather_references_scalar
+from repro.codec.syntax import (
+    CodecContexts,
+    encode_coeff_block,
+    encode_coeff_block_primitive,
+)
 from repro.parallel import ParallelConfig
 from repro.serving.ladder import DEFAULT_LADDER, Rung
 from repro.telemetry import flightrecorder
 from repro.tensor.codec import TensorCodec
 
 _READY = native.kernel_status()
-needs_write = pytest.mark.skipif(
-    _READY.get("write") != "ready", reason="write kernel unavailable"
-)
 needs_cost = pytest.mark.skipif(
     _READY.get("cost") != "ready", reason="cost kernel unavailable"
 )
@@ -73,56 +75,36 @@ def _blocks(seed: int = 0):
     return blocks
 
 
-def _code(blocks, *, fast: bool, native_ok: bool):
-    """(stream bytes, context banks) after coding ``blocks`` in order."""
+def _code(blocks, writers):
+    """(stream bytes, context banks) after coding ``blocks`` in order,
+    block ``i`` through ``writers[i % len(writers)]``."""
     enc = BinaryEncoder()
     ctx = CodecContexts()
-    for block in blocks:
-        encode_coeff_block(enc, ctx, block, fast=fast, native_ok=native_ok)
+    for index, block in enumerate(blocks):
+        writers[index % len(writers)](enc, ctx, block)
     banks = [list(ctx.cbf.probs), list(ctx.last.probs),
              list(ctx.sig.probs), list(ctx.level.probs)]
     return enc.finish(), banks
 
 
 class TestWriteKernel:
-    @needs_write
     def test_matches_primitive_coder(self):
+        # Bytes AND every adapted context probability: the fused writer
+        # codes the cbf bin, the last-position UEG, and the full scan
+        # (the slice-encode kernel's C copy of it is held to the same
+        # bytes in tests/test_slice_encode.py).
         blocks = _blocks(3)
-        native_out = _code(blocks, fast=True, native_ok=True)
-        fused_out = _code(blocks, fast=True, native_ok=False)
-        primitive_out = _code(blocks, fast=False, native_ok=False)
-        # Bytes AND every adapted context probability: the kernel codes
-        # the cbf bin, the last-position UEG, and the full scan.
-        assert native_out == fused_out == primitive_out
-
-    @needs_write
-    def test_interleaved_with_python_blocks(self):
-        # Alternating native / pure blocks on one shared coder: the
-        # written-back state must be exact mid-stream, not just at the
-        # end.
-        blocks = _blocks(9)
-        enc_mixed = BinaryEncoder()
-        ctx_mixed = CodecContexts()
-        for index, block in enumerate(blocks):
-            encode_coeff_block(
-                enc_mixed, ctx_mixed, block, native_ok=bool(index % 2)
-            )
-        ref, _banks = _code(blocks, fast=True, native_ok=False)
-        assert enc_mixed.finish() == ref
-
-    @needs_write
-    def test_scratch_overflow_raises(self, monkeypatch):
-        # A broken sizing invariant must raise, never half-adapt the
-        # shared context banks silently.
-        monkeypatch.setattr(native, "_MAX_BINS_PER_COEFF", 0)
-        monkeypatch.setattr(
-            native, "_scratch", lambda cap: np.empty(max(cap, 1), dtype=np.uint8)
+        assert _code(blocks, [encode_coeff_block]) == _code(
+            blocks, [encode_coeff_block_primitive]
         )
-        enc = BinaryEncoder()
-        ctx = CodecContexts()
-        block = np.full((8, 8), 1000, dtype=np.int64)
-        with pytest.raises(RuntimeError):
-            encode_coeff_block(enc, ctx, block, native_ok=True)
+
+    def test_interleaved_with_python_blocks(self):
+        # Alternating fused / primitive blocks on one shared coder: the
+        # state each leaves behind must be exact mid-stream, not just at
+        # the end.
+        blocks = _blocks(9)
+        mixed = _code(blocks, [encode_coeff_block_primitive, encode_coeff_block])
+        assert mixed == _code(blocks, [encode_coeff_block])
 
 
 class TestCostKernel:
@@ -210,7 +192,7 @@ class TestRefsKernel:
 class TestBuildPipeline:
     def test_kernel_status_shape(self):
         status = native.kernel_status(resolve=False)
-        assert set(status) == {"slice", "recon", "write", "encode", "cost", "refs"}
+        assert set(status) == {"slice", "recon", "encode", "cost", "refs"}
         allowed = {"unloaded", "building", "ready", "pure-python",
                    "no-compiler", "failed"}
         assert set(status.values()) <= allowed
@@ -254,7 +236,7 @@ class TestBuildPipeline:
         # The pure-python opt-out short-circuits before any build is
         # attempted; lift it so the failure path actually runs.
         monkeypatch.delenv("LLM265_PURE_PYTHON", raising=False)
-        kernel = native._KERNELS["write"]
+        kernel = native._KERNELS["cost"]
         monkeypatch.setattr(kernel, "state", "unloaded")
         monkeypatch.setattr(kernel, "fn", None)
 
@@ -266,26 +248,26 @@ class TestBuildPipeline:
         previous = flightrecorder.set_recorder(recorder)
         try:
             with telemetry.session() as registry:
-                assert native._resolve("write") is None
+                assert native._resolve("cost") is None
                 assert kernel.state == "no-compiler"
                 # Repeated resolves degrade silently: still one event.
-                assert native._resolve("write") is None
+                assert native._resolve("cost") is None
                 events = [
                     e for e in recorder.snapshot()
                     if e["kind"] == "native.build_failed"
                 ]
                 assert len(events) == 1
-                assert events[0]["fields"]["kernel"] == "write"
+                assert events[0]["fields"]["kernel"] == "cost"
                 assert registry.counters.get("native.build_failed") == 1
         finally:
             flightrecorder.set_recorder(previous)
 
     def test_missing_kernel_never_blocks_encode(self, monkeypatch):
-        # encode="native" with the write/cost kernels unavailable is the
-        # pure path with the same bytes, not an error.
+        # encode="native" with the cost / slice-encode kernels
+        # unavailable is the pure path with the same bytes, not an error.
         frames = [np.full((32, 32), 90, dtype=np.uint8)]
         ref = FrameEncoder(EncoderConfig(qp=24.0, encode="python")).encode(frames)
-        monkeypatch.setattr(native, "write", lambda *a, **k: False)
+        monkeypatch.setattr(native, "encode_slice", lambda *a, **k: None)
         monkeypatch.setattr(native, "cost", lambda *a, **k: None)
         monkeypatch.setattr(native, "cost_fused", lambda *a, **k: None)
         got = FrameEncoder(EncoderConfig(qp=24.0, encode="native")).encode(frames)
@@ -378,9 +360,9 @@ class TestEncodePlumbing:
             Rung("bad", "turbo", None, encode="bogus")
         by_name = {rung.name: rung for rung in DEFAULT_LADDER}
         assert by_name["turbo"].encode == "native"
-        assert by_name["vectorized"].encode == "native"
-        # The floor rung serves with no fast-path code at all.
-        assert by_name["legacy"].encode == "python"
+        assert by_name["serial"].encode == "native"
+        # The floor rung encodes with the kernels' pure-Python twin.
+        assert by_name["python"].encode == "python"
 
     def test_encodes_tuple_is_closed(self):
         assert ENCODES == ("native", "python")

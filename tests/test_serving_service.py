@@ -124,7 +124,7 @@ class TestFaultRecovery:
         response = service.encode(tensor, qp=26.0, fault_gate=gate)
         assert response.ok
         assert response.ladder_steps == 1
-        assert response.rung == "vectorized"
+        assert response.rung == "serial"
         assert service.ladder.breakers[0].stats()["consecutive_failures"] == 1
 
     def test_total_failure_is_typed_retries_exhausted(self, tensor):
@@ -133,17 +133,17 @@ class TestFaultRecovery:
         response = service.encode(tensor, qp=26.0, fault_gate=gate)
         assert not response.ok
         assert isinstance(response.error, RetriesExhausted)
-        assert response.rung == "legacy"  # fell all the way down
+        assert response.rung == "python"  # fell all the way down
 
     def test_breaker_trips_and_turbo_is_skipped(self, tensor):
         service = make_service(breaker_failure_threshold=1,
                                breaker_cooldown_s=60.0)
         gate = GateScript(*[_raise(RuntimeError("down"))] * 3)
         first = service.encode(tensor, qp=26.0, fault_gate=gate)
-        assert first.ok and first.rung == "vectorized"
+        assert first.ok and first.rung == "serial"
         assert service.ladder.breakers[0].state == "open"
         second = service.encode(tensor, qp=26.0)  # healthy gate
-        assert second.ok and second.rung == "vectorized"
+        assert second.ok and second.rung == "serial"
 
 
 class TestDamagedInputs:

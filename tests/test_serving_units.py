@@ -280,7 +280,7 @@ class TestSloTracker:
 
 class TestDegradationLadder:
     def test_default_ladder_order(self):
-        assert [r.name for r in DEFAULT_LADDER] == ["turbo", "vectorized", "legacy"]
+        assert [r.name for r in DEFAULT_LADDER] == ["turbo", "serial", "python"]
 
     def test_unknown_rd_search_rejected(self):
         with pytest.raises(ValueError):
@@ -293,7 +293,7 @@ class TestDegradationLadder:
         assert (index, rung.name) == (0, "turbo")
         ladder.record(0, False)  # trip turbo
         index, rung = ladder.select()
-        assert (index, rung.name) == (1, "vectorized")
+        assert (index, rung.name) == (1, "serial")
 
     def test_floor_always_serves(self):
         clock = FakeClock()
@@ -301,15 +301,7 @@ class TestDegradationLadder:
         for i in range(len(ladder)):
             ladder.record(i, False)
         index, rung = ladder.select()
-        assert rung.name == "legacy"  # served despite an open breaker
-
-    def test_start_for_pressure(self):
-        ladder = DegradationLadder()
-        assert ladder.start_for_pressure(0.0) == 0
-        assert ladder.start_for_pressure(0.99) == 0
-        assert ladder.start_for_pressure(1.5) == 1
-        assert ladder.start_for_pressure(2.0) == 2
-        assert ladder.start_for_pressure(9.0) == len(ladder) - 1
+        assert rung.name == "python"  # served despite an open breaker
 
     def test_empty_ladder_rejected(self):
         with pytest.raises(ValueError):

@@ -2,15 +2,16 @@
 
 Three search engines share one bitstream format:
 
-- ``legacy``     -- the original scalar per-mode loop (reference).
-- ``vectorized`` -- batched transform-domain costing.  With
-  ``satd_prune=0`` it must pick the *same mode for every block* as the
-  legacy search, which we assert via byte-identity of the streams (any
-  decision difference changes the mode syntax elements and therefore
-  the bytes).
-- ``turbo``      -- two-pass whole-frame search.  Its decisions may
-  differ slightly (pass 1 costs against source references), so it is
-  held to decodability and a quality envelope, not identity.
+- ``repro.codec.reference`` -- the original scalar per-mode loop and
+  primitive-call writer (``ReferenceEncoder``).
+- ``vectorized`` -- the exact search, batched.  It must pick the *same
+  mode for every block* as the reference search, which we assert via
+  byte-identity of the streams (any decision difference changes the
+  mode syntax elements and therefore the bytes).
+- ``turbo``      -- two-pass whole-frame search, the default.  Its
+  decisions may differ slightly (pass 1 costs against source
+  references), so it is held to decodability and a quality envelope,
+  not identity.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.codec import reference
 from repro.codec.decoder import decode_frames
 from repro.codec.encoder import EncoderConfig, FrameEncoder
 from repro.codec.profiles import AV1_PROFILE, H264_PROFILE, H265_PROFILE
@@ -36,8 +38,12 @@ def _frames(n=3, h=64, w=64, seed=7):
     ]
 
 
-def _encode(frames, **kw):
-    return FrameEncoder(EncoderConfig(**kw)).encode(frames)
+def _encode(frames, rd_search="vectorized", **kw):
+    return FrameEncoder(EncoderConfig(rd_search=rd_search, **kw)).encode(frames)
+
+
+def _reference(frames, **kw):
+    return reference.encode_frames(frames, EncoderConfig(**kw))
 
 
 class TestVectorizedMatchesLegacy:
@@ -46,22 +52,20 @@ class TestVectorizedMatchesLegacy:
     def test_byte_identical_across_profiles_and_qps(self, profile, qp):
         frames = _frames()
         fast = _encode(frames, profile=PROFILES[profile], qp=qp)
-        slow = _encode(
-            frames, profile=PROFILES[profile], qp=qp, rd_search="legacy"
-        )
+        slow = _reference(frames, profile=PROFILES[profile], qp=qp)
         assert fast.data == slow.data
         assert fast.mse == pytest.approx(slow.mse)
 
     def test_byte_identical_with_inter_prediction(self):
         frames = _frames(n=4)
         fast = _encode(frames, qp=27.0, use_inter=True)
-        slow = _encode(frames, qp=27.0, use_inter=True, rd_search="legacy")
+        slow = _reference(frames, qp=27.0, use_inter=True)
         assert fast.data == slow.data
 
     def test_byte_identical_with_fractional_qp(self):
         frames = _frames()
         fast = _encode(frames, qp=25.7)
-        slow = _encode(frames, qp=25.7, rd_search="legacy")
+        slow = _reference(frames, qp=25.7)
         assert fast.data == slow.data
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -69,34 +73,46 @@ class TestVectorizedMatchesLegacy:
         frames = _frames(n=2, seed=seed)
         assert (
             _encode(frames, qp=27.0).data
-            == _encode(frames, qp=27.0, rd_search="legacy").data
+            == _reference(frames, qp=27.0).data
         )
 
     def test_fast_entropy_is_bit_exact(self):
         # The fused coefficient writer is an optimisation of the
-        # primitive-call writer, never a format change.
+        # primitive-call writer, never a format change: the production
+        # planner with only the writer hook swapped.
+        class PrimitiveWriter(FrameEncoder):
+            _write_coeffs = reference.ReferenceEncoder._write_coeffs
+
         frames = _frames()
-        fast = _encode(frames, qp=27.0, fast_entropy=True)
-        slow = _encode(frames, qp=27.0, fast_entropy=False)
+        config = EncoderConfig(qp=27.0, rd_search="vectorized")
+        fast = FrameEncoder(config).encode(frames)
+        slow = PrimitiveWriter(config).encode(frames)
         assert fast.data == slow.data
 
+    def test_reference_ignores_search_backend_and_fanout(self):
+        # No option reaches the reference: whatever the config says, it
+        # is the exact search, serial, pure Python.
+        from repro.parallel import ParallelConfig
 
-class TestSatdPrune:
-    def test_pruned_stream_decodes_and_is_close(self):
-        frames = _frames()
-        exact = _encode(frames, qp=27.0)
-        pruned = _encode(frames, qp=27.0, satd_prune=4)
-        decoded = decode_frames(pruned.data)
-        assert len(decoded) == len(frames)
-        # Pruning trims the candidate list, so quality may dip slightly
-        # but must stay in the same regime as the exhaustive search.
-        assert pruned.mse <= exact.mse * 1.25 + 1.0
+        frames = _frames(n=4)
+        plain = _reference(frames, qp=27.0)
+        dressed = _reference(
+            frames,
+            qp=27.0,
+            rd_search="turbo",
+            encode="native",
+            parallel=ParallelConfig(workers=2, executor="thread"),
+        )
+        assert dressed.data == plain.data
 
+
+class TestSatdPrune:  # the prune is gone; its config check kept its id
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            EncoderConfig(satd_prune=-1)
-        with pytest.raises(ValueError):
             EncoderConfig(rd_search="warp")
+        # The search values that used to exist are gone, not aliased.
+        with pytest.raises(ValueError):
+            EncoderConfig(rd_search="legacy")
 
 
 class TestTurbo:
