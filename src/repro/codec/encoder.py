@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
@@ -107,31 +108,51 @@ def _effective_cpus() -> int:
         return os.cpu_count() or 1
 
 
-@lru_cache(maxsize=None)
-def _mode_coeff_matrix(mode: int, n: int) -> np.ndarray:
-    """Linear operator: reference boundary -> zigzag-ordered DCT
-    coefficients of the mode's prediction.
+#: (mode, size) -> linear operator, filled a candidate set at a time
+#: (under the lock: a hedged first request would build the set twice).
+_MODE_COEFF: Dict[Tuple[int, int], np.ndarray] = {}
+_MODE_COEFF_LOCK = threading.Lock()
+
+
+def _mode_coeff_matrices(modes: Sequence[int], n: int) -> List[np.ndarray]:
+    """Linear operators: reference boundary -> zigzag-ordered DCT
+    coefficients of each mode's prediction.
 
     Every intra predictor (planar, DC, angular) is linear in the
     ``(top, left)`` reference vector, and the DCT + zigzag scan are
     linear too, so their composition is one ``(n^2, 4n + 2)`` matrix.
-    Built by probing :func:`repro.codec.intra.predict` with basis
-    vectors; cached per (mode, size) for the life of the process.
+    Built by probing :func:`repro.codec.intra.predict_many` with basis
+    vectors -- one probe yields that column of every missing mode -- and
+    cached per (mode, size) for the life of the process.
     """
-    basis = dct_matrix(n)
-    zz = zigzag_order(n)
-    width = 4 * n + 2  # top (2n + 1) then left (2n + 1)
-    matrix = np.empty((n * n, width), dtype=np.float64)
-    refs = np.zeros(width, dtype=np.float64)
-    for j in range(width):
-        refs[j] = 1.0
-        pred = intra.predict(refs[: 2 * n + 1], refs[2 * n + 1 :], mode, n)
-        matrix[:, j] = np.take(
-            np.matmul(np.matmul(basis, pred), basis.T).ravel(), zz
-        )
-        refs[j] = 0.0
-    matrix.setflags(write=False)
-    return matrix
+    with _MODE_COEFF_LOCK:
+        missing = [m for m in dict.fromkeys(modes) if (m, n) not in _MODE_COEFF]
+        if missing:
+            basis = dct_matrix(n)
+            zz = zigzag_order(n)
+            width = 4 * n + 2  # top (2n + 1) then left (2n + 1)
+            # ``intra.predict`` hands the horizontal family out as transposed
+            # views, and BLAS rounds a transposed operand differently in the
+            # last bit: those planes are transformed in that layout, so the
+            # operators are bit for bit the ones a per-mode probe builds.
+            horizontal = [
+                i for i, m in enumerate(missing) if intra.ANGULAR_FIRST <= m < 18
+            ]
+            built = np.empty((len(missing), n * n, width), dtype=np.float64)
+            refs = np.zeros(width, dtype=np.float64)
+            for j in range(width):
+                refs[j] = 1.0
+                preds = intra.predict_many(refs[: 2 * n + 1], refs[2 * n + 1 :], missing, n)
+                coeffs = np.matmul(np.matmul(basis, preds), basis.T)
+                flipped = np.ascontiguousarray(preds[horizontal].transpose(0, 2, 1))
+                coeffs[horizontal] = np.matmul(
+                    np.matmul(basis, flipped.transpose(0, 2, 1)), basis.T
+                )
+                built[:, :, j] = coeffs.reshape(len(missing), n * n)[:, zz]
+                refs[j] = 0.0
+            built.setflags(write=False)
+            _MODE_COEFF.update(((m, n), matrix) for m, matrix in zip(missing, built))
+    return [_MODE_COEFF[m, n] for m in modes]
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +160,7 @@ def _mode_coeff_operator(modes: Tuple[int, ...], n: int) -> np.ndarray:
     """Per-mode operators stacked for one candidate list, shape
     ``(m * n^2, 4n + 2)`` -- the whole coarse (or refine) pass of the
     turbo search is then a single mat-vec against the references."""
-    stacked = np.concatenate([_mode_coeff_matrix(m, n) for m in modes], axis=0)
+    stacked = np.concatenate(_mode_coeff_matrices(modes, n), axis=0)
     stacked.setflags(write=False)
     return stacked
 
@@ -230,27 +251,48 @@ def _quantize_costs(
     return levels, rate, nnz.astype(np.int64), last.astype(np.int64)
 
 
-def _pass1_err_costs(
-    cscaled: np.ndarray, pred: np.ndarray, deadzone: float, native_ok: bool
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Quantization errors + rate stats for a (blocks, modes) candidate grid.
+def _pass1_pick(
+    coeffs: np.ndarray,
+    pred: np.ndarray,
+    inv_step: np.ndarray,
+    step2: np.ndarray,
+    lam: np.ndarray,
+    mode_bits: np.ndarray,
+    deadzone: float,
+    native_ok: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """First cheapest candidate and its RD cost for every pass-1 block.
 
-    Candidate row ``b * modes + m`` is ``cscaled[b] - pred[b, m]``; the
-    native kernel forms that difference element by element while
-    quantizing, so the full candidate tensor is never materialised.
-    The fallback materialises it with the same broadcast subtraction
-    and reuses :func:`_quantize_costs`; both paths return bitwise
-    identical ``(err, rate, nnz, last)`` (the error is the same single
-    float subtraction on the same operands), so pass-1 decisions cannot
-    depend on which ran.
+    Candidate ``(b, m)`` is ``(coeffs[b] - pred[b, m]) * inv_step[b]``.
+    The native kernel quantizes, costs and ranks it row by row; the
+    numpy form below materialises the candidate tensor and is the
+    kernel's definition -- the same exactly-rounded operations in the
+    same order, the SSE as four strided lanes each summed sequentially
+    -- so ``(pick, cost)`` is bitwise the same whichever ran.
     """
     if native_ok:
-        out = native.cost_fused(cscaled, pred, deadzone, _level_rate_table())
+        out = native.cost_pick(
+            coeffs, pred, inv_step, step2, lam, mode_bits, deadzone,
+            _level_rate_table(),
+        )
         if out is not None:
             return out
-    flat = (cscaled[:, None, :] - pred).reshape(-1, cscaled.shape[1])
+        if native.kernel_status(resolve=False)["cost"] == "ready":
+            telemetry.count("encode.kernel_refusals")
+    n_blocks, n_modes, width = pred.shape
+    flat = ((coeffs[:, None, :] - pred) * inv_step[:, None, None]).reshape(-1, width)
     levels, rate, nnz, last = _quantize_costs(flat, deadzone, native_ok)
-    return levels - flat, rate, nnz, last
+    err = np.pad(levels - flat, ((0, 0), (0, -width % 4)))
+    lanes = np.cumsum((err * err).reshape(len(flat), -1, 4), axis=1)[:, -1]
+    sse = (lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])
+    level_bits = rate / float(1 << (_RATE_SCALE_BITS - 1)) + 2.0 * nnz
+    bits = np.where(nnz > 0, 5.0 + last + level_bits, 1.0)
+    costs = (
+        sse.reshape(n_blocks, n_modes) * step2[:, None]
+        + lam[:, None] * bits.reshape(n_blocks, n_modes)
+    ) + lam[:, None] * mode_bits
+    pick = np.argmin(costs, axis=1)
+    return pick, costs[np.arange(n_blocks), pick]
 
 
 MAGIC = b"LV65"
@@ -926,12 +968,16 @@ class FrameEncoder:
                 sizes.append(sizes[-1] // 2)
         best_mode: Dict[int, np.ndarray] = {}
         best_cost: Dict[int, np.ndarray] = {}
+        ctu_qps = qp_map.tolist()
+        ctu_step = np.array([[qstep(qp) for qp in row] for row in ctu_qps])
+        ctu_lambda = np.array([[rd_lambda(qp) for qp in row] for row in ctu_qps])
         for n in sizes:
             by, bx = height // n, width // n
-            blk_qp = qp_map[
-                (np.arange(by) * n) // ctu
-            ][:, (np.arange(bx) * n) // ctu].ravel()
-            modes_n, costs_n = self._turbo_pass1_size(n, blk_qp)
+            # Every block quantizes with the step and Lagrangian of its CTU.
+            at = np.ix_((np.arange(by) * n) // ctu, (np.arange(bx) * n) // ctu)
+            modes_n, costs_n = self._turbo_pass1_size(
+                n, ctu_step[at].ravel(), ctu_lambda[at].ravel()
+            )
             best_mode[n] = modes_n.reshape(by, bx)
             best_cost[n] = costs_n.reshape(by, bx)
         if stats is not None:
@@ -1064,15 +1110,16 @@ class FrameEncoder:
         return True
 
     def _turbo_pass1_size(
-        self, n: int, blk_qp: np.ndarray
+        self, n: int, step: np.ndarray, lam: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Best coarse mode + RD cost for every ``n x n`` block at once.
 
         References come from the source frame, padded edge-replicated
         (one row/column of context outside the frame, ``2n`` of
         extension below/right exactly like the boundary walk reads
-        them), so the whole frame's candidate costing collapses into
-        one operator gemm per QP group instead of a mat-vec per block.
+        them), so the whole frame's candidate prediction collapses into
+        one operator gemm instead of a mat-vec per block; ``step`` /
+        ``lam`` are every block's quantizer step and Lagrangian.
         """
         frame = self._frame
         height, width = frame.shape
@@ -1081,9 +1128,8 @@ class FrameEncoder:
         basis = dct_matrix(n)
         zz = zigzag_order(n)
         blocks = frame.reshape(by, n, bx, n).transpose(0, 2, 1, 3)
-        coeffs = np.matmul(np.matmul(basis, blocks), basis.T).reshape(
-            total, n * n
-        )[:, zz]
+        coeffs = np.matmul(np.matmul(basis, blocks), basis.T).reshape(total, n * n)
+        coeffs = np.take(coeffs, zz, axis=1)  # C-contiguous, unlike [:, zz]
 
         padded = np.pad(frame, ((1, n), (1, n)), mode="edge")
         ys = np.arange(by) * n
@@ -1093,38 +1139,18 @@ class FrameEncoder:
         refs = np.concatenate([tops, lefts], axis=2).reshape(total, 4 * n + 2)
 
         modes = self.config.profile.coarse_modes()
-        operator = _mode_coeff_operator(modes, n)
-        mode_bits = _anchor_mode_bits(modes)
-        mode_arr = np.asarray(modes)
-        deadzone = self.config.profile.deadzone
-        best_modes = np.empty(total, dtype=np.int64)
-        best_costs = np.empty(total, dtype=np.float64)
-        for qp in np.unique(blk_qp):
-            idx = np.nonzero(blk_qp == qp)[0]
-            step = qstep(float(qp))
-            lam = rd_lambda(float(qp))
-            inv_step = 1.0 / step
-            # Block-major gemm orientation: the (blocks, modes, n*n)
-            # prediction comes out C-contiguous, so the fused cost
-            # kernel (or the fallback's broadcast subtraction) walks it
-            # row by row -- no transpose copy of the full candidate
-            # tensor per QP group.
-            pred = ((refs[idx] * inv_step) @ operator.T).reshape(
-                len(idx), len(modes), n * n
-            )
-            err, rate, nnz, last = _pass1_err_costs(
-                coeffs[idx] * inv_step, pred, deadzone, self._native_ok
-            )
-            sse = np.einsum("ij,ij->i", err, err) * (step * step)
-            level_bits = rate / float(1 << (_RATE_SCALE_BITS - 1)) + 2.0 * nnz
-            bits = np.where(nnz > 0, 5.0 + last + level_bits, 1.0)
-            costs = (sse + lam * bits).reshape(len(idx), len(modes)) + (
-                lam * mode_bits[None, :]
-            )
-            pick = np.argmin(costs, axis=1)
-            best_modes[idx] = mode_arr[pick]
-            best_costs[idx] = costs[np.arange(len(idx)), pick]
-        return best_modes, best_costs
+        # Block-major gemm orientation: the (blocks, modes, n*n)
+        # prediction comes out C-contiguous, so the pick kernel walks it
+        # row by row -- no transpose copy of the candidate predictions.
+        pred = (refs @ _mode_coeff_operator(modes, n).T).reshape(
+            total, len(modes), n * n
+        )
+        pick, costs = _pass1_pick(
+            coeffs, pred, 1.0 / step, step * step, lam,
+            _anchor_mode_bits(modes), self.config.profile.deadzone,
+            self._native_ok,
+        )
+        return np.asarray(modes, dtype=np.int64)[pick], costs
 
     def _turbo_choose(
         self,

@@ -1,42 +1,48 @@
-/* Native batched RD costing for the turbo quadtree search.
+/* Native batched RD costing for the turbo search.
  *
- * Two layouts share the one entry point:
+ * Two entry points share the dead-zone quantizer and the integer rate
+ * statistics of a row of levels:
  *
- *   pred == NULL  "flat" mode: row r of `cscaled` IS the candidate
- *                 coefficient block already scaled into step units
- *                 (n_modes is ignored, rows = n_blocks).
- *   pred != NULL  "fused" mode: candidate row r is block r / n_modes
- *                 of `cscaled` minus row r of `pred` -- the broadcast
- *                 subtraction the numpy fallback materialises as a
- *                 full (blocks * modes, width) temporary happens here
- *                 element by element instead, saving that allocation
- *                 and a complete memory round-trip per QP group.
+ *   llm265_cost_blocks  "flat": row r of `scaled` IS a candidate
+ *                       coefficient block in step units; the kernel
+ *                       returns its levels and rate statistics and the
+ *                       caller (the exact per-leaf search, inter
+ *                       frames) finishes the cost in numpy.
+ *   llm265_cost_pick    pass 1 of the whole-frame search: for every
+ *                       block the best candidate mode and its RD cost,
+ *                       and nothing else -- the (blocks * modes, width)
+ *                       candidate tensor, its levels and its errors
+ *                       never exist outside one L1-resident row.
  *
- * For every candidate row the kernel performs the dead-zone quantize
- * and accumulates the three integer rate statistics the Python cost
- * model needs:
+ * Per candidate row:
  *
- *   out[r][i]     emit_err == 0: the quantized level, as float64.
- *                 emit_err != 0: level - x, the quantization error the
- *                 SSE term consumes (the subtraction is the identical
- *                 single float op the numpy fallback performs on the
- *                 identical operands, so it is bitwise equal).
- *   rate[r]       sum of rate_table[min(|level|, table_len - 1)], an
- *                 int64 fixed-point (2^15-scaled log2(m + 1)) sum that
- *                 is order-independent and therefore exactly equal to
- *                 the numpy np.take(...).sum() fallback.
- *   nnz[r]        count of nonzero levels.
- *   last[r]       highest nonzero index, -1 for an all-zero row.
+ *   level[i]   trunc(x + copysign(0.5 - deadzone, x)), or rint(x) when
+ *              deadzone == 0 (round-half-even under FE_TONEAREST);
+ *              bitwise np.trunc / np.copysign / np.rint.
+ *   rate       sum of rate_table[min(|level|, table_len - 1)], an int64
+ *              fixed-point (2^15-scaled log2(m + 1)) sum that is
+ *              order-independent and therefore exactly equal to numpy's
+ *              np.take(...).sum().  rate_table[0] must be 0: zeros up to
+ *              the last nonzero are summed, not skipped, so the
+ *              accumulation has no branch.
+ *   nnz, last  count of nonzero levels and the highest nonzero index
+ *              (-1 for an all-zero row), found by a scan from the end.
  *
- * rint() under the default FE_TONEAREST mode is round-half-even and
- * trunc/copysign are exact, so levels are bitwise identical to
- * np.rint / np.trunc(x + copysign(...)).  Distortion (sum of squared
- * error) deliberately stays in numpy on both the native and fallback
- * paths: float summation order matters there, and numpy's pairwise
- * reduction is not worth reproducing in C.  Since the errors produced
- * here are bitwise identical to the numpy quantizer's, both paths feed
- * the same floats into the same numpy sum and every downstream cost,
- * argmin, and bitstream byte agrees.
+ * llm265_cost_pick forms x = (coeffs[b][i] - pred[b][m][i]) *
+ * inv_step[b] element by element and also needs the distortion
+ * sum((level - x)^2), a float sum whose order matters.  The order is
+ * part of the definition: four strided lanes (i mod 4), each summed
+ * sequentially in i, combined (l0 + l1) + (l2 + l3) -- in numpy,
+ * np.cumsum(e2.reshape(rows, -1, 4), axis=1)[:, -1] on a zero-padded
+ * row.  Then, in the twin's order,
+ *
+ *   bits = nnz ? (5 + last) + (rate / 2^14 + 2 * nnz) : 1
+ *   cost = (sse * step2[b] + lambda[b] * bits) + lambda[b] * mode_bits[m]
+ *
+ * and the first minimum in candidate order wins.  Every operation is an
+ * exactly-rounded IEEE one (no libm transcendental, no BLAS; built with
+ * -ffp-contract=off), so best_mode / best_cost are bitwise those of
+ * repro.codec.encoder._pass1_pick's numpy form on any machine.
  *
  * Built on demand by repro.codec.entropy.native (GIL released).
  * Return status: 0 = ok, 1 = a row wider than the stack level buffer
@@ -49,83 +55,115 @@
 /* Largest n * n of any profile (64 x 64 CTU). */
 #define MAX_WIDTH 4096
 
-int64_t llm265_cost_blocks(
-    const double *cscaled, const double *pred,
-    int64_t n_blocks, int64_t n_modes, int64_t width, double deadzone,
-    const int64_t *rate_table, int64_t table_len, int64_t emit_err,
-    double *out, int64_t *rate, int64_t *nnz, int64_t *last)
+static inline double quantize(double x, double off, int dead)
 {
-    int64_t n_rows = pred ? n_blocks * n_modes : n_blocks;
-    int64_t r, i;
+    return dead ? trunc(x + copysign(off, x)) : rint(x);
+}
+
+static inline void level_stats(
+    const double *lv, int64_t width,
+    const int64_t *rate_table, int64_t table_len,
+    int64_t *rate, int64_t *nnz, int64_t *last)
+{
     double top = (double)(table_len - 1);
+    int64_t row_rate = 0, row_nnz = 0, row_last = width - 1, i;
+    while (row_last >= 0 && !(fabs(lv[row_last]) > 0.0))
+        row_last--;
+    for (i = 0; i <= row_last; i++) {
+        double mag = fabs(lv[i]);
+        /* Clamp before the cast: magnitudes beyond the table share its
+         * top entry, and casting a double above INT64_MAX would be
+         * undefined. */
+        row_rate += rate_table[(int64_t)(mag < top ? mag : top)];
+        row_nnz += mag > 0.0;
+    }
+    *rate = row_rate;
+    *nnz = row_nnz;
+    *last = row_last;
+}
+
+int64_t llm265_cost_blocks(
+    const double *scaled, int64_t n_rows, int64_t width, double deadzone,
+    const int64_t *rate_table, int64_t table_len,
+    double *levels, int64_t *rate, int64_t *nnz, int64_t *last)
+{
     double off = 0.5 - deadzone;
-    double lvbuf[MAX_WIDTH];
+    int64_t r, i;
 
     if (width < 1 || width > MAX_WIDTH)
         return 1;
     for (r = 0; r < n_rows; r++) {
-        const double *crow =
-            pred ? cscaled + (r / n_modes) * width : cscaled + r * width;
-        const double *prow = pred ? pred + r * width : 0;
-        double *orow = out + r * width;
-        /* The stats pass reads exact levels; in emit_err mode they go
-         * to the stack row (L1-resident) while `out` receives errors. */
-        double *lrow = emit_err ? lvbuf : orow;
-        int64_t row_rate = 0, row_nnz = 0, row_last = -1;
-        /* Quantize first in branch-hoisted loops the compiler can
-         * vectorize (trunc/copysign/rint inline to single packed
-         * instructions with SSE4.1), then gather the rate stats in a
-         * second pass. */
-        if (deadzone != 0.0) {
-            if (prow)
-                for (i = 0; i < width; i++) {
-                    double x = crow[i] - prow[i];
-                    double lv = trunc(x + copysign(off, x));
-                    lrow[i] = lv;
-                    if (emit_err)
-                        orow[i] = lv - x;
-                }
-            else
-                for (i = 0; i < width; i++) {
-                    double x = crow[i];
-                    double lv = trunc(x + copysign(off, x));
-                    lrow[i] = lv;
-                    if (emit_err)
-                        orow[i] = lv - x;
-                }
-        } else {
-            if (prow)
-                for (i = 0; i < width; i++) {
-                    double x = crow[i] - prow[i];
-                    double lv = rint(x);
-                    lrow[i] = lv;
-                    if (emit_err)
-                        orow[i] = lv - x;
-                }
-            else
-                for (i = 0; i < width; i++) {
-                    double x = crow[i];
-                    double lv = rint(x);
-                    lrow[i] = lv;
-                    if (emit_err)
-                        orow[i] = lv - x;
-                }
+        const double *x = scaled + r * width;
+        double *lv = levels + r * width;
+        /* Quantize in branch-hoisted loops (trunc/copysign/rint inline
+         * to single instructions with SSE4.1), then gather the rate
+         * stats in a second pass. */
+        if (deadzone != 0.0)
+            for (i = 0; i < width; i++)
+                lv[i] = quantize(x[i], off, 1);
+        else
+            for (i = 0; i < width; i++)
+                lv[i] = quantize(x[i], off, 0);
+        level_stats(lv, width, rate_table, table_len,
+                    rate + r, nnz + r, last + r);
+    }
+    return 0;
+}
+
+/* Levels of one candidate row into `lv`; returns its lane-ordered SSE. */
+static inline double quantize_row(
+    const double *c, const double *p, double inv, double off, int dead,
+    int64_t width, double *lv)
+{
+    double lane[4] = {0.0, 0.0, 0.0, 0.0};
+    int64_t i, j;
+    for (i = 0; i + 4 <= width; i += 4)
+        for (j = 0; j < 4; j++) {
+            double x = (c[i + j] - p[i + j]) * inv;
+            double e = (lv[i + j] = quantize(x, off, dead)) - x;
+            lane[j] += e * e;
         }
-        for (i = 0; i < width; i++) {
-            double mag = fabs(lrow[i]);
-            if (mag > 0.0) {
-                row_nnz++;
-                row_last = i;
-                /* Clamp before the cast: magnitudes beyond the table
-                 * share its top entry, and casting a double above
-                 * INT64_MAX would be undefined. */
-                int64_t m = mag < top ? (int64_t)mag : table_len - 1;
-                row_rate += rate_table[m];
+    for (j = 0; i + j < width; j++) {
+        double x = (c[i + j] - p[i + j]) * inv;
+        double e = (lv[i + j] = quantize(x, off, dead)) - x;
+        lane[j] += e * e;
+    }
+    return (lane[0] + lane[1]) + (lane[2] + lane[3]);
+}
+
+int64_t llm265_cost_pick(
+    const double *coeffs, const double *pred,
+    int64_t n_blocks, int64_t n_modes, int64_t width,
+    const double *inv_step, const double *step2, const double *lambda,
+    const double *mode_bits, double deadzone,
+    const int64_t *rate_table, int64_t table_len,
+    int64_t *best_mode, double *best_cost)
+{
+    double off = 0.5 - deadzone;
+    double lv[MAX_WIDTH];
+    int64_t b, m;
+
+    if (width < 1 || width > MAX_WIDTH || n_modes < 1)
+        return 1;
+    for (b = 0; b < n_blocks; b++) {
+        const double *c = coeffs + b * width;
+        for (m = 0; m < n_modes; m++) {
+            const double *p = pred + (b * n_modes + m) * width;
+            int64_t rate, nnz, last;
+            double sse = deadzone != 0.0
+                ? quantize_row(c, p, inv_step[b], off, 1, width, lv)
+                : quantize_row(c, p, inv_step[b], off, 0, width, lv);
+            double bits = 1.0, cost;
+            level_stats(lv, width, rate_table, table_len, &rate, &nnz, &last);
+            if (nnz > 0)
+                bits = (5.0 + (double)last)
+                    + ((double)rate / 16384.0 + 2.0 * (double)nnz);
+            cost = (sse * step2[b] + lambda[b] * bits) + lambda[b] * mode_bits[m];
+            if (m == 0 || cost < best_cost[b]) {
+                best_cost[b] = cost;
+                best_mode[b] = m;
             }
         }
-        rate[r] = row_rate;
-        nnz[r] = row_nnz;
-        last[r] = row_last;
     }
     return 0;
 }

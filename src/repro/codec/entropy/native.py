@@ -25,8 +25,12 @@ coefficient-block writer -- is only ever ``#include``d):
            predictors of the recon kernel, and also exports the
            codec's order-defined DCT pair (:func:`dct2`) and, built on
            it, the decoder's residual stage (:func:`residuals`).
-``cost``   ``_cost_kernel.c``  -- batched quantize + fixed-point rate
-           accumulation for the turbo RD search.
+``cost``   ``_cost_kernel.c`` -- RD costing, two entries in one object:
+           pass 1's quantize -> rate -> distortion -> argmin over every
+           candidate of a block size (:func:`cost_pick`: one mode and
+           one cost per block come back, nothing else), and the batched
+           quantize + rate statistics of the per-leaf searches
+           (:func:`cost`).
 
 Each C file is compiled with the system C compiler the first time one
 of its kernels is needed and cached under ``_build/`` keyed by a content
@@ -80,7 +84,7 @@ __all__ = [
     "dct2",
     "residuals",
     "cost",
-    "cost_fused",
+    "cost_pick",
     "refs",
 ]
 
@@ -187,19 +191,33 @@ _REFS_ARGTYPES = [
 ]
 
 _COST_ARGTYPES = [
-    ctypes.c_void_p,  # cscaled (float64)
-    ctypes.c_void_p,  # pred (float64, NULL for flat mode)
-    ctypes.c_int64,  # n_blocks
-    ctypes.c_int64,  # n_modes
+    ctypes.c_void_p,  # scaled (float64)
+    ctypes.c_int64,  # n_rows
     ctypes.c_int64,  # width
     ctypes.c_double,  # deadzone
     ctypes.c_void_p,  # rate_table (int64)
     ctypes.c_int64,  # table_len
-    ctypes.c_int64,  # emit_err
-    ctypes.c_void_p,  # out: levels or errors (float64)
+    ctypes.c_void_p,  # levels out (float64)
     ctypes.c_void_p,  # rate out (int64)
     ctypes.c_void_p,  # nnz out (int64)
     ctypes.c_void_p,  # last out (int64)
+]
+
+_PICK_ARGTYPES = [
+    ctypes.c_void_p,  # coeffs (float64, blocks x width)
+    ctypes.c_void_p,  # pred (float64, blocks x modes x width)
+    ctypes.c_int64,  # n_blocks
+    ctypes.c_int64,  # n_modes
+    ctypes.c_int64,  # width
+    ctypes.c_void_p,  # inv_step (float64, one per block)
+    ctypes.c_void_p,  # step2 (float64, one per block)
+    ctypes.c_void_p,  # lambda (float64, one per block)
+    ctypes.c_void_p,  # mode_bits (float64, one per mode)
+    ctypes.c_double,  # deadzone
+    ctypes.c_void_p,  # rate_table (int64)
+    ctypes.c_int64,  # table_len
+    ctypes.c_void_p,  # best_mode out (int64, candidate index)
+    ctypes.c_void_p,  # best_cost out (float64)
 ]
 
 
@@ -269,6 +287,12 @@ def _check_dct(lib) -> None:
                 raise RuntimeError(f"ordered DCT disagrees with numpy at n={n}")
 
 
+def _declare_pick(lib) -> None:
+    """Declare the cost library's second entry, pass 1's pick kernel."""
+    lib.llm265_cost_pick.restype = ctypes.c_int64
+    lib.llm265_cost_pick.argtypes = _PICK_ARGTYPES
+
+
 @dataclass
 class _Kernel:
     name: str
@@ -303,7 +327,13 @@ _KERNELS: Dict[str, _Kernel] = {
             check=_check_dct,
             includes=("_recon_kernel.c", "_write_kernel.c"),
         ),
-        _Kernel("cost", "_cost_kernel.c", "llm265_cost_blocks", _COST_ARGTYPES),
+        _Kernel(
+            "cost",
+            "_cost_kernel.c",
+            "llm265_cost_blocks",
+            _COST_ARGTYPES,
+            check=_declare_pick,
+        ),
         _Kernel("refs", "_recon_kernel.c", "llm265_gather_refs", _REFS_ARGTYPES),
     )
 }
@@ -937,77 +967,60 @@ def cost(
     nnz = np.empty(rows, dtype=np.int64)
     last = np.empty(rows, dtype=np.int64)
     status = fn(
-        diff.ctypes.data,
-        None,  # flat mode
-        rows,
-        1,
-        width,
-        deadzone,
-        rate_table.ctypes.data,
-        len(rate_table),
-        0,  # emit levels
-        levels.ctypes.data,
-        rate.ctypes.data,
-        nnz.ctypes.data,
-        last.ctypes.data,
+        diff.ctypes.data, rows, width, deadzone, rate_table.ctypes.data,
+        len(rate_table), levels.ctypes.data, rate.ctypes.data,
+        nnz.ctypes.data, last.ctypes.data,
     )
     if status != 0:
         return None
     return levels, rate, nnz, last
 
 
-def cost_fused(
-    cscaled: np.ndarray,
+def cost_pick(
+    coeffs: np.ndarray,
     pred: np.ndarray,
+    inv_step: np.ndarray,
+    step2: np.ndarray,
+    lam: np.ndarray,
+    mode_bits: np.ndarray,
     deadzone: float,
     rate_table: np.ndarray,
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Fused predict-subtract + quantize + rate stats for pass 1.
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Pass 1's cost -> distortion -> argmin in one call; None = use numpy.
 
-    ``cscaled`` is the ``(blocks, width)`` step-scaled coefficient
-    batch and ``pred`` the ``(blocks, modes, width)`` candidate
-    predictions; candidate row ``b * modes + m`` is quantized from
-    ``cscaled[b] - pred[b, m]`` without ever materialising that
-    difference.  Returns ``(err, rate, nnz, last)`` where ``err`` holds
-    the quantization errors (``level - x``) the SSE term consumes --
-    all four bitwise identical to the numpy fallback in
-    :func:`repro.codec.encoder._pass1_err_costs`.
+    ``coeffs`` is the ``(blocks, width)`` source coefficient batch and
+    ``pred`` the ``(blocks, modes, width)`` candidate predictions, both
+    unscaled; ``inv_step`` / ``step2`` / ``lam`` hold every block's
+    ``1 / step``, ``step ** 2`` and Lagrangian, ``mode_bits`` every
+    candidate's signalling rate.  Returns ``(pick, cost)``: per block the
+    index of the first cheapest candidate and its RD cost, bitwise what
+    the numpy form in :func:`repro.codec.encoder._pass1_pick` computes.
+    The candidate rows, their levels and their errors never leave C.
     """
-    fn = _resolve("cost")
-    if fn is None:
+    if _resolve("cost") is None:
         return None
-    if (
-        cscaled.dtype != np.float64
-        or not cscaled.flags.c_contiguous
-        or pred.dtype != np.float64
-        or not pred.flags.c_contiguous
+    if not (
+        _c_array(coeffs, np.float64, 2)
+        and _c_array(pred, np.float64, 3)
+        and _c_array(mode_bits, np.float64, 1)
+        and pred.shape == (len(coeffs), len(mode_bits), coeffs.shape[1])
+        and all(
+            _c_array(per_block, np.float64, 1) and len(per_block) == len(coeffs)
+            for per_block in (inv_step, step2, lam)
+        )
+        and _c_array(rate_table, np.int64, 1)
     ):
         return None
-    n_blocks, width = cscaled.shape
-    n_modes = pred.shape[1]
-    rows = n_blocks * n_modes
-    err = np.empty((rows, width), dtype=np.float64)
-    rate = np.empty(rows, dtype=np.int64)
-    nnz = np.empty(rows, dtype=np.int64)
-    last = np.empty(rows, dtype=np.int64)
-    status = fn(
-        cscaled.ctypes.data,
-        pred.ctypes.data,
-        n_blocks,
-        n_modes,
-        width,
-        deadzone,
-        rate_table.ctypes.data,
-        len(rate_table),
-        1,  # emit errors
-        err.ctypes.data,
-        rate.ctypes.data,
-        nnz.ctypes.data,
-        last.ctypes.data,
+    n_blocks, n_modes, width = pred.shape
+    pick = np.empty(n_blocks, dtype=np.int64)
+    best = np.empty(n_blocks, dtype=np.float64)
+    status = _KERNELS["cost"].lib.llm265_cost_pick(
+        coeffs.ctypes.data, pred.ctypes.data, n_blocks, n_modes, width,
+        inv_step.ctypes.data, step2.ctypes.data, lam.ctypes.data,
+        mode_bits.ctypes.data, deadzone, rate_table.ctypes.data,
+        len(rate_table), pick.ctypes.data, best.ctypes.data,
     )
-    if status != 0:
-        return None
-    return err, rate, nnz, last
+    return None if status else (pick, best)
 
 
 def refs(

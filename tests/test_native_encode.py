@@ -5,8 +5,11 @@ Covers, kernel by kernel, the exactness contracts the fuzz suite
 
 - the fused coefficient-block writer against the primitive-call entropy
   coder (bytes and adapted context banks);
-- the cost kernel, flat and fused layouts, against the numpy quantizer
-  (bitwise, all four outputs);
+- the cost kernel against numpy, bitwise: the flat layout's four
+  outputs, and pass 1's pick kernel against its twin on
+  ``(best_mode, best_cost)`` (random grids, directed edge cases, real
+  frames across profiles / sizes / dead zones / QPs);
+- the mode-operator builder against the per-mode probe it replaced;
 - the refs kernel against the original scalar boundary walk;
 - the build pipeline: per-kernel status, cache GC accounting, and the
   degrade-once-with-one-event behaviour on build failure;
@@ -16,12 +19,14 @@ Covers, kernel by kernel, the exactness contracts the fuzz suite
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.codec import intra
 from repro.codec.encoder import (
     _PARALLEL_MIN_BYTES,
     _PARALLEL_MIN_SLICES,
@@ -29,18 +34,22 @@ from repro.codec.encoder import (
     EncoderConfig,
     FrameEncoder,
     _level_rate_table,
-    _pass1_err_costs,
+    _mode_coeff_matrices,
+    _pass1_pick,
     _quantize_costs,
 )
 from repro.codec.entropy import native
 from repro.codec.entropy.arithmetic import BinaryEncoder
 from repro.codec.intra import gather_references
+from repro.codec.profiles import AV1_PROFILE, H264_PROFILE, H265_PROFILE
+from repro.codec.quantizer import qstep, rd_lambda
 from repro.codec.reference import gather_references_scalar
 from repro.codec.syntax import (
     CodecContexts,
     encode_coeff_block,
     encode_coeff_block_primitive,
 )
+from repro.codec.transform import dct_matrix, zigzag_order
 from repro.parallel import ParallelConfig
 from repro.serving.ladder import DEFAULT_LADDER, Rung
 from repro.telemetry import flightrecorder
@@ -124,12 +133,9 @@ class TestCostKernel:
     @pytest.mark.parametrize("deadzone", [0.0, 0.25])
     def test_fused_matches_numpy_bitwise(self, deadzone):
         rng = np.random.default_rng(13)
-        cscaled = np.ascontiguousarray(rng.normal(0, 8, (10, 64)))
-        pred = np.ascontiguousarray(rng.normal(0, 8, (10, 7, 64)))
-        a = _pass1_err_costs(cscaled, pred, deadzone, native_ok=True)
-        b = _pass1_err_costs(cscaled, pred, deadzone, native_ok=False)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
+        coeffs = rng.normal(0, 40, (10, 64))
+        pred = rng.normal(0, 40, (10, 7, 64))
+        _assert_pick_identical(coeffs, pred, *_two_qp_params(rng, 10, 7), deadzone)
 
     @needs_cost
     def test_huge_magnitudes_clamp_to_table_top(self):
@@ -149,10 +155,181 @@ class TestCostKernel:
 
     @needs_cost
     def test_fused_rejects_noncontiguous(self):
+        coeffs = np.zeros((4, 128))[:, ::2]
+        params = _two_qp_params(np.random.default_rng(1), 4, 3)
+        args = (np.zeros((4, 3, 64)), *params, 0.0, _level_rate_table())
+        assert native.cost_pick(coeffs, *args) is None
+        assert native.cost_pick(np.ascontiguousarray(coeffs), *args) is not None
+
+
+def _two_qp_params(rng, n_blocks, n_modes, qps=(18.0, 24.0)):
+    """``(inv_step, step2, lam, mode_bits)`` with every block on one of two QPs."""
+    qp = rng.choice(qps, n_blocks)
+    step = np.array([qstep(q) for q in qp])
+    lam = np.array([rd_lambda(q) for q in qp])
+    return 1.0 / step, step * step, lam, rng.uniform(1.0, 6.0, n_modes)
+
+
+def _assert_pick_identical(*args):
+    """Kernel == twin, bit for bit, on ``_pass1_pick``'s positional
+    arguments up to ``deadzone``; returns the common ``(pick, cost)``."""
+    with telemetry.session() as registry:
+        kernel = _pass1_pick(*args, native_ok=True)
+    assert "encode.kernel_refusals" not in registry.counters
+    twin = _pass1_pick(*args, native_ok=False)
+    assert kernel[0].dtype == twin[0].dtype == np.int64
+    assert kernel[0].tobytes() == twin[0].tobytes()
+    assert kernel[1].tobytes() == twin[1].tobytes()  # +0.0 / -0.0 / nan differ
+    return twin
+
+
+@needs_cost
+class TestPickKernel:
+    def test_exact_tie_goes_to_the_earlier_candidate(self):
+        rng = np.random.default_rng(5)
+        coeffs = rng.normal(0, 40, (3, 16))
+        pred = rng.normal(0, 40, (3, 5, 16))
+        params = list(_two_qp_params(rng, 3, 5))
+        # Candidates 1 and 3 made identical (prediction and mode rate),
+        # and far better than the rest: an exact tie for the minimum.
+        pred[:, 1] = pred[:, 3] = coeffs + 0.25
+        params[3][3] = params[3][1]
+        for deadzone in (0.0, 0.15):
+            pick, _ = _assert_pick_identical(coeffs, pred, *params, deadzone)
+            assert pick.tolist() == [1, 1, 1]
+
+    def test_all_zero_block_costs_one_bit(self):
+        rng = np.random.default_rng(6)
+        coeffs = rng.normal(0, 40, (2, 64))
+        pred = coeffs[:, None, :] + rng.normal(0, 0.01, (2, 3, 64))  # |x| << 0.5
+        inv_step, step2, lam, mode_bits = _two_qp_params(rng, 2, 3)
+        for deadzone in (0.0, 0.2):
+            pick, cost = _assert_pick_identical(
+                coeffs, pred, inv_step, step2, lam, mode_bits, deadzone
+            )
+            # last == -1, bits == 1: the cost is the residual energy + lam * (1 + mode).
+            err = (coeffs[:, None, :] - pred) * inv_step[:, None, None]
+            sse = (err * err).sum(axis=2) * step2[:, None]
+            want = sse + lam[:, None] * (1.0 + mode_bits)
+            np.testing.assert_allclose(cost, want[np.arange(2), pick], rtol=1e-12)
+
+    def test_magnitudes_beyond_the_rate_table(self):
         table = _level_rate_table()
-        cscaled = np.zeros((4, 128))[:, ::2]
-        pred = np.zeros((4, 3, 64))
-        assert native.cost_fused(cscaled, pred, 0.0, table) is None
+        rng = np.random.default_rng(7)
+        coeffs = np.zeros((2, 16))
+        coeffs[0, :4] = [1e9, -1e9, float(len(table)), 3e18]
+        coeffs[1, 5] = -float(len(table) - 1)
+        pred = rng.normal(0, 1, (2, 4, 16))
+        step = np.ones(2)
+        params = (step, step, np.array([4.0, 9.0]), rng.uniform(1.0, 6.0, 4))
+        for deadzone in (0.0, 0.15):
+            _assert_pick_identical(coeffs, pred, *params, deadzone)
+
+    def test_width_beyond_stack_buffer_declines_to_the_twin(self):
+        rng = np.random.default_rng(8)
+        coeffs = rng.normal(0, 40, (2, 4097))  # also not a multiple of four
+        pred = rng.normal(0, 40, (2, 3, 4097))
+        params = _two_qp_params(rng, 2, 3)
+        assert native.cost_pick(
+            coeffs, pred, *params, 0.15, _level_rate_table()
+        ) is None
+        with telemetry.session() as registry:
+            got = _pass1_pick(coeffs, pred, *params, 0.15, native_ok=True)
+        # The hand-back is counted, once; the pinned twin never counts.
+        assert registry.counters.get("encode.kernel_refusals") == 1
+        with telemetry.session() as registry:
+            want = _pass1_pick(coeffs, pred, *params, 0.15, native_ok=False)
+        assert "encode.kernel_refusals" not in registry.counters
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 6, 7, 18])
+    def test_lane_tail_matches_zero_padding(self, width):
+        # Widths off the four-lane grid: the kernel's tail loop against
+        # the twin's zero-padded lanes.
+        rng = np.random.default_rng(width)
+        coeffs = rng.normal(0, 40, (6, width))
+        pred = rng.normal(0, 40, (6, 4, width))
+        for deadzone in (0.0, 0.15):
+            _assert_pick_identical(
+                coeffs, pred, *_two_qp_params(rng, 6, 4), deadzone
+            )
+
+    @pytest.mark.parametrize("qp", [26.0, 24.5], ids=["int-qp", "frac-qp"])
+    @pytest.mark.parametrize("deadzone", [0.0, 0.15, 0.2])
+    @pytest.mark.parametrize(
+        "profile", [H264_PROFILE, H265_PROFILE, AV1_PROFILE], ids=lambda p: p.name
+    )
+    def test_identical_on_real_frames(self, profile, deadzone, qp, monkeypatch):
+        # Every pass-1 call of real encodes (the 50 x 70 frame is
+        # edge-padded to the CTU grid: flat borders tie candidates; the
+        # fractional QP dithers two QPs into each slice), replayed
+        # through kernel and twin.
+        import repro.codec.encoder as encoder_mod
+
+        calls = []
+        real = encoder_mod._pass1_pick
+
+        def spy(*args):
+            calls.append(args[:-1])
+            return real(*args)
+
+        monkeypatch.setattr(encoder_mod, "_pass1_pick", spy)
+        rng = np.random.default_rng(31)
+        config = EncoderConfig(
+            profile=dataclasses.replace(profile, deadzone=deadzone), qp=qp
+        )
+        with telemetry.session() as registry:
+            for height, width in ((64, 64), (50, 70)):
+                base = (
+                    np.linspace(30, 220, width)[None, :]
+                    + np.linspace(-40, 40, height)[:, None]
+                )
+                noisy = base + rng.normal(0, 22, (height, width))
+                FrameEncoder(config).encode(
+                    [np.clip(noisy, 0, 255).astype(np.uint8)]
+                )
+        assert "encode.kernel_refusals" not in registry.counters
+        sizes = {profile.ctu_size >> depth for depth in range(3)}
+        assert {args[0].shape[1] for args in calls} == {n * n for n in sizes}
+        for args in calls:
+            assert args[6] == deadzone
+            _assert_pick_identical(*args)
+
+
+class TestModeOperators:
+    @staticmethod
+    def _probe_one_mode(mode, n):
+        """The builder this PR replaced: one ``intra.predict`` per column."""
+        basis, zz, width = dct_matrix(n), zigzag_order(n), 4 * n + 2
+        matrix = np.empty((n * n, width), dtype=np.float64)
+        refs = np.zeros(width, dtype=np.float64)
+        for j in range(width):
+            refs[j] = 1.0
+            pred = intra.predict(refs[: 2 * n + 1], refs[2 * n + 1 :], mode, n)
+            matrix[:, j] = np.take(
+                np.matmul(np.matmul(basis, pred), basis.T).ravel(), zz
+            )
+            refs[j] = 0.0
+        return matrix
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_set_builder_equals_per_mode_probe(self, n, monkeypatch):
+        import repro.codec.encoder as encoder_mod
+
+        monkeypatch.setattr(encoder_mod, "_MODE_COEFF", {})
+        every = H265_PROFILE.all_modes
+        coarse = H265_PROFILE.coarse_modes()
+        # The coarse set first, then every mode: the second call builds
+        # only what the first left missing and reads the rest back.
+        first = _mode_coeff_matrices(coarse, n)
+        both = _mode_coeff_matrices(every, n)
+        assert len(encoder_mod._MODE_COEFF) == len(every)
+        for mode, matrix in zip(every, both):
+            assert np.array_equal(matrix, self._probe_one_mode(mode, n)), mode
+            assert not matrix.flags.writeable
+        for mode, matrix in zip(coarse, first):
+            assert matrix is both[every.index(mode)]
 
 
 class TestRefsKernel:
@@ -269,7 +446,7 @@ class TestBuildPipeline:
         ref = FrameEncoder(EncoderConfig(qp=24.0, encode="python")).encode(frames)
         monkeypatch.setattr(native, "encode_slice", lambda *a, **k: None)
         monkeypatch.setattr(native, "cost", lambda *a, **k: None)
-        monkeypatch.setattr(native, "cost_fused", lambda *a, **k: None)
+        monkeypatch.setattr(native, "cost_pick", lambda *a, **k: None)
         got = FrameEncoder(EncoderConfig(qp=24.0, encode="native")).encode(frames)
         assert got.data == ref.data
 
