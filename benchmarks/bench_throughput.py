@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Standalone runner for the codec throughput benchmark.
 
-Equivalent to ``llm265 bench``; kept next to the figure benchmarks so
+``llm265 bench`` itself (same flags, same exit codes); kept next to the
+figure benchmarks so
 ``python benchmarks/bench_throughput.py --output BENCH_codec.json``
 regenerates the tracked baseline from a checkout without installing
 the console script.  See ``docs/PERFORMANCE.md`` for the methodology
@@ -15,7 +16,7 @@ asserted, both here and in ``tests/test_parallel_engine.py``).
 
 import sys
 
-from repro.analysis.bench import main
+from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["bench", *sys.argv[1:]]))

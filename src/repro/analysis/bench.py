@@ -50,10 +50,10 @@ throughput, and speedup versus baseline.
 
 from __future__ import annotations
 
-import json
+import statistics
 import subprocess
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -115,17 +115,6 @@ def make_frames(size_mb: float, tile: int = 128) -> Tuple[List[np.ndarray], int]
     return frames, tensor.nbytes
 
 
-def _time_best(fn, repeats: int) -> Tuple[float, object]:
-    """Best-of-N wall time; returns (seconds, last result)."""
-    best = float("inf")
-    result = None
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def _time_best_interleaved(fns: Dict[str, object], repeats: int):
     """Best-of-N for several functions, sampled round-robin.
 
@@ -133,19 +122,31 @@ def _time_best_interleaved(fns: Dict[str, object], repeats: int):
     other: a background load spike lasting longer than one rung's whole
     sampling window slows *only* that rung and survives the min().
     Interleaving the samples makes any spike hit every rung equally, so
-    per-rung bests stay comparable.  Returns {name: (seconds, result)}.
+    per-rung bests stay comparable.  Returns
+    {name: (best seconds, last result, samples)}.
     """
-    best: Dict[str, float] = {name: float("inf") for name in fns}
     samples: Dict[str, List[float]] = {name: [] for name in fns}
     results: Dict[str, object] = {}
     for _ in range(max(1, repeats)):
         for name, fn in fns.items():
             start = time.perf_counter()
             results[name] = fn()
-            elapsed = time.perf_counter() - start
-            samples[name].append(elapsed)
-            best[name] = min(best[name], elapsed)
-    return {name: (best[name], results[name], samples[name]) for name in fns}
+            samples[name].append(time.perf_counter() - start)
+    return {name: (min(samples[name]), results[name], samples[name])
+            for name in fns}
+
+
+def _time_best(fn, repeats: int) -> Tuple[float, object]:
+    """Best-of-N wall time of one function; returns (seconds, last result)."""
+    return _time_best_interleaved({"fn": fn}, repeats)["fn"][:2]
+
+
+def _speedups(rungs: Dict[str, dict], reference: str, names) -> Dict[str, float]:
+    """Each named rung's time over the same run's ``reference`` rung."""
+    return {
+        name: round(rungs[reference]["seconds"] / rungs[name]["seconds"], 3)
+        for name in names
+    }
 
 
 def _paired_ratio(a: List[float], b: List[float]) -> float:
@@ -159,11 +160,7 @@ def _paired_ratio(a: List[float], b: List[float]) -> float:
     and this estimator actually lands there instead of crediting noise
     to one side.
     """
-    ratios = sorted(x / y for x, y in zip(a, b))
-    mid = len(ratios) // 2
-    if len(ratios) % 2:
-        return ratios[mid]
-    return (ratios[mid - 1] + ratios[mid]) / 2
+    return statistics.median(x / y for x, y in zip(a, b))
 
 
 def bench_ladder(workers: int) -> Dict[str, Tuple[type, dict]]:
@@ -219,14 +216,7 @@ def run_benchmark(
         )
         row["turbo_matches_exact"] = streams["turbo"] == streams["vectorized"]
         divergent = divergent or not row["bitstreams_identical"]
-        row["encode_speedup"] = {
-            name: round(
-                row["encode"]["baseline"]["seconds"]
-                / row["encode"][name]["seconds"],
-                3,
-            )
-            for name in ladder
-        }
+        row["encode_speedup"] = _speedups(row["encode"], "baseline", ladder)
 
         # -- decode ladder, on this QP's turbo stream ------------------
         data = streams["turbo"]
@@ -260,26 +250,15 @@ def run_benchmark(
         )
         divergent = divergent or not decode_identical
         row["decode"]["identical"] = decode_identical
-        row["decode_speedup"] = {
-            name: round(
-                row["decode"]["legacy"]["seconds"]
-                / row["decode"][name]["seconds"],
-                3,
-            )
-            for name in decode_ladder
-        }
+        row["decode_speedup"] = _speedups(
+            row["decode"], "legacy", decode_ladder
+        )
         results.append(row)
 
     speedups = [r["encode_speedup"]["parallel"] for r in results]
-    native_speedups = sorted(r["encode_speedup"]["native"] for r in results)
+    native_speedups = [r["encode_speedup"]["native"] for r in results]
     dec_speedups = [r["decode_speedup"]["vectorized"] for r in results]
     par_vs_serial = [r["decode"]["parallel_vs_serial"] for r in results]
-    mid = len(native_speedups) // 2
-    median_native = (
-        native_speedups[mid]
-        if len(native_speedups) % 2
-        else (native_speedups[mid - 1] + native_speedups[mid]) / 2
-    )
     return {
         "schema": SCHEMA,
         "git_rev": _git_rev(),
@@ -299,7 +278,9 @@ def run_benchmark(
             "mean_encode_speedup": round(sum(speedups) / len(speedups), 3),
             # The headline encode number: serial native-kernel rung over
             # baseline, median across QPs (robust to one noisy QP).
-            "median_native_encode_speedup": round(median_native, 3),
+            "median_native_encode_speedup": round(
+                statistics.median(native_speedups), 3
+            ),
             "mean_native_encode_speedup": round(
                 sum(native_speedups) / len(native_speedups), 3
             ),
@@ -356,42 +337,3 @@ def format_report(doc: dict) -> str:
         f"identical={s['all_identical']}"
     )
     return "\n".join(lines)
-
-
-def write_results(doc: dict, path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``python benchmarks/bench_throughput.py``)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small tensor, single QP (CI smoke mode)")
-    parser.add_argument("--size-mb", type=float, default=1.0)
-    parser.add_argument("--qps", default=None,
-                        help="comma-separated QP list (default 18,26,34)")
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--output", default=None,
-                        help="write the JSON document here")
-    args = parser.parse_args(argv)
-
-    size_mb = 0.0625 if args.quick else args.size_mb
-    repeats = 1 if args.quick else args.repeats
-    if args.qps:
-        qps: Sequence[float] = [float(v) for v in args.qps.split(",")]
-    else:
-        qps = (26.0,) if args.quick else DEFAULT_QPS
-
-    doc = run_benchmark(
-        size_mb=size_mb, qps=qps, workers=args.workers, repeats=repeats
-    )
-    print(format_report(doc))
-    if args.output:
-        write_results(doc, args.output)
-        print(f"wrote {args.output}")
-    return 0 if doc["summary"]["all_identical"] else 2

@@ -40,7 +40,8 @@ Findings are classified, and the classes map to exit codes in the CLI:
 from __future__ import annotations
 
 import json
-from typing import Callable, List, Optional
+from collections import Counter
+from typing import List
 
 __all__ = [
     "EXIT_DIVERGENCE",
@@ -116,57 +117,97 @@ class _Comparison:
     def divergence(self, metric, detail, baseline=None, fresh=None):
         self._add("divergence", metric, detail, baseline, fresh)
 
+    def bound_check(self, metric: str, baseline, fresh: float, bound: float,
+                    why: str, ceiling: bool = False) -> None:
+        """Fresh must be >= ``bound`` (<= for a ceiling, where bigger is
+        worse); ``why`` says how the bound was derived."""
+        name = "ceiling" if ceiling else "floor"
+        if (fresh <= bound) if ceiling else (fresh >= bound):
+            self.ok(metric, f"{fresh:.4g} within {name} {bound:.4g}",
+                    baseline, fresh)
+        else:
+            self.regression(
+                metric, f"{fresh:.4g} past {name} {bound:.4g} ({why})",
+                baseline, fresh,
+            )
+
     def floor_check(self, metric: str, baseline: float, fresh: float,
                     rel_tol: float) -> None:
         """Fresh must be >= baseline * (1 - rel_tol * slack)."""
-        floor = baseline * (1.0 - rel_tol * self.slack)
-        if fresh < floor:
-            self.regression(
-                metric,
-                f"{fresh:.3f} below floor {floor:.3f} "
-                f"(baseline {baseline:.3f}, tol {rel_tol:.0%} x "
-                f"slack {self.slack:g})",
-                baseline, fresh,
-            )
-        else:
-            self.ok(metric, f"{fresh:.3f} >= floor {floor:.3f}",
-                    baseline, fresh)
+        self.bound_check(
+            metric, baseline, fresh,
+            baseline * (1.0 - rel_tol * self.slack),
+            f"baseline {baseline:.3f}, tol {rel_tol:.0%} x "
+            f"slack {self.slack:g}",
+        )
 
-    def ceiling_check(self, metric: str, baseline: float, fresh: float,
-                      factor: float) -> None:
-        """Fresh must be <= baseline * factor * slack (bigger is worse)."""
-        ceiling = baseline * factor * self.slack
-        if fresh > ceiling:
-            self.regression(
-                metric,
-                f"{fresh:.3f} above ceiling {ceiling:.3f} "
-                f"(baseline {baseline:.3f}, factor {factor:g} x "
-                f"slack {self.slack:g})",
-                baseline, fresh,
-            )
+    def schema_guard(self, baseline: dict, fresh: dict) -> None:
+        if fresh.get("schema") != baseline.get("schema"):
+            self.skip("schema", f"schema changed "
+                      f"({baseline.get('schema')} -> {fresh.get('schema')}); "
+                      f"only correctness checked")
+
+    def invariant(self, metric: str, held: bool, detail_ok: str,
+                  detail_broken: str) -> None:
+        """A correctness gate of the *fresh* run: broken is a divergence."""
+        if held:
+            self.ok(metric, detail_ok)
         else:
-            self.ok(metric, f"{fresh:.3f} <= ceiling {ceiling:.3f}",
-                    baseline, fresh)
+            self.divergence(metric, detail_broken)
+
+    def population(self, prefix: str, base: dict, fresh: dict,
+                   tail: bool = True) -> None:
+        """Availability floor and (with ``tail``) p99/p50 ceiling of one
+        request population -- an SLO snapshot or a bench point -- behind
+        the min-sample guard."""
+        requests = min(base.get("requests", 0), fresh.get("requests", 0))
+        if requests < MIN_REQUESTS:
+            self.skip(prefix, f"min-sample guard: requests={requests} < "
+                      f"{MIN_REQUESTS}; availability and tail skipped")
+            return
+        was, now = base.get("availability"), fresh.get("availability")
+        if was is None or now is None:
+            self.skip(f"{prefix}.availability", "availability missing")
+        else:
+            self.bound_check(
+                f"{prefix}.availability", was, now,
+                was - AVAILABILITY_ABS_TOL * self.slack,
+                f"baseline {was:.4f} - {AVAILABILITY_ABS_TOL:g} x "
+                f"slack {self.slack:g}",
+            )
+        if not tail:
+            return
+        try:
+            # p99/p50 tail amplification: self-normalized, so portable.
+            was = base["latency_ms"]["p99"] / base["latency_ms"]["p50"]
+            now = fresh["latency_ms"]["p99"] / fresh["latency_ms"]["p50"]
+        except (KeyError, ZeroDivisionError):
+            self.skip(f"{prefix}.tail",
+                      "latency percentiles missing or degenerate")
+            return
+        self.bound_check(
+            f"{prefix}.tail", was, now,
+            was * TAIL_RATIO_FACTOR * self.slack,
+            f"baseline {was:.3f}, factor {TAIL_RATIO_FACTOR:g} x "
+            f"slack {self.slack:g}",
+            ceiling=True,
+        )
 
     def report(self) -> dict:
-        regressions = sum(1 for f in self.findings
-                          if f["status"] == "regression")
-        divergences = sum(1 for f in self.findings
-                          if f["status"] == "divergence")
-        if divergences:
+        tally = Counter(finding["status"] for finding in self.findings)
+        if tally["divergence"]:
             exit_code = EXIT_DIVERGENCE
-        elif regressions:
+        elif tally["regression"]:
             exit_code = EXIT_REGRESSION
         else:
             exit_code = EXIT_OK
         return {
             "kind": self.kind,
             "slack": self.slack,
-            "checked": sum(1 for f in self.findings if f["status"] == "ok"),
-            "skipped": sum(1 for f in self.findings
-                           if f["status"] == "skipped"),
-            "regressions": regressions,
-            "divergences": divergences,
+            "checked": tally["ok"],
+            "skipped": tally["skipped"],
+            "regressions": tally["regression"],
+            "divergences": tally["divergence"],
             "passed": exit_code == EXIT_OK,
             "exit_code": exit_code,
             "findings": self.findings,
@@ -185,16 +226,13 @@ def compare_codec_bench(baseline: dict, fresh: dict,
                         slack: float = 1.0) -> dict:
     """Check a fresh ``run_benchmark`` document against the baseline."""
     cmp = _Comparison("codec", slack)
-
-    if fresh.get("schema") != baseline.get("schema"):
-        cmp.skip("schema", f"schema changed "
-                 f"({baseline.get('schema')} -> {fresh.get('schema')}); "
-                 f"only correctness checked")
-    if not fresh.get("summary", {}).get("all_identical", False):
-        cmp.divergence("all_identical",
-                       "fresh run's bitstream/decode identity checks failed")
-    else:
-        cmp.ok("all_identical", "fresh bitstreams and decodes identical")
+    cmp.schema_guard(baseline, fresh)
+    cmp.invariant(
+        "all_identical",
+        fresh.get("summary", {}).get("all_identical", False),
+        "fresh bitstreams and decodes identical",
+        "fresh run's bitstream/decode identity checks failed",
+    )
 
     bcfg, fcfg = baseline.get("config", {}), fresh.get("config", {})
     same_data = all(bcfg.get(k) == fcfg.get(k)
@@ -280,28 +318,22 @@ def compare_serving_bench(baseline: dict, fresh: dict,
                  + ("fresh" if fchaos is None else "baseline"))
     else:
         inv = fchaos.get("invariant", {})
-        if not inv.get("passed", False):
-            cmp.divergence("chaos.invariant",
-                           "fresh chaos run violated the serving contract "
-                           f"({inv.get('silent_corruptions', '?')} silent, "
-                           f"{inv.get('untyped_errors', '?')} untyped)")
-        else:
-            cmp.ok("chaos.invariant", "fresh chaos contract holds")
-        _availability_check(cmp, "chaos.availability",
-                            bchaos.get("slo", {}), fchaos.get("slo", {}))
-        _tail_check(cmp, "chaos.tail",
-                    bchaos.get("slo", {}), fchaos.get("slo", {}))
+        cmp.invariant(
+            "chaos.invariant", inv.get("passed", False),
+            "fresh chaos contract holds",
+            "fresh chaos run violated the serving contract "
+            f"({inv.get('silent_corruptions', '?')} silent, "
+            f"{inv.get('untyped_errors', '?')} untyped)",
+        )
+        cmp.population("chaos", bchaos.get("slo", {}), fchaos.get("slo", {}))
 
     bsb, fsb = baseline.get("serve_bench"), fresh.get("serve_bench")
     if fsb is None or bsb is None:
         cmp.skip("serve_bench", "serve_bench section missing from "
                  + ("fresh" if fsb is None else "baseline"))
     else:
-        _availability_check(cmp, "sequential.availability",
-                            bsb.get("sequential", {}),
-                            fsb.get("sequential", {}))
-        _tail_check(cmp, "sequential.tail",
-                    bsb.get("sequential", {}), fsb.get("sequential", {}))
+        cmp.population("sequential", bsb.get("sequential", {}),
+                       fsb.get("sequential", {}))
         if bsb.get("shed_typed", 0) > 0 and fsb.get("shed_typed", 0) == 0:
             # Not a perf number: the burst phase exists to prove typed
             # shedding.  Zero sheds where the baseline had some means
@@ -334,11 +366,7 @@ def compare_cluster_bench(baseline: dict, fresh: dict,
       worse (see ``HEDGE_RATIO_TOL`` for why the floor is loose).
     """
     cmp = _Comparison("cluster", slack)
-
-    if fresh.get("schema") != baseline.get("schema"):
-        cmp.skip("schema", f"schema changed "
-                 f"({baseline.get('schema')} -> {fresh.get('schema')}); "
-                 f"only correctness checked")
+    cmp.schema_guard(baseline, fresh)
 
     # -- chaos: the robustness claim ------------------------------------
     bchaos, fchaos = baseline.get("chaos"), fresh.get("chaos")
@@ -348,26 +376,25 @@ def compare_cluster_bench(baseline: dict, fresh: dict,
         inv = fchaos.get("invariant", {})
         violations = fchaos.get("violation_count",
                                 0 if inv.get("passed") else 1)
-        if violations or not inv.get("passed", False):
-            cmp.divergence(
-                "chaos.invariant",
-                "fresh cluster chaos run violated the typed-response "
-                f"contract ({violations} violations, "
-                f"availability {inv.get('availability', 0.0):.4f} vs "
-                f"slo {inv.get('availability_slo', 0.0):.3f})",
-            )
-        else:
-            cmp.ok("chaos.invariant",
-                   "contract held through shard kills "
-                   f"(availability {inv.get('availability', 0.0):.4f})")
+        cmp.invariant(
+            "chaos.invariant",
+            not violations and inv.get("passed", False),
+            "contract held through shard kills "
+            f"(availability {inv.get('availability', 0.0):.4f})",
+            "fresh cluster chaos run violated the typed-response "
+            f"contract ({violations} violations, "
+            f"availability {inv.get('availability', 0.0):.4f} vs "
+            f"slo {inv.get('availability_slo', 0.0):.3f})",
+        )
         if bchaos is not None:
-            _availability_check(
-                cmp, "chaos.availability",
+            cmp.population(
+                "chaos",
                 {"requests": bchaos.get("requests", 0),
                  "availability": bchaos.get("invariant", {}).get(
                      "availability")},
                 {"requests": fchaos.get("requests", 0),
                  "availability": inv.get("availability")},
+                tail=False,
             )
 
     # -- shard sweep: availability + tail shape per shard count ---------
@@ -381,9 +408,7 @@ def compare_cluster_bench(baseline: dict, fresh: dict,
         if base_point.get("replication") != point.get("replication"):
             cmp.skip(prefix, "replication factor differs between runs")
             continue
-        _availability_check(cmp, f"{prefix}.availability",
-                            base_point, point)
-        _tail_check(cmp, f"{prefix}.tail", base_point, point)
+        cmp.population(prefix, base_point, point)
 
     # -- hedge A/B: the tail-at-scale claim -----------------------------
     bhedge, fhedge = baseline.get("hedge"), fresh.get("hedge")
@@ -394,82 +419,34 @@ def compare_cluster_bench(baseline: dict, fresh: dict,
 
     hedged_point = fhedge.get("hedged", {})
     fired = hedged_point.get("router", {}).get("hedges", 0)
+    base_fired = bhedge.get("hedged", {}).get("router", {}).get("hedges", 0)
     requests = min(hedged_point.get("requests", 0),
                    fhedge.get("no_hedge", {}).get("requests", 0))
     if requests < MIN_REQUESTS:
         cmp.skip("hedge.p99_ratio",
                  f"min-sample guard: requests={requests} < {MIN_REQUESTS}")
-    elif fired < MIN_HEDGES:
-        if bhedge.get("hedged", {}).get("router", {}).get(
-                "hedges", 0) >= MIN_HEDGES:
-            # Baseline fired plenty under the same workload: zero/few
-            # fresh hedges means the mechanism disengaged, not that the
-            # tail got quiet.
-            cmp.regression(
-                "hedge.fired",
-                f"only {fired} hedges fired (baseline "
-                f"{bhedge['hedged']['router']['hedges']}); "
-                "hedging appears disengaged",
-                bhedge["hedged"]["router"]["hedges"], fired,
-            )
-        else:
-            cmp.skip("hedge.p99_ratio",
-                     f"min-sample guard: hedges={fired} < {MIN_HEDGES}")
+    elif fired >= MIN_HEDGES:
+        wins = hedged_point.get("router", {}).get("hedge_wins", 0)
+        cmp.bound_check(
+            "hedge.p99_ratio", bhedge.get("p99_ratio"),
+            fhedge.get("p99_ratio", 0.0), 1.0 - HEDGE_RATIO_TOL * slack,
+            f"no-hedge/hedged p99 ratio; below the floor hedging made "
+            f"the tail distinctly worse ({fired} hedges, {wins} wins)",
+        )
+    elif base_fired >= MIN_HEDGES:
+        # Baseline fired plenty under the same workload: zero/few
+        # fresh hedges means the mechanism disengaged, not that the
+        # tail got quiet.
+        cmp.regression(
+            "hedge.fired",
+            f"only {fired} hedges fired (baseline {base_fired}); "
+            "hedging appears disengaged",
+            base_fired, fired,
+        )
     else:
-        ratio = fhedge.get("p99_ratio", 0.0)
-        floor = 1.0 - HEDGE_RATIO_TOL * slack
-        if ratio < floor:
-            cmp.regression(
-                "hedge.p99_ratio",
-                f"no-hedge/hedged p99 ratio {ratio:.2f} below floor "
-                f"{floor:.2f}: hedging made the tail distinctly worse",
-                bhedge.get("p99_ratio"), ratio,
-            )
-        else:
-            cmp.ok("hedge.p99_ratio",
-                   f"ratio {ratio:.2f} >= floor {floor:.2f} "
-                   f"({fired} hedges, "
-                   f"{hedged_point.get('router', {}).get('hedge_wins', 0)} "
-                   f"wins)",
-                   bhedge.get("p99_ratio"), ratio)
+        cmp.skip("hedge.p99_ratio",
+                 f"min-sample guard: hedges={fired} < {MIN_HEDGES}")
     return cmp.report()
-
-
-def _availability_check(cmp: _Comparison, metric: str,
-                        base_slo: dict, fresh_slo: dict) -> None:
-    requests = min(base_slo.get("requests", 0), fresh_slo.get("requests", 0))
-    if requests < MIN_REQUESTS:
-        cmp.skip(metric, f"min-sample guard: requests={requests} < "
-                 f"{MIN_REQUESTS}")
-        return
-    base, fresh = base_slo.get("availability"), fresh_slo.get("availability")
-    if base is None or fresh is None:
-        cmp.skip(metric, "availability missing")
-        return
-    floor = base - AVAILABILITY_ABS_TOL * cmp.slack
-    if fresh < floor:
-        cmp.regression(metric, f"availability {fresh:.4f} below floor "
-                       f"{floor:.4f}", base, fresh)
-    else:
-        cmp.ok(metric, f"availability {fresh:.4f} >= floor {floor:.4f}",
-               base, fresh)
-
-
-def _tail_check(cmp: _Comparison, metric: str,
-                base_slo: dict, fresh_slo: dict) -> None:
-    """p99/p50 tail amplification -- self-normalized, so portable."""
-    requests = min(base_slo.get("requests", 0), fresh_slo.get("requests", 0))
-    if requests < MIN_REQUESTS:
-        cmp.skip(metric, f"min-sample guard: requests={requests} < "
-                 f"{MIN_REQUESTS}")
-        return
-    try:
-        base = base_slo["latency_ms"]["p99"] / base_slo["latency_ms"]["p50"]
-        fresh = fresh_slo["latency_ms"]["p99"] / fresh_slo["latency_ms"]["p50"]
-    except (KeyError, ZeroDivisionError):
-        cmp.skip(metric, "latency percentiles missing or degenerate")
-        return
-    cmp.ceiling_check(metric, base, fresh, TAIL_RATIO_FACTOR)
 
 
 def format_comparison(report: dict) -> str:

@@ -45,14 +45,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import nullcontext
 from typing import List, Optional
 
 import numpy as np
 
 import repro.telemetry as telemetry
+from repro.analysis import regression
 from repro.analysis.statistics import profile_tensor, rate_distortion_sweep
 from repro.codec.profiles import profile_by_name
+from repro.harness import telemetry_scope, write_json
 from repro.tensor.codec import CompressedTensor, TensorCodec
 
 
@@ -63,6 +64,23 @@ def _add_rate_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--mse", type=float, help="max mean squared error")
     parser.add_argument("--codec", default="h265", choices=["h264", "h265", "av1"])
     parser.add_argument("--tile", type=int, default=256)
+
+
+def _add_bench_arguments(
+    parser: argparse.ArgumentParser, baseline: str, what: str,
+    output_help: str = "write the JSON result document here",
+) -> None:
+    """``--output`` and the regression-sentinel flags of a bench command."""
+    parser.add_argument("--output", default=None, help=output_help)
+    parser.add_argument(
+        "--check", action="store_true",
+        help=f"regression sentinel: compare this run against the tracked "
+             f"{what} baseline (exit 3 on perf regression, 2 on divergence)",
+    )
+    parser.add_argument("--baseline", default=baseline,
+                        help="baseline document for --check")
+    parser.add_argument("--slack", type=float, default=1.0,
+                        help="tolerance multiplier for --check (CI uses > 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -141,17 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated QP list (default 18,26,34)")
     bench.add_argument("--workers", type=int, default=4)
     bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--output", default=None,
-                       help="write the JSON result document here")
-    bench.add_argument(
-        "--check", action="store_true",
-        help="regression sentinel: compare this run against the tracked "
-             "baseline (exit 3 on perf regression, 2 on divergence)",
-    )
-    bench.add_argument("--baseline", default="BENCH_codec.json",
-                       help="baseline document for --check")
-    bench.add_argument("--slack", type=float, default=1.0,
-                       help="tolerance multiplier for --check (CI uses > 1)")
+    _add_bench_arguments(bench, "BENCH_codec.json", "codec")
 
     chaos = sub.add_parser(
         "chaos",
@@ -201,17 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_bench.add_argument("--requests", type=int, default=60)
     serve_bench.add_argument("--seed", type=int, default=0)
-    serve_bench.add_argument("--output", default=None,
-                             help="merge the report into this JSON file")
-    serve_bench.add_argument(
-        "--check", action="store_true",
-        help="regression sentinel: compare against the tracked serving "
-             "baseline (exit 3 on regression, 2 on divergence)",
-    )
-    serve_bench.add_argument("--baseline", default="BENCH_serving.json",
-                             help="baseline document for --check")
-    serve_bench.add_argument("--slack", type=float, default=1.0,
-                             help="tolerance multiplier for --check")
+    _add_bench_arguments(serve_bench, "BENCH_serving.json", "serving",
+                         "merge the report into this JSON file")
     serve_bench.add_argument(
         "--chaos-requests", type=int, default=0,
         help="with --check: also run a chaos soak of this many requests "
@@ -238,38 +237,32 @@ def _build_parser() -> argparse.ArgumentParser:
         help="small sweep (2,4 shards x 300 requests, 400-request "
              "chaos; CI smoke mode)",
     )
-    cluster_bench.add_argument("--output", default=None,
-                               help="write the JSON result document here")
-    cluster_bench.add_argument(
-        "--check", action="store_true",
-        help="regression sentinel: compare against the tracked cluster "
-             "baseline (exit 3 on regression, 2 on divergence)",
-    )
-    cluster_bench.add_argument("--baseline", default="BENCH_cluster.json",
-                               help="baseline document for --check")
-    cluster_bench.add_argument("--slack", type=float, default=1.0,
-                               help="tolerance multiplier for --check")
+    _add_bench_arguments(cluster_bench, "BENCH_cluster.json", "cluster")
     return parser
 
 
-def _merge_json(path: str, section: str, document: dict) -> None:
-    """Merge ``document`` under ``section`` in the JSON file at ``path``."""
-    import json
-    import os
-
-    existing = {}
-    if os.path.exists(path):
-        try:
-            with open(path, "r") as handle:
-                existing = json.load(handle)
-        except (OSError, ValueError):
-            existing = {}
-    if not isinstance(existing, dict):
-        existing = {}
-    existing[section] = document
-    with open(path, "w") as handle:
-        json.dump(existing, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+def _finish_bench(
+    args: argparse.Namespace, compare, fresh: dict,
+    document: dict, section: Optional[str] = None, passed: bool = True,
+) -> int:
+    """The tail of every bench command: ``--output`` writes ``document``
+    (under ``section`` when given); ``--check`` loads the tracked
+    baseline, hands it and ``fresh`` to the sentinel's ``compare`` and
+    exits with its code (3 regression, 2 divergence); else 0, or 2 when
+    the run itself did not pass."""
+    if args.output:
+        write_json(args.output, document, section)
+        print(f"wrote {args.output}")
+    if not args.check:
+        return 0 if passed else 2
+    try:
+        baseline = regression.load_baseline(args.baseline)
+    except (OSError, ValueError) as exc:
+        print(f"cannot load baseline {args.baseline}: {exc}", file=sys.stderr)
+        return regression.EXIT_DIVERGENCE
+    comparison = compare(baseline, fresh, slack=args.slack)
+    print(regression.format_comparison(comparison))
+    return comparison["exit_code"]
 
 
 def _rate_kwargs(args: argparse.Namespace) -> dict:
@@ -343,11 +336,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     tensor = np.load(args.input)
     codec = TensorCodec(profile=profile_by_name(args.codec), tile=args.tile)
-    # Reuse the --trace session's registry when one is active so the
-    # trace file also covers this run; otherwise open a local session.
-    active = telemetry.current()
-    scope = nullcontext(active) if active is not None else telemetry.session()
-    with scope as registry:
+    with telemetry_scope() as registry:
         compressed = codec.encode(tensor, **_rate_kwargs(args))
         restored = codec.decode(compressed)
         mse = float(np.mean((restored.astype(np.float64) - tensor) ** 2))
@@ -452,12 +441,7 @@ def _print_stats(
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Exit 0 on success, 2 when any configuration's output diverges."""
-    from repro.analysis.bench import (
-        DEFAULT_QPS,
-        format_report,
-        run_benchmark,
-        write_results,
-    )
+    from repro.analysis.bench import DEFAULT_QPS, format_report, run_benchmark
 
     size_mb = 0.0625 if args.quick else args.size_mb
     repeats = 1 if args.quick else args.repeats
@@ -469,26 +453,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         size_mb=size_mb, qps=qps, workers=args.workers, repeats=repeats
     )
     print(format_report(doc))
-    if args.output:
-        write_results(doc, args.output)
-        print(f"wrote {args.output}")
-    if args.check:
-        from repro.analysis.regression import (
-            compare_codec_bench,
-            format_comparison,
-            load_baseline,
-        )
-
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load baseline {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
-        comparison = compare_codec_bench(baseline, doc, slack=args.slack)
-        print(format_comparison(comparison))
-        return comparison["exit_code"]
-    return 0 if doc["summary"]["all_identical"] else 2
+    return _finish_bench(
+        args, regression.compare_codec_bench, doc, doc,
+        passed=doc["summary"]["all_identical"],
+    )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -521,77 +489,62 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     """Exit 0 on a clean soak, 2 on any serving-contract violation."""
     if args.durability:
         from repro.cluster.durability import (
-            DurabilityChaosConfig,
-            format_durability_report,
-            run_durability_chaos,
+            DurabilityChaosConfig as Config,
+            format_durability_report as format_soak,
+            run_durability_chaos as run_soak,
         )
 
-        config = DurabilityChaosConfig(
+        section = "durability_chaos"
+        fields = dict(
             shards=args.shards,
-            seed=args.seed,
             kills=args.kills if args.kills is not None else 3,
-            postmortem_dir=args.postmortem_dir or None,
-            force_violation=args.force_violation,
         )
         if args.quick:
-            config.ops = 240
-            config.base_rate_rps = 120.0
-            config.revive_after_s = 0.35
-            config.disk_faults = 4
-            config.client_threads = 8
-        report = run_durability_chaos(config)
-        print(format_durability_report(report))
-        if args.output:
-            _merge_json(args.output, "durability_chaos", report)
-            print(f"wrote {args.output}")
-        return 0 if report["invariant"]["passed"] else 2
-
-    if args.cluster:
-        from repro.cluster.chaos import (
-            ClusterChaosConfig,
-            format_cluster_report,
-            run_cluster_chaos,
-        )
-
-        requests = 400 if args.quick else max(args.requests, 400)
-        report = run_cluster_chaos(
-            ClusterChaosConfig(
-                shards=args.shards,
-                requests=requests,
-                seed=args.seed,
-                kills=args.kills if args.kills is not None else 2,
-                postmortem_dir=args.postmortem_dir or None,
-                force_violation=args.force_violation,
+            fields.update(
+                ops=240, base_rate_rps=120.0, revive_after_s=0.35,
+                disk_faults=4, client_threads=8,
             )
+    elif args.cluster:
+        from repro.cluster.chaos import (
+            ClusterChaosConfig as Config,
+            format_cluster_report as format_soak,
+            run_cluster_chaos as run_soak,
         )
-        print(format_cluster_report(report))
-        if args.output:
-            _merge_json(args.output, "cluster_chaos", report)
-            print(f"wrote {args.output}")
-        return 0 if report["invariant"]["passed"] else 2
 
-    from repro.serving.chaos import ChaosConfig, format_report, run_chaos
+        section = "cluster_chaos"
+        fields = dict(
+            shards=args.shards,
+            requests=400 if args.quick else max(args.requests, 400),
+            kills=args.kills if args.kills is not None else 2,
+        )
+    else:
+        from repro.serving.chaos import (
+            ChaosConfig as Config,
+            format_report as format_soak,
+            run_chaos as run_soak,
+        )
 
-    requests = 120 if args.quick else args.requests
-    report = run_chaos(
-        ChaosConfig(
-            requests=requests,
+        section = "chaos"
+        fields = dict(requests=120 if args.quick else args.requests)
+    report = run_soak(
+        Config(
             seed=args.seed,
             postmortem_dir=args.postmortem_dir or None,
             force_violation=args.force_violation,
+            **fields,
         )
     )
-    print(format_report(report))
+    print(format_soak(report))
     if args.output:
-        _merge_json(args.output, "chaos", report)
+        write_json(args.output, report, section)
         print(f"wrote {args.output}")
     return 0 if report["invariant"]["passed"] else 2
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.serving.chaos import run_serve_bench
+    from repro.serving import chaos
 
-    report = run_serve_bench(requests=args.requests, seed=args.seed)
+    report = chaos.run_serve_bench(requests=args.requests, seed=args.seed)
     sequential = report["sequential"]["latency_ms"]
     burst = report["burst"]
     print(
@@ -603,33 +556,15 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         f"in {burst['elapsed_s']:.1f}s, shed={report['shed_typed']} (typed), "
         f"availability={burst['slo']['availability']:.3f}"
     )
-    if args.output:
-        _merge_json(args.output, "serve_bench", report)
-        print(f"wrote {args.output}")
-    if args.check:
-        from repro.analysis.regression import (
-            compare_serving_bench,
-            format_comparison,
-            load_baseline,
+    fresh = {"serve_bench": report}
+    if args.check and args.chaos_requests > 0:
+        fresh["chaos"] = chaos.run_chaos(
+            chaos.ChaosConfig(requests=args.chaos_requests, seed=args.seed)
         )
-
-        fresh = {"serve_bench": report}
-        if args.chaos_requests > 0:
-            from repro.serving.chaos import ChaosConfig, run_chaos
-
-            fresh["chaos"] = run_chaos(
-                ChaosConfig(requests=args.chaos_requests, seed=args.seed)
-            )
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load baseline {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
-        comparison = compare_serving_bench(baseline, fresh, slack=args.slack)
-        print(format_comparison(comparison))
-        return comparison["exit_code"]
-    return 0
+    return _finish_bench(
+        args, regression.compare_serving_bench, fresh, report,
+        section="serve_bench",
+    )
 
 
 def _cmd_cluster_bench(args: argparse.Namespace) -> int:
@@ -655,33 +590,11 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
         progress=lambda message: print(f"... {message}", flush=True),
     )
     print(format_cluster_bench(doc))
-    if args.output:
-        import json
-
-        with open(args.output, "w") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.output}")
-    if args.check:
-        from repro.analysis.regression import (
-            compare_cluster_bench,
-            format_comparison,
-            load_baseline,
-        )
-
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load baseline {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
-        comparison = compare_cluster_bench(baseline, doc, slack=args.slack)
-        print(format_comparison(comparison))
-        return comparison["exit_code"]
     chaos = doc.get("chaos")
-    if chaos is not None and not chaos["invariant"]["passed"]:
-        return 2
-    return 0
+    return _finish_bench(
+        args, regression.compare_cluster_bench, doc, doc,
+        passed=chaos is None or chaos["invariant"]["passed"],
+    )
 
 
 _COMMANDS = {

@@ -24,21 +24,21 @@ claims):
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.harness import fault_gate
 from repro.resilience.faults import FaultConfig, FaultInjector
 from repro.serving.slo import _nearest_rank
 from repro.cluster.chaos import (
     ClusterChaosConfig,
-    _ClusterReferenceStore,
+    _PooledReferences,
+    _send,
     _warm_router,
     run_cluster_chaos,
 )
 from repro.cluster.router import ClusterConfig, ClusterRouter
 from repro.cluster.traffic import (
-    Arrival,
     OpenLoopDriver,
     TrafficConfig,
     generate_arrivals,
@@ -50,14 +50,12 @@ SCHEMA = "llm265-cluster-bench-v1"
 
 
 def _latency_summary(latencies_s: Sequence[float]) -> Dict[str, float]:
-    samples = sorted(latencies_s)
-    if not samples:
-        return {"p50": 0.0, "p99": 0.0, "p999": 0.0, "max": 0.0}
+    samples = sorted(latencies_s)  # no samples: every quantile reads 0.0
     return {
         "p50": 1e3 * _nearest_rank(samples, 50.0),
         "p99": 1e3 * _nearest_rank(samples, 99.0),
         "p999": 1e3 * _nearest_rank(samples, 99.9),
-        "max": 1e3 * samples[-1],
+        "max": 1e3 * samples[-1] if samples else 0.0,
     }
 
 
@@ -68,30 +66,26 @@ def _run_point(
     qp: float,
     tile: int,
     base_rate_rps: float,
-    hedge: bool = True,
     gate: Optional[Callable[[str], None]] = None,
     traffic_seed_salt: int = 0,
     burst_factor: float = 2.0,
-    hedge_quantile: Optional[float] = None,
-    hedge_budget: Optional[float] = None,
+    **hedging,
 ) -> dict:
-    """One open-loop run against a fresh router; returns its point doc."""
-    overrides = {}
-    if hedge_quantile is not None:
-        overrides["hedge_quantile"] = hedge_quantile
-    if hedge_budget is not None:
-        overrides["hedge_budget"] = hedge_budget
+    """One open-loop run against a fresh router; returns its point doc.
+
+    ``hedging`` overrides the router's hedge settings (``hedge``,
+    ``hedge_quantile``, ``hedge_budget``).
+    """
     config = ClusterConfig(
         shards=shards,
         replication=min(2, shards),
         tile=tile,
         default_qp=qp,
-        hedge=hedge,
         seed=seed,
-        **overrides,
+        **hedging,
     )
     router = ClusterRouter(config)
-    references = _ClusterReferenceStore(
+    references = _PooledReferences(
         ClusterChaosConfig(qp=qp, tile=tile, seed=seed)
     )
     arrivals = generate_arrivals(
@@ -109,20 +103,10 @@ def _run_point(
     _warm_router(router, references)
     warm_requests = router.slo.snapshot()["requests"]
 
-    def send(arrival: Arrival):
-        key = references.pool_key(arrival.tensor_id, arrival.side)
-        if arrival.kind == "encode":
-            return router.encode(
-                references.tensor(key), arrival.tensor_id,
-                qp=qp, fault_gate=gate,
-            )
-        return router.decode(
-            references.blob(key), arrival.tensor_id,
-            fault_gate=gate,
-        )
-
     started = time.perf_counter()
-    responses = OpenLoopDriver(send).run(arrivals)
+    responses = OpenLoopDriver(
+        lambda arrival: _send(router, references, arrival, qp, gate)
+    ).run(arrivals)
     elapsed_s = time.perf_counter() - started
     router.close()
 
@@ -136,7 +120,7 @@ def _run_point(
         "replication": config.replication,
         "requests": len(responses),
         "warm_requests": warm_requests,
-        "hedge": hedge,
+        "hedge": config.hedge,
         "elapsed_s": elapsed_s,
         "offered_rps": base_rate_rps,
         "latency_ms": _latency_summary([r.latency_s for r in responses]),
@@ -177,22 +161,15 @@ def run_cluster_bench(
     hedge_shards = max(s for s in shard_counts if s >= 2)
 
     def straggler_gate() -> Callable[[str], None]:
-        injector = FaultInjector(
-            seed=seed + 31,
-            config=FaultConfig(
-                straggler_prob=straggler_prob,
-                straggler_delay_s=straggler_delay_s,
-            ),
+        return fault_gate(
+            FaultInjector(
+                seed=seed + 31,
+                config=FaultConfig(
+                    straggler_prob=straggler_prob,
+                    straggler_delay_s=straggler_delay_s,
+                ),
+            )
         )
-        lock = threading.Lock()
-
-        def gate(kind: str) -> None:
-            with lock:
-                stall = injector.straggler_delay()
-            if stall:
-                time.sleep(stall)
-
-        return gate
 
     # The A/B is a controlled experiment, not a stress test: steady
     # Poisson arrivals at ~1/3 of single-core capacity, so the measured

@@ -42,7 +42,6 @@ import hashlib
 import os
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -50,6 +49,14 @@ import numpy as np
 
 import repro.telemetry as telemetry
 from repro.telemetry import flightrecorder
+from repro.harness import (
+    ViolationLedger,
+    attach_postmortem,
+    fault_controller,
+    format_verdict,
+    kill_revive_events,
+    telemetry_scope,
+)
 from repro.resilience.faults import FaultInjector
 from repro.cluster.chaos import CLUSTER_TYPED_ERRORS
 from repro.cluster.repair import collect_digests, repair_until_converged
@@ -131,16 +138,21 @@ def _payload_for(seed: int, index: int, size: int) -> bytes:
     return rng.bytes(size)
 
 
-def _build_ops(config: DurabilityChaosConfig) -> List[dict]:
+def _build_ops(
+    config: DurabilityChaosConfig,
+) -> Tuple[List[Arrival], Dict[str, bytes]]:
     """Seeded operation schedule: puts mint fresh keys, gets replay them.
 
-    Arrival times come from a plain seeded Poisson process (the diurnal
-    /burst machinery of :mod:`repro.cluster.traffic` models *serving*
-    load; storage soaks want steady pressure so kills land on a busy
-    write path, not in a lull).
+    Returns the arrivals (``tensor_id`` is the key, ``kind`` put/get)
+    and the payload written under each key.  Arrival times come from a
+    plain seeded Poisson process (the diurnal/burst machinery of
+    :mod:`repro.cluster.traffic` models *serving* load; storage soaks
+    want steady pressure so kills land on a busy write path, not in a
+    lull).
     """
     rng = np.random.default_rng(config.seed + 0x57)
-    ops: List[dict] = []
+    arrivals: List[Arrival] = []
+    payloads: Dict[str, bytes] = {}
     put_indices: List[int] = []
     at_s = 0.0
     for index in range(config.ops):
@@ -149,20 +161,18 @@ def _build_ops(config: DurabilityChaosConfig) -> List[dict]:
             size = int(
                 rng.integers(config.payload_min, config.payload_max + 1)
             )
-            ops.append({
-                "at_s": at_s, "op": "put", "key": f"k-{index:05d}",
-                "payload": _payload_for(config.seed, index, size),
-            })
+            kind, target = "put", index
+            payloads[f"k-{index:05d}"] = _payload_for(
+                config.seed, index, size
+            )
             put_indices.append(index)
         else:
-            target = int(
-                put_indices[int(rng.integers(0, len(put_indices)))]
-            )
-            ops.append({
-                "at_s": at_s, "op": "get", "key": f"k-{target:05d}",
-                "payload": None,
-            })
-    return ops
+            kind = "get"
+            target = put_indices[int(rng.integers(0, len(put_indices)))]
+        arrivals.append(
+            Arrival(at_s, index, 0, f"k-{target:05d}", 0, kind)
+        )
+    return arrivals, payloads
 
 
 def _build_schedule(
@@ -172,24 +182,15 @@ def _build_schedule(
     duration_s: float,
 ) -> List[dict]:
     """Seeded kill + disk-fault schedule through the middle of the soak."""
-    events: List[dict] = []
     # Gaps are revive-window sized (armed kills usually fire within a
     # few writes); the whole kill train must land well inside the
     # traffic window -- an armed kill with no traffic left never fires.
-    min_gap = config.revive_after_s + 0.3
-    at = -min_gap
-    for index in range(config.kills):
-        lo = duration_s * (0.1 + 0.5 * index / max(config.kills, 1))
-        at = max(at + min_gap, lo)
-        victim = shard_ids[int(rng.integers(0, len(shard_ids)))]
-        events.append({
-            "at_s": at, "action": "kill", "shard": victim,
-            "stage": _KILL_STAGES[index % len(_KILL_STAGES)],
-        })
-        events.append({
-            "at_s": at + config.revive_after_s,
-            "action": "revive", "shard": victim,
-        })
+    events = kill_revive_events(
+        rng, shard_ids, duration_s, config.kills, config.revive_after_s,
+        first=0.1, spread=0.5, slack_s=0.3,
+    )
+    for index, kill in enumerate(events[::2]):
+        kill["stage"] = _KILL_STAGES[index % len(_KILL_STAGES)]
     for _ in range(config.disk_faults):
         at_f = float(rng.uniform(duration_s * 0.1, duration_s * 0.9))
         victim = shard_ids[int(rng.integers(0, len(shard_ids)))]
@@ -199,19 +200,17 @@ def _build_schedule(
 
 
 class _Controller:
-    """Runs the chaos schedule on its own thread."""
+    """Applies the chaos schedule's events (on the schedule's thread)."""
 
     def __init__(
         self,
         router: ClusterRouter,
         config: DurabilityChaosConfig,
-        schedule: List[dict],
         injector: FaultInjector,
         stop: threading.Event,
     ) -> None:
         self.router = router
         self.config = config
-        self.schedule = schedule
         self.injector = injector
         self.stop = stop
         self.kills_mid_write = 0
@@ -219,17 +218,13 @@ class _Controller:
         self.disk_faults_applied: List[dict] = []
         self._damaged_hashes: set = set()
 
-    def run(self, start: float) -> None:
-        for event in self.schedule:
-            lag = start + event["at_s"] - time.perf_counter()
-            if lag > 0 and self.stop.wait(timeout=lag):
-                return
-            if event["action"] == "kill":
-                self._kill(event)
-            elif event["action"] == "revive":
-                self.router.shard(event["shard"]).revive()
-            elif event["action"] == "disk":
-                self._disk_fault(event)
+    def apply(self, event: dict) -> None:
+        if event["action"] == "kill":
+            self._kill(event)
+        elif event["action"] == "revive":
+            self.router.shard(event["shard"]).revive()
+        elif event["action"] == "disk":
+            self._disk_fault(event)
 
     def _kill(self, event: dict) -> None:
         shard = self.router.shard(event["shard"])
@@ -321,6 +316,7 @@ def _scrub_loop(
             totals["quarantined"] += len(outcome["corrupt"])
 
 
+@telemetry_scope()
 def run_durability_chaos(
     config: Optional[DurabilityChaosConfig] = None,
 ) -> dict:
@@ -331,25 +327,17 @@ def run_durability_chaos(
     replication factor, and the scheduled mid-write kill count.
     """
     config = config or DurabilityChaosConfig()
-    active = telemetry.current()
-    scope = nullcontext(active) if active is not None else telemetry.session()
-    with scope as registry:
-        if config.store_root is not None:
-            return _run_instrumented(config, registry, config.store_root)
-        import tempfile
+    if config.store_root is not None:
+        return _run_soak(config, config.store_root)
+    import tempfile
 
-        with tempfile.TemporaryDirectory(prefix="llm265-durability-") as root:
-            return _run_instrumented(config, registry, root)
+    with tempfile.TemporaryDirectory(prefix="llm265-durability-") as root:
+        return _run_soak(config, root)
 
 
-def _run_instrumented(
-    config: DurabilityChaosConfig, registry, store_root: str
-) -> dict:
-    ops = _build_ops(config)
-    duration_s = ops[-1]["at_s"] if ops else 0.0
-    payloads = {
-        op["key"]: op["payload"] for op in ops if op["op"] == "put"
-    }
+def _run_soak(config: DurabilityChaosConfig, store_root: str) -> dict:
+    arrivals, payloads = _build_ops(config)
+    duration_s = arrivals[-1].at_s if arrivals else 0.0
 
     router = ClusterRouter(config.cluster_config(store_root))
     injector = FaultInjector(seed=config.seed + 23)
@@ -359,86 +347,41 @@ def _run_instrumented(
 
     acked: Dict[str, Tuple[int, bytes]] = {}
     acked_lock = threading.Lock()
-    violations: List[dict] = []
-    violations_lock = threading.Lock()
-    checked = {"put": 0, "get": 0}
-
-    def violation(op: dict, reason: str, response) -> None:
-        entry = {
-            "op": op["op"], "key": op["key"], "reason": reason,
-            "error_type": response.error_type if response else "",
-            "shard": response.shard if response else "",
-        }
-        with violations_lock:
-            violations.append(entry)
-        flightrecorder.record(
-            "durability_chaos.violation", **entry
-        )
-
-    ops_by_index = {index: op for index, op in enumerate(ops)}
+    ledger = ViolationLedger(
+        "durability_chaos.violation", ("put", "get"),
+        ("error_type", "shard"),
+    )
 
     def send(arrival: Arrival):
-        op = ops_by_index[arrival.index]
-        if op["op"] == "put":
-            response = router.put(op["payload"], op["key"])
+        key, payload = arrival.tensor_id, payloads[arrival.tensor_id]
+        if arrival.kind == "put":
+            response = router.put(payload, key)
             if response.ok:
                 with acked_lock:
-                    acked[op["key"]] = (response.version, op["payload"])
-            elif not isinstance(response.error, DURABILITY_TYPED_ERRORS):
-                violation(
-                    op, f"untyped put error {response.error_type}", response
-                )
+                    acked[key] = (response.version, payload)
         else:
-            response = router.get(op["key"])
-            if response.ok:
-                if response.value != payloads[op["key"]]:
-                    violation(
-                        op,
-                        "silent corruption: served bytes differ from "
-                        "written payload",
-                        response,
-                    )
-            elif not isinstance(response.error, DURABILITY_TYPED_ERRORS):
-                violation(
-                    op, f"untyped get error {response.error_type}", response
-                )
-        with violations_lock:
-            checked[op["op"]] += 1
+            response = router.get(key)
+        ledger.judge(
+            response, payload, DURABILITY_TYPED_ERRORS,
+            op=arrival.kind, key=key,
+        )
         return response
 
-    arrivals = [
-        Arrival(
-            at_s=op["at_s"], index=index, session=0,
-            tensor_id=op["key"], side=0, kind=op["op"],
-        )
-        for index, op in enumerate(ops)
-    ]
-
     stop = threading.Event()
-    controller = _Controller(router, config, schedule, injector, stop)
+    controller = _Controller(router, config, injector, stop)
     scrub_totals = {"checked": 0, "quarantined": 0}
-    started = time.perf_counter()
-    controller_thread = threading.Thread(
-        target=controller.run, args=(started,),
-        name="durability-chaos-controller", daemon=True,
-    )
     scrubber_thread = threading.Thread(
         target=_scrub_loop, args=(router, config, stop, scrub_totals),
         name="durability-scrubber", daemon=True,
     )
-    controller_thread.start()
-    scrubber_thread.start()
     driver = OpenLoopDriver(send, client_threads=config.client_threads)
-    repair_report = None
-    try:
+    started = time.perf_counter()
+    with fault_controller(
+        schedule, controller.apply, "durability-chaos-controller", stop
+    ):
+        scrubber_thread.start()
         driver.run(arrivals)
-    finally:
-        # The chaos must be fully over before the settle phase: a kill
-        # or disk fault landing mid-audit would invalidate the verdict
-        # (and model nothing -- the soak window has closed).
-        stop.set()
-        controller_thread.join(timeout=5.0)
-        scrubber_thread.join(timeout=5.0)
+    scrubber_thread.join(timeout=5.0)
     # -- settle: revive everything, heal, then judge ------------------
     for shard_id in router.shard_ids:
         shard = router.shard(shard_id)
@@ -472,20 +415,18 @@ def _run_instrumented(
                 "key": key, "version": version,
                 "error_type": response.error_type,
             })
-            violation(
-                {"op": "audit", "key": key},
+            ledger.record(
                 f"acked write lost: final read failed "
                 f"({response.error_type})",
-                response,
+                response, op="audit", key=key,
             )
         elif response.value != payload:
             acked_lost.append({
                 "key": key, "version": version, "error_type": "mismatch",
             })
-            violation(
-                {"op": "audit", "key": key},
+            ledger.record(
                 "acked write corrupted: final read not bit-exact",
-                response,
+                response, op="audit", key=key,
             )
 
     # -- replication census: winner held by min(R, alive) owners ------
@@ -505,74 +446,55 @@ def _run_instrumented(
             under_replicated.append({
                 "key": key, "holders": holders, "required": required,
             })
-            violation(
-                {"op": "census", "key": key},
+            ledger.record(
                 f"replication not restored: {holders}/{required} holders",
-                None,
+                op="census", key=key,
             )
 
     if config.force_violation:
-        violation(
-            {"op": "drill", "key": "drill"},
-            "drill: forced durability violation", None,
+        ledger.record(
+            "drill: forced durability violation", op="drill", key="drill"
         )
 
     router.close()
 
     kills_done = controller.kills_mid_write + controller.kills_fallback
-    silent = sum(
-        1 for v in violations if v["reason"].startswith(
-            ("silent", "acked write corrupted")
-        )
-    )
     report = {
         "config": asdict(config),
         "elapsed_s": elapsed_s,
         "offered_duration_s": duration_s,
-        "checked": dict(checked),
+        "checked": ledger.checked,
         "acked_writes": len(acked),
         "schedule": schedule,
         "disk_faults_applied": controller.disk_faults_applied,
-        "scrub": dict(scrub_totals),
-        "repair": repair_report.to_dict() if repair_report else None,
+        "scrub": scrub_totals,
+        "repair": repair_report.to_dict(),
         "cluster": router.stats(),
         "invariant": {
             "acked_writes": len(acked),
             "acked_lost": acked_lost,
-            "silent_corruptions": silent,
+            "silent_corruptions": ledger.count(
+                "silent", "acked write corrupted"
+            ),
             "under_replicated": under_replicated,
             "mid_write_kills": controller.kills_mid_write,
             "fallback_kills": controller.kills_fallback,
             "kills_required": config.kills,
-            "repair_converged": bool(
-                repair_report and repair_report.converged
-            ),
-            "violations": violations,
+            "repair_converged": repair_report.converged,
+            "violations": ledger.violations,
             "passed": (
-                not violations
+                not ledger.violations
                 and not acked_lost
                 and not under_replicated
                 and kills_done >= config.kills
-                and bool(repair_report and repair_report.converged)
+                and repair_report.converged
             ),
         },
     }
-    report["postmortem"] = None
-    if not report["invariant"]["passed"] and config.postmortem_dir:
-        report["postmortem"] = flightrecorder.dump_bundle(
-            config.postmortem_dir,
-            reason="durability-chaos-violation",
-            registry=registry,
-            seed=config.seed,
-            extra={
-                "invariant": {
-                    k: v for k, v in report["invariant"].items()
-                },
-                "schedule": schedule,
-                "disk_faults": controller.disk_faults_applied,
-            },
-        )
-    return report
+    return attach_postmortem(
+        report, config, "durability-chaos-violation",
+        schedule=schedule, disk_faults=controller.disk_faults_applied,
+    )
 
 
 def format_durability_report(report: dict) -> str:
@@ -603,11 +525,5 @@ def format_durability_report(report: dict) -> str:
         f"{inv['silent_corruptions']} silent corruptions, "
         f"{len(inv['under_replicated'])} under-replicated"
     )
-    lines.append(
-        "invariant: " + ("PASS" if inv["passed"] else "FAIL")
-    )
-    for violated in inv["violations"][:10]:
-        lines.append(f"  violation: {violated}")
-    if report.get("postmortem"):
-        lines.append(f"postmortem bundle: {report['postmortem']}")
+    lines += format_verdict(report)
     return "\n".join(lines)

@@ -23,9 +23,7 @@ Design rules:
   (OOM-killed, segfaulted, ``SIGKILL``-ed) surfaces from the stdlib as
   ``BrokenProcessPool``; :func:`parallel_map` discards the dead pool
   and re-runs the batch serially, so a deterministic ``fn`` yields the
-  identical result list a healthy pool would have.  Callers that run
-  their own supervision (restart + re-dispatch, see
-  :mod:`repro.serving.supervisor`) opt out with ``on_broken="raise"``.
+  identical result list a healthy pool would have.
 - **Every dispatch is observable.**  ``parallel.*`` telemetry counters
   and a span wrap each fan-out, so a trace shows exactly which stages
   ran parallel and which fell back, and ``BENCH_codec.json`` numbers
@@ -78,9 +76,8 @@ class WorkerTimeoutError(TimeoutError):
     """A dispatched item did not finish within its ``timeout_s``.
 
     The hung worker may still be running (a process-pool task cannot be
-    preempted); the pool that owns it should be discarded via
-    :func:`discard_pool` before re-dispatching, which supervision
-    layers do automatically.
+    preempted); a caller that re-dispatches should first discard the
+    pool that owns it via :func:`discard_pool`.
     """
 
     def __init__(self, message: str, index: int = -1) -> None:
@@ -336,7 +333,6 @@ def parallel_map(
     serial: bool = False,
     timeout_s: Optional[float] = None,
     deadline: Optional[Deadline] = None,
-    on_broken: str = "serial",
 ) -> List[R]:
     """Apply ``fn`` to ``items``, preserving order, optionally in parallel.
 
@@ -358,15 +354,11 @@ def parallel_map(
       wait; expiry raises
       :class:`~repro.resilience.errors.DeadlineExceeded`.
     - A pool whose worker died mid-batch (``BrokenProcessPool``) is
-      discarded; with ``on_broken="serial"`` (default) the *entire*
-      batch re-runs serially -- ``fn`` must therefore be deterministic
-      and idempotent, which every codec fan-out body is -- and with
-      ``on_broken="raise"`` the :class:`BrokenPoolError` propagates for
-      a supervisor to restart + re-dispatch itself.
+      discarded and the *entire* batch re-runs serially -- ``fn`` must
+      therefore be deterministic and idempotent, which every codec
+      fan-out body is.
     """
     global _pool_dispatches, _pool_serial_fallbacks, _pool_breakages
-    if on_broken not in ("serial", "raise"):
-        raise ValueError(f"on_broken must be 'serial' or 'raise', got {on_broken!r}")
     items = list(items)
     if (
         serial
@@ -417,7 +409,5 @@ def parallel_map(
             _pool_breakages += 1
             telemetry.count("parallel.broken_pools")
             discard_pool(config.executor, workers)
-            if on_broken == "raise":
-                raise
             telemetry.count("parallel.broken_pool_serial_reruns")
             return _serial_map(fn, items, deadline)

@@ -9,8 +9,8 @@ availability:
 - :mod:`repro.serving.broker` -- bounded admission (typed
   :class:`Overloaded` backpressure instead of unbounded queues).
 - :mod:`repro.serving.breaker` -- per-backend circuit breaking.
-- :mod:`repro.serving.supervisor` -- crash/hang detection, pool
-  restart, bounded retry with seeded backoff.
+- :mod:`repro.serving.supervisor` -- crash/hang detection, bounded
+  retry with seeded backoff.
 - :mod:`repro.serving.ladder` -- the degradation ladder (one search;
   kernels + threads -> kernels -> pure-Python twin).
 - :mod:`repro.serving.slo` -- latency percentiles, availability, and

@@ -76,14 +76,6 @@ class RequestBroker:
     def queued(self) -> int:
         return self._queued
 
-    def pressure(self) -> float:
-        """Load factor in [0, ~2]: 1.0 = all execution slots busy.
-
-        Values above 1.0 mean callers are already queueing.
-        """
-        with self._lock:
-            return (self._inflight + self._queued) / self.max_inflight
-
     def stats(self) -> dict:
         with self._lock:
             return {

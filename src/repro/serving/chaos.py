@@ -3,22 +3,16 @@
 :func:`run_chaos` drives a seeded storm of encode/decode requests
 through the service while a :class:`~repro.resilience.faults.FaultInjector`
 crashes workers, hangs attempts, raises in-flight exceptions, delays
-stragglers, and corrupts decode payloads -- then asserts the serving
-contract on **every** response:
+stragglers, and corrupts decode payloads -- then asserts the
+typed-response contract (:func:`repro.harness.check_response`, with
+:data:`TYPED_ERRORS` as the vocabulary) on **every** response.
 
-- ``ok`` and not ``degraded``: the payload is *bit-exact* with a clean
-  serial run, whichever ladder rung served it (encode: identical
-  container bytes; decode: identical tensor).
-- ``ok`` and ``degraded``: the input really was damaged, and the
-  concealment report says what was patched.
-- not ``ok``: the error is one of the typed serving failures.
-
-Anything else is a **silent corruption** -- the one outcome the
-serving layer exists to make impossible -- and fails the run (and the
-CI gate).  Fault *sites* are chosen so the designed recovery path is
-exercised rather than bypassed: worker faults fire inside the
-supervised attempt (so supervision must catch them), and byte
-corruption lands only in the frame-slice region of the container
+A violation is a **silent corruption** or an untyped failure -- the
+outcomes the serving layer exists to make impossible -- and fails the
+run (and the CI gate).  Fault *sites* are chosen so the designed
+recovery path is exercised rather than bypassed: worker faults fire
+inside the supervised attempt (so supervision must catch them), and
+byte corruption lands only in the frame-slice region of the container
 (container metadata and the stream header are the regions concealment
 explicitly cannot patch; their damage paths fail loudly and are
 covered by the PR 2 fuzz suite).
@@ -33,22 +27,30 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-import repro.telemetry as telemetry
-from repro.telemetry import flightrecorder
 from repro.codec.encoder import _HEADER_SIZE
+from repro.harness import (
+    ReferenceStore,
+    ViolationLedger,
+    attach_postmortem,
+    availability_invariant,
+    damage_payload,
+    fault_gate,
+    fault_injector,
+    format_traffic,
+    format_verdict,
+    telemetry_scope,
+)
 from repro.resilience.deadline import DeadlineExceeded
 from repro.resilience.errors import CorruptStreamError
-from repro.resilience.faults import FaultConfig, FaultInjector
 from repro.serving.broker import Overloaded
 from repro.serving.service import CodecService, ServeResponse, ServiceConfig
-from repro.serving.supervisor import RetriesExhausted, WorkerCrashed
-from repro.tensor.codec import CompressedTensor, TensorCodec
+from repro.serving.supervisor import RetriesExhausted
+from repro.tensor.codec import CompressedTensor
 
 __all__ = [
     "ChaosConfig",
@@ -102,110 +104,23 @@ class ChaosConfig:
     force_violation: bool = False
 
 
-class _ReferenceStore:
-    """Clean serial encodes, one per tensor.
-
-    Every ladder rung runs the same search, so one healthy serial
-    encode is the bit-exact reference for a response from any rung.
-    """
-
-    def __init__(self, tensors: List[np.ndarray], config: ChaosConfig) -> None:
-        self._tensors = tensors
-        self._codec = TensorCodec(tile=config.tile)
-        self._qp = config.qp
-        self._blobs: Dict[int, bytes] = {}
-        self._decoded: Dict[int, np.ndarray] = {}
-
-    def blob(self, tensor_index: int) -> bytes:
-        if tensor_index not in self._blobs:
-            compressed = self._codec.encode(
-                self._tensors[tensor_index], qp=self._qp
-            )
-            self._blobs[tensor_index] = compressed.to_bytes()
-        return self._blobs[tensor_index]
-
-    def decoded(self, tensor_index: int) -> np.ndarray:
-        """Reference reconstruction of the clean blob."""
-        if tensor_index not in self._decoded:
-            self._decoded[tensor_index] = self._codec.decode(
-                CompressedTensor.from_bytes(self.blob(tensor_index))
-            )
-        return self._decoded[tensor_index]
-
-    def payload_start(self, tensor_index: int) -> int:
-        """First corruptible byte: past container metadata + stream header."""
-        compressed = CompressedTensor.from_bytes(self.blob(tensor_index))
-        meta_len = compressed.nbytes - len(compressed.data)
-        return meta_len + _HEADER_SIZE
+def _payload_start(blob: bytes) -> int:
+    """First corruptible byte: past container metadata + stream header."""
+    compressed = CompressedTensor.from_bytes(blob)
+    meta_len = compressed.nbytes - len(compressed.data)
+    return meta_len + _HEADER_SIZE
 
 
-def _make_fault_gate(
-    injector: FaultInjector, sleep: Callable[[float], None] = time.sleep
-) -> Callable[[str], None]:
-    """Worker-fault hook run at the top of every supervised attempt.
-
-    All randomness is drawn *before* any sleep, so even when the
-    supervisor abandons a hung attempt the injector's stream is never
-    touched concurrently -- the schedule stays seeded-deterministic.
-    """
-
-    def gate(kind: str) -> None:
-        if injector.worker_crashes(step=0, worker=0):
-            raise WorkerCrashed(f"injected worker crash during {kind}")
-        if injector.worker_raises():
-            raise RuntimeError(f"injected worker exception during {kind}")
-        stall = injector.worker_hang_s()
-        delay = injector.straggler_delay()
-        if stall:
-            sleep(stall)
-        if delay:
-            sleep(delay)
-
-    return gate
-
-
-def _damage_payload(
-    blob: bytes, payload_start: int, injector: FaultInjector
-) -> Tuple[bytes, bool]:
-    """Corrupt the frame-slice region of a container (maybe), seeded."""
-    cfg = injector.config
-    rng = injector.rng
-    body = blob[payload_start:]
-    if cfg.bit_flip_prob and body and rng.random() < cfg.bit_flip_prob:
-        flips = int(rng.integers(1, cfg.max_flips + 1))
-        injector._record("faults.bit_flips")
-        return blob[:payload_start] + injector.flip_bits(body, flips), True
-    if cfg.truncate_prob and len(body) > 16 and rng.random() < cfg.truncate_prob:
-        cut = int(rng.integers(8, len(body)))
-        injector._record("faults.truncations")
-        return blob[:payload_start] + body[:cut], True
-    return blob, False
-
-
+@telemetry_scope()
 def run_chaos(config: Optional[ChaosConfig] = None) -> dict:
     """Run the chaos soak; returns the JSON-ready report document.
 
     The report's ``invariant`` section is the contract verdict:
     ``silent_corruptions`` and ``untyped_errors`` must be zero and
-    ``availability`` must meet the SLO for ``passed`` to be true.
-
-    When the verdict fails and ``config.postmortem_dir`` is set, a
-    flight-recorder postmortem bundle (ring contents, telemetry
-    snapshot, trace tree, seed) is dumped and its path returned under
-    ``report["postmortem"]``.
+    ``availability`` must meet the SLO for ``passed`` to be true
+    (otherwise :func:`repro.harness.attach_postmortem` applies).
     """
     config = config or ChaosConfig()
-    # Aggregate telemetry for the whole soak (reusing an already-active
-    # registry, e.g. the CLI's --trace session) so the postmortem
-    # bundle can include a trace tree of what led up to a violation.
-    active = telemetry.current()
-    scope = nullcontext(active) if active is not None else telemetry.session()
-    with scope as registry:
-        report = _run_chaos_instrumented(config, registry)
-    return report
-
-
-def _run_chaos_instrumented(config: ChaosConfig, registry) -> dict:
     rng = np.random.default_rng(config.seed)
     tensors = [
         rng.standard_normal(
@@ -222,88 +137,54 @@ def _run_chaos_instrumented(config: ChaosConfig, registry) -> dict:
             seed=config.seed,
         )
     )
-    references = _ReferenceStore(tensors, config)
+    references = ReferenceStore(tensors.__getitem__, config.tile, config.qp)
 
-    worker_faults = FaultInjector(
-        seed=config.seed + 1,
-        config=FaultConfig(
-            crash_prob=config.crash_prob,
-            hang_prob=config.hang_prob,
-            raise_prob=config.raise_prob,
-            straggler_prob=config.straggler_prob,
-            hang_s=config.hang_s,
-            straggler_delay_s=config.straggler_delay_s,
-        ),
+    worker_faults = fault_injector(
+        config.seed + 1, config,
+        "crash_prob", "hang_prob", "raise_prob", "straggler_prob",
+        "hang_s", "straggler_delay_s",
     )
-    byte_faults = FaultInjector(
-        seed=config.seed + 2,
-        config=FaultConfig(
-            bit_flip_prob=config.bit_flip_prob,
-            truncate_prob=config.truncate_prob,
-        ),
+    byte_faults = fault_injector(
+        config.seed + 2, config, "bit_flip_prob", "truncate_prob"
     )
-    gate = _make_fault_gate(worker_faults)
-
-    violations: List[dict] = []
-    checked = {"encode": 0, "decode": 0, "damaged": 0}
-
-    def violation(index: int, kind: str, reason: str, response: ServeResponse):
-        violations.append(
-            {
-                "request": index,
-                "kind": kind,
-                "reason": reason,
-                "rung": response.rung,
-                "error_type": response.error_type,
-                "trace_id": response.trace_id,
-            }
-        )
-        flightrecorder.record(
-            "chaos.contract_violation",
-            request=index,
-            kind=kind,
-            reason=reason,
-            rung=response.rung,
-            trace=response.trace_id,
-        )
+    gate = fault_gate(worker_faults)
+    ledger = ViolationLedger(
+        "chaos.contract_violation", ("encode", "decode", "damaged"),
+        ("rung", "error_type", "trace_id"),
+    )
 
     started = time.perf_counter()
     for index in range(config.requests):
         tensor_index = int(rng.integers(0, config.num_tensors))
         kind = "encode" if rng.random() < 0.5 else "decode"
+        damaged = False
         if kind == "encode":
-            checked["encode"] += 1
             response = service.encode(
                 tensors[tensor_index], qp=config.qp, fault_gate=gate
             )
-            _check_encode(
-                response, references, tensor_index, index, violation
-            )
         else:
-            checked["decode"] += 1
             clean = references.blob(tensor_index)
-            blob, damaged = _damage_payload(
-                clean, references.payload_start(tensor_index), byte_faults
+            blob, damaged = damage_payload(
+                clean, _payload_start(clean), byte_faults
             )
-            checked["damaged"] += int(damaged)
+            ledger.checked["damaged"] += int(damaged)
             response = service.decode(blob, fault_gate=gate)
-            _check_decode(
-                response, references, tensor_index, damaged, index, violation
-            )
+        ledger.judge(
+            response, references.expected(kind, tensor_index),
+            TYPED_ERRORS, damaged, request=index, kind=kind,
+        )
     elapsed_s = time.perf_counter() - started
 
     if config.force_violation:
         # The drill: a synthetic violation that exercises ring dump,
         # bundle write, and the CLI's exit-2 path end to end.
-        violation(
-            -1, "drill", "drill: forced contract violation",
+        ledger.record(
+            "drill: forced contract violation",
             ServeResponse(ok=False, kind="drill", rung="drill"),
+            request=-1, kind="drill",
         )
 
     slo = service.slo.snapshot()
-    silent = sum(1 for v in violations if v["reason"].startswith("silent"))
-    untyped = sum(1 for v in violations if v["reason"].startswith("untyped"))
-    availability = slo["availability"]
     report = {
         "config": asdict(config),
         "elapsed_s": elapsed_s,
@@ -313,89 +194,14 @@ def _run_chaos_instrumented(config: ChaosConfig, registry) -> dict:
             "worker": worker_faults.injected,
             "bytes": byte_faults.injected,
         },
-        "checked": checked,
-        "invariant": {
-            "silent_corruptions": silent,
-            "untyped_errors": untyped,
-            "violations": violations,
-            "availability": availability,
-            "availability_slo": config.availability_slo,
-            "passed": (
-                not violations and availability >= config.availability_slo
-            ),
-        },
+        "checked": ledger.checked,
+        "invariant": availability_invariant(
+            ledger, slo["availability"], config.availability_slo
+        ),
     }
-    report["postmortem"] = None
-    if not report["invariant"]["passed"] and config.postmortem_dir:
-        report["postmortem"] = flightrecorder.dump_bundle(
-            config.postmortem_dir,
-            reason="chaos-contract-violation",
-            registry=registry,
-            seed=config.seed,
-            extra={
-                "checked": checked,
-                "invariant": report["invariant"],
-            },
-        )
-    return report
-
-
-def _check_encode(
-    response: ServeResponse,
-    references: _ReferenceStore,
-    tensor_index: int,
-    index: int,
-    violation: Callable,
-) -> None:
-    if response.ok:
-        if response.degraded:
-            violation(index, "encode", "untyped: encode marked degraded",
-                      response)
-            return
-        if response.value.to_bytes() != references.blob(tensor_index):
-            violation(
-                index, "encode",
-                "silent corruption: bytes differ from the serial reference",
-                response,
-            )
-    elif not isinstance(response.error, TYPED_ERRORS):
-        violation(index, "encode",
-                  f"untyped error {response.error_type}", response)
-
-
-def _check_decode(
-    response: ServeResponse,
-    references: _ReferenceStore,
-    tensor_index: int,
-    damaged: bool,
-    index: int,
-    violation: Callable,
-) -> None:
-    if response.ok and not response.degraded:
-        if not np.array_equal(
-            response.value, references.decoded(tensor_index)
-        ):
-            violation(index, "decode",
-                      "silent corruption: tensor differs from reference",
-                      response)
-        elif damaged:
-            # Bit-exact output from a damaged blob would mean a CRC
-            # collision repaired the data -- flag it; it should never
-            # happen with <= 8 flipped bits.
-            violation(index, "decode",
-                      "silent corruption: damaged blob decoded clean",
-                      response)
-    elif response.ok:  # degraded
-        if not damaged:
-            violation(index, "decode",
-                      "untyped: clean blob concealed", response)
-        elif response.report is None or response.report.clean:
-            violation(index, "decode",
-                      "untyped: degraded without concealment report",
-                      response)
-    elif not isinstance(response.error, TYPED_ERRORS):
-        violation(index, "decode",
-                  f"untyped error {response.error_type}", response)
+    return attach_postmortem(
+        report, config, "chaos-contract-violation", checked=ledger.checked
+    )
 
 
 # -- healthy-path benchmark ------------------------------------------------
@@ -474,35 +280,12 @@ def run_serve_bench(
 
 def format_report(report: dict) -> str:
     """Human-readable chaos verdict for the CLI."""
-    lines = []
     slo = report["slo"]
-    inv = report["invariant"]
-    lines.append(
+    lines = [
         f"chaos: {slo['requests']} requests in {report['elapsed_s']:.1f}s "
         f"({report['faults_injected']['worker']} worker faults, "
         f"{report['faults_injected']['bytes']} byte faults)"
-    )
-    outcomes = slo["outcomes"]
-    lines.append(
-        "outcomes: "
-        + " ".join(f"{name}={outcomes[name]}" for name in sorted(outcomes))
-    )
-    latency = slo["latency_ms"]
-    lines.append(
-        f"latency: p50={latency['p50']:.1f}ms p99={latency['p99']:.1f}ms "
-        f"max={latency['max']:.1f}ms"
-    )
-    lines.append(
-        f"availability: {inv['availability']:.4f} "
-        f"(slo {inv['availability_slo']:.2f})"
-    )
-    lines.append(
-        f"invariant: silent_corruptions={inv['silent_corruptions']} "
-        f"untyped_errors={inv['untyped_errors']} -> "
-        + ("PASS" if inv["passed"] else "FAIL")
-    )
-    for violated in inv["violations"][:10]:
-        lines.append(f"  violation: {violated}")
-    if report.get("postmortem"):
-        lines.append(f"postmortem bundle: {report['postmortem']}")
+    ]
+    lines += format_traffic(slo)
+    lines += format_verdict(report)
     return "\n".join(lines)

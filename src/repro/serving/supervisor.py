@@ -1,22 +1,15 @@
-"""Supervision: detect crashed/hung work, restart pools, re-dispatch.
+"""Supervision: detect crashed/hung work and retry it, bounded and seeded.
 
-Two supervision shapes, both bounded and seeded:
+:meth:`Supervisor.run` guards **one unit of work** (a whole request
+attempt).  The work runs on a supervised thread so the caller's wait
+can be bounded (``attempt_timeout_s``): a hang is detected by the
+*supervisor's* clock, never by trusting the work to return.  The
+abandoned attempt is handed a child deadline, so the cooperative
+checks inside the codec stop it shortly after the supervisor gives
+up -- partial work cancels itself instead of running orphaned.
 
-- :meth:`Supervisor.run` guards **one unit of work** (a whole request
-  attempt).  The work runs on a supervised thread so the caller's wait
-  can be bounded (``attempt_timeout_s``): a hang is detected by the
-  *supervisor's* clock, never by trusting the work to return.  The
-  abandoned attempt is handed a child deadline, so the cooperative
-  checks inside the codec stop it shortly after the supervisor gives
-  up -- partial work cancels itself instead of running orphaned.
-
-- :meth:`Supervisor.map` guards a **batch fan-out** over
-  :mod:`repro.parallel`.  Item failures are tracked individually; a
-  broken pool (``BrokenProcessPool`` -- a worker was SIGKILLed or
-  OOMed) or a hung worker (item timeout) causes the dead pool to be
-  discarded (:func:`repro.parallel.discard_pool`) and only the
-  unfinished items re-dispatched to a fresh one, up to
-  ``RetryPolicy.max_retries`` rounds.
+Batch fan-outs are not supervised here: :func:`repro.parallel.parallel_map`
+discards a broken pool and reruns the batch serially on its own.
 
 Backoff between retries is real (the service actually waits) but tiny
 and *seeded*: jitter comes from one ``numpy`` generator, so a chaos
@@ -27,7 +20,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -38,16 +31,13 @@ from repro.parallel import (
     BrokenPoolError,
     ParallelConfig,
     WorkerTimeoutError,
-    discard_pool,
     get_executor,
-    parallel_map,
 )
 from repro.resilience.deadline import Deadline, effective_timeout
 from repro.resilience.faults import RetryPolicy
 
 __all__ = ["RetriesExhausted", "Supervisor", "WorkerCrashed"]
 
-T = TypeVar("T")
 R = TypeVar("R")
 
 #: Exceptions treated as transient infrastructure faults: the work
@@ -106,7 +96,6 @@ class Supervisor:
             workers=8, executor="thread"
         )
         self._sleep = sleep
-        self.restarts = 0  # pools discarded + recreated
         self.timeouts = 0  # hung work detected
         self.retries = 0  # re-dispatched attempts
 
@@ -213,85 +202,8 @@ class Supervisor:
             attempts=attempts,
         )
 
-    # -- batch supervision (pool fan-outs) -----------------------------
-
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Sequence[T],
-        config: ParallelConfig,
-        label: str = "supervised",
-        timeout_s: Optional[float] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> List[R]:
-        """Fan ``items`` out with restart + re-dispatch supervision.
-
-        Behaves like :func:`repro.parallel.parallel_map` (ordered
-        results, earliest exception) except that pool breakage and hung
-        workers are survived: the pool is restarted and only the items
-        without a result yet are re-dispatched, up to the retry budget.
-        ``fn`` must be deterministic/idempotent -- every codec fan-out
-        body is, which is what makes re-dispatch sound.
-        """
-        items = list(items)
-        results: List[Optional[Tuple[R]]] = [None] * len(items)  # boxed
-        pending = list(range(len(items)))
-        last_error: Optional[BaseException] = None
-        for attempt in range(self.retry.max_retries + 1):
-            if deadline is not None:
-                deadline.check("supervisor.map")
-            if attempt:
-                self.retries += 1
-                telemetry.count("serving.redispatches", len(pending))
-                self._backoff(attempt, deadline)
-            try:
-                batch = parallel_map(
-                    fn,
-                    [items[i] for i in pending],
-                    config,
-                    label=label,
-                    timeout_s=timeout_s,
-                    deadline=deadline,
-                    on_broken="raise",
-                )
-            except (BrokenPoolError, WorkerTimeoutError) as exc:
-                # The pool is wrecked (dead worker) or wedged (hung
-                # worker): discard it so the next round gets a fresh
-                # one, then re-dispatch everything still unfinished.
-                last_error = exc
-                if not config.is_serial():
-                    workers = min(config.resolved_workers(), len(pending))
-                    discarded = discard_pool(config.executor, workers)
-                    # parallel_map discards a broken pool itself before
-                    # re-raising; either way the next round gets a fresh
-                    # pool, which is what "restart" counts.
-                    if discarded or isinstance(exc, BrokenPoolError):
-                        self.restarts += 1
-                        telemetry.count("serving.pool_restarts")
-                        flightrecorder.record(
-                            "supervisor.pool_restart",
-                            pending=len(pending),
-                            error_type=type(exc).__name__,
-                        )
-                if isinstance(exc, WorkerTimeoutError):
-                    self.timeouts += 1
-                continue
-            for index, value in zip(pending, batch):
-                results[index] = (value,)
-            pending = []
-            break
-        if pending:
-            raise RetriesExhausted(
-                f"{len(pending)}/{len(items)} items unfinished after "
-                f"{self.retry.max_retries + 1} dispatch rounds: {last_error!r}",
-                last_error=last_error,
-                attempts=self.retry.max_retries + 1,
-            )
-        return [box[0] for box in results]  # type: ignore[index]
-
     def stats(self) -> dict:
         return {
-            "restarts": self.restarts,
             "timeouts": self.timeouts,
             "retries": self.retries,
         }

@@ -10,7 +10,6 @@ import pytest
 
 import repro.telemetry as telemetry
 from repro.parallel import (
-    BrokenPoolError,
     ParallelConfig,
     WorkerTimeoutError,
     discard_pool,
@@ -61,17 +60,11 @@ class TestBrokenPoolRecovery:
         assert counters.get("parallel.broken_pools") == 1
         assert counters.get("parallel.broken_pool_serial_reruns") == 1
 
-    def test_on_broken_raise_propagates_for_supervisors(self):
-        config = ParallelConfig(workers=2, executor="process")
-        with pytest.raises(BrokenPoolError):
-            parallel_map(
-                _kill_in_pool_worker, list(range(12)), config,
-                label="killraise", on_broken="raise",
-            )
-
     def test_invalid_on_broken_rejected(self):
-        with pytest.raises(ValueError):
-            parallel_map(_square, [1, 2], None, on_broken="explode")
+        # There is no opt-out: discard-then-serial-rerun is the one
+        # behaviour, so the keyword itself is refused.
+        with pytest.raises(TypeError):
+            parallel_map(_square, [1, 2], None, on_broken="raise")
 
 
 class TestTimeouts:

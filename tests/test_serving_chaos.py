@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 import repro.telemetry as telemetry
+from repro.harness import damage_payload, fault_gate
 from repro.resilience.faults import FaultConfig, FaultInjector
 from repro.serving.chaos import (
     ChaosConfig,
-    _damage_payload,
-    _make_fault_gate,
     format_report,
     run_chaos,
     run_serve_bench,
@@ -68,13 +67,13 @@ class TestFaultModes:
 class TestFaultGate:
     def test_crash_raises_worker_crashed(self):
         injector = FaultInjector(seed=0, config=FaultConfig(crash_prob=1.0))
-        gate = _make_fault_gate(injector)
+        gate = fault_gate(injector)
         with pytest.raises(WorkerCrashed):
             gate("encode")
 
     def test_raise_mode_raises_runtime_error(self):
         injector = FaultInjector(seed=0, config=FaultConfig(raise_prob=1.0))
-        gate = _make_fault_gate(injector)
+        gate = fault_gate(injector)
         with pytest.raises(RuntimeError, match="injected worker exception"):
             gate("decode")
 
@@ -83,13 +82,13 @@ class TestFaultGate:
         injector = FaultInjector(
             seed=3, config=FaultConfig(hang_prob=1.0, hang_s=0.2)
         )
-        gate = _make_fault_gate(injector, sleep=sleeps.append)
+        gate = fault_gate(injector, sleep=sleeps.append)
         gate("encode")
         assert len(sleeps) == 1
         assert 0.1 <= sleeps[0] <= 0.3
 
     def test_healthy_gate_is_a_no_op(self):
-        gate = _make_fault_gate(FaultInjector(seed=0))
+        gate = fault_gate(FaultInjector(seed=0))
         gate("encode")  # no exception, no sleep
 
 
@@ -101,7 +100,7 @@ class TestDamagePayload:
         blob = bytes(range(256)) * 4
         injector = self._injector(bit_flip_prob=1.0)
         for _ in range(20):
-            damaged, changed = _damage_payload(blob, 100, injector)
+            damaged, changed = damage_payload(blob, 100, injector)
             assert changed
             assert damaged[:100] == blob[:100]
             assert damaged[100:] != blob[100:]
@@ -109,14 +108,14 @@ class TestDamagePayload:
     def test_truncation_keeps_the_prefix_whole(self):
         blob = bytes(1000)
         injector = self._injector(truncate_prob=1.0)
-        damaged, changed = _damage_payload(blob, 64, injector)
+        damaged, changed = damage_payload(blob, 64, injector)
         assert changed
         assert len(damaged) < len(blob)
         assert damaged[:64] == blob[:64]
 
     def test_no_faults_no_change(self):
         blob = bytes(200)
-        damaged, changed = _damage_payload(blob, 50, self._injector())
+        damaged, changed = damage_payload(blob, 50, self._injector())
         assert damaged == blob and not changed
 
 

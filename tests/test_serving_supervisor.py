@@ -1,15 +1,11 @@
-"""Supervision tests: crash detection, hang detection, pool restart,
-re-dispatch, and seeded backoff determinism."""
+"""Supervision tests: crash detection, hang detection, bounded retry,
+and seeded backoff determinism."""
 
-import multiprocessing
-import os
-import signal
 import time
 
-import numpy as np
 import pytest
 
-from repro.parallel import BrokenPoolError, ParallelConfig, WorkerTimeoutError
+from repro.parallel import BrokenPoolError
 from repro.resilience.deadline import Deadline, DeadlineExceeded
 from repro.resilience.faults import RetryPolicy
 from repro.serving.supervisor import RetriesExhausted, Supervisor, WorkerCrashed
@@ -126,75 +122,3 @@ class TestRun:
 
         assert schedule(7) == schedule(7)
         assert schedule(7) != schedule(8)
-
-
-def _kill_while_flagged(args):
-    """SIGKILL the worker for item 13 while the flag file exists.
-
-    The flag path rides inside the item (not the environment) so the
-    behaviour is identical whether the shared process pool was forked
-    before or after the test started.
-    """
-    item, flag = args
-    if item == 13 and flag and os.path.exists(flag):
-        os.remove(flag)  # next dispatch round survives
-        os.kill(os.getpid(), signal.SIGKILL)
-    return item * item
-
-
-class TestMap:
-    def test_ordered_results(self):
-        config = ParallelConfig(workers=2, executor="thread")
-        result = _sup().map(lambda x: x + 1, range(20), config)
-        assert result == list(range(1, 21))
-
-    def test_real_worker_kill_restart_and_redispatch(self, tmp_path):
-        flag = tmp_path / "kill-once"
-        flag.write_text("armed")
-        supervisor = _sup()
-        config = ParallelConfig(workers=2, executor="process")
-        items = [(x, str(flag)) for x in range(24)]
-        result = supervisor.map(_kill_while_flagged, items, config, label="kill")
-        assert result == [x * x for x in range(24)]
-        assert supervisor.restarts >= 1
-        assert not flag.exists()
-
-    def test_hung_worker_redispatch(self):
-        state = {"armed": True}
-
-        def slow_once(item):
-            if item == 3 and state.pop("armed", False):
-                time.sleep(1.0)
-            return -item
-
-        supervisor = _sup()
-        config = ParallelConfig(workers=2, executor="thread")
-        started = time.perf_counter()
-        result = supervisor.map(
-            slow_once, range(8), config, label="hang", timeout_s=0.1
-        )
-        assert result == [-x for x in range(8)]
-        assert time.perf_counter() - started < 5.0
-        assert supervisor.timeouts >= 1
-
-    def test_item_exception_propagates(self):
-        def bad(item):
-            if item == 2:
-                raise ValueError("item 2 is cursed")
-            return item
-
-        config = ParallelConfig(workers=2, executor="thread")
-        with pytest.raises(ValueError, match="cursed"):
-            _sup().map(bad, range(6), config)
-
-    def test_exhaustion_raises_typed_error(self):
-        def always_slow(item):
-            time.sleep(0.5)
-            return item
-
-        supervisor = Supervisor(retry=RetryPolicy(max_retries=1,
-                                                  backoff_base_s=0.001))
-        config = ParallelConfig(workers=2, executor="thread")
-        with pytest.raises(RetriesExhausted) as err:
-            supervisor.map(always_slow, range(4), config, timeout_s=0.05)
-        assert isinstance(err.value.last_error, WorkerTimeoutError)

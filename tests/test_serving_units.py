@@ -113,16 +113,6 @@ class TestRequestBroker:
         with pytest.raises(RuntimeError):
             RequestBroker().release()
 
-    def test_pressure(self):
-        broker = RequestBroker(max_inflight=2, max_queue=4)
-        assert broker.pressure() == 0.0
-        broker.acquire()
-        assert broker.pressure() == 0.5
-        broker.acquire()
-        assert broker.pressure() == 1.0
-        broker.release()
-        broker.release()
-
 
 class FakeClock:
     def __init__(self):
