@@ -1,0 +1,183 @@
+"""Stream identity matrix: did an encoder change move any bytes?
+
+Encoded streams are not pinned by golden vectors (pass 1's operator
+GEMM is BLAS, so a stream is only reproducible on one box), so a
+pass-1 change is checked by hashing streams at the parent commit and at
+the change, on the same machine::
+
+    PYTHONPATH=<parent>/src python benchmarks/identity_matrix.py --write parent.json
+    PYTHONPATH=src          python benchmarks/identity_matrix.py --against parent.json
+
+Two sets of inputs, each coded with ``encode="native"`` and with
+``encode="python"`` (both ``rd_search="turbo"``, the production search):
+
+* ``matrix`` -- 3 profiles x QP {18, 24.5, 26, 34} x {64x64, 50x70,
+  33x17} x intra / inter, three frames each: 72 configs.
+* ``stack``  -- what the stack benchmark feeds the program at seed 0:
+  64 KV pages per client through the service's tile / QP, one
+  ``weights_fixed_qp`` tensor (pooled and serial) and two
+  ``weights_bit_budget`` containers.  ``benchmarks/stack/inputs.py``
+  and ``layers.py`` are imported read-only.
+
+Every config records ``sha256`` + length of the bytes and ``repr`` of
+the MSE.  ``--against`` prints the ``moved / N`` and total-bytes table
+CHANGES.md quotes, lists each moved config with its length delta, says
+whether ``native`` == ``python`` held here, and exits 2 on any move or
+any backend disagreement.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+from typing import Dict, Iterator, List, Tuple
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "stack"))
+
+import inputs  # noqa: E402  (benchmarks/stack, read-only)
+import layers  # noqa: E402
+
+from repro.codec.encoder import ENCODES, EncoderConfig, encode_frames  # noqa: E402
+from repro.codec.profiles import AV1_PROFILE, H264_PROFILE, H265_PROFILE  # noqa: E402
+
+PROFILES = (H264_PROFILE, H265_PROFILE, AV1_PROFILE)
+QPS = (18.0, 24.5, 26.0, 34.0)  # 24.5 dithers two QPs into every slice
+SHAPES = ((64, 64), (50, 70), (33, 17))
+FRAMES = 3
+STACK_SEED = 0
+KV_PAGES = 64
+
+
+def _matrix_frames(shape: Tuple[int, int]) -> List[np.ndarray]:
+    """Gradient + noise; later frames are a shifted, re-noised first frame
+    so the inter configs have motion to find."""
+    height, width = shape
+    rng = np.random.default_rng([height, width])
+    base = (
+        np.linspace(30, 220, width)[None, :]
+        + np.linspace(-40, 40, height)[:, None]
+        + rng.normal(0, 22, shape)
+    )
+    return [
+        np.clip(np.roll(base, (k, 2 * k), (0, 1)) + rng.normal(0, 3 * k, shape), 0, 255)
+        .astype(np.uint8)
+        for k in range(FRAMES)
+    ]
+
+
+def _record(data: bytes, mse: float) -> Dict[str, object]:
+    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data), "mse": repr(mse)}
+
+
+def _matrix(encode: str) -> Iterator[Tuple[str, Dict[str, object]]]:
+    for profile in PROFILES:
+        for qp in QPS:
+            for shape in SHAPES:
+                for use_inter in (False, True):
+                    result = encode_frames(
+                        _matrix_frames(shape),
+                        EncoderConfig(
+                            profile=profile, qp=qp, use_inter=use_inter, encode=encode
+                        ),
+                    )
+                    name = (
+                        f"{profile.name} qp{qp:g} {shape[0]}x{shape[1]} "
+                        f"{'inter' if use_inter else 'intra'}"
+                    )
+                    yield name, _record(result.data, result.mse)
+
+
+def _stack(encode: str) -> Iterator[Tuple[str, Dict[str, object]]]:
+    def production(tile, serial=False):
+        """The codec the service's top rung builds, with the backend pinned."""
+        codec = layers.production_codec(tile, serial=serial)
+        codec.encode_mode = encode
+        return codec
+
+    def coded(codec, tensor, **targets):
+        compressed = codec.encode(tensor, **targets)
+        delta = codec.decode(compressed).astype(np.float64) - tensor
+        return _record(compressed.to_bytes(), float(np.mean(delta * delta)))
+
+    service = layers.service_targets()
+    pages = production(int(service["tile"]))
+    for client in range(2):
+        for index in range(KV_PAGES):
+            page = inputs.kv_page(STACK_SEED, client, index)
+            yield f"kv c{client} #{index}", coded(pages, page, qp=float(service["qp"]))
+    pooled = production(inputs.WEIGHT_TILE)
+    serial = production(inputs.WEIGHT_TILE, serial=True)
+    tensor = inputs.weight_tensor(STACK_SEED, "weights_fixed_qp", 0)
+    yield "weights_fixed_qp #0 pooled", coded(pooled, tensor, qp=18.0)
+    yield "weights_fixed_qp #0 serial", coded(serial, tensor, qp=18.0)
+    for index in range(2):
+        tensor = inputs.weight_tensor(STACK_SEED, "weights_bit_budget", index)
+        yield f"weights_bit_budget #{index}", coded(pooled, tensor, bits_per_value=3.0)
+
+
+SETS = {"matrix": _matrix, "stack": _stack}
+
+
+def take() -> Dict[str, Dict[str, Dict[str, object]]]:
+    """``{"<set>/<encode>": {config: record}}`` for this source tree."""
+    return {
+        f"{set_name}/{encode}": dict(build(encode))
+        for set_name, build in SETS.items()
+        for encode in ENCODES
+    }
+
+
+def _backends_agree(table) -> bool:
+    return all(
+        table[f"{set_name}/native"] == table[f"{set_name}/python"] for set_name in SETS
+    )
+
+
+def compare(parent, here) -> int:
+    """Print the moved / N table; the number of moved configs."""
+    moved_total = 0
+    print(f"{'variant':<16}{'moved / N':>12}{'parent bytes':>15}{'bytes here':>13}")
+    for variant, records in here.items():
+        before = parent.get(variant, {})
+        moved = [name for name in records if records[name] != before.get(name)]
+        moved_total += len(moved) + len(before.keys() - records.keys())
+        print(
+            f"{variant:<16}{f'{len(moved)} / {len(records)}':>12}"
+            f"{sum(r['bytes'] for r in before.values()):>15}"
+            f"{sum(r['bytes'] for r in records.values()):>13}"
+        )
+        for name in moved:
+            was = before.get(name)
+            delta = "absent at the parent" if was is None else (
+                f"{records[name]['bytes'] - was['bytes']:+d} bytes, "
+                f"mse {was['mse']} -> {records[name]['mse']}"
+            )
+            print(f"    moved: {name} ({delta})")
+    return moved_total
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", metavar="FILE", help="record this tree's hashes")
+    mode.add_argument("--against", metavar="FILE", help="compare with recorded hashes")
+    args = parser.parse_args(argv)
+
+    here = take()
+    agree = _backends_agree(here)
+    if args.write:
+        Path(args.write).write_text(json.dumps(here, indent=1, sort_keys=True) + "\n")
+        moved = 0
+    else:
+        moved = compare(json.loads(Path(args.against).read_text()), here)
+    print(f"native == python on every config here: {'yes' if agree else 'NO'}")
+    return 0 if agree and not moved else 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

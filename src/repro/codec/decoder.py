@@ -301,17 +301,8 @@ class FrameDecoder:
                 raise CorruptStreamError(
                     f"slice {frame_index}: undecodable ({type(exc).__name__}: {exc})"
                 ) from exc
-        # The damaged slice may have consumed an arbitrary number of
-        # dither steps before failing; rebuilding the dither is not
-        # possible mid-stream, so re-derive it deterministically from
-        # the frame index (every frame has the same CTU count).
-        rebuilt = QpDither(self._header["qp_base"], self._header["qp_frac"])
-        for _ in range((frame_index + 1) * ctus_per_frame):
-            rebuilt.next()
-        dither.__dict__.update(rebuilt.__dict__)
         return self._conceal_frame(
-            "undecodable slice", height, width, frame_index, dither, ctus_per_frame,
-            advance_dither=False,
+            "undecodable slice", height, width, frame_index, dither, ctus_per_frame
         )
 
     def _conceal_frame(
@@ -322,14 +313,14 @@ class FrameDecoder:
         frame_index: int,
         dither: QpDither,
         ctus_per_frame: int,
-        advance_dither: bool = True,
     ) -> np.ndarray:
         """Synthesise a frame for a damaged slice and keep state aligned."""
-        if advance_dither:
-            # Later slices must see the same per-CTU QP sequence as the
-            # encoder, so the dither is advanced as if decoded.
-            for _ in range(ctus_per_frame):
-                dither.next()
+        # Later slices must see the same per-CTU QP sequence as the
+        # encoder.  A slice that failed to parse may have consumed any
+        # number of dither steps, so the dither is not advanced but
+        # positioned, in closed form, after this frame's CTUs (every
+        # frame has the same CTU count).
+        dither.seek((frame_index + 1) * ctus_per_frame)
         self.report.concealed.append((frame_index, reason))
         if self._registry is not None:
             self._registry.count("decode.slices_concealed")

@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -98,6 +98,13 @@ _PARALLEL_MIN_SLICES = 4
 #: tests/test_native_encode.py pins the constants and the fallback
 #: accounting.
 _PARALLEL_MIN_BYTES = 1 << 16
+#: Pass 1 predicts from source pixels, so it runs once per *group* of
+#: consecutive frames: as many as fit in this many padded samples, at
+#: least one.  That is one 256 x 256 slice, the largest candidate tensor
+#: pass 1 ever allocated, so peak memory keeps its bound while a KV
+#: page's four one-CTU slices share one DCT, GEMM and pick call per size.
+#: Groups depend on the frame list only, never on executor or workers.
+_PASS1_GROUP_SAMPLES = 1 << 16
 
 
 def _effective_cpus() -> int:
@@ -483,6 +490,14 @@ class QpDither:
             return min(51, self._base + 1)
         return self._base
 
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` values of :meth:`next` as one int64 array: call
+        ``k`` bumps iff the accumulator it finds, ``(accum + k * frac) % 256``
+        in closed form, reaches 256 once ``frac`` is added."""
+        found = (self._accum + self._frac * np.arange(count, dtype=np.int64)) % 256
+        self._accum = (self._accum + count * self._frac) % 256
+        return np.where(found + self._frac >= 256, min(51, self._base + 1), self._base)
+
     @classmethod
     def advanced(cls, qp_base: int, qp_frac: int, steps: int) -> "QpDither":
         """A dither positioned as if :meth:`next` had been called ``steps`` times.
@@ -494,8 +509,12 @@ class QpDither:
         sequence without replaying frames ``0 .. i-1``.
         """
         dither = cls(qp_base, qp_frac)
-        dither._accum = (128 + steps * qp_frac) % 256
+        dither.seek(steps)
         return dither
+
+    def seek(self, steps: int) -> None:
+        """Reposition as if :meth:`next` had been called ``steps`` times in all."""
+        self._accum = (128 + steps * self._frac) % 256
 
 
 def pad_frame(frame: np.ndarray, multiple: int) -> np.ndarray:
@@ -510,6 +529,16 @@ def pad_frame(frame: np.ndarray, multiple: int) -> np.ndarray:
 
 # Plan nodes: ("leaf", mode, is_inter, mv, levels) | ("split", [children x4]).
 _Plan = Tuple
+
+
+class _Pass1(NamedTuple):
+    """What turbo pass 1 hands one frame's pass 2 (views of its group's arrays)."""
+
+    qp: np.ndarray  # (ctu rows, ctu cols) int64 dithered QPs, then each CTU's ...
+    step: np.ndarray  # ... quantizer step
+    lam: np.ndarray  # ... Lagrangian
+    modes: Dict[int, np.ndarray]  # CU size, largest first -> best coarse mode per block
+    costs: Dict[int, np.ndarray]  # CU size -> that mode's RD cost
 
 
 class FrameEncoder:
@@ -571,10 +600,21 @@ class FrameEncoder:
             and len(frames) > 1
             and not cfg.use_inter
         )
+        pad_h = height + (-height) % self._ctu
+        pad_w = width + (-width) % self._ctu
+        # A fan-out hands out whole pass-1 groups, so what a worker
+        # batches is what the serial loop batches.
+        per_group = (
+            max(1, _PASS1_GROUP_SAMPLES // (pad_h * pad_w))
+            if self._turbo_frames and not cfg.use_inter
+            else 1
+        )
+        groups = -(-len(frames) // per_group)
         use_parallel = (
             par_capable
             and len(frames) >= _PARALLEL_MIN_SLICES
             and sum(f.nbytes for f in frames) >= _PARALLEL_MIN_BYTES
+            and groups > 1
             and _effective_cpus() > 1
             # Threads only overlap work that releases the GIL: pass 1's
             # GEMMs and the whole-slice kernel.  The per-leaf Python of
@@ -593,18 +633,17 @@ class FrameEncoder:
             telemetry.count("encode.parallel_threshold_fallbacks")
         with telemetry.span("frames.encode"):
             if use_parallel:
-                pad_h = height + (-height) % self._ctu
-                pad_w = width + (-width) % self._ctu
                 ctus_per_frame = (pad_h // self._ctu) * (pad_w // self._ctu)
                 # One task per worker that can actually run (encode is
-                # CPU-bound), each a run of consecutive slices.
-                runs = min(par.resolved_workers(), _effective_cpus(), len(frames))
-                run = -(-len(frames) // runs)
+                # CPU-bound), each a run of consecutive groups.
+                runs = min(par.resolved_workers(), _effective_cpus(), groups)
+                run = -(-groups // runs) * per_group
                 tasks = [
                     (
                         cfg,
                         frames[first : first + run],
                         first,
+                        per_group,
                         qp_base,
                         qp_frac,
                         first * ctus_per_frame,
@@ -626,13 +665,9 @@ class FrameEncoder:
             else:
                 if par is not None:
                     telemetry.count("parallel.serial_fallbacks")
-                dither = QpDither(qp_base, qp_frac)
-                coded = []
-                for index, frame in enumerate(frames):
-                    if cfg.deadline is not None:
-                        cfg.deadline.check("frames.encode")
-                    with telemetry.span("frame"):
-                        coded.append(self._encode_slice(frame, index, dither))
+                coded = self._encode_run(
+                    frames, 0, per_group, QpDither(qp_base, qp_frac)
+                )
             payload = b"".join(slice_bytes for slice_bytes, _ in coded)
         # Summed in frame order on every path, so the float is the same.
         sse_total = 0.0
@@ -658,26 +693,46 @@ class FrameEncoder:
 
     # -- per-slice -----------------------------------------------------
 
-    def _encode_slice(
-        self, frame: np.ndarray, index: int, dither: QpDither
-    ) -> Tuple[bytes, float]:
-        """One frame as one framed slice: ``(slice bytes, frame SSE)``.
+    def _encode_run(
+        self, frames: Sequence[np.ndarray], first_index: int, per_group: int,
+        dither: QpDither,
+    ) -> List[Tuple[bytes, float]]:
+        """Consecutive frames as framed slices: ``(slice bytes, frame SSE)`` each.
 
-        Each frame is one error-resilience slice: a fresh coder and
-        fresh contexts make it independently decodable, so a damaged
-        slice can be concealed without desynchronising the rest of the
-        stream.  The reconstruction becomes the next frame's reference.
+        The one body of the serial loop and of every fan-out worker:
+        turbo pass 1 once per group of ``per_group`` frames (a group of
+        one runs it inside :meth:`_encode_frame`), then pass 2 a frame
+        at a time.  Each frame is one error-resilience slice: a fresh
+        coder and fresh contexts make it independently decodable, so a
+        damaged slice can be concealed without desynchronising the rest
+        of the stream.  The reconstruction becomes the next frame's
+        reference.  The deadline is polled at every group and every
+        frame: at most one 256 x 256 slice's worth of work apart.
         """
-        height, width = frame.shape
-        enc = BinaryEncoder()
-        ctx = CodecContexts()
-        recon = self._encode_frame(enc, ctx, pad_frame(frame, self._ctu), index, dither)
-        crop = recon[:height, :width]
-        frame_sse = float(np.sum((crop - frame.astype(np.float64)) ** 2))
-        self._reference = recon
-        if self._stats is not None:
-            self._stats.add_bits("slice_hdr", 8 * SLICE_OVERHEAD)
-        return frame_slice(enc.finish()), frame_sse
+        deadline = self.config.deadline
+        coded: List[Tuple[bytes, float]] = []
+        for start in range(0, len(frames), per_group):
+            group = frames[start : start + per_group]
+            planes = np.stack([pad_frame(f, self._ctu) for f in group]).astype(float)
+            if deadline is not None:
+                deadline.check("frames.encode")
+            plans = self._turbo_pass1(planes, dither) if per_group > 1 else (None,)
+            for frame, plane, pass1 in zip(group, planes, plans):
+                if deadline is not None:
+                    deadline.check("frames.encode")
+                with telemetry.span("frame"):
+                    enc = BinaryEncoder()
+                    recon = self._encode_frame(
+                        enc, CodecContexts(), plane, first_index + len(coded), dither,
+                        pass1,
+                    )
+                    self._reference = recon
+                    if self._stats is not None:
+                        self._stats.add_bits("slice_hdr", 8 * SLICE_OVERHEAD)
+                    height, width = frame.shape  # the SSE leaves the padding out
+                    sse = np.sum((recon[:height, :width] - plane[:height, :width]) ** 2)
+                    coded.append((frame_slice(enc.finish()), float(sse)))
+        return coded
 
     # -- per-frame -----------------------------------------------------
 
@@ -688,10 +743,11 @@ class FrameEncoder:
         frame: np.ndarray,
         frame_index: int,
         dither: QpDither,
+        pass1: Optional[_Pass1] = None,
     ) -> np.ndarray:
         cfg = self.config
         height, width = frame.shape
-        self._frame = frame.astype(np.float64)
+        self._frame = np.asarray(frame, dtype=np.float64)
         self._recon = np.zeros((height, width), dtype=np.float64)
         self._mask = np.zeros((height, width), dtype=bool)
         self._modes = np.full((height, width), -1, dtype=np.int16)
@@ -701,7 +757,9 @@ class FrameEncoder:
 
         stats = self._stats
         if self._turbo_frames and not self._inter_allowed:
-            return self._encode_frame_turbo(enc, ctx, dither)
+            if pass1 is None:  # a group of one
+                (pass1,) = self._turbo_pass1(self._frame[None], dither)
+            return self._encode_frame_turbo(enc, ctx, pass1)
         for y0 in range(0, height, self._ctu):
             for x0 in range(0, width, self._ctu):
                 qp = dither.next()
@@ -927,84 +985,50 @@ class FrameEncoder:
     # -- two-pass turbo frame path -------------------------------------
 
     def _encode_frame_turbo(
-        self, enc: BinaryEncoder, ctx: CodecContexts, dither: QpDither
+        self, enc: BinaryEncoder, ctx: CodecContexts, pass1: _Pass1
     ) -> np.ndarray:
         """Whole-frame turbo encode: batched mode decision, exact coding.
 
-        Pass 1 scores every block of every CU size in a handful of
-        stacked mat-vecs (:meth:`_turbo_pass1_size`) using *source*
-        pixels as prediction references -- the classic encoder lookahead
-        trick: at working QPs the reconstruction tracks the source
-        closely, so decisions made against the source are near-identical
-        while removing the serial commit->gather dependency that forces
-        the per-leaf searches to run block by block.  Pass 2 picks the
-        partition per CTU with a quadtree DP (the same split-flag
-        arithmetic as :meth:`_plan_cu`), re-codes only the chosen leaves
-        against the *true* reconstruction and writes the slice, so the
-        emitted stream is exactly decodable -- drift-free by
-        construction, like every other search mode.  With
+        Pass 1 (:meth:`_turbo_pass1`, once per group of frames) scores
+        every block of every CU size in a handful of stacked GEMMs using
+        *source* pixels as prediction references -- the classic encoder
+        lookahead trick: at working QPs the reconstruction tracks the
+        source closely, so decisions made against the source are
+        near-identical while removing the serial commit->gather
+        dependency that forces the per-leaf searches to run block by
+        block (and any dependency on the slice a block sits in).  Pass
+        2, here, picks the partition per CTU with a quadtree DP (the
+        same split-flag arithmetic as :meth:`_plan_cu`), re-codes only
+        the chosen leaves against the *true* reconstruction and writes
+        the slice, so the emitted stream is exactly decodable --
+        drift-free by construction, like every other search mode.  With
         ``encode="native"`` pass 2 is one GIL-free call
         (``native.encode_slice``); :meth:`_turbo_choose` /
         :meth:`_turbo_commit` / :meth:`_write_cu` are its pure-Python
         twin -- same bytes, same float64 plane, same context banks --
         which also re-codes any slice the kernel refuses.
         """
-        frame = self._frame
-        height, width = frame.shape
-        ctu = self._ctu
-        rows, cols = height // ctu, width // ctu
-        # Consume the QP dither in the exact order the serial CTU loop
-        # would, so turbo streams are invariant to the parallel fan-out.
-        qp_map = np.empty((rows, cols), dtype=np.float64)
-        for cy in range(rows):
-            for cx in range(cols):
-                qp_map[cy, cx] = dither.next()
-
-        stats = self._stats
-        pass1_start = perf_counter() if stats is not None else 0.0
-        sizes = [ctu]
-        if self.config.use_partition:
-            while sizes[-1] > self._min_cu:
-                sizes.append(sizes[-1] // 2)
-        best_mode: Dict[int, np.ndarray] = {}
-        best_cost: Dict[int, np.ndarray] = {}
-        ctu_qps = qp_map.tolist()
-        ctu_step = np.array([[qstep(qp) for qp in row] for row in ctu_qps])
-        ctu_lambda = np.array([[rd_lambda(qp) for qp in row] for row in ctu_qps])
-        for n in sizes:
-            by, bx = height // n, width // n
-            # Every block quantizes with the step and Lagrangian of its CTU.
-            at = np.ix_((np.arange(by) * n) // ctu, (np.arange(bx) * n) // ctu)
-            modes_n, costs_n = self._turbo_pass1_size(
-                n, ctu_step[at].ravel(), ctu_lambda[at].ravel()
-            )
-            best_mode[n] = modes_n.reshape(by, bx)
-            best_cost[n] = costs_n.reshape(by, bx)
-        if stats is not None:
-            stats.add_seconds("plan", perf_counter() - pass1_start)
-
-        if self._native_ok and self._turbo_pass2_native(
-            enc, ctx, qp_map, sizes, best_mode, best_cost
-        ):
+        if self._native_ok and self._turbo_pass2_native(enc, ctx, pass1):
             return self._recon
-        for cy in range(rows):
-            for cx in range(cols):
-                qp = float(qp_map[cy, cx])
-                self._qp = qp
+        stats = self._stats
+        ctu = self._ctu
+        for cy, row in enumerate(pass1.qp.tolist()):
+            for cx, qp in enumerate(row):
+                self._qp = float(qp)
                 self._qstep = qstep(qp)
                 self._lambda = rd_lambda(qp)
                 y0, x0 = cy * ctu, cx * ctu
                 if stats is None:
                     _, skeleton = self._turbo_choose(
-                        y0, x0, ctu, best_mode, best_cost
+                        y0, x0, ctu, pass1.modes, pass1.costs
                     )
                     plan = self._turbo_commit(skeleton, y0, x0, ctu)
                     self._write_cu(enc, ctx, plan, y0, x0, ctu, depth=0)
                     continue
                 stats.add_count("ctu")
-                stats.add_qp(int(qp))
+                stats.add_qp(qp)
                 t0 = perf_counter()
-                _, skeleton = self._turbo_choose(y0, x0, ctu, best_mode, best_cost)
+                _, skeleton = self._turbo_choose(y0, x0, ctu, pass1.modes, pass1.costs)
                 plan = self._turbo_commit(skeleton, y0, x0, ctu)
                 t1 = perf_counter()
                 self._write_cu(enc, ctx, plan, y0, x0, ctu, depth=0)
@@ -1016,10 +1040,7 @@ class FrameEncoder:
         self,
         enc: BinaryEncoder,
         ctx: CodecContexts,
-        qp_map: np.ndarray,
-        sizes: List[int],
-        best_mode: Dict[int, np.ndarray],
-        best_cost: Dict[int, np.ndarray],
+        pass1: _Pass1,
     ) -> bool:
         """Pass 2 in the slice-encode kernel; False = the twin must run.
 
@@ -1034,7 +1055,7 @@ class FrameEncoder:
         height, width = frame.shape
         stats = self._stats
         started = perf_counter() if stats is not None else 0.0
-        qps = qp_map.ravel().tolist()
+        sizes = list(pass1.modes)
         # Exact upper bounds: leaves are disjoint and none is smaller
         # than the last size; four bytes per sample is far beyond any
         # stream the format produces at QP >= 0 (overflow -> twin).
@@ -1056,10 +1077,10 @@ class FrameEncoder:
             self._ctu,
             self._min_cu,
             self.config.use_partition,
-            [best_mode[n] for n in sizes],
-            [best_cost[n] for n in sizes],
-            np.array([qstep(qp) for qp in qps], dtype=np.float64),
-            np.array([rd_lambda(qp) for qp in qps], dtype=np.float64),
+            list(pass1.modes.values()),
+            list(pass1.costs.values()),
+            pass1.step.ravel(),
+            pass1.lam.ravel(),
             self.config.profile.deadzone,
             self.config.profile.all_modes,
             _transform_tables(tuple(sizes)),
@@ -1081,13 +1102,13 @@ class FrameEncoder:
             return False
         if stats is not None:
             stats.add_seconds("write", perf_counter() - started)
-            for qp in qps:
-                stats.add_qp(int(qp))
+            for qp in pass1.qp.ravel().tolist():
+                stats.add_qp(qp)
             # The ledger the twin keeps leaf by leaf, from the plan:
             # every split turns one quadtree node into four, every leaf
             # is an intra leaf with one coefficient block.  Entries the
             # twin would never have touched stay absent.
-            n_ctus = len(qps)
+            n_ctus = pass1.qp.size
             for name, value in (
                 ("ctu", n_ctus),
                 ("cu.leaf", n_leaves),
@@ -1109,40 +1130,83 @@ class FrameEncoder:
                     stats.add_bits(name, value)
         return True
 
+    def _turbo_pass1(self, planes: np.ndarray, dither: QpDither) -> List[_Pass1]:
+        """Turbo pass 1 over a group: ``(frames, height, width)`` float64 planes.
+
+        One :meth:`_turbo_pass1_size` per CU size over the stacked
+        blocks of every frame, each block with the step and Lagrangian
+        of its own CTU.  The dither is consumed for the whole group up
+        front, in the order the serial CTU loop would, so fractional QPs
+        dither across the frames of a group and streams are invariant
+        to the fan-out.
+        """
+        stats = self._stats
+        started = perf_counter() if stats is not None else 0.0
+        count, height, width = planes.shape
+        ctu = self._ctu
+        qp = dither.take(planes.size // ctu**2).reshape(count, height // ctu, -1)
+        step = np.reshape([qstep(q) for q in qp.ravel().tolist()], qp.shape)
+        lam = np.reshape([rd_lambda(q) for q in qp.ravel().tolist()], qp.shape)
+        sizes = [ctu]
+        if self.config.use_partition:
+            while sizes[-1] > self._min_cu:
+                sizes.append(sizes[-1] // 2)
+        group = [_Pass1(qp[k], step[k], lam[k], {}, {}) for k in range(count)]
+        for n in sizes:
+            by, bx = height // n, width // n
+            at = np.ix_(
+                np.arange(count), (np.arange(by) * n) // ctu, (np.arange(bx) * n) // ctu
+            )
+            modes, costs = self._turbo_pass1_size(
+                planes, n, step[at].ravel(), lam[at].ravel()
+            )
+            tables = zip(modes.reshape(count, by, bx), costs.reshape(count, by, bx))
+            for frame, (frame_modes, frame_costs) in zip(group, tables):
+                frame.modes[n], frame.costs[n] = frame_modes, frame_costs
+        if stats is not None:
+            stats.add_seconds("plan", perf_counter() - started)
+        return group
+
     def _turbo_pass1_size(
-        self, n: int, step: np.ndarray, lam: np.ndarray
+        self, planes: np.ndarray, n: int, step: np.ndarray, lam: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Best coarse mode + RD cost for every ``n x n`` block at once.
 
-        References come from the source frame, padded edge-replicated
-        (one row/column of context outside the frame, ``2n`` of
+        References come from the source planes, padded edge-replicated
+        (one row/column of context outside each frame, ``2n`` of
         extension below/right exactly like the boundary walk reads
-        them), so the whole frame's candidate prediction collapses into
+        them), so the whole group's candidate prediction collapses into
         one operator gemm instead of a mat-vec per block; ``step`` /
-        ``lam`` are every block's quantizer step and Lagrangian.
+        ``lam`` are every block's quantizer step and Lagrangian, frame
+        by frame in raster order.
         """
-        frame = self._frame
-        height, width = frame.shape
+        count, height, width = planes.shape
         by, bx = height // n, width // n
-        total = by * bx
+        total = count * by * bx
         basis = dct_matrix(n)
         zz = zigzag_order(n)
-        blocks = frame.reshape(by, n, bx, n).transpose(0, 2, 1, 3)
+        blocks = planes.reshape(count, by, n, bx, n).transpose(0, 1, 3, 2, 4)
         coeffs = np.matmul(np.matmul(basis, blocks), basis.T).reshape(total, n * n)
         coeffs = np.take(coeffs, zz, axis=1)  # C-contiguous, unlike [:, zz]
 
-        padded = np.pad(frame, ((1, n), (1, n)), mode="edge")
+        padded = np.pad(planes, ((0, 0), (1, n), (1, n)), mode="edge")
         ys = np.arange(by) * n
         xs = np.arange(bx) * n
-        tops = sliding_window_view(padded[ys], 2 * n + 1, axis=1)[:, xs]
-        lefts = sliding_window_view(padded[:, xs], 2 * n + 1, axis=0)[ys]
-        refs = np.concatenate([tops, lefts], axis=2).reshape(total, 4 * n + 2)
+        tops = sliding_window_view(padded[:, ys], 2 * n + 1, axis=2)[:, :, xs]
+        lefts = sliding_window_view(padded[:, :, xs], 2 * n + 1, axis=1)[:, ys]
+        refs = np.concatenate([tops, lefts], axis=3).reshape(total, 4 * n + 2)
+        if total == 1:
+            # BLAS answers one row with its GEMV kernel, which rounds
+            # the last bits differently from the GEMM rows the same
+            # block gets beside others: a lone block is computed as two
+            # rows, so a frame's bytes never depend on its group-mates.
+            refs = np.concatenate([refs, refs])
 
         modes = self.config.profile.coarse_modes()
         # Block-major gemm orientation: the (blocks, modes, n*n)
         # prediction comes out C-contiguous, so the pick kernel walks it
         # row by row -- no transpose copy of the candidate predictions.
-        pred = (refs @ _mode_coeff_operator(modes, n).T).reshape(
+        pred = (refs @ _mode_coeff_operator(modes, n).T)[:total].reshape(
             total, len(modes), n * n
         )
         pick, costs = _pass1_pick(
@@ -1473,7 +1537,7 @@ class FrameEncoder:
 
 
 def _encode_slices_worker(args):
-    """Encode a run of consecutive frames as slices (parallel worker body).
+    """Encode a run of consecutive pass-1 groups (parallel worker body).
 
     Module-level so process pools can pickle it.  Telemetry registries
     are thread-local and absent in workers, so when instrumentation is
@@ -1482,16 +1546,11 @@ def _encode_slices_worker(args):
 
     Returns ``([(framed_slice_bytes, frame_sse), ...], stats_or_None)``.
     """
-    config, frames, first_index, qp_base, qp_frac, dither_steps, want_stats = args
+    config, frames, first_index, per_group, qp_base, qp_frac, steps, want_stats = args
     encoder = FrameEncoder(config)
     encoder._stats = telemetry.EncodeStats() if want_stats else None
-    dither = QpDither.advanced(qp_base, qp_frac, dither_steps)
-    coded = []
-    for index, frame in enumerate(frames, first_index):
-        if config.deadline is not None:
-            config.deadline.check("frames.encode.worker")
-        coded.append(encoder._encode_slice(frame, index, dither))
-    return coded, encoder._stats
+    dither = QpDither.advanced(qp_base, qp_frac, steps)
+    return encoder._encode_run(frames, first_index, per_group, dither), encoder._stats
 
 
 def encode_frames(

@@ -36,6 +36,20 @@ class TestQpDither:
         dither = QpDither(51, 255)
         assert max(dither.next() for _ in range(20)) <= 51
 
+    @pytest.mark.parametrize("base", [26, 51])  # 51: the min(51, base + 1) clamp
+    def test_take_is_repeated_next(self, base):
+        # The vectorised closed form is the same sequence, from any
+        # position, and leaves the dither where the calls would.
+        for frac in range(256):
+            for start in (0, 1, 255, 256, 10_007):
+                for count in (1, 64, 1000):
+                    stepped = QpDither.advanced(base, frac, start)
+                    taken = QpDither.advanced(base, frac, start)
+                    values = taken.take(count)
+                    assert values.dtype == np.int64 and values.shape == (count,)
+                    assert values.tolist() == [stepped.next() for _ in range(count)]
+                    assert taken.next() == stepped.next()
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=50), st.integers(min_value=0, max_value=255))
     def test_property_mean(self, base, frac):

@@ -499,9 +499,12 @@ class TestParallelDispatch:
 
         monkeypatch.setattr(encoder_mod, "_effective_cpus", lambda: 4)
         rng = np.random.default_rng(29)
+        # Two pass-1 groups of four 128 x 128 frames: a fan-out hands out
+        # whole groups, and one group alone stays serial
+        # (tests/test_pass1_groups.py).
         frames = [
             rng.integers(0, 255, (128, 128)).astype(np.uint8)
-            for _ in range(_PARALLEL_MIN_SLICES)
+            for _ in range(2 * _PARALLEL_MIN_SLICES)
         ]
         # Threads fan out only where a slice is one GIL-free kernel call:
         # the turbo search (tests/test_slice_encode.py pins the rule).

@@ -10,8 +10,12 @@ randomness is seeded, so a failing trial reproduces exactly.
 import numpy as np
 import pytest
 
-from repro.codec.decoder import decode_frames, decode_frames_with_report
-from repro.codec.encoder import EncoderConfig, encode_frames
+from repro.codec.decoder import (
+    FrameDecoder,
+    decode_frames,
+    decode_frames_with_report,
+)
+from repro.codec.encoder import EncoderConfig, encode_frames, unpack_header
 from repro.models.synthetic_weights import weight_like
 from repro.resilience import (
     ChecksumError,
@@ -23,6 +27,7 @@ from repro.resilience import (
     frame_payload,
     frame_slices,
 )
+from repro.resilience.framing import SLICE_OVERHEAD
 from repro.tensor.checkpoint import (
     load_checkpoint,
     load_checkpoint_with_report,
@@ -161,6 +166,40 @@ class TestStreamFuzz:
         assert report1.concealed == report2.concealed
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
+
+
+    def test_every_odd_slice_damaged_keeps_the_dither_aligned(self, monkeypatch):
+        """64 two-CTU slices under a dithered QP, every odd one unusable:
+        by turns CRC-damaged (never parsed) and failing mid-parse with
+        one of its two dither steps consumed.  Concealment positions the
+        dither in closed form, so every even slice still decodes to its
+        clean samples and every odd one repeats its neighbour."""
+        rng = np.random.default_rng(16)
+        frames = [rng.integers(0, 255, (32, 64)).astype(np.uint8) for _ in range(64)]
+        data = encode_frames(frames, EncoderConfig(qp=24.3)).data
+        clean = decode_frames(data)
+        bad = bytearray(data)
+        offset = unpack_header(data)["header_size"]
+        for index, payload in enumerate(deframe_slices(data[offset:])[0]):
+            if index % 4 == 3:
+                bad[offset + SLICE_OVERHEAD] ^= 0x40  # first payload byte
+            offset += SLICE_OVERHEAD + len(payload)
+        parse = FrameDecoder._decode_frame
+
+        def failing(self, height, width, frame_index, dither):
+            if frame_index % 4 == 1:
+                dither.next()
+                raise CorruptStreamError("crafted: fails one CTU in")
+            return parse(self, height, width, frame_index, dither)
+
+        monkeypatch.setattr(FrameDecoder, "_decode_frame", failing)
+        decoded, report = decode_frames_with_report(bytes(bad))
+        assert report.concealed == [
+            (index, "checksum mismatch" if index % 4 == 3 else "undecodable slice")
+            for index in range(1, 64, 2)
+        ]
+        for index, frame in enumerate(decoded):
+            assert np.array_equal(frame, clean[index - index % 2]), index
 
 
 class TestContainerFuzz:
