@@ -11,9 +11,9 @@ Subcommands:
   full per-stage dissection (wall time, bits per syntax element class,
   rate-control convergence)
 - ``verify``     -- integrity-check a container / stream / checkpoint
-  via its CRC32 framing, or a shard-store directory (journal +
-  segments); exit 0 clean, 2 corrupt, 3 torn journal tail only.
-  ``--deep`` also runs a strict decode / full segment CRC re-read
+  via its CRC32 framing, or a shard-store directory (its
+  ``journal.log``); exit 0 clean, 2 corrupt, 3 torn journal tail only.
+  ``--deep`` also runs a strict decode / full payload CRC re-read
 - ``bench``      -- codec throughput ladder (pre-optimisation baseline,
   vectorized RD, slice-parallel) with byte-identity verification; exit
   2 when any configuration's output diverges.  ``--check`` runs the
@@ -139,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--deep",
         action="store_true",
-        help="also run a strict decode (files) or full segment CRC "
+        help="also run a strict decode (files) or full payload CRC "
              "re-read (store dirs); slower, catches damage fast "
              "checks cannot",
     )

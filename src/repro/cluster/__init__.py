@@ -14,10 +14,11 @@ One :class:`~repro.cluster.router.ClusterRouter` fronts N
   requests (p99-derived delay, commit-once dedupe), the typed cluster
   response contract; quorum-acknowledged durable ``put``/``get`` when
   the shards carry stores.
-- :mod:`repro.cluster.store` -- per-shard write-ahead-journaled,
-  content-addressed segment store: an acknowledged write is fsynced
-  and survives SIGKILL; every read is CRC-verified or a typed error;
-  crash recovery truncates torn journal tails and quarantines damage.
+- :mod:`repro.cluster.store` -- per-shard append-only log store (one
+  ``journal.log`` of CRC-framed headers each followed by its payload):
+  an acknowledged write is one append + one fsync and survives
+  SIGKILL; every read is CRC-verified or a typed error; crash
+  recovery truncates torn tails and quarantines damaged payloads.
 - :mod:`repro.cluster.repair` -- anti-entropy: per-shard key digests,
   (version, hash) winner election, re-replication until the ring's
   R-way invariant holds again after death/revive.

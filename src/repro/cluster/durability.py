@@ -7,15 +7,15 @@ for, under the two failure modes that actually break storage systems:
 
 - **SIGKILL mid-write** (torn writes).  Kills are armed at precise
   store write stages (:data:`~repro.cluster.store.PUT_STAGES`) so the
-  process dies *inside* a put -- after the segment is staged, halfway
-  through the journal append, or just after the fsync whose ack never
+  process dies *inside* a put -- halfway through the record's header,
+  halfway through its payload, or just after the fsync whose ack never
   reached the client.  Each stage leaves different wreckage for
   recovery to clean up.
 - **Disk corruption at rest.**  :class:`FaultInjector` bit-flips,
-  truncates, and unlinks segment files behind the running store's
-  back; the scrubber and the verified read path must surface every
-  damaged byte as quarantine + failover, never as served garbage.
-  (Each content hash is damaged at most once -- the model is
+  cuts short, and blanks one key's payload bytes inside the log behind
+  the running store's back; the scrubber and the verified read path
+  must surface every damaged byte as quarantine + failover, never as
+  served garbage.  (Each key is damaged at most once -- the model is
   independent disk failures, not a byzantine adversary erasing every
   replica of a key, which no R-way design can survive.)
 
@@ -39,7 +39,6 @@ postmortem bundle when ``postmortem_dir`` is set.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -77,10 +76,11 @@ __all__ = [
 #: ``ClusterUnavailable`` and is already covered.
 DURABILITY_TYPED_ERRORS = CLUSTER_TYPED_ERRORS + (StoreError,)
 
-#: Mid-write kill stages cycled across the schedule: before the journal
-#: record exists, torn inside it, and after the fsync whose ack the
-#: client never saw (the classic unacknowledged-but-durable ambiguity).
-_KILL_STAGES = ("segment_staged", "journal_partial", "journal_synced")
+#: Mid-write kill stages cycled across the schedule: torn inside the
+#: record's header, torn inside its payload, and after the fsync whose
+#: ack the client never saw (the classic unacknowledged-but-durable
+#: ambiguity).
+_KILL_STAGES = ("journal_partial", "payload_partial", "journal_synced")
 
 
 @dataclass
@@ -216,7 +216,7 @@ class _Controller:
         self.kills_mid_write = 0
         self.kills_fallback = 0
         self.disk_faults_applied: List[dict] = []
-        self._damaged_hashes: set = set()
+        self._damaged_keys: set = set()
 
     def apply(self, event: dict) -> None:
         if event["action"] == "kill":
@@ -267,32 +267,26 @@ class _Controller:
         store = shard.store
         if store is None:
             return
-        try:
-            names = sorted(
-                name for name in os.listdir(store.segments_dir)
-                if name.endswith(".seg")
-            )
-        except OSError:
-            return
-        rng = self.injector.rng
         candidates = [
-            name for name in names
-            if name.split(".")[0] not in self._damaged_hashes
+            key for key in store.keys() if key not in self._damaged_keys
         ]
         if not candidates:
             return
+        rng = self.injector.rng
         chosen = candidates[int(rng.integers(0, len(candidates)))]
-        self._damaged_hashes.add(chosen.split(".")[0])
-        mode = self.injector.damage_file(
-            os.path.join(store.segments_dir, chosen)
-        )
+        try:
+            offset, length = store.payload_span(chosen)
+        except StoreError:
+            return  # the shard was killed between the two calls
+        self._damaged_keys.add(chosen)
+        mode = self.injector.damage_span(store.journal_path, offset, length)
         if mode:
             self.disk_faults_applied.append({
-                "shard": shard.shard_id, "segment": chosen, "mode": mode,
+                "shard": shard.shard_id, "key": chosen, "mode": mode,
             })
             flightrecorder.record(
                 "durability_chaos.disk_fault",
-                shard=shard.shard_id, segment=chosen, mode=mode,
+                shard=shard.shard_id, key=chosen, mode=mode,
             )
 
 
@@ -509,7 +503,7 @@ def format_durability_report(report: dict) -> str:
         f"(+{inv['fallback_kills']} fallback, {inv['kills_required']} "
         f"required), {len(report['disk_faults_applied'])} disk faults "
         f"({', '.join(sorted({f['mode'] for f in report['disk_faults_applied']})) or 'none'})",
-        f"scrub: {report['scrub']['checked']} segments checked, "
+        f"scrub: {report['scrub']['checked']} payloads checked, "
         f"{report['scrub']['quarantined']} quarantined",
     ]
     repair = report.get("repair")

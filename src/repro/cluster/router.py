@@ -176,7 +176,7 @@ class ClusterConfig:
     #: Replica acks required before a put is acknowledged; 0 means all
     #: R replicas (strongest durability the ring can offer).
     write_quorum: int = 0
-    #: fsync journal + segments on the ack path (tests may disable).
+    #: fsync the store's journal on the ack path (tests may disable).
     store_fsync: bool = True
     #: Run an anti-entropy pass whenever a drained shard is re-admitted
     #: (the death/revive healing loop).
@@ -531,7 +531,7 @@ class ClusterRouter:
     ) -> ClusterResponse:
         """Verified read: bit-exact acknowledged bytes or a typed error.
 
-        Replicas are tried in ring order; a miss, quarantined segment,
+        Replicas are tried in ring order; a miss, quarantined payload,
         or dead shard fails over to the next.  Every served payload was
         CRC-verified by the shard's store, so a successful response is
         bit-exact by construction -- corruption surfaces as failover,

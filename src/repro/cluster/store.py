@@ -1,4 +1,4 @@
-"""Per-shard durable storage: journaled, content-addressed, crash-consistent.
+"""Per-shard durable storage: one append-only log, crash-consistent.
 
 A :class:`ShardStore` is the disk a :class:`~repro.cluster.shard.ClusterShard`
 stands on.  It holds opaque compressed payloads (LLM.265 container-v3
@@ -6,65 +6,57 @@ blobs in production; any bytes in tests) under string keys with two
 guarantees the cluster's durability contract is built from:
 
 - **An acknowledged write is durable.**  :meth:`put` returns only
-  after the payload's segment file is staged, fsynced, and atomically
-  renamed into place *and* the journal record describing it is
-  appended and fsynced.  A crash at any earlier point loses at most
-  the unacknowledged write -- never an acknowledged one, and never a
-  previously written key.
-- **A damaged byte is never silently served.**  Every payload is
-  CRC32-framed in the journal (via :mod:`repro.resilience.framing`)
-  and re-verified on :meth:`get`; a mismatch quarantines the segment
-  and raises the typed :class:`Quarantined` (chained onto the
+  after the record -- a CRC-framed header, then the payload bytes --
+  is appended to ``journal.log`` and fsynced: one append, one flush.
+  A crash at any earlier point loses at most the unacknowledged write
+  -- never an acknowledged one, and never a previously written key.
+- **A damaged byte is never silently served.**  Every :meth:`get`
+  re-verifies the payload's length and CRC32 (framing from
+  :mod:`repro.resilience.framing`); a mismatch quarantines the key and
+  raises the typed :class:`Quarantined` (chained onto the
   :class:`~repro.resilience.errors.ChecksumError` taxonomy), so the
   router can fail over to a replica instead of returning garbage.
 
-On-disk layout of one store directory::
+A store directory holds one file, ``journal.log``: the magic ``"LVJ1"``
+and version byte 2, then records.  One record is
+``frame_slice(header)`` (``u32 len | u32 crc | header``) followed by
+``payload_len`` raw payload bytes; the header is::
 
-    journal.log        magic "LVJ1" + version, then framed records
-    segments/<hash>.seg   content-addressed payloads (blake2b-128 hex)
-    quarantine/        segments that failed CRC, moved aside for forensics
-
-One journal record (framed as ``u32 len | u32 crc | payload``)::
-
-    op u8 (1 = PUT, 2 = DEL) | version u64
+    op u8 (1 = PUT, 2 = DEL, 3 = QUARANTINE) | version u64
     key_len u16 | key utf-8
     hash 16 bytes (blake2b-128 of payload)
     payload_len u64 | payload_crc u32
 
-Segments are content-addressed, so identical payloads under different
-keys share one file, and an interrupted writer can never damage an
-existing segment: the rename either installs a complete identical
-file or nothing.
+``DEL`` and ``QUARANTINE`` records carry no payload.  The volatile
+index maps key -> (version, hash, offset, length, crc); a get is one
+``os.pread`` of that span plus the CRC.  The header has its own frame
+so the two kinds of damage stay apart: a bad *header* CRC makes
+everything after it unreachable (the walk is header -> skip
+``payload_len`` -> header), a bad *payload* CRC under a good header
+costs that one key and none of its successors.
 
-**Recovery** (:meth:`recover`) replays the journal: a torn final
-record (the SIGKILL-mid-append case) is truncated away
-(``store.torn_tail_truncations``); a CRC-damaged record mid-journal
-stops replay there and truncates the untrusted suffix
+**Recovery** (:meth:`recover`) streams the log record by record: a
+torn final record (the SIGKILL-mid-append case) is truncated away
+(``store.torn_tail_truncations``); a damaged header mid-log stops
+replay there and truncates the untrusted suffix
 (``store.corrupt_records``) -- the keys it drops come back via
-anti-entropy from replicas (:mod:`repro.cluster.repair`).  Indexed
-keys whose segment file is missing are quarantined, never invented.
-
-**Scrubbing** (:meth:`scrub`) re-verifies stored segment CRCs on a
-budgeted round-robin cadence so latent bit rot is found before a
-reader trips over it.
-
-The simulated crash surface mirrors the checkpoint writer's
-(:mod:`repro.tensor.checkpoint`): ``gate(stage)`` callbacks fire at
-every durability-relevant boundary of :meth:`put` so the chaos
-harness can SIGKILL a shard *mid-write* at a chosen stage -- including
-halfway through the journal append, which is what actually produces
-torn records on real machines.
+anti-entropy from replicas (:mod:`repro.cluster.repair`).  A payload
+that fails its CRC during replay is indexed quarantined, never served
+and never invented.  **Quarantine** is a state, not a place: the entry
+is marked, a small ``QUARANTINE`` record keeps it marked across
+restarts, the damaged bytes stay in the log as the forensic copy, and
+a later put at the same or a higher version supersedes it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import itertools
 import os
 import struct
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import BinaryIO, Callable, Dict, Iterator, List, Optional, Tuple
 
 import repro.telemetry as telemetry
 from repro.telemetry import flightrecorder
@@ -83,28 +75,33 @@ __all__ = [
 ]
 
 _JOURNAL_MAGIC = b"LVJ1"
-_JOURNAL_VERSION = 1
+_JOURNAL_VERSION = 2
 _JOURNAL_HEADER = _JOURNAL_MAGIC + bytes([_JOURNAL_VERSION])
 _JOURNAL_NAME = "journal.log"
-_SEGMENTS_DIR = "segments"
-_QUARANTINE_DIR = "quarantine"
 _HASH_BYTES = 16
 
 _OP_PUT = 1
 _OP_DEL = 2
+_OP_QUARANTINE = 3
 
+_FRAME = struct.Struct("<II")
 #: op, version, key_len  /  (key)  /  hash, payload_len, payload_crc
 _RECORD_PREFIX = struct.Struct("<BQH")
 _RECORD_SUFFIX = struct.Struct(f"<{_HASH_BYTES}sQI")
+#: No framed header is longer; a length field that claims more is damage.
+_MAX_HEADER = _RECORD_PREFIX.size + 0xFFFF + _RECORD_SUFFIX.size
 
-#: Stages :meth:`ShardStore.put` announces to its crash gate, in order.
+#: Stages :meth:`ShardStore.put` announces to its crash gate, in order
+#: (the checkpoint writer's simulated crash surface,
+#: :mod:`repro.tensor.checkpoint`): the chaos harness SIGKILLs a shard
+#: *mid-write* at one -- halfway through the header or the payload,
+#: which is what actually produces torn records on real machines.
 #: ``journal_synced`` is the acknowledgement point: a crash at any
 #: earlier stage loses the write; at or after it, the write is durable.
 PUT_STAGES = (
     "put_begin",
-    "segment_staged",
-    "segment_linked",
     "journal_partial",
+    "payload_partial",
     "journal_synced",
 )
 
@@ -122,7 +119,7 @@ class NotFound(StoreError):
 
 
 class Quarantined(StoreError):
-    """The key's segment failed verification and was quarantined.
+    """The key's payload failed verification and was quarantined.
 
     Always chained (``__cause__``) onto the
     :class:`~repro.resilience.errors.CorruptStreamError` taxonomy
@@ -141,12 +138,14 @@ class StoreClosed(StoreError):
 
 @dataclass
 class StoreEntry:
-    """One key's committed state in the index."""
+    """One key's committed state; its payload is bytes ``[offset,
+    offset + length)`` of ``journal.log``."""
 
     version: int
     hash_hex: str
     length: int
     crc: int
+    offset: int
     quarantined: bool = False
 
 
@@ -159,82 +158,158 @@ class RecoveryReport:
     torn_tail: bool = False
     corrupt_records: int = 0
     truncated_bytes: int = 0
-    segments_missing: int = 0
-    tmp_files_removed: int = 0
+    #: Indexed keys that cannot be served: their payload failed its CRC
+    #: during this replay, or an earlier run's QUARANTINE record says so.
+    quarantined: int = 0
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
 
-def _hash_payload(payload: bytes) -> bytes:
-    return hashlib.blake2b(payload, digest_size=_HASH_BYTES).digest()
-
-
 def _pack_record(
-    op: int, version: int, key: str, digest: bytes, length: int, crc: int
+    op: int, version: int, key: str, digest: bytes = b"\0" * _HASH_BYTES,
+    length: int = 0, crc: int = 0,
 ) -> bytes:
+    """One framed header (everything of a record but the payload)."""
     encoded = key.encode("utf-8")
     if len(encoded) > 0xFFFF:
         raise ValueError(f"key too long: {key!r}")
-    return (
+    return frame_slice(
         _RECORD_PREFIX.pack(op, version, len(encoded))
         + encoded
         + _RECORD_SUFFIX.pack(digest, length, crc)
     )
 
 
-def _unpack_record(payload: bytes) -> Tuple[int, int, str, bytes, int, int]:
-    op, version, key_len = _RECORD_PREFIX.unpack_from(payload, 0)
+def _unpack_record(header: bytes) -> Tuple[int, int, str, bytes, int, int]:
+    op, version, key_len = _RECORD_PREFIX.unpack_from(header, 0)
     offset = _RECORD_PREFIX.size
-    key = payload[offset : offset + key_len].decode("utf-8")
+    key = header[offset : offset + key_len].decode("utf-8")
     offset += key_len
-    digest, length, crc = _RECORD_SUFFIX.unpack_from(payload, offset)
-    if offset + _RECORD_SUFFIX.size != len(payload):
+    digest, length, crc = _RECORD_SUFFIX.unpack_from(header, offset)
+    if offset + _RECORD_SUFFIX.size != len(header):
         raise ValueError("journal record has trailing bytes")
+    if op not in (_OP_PUT, _OP_DEL, _OP_QUARANTINE):
+        raise ValueError(f"unknown op {op}")
+    if op != _OP_PUT and length:
+        raise ValueError(f"op {op} record claims a payload")
     return op, version, key, digest, length, crc
 
 
-def _walk_journal(blob: bytes):
-    """Yield ``(offset, payload_or_None, reason)`` per framed record.
+def _walk_journal(
+    handle: BinaryIO, size: int, deep: bool
+) -> Iterator[Tuple[int, Optional[tuple], str]]:
+    """Yield ``(offset, record_or_None, reason)`` per record, streaming.
 
-    ``payload`` is the verified record payload; ``None`` marks damage,
-    with ``reason`` one of ``"torn"`` (the record runs past EOF -- an
-    interrupted append) or ``"corrupt"`` (complete bytes, bad CRC).
-    Iteration stops at the first damaged record: nothing after it can
-    be trusted without a resynchronisation point the format does not
-    have.
+    ``handle`` is the open journal of ``size`` bytes; at most one header
+    and one payload are in memory at a time.  A record is ``(op, key,
+    entry, end, payload_ok)``: ``end`` is the next record boundary and
+    ``payload_ok`` the payload's CRC verdict, ``None`` where the bytes
+    were seeked over -- every payload is checked when ``deep``, else
+    only one that ends at EOF, the one place an interrupted append can
+    leave whole-length wrong bytes.  ``None`` marks damage, ``reason``
+    starting ``"torn"`` (the record runs past EOF -- an interrupted
+    append) or ``"corrupt"`` (complete bytes, bad header), and ends the
+    walk: nothing after it can be trusted without a resynchronisation
+    point the format does not have.
     """
     offset = len(_JOURNAL_HEADER)
-    size = len(blob)
-    header = struct.Struct("<II")
+    handle.seek(offset)
     while offset < size:
-        if offset + SLICE_OVERHEAD > size:
-            yield offset, None, "torn"
+        payload_at = offset + SLICE_OVERHEAD
+        if payload_at <= size:
+            header_len, checksum = _FRAME.unpack(handle.read(SLICE_OVERHEAD))
+            payload_at += header_len
+        if payload_at > size:
+            yield offset, None, "torn header"
             return
-        length, checksum = header.unpack_from(blob, offset)
-        end = offset + SLICE_OVERHEAD + length
+        if header_len > _MAX_HEADER:
+            yield offset, None, "corrupt: impossible header length"
+            return
+        header = handle.read(header_len)
+        if len(header) < header_len or crc32(header) != checksum:
+            yield offset, None, "corrupt: header checksum mismatch"
+            return
+        try:
+            op, version, key, digest, length, crc = _unpack_record(header)
+        except (struct.error, UnicodeDecodeError, ValueError) as exc:
+            # The frame's CRC passed but the header is malformed: a
+            # record that was *written* wrong.  Same policy.
+            yield offset, None, f"corrupt: malformed record ({exc})"
+            return
+        end = payload_at + length
         if end > size:
-            yield offset, None, "torn"
+            yield offset, None, "torn payload"
             return
-        payload = blob[offset + SLICE_OVERHEAD : end]
-        if crc32(payload) != checksum:
-            yield offset, None, "corrupt"
-            return
-        yield offset, payload, ""
+        payload_ok = None
+        if length and (deep or end == size):
+            payload = handle.read(length)
+            payload_ok = len(payload) == length and crc32(payload) == crc
+        else:
+            handle.seek(end)
+        entry = StoreEntry(version, digest.hex(), length, crc, payload_at)
+        yield offset, (op, key, entry, end, payload_ok), ""
         offset = end
 
 
-_tmp_counter = itertools.count()
+@dataclass
+class _Replay:
+    """The log folded into an index, and where (and why) the fold stopped."""
+
+    index: Dict[str, StoreEntry]
+    records: int = 0
+    payloads_checked: int = 0
+    max_version: int = 0
+    #: First byte not covered by a whole, trusted record.
+    end: int = len(_JOURNAL_HEADER)
+    #: ``""`` when the walk reached EOF, else :func:`_walk_journal`'s reason.
+    damage: str = ""
+
+
+def _replay(handle: BinaryIO, size: int, deep: bool) -> _Replay:
+    """Fold the journal's records, in order, into the index they imply.
+
+    The rule is :meth:`ShardStore.put`'s: a PUT or DEL applies when its
+    version is not below the indexed one; a QUARANTINE marks exactly
+    the version it names; a PUT whose payload failed its CRC is indexed
+    quarantined (it still shadows older versions -- serving those would
+    be a silent stale read).
+    """
+    replay = _Replay({})
+    index = replay.index
+    for offset, record, replay.damage in _walk_journal(handle, size, deep):
+        if record is None:
+            replay.end = offset
+            break
+        op, key, entry, replay.end, payload_ok = record
+        replay.records += 1
+        replay.max_version = max(replay.max_version, entry.version)
+        current = index.get(key)
+        if op == _OP_QUARANTINE:
+            if current is not None and current.version == entry.version:
+                current.quarantined = True
+        elif current is None or entry.version >= current.version:
+            if op == _OP_DEL:
+                index.pop(key, None)
+            else:
+                index[key] = entry
+        if payload_ok is not None:
+            replay.payloads_checked += 1
+            entry.quarantined = not payload_ok
+    return replay
 
 
 class ShardStore:
-    """Write-ahead-journaled, content-addressed segment store.
+    """Append-only log store with a volatile index.
 
-    Thread-safe: concurrent writers stage segments under unique temp
-    names and serialise only the journal append + index update, so a
-    race between two :meth:`put` calls (same key or not) always leaves
-    the journal a sequence of complete records and the index at the
-    highest version.
+    Thread-safe on two locks.  Appends -- write, flush, fsync and the
+    stage gates -- serialise on ``_append_lock``, so whatever the
+    interleaving the log is a sequence of complete records and the
+    index ends at the highest version.  The index and counters sit
+    under their own short ``_lock``, which :meth:`put` takes only after
+    its fsync has returned: :meth:`get`, :meth:`contains`,
+    :meth:`digest`, :meth:`max_version` and :meth:`stats` never wait on
+    a flush.  Lock order is append, then index.
     """
 
     def __init__(
@@ -246,22 +321,21 @@ class ShardStore:
         self.directory = str(directory)
         self.shard_id = shard_id or os.path.basename(self.directory)
         self.fsync = fsync
-        self.segments_dir = os.path.join(self.directory, _SEGMENTS_DIR)
-        self.quarantine_dir = os.path.join(self.directory, _QUARANTINE_DIR)
-        self._lock = threading.RLock()
+        self.journal_path = os.path.join(self.directory, _JOURNAL_NAME)
+        # Re-entrant: an armed kill fires crash() from inside put's gate.
+        self._append_lock = threading.RLock()
+        self._lock = threading.Lock()
         self._index: Dict[str, StoreEntry] = {}
-        self._journal = None
+        self._max_version = 0
+        self._journal: Optional[BinaryIO] = None
+        self._reader: Optional[BinaryIO] = None
         self._open = False
         self._scrub_cursor = 0
-        self.counters: Dict[str, int] = {
-            name: 0
-            for name in (
-                "puts", "gets", "deletes", "recoveries",
-                "torn_tail_truncations", "corrupt_records",
-                "segments_quarantined", "segments_missing",
-                "scrub_checked", "scrub_corrupt", "crashes",
-            )
-        }
+        self.counters: Dict[str, int] = dict.fromkeys((
+            "puts", "gets", "deletes", "recoveries", "crashes",
+            "torn_tail_truncations", "corrupt_records",
+            "payloads_quarantined", "scrub_checked", "scrub_corrupt",
+        ), 0)
         self.last_recovery: Optional[RecoveryReport] = None
         self.recover()
 
@@ -274,146 +348,93 @@ class ShardStore:
     def crash(self) -> None:
         """Simulate the owning process dying: all volatile state is gone.
 
-        The disk keeps whatever was flushed -- including a torn journal
-        tail if a :meth:`put` was interrupted -- and nothing else.  The
-        store refuses every operation until :meth:`recover` runs.
+        The disk keeps whatever was flushed -- including a torn tail if
+        a :meth:`put` was interrupted -- and nothing else.  The store
+        refuses every operation until :meth:`recover` runs.
         """
-        with self._lock:
-            if self._journal is not None:
-                try:
-                    self._journal.close()
-                except OSError:  # pragma: no cover - close best-effort
-                    pass
-                self._journal = None
+        with self._append_lock, self._lock:
+            self._close_handles()
             self._index = {}
-            self._open = False
-            self._count("crashes")
+            self._max_version = 0
+            self.counters["crashes"] += 1
 
     def close(self) -> None:
         """Graceful shutdown (everything acknowledged is already synced)."""
-        with self._lock:
-            if self._journal is not None:
-                self._journal.close()
-                self._journal = None
-            self._open = False
+        with self._append_lock, self._lock:
+            self._close_handles()
 
     def recover(self) -> RecoveryReport:
-        """Crash-consistent open: replay the journal, fix the tail.
+        """Crash-consistent open: replay the log, fix the tail.
 
-        Idempotent; safe on a fresh directory (creates the layout) and
+        Idempotent; safe on a fresh directory (creates the journal) and
         after :meth:`crash` (rebuilds the index from disk).  Torn or
-        corrupt journal suffixes are truncated away so the next append
-        lands on a clean record boundary.
+        corrupt suffixes are truncated away so the next append lands
+        on a clean record boundary.  A journal of another format
+        version raises :class:`StoreError` and is left untouched.
         """
-        with self._lock:
+        with self._append_lock, self._lock:
+            self._close_handles()
             report = RecoveryReport()
-            os.makedirs(self.segments_dir, exist_ok=True)
-            os.makedirs(self.quarantine_dir, exist_ok=True)
-            journal_path = self._journal_path()
-            if not os.path.exists(journal_path):
-                self._write_fresh_journal(journal_path)
-            with open(journal_path, "rb") as handle:
-                blob = handle.read()
-            if blob[: len(_JOURNAL_HEADER)] != _JOURNAL_HEADER:
-                # An unrecognisable journal cannot be replayed; treat
-                # the whole file as one corrupt record and start over
-                # (replicas re-seed this shard via anti-entropy).
-                report.corrupt_records += 1
-                report.truncated_bytes = len(blob)
-                self._count("corrupt_records")
-                self._write_fresh_journal(journal_path)
-                blob = _JOURNAL_HEADER
-
-            index: Dict[str, StoreEntry] = {}
-            keep_until = len(blob)
-            for offset, payload, reason in _walk_journal(blob):
-                if payload is None:
-                    keep_until = offset
-                    if reason == "torn":
-                        report.torn_tail = True
-                        self._count("torn_tail_truncations")
-                        telemetry.count("store.torn_tail_truncations")
-                    else:
-                        report.corrupt_records += 1
-                        self._count("corrupt_records")
-                        telemetry.count("store.corrupt_records")
-                    break
-                try:
-                    op, version, key, digest, length, crc = _unpack_record(
-                        payload
+            os.makedirs(self.directory, exist_ok=True)
+            if not os.path.exists(self.journal_path):
+                self._write_fresh_journal()
+            with open(self.journal_path, "rb") as handle:
+                size = os.fstat(handle.fileno()).st_size
+                head = handle.read(len(_JOURNAL_HEADER))
+                if head == _JOURNAL_HEADER:
+                    replay = _replay(handle, size, deep=True)
+                elif head[:-1] == _JOURNAL_MAGIC:
+                    raise StoreError(
+                        f"{self.journal_path} is journal format version "
+                        f"{head[-1]}; this build reads version "
+                        f"{_JOURNAL_VERSION} only and will neither replay "
+                        f"nor overwrite it"
                     )
-                except (struct.error, UnicodeDecodeError, ValueError):
-                    # Framing CRC passed but the payload is malformed:
-                    # a record that was *written* wrong.  Same policy
-                    # as a corrupt record.
-                    keep_until = offset
-                    report.corrupt_records += 1
-                    self._count("corrupt_records")
-                    telemetry.count("store.corrupt_records")
-                    break
-                report.records_replayed += 1
-                current = index.get(key)
-                if op == _OP_PUT:
-                    if current is None or version >= current.version:
-                        index[key] = StoreEntry(
-                            version=version,
-                            hash_hex=digest.hex(),
-                            length=length,
-                            crc=crc,
-                        )
-                elif op == _OP_DEL:
-                    if current is None or version >= current.version:
-                        index.pop(key, None)
-
-            if keep_until < len(blob):
-                report.truncated_bytes = len(blob) - keep_until
-                with open(journal_path, "r+b") as handle:
-                    handle.truncate(keep_until)
-                    handle.flush()
-                    if self.fsync:
-                        os.fsync(handle.fileno())
+                else:
+                    # An unrecognisable journal cannot be replayed; treat
+                    # the whole file as one corrupt record and start over
+                    # (replicas re-seed this shard via anti-entropy).
+                    replay = _Replay({}, end=0, damage="corrupt: bad magic")
+            if replay.damage:
+                report.truncated_bytes = size - replay.end
+                report.torn_tail = replay.damage.startswith("torn")
+                report.corrupt_records = int(not report.torn_tail)
+                kind = (
+                    "torn_tail_truncations" if report.torn_tail
+                    else "corrupt_records"
+                )
+                self.counters[kind] += 1
+                telemetry.count(f"store.{kind}")
+                if replay.end:
+                    with open(self.journal_path, "r+b") as handle:
+                        handle.truncate(replay.end)
+                        handle.flush()
+                        if self.fsync:
+                            os.fsync(handle.fileno())
+                else:
+                    self._write_fresh_journal()
                 flightrecorder.record(
                     "store.journal_truncated",
                     shard=self.shard_id,
-                    torn=report.torn_tail,
-                    corrupt_records=report.corrupt_records,
+                    damage=replay.damage,
                     dropped_bytes=report.truncated_bytes,
                 )
 
-            # An indexed key must have its segment on disk; a missing
-            # one (unlink fault, half-restored backup) is quarantined
-            # so reads fail typed instead of crashing on open().
-            for key, entry in index.items():
-                if not os.path.exists(self._segment_path(entry.hash_hex)):
-                    entry.quarantined = True
-                    report.segments_missing += 1
-                    self._count("segments_missing")
-                    telemetry.count("store.segments_missing")
-
-            # Orphan temp files are staged segments whose writer died
-            # before the rename; they hold no acknowledged data.
-            for name in os.listdir(self.segments_dir):
-                if name.startswith(".tmp."):
-                    try:
-                        os.unlink(os.path.join(self.segments_dir, name))
-                        report.tmp_files_removed += 1
-                    except OSError:  # pragma: no cover - cleanup races
-                        pass
-
-            report.keys = len(index)
-            self._index = index
-            self._journal = open(journal_path, "ab")
+            report.records_replayed = replay.records
+            report.keys = len(replay.index)
+            report.quarantined = sum(
+                entry.quarantined for entry in replay.index.values()
+            )
+            self._index = replay.index
+            self._max_version = replay.max_version
+            self._journal = open(self.journal_path, "ab")
+            self._reader = open(self.journal_path, "rb", buffering=0)
             self._open = True
-            self._count("recoveries")
+            self.counters["recoveries"] += 1
             telemetry.count("store.recoveries")
             self.last_recovery = report
             flightrecorder.record(
-                "store.recovered",
-                shard=self.shard_id,
-                keys=report.keys,
-                records=report.records_replayed,
-                torn_tail=report.torn_tail,
-                corrupt_records=report.corrupt_records,
+                "store.recovered", shard=self.shard_id, **report.to_dict()
             )
             return report
 
@@ -430,83 +451,63 @@ class ShardStore:
 
         ``gate(stage)`` fires at each :data:`PUT_STAGES` boundary (and
         may raise to simulate the process dying there).  The write is
-        acknowledged -- and only then recoverable -- once the
-        ``journal_synced`` stage is reached.
+        acknowledged -- and only then indexed and recoverable -- once
+        the ``journal_synced`` stage is reached.
         """
         self._check_open()
-        self._gate(gate, "put_begin")
-        digest = _hash_payload(payload)
-        hash_hex = digest.hex()
+        gate = gate or (lambda stage: None)
+        gate("put_begin")
+        digest = hashlib.blake2b(payload, digest_size=_HASH_BYTES).digest()
         crc = crc32(payload)
-        segment = self._segment_path(hash_hex)
-        if not os.path.exists(segment):
-            # Stage under a name unique per (process, thread, write) so
-            # racing writers never interleave inside one temp file --
-            # same discipline as the checkpoint writer.
-            tmp = os.path.join(
-                self.segments_dir,
-                f".tmp.{os.getpid()}.{threading.get_ident()}."
-                f"{next(_tmp_counter)}",
-            )
-            with open(tmp, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
-            self._gate(gate, "segment_staged", tmp=tmp)
-            os.replace(tmp, segment)
-        else:
-            self._gate(gate, "segment_staged")
-        self._gate(gate, "segment_linked")
-
-        record = frame_slice(
-            _pack_record(_OP_PUT, version, key, digest, len(payload), crc)
-        )
-        # The append is split around a gate so a simulated SIGKILL can
-        # land *inside* the record -- the torn-tail case recovery must
-        # truncate.  Both halves are flushed to the OS; fsync happens
-        # once, at the acknowledgement point.
-        split = max(1, len(record) // 2)
-        with self._lock:
-            self._check_open()
-            self._journal.write(record[:split])
-            self._journal.flush()
-            self._gate(gate, "journal_partial")
-            self._journal.write(record[split:])
-            self._journal.flush()
+        header = _pack_record(_OP_PUT, version, key, digest, len(payload), crc)
+        record = memoryview(b"".join((header, payload)))
+        # The append is split around two gates so a simulated SIGKILL
+        # can land *inside* the header or *inside* the payload -- the
+        # torn tails recovery must truncate.  Every piece is flushed to
+        # the OS; fsync happens once, at the acknowledgement point.
+        cuts = (len(header) // 2, len(header) + len(payload) // 2)
+        with self._appending() as journal:
+            journal.write(record[: cuts[0]])
+            journal.flush()
+            gate("journal_partial")
+            journal.write(record[cuts[0] : cuts[1]])
+            journal.flush()
+            gate("payload_partial")
+            journal.write(record[cuts[1] :])
+            journal.flush()
             if self.fsync:
-                os.fsync(self._journal.fileno())
-            self._gate(gate, "journal_synced")
+                os.fsync(journal.fileno())
+            # Asked of the file, not counted: a file cut short behind
+            # the store's back must not shift later offsets.
+            end = journal.tell()
+            gate("journal_synced")
             entry = StoreEntry(
-                version=version, hash_hex=hash_hex,
-                length=len(payload), crc=crc,
+                version, digest.hex(), len(payload), crc, end - len(payload)
             )
-            current = self._index.get(key)
-            if current is None or version >= current.version:
-                self._index[key] = entry
-            self._count("puts")
-        telemetry.count("store.puts")
+            with self._lock:
+                current = self._index.get(key)
+                if current is None or version >= current.version:
+                    self._index[key] = entry
+                self._max_version = max(self._max_version, version)
+                self.counters["puts"] += 1
         return entry
 
     def delete(self, key: str, version: int) -> bool:
         """Journal a tombstone for ``key``; True if it was present."""
         self._check_open()
-        record = frame_slice(
-            _pack_record(_OP_DEL, version, key, b"\0" * _HASH_BYTES, 0, 0)
-        )
-        with self._lock:
-            self._check_open()
-            self._journal.write(record)
-            self._journal.flush()
+        record = _pack_record(_OP_DEL, version, key)
+        with self._appending() as journal:
+            journal.write(record)
+            journal.flush()
             if self.fsync:
-                os.fsync(self._journal.fileno())
-            current = self._index.get(key)
-            present = current is not None
-            if current is None or version >= current.version:
-                self._index.pop(key, None)
-            self._count("deletes")
-        telemetry.count("store.deletes")
-        return present
+                os.fsync(journal.fileno())
+            with self._lock:
+                current = self._index.get(key)
+                if current is None or version >= current.version:
+                    self._index.pop(key, None)
+                self._max_version = max(self._max_version, version)
+                self.counters["deletes"] += 1
+        return current is not None
 
     # -- read path -----------------------------------------------------
 
@@ -514,53 +515,54 @@ class ShardStore:
         """Verified read: the exact acknowledged bytes, or a typed error.
 
         Raises :class:`NotFound` for an unknown key and
-        :class:`Quarantined` when the segment is missing or fails its
-        CRC -- in which case the segment is also moved to the
-        quarantine directory so repair re-replicates a clean copy.
+        :class:`Quarantined` when the stored span fails its length or
+        CRC -- in which case the key is also marked quarantined so
+        repair re-replicates a clean copy.
         """
-        self._check_open()
         with self._lock:
+            self._check_open()
             entry = self._index.get(key)
             if entry is None:
                 raise NotFound(key)
             if entry.quarantined:
                 raise Quarantined(key, "previously quarantined")
-        segment = self._segment_path(entry.hash_hex)
+            fd = self._reader.fileno()
+            self.counters["gets"] += 1
         try:
-            with open(segment, "rb") as handle:
-                payload = handle.read()
-        except OSError:
-            self._quarantine(key, entry, "segment file missing")
-            raise Quarantined(key, "segment file missing") from None
-        if len(payload) != entry.length or crc32(payload) != entry.crc:
-            self._quarantine(key, entry, "checksum mismatch")
-            cause = ChecksumError(
-                f"segment {entry.hash_hex} checksum mismatch",
-                expected=entry.crc, actual=crc32(payload),
-            )
+            return self._read_verified(fd, entry)
+        except ChecksumError as cause:
+            self._quarantine(key, entry)
             raise Quarantined(key, "checksum mismatch") from cause
-        with self._lock:
-            self._count("gets")
-        telemetry.count("store.gets")
-        return payload
 
     def contains(self, key: str) -> bool:
         with self._lock:
             entry = self._index.get(key)
             return entry is not None and not entry.quarantined
 
+    def payload_span(self, key: str) -> Tuple[int, int]:
+        """``(offset, length)`` of ``key``'s payload inside ``journal_path``.
+
+        What fault injection and forensics address instead of a file
+        per key; quarantined keys included (their bytes never move).
+        """
+        with self._lock:
+            entry = self._index.get(key)
+        if entry is None:
+            raise NotFound(key)
+        return entry.offset, entry.length
+
     # -- scrubbing -----------------------------------------------------
 
     def scrub(self, budget: Optional[int] = 16) -> dict:
-        """Re-verify up to ``budget`` stored segments' CRCs (round-robin).
+        """Re-verify up to ``budget`` stored payloads' CRCs (round-robin).
 
-        ``budget=None`` scrubs everything.  Corrupt segments are
+        ``budget=None`` scrubs everything.  Corrupt payloads are
         quarantined exactly as a failed read would, so latent bit rot
         surfaces on the scrubber's cadence, not a client's request.
         Returns ``{"checked": n, "corrupt": [keys...]}``.
         """
-        self._check_open()
         with self._lock:
+            self._check_open()
             keys = sorted(
                 key for key, entry in self._index.items()
                 if not entry.quarantined
@@ -580,25 +582,15 @@ class ShardStore:
         for key in chosen:
             with self._lock:
                 entry = self._index.get(key)
-            if entry is None or entry.quarantined:
-                continue
-            ok = False
+                if entry is None or entry.quarantined:
+                    continue
+                fd = self._reader.fileno()
+                self.counters["scrub_checked"] += 1
             try:
-                with open(self._segment_path(entry.hash_hex), "rb") as handle:
-                    payload = handle.read()
-                ok = (
-                    len(payload) == entry.length
-                    and crc32(payload) == entry.crc
-                )
-                reason = "checksum mismatch"
-            except OSError:
-                reason = "segment file missing"
-            with self._lock:
-                self._count("scrub_checked")
-            telemetry.count("store.scrub_checked")
-            if not ok:
-                corrupt.append(key)
-                self._quarantine(key, entry, reason, scrub=True)
+                self._read_verified(fd, entry)
+            except ChecksumError:
+                if self._quarantine(key, entry, scrub=True):
+                    corrupt.append(key)
         return {"checked": len(chosen), "corrupt": corrupt}
 
     # -- anti-entropy --------------------------------------------------
@@ -619,189 +611,191 @@ class ShardStore:
 
     # -- introspection -------------------------------------------------
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._index)
-
     def keys(self) -> Tuple[str, ...]:
         with self._lock:
             return tuple(sorted(self._index))
 
     def max_version(self) -> int:
-        """Highest version in the index (0 when empty), quarantined keys too."""
+        """Highest version any replayed or acked record carries (0: none).
+
+        Superseded, deleted and quarantined versions count, so a clock
+        seeded from it never runs backwards into a tombstone.
+        """
         with self._lock:
-            return max(
-                (entry.version for entry in self._index.values()), default=0
-            )
+            return self._max_version
 
     def stats(self) -> dict:
         with self._lock:
-            quarantined = sum(
-                1 for entry in self._index.values() if entry.quarantined
-            )
             return {
                 "shard": self.shard_id,
                 "open": self._open,
                 "keys": len(self._index),
-                "quarantined_keys": quarantined,
+                "quarantined_keys": sum(
+                    entry.quarantined for entry in self._index.values()
+                ),
                 "counters": dict(self.counters),
             }
 
-    # -- internals -----------------------------------------------------
+    # -- internals (callers hold the locks each one names) --------------
 
-    def _journal_path(self) -> str:
-        return os.path.join(self.directory, _JOURNAL_NAME)
-
-    def _segment_path(self, hash_hex: str) -> str:
-        return os.path.join(self.segments_dir, f"{hash_hex}.seg")
-
-    def _write_fresh_journal(self, path: str) -> None:
-        with open(path, "wb") as handle:
+    def _write_fresh_journal(self) -> None:
+        with open(self.journal_path, "wb") as handle:
             handle.write(_JOURNAL_HEADER)
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
+        if self.fsync:
+            # The name must be as durable as the acks that will land
+            # behind it: flush the directory entry too.  Once per
+            # journal creation or replacement, never per put.
+            dir_fd = os.open(self.directory, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
+
+    def _close_handles(self) -> None:
+        """Both locks held."""
+        for handle in (self._journal, self._reader):
+            try:
+                if handle is not None:
+                    handle.close()
+            except OSError:  # pragma: no cover - close best-effort
+                pass
+        self._journal = self._reader = None
+        self._open = False
 
     def _check_open(self) -> None:
         if not self._open:
             raise StoreClosed(f"store {self.shard_id!r} is not open")
 
+    @contextlib.contextmanager
+    def _appending(self) -> Iterator[BinaryIO]:
+        """The append lock over one record's writes; yields the journal.
+
+        Fail-stop: if the block dies part-way (a kill at a gate, an I/O
+        error) the log may end inside a record, and anything appended
+        behind it would be cut off with it at the next replay, acked
+        or not.  So the store goes down with the write, and
+        :meth:`recover` truncates the tail before another append lands.
+        """
+        with self._append_lock:
+            self._check_open()
+            try:
+                yield self._journal
+            except BaseException:
+                if self._open:
+                    self.crash()
+                raise
+
     @staticmethod
-    def _gate(
-        gate: Optional[Callable[[str], None]], stage: str, **_info
-    ) -> None:
-        if gate is not None:
-            gate(stage)
+    def _read_verified(fd: int, entry: StoreEntry) -> bytes:
+        """The entry's span if it passes length + CRC, else ChecksumError.
+
+        A span that reads short, a descriptor closed by a racing
+        :meth:`crash`, and flipped bits all fail the same check.
+        """
+        try:
+            payload = os.pread(fd, entry.length, entry.offset)
+        except OSError:
+            payload = b""
+        actual = crc32(payload)
+        if len(payload) != entry.length or actual != entry.crc:
+            raise ChecksumError(
+                f"payload at journal@{entry.offset} fails its length/CRC "
+                f"check ({len(payload)} of {entry.length} bytes)",
+                expected=entry.crc, actual=actual,
+            )
+        return payload
 
     def _quarantine(
-        self, key: str, entry: StoreEntry, reason: str, scrub: bool = False
-    ) -> None:
-        with self._lock:
-            live = self._index.get(key)
-            if live is not None:
-                live.quarantined = True
-            self._count("segments_quarantined")
-            if scrub:
-                self._count("scrub_corrupt")
-        telemetry.count("store.segments_quarantined")
+        self, key: str, entry: StoreEntry, scrub: bool = False
+    ) -> bool:
+        """Mark ``entry`` unservable; False if it is no longer the live one.
+
+        Only the entry that was read is marked: one superseded by a
+        racing put, or read through a racing crash or close (whose
+        failure says nothing about the bytes), is left alone.
+        """
+        try:
+            with self._appending() as journal:
+                with self._lock:
+                    if self._index.get(key) is not entry or entry.quarantined:
+                        return False
+                    entry.quarantined = True
+                    self.counters["payloads_quarantined"] += 1
+                    if scrub:
+                        self.counters["scrub_corrupt"] += 1
+                # Not fsynced: if the record is lost, replay's own CRC
+                # pass (or the next read) finds the damage again.
+                journal.write(_pack_record(_OP_QUARANTINE, entry.version, key))
+                journal.flush()
+        except StoreClosed:
+            return False
+        telemetry.count("store.payloads_quarantined")
         if scrub:
             telemetry.count("store.scrub_corrupt")
-        segment = self._segment_path(entry.hash_hex)
-        if os.path.exists(segment):
-            target = os.path.join(
-                self.quarantine_dir, os.path.basename(segment)
-            )
-            try:
-                os.replace(segment, target)
-            except OSError:  # pragma: no cover - move is best-effort
-                pass
         flightrecorder.record(
-            "store.segment_quarantined",
-            shard=self.shard_id, key=key,
-            segment=entry.hash_hex, reason=reason, scrub=scrub,
+            "store.payload_quarantined",
+            shard=self.shard_id, key=key, offset=entry.offset,
+            length=entry.length, scrub=scrub,
         )
-
-    def _count(self, name: str, value: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + value
+        return True
 
 
 def scan_store(directory: str, deep: bool = False) -> dict:
     """Non-mutating integrity scan of a store directory (for ``verify``).
 
-    Walks the journal's framed records and checks that every live
-    key's segment exists with the journaled length; ``deep=True`` also
-    re-reads each segment and verifies its CRC32.  Unlike
-    :meth:`ShardStore.recover` nothing is truncated, quarantined, or
-    deleted.  Issues carry a category: ``"torn"`` (an interrupted
-    append recovery would cleanly truncate) or ``"corrupt"`` (damage
-    that loses or falsifies data).
+    Streams the journal through the same walk and fold as
+    :meth:`ShardStore.recover`: every header CRC, the payload CRC of a
+    record ending at EOF, and -- ``deep=True`` -- of every record.
+    Nothing is truncated or quarantined.  Issues are ``(category,
+    location, reason)``, the category ``"torn"`` (an interrupted append
+    recovery would cleanly truncate) or ``"corrupt"`` (damage that
+    loses or falsifies data, including a live key that is quarantined).
     """
-    directory = str(directory)
-    journal_path = os.path.join(directory, _JOURNAL_NAME)
-    segments_dir = os.path.join(directory, _SEGMENTS_DIR)
-    result = {
-        "journal_records": 0,
-        "keys": 0,
-        "segments_checked": 0,
-        "torn_tail": False,
-        "corrupt_records": 0,
-        "issues": [],  # (category, location, reason)
+    journal_path = os.path.join(str(directory), _JOURNAL_NAME)
+    issues: List[Tuple[str, str, str]] = []
+    replay = _Replay({})
+    if not os.path.exists(journal_path):
+        issues.append(("corrupt", "journal", "journal.log missing"))
+    else:
+        with open(journal_path, "rb") as handle:
+            head = handle.read(len(_JOURNAL_HEADER))
+            if head == _JOURNAL_HEADER:
+                size = os.fstat(handle.fileno()).st_size
+                replay = _replay(handle, size, deep)
+            else:
+                issues.append((
+                    "corrupt", "journal",
+                    f"bad journal header {head!r} "
+                    f"(expected LVJ1 v{_JOURNAL_VERSION})",
+                ))
+    torn = replay.damage.startswith("torn")
+    if torn:
+        issues.append((
+            "torn", f"journal@{replay.end}",
+            f"{replay.damage} at tail (interrupted append)",
+        ))
+    elif replay.damage:
+        issues.append((
+            "corrupt", f"journal@{replay.end}",
+            f"{replay.damage} (replay stops here)",
+        ))
+    issues += [
+        (
+            "corrupt", f"key {key!r}",
+            f"payload at journal@{entry.offset} is unservable "
+            f"(fails its CRC, or carries a QUARANTINE mark)",
+        )
+        for key, entry in sorted(replay.index.items()) if entry.quarantined
+    ]
+    return {
+        "journal_records": replay.records,
+        "keys": len(replay.index),
+        "payloads_checked": replay.payloads_checked,
+        "torn_tail": torn,
+        "corrupt_records": int(bool(replay.damage) and not torn),
+        "issues": issues,
         "deep": deep,
     }
-
-    def issue(category: str, location: str, reason: str) -> None:
-        result["issues"].append((category, location, reason))
-
-    if not os.path.exists(journal_path):
-        issue("corrupt", "journal", "journal.log missing")
-        return result
-    with open(journal_path, "rb") as handle:
-        blob = handle.read()
-    if blob[: len(_JOURNAL_HEADER)] != _JOURNAL_HEADER:
-        issue(
-            "corrupt", "journal",
-            f"bad journal header {blob[:5]!r} (expected LVJ1 v1)",
-        )
-        return result
-
-    index: Dict[str, StoreEntry] = {}
-    for offset, payload, reason in _walk_journal(blob):
-        if payload is None:
-            if reason == "torn":
-                result["torn_tail"] = True
-                issue(
-                    "torn", f"journal@{offset}",
-                    "torn record at tail (interrupted append)",
-                )
-            else:
-                result["corrupt_records"] += 1
-                issue(
-                    "corrupt", f"journal@{offset}",
-                    "record checksum mismatch (replay stops here)",
-                )
-            break
-        try:
-            op, version, key, digest, length, crc = _unpack_record(payload)
-        except (struct.error, UnicodeDecodeError, ValueError) as exc:
-            result["corrupt_records"] += 1
-            issue("corrupt", f"journal@{offset}", f"malformed record: {exc}")
-            break
-        result["journal_records"] += 1
-        current = index.get(key)
-        if op == _OP_PUT:
-            if current is None or version >= current.version:
-                index[key] = StoreEntry(
-                    version=version, hash_hex=digest.hex(),
-                    length=length, crc=crc,
-                )
-        elif op == _OP_DEL:
-            if current is None or version >= current.version:
-                index.pop(key, None)
-        else:
-            issue("corrupt", f"journal@{offset}", f"unknown op {op}")
-
-    result["keys"] = len(index)
-    for key in sorted(index):
-        entry = index[key]
-        segment = os.path.join(segments_dir, f"{entry.hash_hex}.seg")
-        result["segments_checked"] += 1
-        try:
-            size = os.path.getsize(segment)
-        except OSError:
-            issue("corrupt", f"key {key!r}", "segment file missing")
-            continue
-        if size != entry.length:
-            issue(
-                "corrupt", f"key {key!r}",
-                f"segment length {size} != journaled {entry.length}",
-            )
-            continue
-        if deep:
-            with open(segment, "rb") as handle:
-                payload = handle.read()
-            if crc32(payload) != entry.crc:
-                issue(
-                    "corrupt", f"key {key!r}",
-                    "segment checksum mismatch (deep)",
-                )
-    return result

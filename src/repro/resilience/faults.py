@@ -18,7 +18,8 @@ model latent sector corruption, a lost write (torn file tail), and a
 vanished file respectively -- the three disk failure modes the durable
 store's scrubber and recovery path must turn into typed errors, never
 silent wrong answers.  :meth:`damage_file` picks one at random
-(seeded) for soak-style chaos.
+(seeded); :meth:`damage_span` does the same to one byte range of a
+file, for stores that keep many values in one log.
 """
 
 from __future__ import annotations
@@ -217,6 +218,51 @@ class FaultInjector:
         raise ValueError(
             f"unknown disk fault mode {mode!r}; expected {DISK_FAULT_MODES}"
         )
+
+    def damage_span(
+        self, path: str, offset: int, length: int, mode: Optional[str] = None
+    ) -> str:
+        """:meth:`damage_file` for bytes ``[offset, offset + length)`` only.
+
+        Same modes, same counters, same seeded draw, but the file keeps
+        its size and every byte outside the span: ``bit_flip`` flips
+        bits inside it, ``truncate`` zero-fills from a drawn cut to its
+        end (a lost write), ``unlink`` zero-fills all of it (a vanished
+        value).  Returns ``""`` when nothing could be damaged.
+        """
+        if mode is None:
+            mode = DISK_FAULT_MODES[
+                int(self.rng.integers(0, len(DISK_FAULT_MODES)))
+            ]
+        if mode not in DISK_FAULT_MODES:
+            raise ValueError(
+                f"unknown disk fault mode {mode!r}; expected {DISK_FAULT_MODES}"
+            )
+        try:
+            with open(path, "r+b") as handle:
+                handle.seek(offset)
+                blob = handle.read(length)
+                if not blob:
+                    return ""
+                if mode == "bit_flip":
+                    flips = int(self.rng.integers(1, self.config.max_flips + 1))
+                    damaged = self.flip_bits(blob, flips)
+                else:
+                    cut = (
+                        int(self.rng.integers(0, len(blob)))
+                        if mode == "truncate" else 0
+                    )
+                    damaged = blob[:cut] + bytes(len(blob) - cut)
+                handle.seek(offset)
+                handle.write(damaged)
+        except OSError:
+            return ""
+        self._record({
+            "bit_flip": "faults.disk.bit_flips",
+            "truncate": "faults.disk.truncations",
+            "unlink": "faults.disk.unlinks",
+        }[mode])
+        return mode
 
     # -- timing / liveness faults --------------------------------------
 

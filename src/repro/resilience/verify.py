@@ -169,20 +169,20 @@ def verify_bytes(raw: bytes, path: str = "<bytes>", deep: bool = False) -> Verif
 
 
 def _verify_store_dir(path: str, deep: bool) -> VerifyReport:
-    """A shard store directory: journal records + segment inventory.
+    """A shard store directory: every record of its ``journal.log``.
 
     Read-only -- unlike the store's own recovery this truncates and
-    quarantines nothing.  A torn journal tail is reported with
-    category ``"torn"`` (recovery would fix it losing only the
-    unacknowledged write); everything else is ``"corrupt"``.
+    quarantines nothing.  A torn tail is reported with category
+    ``"torn"`` (recovery would fix it losing only the unacknowledged
+    write); everything else is ``"corrupt"``.  ``deep`` re-reads every
+    payload against its CRC; the fast scan checks headers, the final
+    record's payload and the store's own quarantine marks.
     """
     from repro.cluster.store import scan_store
 
     report = VerifyReport(path=str(path), kind="store", deep=deep)
     scan = scan_store(path, deep=deep)
-    report.checked = (
-        scan["journal_records"] + scan["segments_checked"]
-    )
+    report.checked = scan["journal_records"] + scan["payloads_checked"]
     for category, location, reason in scan["issues"]:
         report.add(location, reason, category=category)
     return report
@@ -192,7 +192,7 @@ def verify_path(path: str, deep: bool = False) -> VerifyReport:
     """Verify a file (any LLM.265 format) or a store directory on disk.
 
     Never raises on damaged *content*; a directory is dispatched to the
-    shard-store scanner (``journal.log`` + ``segments/``).
+    shard-store scanner (its ``journal.log`` holds headers and payloads).
     """
     import os
 

@@ -129,14 +129,18 @@ class TestDurabilitySoak:
                 path = str(tmp_path / name)
                 with open(path, "wb") as handle:
                     handle.write(os.urandom(64))
+            # The span faults the soak uses count under the same names
+            # as the whole-file ones.
+            for mode in ("bit_flip", "truncate", "unlink"):
+                assert injector.damage_span(str(tmp_path / "a"), 8, 32, mode)
             injector.file_bit_flip(str(tmp_path / "a"))
             injector.file_truncate(str(tmp_path / "b"))
             injector.file_unlink(str(tmp_path / "c"))
             counters = dict(registry.counters)
-        assert counters["faults.disk.bit_flips"] == 1
-        assert counters["faults.disk.truncations"] == 1
-        assert counters["faults.disk.unlinks"] == 1
-        assert counters["faults.injected"] == 3
+        assert counters["faults.disk.bit_flips"] == 2
+        assert counters["faults.disk.truncations"] == 2
+        assert counters["faults.disk.unlinks"] == 2
+        assert counters["faults.injected"] == 6
 
 
 class TestContainerPayloads:
@@ -179,7 +183,7 @@ class TestVerifyCli:
         assert "OK (store" in capsys.readouterr().out
 
     def test_torn_tail_exits_three(self, store_dir, capsys):
-        with open(store_dir._journal_path(), "ab") as handle:
+        with open(store_dir.journal_path, "ab") as handle:
             handle.write(struct.pack("<II", 4096, 0))
         assert main(["verify", store_dir.directory]) == 3
         out = capsys.readouterr().out
@@ -188,20 +192,21 @@ class TestVerifyCli:
     def test_corruption_exits_two_even_with_a_torn_tail(
         self, store_dir, capsys
     ):
-        with open(store_dir._journal_path(), "ab") as handle:
+        with open(store_dir.journal_path, "ab") as handle:
             handle.write(struct.pack("<II", 4096, 0))
-        segment = store_dir._segment_path(store_dir.digest()["a"][1])
-        with open(segment, "r+b") as handle:
+        offset, _ = store_dir.payload_span("a")
+        with open(store_dir.journal_path, "r+b") as handle:
+            handle.seek(offset)
             handle.write(b"\x00\x01")
         assert main(["verify", store_dir.directory, "--deep"]) == 2
         assert "DAMAGED" in capsys.readouterr().out
 
     def test_verify_is_read_only(self, store_dir):
-        with open(store_dir._journal_path(), "ab") as handle:
+        with open(store_dir.journal_path, "ab") as handle:
             handle.write(b"\xde\xad")
-        before = os.path.getsize(store_dir._journal_path())
+        before = os.path.getsize(store_dir.journal_path)
         main(["verify", store_dir.directory])
-        assert os.path.getsize(store_dir._journal_path()) == before
+        assert os.path.getsize(store_dir.journal_path) == before
         # Crash recovery (not verify) is what repairs the tail.
         store = ShardStore(store_dir.directory, shard_id="s0")
         assert store.get("a") == b"payload-a" * 30

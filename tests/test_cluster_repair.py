@@ -149,8 +149,8 @@ class TestVerifiedGet:
         router.put(b"replicated", "kc")
         owners = owners_of(router, "kc")
         primary = router.shard(owners[0]).store
-        FaultInjector(seed=11).file_bit_flip(
-            primary._segment_path(primary.digest()["kc"][1])
+        FaultInjector(seed=11).damage_span(
+            primary.journal_path, *primary.payload_span("kc"), "bit_flip"
         )
         response = router.get("kc")
         assert response.ok and response.value == b"replicated"
@@ -179,8 +179,8 @@ class TestAntiEntropy:
         router.put(payload, "kh")
         owners = owners_of(router, "kh")
         victim = router.shard(owners[0]).store
-        FaultInjector(seed=12).file_bit_flip(
-            victim._segment_path(victim.digest()["kh"][1])
+        FaultInjector(seed=12).damage_span(
+            victim.journal_path, *victim.payload_span("kh"), "bit_flip"
         )
         victim.scrub(None)  # latent damage found -> quarantined
         assert "kh" not in victim.digest()
@@ -189,6 +189,32 @@ class TestAntiEntropy:
         assert report.under_replicated >= 1
         assert report.copies_made >= 1
         assert victim.get("kh") == payload  # re-replicated, verified
+
+    def test_heals_a_suffix_truncated_behind_a_rotten_header(self, router):
+        keys = [f"kt{index}" for index in range(12)]
+        for index, key in enumerate(keys):
+            assert router.put(bytes([index]) * 200, key).ok
+        victim_id = owners_of(router, keys[0])[0]
+        victim = router.shard(victim_id).store
+        held = sorted(victim.digest(), key=lambda k: victim.payload_span(k)[0])
+        assert len(held) >= 3
+        # Rot the *header* of the second record this shard holds: replay
+        # cannot walk past it, so every later acked write goes with it.
+        offset, _ = victim.payload_span(held[1])
+        with open(victim.journal_path, "r+b") as handle:
+            handle.seek(offset - 3)
+            byte = handle.read(1)
+            handle.seek(offset - 3)
+            handle.write(bytes([byte[0] ^ 0x40]))
+        router.shard(victim_id).kill()
+        router.shard(victim_id).revive()
+        assert victim.last_recovery.corrupt_records == 1
+        assert sorted(victim.digest()) == held[:1]
+
+        report = repair_until_converged(router)
+        assert report.converged and report.copies_made >= len(held) - 1
+        for key in held:
+            assert victim.get(key) == bytes([keys.index(key)]) * 200
 
     def test_heals_a_revived_shard_that_missed_writes(self, router):
         owners = owners_of(router, "km")
@@ -230,8 +256,8 @@ class TestAntiEntropy:
         router.shard(owners[0]).put("ks", payload, 5)
         router.shard(stray).put("ks", payload, 5)
         damaged = router.shard(min(owners[0], stray)).store
-        FaultInjector(seed=13).file_bit_flip(
-            damaged._segment_path(damaged.digest()["ks"][1])
+        FaultInjector(seed=13).damage_span(
+            damaged.journal_path, *damaged.payload_span("ks"), "bit_flip"
         )
         report = repair_until_converged(router)
         assert report.converged
@@ -245,8 +271,8 @@ class TestAntiEntropy:
         # The only copy anywhere, silently rotted on disk.
         router.shard(owners[0]).put("ku", b"last-copy", 1)
         only = router.shard(owners[0]).store
-        FaultInjector(seed=14).file_truncate(
-            only._segment_path(only.digest()["ku"][1]), at=2
+        FaultInjector(seed=14).damage_span(
+            only.journal_path, *only.payload_span("ku"), "truncate"
         )
         one = run_anti_entropy(router)
         assert one.unrepairable == ["ku"]
