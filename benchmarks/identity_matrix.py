@@ -1,9 +1,10 @@
-"""Stream identity matrix: did an encoder change move any bytes?
+"""Stream identity matrix: did a codec change move any bytes or samples?
 
 Encoded streams are not pinned by golden vectors (pass 1's operator
 GEMM is BLAS, so a stream is only reproducible on one box), so a
 pass-1 change is checked by hashing streams at the parent commit and at
-the change, on the same machine::
+the change, on the same machine -- and a decoder change by hashing what
+those streams decode to::
 
     PYTHONPATH=<parent>/src python benchmarks/identity_matrix.py --write parent.json
     PYTHONPATH=src          python benchmarks/identity_matrix.py --against parent.json
@@ -19,11 +20,16 @@ Two sets of inputs, each coded with ``encode="native"`` and with
   ``weights_bit_budget`` containers.  ``benchmarks/stack/inputs.py``
   and ``layers.py`` are imported read-only.
 
-Every config records ``sha256`` + length of the bytes and ``repr`` of
-the MSE.  ``--against`` prints the ``moved / N`` and total-bytes table
-CHANGES.md quotes, lists each moved config with its length delta, says
-whether ``native`` == ``python`` held here, and exits 2 on any move or
-any backend disagreement.
+Every config records ``sha256`` + length of the bytes, ``repr`` of the
+MSE, and the ``sha256`` of what the production decoder returns for
+those bytes, serial (``decoded``) and fanned out with the service's
+``ParallelConfig`` (``decoded_pooled``).  ``--against`` prints the
+``moved / N`` table CHANGES.md quotes -- streams and decodes counted
+apart -- lists each moved config with its length delta, says whether
+``native`` == ``python`` held here (for decode too: the same bytes must
+decode to the same samples whichever backend coded them) and whether
+the pooled decode returned the serial one's samples, and exits 2 on any
+move or any disagreement.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Iterator, List, Tuple
 
@@ -42,6 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent / "stack"))
 import inputs  # noqa: E402  (benchmarks/stack, read-only)
 import layers  # noqa: E402
 
+from repro.codec.decoder import decode_frames  # noqa: E402
 from repro.codec.encoder import ENCODES, EncoderConfig, encode_frames  # noqa: E402
 from repro.codec.profiles import AV1_PROFILE, H264_PROFILE, H265_PROFILE  # noqa: E402
 
@@ -70,11 +78,29 @@ def _matrix_frames(shape: Tuple[int, int]) -> List[np.ndarray]:
     ]
 
 
-def _record(data: bytes, mse: float) -> Dict[str, object]:
-    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data), "mse": repr(mse)}
+DECODE_FIELDS = ("decoded", "decoded_pooled")
+
+
+def _samples_hash(arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def _record(data: bytes, mse: float, serial, pooled) -> Dict[str, object]:
+    """``serial`` / ``pooled``: the arrays those two decodes of ``data`` returned."""
+    return {
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "bytes": len(data),
+        "mse": repr(mse),
+        "decoded": _samples_hash(serial),
+        "decoded_pooled": _samples_hash(pooled),
+    }
 
 
 def _matrix(encode: str) -> Iterator[Tuple[str, Dict[str, object]]]:
+    pool = layers.production_fields()["parallel"]
     for profile in PROFILES:
         for qp in QPS:
             for shape in SHAPES:
@@ -89,10 +115,16 @@ def _matrix(encode: str) -> Iterator[Tuple[str, Dict[str, object]]]:
                         f"{profile.name} qp{qp:g} {shape[0]}x{shape[1]} "
                         f"{'inter' if use_inter else 'intra'}"
                     )
-                    yield name, _record(result.data, result.mse)
+                    yield name, _record(
+                        result.data,
+                        result.mse,
+                        decode_frames(result.data),
+                        decode_frames(result.data, parallel=pool),
+                    )
 
 
 def _stack(encode: str) -> Iterator[Tuple[str, Dict[str, object]]]:
+    @lru_cache(maxsize=None)
     def production(tile, serial=False):
         """The codec the service's top rung builds, with the backend pinned."""
         codec = layers.production_codec(tile, serial=serial)
@@ -101,8 +133,13 @@ def _stack(encode: str) -> Iterator[Tuple[str, Dict[str, object]]]:
 
     def coded(codec, tensor, **targets):
         compressed = codec.encode(tensor, **targets)
-        delta = codec.decode(compressed).astype(np.float64) - tensor
-        return _record(compressed.to_bytes(), float(np.mean(delta * delta)))
+        serial, pooled = (
+            production(codec.tile, serial=flag).decode(compressed) for flag in (True, False)
+        )
+        delta = serial.astype(np.float64) - tensor
+        return _record(
+            compressed.to_bytes(), float(np.mean(delta * delta)), [serial], [pooled]
+        )
 
     service = layers.service_targets()
     pages = production(int(service["tile"]))
@@ -138,26 +175,48 @@ def _backends_agree(table) -> bool:
     )
 
 
+def _fan_out_agrees(table) -> bool:
+    return all(
+        record["decoded"] == record["decoded_pooled"]
+        for records in table.values()
+        for record in records.values()
+    )
+
+
 def compare(parent, here) -> int:
-    """Print the moved / N table; the number of moved configs."""
+    """Print the moved / N table; the number of moved streams plus moved decodes."""
     moved_total = 0
-    print(f"{'variant':<16}{'moved / N':>12}{'parent bytes':>15}{'bytes here':>13}")
+    print(
+        f"{'variant':<16}{'streams moved':>15}{'decodes moved':>15}"
+        f"{'parent bytes':>15}{'bytes here':>13}"
+    )
     for variant, records in here.items():
         before = parent.get(variant, {})
-        moved = [name for name in records if records[name] != before.get(name)]
-        moved_total += len(moved) + len(before.keys() - records.keys())
+        streams, decodes = [], []
+        for name, record in records.items():
+            was = before.get(name, {})
+            differs = {key for key in record if record[key] != was.get(key)}
+            if differs - set(DECODE_FIELDS):
+                streams.append(name)
+            if differs & set(DECODE_FIELDS):
+                decodes.append(name)
+        moved_total += len(streams) + len(decodes) + len(before.keys() - records.keys())
         print(
-            f"{variant:<16}{f'{len(moved)} / {len(records)}':>12}"
+            f"{variant:<16}{f'{len(streams)} / {len(records)}':>15}"
+            f"{f'{len(decodes)} / {len(records)}':>15}"
             f"{sum(r['bytes'] for r in before.values()):>15}"
             f"{sum(r['bytes'] for r in records.values()):>13}"
         )
-        for name in moved:
+        for name in streams:
             was = before.get(name)
             delta = "absent at the parent" if was is None else (
                 f"{records[name]['bytes'] - was['bytes']:+d} bytes, "
                 f"mse {was['mse']} -> {records[name]['mse']}"
             )
             print(f"    moved: {name} ({delta})")
+        for name in decodes:
+            if name not in streams:
+                print(f"    moved: {name} (same stream, different samples)")
     return moved_total
 
 
@@ -175,8 +234,10 @@ def main(argv=None) -> int:
         moved = 0
     else:
         moved = compare(json.loads(Path(args.against).read_text()), here)
+    pooled = _fan_out_agrees(here)
     print(f"native == python on every config here: {'yes' if agree else 'NO'}")
-    return 0 if agree and not moved else 2
+    print(f"serial decode == pooled decode on every config here: {'yes' if pooled else 'NO'}")
+    return 0 if agree and pooled and not moved else 2
 
 
 if __name__ == "__main__":

@@ -88,6 +88,10 @@ FaultGate = Callable[[str], None]
 #: failing over (and they teach shard health nothing).
 DETERMINISTIC_ERRORS = (CorruptStreamError, ValueError)
 
+#: Committed responses between two recomputations of the derived hedge
+#: delay, and how many it takes before the first.
+_HEDGE_REFRESH = 32
+
 
 class ClusterUnavailable(RuntimeError):
     """Typed cluster-level rejection: no shard exists to serve the key."""
@@ -352,6 +356,7 @@ class ClusterRouter:
         self._repair_inflight = False
         # Latency reservoir feeding the derived hedge delay.
         self._latencies: deque = deque(maxlen=512)
+        self._latencies_seen = 0  # ever appended: the deque's length saturates
         self._hedge_cache: Tuple[int, float] = (-1, cfg.hedge_initial_delay_s)
         # Router-level counters, lock-protected so executor threads (no
         # thread-local telemetry registry) never lose an event.
@@ -1032,18 +1037,22 @@ class ClusterRouter:
         if cfg.hedge_delay_s is not None:
             return cfg.hedge_delay_s
         with self._lock:
-            n = len(self._latencies)
-            if n < 32:
+            if len(self._latencies) < _HEDGE_REFRESH:
                 return cfg.hedge_initial_delay_s
+            # Keyed on the samples ever committed, not on the reservoir's
+            # length (which stops changing once it is full), and
+            # refreshed once per _HEDGE_REFRESH of them: no request
+            # sorts the reservoir on its own account.
+            epoch = self._latencies_seen // _HEDGE_REFRESH
             cached_at, cached = self._hedge_cache
-            if cached_at == n:
+            if cached_at == epoch:
                 return cached
             samples = sorted(self._latencies)
         delay = max(
             cfg.hedge_min_delay_s, _nearest_rank(samples, cfg.hedge_quantile)
         )
         with self._lock:
-            self._hedge_cache = (n, delay)
+            self._hedge_cache = (epoch, delay)
         return delay
 
     # -- accounting ----------------------------------------------------
@@ -1063,6 +1072,7 @@ class ClusterRouter:
         if response.ok and not response.degraded:
             with self._lock:
                 self._latencies.append(response.latency_s)
+                self._latencies_seen += 1
         if response.ok:
             outcome = "degraded" if response.degraded else "ok"
         elif isinstance(response.error, Overloaded):

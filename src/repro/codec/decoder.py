@@ -2,7 +2,8 @@
 
 Version-2 streams are cut into one CRC32-framed slice per frame (see
 ``docs/RESILIENCE.md``).  The decoder verifies every slice checksum on
-arrival and supports two failure policies:
+arrival -- damaged and missing slices never reach a stage -- and
+supports two failure policies:
 
 - **strict** (default): any damage raises
   :class:`~repro.resilience.errors.CorruptStreamError` -- no other
@@ -13,42 +14,53 @@ arrival and supports two failure policies:
   continues with the next slice and every patched region is listed in
   the returned :class:`~repro.resilience.errors.ConcealmentReport`.
 
-A slice is decoded by three whole-slice stages over one array plan
-(:class:`LeafPlan`): *plan -> residuals -> reconstruct*.  Stage one
-drains the range decoder into the plan (modes, motion vectors,
-coefficient scans); stage two dequantizes, unscans and
-inverse-transforms all same-size leaves in one batch (the encoder's
-lru-cached DCT basis / zigzag tables, the codec's order-defined
-transform); stage three predicts and reconstructs every leaf in decode
-order.  Stages one and three are each one GIL-free C call
-(``native.plan_slice`` / ``native.reconstruct_slice``), stage two one
-per block size (``native.residuals``), each with a Python twin
-(``_walk_slice`` / ``_apply_predictions`` / the numpy batch in
-``_batch_residuals``) that produces and consumes the same arrays.  The
-decoder picks per slice from what it observes, not from an option:
-kernels when ``native.available()``, the twin otherwise (no compiler,
-``LLM265_PURE_PYTHON=1``) and for any slice a kernel refuses
-(``decode.kernel_refusals``), so every error is raised by Python code.
+Slices are decoded a *group* at a time -- as many consecutive slices as
+fit in ``encoder.GROUP_SAMPLES`` padded samples (one 256 x 256 slice:
+the bound pass 1 groups frames by), at least one; a KV page's four
+one-CTU slices are one group, a 256 x 256 tile is a group of one, and an
+inter stream, whose every frame needs the one before it, is groups of
+one -- by three stages over one array plan (:class:`LeafPlan`):
+*plan -> residuals -> reconstruct*.  Stage one drains every slice's
+range decoder (a fresh coder and fresh contexts each) into the group's
+plan (modes, motion vectors, coefficient scans); stage two dequantizes,
+unscans and inverse-transforms all same-size leaves of the group in one
+batch (the encoder's lru-cached DCT basis / zigzag tables, the codec's
+order-defined transform); stage three predicts and reconstructs every
+leaf in decode order, one plane per slice.  Stages one and three are
+each one GIL-free C call per group (``native.plan_slices`` /
+``native.reconstruct_slices``), stage two one per block size
+(``native.residuals``), each with a Python twin (``_walk_slice`` per
+slice, joined into the same group table / ``_apply_predictions`` / the
+numpy batch in ``_batch_residuals``) that produces and consumes the
+same arrays.  What a slice costs beyond its samples -- ctypes
+marshalling, array allocation, telemetry, the clip / round / ``uint8``
+pass -- is paid once per group.  The decoder picks per group from what
+it observes, not from an option: kernels when ``native.available()``,
+the twin otherwise (no compiler, ``LLM265_PURE_PYTHON=1``) and for any
+slice a kernel refuses (``decode.kernel_refusals``; the other slices of
+the group keep the kernel's result), so every error is raised by Python
+code.  Instrumented decodes take the same body.  A slice's samples do
+not depend on its group-mates (``tests/test_decode_groups.py``).
 
 The interleaved per-leaf decoder this design replaced lives in
 :mod:`repro.codec.reference`; it is sample-identical on every stream,
 including corrupt-stream and concealment behaviour -- the bench
 identity gate, ``tests/test_fast_decode.py``,
-``tests/test_decode_fuzz.py`` and the golden vectors enforce this.
+``tests/test_decode_fuzz.py``, ``tests/test_decode_groups.py`` and the
+golden vectors enforce this.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 import repro.telemetry as telemetry
+from repro.codec import encoder as _encoder
 from repro.codec import intra
-from repro.codec.encoder import QpDither, unpack_header
+from repro.codec.encoder import QpDither, _effective_cpus, unpack_header
 from repro.codec.entropy import native
 from repro.codec.entropy.arithmetic import BinaryDecoder
 from repro.codec.profiles import PROFILES_BY_ID
@@ -69,6 +81,17 @@ from repro.telemetry.codecstats import DecodeStats
 #: Mid-gray sample used to zero-fill a concealed frame with no neighbour.
 _CONCEAL_FILL = 128.0
 
+#: Quantizer step of every QP a header byte can name.
+_QSTEPS = np.array([qstep(qp) for qp in range(256)], dtype=np.float64)
+
+#: Columns of a group's per-slice report, and the two plan rows that
+#: change when a slice's plan moves in or out of a group's.
+_STATUS, _POS, _RANGE, _CODE, _BINS, _LEAF_END, _LEVEL_END = range(
+    len(native.SLICE_REPORT)
+)
+_CTU_INDEX = native.PLAN_FIELDS.index("ctu_index")
+_COEFF_OFFSET = native.PLAN_FIELDS.index("coeff_offset")
+
 #: Parallel decode dispatch thresholds.  Below either bound the fan-out
 #: overhead (task submission, result marshalling, worker warm-up) costs
 #: more than the decode itself, so the decoder silently stays serial.
@@ -79,7 +102,8 @@ _PARALLEL_MIN_BYTES = 1 << 15
 
 
 class LeafPlan:
-    """Flat decode plan of one slice: one column per leaf, in decode order.
+    """Flat decode plan of a slice, or of a group of them slice after
+    slice: one column per leaf, in decode order.
 
     ``rows`` is a C-contiguous ``(len(FIELDS), capacity)`` int64 table
     of which the first ``n_leaves`` columns are filled; ``levels``
@@ -88,8 +112,9 @@ class LeafPlan:
     ``coeff_offset``.  Conventions: ``mode`` is -1 where no intra mode
     was coded (inter leaves, streams without intra), ``ry``/``rx`` are
     the reference block origin of an inter leaf (else 0),
-    ``ctu_index`` numbers the leaf's CTU in raster order (its QP is
-    looked up there) and ``coeff_offset`` is -1 for a cbf = 0 leaf.
+    ``ctu_index`` numbers the leaf's CTU in raster order, counting on
+    from slice to slice of a group (its QP is looked up there), and
+    ``coeff_offset`` is -1 for a cbf = 0 leaf.
 
     The slice kernel (``_slice_kernel.c``, rows ``P_*``) and the Python
     walk fill this layout, and the residual and reconstruct stages --
@@ -110,14 +135,6 @@ class LeafPlan:
         return self.rows[self.FIELDS.index(name), : self.n_leaves]
 
 
-def _effective_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without affinity masks
-        return os.cpu_count() or 1
-
-
 class FrameDecoder:
     """Parses a bitstream and reconstructs the frame sequence.
 
@@ -133,41 +150,50 @@ class FrameDecoder:
         deadline: Optional[Deadline] = None,
     ) -> None:
         self._deadline = deadline
-        self._header = unpack_header(data)
+        h = self._header = unpack_header(data)
         try:
-            self._profile = PROFILES_BY_ID[self._header["profile_id"]]
+            self._profile = PROFILES_BY_ID[h["profile_id"]]
         except KeyError:
-            raise CorruptStreamError(
-                f"unknown profile id {self._header['profile_id']}"
-            ) from None
-        self._raw_header = bytes(data[: self._header["header_size"]])
-        self._payload = data[self._header["header_size"] :]
+            raise CorruptStreamError(f"unknown profile id {h['profile_id']}") from None
+        self._raw_header = bytes(data[: h["header_size"]])
+        self._payload = data[h["header_size"] :]
         self._conceal = conceal
         self._parallel = parallel
+        # The decoder works on CTU-padded planes.
+        self._pad_h = h["height"] + (-h["height"]) % h["ctu"]
+        self._pad_w = h["width"] + (-h["width"]) % h["ctu"]
+        self._ctus = (self._pad_h // h["ctu"]) * (self._pad_w // h["ctu"])
+        self._begin()
+
+    def _begin(self) -> None:
+        """Fresh per-decode state (telemetry is looked up when decoding starts)."""
         self._ctx: Optional[CodecContexts] = None
         self._dec: Optional[BinaryDecoder] = None
-        self._registry = None
-        self._stats: Optional[DecodeStats] = None
-        self.report = ConcealmentReport()
+        self._reference: Optional[np.ndarray] = None
+        self._inter_allowed = False
+        self._registry = telemetry.current()
+        self._stats = DecodeStats() if self._registry is not None else None
+        self.report = ConcealmentReport(total_slices=self._header["n_frames"])
 
     def decode(self) -> List[np.ndarray]:
         """Return the decoded frames (uint8, original dimensions)."""
+        self._begin()
         h = self._header
-        ctu = h["ctu"]
-        width, height = h["width"], h["height"]
-        pad_w = width + ((-width) % ctu)
-        pad_h = height + ((-height) % ctu)
-        dither = QpDither(h["qp_base"], h["qp_frac"])
-        ctus_per_frame = (pad_h // ctu) * (pad_w // ctu)
-        self._reference: Optional[np.ndarray] = None
-        self._registry = telemetry.current()
-        self._stats = DecodeStats() if self._registry is not None else None
-        self.report = ConcealmentReport(total_slices=h["n_frames"])
-
+        n_frames = h["n_frames"]
         slices, damage = deframe_slices(
-            self._payload, expected=h["n_frames"], strict=not self._conceal
+            self._payload, expected=n_frames, strict=not self._conceal
         )
-        damage_reasons = dict(damage)
+        reasons = dict(damage)
+        # The three stages run once per group of consecutive slices: as
+        # many as fit in the bound pass 1 groups frames by (one 256 x 256
+        # slice's samples), at least one; an inter stream chains every
+        # frame to the one before it, so its groups are single slices.
+        per_group = (
+            1
+            if h["use_inter"]
+            else max(1, _encoder.GROUP_SAMPLES // (self._pad_h * self._pad_w))
+        )
+        groups = -(-n_frames // per_group)
 
         par = self._parallel
         # Eligibility (slice independence) and profitability (payload
@@ -177,15 +203,18 @@ class FrameDecoder:
         par_capable = (
             par is not None
             and not par.is_serial()
-            and h["n_frames"] > 1
+            and n_frames > 1
             and not h["use_inter"]
             and not self._conceal
-            and not damage_reasons
+            and not reasons
         )
         use_parallel = (
             par_capable
-            and h["n_frames"] >= _PARALLEL_MIN_SLICES
+            and n_frames >= _PARALLEL_MIN_SLICES
             and len(self._payload) >= _PARALLEL_MIN_BYTES
+            # A fan-out hands out whole groups, so what a worker batches
+            # is what the serial loop batches.
+            and groups > 1
             # On a single-CPU machine fan-out is pure overhead no matter
             # how large the payload: decode is CPU-bound end to end.
             and _effective_cpus() > 1
@@ -196,140 +225,116 @@ class FrameDecoder:
         )
         if par_capable and not use_parallel:
             telemetry.count("decode.parallel_threshold_fallbacks")
-        if use_parallel:
-            # Every slice is independently decodable (fresh entropy state,
-            # per-frame dither restart via the closed form) and, with inter
-            # prediction off, carries no cross-frame reference -- so slices
-            # decode concurrently to the exact same samples as the serial
-            # loop.  Concealment and inter streams stay on the serial path.
-            # Tasks ship the 21 raw header bytes (workers parse + cache
-            # them once per stream shape), not the unpacked frame context.
-            # One task per worker that can actually run (decode is
-            # CPU-bound), each a run of consecutive slices: dispatching
-            # a task costs about what a small slice takes to decode.
-            warm_pool(par)
-            runs = min(par.resolved_workers(), _effective_cpus(), h["n_frames"])
-            run = -(-h["n_frames"] // runs)
-            tasks = [
-                (
-                    self._raw_header,
-                    slices[first : first + run],
-                    first,
-                    pad_h,
-                    pad_w,
-                    ctus_per_frame,
-                )
-                for first in range(0, h["n_frames"], run)
-            ]
-            with telemetry.span("frames.decode"):
+        with telemetry.span("frames.decode"):
+            if use_parallel:
+                # Every slice is independently decodable (fresh entropy
+                # state, per-CTU QPs in closed form) and, with inter
+                # prediction off, carries no cross-frame reference -- so
+                # runs of groups decode concurrently to the exact samples
+                # of the serial loop.  Concealment and inter streams stay
+                # serial.  Tasks ship the raw header bytes (a worker
+                # parses them once per task).  One task per worker that
+                # can actually run (decode is CPU-bound),
+                # each a run of consecutive groups: dispatching a task
+                # costs about what a small slice takes to decode.
+                warm_pool(par)
+                runs = min(par.resolved_workers(), _effective_cpus(), groups)
+                run = -(-groups // runs) * per_group
                 outcomes = parallel_map(
-                    _decode_slices_worker,
-                    tasks,
+                    _decode_run_worker,
+                    [
+                        (self._raw_header, slices[first : first + run], first, per_group)
+                        for first in range(0, n_frames, run)
+                    ],
                     par,
                     label="decode",
                     deadline=self._deadline,
                 )
-            recons = [recon for run_recons, _ in outcomes for recon in run_recons]
-            if self._stats is not None:
-                for _, worker_stats in outcomes:
-                    if worker_stats is not None:
-                        self._stats.merge(worker_stats)
-            frames = [
-                np.clip(np.rint(r[:height, :width]), 0, 255).astype(np.uint8)
-                for r in recons
-            ]
-            self._reference = recons[-1]
-            if self._registry is not None:
-                self._registry.count("decode.frames", h["n_frames"])
-                self._stats.publish(self._registry)
-            return frames
-
-        frames: List[np.ndarray] = []
-        with telemetry.span("frames.decode"):
-            for frame_index in range(h["n_frames"]):
-                if self._deadline is not None:
-                    self._deadline.check("frames.decode")
-                segment = slices[frame_index] if frame_index < len(slices) else None
-                with telemetry.span("frame"):
-                    recon = self._decode_slice(
-                        segment,
-                        damage_reasons.get(frame_index, "slice missing"),
-                        pad_h,
-                        pad_w,
-                        frame_index,
-                        dither,
-                        ctus_per_frame,
-                    )
-                frames.append(
-                    np.clip(np.rint(recon[:height, :width]), 0, 255).astype(np.uint8)
-                )
-                self._reference = recon
+                frames = [frame for run_frames, _ in outcomes for frame in run_frames]
+                if self._stats is not None:
+                    for _, worker_stats in outcomes:
+                        if worker_stats is not None:
+                            self._stats.merge(worker_stats)
+            else:
+                frames = self._decode_run(slices, reasons, 0, per_group)
         if self._registry is not None:
-            self._registry.count("decode.frames", h["n_frames"])
+            self._registry.count("decode.frames", n_frames)
             self._stats.publish(self._registry)
         return frames
 
-    # -- per-slice -----------------------------------------------------
+    # -- per run of groups -----------------------------------------------
 
-    def _decode_slice(
-        self,
-        segment: Optional[bytes],
-        damage_reason: str,
-        height: int,
-        width: int,
-        frame_index: int,
-        dither: QpDither,
-        ctus_per_frame: int,
-    ) -> np.ndarray:
-        if segment is None:
-            return self._conceal_frame(
-                damage_reason, height, width, frame_index, dither, ctus_per_frame
+    def _decode_run(
+        self, segments: List[Optional[bytes]], reasons: dict, first_index: int,
+        per_group: int,
+    ) -> List[np.ndarray]:
+        """Consecutive slices, ``first_index`` onwards, as uint8 frames.
+
+        The one body of the serial loop and of every fan-out worker.
+        ``None`` segments are the slices ``deframe_slices`` found damaged
+        or missing (``reasons`` says why, by frame index): they are left
+        out of their group's stages and concealed afterwards, in frame
+        order, as are the slices the stages could not decode.  Per-CTU
+        QPs come from the dither in closed form, so neither kind of
+        damage can misalign a later slice.  Clip / round / ``uint8`` run
+        once over the group's plane stack.  The deadline is polled once
+        per group: at most one 256 x 256 slice's work apart.
+        """
+        h = self._header
+        height, width = h["height"], h["width"]
+        frames: List[np.ndarray] = []
+        for start in range(0, len(segments), per_group):
+            if self._deadline is not None:
+                self._deadline.check("frames.decode")
+            group = segments[start : start + per_group]
+            first = first_index + start
+            live = [k for k, segment in enumerate(group) if segment is not None]
+            qps = QpDither.advanced(
+                h["qp_base"], h["qp_frac"], first * self._ctus
+            ).take(len(group) * self._ctus)
+            if len(live) < len(group):
+                qps = qps.reshape(len(group), -1)[live].reshape(-1)
+            planes, failed = None, []
+            if live:
+                with telemetry.span("group"):
+                    planes, failed = self._decode_group(
+                        [group[k] for k in live], [first + k for k in live], qps
+                    )
+            if len(live) < len(group) or failed:
+                # Concealment planes are made as they are needed, in
+                # frame order: each repeats the frame before it.
+                decoded = {
+                    k: planes[i] for i, k in enumerate(live) if i not in failed
+                }
+                planes = np.empty((len(group), self._pad_h, self._pad_w))
+                for k, segment in enumerate(group):
+                    if k in decoded:
+                        planes[k] = decoded[k]
+                    else:
+                        planes[k] = self._conceal_frame(
+                            first + k,
+                            reasons.get(first + k, "slice missing")
+                            if segment is None
+                            else "undecodable slice",
+                        )
+                    self._reference = planes[k]
+            self._reference = planes[-1]
+            frames.extend(
+                np.clip(np.rint(planes[:, :height, :width]), 0, 255).astype(np.uint8)
             )
-        # Fresh entropy state per slice: this is what makes slices
-        # independently decodable (and bit-exact with the encoder).
-        self._dec = BinaryDecoder(segment)
-        self._ctx = CodecContexts()
-        try:
-            return self._decode_frame(height, width, frame_index, dither)
-        except CorruptStreamError:
-            if not self._conceal:
-                raise
-        except Exception as exc:
-            # A CRC-valid slice that still fails to parse (crafted or
-            # colliding damage) must not leak raw IndexError/EOFError.
-            if not self._conceal:
-                raise CorruptStreamError(
-                    f"slice {frame_index}: undecodable ({type(exc).__name__}: {exc})"
-                ) from exc
-        return self._conceal_frame(
-            "undecodable slice", height, width, frame_index, dither, ctus_per_frame
-        )
+        return frames
 
-    def _conceal_frame(
-        self,
-        reason: str,
-        height: int,
-        width: int,
-        frame_index: int,
-        dither: QpDither,
-        ctus_per_frame: int,
-    ) -> np.ndarray:
-        """Synthesise a frame for a damaged slice and keep state aligned."""
-        # Later slices must see the same per-CTU QP sequence as the
-        # encoder.  A slice that failed to parse may have consumed any
-        # number of dither steps, so the dither is not advanced but
-        # positioned, in closed form, after this frame's CTUs (every
-        # frame has the same CTU count).
-        dither.seek((frame_index + 1) * ctus_per_frame)
+    def _conceal_frame(self, frame_index: int, reason: str) -> np.ndarray:
+        """Synthesise a frame for a damaged slice."""
         self.report.concealed.append((frame_index, reason))
         if self._registry is not None:
             self._registry.count("decode.slices_concealed")
         telemetry.count("resilience.slices_concealed")
         if self._reference is not None:
-            return self._reference.copy()  # neighbour (temporal) prediction
-        return np.full((height, width), _CONCEAL_FILL, dtype=np.float64)
+            return self._reference  # neighbour (temporal) prediction
+        return np.full((self._pad_h, self._pad_w), _CONCEAL_FILL, dtype=np.float64)
 
-    # -- per-frame: plan -> residuals -> reconstruct ---------------------
+    # -- per group: plan -> residuals -> reconstruct ---------------------
     #
     # Bit-exactness argument, against the interleaved reference decoder
     # (repro.codec.reference).  Stage one touches every adaptive context
@@ -345,32 +350,42 @@ class FrameDecoder:
     # order against a reconstruction mask that is, at every leaf, the
     # exact mask the interleaved loop would have had; its C form
     # evaluates the same expressions in the same order with no fused
-    # multiply-add (docs/PERFORMANCE.md).
+    # multiply-add (docs/PERFORMANCE.md).  A slice's leaves, levels and
+    # residual grids are elementwise functions of that slice alone, so
+    # which slices share its group cannot change a sample.
 
-    def _decode_frame(
-        self, height: int, width: int, frame_index: int, dither: QpDither
-    ) -> np.ndarray:
+    def _decode_group(
+        self, segments: List[bytes], indices: List[int], qps: np.ndarray
+    ) -> Tuple[np.ndarray, List[int]]:
+        """The three stages over one group of slices.
+
+        ``segments[i]`` is the slice of frame ``indices[i]`` and ``qps``
+        holds one QP per CTU of these slices, in order.  Returns the
+        float64 ``(len(segments), padded height, padded width)`` plane
+        stack and the positions in it of the slices that could not be
+        decoded (concealment mode only: strict mode raises for the first
+        of them), whose planes are to be ignored.
+        """
         h = self._header
-        ctu = h["ctu"]
-        self._inter_allowed = (
-            h["use_inter"] and frame_index > 0 and self._reference is not None
-        )
         stats = self._stats
-        # One QP per CTU in raster order; leaves find theirs by ctu_index.
-        qps = [dither.next() for _ in range((height // ctu) * (width // ctu))]
+        self._inter_allowed = (
+            h["use_inter"] and indices[0] > 0 and self._reference is not None
+        )
         if self._registry is not None:
-            for qp in qps:
+            for qp in qps.tolist():
                 self._registry.observe("decode.qp", qp)
 
-        # Stage 1: drain the range decoder into the leaf plan.
+        # Stage 1: drain every slice's range decoder into the group's plan.
         started = time.perf_counter() if stats is not None else 0.0
         with telemetry.span("decode.entropy"):
-            plan = self._plan_slice(height, width)
+            plan, report = self._plan_group(segments, indices)
+        failed = np.flatnonzero(report[:, _STATUS]).tolist()
+        leaf_end = np.ascontiguousarray(report[:, _LEAF_END])
         if stats is not None:
             now = time.perf_counter()
             stats.add_seconds("entropy", now - started)
-            stats.add_count("coeff_bins", self._dec.scan_bins)
-            _count_structure(stats, plan, len(qps))
+            stats.add_count("coeff_bins", int(report[report[:, _STATUS] == 0, _BINS].sum()))
+            _count_structure(stats, plan, (len(segments) - len(failed)) * self._ctus)
             started = now
 
         # Stage 2: one batched dequantize + inverse transform per size.
@@ -383,56 +398,91 @@ class FrameDecoder:
             stats.add_seconds("reconstruct", now - started)
             started = now
 
-        # Stage 3: prediction in dependency (decode) order.
+        # Stage 3: prediction in dependency (decode) order, plane by plane.
         with telemetry.span("decode.predict"):
-            recon = self._reconstruct(plan, resid_offset, resid, height, width)
+            planes = self._reconstruct(plan, leaf_end, resid_offset, resid)
         if stats is not None:
             stats.add_seconds("predict", time.perf_counter() - started)
-        return recon
+        return planes, failed
 
-    def _plan_slice(self, height: int, width: int) -> LeafPlan:
-        """Stage one: the slice kernel, else (or after it) the Python walk."""
+    def _plan_group(
+        self, segments: List[bytes], indices: List[int]
+    ) -> Tuple[LeafPlan, np.ndarray]:
+        """Stage one: the slice kernel over the group, else (or after it) the walk.
+
+        Returns the group's plan and its ``(slices, len(native.SLICE_REPORT))``
+        report: status, coder end state, ``scan_bins`` and the leaf /
+        level counts after each slice.  The kernel decodes every slice
+        it accepts in one call; a slice it refuses -- it formats no
+        error -- is decoded again, alone and from a fresh coder, by the
+        Python walk, which raises the canonical typed error at the same
+        bin it always did.  Strict mode lets the first such error out;
+        concealment mode marks the slice failed (status != 0, no leaves)
+        and goes on.  Without the kernels the walk decodes every slice
+        and the per-slice plans are joined into the same group table.
+        """
         h = self._header
+        height, width = self._pad_h, self._pad_w
+        report = None
         if native.available() and (
             not self._inter_allowed or self._reference.shape == (height, width)
         ):
             # Exact upper bounds: no leaf is smaller than 4 x 4 (or than
             # a CTU when partitioning is off) and coded areas are disjoint.
             smallest = max(4, h["min_cu"] if h["use_partition"] else h["ctu"])
-            rows = np.empty(
-                (len(LeafPlan.FIELDS), (height // smallest) * (width // smallest)),
-                dtype=np.int64,
+            leaf_cap = len(segments) * (height // smallest) * (width // smallest)
+            rows = np.empty((len(LeafPlan.FIELDS), leaf_cap), dtype=np.int64)
+            levels = np.empty(len(segments) * height * width, dtype=np.int64)
+            report = native.plan_slices(
+                segments, height, width, h["ctu"], h["min_cu"], h["use_partition"],
+                h["use_intra"], self._inter_allowed, self._profile.all_modes,
+                rows, levels,
             )
-            levels = np.empty(height * width, dtype=np.int64)
-            outcome = native.plan_slice(
-                self._dec,
-                self._ctx.banks(),
-                height,
-                width,
-                h["ctu"],
-                h["min_cu"],
-                h["use_partition"],
-                h["use_intra"],
-                self._inter_allowed,
-                self._profile.all_modes,
-                rows,
-                levels,
-            )
-            if outcome is not None:
-                status, n_leaves, n_levels = outcome
-                if status == 0:
-                    return LeafPlan(rows, levels[:n_levels], n_leaves)
-                # The kernel refused the slice and formats no error:
-                # decode it again from a fresh coder with the Python
-                # walk, which raises the canonical typed error at the
-                # same bin it always did.
+            if report is not None and not report[:, _STATUS].any():
+                n_leaves, n_levels = report[-1, _LEAF_END:].tolist()
+                return LeafPlan(rows, levels[:n_levels], n_leaves), report
+        parts: List[Optional[LeafPlan]] = []
+        states = np.zeros((len(segments), len(native.SLICE_REPORT)), dtype=np.int64)
+        for k, segment in enumerate(segments):
+            if report is not None and report[k, _STATUS] == 0:
+                parts.append(_slice_of(rows, levels, report, k, self._ctus))
+                states[k] = report[k]
+                continue
+            if report is not None:
                 telemetry.count("decode.kernel_refusals")
-                self._dec = BinaryDecoder(self._dec._data)
-                self._ctx = CodecContexts()
-        return self._walk_slice(height, width)
+            try:
+                parts.append(self._walk_slice(segment))
+            except Exception as exc:
+                self._undecodable(exc, indices[k])
+                parts.append(None)
+                states[k, _STATUS] = 1
+            else:
+                dec = self._dec
+                states[k, _POS : _BINS + 1] = dec._pos, dec._range, dec._code, dec.scan_bins
+        return _join_plans(parts, states, self._ctus), states
 
-    def _walk_slice(self, height: int, width: int) -> LeafPlan:
-        """Pure-Python twin of ``native.plan_slice``: same plan, same state."""
+    def _undecodable(self, exc: Exception, frame_index: int) -> None:
+        """A CRC-valid slice failed to parse: raise (strict) or return (conceal)."""
+        if self._conceal:
+            return
+        if isinstance(exc, CorruptStreamError):
+            raise exc
+        # Crafted or colliding damage must not leak raw IndexError/EOFError.
+        raise CorruptStreamError(
+            f"slice {frame_index}: undecodable ({type(exc).__name__}: {exc})"
+        ) from exc
+
+    def _walk_slice(self, segment: bytes) -> LeafPlan:
+        """Pure-Python twin of ``native.plan_slices`` for one slice.
+
+        Fresh entropy state -- what makes slices independently decodable
+        (and bit-exact with the encoder) -- left in ``_dec`` / ``_ctx``
+        for the caller to read; the plan is the slice's own (level
+        offsets and CTU indices start at 0).
+        """
+        self._dec = BinaryDecoder(segment)
+        self._ctx = CodecContexts()
+        height, width = self._pad_h, self._pad_w
         ctu = self._header["ctu"]
         # The plan-time mask/mode maps drive neighbour-mode contexts
         # exactly as the interleaved loop's post-leaf updates would.
@@ -462,14 +512,8 @@ class FrameDecoder:
         return plan
 
     def _plan_cu(
-        self,
-        y0: int,
-        x0: int,
-        size: int,
-        depth: int,
-        ctu_index: int,
-        leaves: List[tuple],
-        scans: List[np.ndarray],
+        self, y0: int, x0: int, size: int, depth: int, ctu_index: int,
+        leaves: List[tuple], scans: List[np.ndarray],
     ) -> None:
         h = self._header
         if h["use_partition"] and size > h["min_cu"]:
@@ -478,25 +522,15 @@ class FrameDecoder:
                 for qy in (0, 1):
                     for qx in (0, 1):
                         self._plan_cu(
-                            y0 + qy * half,
-                            x0 + qx * half,
-                            half,
-                            depth + 1,
-                            ctu_index,
-                            leaves,
-                            scans,
+                            y0 + qy * half, x0 + qx * half, half, depth + 1,
+                            ctu_index, leaves, scans,
                         )
                 return
         self._plan_leaf(y0, x0, size, ctu_index, leaves, scans)
 
     def _plan_leaf(
-        self,
-        y0: int,
-        x0: int,
-        size: int,
-        ctu_index: int,
-        leaves: List[tuple],
-        scans: List[np.ndarray],
+        self, y0: int, x0: int, size: int, ctu_index: int,
+        leaves: List[tuple], scans: List[np.ndarray],
     ) -> None:
         h = self._header
         is_inter = False
@@ -543,10 +577,7 @@ class FrameDecoder:
         return value if value >= 0 else None
 
     def _batch_residuals(
-        self,
-        plan: LeafPlan,
-        qps: List[int],
-        use_transform: bool,
+        self, plan: LeafPlan, qps: np.ndarray, use_transform: bool,
         stats: Optional[DecodeStats],
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Dequantize + inverse-transform every coded leaf, batched by size.
@@ -561,10 +592,7 @@ class FrameDecoder:
         sizes = plan.field("size")
         coeff = plan.field("coeff_offset")
         coded = coeff >= 0
-        step_of_qp = {qp: qstep(qp) for qp in set(qps)}
-        steps = np.array([step_of_qp[qp] for qp in qps], dtype=np.float64)[
-            plan.field("ctu_index")
-        ]
+        steps = _QSTEPS[qps][plan.field("ctu_index")]
         resid_offset = np.full(plan.n_leaves, -1, dtype=np.int64)
         # The residual kernel lives in the encode library: not loaded is
         # not a refusal.
@@ -601,52 +629,53 @@ class FrameDecoder:
         if stats is not None:
             stats.add_count("batches", len(grids_by_size))
             stats.add_count("batched_blocks", int(coded.sum()))
-        resid = (
-            np.concatenate(grids_by_size)
-            if grids_by_size
-            else np.empty(0, dtype=np.float64)
-        )
-        return resid_offset, resid
+        if not grids_by_size:
+            return resid_offset, np.empty(0, dtype=np.float64)
+        return resid_offset, np.concatenate(grids_by_size)
 
     def _reconstruct(
-        self,
-        plan: LeafPlan,
-        resid_offset: np.ndarray,
+        self, plan: LeafPlan, leaf_end: np.ndarray, resid_offset: np.ndarray,
         resid: np.ndarray,
-        height: int,
-        width: int,
     ) -> np.ndarray:
-        """Stage three: the reconstruct kernel, else the Python loop."""
-        recon = np.zeros((height, width), dtype=np.float64)
-        # Fresh mask: at leaf k it holds exactly leaves 0..k-1, which is
-        # what the interleaved loop's reference gather saw at leaf k.
-        mask = np.zeros((height, width), dtype=bool)
-        reference = self._reference if self._inter_allowed else None
+        """Stage three: the reconstruct kernel, else the Python loop.
+
+        One float64 plane per slice; slice ``k`` is the leaves
+        ``leaf_end[k - 1] .. leaf_end[k]`` of the plan.
+        """
+        shape = (len(leaf_end), self._pad_h, self._pad_w)
+        recon = np.zeros(shape, dtype=np.float64)
+        # Fresh masks: at leaf k a slice's holds exactly its leaves
+        # 0..k-1, which is what the interleaved loop's reference gather
+        # saw at leaf k.
+        mask = np.zeros(shape, dtype=bool)
         if native.available():
-            if native.reconstruct_slice(
-                recon, mask, reference, plan.rows, plan.n_leaves, resid_offset, resid
+            reference = self._reference if self._inter_allowed else None
+            if native.reconstruct_slices(
+                recon, mask, reference, plan.rows, leaf_end, resid_offset, resid
             ):
                 return recon
             telemetry.count("decode.kernel_refusals")
-        self._apply_predictions(plan, resid_offset, resid, recon, mask)
+        start = 0
+        for k, end in enumerate(leaf_end.tolist()):
+            self._apply_predictions(
+                plan, start, end, resid_offset, resid, recon[k], mask[k]
+            )
+            start = end
         return recon
 
     def _apply_predictions(
-        self,
-        plan: LeafPlan,
-        resid_offset: np.ndarray,
-        resid: np.ndarray,
-        recon: np.ndarray,
-        mask: np.ndarray,
+        self, plan: LeafPlan, start: int, end: int, resid_offset: np.ndarray,
+        resid: np.ndarray, recon: np.ndarray, mask: np.ndarray,
     ) -> None:
-        """Pure-Python twin of ``native.reconstruct_slice``."""
+        """Pure-Python twin of ``native.reconstruct_slices`` for one plane:
+        the leaves ``start .. end`` of the plan."""
         zeros = {
             n: np.zeros((n, n), dtype=np.float64)
             for n in np.unique(plan.field("size")).tolist()
         }
-        leaves = plan.rows[:, : plan.n_leaves].T.tolist()
+        leaves = plan.rows[:, start:end].T.tolist()
         for (y0, x0, size, mode, is_inter, ry, rx, _ctu, _coeff), offset in zip(
-            leaves, resid_offset.tolist()
+            leaves, resid_offset[start:end].tolist()
         ):
             if is_inter:
                 prediction = self._reference[
@@ -664,6 +693,47 @@ class FrameDecoder:
             sl = (slice(y0, y0 + size), slice(x0, x0 + size))
             recon[sl] = np.clip(prediction + residual, 0.0, 255.0)
             mask[sl] = True
+
+
+def _slice_of(
+    rows: np.ndarray, levels: np.ndarray, report: np.ndarray, k: int, ctus: int
+) -> LeafPlan:
+    """Slice ``k`` of a group's plan as a plan of its own (a copy): level
+    offsets and CTU indices start at 0, as ``_walk_slice`` returns them."""
+    leaf_start, level_start = report[k - 1, _LEAF_END:] if k else (0, 0)
+    leaf_end, level_end = report[k, _LEAF_END:]
+    own = rows[:, leaf_start:leaf_end].copy()
+    own[_CTU_INDEX] -= k * ctus
+    offsets = own[_COEFF_OFFSET]
+    offsets[offsets >= 0] -= level_start
+    return LeafPlan(own, levels[level_start:level_end], int(leaf_end - leaf_start))
+
+
+def _join_plans(
+    parts: List[Optional[LeafPlan]], report: np.ndarray, ctus: int
+) -> LeafPlan:
+    """Per-slice plans (``None``: nothing decoded) as one group plan.
+
+    The layout ``native.plan_slices`` fills: columns and levels slice
+    after slice, ``coeff_offset`` into the one level buffer, ``ctu_index``
+    counting on (``k * ctus`` at slice ``k``).  Writes the running leaf /
+    level ends into ``report``.
+    """
+    empty = LeafPlan(
+        np.empty((len(LeafPlan.FIELDS), 0), dtype=np.int64), np.empty(0, dtype=np.int64), 0
+    )
+    parts = [empty if part is None else part for part in parts]
+    report[:, _LEAF_END] = np.cumsum([part.n_leaves for part in parts])
+    report[:, _LEVEL_END] = np.cumsum([len(part.levels) for part in parts])
+    rows = np.concatenate([part.rows[:, : part.n_leaves] for part in parts], axis=1)
+    for k, part in enumerate(parts):
+        own = rows[:, report[k, _LEAF_END] - part.n_leaves : report[k, _LEAF_END]]
+        own[_CTU_INDEX] += k * ctus
+        offsets = own[_COEFF_OFFSET]
+        offsets[offsets >= 0] += report[k, _LEVEL_END] - len(part.levels)
+    return LeafPlan(
+        rows, np.concatenate([part.levels for part in parts]), rows.shape[1]
+    )
 
 
 def _count_structure(stats: DecodeStats, plan: LeafPlan, n_ctus: int) -> None:
@@ -685,58 +755,23 @@ def _count_structure(stats: DecodeStats, plan: LeafPlan, n_ctus: int) -> None:
             stats.add_count(name, value)
 
 
-@lru_cache(maxsize=64)
-def _worker_header(raw_header: bytes) -> dict:
-    """Parse (and memoise) a stream header inside a worker.
+def _decode_run_worker(args) -> Tuple[List[np.ndarray], Optional[DecodeStats]]:
+    """Decode a run of consecutive groups in isolation (picklable).
 
-    Slice tasks ship the 21 raw header bytes instead of the unpacked
-    frame-context dict, so a process pool pickles a tiny bytes object
-    per task and each worker pays the parse once per distinct stream
-    shape.  The returned dict is shared -- callers must not mutate it.
+    Tasks ship the raw header bytes, not the unpacked frame context: a
+    decoder over a header alone is a strict decoder for that stream
+    shape, and its :meth:`FrameDecoder._decode_run` is the body the
+    serial loop runs, so parallel failures surface as the identical
+    :class:`CorruptStreamError`.  When the dispatcher is collecting
+    telemetry (``parallel_map`` then runs this under a child registry)
+    the run's :class:`DecodeStats` ledger travels back with the frames,
+    so a fanned-out decode publishes the ``decode.*`` counters a serial
+    one does; stage seconds add up across workers and may exceed wall
+    time.
     """
-    return unpack_header(raw_header)
-
-
-def _decode_slices_worker(args) -> Tuple[List[np.ndarray], Optional[DecodeStats]]:
-    """Decode a run of consecutive slices in isolation (picklable).
-
-    Mirrors the strict-mode body of :meth:`FrameDecoder._decode_slice`:
-    fresh entropy state per slice, the first frame's dither jumped to
-    via the closed form, and the same exception wrapping so parallel
-    failures surface as the identical :class:`CorruptStreamError`.  When
-    the dispatcher is collecting telemetry (``parallel_map`` then runs
-    this under a child registry) the run's :class:`DecodeStats` ledger
-    travels back with the samples, so the parent publishes the same
-    ``decode.*`` counters fanned out as it does serially; stage seconds
-    then add up across workers and may exceed wall time.
-    """
-    raw_header, segments, first_index, pad_h, pad_w, ctus_per_frame = args
-    header = _worker_header(raw_header)
-    dec = FrameDecoder.__new__(FrameDecoder)
-    dec._header = header
-    dec._profile = PROFILES_BY_ID[header["profile_id"]]
-    dec._conceal = False
-    dec._parallel = None
-    dec._registry = telemetry.current()
-    dec._stats = DecodeStats() if dec._registry is not None else None
-    dec._reference = None
-    dec.report = ConcealmentReport()
-    dither = QpDither.advanced(
-        header["qp_base"], header["qp_frac"], first_index * ctus_per_frame
-    )
-    recons = []
-    for frame_index, segment in enumerate(segments, first_index):
-        dec._dec = BinaryDecoder(segment)
-        dec._ctx = CodecContexts()
-        try:
-            recons.append(dec._decode_frame(pad_h, pad_w, frame_index, dither))
-        except CorruptStreamError:
-            raise
-        except Exception as exc:
-            raise CorruptStreamError(
-                f"slice {frame_index}: undecodable ({type(exc).__name__}: {exc})"
-            ) from exc
-    return recons, dec._stats
+    raw_header, segments, first_index, per_group = args
+    decoder = FrameDecoder(raw_header)
+    return decoder._decode_run(segments, {}, first_index, per_group), decoder._stats
 
 
 def decode_frames(

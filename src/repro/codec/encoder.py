@@ -104,7 +104,9 @@ _PARALLEL_MIN_BYTES = 1 << 16
 #: pass 1 ever allocated, so peak memory keeps its bound while a KV
 #: page's four one-CTU slices share one DCT, GEMM and pick call per size.
 #: Groups depend on the frame list only, never on executor or workers.
-_PASS1_GROUP_SAMPLES = 1 << 16
+#: The decoder groups slices by the same bound (its three stages run
+#: once per group), so the name is neither side's.
+GROUP_SAMPLES = 1 << 16
 
 
 def _effective_cpus() -> int:
@@ -605,7 +607,7 @@ class FrameEncoder:
         # A fan-out hands out whole pass-1 groups, so what a worker
         # batches is what the serial loop batches.
         per_group = (
-            max(1, _PASS1_GROUP_SAMPLES // (pad_h * pad_w))
+            max(1, GROUP_SAMPLES // (pad_h * pad_w))
             if self._turbo_frames and not cfg.use_inter
             else 1
         )

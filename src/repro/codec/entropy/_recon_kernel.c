@@ -8,8 +8,9 @@
  *                           repro.codec.intra.gather_references, also
  *                           exported on its own for the encoder
  *                           (native.refs).
- * llm265_reconstruct_slice  FrameDecoder._apply_predictions over the
- *                           flat leaf plan of _slice_kernel.c.
+ * llm265_reconstruct_slices FrameDecoder._apply_predictions over the
+ *                           flat leaf plan of _slice_kernel.c, one
+ *                           plane per slice of the group.
  * llm265_dc_sum             the DC reduction alone, so the loader can
  *                           check it against the installed numpy.
  *
@@ -24,13 +25,15 @@
  * (sequential below 8 elements, else eight running lanes combined as
  * ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and a sequential tail).
  *
- * The plan is validated in full before the first sample is written,
- * so a non-zero status leaves recon and mask untouched and the caller
- * runs the Python loop instead.
+ * The plan is validated in full -- every slice of the group -- before
+ * the first sample is written, so a non-zero status leaves recon and
+ * mask untouched and the caller runs the Python loop instead.
  *
  * Return status: 0 = ok, 1 = block size out of range, 2 = a leaf lies
  * outside the frame or names an unknown mode, 3 = an inter leaf with no
- * or an out-of-range reference block, 4 = residual offset out of range.
+ * or an out-of-range reference block, 4 = residual offset out of range,
+ * 5 = the slice boundaries are not a non-decreasing run inside the
+ * table.
  *
  * Built on demand by repro.codec.entropy.native; the numpy code
  * remains the fallback.
@@ -248,27 +251,24 @@ static int check_plan(
     return 0;
 }
 
-/* recon (height x width, zero-filled) receives the float64 plane and
- * mask (same shape, zero-filled) ends all ones.  A leaf with
- * is_inter copies its block of `reference` (same shape as recon);
+/* One plane: recon (height x width, zero-filled) receives the float64
+ * samples and mask (same shape, zero-filled) ends all ones.  A leaf
+ * with is_inter copies its block of `reference` (same shape as recon);
  * otherwise mode >= 0 is an intra mode and mode == -1 the flat
  * mid-grey prediction of a stream coded without intra.  resid_offset[i]
  * indexes the leaf's row-major n x n residual grid in `resid`; -1 is
- * the exactly-zero residual of a cbf = 0 leaf. */
-int64_t llm265_reconstruct_slice(
+ * the exactly-zero residual of a cbf = 0 leaf.  The caller has run
+ * check_plan over these leaves. */
+static void reconstruct_slice(
     double *recon, uint8_t *mask, int64_t height, int64_t width,
     const double *reference,
     const int64_t *plan, int64_t stride, int64_t n_leaves,
-    const int64_t *resid_offset, const double *resid, int64_t resid_len)
+    const int64_t *resid_offset, const double *resid)
 {
     double pred[MAX_LEAF * MAX_LEAF];
     double top[2 * MAX_LEAF + 1], left[2 * MAX_LEAF + 1];
     int64_t i, y, x;
-    int status = check_plan(height, width, reference, plan, stride, n_leaves,
-                            resid_offset, resid_len);
 
-    if (status)
-        return status;
     for (i = 0; i < n_leaves; i++) {
         int64_t y0 = plan[P_Y0 * stride + i], x0 = plan[P_X0 * stride + i];
         int64_t n = plan[P_SIZE * stride + i];
@@ -307,5 +307,39 @@ int64_t llm265_reconstruct_slice(
             }
         }
     }
+}
+
+/* A group of `count` planes over one plan of n_leaves columns (and as
+ * many residual offsets): recon and mask are (count, height, width)
+ * stacks, zero-filled, and plane k takes the leaves leaf_end[k - 1] ..
+ * leaf_end[k] of the table (same stride, leaf_end[-1] = 0; an empty
+ * range leaves its plane untouched).  Every slice's sub-plan is
+ * validated before any sample of any plane is written. */
+int64_t llm265_reconstruct_slices(
+    double *recon, uint8_t *mask, int64_t count, int64_t height,
+    int64_t width, const double *reference,
+    const int64_t *plan, int64_t stride, int64_t n_leaves,
+    const int64_t *leaf_end,
+    const int64_t *resid_offset, const double *resid, int64_t resid_len)
+{
+    int64_t k, start = 0;
+
+    if (n_leaves > stride)
+        return 5;
+    for (k = 0; k < count; start = leaf_end[k++]) {
+        int status;
+        if (leaf_end[k] < start || leaf_end[k] > n_leaves)
+            return 5;
+        status = check_plan(height, width, reference, plan + start, stride,
+                            leaf_end[k] - start, resid_offset + start,
+                            resid_len);
+        if (status)
+            return status;
+    }
+    for (k = 0, start = 0; k < count; start = leaf_end[k++])
+        reconstruct_slice(recon + k * height * width,
+                          mask + k * height * width, height, width, reference,
+                          plan + start, stride, leaf_end[k] - start,
+                          resid_offset + start, resid);
     return 0;
 }

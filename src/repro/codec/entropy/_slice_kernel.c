@@ -1,32 +1,34 @@
-/* Whole-slice entropy decode: one call drains one CRC-verified slice.
+/* Whole-slice entropy decode: one call drains a group of consecutive
+ * CRC-verified slices (llm265_decode_slices, at the end of the file).
  *
- * Walks the CTU quadtree exactly as FrameDecoder._plan_cu / _plan_leaf
- * do -- split flags, pred_flag, the 3-entry MPM intra-mode scheme read
- * against a plan-time mode map, motion vectors (adaptive UEG + sign,
- * bounds-checked against the reference frame), cbf, the last-position
- * UEG and the fused significance / level / sign coefficient scan of
- * BinaryDecoder.decode_coeff_scan -- and fills one flat leaf plan: a
- * (PLAN_ROWS, leaf_cap) int64 table with one column per leaf in decode
- * order plus one scan-order level buffer that coded leaves index
- * through their coeff_offset row (-1 = cbf 0, no levels stored).
+ * Per slice it walks the CTU quadtree exactly as FrameDecoder._plan_cu
+ * / _plan_leaf do -- split flags, pred_flag, the 3-entry MPM intra-mode
+ * scheme read against a plan-time mode map, motion vectors (adaptive
+ * UEG + sign, bounds-checked against the reference frame), cbf, the
+ * last-position UEG and the fused significance / level / sign
+ * coefficient scan of BinaryDecoder.decode_coeff_scan -- and appends to
+ * the group's one flat leaf plan: a (PLAN_ROWS, leaf_cap) int64 table
+ * with one column per leaf in decode order plus one scan-order level
+ * buffer that coded leaves index through their coeff_offset row
+ * (-1 = cbf 0, no levels stored).
  *
  * The range decoder is the same LZMA-style design as arithmetic.py
  * (32-bit range/code, 11-bit probabilities, shift-5 adaptation, one
  * byte shift per renormalisation: adapted probabilities stay inside
  * [31, 2017], so a single shift always restores range >= 2^24) and
  * every operation is exact in uint32/int64, so the plan, the coder
- * state written back through state_io and every context bank -- the
- * live array('i') buffers of one CodecContexts, adapted in place --
- * are bit-identical to the Python walk.  tests/test_fast_decode.py
- * locks the two together.
+ * end state reported per slice and every context bank -- one
+ * CodecContexts' worth per slice, set up and adapted here -- are
+ * bit-identical to the Python walk.  tests/test_fast_decode.py and
+ * tests/test_decode_groups.py lock the two together.
  *
  * This file is a trust boundary: the slice bytes are hostile input.
  * Every table write is capacity-checked, every decoded index is
  * range-checked, and nothing is ever formatted here: any non-zero
- * status makes the caller re-decode the slice with the Python walk,
+ * status makes the caller re-decode that slice with the Python walk,
  * which raises the canonical typed error.
  *
- * Return status: 0 = ok, 1 = runaway Exp-Golomb suffix, 2 = level
+ * Slice status: 0 = ok, 1 = runaway Exp-Golomb suffix, 2 = level
  * magnitude beyond int64, 3 = last position out of range, 4 = intra
  * mode index out of range, 5 = motion vector outside the reference,
  * 6 = plan or level capacity would be exceeded, 7 = block geometry
@@ -39,6 +41,7 @@
 
 #define PROB_BITS 11
 #define PROB_ONE 2048
+#define PROB_INIT (PROB_ONE / 2)
 #define ADAPT_SHIFT 5
 #define TOP (1u << 24)
 
@@ -479,13 +482,74 @@ static int cu(slice *s, int64_t y0, int64_t x0, int64_t size, int64_t depth)
     return leaf(s, y0, x0, size);
 }
 
-/* state_io: {pos, range, code, scan_bins, n_leaves, n_levels}; the
- * first three are read as the coder's entry state, all six written
- * back on every return.  mode_map holds (height / 4) * (width / 4)
- * cells the caller initialised to -1. */
-int64_t llm265_decode_slice(
-    const uint8_t *data, int64_t dlen, int64_t *state_io,
-    int32_t *const *banks,
+/* Columns of the per-slice report (native.SLICE_REPORT). */
+enum { R_STATUS, R_POS, R_RANGE, R_CODE, R_BINS, R_LEAF_END, R_LEVEL_END,
+       REPORT_COLS };
+
+/* CodecContexts: every bank's length, and their sum. */
+static const int BANK_SIZES[N_BANKS] = {6, 1, 1, 2, 2, 50, 15, 15, 8};
+#define BANK_TOTAL 100
+
+/* One slice of the group on fresh entropy state: BinaryDecoder.__init__
+ * (the first byte is the encoder's cache seed, four code bytes, zero
+ * past the end), CodecContexts() (every context equiprobable, laid out
+ * bank after bank in `bank`) and an empty mode map.  Leaves, levels and
+ * CTU indices run on from where the previous slice of the group left
+ * them. */
+static int one_slice(slice *s, const uint8_t *data, int64_t dlen,
+                     int32_t *bank, int64_t ctu)
+{
+    int32_t *banks[N_BANKS];
+    int64_t i, y0, x0;
+    int status = ST_OK;
+
+    s->data = data;
+    s->dlen = dlen;
+    s->pos = 1;
+    s->rng = 0xFFFFFFFFu;
+    s->code = 0;
+    s->bins = 0;
+    for (i = 0; i < 4; i++) {
+        s->code = (s->code << 8) | NEXT_BYTE(data, dlen, s->pos);
+        s->pos++;
+    }
+    for (i = 0; i < BANK_TOTAL; i++)
+        bank[i] = PROB_INIT;
+    for (i = 0; i < N_BANKS; i++) {
+        banks[i] = bank;
+        bank += BANK_SIZES[i];
+    }
+    s->banks = banks;
+    for (i = 0; i < (s->height / 4) * s->map_w; i++)
+        s->mode_map[i] = -1;
+    for (y0 = 0; y0 < s->height && !status; y0 += ctu)
+        for (x0 = 0; x0 < s->width && !status; x0 += ctu) {
+            status = cu(s, y0, x0, ctu, 0);
+            s->ctu_index++;
+        }
+    s->banks = 0;
+    return status;
+}
+
+/* Drains `count` consecutive slices of one stream -- data[k], dlen[k]
+ * -- into one leaf plan and one level buffer, each on a fresh coder and
+ * fresh contexts, so coeff_offset indexes the group's one level buffer
+ * and ctu_index numbers the group's CTUs slice after slice (the caller
+ * keeps one QP per CTU of the group).  Both capacities are the group's.
+ *
+ * report (count x REPORT_COLS) receives per slice its status, the
+ * coder's end state (position, range, code), its scan_bins and the
+ * running leaf / level counts after it.  A slice that is refused gives
+ * its columns back -- the counts after it are the counts before it, so
+ * the ends are always non-decreasing slice boundaries -- and the slices
+ * behind it are still decoded.  banks (count x BANK_TOTAL) is scratch
+ * the caller provides: row k ends as slice k's adapted contexts.
+ * mode_map holds (height / 4) * (width / 4) cells.
+ *
+ * Returns the number of refused slices. */
+int64_t llm265_decode_slices(
+    const uint8_t *const *data, const int64_t *dlen, int64_t count,
+    int64_t *report, int32_t *banks,
     int64_t height, int64_t width, int64_t ctu, int64_t min_cu,
     int64_t use_partition, int64_t use_intra, int64_t inter_allowed,
     const int32_t *all_modes, int64_t n_modes,
@@ -494,28 +558,39 @@ int64_t llm265_decode_slice(
     int64_t *levels, int64_t level_cap)
 {
     slice s = {
-        data, dlen, state_io[0], (uint32_t)state_io[1],
-        (uint32_t)state_io[2], 0, banks, height, width, min_cu,
+        0, 0, 0, 0, 0, 0, 0, height, width, min_cu,
         use_partition != 0, use_intra != 0, inter_allowed != 0,
         all_modes, n_modes, mode_map, width / 4,
         plan, leaf_cap, 0, levels, level_cap, 0, 0,
     };
-    int64_t y0, x0;
-    int status = ST_OK;
+    int geometry = (ctu == 4 || ctu == 8 || ctu == 16 || ctu == 32 ||
+                    ctu == 64) &&
+                   height > 0 && width > 0 && height % ctu == 0 &&
+                   width % ctu == 0;
+    int64_t ctus = geometry ? (height / ctu) * (width / ctu) : 0;
+    int64_t k, refused = 0;
 
-    if ((ctu != 4 && ctu != 8 && ctu != 16 && ctu != 32 && ctu != 64) ||
-        height <= 0 || width <= 0 || height % ctu || width % ctu)
-        status = ST_GEOMETRY;
-    for (y0 = 0; y0 < height && !status; y0 += ctu)
-        for (x0 = 0; x0 < width && !status; x0 += ctu) {
-            status = cu(&s, y0, x0, ctu, 0);
-            s.ctu_index++;
+    for (k = 0; k < count; k++) {
+        int64_t *row = report + k * REPORT_COLS;
+        int64_t leaf_start = s.n_leaves, level_start = s.n_levels;
+        int status = ST_GEOMETRY;
+
+        s.ctu_index = k * ctus;
+        if (geometry)
+            status = one_slice(&s, data[k], dlen[k], banks + k * BANK_TOTAL,
+                               ctu);
+        if (status) {
+            s.n_leaves = leaf_start;
+            s.n_levels = level_start;
+            refused++;
         }
-    state_io[0] = s.pos;
-    state_io[1] = s.rng;
-    state_io[2] = s.code;
-    state_io[3] = s.bins;
-    state_io[4] = s.n_leaves;
-    state_io[5] = s.n_levels;
-    return status;
+        row[R_STATUS] = status;
+        row[R_POS] = s.pos;
+        row[R_RANGE] = s.rng;
+        row[R_CODE] = s.code;
+        row[R_BINS] = s.bins;
+        row[R_LEAF_END] = s.n_leaves;
+        row[R_LEVEL_END] = s.n_levels;
+    }
+    return refused;
 }

@@ -5,13 +5,15 @@ Five kernels, built from four C files by one self-building pipeline
 coefficient-block writer -- is only ever ``#include``d):
 
 ``slice``  ``_slice_kernel.c`` -- whole-slice entropy *decode*: one
-           call walks the CTU quadtree of a slice (split flags, modes,
-           motion vectors, cbf, last position, fused coefficient scan)
-           and fills the flat leaf plan of
-           :class:`repro.codec.decoder.LeafPlan`.
+           call walks the CTU quadtree of every slice of a group (split
+           flags, modes, motion vectors, cbf, last position, fused
+           coefficient scan), each from a fresh coder and fresh
+           contexts, and fills the group's flat leaf plan
+           (:class:`repro.codec.decoder.LeafPlan`).
 ``recon``  ``_recon_kernel.c`` -- whole-slice *reconstruction* over that
            plan: reference gather, planar / DC / angular / inter
-           prediction, + residual, clip, for every leaf in one call.
+           prediction, + residual, clip, for every leaf of every slice
+           of the group in one call, one plane per slice.
 ``refs``   the same ``_recon_kernel.c`` (one shared object, second
            symbol) -- intra reference gather with boundary
            substitution, on its own for the encoder.
@@ -53,9 +55,13 @@ third-party package is involved -- the kernels are C files, ``cc``, and
 
 The kernels release the GIL for the duration of each call (plain
 ``ctypes.CDLL`` behaviour).  That only buys thread parallelism where a
-call covers enough work: the whole-slice kernels do (a slice is two
-calls to decode, one to encode after pass 1), the per-block kernels do
-not (see docs/PERFORMANCE.md).
+call covers enough work: the whole-slice kernels do (a *group* of
+consecutive slices -- as many as fit in one 256 x 256 slice's samples,
+a KV page's four -- is one :func:`plan_slices` call, one
+:func:`residuals` call per block size and one
+:func:`reconstruct_slices` call to decode; a slice is one call to
+encode after pass 1), the per-block kernels do not (see
+docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -77,8 +83,8 @@ import numpy as np
 __all__ = [
     "available",
     "kernel_status",
-    "plan_slice",
-    "reconstruct_slice",
+    "plan_slices",
+    "reconstruct_slices",
     "encode_available",
     "encode_slice",
     "dct2",
@@ -92,10 +98,11 @@ _SOURCE_DIR = os.path.dirname(__file__)
 _BUILD_DIR = os.path.join(_SOURCE_DIR, "_build")
 
 _SLICE_ARGTYPES = [
-    ctypes.c_char_p,  # data
-    ctypes.c_int64,  # dlen
-    ctypes.c_void_p,  # state_io (int64[6])
-    ctypes.c_void_p,  # banks (int32 *[9])
+    ctypes.c_void_p,  # data (const uint8 *[count], one per slice)
+    ctypes.c_void_p,  # dlen (int64[count])
+    ctypes.c_int64,  # count
+    ctypes.c_void_p,  # report (int64, count x len(SLICE_REPORT))
+    ctypes.c_void_p,  # banks (int32, count x BANK_TOTAL)
     ctypes.c_int64,  # height
     ctypes.c_int64,  # width
     ctypes.c_int64,  # ctu
@@ -113,15 +120,17 @@ _SLICE_ARGTYPES = [
 ]
 
 _RECON_ARGTYPES = [
-    ctypes.c_void_p,  # recon (float64)
-    ctypes.c_void_p,  # mask (uint8/bool)
+    ctypes.c_void_p,  # recon (float64, count x height x width)
+    ctypes.c_void_p,  # mask (uint8/bool, same shape)
+    ctypes.c_int64,  # count
     ctypes.c_int64,  # height
     ctypes.c_int64,  # width
-    ctypes.c_void_p,  # reference (float64, NULL when no inter leaf)
+    ctypes.c_void_p,  # reference (float64 plane, NULL when no inter leaf)
     ctypes.c_void_p,  # plan (int64, 9 x stride)
     ctypes.c_int64,  # stride
     ctypes.c_int64,  # n_leaves
-    ctypes.c_void_p,  # resid_offset (int64)
+    ctypes.c_void_p,  # leaf_end (int64[count])
+    ctypes.c_void_p,  # resid_offset (int64[n_leaves])
     ctypes.c_void_p,  # resid (float64)
     ctypes.c_int64,  # resid_len
 ]
@@ -311,11 +320,11 @@ class _Kernel:
 _KERNELS: Dict[str, _Kernel] = {
     k.name: k
     for k in (
-        _Kernel("slice", "_slice_kernel.c", "llm265_decode_slice", _SLICE_ARGTYPES),
+        _Kernel("slice", "_slice_kernel.c", "llm265_decode_slices", _SLICE_ARGTYPES),
         _Kernel(
             "recon",
             "_recon_kernel.c",
-            "llm265_reconstruct_slice",
+            "llm265_reconstruct_slices",
             _RECON_ARGTYPES,
             check=_check_dc_sum,
         ),
@@ -510,7 +519,7 @@ def _resolve(name: str):
 def available() -> bool:
     """True when both whole-slice decode kernels are loaded and usable.
 
-    The decoder asks this once per slice (and once per fan-out
+    The decoder asks this once per group of slices (and once per fan-out
     decision); tests monkeypatch it to force the pure-Python walk.  The
     per-block encode kernels are gated by :func:`cost` / :func:`refs`
     declining instead.
@@ -540,10 +549,15 @@ def kernel_status(resolve: bool = True) -> Dict[str, str]:
     return {name: k.state for name, k in _KERNELS.items()}
 
 
-#: Minimum length of each context bank handed to :func:`plan_slice`, in
-#: the order of ``CodecContexts.banks()`` (the kernel indexes them with
-#: the context layout of :mod:`repro.codec.syntax`).
+#: Length of each context bank in the order of ``CodecContexts.banks()``
+#: (the kernels index them with the context layout of
+#: :mod:`repro.codec.syntax`): the minimum :func:`encode_slice` accepts,
+#: and how :func:`plan_slices` lays one slice's contexts out in a row.
 _SLICE_BANK_SIZES = (6, 1, 1, 2, 2, 50, 15, 15, 8)
+BANK_TOTAL = sum(_SLICE_BANK_SIZES)
+
+#: Columns of :func:`plan_slices`' per-slice report (``R_*`` in the C file).
+SLICE_REPORT = ("status", "pos", "range", "code", "scan_bins", "leaf_end", "level_end")
 
 #: Rows of a leaf-plan table, in order (``P_*`` in the two C files);
 #: :class:`repro.codec.decoder.LeafPlan` documents their meaning.
@@ -582,9 +596,8 @@ def _pointer_table(arrays: Sequence[Optional[np.ndarray]]):
     )
 
 
-def plan_slice(
-    dec,
-    banks: Sequence[array],
+def plan_slices(
+    segments: Sequence[bytes],
     height: int,
     width: int,
     ctu: int,
@@ -595,32 +608,43 @@ def plan_slice(
     all_modes: Sequence[int],
     rows: np.ndarray,
     levels: np.ndarray,
-) -> Optional[Tuple[int, int, int]]:
-    """Drain one slice into a leaf plan; ``None`` when unavailable.
+    banks: Optional[np.ndarray] = None,
+) -> Optional[np.ndarray]:
+    """Drain a group of slices into one leaf plan; ``None`` when unavailable.
 
-    ``dec`` is a :class:`BinaryDecoder` positioned at the start of the
-    slice, ``banks`` the live ``array('i')`` probability banks of one
-    ``CodecContexts`` (adapted in place), ``rows`` a C-contiguous
-    ``(PLAN_ROWS, leaf_cap)`` int64 table and ``levels`` an int64
-    vector; both capacities are taken from the arrays and enforced by
-    the kernel.  ``inter_allowed`` promises a reference frame of
-    exactly ``height x width`` samples.
+    ``segments`` are the CRC-verified payloads of consecutive slices of
+    one stream (a group of one is the same call); each is decoded from a
+    fresh coder and fresh equiprobable contexts, set up in C.  ``rows``
+    is a C-contiguous ``(PLAN_ROWS, leaf_cap)`` int64 table and
+    ``levels`` an int64 vector, shared by the group: leaves and levels
+    are appended slice after slice, ``coeff_offset`` indexes the one
+    level buffer and ``ctu_index`` counts on across slices
+    (``k * ctus_per_frame`` at the start of slice ``k``).  Both
+    capacities are taken from the arrays and enforced by the kernel.
+    ``inter_allowed`` promises a reference frame of exactly
+    ``height x width`` samples.  ``banks``, when given, is a
+    ``(len(segments), BANK_TOTAL)`` int32 array that receives every
+    slice's adapted contexts, bank after bank in ``CodecContexts.banks()``
+    order (tests read it; the decoder has no use for it).
 
-    Returns ``(status, n_leaves, n_levels)``.  On status 0 the plan
-    holds exactly what ``FrameDecoder``'s Python walk would have
-    produced and ``dec`` (position, range, code, ``scan_bins``) and
-    the banks are left in the same state.  Any other status means the
-    slice is not decodable by the kernel -- corrupt input or an
-    exceeded capacity -- with ``dec`` and the banks part-consumed: the
-    caller re-decodes from a fresh coder with the Python walk, which
-    raises the canonical error.
+    Returns the ``(len(segments), len(SLICE_REPORT))`` int64 report: per
+    slice its status, the coder's end state (``pos``, ``range``,
+    ``code``), its ``scan_bins`` and the leaf / level counts of the
+    group after it.  On status 0 the slice's columns, levels, coder
+    state and contexts are exactly what ``FrameDecoder._walk_slice``
+    produces.  Any other status means the kernel refuses that slice --
+    corrupt input or an exceeded capacity: it contributes nothing (its
+    ends equal the previous slice's; whatever it wrote is overwritten by
+    the next slice or lies past the reported ends), the slices behind it
+    are still decoded, and the caller re-decodes it alone with the
+    Python walk, which raises the canonical error.
     """
     fn = _resolve("slice")
     if fn is None:
         return None
-    data = dec._data
-    if type(data) is not bytes:
-        data = bytes(data)  # c_char_p takes nothing else
+    count = len(segments)
+    if banks is None:
+        banks = np.empty((count, BANK_TOTAL), dtype=np.int32)
     if (
         height <= 0
         or width <= 0
@@ -628,19 +652,22 @@ def plan_slice(
         or width % 4
         or not _plan_table(rows)
         or not _c_array(levels, np.int64, 1)
+        or not _c_array(banks, np.int32, 2)
+        or banks.shape != (count, BANK_TOTAL)
     ):
         return None
-    bank_ptrs = _bank_pointers(banks)
-    if bank_ptrs is None:
-        return None
-    state = np.array([dec._pos, dec._range, dec._code, 0, 0, 0], dtype=np.int64)
+    # c_char_p takes nothing but bytes.
+    segments = [s if type(s) is bytes else bytes(s) for s in segments]
+    lengths = array("q", map(len, segments))
     modes = array("i", all_modes)
-    mode_map = np.full((height // 4) * (width // 4), -1, dtype=np.int8)
-    status = fn(
-        data,
-        len(data),
-        state.ctypes.data,
-        bank_ptrs,
+    mode_map = np.empty((height // 4) * (width // 4), dtype=np.int8)
+    report = np.empty((count, len(SLICE_REPORT)), dtype=np.int64)
+    fn(
+        (ctypes.c_char_p * count)(*segments),
+        lengths.buffer_info()[0],
+        count,
+        report.ctypes.data,
+        banks.ctypes.data,
         height,
         width,
         ctu,
@@ -656,64 +683,66 @@ def plan_slice(
         levels.ctypes.data,
         len(levels),
     )
-    pos, rng, code, bins, n_leaves, n_levels = state.tolist()
-    if status == 0:
-        dec._pos = pos
-        dec._range = rng
-        dec._code = code
-        dec.scan_bins += bins
-    return status, n_leaves, n_levels
+    return report
 
 
-def reconstruct_slice(
+def reconstruct_slices(
     recon: np.ndarray,
     mask: np.ndarray,
     reference: Optional[np.ndarray],
     rows: np.ndarray,
-    n_leaves: int,
+    leaf_end: np.ndarray,
     resid_offset: np.ndarray,
     resid: np.ndarray,
 ) -> bool:
-    """Predict + reconstruct every leaf of a plan; True iff it was done.
+    """Predict + reconstruct every leaf of a group's plan; True iff it was done.
 
     ``recon`` (float64) and ``mask`` (bool) are zero-filled
-    ``height x width`` planes; on success ``recon`` holds the samples
-    ``FrameDecoder._apply_predictions`` computes, bit for bit, and
-    ``mask`` is all True.  ``reference`` is the previous frame's plane
-    (same shape) or ``None``.  ``resid`` concatenates the row-major
-    residual grids and ``resid_offset[i]`` locates leaf ``i``'s (-1: no
-    residual).  The kernel validates the whole plan before it writes a
-    sample, so ``False`` (kernel unavailable, unsuitable arrays, or a
-    plan it refuses) leaves both planes untouched for the Python loop.
+    ``(count, height, width)`` stacks, one plane per slice; plane ``k``
+    takes the leaves ``leaf_end[k - 1] .. leaf_end[k]`` of ``rows``
+    (``leaf_end`` is the report column of :func:`plan_slices`: int64,
+    non-decreasing, at most ``len(resid_offset)``; a slice with no
+    leaves keeps its zero plane).  On success every plane holds the
+    samples ``FrameDecoder._apply_predictions`` computes, bit for bit,
+    and the mask of every slice that has leaves is all True.
+    ``reference`` is the previous frame's plane (``height x width``) or
+    ``None``.  ``resid`` concatenates the row-major residual grids and
+    ``resid_offset[i]`` locates leaf ``i``'s (-1: no residual).  The
+    kernel validates every slice's leaves before it writes a sample of
+    any plane, so ``False`` (kernel unavailable, unsuitable arrays, or a
+    plan it refuses) leaves the stacks untouched for the Python loop.
     """
     fn = _resolve("recon")
     if fn is None:
         return False
     if not (
-        _c_array(recon, np.float64, 2)
-        and _c_array(mask, np.bool_, 2)
+        _c_array(recon, np.float64, 3)
+        and _c_array(mask, np.bool_, 3)
         and mask.shape == recon.shape
         and _plan_table(rows)
-        and 0 <= n_leaves <= rows.shape[1]
+        and _c_array(leaf_end, np.int64, 1)
+        and len(leaf_end) == len(recon)
         and _c_array(resid_offset, np.int64, 1)
-        and len(resid_offset) == n_leaves
+        and len(resid_offset) <= rows.shape[1]
         and _c_array(resid, np.float64, 1)
     ):
         return False
+    count, height, width = recon.shape
     if reference is not None and not (
-        _c_array(reference, np.float64, 2) and reference.shape == recon.shape
+        _c_array(reference, np.float64, 2) and reference.shape == (height, width)
     ):
         return False
-    height, width = recon.shape
     status = fn(
         recon.ctypes.data,
         mask.ctypes.data,
+        count,
         height,
         width,
         None if reference is None else reference.ctypes.data,
         rows.ctypes.data,
         rows.shape[1],
-        n_leaves,
+        len(resid_offset),
+        leaf_end.ctypes.data,
         resid_offset.ctypes.data,
         resid.ctypes.data,
         len(resid),

@@ -20,9 +20,9 @@ it: callers name it explicitly.
   prediction, :func:`quantize` / :func:`dequantize` calls) and the
   coefficient writer (primitive calls).  Inter leaves, the quadtree
   recursion and the slice framing are the production encoder's.
-- :class:`ReferenceDecoder` is :class:`FrameDecoder` with its per-frame
-  hook overridden by the interleaved loop; header parsing, slice
-  framing, concealment and error wrapping are the production
+- :class:`ReferenceDecoder` is :class:`FrameDecoder` with its per-group
+  hook overridden by one interleaved loop per slice; header parsing,
+  slice framing, concealment and error wrapping are the production
   decoder's.
 """
 
@@ -291,6 +291,29 @@ class ReferenceDecoder(FrameDecoder):
         deadline: Optional[Deadline] = None,
     ) -> None:
         super().__init__(data, conceal=conceal, deadline=deadline)
+
+    def _decode_group(
+        self, segments: List[bytes], indices: List[int], qps: np.ndarray
+    ) -> Tuple[np.ndarray, List[int]]:
+        """One slice at a time: fresh coder, fresh contexts, the dither
+        stepped CTU by CTU from the slice's first (``qps`` is not read)."""
+        h = self._header
+        planes = np.zeros((len(segments), self._pad_h, self._pad_w))
+        failed: List[int] = []
+        for position, (segment, frame_index) in enumerate(zip(segments, indices)):
+            self._dec = BinaryDecoder(segment)
+            self._ctx = CodecContexts()
+            dither = QpDither.advanced(
+                h["qp_base"], h["qp_frac"], frame_index * self._ctus
+            )
+            try:
+                planes[position] = self._decode_frame(
+                    self._pad_h, self._pad_w, frame_index, dither
+                )
+            except Exception as exc:
+                self._undecodable(exc, frame_index)
+                failed.append(position)
+        return planes, failed
 
     def _decode_frame(
         self, height: int, width: int, frame_index: int, dither: QpDither

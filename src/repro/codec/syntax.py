@@ -59,9 +59,10 @@ class CodecContexts:
     def banks(self) -> Tuple[array, ...]:
         """The live probability banks in the slice kernels' ``B_*`` order.
 
-        ``native.plan_slice`` and ``native.encode_slice`` adapt these
-        ``array('i')`` buffers in place, exactly as the primitive calls
-        on this object would.
+        ``native.encode_slice`` adapts these ``array('i')`` buffers in
+        place, exactly as the primitive calls on this object would;
+        ``native.plan_slices`` keeps one row of the same layout per
+        slice of its group.
         """
         return (
             self.split.probs,
@@ -206,7 +207,7 @@ def decode_coeff_block_scanned(
     bins are drained by the fused pure-Python
     :meth:`BinaryDecoder.decode_coeff_scan` loop: this is the per-leaf
     step of the decoder's Python walk, the twin of the compiled
-    whole-slice kernel (``native.plan_slice``), which contains the same
+    whole-slice kernel (``native.plan_slices``), which contains the same
     loop.  :func:`repro.codec.reference.decode_coeff_block` is the
     primitive-call form (same contexts, same order, same
     :class:`CorruptStreamError` conditions).

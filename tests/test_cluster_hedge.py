@@ -7,7 +7,8 @@ import time
 import numpy as np
 
 from repro.cluster.chaos import CLUSTER_TYPED_ERRORS
-from repro.cluster.router import ClusterConfig, ClusterRouter
+from repro.cluster import router as router_mod
+from repro.cluster.router import ClusterConfig, ClusterResponse, ClusterRouter
 from repro.serving.service import ServeResponse
 from repro.serving.slo import _nearest_rank
 
@@ -156,6 +157,41 @@ class TestDerivedDelay:
                          hedge_min_delay_s=0.02) as router:
             router._latencies.extend([0.001] * 100)
             assert router._hedge_delay() == 0.02
+
+
+    @staticmethod
+    def _commit(router, latency_s, count):
+        for _ in range(count):
+            router._finish(
+                ClusterResponse(ok=True, kind="decode"),
+                time.perf_counter() - latency_s,
+                "t",
+            )
+            router._hedge_delay()  # as every hedgeable request asks
+
+    def test_delay_keeps_following_the_tail_once_the_reservoir_is_full(
+        self, monkeypatch
+    ):
+        # Regression: the cache was keyed on the reservoir's length,
+        # which stops changing at 512 -- the delay froze at whatever the
+        # first 512 responses said -- and below 512 every request
+        # re-sorted the reservoir.
+        sorts = []
+        monkeypatch.setattr(
+            router_mod, "_nearest_rank",
+            lambda samples, q: sorts.append(len(samples)) or _nearest_rank(samples, q),
+        )
+        with make_router(hedge_delay_s=None, hedge_min_delay_s=0.0) as router:
+            self._commit(router, 0.001, 512)
+            fast = router._hedge_delay()
+            assert 0.001 <= fast < 0.01
+            assert len(sorts) <= 512 // router_mod._HEDGE_REFRESH
+            self._commit(router, 0.001, 512)  # more of the same: same answer
+            assert abs(router._hedge_delay() - fast) < 0.005
+            assert len(sorts) <= 1024 // router_mod._HEDGE_REFRESH
+            self._commit(router, 0.05, 512)  # the tail grows: the delay follows
+            assert router._hedge_delay() >= 0.05
+            assert len(sorts) <= 1536 // router_mod._HEDGE_REFRESH
 
 
 class TestHedgeBudget:

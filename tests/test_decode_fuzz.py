@@ -28,7 +28,7 @@ from repro.codec import reference
 from repro.codec.decoder import decode_frames, decode_frames_with_report
 from repro.codec.encoder import EncoderConfig, FrameEncoder, unpack_header
 from repro.codec.entropy import native
-from repro.codec.entropy.arithmetic import BinaryDecoder, BinaryEncoder
+from repro.codec.entropy.arithmetic import BinaryEncoder
 from repro.codec.syntax import CodecContexts
 from repro.resilience.errors import TruncatedStreamError
 from repro.resilience.framing import deframe_slices, frame_slices
@@ -217,6 +217,10 @@ class TestDecodeFuzz:
             runaway_suffix: (1, "corrupt UEG suffix"),
             level_beyond_int64: (2, "OverflowError"),
         }
+        enc = BinaryEncoder()
+        enc.encode_bit(CodecContexts().cbf, 0, 0)
+        good = enc.finish()
+        positions = np.random.default_rng(0x9A0)
         for write, (status, text) in expected.items():
             enc = BinaryEncoder()
             ctx = CodecContexts()
@@ -238,14 +242,22 @@ class TestDecodeFuzz:
             _, report = decode_frames_with_report(bad)
             assert report.concealed == [(0, "undecodable slice")]
             if scan_mode == "native":
-                outcome = native.plan_slice(
-                    BinaryDecoder(body),
-                    CodecContexts().banks(),
-                    32, 32, 32, 8, False, False, False, (0, 1),
-                    np.empty((native.PLAN_ROWS, 1), dtype=np.int64),
-                    np.empty(32 * 32, dtype=np.int64),
+                # Straight at the kernel, through the group entry: the
+                # slice at a drawn position in a group of four, its
+                # neighbours one cbf = 0 leaf each.  It alone is refused,
+                # with its status, and contributes no leaf.
+                position = int(positions.integers(0, 4))
+                group = [good] * 4
+                group[position] = body
+                report = native.plan_slices(
+                    group, 32, 32, 32, 8, False, False, False, (0, 1),
+                    np.empty((native.PLAN_ROWS, 4), dtype=np.int64),
+                    np.empty(4 * 32 * 32, dtype=np.int64),
                 )
-                assert outcome[0] == status
+                want = [0] * 4
+                want[position] = status
+                assert report[:, 0].tolist() == want
+                assert report[:, 5].tolist() == np.cumsum(report[:, 0] == 0).tolist()
 
     def test_typed_errors_surface(self):
         data = _stream(seed=43)

@@ -80,10 +80,11 @@ def _coeff_stream(seed=3, blocks=12, n=8, spread=9):
 
 
 def _big_stream(qp=18.0):
-    # Noisy frames so the payload clears the 32 KiB byte threshold.
+    # Noisy frames so the payload clears the 32 KiB byte threshold, two
+    # to a group (a fan-out hands out whole groups and needs two).
     rng = np.random.default_rng(5)
     frames = [
-        rng.integers(0, 256, (128, 128)).astype(np.uint8) for _ in range(4)
+        rng.integers(0, 256, (128, 256)).astype(np.uint8) for _ in range(4)
     ]
     return FrameEncoder(EncoderConfig(qp=qp)).encode(frames).data
 
@@ -97,25 +98,72 @@ needs_kernels = pytest.mark.skipif(
 )
 
 
-class _ProbeMixin:
+class _Probe(FrameDecoder):
     """Records what each slice left behind.
 
     Per slice: the float64 reconstruction plane, the range decoder's
     final ``(pos, range, code)`` and ``scan_bins``, a copy of every
-    context bank, and (production decoder only) the leaf plan.
+    context bank, and the slice's own leaf plan -- read off the group's
+    plan, report and (through the binding's ``banks=`` argument) context
+    rows when the kernels ran, off the walk's coder otherwise.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.slices = []
-        self._last_plan = None
+        self.groups = []  # (plan, report) of every group, as stage one returned them
 
-    def _plan_slice(self, height, width):
-        self._last_plan = super()._plan_slice(height, width)
-        return self._last_plan
+    def _walk_slice(self, segment):
+        plan = super()._walk_slice(segment)
+        self._banks.append([list(bank) for bank in self._ctx.banks()])
+        return plan
+
+    def _plan_group(self, segments, indices):
+        self._banks = []
+        real = native.plan_slices
+
+        def with_banks(segments, *args):
+            rows = np.empty((len(segments), native.BANK_TOTAL), dtype=np.int32)
+            report = real(segments, *args, banks=rows)
+            if report is not None and not report[:, 0].any():
+                edges = np.cumsum(native._SLICE_BANK_SIZES)[:-1]
+                self._banks = [
+                    [bank.tolist() for bank in np.split(row, edges)] for row in rows
+                ]
+            return report
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "plan_slices", with_banks)
+            plan, report = super()._plan_group(segments, indices)
+        self.groups.append((plan, report.copy()))
+        return plan, report
+
+    def _decode_group(self, segments, indices, qps):
+        planes, failed = super()._decode_group(segments, indices, qps)
+        plan, report = self.groups[-1]
+        for k, row in enumerate(report.tolist()):
+            self.slices.append(
+                {
+                    "recon": planes[k].copy(),
+                    "state": tuple(row[1:4]),
+                    "bins": row[4],
+                    "banks": self._banks[k],
+                    "plan": decoder_mod._slice_of(
+                        plan.rows, plan.levels, report, k, self._ctus
+                    ),
+                }
+            )
+        return planes, failed
+
+
+class _ReferenceProbe(reference.ReferenceDecoder):
+    """The same record (no plan) from the interleaved decoder."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.slices = []
 
     def _decode_frame(self, *args):
-        self._last_plan = None
         recon = super()._decode_frame(*args)
         dec = self._dec
         self.slices.append(
@@ -124,18 +172,10 @@ class _ProbeMixin:
                 "state": (dec._pos, dec._range, dec._code),
                 "bins": dec.scan_bins,
                 "banks": [list(bank) for bank in self._ctx.banks()],
-                "plan": self._last_plan,
+                "plan": None,
             }
         )
         return recon
-
-
-class _Probe(_ProbeMixin, FrameDecoder):
-    pass
-
-
-class _ReferenceProbe(_ProbeMixin, reference.ReferenceDecoder):
-    pass
 
 
 def _probe(data, decoder=_Probe):
@@ -264,9 +304,8 @@ class TestFusedScan:
         def run(leaf_cap, level_cap):
             table = np.full(rows_n * leaf_cap + 8, guard)
             levels = np.full(level_cap + 8, guard)
-            outcome = native.plan_slice(
-                BinaryDecoder(segment),
-                CodecContexts().banks(),
+            report = native.plan_slices(
+                [segment],  # a group of one
                 64,
                 64,
                 h["ctu"],
@@ -280,19 +319,24 @@ class TestFusedScan:
             )
             assert (table[rows_n * leaf_cap :] == guard).all()
             assert (levels[level_cap:] == guard).all()
-            return outcome, table[: rows_n * leaf_cap].reshape(rows_n, leaf_cap)
+            status, n_leaves, n_levels = report[0, [0, 5, 6]].tolist()
+            return (status, n_leaves, n_levels), table[
+                : rows_n * leaf_cap
+            ].reshape(rows_n, leaf_cap)
 
         (status, n_leaves, n_levels), rows = run(plan.n_leaves, len(plan.levels))
         assert (status, n_leaves, n_levels) == (0, plan.n_leaves, len(plan.levels))
         np.testing.assert_array_equal(rows, plan.rows[:, : plan.n_leaves])
 
+        # A refused slice gives its columns back (its ends are where it
+        # began); what it wrote before giving up is still the prefix.
         short = plan.n_leaves // 2
         (status, n_leaves, _), rows = run(short, len(plan.levels))
-        assert status != 0 and n_leaves == short
+        assert status != 0 and n_leaves == 0
         np.testing.assert_array_equal(rows, plan.rows[:, :short])
 
         (status, _, n_levels), _ = run(plan.n_leaves, len(plan.levels) - 1)
-        assert status != 0 and n_levels <= len(plan.levels) - 1
+        assert status != 0 and n_levels == 0
 
         (status, n_leaves, n_levels), _ = run(0, 0)
         assert status != 0 and (n_leaves, n_levels) == (0, 0)
@@ -315,7 +359,10 @@ class TestReconstructKernel:
         rows[:, 0] = (n, n, n, mode, 0, 0, 0, 0, 0)
         offset = np.array([-1 if resid is None else 0], dtype=np.int64)
         flat = np.empty(0) if resid is None else resid.reshape(-1)
-        assert native.reconstruct_slice(recon, mask, None, rows, 1, offset, flat)
+        # One plane, one leaf: a group of one.
+        assert native.reconstruct_slices(
+            recon[None], mask[None], None, rows, np.array([1]), offset, flat
+        )
         return recon[n : 2 * n, n : 2 * n]
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
@@ -352,8 +399,9 @@ class TestReconstructKernel:
         rows[:, 0] = (0, 0, n, intra.DC, 0, 0, 0, 0, -1)  # nothing to gather
         rows[:, 1] = (n, n, n, -1, 1, 3, 5, 0, -1)  # inter, block at (3, 5)
         offsets = np.array([-1, -1], dtype=np.int64)
-        assert native.reconstruct_slice(
-            recon, mask, reference, rows, 2, offsets, np.empty(0)
+        assert native.reconstruct_slices(
+            recon[None], mask[None], reference, rows, np.array([2]), offsets,
+            np.empty(0),
         )
         assert (recon[:n, :n] == 128.0).all()
         np.testing.assert_array_equal(recon[n:, n:], reference[3 : 3 + n, 5 : 5 + n])
@@ -372,8 +420,8 @@ class TestReconstructKernel:
             rows[:, 0] = column
             recon = np.zeros((2 * n, 2 * n))
             mask = np.zeros((2 * n, 2 * n), dtype=bool)
-            assert not native.reconstruct_slice(
-                recon, mask, None, rows, 1,
+            assert not native.reconstruct_slices(
+                recon[None], mask[None], None, rows, np.array([1]),
                 np.array([offset], dtype=np.int64), np.zeros(n * n),
             )
             assert not recon.any() and not mask.any()
@@ -474,17 +522,18 @@ class TestResidualKernel:
         for a, b in zip(want, got):
             assert a["recon"].tobytes() == b["recon"].tobytes()
         if native.available():
-            # One per (slice, block size) batch the kernel turned down.
+            # One per (group, block size) batch the kernel turned down.
             assert registry.counters["decode.kernel_refusals"] >= 2
 
     @needs_kernels
     def test_reconstruct_refusal_is_counted(self, monkeypatch):
         data = FrameEncoder(EncoderConfig(qp=24.0)).encode(_frames(n=2)).data
         _, want = _probe(data)
-        monkeypatch.setattr(native, "reconstruct_slice", lambda *args: False)
+        monkeypatch.setattr(native, "reconstruct_slices", lambda *args: False)
         with telemetry.session() as registry:
             _, got = _probe(data)
-        assert registry.counters["decode.kernel_refusals"] == 2  # one a slice
+        # One a group, and the two 64 x 64 slices are one group.
+        assert registry.counters["decode.kernel_refusals"] == 1
         for a, b in zip(want, got):
             assert a["recon"].tobytes() == b["recon"].tobytes()
 

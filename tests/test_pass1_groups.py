@@ -1,7 +1,7 @@
 """Turbo pass 1 runs once per group of frames; no frame's bytes notice.
 
 Pass 1 predicts from source pixels, so ``FrameEncoder`` batches it over
-a *group* of consecutive frames (``encoder._PASS1_GROUP_SAMPLES`` padded
+a *group* of consecutive frames (``encoder.GROUP_SAMPLES`` padded
 samples: sixty-four one-CTU KV slices, four 128 x 128 tiles, one
 256 x 256 tile) and leaves pass 2 per slice.  The contract under test:
 
@@ -31,7 +31,7 @@ import repro.telemetry as telemetry
 from repro.codec import encoder as encoder_mod
 from repro.codec.decoder import decode_frames
 from repro.codec.encoder import (
-    _PASS1_GROUP_SAMPLES,
+    GROUP_SAMPLES,
     EncoderConfig,
     FrameEncoder,
     _mode_coeff_operator,
@@ -83,11 +83,11 @@ def _assert_group_invariant(monkeypatch, shape, counts, **config):
     config = EncoderConfig(**config)
     frames = _frames(shape, max(counts))
     padded = _padded_samples(shape, config.profile)
-    monkeypatch.setattr(encoder_mod, "_PASS1_GROUP_SAMPLES", 0)  # every frame alone
+    monkeypatch.setattr(encoder_mod, "GROUP_SAMPLES", 0)  # every frame alone
     alone = FrameEncoder(config).encode(frames)
     tried = set()
-    for budget in (_PASS1_GROUP_SAMPLES, 3 * padded):
-        monkeypatch.setattr(encoder_mod, "_PASS1_GROUP_SAMPLES", budget)
+    for budget in (GROUP_SAMPLES, 3 * padded):
+        monkeypatch.setattr(encoder_mod, "GROUP_SAMPLES", budget)
         per_group = max(1, budget // padded)
         for count in counts:
             layout = (count, min(count, per_group))

@@ -10,12 +10,10 @@ randomness is seeded, so a failing trial reproduces exactly.
 import numpy as np
 import pytest
 
-from repro.codec.decoder import (
-    FrameDecoder,
-    decode_frames,
-    decode_frames_with_report,
-)
+from repro.codec.decoder import decode_frames, decode_frames_with_report
 from repro.codec.encoder import EncoderConfig, encode_frames, unpack_header
+from repro.codec.entropy.arithmetic import BinaryEncoder
+from repro.codec.syntax import CodecContexts
 from repro.models.synthetic_weights import weight_like
 from repro.resilience import (
     ChecksumError,
@@ -168,31 +166,38 @@ class TestStreamFuzz:
             assert np.array_equal(a, b)
 
 
-    def test_every_odd_slice_damaged_keeps_the_dither_aligned(self, monkeypatch):
+    def test_every_odd_slice_damaged_keeps_the_dither_aligned(self):
         """64 two-CTU slices under a dithered QP, every odd one unusable:
-        by turns CRC-damaged (never parsed) and failing mid-parse with
-        one of its two dither steps consumed.  Concealment positions the
-        dither in closed form, so every even slice still decodes to its
-        clean samples and every odd one repeats its neighbour."""
+        by turns CRC-damaged (never parsed) and CRC-valid but failing
+        one CTU in (a crafted runaway Exp-Golomb suffix).  Every group's
+        per-CTU QPs are positioned in closed form, so every even slice
+        still decodes to its clean samples and every odd one repeats its
+        neighbour."""
         rng = np.random.default_rng(16)
         frames = [rng.integers(0, 255, (32, 64)).astype(np.uint8) for _ in range(64)]
         data = encode_frames(frames, EncoderConfig(qp=24.3)).data
         clean = decode_frames(data)
-        bad = bytearray(data)
-        offset = unpack_header(data)["header_size"]
-        for index, payload in enumerate(deframe_slices(data[offset:])[0]):
+        enc, ctx = BinaryEncoder(), CodecContexts()
+        enc.encode_bit(ctx.split, 0, 0)  # the first CTU is one 32 x 32 leaf ...
+        enc.encode_bit(ctx.mpm_flag, 0, 1)  # ... in its most probable mode ...
+        enc.encode_bit(ctx.mpm_index, 0, 0)
+        enc.encode_bit(ctx.cbf, 0, 1)  # ... with one coefficient ...
+        enc.encode_ueg(ctx.last, 30, 0, 10, k=1)
+        for prefix in range(3):
+            enc.encode_bit(ctx.level, 9 + min(prefix, 2), 1)
+        for _ in range(70):  # ... whose magnitude never ends
+            enc.encode_bypass(0)
+        header = unpack_header(data)["header_size"]
+        slices = deframe_slices(data[header:])[0]
+        slices[1::4] = [enc.finish()] * 16
+        bad = bytearray(data[:header] + frame_slices(slices))
+        offset = header
+        for index, payload in enumerate(slices):
             if index % 4 == 3:
                 bad[offset + SLICE_OVERHEAD] ^= 0x40  # first payload byte
             offset += SLICE_OVERHEAD + len(payload)
-        parse = FrameDecoder._decode_frame
-
-        def failing(self, height, width, frame_index, dither):
-            if frame_index % 4 == 1:
-                dither.next()
-                raise CorruptStreamError("crafted: fails one CTU in")
-            return parse(self, height, width, frame_index, dither)
-
-        monkeypatch.setattr(FrameDecoder, "_decode_frame", failing)
+        with pytest.raises(CorruptStreamError, match="corrupt UEG suffix"):
+            decode_frames(bytes(data[:header] + frame_slices(slices)))
         decoded, report = decode_frames_with_report(bytes(bad))
         assert report.concealed == [
             (index, "checksum mismatch" if index % 4 == 3 else "undecodable slice")
