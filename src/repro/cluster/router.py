@@ -34,11 +34,13 @@ request flows through four mechanisms, each bounded and observable:
    carries a short child deadline so a hung shard costs
    ``probe_timeout_s``, never a wedged probe path.
 
-Work executes on a router-owned thread pool; every dispatch is wrapped
-in a :class:`~repro.telemetry.propagate.TracedTask` carrying the
-request's trace context, so shard-side spans merge back under the
-router's trace id (the winner's delta is merged; losers are accounted
-in ``telemetry.worker_deltas_lost``).
+Work executes on a router-owned thread pool, the request's one hand-off
+(shards run attempts inline on it, so the router's clock owns hangs).
+A caller with a live telemetry registry gets every dispatch wrapped in
+a :class:`~repro.telemetry.propagate.TracedTask` carrying the request's
+trace context, so shard-side spans merge back under the router's trace
+id (the winner's delta is merged; losers are accounted in
+``telemetry.worker_deltas_lost``); otherwise the shard builds none.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ import numpy as np
 import repro.telemetry as telemetry
 from repro.telemetry import flightrecorder
 from repro.telemetry.propagate import (
+    TracedOutcome,
     TracedTask,
     count_lost_deltas,
     merge_delta,
@@ -91,6 +94,22 @@ DETERMINISTIC_ERRORS = (CorruptStreamError, ValueError)
 #: Committed responses between two recomputations of the derived hedge
 #: delay, and how many it takes before the first.
 _HEDGE_REFRESH = 32
+
+#: What health hears of a dispatch the router stopped waiting on (in
+#: flight at the deadline, or answering after ``attempt_timeout_s``).
+_HUNG = ServeResponse(ok=False, kind="", error=DeadlineExceeded("hung"))
+
+
+def _bare(work: Callable[[], ServeResponse]) -> Callable[[], TracedOutcome]:
+    """``work`` with a :class:`TracedTask`'s outcome shape, no registry."""
+
+    def run() -> TracedOutcome:
+        try:
+            return TracedOutcome(work(), None, None)
+        except Exception as exc:
+            return TracedOutcome(None, exc, None)
+
+    return run
 
 
 class ClusterUnavailable(RuntimeError):
@@ -162,16 +181,15 @@ class ClusterConfig:
     # -- per-shard service envelope -----------------------------------
     tile: int = 32
     default_qp: float = 26.0
-    #: Longer than the single-service default: the in-process shards
-    #: share one GIL, so a healthy-but-contended attempt easily runs
-    #: several times its solo latency -- a short timeout here turns
-    #: load into a retry spiral instead of a queue.
+    #: A dispatch answering later than this is charged as a hang (the
+    #: router's clock; shards run attempts inline).  Long: in-process
+    #: shards share one GIL, so a healthy-but-contended attempt easily
+    #: runs several times its solo latency.
     attempt_timeout_s: float = 1.0
     shard_max_inflight: int = 4
     #: Deep enough to absorb open-loop bursts; the deadline, not the
     #: queue bound, is what limits worst-case latency.
     shard_max_queue: int = 64
-    supervisor_workers: int = 16
     # -- durable storage ----------------------------------------------
     #: Root directory for per-shard stores; ``None`` leaves the cluster
     #: stateless (PR 7 behaviour).  Each shard gets
@@ -205,10 +223,9 @@ class ClusterConfig:
             tile=self.tile,
             default_qp=self.default_qp,
             deadline_s=self.deadline_s,
-            attempt_timeout_s=self.attempt_timeout_s,
+            attempt_timeout_s=None,  # inline: the router's clock owns hangs
             max_inflight=self.shard_max_inflight,
             max_queue=self.shard_max_queue,
-            supervisor_workers=self.supervisor_workers,
             seed=self.seed + shard_index,
         )
 
@@ -265,9 +282,9 @@ class _Request:
 
     __slots__ = (
         "request_id", "kind", "ctx", "deadline", "candidates", "call",
-        "lock", "event", "tried", "pending", "futures", "committed",
-        "winner_shard", "winner_hedge", "winner_delta", "failovers",
-        "hedged", "dispatched", "cancelled", "last_error",
+        "listener", "lock", "event", "tried", "inflight", "futures",
+        "committed", "winner_shard", "winner_hedge", "winner_delta",
+        "failovers", "hedged", "dispatched", "cancelled", "last_error",
     )
 
     def __init__(self, request_id, kind, ctx, deadline, candidates, call):
@@ -277,10 +294,12 @@ class _Request:
         self.deadline = deadline
         self.candidates: Tuple[str, ...] = candidates
         self.call = call
+        self.listener = telemetry.current()  # None: nobody traces
         self.lock = threading.Lock()
         self.event = threading.Event()
         self.tried: set = set()
-        self.pending = 0
+        #: Shards the router still waits on; the deadline empties it.
+        self.inflight: set = set()
         self.futures: List[Future] = []
         self.committed: Optional[ServeResponse] = None
         self.winner_shard = ""
@@ -339,6 +358,7 @@ class ClusterRouter:
             max_workers=cfg.resolved_io_workers(),
             thread_name_prefix="cluster-io",
         )
+        self._closed = False
         self._request_ids = itertools.count(1)
         # Durable-put version clock: one total order across the router,
         # so anti-entropy's (version, hash) winner rule is unambiguous.
@@ -378,7 +398,15 @@ class ClusterRouter:
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
+        """Stop dispatching, close every shard's store; idempotent."""
+        if self._closed:
+            return
+        self._closed = True
         self._executor.shutdown(wait=False, cancel_futures=True)
+        for shard in self._shards.values():
+            store = getattr(shard, "store", None)
+            if store is not None:
+                store.close()
 
     def __enter__(self) -> "ClusterRouter":
         return self
@@ -455,6 +483,8 @@ class ClusterRouter:
         typed :class:`WriteQuorumFailed` and the caller must treat the
         write as lost (partial copies are superseded by any retry).
         """
+        if self._closed:
+            return self._refuse("put")
         cfg = self.config
         start_time = time.perf_counter()
         deadline = Deadline.after(
@@ -542,6 +572,8 @@ class ClusterRouter:
         bit-exact by construction -- corruption surfaces as failover,
         and only as a typed error once every replica is exhausted.
         """
+        if self._closed:
+            return self._refuse("get")
         cfg = self.config
         start_time = time.perf_counter()
         deadline = Deadline.after(
@@ -612,6 +644,8 @@ class ClusterRouter:
         call: Callable[[ClusterShard, float, object], ServeResponse],
         deadline_s: Optional[float],
     ) -> ClusterResponse:
+        if self._closed:
+            return self._refuse(kind)
         cfg = self.config
         start_time = time.perf_counter()
         deadline = Deadline.after(
@@ -658,7 +692,12 @@ class ClusterRouter:
             if not req.event.wait(timeout=delay):
                 self._fire_hedge(req)
         if not req.event.wait(timeout=req.deadline.remaining()):
-            # Request-level budget gone with results still in flight.
+            # Request-level budget gone with results still in flight:
+            # each of those dispatches is charged now, once.
+            with req.lock:
+                hung, req.inflight = req.inflight, set()
+            for shard_id in hung:
+                self._record_health(shard_id, _HUNG)
             self._offer(
                 req, "", ServeResponse(
                     ok=False, kind=req.kind,
@@ -717,19 +756,21 @@ class ClusterRouter:
             if req.committed is not None or shard_id in req.tried:
                 return False
             req.tried.add(shard_id)
-            req.pending += 1
+            req.inflight.add(shard_id)
             req.dispatched += 1
-        parent = telemetry.current()
-        trace = bool(parent is not None and parent.trace)
 
         def work() -> ServeResponse:
             shard = self._shards[shard_id]
             return req.call(shard, req.deadline.remaining(), req.ctx)
 
-        root = f"shard[{shard_id}]" + ("/hedge" if is_hedge else "")
-        task = TracedTask(
-            work, ctx=req.ctx, trace=trace, capture_error=True, root=root
-        )
+        if req.listener is not None:
+            root = f"shard[{shard_id}]" + ("/hedge" if is_hedge else "")
+            task = TracedTask(
+                work, ctx=req.ctx, trace=req.listener.trace,
+                capture_error=True, root=root,
+            )
+        else:
+            task = _bare(work)
         future = self._executor.submit(self._run_dispatch, req, shard_id,
                                        task, is_hedge)
         with req.lock:
@@ -737,9 +778,11 @@ class ClusterRouter:
         return True
 
     def _run_dispatch(
-        self, req: _Request, shard_id: str, task: TracedTask, is_hedge: bool
+        self, req: _Request, shard_id: str, task: Callable, is_hedge: bool
     ) -> None:
+        started = time.monotonic()
         outcome = task()
+        late = time.monotonic() - started > self.config.attempt_timeout_s
         if outcome.error is not None:
             # The shard wrapper never raises; anything here is a router
             # bug surfacing -- treat it as a shard-level failure so the
@@ -750,7 +793,7 @@ class ClusterRouter:
             )
         else:
             response = outcome.result
-        self._on_result(req, shard_id, response, outcome.delta, is_hedge)
+        self._on_result(req, shard_id, response, outcome.delta, is_hedge, late)
 
     def _on_result(
         self,
@@ -759,8 +802,15 @@ class ClusterRouter:
         response: ServeResponse,
         delta: Optional[dict],
         is_hedge: bool,
+        late: bool,
     ) -> None:
-        shard_failure = self._record_health(shard_id, response)
+        with req.lock:
+            # Gone from the set once the deadline charged it: its
+            # answer then teaches health nothing more.
+            awaited = shard_id in req.inflight
+            req.inflight.discard(shard_id)
+        if awaited:
+            self._record_health(shard_id, _HUNG if late else response)
         if response.ok or isinstance(response.error, DETERMINISTIC_ERRORS):
             self._offer(req, shard_id, response, delta, is_hedge)
         elif isinstance(response.error, DeadlineExceeded):
@@ -770,13 +820,11 @@ class ClusterRouter:
         else:
             with req.lock:
                 req.last_error = response.error
-            if shard_failure:
-                self._failover(req, shard_id)
+            self._failover(req, shard_id)
         with req.lock:
-            req.pending -= 1
             exhausted = (
                 req.committed is None
-                and req.pending == 0
+                and not req.inflight
                 and all(sid in req.tried for sid in req.candidates)
             )
         if exhausted:
@@ -883,32 +931,23 @@ class ClusterRouter:
 
     def _record_health(
         self, shard_id: str, response: ServeResponse
-    ) -> bool:
-        """Fold one outcome into shard health; True if a shard failure."""
-        if not shard_id:
-            return False
+    ) -> None:
+        """Fold one outcome into shard health."""
         with self._lock:
             health = self.health[shard_id]
             if response.ok:
                 health.record(True)
-                self._sync_ring_locked(shard_id)
-                return False
-            if isinstance(response.error, DETERMINISTIC_ERRORS):
+            elif isinstance(response.error, DETERMINISTIC_ERRORS):
                 health.record(False, infrastructure=False)
-                return False
-            if isinstance(response.error, DeadlineExceeded):
+                return
+            elif isinstance(response.error, (DeadlineExceeded, Overloaded)):
                 # Budget expiry is usually the request's problem, but
-                # it is weak evidence of slowness: EWMA only.
+                # it is weak evidence of slowness; overload is load, not
+                # sickness: EWMA only, never the breaker.
                 health.record_load_failure()
-                self._sync_ring_locked(shard_id)
-                return False
-            if isinstance(response.error, Overloaded):
-                health.record_load_failure()
-                self._sync_ring_locked(shard_id)
-                return True  # spill to a replica, but don't trip the breaker
-            health.record(False)
+            else:
+                health.record(False)
             self._sync_ring_locked(shard_id)
-            return True
 
     def _record_store_health(
         self, shard_id: str, response: ServeResponse
@@ -953,7 +992,7 @@ class ClusterRouter:
         in-flight flag collapses a re-admission burst into one pass.
         """
         cfg = self.config
-        if not cfg.repair_on_readmit or self._repair_inflight:
+        if self._closed or not cfg.repair_on_readmit or self._repair_inflight:
             return
         if not any(s.store is not None for s in self._shards.values()):
             return
@@ -997,14 +1036,17 @@ class ClusterRouter:
 
     def _run_probe(self, shard_id: str, budget_s: float, ctx) -> None:
         shard = self._shards[shard_id]
+        started = time.monotonic()
         response = shard.probe(budget_s, trace_ctx=ctx)
+        # An answer past the budget is a timeout, whatever it says.
+        late = time.monotonic() - started > budget_s
         with self._lock:
             health = self.health[shard_id]
-            if response.ok:
+            if response.ok and not late:
                 health.reset()
                 self._sync_ring_locked(shard_id)
                 return
-            if self._probe_timed_out(response):
+            if late or self._probe_timed_out(response):
                 health.record_probe_timeout()
                 self._count_locked("probe_timeouts")
             else:
@@ -1063,6 +1105,12 @@ class ClusterRouter:
 
     def _count_locked(self, name: str, value: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + value
+
+    def _refuse(self, kind: str) -> ClusterResponse:
+        """What every request to a closed router answers."""
+        error = ClusterUnavailable("router closed")
+        response = ClusterResponse(ok=False, kind=kind, error=error)
+        return self._finish(response, time.perf_counter(), "")
 
     def _finish(
         self, response: ClusterResponse, start_time: float, trace_id: str

@@ -13,9 +13,11 @@ process dying (SIGKILL) or wedging (hung event loop).  A
   SIGKILLed process cannot have sent the response, and pretending
   otherwise would hide exactly the ambiguity failover must handle.
 - :meth:`hang` -- requests stall inside the supervised attempt until
-  the hang lifts.  From the shard's own view the stall is unbounded;
-  the service's attempt timeout and the router's hedge/probe deadlines
-  are what bound it, which is the point.
+  the hang lifts.  From the shard's own view the stall is unbounded:
+  its service runs attempts inline on the router's dispatch thread,
+  so only the router's clock bounds it -- the request deadline, the
+  hedge, the per-dispatch ``attempt_timeout_s`` charge and the probe
+  budget -- which is the point.
 - :meth:`revive` -- the "process restarted" transition.  The shard
   first runs crash-consistent recovery on its durable store (journal
   replay, torn-tail truncation -- see :mod:`repro.cluster.store`) and

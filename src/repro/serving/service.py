@@ -22,7 +22,9 @@ rung selection (per-rung circuit breakers) -> supervised
 execution (bounded attempt timeouts, seeded-backoff retries, child
 deadlines so abandoned attempts self-cancel) -> on persistent failure,
 step down the ladder; for damaged decodes, fall through to
-concealment.  Every outcome lands in the SLO tracker.
+concealment.  Every outcome lands in the SLO tracker.  Behind a
+cluster router (``attempt_timeout_s=None``) attempts run inline on the
+router's dispatch thread, the one hand-off the router abandons.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ class ServiceConfig:
     #: Supervision bound on a single attempt; a hang is declared after
     #: this long and the attempt abandoned (its child deadline reaps
     #: it).  Must comfortably exceed one honest encode of your tensors.
-    attempt_timeout_s: float = 0.25
+    #: ``None`` runs attempts inline: the caller owns the clock.
+    attempt_timeout_s: Optional[float] = 0.25
     max_inflight: int = 2
     max_queue: int = 8
     retry: RetryPolicy = field(
@@ -81,11 +84,10 @@ class ServiceConfig:
     breaker_cooldown_s: float = 1.0
     #: Seeds supervision backoff jitter (reproducible soak schedules).
     seed: int = 0
-    #: Thread count of the supervision pool that bounds attempt waits.
-    #: Pools are shared per (kind, workers), so a cluster of in-process
-    #: shards sizes this for headroom: a hung attempt parks a thread
-    #: for its whole stall, and a starved pool turns queueing delay
-    #: into spurious attempt timeouts.
+    #: Thread count of the supervision pool that bounds attempt waits
+    #: (unused when ``attempt_timeout_s`` is ``None``).  A hung attempt
+    #: parks a thread for its whole stall, and a starved pool turns
+    #: queueing delay into spurious attempt timeouts.
     supervisor_workers: int = 8
     #: When set, a request that fails non-retryably (every retry and
     #: ladder rung exhausted) dumps a flight-recorder postmortem bundle

@@ -1,12 +1,16 @@
 """Supervision: detect crashed/hung work and retry it, bounded and seeded.
 
 :meth:`Supervisor.run` guards **one unit of work** (a whole request
-attempt).  The work runs on a supervised thread so the caller's wait
-can be bounded (``attempt_timeout_s``): a hang is detected by the
+attempt).  With an ``attempt_timeout_s`` the work runs on a supervised
+thread so the caller's wait can be bounded: a hang is detected by the
 *supervisor's* clock, never by trusting the work to return.  The
 abandoned attempt is handed a child deadline, so the cooperative
 checks inside the codec stop it shortly after the supervisor gives
 up -- partial work cancels itself instead of running orphaned.
+
+With ``None`` the caller owns the clock and each attempt runs inline,
+same retries and backoff: a cluster shard, whose router abandons the
+dispatch thread itself.
 
 Batch fan-outs are not supervised here: :func:`repro.parallel.parallel_map`
 discards a broken pool and reruns the batch serially on its own.
@@ -126,15 +130,19 @@ class Supervisor:
         stops cooperating on its own.  Transient failures (``retryable``)
         are retried with seeded backoff until the retry budget or the
         request deadline runs out; anything else propagates immediately.
+        ``attempt_timeout_s=None`` runs every attempt on the calling
+        thread (the caller owns the clock; nothing is abandoned).
 
-        With telemetry live on the calling thread, every attempt runs
-        under a child registry whose delta is merged back as a sibling
-        span (``attempt[0]``, ``attempt[1]``, ...) -- including
-        *failed* attempts, so a trace shows what each retry actually
-        did.  A hung attempt's delta is unrecoverable and is accounted
-        in ``telemetry.worker_deltas_lost``.
+        With telemetry live on the calling thread, every attempt is a
+        sibling span (``attempt[0]``, ``attempt[1]``, ...) -- including
+        *failed* attempts.  A pooled attempt records in a child registry
+        whose delta is merged back (a hung one's is accounted in
+        ``telemetry.worker_deltas_lost``); an inline one, directly.
         """
-        pool = get_executor(self._executor_config)
+        inline = attempt_timeout_s is None
+        pool = None if inline else get_executor(self._executor_config)
+        # Only a pool wait times out; inline, a TimeoutError is the work's.
+        wait_timeout = () if inline else FuturesTimeoutError
         parent = telemetry.current()
         last_error: Optional[BaseException] = None
         attempts = 0
@@ -147,31 +155,29 @@ class Supervisor:
                 else deadline
             )
             attempts += 1
-            if parent is not None:
-                task = TracedTask(
-                    work,
-                    ctx=parent.trace_ctx,
-                    trace=parent.trace,
-                    capture_error=True,
-                    root=f"attempt[{attempt}]",
-                )
-            else:
-                task = work
-            future = pool.submit(task, attempt_deadline)
             wait_s = effective_timeout(deadline, attempt_timeout_s)
             try:
-                outcome = future.result(timeout=wait_s)
-                if parent is not None:
+                if inline:
+                    with telemetry.span(f"attempt[{attempt}]"):
+                        result = work(attempt_deadline)
+                elif parent is None:
+                    future = pool.submit(work, attempt_deadline)
+                    result = future.result(timeout=wait_s)
+                else:
+                    task = TracedTask(
+                        work, ctx=parent.trace_ctx, trace=parent.trace,
+                        capture_error=True, root=f"attempt[{attempt}]",
+                    )
+                    future = pool.submit(task, attempt_deadline)
+                    outcome = future.result(timeout=wait_s)
                     merge_delta(parent, outcome.delta, under=parent.current_path())
                     if outcome.error is not None:
                         raise outcome.error
                     result = outcome.result
-                else:
-                    result = outcome
                 if attempt:
                     telemetry.count("serving.recovered_after_retry")
                 return result, attempts
-            except FuturesTimeoutError:
+            except wait_timeout:
                 future.cancel()
                 self.timeouts += 1
                 telemetry.count("serving.worker_timeouts")

@@ -14,6 +14,8 @@ from repro.codec.encoder import (
 )
 from repro.codec.profiles import AV1_PROFILE, H264_PROFILE, H265_PROFILE
 
+pytestmark = pytest.mark.pure_python
+
 
 def structured_image(size=64, seed=0):
     """Gradient + stripes + noise: the kind of structure weights show."""

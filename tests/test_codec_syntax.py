@@ -18,6 +18,8 @@ from repro.codec.syntax import (
     size_class,
 )
 
+pytestmark = pytest.mark.pure_python
+
 
 class TestSizeClass:
     def test_known_sizes(self):

@@ -33,6 +33,8 @@ from repro.codec.syntax import CodecContexts
 from repro.resilience.errors import TruncatedStreamError
 from repro.resilience.framing import deframe_slices, frame_slices
 
+pytestmark = [pytest.mark.fuzz, pytest.mark.pure_python]
+
 _TRIALS = 40
 
 

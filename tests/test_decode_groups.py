@@ -49,6 +49,8 @@ from repro.parallel import ParallelConfig, pool_stats
 from repro.resilience import CorruptStreamError, deframe_slices, frame_slices
 from repro.resilience.framing import SLICE_OVERHEAD
 
+pytestmark = [pytest.mark.fuzz, pytest.mark.pure_python]
+
 needs_kernels = pytest.mark.skipif(
     not native.available(), reason="slice kernels unavailable (no compiler or pure-python)"
 )

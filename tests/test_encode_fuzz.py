@@ -24,14 +24,18 @@ from repro.codec.encoder import EncoderConfig, FrameEncoder
 from repro.codec.entropy import native
 from repro.codec.profiles import PROFILES_BY_NAME
 
-pytestmark = pytest.mark.skipif(
-    any(
-        state != "ready"
-        for name, state in native.kernel_status().items()
-        if name in ("encode", "cost", "refs")
+pytestmark = [
+    pytest.mark.fuzz,
+    pytest.mark.pure_python,
+    pytest.mark.skipif(
+        any(
+            state != "ready"
+            for name, state in native.kernel_status().items()
+            if name in ("encode", "cost", "refs")
+        ),
+        reason="native encode kernels unavailable (no compiler or pure-python)",
     ),
-    reason="native encode kernels unavailable (no compiler or pure-python)",
-)
+]
 
 _QPS = (18.0, 30.0, 44.0)
 

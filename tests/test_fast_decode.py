@@ -48,6 +48,8 @@ from repro.telemetry import DECODE_STAGES, DecodeStats, flightrecorder
 from repro.tensor.checkpoint import load_checkpoint, save_checkpoint
 from repro.tensor.codec import TensorCodec
 
+pytestmark = [pytest.mark.fuzz, pytest.mark.pure_python]
+
 
 def _frames(n=4, h=64, w=64, seed=11):
     rng = np.random.default_rng(seed)

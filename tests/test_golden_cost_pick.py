@@ -23,6 +23,8 @@ import pytest
 
 from repro.codec.encoder import _pass1_pick
 
+pytestmark = [pytest.mark.fuzz, pytest.mark.pure_python]
+
 with open(os.path.join(os.path.dirname(__file__), "golden", "cost_pick.json")) as _fh:
     _CASES = json.load(_fh)["cases"]
 

@@ -24,6 +24,8 @@ from repro.codec import reference
 from repro.codec.decoder import decode_frames
 from repro.codec.entropy import native
 
+pytestmark = [pytest.mark.fuzz, pytest.mark.pure_python]
+
 _DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 with open(os.path.join(_DIR, "MANIFEST.json")) as _fh:

@@ -24,6 +24,8 @@ from repro.serving.ladder import DEFAULT_LADDER, DegradationLadder
 from repro.serving.service import CodecService
 from repro.tensor.codec import TensorCodec
 
+pytestmark = [pytest.mark.fuzz, pytest.mark.pure_python]
+
 _PROFILES = {"h264": H264_PROFILE, "h265": H265_PROFILE, "av1": AV1_PROFILE}
 
 

@@ -55,6 +55,8 @@ from repro.serving.ladder import DEFAULT_LADDER, Rung
 from repro.telemetry import flightrecorder
 from repro.tensor.codec import TensorCodec
 
+pytestmark = pytest.mark.pure_python
+
 _READY = native.kernel_status()
 needs_cost = pytest.mark.skipif(
     _READY.get("cost") != "ready", reason="cost kernel unavailable"

@@ -43,6 +43,8 @@ from repro.parallel import ParallelConfig
 from repro.resilience import deframe_slices
 from repro.resilience.deadline import Deadline, DeadlineExceeded
 
+pytestmark = [pytest.mark.fuzz, pytest.mark.pure_python]
+
 needs_kernel = pytest.mark.skipif(
     native.kernel_status().get("encode") != "ready",
     reason="slice-encode kernel unavailable (no compiler or pure-python)",

@@ -25,6 +25,8 @@ from repro.resilience.deadline import Deadline
 from repro.resilience.errors import DeadlineExceeded
 from repro.tensor.codec import TensorCodec, _stream_fixed_bits
 
+pytestmark = pytest.mark.pure_python
+
 
 # -- reference: the pre-solver bisection loops ----------------------------
 

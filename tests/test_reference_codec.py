@@ -25,6 +25,8 @@ from repro.codec.decoder import FrameDecoder, decode_frames
 from repro.codec.encoder import ENCODES, RD_SEARCHES, EncoderConfig, encode_frames
 from repro.tensor.codec import TensorCodec
 
+pytestmark = [pytest.mark.fuzz, pytest.mark.pure_python]
+
 
 def test_serving_stack_never_imports_the_reference():
     probe = (

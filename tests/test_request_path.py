@@ -1,0 +1,318 @@
+"""One abandonable hop per cluster request, telemetry only when traced.
+
+A request routed by :class:`ClusterRouter` crosses exactly one thread
+hand-off -- the router's dispatch thread, which the shard's service
+runs its attempts inline on -- and, with telemetry off, builds no
+registry or codec stats object anywhere.  Hangs are charged by the
+router's clock with the same effect the supervisor's used to have: a
+hung primary still answers ``DeadlineExceeded``, drains after the same
+number of requests, and its late answer re-admits nothing.  Also: a
+closed router answers typed and releases its journals.
+"""
+
+import collections
+import concurrent.futures
+import os
+import threading
+import time
+
+import numpy as np
+import pytest
+
+import repro.telemetry as telemetry
+from repro.cluster.router import ClusterConfig, ClusterRouter, ClusterUnavailable
+from repro.resilience.deadline import Deadline, DeadlineExceeded
+from repro.resilience.faults import RetryPolicy
+from repro.serving.service import CodecService, ServeResponse, ServiceConfig
+from repro.serving.supervisor import Supervisor
+from repro.telemetry import codecstats, core
+
+PAGE = np.random.default_rng(0).normal(0, 1, (16, 128)).astype(np.float32)
+REQUESTS = 4
+
+
+def wait_until(predicate, timeout_s=3.0):
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return predicate()
+
+
+def primary_key(router, shard_id):
+    for index in range(4096):
+        key = f"k{index}"
+        if router.ring.replicas(key, router.config.replication)[0] == shard_id:
+            return key
+    raise AssertionError(f"no key routes to {shard_id} first")
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """Counts pool submits (by thread-name prefix) and telemetry objects."""
+    counts = collections.Counter()
+    submit = concurrent.futures.ThreadPoolExecutor.submit
+
+    def counted_submit(self, fn, *args, **kwargs):
+        counts[self._thread_name_prefix] += 1
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(
+        concurrent.futures.ThreadPoolExecutor, "submit", counted_submit
+    )
+    for cls in (core.Registry, codecstats.EncodeStats, codecstats.DecodeStats):
+        init = cls.__init__
+
+        def counted_init(self, *args, _init=init, _name=cls.__name__, **kw):
+            counts[_name] += 1
+            _init(self, *args, **kw)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    return counts
+
+
+@pytest.fixture(scope="module")
+def router():
+    with ClusterRouter(ClusterConfig(shards=2, hedge=False)) as router:
+        # Warm: kernels loaded, pools built, first-op costs paid.
+        blob = router.encode(PAGE, "warm").value.to_bytes()
+        assert router.decode(blob, "warm").ok
+        yield router
+
+
+class TestTheCount:
+    """Per untraced request: 1 router submit, 0 supervisor submits,
+    0 ``Registry`` / ``EncodeStats`` / ``DecodeStats`` (two hand-offs
+    made 2 submits, 2 registries and 1 / 2 stats objects)."""
+
+    def test_untraced_encode_and_decode(self, router, spy):
+        responses = [router.encode(PAGE, f"k{i}") for i in range(REQUESTS)]
+        assert all(r.ok for r in responses)
+        assert spy == {"cluster-io": REQUESTS}
+        spy.clear()
+        blob = responses[0].value.to_bytes()
+        responses = [router.decode(blob, f"k{i}") for i in range(REQUESTS)]
+        assert all(r.ok and r.trace_id for r in responses)
+        assert spy == {"cluster-io": REQUESTS}
+
+    def test_traced_request_keeps_its_span_tree(self, router, spy):
+        blob = router.encode(PAGE, "k0").value.to_bytes()
+        spy.clear()
+        with telemetry.session(trace=True) as registry:
+            encoded = router.encode(PAGE, "k0")
+            decoded = router.decode(blob, "k0")
+        assert encoded.ok and decoded.ok
+        assert spy["cluster-io"] == 2 and spy["repro-parallel"] == 0
+        # The session's registry plus one child per dispatch, no more.
+        assert spy["Registry"] == 3
+        assert spy["EncodeStats"] == 1 and spy["DecodeStats"] >= 1
+        shard = f"shard[{encoded.shard}]"
+        for kind, leaf in (("encode", "tensor.encode"), ("decode", "tensor.decode")):
+            path = f"cluster.{kind}/{shard}/serving.{kind}/attempt[0]/{leaf}"
+            assert registry.spans[path].calls == 1, sorted(registry.spans)
+        # One merge per traced request: the router's, none in the shard.
+        assert registry.counters["telemetry.worker_deltas_merged"] == 2
+        assert registry.counters["tensor.encoder_runs"] == 1
+        traces = {
+            event["args"].get("trace")
+            for event in registry.events
+            if "/serving.encode/" in event["args"].get("path", "")
+        }
+        assert traces == {encoded.trace_id}
+
+    def test_standalone_service_keeps_its_supervisor_hop(self, spy):
+        service = CodecService(ServiceConfig(attempt_timeout_s=5.0))
+        assert service.encode(PAGE).ok
+        spy.clear()
+        for _ in range(REQUESTS):
+            assert service.encode(PAGE).ok
+        assert spy["repro-parallel"] == REQUESTS
+        assert spy["Registry"] == 0
+
+
+class TestInlineAttempts:
+    def _supervisor(self, sleeps):
+        retry = RetryPolicy(max_retries=3, backoff_base_s=0.001)
+        return Supervisor(retry=retry, seed=3, sleep=sleeps.append)
+
+    def test_retryable_fault_retried_on_the_calling_thread(self, spy):
+        threads, sleeps = [], []
+
+        def work(deadline):
+            threads.append(threading.get_ident())
+            if len(threads) < 3:
+                raise RuntimeError("transient")
+            return "done"
+
+        supervisor = self._supervisor(sleeps)
+        result, attempts = supervisor.run(
+            work, attempt_timeout_s=None, deadline=Deadline.after(5.0)
+        )
+        assert (result, attempts) == ("done", 3)
+        assert set(threads) == {threading.get_ident()}
+        assert len(sleeps) == 2 and all(s > 0 for s in sleeps)
+        assert supervisor.retries == 2 and supervisor.timeouts == 0
+        assert not spy
+
+    def test_non_retryable_error_raised_unchanged(self):
+        error = ValueError("malformed request")
+        calls = []
+
+        def work(deadline):
+            calls.append(deadline)
+            raise error
+
+        with pytest.raises(ValueError) as raised:
+            self._supervisor([]).run(work, attempt_timeout_s=None)
+        assert raised.value is error and len(calls) == 1
+
+    def test_expired_deadline_is_not_a_worker_timeout(self):
+        deadline = Deadline.after(0.02)
+
+        def work(attempt_deadline):
+            time.sleep(0.05)
+            attempt_deadline.check("work")
+
+        supervisor = self._supervisor([])
+        with pytest.raises(DeadlineExceeded):
+            supervisor.run(work, attempt_timeout_s=None, deadline=deadline)
+        assert supervisor.timeouts == 0
+
+    def test_inline_attempts_record_on_the_callers_registry(self, spy):
+        calls = []
+
+        def work(deadline):
+            calls.append(deadline)
+            with telemetry.span("body"):
+                if len(calls) == 1:
+                    raise RuntimeError("transient")
+            return "ok"
+
+        with telemetry.session() as registry:
+            self._supervisor([]).run(work, attempt_timeout_s=None)
+        assert registry.spans["attempt[0]/body"].calls == 1
+        assert registry.spans["attempt[1]/body"].calls == 1
+        assert "telemetry.worker_deltas_merged" not in registry.counters
+        assert spy["Registry"] == 1  # the session's own
+
+
+def _ewma_trips_after(config):
+    """Load failures until the EWMA alone drains a shard."""
+    ewma, count = 0.0, 0
+    while ewma < config.ewma_unhealthy:
+        ewma = (1 - config.ewma_alpha) * ewma + config.ewma_alpha
+        count += 1
+    return count
+
+
+class SlowShard:
+    """Answers every encode ok, after ``delay_s``."""
+
+    def __init__(self, shard_id, delay_s):
+        self.shard_id = shard_id
+        self.delay_s = delay_s
+
+    def encode(self, tensor, **kwargs):
+        time.sleep(self.delay_s)
+        return ServeResponse(ok=True, kind="encode", value=b"x", rung="fake")
+
+
+class TestRouterClock:
+    def test_hung_primary_drains_and_its_late_answer_readmits_nothing(self):
+        config = ClusterConfig(shards=2, hedge=False, deadline_s=0.1)
+        with ClusterRouter(config) as router:
+            shard = router.shard("shard-0")
+            key = primary_key(router, "shard-0")
+            assert router.encode(PAGE, key, deadline_s=5.0).ok  # warm
+            served = shard.service.slo.snapshot()["requests"]
+            needed = _ewma_trips_after(config)
+            shard.hang(0.6 + needed * config.deadline_s)
+            for sent in range(1, needed + 1):
+                response = router.encode(PAGE, key)
+                assert not response.ok
+                assert isinstance(response.error, DeadlineExceeded)
+                if sent < needed:
+                    assert "shard-0" in router.ring
+            # Drained by the deadline's charge, well before the hang lifts.
+            assert wait_until(lambda: "shard-0" not in router.ring, 0.3)
+            assert router.counters["shard_drained"] == 1
+            charged = router.health["shard-0"].ewma
+            # The late answers land once the hang lifts: no re-admission,
+            # no second charge.
+            assert wait_until(
+                lambda: shard.service.slo.snapshot()["requests"]
+                == served + needed
+            )
+            time.sleep(0.05)
+            assert "shard-0" not in router.ring
+            assert router.health["shard-0"].ewma == charged
+            assert router.counters["shard_readmitted"] == 0
+
+    def test_answer_after_attempt_timeout_is_charged_not_credited(self):
+        config = ClusterConfig(
+            replication=1, hedge=False, attempt_timeout_s=0.05
+        )
+        with ClusterRouter(config, shards=[SlowShard("a", 0.15)]) as router:
+            response = router.encode(PAGE, "k0")
+            assert response.ok  # the result still commits...
+            # ...but health hears a hang, once.
+            assert router.health["a"].ewma == pytest.approx(config.ewma_alpha)
+
+    def test_in_flight_at_deadline_is_charged_once(self):
+        config = ClusterConfig(replication=1, hedge=False, deadline_s=0.05)
+        with ClusterRouter(config, shards=[SlowShard("a", 0.2)]) as router:
+            response = router.encode(PAGE, "k0")
+            assert isinstance(response.error, DeadlineExceeded)
+            assert wait_until(lambda: router.counters["losers_discarded"])
+            assert router.health["a"].ewma == pytest.approx(config.ewma_alpha)
+
+    def test_hung_probe_counts_a_probe_timeout(self):
+        config = ClusterConfig(
+            shards=2, cooldown_s=0.1, probe_timeout_s=0.05, hedge=False
+        )
+        with ClusterRouter(config) as router:
+            shard = router.shard("shard-0")
+            key = primary_key(router, "shard-0")
+            shard.kill()
+            for _ in range(config.failure_threshold):
+                assert router.encode(PAGE, key).ok  # failed over
+            assert "shard-0" not in router.ring
+            shard.revive()
+            shard.hang(0.4)
+            time.sleep(config.cooldown_s + 0.02)
+            assert router.encode(PAGE, key).ok  # fires the probe
+            assert router.counters["probes"] == 1
+            assert wait_until(lambda: router.counters["probe_timeouts"] == 1)
+            assert router.health["shard-0"].probe_timeouts == 1
+            assert "shard-0" not in router.ring
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_closed_router_answers_typed_and_releases_journals(tmp_path):
+    config = ClusterConfig(shards=2, store_root=str(tmp_path / "warm"),
+                           store_fsync=False)
+    ClusterRouter(config).close()  # shared pools and kernels built once
+    baseline = _open_fds()
+    config.store_root = str(tmp_path / "root")
+    router = ClusterRouter(config)
+    assert router.put(b"payload", "k0").ok
+    assert _open_fds() > baseline
+    router.close()
+    router.close()  # idempotent
+    assert _open_fds() == baseline
+    answers = [
+        router.encode(PAGE, "k0"),
+        router.decode(b"blob", "k0"),
+        router.put(b"payload", "k0"),
+        router.get("k0"),
+    ]
+    assert [a.kind for a in answers] == ["encode", "decode", "put", "get"]
+    for answer in answers:
+        assert not answer.ok
+        assert isinstance(answer.error, ClusterUnavailable)
+        assert "router closed" in str(answer.error)

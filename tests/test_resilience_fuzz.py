@@ -34,6 +34,8 @@ from repro.tensor.checkpoint import (
 from repro.tensor.codec import CompressedTensor, TensorCodec
 from repro.tensor.precision import quantize_to_uint8
 
+pytestmark = pytest.mark.fuzz
+
 
 @pytest.fixture(scope="module")
 def frames():

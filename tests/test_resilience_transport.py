@@ -18,6 +18,8 @@ from repro.distributed.pipeline import PipelineParallelTrainer
 from repro.models.zoo import load_model
 from repro.resilience import FaultInjector, RetryPolicy, TransportError
 
+pytestmark = pytest.mark.fuzz
+
 
 @pytest.fixture()
 def tensors():

@@ -43,6 +43,8 @@ from repro.codec.syntax import CodecContexts
 from repro.parallel import ParallelConfig
 from repro.telemetry import flightrecorder
 
+pytestmark = [pytest.mark.fuzz, pytest.mark.pure_python]
+
 needs_kernel = pytest.mark.skipif(
     native.kernel_status().get("encode") != "ready",
     reason="slice-encode kernel unavailable (no compiler or pure-python)",

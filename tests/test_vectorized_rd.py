@@ -25,6 +25,8 @@ from repro.codec.decoder import decode_frames
 from repro.codec.encoder import EncoderConfig, FrameEncoder
 from repro.codec.profiles import AV1_PROFILE, H264_PROFILE, H265_PROFILE
 
+pytestmark = pytest.mark.pure_python
+
 PROFILES = {"h264": H264_PROFILE, "h265": H265_PROFILE, "av1": AV1_PROFILE}
 
 
