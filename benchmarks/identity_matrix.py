@@ -9,24 +9,29 @@ those streams decode to::
     PYTHONPATH=<parent>/src python benchmarks/identity_matrix.py --write parent.json
     PYTHONPATH=src          python benchmarks/identity_matrix.py --against parent.json
 
-Two sets of inputs, each coded with ``encode="native"`` and with
-``encode="python"`` (both ``rd_search="turbo"``, the production search):
+Two sets of inputs, each coded by production with ``encode="native"``
+and with ``encode="python"``:
 
 * ``matrix`` -- 3 profiles x QP {18, 24.5, 26, 34} x {64x64, 50x70,
-  33x17} x intra / inter, three frames each: 72 configs.
+  33x17}, three frames each: 36 intra configs.
 * ``stack``  -- what the stack benchmark feeds the program at seed 0:
   64 KV pages per client through the service's tile / QP, one
   ``weights_fixed_qp`` tensor (pooled and serial) and two
   ``weights_bit_budget`` containers.  ``benchmarks/stack/inputs.py``
   and ``layers.py`` are imported read-only.
 
+and one more table, ``reference``: the matrix's frames as 36 inter
+configs through :class:`repro.codec.reference.ReferenceEncoder` (the
+exact search; production refuses inter), which has no backend axis.
+
 Every config records ``sha256`` + length of the bytes, ``repr`` of the
 MSE, and the ``sha256`` of what the production decoder returns for
 those bytes, serial (``decoded``) and fanned out with the service's
 ``ParallelConfig`` (``decoded_pooled``).  ``--against`` prints the
 ``moved / N`` table CHANGES.md quotes -- streams and decodes counted
-apart -- lists each moved config with its length delta, says whether
-``native`` == ``python`` held here (for decode too: the same bytes must
+apart, the ``reference`` table on its own row -- lists each moved
+config with its length delta, says whether ``native`` == ``python``
+held here (for decode too: the same bytes must
 decode to the same samples whichever backend coded them) and whether
 the pooled decode returned the serial one's samples, and exits 2 on any
 move or any disagreement.
@@ -50,8 +55,9 @@ import inputs  # noqa: E402  (benchmarks/stack, read-only)
 import layers  # noqa: E402
 
 from repro.codec.decoder import decode_frames  # noqa: E402
-from repro.codec.encoder import ENCODES, EncoderConfig, encode_frames  # noqa: E402
+from repro.codec.encoder import ENCODES, EncoderConfig, FrameEncoder  # noqa: E402
 from repro.codec.profiles import AV1_PROFILE, H264_PROFILE, H265_PROFILE  # noqa: E402
+from repro.codec.reference import ReferenceEncoder  # noqa: E402
 
 PROFILES = (H264_PROFILE, H265_PROFILE, AV1_PROFILE)
 QPS = (18.0, 24.5, 26.0, 34.0)  # 24.5 dithers two QPs into every slice
@@ -99,28 +105,30 @@ def _record(data: bytes, mse: float, serial, pooled) -> Dict[str, object]:
     }
 
 
-def _matrix(encode: str) -> Iterator[Tuple[str, Dict[str, object]]]:
+def _matrix_configs(
+    encoder, use_inter: bool, **fields
+) -> Iterator[Tuple[str, Dict[str, object]]]:
     pool = layers.production_fields()["parallel"]
     for profile in PROFILES:
         for qp in QPS:
             for shape in SHAPES:
-                for use_inter in (False, True):
-                    result = encode_frames(
-                        _matrix_frames(shape),
-                        EncoderConfig(
-                            profile=profile, qp=qp, use_inter=use_inter, encode=encode
-                        ),
-                    )
-                    name = (
-                        f"{profile.name} qp{qp:g} {shape[0]}x{shape[1]} "
-                        f"{'inter' if use_inter else 'intra'}"
-                    )
-                    yield name, _record(
-                        result.data,
-                        result.mse,
-                        decode_frames(result.data),
-                        decode_frames(result.data, parallel=pool),
-                    )
+                result = encoder(
+                    EncoderConfig(profile=profile, qp=qp, use_inter=use_inter, **fields)
+                ).encode(_matrix_frames(shape))
+                name = (
+                    f"{profile.name} qp{qp:g} {shape[0]}x{shape[1]} "
+                    f"{'inter' if use_inter else 'intra'}"
+                )
+                yield name, _record(
+                    result.data,
+                    result.mse,
+                    decode_frames(result.data),
+                    decode_frames(result.data, parallel=pool),
+                )
+
+
+def _matrix(encode: str) -> Iterator[Tuple[str, Dict[str, object]]]:
+    return _matrix_configs(FrameEncoder, False, encode=encode)
 
 
 def _stack(encode: str) -> Iterator[Tuple[str, Dict[str, object]]]:
@@ -158,15 +166,19 @@ def _stack(encode: str) -> Iterator[Tuple[str, Dict[str, object]]]:
 
 
 SETS = {"matrix": _matrix, "stack": _stack}
+REFERENCE = "reference"
 
 
 def take() -> Dict[str, Dict[str, Dict[str, object]]]:
-    """``{"<set>/<encode>": {config: record}}`` for this source tree."""
-    return {
+    """``{"<set>/<encode>": {config: record}, "reference": {config: record}}``
+    for this source tree."""
+    tables = {
         f"{set_name}/{encode}": dict(build(encode))
         for set_name, build in SETS.items()
         for encode in ENCODES
     }
+    tables[REFERENCE] = dict(_matrix_configs(ReferenceEncoder, True))
+    return tables
 
 
 def _backends_agree(table) -> bool:

@@ -17,7 +17,8 @@ import pytest
 from conftest import print_table, scaled
 
 from repro.codec.decoder import decode_frames
-from repro.codec.encoder import EncoderConfig, encode_frames
+from repro.codec import reference
+from repro.codec.encoder import EncoderConfig
 from repro.codec.image import decode_image, encode_image, image_psnr
 from repro.hardware.threeinone import (
     SHARED_PIPELINE_FRACTION,
@@ -67,10 +68,13 @@ def test_fig13_one_engine_three_inputs(run_once):
         rows.append(("image", f"{psnr:.1f} dB @ {8 * len(blob) / image.size:.2f} bpp",
                      "intra pipeline only"))
 
-        # (3) video path: inter prediction engaged, wins on motion.
+        # (3) video path: inter prediction engaged, wins on motion.  The
+        # tensor service is intra-only, so both sides are the reference
+        # encoder's exact search.
         video = _moving_video(size=size)
-        with_inter = encode_frames(video, EncoderConfig(qp=24, use_inter=True))
-        without = encode_frames(video, EncoderConfig(qp=24, use_inter=False))
+        inter = EncoderConfig(qp=24, use_inter=True)
+        with_inter = reference.encode_frames(video, inter)
+        without = reference.encode_frames(video, EncoderConfig(qp=24))
         decoded = decode_frames(with_inter.data)
         video_ok = len(decoded) == len(video)
         rows.append(

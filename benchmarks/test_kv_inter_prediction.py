@@ -19,9 +19,9 @@ change in bits at equal MSE over QP 14-34 (negative = the P-frame is
 smaller).  The bar for porting inter prediction to the fast path is a
 10 % saving; the shifted window is not an argument for it, because an
 append-only store that codes only the new row beats any P-frame there.
-Both sides use the exact search (``rd_search="vectorized"``): P-frames
-take the per-leaf path, and turbo's ±1 % would be the size of the
-effect being measured.
+Both sides use the exact search
+(:class:`repro.codec.reference.ReferenceEncoder`, the only encoder of
+P-frames): turbo's ±1 % would be the size of the effect being measured.
 """
 
 import numpy as np
@@ -29,7 +29,8 @@ import numpy as np
 from bench_helpers import fresh
 from conftest import print_table, scaled
 
-from repro.codec.encoder import _HEADER_SIZE, EncoderConfig, FrameEncoder
+from repro.codec.encoder import _HEADER_SIZE, EncoderConfig
+from repro.codec.reference import ReferenceEncoder
 from repro.nn.generate import generate
 from repro.tensor.precision import grid_for
 
@@ -61,9 +62,8 @@ class _Coder:
         self._alone = {}
 
     def _encode(self, frames, qp, use_inter=False):
-        config = EncoderConfig(qp=qp, rd_search="vectorized",
-                               use_inter=use_inter)
-        result = FrameEncoder(config).encode(frames)
+        config = EncoderConfig(qp=qp, use_inter=use_inter)
+        result = ReferenceEncoder(config).encode(frames)
         return 8 * (len(result.data) - _HEADER_SIZE), result.mse
 
     def intra(self, frame, qp):

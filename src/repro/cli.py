@@ -15,8 +15,9 @@ Subcommands:
   ``journal.log``); exit 0 clean, 2 corrupt, 3 torn journal tail only.
   ``--deep`` also runs a strict decode / full payload CRC re-read
 - ``bench``      -- codec throughput ladder (pre-optimisation baseline,
-  vectorized RD, slice-parallel) with byte-identity verification; exit
-  2 when any configuration's output diverges.  ``--check`` runs the
+  two-pass search, C kernels, slice-parallel) with byte-identity
+  verification; exit 2 when any configuration's output diverges.
+  ``--check`` runs the
   perf-regression sentinel against the tracked baseline (exit 3 on a
   regression)
 - ``chaos``      -- seeded chaos soak of the fault-tolerant serving
@@ -147,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="codec throughput benchmark: encode ladder (baseline / "
-             "vectorized / turbo / parallel) + decode ladder (legacy / "
+             "turbo / native / parallel) + decode ladder (legacy / "
              "vectorized / parallel), all behind one identity gate",
     )
     bench.add_argument(

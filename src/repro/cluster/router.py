@@ -508,13 +508,20 @@ class ClusterRouter:
                 )
                 return self._finish(response, start_time, ctx.trace_id)
             quorum = min(cfg.resolved_write_quorum(), len(candidates))
-            futures = {
-                shard_id: self._executor.submit(
+            futures = {}
+            for shard_id in candidates:
+                future = self._submit(
                     self._shards[shard_id].put,
                     tensor_id, payload, version, fault_gate,
                 )
-                for shard_id in candidates
-            }
+                if future is None:
+                    response = ClusterResponse(
+                        ok=False, kind="put", request_id=request_id,
+                        error=ClusterUnavailable("router closed"),
+                        version=version,
+                    )
+                    return self._finish(response, start_time, ctx.trace_id)
+                futures[shard_id] = future
             acked: List[str] = []
             last_error: Optional[BaseException] = None
             for shard_id, future in futures.items():
@@ -771,8 +778,19 @@ class ClusterRouter:
             )
         else:
             task = _bare(work)
-        future = self._executor.submit(self._run_dispatch, req, shard_id,
-                                       task, is_hedge)
+        future = self._submit(self._run_dispatch, req, shard_id, task, is_hedge)
+        if future is None:
+            with req.lock:
+                req.inflight.discard(shard_id)
+                req.dispatched -= 1
+            self._offer(
+                req, "", ServeResponse(
+                    ok=False, kind=req.kind,
+                    error=ClusterUnavailable("router closed"),
+                ),
+                delta=None, is_hedge=is_hedge,
+            )
+            return False
         with req.lock:
             req.futures.append(future)
         return True
@@ -998,7 +1016,8 @@ class ClusterRouter:
             return
         self._repair_inflight = True
         flightrecorder.record("cluster.repair_scheduled", shard=shard_id)
-        self._executor.submit(self._repair_task)
+        if self._submit(self._repair_task) is None:
+            self._repair_inflight = False
 
     def _repair_task(self) -> None:
         try:
@@ -1032,7 +1051,7 @@ class ClusterRouter:
         telemetry.count("cluster.probes")
         flightrecorder.record("cluster.probe_fired", shard=target)
         ctx = mint_trace("cluster-probe", budget_s=budget_s)
-        self._executor.submit(self._run_probe, target, budget_s, ctx)
+        self._submit(self._run_probe, target, budget_s, ctx)
 
     def _run_probe(self, shard_id: str, budget_s: float, ctx) -> None:
         shard = self._shards[shard_id]
@@ -1105,6 +1124,17 @@ class ClusterRouter:
 
     def _count_locked(self, name: str, value: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + value
+
+    def _submit(self, fn: Callable, *args) -> Optional[Future]:
+        """``fn`` on the dispatch pool; None once :meth:`close` has shut it.
+
+        A request that passed the ``_closed`` check can still find the
+        pool shut; its callers then answer what :meth:`_refuse` does.
+        """
+        try:
+            return self._executor.submit(fn, *args)
+        except RuntimeError:  # cannot schedule new futures after shutdown
+            return None
 
     def _refuse(self, kind: str) -> ClusterResponse:
         """What every request to a closed router answers."""

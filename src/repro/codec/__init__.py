@@ -8,9 +8,12 @@ The package implements an H.264/H.265/AV1-flavoured block codec:
 - :mod:`repro.codec.transform` -- 2-D DCT transform coding.
 - :mod:`repro.codec.quantizer` -- QP-driven coefficient quantization.
 - :mod:`repro.codec.intra` -- planar / DC / 33-angular intra prediction.
-- :mod:`repro.codec.encoder` / :mod:`repro.codec.decoder` -- the full
-  RD-optimised encoder (including motion-compensated inter prediction)
-  and the bit-exact decoder.
+- :mod:`repro.codec.encoder` / :mod:`repro.codec.decoder` -- the
+  two-pass RD-optimised intra encoder and the bit-exact decoder (intra
+  and motion-compensated inter).
+- :mod:`repro.codec.reference` -- the exact search, the stage
+  ablations (inter prediction among them) and the interleaved decoder,
+  for tests, benchmarks and the figures; nothing served imports it.
 - :mod:`repro.codec.image` -- still-image convenience path (AVC-I
   style), the three-in-one codec's image input.
 - :mod:`repro.codec.pipeline` -- the stage-by-stage ablation used for

@@ -1,15 +1,20 @@
-"""RD-optimised frame encoder (intra + optional inter, quad-tree CUs).
+"""RD-optimised intra frame encoder (two-pass search, quad-tree CUs).
 
-The encoder plans each CTU with rate-distortion optimisation (trial
-reconstructions against a cheap rate proxy), commits the winning plan
-to the reconstruction buffers, and then serialises the plan with the
-CABAC-style arithmetic coder.  The decoder in
-:mod:`repro.codec.decoder` replays the same syntax, so reconstructions
-are bit-exact on both sides.
+Every frame is an intra slice, coded in two passes.  Pass 1 costs every
+(block, size, mode) candidate of a group of frames at once against
+*source* references, through cached prediction -> coefficient
+operators; pass 2 runs the quadtree DP over those costs, re-codes only
+the chosen leaves against the true reconstruction and writes the slice
+with the CABAC-style arithmetic coder -- one whole-slice C call with
+``encode="native"`` (see :meth:`FrameEncoder._encode_frame`).  The
+decoder in :mod:`repro.codec.decoder` replays the same syntax, so
+reconstructions are bit-exact on both sides.
 
-Stage flags (``use_intra`` / ``use_transform`` / ``use_partition`` /
-``use_inter``) exist so the Figure 2(b) ablation can enable the
-pipeline one stage at a time.
+``use_partition=False`` (a fixed CU grid) is served here too.  The
+other stage ablations of Figure 2(b) -- inter prediction, intra
+prediction off, the transform off -- and the exact per-leaf mode search
+are :class:`repro.codec.reference.ReferenceEncoder`'s alone;
+:class:`FrameEncoder` refuses them.
 """
 
 from __future__ import annotations
@@ -38,12 +43,11 @@ from repro.resilience.errors import (
     TruncatedStreamError,
 )
 from repro.resilience.framing import SLICE_OVERHEAD, crc32, frame_slice
-from repro.codec.quantizer import dequantize, qstep, rd_lambda
+from repro.codec.quantizer import qstep, rd_lambda
 from repro.codec.syntax import (
     CodecContexts,
     encode_coeff_block,
     encode_intra_mode,
-    encode_mv,
     estimate_mode_bits_many,
 )
 from repro.codec.transform import (
@@ -52,28 +56,11 @@ from repro.codec.transform import (
     forward_dct2_batch,
     inverse_dct2_batch,
     zigzag_order,
-    zigzag_unscan,
 )
 
-#: RD mode-search strategies.  ``"turbo"`` (the default, and what the
-#: service runs) is a two-pass whole-frame search: pass 1 costs every
-#: (block, size, mode) candidate in batched form against *source*
-#: references via cached prediction->coefficient operators, pass 2 runs
-#: the quadtree DP and re-codes only the chosen leaves against the true
-#: reconstruction -- one whole-slice C call with ``encode="native"``
-#: (see :meth:`FrameEncoder._encode_frame_turbo`).  Streams are valid
-#: and drift-free; decisions may differ slightly from the exact search.
-#: ``"vectorized"`` is the exact per-leaf search (every candidate mode
-#: reconstructed and costed in one batched pass); inter frames and
-#: ``use_transform=False`` streams always take its planner, ``turbo``
-#: included (:meth:`FrameEncoder._plan_leaf_intra_turbo` is the per-leaf
-#: turbo variant inter frames use).  The original scalar search it is
-#: byte-identical to lives in :mod:`repro.codec.reference`.
-RD_SEARCHES = ("turbo", "vectorized")
-
-#: Costing/coding backends: ``"native"`` dispatches the whole-slice
-#: turbo pass 2 and the batched turbo RD costing to the self-building C
-#: kernels (:mod:`repro.codec.entropy.native`) when they are available,
+#: Costing/coding backends: ``"native"`` dispatches pass 1's pick and
+#: the whole-slice pass 2 to the self-building C kernels
+#: (:mod:`repro.codec.entropy.native`) when they are available,
 #: falling back transparently to the pure-Python twin otherwise.
 #: ``"python"`` pins the twin even with the kernels loaded -- the
 #: bit-exactness reference the benchmark identity gates and the
@@ -167,8 +154,8 @@ def _mode_coeff_matrices(modes: Sequence[int], n: int) -> List[np.ndarray]:
 @lru_cache(maxsize=None)
 def _mode_coeff_operator(modes: Tuple[int, ...], n: int) -> np.ndarray:
     """Per-mode operators stacked for one candidate list, shape
-    ``(m * n^2, 4n + 2)`` -- the whole coarse (or refine) pass of the
-    turbo search is then a single mat-vec against the references."""
+    ``(m * n^2, 4n + 2)`` -- pass 1's candidate predictions for every
+    block of a group are then one GEMM against the stacked references."""
     stacked = np.concatenate(_mode_coeff_matrices(modes, n), axis=0)
     stacked.setflags(write=False)
     return stacked
@@ -227,24 +214,17 @@ def _transform_tables(sizes: Tuple[int, ...]) -> tuple:
 
 
 def _quantize_costs(
-    flat: np.ndarray, deadzone: float, native_ok: bool
+    flat: np.ndarray, deadzone: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Quantize a ``(rows, width)`` batch and gather its rate statistics.
 
     Returns ``(levels, rate, nnz, last)``: float64 levels, the int64
     fixed-point rate sums over :func:`_level_rate_table`, nonzero counts,
-    and the highest nonzero index per row (-1 when empty).  Dispatches to
-    the compiled cost kernel when ``native_ok`` and one is available;
-    the numpy fallback below is bitwise identical (integer rate sums,
-    and a quantizer built from the same exactly-rounded primitives), so
-    RD decisions -- and therefore output streams -- cannot depend on
-    which path ran.
+    and the highest nonzero index per row (-1 when empty).  Integer rate
+    sums and a quantizer built from exactly-rounded primitives: the pick
+    kernel's ``level_stats`` computes the same numbers bit for bit.
     """
     table = _level_rate_table()
-    if native_ok:
-        out = native.cost(flat, deadzone, table)
-        if out is not None:
-            return out
     if deadzone:
         # sign(x) * floor(|x| + c)  ==  trunc(x + copysign(c, x))
         levels = np.trunc(flat + np.copysign(0.5 - deadzone, flat))
@@ -290,7 +270,7 @@ def _pass1_pick(
             telemetry.count("encode.kernel_refusals")
     n_blocks, n_modes, width = pred.shape
     flat = ((coeffs[:, None, :] - pred) * inv_step[:, None, None]).reshape(-1, width)
-    levels, rate, nnz, last = _quantize_costs(flat, deadzone, native_ok)
+    levels, rate, nnz, last = _quantize_costs(flat, deadzone)
     err = np.pad(levels - flat, ((0, 0), (0, -width % 4)))
     lanes = np.cumsum((err * err).reshape(len(flat), -1, 4), axis=1)[:, -1]
     sse = (lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])
@@ -330,25 +310,21 @@ class EncoderConfig:
 
     profile: CodecProfile = H265_PROFILE
     qp: float = 30.0
+    #: Stage flags, written into the stream header.  :class:`FrameEncoder`
+    #: takes the defaults (and ``use_partition=False``) only; the other
+    #: Figure 2(b) stages are :mod:`repro.codec.reference`'s.
     use_intra: bool = True
     use_transform: bool = True
     use_partition: bool = True
     use_inter: bool = False
     fixed_cu_size: int = 8  # CU grid when partitioning is disabled
-    search_range: int = 7  # inter motion search radius (full pel)
-    #: Mode-search strategy, one of :data:`RD_SEARCHES`: "turbo" (two
-    #: batched passes, the default) or "vectorized" (the exact per-leaf
-    #: search).  "turbo" needs ``use_transform`` and is silently
-    #: treated as "vectorized" without it.
-    rd_search: str = "turbo"
     #: Costing/coding backend, one of :data:`ENCODES`.  "native" uses
     #: the compiled kernels when available (byte-identical output, see
     #: :data:`ENCODES`); "python" pins their pure-Python twin.
     encode: str = "native"
     #: Slice-parallel fan-out policy (None = serial).  Frames are
     #: independently decodable slices, so parallel output is
-    #: byte-identical to serial; automatically falls back to serial
-    #: when ``use_inter`` introduces cross-frame dependencies.
+    #: byte-identical to serial.
     parallel: Optional[ParallelConfig] = None
     #: Cooperative time budget for this encode (None = unbounded).
     #: Checked at every frame boundary -- in the serial loop, in each
@@ -361,10 +337,6 @@ class EncoderConfig:
     deadline: Optional[Deadline] = None
 
     def __post_init__(self) -> None:
-        if self.rd_search not in RD_SEARCHES:
-            raise ValueError(
-                f"rd_search must be one of {RD_SEARCHES}, got {self.rd_search!r}"
-            )
         if self.encode not in ENCODES:
             raise ValueError(
                 f"encode must be one of {ENCODES}, got {self.encode!r}"
@@ -544,10 +516,16 @@ class _Pass1(NamedTuple):
 
 
 class FrameEncoder:
-    """Encodes a sequence of 8-bit grayscale frames into one bitstream."""
+    """Encodes a sequence of 8-bit grayscale frames into one bitstream.
+
+    Every frame is an intra slice coded by the two-pass search; a config
+    that asks for any other Figure 2(b) stage is refused at construction
+    (:meth:`_check_stages`).
+    """
 
     def __init__(self, config: Optional[EncoderConfig] = None) -> None:
         self.config = cfg = config or EncoderConfig()
+        self._check_stages()
         if cfg.profile.min_cu_size < 4:
             raise ValueError("minimum CU size is 4")
         self._ctu = cfg.profile.ctu_size if cfg.use_partition else cfg.fixed_cu_size
@@ -555,12 +533,28 @@ class FrameEncoder:
             cfg.profile.min_cu_size if cfg.use_partition else cfg.fixed_cu_size
         )
         self._stats: Optional[telemetry.EncodeStats] = None
+        #: The last frame's reconstruction (an inter frame's reference in
+        #: :class:`repro.codec.reference.ReferenceEncoder`).
         self._reference: Optional[np.ndarray] = None
         self._native_ok = cfg.encode == "native"
-        #: Intra frames take the two-pass whole-frame turbo path.
-        self._turbo_frames = (
-            cfg.rd_search == "turbo" and cfg.use_transform and cfg.use_intra
-        )
+
+    def _check_stages(self) -> None:
+        cfg = self.config
+        refused = [
+            name
+            for name, on in (
+                ("use_inter=True", cfg.use_inter),
+                ("use_intra=False", not cfg.use_intra),
+                ("use_transform=False", not cfg.use_transform),
+            )
+            if on
+        ]
+        if refused:
+            raise ValueError(
+                f"FrameEncoder codes intra frames with the transform only "
+                f"({', '.join(refused)} given); the stage ablations are "
+                f"repro.codec.reference.ReferenceEncoder's"
+            )
 
     # -- public API ----------------------------------------------------
 
@@ -587,30 +581,19 @@ class FrameEncoder:
         )
         self._reference = None
         par = cfg.parallel
-        # Frames are independent slices unless inter prediction chains
-        # them (each frame then references the previous reconstruction),
-        # so fan-out is gated on ``use_inter``.  The parallel path is
+        # Frames are independent slices, so the parallel path is
         # byte-identical to the serial loop: same per-frame coder and
         # contexts, and the dither state for frame i is reconstructed in
         # closed form (QpDither.advanced).  As on the decode side,
         # eligibility and profitability are separate questions: a
         # parallel-capable encode below the dispatch thresholds runs
         # serially -- small inputs were measurably *slower* parallel.
-        par_capable = (
-            par is not None
-            and not par.is_serial()
-            and len(frames) > 1
-            and not cfg.use_inter
-        )
+        par_capable = par is not None and not par.is_serial() and len(frames) > 1
         pad_h = height + (-height) % self._ctu
         pad_w = width + (-width) % self._ctu
         # A fan-out hands out whole pass-1 groups, so what a worker
         # batches is what the serial loop batches.
-        per_group = (
-            max(1, GROUP_SAMPLES // (pad_h * pad_w))
-            if self._turbo_frames and not cfg.use_inter
-            else 1
-        )
+        per_group = max(1, GROUP_SAMPLES // (pad_h * pad_w))
         groups = -(-len(frames) // per_group)
         use_parallel = (
             par_capable
@@ -619,16 +602,11 @@ class FrameEncoder:
             and groups > 1
             and _effective_cpus() > 1
             # Threads only overlap work that releases the GIL: pass 1's
-            # GEMMs and the whole-slice kernel.  The per-leaf Python of
-            # the twin and of the exact searches measured slower under
-            # threads than serial.
+            # GEMMs and the whole-slice kernel.  The twin's per-leaf
+            # Python measured slower under threads than serial.
             and (
                 par.executor != "thread"
-                or (
-                    self._turbo_frames
-                    and self._native_ok
-                    and native.encode_available()
-                )
+                or (self._native_ok and native.encode_available())
             )
         )
         if par_capable and not use_parallel:
@@ -644,7 +622,6 @@ class FrameEncoder:
                     (
                         cfg,
                         frames[first : first + run],
-                        first,
                         per_group,
                         qp_base,
                         qp_frac,
@@ -667,9 +644,7 @@ class FrameEncoder:
             else:
                 if par is not None:
                     telemetry.count("parallel.serial_fallbacks")
-                coded = self._encode_run(
-                    frames, 0, per_group, QpDither(qp_base, qp_frac)
-                )
+                coded = self._encode_run(frames, per_group, QpDither(qp_base, qp_frac))
             payload = b"".join(slice_bytes for slice_bytes, _ in coded)
         # Summed in frame order on every path, so the float is the same.
         sse_total = 0.0
@@ -696,20 +671,17 @@ class FrameEncoder:
     # -- per-slice -----------------------------------------------------
 
     def _encode_run(
-        self, frames: Sequence[np.ndarray], first_index: int, per_group: int,
-        dither: QpDither,
+        self, frames: Sequence[np.ndarray], per_group: int, dither: QpDither
     ) -> List[Tuple[bytes, float]]:
         """Consecutive frames as framed slices: ``(slice bytes, frame SSE)`` each.
 
         The one body of the serial loop and of every fan-out worker:
-        turbo pass 1 once per group of ``per_group`` frames (a group of
-        one runs it inside :meth:`_encode_frame`), then pass 2 a frame
-        at a time.  Each frame is one error-resilience slice: a fresh
-        coder and fresh contexts make it independently decodable, so a
-        damaged slice can be concealed without desynchronising the rest
-        of the stream.  The reconstruction becomes the next frame's
-        reference.  The deadline is polled at every group and every
-        frame: at most one 256 x 256 slice's worth of work apart.
+        pass 1 once per group of ``per_group`` frames, then pass 2 a
+        frame at a time.  Each frame is one error-resilience slice: a
+        fresh coder and fresh contexts make it independently decodable,
+        so a damaged slice can be concealed without desynchronising the
+        rest of the stream.  The deadline is polled at every group and
+        every frame: at most one 256 x 256 slice's worth of work apart.
         """
         deadline = self.config.deadline
         coded: List[Tuple[bytes, float]] = []
@@ -718,16 +690,13 @@ class FrameEncoder:
             planes = np.stack([pad_frame(f, self._ctu) for f in group]).astype(float)
             if deadline is not None:
                 deadline.check("frames.encode")
-            plans = self._turbo_pass1(planes, dither) if per_group > 1 else (None,)
+            plans = self._turbo_pass1(planes, dither)
             for frame, plane, pass1 in zip(group, planes, plans):
                 if deadline is not None:
                     deadline.check("frames.encode")
                 with telemetry.span("frame"):
                     enc = BinaryEncoder()
-                    recon = self._encode_frame(
-                        enc, CodecContexts(), plane, first_index + len(coded), dither,
-                        pass1,
-                    )
+                    recon = self._encode_frame(enc, CodecContexts(), plane, pass1)
                     self._reference = recon
                     if self._stats is not None:
                         self._stats.add_bits("slice_hdr", 8 * SLICE_OVERHEAD)
@@ -743,280 +712,40 @@ class FrameEncoder:
         enc: BinaryEncoder,
         ctx: CodecContexts,
         frame: np.ndarray,
-        frame_index: int,
-        dither: QpDither,
-        pass1: Optional[_Pass1] = None,
+        pass1: _Pass1,
     ) -> np.ndarray:
-        cfg = self.config
-        height, width = frame.shape
-        self._frame = np.asarray(frame, dtype=np.float64)
-        self._recon = np.zeros((height, width), dtype=np.float64)
-        self._mask = np.zeros((height, width), dtype=bool)
-        self._modes = np.full((height, width), -1, dtype=np.int16)
-        self._inter_allowed = (
-            cfg.use_inter and frame_index > 0 and self._reference is not None
-        )
+        """One padded frame as one intra slice; returns its reconstruction.
 
-        stats = self._stats
-        if self._turbo_frames and not self._inter_allowed:
-            if pass1 is None:  # a group of one
-                (pass1,) = self._turbo_pass1(self._frame[None], dither)
-            return self._encode_frame_turbo(enc, ctx, pass1)
-        for y0 in range(0, height, self._ctu):
-            for x0 in range(0, width, self._ctu):
-                qp = dither.next()
-                self._qp = qp
-                self._qstep = qstep(qp)
-                self._lambda = rd_lambda(qp)
-                if stats is None:
-                    _, plan = self._plan_cu(y0, x0, self._ctu, depth=0)
-                    self._write_cu(enc, ctx, plan, y0, x0, self._ctu, depth=0)
-                    continue
-                stats.add_count("ctu")
-                stats.add_qp(qp)
-                t0 = perf_counter()
-                _, plan = self._plan_cu(y0, x0, self._ctu, depth=0)
-                t1 = perf_counter()
-                self._write_cu(enc, ctx, plan, y0, x0, self._ctu, depth=0)
-                stats.add_seconds("plan", t1 - t0)
-                stats.add_seconds("write", perf_counter() - t1)
-        return self._recon
-
-    # -- planning ------------------------------------------------------
-
-    def _save(self, y0: int, x0: int, size: int):
-        sl = (slice(y0, y0 + size), slice(x0, x0 + size))
-        return (
-            self._recon[sl].copy(),
-            self._mask[sl].copy(),
-            self._modes[sl].copy(),
-        )
-
-    def _restore(self, y0: int, x0: int, size: int, state) -> None:
-        sl = (slice(y0, y0 + size), slice(x0, x0 + size))
-        self._recon[sl], self._mask[sl], self._modes[sl] = (
-            state[0].copy(),
-            state[1].copy(),
-            state[2].copy(),
-        )
-
-    def _plan_cu(self, y0: int, x0: int, size: int, depth: int) -> Tuple[float, _Plan]:
-        can_split = self.config.use_partition and size > self._min_cu
-        before = self._save(y0, x0, size)
-        leaf_cost, leaf_plan = self._plan_leaf(y0, x0, size)
-        if not can_split:
-            return leaf_cost, leaf_plan
-        leaf_state = self._save(y0, x0, size)
-        self._restore(y0, x0, size, before)
-
-        half = size // 2
-        split_cost = self._lambda  # split flag ~1 bit
-        children: List[_Plan] = []
-        for qy in (0, 1):
-            for qx in (0, 1):
-                c_cost, c_plan = self._plan_cu(
-                    y0 + qy * half, x0 + qx * half, half, depth + 1
-                )
-                split_cost += c_cost
-                children.append(c_plan)
-        if leaf_cost + self._lambda <= split_cost:
-            self._restore(y0, x0, size, leaf_state)
-            return leaf_cost + self._lambda, leaf_plan
-        return split_cost, ("split", children)
-
-    def _plan_leaf(self, y0: int, x0: int, size: int) -> Tuple[float, _Plan]:
-        best_cost, best_plan = self._plan_leaf_intra(y0, x0, size)
-        if self._inter_allowed:
-            inter_cost, inter_plan = self._plan_leaf_inter(y0, x0, size)
-            # ~1 bit to signal the prediction type either way.
-            if inter_cost < best_cost:
-                best_cost, best_plan = inter_cost, inter_plan
-                self._commit_leaf(y0, x0, size, best_plan)
-            best_cost += self._lambda
-        return best_cost, best_plan
-
-    def _plan_leaf_intra(self, y0: int, x0: int, size: int) -> Tuple[float, _Plan]:
-        cfg = self.config
-        if not cfg.use_intra:
-            orig = self._frame[y0 : y0 + size, x0 : x0 + size]
-            prediction = np.full((size, size), 128.0)
-            cost, levels, recon = self._code_residual(orig, prediction[None])
-            plan = ("leaf", None, False, (0, 0), levels[0])
-            self._commit_block(y0, x0, size, recon[0], intra.DC)
-            return cost[0], plan
-        if cfg.rd_search == "turbo" and cfg.use_transform:
-            return self._plan_leaf_intra_turbo(y0, x0, size)
-        return self._search_intra(y0, x0, size)
-
-    def _search_intra(self, y0: int, x0: int, size: int) -> Tuple[float, _Plan]:
-        """Exact intra mode search: every candidate coded and costed.
-
-        Coarse candidates in one batch, then the winner's refine set;
-        the best mode's reconstruction is committed.
-        :class:`repro.codec.reference.ReferenceEncoder` overrides this
-        with the scalar search it is byte-identical to.
-        """
-        cfg = self.config
-        orig = self._frame[y0 : y0 + size, x0 : x0 + size]
-        top, left = intra.gather_references(self._recon, self._mask, y0, x0, size)
-        left_mode = self._neighbor_mode(y0, x0 - 1)
-        top_mode = self._neighbor_mode(y0 - 1, x0)
-
-        modes = list(cfg.profile.coarse_modes())
-        preds = intra.predict_many(top, left, modes, size)
-        costs, levels, recons = self._code_residual(orig, preds)
-        costs = costs + self._lambda * estimate_mode_bits_many(
-            modes, left_mode, top_mode
-        )
-        best = int(np.argmin(costs))
-
-        refine = cfg.profile.refine_modes(modes[best])
-        if refine:
-            r_modes = list(refine)
-            r_preds = intra.predict_many(top, left, r_modes, size)
-            r_costs, r_levels, r_recons = self._code_residual(orig, r_preds)
-            r_costs = r_costs + self._lambda * estimate_mode_bits_many(
-                r_modes, left_mode, top_mode
-            )
-            r_best = int(np.argmin(r_costs))
-            if r_costs[r_best] < costs[best]:
-                plan = ("leaf", r_modes[r_best], False, (0, 0), r_levels[r_best])
-                self._commit_block(y0, x0, size, r_recons[r_best], r_modes[r_best])
-                return float(r_costs[r_best]), plan
-
-        plan = ("leaf", modes[best], False, (0, 0), levels[best])
-        self._commit_block(y0, x0, size, recons[best], modes[best])
-        return float(costs[best]), plan
-
-    def _plan_leaf_intra_turbo(
-        self, y0: int, x0: int, size: int
-    ) -> Tuple[float, _Plan]:
-        """Transform-domain mode search (``rd_search="turbo"``).
-
-        Candidate costing never leaves the DCT domain: a cached linear
-        operator (:func:`_mode_coeff_operator`) maps the reference
-        boundary straight to each mode's zigzag-ordered prediction
-        coefficients, so one stacked mat-vec replaces spatial
-        prediction, the per-batch forward DCT, and the losers' inverse
-        DCTs.  Distortion uses Parseval (the orthonormal DCT preserves
-        SSE) and ignores the [0, 255] reconstruction clip during
-        *selection* only; the winning mode is then reconstructed
-        exactly as the decoder will, so streams stay drift-free.  Only
-        mode/split tie-breaks can differ from the exact search
-        (measured on the bench tensor: <1% bytes, ~equal MSE).
-        """
-        orig = self._frame[y0 : y0 + size, x0 : x0 + size]
-        top, left = intra.gather_references(self._recon, self._mask, y0, x0, size)
-        left_mode = self._neighbor_mode(y0, x0 - 1)
-        top_mode = self._neighbor_mode(y0 - 1, x0)
-        basis = dct_matrix(size)
-        # Pre-divide by the quantizer step so the mat-vec lands directly
-        # in quantizer units (saves one full-width division per call).
-        inv_step = 1.0 / self._qstep
-        refs = np.concatenate([top, left]) * inv_step
-        orig_scaled = (
-            np.take(
-                np.matmul(np.matmul(basis, orig), basis.T).ravel(),
-                zigzag_order(size),
-            )
-            * inv_step
-        )
-
-        modes = self.config.profile.coarse_modes()
-        costs, levels = self._turbo_costs(
-            modes, refs, orig_scaled, left_mode, top_mode, size
-        )
-        best = int(np.argmin(costs))
-        best_mode = modes[best]
-        best_cost = float(costs[best])
-        best_levels = levels[best]
-
-        refine = self.config.profile.refine_modes(best_mode)
-        if refine:
-            r_costs, r_levels = self._turbo_costs(
-                refine, refs, orig_scaled, left_mode, top_mode, size
-            )
-            r_best = int(np.argmin(r_costs))
-            if r_costs[r_best] < best_cost:
-                best_mode = refine[r_best]
-                best_cost = float(r_costs[r_best])
-                best_levels = r_levels[r_best]
-
-        # Reconstruct the winner exactly like the decoder will.
-        grid = zigzag_unscan(best_levels.astype(np.int64), size)
-        residual = inverse_dct2_batch(dequantize(grid[None], self._qp))[0]
-        prediction = intra.predict(top, left, best_mode, size)
-        recon = np.clip(prediction + residual, 0.0, 255.0)
-        self._commit_block(y0, x0, size, recon, best_mode)
-        return best_cost, ("leaf", best_mode, False, (0, 0), grid)
-
-    def _turbo_costs(
-        self,
-        modes: Tuple[int, ...],
-        refs: np.ndarray,
-        orig_scaled: np.ndarray,
-        left_mode: Optional[int],
-        top_mode: Optional[int],
-        size: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """RD costs and zigzag-ordered levels for one candidate list.
-
-        ``refs`` and ``orig_scaled`` arrive pre-divided by the quantizer
-        step, so every array here lives in quantizer units; the spatial
-        SSE is recovered by one scalar ``step**2`` at the end
-        (Parseval).  Levels stay float64 -- they are exact small
-        integers, and only the winning row is ever cast.
-        """
-        operator = _mode_coeff_operator(tuple(modes), size)
-        scaled = orig_scaled - (operator @ refs).reshape(len(modes), size * size)
-        deadzone = self.config.profile.deadzone
-        levels, rate, nnz, last = _quantize_costs(
-            scaled, deadzone, self._native_ok
-        )
-        err = levels - scaled
-        sse = np.einsum("ij,ij->i", err, err) * (self._qstep * self._qstep)
-
-        # Fixed-point form of the usual rate proxy (2*log2(m+1) bits per
-        # level + 2 per nonzero for sig/sign); the 2**14 divisor folds
-        # the table scale and the factor of two in one exact division.
-        level_bits = rate / float(1 << (_RATE_SCALE_BITS - 1)) + 2.0 * nnz
-        bits = np.where(nnz > 0, 5.0 + last + level_bits, 1.0)
-        mode_bits = estimate_mode_bits_many(modes, left_mode, top_mode)
-        return sse + self._lambda * (bits + mode_bits), levels
-
-    # -- two-pass turbo frame path -------------------------------------
-
-    def _encode_frame_turbo(
-        self, enc: BinaryEncoder, ctx: CodecContexts, pass1: _Pass1
-    ) -> np.ndarray:
-        """Whole-frame turbo encode: batched mode decision, exact coding.
-
-        Pass 1 (:meth:`_turbo_pass1`, once per group of frames) scores
+        Pass 1 (:meth:`_turbo_pass1`, once per group of frames) scored
         every block of every CU size in a handful of stacked GEMMs using
         *source* pixels as prediction references -- the classic encoder
         lookahead trick: at working QPs the reconstruction tracks the
         source closely, so decisions made against the source are
         near-identical while removing the serial commit->gather
-        dependency that forces the per-leaf searches to run block by
-        block (and any dependency on the slice a block sits in).  Pass
-        2, here, picks the partition per CTU with a quadtree DP (the
-        same split-flag arithmetic as :meth:`_plan_cu`), re-codes only
+        dependency that forces a per-leaf search to run block by block
+        (and any dependency on the slice a block sits in).  Pass 2,
+        here, picks the partition per CTU with a quadtree DP (the split
+        arithmetic of the exact search in
+        :class:`repro.codec.reference.ReferenceEncoder`), re-codes only
         the chosen leaves against the *true* reconstruction and writes
         the slice, so the emitted stream is exactly decodable --
-        drift-free by construction, like every other search mode.  With
-        ``encode="native"`` pass 2 is one GIL-free call
-        (``native.encode_slice``); :meth:`_turbo_choose` /
-        :meth:`_turbo_commit` / :meth:`_write_cu` are its pure-Python
+        drift-free by construction.  With ``encode="native"`` pass 2 is
+        one GIL-free call (``native.encode_slice``); :meth:`_turbo_choose`
+        / :meth:`_turbo_commit` / :meth:`_write_cu` are its pure-Python
         twin -- same bytes, same float64 plane, same context banks --
         which also re-codes any slice the kernel refuses.
         """
+        height, width = frame.shape
+        self._frame = np.asarray(frame, dtype=np.float64)
+        self._recon = np.zeros((height, width), dtype=np.float64)
+        self._mask = np.zeros((height, width), dtype=bool)
+        self._modes = np.full((height, width), -1, dtype=np.int16)
         if self._native_ok and self._turbo_pass2_native(enc, ctx, pass1):
             return self._recon
         stats = self._stats
         ctu = self._ctu
         for cy, row in enumerate(pass1.qp.tolist()):
             for cx, qp in enumerate(row):
-                self._qp = float(qp)
                 self._qstep = qstep(qp)
                 self._lambda = rd_lambda(qp)
                 y0, x0 = cy * ctu, cx * ctu
@@ -1228,7 +957,8 @@ class FrameEncoder:
     ):
         """Quadtree DP over the pass-1 cost tables (no pixels touched).
 
-        Mirrors :meth:`_plan_cu`'s cost arithmetic exactly: ~1 bit of
+        The exact search's split arithmetic (in
+        :class:`repro.codec.reference.ReferenceEncoder`): ~1 bit of
         split signalling per node, leaf kept on ties.
         """
         mode = int(best_mode[size][y0 // size, x0 // size])
@@ -1275,10 +1005,10 @@ class FrameEncoder:
     ) -> _Plan:
         """Exact single-mode leaf coding (quantize, reconstruct, commit).
 
-        Identical arithmetic to :meth:`_code_residual` restricted to one
-        prediction, and to ``code_leaf`` in ``_encode_kernel.c``
-        operation for operation; the reconstruction is what the decoder
-        will produce for these levels, bit for bit.
+        The reference encoder's residual coding restricted to one
+        prediction, and ``code_leaf`` in ``_encode_kernel.c`` operation
+        for operation; the reconstruction is what the decoder will
+        produce for these levels, bit for bit.
         """
         orig = self._frame[y0 : y0 + size, x0 : x0 + size]
         top, left = intra.gather_references(self._recon, self._mask, y0, x0, size)
@@ -1297,121 +1027,6 @@ class FrameEncoder:
         self._commit_block(y0, x0, size, recon, mode)
         return ("leaf", mode, False, (0, 0), levels)
 
-    def _plan_leaf_inter(self, y0: int, x0: int, size: int) -> Tuple[float, _Plan]:
-        orig = self._frame[y0 : y0 + size, x0 : x0 + size]
-        mv = self._motion_search(y0, x0, size)
-        prediction = self._motion_compensate(y0, x0, size, mv)
-        costs, levels, recons = self._code_residual(orig, prediction[None])
-        mv_bits = 2.0 + 2.0 * (np.log2(abs(mv[0]) + 1) + np.log2(abs(mv[1]) + 1))
-        cost = float(costs[0]) + self._lambda * mv_bits
-        return cost, ("leaf", None, True, mv, levels[0])
-
-    def _motion_search(self, y0: int, x0: int, size: int) -> Tuple[int, int]:
-        """Diamond search over the previous reconstructed frame.
-
-        The full candidate window is sliced out of the reference once
-        up front (probes index into it) and the search terminates as
-        soon as a zero-SAD match is found -- no candidate can beat it,
-        so the result is unchanged.  Both tweaks matter for static
-        content, where the zero vector is an exact match for most CUs.
-        """
-        assert self._reference is not None
-        ref = self._reference
-        height, width = ref.shape
-        orig = self._frame[y0 : y0 + size, x0 : x0 + size]
-        radius = self.config.search_range
-        wy0 = max(0, y0 - radius)
-        wx0 = max(0, x0 - radius)
-        window = ref[wy0 : min(height, y0 + size + radius),
-                     wx0 : min(width, x0 + size + radius)]
-
-        def sad(dy: int, dx: int) -> float:
-            ry, rx = y0 + dy, x0 + dx
-            if ry < 0 or rx < 0 or ry + size > height or rx + size > width:
-                return np.inf
-            oy, ox = ry - wy0, rx - wx0
-            return float(np.abs(window[oy : oy + size, ox : ox + size] - orig).sum())
-
-        best = (0, 0)
-        best_sad = sad(0, 0)
-        if best_sad == 0.0:
-            return best
-        step = max(1, radius // 2)
-        while step >= 1:
-            improved = True
-            while improved:
-                improved = False
-                for dy, dx in ((-step, 0), (step, 0), (0, -step), (0, step)):
-                    cand = (best[0] + dy, best[1] + dx)
-                    if max(abs(cand[0]), abs(cand[1])) > radius:
-                        continue
-                    value = sad(*cand)
-                    if value < best_sad:
-                        best, best_sad = cand, value
-                        improved = True
-                        if best_sad == 0.0:
-                            return best
-            step //= 2
-        return best
-
-    def _motion_compensate(
-        self, y0: int, x0: int, size: int, mv: Tuple[int, int]
-    ) -> np.ndarray:
-        assert self._reference is not None
-        ry, rx = y0 + mv[0], x0 + mv[1]
-        return self._reference[ry : ry + size, rx : rx + size].astype(np.float64)
-
-    def _code_residual(
-        self, orig: np.ndarray, predictions: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Transform+quantize residuals for a batch of predictions.
-
-        Returns (rd_costs, quantized_levels, reconstructions) with the
-        leading batch axis matching ``predictions``.
-
-        Quantization is inlined with the CTU's cached quantizer step.
-        Every output is bit-identical to the reference encoder's
-        quantizer-call form (tests/test_reference_codec.py pins this
-        through byte-identical streams).
-        """
-        cfg = self.config
-        stats = self._stats
-        if stats is not None:
-            stats.add_count("residual_batches")
-        size = orig.shape[0]
-        residuals = orig - predictions
-        if cfg.use_transform:
-            coeffs = forward_dct2_batch(residuals)
-        else:
-            coeffs = residuals
-        step = self._qstep
-        scaled = coeffs / step
-        deadzone = cfg.profile.deadzone
-        if deadzone:
-            levels = (
-                np.sign(scaled) * np.floor(np.abs(scaled) + (0.5 - deadzone))
-            ).astype(np.int64)
-        else:
-            levels = np.round(scaled).astype(np.int64)
-        dequant = levels * step
-        if cfg.use_transform:
-            resid_rec = inverse_dct2_batch(dequant)
-        else:
-            resid_rec = dequant
-        recons = np.clip(predictions + resid_rec, 0.0, 255.0)
-        sse = ((recons - orig) ** 2).sum(axis=(1, 2))
-
-        # Vectorised rate proxy (mirrors syntax.estimate_coeff_bits).
-        zz = zigzag_order(size)
-        scanned = levels.reshape(levels.shape[0], -1).take(zz, axis=1)
-        mags = np.abs(scanned)
-        nonzero = mags > 0
-        any_nz = nonzero.any(axis=1)
-        last = size * size - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-        level_bits = ((2.0 * np.log2(mags + 1.0) + 2.0) * nonzero).sum(axis=1)
-        bits = np.where(any_nz, 4.0 + (last + 1) + level_bits, 1.0)
-        return sse + self._lambda * bits, levels, recons
-
     def _commit_block(
         self, y0: int, x0: int, size: int, recon: np.ndarray, mode: int
     ) -> None:
@@ -1419,28 +1034,6 @@ class FrameEncoder:
         self._recon[sl] = recon
         self._mask[sl] = True
         self._modes[sl] = mode
-
-    def _commit_leaf(self, y0: int, x0: int, size: int, plan: _Plan) -> None:
-        """Re-apply a chosen plan's reconstruction (used after inter wins)."""
-        _, mode, is_inter, mv, levels = plan
-        if is_inter:
-            prediction = self._motion_compensate(y0, x0, size, mv)
-        else:
-            top, left = intra.gather_references(
-                self._recon, self._mask, y0, x0, size
-            )
-            prediction = (
-                intra.predict(top, left, mode, size)
-                if mode is not None
-                else np.full((size, size), 128.0)
-            )
-        dequant = dequantize(levels[None], self._qp)
-        if self.config.use_transform:
-            resid = inverse_dct2_batch(dequant)[0]
-        else:
-            resid = dequant[0]
-        recon = np.clip(prediction + resid, 0.0, 255.0)
-        self._commit_block(y0, x0, size, recon, mode if mode is not None else intra.DC)
 
     def _neighbor_mode(self, y: int, x: int) -> Optional[int]:
         if y < 0 or x < 0:
@@ -1490,32 +1083,40 @@ class FrameEncoder:
                         )
                         index += 1
                 return
-        _, mode, is_inter, mv, levels = plan
-        if stats is not None:
-            stats.add_count("cu.leaf")
-            stats.add_count("mode.inter" if is_inter else "mode.intra")
-        if self._inter_allowed:
-            if stats is None:
-                enc.encode_bit(ctx.pred_flag, 0, 1 if is_inter else 0)
-            else:
-                mark = enc.tell_bits()
-                enc.encode_bit(ctx.pred_flag, 0, 1 if is_inter else 0)
-                stats.add_bits("pred_flag", enc.tell_bits() - mark)
-        if is_inter:
-            mark = enc.tell_bits() if stats is not None else 0
-            encode_mv(enc, ctx, mv)
-            if stats is not None:
-                stats.add_bits("mv", enc.tell_bits() - mark)
-        elif cfg.use_intra:
-            left_mode = self._neighbor_mode_for_signal(y0, x0 - 1)
-            top_mode = self._neighbor_mode_for_signal(y0 - 1, x0)
-            mark = enc.tell_bits() if stats is not None else 0
-            encode_intra_mode(
-                enc, ctx, mode, left_mode, top_mode, cfg.profile.all_modes
-            )
-            if stats is not None:
-                stats.add_bits("intra_mode", enc.tell_bits() - mark)
+        self._write_leaf(enc, ctx, plan, y0, x0)
+
+    def _write_leaf(
+        self, enc: BinaryEncoder, ctx: CodecContexts, plan: _Plan, y0: int, x0: int
+    ) -> None:
+        """An intra leaf: its mode, then its coefficient block."""
+        _, mode, _, _, levels = plan
+        if self._stats is not None:
+            self._stats.add_count("cu.leaf")
+            self._stats.add_count("mode.intra")
+        self._write_intra_mode(enc, ctx, mode, y0, x0)
         self._write_coeffs(enc, ctx, levels)
+
+    def _write_intra_mode(
+        self, enc: BinaryEncoder, ctx: CodecContexts, mode: int, y0: int, x0: int
+    ) -> None:
+        """A leaf's mode against the MPMs of its left and top neighbours.
+
+        The committed mode map is final for everything coded so far, and
+        left/top neighbours precede the leaf in decode order, so it holds
+        exactly the neighbour modes the decoder will know.
+        """
+        stats = self._stats
+        mark = enc.tell_bits() if stats is not None else 0
+        encode_intra_mode(
+            enc,
+            ctx,
+            mode,
+            self._neighbor_mode(y0, x0 - 1),
+            self._neighbor_mode(y0 - 1, x0),
+            self.config.profile.all_modes,
+        )
+        if stats is not None:
+            stats.add_bits("intra_mode", enc.tell_bits() - mark)
 
     def _write_coeffs(
         self, enc: BinaryEncoder, ctx: CodecContexts, levels: np.ndarray
@@ -1526,16 +1127,6 @@ class FrameEncoder:
         with the primitive-call writer.
         """
         encode_coeff_block(enc, ctx, levels, self._stats)
-
-    def _neighbor_mode_for_signal(self, y: int, x: int) -> Optional[int]:
-        """Neighbour mode exactly as the decoder will know it.
-
-        The planner's ``self._modes`` is already final for the whole
-        frame region processed so far, and left/top neighbours always
-        precede the current CU in decode order, so the committed map is
-        safe to consult during serialization.
-        """
-        return self._neighbor_mode(y, x)
 
 
 def _encode_slices_worker(args):
@@ -1548,11 +1139,11 @@ def _encode_slices_worker(args):
 
     Returns ``([(framed_slice_bytes, frame_sse), ...], stats_or_None)``.
     """
-    config, frames, first_index, per_group, qp_base, qp_frac, steps, want_stats = args
+    config, frames, per_group, qp_base, qp_frac, steps, want_stats = args
     encoder = FrameEncoder(config)
     encoder._stats = telemetry.EncodeStats() if want_stats else None
     dither = QpDither.advanced(qp_base, qp_frac, steps)
-    return encoder._encode_run(frames, first_index, per_group, dither), encoder._stats
+    return encoder._encode_run(frames, per_group, dither), encoder._stats
 
 
 def encode_frames(

@@ -1,18 +1,10 @@
-/* Native batched RD costing for the turbo search.
+/* Native batched RD costing for pass 1 of the two-pass search.
  *
- * Two entry points share the dead-zone quantizer and the integer rate
- * statistics of a row of levels:
- *
- *   llm265_cost_blocks  "flat": row r of `scaled` IS a candidate
- *                       coefficient block in step units; the kernel
- *                       returns its levels and rate statistics and the
- *                       caller (the exact per-leaf search, inter
- *                       frames) finishes the cost in numpy.
- *   llm265_cost_pick    pass 1 of the whole-frame search: for every
- *                       block the best candidate mode and its RD cost,
- *                       and nothing else -- the (blocks * modes, width)
- *                       candidate tensor, its levels and its errors
- *                       never exist outside one L1-resident row.
+ *   llm265_cost_pick    for every block the best candidate mode and its
+ *                       RD cost, and nothing else -- the
+ *                       (blocks * modes, width) candidate tensor, its
+ *                       levels and its errors never exist outside one
+ *                       L1-resident row.
  *
  * Per candidate row:
  *
@@ -80,34 +72,6 @@ static inline void level_stats(
     *rate = row_rate;
     *nnz = row_nnz;
     *last = row_last;
-}
-
-int64_t llm265_cost_blocks(
-    const double *scaled, int64_t n_rows, int64_t width, double deadzone,
-    const int64_t *rate_table, int64_t table_len,
-    double *levels, int64_t *rate, int64_t *nnz, int64_t *last)
-{
-    double off = 0.5 - deadzone;
-    int64_t r, i;
-
-    if (width < 1 || width > MAX_WIDTH)
-        return 1;
-    for (r = 0; r < n_rows; r++) {
-        const double *x = scaled + r * width;
-        double *lv = levels + r * width;
-        /* Quantize in branch-hoisted loops (trunc/copysign/rint inline
-         * to single instructions with SSE4.1), then gather the rate
-         * stats in a second pass. */
-        if (deadzone != 0.0)
-            for (i = 0; i < width; i++)
-                lv[i] = quantize(x[i], off, 1);
-        else
-            for (i = 0; i < width; i++)
-                lv[i] = quantize(x[i], off, 0);
-        level_stats(lv, width, rate_table, table_len,
-                    rate + r, nnz + r, last + r);
-    }
-    return 0;
 }
 
 /* Levels of one candidate row into `lv`; returns its lane-ordered SSE. */

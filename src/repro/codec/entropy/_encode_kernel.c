@@ -1,6 +1,6 @@
 /* Whole-slice intra encode: one call plans, codes and writes a slice.
  *
- * Everything FrameEncoder._encode_frame_turbo does after its batched
+ * Everything FrameEncoder._encode_frame does after its batched
  * pass 1 -- _turbo_choose, _turbo_commit / _code_leaf_fixed_mode and
  * _write_cu -- over the pass-1 best_mode / best_cost tables:
  *

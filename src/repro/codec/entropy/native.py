@@ -27,12 +27,10 @@ coefficient-block writer -- is only ever ``#include``d):
            predictors of the recon kernel, and also exports the
            codec's order-defined DCT pair (:func:`dct2`) and, built on
            it, the decoder's residual stage (:func:`residuals`).
-``cost``   ``_cost_kernel.c`` -- RD costing, two entries in one object:
-           pass 1's quantize -> rate -> distortion -> argmin over every
-           candidate of a block size (:func:`cost_pick`: one mode and
-           one cost per block come back, nothing else), and the batched
-           quantize + rate statistics of the per-leaf searches
-           (:func:`cost`).
+``cost``   ``_cost_kernel.c`` -- pass 1's RD costing: quantize -> rate
+           -> distortion -> argmin over every candidate of a block size
+           (:func:`cost_pick`: one mode and one cost per block come
+           back, nothing else).
 
 Each C file is compiled with the system C compiler the first time one
 of its kernels is needed and cached under ``_build/`` keyed by a content
@@ -89,7 +87,6 @@ __all__ = [
     "encode_slice",
     "dct2",
     "residuals",
-    "cost",
     "cost_pick",
     "refs",
 ]
@@ -199,19 +196,6 @@ _REFS_ARGTYPES = [
     ctypes.c_void_p,  # left out (float64)
 ]
 
-_COST_ARGTYPES = [
-    ctypes.c_void_p,  # scaled (float64)
-    ctypes.c_int64,  # n_rows
-    ctypes.c_int64,  # width
-    ctypes.c_double,  # deadzone
-    ctypes.c_void_p,  # rate_table (int64)
-    ctypes.c_int64,  # table_len
-    ctypes.c_void_p,  # levels out (float64)
-    ctypes.c_void_p,  # rate out (int64)
-    ctypes.c_void_p,  # nnz out (int64)
-    ctypes.c_void_p,  # last out (int64)
-]
-
 _PICK_ARGTYPES = [
     ctypes.c_void_p,  # coeffs (float64, blocks x width)
     ctypes.c_void_p,  # pred (float64, blocks x modes x width)
@@ -296,12 +280,6 @@ def _check_dct(lib) -> None:
                 raise RuntimeError(f"ordered DCT disagrees with numpy at n={n}")
 
 
-def _declare_pick(lib) -> None:
-    """Declare the cost library's second entry, pass 1's pick kernel."""
-    lib.llm265_cost_pick.restype = ctypes.c_int64
-    lib.llm265_cost_pick.argtypes = _PICK_ARGTYPES
-
-
 @dataclass
 class _Kernel:
     name: str
@@ -336,13 +314,7 @@ _KERNELS: Dict[str, _Kernel] = {
             check=_check_dct,
             includes=("_recon_kernel.c", "_write_kernel.c"),
         ),
-        _Kernel(
-            "cost",
-            "_cost_kernel.c",
-            "llm265_cost_blocks",
-            _COST_ARGTYPES,
-            check=_declare_pick,
-        ),
+        _Kernel("cost", "_cost_kernel.c", "llm265_cost_pick", _PICK_ARGTYPES),
         _Kernel("refs", "_recon_kernel.c", "llm265_gather_refs", _REFS_ARGTYPES),
     )
 }
@@ -521,8 +493,8 @@ def available() -> bool:
 
     The decoder asks this once per group of slices (and once per fan-out
     decision); tests monkeypatch it to force the pure-Python walk.  The
-    per-block encode kernels are gated by :func:`cost` / :func:`refs`
-    declining instead.
+    encoder's kernels are gated by :func:`encode_slice` /
+    :func:`cost_pick` / :func:`refs` declining instead.
     """
     return _resolve("slice") is not None and _resolve("recon") is not None
 
@@ -973,38 +945,6 @@ def residuals(
     return None if status else out
 
 
-def cost(
-    diff: np.ndarray,
-    deadzone: float,
-    rate_table: np.ndarray,
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Batched quantize + rate stats; None when the kernel is unavailable.
-
-    ``diff`` is a C-contiguous float64 ``(rows, width)`` batch of
-    step-scaled residuals; ``rate_table`` is the int64 fixed-point
-    level-rate table.  Returns ``(levels, rate, nnz, last)`` arrays
-    bitwise identical to the numpy fallback in
-    :func:`repro.codec.encoder._quantize_costs`.
-    """
-    fn = _resolve("cost")
-    if fn is None:
-        return None
-    diff = np.ascontiguousarray(diff, dtype=np.float64)
-    rows, width = diff.shape
-    levels = np.empty_like(diff)
-    rate = np.empty(rows, dtype=np.int64)
-    nnz = np.empty(rows, dtype=np.int64)
-    last = np.empty(rows, dtype=np.int64)
-    status = fn(
-        diff.ctypes.data, rows, width, deadzone, rate_table.ctypes.data,
-        len(rate_table), levels.ctypes.data, rate.ctypes.data,
-        nnz.ctypes.data, last.ctypes.data,
-    )
-    if status != 0:
-        return None
-    return levels, rate, nnz, last
-
-
 def cost_pick(
     coeffs: np.ndarray,
     pred: np.ndarray,
@@ -1026,7 +966,8 @@ def cost_pick(
     the numpy form in :func:`repro.codec.encoder._pass1_pick` computes.
     The candidate rows, their levels and their errors never leave C.
     """
-    if _resolve("cost") is None:
+    fn = _resolve("cost")
+    if fn is None:
         return None
     if not (
         _c_array(coeffs, np.float64, 2)
@@ -1043,7 +984,7 @@ def cost_pick(
     n_blocks, n_modes, width = pred.shape
     pick = np.empty(n_blocks, dtype=np.int64)
     best = np.empty(n_blocks, dtype=np.float64)
-    status = _KERNELS["cost"].lib.llm265_cost_pick(
+    status = fn(
         coeffs.ctypes.data, pred.ctypes.data, n_blocks, n_modes, width,
         inv_step.ctypes.data, step2.ctypes.data, lam.ctypes.data,
         mode_bits.ctypes.data, deadzone, rate_table.ctypes.data,

@@ -40,7 +40,7 @@ def encode_image(
     if sum(chosen) > 1:
         raise ValueError("pass only one of qp / bits_per_pixel / max_mse")
 
-    config = EncoderConfig(profile=profile, use_inter=False)
+    config = EncoderConfig(profile=profile)
     if bits_per_pixel is not None:
         _, result = search_qp_for_bitrate([image], bits_per_pixel, config)
         return result.data

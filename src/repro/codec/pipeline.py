@@ -11,21 +11,25 @@ measures the bits/value needed to stay under an MSE budget:
 6. + inter-frame prediction                  -> *increases* for tensors
 
 Stages 3-6 search QP for the distortion budget; stages 1-2 are
-lossless in the 8-bit pixel domain.
+lossless in the 8-bit pixel domain.  Stage 5 is what production runs,
+:class:`repro.codec.encoder.FrameEncoder`'s two-pass search; stages 3,
+4 and 6 are ablations production refuses, so they are encoded by the
+exact search of :class:`repro.codec.reference.ReferenceEncoder`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.codec.encoder import EncoderConfig
+from repro.codec.encoder import EncoderConfig, FrameEncoder
 from repro.codec.entropy.bytecoder import byte_arith_encode
 from repro.codec.profiles import H265_PROFILE, CodecProfile
-from repro.codec.ratecontrol import search_qp_for_mse
+from repro.codec.ratecontrol import solve_qp
+from repro.codec.reference import ReferenceEncoder
 
 
 class PipelineStage(enum.Enum):
@@ -92,7 +96,17 @@ def run_pipeline_ablation(
             if stage == PipelineStage.INTER and len(frames) < 2:
                 continue  # inter needs a reference frame
             config = stage_config(stage, profile)
-            qp, encoded = search_qp_for_mse(frames, pixel_mse_target, config)
+            served = stage == PipelineStage.INTRA  # the rest are ablations
+            encoder = FrameEncoder if served else ReferenceEncoder
+            # The largest QP whose pixel MSE stays under the budget: the
+            # search ratecontrol.search_qp_for_mse runs for production.
+            qp, encoded, _ = solve_qp(
+                lambda qp: encoder(replace(config, qp=qp)).encode(frames),
+                lambda result: result.mse,
+                pixel_mse_target,
+                0.25,
+                distortion=True,
+            )
             results.append(
                 StageResult(stage, encoded.bits_per_value, encoded.mse, qp)
             )

@@ -5,8 +5,9 @@ target", "constrain max distortion"); the paper's experiments sweep
 both.  Fractional bitrates come out naturally because the float QP is
 dithered across CTUs (see :class:`repro.codec.encoder.QpDither`).
 
-Every search in the repo (the two functions below and
-:class:`repro.tensor.codec.TensorCodec`'s two targets) is one call to
+Every search in the repo (the two functions below,
+:class:`repro.tensor.codec.TensorCodec`'s two targets and the Figure
+2(b) ablation in :mod:`repro.codec.pipeline`) is one call to
 :func:`solve_qp`.
 """
 

@@ -20,7 +20,7 @@ used is recorded in the response and in ``serving.rung.*`` counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import repro.telemetry as telemetry
@@ -33,18 +33,18 @@ __all__ = ["DEFAULT_LADDER", "DegradationLadder", "Rung"]
 
 @dataclass(frozen=True)
 class Rung:
-    """One service configuration: search, fan-out and backend."""
+    """One service configuration: fan-out and backend."""
 
     name: str
-    rd_search: str
+    #: Every rung runs the one search there is; read-only, and nothing
+    #: branches on it.
+    rd_search: str = field(default="turbo", init=False)
     parallel: Optional[ParallelConfig] = None
     encode: str = "native"
 
     def __post_init__(self) -> None:
-        from repro.codec.encoder import ENCODES, RD_SEARCHES
+        from repro.codec.encoder import ENCODES
 
-        if self.rd_search not in RD_SEARCHES:
-            raise ValueError(f"unknown rd_search {self.rd_search!r}")
         if self.encode not in ENCODES:
             raise ValueError(f"unknown encode {self.encode!r}")
 
@@ -61,9 +61,9 @@ class Rung:
 #: kernels whenever they are loaded, so the floor rung differs from
 #: ``serial`` on the encode side only.
 DEFAULT_LADDER: Tuple[Rung, ...] = (
-    Rung("turbo", "turbo", ParallelConfig(workers=2, executor="thread")),
-    Rung("serial", "turbo"),
-    Rung("python", "turbo", encode="python"),
+    Rung("turbo", ParallelConfig(workers=2, executor="thread")),
+    Rung("serial"),
+    Rung("python", encode="python"),
 )
 
 

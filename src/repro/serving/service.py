@@ -153,7 +153,6 @@ class CodecService:
             rung.name: TensorCodec(
                 tile=cfg.tile,
                 parallel=rung.parallel,
-                rd_search=rung.rd_search,
                 encode=rung.encode,
             )
             for rung in self.ladder.rungs

@@ -23,7 +23,7 @@ import numpy as np
 
 import repro.telemetry as telemetry
 from repro.codec.decoder import FrameDecoder
-from repro.codec.encoder import ENCODES, RD_SEARCHES, EncoderConfig, FrameEncoder
+from repro.codec.encoder import ENCODES, EncoderConfig, FrameEncoder
 from repro.codec.profiles import H265_PROFILE, CodecProfile
 from repro.codec.ratecontrol import rate_law_qp, solve_qp
 from repro.parallel import ParallelConfig
@@ -317,10 +317,9 @@ class TensorCodec:
         Codec toolset (H.264 / H.265 / AV1).  Defaults to H.265 as the
         paper does (Section 4.1.1).
     tile:
-        Maximum frame edge; larger tensors become multiple frames.
-    use_inter:
-        Enable inter-frame prediction across tiles.  Off by default:
-        the paper shows it *hurts* tensors (Figure 2(b) step 6).
+        Maximum frame edge; larger tensors become multiple frames, each
+        intra-coded: the paper shows inter prediction *hurts* tensors
+        (Figure 2(b) step 6).
     alignment:
         How floats map to 8-bit samples: ``"minmax"`` (one affine per
         frame, the paper's default) or ``"mx"`` (per-32-block shared
@@ -331,10 +330,6 @@ class TensorCodec:
         slice-parallel encode and decode over tiles.  Bitstreams and
         reconstructions are bit-identical to serial operation (slices
         are independently codable); ``None`` keeps everything serial.
-    rd_search:
-        Mode-search strategy forwarded to the frame encoder:
-        ``"turbo"`` (default, what the service runs) or
-        ``"vectorized"`` (the exact per-leaf search).
     encode:
         Costing/coding backend forwarded to the frame encoder:
         ``"native"`` (default) uses the compiled kernels when
@@ -343,32 +338,28 @@ class TensorCodec:
         :attr:`encode_mode` (``encode`` the method keeps its name).
     """
 
+    #: The mode search every encode runs: the two-pass search, the only
+    #: one production has.  A read-only name that nothing branches on.
+    rd_search = "turbo"
+
     def __init__(
         self,
         profile: CodecProfile = H265_PROFILE,
         tile: int = _DEFAULT_TILE,
-        use_inter: bool = False,
         qp_search_precision: float = 0.25,
         alignment: str = "minmax",
         parallel: Optional[ParallelConfig] = None,
-        rd_search: str = "turbo",
         encode: str = "native",
     ) -> None:
         if alignment not in ("minmax", "mx"):
             raise ValueError("alignment must be 'minmax' or 'mx'")
-        if rd_search not in RD_SEARCHES:
-            raise ValueError(
-                f"rd_search must be one of {RD_SEARCHES}, got {rd_search!r}"
-            )
         if encode not in ENCODES:
             raise ValueError(f"encode must be one of {ENCODES}, got {encode!r}")
         self.profile = profile
         self.tile = tile
-        self.use_inter = use_inter
         self.qp_search_precision = qp_search_precision
         self.alignment = alignment
         self.parallel = parallel
-        self.rd_search = rd_search
         self.encode_mode = encode
 
     # -- encoding --------------------------------------------------------
@@ -491,9 +482,7 @@ class TensorCodec:
         return EncoderConfig(
             profile=self.profile,
             qp=qp,
-            use_inter=self.use_inter,
             parallel=self.parallel,
-            rd_search=self.rd_search,
             encode=self.encode_mode,
             deadline=deadline,
         )

@@ -45,7 +45,9 @@ def _stream(qp=24.0, seed=11, n=4, edge=64, use_inter=False):
         np.clip(base + rng.normal(0, 25, (edge, edge)), 0, 255).astype(np.uint8)
         for _ in range(n)
     ]
-    return FrameEncoder(EncoderConfig(qp=qp, use_inter=use_inter)).encode(frames).data
+    # Inter streams come from the reference encoder alone.
+    encoder = reference.ReferenceEncoder if use_inter else FrameEncoder
+    return encoder(EncoderConfig(qp=qp, use_inter=use_inter)).encode(frames).data
 
 
 def _damage(data: bytes, rng: np.random.Generator) -> bytes:
@@ -193,7 +195,7 @@ class TestDecodeFuzz:
         # kernel answers each with its status, and the decode raises
         # the twin's error -- same type as legacy, same message as the
         # twin alone.
-        header = FrameEncoder(
+        header = reference.ReferenceEncoder(
             EncoderConfig(qp=24.0, use_partition=False, use_intra=False)
         ).encode([np.full((32, 32), 128, dtype=np.uint8)]).data
         header = header[: unpack_header(header)["header_size"]]

@@ -155,7 +155,8 @@ class TestGroupInvariance:
 
     def test_inter_streams_are_groups_of_one(self, monkeypatch):
         frames = _frames((32, 32), 5)
-        data = FrameEncoder(EncoderConfig(qp=24.5, use_inter=True)).encode(frames).data
+        config = EncoderConfig(qp=24.5, use_inter=True)
+        data = reference.ReferenceEncoder(config).encode(frames).data
         sizes = []
         real = FrameDecoder._decode_group
 

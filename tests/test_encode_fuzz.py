@@ -1,15 +1,16 @@
 """Differential fuzz: native C encode kernels vs. the pure-Python coder.
 
 The mirror of ``test_decode_fuzz.py`` for the encode side.  The
-``encode="native"`` backend (whole-slice encode kernel, batched cost
+``encode="native"`` backend (whole-slice encode kernel, pass 1's pick
 kernel, reference-gather kernel) is only a valid substitute if the
 streams it emits are *byte-identical* to the pure-Python paths across
-the whole configuration space -- every profile, QP, RD search, and
-intra/inter mode -- and the instrumented stats path reports the same
-exact ``tell_bits`` split.  This file drives both backends over seeded
-random tensors and asserts exactly that, with the reference encoder
-(``repro.codec.reference``, the ``legacy`` id) as the third party of
-the exact search.
+the whole configuration space -- every profile and QP -- and the
+instrumented stats path reports the same exact ``tell_bits`` split.
+This file drives both backends over seeded random tensors and asserts
+exactly that.  The reference encoder (``repro.codec.reference``, the
+``legacy`` id; the only one that codes inter frames) is held to the
+same rule for the kernels it touches, the ordered DCT and the
+reference gather: loaded or not, the same bytes.
 """
 
 from __future__ import annotations
@@ -61,31 +62,36 @@ def _pair(frames, **kw):
     return native_res, pure_res
 
 
+def _reference_pair(frames, **kw):
+    """The reference encoder with the kernels loaded, then with none."""
+    config = EncoderConfig(**kw)
+    loaded = reference.encode_frames(frames, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "_resolve", lambda name: None)
+        bare = reference.encode_frames(frames, config)
+    return loaded, bare
+
+
 class TestEncodeFuzz:
     @pytest.mark.parametrize("profile", sorted(PROFILES_BY_NAME))
-    @pytest.mark.parametrize("rd_search", ["vectorized", "legacy", "turbo"])
-    def test_streams_identical_across_profiles(self, profile, rd_search):
-        # "legacy": both backends of the exact search against the
-        # reference encoder's bytes.
+    @pytest.mark.parametrize("search", ["legacy", "turbo"])
+    def test_streams_identical_across_profiles(self, profile, search):
+        # "turbo": production's two backends; "legacy": the reference
+        # encoder with and without the kernels.
         frames = _frames(7)
+        pair = _reference_pair if search == "legacy" else _pair
         for qp in _QPS:
-            config = dict(profile=PROFILES_BY_NAME[profile], qp=qp)
-            a, b = _pair(
-                frames,
-                rd_search="vectorized" if rd_search == "legacy" else rd_search,
-                **config,
-            )
-            assert a.data == b.data, f"{profile} {rd_search} qp={qp}"
+            a, b = pair(frames, profile=PROFILES_BY_NAME[profile], qp=qp)
+            assert a.data == b.data, f"{profile} {search} qp={qp}"
             assert a.mse == b.mse
-            if rd_search == "legacy":
-                ref = reference.encode_frames(frames, EncoderConfig(**config))
-                assert ref.data == a.data and ref.mse == a.mse
 
     @pytest.mark.parametrize("use_inter", [False, True])
     def test_streams_identical_inter_intra(self, use_inter):
+        # Inter streams come from the reference alone.
         frames = _frames(21, n=4)
+        pair = _reference_pair if use_inter else _pair
         for qp in _QPS:
-            a, b = _pair(frames, qp=qp, use_inter=use_inter, rd_search="turbo")
+            a, b = pair(frames, qp=qp, use_inter=use_inter)
             assert a.data == b.data, f"inter={use_inter} qp={qp}"
 
     def test_random_tensor_sweep(self):
@@ -102,12 +108,12 @@ class TestEncodeFuzz:
                 for _ in range(2)
             ]
             qp = float(rng.uniform(12, 46))
-            a, b = _pair(frames, qp=qp, rd_search="turbo")
+            a, b = _pair(frames, qp=qp)
             assert a.data == b.data, f"trial {trial} edge={edge} qp={qp:.1f}"
 
     def test_streams_decode_identically(self):
         frames = _frames(33)
-        a, b = _pair(frames, qp=26.0, rd_search="turbo")
+        a, b = _pair(frames, qp=26.0)
         assert a.data == b.data
         for x, y in zip(decode_frames(a.data), decode_frames(b.data)):
             np.testing.assert_array_equal(x, y)
@@ -122,7 +128,7 @@ class TestEncodeFuzz:
         for encode in ("native", "python"):
             with telemetry.session():
                 res = FrameEncoder(
-                    EncoderConfig(encode=encode, qp=24.0, rd_search="turbo")
+                    EncoderConfig(encode=encode, qp=24.0)
                 ).encode(frames)
             ledgers.append(res)
         a, b = ledgers

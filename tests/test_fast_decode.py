@@ -204,11 +204,12 @@ def _assert_same_plan(a, b):
     np.testing.assert_array_equal(a.levels, b.levels)
 
 
+# (encoder, config): inter streams come from the reference encoder alone.
 _STREAM_CONFIGS = [
-    dict(profile=H264_PROFILE, qp=20.0),
-    dict(profile=H265_PROFILE, qp=26.0),
-    dict(profile=AV1_PROFILE, qp=31.5),
-    dict(profile=H265_PROFILE, qp=22.0, use_inter=True),
+    (FrameEncoder, dict(profile=H264_PROFILE, qp=20.0)),
+    (FrameEncoder, dict(profile=H265_PROFILE, qp=26.0)),
+    (FrameEncoder, dict(profile=AV1_PROFILE, qp=31.5)),
+    (reference.ReferenceEncoder, dict(profile=H265_PROFILE, qp=22.0, use_inter=True)),
 ]
 
 
@@ -251,8 +252,8 @@ class TestFusedScan:
             _force_pure(monkeypatch)
         elif not native.available():
             pytest.skip("slice kernels unavailable")
-        for config in _STREAM_CONFIGS:
-            data = FrameEncoder(EncoderConfig(**config)).encode(
+        for encoder, config in _STREAM_CONFIGS:
+            data = encoder(EncoderConfig(**config)).encode(
                 _frames(n=3, h=48, w=80)
             ).data
             legacy_frames, legacy = _probe_legacy(data)
@@ -275,8 +276,8 @@ class TestFusedScan:
 
     @needs_kernels
     def test_native_and_pure_loops_agree(self):
-        for config in _STREAM_CONFIGS:
-            data = FrameEncoder(EncoderConfig(**config)).encode(
+        for encoder, config in _STREAM_CONFIGS:
+            data = encoder(EncoderConfig(**config)).encode(
                 _frames(n=3, h=48, w=80, seed=17)
             ).data
             _, kernel = _probe(data)
@@ -586,8 +587,9 @@ class TestVectorizedIdentity:
     def test_identity_matrix(self, profile, qp, use_inter):
         # Frame shapes that are and are not CTU multiples (the decoder
         # works on the padded plane), integer and dithered QPs.
+        encoder = reference.ReferenceEncoder if use_inter else FrameEncoder
         for h, w in ((64, 64), (50, 70), (33, 17)):
-            data = FrameEncoder(
+            data = encoder(
                 EncoderConfig(profile=profile, qp=qp, use_inter=use_inter)
             ).encode(_frames(n=3 if use_inter else 2, h=h, w=w, seed=h + w)).data
             _assert_three_way_identity(data)
@@ -597,16 +599,18 @@ class TestVectorizedIdentity:
     )
     def test_identity_with_tools_off(self, tool):
         for use_inter in (False, True):
-            data = FrameEncoder(
+            # Production serves a fixed CU grid; the rest are ablations.
+            served = tool == "use_partition" and not use_inter
+            encoder = FrameEncoder if served else reference.ReferenceEncoder
+            data = encoder(
                 EncoderConfig(qp=24.5, use_inter=use_inter, **{tool: False})
             ).encode(_frames(n=2, h=40, w=72, seed=3)).data
             _assert_three_way_identity(data)
 
     def test_identity_with_inter_prediction(self):
         frames = _frames(seed=23)
-        data = FrameEncoder(EncoderConfig(qp=22.0, use_inter=True)).encode(
-            frames
-        ).data
+        config = EncoderConfig(qp=22.0, use_inter=True)
+        data = reference.ReferenceEncoder(config).encode(frames).data
         for a, b in zip(
             reference.decode_frames(data),
             decode_frames(data),
@@ -778,8 +782,9 @@ class TestDecodePlumbing:
         np.testing.assert_array_equal(a["w"], b["w"])
 
     def test_rung_decode_field(self):
-        # Pinned with benchmarks/stack/tests: a rung is a search, a
-        # fan-out and an encode backend -- nothing about decode.
+        # Pinned with benchmarks/stack/tests: a rung is a fan-out and
+        # an encode backend (``rd_search`` is a read-only "turbo") --
+        # nothing about decode.
         assert [f.name for f in dataclasses.fields(Rung)] == [
             "name",
             "rd_search",
@@ -787,17 +792,13 @@ class TestDecodePlumbing:
             "encode",
         ]
         with pytest.raises(TypeError, match="decode"):
-            Rung("x", "turbo", decode="vectorized")
+            Rung("x", decode="vectorized")
 
     def test_service_builds_per_rung_decoders(self):
         service = CodecService()
         for rung in DEFAULT_LADDER:
             codec = service._codecs[rung.name]
-            assert (codec.rd_search, codec.encode_mode, codec.parallel) == (
-                rung.rd_search,
-                rung.encode,
-                rung.parallel,
-            )
+            assert (codec.encode_mode, codec.parallel) == (rung.encode, rung.parallel)
         # Concealment is a plain serial codec.
         assert service._conceal_codec.parallel is None
         tensor = _tensor(seed=13, edge=32)
@@ -872,8 +873,11 @@ class TestDecodeTelemetry:
             "decode.ctu", "decode.cu.leaf", "decode.cu.split",
             "decode.mode.intra", "decode.mode.inter",
         )
-        for use_inter in (False, True):
-            data = FrameEncoder(
+        for encoder, use_inter in (
+            (FrameEncoder, False),
+            (reference.ReferenceEncoder, True),
+        ):
+            data = encoder(
                 EncoderConfig(qp=24.0, use_inter=use_inter)
             ).encode(_frames(n=3, seed=9)).data
             seen = {}

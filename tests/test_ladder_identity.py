@@ -40,7 +40,6 @@ def _rung_codec(rung, profile, tile):
         profile=profile,
         tile=tile,
         parallel=rung.parallel,
-        rd_search=rung.rd_search,
         encode=rung.encode,
     )
 

@@ -5,8 +5,7 @@ Covers, kernel by kernel, the exactness contracts the fuzz suite
 
 - the fused coefficient-block writer against the primitive-call entropy
   coder (bytes and adapted context banks);
-- the cost kernel against numpy, bitwise: the flat layout's four
-  outputs, and pass 1's pick kernel against its twin on
+- pass 1's pick kernel against its numpy twin, bitwise, on
   ``(best_mode, best_cost)`` (random grids, directed edge cases, real
   frames across profiles / sizes / dead zones / QPs);
 - the mode-operator builder against the per-mode probe it replaced;
@@ -121,39 +120,21 @@ class TestWriteKernel:
 class TestCostKernel:
     @needs_cost
     @pytest.mark.parametrize("deadzone", [0.0, 0.25])
-    def test_flat_matches_numpy_bitwise(self, deadzone):
-        rng = np.random.default_rng(11)
-        flat = rng.normal(0, 6, (40, 256))
-        flat[rng.random(flat.shape) < 0.5] = 0.0
-        flat[5] = 0.0  # all-zero row: last must be -1
-        a = _quantize_costs(flat, deadzone, native_ok=True)
-        b = _quantize_costs(flat, deadzone, native_ok=False)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-
-    @needs_cost
-    @pytest.mark.parametrize("deadzone", [0.0, 0.25])
     def test_fused_matches_numpy_bitwise(self, deadzone):
         rng = np.random.default_rng(13)
         coeffs = rng.normal(0, 40, (10, 64))
         pred = rng.normal(0, 40, (10, 7, 64))
         _assert_pick_identical(coeffs, pred, *_two_qp_params(rng, 10, 7), deadzone)
 
-    @needs_cost
     def test_huge_magnitudes_clamp_to_table_top(self):
+        # The twin's rate statistics, which the pick kernel's are held
+        # to: magnitudes beyond the table share its top entry.
         table = _level_rate_table()
-        flat = np.array([[1e9, -1e9, 0.0, float(len(table))]])
-        a = _quantize_costs(flat, 0.0, native_ok=True)
-        b = _quantize_costs(flat, 0.0, native_ok=False)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-
-    @needs_cost
-    def test_width_beyond_stack_buffer_falls_back(self):
-        # The kernel's level buffer covers every profile (64x64 = 4096);
-        # wider rows return None and the caller uses numpy.
-        table = _level_rate_table()
-        assert native.cost(np.zeros((2, 4097)), 0.0, table) is None
+        flat = np.array([[1e9, -1e9, 0.0, float(len(table)), 0.0]])
+        levels, rate, nnz, last = _quantize_costs(flat, 0.0)
+        np.testing.assert_array_equal(levels, np.rint(flat))
+        assert rate.tolist() == [3 * int(table[-1])]
+        assert nnz.tolist() == [3] and last.tolist() == [3]
 
     @needs_cost
     def test_fused_rejects_noncontiguous(self):
@@ -442,12 +423,11 @@ class TestBuildPipeline:
             flightrecorder.set_recorder(previous)
 
     def test_missing_kernel_never_blocks_encode(self, monkeypatch):
-        # encode="native" with the cost / slice-encode kernels
+        # encode="native" with the pick / slice-encode kernels
         # unavailable is the pure path with the same bytes, not an error.
         frames = [np.full((32, 32), 90, dtype=np.uint8)]
         ref = FrameEncoder(EncoderConfig(qp=24.0, encode="python")).encode(frames)
         monkeypatch.setattr(native, "encode_slice", lambda *a, **k: None)
-        monkeypatch.setattr(native, "cost", lambda *a, **k: None)
         monkeypatch.setattr(native, "cost_pick", lambda *a, **k: None)
         got = FrameEncoder(EncoderConfig(qp=24.0, encode="native")).encode(frames)
         assert got.data == ref.data
@@ -508,18 +488,18 @@ class TestParallelDispatch:
             rng.integers(0, 255, (128, 128)).astype(np.uint8)
             for _ in range(2 * _PARALLEL_MIN_SLICES)
         ]
-        # Threads fan out only where a slice is one GIL-free kernel call:
-        # the turbo search (tests/test_slice_encode.py pins the rule).
+        # Threads fan out only where a slice is one GIL-free kernel call
+        # (tests/test_slice_encode.py pins the rule).
         par = ParallelConfig(workers=2, executor="thread")
         with telemetry.session() as registry:
             got = FrameEncoder(
-                EncoderConfig(qp=24.0, rd_search="turbo", parallel=par)
+                EncoderConfig(qp=24.0, parallel=par)
             ).encode(frames)
             fallbacks = registry.counters.get(
                 "encode.parallel_threshold_fallbacks", 0
             )
         assert fallbacks == 0  # this one actually fanned out
-        serial = FrameEncoder(EncoderConfig(qp=24.0, rd_search="turbo")).encode(frames)
+        serial = FrameEncoder(EncoderConfig(qp=24.0)).encode(frames)
         assert got.data == serial.data and got.mse == serial.mse
 
 
@@ -539,7 +519,7 @@ class TestEncodePlumbing:
 
     def test_ladder_rungs_pin_backends(self):
         with pytest.raises(ValueError):
-            Rung("bad", "turbo", None, encode="bogus")
+            Rung("bad", None, encode="bogus")
         by_name = {rung.name: rung for rung in DEFAULT_LADDER}
         assert by_name["turbo"].encode == "native"
         assert by_name["serial"].encode == "native"

@@ -176,7 +176,7 @@ class TestFanOut:
         real = encoder_mod.parallel_map
 
         def spy(fn, tasks, *args, **kwargs):
-            handed_out.append([(task[2], len(task[1]), task[3]) for task in tasks])
+            handed_out.append([(len(task[1]), task[2]) for task in tasks])
             return real(fn, tasks, *args, **kwargs)
 
         monkeypatch.setattr(encoder_mod, "parallel_map", spy)
@@ -191,14 +191,14 @@ class TestFanOut:
             assert fanned.mse == serial.mse, (executor, workers)
             for key in ("bits", "counts", "qp"):
                 assert fanned.stats[key] == serial.stats[key], (executor, workers, key)
-            # A fan-out never splits a group: every run starts on a group
-            # boundary and only the last may end off one.
+            # A fan-out never splits a group: runs are consecutive, so
+            # every run starts on a group boundary and only the last may
+            # end off one.
             tasks = handed_out.pop()
             assert len(tasks) == workers and not handed_out
-            assert sum(length for _, length, _ in tasks) == count
-            for first, length, group in tasks:
-                assert group == per_group and first % per_group == 0
-            assert all(length % per_group == 0 for _, length, _ in tasks[:-1])
+            assert sum(length for length, _ in tasks) == count
+            assert all(group == per_group for _, group in tasks)
+            assert all(length % per_group == 0 for length, _ in tasks[:-1])
 
     def test_one_group_stays_serial(self, monkeypatch):
         # Above the slice and byte thresholds, but one group of four:

@@ -255,9 +255,7 @@ def test_tensor_codec_matches_bisection(
             monkeypatch.setattr(kernel, "state", "unloaded")
             monkeypatch.setattr(kernel, "fn", None)
     tensor = weight_like(*shape, seed=shape[0]).astype(np.float32)
-    codec = TensorCodec(
-        profile=PROFILES[profile], alignment=alignment, rd_search="turbo"
-    )
+    codec = TensorCodec(profile=PROFILES[profile], alignment=alignment)
     layout, encode_at, runs = memoised_encoder(codec, tensor)
 
     for budget in BUDGETS:

@@ -1,9 +1,10 @@
 """The reference module is for comparing against, never for serving.
 
-Byte / sample identity of :mod:`repro.codec.reference` with production
-is held elsewhere (``test_vectorized_rd.py``, ``test_encode_fuzz.py``,
-``test_fast_decode.py``, ``test_decode_fuzz.py``,
-``test_golden_decode.py``).  This file pins the boundary: nothing a
+Sample identity of :mod:`repro.codec.reference`'s decoder with
+production, and the reference encoder's own streams, are held
+elsewhere (``test_fast_decode.py``, ``test_decode_fuzz.py``,
+``test_golden_decode.py``, ``test_reference_encode.py``,
+``test_vectorized_rd.py``).  This file pins the boundary: nothing a
 request runs through imports it, no option selects it, and the option
 surface that is left says only "production".
 """
@@ -22,7 +23,8 @@ import pytest
 from repro.codec import decoder as decoder_mod
 from repro.codec import reference
 from repro.codec.decoder import FrameDecoder, decode_frames
-from repro.codec.encoder import ENCODES, RD_SEARCHES, EncoderConfig, encode_frames
+from repro.codec.encoder import ENCODES, EncoderConfig, encode_frames
+from repro.serving.ladder import DEFAULT_LADDER, Rung
 from repro.tensor.codec import TensorCodec
 
 pytestmark = [pytest.mark.fuzz, pytest.mark.pure_python]
@@ -50,16 +52,17 @@ def test_serving_stack_never_imports_the_reference():
 class TestOptionSurface:
     def test_encoder_config_names_production_only(self):
         fields = {f.name: f.default for f in dataclasses.fields(EncoderConfig)}
-        assert "fast_entropy" not in fields and "satd_prune" not in fields
-        assert RD_SEARCHES == ("turbo", "vectorized")
-        assert ENCODES == ("native", "python")
-        assert fields["rd_search"] == "turbo" and fields["encode"] == "native"
+        for gone in ("fast_entropy", "satd_prune", "rd_search", "search_range"):
+            assert gone not in fields
+        assert ENCODES == ("native", "python") and fields["encode"] == "native"
+        # No constructor takes a search name; the two names left are
+        # read-only and say the one search there is.
+        for build in (EncoderConfig, TensorCodec, lambda **kw: Rung("x", **kw)):
+            with pytest.raises(TypeError, match="rd_search"):
+                build(rd_search="turbo")
+        assert "use_inter" not in inspect.signature(TensorCodec).parameters
         assert TensorCodec().rd_search == "turbo"
-        for gone in ("legacy", "reference"):
-            with pytest.raises(ValueError):
-                EncoderConfig(rd_search=gone)
-            with pytest.raises(ValueError):
-                TensorCodec(rd_search=gone)
+        assert {rung.rd_search for rung in DEFAULT_LADDER} == {"turbo"}
 
     def test_no_decode_option_anywhere(self):
         assert not hasattr(decoder_mod, "DECODES")
@@ -79,9 +82,10 @@ class TestReferenceIsSelfContained:
             np.clip(rng.normal(128, 30, (40, 56)), 0, 255).astype(np.uint8)
             for _ in range(3)
         ]
-        config = EncoderConfig(qp=26.0, use_inter=True, rd_search="vectorized")
+        config = EncoderConfig(qp=26.0, use_inter=True)
         ref = reference.encode_frames(frames, config)
-        assert ref.data == encode_frames(frames, config).data
+        with pytest.raises(ValueError, match="repro.codec.reference"):
+            encode_frames(frames, config)  # production refuses inter
         for a, b in zip(reference.decode_frames(ref.data), decode_frames(ref.data)):
             np.testing.assert_array_equal(a, b)
 

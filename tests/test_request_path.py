@@ -316,3 +316,50 @@ def test_closed_router_answers_typed_and_releases_journals(tmp_path):
         assert not answer.ok
         assert isinstance(answer.error, ClusterUnavailable)
         assert "router closed" in str(answer.error)
+
+
+def _assert_closed_answer(answer, kind):
+    assert answer.kind == kind and not answer.ok
+    assert isinstance(answer.error, ClusterUnavailable)
+    assert "router closed" in str(answer.error)
+
+
+@pytest.mark.parametrize("kind", ["encode", "decode", "put"])
+def test_request_racing_close_answers_typed(tmp_path, kind):
+    # close() shuts the dispatch pool; a request that passed the closed
+    # check just before finds it shut.  That state, set up directly:
+    router = ClusterRouter(ClusterConfig(
+        shards=2, store_root=str(tmp_path), store_fsync=False,
+    ))
+    try:
+        router._executor.shutdown()
+        answer = {
+            "encode": lambda: router.encode(PAGE, "k0"),
+            "decode": lambda: router.decode(b"blob", "k0"),
+            "put": lambda: router.put(b"payload", "k0"),
+        }[kind]()
+    finally:
+        router.close()
+    _assert_closed_answer(answer, kind)
+
+
+def test_hedge_racing_close_answers_typed(monkeypatch):
+    # The primary shuts the pool from its own dispatch thread and holds
+    # on; the hedge then finds no pool to run on.
+    router = ClusterRouter(ClusterConfig(shards=2, hedge_delay_s=0.02))
+    release = threading.Event()
+    key = primary_key(router, "shard-0")
+
+    def closing_primary(*args, **kwargs):
+        router._executor.shutdown(wait=False)
+        release.wait(timeout=10.0)
+        return ServeResponse(ok=False, kind="encode", error=RuntimeError("late"))
+
+    monkeypatch.setattr(router.shard("shard-0"), "encode", closing_primary)
+    try:
+        answer = router.encode(PAGE, key)
+    finally:
+        release.set()
+        router.close()
+    _assert_closed_answer(answer, "encode")
+    assert answer.hedged

@@ -63,11 +63,7 @@ class TestHealthyPath:
         response = service.encode(tensor, qp=26.0)
         assert response.ok and not response.degraded
         assert response.retries == 0
-        reference = TensorCodec(
-            tile=32, rd_search={
-                r.name: r.rd_search for r in service.ladder.rungs
-            }[response.rung]
-        ).encode(tensor, qp=26.0)
+        reference = TensorCodec(tile=32).encode(tensor, qp=26.0)
         assert response.value.to_bytes() == reference.to_bytes()
 
     def test_decode_roundtrip(self, tensor):

@@ -273,8 +273,10 @@ class TestDegradationLadder:
         assert [r.name for r in DEFAULT_LADDER] == ["turbo", "serial", "python"]
 
     def test_unknown_rd_search_rejected(self):
-        with pytest.raises(ValueError):
-            Rung("bogus", "quantum")
+        # One search: a rung cannot name another, and reads "turbo".
+        with pytest.raises(TypeError, match="rd_search"):
+            Rung("bogus", rd_search="quantum")
+        assert Rung("bogus").rd_search == "turbo"
 
     def test_select_skips_tripped_rung(self):
         clock = FakeClock()

@@ -1,7 +1,7 @@
 """The whole-slice encode kernel, its twin, and the ordered transform.
 
-The contract under test: on an intra slice ``encode="native"`` +
-``rd_search="turbo"`` hands everything after pass 1 to one C call
+The contract under test: with ``encode="native"`` the encoder hands
+everything after pass 1 of an intra slice to one C call
 (``native.encode_slice``), and that call is indistinguishable from the
 pure-Python twin (``_turbo_choose`` / ``_turbo_commit`` / ``_write_cu``):
 same bytes, same float64 reconstruction plane (sign of zero included),
@@ -9,7 +9,7 @@ same ``EncodeResult.mse``, same context banks, same final coder state,
 same bit ledger.  Around it: the codec's one order-defined DCT pair
 (C == numpy definition, every vector width), the load-time self-check
 that refuses a library which disagrees, encoder recon == decoder recon
-on every search x decoder pairing, the kernel's capacity contract, and
+on every encoder x decoder pairing, the kernel's capacity contract, and
 the slice fan-out (serial == thread == process; threads only when the
 kernel is usable).
 """
@@ -71,16 +71,16 @@ def _code_slice(frame, encode, **config):
     Returns ``(coder state, banks, recon bytes, ledger)``; the recon
     plane is compared as bytes so +0.0 and -0.0 differ.
     """
-    cfg = EncoderConfig(rd_search="turbo", encode=encode, **config)
+    cfg = EncoderConfig(encode=encode, **config)
     encoder = FrameEncoder(cfg)
     encoder._stats = telemetry.EncodeStats()
     header = pack_header(cfg, frame.shape[1], frame.shape[0], 1)
     dither = QpDither(header[_HEADER_BODY_SIZE - 4], header[_HEADER_BODY_SIZE - 3])
     enc = BinaryEncoder()
     ctx = CodecContexts()
-    recon = encoder._encode_frame(
-        enc, ctx, pad_frame(frame, encoder._ctu), 0, dither
-    )
+    plane = pad_frame(frame, encoder._ctu).astype(float)
+    (pass1,) = encoder._turbo_pass1(plane[None], dither)
+    recon = encoder._encode_frame(enc, ctx, plane, pass1)
     ledger = encoder._stats.as_dict()
     ledger.pop("seconds")  # wall time is the one backend-dependent field
     state = (enc._low, enc._range, enc._cache, enc._cache_size, bytes(enc._out))
@@ -136,10 +136,7 @@ class TestKernelEqualsTwin:
                 with telemetry.session():
                     results.append(
                         FrameEncoder(
-                            EncoderConfig(
-                                profile=profile, qp=qp, rd_search="turbo",
-                                encode=encode,
-                            )
+                            EncoderConfig(profile=profile, qp=qp, encode=encode)
                         ).encode(frames)
                     )
             kernel, twin = results
@@ -152,7 +149,7 @@ class TestKernelEqualsTwin:
 
     def test_instrumented_encode_takes_the_kernel(self, kernel_calls):
         frames = [_frame((64, 64), seed) for seed in (7, 8)]
-        config = EncoderConfig(qp=24.0, rd_search="turbo")
+        config = EncoderConfig(qp=24.0)
         plain = FrameEncoder(config).encode(frames)
         with telemetry.session():
             traced = FrameEncoder(config).encode(frames)
@@ -255,7 +252,7 @@ class TestOrderedTransform:
             == transform._ordered_dct2(blocks, basis, False).tobytes()
         )
         frames = [_frame((64, 64))]
-        config = dict(qp=26.0, rd_search="turbo")
+        config = dict(qp=26.0)
         got = FrameEncoder(EncoderConfig(encode="native", **config)).encode(frames)
         want = FrameEncoder(EncoderConfig(encode="python", **config)).encode(frames)
         assert got.data == want.data and got.mse == want.mse
@@ -267,9 +264,9 @@ class TestOrderedTransform:
 class TestReconInvariant:
     @pytest.mark.parametrize("pure", [False, True], ids=["native", "pure"])
     @pytest.mark.parametrize("decode", ["vectorized", "legacy"])
-    @pytest.mark.parametrize("rd_search", ["turbo", "vectorized", "legacy"])
+    @pytest.mark.parametrize("search", ["turbo", "legacy"])
     def test_encoder_plane_is_the_decoder_plane(
-        self, rd_search, decode, pure, monkeypatch
+        self, search, decode, pure, monkeypatch
     ):
         if pure:
             monkeypatch.setattr(native, "available", lambda: False)
@@ -277,12 +274,12 @@ class TestReconInvariant:
         # "legacy" on either axis names the reference implementation.
         frames = [_frame((50, 70), seed) for seed in (11, 12)]
         for profile, qp in ((H265_PROFILE, 24.5), (H264_PROFILE, 18.0)):
-            if rd_search == "legacy":
+            if search == "legacy":
                 encoder = ReferenceEncoder(EncoderConfig(profile=profile, qp=qp))
             else:
                 encoder = FrameEncoder(
                     EncoderConfig(
-                        profile=profile, qp=qp, rd_search=rd_search,
+                        profile=profile, qp=qp,
                         encode="python" if pure else "native",
                     )
                 )
@@ -294,9 +291,7 @@ class TestReconInvariant:
 
     def test_inter_frames_too(self):
         frames = [_frame((64, 64), 20)] * 2 + [_frame((64, 64), 21)]
-        encoder = FrameEncoder(
-            EncoderConfig(qp=26.0, rd_search="turbo", use_inter=True)
-        )
+        encoder = ReferenceEncoder(EncoderConfig(qp=26.0, use_inter=True))
         decoder = FrameDecoder(encoder.encode(frames).data)
         decoder.decode()
         assert encoder._reference.tobytes() == decoder._reference.tobytes()
@@ -379,7 +374,7 @@ class TestHostileContract:
 
         monkeypatch.setattr(native, "encode_slice", starved)
         frames = [_frame((64, 64), seed) for seed in (1, 2)]
-        config = dict(qp=18.0, rd_search="turbo")
+        config = dict(qp=18.0)
         with telemetry.session() as registry:
             got = FrameEncoder(EncoderConfig(encode="native", **config)).encode(frames)
         assert statuses and all(statuses), "every slice must have been refused"
@@ -416,7 +411,7 @@ def _fanout_frames():
 def _encode_with(parallel, **config):
     with telemetry.session() as registry:
         result = FrameEncoder(
-            EncoderConfig(qp=24.5, rd_search="turbo", parallel=parallel, **config)
+            EncoderConfig(qp=24.5, parallel=parallel, **config)
         ).encode(_fanout_frames())
     return result, registry.counters
 
@@ -444,7 +439,6 @@ class TestFanOut:
         [
             (dict(), False),  # kernel not usable
             (dict(encode="python"), True),  # twin pinned
-            (dict(rd_search="vectorized"), True),  # per-leaf search
         ],
     )
     def test_threads_only_with_the_kernel(self, config, ready, monkeypatch):
@@ -452,7 +446,6 @@ class TestFanOut:
         monkeypatch.setattr(native, "encode_available", lambda: ready)
         if not ready:
             monkeypatch.setattr(native, "encode_slice", lambda *a, **k: None)
-        config = {"rd_search": "turbo", **config}
         frames = _fanout_frames()
         with telemetry.session() as registry:
             threaded = FrameEncoder(
