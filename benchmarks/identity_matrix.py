@@ -23,6 +23,9 @@ and with ``encode="python"``:
 and one more table, ``reference``: the matrix's frames as 36 inter
 configs through :class:`repro.codec.reference.ReferenceEncoder` (the
 exact search; production refuses inter), which has no backend axis.
+The codec tests take the matrix's ``PROFILES`` / ``QPS`` / ``SHAPES``
+from here; importing this module loads nothing from
+``benchmarks/stack``.
 
 Every config records ``sha256`` + length of the bytes, ``repr`` of the
 MSE, and the ``sha256`` of what the production decoder returns for
@@ -49,15 +52,10 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent / "stack"))
-
-import inputs  # noqa: E402  (benchmarks/stack, read-only)
-import layers  # noqa: E402
-
-from repro.codec.decoder import decode_frames  # noqa: E402
-from repro.codec.encoder import ENCODES, EncoderConfig, FrameEncoder  # noqa: E402
-from repro.codec.profiles import AV1_PROFILE, H264_PROFILE, H265_PROFILE  # noqa: E402
-from repro.codec.reference import ReferenceEncoder  # noqa: E402
+from repro.codec.decoder import decode_frames
+from repro.codec.encoder import ENCODES, EncoderConfig, FrameEncoder
+from repro.codec.profiles import AV1_PROFILE, H264_PROFILE, H265_PROFILE
+from repro.codec.reference import ReferenceEncoder
 
 PROFILES = (H264_PROFILE, H265_PROFILE, AV1_PROFILE)
 QPS = (18.0, 24.5, 26.0, 34.0)  # 24.5 dithers two QPs into every slice
@@ -65,6 +63,17 @@ SHAPES = ((64, 64), (50, 70), (33, 17))
 FRAMES = 3
 STACK_SEED = 0
 KV_PAGES = 64
+
+
+def _stack_modules():
+    """``benchmarks/stack``'s ``inputs`` and ``layers`` (read-only), on first use."""
+    stack = str(Path(__file__).resolve().parent / "stack")
+    if stack not in sys.path:
+        sys.path.insert(0, stack)
+    import inputs
+    import layers
+
+    return inputs, layers
 
 
 def _matrix_frames(shape: Tuple[int, int]) -> List[np.ndarray]:
@@ -108,7 +117,7 @@ def _record(data: bytes, mse: float, serial, pooled) -> Dict[str, object]:
 def _matrix_configs(
     encoder, use_inter: bool, **fields
 ) -> Iterator[Tuple[str, Dict[str, object]]]:
-    pool = layers.production_fields()["parallel"]
+    pool = _stack_modules()[1].production_fields()["parallel"]
     for profile in PROFILES:
         for qp in QPS:
             for shape in SHAPES:
@@ -132,6 +141,8 @@ def _matrix(encode: str) -> Iterator[Tuple[str, Dict[str, object]]]:
 
 
 def _stack(encode: str) -> Iterator[Tuple[str, Dict[str, object]]]:
+    inputs, layers = _stack_modules()
+
     @lru_cache(maxsize=None)
     def production(tile, serial=False):
         """The codec the service's top rung builds, with the backend pinned."""

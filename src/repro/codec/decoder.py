@@ -60,11 +60,10 @@ import numpy as np
 import repro.telemetry as telemetry
 from repro.codec import encoder as _encoder
 from repro.codec import intra
-from repro.codec.encoder import QpDither, _effective_cpus, unpack_header
+from repro.codec.encoder import _QSTEPS, QpDither, _effective_cpus, unpack_header
 from repro.codec.entropy import native
 from repro.codec.entropy.arithmetic import BinaryDecoder
 from repro.codec.profiles import PROFILES_BY_ID
-from repro.codec.quantizer import qstep
 from repro.codec.syntax import (
     CodecContexts,
     decode_coeff_block_scanned,
@@ -80,9 +79,6 @@ from repro.telemetry.codecstats import DecodeStats
 
 #: Mid-gray sample used to zero-fill a concealed frame with no neighbour.
 _CONCEAL_FILL = 128.0
-
-#: Quantizer step of every QP a header byte can name.
-_QSTEPS = np.array([qstep(qp) for qp in range(256)], dtype=np.float64)
 
 #: Columns of a group's per-slice report, and the two plan rows that
 #: change when a slice's plan moves in or out of a group's.

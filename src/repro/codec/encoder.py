@@ -1,12 +1,15 @@
 """RD-optimised intra frame encoder (two-pass search, quad-tree CUs).
 
-Every frame is an intra slice, coded in two passes.  Pass 1 costs every
-(block, size, mode) candidate of a group of frames at once against
+Every frame is an intra slice, coded in two passes, both once per
+*group* of consecutive frames (:data:`GROUP_SAMPLES`).  Pass 1 costs
+every (block, size, mode) candidate of the group at once against
 *source* references, through cached prediction -> coefficient
-operators; pass 2 runs the quadtree DP over those costs, re-codes only
-the chosen leaves against the true reconstruction and writes the slice
-with the CABAC-style arithmetic coder -- one whole-slice C call with
-``encode="native"`` (see :meth:`FrameEncoder._encode_frame`).  The
+operators; its padding, reference windows and per-block quantizers are
+gathers through cached indices.  Pass 2 runs the quadtree DP over those
+costs, re-codes only the chosen leaves against the true reconstruction
+and writes each slice with the CABAC-style arithmetic coder -- one C
+call for the whole group with ``encode="native"``, the Python twin for
+any slice it refuses (see :meth:`FrameEncoder._turbo_pass2`).  The
 decoder in :mod:`repro.codec.decoder` replays the same syntax, so
 reconstructions are bit-exact on both sides.
 
@@ -25,10 +28,9 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 import repro.telemetry as telemetry
 from repro.codec import intra
@@ -59,7 +61,7 @@ from repro.codec.transform import (
 )
 
 #: Costing/coding backends: ``"native"`` dispatches pass 1's pick and
-#: the whole-slice pass 2 to the self-building C kernels
+#: the whole-group pass 2 to the self-building C kernels
 #: (:mod:`repro.codec.entropy.native`) when they are available,
 #: falling back transparently to the pure-Python twin otherwise.
 #: ``"python"`` pins the twin even with the kernels loaded -- the
@@ -89,10 +91,11 @@ _PARALLEL_MIN_BYTES = 1 << 16
 #: consecutive frames: as many as fit in this many padded samples, at
 #: least one.  That is one 256 x 256 slice, the largest candidate tensor
 #: pass 1 ever allocated, so peak memory keeps its bound while a KV
-#: page's four one-CTU slices share one DCT, GEMM and pick call per size.
-#: Groups depend on the frame list only, never on executor or workers.
-#: The decoder groups slices by the same bound (its three stages run
-#: once per group), so the name is neither side's.
+#: page's four one-CTU slices share one DCT, GEMM and pick call per size
+#: and one pass-2 kernel call.  Groups depend on the frame list only,
+#: never on executor or workers.  The decoder groups slices by the same
+#: bound (its three stages run once per group), so the name is neither
+#: side's.
 GROUP_SAMPLES = 1 << 16
 
 
@@ -213,6 +216,75 @@ def _transform_tables(sizes: Tuple[int, ...]) -> tuple:
     )
 
 
+#: Quantizer step and Lagrangian of every QP a stream header can name,
+#: the doubles :func:`qstep` / :func:`rd_lambda` return.
+_QSTEPS = np.array([qstep(qp) for qp in range(256)], dtype=np.float64)
+_LAMBDAS = np.array([rd_lambda(qp) for qp in range(256)], dtype=np.float64)
+
+
+@lru_cache(maxsize=None)
+def _pad_index(height: int, width: int, multiple: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row and column indices that edge-pad a ``height x width`` frame to
+    a multiple of ``multiple``.
+
+    Edge padding repeats the last row and column, so the padded frame is
+    the frame gathered through row and column ranges clamped to it.
+    """
+    rows = np.minimum(np.arange(height + -height % multiple), height - 1)
+    cols = np.minimum(np.arange(width + -width % multiple), width - 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+def _padded_planes(frames: Sequence[np.ndarray], multiple: int) -> np.ndarray:
+    """Equal-shape frames edge-padded to a multiple of ``multiple`` and
+    stacked: one ``(frames, rows, cols)`` float64 array, C-contiguous as
+    pass 2's kernel takes it (it declines any other layout)."""
+    rows, cols = _pad_index(*frames[0].shape, multiple)
+    padded = np.take(np.take(np.stack(frames), rows, axis=1), cols, axis=2)
+    return padded.astype(np.float64, order="C")
+
+
+@lru_cache(maxsize=None)
+def _window_index(height: int, width: int, n: int) -> np.ndarray:
+    """Flat index into a ``height x width`` plane of every ``n x n``
+    block's pass-1 reference window, ``(blocks, 4n + 2)`` in raster
+    order: the top row then the left column, each from the corner
+    outside the block and ``2n`` samples along it.  Indices are clamped
+    to the plane: what the windows read from an edge-padded plane.
+    """
+    along = np.arange(-1, 2 * n)
+    y0 = (np.arange(height // n) * n)[:, None, None]
+    x0 = (np.arange(width // n) * n)[None, :, None]
+    top = np.clip(y0 - 1, 0, height - 1) * width + np.clip(x0 + along, 0, width - 1)
+    left = np.clip(y0 + along, 0, height - 1) * width + np.clip(x0 - 1, 0, width - 1)
+    index = np.concatenate([top, left], axis=2).reshape(-1, 4 * n + 2)
+    index.setflags(write=False)
+    return index
+
+
+def _reference_windows(planes: np.ndarray, n: int) -> np.ndarray:
+    """Every ``n x n`` block's reference window, frame by frame in raster
+    order: ``(frames * blocks, 4n + 2)``, C-contiguous."""
+    count, height, width = planes.shape
+    refs = np.take(
+        planes.reshape(count, height * width), _window_index(height, width, n), axis=1
+    )
+    return refs.reshape(-1, 4 * n + 2)
+
+
+@lru_cache(maxsize=None)
+def _block_ctus(height: int, width: int, ctu: int, n: int) -> np.ndarray:
+    """Each ``n x n`` block's CTU within a ``height x width`` plane, both
+    counted in raster order."""
+    rows = np.arange(height // n) * n // ctu
+    cols = np.arange(width // n) * n // ctu
+    index = (rows[:, None] * (width // ctu) + cols).ravel()
+    index.setflags(write=False)
+    return index
+
+
 def _quantize_costs(
     flat: np.ndarray, deadzone: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -271,7 +343,8 @@ def _pass1_pick(
     n_blocks, n_modes, width = pred.shape
     flat = ((coeffs[:, None, :] - pred) * inv_step[:, None, None]).reshape(-1, width)
     levels, rate, nnz, last = _quantize_costs(flat, deadzone)
-    err = np.pad(levels - flat, ((0, 0), (0, -width % 4)))
+    err = np.zeros((len(flat), width + -width % 4))
+    err[:, :width] = levels - flat
     lanes = np.cumsum((err * err).reshape(len(flat), -1, 4), axis=1)[:, -1]
     sse = (lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])
     level_bits = rate / float(1 << (_RATE_SCALE_BITS - 1)) + 2.0 * nnz
@@ -282,6 +355,43 @@ def _pass1_pick(
     ) + lam[:, None] * mode_bits
     pick = np.argmin(costs, axis=1)
     return pick, costs[np.arange(n_blocks), pick]
+
+
+def _kernel_ledger(
+    stats: telemetry.EncodeStats,
+    qp: np.ndarray,
+    n_leaves: int,
+    levels: np.ndarray,
+    bits: np.ndarray,
+    tree: bool,
+) -> None:
+    """Book one kernel-coded slice as the twin books it leaf by leaf.
+
+    ``qp`` is the slice's per-CTU QPs, ``levels`` its coded levels and
+    ``bits`` its ledger row.  Every split turns one quadtree node into
+    four and every leaf is an intra leaf with one coefficient block;
+    entries the twin would never have touched stay absent.
+    """
+    for value in qp.ravel().tolist():
+        stats.add_qp(value)
+    n_ctus = qp.size
+    for name, value in (
+        ("ctu", n_ctus),
+        ("cu.leaf", n_leaves),
+        ("cu.split", (n_leaves - n_ctus) // 3),
+        ("mode.intra", n_leaves),
+        ("coeff_blocks", n_leaves),
+        ("coeff_nonzero", int(np.count_nonzero(levels))),
+    ):
+        if value:
+            stats.add_count(name, value)
+    # ENCODE_BIT_CLASSES order: split flags exist only under a tree,
+    # last / sig / level only with a coded block.
+    coded = len(levels) > 0
+    touched = (tree, True, True, coded, coded, coded)
+    for name, value, used in zip(native.ENCODE_BIT_CLASSES, bits.tolist(), touched):
+        if used:
+            stats.add_bits(name, value)
 
 
 MAGIC = b"LV65"
@@ -491,28 +601,26 @@ class QpDither:
         self._accum = (128 + steps * self._frac) % 256
 
 
-def pad_frame(frame: np.ndarray, multiple: int) -> np.ndarray:
-    """Replicate-pad a frame so both dimensions divide ``multiple``."""
-    height, width = frame.shape
-    pad_h = (-height) % multiple
-    pad_w = (-width) % multiple
-    if pad_h == 0 and pad_w == 0:
-        return frame
-    return np.pad(frame, ((0, pad_h), (0, pad_w)), mode="edge")
-
-
 # Plan nodes: ("leaf", mode, is_inter, mv, levels) | ("split", [children x4]).
 _Plan = Tuple
 
 
 class _Pass1(NamedTuple):
-    """What turbo pass 1 hands one frame's pass 2 (views of its group's arrays)."""
+    """What turbo pass 1 hands pass 2: a group's tables, frame axis first."""
 
-    qp: np.ndarray  # (ctu rows, ctu cols) int64 dithered QPs, then each CTU's ...
+    qp: np.ndarray  # (frames, ctu rows, ctu cols) int64 QPs, then each CTU's ...
     step: np.ndarray  # ... quantizer step
     lam: np.ndarray  # ... Lagrangian
     modes: Dict[int, np.ndarray]  # CU size, largest first -> best coarse mode per block
     costs: Dict[int, np.ndarray]  # CU size -> that mode's RD cost
+
+    def frame(self, k: int) -> "_Pass1":
+        """Frame ``k``'s tables (views), as the twin reads them."""
+        return _Pass1(
+            self.qp[k], self.step[k], self.lam[k],
+            {n: modes[k] for n, modes in self.modes.items()},
+            {n: costs[k] for n, costs in self.costs.items()},
+        )
 
 
 class FrameEncoder:
@@ -532,6 +640,10 @@ class FrameEncoder:
         self._min_cu = (
             cfg.profile.min_cu_size if cfg.use_partition else cfg.fixed_cu_size
         )
+        #: CU sizes of the quadtree, largest first.
+        self._sizes = [self._ctu]
+        while cfg.use_partition and self._sizes[-1] > self._min_cu:
+            self._sizes.append(self._sizes[-1] // 2)
         self._stats: Optional[telemetry.EncodeStats] = None
         #: The last frame's reconstruction (an inter frame's reference in
         #: :class:`repro.codec.reference.ReferenceEncoder`).
@@ -668,7 +780,7 @@ class FrameEncoder:
             stats=stats_dict,
         )
 
-    # -- per-slice -----------------------------------------------------
+    # -- per group ------------------------------------------------------
 
     def _encode_run(
         self, frames: Sequence[np.ndarray], per_group: int, dither: QpDither
@@ -676,36 +788,156 @@ class FrameEncoder:
         """Consecutive frames as framed slices: ``(slice bytes, frame SSE)`` each.
 
         The one body of the serial loop and of every fan-out worker:
-        pass 1 once per group of ``per_group`` frames, then pass 2 a
-        frame at a time.  Each frame is one error-resilience slice: a
-        fresh coder and fresh contexts make it independently decodable,
-        so a damaged slice can be concealed without desynchronising the
-        rest of the stream.  The deadline is polled at every group and
-        every frame: at most one 256 x 256 slice's worth of work apart.
+        :meth:`_encode_group` once per group of ``per_group`` frames,
+        then each frame's slice framed and its SSE taken.  Each frame is
+        one error-resilience slice: a fresh coder and fresh contexts
+        make it independently decodable, so a damaged slice can be
+        concealed without desynchronising the rest of the stream.  The
+        deadline is polled at every group and every frame: at most one
+        256 x 256 slice's worth of work apart.
         """
         deadline = self.config.deadline
+        stats = self._stats
         coded: List[Tuple[bytes, float]] = []
         for start in range(0, len(frames), per_group):
             group = frames[start : start + per_group]
-            planes = np.stack([pad_frame(f, self._ctu) for f in group]).astype(float)
             if deadline is not None:
                 deadline.check("frames.encode")
-            plans = self._turbo_pass1(planes, dither)
-            for frame, plane, pass1 in zip(group, planes, plans):
-                if deadline is not None:
-                    deadline.check("frames.encode")
-                with telemetry.span("frame"):
-                    enc = BinaryEncoder()
-                    recon = self._encode_frame(enc, CodecContexts(), plane, pass1)
+            planes = _padded_planes(group, self._ctu)
+            with telemetry.span("group"):
+                slices = self._encode_group(planes, dither)
+                for frame, plane, (payload, recon) in zip(group, planes, slices):
+                    if deadline is not None:
+                        deadline.check("frames.encode")
                     self._reference = recon
-                    if self._stats is not None:
-                        self._stats.add_bits("slice_hdr", 8 * SLICE_OVERHEAD)
+                    if stats is not None:
+                        stats.add_bits("slice_hdr", 8 * SLICE_OVERHEAD)
                     height, width = frame.shape  # the SSE leaves the padding out
                     sse = np.sum((recon[:height, :width] - plane[:height, :width]) ** 2)
-                    coded.append((frame_slice(enc.finish()), float(sse)))
+                    coded.append((frame_slice(payload), float(sse)))
         return coded
 
-    # -- per-frame -----------------------------------------------------
+    def _encode_group(
+        self, planes: np.ndarray, dither: QpDither
+    ) -> Iterable[Tuple[bytes, np.ndarray]]:
+        """One group's ``(frames, height, width)`` padded float64 planes
+        as ``(slice payload, reconstruction plane)`` per frame, in order.
+
+        Pass 1 over the group, then pass 2 over the group.
+        :class:`repro.codec.reference.ReferenceEncoder` replaces this
+        with its serial frame-by-frame search; :meth:`_encode_run`
+        consumes the pairs once, in order.
+        """
+        return self._turbo_pass2(planes, self._turbo_pass1(planes, dither))
+
+    def _turbo_pass2(
+        self, planes: np.ndarray, pass1: _Pass1
+    ) -> List[Tuple[bytes, np.ndarray]]:
+        """Pass 2 of a group: the slice-encode kernel, else (or after it) the twin.
+
+        Per frame, the quadtree DP over pass 1's cost tables (the split
+        arithmetic of the exact search in
+        :class:`repro.codec.reference.ReferenceEncoder`), the chosen
+        leaves re-coded against the *true* reconstruction and the slice
+        written, so the emitted stream is exactly decodable --
+        drift-free by construction.  With ``encode="native"`` that is
+        one GIL-free call for the whole group
+        (:meth:`_turbo_pass2_native`); any slice it does not code -- a
+        refusal, or the whole group when the kernel declines -- is coded
+        alone by the twin, :meth:`_encode_frame`, from a fresh coder and
+        fresh contexts.  Same bytes, same float64 plane, same ledger
+        either way.
+        """
+        coded: List[Optional[Tuple[bytes, np.ndarray]]] = [None] * len(planes)
+        if self._native_ok:
+            coded = self._turbo_pass2_native(planes, pass1)
+        for k, done in enumerate(coded):
+            if done is None:
+                enc = BinaryEncoder()
+                recon = self._encode_frame(
+                    enc, CodecContexts(), planes[k], pass1.frame(k)
+                )
+                coded[k] = (enc.finish(), recon)
+        return coded
+
+    def _turbo_pass2_native(
+        self, planes: np.ndarray, pass1: _Pass1
+    ) -> List[Optional[Tuple[bytes, np.ndarray]]]:
+        """Pass 2 of a group in one slice-encode kernel call.
+
+        Per frame ``(payload, reconstruction)``, or ``None`` where the
+        twin must code it: every frame when the kernel is unavailable
+        or declines the arguments, the slices it refuses otherwise.  A
+        decline or a refusal while the kernel is loaded counts one
+        ``encode.kernel_refusals`` per slice handed back.  The stats
+        ledger of every slice coded here is what the twin would have
+        left.
+        """
+        count, height, width = planes.shape
+        stats = self._stats
+        started = perf_counter() if stats is not None else 0.0
+        # Exact upper bounds: leaves are disjoint and none is smaller
+        # than the last size; four bytes per sample is far beyond any
+        # slice the format produces at QP >= 0 (overflow -> twin).
+        smallest = self._sizes[-1]
+        rows = np.empty(
+            (native.PLAN_ROWS, count * (height // smallest) * (width // smallest)),
+            dtype=np.int64,
+        )
+        levels = np.empty(planes.size, dtype=np.int64)
+        out = np.empty(4 * planes.size + 64 * count, dtype=np.uint8)
+        recon = np.zeros_like(planes)
+        bits = (
+            np.zeros((count, len(native.ENCODE_BIT_CLASSES)), dtype=np.int64)
+            if stats is not None
+            else None
+        )
+        report = native.encode_slices(
+            planes,
+            self._ctu,
+            self._min_cu,
+            self.config.use_partition,
+            list(pass1.modes.values()),
+            list(pass1.costs.values()),
+            pass1.step.ravel(),
+            pass1.lam.ravel(),
+            self.config.profile.deadzone,
+            self.config.profile.all_modes,
+            _transform_tables(tuple(self._sizes)),
+            recon,
+            np.zeros(planes.shape, dtype=bool),
+            rows,
+            levels,
+            out,
+            bits,
+        )
+        if report is None:
+            if native.kernel_status(resolve=False)["encode"] == "ready":
+                telemetry.count("encode.kernel_refusals", count)
+            return [None] * count
+        if stats is not None:
+            stats.add_seconds("write", perf_counter() - started)
+        coded: List[Optional[Tuple[bytes, np.ndarray]]] = []
+        out_start = leaf_start = level_start = 0
+        for k, (status, out_end, leaf_end, level_end) in enumerate(report.tolist()):
+            if status != 0:
+                telemetry.count("encode.kernel_refusals")
+                coded.append(None)
+                continue
+            coded.append((out[out_start:out_end].tobytes(), recon[k]))
+            if stats is not None:
+                _kernel_ledger(
+                    stats,
+                    pass1.qp[k],
+                    leaf_end - leaf_start,
+                    levels[level_start:level_end],
+                    bits[k],
+                    len(self._sizes) > 1,
+                )
+            out_start, leaf_start, level_start = out_end, leaf_end, level_end
+        return coded
+
+    # -- per frame: the twin -----------------------------------------------
 
     def _encode_frame(
         self,
@@ -714,8 +946,12 @@ class FrameEncoder:
         frame: np.ndarray,
         pass1: _Pass1,
     ) -> np.ndarray:
-        """One padded frame as one intra slice; returns its reconstruction.
+        """Pass 2 of one padded frame in Python; returns its reconstruction.
 
+        The pure-Python twin of the slice-encode kernel:
+        :meth:`_turbo_choose` / :meth:`_turbo_commit` / :meth:`_write_cu`
+        CTU by CTU over this frame's pass-1 tables (``pass1`` is
+        :meth:`_Pass1.frame`'s), writing into ``enc`` and ``ctx``.
         Pass 1 (:meth:`_turbo_pass1`, once per group of frames) scored
         every block of every CU size in a handful of stacked GEMMs using
         *source* pixels as prediction references -- the classic encoder
@@ -723,25 +959,13 @@ class FrameEncoder:
         source closely, so decisions made against the source are
         near-identical while removing the serial commit->gather
         dependency that forces a per-leaf search to run block by block
-        (and any dependency on the slice a block sits in).  Pass 2,
-        here, picks the partition per CTU with a quadtree DP (the split
-        arithmetic of the exact search in
-        :class:`repro.codec.reference.ReferenceEncoder`), re-codes only
-        the chosen leaves against the *true* reconstruction and writes
-        the slice, so the emitted stream is exactly decodable --
-        drift-free by construction.  With ``encode="native"`` pass 2 is
-        one GIL-free call (``native.encode_slice``); :meth:`_turbo_choose`
-        / :meth:`_turbo_commit` / :meth:`_write_cu` are its pure-Python
-        twin -- same bytes, same float64 plane, same context banks --
-        which also re-codes any slice the kernel refuses.
+        (and any dependency on the slice a block sits in).
         """
         height, width = frame.shape
-        self._frame = np.asarray(frame, dtype=np.float64)
+        self._frame = frame
         self._recon = np.zeros((height, width), dtype=np.float64)
         self._mask = np.zeros((height, width), dtype=bool)
         self._modes = np.full((height, width), -1, dtype=np.int16)
-        if self._native_ok and self._turbo_pass2_native(enc, ctx, pass1):
-            return self._recon
         stats = self._stats
         ctu = self._ctu
         for cy, row in enumerate(pass1.qp.tolist()):
@@ -767,101 +991,9 @@ class FrameEncoder:
                 stats.add_seconds("write", perf_counter() - t1)
         return self._recon
 
-    def _turbo_pass2_native(
-        self,
-        enc: BinaryEncoder,
-        ctx: CodecContexts,
-        pass1: _Pass1,
-    ) -> bool:
-        """Pass 2 in the slice-encode kernel; False = the twin must run.
+    # -- pass 1 --------------------------------------------------------------
 
-        On success ``enc``, ``ctx``, ``self._recon`` and the stats
-        ledger are exactly what the Python loop would have left.  When
-        the kernel declines (unavailable) nothing was touched; when it
-        refuses mid-slice (a capacity, an unsupported geometry) the
-        part-adapted contexts and planes are made fresh again so the
-        twin re-codes the slice from the start.
-        """
-        frame = self._frame
-        height, width = frame.shape
-        stats = self._stats
-        started = perf_counter() if stats is not None else 0.0
-        sizes = list(pass1.modes)
-        # Exact upper bounds: leaves are disjoint and none is smaller
-        # than the last size; four bytes per sample is far beyond any
-        # stream the format produces at QP >= 0 (overflow -> twin).
-        rows = np.empty(
-            (native.PLAN_ROWS, (height // sizes[-1]) * (width // sizes[-1])),
-            dtype=np.int64,
-        )
-        levels = np.empty(height * width, dtype=np.int64)
-        out = np.empty(4 * height * width + 64, dtype=np.uint8)
-        bits = (
-            np.zeros(len(native.ENCODE_BIT_CLASSES), dtype=np.int64)
-            if stats is not None
-            else None
-        )
-        outcome = native.encode_slice(
-            enc,
-            ctx.banks(),
-            frame,
-            self._ctu,
-            self._min_cu,
-            self.config.use_partition,
-            list(pass1.modes.values()),
-            list(pass1.costs.values()),
-            pass1.step.ravel(),
-            pass1.lam.ravel(),
-            self.config.profile.deadzone,
-            self.config.profile.all_modes,
-            _transform_tables(tuple(sizes)),
-            self._recon,
-            self._mask,
-            rows,
-            levels,
-            out,
-            bits,
-        )
-        if outcome is None:
-            return False
-        status, n_leaves, n_levels = outcome
-        if status != 0:
-            telemetry.count("encode.kernel_refusals")
-            ctx.reset()
-            self._recon.fill(0.0)
-            self._mask.fill(False)
-            return False
-        if stats is not None:
-            stats.add_seconds("write", perf_counter() - started)
-            for qp in pass1.qp.ravel().tolist():
-                stats.add_qp(qp)
-            # The ledger the twin keeps leaf by leaf, from the plan:
-            # every split turns one quadtree node into four, every leaf
-            # is an intra leaf with one coefficient block.  Entries the
-            # twin would never have touched stay absent.
-            n_ctus = pass1.qp.size
-            for name, value in (
-                ("ctu", n_ctus),
-                ("cu.leaf", n_leaves),
-                ("cu.split", (n_leaves - n_ctus) // 3),
-                ("mode.intra", n_leaves),
-                ("coeff_blocks", n_leaves),
-                ("coeff_nonzero", int(np.count_nonzero(levels[:n_levels]))),
-            ):
-                if value:
-                    stats.add_count(name, value)
-            # ENCODE_BIT_CLASSES order: split flags exist only under a
-            # tree, last / sig / level only with a coded block.
-            coded = n_levels > 0
-            touched = (len(sizes) > 1, True, True, coded, coded, coded)
-            for name, value, used in zip(
-                native.ENCODE_BIT_CLASSES, bits.tolist(), touched
-            ):
-                if used:
-                    stats.add_bits(name, value)
-        return True
-
-    def _turbo_pass1(self, planes: np.ndarray, dither: QpDither) -> List[_Pass1]:
+    def _turbo_pass1(self, planes: np.ndarray, dither: QpDither) -> _Pass1:
         """Turbo pass 1 over a group: ``(frames, height, width)`` float64 planes.
 
         One :meth:`_turbo_pass1_size` per CU size over the stacked
@@ -876,40 +1008,32 @@ class FrameEncoder:
         count, height, width = planes.shape
         ctu = self._ctu
         qp = dither.take(planes.size // ctu**2).reshape(count, height // ctu, -1)
-        step = np.reshape([qstep(q) for q in qp.ravel().tolist()], qp.shape)
-        lam = np.reshape([rd_lambda(q) for q in qp.ravel().tolist()], qp.shape)
-        sizes = [ctu]
-        if self.config.use_partition:
-            while sizes[-1] > self._min_cu:
-                sizes.append(sizes[-1] // 2)
-        group = [_Pass1(qp[k], step[k], lam[k], {}, {}) for k in range(count)]
-        for n in sizes:
-            by, bx = height // n, width // n
-            at = np.ix_(
-                np.arange(count), (np.arange(by) * n) // ctu, (np.arange(bx) * n) // ctu
-            )
+        pass1 = _Pass1(qp, _QSTEPS[qp], _LAMBDAS[qp], {}, {})
+        step = pass1.step.reshape(count, -1)
+        lam = pass1.lam.reshape(count, -1)
+        for n in self._sizes:
+            blocks = _block_ctus(height, width, ctu, n)
             modes, costs = self._turbo_pass1_size(
-                planes, n, step[at].ravel(), lam[at].ravel()
+                planes, n, step[:, blocks].ravel(), lam[:, blocks].ravel()
             )
-            tables = zip(modes.reshape(count, by, bx), costs.reshape(count, by, bx))
-            for frame, (frame_modes, frame_costs) in zip(group, tables):
-                frame.modes[n], frame.costs[n] = frame_modes, frame_costs
+            pass1.modes[n] = modes.reshape(count, height // n, width // n)
+            pass1.costs[n] = costs.reshape(count, height // n, width // n)
         if stats is not None:
             stats.add_seconds("plan", perf_counter() - started)
-        return group
+        return pass1
 
     def _turbo_pass1_size(
         self, planes: np.ndarray, n: int, step: np.ndarray, lam: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Best coarse mode + RD cost for every ``n x n`` block at once.
 
-        References come from the source planes, padded edge-replicated
+        References come from the source planes, clamped at their edges
         (one row/column of context outside each frame, ``2n`` of
         extension below/right exactly like the boundary walk reads
-        them), so the whole group's candidate prediction collapses into
-        one operator gemm instead of a mat-vec per block; ``step`` /
-        ``lam`` are every block's quantizer step and Lagrangian, frame
-        by frame in raster order.
+        them: :func:`_reference_windows`), so the whole group's
+        candidate prediction collapses into one operator gemm instead of
+        a mat-vec per block; ``step`` / ``lam`` are every block's
+        quantizer step and Lagrangian, frame by frame in raster order.
         """
         count, height, width = planes.shape
         by, bx = height // n, width // n
@@ -920,12 +1044,7 @@ class FrameEncoder:
         coeffs = np.matmul(np.matmul(basis, blocks), basis.T).reshape(total, n * n)
         coeffs = np.take(coeffs, zz, axis=1)  # C-contiguous, unlike [:, zz]
 
-        padded = np.pad(planes, ((0, 0), (1, n), (1, n)), mode="edge")
-        ys = np.arange(by) * n
-        xs = np.arange(bx) * n
-        tops = sliding_window_view(padded[:, ys], 2 * n + 1, axis=2)[:, :, xs]
-        lefts = sliding_window_view(padded[:, :, xs], 2 * n + 1, axis=1)[:, ys]
-        refs = np.concatenate([tops, lefts], axis=3).reshape(total, 4 * n + 2)
+        refs = _reference_windows(planes, n)
         if total == 1:
             # BLAS answers one row with its GEMV kernel, which rounds
             # the last bits differently from the GEMM rows the same

@@ -1,8 +1,10 @@
-/* Whole-slice intra encode: one call plans, codes and writes a slice.
+/* Whole-slice intra encode: one call plans, codes and writes every
+ * slice of a group (llm265_encode_slices, at the end of the file).
  *
- * Everything FrameEncoder._encode_frame does after its batched
- * pass 1 -- _turbo_choose, _turbo_commit / _code_leaf_fixed_mode and
- * _write_cu -- over the pass-1 best_mode / best_cost tables:
+ * Per slice, from a fresh coder and fresh contexts, everything
+ * FrameEncoder._encode_frame does after the group's batched pass 1 --
+ * _turbo_choose, _turbo_commit / _code_leaf_fixed_mode, _write_cu and
+ * BinaryEncoder.finish -- over the pass-1 best_mode / best_cost tables:
  *
  *   1. the quadtree DP per CTU with _turbo_choose's exact arithmetic
  *      (split_cost = lambda, += the four children in z-order, the leaf
@@ -13,12 +15,13 @@
  *      recon / mask / mode map;
  *   3. the split flags, MPM intra modes, cbf, last-position UEG and
  *      the fused coefficient scan into the range coder, adapting the
- *      live context banks of one CodecContexts in place.
+ *      slice's own CodecContexts, then the coder's flush.
  *
- * Two other files reach the compiler through this one and are part of
- * its content hash (native._Kernel.includes): the range coder and the
- * block writer of _write_kernel.c, and the reference gather and intra
- * predictors of _recon_kernel.c.
+ * Three other files reach the compiler through this one and are part
+ * of its content hash (native._Kernel.includes): the coder constants
+ * and starting contexts of _contexts_kernel.c (the decode kernel's
+ * too), the range coder and the block writer of _write_kernel.c, and
+ * the reference gather and intra predictors of _recon_kernel.c.
  *
  * The transform is the codec's one order-defined 2-D DCT pair
  * (llm265_dct2_batch, also exported for repro.codec.transform):
@@ -33,11 +36,11 @@
  * being the decoder's own code, the float64 plane produced here is
  * the plane the decoder reconstructs, bit for bit.
  *
- * Every write is capacity-checked and nothing is formatted here: any
- * non-zero status makes the caller re-code the slice with the Python
- * twin from a fresh coder and fresh contexts.
+ * Every write is capacity-checked and nothing is formatted here: a
+ * non-zero slice status makes the caller re-code that slice with the
+ * Python twin from a fresh coder and fresh contexts.
  *
- * Return status: 0 = ok, 1 = output bytes would exceed out_cap, 2 =
+ * Slice status: 0 = ok, 1 = output bytes would exceed out_cap, 2 =
  * plan or level capacity would be exceeded, 3 = geometry this kernel
  * does not handle (sizes, missing tables), 4 = a pass-1 mode the
  * profile cannot signal, 5 = a level that does not fit int64.
@@ -48,14 +51,10 @@
 #include <math.h>
 #include <stdint.h>
 
+#include "_contexts_kernel.c"
 #include "_recon_kernel.c"
 #include "_write_kernel.c"
 
-/* Context layout of repro.codec.syntax (CodecContexts). */
-#define LAST_PREFIX 10
-#define SIG_CTX_PER_CLASS 3
-#define LEVEL_PREFIX 3
-#define UEG_K 1
 #define N_ANGULAR 33
 
 #define N_CLASSES 5 /* block sizes 4, 8, 16, 32, 64 */
@@ -63,10 +62,6 @@
 #define MAX_NODES 341 /* 1 + 4 + 16 + 64 + 256 */
 
 enum { ST_OK, ST_BYTES, ST_CAPACITY, ST_GEOMETRY, ST_MODE, ST_LEVEL };
-
-/* Bank order of the `banks` argument (CodecContexts.banks()). */
-enum { B_SPLIT, B_PRED, B_MPM_FLAG, B_MPM_INDEX, B_CBF, B_LAST, B_SIG,
-       B_LEVEL, B_MV, N_BANKS };
 
 /* -- the ordered transform ---------------------------------------------- */
 
@@ -183,13 +178,18 @@ int64_t llm265_residual_batch(const int64_t *levels, int64_t n_levels,
 
 typedef struct {
     coder c;
+    /* The current slice's source, reconstruction and coverage planes. */
     const double *frame;
+    double *recon;
+    uint8_t *mask;
     int64_t height, width, min_cu;
     int use_partition;
-    /* Pass-1 tables by quadtree depth (block size ctu >> depth), each
-     * (height / size) x (width / size) row-major. */
-    const int64_t *const *best_mode;
-    const double *const *best_cost;
+    /* The current slice's pass-1 tables by quadtree depth (block size
+     * ctu >> depth), each (height / size) x (width / size) row-major. */
+    const int64_t *best_mode[MAX_DEPTH];
+    const double *best_cost[MAX_DEPTH];
+    /* Per CTU of the group, in raster order slice after slice. */
+    const double *ctu_step, *ctu_lambda;
     double step, lambda; /* of the current CTU */
     double deadzone;
     const int32_t *all_modes;
@@ -200,9 +200,7 @@ typedef struct {
     const int64_t *const *zigzag;
     double basis_t[16 + 64 + 256 + 1024 + 4096];
     int have_basis_t[N_CLASSES];
-    int32_t *const *banks;
-    double *recon;
-    uint8_t *mask;
+    int32_t *banks[N_BANKS]; /* the current slice's contexts */
     int8_t *mode_map; /* one cell per 4x4 samples, -1 = not yet coded */
     int64_t map_w;
     int64_t *plan, leaf_cap, n_leaves;
@@ -448,48 +446,88 @@ static int code_cu(enc_slice *s, int64_t y0, int64_t x0, int64_t size,
     return code_leaf(s, y0, x0, size, depth);
 }
 
-/* frame, recon (zero-filled) and mask (zero-filled) are height x width;
- * mode_map holds (height / 4) * (width / 4) cells initialised to -1;
- * ctu_step / ctu_lambda have one entry per CTU in raster order;
- * best_mode / best_cost have one table per quadtree depth in use;
- * basis / zigzag have N_CLASSES entries (NULL where the size is
- * unused).  state_io = {low, range, cache, cache_size, out_len,
- * n_leaves, n_levels}: the first four are read as the coder's entry
- * state, all seven written back on every return.  bits is an
- * int64[N_ELEMENTS] ledger the deltas are added to, or NULL. */
-int64_t llm265_encode_slice(
-    const double *frame, int64_t height, int64_t width,
+/* Columns of the per-slice report (native.ENCODE_REPORT). */
+enum { R_STATUS, R_OUT_END, R_LEAF_END, R_LEVEL_END, REPORT_COLS };
+
+/* One slice on fresh entropy state -- BinaryEncoder() and, in `bank`,
+ * CodecContexts() -- and an empty mode map: every CTU's DP and coding,
+ * then the coder's flush.  Bytes, leaves, levels and CTU indices run on
+ * from where the previous slice of the group left them. */
+static int encode_slice(enc_slice *s, int64_t ctu, int32_t *bank)
+{
+    int64_t i, y0, x0;
+    int status = ST_OK;
+
+    s->c.low = 0;
+    s->c.rng = 0xFFFFFFFFu;
+    s->c.cache = 0;
+    s->c.csize = 1;
+    fresh_contexts(bank, s->banks);
+    for (i = 0; i < (s->height / 4) * s->map_w; i++)
+        s->mode_map[i] = -1;
+    s->c.mark = tell(&s->c);
+    for (y0 = 0; y0 < s->height && !status; y0 += ctu)
+        for (x0 = 0; x0 < s->width && !status; x0 += ctu) {
+            s->step = s->ctu_step[s->ctu_index];
+            s->lambda = s->ctu_lambda[s->ctu_index];
+            choose(s, y0, x0, ctu, 0, 0, 0);
+            status = code_cu(s, y0, x0, ctu, 0, 0, 0);
+            s->ctu_index++;
+        }
+    if (!status && finish(&s->c))
+        status = ST_BYTES;
+    return status;
+}
+
+/* Codes `count` consecutive height x width slices -- frames, recon and
+ * mask are count x height x width, recon and mask zero-filled -- each
+ * from a fresh coder and fresh contexts, into one output buffer, one
+ * leaf plan and one level buffer: slice after slice, coeff_offset
+ * indexing the group's level buffer and ctu_index numbering the group's
+ * CTUs.  ctu_step / ctu_lambda have one entry per CTU of the group in
+ * that order; best_mode / best_cost one table per quadtree depth in
+ * use, each count x (height / size) x (width / size); basis / zigzag
+ * N_CLASSES entries (NULL where the size is unused).  The three
+ * capacities are the group's.
+ *
+ * report (count x REPORT_COLS) receives per slice its status and the
+ * running byte / leaf / level counts after it: slice k's finished bytes
+ * are out[out_end[k - 1] .. out_end[k]].  A refused slice gives its
+ * bytes, leaves and levels back -- the counts after it are the counts
+ * before it -- and the slices behind it are still coded.  banks (count
+ * x BANK_TOTAL) is scratch the caller provides: row k ends as slice k's
+ * adapted contexts.  bits, when not NULL, is count x N_ELEMENTS: row k
+ * receives slice k's ledger (meaningless for a refused slice).
+ * mode_map holds (height / 4) * (width / 4) cells.
+ *
+ * Returns the number of refused slices. */
+int64_t llm265_encode_slices(
+    const double *frames, int64_t count, int64_t height, int64_t width,
     int64_t ctu, int64_t min_cu, int64_t use_partition,
     const int64_t *const *best_mode, const double *const *best_cost,
     const double *ctu_step, const double *ctu_lambda, double deadzone,
     const int32_t *all_modes, int64_t n_modes,
     const double *const *basis, const int64_t *const *zigzag,
-    int32_t *const *banks, int64_t *state_io,
+    int64_t *report, int32_t *banks,
     uint8_t *out, int64_t out_cap,
     double *recon, uint8_t *mask, int8_t *mode_map,
     int64_t *plan, int64_t leaf_cap, int64_t *levels, int64_t level_cap,
     int64_t *bits)
 {
     enc_slice s;
-    int64_t y0, x0, depth_sizes = 1, size;
-    int status = ST_OK, i;
+    int64_t area = height * width, ctus = 0, depths = 1, size, k, d, i;
+    int64_t refused = 0;
+    int geometry = ST_OK;
 
-    s.c.low = (uint64_t)state_io[0];
-    s.c.rng = (uint32_t)state_io[1];
-    s.c.cache = state_io[2];
-    s.c.csize = state_io[3];
     s.c.out = out;
     s.c.cap = out_cap;
     s.c.len = 0;
-    s.c.bits = bits;
-    s.c.mark = 0;
-    s.frame = frame;
     s.height = height;
     s.width = width;
     s.min_cu = min_cu;
     s.use_partition = use_partition != 0;
-    s.best_mode = best_mode;
-    s.best_cost = best_cost;
+    s.ctu_step = ctu_step;
+    s.ctu_lambda = ctu_lambda;
     s.deadzone = deadzone;
     s.all_modes = all_modes;
     s.n_modes = n_modes;
@@ -497,9 +535,6 @@ int64_t llm265_encode_slice(
     s.zigzag = zigzag;
     for (i = 0; i < N_CLASSES; i++)
         s.have_basis_t[i] = 0;
-    s.banks = banks;
-    s.recon = recon;
-    s.mask = mask;
     s.mode_map = mode_map;
     s.map_w = width / 4;
     s.plan = plan;
@@ -508,34 +543,52 @@ int64_t llm265_encode_slice(
     s.levels = levels;
     s.level_cap = level_cap;
     s.n_levels = 0;
-    s.ctu_index = 0;
 
     if (size_class(ctu) < 0 || height <= 0 || width <= 0 || height % ctu ||
-        width % ctu || s.c.rng < TOP)
-        status = ST_GEOMETRY;
+        width % ctu)
+        geometry = ST_GEOMETRY;
     if (s.use_partition) {
         /* The tree bottoms out at min_cu after whole halvings. */
         for (size = ctu; size > min_cu; size /= 2)
-            depth_sizes++;
-        if (min_cu < 4 || depth_sizes > MAX_DEPTH ||
-            (min_cu << (depth_sizes - 1)) != ctu)
-            status = ST_GEOMETRY;
+            depths++;
+        if (min_cu < 4 || depths > MAX_DEPTH ||
+            (min_cu << (depths - 1)) != ctu)
+            geometry = ST_GEOMETRY;
     }
-    s.c.mark = status ? 0 : tell(&s.c);
-    for (y0 = 0; y0 < height && !status; y0 += ctu)
-        for (x0 = 0; x0 < width && !status; x0 += ctu) {
-            s.step = ctu_step[s.ctu_index];
-            s.lambda = ctu_lambda[s.ctu_index];
-            choose(&s, y0, x0, ctu, 0, 0, 0);
-            status = code_cu(&s, y0, x0, ctu, 0, 0, 0);
-            s.ctu_index++;
+    if (!geometry)
+        ctus = (height / ctu) * (width / ctu);
+
+    for (k = 0; k < count; k++) {
+        int64_t *row = report + k * REPORT_COLS;
+        int64_t out_start = s.c.len, leaf_start = s.n_leaves;
+        int64_t level_start = s.n_levels;
+        int status = geometry;
+
+        s.c.bits = bits ? bits + k * N_ELEMENTS : 0;
+        for (i = 0; s.c.bits && i < N_ELEMENTS; i++)
+            s.c.bits[i] = 0;
+        if (!status) {
+            for (d = 0; d < depths; d++) {
+                int64_t blocks = (height / (ctu >> d)) * (width / (ctu >> d));
+                s.best_mode[d] = best_mode[d] + k * blocks;
+                s.best_cost[d] = best_cost[d] + k * blocks;
+            }
+            s.frame = frames + k * area;
+            s.recon = recon + k * area;
+            s.mask = mask + k * area;
+            s.ctu_index = k * ctus;
+            status = encode_slice(&s, ctu, banks + k * BANK_TOTAL);
         }
-    state_io[0] = (int64_t)s.c.low;
-    state_io[1] = s.c.rng;
-    state_io[2] = s.c.cache;
-    state_io[3] = s.c.csize;
-    state_io[4] = s.c.len;
-    state_io[5] = s.n_leaves;
-    state_io[6] = s.n_levels;
-    return status;
+        if (status) {
+            s.c.len = out_start;
+            s.n_leaves = leaf_start;
+            s.n_levels = level_start;
+            refused++;
+        }
+        row[R_STATUS] = status;
+        row[R_OUT_END] = s.c.len;
+        row[R_LEAF_END] = s.n_leaves;
+        row[R_LEVEL_END] = s.n_levels;
+    }
+    return refused;
 }

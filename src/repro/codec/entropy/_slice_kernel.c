@@ -18,7 +18,8 @@
  * [31, 2017], so a single shift always restores range >= 2^24) and
  * every operation is exact in uint32/int64, so the plan, the coder
  * end state reported per slice and every context bank -- one
- * CodecContexts' worth per slice, set up and adapted here -- are
+ * CodecContexts' worth per slice, set up as the encode kernel sets
+ * them up (_contexts_kernel.c) and adapted here -- are
  * bit-identical to the Python walk.  tests/test_fast_decode.py and
  * tests/test_decode_groups.py lock the two together.
  *
@@ -39,18 +40,7 @@
 
 #include <stdint.h>
 
-#define PROB_BITS 11
-#define PROB_ONE 2048
-#define PROB_INIT (PROB_ONE / 2)
-#define ADAPT_SHIFT 5
-#define TOP (1u << 24)
-
-/* Context layout of repro.codec.syntax (CodecContexts). */
-#define LAST_PREFIX 10
-#define SIG_CTX_PER_CLASS 3
-#define LEVEL_PREFIX 3
-#define RUN_PREFIX 4
-#define UEG_K 1
+#include "_contexts_kernel.c"
 
 #define MODE_PLANAR 0
 #define MODE_DC 1
@@ -81,10 +71,6 @@ enum {
     P_COEFF,
     PLAN_ROWS
 };
-
-/* Bank order of the `banks` argument (CodecContexts attribute order). */
-enum { B_SPLIT, B_PRED, B_MPM_FLAG, B_MPM_INDEX, B_CBF, B_LAST, B_SIG,
-       B_LEVEL, B_MV, N_BANKS };
 
 typedef struct {
     const uint8_t *data;
@@ -486,14 +472,10 @@ static int cu(slice *s, int64_t y0, int64_t x0, int64_t size, int64_t depth)
 enum { R_STATUS, R_POS, R_RANGE, R_CODE, R_BINS, R_LEAF_END, R_LEVEL_END,
        REPORT_COLS };
 
-/* CodecContexts: every bank's length, and their sum. */
-static const int BANK_SIZES[N_BANKS] = {6, 1, 1, 2, 2, 50, 15, 15, 8};
-#define BANK_TOTAL 100
-
 /* One slice of the group on fresh entropy state: BinaryDecoder.__init__
  * (the first byte is the encoder's cache seed, four code bytes, zero
- * past the end), CodecContexts() (every context equiprobable, laid out
- * bank after bank in `bank`) and an empty mode map.  Leaves, levels and
+ * past the end), CodecContexts() (fresh_contexts, in `bank`) and an
+ * empty mode map.  Leaves, levels and
  * CTU indices run on from where the previous slice of the group left
  * them. */
 static int one_slice(slice *s, const uint8_t *data, int64_t dlen,
@@ -513,12 +495,7 @@ static int one_slice(slice *s, const uint8_t *data, int64_t dlen,
         s->code = (s->code << 8) | NEXT_BYTE(data, dlen, s->pos);
         s->pos++;
     }
-    for (i = 0; i < BANK_TOTAL; i++)
-        bank[i] = PROB_INIT;
-    for (i = 0; i < N_BANKS; i++) {
-        banks[i] = bank;
-        bank += BANK_SIZES[i];
-    }
+    fresh_contexts(bank, banks);
     s->banks = banks;
     for (i = 0; i < (s->height / 4) * s->map_w; i++)
         s->mode_map[i] = -1;

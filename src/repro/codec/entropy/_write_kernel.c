@@ -20,14 +20,13 @@
  * append to a caller-provided output buffer.  Every function returns
  * 0 = ok, 1 = output buffer full (the slice kernel turns that into a
  * refusal and the Python twin re-codes the slice).
+ *
+ * The probability constants come from _contexts_kernel.c, which
+ * _encode_kernel.c includes first.
  */
 
 #include <stdint.h>
 
-#define PROB_BITS 11
-#define PROB_ONE 2048
-#define ADAPT_SHIFT 5
-#define TOP (1u << 24)
 #define MASK32 0xFFFFFFFFull
 
 /* Element classes of the optional bit ledger, a subset of
@@ -66,27 +65,44 @@ static inline void charge(coder *c, int element)
     }
 }
 
-/* BinaryEncoder._shift_low driven by the `while range < TOP` loop of
- * _renorm: shift the range up one byte at a time, flushing the carry
- * cache when low leaves the [0xFF000000, 0xFFFFFFFF] pending window. */
+/* BinaryEncoder._shift_low: flush the carry cache when low leaves the
+ * [0xFF000000, 0xFFFFFFFF] pending window, then shift low up a byte. */
+static inline int shift_low(coder *c)
+{
+    if (c->low < 0xFF000000ull || c->low > MASK32) {
+        uint64_t carry = c->low >> 32;
+        int64_t j;
+        if (c->len + c->csize > c->cap)
+            return 1;
+        c->out[c->len++] = (uint8_t)((c->cache + (int64_t)carry) & 0xFF);
+        for (j = 0; j < c->csize - 1; j++)
+            c->out[c->len++] = (uint8_t)((0xFF + carry) & 0xFF);
+        c->cache = (int64_t)((c->low >> 24) & 0xFF);
+        c->csize = 0;
+    }
+    c->csize += 1;
+    c->low = (c->low << 8) & MASK32;
+    return 0;
+}
+
+/* The `while range < TOP` loop of BinaryEncoder._renorm. */
 static inline int renorm(coder *c)
 {
     while (c->rng < TOP) {
         c->rng <<= 8; /* (rng << 8) & MASK32: uint32 wraps identically */
-        if (c->low < 0xFF000000ull || c->low > MASK32) {
-            uint64_t carry = c->low >> 32;
-            int64_t j;
-            if (c->len + c->csize > c->cap)
-                return 1;
-            c->out[c->len++] = (uint8_t)((c->cache + (int64_t)carry) & 0xFF);
-            for (j = 0; j < c->csize - 1; j++)
-                c->out[c->len++] = (uint8_t)((0xFF + carry) & 0xFF);
-            c->cache = (int64_t)((c->low >> 24) & 0xFF);
-            c->csize = 0;
-        }
-        c->csize += 1;
-        c->low = (c->low << 8) & MASK32;
+        if (shift_low(c))
+            return 1;
     }
+    return 0;
+}
+
+/* BinaryEncoder.finish: five shifts push the pending bytes and low out. */
+static int finish(coder *c)
+{
+    int i;
+    for (i = 0; i < 5; i++)
+        if (shift_low(c))
+            return 1;
     return 0;
 }
 

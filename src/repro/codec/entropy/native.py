@@ -1,8 +1,10 @@
 """Optional native kernels for the codec hot loops.
 
 Five kernels, built from four C files by one self-building pipeline
-(a fifth file, ``_write_kernel.c`` -- the range coder and the
-coefficient-block writer -- is only ever ``#include``d):
+(two more are only ever ``#include``d: ``_write_kernel.c``, the range
+coder and the coefficient-block writer, and ``_contexts_kernel.c``, the
+coder constants and a slice's starting contexts, which the slice and
+encode kernels share):
 
 ``slice``  ``_slice_kernel.c`` -- whole-slice entropy *decode*: one
            call walks the CTU quadtree of every slice of a group (split
@@ -17,12 +19,13 @@ coefficient-block writer -- is only ever ``#include``d):
 ``refs``   the same ``_recon_kernel.c`` (one shared object, second
            symbol) -- intra reference gather with boundary
            substitution, on its own for the encoder.
-``encode`` ``_encode_kernel.c`` -- whole-slice intra *encode*: the
-           quadtree DP over the turbo search's pass-1 tables, exact
-           coding of every chosen leaf (predict, ordered DCT, quantize,
-           reconstruct) and all of the slice's entropy coding in one
-           call.  It ``#include``s the range coder and block writer of
-           ``_write_kernel.c`` (the mirror of the fused path in
+``encode`` ``_encode_kernel.c`` -- whole-slice intra *encode*: for
+           every slice of a group, from a fresh coder and fresh
+           contexts, the quadtree DP over the turbo search's pass-1
+           tables, exact coding of every chosen leaf (predict, ordered
+           DCT, quantize, reconstruct) and all of the slice's entropy
+           coding, in one call.  It ``#include``s the range coder and
+           block writer of ``_write_kernel.c`` (the mirror of the fused path in
            :func:`repro.codec.syntax.encode_coeff_block`) and the
            predictors of the recon kernel, and also exports the
            codec's order-defined DCT pair (:func:`dct2`) and, built on
@@ -57,9 +60,9 @@ call covers enough work: the whole-slice kernels do (a *group* of
 consecutive slices -- as many as fit in one 256 x 256 slice's samples,
 a KV page's four -- is one :func:`plan_slices` call, one
 :func:`residuals` call per block size and one
-:func:`reconstruct_slices` call to decode; a slice is one call to
-encode after pass 1), the per-block kernels do not (see
-docs/PERFORMANCE.md).
+:func:`reconstruct_slices` call to decode, and one
+:func:`encode_slices` call to encode after pass 1), the per-block
+kernels do not (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ __all__ = [
     "plan_slices",
     "reconstruct_slices",
     "encode_available",
-    "encode_slice",
+    "encode_slices",
     "dct2",
     "residuals",
     "cost_pick",
@@ -133,7 +136,8 @@ _RECON_ARGTYPES = [
 ]
 
 _ENCODE_ARGTYPES = [
-    ctypes.c_void_p,  # frame (float64)
+    ctypes.c_void_p,  # frames (float64, count x height x width)
+    ctypes.c_int64,  # count
     ctypes.c_int64,  # height
     ctypes.c_int64,  # width
     ctypes.c_int64,  # ctu
@@ -148,18 +152,18 @@ _ENCODE_ARGTYPES = [
     ctypes.c_int64,  # n_modes
     ctypes.c_void_p,  # basis (float64 *[5], by size class)
     ctypes.c_void_p,  # zigzag (int64 *[5], by size class)
-    ctypes.c_void_p,  # banks (int32 *[9])
-    ctypes.c_void_p,  # state_io (int64[7])
+    ctypes.c_void_p,  # report (int64, count x len(ENCODE_REPORT))
+    ctypes.c_void_p,  # banks (int32, count x BANK_TOTAL)
     ctypes.c_void_p,  # out (uint8)
     ctypes.c_int64,  # out_cap
-    ctypes.c_void_p,  # recon (float64)
-    ctypes.c_void_p,  # mask (uint8/bool)
+    ctypes.c_void_p,  # recon (float64, count x height x width)
+    ctypes.c_void_p,  # mask (uint8/bool, same shape)
     ctypes.c_void_p,  # mode_map (int8)
     ctypes.c_void_p,  # plan (int64, 9 x leaf_cap)
     ctypes.c_int64,  # leaf_cap
     ctypes.c_void_p,  # levels (int64)
     ctypes.c_int64,  # level_cap
-    ctypes.c_void_p,  # bits (int64[6] ledger, NULL = not instrumented)
+    ctypes.c_void_p,  # bits (int64, count x 6 ledger, NULL = not instrumented)
 ]
 
 _DCT_ARGTYPES = [
@@ -298,7 +302,13 @@ class _Kernel:
 _KERNELS: Dict[str, _Kernel] = {
     k.name: k
     for k in (
-        _Kernel("slice", "_slice_kernel.c", "llm265_decode_slices", _SLICE_ARGTYPES),
+        _Kernel(
+            "slice",
+            "_slice_kernel.c",
+            "llm265_decode_slices",
+            _SLICE_ARGTYPES,
+            includes=("_contexts_kernel.c",),
+        ),
         _Kernel(
             "recon",
             "_recon_kernel.c",
@@ -309,10 +319,10 @@ _KERNELS: Dict[str, _Kernel] = {
         _Kernel(
             "encode",
             "_encode_kernel.c",
-            "llm265_encode_slice",
+            "llm265_encode_slices",
             _ENCODE_ARGTYPES,
             check=_check_dct,
-            includes=("_recon_kernel.c", "_write_kernel.c"),
+            includes=("_contexts_kernel.c", "_recon_kernel.c", "_write_kernel.c"),
         ),
         _Kernel("cost", "_cost_kernel.c", "llm265_cost_pick", _PICK_ARGTYPES),
         _Kernel("refs", "_recon_kernel.c", "llm265_gather_refs", _REFS_ARGTYPES),
@@ -493,7 +503,7 @@ def available() -> bool:
 
     The decoder asks this once per group of slices (and once per fan-out
     decision); tests monkeypatch it to force the pure-Python walk.  The
-    encoder's kernels are gated by :func:`encode_slice` /
+    encoder's kernels are gated by :func:`encode_slices` /
     :func:`cost_pick` / :func:`refs` declining instead.
     """
     return _resolve("slice") is not None and _resolve("recon") is not None
@@ -503,8 +513,8 @@ def encode_available() -> bool:
     """True when the whole-slice encode kernel is loaded and usable.
 
     The encoder asks this once per fan-out decision (threads only
-    overlap a slice that is coded in one GIL-free call) and once per
-    slice through :func:`encode_slice` declining.
+    overlap slices that are coded in one GIL-free call) and once per
+    group through :func:`encode_slices` declining.
     """
     return _resolve("encode") is not None
 
@@ -523,8 +533,8 @@ def kernel_status(resolve: bool = True) -> Dict[str, str]:
 
 #: Length of each context bank in the order of ``CodecContexts.banks()``
 #: (the kernels index them with the context layout of
-#: :mod:`repro.codec.syntax`): the minimum :func:`encode_slice` accepts,
-#: and how :func:`plan_slices` lays one slice's contexts out in a row.
+#: :mod:`repro.codec.syntax`): how :func:`plan_slices` and
+#: :func:`encode_slices` lay one slice's contexts out in a row.
 _SLICE_BANK_SIZES = (6, 1, 1, 2, 2, 50, 15, 15, 8)
 BANK_TOTAL = sum(_SLICE_BANK_SIZES)
 
@@ -547,18 +557,6 @@ def _c_array(arr: np.ndarray, dtype, ndim: int) -> bool:
 
 def _plan_table(rows: np.ndarray) -> bool:
     return _c_array(rows, np.int64, 2) and rows.shape[0] == PLAN_ROWS
-
-
-def _bank_pointers(banks: Sequence[array]):
-    """``int32 *[9]`` over the live banks of one ``CodecContexts``, or None."""
-    if len(banks) != len(_SLICE_BANK_SIZES) or any(
-        type(bank) is not array or bank.typecode != "i" or len(bank) < size
-        for bank, size in zip(banks, _SLICE_BANK_SIZES)
-    ):
-        return None
-    return (ctypes.c_void_p * len(banks))(
-        *(bank.buffer_info()[0] for bank in banks)
-    )
 
 
 def _pointer_table(arrays: Sequence[Optional[np.ndarray]]):
@@ -726,11 +724,12 @@ def reconstruct_slices(
 #: order (a subset of ``telemetry.codecstats.BIT_CLASSES``).
 ENCODE_BIT_CLASSES = ("split", "intra_mode", "cbf", "last", "sig", "level")
 
+#: Columns of :func:`encode_slices`' per-slice report (``R_*`` in the C file).
+ENCODE_REPORT = ("status", "out_end", "leaf_end", "level_end")
 
-def encode_slice(
-    enc,
-    banks: Sequence[array],
-    frame: np.ndarray,
+
+def encode_slices(
+    frames: np.ndarray,
     ctu: int,
     min_cu: int,
     use_partition: bool,
@@ -747,46 +746,58 @@ def encode_slice(
     levels: np.ndarray,
     out: np.ndarray,
     bits: Optional[np.ndarray] = None,
-) -> Optional[Tuple[int, int, int]]:
-    """Plan, code and write one intra slice; ``None`` when unavailable.
+    banks: Optional[np.ndarray] = None,
+) -> Optional[np.ndarray]:
+    """Plan, code and write a group of intra slices; ``None`` when unavailable.
 
-    ``enc`` is a fresh :class:`BinaryEncoder` and ``banks`` the live
-    banks of a fresh ``CodecContexts``; ``frame`` is the padded source
-    plane as float64.  ``best_mode`` / ``best_cost`` are the turbo
-    search's pass-1 tables, one ``(height // size, width // size)``
-    int64 / float64 array per quadtree depth (``size = ctu >> depth``,
-    down to ``min_cu``; only depth 0 without partitioning), and
-    ``ctu_step`` / ``ctu_lambda`` the quantizer step and Lagrangian of
-    every CTU in raster order.  ``tables`` holds, per size class
-    (4, 8, 16, 32, 64), the ``(dct_matrix, zigzag_order)`` pair or
-    ``None`` for a size the tree cannot reach.  ``recon`` (float64) and
-    ``mask`` (bool) are zero-filled planes of the frame's shape,
-    ``rows`` / ``levels`` a :class:`repro.codec.decoder.LeafPlan`
-    layout and ``out`` a uint8 byte buffer; all three capacities are
-    taken from the arrays and enforced by the kernel.  ``bits``, when
-    given, is an int64 array of ``len(ENCODE_BIT_CLASSES)`` that
-    receives the exact ``tell_bits`` delta of every element class.
+    ``frames`` is the ``(count, height, width)`` float64 stack of padded
+    source planes of consecutive slices (a group of one is the same
+    call); each is coded from a fresh coder and fresh contexts, set up
+    in C.  ``best_mode`` / ``best_cost`` are the turbo search's pass-1
+    tables, one ``(count, height // size, width // size)`` int64 /
+    float64 array per quadtree depth (``size = ctu >> depth``, down to
+    ``min_cu``; only depth 0 without partitioning), and ``ctu_step`` /
+    ``ctu_lambda`` the quantizer step and Lagrangian of every CTU of the
+    group, slice after slice in raster order.  ``tables`` holds, per
+    size class (4, 8, 16, 32, 64), the ``(dct_matrix, zigzag_order)``
+    pair or ``None`` for a size the tree cannot reach.  ``recon``
+    (float64) and ``mask`` (bool) are zero-filled stacks of the frames'
+    shape, ``rows`` / ``levels`` a :class:`repro.codec.decoder.LeafPlan`
+    layout shared by the group (``ctu_index`` counting on across
+    slices, ``coeff_offset`` into the one level buffer) and ``out`` a
+    uint8 byte buffer; all three capacities are taken from the arrays
+    and enforced by the kernel.  ``bits``, when given, is a
+    ``(count, len(ENCODE_BIT_CLASSES))`` int64 array whose row ``k``
+    receives the exact ``tell_bits`` delta of every element class of
+    slice ``k``.  ``banks``, when given, is a ``(count, BANK_TOTAL)``
+    int32 array that receives every slice's adapted contexts (tests read
+    it; the encoder has no use for it).
 
-    Returns ``(status, n_leaves, n_levels)``.  On status 0 ``enc``
-    (bytes, low / range / carry cache), the banks, ``recon``, the plan
-    and ``bits`` hold exactly what ``FrameEncoder``'s Python twin
-    (``_turbo_choose`` / ``_turbo_commit`` / ``_write_cu``) leaves
-    behind, and ``mask`` is all True.  Any other status -- a capacity
-    that would be exceeded, an unsupported geometry -- leaves ``enc``
-    untouched but the banks and planes part-written: the caller
-    re-codes the slice from a fresh coder and fresh contexts with the
-    twin.
+    Returns the ``(count, len(ENCODE_REPORT))`` int64 report: per slice
+    its status and the byte / leaf / level counts of the group after it,
+    so slice ``k``'s finished bytes are ``out[out_end[k - 1]:out_end[k]]``.
+    On status 0 those bytes are ``BinaryEncoder.finish()`` of what
+    ``FrameEncoder``'s Python twin (``_encode_frame``) writes, and the
+    slice's plane, plan columns, levels, contexts and ledger row are
+    what it leaves behind, with its mask all True.  Any other status --
+    a capacity that would be exceeded, an unsupported geometry -- means
+    the kernel refuses that slice: it gives its bytes, leaves and levels
+    back (its ends equal the previous slice's), its plane is
+    part-written, the slices behind it are still coded, and the caller
+    re-codes it alone with the twin.
     """
     fn = _resolve("encode")
     if fn is None:
         return None
-    if not (_c_array(frame, np.float64, 2) and frame.size):
+    if not (_c_array(frames, np.float64, 3) and frames.size):
         return None
-    height, width = frame.shape
+    count, height, width = frames.shape
     depths = 1
     if use_partition:
         while ctu >> (depths - 1) > min_cu and depths <= 5:
             depths += 1
+    if banks is None:
+        banks = np.empty((count, BANK_TOTAL), dtype=np.int32)
     if (
         ctu <= 0
         or height % ctu
@@ -796,16 +807,17 @@ def encode_slice(
         or len(best_mode) != depths
         or len(best_cost) != depths
         or any(
-            not _c_array(modes, np.int64, 2)
-            or not _c_array(costs, np.float64, 2)
+            not _c_array(modes, np.int64, 3)
+            or not _c_array(costs, np.float64, 3)
             or (ctu >> depth) < 4
-            or modes.shape != (height // (ctu >> depth), width // (ctu >> depth))
+            or modes.shape
+            != (count, height // (ctu >> depth), width // (ctu >> depth))
             or costs.shape != modes.shape
             for depth, (modes, costs) in enumerate(zip(best_mode, best_cost))
         )
         or not _c_array(ctu_step, np.float64, 1)
         or not _c_array(ctu_lambda, np.float64, 1)
-        or len(ctu_step) != (height // ctu) * (width // ctu)
+        or len(ctu_step) != count * (height // ctu) * (width // ctu)
         or len(ctu_lambda) != len(ctu_step)
         or len(tables) != 5
         or any(
@@ -818,33 +830,30 @@ def encode_slice(
             )
             for cls, pair in enumerate(tables)
         )
-        or not _c_array(recon, np.float64, 2)
-        or not _c_array(mask, np.bool_, 2)
-        or recon.shape != frame.shape
-        or mask.shape != frame.shape
+        or not _c_array(recon, np.float64, 3)
+        or not _c_array(mask, np.bool_, 3)
+        or recon.shape != frames.shape
+        or mask.shape != frames.shape
         or not _plan_table(rows)
         or not _c_array(levels, np.int64, 1)
         or not _c_array(out, np.uint8, 1)
+        or not _c_array(banks, np.int32, 2)
+        or banks.shape != (count, BANK_TOTAL)
         or (
             bits is not None
             and not (
-                _c_array(bits, np.int64, 1)
-                and len(bits) >= len(ENCODE_BIT_CLASSES)
+                _c_array(bits, np.int64, 2)
+                and bits.shape == (count, len(ENCODE_BIT_CLASSES))
             )
         )
     ):
         return None
-    bank_ptrs = _bank_pointers(banks)
-    if bank_ptrs is None:
-        return None
-    state = np.array(
-        [enc._low, enc._range, enc._cache, enc._cache_size, 0, 0, 0],
-        dtype=np.int64,
-    )
     modes = array("i", all_modes)
-    mode_map = np.full((height // 4) * (width // 4), -1, dtype=np.int8)
-    status = fn(
-        frame.ctypes.data,
+    mode_map = np.empty((height // 4) * (width // 4), dtype=np.int8)
+    report = np.empty((count, len(ENCODE_REPORT)), dtype=np.int64)
+    fn(
+        frames.ctypes.data,
+        count,
         height,
         width,
         ctu,
@@ -859,8 +868,8 @@ def encode_slice(
         len(modes),
         _pointer_table([pair and pair[0] for pair in tables]),
         _pointer_table([pair and pair[1] for pair in tables]),
-        bank_ptrs,
-        state.ctypes.data,
+        report.ctypes.data,
+        banks.ctypes.data,
         out.ctypes.data,
         len(out),
         recon.ctypes.data,
@@ -872,14 +881,7 @@ def encode_slice(
         len(levels),
         None if bits is None else bits.ctypes.data,
     )
-    low, rng, cache, csize, out_len, n_leaves, n_levels = state.tolist()
-    if status == 0:
-        enc._low = low
-        enc._range = rng
-        enc._cache = cache
-        enc._cache_size = csize
-        enc._out += out[:out_len].tobytes()
-    return status, n_leaves, n_levels
+    return report
 
 
 def dct2(blocks: np.ndarray, basis: np.ndarray, inverse: bool) -> Optional[np.ndarray]:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 from time import perf_counter
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -194,17 +194,23 @@ class ReferenceEncoder(FrameEncoder):
 
     # -- per-frame ---------------------------------------------------------
 
-    def _turbo_pass1(self, planes: np.ndarray, dither: QpDither) -> List[np.ndarray]:
-        """No pass 1: each frame of the group gets its CTUs' dithered QPs.
+    def _encode_group(
+        self, planes: np.ndarray, dither: QpDither
+    ) -> Iterator[Tuple[bytes, np.ndarray]]:
+        """No pass 1: the group's frames one at a time, each searched and
+        written from a fresh coder and fresh contexts, yielded as it is
+        done -- an inter frame needs the reconstruction of the one before.
 
         ``dither.take`` is ``next`` repeated, so frames and CTUs draw the
         QPs in the order a CTU-by-CTU loop would.
         """
         count, height, width = planes.shape
         ctu = self._ctu
-        return list(
-            dither.take(planes.size // ctu**2).reshape(count, height // ctu, -1)
-        )
+        qps = dither.take(planes.size // ctu**2).reshape(count, height // ctu, -1)
+        for plane, frame_qps in zip(planes, qps):
+            enc = BinaryEncoder()
+            self._reference = self._encode_frame(enc, CodecContexts(), plane, frame_qps)
+            yield enc.finish(), self._reference
 
     def _encode_frame(
         self,

@@ -59,10 +59,10 @@ class CodecContexts:
     def banks(self) -> Tuple[array, ...]:
         """The live probability banks in the slice kernels' ``B_*`` order.
 
-        ``native.encode_slice`` adapts these ``array('i')`` buffers in
-        place, exactly as the primitive calls on this object would;
-        ``native.plan_slices`` keeps one row of the same layout per
-        slice of its group.
+        ``native.plan_slices`` and ``native.encode_slices`` keep one row
+        of the same layout per slice of their group, set up in C as this
+        object sets them up and adapted as its primitive calls would
+        adapt them; tests compare the two bank by bank.
         """
         return (
             self.split.probs,

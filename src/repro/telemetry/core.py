@@ -13,7 +13,7 @@ Three primitive instrument kinds:
 
 - **spans** -- hierarchical timed regions.  Nesting is tracked per
   registry: a span opened inside another is keyed by the joined path
-  (``"tensor.encode/frames.encode/frame"``), which is also what the
+  (``"tensor.encode/frames.encode/group"``), which is also what the
   Chrome trace export emits.
 - **counters** -- monotonic numeric totals (``encode.bits.level``).
 - **histograms** -- summary statistics (count/sum/min/max/mean) of an

@@ -8,8 +8,8 @@ from repro.codec.encoder import (
     EncodeResult,
     EncoderConfig,
     QpDither,
+    _padded_planes,
     pack_header,
-    pad_frame,
     unpack_header,
 )
 from repro.codec.profiles import H264_PROFILE
@@ -60,19 +60,22 @@ class TestQpDither:
 
 class TestPadFrame:
     def test_no_padding_when_aligned(self):
-        frame = np.zeros((32, 64), dtype=np.uint8)
-        assert pad_frame(frame, 32) is frame
+        frame = np.random.default_rng(0).integers(0, 256, (32, 64)).astype(np.uint8)
+        planes = _padded_planes([frame], 32)
+        # What pass 2's kernel takes: C-contiguous float64, frame axis first.
+        assert planes.dtype == np.float64 and planes.flags.c_contiguous
+        np.testing.assert_array_equal(planes, frame[None])
 
     def test_padding_dimensions(self):
         frame = np.zeros((30, 45), dtype=np.uint8)
-        padded = pad_frame(frame, 16)
-        assert padded.shape == (32, 48)
+        assert _padded_planes([frame, frame], 16).shape == (2, 32, 48)
 
     def test_padding_replicates_edges(self):
         frame = np.arange(9, dtype=np.uint8).reshape(3, 3)
-        padded = pad_frame(frame, 4)
+        padded = _padded_planes([frame], 4)[0]
         assert padded[3, 0] == frame[2, 0]  # bottom row replicated
         assert padded[0, 3] == frame[0, 2]  # right column replicated
+        assert padded[3, 3] == frame[2, 2]
 
 
 class TestConfig:

@@ -427,7 +427,7 @@ class TestBuildPipeline:
         # unavailable is the pure path with the same bytes, not an error.
         frames = [np.full((32, 32), 90, dtype=np.uint8)]
         ref = FrameEncoder(EncoderConfig(qp=24.0, encode="python")).encode(frames)
-        monkeypatch.setattr(native, "encode_slice", lambda *a, **k: None)
+        monkeypatch.setattr(native, "encode_slices", lambda *a, **k: None)
         monkeypatch.setattr(native, "cost_pick", lambda *a, **k: None)
         got = FrameEncoder(EncoderConfig(qp=24.0, encode="native")).encode(frames)
         assert got.data == ref.data

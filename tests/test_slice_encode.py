@@ -1,17 +1,19 @@
 """The whole-slice encode kernel, its twin, and the ordered transform.
 
 The contract under test: with ``encode="native"`` the encoder hands
-everything after pass 1 of an intra slice to one C call
-(``native.encode_slice``), and that call is indistinguishable from the
-pure-Python twin (``_turbo_choose`` / ``_turbo_commit`` / ``_write_cu``):
-same bytes, same float64 reconstruction plane (sign of zero included),
-same ``EncodeResult.mse``, same context banks, same final coder state,
-same bit ledger.  Around it: the codec's one order-defined DCT pair
-(C == numpy definition, every vector width), the load-time self-check
-that refuses a library which disagrees, encoder recon == decoder recon
-on every encoder x decoder pairing, the kernel's capacity contract, and
-the slice fan-out (serial == thread == process; threads only when the
-kernel is usable).
+everything after pass 1 of a group of intra slices to one C call
+(``native.encode_slices``), and what it makes of a slice is
+indistinguishable from the pure-Python twin (``_turbo_choose`` /
+``_turbo_commit`` / ``_write_cu``): same finished bytes, same float64
+reconstruction plane (sign of zero included), same
+``EncodeResult.mse``, same context banks, same bit ledger.  Around it:
+the codec's one order-defined DCT pair (C == numpy definition, every
+vector width), the load-time self-check that refuses a library which
+disagrees, encoder recon == decoder recon on every encoder x decoder
+pairing, the kernel's capacity contract, and the slice fan-out (serial
+== thread == process; threads only when the kernel is usable).  The
+group side -- invariance, a refusal inside a group, the call count --
+is tests/test_encode_groups.py's.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 
 import repro.telemetry as telemetry
+from benchmarks.identity_matrix import PROFILES, QPS, SHAPES
 from repro.codec import encoder as encoder_mod
 from repro.codec import transform
 from repro.codec.decoder import FrameDecoder
@@ -33,12 +36,12 @@ from repro.codec.encoder import (
     EncoderConfig,
     FrameEncoder,
     QpDither,
+    _padded_planes,
     pack_header,
-    pad_frame,
 )
 from repro.codec.entropy import native
 from repro.codec.entropy.arithmetic import BinaryEncoder
-from repro.codec.profiles import AV1_PROFILE, H264_PROFILE, H265_PROFILE
+from repro.codec.profiles import H264_PROFILE, H265_PROFILE
 from repro.codec.syntax import CodecContexts
 from repro.parallel import ParallelConfig
 from repro.telemetry import flightrecorder
@@ -49,10 +52,6 @@ needs_kernel = pytest.mark.skipif(
     native.kernel_status().get("encode") != "ready",
     reason="slice-encode kernel unavailable (no compiler or pure-python)",
 )
-
-_PROFILES = (H264_PROFILE, H265_PROFILE, AV1_PROFILE)
-_QPS = (18.0, 24.5, 26.0, 34.0)  # 24.5 dithers the per-CTU QP
-_SHAPES = ((64, 64), (50, 70), (33, 17))
 
 
 def _frame(shape, seed=5):
@@ -66,39 +65,56 @@ def _frame(shape, seed=5):
 
 
 def _code_slice(frame, encode, **config):
-    """Everything one intra slice leaves behind, for one backend.
+    """Everything pass 2 leaves behind for one intra slice, for one backend.
 
-    Returns ``(coder state, banks, recon bytes, ledger)``; the recon
-    plane is compared as bytes so +0.0 and -0.0 differ.
+    Returns ``(slice bytes, banks, recon bytes, ledger)``: the finished
+    payload, every context bank, the reconstruction plane as bytes (so
+    +0.0 and -0.0 differ) and the stats ledger.  ``"native"`` goes
+    through the encoder's own kernel call (context banks collected on
+    the way), ``"python"`` through the twin.
     """
     cfg = EncoderConfig(encode=encode, **config)
     encoder = FrameEncoder(cfg)
     encoder._stats = telemetry.EncodeStats()
     header = pack_header(cfg, frame.shape[1], frame.shape[0], 1)
     dither = QpDither(header[_HEADER_BODY_SIZE - 4], header[_HEADER_BODY_SIZE - 3])
-    enc = BinaryEncoder()
-    ctx = CodecContexts()
-    plane = pad_frame(frame, encoder._ctu).astype(float)
-    (pass1,) = encoder._turbo_pass1(plane[None], dither)
-    recon = encoder._encode_frame(enc, ctx, plane, pass1)
+    planes = _padded_planes([frame], encoder._ctu)
+    pass1 = encoder._turbo_pass1(planes, dither)
+    if encode == "python":
+        enc, ctx = BinaryEncoder(), CodecContexts()
+        recon = encoder._encode_frame(enc, ctx, planes[0], pass1.frame(0))
+        payload, banks = enc.finish(), [list(bank) for bank in ctx.banks()]
+    else:
+        kept = []
+        inner = native.encode_slices
+
+        def keep_banks(frames, *args, **kwargs):
+            kept.append(np.empty((len(frames), native.BANK_TOTAL), dtype=np.int32))
+            return inner(frames, *args, banks=kept[-1], **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "encode_slices", keep_banks)
+            ((payload, recon),) = encoder._turbo_pass2(planes, pass1)
+        edges = np.cumsum(native._SLICE_BANK_SIZES)[:-1]
+        banks = [bank.tolist() for bank in np.split(kept[0][0], edges)]
     ledger = encoder._stats.as_dict()
     ledger.pop("seconds")  # wall time is the one backend-dependent field
-    state = (enc._low, enc._range, enc._cache, enc._cache_size, bytes(enc._out))
-    return state, [list(bank) for bank in ctx.banks()], recon.tobytes(), ledger
+    return payload, banks, recon.tobytes(), ledger
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Statuses of every ``native.encode_slice`` call made in the test."""
+    """Slice statuses of every ``native.encode_slices`` call made in the
+    test, in order (one ``None`` for a call that declined)."""
     statuses = []
-    real = native.encode_slice
+    real = native.encode_slices
 
     def spy(*args, **kwargs):
-        outcome = real(*args, **kwargs)
-        statuses.append(None if outcome is None else outcome[0])
-        return outcome
+        report = real(*args, **kwargs)
+        statuses.extend([None] if report is None else report[:, 0].tolist())
+        return report
 
-    monkeypatch.setattr(native, "encode_slice", spy)
+    monkeypatch.setattr(native, "encode_slices", spy)
     return statuses
 
 
@@ -108,11 +124,11 @@ def kernel_calls(monkeypatch):
 @needs_kernel
 class TestKernelEqualsTwin:
     @pytest.mark.parametrize("use_partition", [True, False])
-    @pytest.mark.parametrize("shape", _SHAPES)
-    @pytest.mark.parametrize("profile", _PROFILES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
     def test_slice_state_identical(self, profile, shape, use_partition, kernel_calls):
         frame = _frame(shape)
-        for qp in _QPS:
+        for qp in QPS:
             config = dict(profile=profile, qp=qp, use_partition=use_partition)
             kernel = _code_slice(frame, "native", **config)
             assert kernel_calls == [0], "the kernel must have coded the slice"
@@ -120,17 +136,17 @@ class TestKernelEqualsTwin:
             twin = _code_slice(frame, "python", **config)
             assert not kernel_calls
             for name, got, want in zip(
-                ("coder state", "context banks", "recon plane", "ledger"),
+                ("slice bytes", "context banks", "recon plane", "ledger"),
                 kernel,
                 twin,
             ):
                 assert got == want, f"{name}: {profile.name} {shape} qp={qp}"
 
-    @pytest.mark.parametrize("profile", _PROFILES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
     def test_stream_mse_and_ledger_identical(self, profile):
         # Three frames: the fractional QP's dither carries across slices.
         frames = [_frame((50, 70), seed) for seed in (1, 2, 3)]
-        for qp in _QPS:
+        for qp in QPS:
             results = []
             for encode in ("native", "python"):
                 with telemetry.session():
@@ -303,22 +319,22 @@ _GUARD = 0x5A
 
 
 def _kernel_args(monkeypatch, frame, **config):
-    """The arguments ``FrameEncoder`` hands ``native.encode_slice``."""
+    """The positional arguments ``FrameEncoder`` hands ``native.encode_slices``."""
     captured = {}
-    real = native.encode_slice
+    real = native.encode_slices
 
-    def capture(*args):
+    def capture(*args, **kwargs):
         captured["args"] = args
-        return real(*args)
+        return real(*args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(native, "encode_slice", capture)
+        patch.setattr(native, "encode_slices", capture)
         _code_slice(frame, "native", **config)
     return list(captured["args"])
 
 
-# Positions in native.encode_slice's signature.
-_ENC, _BANKS, _RECON, _MASK, _ROWS, _LEVELS, _OUT = 0, 1, 13, 14, 15, 16, 17
+# Positions in native.encode_slices' signature.
+_FRAMES, _MODES, _RECON, _MASK, _ROWS, _LEVELS, _OUT = 0, 4, 11, 12, 13, 14, 15
 
 
 @needs_kernel
@@ -327,7 +343,6 @@ class TestHostileContract:
     def test_undersized_buffer_is_refused_not_overrun(self, short, monkeypatch):
         frame = _frame((64, 64))
         args = _kernel_args(monkeypatch, frame, qp=18.0)
-        rows_shape = args[_ROWS].shape
         sizes = {
             "out": (np.uint8, 40),
             "rows": (np.int64, native.PLAN_ROWS * 3),
@@ -338,29 +353,22 @@ class TestHostileContract:
         view = backing[:length]
         if short == "rows":
             view = view.reshape(native.PLAN_ROWS, 3)
-        enc = BinaryEncoder()
-        ctx = CodecContexts()
-        args[_ENC], args[_BANKS] = enc, ctx.banks()
         args[_RECON] = np.zeros_like(args[_RECON])
         args[_MASK] = np.zeros_like(args[_MASK])
         args[{"out": _OUT, "rows": _ROWS, "levels": _LEVELS}[short]] = view
-        status, n_leaves, n_levels = native.encode_slice(*args)
+        ((status, out_end, leaf_end, level_end),) = native.encode_slices(*args).tolist()
         assert status != 0
         assert (backing[length:] == _GUARD).all(), "wrote past the capacity"
-        assert n_leaves <= (3 if short == "rows" else rows_shape[1])
-        assert n_levels <= (70 if short == "levels" else args[_LEVELS].size)
-        # The coder was not written back; a fresh twin run is possible.
-        assert (enc._low, enc._range, enc._cache, enc._cache_size) == (
-            0, 0xFFFFFFFF, 0, 1,
-        )
-        assert not enc._out
+        # A refused slice gives its bytes, leaves and levels back: a
+        # fresh twin run is the whole story of that slice.
+        assert (out_end, leaf_end, level_end) == (0, 0, 0)
 
     @pytest.mark.parametrize("short", ["out", "rows", "levels"])
     def test_refused_slice_is_recoded_by_the_twin(self, short, monkeypatch):
-        real = native.encode_slice
+        real = native.encode_slices
         statuses = []
 
-        def starved(*args):
+        def starved(*args, **kwargs):
             args = list(args)
             if short == "out":
                 args[_OUT] = args[_OUT][:40]
@@ -368,11 +376,11 @@ class TestHostileContract:
                 args[_ROWS] = np.empty((native.PLAN_ROWS, 3), dtype=np.int64)
             else:
                 args[_LEVELS] = args[_LEVELS][:70]
-            outcome = real(*args)
-            statuses.append(outcome[0])
-            return outcome
+            report = real(*args, **kwargs)
+            statuses.extend(report[:, 0].tolist())
+            return report
 
-        monkeypatch.setattr(native, "encode_slice", starved)
+        monkeypatch.setattr(native, "encode_slices", starved)
         frames = [_frame((64, 64), seed) for seed in (1, 2)]
         config = dict(qp=18.0)
         with telemetry.session() as registry:
@@ -391,14 +399,31 @@ class TestHostileContract:
     def test_unsuitable_arguments_decline(self, monkeypatch):
         args = _kernel_args(monkeypatch, _frame((64, 64)), qp=18.0)
         for index, bad in (
-            (2, args[2].astype(np.float32)),  # frame dtype
-            (_MASK, np.zeros((8, 8), dtype=bool)),  # shape mismatch
-            (6, args[6][:-1]),  # a pass-1 table missing
+            (_FRAMES, args[_FRAMES].astype(np.float32)),
+            (_FRAMES, np.asfortranarray(args[_FRAMES])),
+            (_MASK, np.zeros((1, 8, 8), dtype=bool)),  # shape mismatch
+            (_MODES, args[_MODES][:-1]),  # a pass-1 table missing
             (_OUT, args[_OUT].astype(np.int16)),
         ):
             trial = list(args)
             trial[index] = bad
-            assert native.encode_slice(*trial) is None
+            assert native.encode_slices(*trial) is None
+
+    def test_a_decline_with_the_kernel_loaded_is_counted(self, monkeypatch):
+        # Planes the kernel cannot take (here: not C-contiguous) send the
+        # slice to the twin; with the kernel loaded that is a hand-back
+        # like any refusal, and must show.
+        padded = encoder_mod._padded_planes
+        monkeypatch.setattr(
+            encoder_mod, "_padded_planes",
+            lambda frames, multiple: np.asfortranarray(padded(frames, multiple)),
+        )
+        frames = [_frame((64, 64))]
+        with telemetry.session() as registry:
+            got = FrameEncoder(EncoderConfig(qp=18.0)).encode(frames)
+        assert registry.counters.get("encode.kernel_refusals") == 1
+        want = FrameEncoder(EncoderConfig(qp=18.0, encode="python")).encode(frames)
+        assert got.data == want.data
 
 
 # -- (e) fan-out ------------------------------------------------------------------------
@@ -445,7 +470,7 @@ class TestFanOut:
         monkeypatch.setattr(encoder_mod, "_effective_cpus", lambda: 4)
         monkeypatch.setattr(native, "encode_available", lambda: ready)
         if not ready:
-            monkeypatch.setattr(native, "encode_slice", lambda *a, **k: None)
+            monkeypatch.setattr(native, "encode_slices", lambda *a, **k: None)
         frames = _fanout_frames()
         with telemetry.session() as registry:
             threaded = FrameEncoder(
@@ -485,11 +510,17 @@ class TestSourceTag:
         changed = {name for name in kernels if after[name] != again[name]}
         assert changed == {"recon", "refs", "encode"}
 
+        with open(tmp_path / "_contexts_kernel.c", "a") as fh:
+            fh.write("/* edited */\n")
+        last = {name: native._so_path(k) for name, k in kernels.items()}
+        changed = {name for name in kernels if again[name] != last[name]}
+        assert changed == {"slice", "encode"}  # one definition of a slice's contexts
+
     def test_includes_name_real_files(self):
-        kernel = native._KERNELS["encode"]
-        source = open(native._source_path(kernel)).read()
-        for path in native._compiled_files(kernel)[1:]:
-            assert os.path.exists(path)
-            assert f'#include "{os.path.basename(path)}"' in source
-        # ...and nothing reaches the compiler that the tag does not hash.
-        assert source.count('#include "') == len(kernel.includes)
+        for kernel in native._KERNELS.values():
+            source = open(native._source_path(kernel)).read()
+            for path in native._compiled_files(kernel)[1:]:
+                assert os.path.exists(path)
+                assert f'#include "{os.path.basename(path)}"' in source
+            # ...and nothing reaches the compiler that the tag does not hash.
+            assert source.count('#include "') == len(kernel.includes), kernel.name

@@ -58,7 +58,7 @@ class TestTraceFlag:
         spans = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
         names = {e["name"] for e in spans}
         assert "tensor.encode" in names
-        assert "frame" in names
+        assert "group" in names
 
     def test_trace_with_stats_reuses_one_session(self, tensor_file, tmp_path, capsys):
         trace = tmp_path / "trace.json"
