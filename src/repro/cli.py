@@ -54,14 +54,23 @@ import repro.telemetry as telemetry
 from repro.analysis import regression
 from repro.analysis.statistics import profile_tensor, rate_distortion_sweep
 from repro.codec.profiles import profile_by_name
+from repro.codec.quantizer import check_qp
 from repro.harness import telemetry_scope, write_json
 from repro.tensor.codec import CompressedTensor, TensorCodec
+
+
+def _qp(text: str) -> float:
+    """``--qp``: a number the encoder can code, else a usage error."""
+    try:
+        return check_qp(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_rate_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--bits", type=float, help="bits/value budget (fractional ok)")
-    group.add_argument("--qp", type=float, help="explicit quantization parameter")
+    group.add_argument("--qp", type=_qp, help="explicit quantization parameter")
     group.add_argument("--mse", type=float, help="max mean squared error")
     parser.add_argument("--codec", default="h265", choices=["h264", "h265", "av1"])
     parser.add_argument("--tile", type=int, default=256)
@@ -434,6 +443,8 @@ def _print_stats(
     print("-- native kernels --")
     for name, state in _native.kernel_status().items():
         print(f"{name + ' kernel':<18s} {state:>14s}")
+    lanes = _native.simd_lanes()
+    print(f"{'simd lanes':<18s} cost {lanes['cost']}, encode {lanes['encode']}")
     print()
 
     print("-- session telemetry (all encodes incl. rate-control search) --")

@@ -45,7 +45,7 @@ from repro.resilience.errors import (
     TruncatedStreamError,
 )
 from repro.resilience.framing import SLICE_OVERHEAD, crc32, frame_slice
-from repro.codec.quantizer import qstep, rd_lambda
+from repro.codec.quantizer import check_qp, qstep, rd_lambda
 from repro.codec.syntax import (
     CodecContexts,
     encode_coeff_block,
@@ -451,6 +451,7 @@ class EncoderConfig:
             raise ValueError(
                 f"encode must be one of {ENCODES}, got {self.encode!r}"
             )
+        check_qp(self.qp)
 
     def flags(self) -> int:
         value = 0

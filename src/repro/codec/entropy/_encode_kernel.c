@@ -17,11 +17,13 @@
  *      the fused coefficient scan into the range coder, adapting the
  *      slice's own CodecContexts, then the coder's flush.
  *
- * Three other files reach the compiler through this one and are part
+ * Four other files reach the compiler through this one and are part
  * of its content hash (native._Kernel.includes): the coder constants
  * and starting contexts of _contexts_kernel.c (the decode kernel's
- * too), the range coder and the block writer of _write_kernel.c, and
- * the reference gather and intra predictors of _recon_kernel.c.
+ * too), the range coder and the block writer of _write_kernel.c, the
+ * reference gather and intra predictors of _recon_kernel.c, and the
+ * run-time vector-width choice of _simd_kernel.c (the cost kernel's
+ * too).
  *
  * The transform is the codec's one order-defined 2-D DCT pair
  * (llm265_dct2_batch, also exported for repro.codec.transform):
@@ -29,7 +31,8 @@
  * left to right as two plain matrix products in which every output is
  * accumulated from +0.0 sequentially in k, every product rounded to
  * double before it is added.  The loop below vectorises across outputs
- * (j), never across k, and the build forbids fused multiply-add
+ * (j), four at a time at either vector width, never across k, and the
+ * build forbids fused multiply-add
  * (-ffp-contract=off), so the result is bit-identical to the numpy
  * definition in transform._ordered_matmul -- checked when the library
  * is loaded (native._check_dct).  With the predictors and the clip
@@ -53,6 +56,7 @@
 
 #include "_contexts_kernel.c"
 #include "_recon_kernel.c"
+#include "_simd_kernel.c"
 #include "_write_kernel.c"
 
 #define N_ANGULAR 33
@@ -67,35 +71,62 @@ enum { ST_OK, ST_BYTES, ST_CAPACITY, ST_GEOMETRY, ST_MODE, ST_LEVEL };
 
 /* out = a @ r for n x n row-major matrices, n a multiple of 4 (out
  * aliases neither): out[i][j] = ((0 + a[i][0] r[0][j]) + a[i][1]
- * r[1][j]) + ...  A tile of 4 rows x 4 columns of outputs is held in
- * eight two-lane accumulators across the k loop; lanes are independent
- * outputs, so the vector type changes the speed and never a bit of the
- * result. */
-typedef double v2d __attribute__((vector_size(16), aligned(8), may_alias));
-
-static void ordered_mm(const double *a, const double *r, double *out,
-                       int64_t n)
+ * r[1][j]) + ...  A tile of 4 rows x 4 columns of outputs is accumulated
+ * across the k loop, one row of the tile per broadcast a[i + t][k]; the
+ * compiler keeps each tile row in vector registers -- two SSE halves at
+ * the baseline, one AVX2 register in the wide body (_simd_kernel.c,
+ * chosen per call), the same text compiled twice (GCC 12+ and clang
+ * vectorise it at -O2; an older GCC emits scalar code).  Lanes are
+ * independent outputs, so the width changes the speed and never a bit
+ * of the result. */
+static inline __attribute__((always_inline)) void ordered_mm_body(
+    const double *a, const double *r, double *out, int64_t n)
 {
     int64_t i, j, k;
-    int t;
+    int t, l;
 
     for (i = 0; i < n; i += 4)
         for (j = 0; j < n; j += 4) {
-            v2d acc[8] = {{0.0}};
+            double acc[4][4] = {{0.0}};
             for (k = 0; k < n; k++) {
-                v2d lo = *(const v2d *)(r + k * n + j);
-                v2d hi = *(const v2d *)(r + k * n + j + 2);
+                const double *row = r + k * n + j;
                 _Pragma("GCC unroll 4") for (t = 0; t < 4; t++) {
                     double s = a[(i + t) * n + k];
-                    acc[2 * t] += s * lo;
-                    acc[2 * t + 1] += s * hi;
+                    _Pragma("GCC unroll 4") for (l = 0; l < 4; l++)
+                        acc[t][l] += s * row[l];
                 }
             }
-            _Pragma("GCC unroll 4") for (t = 0; t < 4; t++) {
-                *(v2d *)(out + (i + t) * n + j) = acc[2 * t];
-                *(v2d *)(out + (i + t) * n + j + 2) = acc[2 * t + 1];
-            }
+            _Pragma("GCC unroll 4") for (t = 0; t < 4; t++)
+                _Pragma("GCC unroll 4") for (l = 0; l < 4; l++)
+                    out[(i + t) * n + j + l] = acc[t][l];
         }
+}
+
+typedef void (*mm_fn)(const double *a, const double *r, double *out,
+                      int64_t n);
+
+static void ordered_mm_default(const double *a, const double *r, double *out,
+                               int64_t n)
+{
+    ordered_mm_body(a, r, out, n);
+}
+
+#ifdef HAVE_AVX2_BODY
+static SIMD_AVX2 void ordered_mm_avx2(const double *a, const double *r,
+                                      double *out, int64_t n)
+{
+    ordered_mm_body(a, r, out, n);
+}
+#endif
+
+/* The widest body this machine runs. */
+static mm_fn ordered_mm(void)
+{
+#ifdef HAVE_AVX2_BODY
+    if (simd_avx2())
+        return ordered_mm_avx2;
+#endif
+    return ordered_mm_default;
 }
 
 static void transpose(const double *m, double *out, int64_t n)
@@ -107,12 +138,12 @@ static void transpose(const double *m, double *out, int64_t n)
 }
 
 /* Forward: basis @ x @ basis.T; inverse: basis.T @ x @ basis. */
-static void dct2(const double *x, double *out, int64_t n, const double *basis,
-                 const double *basis_t, int inverse)
+static void dct2(mm_fn mm, const double *x, double *out, int64_t n,
+                 const double *basis, const double *basis_t, int inverse)
 {
     double tmp[MAX_LEAF * MAX_LEAF];
-    ordered_mm(inverse ? basis_t : basis, x, tmp, n);
-    ordered_mm(tmp, inverse ? basis : basis_t, out, n);
+    mm(inverse ? basis_t : basis, x, tmp, n);
+    mm(tmp, inverse ? basis : basis_t, out, n);
 }
 
 static int size_class(int64_t n)
@@ -127,10 +158,9 @@ static int size_class(int64_t n)
     }
 }
 
-/* `count` n x n blocks of x into out (x != out).  Status 1 =
- * unsupported size. */
-int64_t llm265_dct2_batch(const double *x, double *out, int64_t count,
-                          int64_t n, const double *basis, int64_t inverse)
+static int64_t dct2_batch(mm_fn mm, const double *x, double *out,
+                          int64_t count, int64_t n, const double *basis,
+                          int64_t inverse)
 {
     double basis_t[MAX_LEAF * MAX_LEAF];
     int64_t b;
@@ -139,8 +169,25 @@ int64_t llm265_dct2_batch(const double *x, double *out, int64_t count,
         return 1;
     transpose(basis, basis_t, n);
     for (b = 0; b < count; b++)
-        dct2(x + b * n * n, out + b * n * n, n, basis, basis_t, inverse != 0);
+        dct2(mm, x + b * n * n, out + b * n * n, n, basis, basis_t,
+             inverse != 0);
     return 0;
+}
+
+/* `count` n x n blocks of x into out (x != out).  Status 1 =
+ * unsupported size.  The _default entry runs the baseline body whatever
+ * the machine (tests hold the two bitwise equal). */
+int64_t llm265_dct2_batch(const double *x, double *out, int64_t count,
+                          int64_t n, const double *basis, int64_t inverse)
+{
+    return dct2_batch(ordered_mm(), x, out, count, n, basis, inverse);
+}
+
+int64_t llm265_dct2_batch_default(const double *x, double *out, int64_t count,
+                                  int64_t n, const double *basis,
+                                  int64_t inverse)
+{
+    return dct2_batch(ordered_mm_default, x, out, count, n, basis, inverse);
 }
 
 /* The decoder's residual stage for `count` coded n x n leaves: leaf b's
@@ -156,6 +203,7 @@ int64_t llm265_residual_batch(const int64_t *levels, int64_t n_levels,
 {
     double basis_t[MAX_LEAF * MAX_LEAF], grid[MAX_LEAF * MAX_LEAF];
     int64_t area = n * n, b, i;
+    mm_fn mm = ordered_mm();
 
     if (size_class(n) < 0)
         return 1;
@@ -169,7 +217,7 @@ int64_t llm265_residual_batch(const int64_t *levels, int64_t n_levels,
         for (i = 0; i < area; i++)
             dst[zigzag[i]] = (double)scan[i] * steps[b];
         if (transform)
-            dct2(grid, out + b * area, n, basis, basis_t, 1);
+            dct2(mm, grid, out + b * area, n, basis, basis_t, 1);
     }
     return 0;
 }
@@ -192,6 +240,7 @@ typedef struct {
     const double *ctu_step, *ctu_lambda;
     double step, lambda; /* of the current CTU */
     double deadzone;
+    mm_fn mm; /* the ordered transform's body */
     const int32_t *all_modes;
     int64_t n_modes;
     /* By size class: DCT basis, its transpose (filled on first use of
@@ -348,7 +397,7 @@ static int code_leaf(enc_slice *s, int64_t y0, int64_t x0, int64_t n,
         for (x = 0; x < n; x++)
             work[y * n + x] =
                 s->frame[(y0 + y) * width + x0 + x] - pred[y * n + x];
-    dct2(work, coef, n, basis, basis_t, 0);
+    dct2(s->mm, work, coef, n, basis, basis_t, 0);
     for (i = 0; i < area; i++) {
         double scaled = coef[i] / step;
         double level = s->deadzone != 0.0
@@ -359,7 +408,7 @@ static int code_leaf(enc_slice *s, int64_t y0, int64_t x0, int64_t n,
         quant[i] = (int64_t)level;
         work[i] = (double)quant[i] * step;
     }
-    dct2(work, coef, n, basis, basis_t, 1);
+    dct2(s->mm, work, coef, n, basis, basis_t, 1);
     for (y = 0; y < n; y++) {
         double *out = s->recon + (y0 + y) * width + x0;
         uint8_t *seen = s->mask + (y0 + y) * width + x0;
@@ -529,6 +578,7 @@ int64_t llm265_encode_slices(
     s.ctu_step = ctu_step;
     s.ctu_lambda = ctu_lambda;
     s.deadzone = deadzone;
+    s.mm = ordered_mm();
     s.all_modes = all_modes;
     s.n_modes = n_modes;
     s.basis = basis;

@@ -1,10 +1,11 @@
 """Optional native kernels for the codec hot loops.
 
 Five kernels, built from four C files by one self-building pipeline
-(two more are only ever ``#include``d: ``_write_kernel.c``, the range
-coder and the coefficient-block writer, and ``_contexts_kernel.c``, the
+(three more are only ever ``#include``d: ``_write_kernel.c``, the range
+coder and the coefficient-block writer, ``_contexts_kernel.c``, the
 coder constants and a slice's starting contexts, which the slice and
-encode kernels share):
+encode kernels share, and ``_simd_kernel.c``, the run-time choice of
+vector width the encode and cost kernels share -- :func:`simd_lanes`):
 
 ``slice``  ``_slice_kernel.c`` -- whole-slice entropy *decode*: one
            call walks the CTU quadtree of every slice of a group (split
@@ -33,7 +34,8 @@ encode kernels share):
 ``cost``   ``_cost_kernel.c`` -- pass 1's RD costing: quantize -> rate
            -> distortion -> argmin over every candidate of a block size
            (:func:`cost_pick`: one mode and one cost per block come
-           back, nothing else).
+           back, nothing else), checked against the numpy twin when
+           the library is loaded.
 
 Each C file is compiled with the system C compiler the first time one
 of its kernels is needed and cached under ``_build/`` keyed by a content
@@ -84,6 +86,7 @@ import numpy as np
 __all__ = [
     "available",
     "kernel_status",
+    "simd_lanes",
     "plan_slices",
     "reconstruct_slices",
     "encode_available",
@@ -284,6 +287,65 @@ def _check_dct(lib) -> None:
                 raise RuntimeError(f"ordered DCT disagrees with numpy at n={n}")
 
 
+def _pick(fn, coeffs, pred, inv_step, step2, lam, mode_bits, deadzone, rate_table):
+    """One call of a pick entry; ``None`` when it refuses the arguments."""
+    n_blocks, n_modes, width = pred.shape
+    pick = np.empty(n_blocks, dtype=np.int64)
+    best = np.empty(n_blocks, dtype=np.float64)
+    status = fn(
+        coeffs.ctypes.data, pred.ctypes.data, n_blocks, n_modes, width,
+        inv_step.ctypes.data, step2.ctypes.data, lam.ctypes.data,
+        mode_bits.ctypes.data, deadzone, rate_table.ctypes.data,
+        len(rate_table), pick.ctypes.data, best.ctypes.data,
+    )
+    return None if status else (pick, best)
+
+
+def _check_rows(width: int) -> tuple:
+    """Pick inputs that reach every branch of a row body: three blocks
+    whose steps put levels at zero and one, in the tens, and beyond the
+    rate table's top; candidate 0 an exact copy of the source (an
+    all-zero row) and candidates 1 and 3 an exact tie."""
+    ramp = np.arange(3 * 5 * width, dtype=np.float64) % 61.0 - 30.0
+    pred = (ramp / 7.0 + 1e-3).reshape(3, 5, width)
+    coeffs = pred[:, 2, ::-1].copy()
+    pred[:, 0] = coeffs
+    pred[:, 1] = coeffs + pred[:, 4] * 1e-3
+    pred[:, 3] = pred[:, 1]
+    step = np.array([4.0, 0.75, 1.0 / 3e4])
+    mode_bits = np.array([4.0, 2.5, 3.0, 2.5, 1.0])
+    return coeffs, pred, 1.0 / step, step * step, 0.85 * step, mode_bits
+
+
+def _check_pick(lib) -> None:
+    """Declare the library's pick entry and check it against the twin.
+
+    The numpy form in :func:`repro.codec.encoder._pass1_pick` is the
+    pick's definition, and the entry runs whichever row body the CPU
+    selects; a library whose picks or costs differ from the twin's in
+    one bit would make native and python streams part, so it is refused
+    instead and pass 1 stays on the twin.  Widths 16, 64 and 1024, dead
+    zones 0, 0.15 and 0.7 (a negative rounding offset).
+    """
+    from repro.codec.encoder import _level_rate_table, _pass1_pick
+
+    fn = lib.llm265_cost_pick
+    fn.restype = ctypes.c_int64
+    fn.argtypes = _PICK_ARGTYPES
+    for width in (16, 64, 1024):
+        args = _check_rows(width)
+        for deadzone in (0.0, 0.15, 0.7):
+            want = _pass1_pick(*args, deadzone, False)
+            got = _pick(fn, *args, deadzone, _level_rate_table())
+            if got is None or any(
+                a.tobytes() != b.astype(a.dtype).tobytes() for a, b in zip(got, want)
+            ):
+                raise RuntimeError(
+                    f"cost pick disagrees with numpy at width={width}, "
+                    f"deadzone={deadzone}"
+                )
+
+
 @dataclass
 class _Kernel:
     name: str
@@ -322,9 +384,21 @@ _KERNELS: Dict[str, _Kernel] = {
             "llm265_encode_slices",
             _ENCODE_ARGTYPES,
             check=_check_dct,
-            includes=("_contexts_kernel.c", "_recon_kernel.c", "_write_kernel.c"),
+            includes=(
+                "_contexts_kernel.c",
+                "_recon_kernel.c",
+                "_simd_kernel.c",
+                "_write_kernel.c",
+            ),
         ),
-        _Kernel("cost", "_cost_kernel.c", "llm265_cost_pick", _PICK_ARGTYPES),
+        _Kernel(
+            "cost",
+            "_cost_kernel.c",
+            "llm265_cost_pick",
+            _PICK_ARGTYPES,
+            check=_check_pick,
+            includes=("_simd_kernel.c",),
+        ),
         _Kernel("refs", "_recon_kernel.c", "llm265_gather_refs", _REFS_ARGTYPES),
     )
 }
@@ -354,9 +428,12 @@ def _compiled_files(kernel: _Kernel) -> List[str]:
 # dropped), which matters for the cost kernel's per-element rounding.
 # On x86-64 the roundsd/roundpd instructions those inline to need
 # SSE4.1 -- universal on hardware from the last 15+ years but not part
-# of the baseline ABI, so it is opted into explicitly (never
+# of the baseline ABI, so it is opted into explicitly (never -mavx2 or
 # -march=native: the cached .so must stay valid if the build directory
-# travels to a different machine of the same architecture).
+# travels to a different machine of the same architecture).  Wider code
+# is compiled per function instead -- the AVX2 bodies of the pick row
+# and the ordered transform, target("avx2") in the C files -- and chosen
+# per call from the CPU's feature bits (_simd_kernel.c, simd_lanes()).
 # -ffp-contract=off forbids fusing a*b+c into one FMA: the reconstruct
 # kernel's planar and angular blends must round every product like
 # numpy does, and GCC's default (fast) would fuse them wherever the
@@ -529,6 +606,30 @@ def kernel_status(resolve: bool = True) -> Dict[str, str]:
         for name in _KERNELS:
             _resolve(name)
     return {name: k.state for name, k in _KERNELS.items()}
+
+
+#: What ``llm265_simd_lanes`` answers, for humans.
+_LANES = {4: "4 (avx2)", 2: "2 (sse4.1)", 1: "1"}
+
+
+def simd_lanes() -> Dict[str, str]:
+    """Lanes the ``cost`` and ``encode`` kernels' vector bodies run at.
+
+    Each library chooses its body per call (``_simd_kernel.c``) and says
+    which one through ``llm265_simd_lanes``: ``4 (avx2)``,
+    ``2 (sse4.1)`` or ``1``.  A kernel that is not loaded reads as its
+    :func:`kernel_status` state.
+    """
+    lanes = {}
+    for name in ("cost", "encode"):
+        if _resolve(name) is None:
+            lanes[name] = _KERNELS[name].state
+            continue
+        fn = _KERNELS[name].lib.llm265_simd_lanes
+        fn.restype = ctypes.c_int64
+        fn.argtypes = []
+        lanes[name] = _LANES[fn()]
+    return lanes
 
 
 #: Length of each context bank in the order of ``CodecContexts.banks()``
@@ -983,16 +1084,9 @@ def cost_pick(
         and _c_array(rate_table, np.int64, 1)
     ):
         return None
-    n_blocks, n_modes, width = pred.shape
-    pick = np.empty(n_blocks, dtype=np.int64)
-    best = np.empty(n_blocks, dtype=np.float64)
-    status = fn(
-        coeffs.ctypes.data, pred.ctypes.data, n_blocks, n_modes, width,
-        inv_step.ctypes.data, step2.ctypes.data, lam.ctypes.data,
-        mode_bits.ctypes.data, deadzone, rate_table.ctypes.data,
-        len(rate_table), pick.ctypes.data, best.ctypes.data,
+    return _pick(
+        fn, coeffs, pred, inv_step, step2, lam, mode_bits, deadzone, rate_table
     )
-    return None if status else (pick, best)
 
 
 def refs(

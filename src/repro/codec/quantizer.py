@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 MIN_QP = 0
 MAX_QP = 51
+
+
+def check_qp(qp: float) -> float:
+    """``qp`` itself if an encoder can code it, else ``ValueError``.
+
+    A stream header stores the QP as an integer base and a 1/256
+    fraction, and the per-CTU dither never goes above :data:`MAX_QP`, so
+    a QP outside ``[MIN_QP, MAX_QP]`` -- or NaN, or an infinity -- would
+    be coded as a different one without a word.
+    """
+    if not (math.isfinite(qp) and MIN_QP <= qp <= MAX_QP):
+        raise ValueError(
+            f"qp must be a finite number in [{MIN_QP}, {MAX_QP}], got {qp!r}"
+        )
+    return qp
 
 
 def qstep(qp: float) -> float:

@@ -25,6 +25,7 @@ import repro.telemetry as telemetry
 from repro.codec.decoder import FrameDecoder
 from repro.codec.encoder import ENCODES, EncoderConfig, FrameEncoder
 from repro.codec.profiles import H265_PROFILE, CodecProfile
+from repro.codec.quantizer import check_qp
 from repro.codec.ratecontrol import rate_law_qp, solve_qp
 from repro.parallel import ParallelConfig
 from repro.resilience.deadline import Deadline
@@ -374,6 +375,8 @@ class TensorCodec:
     ) -> CompressedTensor:
         """Compress ``tensor`` under exactly one rate/quality target.
 
+        A ``qp`` must be finite and within ``[MIN_QP, MAX_QP]`` (0 and 51)
+        of :mod:`repro.codec.quantizer`, else ``ValueError``.
         ``deadline`` is a cooperative time budget checked between
         rate-control iterations and at every frame boundary inside the
         encoder; when it expires the encode raises
@@ -385,6 +388,8 @@ class TensorCodec:
             qp = 24.0
         elif sum(chosen) > 1:
             raise ValueError("pass only one of qp / bits_per_value / target_mse")
+        elif qp is not None:
+            check_qp(qp)
 
         tensor = np.asarray(tensor)
         with telemetry.span("tensor.encode"):

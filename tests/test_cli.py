@@ -76,6 +76,14 @@ class TestCLI:
                 ]
             )
 
+    def test_qp_outside_the_codable_range_is_a_usage_error(
+        self, tensor_file, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["compress", tensor_file, str(tmp_path / "w.lv265"), "--qp", "60"])
+        assert exc.value.code == 2
+        assert "qp must be a finite number in [0, 51]" in capsys.readouterr().err
+
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])

@@ -15,13 +15,15 @@ kernel leg runs the twin too.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 
 import numpy as np
 import pytest
 
-from repro.codec.encoder import _pass1_pick
+from repro.codec.encoder import _level_rate_table, _pass1_pick
+from repro.codec.entropy import native
 
 pytestmark = [pytest.mark.fuzz, pytest.mark.pure_python]
 
@@ -46,9 +48,26 @@ def test_vectors_cover_the_edge_cases():
     assert len(set(tie["inv_step"].split())) == 3
 
 
-@pytest.mark.parametrize("native_ok", [True, False], ids=["kernel", "twin"])
+def _scalar_pick(*args):
+    """The scalar row's entry; the twin when the kernel is not loaded."""
+    if native.kernel_status().get("cost") != "ready":
+        return _pass1_pick(*args, False)
+    fn = native._KERNELS["cost"].lib.llm265_cost_pick_scalar
+    fn.restype = ctypes.c_int64
+    fn.argtypes = native._PICK_ARGTYPES
+    return native._pick(fn, *args, _level_rate_table())
+
+
+_ENTRIES = {
+    "kernel": lambda *args: _pass1_pick(*args, True),
+    "scalar": _scalar_pick,
+    "twin": lambda *args: _pass1_pick(*args, False),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
 @pytest.mark.parametrize("name", sorted(_CASES))
-def test_pick_reproduces_bit_for_bit(name, native_ok):
+def test_pick_reproduces_bit_for_bit(name, entry):
     case = _CASES[name]
     blocks, modes, width = case["blocks"], case["modes"], case["width"]
     coeffs = _floats(case["coeffs"], blocks, width)
@@ -56,9 +75,8 @@ def test_pick_reproduces_bit_for_bit(name, native_ok):
     params = [_floats(case[key], blocks) for key in ("inv_step", "step2", "lam")]
     mode_bits = _floats(case["mode_bits"], modes)
     for expect in case["expect"]:
-        pick, cost = _pass1_pick(
-            coeffs, pred, *params, mode_bits,
-            float.fromhex(expect["deadzone"]), native_ok,
+        pick, cost = _ENTRIES[entry](
+            coeffs, pred, *params, mode_bits, float.fromhex(expect["deadzone"])
         )
         assert pick.tolist() == expect["best_mode"]
         assert [value.hex() for value in cost.tolist()] == [

@@ -509,6 +509,24 @@ class TestEncodePlumbing:
         with pytest.raises(ValueError):
             EncoderConfig(encode="bogus")
 
+    @pytest.mark.parametrize(
+        "qp", [60.5, 51.25, -3.0, -0.5, float("nan"), float("inf")]
+    )
+    def test_qp_outside_the_codable_range_is_refused(self, qp):
+        # Above 51 the per-CTU dither bumped the base *down* to 51 on
+        # every other CTU; below 0 the header coded 0 while the container
+        # kept the caller's QP.  Either way a different QP was coded.
+        with pytest.raises(ValueError, match="qp must be"):
+            EncoderConfig(qp=qp)
+        with pytest.raises(ValueError, match="qp must be"):
+            TensorCodec(tile=64).encode(np.zeros((8, 8), np.float32), qp=qp)
+
+    def test_qp_range_ends_are_codable(self):
+        tensor = np.linspace(-1, 1, 16 * 16, dtype=np.float32).reshape(16, 16)
+        for qp in (0.0, 50.999, 51.0):
+            assert EncoderConfig(qp=qp).qp == qp
+            assert TensorCodec(tile=64).encode(tensor, qp=qp).qp == qp
+
     def test_tensor_codec_forwards_backend(self):
         with pytest.raises(ValueError):
             TensorCodec(encode="bogus")

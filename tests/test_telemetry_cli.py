@@ -7,6 +7,7 @@ import pytest
 
 from repro import telemetry
 from repro.cli import main
+from repro.codec.entropy import native
 from repro.models.synthetic_weights import weight_like
 
 
@@ -27,6 +28,9 @@ class TestStatsCommand:
             assert element in out
         assert "plan" in out and "write" in out  # stage timings
         assert "bits/value" in out
+        lanes = native.simd_lanes()
+        assert "simd lanes" in out
+        assert f"cost {lanes['cost']}, encode {lanes['encode']}" in out
 
     def test_stats_with_bitrate_target_shows_rate_control(self, tensor_file, capsys):
         assert main(["stats", tensor_file, "--bits", "3.0"]) == 0
