@@ -57,7 +57,7 @@ from repro.codec.decoder import decode_frames
 from repro.codec.encoder import EncoderConfig, FrameEncoder
 from repro.codec.entropy import native
 from repro.codec.profiles import H265_PROFILE, CodecProfile
-from repro.parallel import ParallelConfig, warm_pool
+from repro.parallel import ParallelConfig
 from repro.tensor.frames import split_tiles
 from repro.tensor.precision import grid_for
 
@@ -170,7 +170,7 @@ def bench_ladder(workers: int) -> Dict[str, Tuple[type, dict]]:
         "native": (FrameEncoder, dict(encode="native")),
         "parallel": (
             FrameEncoder,
-            dict(parallel=ParallelConfig(workers=workers, executor="thread")),
+            dict(parallel=ParallelConfig(workers=workers)),
         ),
     }
 
@@ -215,8 +215,7 @@ def run_benchmark(
 
         # -- decode ladder, on this QP's turbo stream ------------------
         data = streams["turbo"]
-        par_cfg = ParallelConfig(workers=workers, executor="thread")
-        warm_pool(par_cfg)
+        par_cfg = ParallelConfig(workers=workers)
         decode_ladder = {
             "legacy": lambda: reference.decode_frames(data),
             "vectorized": lambda: decode_frames(data),

@@ -71,7 +71,7 @@ from repro.codec.syntax import (
     decode_mv,
 )
 from repro.codec.transform import dct_matrix, inverse_dct2_batch, zigzag_order
-from repro.parallel import ParallelConfig, parallel_map, warm_pool
+from repro.parallel import ParallelConfig, parallel_map
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import ConcealmentReport, CorruptStreamError
 from repro.resilience.framing import deframe_slices
@@ -89,7 +89,7 @@ _CTU_INDEX = native.PLAN_FIELDS.index("ctu_index")
 _COEFF_OFFSET = native.PLAN_FIELDS.index("coeff_offset")
 
 #: Parallel decode dispatch thresholds.  Below either bound the fan-out
-#: overhead (task submission, result marshalling, worker warm-up) costs
+#: overhead (task submission, result hand-back, thread wake-up) costs
 #: more than the decode itself, so the decoder silently stays serial.
 #: Streams must have at least this many slices ...
 _PARALLEL_MIN_SLICES = 4
@@ -217,7 +217,7 @@ class FrameDecoder:
             # Threads only overlap work that releases the GIL: the two
             # whole-slice kernels.  The per-leaf Python of the twin
             # measured ~0.5x under threads.
-            and (par.executor != "thread" or native.available())
+            and native.available()
         )
         if par_capable and not use_parallel:
             telemetry.count("decode.parallel_threshold_fallbacks")
@@ -233,7 +233,6 @@ class FrameDecoder:
                 # can actually run (decode is CPU-bound),
                 # each a run of consecutive groups: dispatching a task
                 # costs about what a small slice takes to decode.
-                warm_pool(par)
                 runs = min(par.resolved_workers(), _effective_cpus(), groups)
                 run = -(-groups // runs) * per_group
                 outcomes = parallel_map(
@@ -752,12 +751,13 @@ def _count_structure(stats: DecodeStats, plan: LeafPlan, n_ctus: int) -> None:
 
 
 def _decode_run_worker(args) -> Tuple[List[np.ndarray], Optional[DecodeStats]]:
-    """Decode a run of consecutive groups in isolation (picklable).
+    """Decode a run of consecutive groups in isolation (parallel worker body).
 
-    Tasks ship the raw header bytes, not the unpacked frame context: a
-    decoder over a header alone is a strict decoder for that stream
-    shape, and its :meth:`FrameDecoder._decode_run` is the body the
-    serial loop runs, so parallel failures surface as the identical
+    Tasks carry the raw header bytes, not the dispatching decoder: a
+    decoder over a header alone shares no state with other pool
+    threads, it is a strict decoder for that stream shape, and its
+    :meth:`FrameDecoder._decode_run` is the body the serial loop runs,
+    so parallel failures surface as the identical
     :class:`CorruptStreamError`.  When the dispatcher is collecting
     telemetry (``parallel_map`` then runs this under a child registry)
     the run's :class:`DecodeStats` ledger travels back with the frames,

@@ -73,7 +73,7 @@ ENCODES = ("native", "python")
 
 #: Parallel encode dispatch thresholds, mirroring the decoder's.  Below
 #: either bound the fan-out overhead (task submission, per-worker
-#: encoder construction, result marshalling) costs more than the encode
+#: encoder construction, result hand-back) costs more than the encode
 #: itself, so the encoder silently stays serial.  Encodes must have at
 #: least this many frames (= slices) ...
 _PARALLEL_MIN_SLICES = 4
@@ -93,7 +93,7 @@ _PARALLEL_MIN_BYTES = 1 << 16
 #: pass 1 ever allocated, so peak memory keeps its bound while a KV
 #: page's four one-CTU slices share one DCT, GEMM and pick call per size
 #: and one pass-2 kernel call.  Groups depend on the frame list only,
-#: never on executor or workers.  The decoder groups slices by the same
+#: never on the worker count.  The decoder groups slices by the same
 #: bound (its three stages run once per group), so the name is neither
 #: side's.
 GROUP_SAMPLES = 1 << 16
@@ -717,10 +717,8 @@ class FrameEncoder:
             # Threads only overlap work that releases the GIL: pass 1's
             # GEMMs and the whole-slice kernel.  The twin's per-leaf
             # Python measured slower under threads than serial.
-            and (
-                par.executor != "thread"
-                or (self._native_ok and native.encode_available())
-            )
+            and self._native_ok
+            and native.encode_available()
         )
         if par_capable and not use_parallel:
             telemetry.count("encode.parallel_threshold_fallbacks")
@@ -1252,10 +1250,10 @@ class FrameEncoder:
 def _encode_slices_worker(args):
     """Encode a run of consecutive pass-1 groups (parallel worker body).
 
-    Module-level so process pools can pickle it.  Telemetry registries
-    are thread-local and absent in workers, so when instrumentation is
-    on the worker builds an explicit :class:`telemetry.EncodeStats` and
-    returns it for the session to merge in run order.
+    A fresh :class:`FrameEncoder` per run, so pool threads share no
+    encoder state.  When instrumentation is on the worker builds an
+    explicit :class:`telemetry.EncodeStats` and returns it for the
+    session to merge in run order.
 
     Returns ``([(framed_slice_bytes, frame_sse), ...], stats_or_None)``.
     """

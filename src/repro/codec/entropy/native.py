@@ -523,7 +523,7 @@ def _build_and_load(kernel: _Kernel):
             raise FileNotFoundError("no C compiler on PATH")
         os.makedirs(_BUILD_DIR, exist_ok=True)
         # Build to a temp name and os.replace() so concurrent builders
-        # (parallel test workers, process-pool warm-up) never observe a
+        # (parallel test workers, other processes) never observe a
         # half-written library.
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=_BUILD_DIR)
         os.close(fd)

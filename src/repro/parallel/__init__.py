@@ -1,6 +1,6 @@
 """repro.parallel: the slice/tensor fan-out engine.
 
-One shared pool abstraction (:class:`ParallelConfig`,
+One shared thread-pool abstraction (:class:`ParallelConfig`,
 :func:`parallel_map`) used by the frame encoder and decoder
 (slice-parallel coding), the tensor codec (per-tensor fan-out), and
 the checkpoint writer.  Parallel output is guaranteed byte-identical
@@ -8,29 +8,21 @@ to the serial path; see ``docs/PERFORMANCE.md``.
 """
 
 from repro.parallel.pool import (
-    EXECUTORS,
-    SERIAL,
     BrokenPoolError,
     ParallelConfig,
     WorkerTimeoutError,
-    discard_pool,
     get_executor,
     parallel_map,
     pool_stats,
     shutdown_pools,
-    warm_pool,
 )
 
 __all__ = [
-    "EXECUTORS",
-    "SERIAL",
     "BrokenPoolError",
     "ParallelConfig",
     "WorkerTimeoutError",
-    "discard_pool",
     "get_executor",
     "parallel_map",
     "pool_stats",
     "shutdown_pools",
-    "warm_pool",
 ]

@@ -1,6 +1,6 @@
 """Cooperative deadline budgets threaded through long-running work.
 
-A :class:`Deadline` is a picklable wall-clock budget that hot loops
+A :class:`Deadline` is a wall-clock budget that hot loops
 poll between natural units of work (a frame, a rate-control iteration,
 a tile).  Cooperative cancellation is the only kind that composes with
 a codec: preemption mid-frame would leave half-written entropy state,
@@ -9,9 +9,8 @@ with nothing orphaned -- the partially encoded frames are simply
 dropped with the exception.
 
 The deadline stores an *absolute* ``time.monotonic()`` expiry, so one
-object can be handed through ``parallel_map`` into process-pool
-workers (``CLOCK_MONOTONIC`` is system-wide on Linux, the platform the
-pool engine targets); every holder observes the same remaining budget.
+object can be handed to every pool thread a request fans out to, and
+every holder observes the same remaining budget.
 """
 
 from __future__ import annotations

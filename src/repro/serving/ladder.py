@@ -49,9 +49,8 @@ class Rung:
             raise ValueError(f"unknown encode {self.encode!r}")
 
 
-#: kernels + threads -> kernels -> twin, one search throughout.  Thread
-#: (not process) fan-out on the top rung: request bodies already run on
-#: supervised threads.  What that buys is measured, not assumed
+#: kernels + threads -> kernels -> twin, one search throughout.  What
+#: the top rung's two threads buy is measured, not assumed
 #: (docs/PERFORMANCE.md): a slice is GIL-free whole-slice C calls in
 #: both directions -- three kernels to decode, pass 1's GEMM + cost
 #: kernel then one kernel to encode -- so two threads overlap (decode
@@ -61,7 +60,7 @@ class Rung:
 #: kernels whenever they are loaded, so the floor rung differs from
 #: ``serial`` on the encode side only.
 DEFAULT_LADDER: Tuple[Rung, ...] = (
-    Rung("turbo", ParallelConfig(workers=2, executor="thread")),
+    Rung("turbo", ParallelConfig(workers=2)),
     Rung("serial"),
     Rung("python", encode="python"),
 )

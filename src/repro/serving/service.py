@@ -43,7 +43,7 @@ from repro.telemetry.metrics import (
     render_prometheus,
 )
 from repro.telemetry.propagate import TraceContext, mint_trace, trace_scope
-from repro.parallel import ParallelConfig, warm_pool
+from repro.parallel import ParallelConfig
 from repro.resilience.deadline import Deadline, DeadlineExceeded
 from repro.resilience.errors import ConcealmentReport, CorruptStreamError
 from repro.resilience.faults import RetryPolicy
@@ -140,9 +140,7 @@ class CodecService:
         self.supervisor = Supervisor(
             retry=cfg.retry,
             seed=cfg.seed,
-            executor=ParallelConfig(
-                workers=cfg.supervisor_workers, executor="thread"
-            ),
+            executor=ParallelConfig(workers=cfg.supervisor_workers),
         )
         self.ladder = DegradationLadder(
             cfg.rungs,
@@ -160,10 +158,6 @@ class CodecService:
         # Concealment of damaged inputs runs serially: the strict
         # attempt has already fed these bytes to the decoder once.
         self._conceal_codec = TensorCodec(tile=cfg.tile)
-        # Decode pools are paid for at construction, not on the first
-        # hot request.
-        for rung in self.ladder.rungs:
-            warm_pool(rung.parallel)
         #: Path of the most recent postmortem bundle, if any was dumped.
         self.last_postmortem: Optional[str] = None
 

@@ -12,8 +12,9 @@ With ``None`` the caller owns the clock and each attempt runs inline,
 same retries and backoff: a cluster shard, whose router abandons the
 dispatch thread itself.
 
-Batch fan-outs are not supervised here: :func:`repro.parallel.parallel_map`
-discards a broken pool and reruns the batch serially on its own.
+Batch fan-outs are not supervised here: a
+:func:`repro.parallel.parallel_map` runs inside the attempt that called
+it, bounded by that attempt's deadline.
 
 Backoff between retries is real (the service actually waits) but tiny
 and *seeded*: jitter comes from one ``numpy`` generator, so a chaos
@@ -81,10 +82,9 @@ class Supervisor:
         Seeds the backoff jitter; two supervisors with the same seed
         produce the same wait schedule.
     executor:
-        Thread-pool policy used by :meth:`run` to make single-item
-        waits boundable.  Threads, not processes: request bodies close
-        over live codec objects, and a hung *thread* is cheap to
-        abandon (its cooperative deadline reaps it).
+        Thread-pool size used by :meth:`run` to make single-item waits
+        boundable.  A hung thread is cheap to abandon: its cooperative
+        deadline reaps it.
     """
 
     def __init__(
@@ -96,9 +96,7 @@ class Supervisor:
     ) -> None:
         self.retry = retry or RetryPolicy(max_retries=3, backoff_base_s=0.002)
         self._rng = np.random.default_rng(seed)
-        self._executor_config = executor or ParallelConfig(
-            workers=8, executor="thread"
-        )
+        self._executor_config = executor or ParallelConfig(workers=8)
         self._sleep = sleep
         self.timeouts = 0  # hung work detected
         self.retries = 0  # re-dispatched attempts

@@ -2,11 +2,11 @@
 
 The registry in :mod:`repro.telemetry.core` is thread-local by design
 (zero overhead when disabled), which means spans and counters emitted
-on a *different* thread -- a pool worker, a supervised attempt, a
-process-pool child -- used to vanish silently.  This module closes
+on a *different* thread -- a pool worker, a supervised attempt --
+used to vanish silently.  This module closes
 that gap with two pieces:
 
-- A :class:`TraceContext`: a small, picklable request identity
+- A :class:`TraceContext`: a small, immutable request identity
   (trace id, owning span path, remaining deadline budget) minted once
   per service request and carried along every hand-off.  While a
   context is active (:func:`trace_scope`) each recorded span event is
@@ -15,29 +15,27 @@ that gap with two pieces:
   request.
 
 - A **delta protocol**: :class:`TracedTask` wraps a callable so it
-  runs under a fresh child registry on whatever thread or process
-  executes it, then ships a compact serialized snapshot of everything
+  runs under a fresh child registry on whatever thread executes it,
+  then ships a compact serialized snapshot of everything
   it collected (:func:`snapshot_delta`) back with the result.  The
   dispatcher merges the delta into its own registry with
   :func:`merge_delta`: counters add, histograms combine
   (count/sum/min/max), span paths are reparented under the dispatch
   site, and trace events are rebased onto the parent clock.  Both
-  directions are plain dicts of plain values, so the protocol crosses
-  process boundaries without pickle-ing any live telemetry object.
+  directions are plain dicts of plain values: a shipped delta shares
+  no live object with the worker's registry.
 
-Accounting is honest about loss: a worker that is killed, hangs past
-its timeout, or dies with its pool cannot ship a delta.  Dispatchers
+Accounting is honest about loss: a worker that hangs past its wait,
+or is never drained because an earlier item failed, cannot ship a
+delta.  Dispatchers
 count every unrecovered delta in ``telemetry.worker_deltas_lost``
 (and every recovered one in ``telemetry.worker_deltas_merged``), so a
 trace that is missing worker-side spans says so instead of looking
 mysteriously idle.
 
 Clock note: event timestamps are rebased using each registry's
-``perf_counter`` origin.  On Linux (the platform the pool engine
-targets) ``perf_counter`` is ``CLOCK_MONOTONIC``, which is
-system-wide, so rebasing is exact across processes; elsewhere
-worker events may shift relative to the parent but aggregates are
-unaffected.
+``perf_counter`` origin; every registry in the process reads the same
+clock, so rebasing is exact.
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ _trace_sequence = itertools.count(1)
 
 @dataclass(frozen=True)
 class TraceContext:
-    """Picklable request identity threaded through every hand-off.
+    """Immutable request identity threaded through every hand-off.
 
     Parameters
     ----------
@@ -133,8 +131,7 @@ def snapshot_delta(registry: Registry) -> dict:
     """Everything ``registry`` collected, as one plain-data dict.
 
     The shape is the wire format workers ship back to their
-    dispatcher; it contains no live objects, so it survives pickling
-    across a process boundary unchanged.
+    dispatcher; it contains no live objects.
     """
     return {
         "v": DELTA_VERSION,
@@ -248,7 +245,7 @@ class TracedOutcome:
 
 
 class TracedTask:
-    """Picklable wrapper that runs ``fn`` under a fresh child registry.
+    """Wrapper that runs ``fn`` under a fresh child registry.
 
     The child registry is installed on the executing thread for the
     duration of the call (and removed after, restoring whatever was
@@ -258,9 +255,7 @@ class TracedTask:
     Parameters
     ----------
     fn:
-        The callable to wrap.  Must be picklable itself when the task
-        is dispatched to a process pool (the same requirement the bare
-        fan-out already had).
+        The callable to wrap.
     ctx:
         Trace context to activate in the worker, if any.
     trace:

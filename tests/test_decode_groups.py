@@ -10,8 +10,9 @@ tile; single slices on an inter stream).  The contract under test:
 * *kernel == twin* -- on the group's plan arrays, level buffer and
   per-slice report (coder end state, ``scan_bins``, leaf / level ends),
   not only on samples;
-* *fan-out* -- workers are handed whole groups, so serial == thread ==
-  process, samples and ``DecodeStats``;
+* *fan-out* -- workers are handed whole groups, so serial == thread,
+  samples and ``DecodeStats`` (without the kernels a parallel config
+  stays serial);
 * *damage inside a group* -- a CRC-valid slice that does not parse, in
   the middle of a group: the same error (strict) or the same frames and
   report (conceal) as when every slice is decoded alone;
@@ -32,6 +33,7 @@ import numpy as np
 import pytest
 
 import repro.telemetry as telemetry
+from benchmarks.identity_matrix import PROFILES, QPS
 from repro.codec import decoder as decoder_mod
 from repro.codec import encoder as encoder_mod
 from repro.codec import reference
@@ -44,7 +46,6 @@ from repro.codec.encoder import (
     unpack_header,
 )
 from repro.codec.entropy import native
-from repro.codec.profiles import AV1_PROFILE, H264_PROFILE, H265_PROFILE
 from repro.parallel import ParallelConfig, pool_stats
 from repro.resilience import CorruptStreamError, deframe_slices, frame_slices
 from repro.resilience.framing import SLICE_OVERHEAD
@@ -55,8 +56,6 @@ needs_kernels = pytest.mark.skipif(
     not native.available(), reason="slice kernels unavailable (no compiler or pure-python)"
 )
 
-_PROFILES = (H264_PROFILE, H265_PROFILE, AV1_PROFILE)
-_QPS = (18.0, 24.5, 26.0)  # 24.5 dithers two QPs across the slices of a group
 _SHAPES = ((16, 32), (32, 32), (50, 70), (33, 17))
 _COUNTS = (1, 3, 4, 5, 9)
 _REPORT = {name: column for column, name in enumerate(native.SLICE_REPORT)}
@@ -132,10 +131,10 @@ def _cases():
     """Profile x QP x shape; the twin decodes ~30x slower and joins
     per-slice plans the same way at every QP, so it takes the dithered
     one only."""
-    qps = _QPS if native.available() else (24.5,)
+    qps = QPS if native.available() else (24.5,)
     return [
         pytest.param(profile, qp, shape, id=f"{profile.name}-{qp}-{shape[0]}x{shape[1]}")
-        for profile in _PROFILES
+        for profile in PROFILES
         for qp in qps
         for shape in _SHAPES
     ]
@@ -213,7 +212,7 @@ def _assert_same_groups(kernel, twin):
 
 @needs_kernels
 class TestKernelEqualsTwin:
-    @pytest.mark.parametrize("profile", _PROFILES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
     @pytest.mark.parametrize("shape, count", [((16, 32), 4), ((50, 70), 9), ((33, 17), 5)])
     def test_group_plan_levels_and_report(self, profile, shape, count):
         data = FrameEncoder(EncoderConfig(profile=profile, qp=24.5)).encode(
@@ -269,16 +268,18 @@ class TestFanOut:
         data = FrameEncoder(EncoderConfig(qp=20.5)).encode(frames).data
         serial, ledger, qps, dispatched = _counters(data, None)
         assert dispatched == 0 and ledger["decode.frames"] == 5
-        executors = ["process"] + (["thread"] if native.available() else [])
-        for executor in executors:
-            fanned, fanned_ledger, fanned_qps, dispatched = _counters(
-                data, ParallelConfig(workers=2, executor=executor)
-            )
-            assert dispatched == 1, executor
-            assert fanned_ledger == ledger, executor
-            assert fanned_qps == qps, executor
-            for got, want in zip(fanned, serial):
-                np.testing.assert_array_equal(got, want)
+        fanned, fanned_ledger, fanned_qps, dispatched = _counters(
+            data, ParallelConfig(workers=2)
+        )
+        # Threads dispatch only with the slice kernels loaded; without
+        # them the decode stays serial and says so.
+        kernels = native.available()
+        assert dispatched == int(kernels)
+        assert fanned_ledger.pop("decode.parallel_threshold_fallbacks", 0) == int(not kernels)
+        assert fanned_ledger == ledger
+        assert fanned_qps == qps
+        for got, want in zip(fanned, serial):
+            np.testing.assert_array_equal(got, want)
 
     def test_one_group_stays_serial_and_says_so(self, monkeypatch):
         monkeypatch.setattr(decoder_mod, "_effective_cpus", lambda: 8)
@@ -288,7 +289,7 @@ class TestFanOut:
         assert len(data) >= decoder_mod._PARALLEL_MIN_BYTES
         before = pool_stats()["dispatches"]
         with telemetry.session() as registry:
-            decode_frames(data, parallel=ParallelConfig(workers=2, executor="process"))
+            decode_frames(data, parallel=ParallelConfig(workers=2))
         assert pool_stats()["dispatches"] == before
         assert registry.counters["decode.parallel_threshold_fallbacks"] == 1
 

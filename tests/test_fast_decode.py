@@ -8,9 +8,8 @@ profile, QP, frame shape and prediction mode: same ``uint8`` frames,
 same float64 reconstruction plane, same coder state and context
 probabilities left behind, and (kernels vs twin) the same leaf-plan
 arrays.  Plus the dispatch policy around it: parallel decode falls
-back to serial below the slice/byte/CPU thresholds (pinned here) and,
-on a thread executor, whenever the slice kernels are not usable; no
-public layer has a ``decode=`` option left; and the ``decode.*``
+back to serial below the slice/byte/CPU thresholds (pinned here) and
+whenever the slice kernels are not usable; no public layer has a ``decode=`` option left; and the ``decode.*``
 telemetry ledger is the same serial or fanned out.
 """
 
@@ -22,6 +21,7 @@ import pytest
 import dataclasses
 
 import repro.telemetry as telemetry
+from benchmarks.identity_matrix import PROFILES, QPS, SHAPES
 from repro.codec import decoder as decoder_mod
 from repro.codec import intra, reference, transform
 from repro.codec.decoder import (
@@ -41,7 +41,7 @@ from repro.codec.syntax import (
 )
 from repro.codec.transform import zigzag_unscan
 from repro.resilience.framing import deframe_slices
-from repro.parallel import ParallelConfig, pool_stats, warm_pool
+from repro.parallel import ParallelConfig, pool_stats
 from repro.serving.ladder import DEFAULT_LADDER, Rung
 from repro.serving.service import CodecService
 from repro.telemetry import DECODE_STAGES, DecodeStats, flightrecorder
@@ -579,16 +579,14 @@ class TestVectorizedIdentity:
         for a, b in zip(legacy, fast):
             np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize(
-        "profile", [H264_PROFILE, H265_PROFILE, AV1_PROFILE]
-    )
-    @pytest.mark.parametrize("qp", [18.0, 24.5, 26.0, 34.0])
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize("qp", QPS)
     @pytest.mark.parametrize("use_inter", [False, True])
     def test_identity_matrix(self, profile, qp, use_inter):
         # Frame shapes that are and are not CTU multiples (the decoder
         # works on the padded plane), integer and dithered QPs.
         encoder = reference.ReferenceEncoder if use_inter else FrameEncoder
-        for h, w in ((64, 64), (50, 70), (33, 17)):
+        for h, w in SHAPES:
             data = encoder(
                 EncoderConfig(profile=profile, qp=qp, use_inter=use_inter)
             ).encode(_frames(n=3 if use_inter else 2, h=h, w=w, seed=h + w)).data
@@ -665,7 +663,7 @@ class TestParallelDecodeThresholds:
     def test_dispatches_above_thresholds(self, monkeypatch):
         monkeypatch.setattr(decoder_mod, "_effective_cpus", lambda: 8)
         data = _big_stream()
-        pool = ParallelConfig(workers=2, executor="thread")
+        pool = ParallelConfig(workers=2)
         before = pool_stats()["dispatches"]
         par = decode_frames(data, parallel=pool)
         assert pool_stats()["dispatches"] == before + 1
@@ -677,33 +675,25 @@ class TestParallelDecodeThresholds:
     @pytest.mark.parametrize("decode", ["vectorized"])
     def test_threads_need_the_slice_kernels(self, monkeypatch, decode):
         # Per-leaf Python holds the GIL, so a thread pool only slows it
-        # down: without the kernels a thread executor stays serial and
-        # says so; a process executor, which does not share a GIL,
-        # still dispatches.
+        # down: without the kernels a parallel config stays serial and
+        # says so.
         monkeypatch.setattr(decoder_mod, "_effective_cpus", lambda: 8)
         _force_pure(monkeypatch)
         data = _big_stream()
         serial = decode_frames(data)
         before = pool_stats()["dispatches"]
         with telemetry.session() as registry:
-            threaded = decode_frames(
-                data, parallel=ParallelConfig(workers=2, executor="thread")
-            )
+            threaded = decode_frames(data, parallel=ParallelConfig(workers=2))
         assert pool_stats()["dispatches"] == before
         assert registry.counters.get("decode.parallel_threshold_fallbacks") == 1
-        forked = decode_frames(
-            data, parallel=ParallelConfig(workers=2, executor="process")
-        )
-        assert pool_stats()["dispatches"] == before + 1
-        for a, b, c in zip(serial, threaded, forked):
+        for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(a, c)
 
     def test_small_slice_count_falls_back(self, monkeypatch):
         monkeypatch.setattr(decoder_mod, "_effective_cpus", lambda: 8)
         frames = _frames(n=2)
         data = FrameEncoder(EncoderConfig(qp=24.0)).encode(frames).data
-        pool = ParallelConfig(workers=2, executor="thread")
+        pool = ParallelConfig(workers=2)
         before = pool_stats()["dispatches"]
         with telemetry.session() as registry:
             decode_frames(data, parallel=pool)
@@ -715,7 +705,7 @@ class TestParallelDecodeThresholds:
         frames = _frames(n=4)  # smooth 64x64 frames: well under 32 KiB
         data = FrameEncoder(EncoderConfig(qp=30.0)).encode(frames).data
         assert len(data) < decoder_mod._PARALLEL_MIN_BYTES
-        pool = ParallelConfig(workers=2, executor="thread")
+        pool = ParallelConfig(workers=2)
         before = pool_stats()["dispatches"]
         with telemetry.session() as registry:
             decode_frames(data, parallel=pool)
@@ -725,7 +715,7 @@ class TestParallelDecodeThresholds:
     def test_single_cpu_falls_back(self, monkeypatch):
         monkeypatch.setattr(decoder_mod, "_effective_cpus", lambda: 1)
         data = _big_stream()
-        pool = ParallelConfig(workers=2, executor="thread")
+        pool = ParallelConfig(workers=2)
         before = pool_stats()["dispatches"]
         with telemetry.session() as registry:
             serial = decode_frames(data)
@@ -734,13 +724,6 @@ class TestParallelDecodeThresholds:
         assert registry.counters.get("decode.parallel_threshold_fallbacks") == 1
         for a, b in zip(serial, par):
             np.testing.assert_array_equal(a, b)
-
-    def test_warm_pool_is_idempotent(self):
-        pool = ParallelConfig(workers=2, executor="thread")
-        warm_pool(pool)  # may or may not be the first warm-up this run
-        assert warm_pool(pool) is False  # second call: already warm
-        assert warm_pool(None) is False
-        assert warm_pool(ParallelConfig(workers=4, executor="serial")) is False
 
 
 # -- no decode= option: the decoder picks by what it observes -----------
@@ -827,14 +810,14 @@ class TestDecodeTelemetry:
         leaves = {path.rsplit("/", 1)[-1] for path in registry.spans}
         assert {"decode.entropy", "decode.reconstruct", "decode.predict"} <= leaves
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["thread"])
     def test_fanned_out_decode_keeps_its_ledger(self, monkeypatch, executor):
         # Regression: slice workers used to run with no registry and no
         # ledger, so the production (2-thread) config reported only
         # decode.frames.  Every decode.* counter must now be the same
         # serial or fanned out (stage seconds are timings: present, not
         # equal).
-        if executor == "thread" and not native.available():
+        if not native.available():
             pytest.skip("threads dispatch only with the slice kernels")
         monkeypatch.setattr(decoder_mod, "_effective_cpus", lambda: 8)
         data = _big_stream(qp=18.5)  # dithered: both QPs in decode.qp
@@ -851,9 +834,7 @@ class TestDecodeTelemetry:
             }, registry.histograms["decode.qp"].to_dict()
 
         _, serial, serial_qp = counters(None)
-        dispatched, fanned, fanned_qp = counters(
-            ParallelConfig(workers=2, executor=executor)
-        )
+        dispatched, fanned, fanned_qp = counters(ParallelConfig(workers=2))
         assert dispatched == 1
         assert set(fanned) == set(serial)
         for name in (

@@ -450,7 +450,7 @@ class TestParallelDispatch:
 
     def test_below_threshold_falls_back_serial(self):
         frames = self._tiny_frames(2)  # < MIN_SLICES and < MIN_BYTES
-        par = ParallelConfig(workers=2, executor="thread")
+        par = ParallelConfig(workers=2)
         with telemetry.session() as registry:
             got = FrameEncoder(
                 EncoderConfig(qp=24.0, parallel=par)
@@ -466,7 +466,7 @@ class TestParallelDispatch:
         frames = [
             np.zeros((128, 128), dtype=np.uint8) for _ in range(_PARALLEL_MIN_SLICES)
         ]  # above both size thresholds; the CPU guard alone must trip
-        par = ParallelConfig(workers=2, executor="thread")
+        par = ParallelConfig(workers=2)
         with telemetry.session() as registry:
             got = FrameEncoder(
                 EncoderConfig(qp=24.0, parallel=par)
@@ -490,7 +490,7 @@ class TestParallelDispatch:
         ]
         # Threads fan out only where a slice is one GIL-free kernel call
         # (tests/test_slice_encode.py pins the rule).
-        par = ParallelConfig(workers=2, executor="thread")
+        par = ParallelConfig(workers=2)
         with telemetry.session() as registry:
             got = FrameEncoder(
                 EncoderConfig(qp=24.0, parallel=par)

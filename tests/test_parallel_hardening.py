@@ -1,41 +1,18 @@
-"""Fault hardening of :func:`repro.parallel.parallel_map`: broken-pool
-recovery, per-item timeouts, and deadline propagation (PR 4 satellite).
+"""Fault hardening of :func:`repro.parallel.parallel_map`: deadline
+propagation, lost-delta accounting, and the shared executor.
 """
 
-import os
-import signal
 import time
 
 import pytest
 
 import repro.telemetry as telemetry
-from repro.parallel import (
-    ParallelConfig,
-    WorkerTimeoutError,
-    discard_pool,
-    get_executor,
-    parallel_map,
-    pool_stats,
-)
+from repro.parallel import ParallelConfig, get_executor, parallel_map
 from repro.resilience.deadline import Deadline, DeadlineExceeded
 
 
 def _square(x):
     return x * x
-
-
-def _kill_in_pool_worker(item):
-    """Dies by SIGKILL inside a pool worker; survives in the caller.
-
-    Guarded on the process name, so the serial re-run (main process)
-    executes the same deterministic work unharmed -- mirroring a
-    transient worker death (OOM kill) that clears on re-execution.
-    """
-    import multiprocessing
-
-    if item == 5 and multiprocessing.current_process().name != "MainProcess":
-        os.kill(os.getpid(), signal.SIGKILL)
-    return item * item
 
 
 def _sleep_for(item):
@@ -44,43 +21,13 @@ def _sleep_for(item):
 
 
 class TestBrokenPoolRecovery:
-    def test_worker_death_mid_batch_yields_identical_output(self):
-        """A SIGKILLed worker must not change the result: the batch is
-        re-run serially and matches the healthy-pool output exactly."""
-        config = ParallelConfig(workers=2, executor="process")
-        items = list(range(12))
-        before = pool_stats()["breakages"]
-        with telemetry.session() as registry:
-            result = parallel_map(
-                _kill_in_pool_worker, items, config, label="killtest"
-            )
-            counters = dict(registry.counters)
-        assert result == [x * x for x in range(12)]
-        assert pool_stats()["breakages"] == before + 1
-        assert counters.get("parallel.broken_pools") == 1
-        assert counters.get("parallel.broken_pool_serial_reruns") == 1
-
     def test_invalid_on_broken_rejected(self):
-        # There is no opt-out: discard-then-serial-rerun is the one
-        # behaviour, so the keyword itself is refused.
-        with pytest.raises(TypeError):
-            parallel_map(_square, [1, 2], None, on_broken="raise")
-
-
-class TestTimeouts:
-    def test_straggler_raises_worker_timeout_with_index(self):
-        config = ParallelConfig(workers=2, executor="thread")
-        items = [0.0, 0.0, 0.0, 1.0, 0.0]
-        started = time.perf_counter()
-        with pytest.raises(WorkerTimeoutError) as err:
-            parallel_map(_sleep_for, items, config, timeout_s=0.1)
-        assert err.value.index == 3
-        assert time.perf_counter() - started < 1.0
-
-    def test_fast_items_unaffected_by_timeout(self):
-        config = ParallelConfig(workers=2, executor="thread")
-        result = parallel_map(_square, range(10), config, timeout_s=5.0)
-        assert result == [x * x for x in range(10)]
+        # A thread pool has no worker process to lose, so there is
+        # nothing to recover and no knob for it -- nor for the removed
+        # per-item timeout or forced-serial switch.
+        for keyword in ("on_broken", "timeout_s", "serial"):
+            with pytest.raises(TypeError):
+                parallel_map(_square, [1, 2], None, **{keyword: True})
 
 
 class TestDeadlines:
@@ -89,15 +36,36 @@ class TestDeadlines:
             parallel_map(_square, [1, 2, 3], None, deadline=Deadline.after(0.0))
 
     def test_pool_path_deadline_expiry(self):
-        config = ParallelConfig(workers=2, executor="thread")
+        config = ParallelConfig(workers=2)
         with pytest.raises(DeadlineExceeded):
             parallel_map(
                 _sleep_for, [0.2, 0.2, 0.2, 0.2], config,
                 deadline=Deadline.after(0.05),
             )
 
+    @pytest.mark.parametrize("traced", [True, False], ids=["telemetry", "no-telemetry"])
+    def test_pool_path_expiry_counts_undrained_deltas(self, traced):
+        # Item 0 drains; the wait on item 1 outlives the deadline, so
+        # items 1-3 never ship their deltas and are counted lost.  Four
+        # workers: no pool thread is still busy with another test's item.
+        config = ParallelConfig(workers=4)
+        items = [0.0, 0.5, 0.5, 0.5]
+        started = time.perf_counter()
+        if traced:
+            with telemetry.session() as registry:
+                with pytest.raises(DeadlineExceeded):
+                    parallel_map(_sleep_for, items, config, deadline=Deadline.after(0.1))
+            assert registry.counters["telemetry.worker_deltas_merged"] == 1
+            assert registry.counters["telemetry.worker_deltas_lost"] == 3
+        else:
+            with pytest.raises(DeadlineExceeded):
+                parallel_map(_sleep_for, items, config, deadline=Deadline.after(0.1))
+            assert telemetry.current() is None
+        # The caller is released at the deadline, not when the pool is.
+        assert time.perf_counter() - started < 0.45
+
     def test_generous_deadline_is_invisible(self):
-        config = ParallelConfig(workers=2, executor="thread")
+        config = ParallelConfig(workers=2)
         result = parallel_map(
             _square, range(8), config, deadline=Deadline.after(30.0)
         )
@@ -107,15 +75,8 @@ class TestDeadlines:
 class TestExecutorManagement:
     def test_get_executor_rejects_serial_config(self):
         with pytest.raises(ValueError):
-            get_executor(ParallelConfig(workers=1, executor="serial"))
+            get_executor(ParallelConfig(workers=1))
 
     def test_get_executor_is_shared(self):
-        config = ParallelConfig(workers=2, executor="thread")
+        config = ParallelConfig(workers=2)
         assert get_executor(config) is get_executor(config)
-
-    def test_discard_pool_drops_the_shared_executor(self):
-        config = ParallelConfig(workers=3, executor="thread")
-        first = get_executor(config)
-        assert discard_pool("thread", 3)
-        assert get_executor(config) is not first
-        assert not discard_pool("thread", 99)  # never existed

@@ -7,8 +7,8 @@ samples: sixty-four one-CTU KV slices, four 128 x 128 tiles, one
 
 * *group invariance* -- a frame's framed slice is the same bytes coded
   alone, first or last in a group, or either side of a group boundary;
-* *fan-out* -- workers are handed whole groups, so serial == thread ==
-  process, and fewer than two groups stay serial;
+* *fan-out* -- workers are handed whole groups, so serial == thread,
+  and fewer than two groups stay serial;
 * *call counts* -- a KV page's four slices share one pick call per CU
   size, a 256 x 256 slice makes the calls it always made;
 * *canary* -- the BLAS property invariance rests on: a row of the
@@ -182,15 +182,13 @@ class TestFanOut:
         monkeypatch.setattr(encoder_mod, "parallel_map", spy)
         frames = _frames(shape, count)
         serial, _ = _encode_counted(frames, None)
-        for executor, workers in (("thread", 3), ("thread", 2), ("process", 2)):
-            fanned, counters = _encode_counted(
-                frames, ParallelConfig(workers=workers, executor=executor)
-            )
+        for workers in (3, 2):
+            fanned, counters = _encode_counted(frames, ParallelConfig(workers=workers))
             assert counters.get("encode.parallel_threshold_fallbacks", 0) == 0
-            assert fanned.data == serial.data, (executor, workers)
-            assert fanned.mse == serial.mse, (executor, workers)
+            assert fanned.data == serial.data, workers
+            assert fanned.mse == serial.mse, workers
             for key in ("bits", "counts", "qp"):
-                assert fanned.stats[key] == serial.stats[key], (executor, workers, key)
+                assert fanned.stats[key] == serial.stats[key], (workers, key)
             # A fan-out never splits a group: runs are consecutive, so
             # every run starts on a group boundary and only the last may
             # end off one.
@@ -207,7 +205,7 @@ class TestFanOut:
         monkeypatch.setattr(native, "encode_available", lambda: True)
         frames = _frames((128, 128), 4)
         fanned, counters = _encode_counted(
-            frames, ParallelConfig(workers=2, executor="thread")
+            frames, ParallelConfig(workers=2)
         )
         assert counters.get("encode.parallel_threshold_fallbacks") == 1
         assert counters.get("parallel.dispatches", 0) == 0

@@ -11,7 +11,7 @@ the codec's one order-defined DCT pair (C == numpy definition, every
 vector width), the load-time self-check that refuses a library which
 disagrees, encoder recon == decoder recon on every encoder x decoder
 pairing, the kernel's capacity contract, and the slice fan-out (serial
-== thread == process; threads only when the kernel is usable).  The
+== thread; threads only when the kernel is usable).  The
 group side -- invariance, a refusal inside a group, the call count --
 is tests/test_encode_groups.py's.
 """
@@ -446,18 +446,15 @@ class TestFanOut:
     def test_serial_thread_process_identical(self, monkeypatch):
         monkeypatch.setattr(encoder_mod, "_effective_cpus", lambda: 4)
         serial, _ = _encode_with(None)
-        for executor in ("thread", "process"):
-            fanned, counters = _encode_with(
-                ParallelConfig(workers=2, executor=executor)
-            )
-            assert counters.get("encode.parallel_threshold_fallbacks", 0) == 0
-            assert counters.get("encode.kernel_refusals", 0) == 0
-            # One task per runnable worker, not one per slice.
-            assert counters.get("parallel.tasks") == 2
-            assert fanned.data == serial.data, executor
-            assert fanned.mse == serial.mse, executor
-            for key in ("bits", "counts", "qp"):
-                assert fanned.stats[key] == serial.stats[key], (executor, key)
+        fanned, counters = _encode_with(ParallelConfig(workers=2))
+        assert counters.get("encode.parallel_threshold_fallbacks", 0) == 0
+        assert counters.get("encode.kernel_refusals", 0) == 0
+        # One task per runnable worker, not one per slice.
+        assert counters.get("parallel.tasks") == 2
+        assert fanned.data == serial.data
+        assert fanned.mse == serial.mse
+        for key in ("bits", "counts", "qp"):
+            assert fanned.stats[key] == serial.stats[key], key
 
     @pytest.mark.parametrize(
         "config, ready",
@@ -476,7 +473,7 @@ class TestFanOut:
             threaded = FrameEncoder(
                 EncoderConfig(
                     qp=24.0,
-                    parallel=ParallelConfig(workers=2, executor="thread"),
+                    parallel=ParallelConfig(workers=2),
                     **config,
                 )
             ).encode(frames)

@@ -118,7 +118,7 @@ class TestVectorizedMatchesLegacy:
             frames,
             qp=27.0,
             encode="native",
-            parallel=ParallelConfig(workers=2, executor="thread"),
+            parallel=ParallelConfig(workers=2),
         )
         assert dressed.data == plain.data
 
