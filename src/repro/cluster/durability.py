@@ -21,8 +21,11 @@ for, under the two failure modes that actually break storage systems:
 
 The soak drives an open-loop put/get workload through the router
 while a controller thread runs the kill/revive/corruption schedule
-and a scrubber thread sweeps CRCs.  The invariant, checked during the
-soak and settled after a final scrub + converging anti-entropy run:
+and a scrubber thread sweeps CRCs and compacts each journal it swept
+(the soak's fresh keys leave too few dead bytes for a put to trigger
+one), so compactions land between disk faults, kills and reads.  The
+invariant, checked during the soak and settled after a final scrub +
+converging anti-entropy run:
 
 1. **Acknowledged-write durability 100%**: every put the router acked
    (write-quorum fsyncs) reads back bit-exact at the end, through >= 3
@@ -275,11 +278,15 @@ class _Controller:
         rng = self.injector.rng
         chosen = candidates[int(rng.integers(0, len(candidates)))]
         try:
-            offset, length = store.payload_span(chosen)
+            # Held, so a compaction cannot move the span between the
+            # lookup and the write: the bytes hit are the key's.
+            with store.pinned_span(chosen) as (offset, length):
+                self._damaged_keys.add(chosen)
+                mode = self.injector.damage_span(
+                    store.journal_path, offset, length
+                )
         except StoreError:
-            return  # the shard was killed between the two calls
-        self._damaged_keys.add(chosen)
-        mode = self.injector.damage_span(store.journal_path, offset, length)
+            return  # the shard was killed before the lookup
         if mode:
             self.disk_faults_applied.append({
                 "shard": shard.shard_id, "key": chosen, "mode": mode,
@@ -308,6 +315,11 @@ def _scrub_loop(
                 continue  # crashed between the check and the scrub
             totals["checked"] += outcome["checked"]
             totals["quarantined"] += len(outcome["corrupt"])
+            try:
+                compacted = store.compact()
+            except StoreError:
+                continue  # crashed since the scrub
+            totals["quarantined"] += len(compacted["quarantined"])
 
 
 @telemetry_scope()
@@ -450,6 +462,10 @@ def _run_soak(config: DurabilityChaosConfig, store_root: str) -> dict:
             "drill: forced durability violation", op="drill", key="drill"
         )
 
+    compactions = sum(
+        router.shard(shard_id).store.counters["compactions"]
+        for shard_id in router.shard_ids
+    )
     router.close()
 
     kills_done = controller.kills_mid_write + controller.kills_fallback
@@ -462,6 +478,7 @@ def _run_soak(config: DurabilityChaosConfig, store_root: str) -> dict:
         "schedule": schedule,
         "disk_faults_applied": controller.disk_faults_applied,
         "scrub": scrub_totals,
+        "compactions": compactions,
         "repair": repair_report.to_dict(),
         "cluster": router.stats(),
         "invariant": {
@@ -504,7 +521,8 @@ def format_durability_report(report: dict) -> str:
         f"required), {len(report['disk_faults_applied'])} disk faults "
         f"({', '.join(sorted({f['mode'] for f in report['disk_faults_applied']})) or 'none'})",
         f"scrub: {report['scrub']['checked']} payloads checked, "
-        f"{report['scrub']['quarantined']} quarantined",
+        f"{report['scrub']['quarantined']} quarantined; "
+        f"{report['compactions']} journal compactions",
     ]
     repair = report.get("repair")
     if repair:

@@ -52,7 +52,12 @@ import repro.telemetry as telemetry
 from repro.telemetry import flightrecorder
 from repro.telemetry.propagate import TraceContext
 from repro.serving.service import CodecService, ServeResponse, ServiceConfig
-from repro.cluster.store import PUT_STAGES, ShardStore, StoreError
+from repro.cluster.store import (
+    COMPACT_STAGES,
+    PUT_STAGES,
+    ShardStore,
+    StoreError,
+)
 
 __all__ = ["ClusterShard", "ShardDown"]
 
@@ -116,14 +121,17 @@ class ClusterShard:
     def arm_kill(self, stage: str) -> None:
         """Schedule :meth:`kill` to fire at the next store-write ``stage``.
 
-        ``stage`` must be one of :data:`~repro.cluster.store.PUT_STAGES`;
-        the kill lands inside the next :meth:`put` that reaches it,
-        which is how the durability soak manufactures deterministic
-        SIGKILL-mid-write crashes (torn journal tails included).
+        ``stage`` must be one of :data:`~repro.cluster.store.PUT_STAGES`
+        or :data:`~repro.cluster.store.COMPACT_STAGES` (reached only by a
+        put that compacts); the kill lands inside the next :meth:`put`
+        that reaches it, which is how the durability soak manufactures
+        deterministic SIGKILL-mid-write crashes (torn journal tails
+        included).
         """
-        if stage not in PUT_STAGES:
+        if stage not in PUT_STAGES + COMPACT_STAGES:
             raise ValueError(
-                f"unknown put stage {stage!r}; expected one of {PUT_STAGES}"
+                f"unknown put stage {stage!r}; expected one of "
+                f"{PUT_STAGES + COMPACT_STAGES}"
             )
         self._armed_kill_stage = stage
 

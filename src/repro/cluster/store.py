@@ -18,7 +18,8 @@ guarantees the cluster's durability contract is built from:
   router can fail over to a replica instead of returning garbage.
 
 A store directory holds one file, ``journal.log``: the magic ``"LVJ1"``
-and version byte 2, then records.  One record is
+and version byte 2, then records (and, only while a compaction runs,
+its replacement ``journal.compact``).  One record is
 ``frame_slice(header)`` (``u32 len | u32 crc | header``) followed by
 ``payload_len`` raw payload bytes; the header is::
 
@@ -46,6 +47,20 @@ and never invented.  **Quarantine** is a state, not a place: the entry
 is marked, a small ``QUARANTINE`` record keeps it marked across
 restarts, the damaged bytes stay in the log as the forensic copy, and
 a later put at the same or a higher version supersedes it.
+
+**Compaction** (:meth:`ShardStore.compact`) keeps the log bounded: once
+its dead bytes (superseded, stale and deleted records, tombstones,
+quarantine marks) reach :data:`COMPACT_DEAD_RATIO` x the live bytes plus
+:data:`COMPACT_FLOOR_BYTES`, the put or delete that crossed the line
+copies every indexed record into ``journal.compact``, fsyncs it,
+renames it over ``journal.log`` and fsyncs the directory -- all under
+the append lock, so no later append is acknowledged before the rename
+is durable.  Headers are re-packed from the index (version, hash and
+CRC as first journaled, never recomputed from the bytes); each payload
+is CRC-checked as it is copied and quarantined on a mismatch, damaged
+bytes and mark included.  A leftover ``journal.compact`` means the
+rename never happened: the old journal is authoritative and
+:meth:`ShardStore.recover` deletes it.
 """
 
 from __future__ import annotations
@@ -55,6 +70,7 @@ import hashlib
 import os
 import struct
 import threading
+import time
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -64,6 +80,9 @@ from repro.resilience.errors import ChecksumError
 from repro.resilience.framing import SLICE_OVERHEAD, crc32, frame_slice
 
 __all__ = [
+    "COMPACT_DEAD_RATIO",
+    "COMPACT_FLOOR_BYTES",
+    "COMPACT_STAGES",
     "NotFound",
     "Quarantined",
     "RecoveryReport",
@@ -78,6 +97,7 @@ _JOURNAL_MAGIC = b"LVJ1"
 _JOURNAL_VERSION = 2
 _JOURNAL_HEADER = _JOURNAL_MAGIC + bytes([_JOURNAL_VERSION])
 _JOURNAL_NAME = "journal.log"
+_COMPACT_NAME = "journal.compact"
 _HASH_BYTES = 16
 
 _OP_PUT = 1
@@ -90,6 +110,8 @@ _RECORD_PREFIX = struct.Struct("<BQH")
 _RECORD_SUFFIX = struct.Struct(f"<{_HASH_BYTES}sQI")
 #: No framed header is longer; a length field that claims more is damage.
 _MAX_HEADER = _RECORD_PREFIX.size + 0xFFFF + _RECORD_SUFFIX.size
+#: A framed header's size without its key.
+_HEADER_FIXED = SLICE_OVERHEAD + _RECORD_PREFIX.size + _RECORD_SUFFIX.size
 
 #: Stages :meth:`ShardStore.put` announces to its crash gate, in order
 #: (the checkpoint writer's simulated crash surface,
@@ -104,6 +126,30 @@ PUT_STAGES = (
     "payload_partial",
     "journal_synced",
 )
+
+#: Stages :meth:`ShardStore.compact` announces to the same gate, in
+#: order: half the records copied (flushed, not synced), the copy
+#: fsynced, the rename and directory fsync done.  A crash before
+#: ``compact_renamed`` leaves the old journal authoritative (recovery
+#: deletes the leftover ``journal.compact``); at it, the compacted one.
+COMPACT_STAGES = (
+    "compact_begin",
+    "compact_partial",
+    "compact_synced",
+    "compact_renamed",
+)
+
+#: A store compacts once its dead bytes reach this many times its live
+#: bytes plus :data:`COMPACT_FLOOR_BYTES`, so ``journal.log`` stays
+#: below ``(1 + ratio) x live + floor`` and each compaction copies at
+#: most what was appended since the one before.  The floor keeps a
+#: small store from compacting on every overwrite.
+COMPACT_DEAD_RATIO = 1
+COMPACT_FLOOR_BYTES = 256 << 10
+
+
+def _no_gate(stage: str) -> None:
+    """The gate of a write no one is watching."""
 
 
 class StoreError(Exception):
@@ -161,6 +207,9 @@ class RecoveryReport:
     #: Indexed keys that cannot be served: their payload failed its CRC
     #: during this replay, or an earlier run's QUARANTINE record says so.
     quarantined: int = 0
+    #: Journal bytes the replay read, file header included: bounded by
+    #: the live bytes, not by the store's history (see compaction).
+    bytes_read: int = 0
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -179,6 +228,11 @@ def _pack_record(
         + encoded
         + _RECORD_SUFFIX.pack(digest, length, crc)
     )
+
+
+def _record_size(key: str, entry: StoreEntry) -> int:
+    """Bytes ``key``'s PUT record takes in the journal, header included."""
+    return _HEADER_FIXED + len(key.encode("utf-8")) + entry.length
 
 
 def _unpack_record(header: bytes) -> Tuple[int, int, str, bytes, int, int]:
@@ -310,6 +364,12 @@ class ShardStore:
     its fsync has returned: :meth:`get`, :meth:`contains`,
     :meth:`digest`, :meth:`max_version` and :meth:`stats` never wait on
     a flush.  Lock order is append, then index.
+
+    A compaction swaps the index and both handles under the index lock
+    once the new journal's rename is durable.  A read that looked its
+    entry up before the swap still holds the old offsets, so the old
+    reader stays open (``_retired``) until the next swap or close and
+    the read is answered from the old file's bytes.
     """
 
     def __init__(
@@ -322,6 +382,7 @@ class ShardStore:
         self.shard_id = shard_id or os.path.basename(self.directory)
         self.fsync = fsync
         self.journal_path = os.path.join(self.directory, _JOURNAL_NAME)
+        self.compact_path = os.path.join(self.directory, _COMPACT_NAME)
         # Re-entrant: an armed kill fires crash() from inside put's gate.
         self._append_lock = threading.RLock()
         self._lock = threading.Lock()
@@ -329,12 +390,19 @@ class ShardStore:
         self._max_version = 0
         self._journal: Optional[BinaryIO] = None
         self._reader: Optional[BinaryIO] = None
+        #: The reader a compaction replaced; reads may still hold its fd.
+        self._retired: Optional[BinaryIO] = None
         self._open = False
         self._scrub_cursor = 0
+        #: Bytes of the indexed records, and the journal's end (both
+        #: under the append lock): what the compaction trigger compares.
+        self._live_bytes = 0
+        self._journal_bytes = 0
         self.counters: Dict[str, int] = dict.fromkeys((
             "puts", "gets", "deletes", "recoveries", "crashes",
             "torn_tail_truncations", "corrupt_records",
             "payloads_quarantined", "scrub_checked", "scrub_corrupt",
+            "compactions", "compacted_bytes",
         ), 0)
         self.last_recovery: Optional[RecoveryReport] = None
         self.recover()
@@ -376,6 +444,10 @@ class ShardStore:
             self._close_handles()
             report = RecoveryReport()
             os.makedirs(self.directory, exist_ok=True)
+            # A compaction that never renamed: journal.log still holds
+            # everything, so its unfinished copy is dropped.
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(self.compact_path)
             if not os.path.exists(self.journal_path):
                 self._write_fresh_journal()
             with open(self.journal_path, "rb") as handle:
@@ -395,6 +467,7 @@ class ShardStore:
                     # the whole file as one corrupt record and start over
                     # (replicas re-seed this shard via anti-entropy).
                     replay = _Replay({}, end=0, damage="corrupt: bad magic")
+                report.bytes_read = handle.tell()
             if replay.damage:
                 report.truncated_bytes = size - replay.end
                 report.torn_tail = replay.damage.startswith("torn")
@@ -427,7 +500,11 @@ class ShardStore:
             )
             self._index = replay.index
             self._max_version = replay.max_version
+            self._live_bytes = sum(
+                _record_size(key, entry) for key, entry in self._index.items()
+            )
             self._journal = open(self.journal_path, "ab")
+            self._journal_bytes = self._journal.tell()
             self._reader = open(self.journal_path, "rb", buffering=0)
             self._open = True
             self.counters["recoveries"] += 1
@@ -452,10 +529,14 @@ class ShardStore:
         ``gate(stage)`` fires at each :data:`PUT_STAGES` boundary (and
         may raise to simulate the process dying there).  The write is
         acknowledged -- and only then indexed and recoverable -- once
-        the ``journal_synced`` stage is reached.
+        the ``journal_synced`` stage is reached.  A put that leaves the
+        journal due for compaction runs it before returning, through
+        the same gate (:data:`COMPACT_STAGES`); the returned entry's
+        offset is where the record landed, :meth:`payload_span` where
+        it is now.
         """
         self._check_open()
-        gate = gate or (lambda stage: None)
+        gate = gate or _no_gate
         gate("put_begin")
         digest = hashlib.blake2b(payload, digest_size=_HASH_BYTES).digest()
         crc = crc32(payload)
@@ -488,8 +569,13 @@ class ShardStore:
                 current = self._index.get(key)
                 if current is None or version >= current.version:
                     self._index[key] = entry
+                    self._live_bytes += len(record) - (
+                        _record_size(key, current) if current else 0
+                    )
                 self._max_version = max(self._max_version, version)
                 self.counters["puts"] += 1
+            self._journal_bytes = end
+            self._compact_if_due(gate)
         return entry
 
     def delete(self, key: str, version: int) -> bool:
@@ -504,9 +590,12 @@ class ShardStore:
             with self._lock:
                 current = self._index.get(key)
                 if current is None or version >= current.version:
-                    self._index.pop(key, None)
+                    if self._index.pop(key, None) is not None:
+                        self._live_bytes -= _record_size(key, current)
                 self._max_version = max(self._max_version, version)
                 self.counters["deletes"] += 1
+            self._journal_bytes = journal.tell()
+            self._compact_if_due(_no_gate)
         return current is not None
 
     # -- read path -----------------------------------------------------
@@ -551,6 +640,18 @@ class ShardStore:
             raise NotFound(key)
         return entry.offset, entry.length
 
+    @contextlib.contextmanager
+    def pinned_span(self, key: str) -> Iterator[Tuple[int, int]]:
+        """:meth:`payload_span`, held: no append or compaction moves the
+        key's bytes until the block exits.
+
+        For whoever writes to the span behind the store's back (the
+        durability soak's disk faults): a bare :meth:`payload_span`
+        can be stale by the time its caller opens the file.
+        """
+        with self._append_lock:
+            yield self.payload_span(key)
+
     # -- scrubbing -----------------------------------------------------
 
     def scrub(self, budget: Optional[int] = 16) -> dict:
@@ -592,6 +693,130 @@ class ShardStore:
                 if self._quarantine(key, entry, scrub=True):
                     corrupt.append(key)
         return {"checked": len(chosen), "corrupt": corrupt}
+
+    # -- compaction ------------------------------------------------------
+
+    def compact(self, gate: Optional[Callable[[str], None]] = None) -> dict:
+        """Rewrite the journal as its indexed records; returns the sizes.
+
+        Runs whether or not the journal is due (:meth:`put` and
+        :meth:`delete` call it when it is).  ``gate(stage)`` fires at
+        each :data:`COMPACT_STAGES` boundary, as in :meth:`put`; a
+        failure anywhere fail-stops the store like a failed append.
+        Returns ``{"bytes_before", "bytes_after", "quarantined"}``, the
+        last the keys whose payload failed its CRC during the copy.
+        """
+        with self._appending():
+            return self._compact(gate or _no_gate)
+
+    def _compact_if_due(self, gate: Callable[[str], None]) -> None:
+        """Append lock held: compact once dead bytes reach the bound."""
+        dead = self._journal_bytes - len(_JOURNAL_HEADER) - self._live_bytes
+        if dead >= COMPACT_DEAD_RATIO * self._live_bytes + COMPACT_FLOOR_BYTES:
+            self._compact(gate)
+
+    def _compact(self, gate: Callable[[str], None]) -> dict:
+        """Append lock held (through :meth:`_appending`)."""
+        started = time.perf_counter()
+        gate("compact_begin")
+        with self._lock:
+            live = sorted(self._index.items(), key=lambda item: item[1].offset)
+            fd = self._reader.fileno()
+            clock = self._max_version
+        before = self._journal_bytes
+        index: Dict[str, StoreEntry] = {}
+        rotten: List[Tuple[str, StoreEntry]] = []
+        with open(self.compact_path, "wb") as out:
+            out.write(_JOURNAL_HEADER)
+            if clock > max((entry.version for _, entry in live), default=0):
+                # The highest version ever journaled belongs to a
+                # deleted or superseded record.  A DEL ahead of every
+                # PUT deletes nothing and keeps max_version() from
+                # running backwards after the next replay.
+                out.write(_pack_record(_OP_DEL, clock, ""))
+            half = len(live) // 2
+            for key, entry in live[:half]:
+                index[key] = self._copy_record(out, fd, key, entry, rotten)
+            out.flush()
+            gate("compact_partial")
+            for key, entry in live[half:]:
+                index[key] = self._copy_record(out, fd, key, entry, rotten)
+            out.flush()
+            if self.fsync:
+                os.fsync(out.fileno())
+            after = out.tell()
+        gate("compact_synced")
+        os.replace(self.compact_path, self.journal_path)
+        if self.fsync:
+            self._fsync_directory()
+        gate("compact_renamed")
+        journal = open(self.journal_path, "ab")
+        reader = open(self.journal_path, "rb", buffering=0)
+        with self._lock:
+            retired, self._retired = self._retired, self._reader
+            self._journal.close()
+            self._journal, self._reader, self._index = journal, reader, index
+            self.counters["compactions"] += 1
+            self.counters["compacted_bytes"] += before - after
+        if retired is not None:
+            retired.close()
+        self._live_bytes = sum(
+            _record_size(key, entry) for key, entry in index.items()
+        )
+        self._journal_bytes = after
+        seconds = time.perf_counter() - started
+        telemetry.count("store.compactions")
+        telemetry.count("store.compacted_bytes", before - after)
+        flightrecorder.record(
+            "store.compacted", shard=self.shard_id, bytes_before=before,
+            bytes_after=after, seconds=seconds,
+        )
+        for key, entry in rotten:
+            self._announce_quarantine(key, entry, scrub=True)
+        return {
+            "bytes_before": before,
+            "bytes_after": after,
+            "quarantined": [key for key, _ in rotten],
+        }
+
+    def _copy_record(
+        self,
+        out: BinaryIO,
+        fd: int,
+        key: str,
+        entry: StoreEntry,
+        rotten: List[Tuple[str, StoreEntry]],
+    ) -> StoreEntry:
+        """Append lock held: ``entry``'s record into ``out``; its new entry.
+
+        The header is re-packed from the index, so its CRC is the one
+        first journaled; a payload that fails it is quarantined (and
+        added to ``rotten``) but copied as read, the forensic copy --
+        zero-padded if the span was cut short behind the store's back,
+        so the new journal stays walkable.
+        """
+        try:
+            payload = os.pread(fd, entry.length, entry.offset)
+        except OSError:
+            payload = b""
+        quarantined = entry.quarantined
+        if not quarantined and (
+            len(payload) != entry.length or crc32(payload) != entry.crc
+        ):
+            quarantined = self._mark_quarantined(key, entry, scrub=True)
+            rotten.append((key, entry))
+        out.write(_pack_record(
+            _OP_PUT, entry.version, key, bytes.fromhex(entry.hash_hex),
+            entry.length, entry.crc,
+        ))
+        out.write(payload.ljust(entry.length, b"\0"))
+        copied = StoreEntry(
+            entry.version, entry.hash_hex, entry.length, entry.crc,
+            out.tell() - entry.length, quarantined,
+        )
+        if quarantined:
+            out.write(_pack_record(_OP_QUARANTINE, entry.version, key))
+        return copied
 
     # -- anti-entropy --------------------------------------------------
 
@@ -645,24 +870,27 @@ class ShardStore:
             if self.fsync:
                 os.fsync(handle.fileno())
         if self.fsync:
-            # The name must be as durable as the acks that will land
-            # behind it: flush the directory entry too.  Once per
-            # journal creation or replacement, never per put.
-            dir_fd = os.open(self.directory, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
+            self._fsync_directory()
+
+    def _fsync_directory(self) -> None:
+        """The journal's name must be as durable as the acks that land
+        behind it: once per journal creation or replacement (a fresh
+        journal, a compaction's rename), never per put."""
+        dir_fd = os.open(self.directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
     def _close_handles(self) -> None:
         """Both locks held."""
-        for handle in (self._journal, self._reader):
+        for handle in (self._journal, self._reader, self._retired):
             try:
                 if handle is not None:
                     handle.close()
             except OSError:  # pragma: no cover - close best-effort
                 pass
-        self._journal = self._reader = None
+        self._journal = self._reader = self._retired = None
         self._open = False
 
     def _check_open(self) -> None:
@@ -719,19 +947,32 @@ class ShardStore:
         """
         try:
             with self._appending() as journal:
-                with self._lock:
-                    if self._index.get(key) is not entry or entry.quarantined:
-                        return False
-                    entry.quarantined = True
-                    self.counters["payloads_quarantined"] += 1
-                    if scrub:
-                        self.counters["scrub_corrupt"] += 1
+                if not self._mark_quarantined(key, entry, scrub):
+                    return False
                 # Not fsynced: if the record is lost, replay's own CRC
                 # pass (or the next read) finds the damage again.
                 journal.write(_pack_record(_OP_QUARANTINE, entry.version, key))
                 journal.flush()
+                self._journal_bytes = journal.tell()
         except StoreClosed:
             return False
+        self._announce_quarantine(key, entry, scrub)
+        return True
+
+    def _mark_quarantined(self, key: str, entry: StoreEntry, scrub: bool) -> bool:
+        """Append lock held: mark the live ``entry``; False if it is not."""
+        with self._lock:
+            if self._index.get(key) is not entry or entry.quarantined:
+                return False
+            entry.quarantined = True
+            self.counters["payloads_quarantined"] += 1
+            if scrub:
+                self.counters["scrub_corrupt"] += 1
+        return True
+
+    def _announce_quarantine(
+        self, key: str, entry: StoreEntry, scrub: bool
+    ) -> None:
         telemetry.count("store.payloads_quarantined")
         if scrub:
             telemetry.count("store.scrub_corrupt")
@@ -740,7 +981,6 @@ class ShardStore:
             shard=self.shard_id, key=key, offset=entry.offset,
             length=entry.length, scrub=scrub,
         )
-        return True
 
 
 def scan_store(directory: str, deep: bool = False) -> dict:
@@ -751,7 +991,8 @@ def scan_store(directory: str, deep: bool = False) -> dict:
     record ending at EOF, and -- ``deep=True`` -- of every record.
     Nothing is truncated or quarantined.  Issues are ``(category,
     location, reason)``, the category ``"torn"`` (an interrupted append
-    recovery would cleanly truncate) or ``"corrupt"`` (damage that
+    recovery would cleanly truncate, or an interrupted compaction's
+    ``journal.compact`` it would delete) or ``"corrupt"`` (damage that
     loses or falsifies data, including a live key that is quarantined).
     """
     journal_path = os.path.join(str(directory), _JOURNAL_NAME)
@@ -771,6 +1012,13 @@ def scan_store(directory: str, deep: bool = False) -> dict:
                     f"bad journal header {head!r} "
                     f"(expected LVJ1 v{_JOURNAL_VERSION})",
                 ))
+    leftover = os.path.exists(os.path.join(str(directory), _COMPACT_NAME))
+    if leftover:
+        issues.append((
+            "torn", _COMPACT_NAME,
+            "leftover of an interrupted compaction (journal.log is "
+            "authoritative; recovery deletes it)",
+        ))
     torn = replay.damage.startswith("torn")
     if torn:
         issues.append((
@@ -795,6 +1043,7 @@ def scan_store(directory: str, deep: bool = False) -> dict:
         "keys": len(replay.index),
         "payloads_checked": replay.payloads_checked,
         "torn_tail": torn,
+        "leftover_compaction": leftover,
         "corrupt_records": int(bool(replay.damage) and not torn),
         "issues": issues,
         "deep": deep,

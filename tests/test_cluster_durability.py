@@ -201,6 +201,18 @@ class TestVerifyCli:
         assert main(["verify", store_dir.directory, "--deep"]) == 2
         assert "DAMAGED" in capsys.readouterr().out
 
+    def test_leftover_compaction_exits_three_until_reopened(
+        self, store_dir, capsys
+    ):
+        # A compaction killed before its rename: journal.log is whole.
+        with open(store_dir.compact_path, "wb") as handle:
+            handle.write(b"LVJ1\x02a partial copy")
+        assert main(["verify", store_dir.directory, "--deep"]) == 3
+        out = capsys.readouterr().out
+        assert "TORN" in out and "journal.compact" in out
+        ShardStore(store_dir.directory, shard_id="s0").close()
+        assert main(["verify", store_dir.directory, "--deep"]) == 0
+
     def test_verify_is_read_only(self, store_dir):
         with open(store_dir.journal_path, "ab") as handle:
             handle.write(b"\xde\xad")

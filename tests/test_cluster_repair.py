@@ -8,6 +8,7 @@ revive-ordering regression (a recovering shard must refuse probes
 until its journal replay finishes).
 """
 
+import os
 import threading
 import time
 
@@ -321,6 +322,24 @@ class TestArmedKill:
         assert shard.store.last_recovery.torn_tail
         assert shard.get("acked").value == b"safe"
         assert isinstance(shard.get("doomed").error, NotFound)
+
+    def test_armed_kill_fires_inside_a_compacting_put(self, tmp_path):
+        shard = ClusterShard(
+            "s", store_dir=str(tmp_path / "s"), store_fsync=False
+        )
+        shard.arm_kill("compact_synced")
+        version = 0
+        while shard.alive:
+            version += 1
+            response = shard.put("hot", bytes([version % 256]) * 8192, version)
+        # Only the put whose append made the journal due got that far;
+        # its record was synced before the kill, so it survives.
+        assert not response.ok and isinstance(response.error, ShardDown)
+        assert version > 1 and shard.store.counters["compactions"] == 0
+        assert os.path.exists(shard.store.compact_path)
+        shard.revive()
+        assert not os.path.exists(shard.store.compact_path)
+        assert shard.get("hot").value == bytes([version % 256]) * 8192
 
     def test_arm_kill_rejects_unknown_stage(self, tmp_path):
         shard = ClusterShard("s", store_dir=str(tmp_path / "s"))

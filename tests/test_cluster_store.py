@@ -19,7 +19,12 @@ import pytest
 from repro.resilience.errors import ChecksumError
 from repro.resilience.faults import FaultInjector
 from repro.resilience.framing import crc32
+import repro.telemetry as telemetry
+from repro.telemetry import flightrecorder
 from repro.cluster.store import (
+    COMPACT_DEAD_RATIO,
+    COMPACT_FLOOR_BYTES,
+    COMPACT_STAGES,
     PUT_STAGES,
     NotFound,
     Quarantined,
@@ -431,6 +436,9 @@ class TestLogLayout:
         store.crash()
         store.recover()
         assert synced == []  # nothing created, nothing truncated
+        # A compaction: the copy's bytes, then the dirent of its rename.
+        store.compact()
+        assert synced == [False, True]
         store.close()
 
     def test_recover_and_scan_stream_the_log(self, tmp_path):
@@ -474,6 +482,325 @@ class TestLogLayout:
         store.recover()
         assert store.get("acked") == b"safe"
         assert store.get("later") == b"never buried"
+
+
+def record_bytes(key, payload):
+    """A PUT record's journal bytes: framed header (47 + key) + payload."""
+    return 47 + len(key.encode()) + len(payload)
+
+
+def bound(live):
+    """What ``journal.log`` may hold: file header, live, dead <= ratio x
+    live + floor."""
+    return 5 + (1 + COMPACT_DEAD_RATIO) * live + COMPACT_FLOOR_BYTES
+
+
+class TestCompaction:
+    """The journal reclaims what no index entry points at (ROADMAP 7a)."""
+
+    def test_overwrites_keep_the_journal_and_its_replay_bounded(self, tmp_path):
+        store = ShardStore(str(tmp_path / "hot"), fsync=False)
+        keys = [f"k{index}" for index in range(4)]
+        live = {}
+        replays = []
+        for version in range(1, 3001):
+            key = keys[version % len(keys)]
+            payload = os.urandom(700 + version % 600)
+            store.put(key, payload, version)
+            live[key] = payload
+            total = sum(record_bytes(k, v) for k, v in live.items())
+            assert os.path.getsize(store.journal_path) <= bound(total)
+            if version % 1000 == 0:
+                store.crash()
+                report = store.recover()
+                # Deep replay reads every byte of the log -- and the
+                # log is bounded by the live bytes, not by history.
+                assert report.bytes_read == os.path.getsize(store.journal_path)
+                assert report.bytes_read <= bound(total)
+                replays.append(report.records_replayed)
+        # 3000 puts of ~1 KB would be ~3 MB; each replay walks only the
+        # last compaction's survivors and what came after.
+        assert store.counters["compactions"] >= 8
+        assert max(replays) < 400
+        for key, payload in live.items():
+            assert store.get(key) == payload
+        store.close()
+
+    def test_a_put_that_makes_the_journal_due_compacts_through_its_gate(
+        self, tmp_path
+    ):
+        store = ShardStore(str(tmp_path / "due"), fsync=False)
+        payload = b"v" * 4096
+        for version in range(1, 1000):
+            stages = []
+            store.put("k", payload, version, gate=stages.append)
+            if store.counters["compactions"]:
+                break
+        assert tuple(stages) == PUT_STAGES + COMPACT_STAGES
+        # One live record: the journal is that record and nothing else.
+        assert os.path.getsize(store.journal_path) == 5 + record_bytes(
+            "k", payload
+        )
+        # Dead bytes had reached live bytes plus the floor, no earlier.
+        dead = (version - 1) * record_bytes("k", payload)
+        assert dead >= COMPACT_DEAD_RATIO * record_bytes("k", payload) + (
+            COMPACT_FLOOR_BYTES
+        ) > dead - record_bytes("k", payload)
+        store.close()
+
+    def test_everything_owed_survives_compaction_and_a_restart(self, store):
+        store.put("kept", b"K" * 300, 1)
+        store.put("overwritten", b"old" * 100, 2)
+        store.put("overwritten", b"new" * 100, 3)
+        store.put("stale-loser", b"winner", 5)
+        store.put("stale-loser", b"loser", 4)
+        store.put("bad", b"B" * 300, 6)
+        store.put("gone", b"G" * 300, 7)
+        store.delete("gone", 9)  # the highest version is a tombstone's
+        damage(store, "bad", "bit_flip", seed=3)
+        with pytest.raises(Quarantined):
+            store.get("bad")
+        before = store.digest()
+        outcome = store.compact()
+        assert outcome["bytes_after"] < outcome["bytes_before"]
+        assert outcome["quarantined"] == []  # already marked
+        for restarted in (False, True):
+            if restarted:
+                store.crash()
+                report = store.recover()
+                assert not report.truncated_bytes and report.quarantined == 1
+            assert store.digest() == before
+            assert store.max_version() == 9
+            assert store.get("kept") == b"K" * 300
+            assert store.get("overwritten") == b"new" * 100
+            assert store.get("stale-loser") == b"winner"
+            with pytest.raises(NotFound):
+                store.get("gone")
+            with pytest.raises(Quarantined):
+                store.get("bad")
+        # A later put may reuse the deleted key below the clock's top.
+        store.put("gone", b"back", 8)
+        assert store.get("gone") == b"back"
+        issues = scan_store(store.directory, deep=True)["issues"]
+        assert [issue[:2] for issue in issues] == [("corrupt", "key 'bad'")]
+
+    def test_compaction_never_gives_rotten_bytes_a_fresh_crc(self, store):
+        store.put("rot", b"R" * 500, 1)
+        store.put("fine", b"F" * 500, 2)
+        damage(store, "rot", "bit_flip", seed=11)
+        offset, length = store.payload_span("rot")
+        with open(store.journal_path, "rb") as handle:
+            handle.seek(offset)
+            rotten = handle.read(length)
+        with telemetry.session() as registry:
+            outcome = store.compact()
+        # Found by the copy's CRC check, quarantined as a scrub would.
+        assert outcome["quarantined"] == ["rot"]
+        assert store.counters["payloads_quarantined"] == 1
+        assert store.counters["scrub_corrupt"] == 1
+        assert registry.counters["store.payloads_quarantined"] == 1
+        with pytest.raises(Quarantined):
+            store.get("rot")
+        # The damaged bytes moved with their original header, whose
+        # last field is the CRC of the bytes that were acked.
+        offset, length = store.payload_span("rot")
+        with open(store.journal_path, "rb") as handle:
+            handle.seek(offset - 4)
+            (header_crc,) = struct.unpack("<I", handle.read(4))
+            assert handle.read(length) == rotten
+        assert header_crc == crc32(b"R" * 500) != crc32(rotten)
+        store.crash()
+        store.recover()
+        with pytest.raises(Quarantined):
+            store.get("rot")
+        assert "rot" not in store.digest()
+        assert store.get("fine") == b"F" * 500
+        # Healed behind the store's back, the key stays quarantined:
+        # the QUARANTINE mark was copied too.
+        with open(store.journal_path, "r+b") as handle:
+            handle.seek(offset)
+            handle.write(b"R" * 500)
+        store.crash()
+        store.recover()
+        with pytest.raises(Quarantined):
+            store.get("rot")
+
+    @pytest.mark.parametrize("stage", COMPACT_STAGES)
+    def test_a_crash_at_every_stage_loses_nothing(self, store, stage):
+        for version in range(1, 9):
+            store.put(f"k{version % 3}", bytes([version]) * 400, version)
+        store.delete("k0", 9)
+        owed = store.digest()
+
+        def gate(reached):
+            if reached == stage:
+                raise TestCrashRecovery._Die()
+
+        with pytest.raises(TestCrashRecovery._Die):
+            store.compact(gate=gate)
+        # Fail-stop, like an append that died part-way.
+        with pytest.raises(StoreClosed):
+            store.get("k1")
+        leftover = os.path.exists(store.compact_path)
+        assert leftover == (stage in ("compact_partial", "compact_synced"))
+        if leftover:
+            assert scan_store(store.directory)["leftover_compaction"]
+        report = store.recover()
+        assert not os.path.exists(store.compact_path)
+        assert not report.truncated_bytes and not report.quarantined
+        assert store.digest() == owed and store.max_version() == 9
+        assert store.get("k1") == bytes([7]) * 400
+        assert store.get("k2") == bytes([8]) * 400
+        with pytest.raises(NotFound):
+            store.get("k0")
+        compacted = stage == "compact_renamed"
+        assert (report.records_replayed == 3) == compacted
+
+    def test_a_get_racing_the_swap_reads_the_old_file(self, store):
+        store.put("filler", b"f" * 4096, 1)
+        store.put("k", b"exact bytes" * 50, 2)
+        store.put("filler", b"g" * 4096, 3)
+        old_span = store.payload_span("k")
+        parked, release = threading.Event(), threading.Event()
+        read = store._read_verified
+
+        def parking_read(fd, entry):
+            # Between the index lookup and the pread.
+            parked.set()
+            assert release.wait(timeout=30.0)
+            return read(fd, entry)
+
+        store._read_verified = parking_read
+        answers = []
+
+        def reader():
+            try:
+                answers.append(store.get("k"))
+            except Exception as exc:  # pragma: no cover - the bug
+                answers.append(exc)
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            assert parked.wait(timeout=30.0)
+            store.compact()
+            assert store.payload_span("k") != old_span
+        finally:
+            release.set()
+            thread.join(timeout=30.0)
+        del store._read_verified
+        assert answers == [b"exact bytes" * 50]
+        assert store.counters["payloads_quarantined"] == 0
+        assert store.stats()["quarantined_keys"] == 0
+        assert store.get("k") == b"exact bytes" * 50
+
+    def test_readers_and_writers_race_compactions(self, tmp_path):
+        """Overwrites big enough to compact every few dozen puts, more
+        threads than cores, a short switch interval: a read returns an
+        acked value of its key or a typed error, and nothing is marked."""
+        import itertools
+        import sys
+
+        store = ShardStore(str(tmp_path / "churn"), fsync=False)
+        versions = itertools.count(1)
+        keys = [f"k{index}" for index in range(4)]
+        done = threading.Event()
+        errors, reads = [], []
+
+        def value(key, version):
+            return f"{key}:{version:06d}".encode() * 800
+
+        def writer(tag):
+            try:
+                for op in range(100):
+                    version = next(versions)
+                    key = keys[(tag + op) % len(keys)]
+                    store.put(key, value(key, version), version)
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        def reader():
+            seen = dict.fromkeys(keys, 0)
+            count = 0
+            try:
+                while not done.is_set():
+                    for key in keys:
+                        try:
+                            got = store.get(key)
+                        except (NotFound, Quarantined):
+                            continue
+                        count += 1
+                        name, version = got[:9].decode().split(":")
+                        assert name == key and got == value(key, int(version))
+                        assert int(version) >= seen[key]
+                        seen[key] = int(version)
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+            reads.append(count)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            writers = [
+                threading.Thread(target=writer, args=(tag,)) for tag in range(4)
+            ]
+            readers = [threading.Thread(target=reader) for _ in range(4)]
+            for thread in writers + readers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60.0)
+            done.set()
+            for thread in readers:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert not any(thread.is_alive() for thread in writers + readers)
+        assert store.counters["compactions"] >= 5 and sum(reads) > 0
+        # A read that lost a race with a swap may have raised, but it
+        # never marks an entry whose bytes are fine.
+        assert store.counters["payloads_quarantined"] == 0
+        live = store.digest()
+        assert len(live) == 4
+        store.crash()
+        report = store.recover()
+        assert not report.torn_tail and not report.corrupt_records
+        assert store.digest() == live and store.max_version() == 400
+        store.close()
+
+    def test_a_leftover_compaction_reads_torn_until_recovery(self, store):
+        store.put("k", b"v" * 100, 1)
+        store.close()
+        with open(store.compact_path, "wb") as handle:
+            handle.write(b"LVJ1\x02half a copy")
+        scan = scan_store(store.directory)
+        assert scan["leftover_compaction"] and not scan["torn_tail"]
+        assert [c for c, _, _ in scan["issues"]] == ["torn"]
+        store.recover()
+        assert not os.path.exists(store.compact_path)
+        assert scan_store(store.directory)["issues"] == []
+        assert store.get("k") == b"v" * 100
+
+    def test_compaction_telemetry(self, store):
+        store.put("k", b"a" * 1000, 1)
+        store.put("k", b"b" * 1000, 2)
+        previous = flightrecorder.set_recorder(flightrecorder.FlightRecorder())
+        try:
+            with telemetry.session() as registry:
+                outcome = store.compact()
+            events = flightrecorder.get_recorder().snapshot()
+        finally:
+            flightrecorder.set_recorder(previous)
+        reclaimed = outcome["bytes_before"] - outcome["bytes_after"]
+        assert reclaimed == record_bytes("k", b"a" * 1000)
+        assert registry.counters["store.compactions"] == 1
+        assert registry.counters["store.compacted_bytes"] == reclaimed
+        assert store.counters["compactions"] == 1
+        assert store.counters["compacted_bytes"] == reclaimed
+        (event,) = [e for e in events if e["kind"] == "store.compacted"]
+        assert event["fields"]["bytes_before"] == outcome["bytes_before"]
+        assert event["fields"]["bytes_after"] == outcome["bytes_after"]
+        assert event["fields"]["seconds"] >= 0
 
 
 class TestConcurrentWriters:

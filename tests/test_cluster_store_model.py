@@ -1,9 +1,10 @@
 """A model of one ``ShardStore`` (ROADMAP 4c, the single-store half).
 
 A hypothesis state machine drives one store -- puts, overwrites,
-deletes, kills at every ``PUT_STAGES`` entry, crash + recover, bit rot
-in payloads and in record headers, truncation at an arbitrary byte,
-scrubs, reads -- beside a dict that says what a reader is owed:
+deletes, kills at every ``PUT_STAGES`` entry, compactions and kills at
+every ``COMPACT_STAGES`` entry, crash + recover, bit rot in payloads
+and in record headers, truncation at an arbitrary byte, scrubs, reads
+-- beside a dict that says what a reader is owed:
 
 - an acked value comes back bit-exact, or a typed ``StoreError`` is
   raised -- and a typed error, a missing key or an *older* acked value
@@ -11,7 +12,8 @@ scrubs, reads -- beside a dict that says what a reader is owed:
 - a put killed before its ack point is wholly absent after recovery,
   one killed after it wholly present;
 - ``recover()`` is idempotent;
-- ``max_version()`` never goes backwards without a truncation.
+- ``max_version()`` never goes backwards without a truncation, not
+  even over a key deleted before a compaction dropped its records.
 
 Seeded and derandomised: the same rule sequences run on every machine.
 The directed half of the store's tests is ``test_cluster_store.py``.
@@ -31,6 +33,7 @@ from hypothesis.stateful import (
 )
 
 from repro.cluster.store import (
+    COMPACT_STAGES,
     PUT_STAGES,
     NotFound,
     Quarantined,
@@ -119,9 +122,21 @@ class StoreMachine(RuleBasedStateMachine):
         self.suspect.update(key for end, key in self.records if end > offset)
         self.poisoned = True
 
+    def _follow_compaction(self):
+        """The log now holds one record per indexed key, in a new place;
+        superseded records and tombstones are gone (a deleted key has no
+        record left for damage to reach)."""
+        self.records = sorted(
+            (offset + length, key)
+            for key in self.store.keys()
+            for offset, length in [self.store.payload_span(key)]
+        )
+
     def _restart(self):
         self.store.crash()
         report = self.store.recover()
+        # An unfinished compaction's copy never outlives recovery.
+        assert not os.path.exists(self.store.compact_path)
         size = self._size()
         self.records = [(end, key) for end, key in self.records if end <= size]
         if report.truncated_bytes or self.poisoned:
@@ -186,6 +201,31 @@ class StoreMachine(RuleBasedStateMachine):
             self._ack(key, payload)
         self._restart()
         self._check_read(key)
+
+    @rule()
+    def compact(self):
+        outcome = self.store.compact()
+        # Only damage the model injected can fail the copy's CRC check.
+        assert set(outcome["quarantined"]) <= self.suspect
+        self._follow_compaction()
+
+    @rule(stage=st.sampled_from(COMPACT_STAGES))
+    def killed_compaction(self, stage):
+        def gate(reached):
+            if reached == stage:
+                raise Killed()
+
+        try:
+            self.store.compact(gate=gate)
+        except Killed:
+            pass
+        else:
+            raise AssertionError(f"gate never reached {stage}")
+        # Before the rename the old journal is the store; from it on,
+        # the compacted one.  Either way every acked write is owed.
+        self._restart()
+        if stage == "compact_renamed":
+            self._follow_compaction()
 
     @rule()
     def crash_and_recover(self):
