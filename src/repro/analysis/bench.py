@@ -31,7 +31,7 @@ and gated on byte-identity against the first rung:
 - ``legacy``     -- the interleaved reference decoder
   (:func:`repro.codec.reference.decode_frames`), serial.  The tracked
   decode speedups are measured against this rung.
-- ``vectorized`` -- the production plan / residuals / reconstruct
+- ``vectorized`` -- the production entropy / reconstruct
   decoder (the whole-slice C kernels when available, their
   pure-Python twin otherwise).
 - ``parallel``   -- the production decoder behind slice-parallel

@@ -346,6 +346,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     tensor = np.load(args.input)
     codec = TensorCodec(profile=profile_by_name(args.codec), tile=args.tile)
+    from repro.codec.entropy import native as _native
+
+    # Load (or build) the kernels first: stage seconds and ns per bin
+    # describe the work, not a first dlopen and its self-checks.
+    _native.kernel_status()
     with telemetry_scope() as registry:
         compressed = codec.encode(tensor, **_rate_kwargs(args))
         restored = codec.decode(compressed)
@@ -434,6 +439,9 @@ def _print_stats(
         for stage in telemetry.DECODE_STAGES:
             if stage in decode_seconds:
                 print(f"{stage:<18s} {decode_seconds[stage] * 1e3:>10.2f} ms")
+        if decode_seconds.get("entropy") and decode_counts.get("coeff_bins"):
+            per_bin = decode_seconds["entropy"] / decode_counts["coeff_bins"]
+            print(f"{'entropy ns/bin':<18s} {per_bin * 1e9:>10.2f}")
         for name in sorted(decode_counts):
             print(f"{name:<18s} {int(decode_counts[name]):>10d}")
         print()

@@ -19,22 +19,21 @@ fit in ``encoder.GROUP_SAMPLES`` padded samples (one 256 x 256 slice:
 the bound pass 1 groups frames by), at least one; a KV page's four
 one-CTU slices are one group, a 256 x 256 tile is a group of one, and an
 inter stream, whose every frame needs the one before it, is groups of
-one -- by three stages over one array plan (:class:`LeafPlan`):
-*plan -> residuals -> reconstruct*.  Stage one drains every slice's
-range decoder (a fresh coder and fresh contexts each) into the group's
-plan (modes, motion vectors, coefficient scans); stage two dequantizes,
-unscans and inverse-transforms all same-size leaves of the group in one
-batch (the encoder's lru-cached DCT basis / zigzag tables, the codec's
-order-defined transform); stage three predicts and reconstructs every
-leaf in decode order, one plane per slice.  Stages one and three are
-each one GIL-free C call per group (``native.plan_slices`` /
-``native.reconstruct_slices``), stage two one per block size
-(``native.residuals``), each with a Python twin (``_walk_slice`` per
-slice, joined into the same group table / ``_apply_predictions`` / the
-numpy batch in ``_batch_residuals``) that produces and consumes the
-same arrays.  What a slice costs beyond its samples -- ctypes
-marshalling, array allocation, telemetry, the clip / round / ``uint8``
-pass -- is paid once per group.  The decoder picks per group from what
+one -- by two stages over one array plan (:class:`LeafPlan`):
+*entropy -> reconstruct*.  Stage one drains every slice's range decoder
+(a fresh coder and fresh contexts each) into the group's plan (modes,
+motion vectors, coefficient scans); stage two walks every leaf in
+decode order, one plane per slice: it makes a coded leaf's residual
+(dequantize, zigzag unscan, the codec's order-defined inverse DCT over
+the encoder's lru-cached basis / zigzag tables), predicts, adds and
+clips.  Each stage is one GIL-free C call per group
+(``native.plan_slices`` / ``native.reconstruct_slices``) with a Python
+twin that produces and consumes the same arrays: ``_walk_slice`` per
+slice, joined into the same group table, and the numpy batch in
+``_batch_residuals`` (all same-size leaves of the group at once)
+followed by ``_apply_predictions``.  What a slice costs beyond its
+samples -- ctypes marshalling, array allocation, telemetry, the clip /
+round / ``uint8`` pass -- is paid once per group.  The decoder picks per group from what
 it observes, not from an option: kernels when ``native.available()``,
 the twin otherwise (no compiler, ``LLM265_PURE_PYTHON=1``) and for any
 slice a kernel refuses (``decode.kernel_refusals``; the other slices of
@@ -70,7 +69,7 @@ from repro.codec.syntax import (
     decode_intra_mode,
     decode_mv,
 )
-from repro.codec.transform import dct_matrix, inverse_dct2_batch, zigzag_order
+from repro.codec.transform import inverse_dct2_batch, zigzag_order
 from repro.parallel import ParallelConfig, parallel_map
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import ConcealmentReport, CorruptStreamError
@@ -176,11 +175,24 @@ class FrameDecoder:
         self._begin()
         h = self._header
         n_frames = h["n_frames"]
+        try:
+            return self._decode_frames(n_frames)
+        except MemoryError:
+            # A 21-byte header may declare planes no machine holds; the
+            # planes are made as the slices decode, so this is where
+            # the geometry meets the allocator.
+            raise CorruptStreamError(
+                f"declared geometry {h['width']} x {h['height']} x {n_frames} "
+                f"frames does not fit in memory"
+            ) from None
+
+    def _decode_frames(self, n_frames: int) -> List[np.ndarray]:
+        h = self._header
         slices, damage = deframe_slices(
             self._payload, expected=n_frames, strict=not self._conceal
         )
         reasons = dict(damage)
-        # The three stages run once per group of consecutive slices: as
+        # The two stages run once per group of consecutive slices: as
         # many as fit in the bound pass 1 groups frames by (one 256 x 256
         # slice's samples), at least one; an inter stream chains every
         # frame to the one before it, so its groups are single slices.
@@ -329,30 +341,29 @@ class FrameDecoder:
             return self._reference  # neighbour (temporal) prediction
         return np.full((self._pad_h, self._pad_w), _CONCEAL_FILL, dtype=np.float64)
 
-    # -- per group: plan -> residuals -> reconstruct ---------------------
+    # -- per group: entropy -> reconstruct --------------------------------
     #
     # Bit-exactness argument, against the interleaved reference decoder
     # (repro.codec.reference).  Stage one touches every adaptive context
     # in exactly its order (the quadtree walk is identical; mode
     # decoding depends only on *neighbour modes*, which the walk records
     # leaf by leaf, never on pixels), so the entropy decode consumes
-    # identical bins and fails on identical inputs.  Stage two's batched
+    # identical bins and fails on identical inputs.  Stage two's
     # dequantize is the same elementwise multiply the reference performs
     # per leaf and the inverse DCT is the codec's one order-defined
-    # transform on every path; with the kernels loaded the stage is one
-    # C call per block size (``native.residuals``: the same multiply,
-    # unscan and transform).  Stage three replays prediction in decode
-    # order against a reconstruction mask that is, at every leaf, the
-    # exact mask the interleaved loop would have had; its C form
-    # evaluates the same expressions in the same order with no fused
-    # multiply-add (docs/PERFORMANCE.md).  A slice's leaves, levels and
-    # residual grids are elementwise functions of that slice alone, so
-    # which slices share its group cannot change a sample.
+    # transform on every path (in C, the encoder's own body).  It
+    # replays prediction in decode order against a reconstruction mask
+    # that is, at every leaf, the exact mask the interleaved loop would
+    # have had; its C form evaluates the same expressions in the same
+    # order with no fused multiply-add (docs/PERFORMANCE.md).  A slice's
+    # leaves, levels and residual grids are elementwise functions of
+    # that slice alone, so which slices share its group cannot change a
+    # sample.
 
     def _decode_group(
         self, segments: List[bytes], indices: List[int], qps: np.ndarray
     ) -> Tuple[np.ndarray, List[int]]:
-        """The three stages over one group of slices.
+        """The two stages over one group of slices.
 
         ``segments[i]`` is the slice of frame ``indices[i]`` and ``qps``
         holds one QP per CTU of these slices, in order.  Returns the
@@ -383,21 +394,12 @@ class FrameDecoder:
             _count_structure(stats, plan, (len(segments) - len(failed)) * self._ctus)
             started = now
 
-        # Stage 2: one batched dequantize + inverse transform per size.
+        # Stage 2: residuals and prediction in dependency (decode) order,
+        # plane by plane.
         with telemetry.span("decode.reconstruct"):
-            resid_offset, resid = self._batch_residuals(
-                plan, qps, h["use_transform"], stats
-            )
+            planes = self._reconstruct(plan, leaf_end, qps, h["use_transform"])
         if stats is not None:
-            now = time.perf_counter()
-            stats.add_seconds("reconstruct", now - started)
-            started = now
-
-        # Stage 3: prediction in dependency (decode) order, plane by plane.
-        with telemetry.span("decode.predict"):
-            planes = self._reconstruct(plan, leaf_end, resid_offset, resid)
-        if stats is not None:
-            stats.add_seconds("predict", time.perf_counter() - started)
+            stats.add_seconds("reconstruct", time.perf_counter() - started)
         return planes, failed
 
     def _plan_group(
@@ -572,70 +574,52 @@ class FrameDecoder:
         return value if value >= 0 else None
 
     def _batch_residuals(
-        self, plan: LeafPlan, qps: np.ndarray, use_transform: bool,
-        stats: Optional[DecodeStats],
+        self, plan: LeafPlan, qps: np.ndarray, use_transform: bool
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Dequantize + inverse-transform every coded leaf, batched by size.
 
-        Returns ``(resid_offset, resid)``: the row-major residual grids
-        of all coded leaves concatenated into one float64 vector, and
-        per leaf the offset of its grid in it -- -1 for cbf=0 leaves,
-        whose residual is exactly zero and is added as such by the
-        prediction pass (the IDCT of an all-zero block is also exactly
-        zero).
+        The numpy half of stage two's twin.  Returns ``(resid_offset,
+        resid)``: the row-major residual grids of all coded leaves
+        concatenated into one float64 vector, and per leaf the offset of
+        its grid in it -- -1 for cbf=0 leaves, whose residual is exactly
+        zero and is added as such by the prediction pass (the IDCT of an
+        all-zero block is also exactly zero).
         """
         sizes = plan.field("size")
         coeff = plan.field("coeff_offset")
         coded = coeff >= 0
         steps = _QSTEPS[qps][plan.field("ctu_index")]
         resid_offset = np.full(plan.n_leaves, -1, dtype=np.int64)
-        # The residual kernel lives in the encode library: not loaded is
-        # not a refusal.
-        use_kernel = native.available() and native.encode_available()
         grids_by_size: List[np.ndarray] = []
         total = 0
         for n in np.unique(sizes[coded]).tolist():
             indices = np.flatnonzero(coded & (sizes == n))
             area = n * n
-            grids = (
-                native.residuals(
-                    plan.levels, coeff[indices], steps[indices],
-                    zigzag_order(n), dct_matrix(n), use_transform,
-                )
-                if use_kernel
-                else None
-            )
-            if grids is None:
-                if use_kernel:
-                    telemetry.count("decode.kernel_refusals")
-                scan_rows = plan.levels[coeff[indices, None] + np.arange(area)]
-                # Same elementwise product as per-leaf ``dequantize``;
-                # the zigzag unscan is one fancy-index store across the
-                # batch.
-                dequant = scan_rows.astype(np.float64) * steps[indices, None]
-                flat = np.empty((len(indices), area), dtype=np.float64)
-                flat[:, zigzag_order(n)] = dequant
-                grids = flat.reshape(len(indices), n, n)
-                if use_transform:
-                    grids = inverse_dct2_batch(grids)
+            scan_rows = plan.levels[coeff[indices, None] + np.arange(area)]
+            # Same elementwise product as per-leaf ``dequantize``; the
+            # zigzag unscan is one fancy-index store across the batch.
+            dequant = scan_rows.astype(np.float64) * steps[indices, None]
+            flat = np.empty((len(indices), area), dtype=np.float64)
+            flat[:, zigzag_order(n)] = dequant
+            grids = flat.reshape(len(indices), n, n)
+            if use_transform:
+                grids = inverse_dct2_batch(grids)
             resid_offset[indices] = total + area * np.arange(len(indices))
             grids_by_size.append(grids.reshape(-1))
             total += grids.size
-        if stats is not None:
-            stats.add_count("batches", len(grids_by_size))
-            stats.add_count("batched_blocks", int(coded.sum()))
         if not grids_by_size:
             return resid_offset, np.empty(0, dtype=np.float64)
         return resid_offset, np.concatenate(grids_by_size)
 
     def _reconstruct(
-        self, plan: LeafPlan, leaf_end: np.ndarray, resid_offset: np.ndarray,
-        resid: np.ndarray,
+        self, plan: LeafPlan, leaf_end: np.ndarray, qps: np.ndarray,
+        use_transform: bool,
     ) -> np.ndarray:
-        """Stage three: the reconstruct kernel, else the Python loop.
+        """Stage two: the reconstruct kernel, else its twin.
 
         One float64 plane per slice; slice ``k`` is the leaves
-        ``leaf_end[k - 1] .. leaf_end[k]`` of the plan.
+        ``leaf_end[k - 1] .. leaf_end[k]`` of the plan and ``qps`` holds
+        one QP per CTU of the group.
         """
         shape = (len(leaf_end), self._pad_h, self._pad_w)
         recon = np.zeros(shape, dtype=np.float64)
@@ -646,10 +630,12 @@ class FrameDecoder:
         if native.available():
             reference = self._reference if self._inter_allowed else None
             if native.reconstruct_slices(
-                recon, mask, reference, plan.rows, leaf_end, resid_offset, resid
+                recon, mask, reference, plan.rows, leaf_end, plan.levels,
+                _QSTEPS[qps], use_transform,
             ):
                 return recon
             telemetry.count("decode.kernel_refusals")
+        resid_offset, resid = self._batch_residuals(plan, qps, use_transform)
         start = 0
         for k, end in enumerate(leaf_end.tolist()):
             self._apply_predictions(
@@ -662,8 +648,9 @@ class FrameDecoder:
         self, plan: LeafPlan, start: int, end: int, resid_offset: np.ndarray,
         resid: np.ndarray, recon: np.ndarray, mask: np.ndarray,
     ) -> None:
-        """Pure-Python twin of ``native.reconstruct_slices`` for one plane:
-        the leaves ``start .. end`` of the plan."""
+        """The prediction half of stage two's twin, for one plane: the
+        leaves ``start .. end`` of the plan, adding the grids
+        :meth:`_batch_residuals` made."""
         zeros = {
             n: np.zeros((n, n), dtype=np.float64)
             for n in np.unique(plan.field("size")).tolist()

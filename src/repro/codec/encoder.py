@@ -94,7 +94,7 @@ _PARALLEL_MIN_BYTES = 1 << 16
 #: page's four one-CTU slices share one DCT, GEMM and pick call per size
 #: and one pass-2 kernel call.  Groups depend on the frame list only,
 #: never on the worker count.  The decoder groups slices by the same
-#: bound (its three stages run once per group), so the name is neither
+#: bound (its two stages run once per group), so the name is neither
 #: side's.
 GROUP_SAMPLES = 1 << 16
 

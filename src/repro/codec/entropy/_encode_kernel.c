@@ -17,27 +17,17 @@
  *      the fused coefficient scan into the range coder, adapting the
  *      slice's own CodecContexts, then the coder's flush.
  *
- * Four other files reach the compiler through this one and are part
+ * Five other files reach the compiler through this one and are part
  * of its content hash (native._Kernel.includes): the coder constants
  * and starting contexts of _contexts_kernel.c (the decode kernel's
  * too), the range coder and the block writer of _write_kernel.c, the
- * reference gather and intra predictors of _recon_kernel.c, and the
- * run-time vector-width choice of _simd_kernel.c (the cost kernel's
- * too).
- *
- * The transform is the codec's one order-defined 2-D DCT pair
- * (llm265_dct2_batch, also exported for repro.codec.transform):
- * forward basis @ x @ basis.T, inverse basis.T @ x @ basis, evaluated
- * left to right as two plain matrix products in which every output is
- * accumulated from +0.0 sequentially in k, every product rounded to
- * double before it is added.  The loop below vectorises across outputs
- * (j), four at a time at either vector width, never across k, and the
- * build forbids fused multiply-add
- * (-ffp-contract=off), so the result is bit-identical to the numpy
- * definition in transform._ordered_matmul -- checked when the library
- * is loaded (native._check_dct).  With the predictors and the clip
- * being the decoder's own code, the float64 plane produced here is
- * the plane the decoder reconstructs, bit for bit.
+ * reference gather and intra predictors of _recon_kernel.c, the
+ * codec's order-defined DCT pair of _transform_kernel.c (the
+ * reconstruct kernel's too: the decoder's inverse transform is this
+ * file's) and the run-time vector-width choice of _simd_kernel.c (the
+ * cost kernel's too).  With the predictors, the transform and the clip
+ * being the decoder's own code, the float64 plane produced here is the
+ * plane the decoder reconstructs, bit for bit.
  *
  * Every write is capacity-checked and nothing is formatted here: a
  * non-zero slice status makes the caller re-code that slice with the
@@ -57,170 +47,15 @@
 #include "_contexts_kernel.c"
 #include "_recon_kernel.c"
 #include "_simd_kernel.c"
+#include "_transform_kernel.c"
 #include "_write_kernel.c"
 
 #define N_ANGULAR 33
 
-#define N_CLASSES 5 /* block sizes 4, 8, 16, 32, 64 */
 #define MAX_DEPTH 5 /* a 64 CTU split down to 4 */
 #define MAX_NODES 341 /* 1 + 4 + 16 + 64 + 256 */
 
 enum { ST_OK, ST_BYTES, ST_CAPACITY, ST_GEOMETRY, ST_MODE, ST_LEVEL };
-
-/* -- the ordered transform ---------------------------------------------- */
-
-/* out = a @ r for n x n row-major matrices, n a multiple of 4 (out
- * aliases neither): out[i][j] = ((0 + a[i][0] r[0][j]) + a[i][1]
- * r[1][j]) + ...  A tile of 4 rows x 4 columns of outputs is accumulated
- * across the k loop, one row of the tile per broadcast a[i + t][k]; the
- * compiler keeps each tile row in vector registers -- two SSE halves at
- * the baseline, one AVX2 register in the wide body (_simd_kernel.c,
- * chosen per call), the same text compiled twice (GCC 12+ and clang
- * vectorise it at -O2; an older GCC emits scalar code).  Lanes are
- * independent outputs, so the width changes the speed and never a bit
- * of the result. */
-static inline __attribute__((always_inline)) void ordered_mm_body(
-    const double *a, const double *r, double *out, int64_t n)
-{
-    int64_t i, j, k;
-    int t, l;
-
-    for (i = 0; i < n; i += 4)
-        for (j = 0; j < n; j += 4) {
-            double acc[4][4] = {{0.0}};
-            for (k = 0; k < n; k++) {
-                const double *row = r + k * n + j;
-                _Pragma("GCC unroll 4") for (t = 0; t < 4; t++) {
-                    double s = a[(i + t) * n + k];
-                    _Pragma("GCC unroll 4") for (l = 0; l < 4; l++)
-                        acc[t][l] += s * row[l];
-                }
-            }
-            _Pragma("GCC unroll 4") for (t = 0; t < 4; t++)
-                _Pragma("GCC unroll 4") for (l = 0; l < 4; l++)
-                    out[(i + t) * n + j + l] = acc[t][l];
-        }
-}
-
-typedef void (*mm_fn)(const double *a, const double *r, double *out,
-                      int64_t n);
-
-static void ordered_mm_default(const double *a, const double *r, double *out,
-                               int64_t n)
-{
-    ordered_mm_body(a, r, out, n);
-}
-
-#ifdef HAVE_AVX2_BODY
-static SIMD_AVX2 void ordered_mm_avx2(const double *a, const double *r,
-                                      double *out, int64_t n)
-{
-    ordered_mm_body(a, r, out, n);
-}
-#endif
-
-/* The widest body this machine runs. */
-static mm_fn ordered_mm(void)
-{
-#ifdef HAVE_AVX2_BODY
-    if (simd_avx2())
-        return ordered_mm_avx2;
-#endif
-    return ordered_mm_default;
-}
-
-static void transpose(const double *m, double *out, int64_t n)
-{
-    int64_t i, j;
-    for (i = 0; i < n; i++)
-        for (j = 0; j < n; j++)
-            out[j * n + i] = m[i * n + j];
-}
-
-/* Forward: basis @ x @ basis.T; inverse: basis.T @ x @ basis. */
-static void dct2(mm_fn mm, const double *x, double *out, int64_t n,
-                 const double *basis, const double *basis_t, int inverse)
-{
-    double tmp[MAX_LEAF * MAX_LEAF];
-    mm(inverse ? basis_t : basis, x, tmp, n);
-    mm(tmp, inverse ? basis : basis_t, out, n);
-}
-
-static int size_class(int64_t n)
-{
-    switch (n) {
-    case 4: return 0;
-    case 8: return 1;
-    case 16: return 2;
-    case 32: return 3;
-    case 64: return 4;
-    default: return -1;
-    }
-}
-
-static int64_t dct2_batch(mm_fn mm, const double *x, double *out,
-                          int64_t count, int64_t n, const double *basis,
-                          int64_t inverse)
-{
-    double basis_t[MAX_LEAF * MAX_LEAF];
-    int64_t b;
-
-    if (size_class(n) < 0)
-        return 1;
-    transpose(basis, basis_t, n);
-    for (b = 0; b < count; b++)
-        dct2(mm, x + b * n * n, out + b * n * n, n, basis, basis_t,
-             inverse != 0);
-    return 0;
-}
-
-/* `count` n x n blocks of x into out (x != out).  Status 1 =
- * unsupported size.  The _default entry runs the baseline body whatever
- * the machine (tests hold the two bitwise equal). */
-int64_t llm265_dct2_batch(const double *x, double *out, int64_t count,
-                          int64_t n, const double *basis, int64_t inverse)
-{
-    return dct2_batch(ordered_mm(), x, out, count, n, basis, inverse);
-}
-
-int64_t llm265_dct2_batch_default(const double *x, double *out, int64_t count,
-                                  int64_t n, const double *basis,
-                                  int64_t inverse)
-{
-    return dct2_batch(ordered_mm_default, x, out, count, n, basis, inverse);
-}
-
-/* The decoder's residual stage for `count` coded n x n leaves: leaf b's
- * scan-order levels start at levels[offsets[b]]; dequantize (level *
- * steps[b], the per-leaf `dequantize`), zigzag unscan (grid[zigzag[i]]
- * = scan[i]) and, with `transform`, the inverse DCT, into out (count x
- * n x n).  Status 1 = unsupported size, 2 = a leaf outside `levels`. */
-int64_t llm265_residual_batch(const int64_t *levels, int64_t n_levels,
-                              const int64_t *offsets, const double *steps,
-                              int64_t count, int64_t n, const int64_t *zigzag,
-                              const double *basis, int64_t transform,
-                              double *out)
-{
-    double basis_t[MAX_LEAF * MAX_LEAF], grid[MAX_LEAF * MAX_LEAF];
-    int64_t area = n * n, b, i;
-    mm_fn mm = ordered_mm();
-
-    if (size_class(n) < 0)
-        return 1;
-    for (b = 0; b < count; b++)
-        if (offsets[b] < 0 || offsets[b] > n_levels - area)
-            return 2;
-    transpose(basis, basis_t, n);
-    for (b = 0; b < count; b++) {
-        const int64_t *scan = levels + offsets[b];
-        double *dst = transform ? grid : out + b * area;
-        for (i = 0; i < area; i++)
-            dst[zigzag[i]] = (double)scan[i] * steps[b];
-        if (transform)
-            dct2(mm, grid, out + b * area, n, basis, basis_t, 1);
-    }
-    return 0;
-}
 
 /* -- the slice ------------------------------------------------------------ */
 
@@ -243,12 +78,11 @@ typedef struct {
     mm_fn mm; /* the ordered transform's body */
     const int32_t *all_modes;
     int64_t n_modes;
-    /* By size class: DCT basis, its transpose (filled on first use of
+    /* By size class: DCT basis, its transpose (made on first use of
      * the class) and the zigzag scan order. */
     const double *const *basis;
     const int64_t *const *zigzag;
-    double basis_t[16 + 64 + 256 + 1024 + 4096];
-    int have_basis_t[N_CLASSES];
+    transposes basis_t;
     int32_t *banks[N_BANKS]; /* the current slice's contexts */
     int8_t *mode_map; /* one cell per 4x4 samples, -1 = not yet coded */
     int64_t map_w;
@@ -259,7 +93,6 @@ typedef struct {
 } enc_slice;
 
 static const int NODE_BASE[MAX_DEPTH] = {0, 1, 5, 21, 85};
-static const int BASIS_T_BASE[N_CLASSES] = {0, 16, 80, 336, 1360};
 
 /* A node of the current CTU's quadtree: (ly, lx) on the depth's grid. */
 static inline int node_index(int depth, int64_t ly, int64_t lx)
@@ -384,11 +217,7 @@ static int code_leaf(enc_slice *s, int64_t y0, int64_t x0, int64_t n,
         return ST_MODE;
     basis = s->basis[cls];
     zigzag = s->zigzag[cls];
-    if (!s->have_basis_t[cls]) {
-        transpose(basis, s->basis_t + BASIS_T_BASE[cls], n);
-        s->have_basis_t[cls] = 1;
-    }
-    basis_t = s->basis_t + BASIS_T_BASE[cls];
+    basis_t = basis_t_of(&s->basis_t, basis, cls);
 
     llm265_gather_refs(s->recon, s->mask, s->height, width, y0, x0, n, top,
                        left);
@@ -584,7 +413,7 @@ int64_t llm265_encode_slices(
     s.basis = basis;
     s.zigzag = zigzag;
     for (i = 0; i < N_CLASSES; i++)
-        s.have_basis_t[i] = 0;
+        s.basis_t.have[i] = 0;
     s.mode_map = mode_map;
     s.map_w = width / 4;
     s.plan = plan;

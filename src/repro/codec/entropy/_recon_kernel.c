@@ -1,4 +1,4 @@
-/* Whole-slice reconstruction: reference gather, intra / inter
+/* Whole-slice reconstruction: residual, reference gather, intra / inter
  * prediction, + residual, clip -- for every leaf of a slice plan, in
  * decode order, in one call.
  *
@@ -8,18 +8,26 @@
  *                           repro.codec.intra.gather_references, also
  *                           exported on its own for the encoder
  *                           (native.refs).
- * llm265_reconstruct_slices FrameDecoder._apply_predictions over the
- *                           flat leaf plan of _slice_kernel.c, one
- *                           plane per slice of the group.
+ * llm265_reconstruct_slices FrameDecoder._batch_residuals +
+ *                           _apply_predictions over the flat leaf plan of
+ *                           _slice_kernel.c, one plane per slice of the
+ *                           group: each coded leaf's levels are
+ *                           dequantised, unscanned and inverse-transformed
+ *                           into a stack buffer right where they are
+ *                           added to the prediction.
  * llm265_dc_sum             the DC reduction alone, so the loader can
  *                           check it against the installed numpy.
  *
  * Sample identity with the numpy path is the contract: the float64
  * reconstruction plane must be bit-identical, because later leaves
  * predict from it and later frames reference it.  The gather is pure
- * data movement.  Planar, angular, "+ residual" and the clip are
- * element-wise expressions evaluated in numpy's order with every
- * intermediate rounded to double -- this file must be compiled with
+ * data movement.  The dequantisation (level * step) is one rounded
+ * product per coefficient, and the inverse DCT is the codec's
+ * order-defined transform of _transform_kernel.c -- the encoder's own
+ * body, checked against the numpy definition when the library loads.
+ * Planar, angular, "+ residual" and the clip are element-wise
+ * expressions evaluated in numpy's order with every intermediate
+ * rounded to double -- this file must be compiled with
  * -ffp-contract=off so no multiply-add is fused.  The one reduction,
  * the DC mean, reproduces numpy's pairwise summation for n <= 128
  * (sequential below 8 elements, else eight running lanes combined as
@@ -29,11 +37,12 @@
  * the first sample is written, so a non-zero status leaves recon and
  * mask untouched and the caller runs the Python loop instead.
  *
- * Return status: 0 = ok, 1 = block size out of range, 2 = a leaf lies
- * outside the frame or names an unknown mode, 3 = an inter leaf with no
- * or an out-of-range reference block, 4 = residual offset out of range,
- * 5 = the slice boundaries are not a non-decreasing run inside the
- * table.
+ * Return status: 0 = ok, 1 = a block size the codec does not have,
+ * 2 = a leaf lies outside the frame or names an unknown mode, 3 = an
+ * inter leaf with no or an out-of-range reference block, 4 = level
+ * offset out of range, 5 = the slice boundaries are not a
+ * non-decreasing run inside the table, 6 = a coded leaf's CTU has no
+ * quantiser step or its size no tables.
  *
  * Built on demand by repro.codec.entropy.native; the numpy code
  * remains the fallback.
@@ -41,8 +50,10 @@
 
 #include <stdint.h>
 
+#include "_simd_kernel.c"
+#include "_transform_kernel.c"
+
 #define MAX_N 512
-#define MAX_LEAF 64
 #define DEFAULT_SAMPLE 128.0
 
 #define MODE_PLANAR 0
@@ -188,7 +199,10 @@ static void angular(const double *main_ref, const double *side_ref,
     }
 }
 
-/* intra.predict into pred[y * n + x]. */
+/* intra.predict into pred[y * n + x], n a block size of the codec.  The
+ * planar blend's divisor 2n is then a power of two, and dividing by it
+ * is multiplying by its exact reciprocal: the same correctly rounded
+ * quotient, without a division per sample. */
 static void predict(const double *top, const double *left, int mode,
                     int64_t n, double *pred)
 {
@@ -196,14 +210,14 @@ static void predict(const double *top, const double *left, int mode,
 
     if (mode == MODE_PLANAR) {
         double top_right = top[n + 1], bottom_left = left[n + 1];
-        double norm = (double)(2 * n);
+        double scale = 1.0 / (double)(2 * n);
         for (y = 0; y < n; y++)
             for (x = 0; x < n; x++) {
                 double horizontal = (double)(n - 1 - x) * left[1 + y] +
                                     (double)(x + 1) * bottom_left;
                 double vertical = (double)(n - 1 - y) * top[1 + x] +
                                   (double)(y + 1) * top_right;
-                pred[y * n + x] = (horizontal + vertical) / norm;
+                pred[y * n + x] = (horizontal + vertical) * scale;
             }
     } else if (mode == MODE_DC) {
         double dc = (llm265_dc_sum(top + 1, n) + llm265_dc_sum(left + 1, n)) /
@@ -221,10 +235,25 @@ static void predict(const double *top, const double *left, int mode,
     }
 }
 
+/* Where a call's coded leaves take their residuals from: the group's
+ * scan-order level buffer, one quantiser step per CTU of the group and,
+ * by size class, the zigzag order and DCT basis. */
+typedef struct {
+    const int64_t *levels;
+    int64_t n_levels;
+    const double *ctu_step;
+    int64_t n_ctus;
+    const double *const *basis;
+    const int64_t *const *zigzag;
+    int transform;
+    mm_fn mm;
+    transposes basis_t;
+} residuals;
+
 static int check_plan(
     int64_t height, int64_t width, const double *reference,
     const int64_t *plan, int64_t stride, int64_t n_leaves,
-    const int64_t *resid_offset, int64_t resid_len)
+    const residuals *res)
 {
     int64_t i;
 
@@ -232,8 +261,9 @@ static int check_plan(
         int64_t y0 = plan[P_Y0 * stride + i], x0 = plan[P_X0 * stride + i];
         int64_t n = plan[P_SIZE * stride + i];
         int64_t mode = plan[P_MODE * stride + i];
-        int64_t off = resid_offset[i];
-        if (n < 1 || n > MAX_LEAF)
+        int64_t off = plan[P_COEFF * stride + i];
+        int cls = size_class(n);
+        if (cls < 0)
             return 1;
         if (y0 < 0 || x0 < 0 || y0 > height - n || x0 > width - n ||
             mode < -1 || mode > ANGULAR_LAST)
@@ -245,27 +275,55 @@ static int check_plan(
                 rx > width - n)
                 return 3;
         }
-        if (off < -1 || (off >= 0 && off > resid_len - n * n))
+        if (off >= 0) {
+            int64_t ctu = plan[P_CTU * stride + i];
+            if (off > res->n_levels - n * n)
+                return 4;
+            if (ctu < 0 || ctu >= res->n_ctus || !res->zigzag[cls] ||
+                (res->transform && !res->basis[cls]))
+                return 6;
+        } else if (off != -1) {
             return 4;
+        }
     }
     return 0;
+}
+
+/* FrameDecoder._batch_residuals for one coded n x n leaf: its levels
+ * dequantised (level * step), zigzag-unscanned (grid[zigzag[i]] =
+ * scan[i]) and, with the transform on, put through the inverse DCT,
+ * into out (row-major). */
+static void leaf_residual(residuals *res, int64_t off, int64_t n,
+                          double step, double *out)
+{
+    double grid[MAX_LEAF * MAX_LEAF];
+    int cls = size_class(n);
+    const int64_t *scan = res->levels + off, *zigzag = res->zigzag[cls];
+    double *dst = res->transform ? grid : out;
+    int64_t i;
+
+    for (i = 0; i < n * n; i++)
+        dst[zigzag[i]] = (double)scan[i] * step;
+    if (res->transform)
+        dct2(res->mm, grid, out, n, res->basis[cls],
+             basis_t_of(&res->basis_t, res->basis[cls], cls), 1);
 }
 
 /* One plane: recon (height x width, zero-filled) receives the float64
  * samples and mask (same shape, zero-filled) ends all ones.  A leaf
  * with is_inter copies its block of `reference` (same shape as recon);
  * otherwise mode >= 0 is an intra mode and mode == -1 the flat
- * mid-grey prediction of a stream coded without intra.  resid_offset[i]
- * indexes the leaf's row-major n x n residual grid in `resid`; -1 is
- * the exactly-zero residual of a cbf = 0 leaf.  The caller has run
- * check_plan over these leaves. */
+ * mid-grey prediction of a stream coded without intra.  A coded leaf
+ * (coeff_offset >= 0) adds its residual, made here from its levels and
+ * its CTU's step; a cbf = 0 leaf (-1) adds exactly zero.  The caller
+ * has run check_plan over these leaves. */
 static void reconstruct_slice(
     double *recon, uint8_t *mask, int64_t height, int64_t width,
     const double *reference,
-    const int64_t *plan, int64_t stride, int64_t n_leaves,
-    const int64_t *resid_offset, const double *resid)
+    const int64_t *plan, int64_t stride, int64_t n_leaves, residuals *res)
 {
-    double pred[MAX_LEAF * MAX_LEAF];
+    static const double zeros[MAX_LEAF]; /* a cbf = 0 leaf's residual row */
+    double pred[MAX_LEAF * MAX_LEAF], resid[MAX_LEAF * MAX_LEAF];
     double top[2 * MAX_LEAF + 1], left[2 * MAX_LEAF + 1];
     int64_t i, y, x;
 
@@ -273,7 +331,7 @@ static void reconstruct_slice(
         int64_t y0 = plan[P_Y0 * stride + i], x0 = plan[P_X0 * stride + i];
         int64_t n = plan[P_SIZE * stride + i];
         int64_t mode = plan[P_MODE * stride + i];
-        int64_t off = resid_offset[i];
+        int64_t off = plan[P_COEFF * stride + i];
         const double *src = pred;
         int64_t src_stride = n;
 
@@ -289,41 +347,61 @@ static void reconstruct_slice(
             for (y = 0; y < n * n; y++)
                 pred[y] = DEFAULT_SAMPLE;
         }
+        if (off >= 0)
+            leaf_residual(res, off, n,
+                          res->ctu_step[plan[P_CTU * stride + i]], resid);
         for (y = 0; y < n; y++) {
             double *out = recon + (y0 + y) * width + x0;
             uint8_t *seen = mask + (y0 + y) * width + x0;
             const double *p = src + y * src_stride;
-            const double *r = off >= 0 ? resid + off + y * n : 0;
+            const double *r = off >= 0 ? resid + y * n : zeros;
             for (x = 0; x < n; x++) {
                 /* np.clip(prediction + residual, 0.0, 255.0); NaN
-                 * (unreachable from finite levels) passes through. */
-                double v = p[x] + (r ? r[x] : 0.0);
-                if (v == v) {
-                    v = v > 0.0 ? v : 0.0;
-                    v = v < 255.0 ? v : 255.0;
-                }
-                out[x] = v;
+                 * (unreachable from finite levels) passes through.
+                 * Selects, not branches, so the row vectorises. */
+                double v = p[x] + r[x];
+                double low = v > 0.0 ? v : 0.0;
+                double clipped = low < 255.0 ? low : 255.0;
+                out[x] = v == v ? clipped : v;
                 seen[x] = 1;
             }
         }
     }
 }
 
-/* A group of `count` planes over one plan of n_leaves columns (and as
- * many residual offsets): recon and mask are (count, height, width)
- * stacks, zero-filled, and plane k takes the leaves leaf_end[k - 1] ..
- * leaf_end[k] of the table (same stride, leaf_end[-1] = 0; an empty
- * range leaves its plane untouched).  Every slice's sub-plan is
- * validated before any sample of any plane is written. */
+/* A group of `count` planes over one plan of n_leaves columns: recon
+ * and mask are (count, height, width) stacks, zero-filled, and plane k
+ * takes the leaves leaf_end[k - 1] .. leaf_end[k] of the table (same
+ * stride, leaf_end[-1] = 0; an empty range leaves its plane untouched).
+ * A coded leaf's scan-order levels start at levels[coeff_offset] (of
+ * n_levels) and its step is ctu_step[ctu_index] (of n_ctus); basis and
+ * zigzag hold N_CLASSES entries by size class (NULL where a size is
+ * unused; basis is not read with use_transform off).  Every slice's
+ * sub-plan is validated before any sample of any plane is written. */
 int64_t llm265_reconstruct_slices(
     double *recon, uint8_t *mask, int64_t count, int64_t height,
     int64_t width, const double *reference,
     const int64_t *plan, int64_t stride, int64_t n_leaves,
     const int64_t *leaf_end,
-    const int64_t *resid_offset, const double *resid, int64_t resid_len)
+    const int64_t *levels, int64_t n_levels,
+    const double *ctu_step, int64_t n_ctus,
+    const double *const *basis, const int64_t *const *zigzag,
+    int64_t use_transform)
 {
+    residuals res;
     int64_t k, start = 0;
+    int c;
 
+    res.levels = levels;
+    res.n_levels = n_levels;
+    res.ctu_step = ctu_step;
+    res.n_ctus = n_ctus;
+    res.basis = basis;
+    res.zigzag = zigzag;
+    res.transform = use_transform != 0;
+    res.mm = ordered_mm();
+    for (c = 0; c < N_CLASSES; c++)
+        res.basis_t.have[c] = 0;
     if (n_leaves > stride)
         return 5;
     for (k = 0; k < count; start = leaf_end[k++]) {
@@ -331,15 +409,13 @@ int64_t llm265_reconstruct_slices(
         if (leaf_end[k] < start || leaf_end[k] > n_leaves)
             return 5;
         status = check_plan(height, width, reference, plan + start, stride,
-                            leaf_end[k] - start, resid_offset + start,
-                            resid_len);
+                            leaf_end[k] - start, &res);
         if (status)
             return status;
     }
     for (k = 0, start = 0; k < count; start = leaf_end[k++])
         reconstruct_slice(recon + k * height * width,
                           mask + k * height * width, height, width, reference,
-                          plan + start, stride, leaf_end[k] - start,
-                          resid_offset + start, resid);
+                          plan + start, stride, leaf_end[k] - start, &res);
     return 0;
 }

@@ -72,10 +72,18 @@ enum {
     PLAN_ROWS
 };
 
+/* The range decoder's state.  Every bin primitive below takes it by
+ * pointer and is always inlined, so a caller that copies it into a
+ * local keeps it in registers for as long as it runs. */
 typedef struct {
-    const uint8_t *data;
-    int64_t dlen, pos;
+    const uint8_t *next; /* the next byte, while any are left */
+    int64_t left; /* bytes not yet read; past the end the coder reads zeros */
     uint32_t rng, code;
+} coder;
+
+typedef struct {
+    coder c;
+    int64_t dlen; /* the slice's bytes: its position is dlen - c.left */
     int64_t bins; /* coefficient-scan bins, as BinaryDecoder.scan_bins */
     int32_t *const *banks;
     int64_t height, width, min_cu;
@@ -89,46 +97,53 @@ typedef struct {
     int64_t ctu_index;
 } slice;
 
-#define NEXT_BYTE(data, dlen, pos) ((pos) < (dlen) ? (data)[(pos)] : 0)
+#define INLINE static inline __attribute__((always_inline))
+#define UNLIKELY(x) __builtin_expect(!!(x), 0)
 
-/* BinaryDecoder.decode_bit. */
-static inline int ctx_bin(slice *s, int32_t *probs, int64_t idx)
+/* One byte shift when the range drops below 2^24.  This branch stays:
+ * its shift-by-mask form, with the byte read through a selected
+ * pointer, measured 38 % slower on the whole scan (docs/PERFORMANCE.md). */
+INLINE void renorm(coder *c)
 {
-    int32_t prob = probs[idx];
-    uint32_t bound = (s->rng >> PROB_BITS) * (uint32_t)prob;
-    int bit;
-    if (s->code < bound) {
-        s->rng = bound;
-        probs[idx] = prob + ((PROB_ONE - prob) >> ADAPT_SHIFT);
-        bit = 0;
-    } else {
-        s->code -= bound;
-        s->rng -= bound;
-        probs[idx] = prob - (prob >> ADAPT_SHIFT);
-        bit = 1;
+    if (c->rng < TOP) {
+        c->rng <<= 8;
+        c->code = (c->code << 8) | (c->left > 0 ? *c->next++ : 0);
+        c->left--;
     }
-    if (s->rng < TOP) {
-        s->rng <<= 8;
-        s->code = (s->code << 8) | NEXT_BYTE(s->data, s->dlen, s->pos);
-        s->pos++;
-    }
+}
+
+/* BinaryDecoder.decode_bit on *prob, written without a branch on the
+ * bin: the compare gives the bit, which selects the new code, range
+ * and probability (where the caller branches on the bit anyway, the
+ * compiler may fold the selects into that branch).  Both adaptations
+ * are one expression: with a target of 0 for a one and
+ * PROB_ONE - 2^ADAPT_SHIFT + 1 for a zero, p - ((p - target) >>
+ * ADAPT_SHIFT) (an arithmetic shift, flooring) is p - (p >>
+ * ADAPT_SHIFT) and p + ((PROB_ONE - p) >> ADAPT_SHIFT) respectively,
+ * for every p in [31, 2017], the range the coder keeps them in. */
+INLINE uint32_t bin(coder *c, int32_t *prob)
+{
+    int32_t p = *prob;
+    uint32_t bound = (c->rng >> PROB_BITS) * (uint32_t)p;
+    uint32_t bit = c->code >= bound;
+    int32_t target = bit ? 0 : PROB_ONE - (1 << ADAPT_SHIFT) + 1;
+
+    c->code = bit ? c->code - bound : c->code;
+    c->rng = bit ? c->rng - bound : bound;
+    *prob = p - ((p - target) >> ADAPT_SHIFT);
+    renorm(c);
     return bit;
 }
 
 /* BinaryDecoder.decode_bypass. */
-static inline int bypass_bin(slice *s)
+INLINE uint32_t bypass(coder *c)
 {
-    int bit = 0;
-    s->rng >>= 1;
-    if (s->code >= s->rng) {
-        s->code -= s->rng;
-        bit = 1;
-    }
-    if (s->rng < TOP) {
-        s->rng <<= 8;
-        s->code = (s->code << 8) | NEXT_BYTE(s->data, s->dlen, s->pos);
-        s->pos++;
-    }
+    uint32_t bit;
+
+    c->rng >>= 1;
+    bit = c->code >= c->rng;
+    c->code -= c->rng & (0u - bit);
+    renorm(c);
     return bit;
 }
 
@@ -136,170 +151,122 @@ static inline int bypass_bin(slice *s)
  * position, motion vectors).  Every value these may legally take is
  * far below 2^60, so a longer Exp-Golomb prefix is reported as runaway
  * here and left to the Python walk to classify. */
-static int small_ueg(slice *s, int32_t *probs, int64_t base,
-                     int64_t max_prefix, int64_t *value)
+static int small_ueg(slice *s, int32_t *probs, int64_t max_prefix,
+                     int64_t *value)
 {
     int64_t prefix = 0, prefix_len = 0, j;
     uint64_t shifted = 1, suffix = 0;
     while (prefix < max_prefix) {
         int64_t ctx = prefix < max_prefix - 1 ? prefix : max_prefix - 1;
-        if (ctx_bin(s, probs, base + ctx) == 0) {
+        if (bin(&s->c, probs + ctx) == 0) {
             *value = prefix;
             return ST_OK;
         }
         prefix++;
     }
-    while (bypass_bin(s) == 0)
+    while (bypass(&s->c) == 0)
         if (++prefix_len > 60)
             return ST_UEG;
     for (j = 0; j < prefix_len; j++)
-        shifted = (shifted << 1) | (uint64_t)bypass_bin(s);
+        shifted = (shifted << 1) | (uint64_t)bypass(&s->c);
     for (j = 0; j < UEG_K; j++)
-        suffix = (suffix << 1) | (uint64_t)bypass_bin(s);
+        suffix = (suffix << 1) | (uint64_t)bypass(&s->c);
     *value = max_prefix + (int64_t)(((shifted - 1) << UEG_K) | suffix);
     return ST_OK;
 }
 
-/* BinaryDecoder.decode_coeff_scan on localized coder state (this is
- * the hot loop: ~99 % of a slice's bins), writing n_scan levels in
- * scan order to `out`. */
-static int coeff_scan(slice *s, int64_t n, int64_t cls, int64_t last,
-                      int64_t *out)
+/* The level of one significant position: its adaptive truncated-unary
+ * magnitude prefix on the class's three level contexts, an order-k
+ * Exp-Golomb bypass suffix past them, then the sign bypass bin --
+ * written to *out, its bins added to *bins. */
+INLINE int level(coder *c, int32_t *l0, int32_t *l1, int32_t *l2,
+                 int64_t *bins, int64_t *out)
 {
-    const uint8_t *data = s->data;
-    int64_t dlen = s->dlen, pos = s->pos;
-    uint32_t rng = s->rng, code = s->code;
+    uint64_t magnitude, negative;
+
+    if (!bin(c, l0)) {
+        magnitude = 1;
+        *bins += 2; /* terminator + sign */
+    } else if (!bin(c, l1)) {
+        magnitude = 2;
+        *bins += 3;
+    } else if (!bin(c, l2)) {
+        magnitude = 3;
+        *bins += 4;
+    } else {
+        /* prefix_len zeros up to a one, then prefix_len mantissa and
+         * the k suffix bins: ((shifted - 1) << k) | suffix, accumulated
+         * as one run and re-based below. */
+        unsigned __int128 shifted = 1, value;
+        int64_t prefix_len = 0, j;
+        while (!bypass(c))
+            if (UNLIKELY(++prefix_len > 64))
+                return ST_UEG;
+        for (j = 0; j < prefix_len + UEG_K; j++)
+            shifted = (shifted << 1) | bypass(c);
+        value = (unsigned __int128)LEVEL_PREFIX + shifted -
+                ((unsigned __int128)1 << UEG_K) + 1;
+        *bins += LEVEL_PREFIX + 2 * prefix_len + UEG_K + 2;
+        if (UNLIKELY(value > (unsigned __int128)INT64_MAX)) {
+            bypass(c); /* the sign, as the scan reads it before refusing */
+            return ST_OVERFLOW;
+        }
+        magnitude = (uint64_t)value;
+    }
+    negative = 0u - (uint64_t)bypass(c);
+    *out = (int64_t)((magnitude ^ negative) - negative);
+    return ST_OK;
+}
+
+/* BinaryDecoder.decode_coeff_scan -- the hot loop, ~99 % of a slice's
+ * bins -- writing the n * n levels of one block in scan order to
+ * `out`.  The coder and the class's three significance and three
+ * level probabilities live in locals for the whole scan and go back
+ * on every exit, a refusal's too.  The significance context is 2
+ * above scan position n, 1 down to position 2 and 0 below, so the scan
+ * runs as three segments of one body.  Only the positions above
+ * `last` are zero-filled up front; the scan writes every other one.
+ * scan_bins grows only when the whole block decoded.  Kept out of line
+ * so that its locals, not the quadtree walk's, get the registers. */
+static __attribute__((noinline)) int coeff_scan(slice *s, int64_t n,
+                                                int64_t cls, int64_t last,
+                                                int64_t *out)
+{
+    coder c = s->c;
     int32_t *sig_probs = s->banks[B_SIG] + cls * SIG_CTX_PER_CLASS;
     int32_t *level_probs = s->banks[B_LEVEL] + cls * LEVEL_PREFIX;
+    int32_t s0 = sig_probs[0], s1 = sig_probs[1], s2 = sig_probs[2];
+    int32_t l0 = level_probs[0], l1 = level_probs[1], l2 = level_probs[2];
     int64_t bins = last; /* one significance bin per non-last position */
-    int64_t n_scan = n * n;
-    int status = ST_OK;
-    int64_t i, j;
+    int64_t i, *at = out + last; /* one past the next position */
+    int status;
 
-    for (i = 0; i < n_scan; i++)
+    for (i = last + 1; i < n * n; i++)
         out[i] = 0;
-
-    for (i = last; i >= 0; i--) {
-        if (i != last) {
-            int64_t idx = i < 2 ? 0 : (i < n ? 1 : 2);
-            int32_t prob = sig_probs[idx];
-            uint32_t bound = (rng >> PROB_BITS) * (uint32_t)prob;
-            if (code < bound) {
-                rng = bound;
-                sig_probs[idx] = prob + ((PROB_ONE - prob) >> ADAPT_SHIFT);
-                if (rng < TOP) {
-                    rng <<= 8;
-                    code = (code << 8) | NEXT_BYTE(data, dlen, pos);
-                    pos++;
-                }
-                continue;
-            }
-            code -= bound;
-            rng -= bound;
-            sig_probs[idx] = prob - (prob >> ADAPT_SHIFT);
-            if (rng < TOP) {
-                rng <<= 8;
-                code = (code << 8) | NEXT_BYTE(data, dlen, pos);
-                pos++;
-            }
-        }
-        /* Magnitude: adaptive truncated-unary prefix ... */
-        int64_t prefix = 0;
-        while (prefix < LEVEL_PREFIX) {
-            int64_t idx = prefix < LEVEL_PREFIX - 1 ? prefix : LEVEL_PREFIX - 1;
-            int32_t prob = level_probs[idx];
-            uint32_t bound = (rng >> PROB_BITS) * (uint32_t)prob;
-            int bit;
-            if (code < bound) {
-                rng = bound;
-                level_probs[idx] = prob + ((PROB_ONE - prob) >> ADAPT_SHIFT);
-                bit = 0;
-            } else {
-                code -= bound;
-                rng -= bound;
-                level_probs[idx] = prob - (prob >> ADAPT_SHIFT);
-                bit = 1;
-            }
-            if (rng < TOP) {
-                rng <<= 8;
-                code = (code << 8) | NEXT_BYTE(data, dlen, pos);
-                pos++;
-            }
-            if (bit == 0)
-                break;
-            prefix++;
-        }
-        unsigned __int128 value;
-        if (prefix < LEVEL_PREFIX) {
-            value = (unsigned __int128)prefix;
-            bins += prefix + 2; /* prefix bins + terminator + sign */
-        } else {
-            /* ... plus an order-k Exp-Golomb bypass suffix. */
-            int64_t prefix_len = 0;
-            for (;;) {
-                int bit = 0;
-                rng >>= 1;
-                if (code >= rng) {
-                    code -= rng;
-                    bit = 1;
-                }
-                if (rng < TOP) {
-                    rng <<= 8;
-                    code = (code << 8) | NEXT_BYTE(data, dlen, pos);
-                    pos++;
-                }
-                if (bit)
-                    break;
-                if (++prefix_len > 64) {
-                    status = ST_UEG;
-                    goto done;
-                }
-            }
-            unsigned __int128 shifted = 1;
-            for (j = 0; j < prefix_len + UEG_K; j++) {
-                /* prefix_len mantissa bins, then the k suffix bins:
-                 * ((shifted - 1) << k) | suffix, accumulated as one
-                 * run and re-based below. */
-                rng >>= 1;
-                shifted <<= 1;
-                if (code >= rng) {
-                    code -= rng;
-                    shifted |= 1;
-                }
-                if (rng < TOP) {
-                    rng <<= 8;
-                    code = (code << 8) | NEXT_BYTE(data, dlen, pos);
-                    pos++;
-                }
-            }
-            value = (unsigned __int128)LEVEL_PREFIX + shifted -
-                    ((unsigned __int128)1 << UEG_K);
-            bins += LEVEL_PREFIX + 2 * prefix_len + UEG_K + 2;
-        }
-        unsigned __int128 magnitude = value + 1;
-        /* Sign bypass bin (counted in the magnitude's tally above). */
-        int negative = 0;
-        rng >>= 1;
-        if (code >= rng) {
-            code -= rng;
-            negative = 1;
-        }
-        if (rng < TOP) {
-            rng <<= 8;
-            code = (code << 8) | NEXT_BYTE(data, dlen, pos);
-            pos++;
-        }
-        if (magnitude > (unsigned __int128)INT64_MAX) {
-            status = ST_OVERFLOW;
-            goto done;
-        }
-        out[i] = negative ? -(int64_t)magnitude : (int64_t)magnitude;
+    status = level(&c, &l0, &l1, &l2, &bins, out + last);
+    if (status)
+        goto done;
+#define SEGMENT(to, sig)                                                  \
+    while (at > out + (to)) {                                            \
+        --at;                                                            \
+        if (!bin(&c, &(sig)))                                            \
+            *at = 0;                                                     \
+        else if ((status = level(&c, &l0, &l1, &l2, &bins, at)))         \
+            goto done;                                                   \
     }
+    SEGMENT(n, s2)
+    SEGMENT(2, s1)
+    SEGMENT(0, s0)
+#undef SEGMENT
     s->bins += bins;
 done:
-    s->pos = pos;
-    s->rng = rng;
-    s->code = code;
+    sig_probs[0] = s0;
+    sig_probs[1] = s1;
+    sig_probs[2] = s2;
+    level_probs[0] = l0;
+    level_probs[1] = l1;
+    level_probs[2] = l2;
+    s->c = c;
     return status;
 }
 
@@ -346,11 +313,11 @@ static int intra_mode(slice *s, int left, int top, int64_t *mode_out)
                 break;
             }
     }
-    if (ctx_bin(s, s->banks[B_MPM_FLAG], 0)) {
-        if (ctx_bin(s, s->banks[B_MPM_INDEX], 0) == 0)
+    if (bin(&s->c, s->banks[B_MPM_FLAG])) {
+        if (bin(&s->c, s->banks[B_MPM_INDEX]) == 0)
             *mode_out = mpm[0];
         else
-            *mode_out = mpm[1 + ctx_bin(s, s->banks[B_MPM_INDEX], 1)];
+            *mode_out = mpm[1 + bin(&s->c, s->banks[B_MPM_INDEX] + 1)];
         return ST_OK;
     }
     for (i = 0; i < s->n_modes; i++)
@@ -361,7 +328,7 @@ static int intra_mode(slice *s, int left, int top, int64_t *mode_out)
     while (((int64_t)1 << width) < remaining)
         width++; /* max(1, (remaining - 1).bit_length()) */
     for (i = 0; i < width; i++)
-        index = (index << 1) | bypass_bin(s);
+        index = (index << 1) | bypass(&s->c);
     if (index >= remaining)
         return ST_MODE;
     for (i = 0; i < s->n_modes; i++)
@@ -389,16 +356,16 @@ static int leaf(slice *s, int64_t y0, int64_t x0, int64_t size)
     if (s->n_leaves >= s->leaf_cap)
         return ST_CAPACITY;
     if (s->inter_allowed)
-        is_inter = ctx_bin(s, s->banks[B_PRED], 0);
+        is_inter = bin(&s->c, s->banks[B_PRED]);
     if (is_inter) {
         int64_t mv[2];
         int axis;
         for (axis = 0; axis < 2; axis++) {
-            status = small_ueg(s, s->banks[B_MV], axis * RUN_PREFIX,
+            status = small_ueg(s, s->banks[B_MV] + axis * RUN_PREFIX,
                                RUN_PREFIX, &mv[axis]);
             if (status)
                 return status;
-            if (mv[axis] && bypass_bin(s))
+            if (mv[axis] && bypass(&s->c))
                 mv[axis] = -mv[axis];
         }
         ry = y0 + mv[0];
@@ -413,9 +380,9 @@ static int leaf(slice *s, int64_t y0, int64_t x0, int64_t size)
         if (status)
             return status;
     }
-    if (ctx_bin(s, s->banks[B_CBF], 0)) {
+    if (bin(&s->c, s->banks[B_CBF])) {
         int64_t last;
-        status = small_ueg(s, s->banks[B_LAST], cls * LAST_PREFIX,
+        status = small_ueg(s, s->banks[B_LAST] + cls * LAST_PREFIX,
                            LAST_PREFIX, &last);
         if (status)
             return status;
@@ -452,7 +419,7 @@ static int leaf(slice *s, int64_t y0, int64_t x0, int64_t size)
 static int cu(slice *s, int64_t y0, int64_t x0, int64_t size, int64_t depth)
 {
     if (s->use_partition && size > s->min_cu &&
-        ctx_bin(s, s->banks[B_SPLIT], depth < 5 ? depth : 5)) {
+        bin(&s->c, s->banks[B_SPLIT] + (depth < 5 ? depth : 5))) {
         int64_t half = size / 2;
         int q, status;
         if (half < 4)
@@ -485,15 +452,15 @@ static int one_slice(slice *s, const uint8_t *data, int64_t dlen,
     int64_t i, y0, x0;
     int status = ST_OK;
 
-    s->data = data;
     s->dlen = dlen;
-    s->pos = 1;
-    s->rng = 0xFFFFFFFFu;
-    s->code = 0;
+    s->c.next = dlen > 1 ? data + 1 : data;
+    s->c.left = dlen - 1;
+    s->c.rng = 0xFFFFFFFFu;
+    s->c.code = 0;
     s->bins = 0;
     for (i = 0; i < 4; i++) {
-        s->code = (s->code << 8) | NEXT_BYTE(data, dlen, s->pos);
-        s->pos++;
+        s->c.code = (s->c.code << 8) | (s->c.left > 0 ? *s->c.next++ : 0);
+        s->c.left--;
     }
     fresh_contexts(bank, banks);
     s->banks = banks;
@@ -535,7 +502,7 @@ int64_t llm265_decode_slices(
     int64_t *levels, int64_t level_cap)
 {
     slice s = {
-        0, 0, 0, 0, 0, 0, 0, height, width, min_cu,
+        {0, 0, 0, 0}, 0, 0, 0, height, width, min_cu,
         use_partition != 0, use_intra != 0, inter_allowed != 0,
         all_modes, n_modes, mode_map, width / 4,
         plan, leaf_cap, 0, levels, level_cap, 0, 0,
@@ -562,9 +529,9 @@ int64_t llm265_decode_slices(
             refused++;
         }
         row[R_STATUS] = status;
-        row[R_POS] = s.pos;
-        row[R_RANGE] = s.rng;
-        row[R_CODE] = s.code;
+        row[R_POS] = s.dlen - s.c.left;
+        row[R_RANGE] = s.c.rng;
+        row[R_CODE] = s.c.code;
         row[R_BINS] = s.bins;
         row[R_LEAF_END] = s.n_leaves;
         row[R_LEVEL_END] = s.n_levels;

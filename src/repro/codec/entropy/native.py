@@ -1,11 +1,13 @@
 """Optional native kernels for the codec hot loops.
 
 Five kernels, built from four C files by one self-building pipeline
-(three more are only ever ``#include``d: ``_write_kernel.c``, the range
+(four more are only ever ``#include``d: ``_write_kernel.c``, the range
 coder and the coefficient-block writer, ``_contexts_kernel.c``, the
 coder constants and a slice's starting contexts, which the slice and
-encode kernels share, and ``_simd_kernel.c``, the run-time choice of
-vector width the encode and cost kernels share -- :func:`simd_lanes`):
+encode kernels share, ``_transform_kernel.c``, the codec's
+order-defined DCT pair, which the reconstruct and encode kernels share,
+and ``_simd_kernel.c``, the run-time choice of vector width the
+transform and the cost kernel use -- :func:`simd_lanes`):
 
 ``slice``  ``_slice_kernel.c`` -- whole-slice entropy *decode*: one
            call walks the CTU quadtree of every slice of a group (split
@@ -14,9 +16,11 @@ vector width the encode and cost kernels share -- :func:`simd_lanes`):
            contexts, and fills the group's flat leaf plan
            (:class:`repro.codec.decoder.LeafPlan`).
 ``recon``  ``_recon_kernel.c`` -- whole-slice *reconstruction* over that
-           plan: reference gather, planar / DC / angular / inter
-           prediction, + residual, clip, for every leaf of every slice
-           of the group in one call, one plane per slice.
+           plan: per leaf the residual (dequantize, unscan, ordered
+           inverse DCT, made where it is added), reference gather,
+           planar / DC / angular / inter prediction, + residual, clip,
+           for every leaf of every slice of the group in one call, one
+           plane per slice.
 ``refs``   the same ``_recon_kernel.c`` (one shared object, second
            symbol) -- intra reference gather with boundary
            substitution, on its own for the encoder.
@@ -27,10 +31,10 @@ vector width the encode and cost kernels share -- :func:`simd_lanes`):
            DCT, quantize, reconstruct) and all of the slice's entropy
            coding, in one call.  It ``#include``s the range coder and
            block writer of ``_write_kernel.c`` (the mirror of the fused path in
-           :func:`repro.codec.syntax.encode_coeff_block`) and the
-           predictors of the recon kernel, and also exports the
-           codec's order-defined DCT pair (:func:`dct2`) and, built on
-           it, the decoder's residual stage (:func:`residuals`).
+           :func:`repro.codec.syntax.encode_coeff_block`), the
+           predictors of the recon kernel and the ordered transform of
+           ``_transform_kernel.c``, whose batch entry :func:`dct2`
+           serves :mod:`repro.codec.transform`.
 ``cost``   ``_cost_kernel.c`` -- pass 1's RD costing: quantize -> rate
            -> distortion -> argmin over every candidate of a block size
            (:func:`cost_pick`: one mode and one cost per block come
@@ -60,8 +64,7 @@ The kernels release the GIL for the duration of each call (plain
 ``ctypes.CDLL`` behaviour).  That only buys thread parallelism where a
 call covers enough work: the whole-slice kernels do (a *group* of
 consecutive slices -- as many as fit in one 256 x 256 slice's samples,
-a KV page's four -- is one :func:`plan_slices` call, one
-:func:`residuals` call per block size and one
+a KV page's four -- is one :func:`plan_slices` call and one
 :func:`reconstruct_slices` call to decode, and one
 :func:`encode_slices` call to encode after pass 1), the per-block
 kernels do not (see docs/PERFORMANCE.md).
@@ -70,6 +73,7 @@ kernels do not (see docs/PERFORMANCE.md).
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import platform
@@ -92,7 +96,6 @@ __all__ = [
     "encode_available",
     "encode_slices",
     "dct2",
-    "residuals",
     "cost_pick",
     "refs",
 ]
@@ -133,9 +136,13 @@ _RECON_ARGTYPES = [
     ctypes.c_int64,  # stride
     ctypes.c_int64,  # n_leaves
     ctypes.c_void_p,  # leaf_end (int64[count])
-    ctypes.c_void_p,  # resid_offset (int64[n_leaves])
-    ctypes.c_void_p,  # resid (float64)
-    ctypes.c_int64,  # resid_len
+    ctypes.c_void_p,  # levels (int64)
+    ctypes.c_int64,  # n_levels
+    ctypes.c_void_p,  # ctu_step (float64, one per CTU of the group)
+    ctypes.c_int64,  # n_ctus
+    ctypes.c_void_p,  # basis (float64 *[5], by size class)
+    ctypes.c_void_p,  # zigzag (int64 *[5], by size class)
+    ctypes.c_int64,  # use_transform
 ]
 
 _ENCODE_ARGTYPES = [
@@ -176,19 +183,6 @@ _DCT_ARGTYPES = [
     ctypes.c_int64,  # n
     ctypes.c_void_p,  # basis (float64, n x n)
     ctypes.c_int64,  # inverse
-]
-
-_RESIDUAL_ARGTYPES = [
-    ctypes.c_void_p,  # levels (int64)
-    ctypes.c_int64,  # n_levels
-    ctypes.c_void_p,  # offsets (int64, one per leaf)
-    ctypes.c_void_p,  # steps (float64, one per leaf)
-    ctypes.c_int64,  # count
-    ctypes.c_int64,  # n
-    ctypes.c_void_p,  # zigzag (int64, n * n)
-    ctypes.c_void_p,  # basis (float64, n x n)
-    ctypes.c_int64,  # transform
-    ctypes.c_void_p,  # out (float64, count x n x n)
 ]
 
 _REFS_ARGTYPES = [
@@ -249,7 +243,7 @@ def _check_dc_sum(lib) -> None:
 
 
 def _dct2(lib, blocks: np.ndarray, basis: np.ndarray, inverse: bool) -> np.ndarray:
-    """The encode library's ordered 2-D DCT of ``(count, n, n)`` blocks."""
+    """A library's ordered 2-D DCT of ``(count, n, n)`` blocks."""
     out = np.empty_like(blocks)
     n = blocks.shape[-1]
     status = lib.llm265_dct2_batch(
@@ -267,24 +261,35 @@ def _check_dct(lib) -> None:
     The numpy twin (:func:`repro.codec.transform._ordered_dct2`) *is*
     the definition of the codec's DCT pair; a library that disagrees
     with it on any size -- a compiler that fused or reassociated the
-    accumulation -- would make kernel-coded reconstructions drift from
-    twin-coded and decoded ones, so it is refused instead and every
-    caller stays on the twin.
+    accumulation -- would make kernel-coded or kernel-decoded
+    reconstructions drift from the twin's, so it is refused instead and
+    every caller stays on the twin.  Both libraries that contain
+    ``_transform_kernel.c`` are checked: the encode kernel's and the
+    reconstruct kernel's.
     """
-    from repro.codec import transform
-
     lib.llm265_dct2_batch.restype = ctypes.c_int64
     lib.llm265_dct2_batch.argtypes = _DCT_ARGTYPES
-    lib.llm265_residual_batch.restype = ctypes.c_int64
-    lib.llm265_residual_batch.argtypes = _RESIDUAL_ARGTYPES
+    for n, blocks, basis, inverse, want in _dct_cases():
+        if _dct2(lib, blocks, basis, inverse).tobytes() != want:
+            raise RuntimeError(f"ordered DCT disagrees with numpy at n={n}")
+
+
+@functools.lru_cache(maxsize=None)
+def _dct_cases() -> tuple:
+    """``(n, blocks, basis, inverse, the definition's bytes)`` per size and
+    direction: what :func:`_check_dct` compares, computed once for both
+    libraries."""
+    from repro.codec import transform
+
+    cases = []
     for n in transform.SUPPORTED_SIZES:
         blocks = (np.arange(3 * n * n, dtype=np.float64) % 61.0 - 30.0) / 7.0
         blocks = blocks.reshape(3, n, n) + 1e-3
         basis = transform.dct_matrix(n)
         for inverse in (False, True):
-            want = transform._ordered_dct2(blocks, basis, inverse)
-            if _dct2(lib, blocks, basis, inverse).tobytes() != want.tobytes():
-                raise RuntimeError(f"ordered DCT disagrees with numpy at n={n}")
+            want = transform._ordered_dct2(blocks, basis, inverse).tobytes()
+            cases.append((n, blocks, basis, inverse, want))
+    return tuple(cases)
 
 
 def _pick(fn, coeffs, pred, inv_step, step2, lam, mode_bits, deadzone, rate_table):
@@ -346,6 +351,18 @@ def _check_pick(lib) -> None:
                 )
 
 
+def _check_recon(lib) -> None:
+    """The reconstruct library's two definitions: numpy's DC sum and the
+    ordered inverse DCT it makes every coded leaf's residual with."""
+    _check_dc_sum(lib)
+    _check_dct(lib)
+
+
+#: What reaches the compiler beside ``_recon_kernel.c`` (its two kernels
+#: share one object, so they must share one content hash).
+_RECON_INCLUDES = ("_simd_kernel.c", "_transform_kernel.c")
+
+
 @dataclass
 class _Kernel:
     name: str
@@ -376,7 +393,8 @@ _KERNELS: Dict[str, _Kernel] = {
             "_recon_kernel.c",
             "llm265_reconstruct_slices",
             _RECON_ARGTYPES,
-            check=_check_dc_sum,
+            check=_check_recon,
+            includes=_RECON_INCLUDES,
         ),
         _Kernel(
             "encode",
@@ -388,6 +406,7 @@ _KERNELS: Dict[str, _Kernel] = {
                 "_contexts_kernel.c",
                 "_recon_kernel.c",
                 "_simd_kernel.c",
+                "_transform_kernel.c",
                 "_write_kernel.c",
             ),
         ),
@@ -399,7 +418,13 @@ _KERNELS: Dict[str, _Kernel] = {
             check=_check_pick,
             includes=("_simd_kernel.c",),
         ),
-        _Kernel("refs", "_recon_kernel.c", "llm265_gather_refs", _REFS_ARGTYPES),
+        _Kernel(
+            "refs",
+            "_recon_kernel.c",
+            "llm265_gather_refs",
+            _REFS_ARGTYPES,
+            includes=_RECON_INCLUDES,
+        ),
     )
 }
 
@@ -763,24 +788,30 @@ def reconstruct_slices(
     reference: Optional[np.ndarray],
     rows: np.ndarray,
     leaf_end: np.ndarray,
-    resid_offset: np.ndarray,
-    resid: np.ndarray,
+    levels: np.ndarray,
+    ctu_step: np.ndarray,
+    use_transform: bool,
 ) -> bool:
-    """Predict + reconstruct every leaf of a group's plan; True iff it was done.
+    """Residuals + prediction for every leaf of a group's plan; True iff done.
 
     ``recon`` (float64) and ``mask`` (bool) are zero-filled
     ``(count, height, width)`` stacks, one plane per slice; plane ``k``
     takes the leaves ``leaf_end[k - 1] .. leaf_end[k]`` of ``rows``
     (``leaf_end`` is the report column of :func:`plan_slices`: int64,
-    non-decreasing, at most ``len(resid_offset)``; a slice with no
-    leaves keeps its zero plane).  On success every plane holds the
-    samples ``FrameDecoder._apply_predictions`` computes, bit for bit,
-    and the mask of every slice that has leaves is all True.
-    ``reference`` is the previous frame's plane (``height x width``) or
-    ``None``.  ``resid`` concatenates the row-major residual grids and
-    ``resid_offset[i]`` locates leaf ``i``'s (-1: no residual).  The
-    kernel validates every slice's leaves before it writes a sample of
-    any plane, so ``False`` (kernel unavailable, unsuitable arrays, or a
+    non-decreasing, at most the table's width; a slice with no leaves
+    keeps its zero plane).  ``levels`` is the group's scan-order level
+    buffer (a coded leaf's ``size * size`` levels start at its
+    ``coeff_offset``) and ``ctu_step`` the quantizer step of every CTU of
+    the group (indexed by ``ctu_index``).  Each coded leaf's residual is
+    dequantized, zigzag-unscanned and (``use_transform``) put through
+    the ordered inverse DCT where it is added; on success every plane
+    holds the samples ``FrameDecoder._batch_residuals`` +
+    ``_apply_predictions`` compute, bit for bit, and the mask of every
+    slice that has leaves is all True.  ``reference`` is the previous
+    frame's plane (``height x width``) or ``None``.  The kernel
+    validates every slice's leaves -- geometry, modes, reference blocks,
+    level offsets, CTU indices -- before it writes a sample of any
+    plane, so ``False`` (kernel unavailable, unsuitable arrays, or a
     plan it refuses) leaves the stacks untouched for the Python loop.
     """
     fn = _resolve("recon")
@@ -793,9 +824,8 @@ def reconstruct_slices(
         and _plan_table(rows)
         and _c_array(leaf_end, np.int64, 1)
         and len(leaf_end) == len(recon)
-        and _c_array(resid_offset, np.int64, 1)
-        and len(resid_offset) <= rows.shape[1]
-        and _c_array(resid, np.float64, 1)
+        and _c_array(levels, np.int64, 1)
+        and _c_array(ctu_step, np.float64, 1)
     ):
         return False
     count, height, width = recon.shape
@@ -803,6 +833,7 @@ def reconstruct_slices(
         _c_array(reference, np.float64, 2) and reference.shape == (height, width)
     ):
         return False
+    basis, zigzag = _transform_tables()
     status = fn(
         recon.ctypes.data,
         mask.ctypes.data,
@@ -812,13 +843,31 @@ def reconstruct_slices(
         None if reference is None else reference.ctypes.data,
         rows.ctypes.data,
         rows.shape[1],
-        len(resid_offset),
+        rows.shape[1],
         leaf_end.ctypes.data,
-        resid_offset.ctypes.data,
-        resid.ctypes.data,
-        len(resid),
+        levels.ctypes.data,
+        len(levels),
+        ctu_step.ctypes.data,
+        len(ctu_step),
+        basis,
+        zigzag,
+        use_transform,
     )
     return status == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _transform_tables():
+    """``(basis, zigzag)`` pointer tables by size class, made once: the
+    DCT bases and zigzag orders of :mod:`repro.codec.transform` (both
+    lru-cached there, so the arrays outlive the tables)."""
+    from repro.codec import transform
+
+    sizes = transform.SUPPORTED_SIZES
+    return (
+        _pointer_table([transform.dct_matrix(n) for n in sizes]),
+        _pointer_table([transform.zigzag_order(n) for n in sizes]),
+    )
 
 
 #: Element classes of the encode kernel's bit ledger, in its ``E_*``
@@ -1007,45 +1056,6 @@ def dct2(blocks: np.ndarray, basis: np.ndarray, inverse: bool) -> Optional[np.nd
     return _dct2(
         _KERNELS["encode"].lib, np.ascontiguousarray(blocks), basis, inverse
     )
-
-
-def residuals(
-    levels: np.ndarray,
-    offsets: np.ndarray,
-    steps: np.ndarray,
-    zigzag: np.ndarray,
-    basis: np.ndarray,
-    use_transform: bool,
-) -> Optional[np.ndarray]:
-    """Residual grids ``(count, n, n)`` of coded leaves; None = use numpy.
-
-    The decoder's residual stage for one block size in one call: leaf
-    ``b``'s scan-order ``levels[offsets[b]:][:n*n]`` dequantized by
-    ``steps[b]``, zigzag-unscanned and (``use_transform``) put through
-    the ordered inverse DCT -- the same doubles as the numpy form in
-    ``FrameDecoder._batch_residuals``, which runs when this declines.
-    """
-    if _resolve("encode") is None:
-        return None
-    n = basis.shape[0]
-    count = len(offsets)
-    if not (
-        _c_array(levels, np.int64, 1)
-        and _c_array(offsets, np.int64, 1)
-        and _c_array(steps, np.float64, 1)
-        and len(steps) == count
-        and _c_array(zigzag, np.int64, 1)
-        and len(zigzag) == n * n
-        and _c_array(basis, np.float64, 2)
-    ):
-        return None
-    out = np.empty((count, n, n), dtype=np.float64)
-    status = _KERNELS["encode"].lib.llm265_residual_batch(
-        levels.ctypes.data, len(levels), offsets.ctypes.data, steps.ctypes.data,
-        count, n, zigzag.ctypes.data, basis.ctypes.data, use_transform,
-        out.ctypes.data,
-    )
-    return None if status else out
 
 
 def cost_pick(

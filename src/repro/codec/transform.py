@@ -9,11 +9,12 @@ The transform pair has one *order-defined* definition
 (:func:`_ordered_dct2`): two plain matrix products evaluated left to
 right, every output accumulated from +0.0 sequentially in ``k``, every
 product rounded to double before it is added.  Encoder and decoder
-reconstructions go through it -- in C when the encode kernel's library
-is loaded (``native.dct2``, checked against the definition at load),
-in numpy otherwise -- so the float64 planes they build agree bit for
-bit on every machine and path instead of following whatever order a
-BLAS happens to sum in.
+reconstructions go through it -- in C when the kernels are loaded
+(``_transform_kernel.c``, in the encode and the reconstruct library,
+each checked against the definition at load; ``native.dct2`` here), in
+numpy otherwise -- so the float64 planes they build agree bit for bit
+on every machine and path instead of following whatever order a BLAS
+happens to sum in.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ def _ordered_dct2(blocks: np.ndarray, basis: np.ndarray, inverse: bool) -> np.nd
 
     Forward ``basis @ x @ basis.T``, inverse ``basis.T @ x @ basis``,
     both as two :func:`_ordered_matmul` products evaluated left to
-    right.  ``_encode_kernel.c`` implements exactly this and is refused
-    at load if it ever disagrees.
+    right.  ``_transform_kernel.c`` implements exactly this and a
+    library that contains it is refused at load if it ever disagrees.
     """
     if inverse:
         return _ordered_matmul(_ordered_matmul(basis.T, blocks), basis)
@@ -106,11 +107,11 @@ def zigzag_order(n: int) -> np.ndarray:
     Low-frequency coefficients come first, so the scan concentrates the
     trailing zeros that the entropy coder exploits.
     """
-    order = sorted(
-        ((r, c) for r in range(n) for c in range(n)),
-        key=lambda rc: (rc[0] + rc[1], rc[1] if (rc[0] + rc[1]) % 2 == 0 else rc[0]),
-    )
-    return np.array([r * n + c for r, c in order], dtype=np.int64)
+    r, c = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    diagonal = r + c
+    # By anti-diagonal, then along it: by column on even diagonals, by
+    # row on odd ones (np.lexsort sorts by its last key first).
+    return np.lexsort((np.where(diagonal % 2 == 0, c, r), diagonal)).astype(np.int64)
 
 
 def zigzag_scan(block: np.ndarray) -> np.ndarray:

@@ -120,28 +120,26 @@ class EncodeStats:
             registry.observe(f"{prefix}.qp", qp)
 
 
-#: Stage names of the two-phase (vectorized) decoder, in pipeline order.
-DECODE_STAGES = ("entropy", "reconstruct", "predict")
+#: Stage names of the default decoder, in pipeline order.
+DECODE_STAGES = ("entropy", "reconstruct")
 
 
 class DecodeStats:
     """Per-decode ledger: stage timings + structural counters.
 
     The decode-side sibling of :class:`EncodeStats`, filled by the
-    default (``vectorized``) :class:`~repro.codec.decoder.FrameDecoder`
-    path: wall seconds per whole-slice stage (``entropy`` -- draining
-    the range decoder into the leaf plan, ``reconstruct`` -- batched
-    dequantize + inverse transform, ``predict`` -- dependency-order
-    prediction) and counters: ``coeff_bins`` consumed by the
-    coefficient scan, ``batched_blocks`` / ``batches`` describing the
-    GEMM grouping, and the structural ``ctu`` / ``cu.leaf`` /
-    ``cu.split`` / ``mode.intra`` / ``mode.inter`` derived from each
-    slice's finished plan.  Slice workers return theirs with the
-    samples and the dispatcher merges them, so the published ledger is
-    the same serial or fanned out.  The legacy interleaved path cannot
-    split its stages, so it publishes no ledger and counts the
-    structural ``decode.*`` counters leaf by leaf straight into the
-    registry -- the same numbers.
+    default :class:`~repro.codec.decoder.FrameDecoder` path: wall
+    seconds per whole-slice stage (``entropy`` -- draining the range
+    decoder into the leaf plan, ``reconstruct`` -- every leaf's
+    residual, prediction, add and clip in decode order) and counters:
+    ``coeff_bins`` consumed by the coefficient scan, and the structural
+    ``ctu`` / ``cu.leaf`` / ``cu.split`` / ``mode.intra`` /
+    ``mode.inter`` derived from each slice's finished plan.  Slice
+    workers return theirs with the samples and the dispatcher merges
+    them, so the published ledger is the same serial or fanned out.
+    The legacy interleaved path cannot split its stages, so it publishes
+    no ledger and counts the structural ``decode.*`` counters leaf by
+    leaf straight into the registry -- the same numbers.
     """
 
     __slots__ = ("counts", "seconds")

@@ -105,3 +105,15 @@ class TestZigzag:
         order = zigzag_order(n)
         diagonals = [(idx // n) + (idx % n) for idx in order]
         assert diagonals == sorted(diagonals)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 8, 16, 32, 64])
+    def test_order_is_the_sorted_definition(self, n):
+        # The definition as a plain sort, kept as the reference for the
+        # vectorised form: by anti-diagonal, then by column on even
+        # diagonals and by row on odd ones.
+        cells = sorted(
+            ((r, c) for r in range(n) for c in range(n)),
+            key=lambda rc: (rc[0] + rc[1], rc[1] if (rc[0] + rc[1]) % 2 == 0 else rc[0]),
+        )
+        order = zigzag_order(n)
+        assert order.dtype == np.int64 and order.tolist() == [r * n + c for r, c in cells]

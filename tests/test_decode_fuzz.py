@@ -20,6 +20,10 @@ absent on every stream the kernels accept.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -272,3 +276,30 @@ class TestDecodeFuzz:
             legacy_kind, _ = _strict_outcome(bad, "legacy")
             fast_kind, _ = _strict_outcome(bad, "vectorized")
             assert fast_kind == legacy_kind
+
+
+_OUTGROWN = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from repro.codec.decoder import decode_frames_with_report
+from repro.codec.encoder import EncoderConfig, pack_header
+from repro.resilience.errors import CorruptStreamError
+try:
+    decode_frames_with_report(pack_header(EncoderConfig(qp=20), 16384, 16384, 1))
+except CorruptStreamError as exc:
+    print("typed:", exc)
+"""
+
+
+def test_a_header_that_outgrows_memory_is_a_typed_error():
+    # 21 bytes declaring one 16384 x 16384 frame and no slice: concealment
+    # must make a 2 GiB plane.  Under a 2 GiB address-space limit that is
+    # a typed answer naming the geometry, not a bare MemoryError.
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _OUTGROWN], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("typed:") and "16384 x 16384 x 1" in done.stdout

@@ -1,6 +1,6 @@
 """The decode path: whole-slice kernels, their twin, the reference decoder.
 
-The contract under test: the plan -> residuals -> reconstruct decoder
+The contract under test: the entropy -> reconstruct decoder
 -- through the two whole-slice C kernels AND through their pure-Python
 twin -- is *sample-identical* to the interleaved reference decoder
 (``repro.codec.reference``, "legacy" in the names below) on every
@@ -23,13 +23,14 @@ import dataclasses
 import repro.telemetry as telemetry
 from benchmarks.identity_matrix import PROFILES, QPS, SHAPES
 from repro.codec import decoder as decoder_mod
+from repro.codec import encoder as encoder_mod
 from repro.codec import intra, reference, transform
 from repro.codec.decoder import (
     FrameDecoder,
     decode_frames,
     decode_frames_with_report,
 )
-from repro.codec.encoder import EncoderConfig, FrameEncoder
+from repro.codec.encoder import EncoderConfig, FrameEncoder, pack_header
 from repro.codec.entropy import native
 from repro.codec.entropy.arithmetic import BinaryDecoder, BinaryEncoder
 from repro.codec.profiles import AV1_PROFILE, H264_PROFILE, H265_PROFILE
@@ -357,14 +358,17 @@ class TestReconstructKernel:
         assert "-ffp-contract=off" in native._CFLAGS
 
     @staticmethod
-    def _one_leaf(recon, mask, n, mode, resid):
+    def _one_leaf(recon, mask, n, mode, levels, step=0.75):
         rows = np.zeros((native.PLAN_ROWS, 1), dtype=np.int64)
-        rows[:, 0] = (n, n, n, mode, 0, 0, 0, 0, 0)
-        offset = np.array([-1 if resid is None else 0], dtype=np.int64)
-        flat = np.empty(0) if resid is None else resid.reshape(-1)
-        # One plane, one leaf: a group of one.
+        rows[:, 0] = (n, n, n, mode, 0, 0, 0, 0, -1 if levels is None else 0)
+        scanned = (
+            np.empty(0, dtype=np.int64) if levels is None else transform.zigzag_scan(levels)
+        )
+        # One plane, one leaf: a group of one.  Without the transform the
+        # residual is the unscanned levels times the step.
         assert native.reconstruct_slices(
-            recon[None], mask[None], None, rows, np.array([1]), offset, flat
+            recon[None], mask[None], None, rows, np.array([1]), scanned,
+            np.array([step]), False,
         )
         return recon[n : 2 * n, n : 2 * n]
 
@@ -375,7 +379,7 @@ class TestReconstructKernel:
         available = np.zeros((3 * n, 3 * n), dtype=bool)
         available[:n, :] = True  # rows above (incl. above-right)
         available[:, :n] = True  # columns left (incl. below-left)
-        resid = rng.uniform(-300.0, 300.0, (n, n))  # drives both clips
+        levels = rng.integers(-400, 401, (n, n))  # x 0.75 drives both clips
         top, left = reference.gather_references_scalar(plane, available, n, n, n)
         for mode in range(-1, intra.NUM_MODES):
             predicted = (
@@ -383,12 +387,12 @@ class TestReconstructKernel:
                 if mode < 0
                 else intra.predict(top, left, mode, n)
             )
-            for residual in (None, resid):
+            for coded in (None, levels):
                 want = np.clip(
-                    predicted + (0.0 if residual is None else residual), 0.0, 255.0
+                    predicted + (0.0 if coded is None else coded * 0.75), 0.0, 255.0
                 )
                 mask = available.copy()
-                got = self._one_leaf(plane.copy(), mask, n, mode, residual)
+                got = self._one_leaf(plane.copy(), mask, n, mode, coded)
                 assert got.tobytes() == want.tobytes(), (n, mode)
                 assert mask[n : 2 * n, n : 2 * n].all()
 
@@ -401,10 +405,9 @@ class TestReconstructKernel:
         rows = np.zeros((native.PLAN_ROWS, 2), dtype=np.int64)
         rows[:, 0] = (0, 0, n, intra.DC, 0, 0, 0, 0, -1)  # nothing to gather
         rows[:, 1] = (n, n, n, -1, 1, 3, 5, 0, -1)  # inter, block at (3, 5)
-        offsets = np.array([-1, -1], dtype=np.int64)
         assert native.reconstruct_slices(
-            recon[None], mask[None], reference, rows, np.array([2]), offsets,
-            np.empty(0),
+            recon[None], mask[None], reference, rows, np.array([2]),
+            np.empty(0, dtype=np.int64), np.ones(1), True,
         )
         assert (recon[:n, :n] == 128.0).all()
         np.testing.assert_array_equal(recon[n:, n:], reference[3 : 3 + n, 5 : 5 + n])
@@ -412,20 +415,22 @@ class TestReconstructKernel:
     def test_bad_plans_are_refused_untouched(self):
         n = 8
         rows = np.zeros((native.PLAN_ROWS, 1), dtype=np.int64)
-        good = (0, 0, n, intra.DC, 0, 0, 0, 0, -1)
-        for column, offset in (
-            ((0, 0, 3 * n, intra.DC, 0, 0, 0, 0, -1), -1),  # leaves the frame
-            ((0, 0, 128, intra.DC, 0, 0, 0, 0, -1), -1),  # no such block size
-            ((0, 0, n, 35, 0, 0, 0, 0, -1), -1),  # no such mode
-            ((0, 0, n, -1, 1, 0, 0, 0, -1), -1),  # inter without a reference
-            (good, 1),  # residual grid past the buffer
+        for column in (
+            (0, 0, 3 * n, intra.DC, 0, 0, 0, 0, -1),  # leaves the frame
+            (0, 0, 128, intra.DC, 0, 0, 0, 0, -1),  # no such block size
+            (0, 0, n, 35, 0, 0, 0, 0, -1),  # no such mode
+            (0, 0, n, -1, 1, 0, 0, 0, -1),  # inter without a reference
+            (0, 0, n, intra.DC, 0, 0, 0, 0, 1),  # levels past the buffer
+            (0, 0, n, intra.DC, 0, 0, 0, 0, -2),  # no such offset
+            (0, 0, n, intra.DC, 0, 0, 0, 1, 0),  # a CTU with no step
+            (0, 0, 12, intra.DC, 0, 0, 0, 0, 0),  # coded, but no transform size
         ):
             rows[:, 0] = column
             recon = np.zeros((2 * n, 2 * n))
             mask = np.zeros((2 * n, 2 * n), dtype=bool)
             assert not native.reconstruct_slices(
                 recon[None], mask[None], None, rows, np.array([1]),
-                np.array([offset], dtype=np.int64), np.zeros(n * n),
+                np.zeros(n * n + 80, dtype=np.int64)[: n * n], np.ones(1), True,
             )
             assert not recon.any() and not mask.any()
 
@@ -467,66 +472,133 @@ class TestReconstructKernel:
             np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.skipif(
-    not native.encode_available(), reason="encode library unavailable"
-)
 class TestResidualKernel:
-    """``native.residuals`` against the numpy form in ``_batch_residuals``."""
+    """The residual half of ``native.reconstruct_slices`` -- dequantize,
+    unscan and inverse DCT, made where each leaf is added -- against its
+    twin, ``_batch_residuals`` + ``_apply_predictions``: planes and masks
+    bit for bit."""
 
     @staticmethod
-    def _leaves(n, count=7):
-        rng = np.random.default_rng(n)
-        levels = rng.integers(-40, 41, size=(count + 3) * n * n)
-        levels[rng.random(levels.size) < 0.5] = 0
-        # Out of order, with gaps: nothing relies on leaves being packed.
-        offsets = rng.permutation(count + 3)[:count] * (n * n)
-        steps = rng.uniform(0.3, 9.0, count)
-        return levels.astype(np.int64), offsets.astype(np.int64), steps
+    def _group(n, use_transform, seed=0):
+        """Two 2n x 2n planes of n x n leaves, one CTU each: per plane an
+        intra leaf, a cbf = 0 leaf, an inter leaf and (first plane) a
+        mid-grey leaf, all but the cbf = 0 ones coded; every CTU at its
+        own drawn QP.  Returns (decoder, plan, leaf_end, qps)."""
+        rng = np.random.default_rng([n, seed])
+        decoder = FrameDecoder(
+            pack_header(EncoderConfig(use_transform=use_transform), 2 * n, 2 * n, 2)
+        )
+        decoder._reference = rng.uniform(0.0, 255.0, (2 * n, 2 * n))
+        leaves = []
+        for plane, fourth in ((0, -1), (1, int(rng.integers(0, intra.NUM_MODES)))):
+            modes = (int(rng.integers(0, intra.NUM_MODES)), intra.DC, -1, fourth)
+            for q, (mode, coded, inter) in enumerate(
+                zip(modes, (True, False, True, True), (0, 0, 1, 0))
+            ):
+                ry, rx = (int(v) for v in rng.integers(0, n + 1, 2))
+                leaves.append(
+                    ((q >> 1) * n, (q & 1) * n, n, -1 if inter else mode, inter,
+                     ry if inter else 0, rx if inter else 0, 4 * plane + q, coded)
+                )
+        levels = rng.integers(-60, 61, len(leaves) * n * n)
+        levels[rng.random(levels.size) < 0.6] = 0
+        levels[::97] = 1 << 40  # the clip's far side, after any transform
+        offset = 0
+        for k, leaf in enumerate(leaves):
+            leaves[k] = leaf[:-1] + ((offset,) if leaf[-1] else (-1,))
+            offset += n * n if leaf[-1] else 0
+        rows = np.ascontiguousarray(np.array(leaves, dtype=np.int64).T)
+        plan = decoder_mod.LeafPlan(rows, levels[:offset].astype(np.int64), len(leaves))
+        qps = rng.integers(0, 52, 8)
+        return decoder, plan, np.array([4, 8], dtype=np.int64), qps
 
+    @staticmethod
+    def _twin(decoder, plan, leaf_end, qps, use_transform):
+        recon = np.zeros((2,) + decoder._reference.shape)
+        mask = np.zeros(recon.shape, dtype=bool)
+        resid_offset, resid = decoder._batch_residuals(plan, qps, use_transform)
+        for k, (start, end) in enumerate(((0, 4), (4, 8))):
+            decoder._apply_predictions(
+                plan, start, end, resid_offset, resid, recon[k], mask[k]
+            )
+        return recon, mask
+
+    @staticmethod
+    def _kernel(decoder, plan, leaf_end, steps, use_transform, levels=None):
+        recon = np.zeros((2,) + decoder._reference.shape)
+        mask = np.zeros(recon.shape, dtype=bool)
+        done = native.reconstruct_slices(
+            recon, mask, decoder._reference, plan.rows, leaf_end,
+            plan.levels if levels is None else levels, steps, use_transform,
+        )
+        return done, recon, mask
+
+    @needs_kernels
     @pytest.mark.parametrize("use_transform", [True, False])
     @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
     def test_matches_numpy_bit_for_bit(self, n, use_transform):
-        levels, offsets, steps = self._leaves(n)
-        zigzag, basis = transform.zigzag_order(n), transform.dct_matrix(n)
-        scan_rows = levels[offsets[:, None] + np.arange(n * n)]
-        flat = np.empty((len(offsets), n * n))
-        flat[:, zigzag] = scan_rows.astype(np.float64) * steps[:, None]
-        want = flat.reshape(-1, n, n)
-        if use_transform:
-            want = transform._ordered_dct2(want, basis, True)
-        got = native.residuals(levels, offsets, steps, zigzag, basis, use_transform)
-        assert got.tobytes() == want.tobytes()
+        decoder, plan, leaf_end, qps = self._group(n, use_transform)
+        want_recon, want_mask = self._twin(decoder, plan, leaf_end, qps, use_transform)
+        done, recon, mask = self._kernel(
+            decoder, plan, leaf_end, encoder_mod._QSTEPS[qps], use_transform
+        )
+        assert done
+        assert recon.tobytes() == want_recon.tobytes()
+        assert mask.tobytes() == want_mask.tobytes() and mask.all()
 
+    @needs_kernels
     def test_declines_what_it_cannot_index(self):
         n = 8
-        levels, offsets, steps = self._leaves(n)
-        zigzag, basis = transform.zigzag_order(n), transform.dct_matrix(n)
-        for bad in (-1, len(levels) - n * n + 1):  # before / past the buffer
-            moved = offsets.copy()
-            moved[3] = bad
-            assert native.residuals(levels, moved, steps, zigzag, basis, True) is None
-        assert native.residuals(levels, offsets, steps[:-1], zigzag, basis, True) is None
-        assert (
-            native.residuals(levels, offsets, steps, zigzag[:-1], basis, True) is None
-        )
-        odd = np.eye(12)  # no such block size
-        assert (
-            native.residuals(levels, offsets, steps, np.arange(144), odd, True) is None
-        )
+        decoder, plan, leaf_end, qps = self._group(n, True)
+        steps = encoder_mod._QSTEPS[qps]
+        coeff = native.PLAN_FIELDS.index("coeff_offset")
+        ctu = native.PLAN_FIELDS.index("ctu_index")
+        for row, column, value in (
+            (coeff, 5, len(plan.levels) - n * n + 1),  # levels past the buffer
+            (coeff, 5, -2),  # no such offset
+            (ctu, 6, len(steps)),  # a CTU past the steps
+            (ctu, 6, -1),
+        ):
+            bad = decoder_mod.LeafPlan(plan.rows.copy(), plan.levels, plan.n_leaves)
+            bad.rows[row, column] = value
+            done, recon, mask = self._kernel(decoder, bad, leaf_end, steps, True)
+            assert not done and not recon.any() and not mask.any(), (row, value)
+        # Steps for fewer CTUs than the plan names, and a level buffer cut
+        # short under the last coded leaf; then arrays of the wrong kind.
+        for args in (
+            (steps[:-1], None),
+            (steps, plan.levels[:-1]),
+            (steps.astype(np.float32), None),
+            (steps, plan.levels.astype(np.int32)),
+        ):
+            done, recon, mask = self._kernel(decoder, plan, leaf_end, args[0], True, args[1])
+            assert not done and not recon.any() and not mask.any()
 
     def test_decoder_uses_numpy_when_it_declines(self, monkeypatch):
-        data = FrameEncoder(EncoderConfig(qp=24.0)).encode(_frames(n=2)).data
-        with telemetry.session() as registry:
-            _, want = _probe(data)
-        assert "decode.kernel_refusals" not in registry.counters
-        monkeypatch.setattr(native, "residuals", lambda *args: None)
-        with telemetry.session() as registry:
-            _, got = _probe(data)
-        for a, b in zip(want, got):
-            assert a["recon"].tobytes() == b["recon"].tobytes()
-        if native.available():
-            # One per (group, block size) batch the kernel turned down.
-            assert registry.counters["decode.kernel_refusals"] >= 2
+        # Fractional-QP, inter and untransformed streams: the kernel's
+        # planes are the twin's, declined group by group or off entirely.
+        streams = [
+            FrameEncoder(EncoderConfig(qp=18.5)).encode(_frames(n=2)).data,
+            reference.ReferenceEncoder(
+                EncoderConfig(qp=24.0, use_inter=True)
+            ).encode(_frames(n=3, seed=9)).data,
+            reference.ReferenceEncoder(
+                EncoderConfig(qp=24.0, use_transform=False)
+            ).encode(_frames(n=2, seed=4)).data,
+        ]
+        for data in streams:
+            with telemetry.session() as registry:
+                _, want = _probe(data)
+            assert "decode.kernel_refusals" not in registry.counters
+            _, twin = _probe_twin(data)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(native, "reconstruct_slices", lambda *args: False)
+                with telemetry.session() as registry:
+                    _, declined = _probe(data)
+            for a, b, c in zip(want, twin, declined):
+                assert a["recon"].tobytes() == b["recon"].tobytes() == c["recon"].tobytes()
+            if native.available():
+                assert registry.counters["decode.kernel_refusals"] >= 1
 
     @needs_kernels
     def test_reconstruct_refusal_is_counted(self, monkeypatch):
@@ -805,10 +877,13 @@ class TestDecodeTelemetry:
             assert registry.counters[f"decode.seconds.{stage}"] >= 0.0
         assert registry.counters["decode.coeff_bins"] > 0
         assert registry.counters["decode.frames"] == len(frames)
-        assert registry.counters["decode.batched_blocks"] > 0
+        # Two stages: residuals are made inside the reconstruct stage.
+        assert DECODE_STAGES == ("entropy", "reconstruct")
+        assert not any(name.startswith("decode.batch") for name in registry.counters)
         # Spans nest under the frame span, so match on the leaf name.
         leaves = {path.rsplit("/", 1)[-1] for path in registry.spans}
-        assert {"decode.entropy", "decode.reconstruct", "decode.predict"} <= leaves
+        assert {"decode.entropy", "decode.reconstruct"} <= leaves
+        assert "decode.predict" not in leaves
 
     @pytest.mark.parametrize("executor", ["thread"])
     def test_fanned_out_decode_keeps_its_ledger(self, monkeypatch, executor):
@@ -839,8 +914,7 @@ class TestDecodeTelemetry:
         assert set(fanned) == set(serial)
         for name in (
             "decode.frames", "decode.ctu", "decode.cu.leaf", "decode.cu.split",
-            "decode.mode.intra", "decode.coeff_bins", "decode.batches",
-            "decode.batched_blocks",
+            "decode.mode.intra", "decode.coeff_bins",
         ):
             assert fanned[name] == serial[name] > 0, name
         for stage in DECODE_STAGES:
@@ -887,7 +961,7 @@ class TestDecodeTelemetry:
         other = DecodeStats()
         other.add_count("coeff_bins", 5)
         other.add_seconds("entropy", 0.25)
-        other.add_seconds("predict", 0.1)
+        other.add_seconds("reconstruct", 0.1)
         stats.merge(other)
         snapshot = stats.as_dict()
         assert snapshot["counts"]["coeff_bins"] == 15
@@ -895,5 +969,5 @@ class TestDecodeTelemetry:
         registry = telemetry.Registry()
         stats.publish(registry)
         assert registry.counters["decode.coeff_bins"] == 15
-        assert registry.counters["decode.seconds.predict"] == 0.1
+        assert registry.counters["decode.seconds.reconstruct"] == 0.1
         stats.publish(None)  # no registry: a no-op, not an error
