@@ -14,12 +14,6 @@ Subcommands:
   via its CRC32 framing, or a shard-store directory (its
   ``journal.log``); exit 0 clean, 2 corrupt, 3 torn journal tail only.
   ``--deep`` also runs a strict decode / full payload CRC re-read
-- ``bench``      -- codec throughput ladder (pre-optimisation baseline,
-  two-pass search, C kernels, slice-parallel) with byte-identity
-  verification; exit 2 when any configuration's output diverges.
-  ``--check`` runs the
-  perf-regression sentinel against the tracked baseline (exit 3 on a
-  regression)
 - ``chaos``      -- seeded chaos soak of the fault-tolerant serving
   layer; exit 2 on any silent corruption, untyped error, or
   availability below the SLO, printing the flight-recorder postmortem
@@ -28,12 +22,6 @@ Subcommands:
   ``--durability`` soaks the durable store layer (SIGKILL mid-write +
   on-disk corruption; passes only if every acknowledged write survives
   bit-exact and anti-entropy restores full replication)
-- ``serve-bench`` -- healthy-path serving benchmark (sequential
-  latency percentiles + typed-shedding overload burst); ``--check``
-  compares against the tracked serving baseline
-- ``cluster-bench`` -- sharded-cluster ladder (shard sweep, hedge
-  on/off tail A/B, chaos verdict); ``--check`` compares against the
-  tracked ``BENCH_cluster.json`` baseline
 
 A global ``--trace out.json`` flag (before the subcommand) records a
 Chrome trace-event file of the run for ``chrome://tracing`` /
@@ -51,7 +39,6 @@ from typing import List, Optional
 import numpy as np
 
 import repro.telemetry as telemetry
-from repro.analysis import regression
 from repro.analysis.statistics import profile_tensor, rate_distortion_sweep
 from repro.codec.profiles import profile_by_name
 from repro.codec.quantizer import check_qp
@@ -74,23 +61,6 @@ def _add_rate_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--mse", type=float, help="max mean squared error")
     parser.add_argument("--codec", default="h265", choices=["h264", "h265", "av1"])
     parser.add_argument("--tile", type=int, default=256)
-
-
-def _add_bench_arguments(
-    parser: argparse.ArgumentParser, baseline: str, what: str,
-    output_help: str = "write the JSON result document here",
-) -> None:
-    """``--output`` and the regression-sentinel flags of a bench command."""
-    parser.add_argument("--output", default=None, help=output_help)
-    parser.add_argument(
-        "--check", action="store_true",
-        help=f"regression sentinel: compare this run against the tracked "
-             f"{what} baseline (exit 3 on perf regression, 2 on divergence)",
-    )
-    parser.add_argument("--baseline", default=baseline,
-                        help="baseline document for --check")
-    parser.add_argument("--slack", type=float, default=1.0,
-                        help="tolerance multiplier for --check (CI uses > 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,23 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "checks cannot",
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="codec throughput benchmark: encode ladder (baseline / "
-             "turbo / native / parallel) + decode ladder (legacy / "
-             "vectorized / parallel), all behind one identity gate",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="small tensor, single QP (CI smoke mode)",
-    )
-    bench.add_argument("--size-mb", type=float, default=1.0)
-    bench.add_argument("--qps", default=None,
-                       help="comma-separated QP list (default 18,26,34)")
-    bench.add_argument("--workers", type=int, default=4)
-    bench.add_argument("--repeats", type=int, default=3)
-    _add_bench_arguments(bench, "BENCH_codec.json", "codec")
-
     chaos = sub.add_parser(
         "chaos",
         help="chaos-soak the serving layer (exit 2 on contract violation)",
@@ -182,7 +135,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="shortened soak (120 requests; CI smoke mode)",
     )
     chaos.add_argument("--output", default=None,
-                       help="merge the report into this JSON file")
+                       help="write the report to this JSON file, under its "
+                            "soak's key (chaos, cluster_chaos or "
+                            "durability_chaos)")
     chaos.add_argument(
         "--postmortem-dir", default=".",
         help="where the flight-recorder bundle lands on a contract "
@@ -213,66 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "with a postmortem bundle otherwise)",
     )
 
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="healthy-path serving benchmark (latency + shedding burst)",
-    )
-    serve_bench.add_argument("--requests", type=int, default=60)
-    serve_bench.add_argument("--seed", type=int, default=0)
-    _add_bench_arguments(serve_bench, "BENCH_serving.json", "serving",
-                         "merge the report into this JSON file")
-    serve_bench.add_argument(
-        "--chaos-requests", type=int, default=0,
-        help="with --check: also run a chaos soak of this many requests "
-             "so the baseline's chaos section is compared too (0 skips)",
-    )
-
-    cluster_bench = sub.add_parser(
-        "cluster-bench",
-        help="sharded-cluster benchmark: shard sweep + hedge A/B + "
-             "chaos verdict",
-    )
-    cluster_bench.add_argument(
-        "--shard-counts", default="2,4,8",
-        help="comma-separated shard counts for the sweep",
-    )
-    cluster_bench.add_argument("--requests", type=int, default=1200,
-                               help="open-loop requests per sweep point")
-    cluster_bench.add_argument("--chaos-requests", type=int, default=2000,
-                               help="requests in the chaos section "
-                                    "(0 skips it)")
-    cluster_bench.add_argument("--seed", type=int, default=0)
-    cluster_bench.add_argument(
-        "--quick", action="store_true",
-        help="small sweep (2,4 shards x 300 requests, 400-request "
-             "chaos; CI smoke mode)",
-    )
-    _add_bench_arguments(cluster_bench, "BENCH_cluster.json", "cluster")
     return parser
-
-
-def _finish_bench(
-    args: argparse.Namespace, compare, fresh: dict,
-    document: dict, section: Optional[str] = None, passed: bool = True,
-) -> int:
-    """The tail of every bench command: ``--output`` writes ``document``
-    (under ``section`` when given); ``--check`` loads the tracked
-    baseline, hands it and ``fresh`` to the sentinel's ``compare`` and
-    exits with its code (3 regression, 2 divergence); else 0, or 2 when
-    the run itself did not pass."""
-    if args.output:
-        write_json(args.output, document, section)
-        print(f"wrote {args.output}")
-    if not args.check:
-        return 0 if passed else 2
-    try:
-        baseline = regression.load_baseline(args.baseline)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load baseline {args.baseline}: {exc}", file=sys.stderr)
-        return regression.EXIT_DIVERGENCE
-    comparison = compare(baseline, fresh, slack=args.slack)
-    print(regression.format_comparison(comparison))
-    return comparison["exit_code"]
 
 
 def _rate_kwargs(args: argparse.Namespace) -> dict:
@@ -459,26 +355,6 @@ def _print_stats(
     print(telemetry.summary_table(registry))
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Exit 0 on success, 2 when any configuration's output diverges."""
-    from repro.analysis.bench import DEFAULT_QPS, format_report, run_benchmark
-
-    size_mb = 0.0625 if args.quick else args.size_mb
-    repeats = 1 if args.quick else args.repeats
-    if args.qps:
-        qps = [float(v) for v in args.qps.split(",")]
-    else:
-        qps = (26.0,) if args.quick else DEFAULT_QPS
-    doc = run_benchmark(
-        size_mb=size_mb, qps=qps, workers=args.workers, repeats=repeats
-    )
-    print(format_report(doc))
-    return _finish_bench(
-        args, regression.compare_codec_bench, doc, doc,
-        passed=doc["summary"]["all_identical"],
-    )
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Exit 0 all clean, 2 if anything is corrupt, 3 if only torn tails.
 
@@ -556,65 +432,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     print(format_soak(report))
     if args.output:
-        write_json(args.output, report, section)
+        write_json(args.output, {section: report})
         print(f"wrote {args.output}")
     return 0 if report["invariant"]["passed"] else 2
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.serving import chaos
-
-    report = chaos.run_serve_bench(requests=args.requests, seed=args.seed)
-    sequential = report["sequential"]["latency_ms"]
-    burst = report["burst"]
-    print(
-        f"sequential: {report['sequential']['requests']} requests, "
-        f"p50={sequential['p50']:.1f}ms p99={sequential['p99']:.1f}ms"
-    )
-    print(
-        f"burst: {burst['threads']} threads x {burst['per_thread']} requests "
-        f"in {burst['elapsed_s']:.1f}s, shed={report['shed_typed']} (typed), "
-        f"availability={burst['slo']['availability']:.3f}"
-    )
-    fresh = {"serve_bench": report}
-    if args.check and args.chaos_requests > 0:
-        fresh["chaos"] = chaos.run_chaos(
-            chaos.ChaosConfig(requests=args.chaos_requests, seed=args.seed)
-        )
-    return _finish_bench(
-        args, regression.compare_serving_bench, fresh, report,
-        section="serve_bench",
-    )
-
-
-def _cmd_cluster_bench(args: argparse.Namespace) -> int:
-    from repro.cluster.bench import format_cluster_bench, run_cluster_bench
-
-    if args.quick:
-        shard_counts = [2, 4]
-        requests = 300
-        chaos_requests = min(args.chaos_requests, 400)
-        hedge_trials = 1
-    else:
-        shard_counts = [int(v) for v in args.shard_counts.split(",")]
-        requests = args.requests
-        chaos_requests = args.chaos_requests
-        hedge_trials = 3
-    doc = run_cluster_bench(
-        shard_counts=shard_counts,
-        requests=requests,
-        seed=args.seed,
-        hedge_trials=hedge_trials,
-        include_chaos=chaos_requests > 0,
-        chaos_requests=chaos_requests,
-        progress=lambda message: print(f"... {message}", flush=True),
-    )
-    print(format_cluster_bench(doc))
-    chaos = doc.get("chaos")
-    return _finish_bench(
-        args, regression.compare_cluster_bench, doc, doc,
-        passed=chaos is None or chaos["invariant"]["passed"],
-    )
 
 
 _COMMANDS = {
@@ -625,10 +445,7 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "stats": _cmd_stats,
     "verify": _cmd_verify,
-    "bench": _cmd_bench,
     "chaos": _cmd_chaos,
-    "serve-bench": _cmd_serve_bench,
-    "cluster-bench": _cmd_cluster_bench,
 }
 
 

@@ -29,8 +29,6 @@ One :class:`~repro.cluster.router.ClusterRouter` fronts N
 - :mod:`repro.cluster.durability` -- durability soak: SIGKILL
   mid-write + on-disk bit rot; acknowledged-write durability 100%,
   no silent corruption, replication healed by anti-entropy.
-- :mod:`repro.cluster.bench` -- the tracked ``BENCH_cluster.json``
-  ladder (shard sweep, hedge-on/off tail comparison, chaos verdict).
 """
 
 from repro.cluster.health import ShardHealth

@@ -43,8 +43,8 @@ not depend on its group-mates (``tests/test_decode_groups.py``).
 
 The interleaved per-leaf decoder this design replaced lives in
 :mod:`repro.codec.reference`; it is sample-identical on every stream,
-including corrupt-stream and concealment behaviour -- the bench
-identity gate, ``tests/test_fast_decode.py``,
+including corrupt-stream and concealment behaviour --
+``tests/test_fast_decode.py``,
 ``tests/test_decode_fuzz.py``, ``tests/test_decode_groups.py`` and the
 golden vectors enforce this.
 """

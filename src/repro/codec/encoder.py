@@ -83,7 +83,7 @@ _PARALLEL_MIN_SLICES = 4
 #: measurement: on single-CPU hosts the ``_effective_cpus() > 1`` guard
 #: below makes the thresholds moot (parallel encode can never beat
 #: serial there, so the encoder always stays serial), and that guard is
-#: what the "parallel never loses to serial" bench claim leans on.
+#: what the "parallel never loses to serial" claim leans on.
 #: tests/test_native_encode.py pins the constants and the fallback
 #: accounting.
 _PARALLEL_MIN_BYTES = 1 << 16

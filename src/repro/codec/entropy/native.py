@@ -622,7 +622,7 @@ def encode_available() -> bool:
 
 
 def kernel_status(resolve: bool = True) -> Dict[str, str]:
-    """Per-kernel state map for ``llm265 stats`` / bench reports.
+    """Per-kernel state map for ``llm265 stats`` and the stack benchmark.
 
     States: ``ready`` / ``building`` / ``pure-python`` / ``no-compiler``
     / ``failed`` (plus ``unloaded`` when ``resolve=False``).

@@ -4,9 +4,8 @@ The code production is compared against, the slow and obvious way: one
 scalar prediction per candidate mode, quantizer calls instead of
 inlined arithmetic, one primitive coder call per bin, and a decoder
 that interleaves entropy decoding with reconstruction leaf by leaf.  It
-exists so that tests, fuzzers and ``llm265 bench``'s ``baseline`` /
-decode-``legacy`` rungs have something independent to hold the
-production code to -- and so that the Figure 2(b) / Figure 13
+exists so that tests and fuzzers have something independent to hold
+the production code to -- and so that the Figure 2(b) / Figure 13
 ablations have an encoder: :class:`repro.codec.encoder.FrameEncoder` is
 the two-pass intra search alone and refuses inter prediction, intra
 prediction off and the transform off.  ``codec.pipeline`` and the
@@ -317,9 +316,7 @@ class ReferenceEncoder(FrameEncoder):
         """The exact intra mode search, one scalar prediction per mode.
 
         Every coarse candidate is coded and costed, then the winner's
-        refine set; the best mode's reconstruction is committed.  It is
-        also the pre-optimisation baseline ``llm265 bench`` reports
-        speedups against.
+        refine set; the best mode's reconstruction is committed.
         """
         cfg = self.config
         orig = self._frame[y0 : y0 + size, x0 : x0 + size]

@@ -1,10 +1,10 @@
-"""The skeleton every soak and tracked bench shares, written once.
+"""The skeleton every soak shares, written once.
 
-``llm265 chaos`` (serving, ``--cluster``, ``--durability``) and the
-tracked benches keep their workload, fault domain and invariant in
-their own modules; the steps around those live here, in run order:
-telemetry scope, bit-exact references, fault injection and timing,
-contract check, violation ledger, verdict, postmortem, report text.
+``llm265 chaos`` (serving, ``--cluster``, ``--durability``) keeps its
+workload, fault domain and invariant in their own modules; the steps
+around those live here, in run order: telemetry scope, bit-exact
+references, fault injection and timing, contract check, violation
+ledger, verdict, postmortem, report text.
 
 **The typed-response contract** (:func:`check_response`), asserted on
 every answer of every soak:
@@ -418,19 +418,8 @@ def format_verdict(report: dict) -> List[str]:
     return lines
 
 
-def write_json(path: str, document: dict, section: Optional[str] = None) -> None:
-    """Write ``document`` to ``path``; with ``section``, merge it under
-    that key into whatever JSON object the file already holds (the
-    tracked ``BENCH_serving.json`` is built up command by command)."""
-    if section is not None:
-        try:
-            with open(path, "r") as handle:
-                existing = json.load(handle)
-        except (OSError, ValueError):  # no file yet, or not JSON
-            existing = {}
-        if not isinstance(existing, dict):
-            existing = {}
-        document = {**existing, section: document}
+def write_json(path: str, document: dict) -> None:
+    """Write ``document`` to ``path`` as sorted, indented JSON."""
     with open(path, "w") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")

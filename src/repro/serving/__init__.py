@@ -18,7 +18,7 @@ availability:
 - :mod:`repro.serving.service` -- :class:`CodecService`, the request
   path itself.
 - :mod:`repro.serving.chaos` -- the seeded chaos soak harness behind
-  ``llm265 chaos`` / ``llm265 serve-bench``.
+  ``llm265 chaos``.
 
 The contract every response obeys (asserted by the chaos harness over
 seeded fault schedules): a completed request is bit-exact with its
@@ -32,7 +32,7 @@ flagged ``degraded=True`` -- never a silent wrong answer.  See
 from repro.resilience.deadline import Deadline, DeadlineExceeded
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.broker import Overloaded, RequestBroker
-from repro.serving.chaos import ChaosConfig, run_chaos, run_serve_bench
+from repro.serving.chaos import ChaosConfig, run_chaos
 from repro.serving.ladder import DEFAULT_LADDER, DegradationLadder, Rung
 from repro.serving.service import CodecService, ServeResponse, ServiceConfig
 from repro.serving.slo import SloTracker
@@ -56,5 +56,4 @@ __all__ = [
     "Supervisor",
     "WorkerCrashed",
     "run_chaos",
-    "run_serve_bench",
 ]

@@ -1,4 +1,4 @@
-"""Chaos soak + serving benchmark for :class:`~repro.serving.service.CodecService`.
+"""Chaos soak for :class:`~repro.serving.service.CodecService`.
 
 :func:`run_chaos` drives a seeded storm of encode/decode requests
 through the service while a :class:`~repro.resilience.faults.FaultInjector`
@@ -16,16 +16,10 @@ byte corruption lands only in the frame-slice region of the container
 (container metadata and the stream header are the regions concealment
 explicitly cannot patch; their damage paths fail loudly and are
 covered by the PR 2 fuzz suite).
-
-:func:`run_serve_bench` measures the same service healthy: a clean
-sequential pass for latency percentiles, then a threaded burst against
-a deliberately small broker to exercise admission control and typed
-shedding.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -57,7 +51,6 @@ __all__ = [
     "TYPED_ERRORS",
     "format_report",
     "run_chaos",
-    "run_serve_bench",
 ]
 
 #: The complete vocabulary of failures a response may carry.  Anything
@@ -202,80 +195,6 @@ def run_chaos(config: Optional[ChaosConfig] = None) -> dict:
     return attach_postmortem(
         report, config, "chaos-contract-violation", checked=ledger.checked
     )
-
-
-# -- healthy-path benchmark ------------------------------------------------
-
-
-def run_serve_bench(
-    requests: int = 60,
-    seed: int = 0,
-    tensor_side: int = 32,
-    tile: int = 32,
-    qp: float = 26.0,
-    burst_threads: int = 8,
-    burst_per_thread: int = 6,
-) -> dict:
-    """Measure the service healthy: clean latency, then an overload burst.
-
-    Phase 1 runs ``requests`` sequential encode/decode pairs for honest
-    p50/p99.  Phase 2 points ``burst_threads`` threads at a service
-    with a deliberately tiny broker (2 in flight, 4 queued) so
-    admission control must shed -- the point is typed ``Overloaded``
-    responses, never queue collapse.
-    """
-    rng = np.random.default_rng(seed)
-    tensor = rng.standard_normal((tensor_side, tensor_side)).astype(np.float32)
-
-    sequential = CodecService(
-        ServiceConfig(tile=tile, default_qp=qp, seed=seed)
-    )
-    blob = None
-    for _ in range(requests // 2):
-        encoded = sequential.encode(tensor, qp=qp)
-        if encoded.ok and blob is None:
-            blob = encoded.value.to_bytes()
-        if blob is not None:
-            sequential.decode(blob)
-
-    burst = CodecService(
-        ServiceConfig(
-            tile=tile, default_qp=qp, seed=seed,
-            max_inflight=2, max_queue=4, deadline_s=5.0,
-        )
-    )
-    burst_blob = blob or sequential.encode(tensor, qp=qp).value.to_bytes()
-
-    def worker() -> None:
-        for turn in range(burst_per_thread):
-            if turn % 2:
-                burst.decode(burst_blob)
-            else:
-                burst.encode(tensor, qp=qp)
-
-    threads = [
-        threading.Thread(target=worker, name=f"burst-{i}")
-        for i in range(burst_threads)
-    ]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    burst_elapsed = time.perf_counter() - started
-
-    burst_slo = burst.slo.snapshot()
-    return {
-        "sequential": sequential.slo.snapshot(),
-        "burst": {
-            "threads": burst_threads,
-            "per_thread": burst_per_thread,
-            "elapsed_s": burst_elapsed,
-            "slo": burst_slo,
-            "broker": burst.broker.stats(),
-        },
-        "shed_typed": burst_slo["outcomes"]["shed"],
-    }
 
 
 def format_report(report: dict) -> str:

@@ -5,7 +5,6 @@ import os
 
 import pytest
 
-from repro.cluster.bench import format_cluster_bench
 from repro.cluster.chaos import (
     CLUSTER_TYPED_ERRORS,
     ClusterChaosConfig,
@@ -104,34 +103,3 @@ class TestDrill:
         assert "drill" in inv["violations"][0]["reason"]
         assert report["postmortem"] is not None
         assert os.path.exists(report["postmortem"])
-
-
-class TestBenchFormatting:
-    def test_format_cluster_bench_synthetic_doc(self):
-        point = {
-            "shards": 2, "replication": 2, "requests": 100,
-            "availability": 1.0,
-            "latency_ms": {"p50": 5.0, "p99": 20.0, "p999": 40.0,
-                           "max": 50.0},
-            "router": {"hedges": 4, "hedge_wins": 3},
-        }
-        doc = {
-            "schema": "llm265-cluster-bench-v1",
-            "shard_sweep": [point],
-            "hedge": {
-                "shards": 2, "straggler_prob": 0.05,
-                "straggler_delay_ms": 250.0,
-                "no_hedge": dict(point), "hedged": dict(point),
-                "p99_ratio": 1.5,
-            },
-            "chaos": {
-                "requests": 100,
-                "invariant": {"availability": 0.999,
-                              "availability_slo": 0.999, "passed": True},
-                "violation_count": 0,
-            },
-        }
-        text = format_cluster_bench(doc)
-        assert "shard sweep" in text
-        assert "ratio=1.50x" in text
-        assert "PASS" in text

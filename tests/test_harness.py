@@ -350,24 +350,9 @@ class TestKillReviveTrain:
 
 
 class TestWriteJson:
-    def test_whole_document_and_section_merge(self, tmp_path):
+    def test_writes_the_document_as_is(self, tmp_path):
         path = tmp_path / "doc.json"
         write_json(str(path), {"b": 1, "a": 2})
         assert json.loads(path.read_text()) == {"a": 2, "b": 1}
-        write_json(str(path), {"passed": True}, section="chaos")
-        write_json(str(path), {"p50": 1.0}, section="serve_bench")
-        assert json.loads(path.read_text()) == {
-            "a": 2, "b": 1, "chaos": {"passed": True},
-            "serve_bench": {"p50": 1.0},
-        }
-
-    def test_section_over_missing_or_garbled_file(self, tmp_path):
-        path = tmp_path / "new.json"
-        write_json(str(path), {"x": 1}, section="s")
-        assert json.loads(path.read_text()) == {"s": {"x": 1}}
-        path.write_text("not json")
-        write_json(str(path), {"x": 2}, section="s")
-        assert json.loads(path.read_text()) == {"s": {"x": 2}}
-        path.write_text("[1, 2]")
-        write_json(str(path), {"x": 3}, section="s")
-        assert json.loads(path.read_text()) == {"s": {"x": 3}}
+        write_json(str(path), {"passed": True})
+        assert json.loads(path.read_text()) == {"passed": True}

@@ -151,11 +151,7 @@ WORKER_COUNTS = [1, 2, 4]
 
 class TestEncodeDecodeIdentity:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    # One search id: the exact search, the other case this used to
-    # cover, left FrameEncoder for repro.codec.reference and has no
-    # fan-out.
-    @pytest.mark.parametrize("search", ["turbo"])
-    def test_parallel_encode_is_byte_identical(self, workers, search):
+    def test_parallel_encode_is_byte_identical(self, workers):
         frames = _frames()
         serial = FrameEncoder(EncoderConfig(qp=27.0)).encode(frames)
         par = FrameEncoder(

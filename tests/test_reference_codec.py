@@ -35,7 +35,7 @@ def test_serving_stack_never_imports_the_reference():
         "import sys\n"
         "import repro, repro.cli, repro.tensor, repro.serving, repro.cluster\n"
         "import repro.serving.service, repro.serving.chaos\n"
-        "import repro.cluster.router, repro.cluster.chaos, repro.cluster.bench\n"
+        "import repro.cluster.router, repro.cluster.chaos\n"
         "import repro.tensor.checkpoint, repro.tensor.codec\n"
         "assert 'repro.codec.encoder' in sys.modules\n"
         "assert 'repro.codec.reference' not in sys.modules, 'reference imported'\n"

@@ -1,5 +1,5 @@
 """Chaos-harness tests: the new FaultInjector modes (hang / raise),
-payload-region damage, the soak invariant, and the serve benchmark."""
+payload-region damage and the soak invariant."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,7 @@ import pytest
 import repro.telemetry as telemetry
 from repro.harness import damage_payload, fault_gate
 from repro.resilience.faults import FaultConfig, FaultInjector
-from repro.serving.chaos import (
-    ChaosConfig,
-    format_report,
-    run_chaos,
-    run_serve_bench,
-)
+from repro.serving.chaos import ChaosConfig, format_report, run_chaos
 from repro.serving.supervisor import WorkerCrashed
 
 
@@ -158,19 +153,3 @@ class TestChaosSoak:
         text = format_report(report)
         assert "PASS" in text or "FAIL" in text
         assert "availability" in text
-
-
-class TestServeBench:
-    def test_document_shape_and_accounting(self):
-        doc = run_serve_bench(
-            requests=10, seed=0, burst_threads=6, burst_per_thread=3
-        )
-        assert doc["sequential"]["requests"] > 0
-        assert doc["sequential"]["outcomes"]["error"] == 0
-        burst = doc["burst"]["slo"]
-        assert burst["requests"] == 6 * 3
-        outcomes = burst["outcomes"]
-        assert sum(outcomes.values()) == burst["requests"]
-        # Every shed is typed and every non-shed request succeeded.
-        assert outcomes["error"] == 0
-        assert doc["shed_typed"] == outcomes["shed"]

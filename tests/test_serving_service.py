@@ -2,6 +2,7 @@
 the typed-response contract, degradation, concealment, deadlines, and
 admission control."""
 
+import threading
 import time
 
 import numpy as np
@@ -209,6 +210,32 @@ class TestDeadlinesAndAdmission:
         assert not response.ok
         assert isinstance(response.error, Overloaded)
         assert service.slo.snapshot()["outcomes"]["shed"] == 1
+
+    def test_threaded_burst_sheds_typed(self, tensor):
+        # A burst wider than the broker: whatever is not admitted must
+        # come back as a typed Overloaded, never an untyped error.
+        service = make_service(max_inflight=2, max_queue=4)
+        blob = TensorCodec(tile=32).encode(tensor, qp=26.0).to_bytes()
+        responses = []
+
+        def worker():
+            for turn in range(3):
+                if turn % 2:
+                    responses.append(service.decode(blob))
+                else:
+                    responses.append(service.encode(tensor, qp=26.0))
+
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(responses) == 6 * 3
+        for response in responses:
+            assert response.ok or isinstance(response.error, Overloaded)
+        outcomes = service.slo.snapshot()["outcomes"]
+        assert sum(outcomes.values()) == len(responses)
+        assert outcomes["error"] == 0
 
     def test_stats_document_shape(self, tensor):
         service = make_service()
