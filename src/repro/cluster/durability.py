@@ -130,9 +130,6 @@ class DurabilityChaosConfig:
             deadline_s=self.deadline_s,
             store_root=store_root,
             seed=self.seed,
-            # The durable path does its own replica fan-out; encode/
-            # decode hedging is irrelevant to this soak.
-            hedge=False,
         )
 
 

@@ -6,7 +6,7 @@ sick:
 - the per-shard :class:`~repro.serving.breaker.CircuitBreaker` trips
   on *consecutive* infrastructure failures (the killed-shard case:
   every request fails immediately), or
-- the failure-rate **EWMA** crosses ``ewma_unhealthy`` (the sick-shard
+- the failure-rate **EWMA** crosses :data:`EWMA_UNHEALTHY` (the sick-shard
   case: enough intermittent failures to be unusable even though
   successes keep resetting the consecutive counter).  An EWMA trip is
   routed through :meth:`CircuitBreaker.trip` so there is exactly one
@@ -16,8 +16,8 @@ Re-admission is probe-driven: once the breaker's cooldown elapses,
 :meth:`admit` answers ``"probe"`` and the router sends the drained
 shard one bounded synthetic request.  The probe carries a short child
 :class:`~repro.resilience.deadline.Deadline` -- a hung shard must cost
-the probe path ``probe_timeout_s``, never wedge it (timeouts are
-counted in ``serving.breaker_probe_timeouts``).  One probe success
+the probe path the router's ``PROBE_TIMEOUT_S``, never wedge it
+(timeouts are counted in ``serving.breaker_probe_timeouts``).  One probe success
 re-closes the breaker, resets the EWMA, and re-admits the shard to the
 ring; one probe failure re-opens the breaker for a fresh cooldown.
 
@@ -31,41 +31,33 @@ a persistently saturated shard still sheds routing weight.
 
 from __future__ import annotations
 
-import time
-from typing import Callable
-
 import repro.telemetry as telemetry
 from repro.telemetry import flightrecorder
 from repro.serving.breaker import CircuitBreaker
 
 __all__ = ["ShardHealth"]
 
+#: Consecutive infrastructure failures that trip a shard's breaker.
+FAILURE_THRESHOLD = 3
+#: How long a tripped shard stays drained before a probe may re-admit it.
+COOLDOWN_S = 0.5
+#: Weight of the newest outcome in the failure-rate EWMA, and the level
+#: that drains the shard: four straight load failures (1 - 0.8**4 ~ 0.59)
+#: cross it, three (~ 0.49) do not.
+EWMA_ALPHA = 0.2
+EWMA_UNHEALTHY = 0.5
+
 
 class ShardHealth:
     """One shard's admission verdict, fed by every attempt outcome."""
 
-    def __init__(
-        self,
-        shard_id: str,
-        failure_threshold: int = 3,
-        cooldown_s: float = 0.5,
-        ewma_alpha: float = 0.2,
-        ewma_unhealthy: float = 0.5,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if not 0.0 < ewma_unhealthy <= 1.0:
-            raise ValueError("ewma_unhealthy must be in (0, 1]")
+    def __init__(self, shard_id: str) -> None:
         self.shard_id = shard_id
         self.breaker = CircuitBreaker(
             name=f"shard.{shard_id}",
-            failure_threshold=failure_threshold,
-            cooldown_s=cooldown_s,
-            clock=clock,
+            failure_threshold=FAILURE_THRESHOLD,
+            cooldown_s=COOLDOWN_S,
         )
-        self.ewma_alpha = ewma_alpha
-        self.ewma_unhealthy = ewma_unhealthy
         self.ewma = 0.0
         self.ewma_trips = 0
         self.probe_timeouts = 0
@@ -93,18 +85,18 @@ class ShardHealth:
         EWMA still sees the saturation.
         """
         if ok:
-            self.ewma = (1.0 - self.ewma_alpha) * self.ewma
+            self.ewma = (1.0 - EWMA_ALPHA) * self.ewma
             self.breaker.record_success()
             return
         if not infrastructure:
             return
-        self.ewma = (1.0 - self.ewma_alpha) * self.ewma + self.ewma_alpha
+        self.ewma = (1.0 - EWMA_ALPHA) * self.ewma + EWMA_ALPHA
         self.breaker.record_failure()
         self._check_ewma()
 
     def record_load_failure(self) -> None:
         """An ``Overloaded`` outcome: saturation evidence, not sickness."""
-        self.ewma = (1.0 - self.ewma_alpha) * self.ewma + self.ewma_alpha
+        self.ewma = (1.0 - EWMA_ALPHA) * self.ewma + EWMA_ALPHA
         self._check_ewma()
 
     def record_probe_timeout(self) -> None:
@@ -116,7 +108,7 @@ class ShardHealth:
         """
         self.probe_timeouts += 1
         telemetry.count("serving.breaker_probe_timeouts")
-        self.ewma = (1.0 - self.ewma_alpha) * self.ewma + self.ewma_alpha
+        self.ewma = (1.0 - EWMA_ALPHA) * self.ewma + EWMA_ALPHA
         self.breaker.record_failure()
 
     def reset(self) -> None:
@@ -125,7 +117,7 @@ class ShardHealth:
         self.breaker.record_success()
 
     def _check_ewma(self) -> None:
-        if self.ewma >= self.ewma_unhealthy and self.breaker.state == "closed":
+        if self.ewma >= EWMA_UNHEALTHY and self.breaker.state == "closed":
             self.ewma_trips += 1
             telemetry.count("cluster.ewma_trips")
             flightrecorder.record(

@@ -18,10 +18,11 @@ request flows through four mechanisms, each bounded and observable:
    storms start.
 
 3. **Hedging.**  If the primary has not answered within the hedge
-   delay -- the router's own observed p99, floored and refreshed as
-   latency moves -- a backup of the same request fires at the next
-   replica.  First *success* wins; at most one result is ever
-   committed per request id (the commit cell is the dedupe point: a
+   delay -- the router's own observed p95 (:data:`HEDGE_QUANTILE`),
+   floored and refreshed as latency moves -- a backup of the same
+   request fires at the next replica, within :data:`HEDGE_BUDGET`.
+   First *success* wins; at most one result is ever committed per
+   request id (the commit cell is the dedupe point: a
    supervisor-retried primary and its hedge can both complete, and the
    loser is cancelled if still queued, or discarded and counted if it
    already ran).
@@ -32,7 +33,7 @@ request flows through four mechanisms, each bounded and observable:
    (bounded churn: only its key range moves) and re-admitted by a
    bounded probe request once its breaker half-opens -- the probe
    carries a short child deadline so a hung shard costs
-   ``probe_timeout_s``, never a wedged probe path.
+   :data:`PROBE_TIMEOUT_S`, never a wedged probe path.
 
 Work executes on a router-owned thread pool, the request's one hand-off
 (shards run attempts inline on it, so the router's clock owns hangs).
@@ -51,7 +52,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -91,12 +92,51 @@ FaultGate = Callable[[str], None]
 #: failing over (and they teach shard health nothing).
 DETERMINISTIC_ERRORS = (CorruptStreamError, ValueError)
 
+#: Virtual nodes per shard on the ring (smoothness / churn bound).
+VNODES = 32
+
+#: Quantile of achieved (committed) latency the backup fires at.  95 is
+#: the Dean & Barroso tail-at-scale policy: firing at p95 costs ~5%
+#: extra load and is what *cuts* p99 -- firing at p99 itself can only
+#: improve quantiles above p99, and an estimator fed by requests the
+#: hedge failed to rescue drifts up into the very tail it should beat.
+HEDGE_QUANTILE = 95.0
+#: Floor for the derived delay (never hedge into the median).
+HEDGE_MIN_DELAY_S = 0.005
+#: Delay used until enough latency samples exist for the quantile.
+HEDGE_INITIAL_DELAY_S = 0.05
+#: Cap on hedges as a fraction of requests, plus a burst allowance for
+#: startup.  Hedging amplifies load at exactly the wrong moment: during
+#: a congestion burst the quantile estimator lags, "slow" requests are
+#: suddenly everywhere, and unbudgeted hedges double the offered work
+#: against an already saturated cluster -- the storm then *creates* the
+#: tail it was meant to cut.  The budget bounds that amplification;
+#: denials are counted.
+HEDGE_BUDGET = 0.1
+HEDGE_BUDGET_BURST = 8
+
 #: Committed responses between two recomputations of the derived hedge
 #: delay, and how many it takes before the first.
 _HEDGE_REFRESH = 32
 
+#: Budget of one half-open probe (the child deadline a probe carries so
+#: a hung shard cannot wedge the re-admission path).
+PROBE_TIMEOUT_S = 0.25
+
+#: A dispatch answering later than this is charged as a hang (the
+#: router's clock; shards run attempts inline).  Long: in-process
+#: shards share one GIL, so a healthy-but-contended attempt easily runs
+#: several times its solo latency.
+ATTEMPT_TIMEOUT_S = 1.0
+
+#: Each shard's admission envelope.  The queue is deep enough to absorb
+#: open-loop bursts; the deadline, not the queue bound, is what limits
+#: worst-case latency.
+SHARD_MAX_INFLIGHT = 4
+SHARD_MAX_QUEUE = 64
+
 #: What health hears of a dispatch the router stopped waiting on (in
-#: flight at the deadline, or answering after ``attempt_timeout_s``).
+#: flight at the deadline, or answering after :data:`ATTEMPT_TIMEOUT_S`).
 _HUNG = ServeResponse(ok=False, kind="", error=DeadlineExceeded("hung"))
 
 
@@ -117,7 +157,7 @@ class ClusterUnavailable(RuntimeError):
 
 
 class WriteQuorumFailed(ClusterUnavailable):
-    """A durable put reached fewer than ``write_quorum`` replicas.
+    """A durable put was not acknowledged by every replica it was sent to.
 
     The write is **not acknowledged**: the caller must treat it as
     lost (any partial copies that did land are harmless -- a retry
@@ -140,83 +180,19 @@ class ClusterConfig:
     shards: int = 4
     #: Replica-set size R: how many distinct shards can serve each key.
     replication: int = 2
-    #: Virtual nodes per shard (ring smoothness / churn bound).
-    vnodes: int = 32
     #: End-to-end request budget (overridable per request).
     deadline_s: float = 2.0
-    # -- hedging ------------------------------------------------------
-    hedge: bool = True
-    #: Fixed hedge delay; ``None`` derives it from the router's own
-    #: achieved latency distribution at :attr:`hedge_quantile`.
-    hedge_delay_s: Optional[float] = None
-    #: Quantile of achieved (committed) latency the backup fires at.
-    #: 95 is the Dean & Barroso tail-at-scale policy: firing at p95
-    #: costs ~5% extra load and is what *cuts* p99 -- firing at p99
-    #: itself can only improve quantiles above p99, and an estimator
-    #: fed by requests the hedge failed to rescue drifts up into the
-    #: very tail it should beat.
-    hedge_quantile: float = 95.0
-    #: Floor for the derived delay (never hedge into the median).
-    hedge_min_delay_s: float = 0.005
-    #: Delay used until enough latency samples exist for the quantile.
-    hedge_initial_delay_s: float = 0.05
-    #: Cap on hedges as a fraction of requests (plus a small burst
-    #: allowance).  Hedging amplifies load at exactly the wrong moment:
-    #: during a congestion burst the quantile estimator lags, "slow"
-    #: requests are suddenly everywhere, and unbudgeted hedges double
-    #: the offered work against an already saturated cluster -- the
-    #: storm then *creates* the tail it was meant to cut.  The budget
-    #: bounds that amplification; denials are counted.
-    hedge_budget: float = 0.1
-    #: Extra hedges allowed beyond the fraction (startup / short bursts).
-    hedge_budget_burst: int = 8
-    # -- health -------------------------------------------------------
-    failure_threshold: int = 3
-    cooldown_s: float = 0.5
-    ewma_alpha: float = 0.2
-    ewma_unhealthy: float = 0.5
-    #: Budget of one half-open probe (the child deadline a probe
-    #: carries so a hung shard cannot wedge the re-admission path).
-    probe_timeout_s: float = 0.25
     # -- per-shard service envelope -----------------------------------
     tile: int = 32
     default_qp: float = 26.0
-    #: A dispatch answering later than this is charged as a hang (the
-    #: router's clock; shards run attempts inline).  Long: in-process
-    #: shards share one GIL, so a healthy-but-contended attempt easily
-    #: runs several times its solo latency.
-    attempt_timeout_s: float = 1.0
-    shard_max_inflight: int = 4
-    #: Deep enough to absorb open-loop bursts; the deadline, not the
-    #: queue bound, is what limits worst-case latency.
-    shard_max_queue: int = 64
     # -- durable storage ----------------------------------------------
     #: Root directory for per-shard stores; ``None`` leaves the cluster
     #: stateless (PR 7 behaviour).  Each shard gets
     #: ``<store_root>/<shard_id>/``.
     store_root: Optional[str] = None
-    #: Replica acks required before a put is acknowledged; 0 means all
-    #: R replicas (strongest durability the ring can offer).
-    write_quorum: int = 0
     #: fsync the store's journal on the ack path (tests may disable).
     store_fsync: bool = True
-    #: Run an anti-entropy pass whenever a drained shard is re-admitted
-    #: (the death/revive healing loop).
-    repair_on_readmit: bool = True
-    # -- plumbing -----------------------------------------------------
-    #: Dispatch-pool size; 0 sizes it from the shard envelope.
-    io_workers: int = 0
     seed: int = 0
-
-    def resolved_io_workers(self) -> int:
-        if self.io_workers > 0:
-            return self.io_workers
-        return max(8, self.shards * (self.shard_max_inflight + 1))
-
-    def resolved_write_quorum(self) -> int:
-        if self.write_quorum > 0:
-            return min(self.write_quorum, self.replication)
-        return self.replication
 
     def service_config(self, shard_index: int) -> ServiceConfig:
         return ServiceConfig(
@@ -224,8 +200,8 @@ class ClusterConfig:
             default_qp=self.default_qp,
             deadline_s=self.deadline_s,
             attempt_timeout_s=None,  # inline: the router's clock owns hangs
-            max_inflight=self.shard_max_inflight,
-            max_queue=self.shard_max_queue,
+            max_inflight=SHARD_MAX_INFLIGHT,
+            max_queue=SHARD_MAX_QUEUE,
             seed=self.seed + shard_index,
         )
 
@@ -342,20 +318,15 @@ class ClusterRouter:
             shard.shard_id: shard for shard in shards
         }
         self._lock = threading.Lock()
-        self.ring = HashRing(vnodes=cfg.vnodes)
+        self.ring = HashRing(vnodes=VNODES)
         self.health: Dict[str, ShardHealth] = {}
         for shard_id in self._shards:
             self.ring.add(shard_id)
-            self.health[shard_id] = ShardHealth(
-                shard_id,
-                failure_threshold=cfg.failure_threshold,
-                cooldown_s=cfg.cooldown_s,
-                ewma_alpha=cfg.ewma_alpha,
-                ewma_unhealthy=cfg.ewma_unhealthy,
-            )
+            self.health[shard_id] = ShardHealth(shard_id)
         self.slo = SloTracker()
+        # Every shard's admission slots plus one probe or repair each.
         self._executor = ThreadPoolExecutor(
-            max_workers=cfg.resolved_io_workers(),
+            max_workers=max(8, cfg.shards * (SHARD_MAX_INFLIGHT + 1)),
             thread_name_prefix="cluster-io",
         )
         self._closed = False
@@ -377,7 +348,7 @@ class ClusterRouter:
         # Latency reservoir feeding the derived hedge delay.
         self._latencies: deque = deque(maxlen=512)
         self._latencies_seen = 0  # ever appended: the deque's length saturates
-        self._hedge_cache: Tuple[int, float] = (-1, cfg.hedge_initial_delay_s)
+        self._hedge_cache: Tuple[int, float] = (-1, HEDGE_INITIAL_DELAY_S)
         # Router-level counters, lock-protected so executor threads (no
         # thread-local telemetry registry) never lose an event.
         self.counters: Dict[str, int] = {
@@ -477,11 +448,11 @@ class ClusterRouter:
         """Durably store ``payload`` on the key's replica set.
 
         The write fans out to every replica and is **acknowledged only
-        when at least ``write_quorum`` of them have journaled and
-        fsynced it** -- an ok response is a durability promise the
-        soak holds the cluster to.  Below quorum the response is the
-        typed :class:`WriteQuorumFailed` and the caller must treat the
-        write as lost (partial copies are superseded by any retry).
+        when every one of them has journaled and fsynced it** -- an ok
+        response is a durability promise the soak holds the cluster
+        to.  Short of that the response is the typed
+        :class:`WriteQuorumFailed` and the caller must treat the write
+        as lost (partial copies are superseded by any retry).
         """
         if self._closed:
             return self._refuse("put")
@@ -507,7 +478,7 @@ class ClusterRouter:
                     version=version,
                 )
                 return self._finish(response, start_time, ctx.trace_id)
-            quorum = min(cfg.resolved_write_quorum(), len(candidates))
+            quorum = len(candidates)
             futures = {}
             for shard_id in candidates:
                 future = self._submit(
@@ -692,9 +663,7 @@ class ClusterRouter:
 
     def _await(self, req: _Request) -> None:
         """Block until commit, firing the hedge when its delay elapses."""
-        cfg = self.config
-        hedge_possible = cfg.hedge and len(req.candidates) > 1
-        if hedge_possible:
+        if len(req.candidates) > 1:
             delay = min(self._hedge_delay(), req.deadline.remaining())
             if not req.event.wait(timeout=delay):
                 self._fire_hedge(req)
@@ -717,25 +686,23 @@ class ClusterRouter:
             )
 
     def _fire_hedge(self, req: _Request) -> None:
-        cfg = self.config
+        # Check and charge the budget in one critical section, or every
+        # concurrent hedger passes the same check.
         with self._lock:
-            budget = (
-                cfg.hedge_budget * self.counters["requests"]
-                + cfg.hedge_budget_burst
-            )
+            budget = HEDGE_BUDGET * self.counters["requests"] + HEDGE_BUDGET_BURST
             if self.counters["hedges"] >= budget:
                 self._count_locked("hedges_denied_budget")
                 return
+            self._count_locked("hedges")
         with req.lock:
-            if req.committed is not None:
-                return
-            target = next(
+            target = None if req.committed is not None else next(
                 (sid for sid in req.candidates if sid not in req.tried), None
             )
-            if target is None:
-                return
-            req.hedged = True
-        self._count("hedges")
+            if target is not None:
+                req.hedged = True
+        if target is None:
+            self._count("hedges", -1)  # nothing to hedge: hand it back
+            return
         telemetry.count("cluster.hedges")
         flightrecorder.record(
             "cluster.hedge_fired",
@@ -800,7 +767,7 @@ class ClusterRouter:
     ) -> None:
         started = time.monotonic()
         outcome = task()
-        late = time.monotonic() - started > self.config.attempt_timeout_s
+        late = time.monotonic() - started > ATTEMPT_TIMEOUT_S
         if outcome.error is not None:
             # The shard wrapper never raises; anything here is a router
             # bug surfacing -- treat it as a shard-level failure so the
@@ -1009,8 +976,7 @@ class ClusterRouter:
         background repair pass restores the R-way invariant; the
         in-flight flag collapses a re-admission burst into one pass.
         """
-        cfg = self.config
-        if self._closed or not cfg.repair_on_readmit or self._repair_inflight:
+        if self._closed or self._repair_inflight:
             return
         if not any(s.store is not None for s in self._shards.values()):
             return
@@ -1030,7 +996,6 @@ class ClusterRouter:
 
     def _maybe_probe(self, deadline: Optional[Deadline] = None) -> None:
         """Send one bounded probe to a drained shard whose cooldown is up."""
-        cfg = self.config
         with self._lock:
             target = None
             for shard_id, health in self.health.items():
@@ -1042,9 +1007,9 @@ class ClusterRouter:
         if target is None:
             return
         # The probe's budget is a short *child* of the live deadline:
-        # a hung shard costs probe_timeout_s, never a wedged probe path
-        # (satellite fix; timeouts land in serving.breaker_probe_timeouts).
-        budget_s = cfg.probe_timeout_s
+        # a hung shard costs PROBE_TIMEOUT_S, never a wedged probe path
+        # (timeouts land in serving.breaker_probe_timeouts).
+        budget_s = PROBE_TIMEOUT_S
         if deadline is not None:
             budget_s = min(budget_s, max(deadline.remaining(), 1e-3))
         self._count("probes")
@@ -1086,7 +1051,7 @@ class ClusterRouter:
     # -- hedging -------------------------------------------------------
 
     def _hedge_delay(self) -> float:
-        """The backup-fire delay: configured, or quantile of achieved latency.
+        """The backup-fire delay: a quantile of achieved latency.
 
         The reservoir holds end-to-end latencies of *committed* ok
         responses, so the estimator sees the distribution hedging
@@ -1094,12 +1059,9 @@ class ClusterRouter:
         the derived delay) rises and they back off; if the tail grows,
         the delay follows it down-quantile and hedges re-engage.
         """
-        cfg = self.config
-        if cfg.hedge_delay_s is not None:
-            return cfg.hedge_delay_s
         with self._lock:
             if len(self._latencies) < _HEDGE_REFRESH:
-                return cfg.hedge_initial_delay_s
+                return HEDGE_INITIAL_DELAY_S
             # Keyed on the samples ever committed, not on the reservoir's
             # length (which stops changing once it is full), and
             # refreshed once per _HEDGE_REFRESH of them: no request
@@ -1109,9 +1071,7 @@ class ClusterRouter:
             if cached_at == epoch:
                 return cached
             samples = sorted(self._latencies)
-        delay = max(
-            cfg.hedge_min_delay_s, _nearest_rank(samples, cfg.hedge_quantile)
-        )
+        delay = max(HEDGE_MIN_DELAY_S, _nearest_rank(samples, HEDGE_QUANTILE))
         with self._lock:
             self._hedge_cache = (epoch, delay)
         return delay
@@ -1189,8 +1149,8 @@ class ClusterRouter:
             "config": {
                 "shards": len(self._shards),
                 "replication": self.config.replication,
-                "vnodes": self.config.vnodes,
-                "hedge": self.config.hedge,
+                "vnodes": VNODES,
+                "hedge": True,  # always on, within HEDGE_BUDGET
             },
             "slo": self.slo.snapshot(),
             "router": counters,

@@ -16,7 +16,7 @@ process dying (SIGKILL) or wedging (hung event loop).  A
   the hang lifts.  From the shard's own view the stall is unbounded:
   its service runs attempts inline on the router's dispatch thread,
   so only the router's clock bounds it -- the request deadline, the
-  hedge, the per-dispatch ``attempt_timeout_s`` charge and the probe
+  hedge, the per-dispatch ``ATTEMPT_TIMEOUT_S`` charge and the probe
   budget -- which is the point.
 - :meth:`revive` -- the "process restarted" transition.  The shard
   first runs crash-consistent recovery on its durable store (journal

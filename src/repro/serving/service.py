@@ -30,8 +30,8 @@ router's dispatch thread, the one hand-off the router abandons.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -43,12 +43,10 @@ from repro.telemetry.metrics import (
     render_prometheus,
 )
 from repro.telemetry.propagate import TraceContext, mint_trace, trace_scope
-from repro.parallel import ParallelConfig
 from repro.resilience.deadline import Deadline, DeadlineExceeded
 from repro.resilience.errors import ConcealmentReport, CorruptStreamError
-from repro.resilience.faults import RetryPolicy
 from repro.serving.broker import Overloaded, RequestBroker
-from repro.serving.ladder import DEFAULT_LADDER, DegradationLadder, Rung
+from repro.serving.ladder import DegradationLadder, Rung
 from repro.serving.slo import SloTracker
 from repro.serving.supervisor import RetriesExhausted, Supervisor
 from repro.tensor.codec import CompressedTensor, TensorCodec
@@ -76,19 +74,8 @@ class ServiceConfig:
     attempt_timeout_s: Optional[float] = 0.25
     max_inflight: int = 2
     max_queue: int = 8
-    retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(max_retries=3, backoff_base_s=0.002)
-    )
-    rungs: Sequence[Rung] = DEFAULT_LADDER
-    breaker_failure_threshold: int = 3
-    breaker_cooldown_s: float = 1.0
     #: Seeds supervision backoff jitter (reproducible soak schedules).
     seed: int = 0
-    #: Thread count of the supervision pool that bounds attempt waits
-    #: (unused when ``attempt_timeout_s`` is ``None``).  A hung attempt
-    #: parks a thread for its whole stall, and a starved pool turns
-    #: queueing delay into spurious attempt timeouts.
-    supervisor_workers: int = 8
     #: When set, a request that fails non-retryably (every retry and
     #: ladder rung exhausted) dumps a flight-recorder postmortem bundle
     #: into this directory (see ``docs/OBSERVABILITY.md``).
@@ -137,16 +124,11 @@ class CodecService:
         cfg = self.config
         self.broker = RequestBroker(cfg.max_inflight, cfg.max_queue)
         self.slo = SloTracker()
-        self.supervisor = Supervisor(
-            retry=cfg.retry,
-            seed=cfg.seed,
-            executor=ParallelConfig(workers=cfg.supervisor_workers),
-        )
-        self.ladder = DegradationLadder(
-            cfg.rungs,
-            failure_threshold=cfg.breaker_failure_threshold,
-            cooldown_s=cfg.breaker_cooldown_s,
-        )
+        # Both at their defaults: 3 retries, 8 threads to wait on (a hung
+        # attempt parks one for its whole stall), and per-rung breakers
+        # that trip after 3 failures for 1 s.
+        self.supervisor = Supervisor(seed=cfg.seed)
+        self.ladder = DegradationLadder()
         self._codecs = {
             rung.name: TensorCodec(
                 tile=cfg.tile,
@@ -360,10 +342,10 @@ class CodecService:
                 if conceal_fallback is None:
                     return ServeResponse(
                         ok=False, kind=kind, error=exc, rung=rung.name,
-                        retries=retries,
+                        retries=retries, ladder_steps=index,
                     )
                 return self._conceal(
-                    kind, rung, conceal_fallback, deadline, retries, exc
+                    kind, rung, conceal_fallback, deadline, retries, index
                 )
             except ValueError as exc:
                 # Malformed request (bad targets, wrong dtype): typed,
@@ -371,7 +353,7 @@ class CodecService:
                 self.ladder.record(index, True)
                 return ServeResponse(
                     ok=False, kind=kind, error=exc, rung=rung.name,
-                    retries=retries,
+                    retries=retries, ladder_steps=index,
                 )
 
     def _conceal(
@@ -381,7 +363,7 @@ class CodecService:
         conceal_fallback: Callable,
         deadline: Deadline,
         retries: int,
-        strict_error: CorruptStreamError,
+        ladder_steps: int,
     ) -> ServeResponse:
         telemetry.count("serving.conceal_fallbacks")
         try:
@@ -392,7 +374,8 @@ class CodecService:
             # Metadata damage (nothing to conceal) or budget/fault
             # exhaustion: surface the typed failure.
             return ServeResponse(
-                ok=False, kind=kind, error=exc, rung="concealed", retries=retries,
+                ok=False, kind=kind, error=exc, rung="concealed",
+                retries=retries, ladder_steps=ladder_steps,
             )
         tensor, report = value
         degraded = not report.clean
@@ -403,6 +386,7 @@ class CodecService:
             degraded=degraded,
             rung="concealed" if degraded else rung.name,
             retries=retries + attempts - 1,
+            ladder_steps=ladder_steps,
             concealed=report.concealed_count,
             report=report,
         )

@@ -155,7 +155,7 @@ class TestContainerPayloads:
         blob = codec.encode(tensor, qp=24.0).to_bytes()
 
         config = ClusterConfig(
-            shards=3, replication=2, hedge=False,
+            shards=3, replication=2,
             store_root=str(tmp_path / "stores"), store_fsync=False,
         )
         with ClusterRouter(config) as router:

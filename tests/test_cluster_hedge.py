@@ -2,15 +2,19 @@
 loser accounting, and the typed contract under injected stragglers."""
 
 import random
+import threading
 import time
 
 import numpy as np
+import pytest
 
 from repro.cluster.chaos import CLUSTER_TYPED_ERRORS
 from repro.cluster import router as router_mod
 from repro.cluster.router import ClusterConfig, ClusterResponse, ClusterRouter
+from repro.resilience.deadline import Deadline
 from repro.serving.service import ServeResponse
 from repro.serving.slo import _nearest_rank
+from repro.telemetry.propagate import mint_trace
 
 TENSOR = np.zeros((8, 8), dtype=np.float32)
 
@@ -45,13 +49,20 @@ class FakeShard:
         return {"shard": self.shard_id}
 
 
-def make_router(delay_a=0.0, delay_b=0.0, **overrides):
-    defaults = dict(
-        replication=2, hedge=True, hedge_delay_s=0.06, deadline_s=3.0,
-    )
-    defaults.update(overrides)
+@pytest.fixture(autouse=True)
+def hedge_delay(monkeypatch):
+    """Backups fire after 60 ms until 32 latencies are in."""
+    monkeypatch.setattr(router_mod, "HEDGE_INITIAL_DELAY_S", 0.06)
+
+
+def set_policy(monkeypatch, **constants):
+    for name, value in constants.items():
+        monkeypatch.setattr(router_mod, name, value)
+
+
+def make_router(delay_a=0.0, delay_b=0.0, deadline_s=3.0):
     return ClusterRouter(
-        ClusterConfig(**defaults),
+        ClusterConfig(replication=2, deadline_s=deadline_s),
         shards=[FakeShard("a", delay_a), FakeShard("b", delay_b)],
     )
 
@@ -74,8 +85,9 @@ def wait_until(predicate, timeout_s=3.0):
 
 
 class TestHedgeFiring:
-    def test_fast_primary_never_hedges(self):
-        with make_router(hedge_delay_s=0.25) as router:
+    def test_fast_primary_never_hedges(self, monkeypatch):
+        set_policy(monkeypatch, HEDGE_INITIAL_DELAY_S=0.25)
+        with make_router() as router:
             key = key_with_primary(router, "a")
             for _ in range(5):
                 response = router.encode(TENSOR, key)
@@ -83,8 +95,9 @@ class TestHedgeFiring:
             assert router.counters["hedges"] == 0
             assert router.shard("b").calls == 0
 
-    def test_backup_fires_only_after_the_delay(self):
-        with make_router(delay_a=0.7, hedge_delay_s=0.1) as router:
+    def test_backup_fires_only_after_the_delay(self, monkeypatch):
+        set_policy(monkeypatch, HEDGE_INITIAL_DELAY_S=0.1)
+        with make_router(delay_a=0.7) as router:
             key = key_with_primary(router, "a")
             started = time.perf_counter()
             response = router.encode(TENSOR, key)
@@ -94,8 +107,8 @@ class TestHedgeFiring:
             assert time.perf_counter() - started >= 0.1
             assert router.counters["hedges"] == 1
 
-    def test_hedge_disabled_never_fires(self):
-        with make_router(delay_a=0.3, hedge=False) as router:
+    def test_hedge_disabled_never_fires(self, no_hedges):
+        with make_router(delay_a=0.3) as router:
             key = key_with_primary(router, "a")
             response = router.encode(TENSOR, key)
             assert response.ok and not response.hedged
@@ -115,11 +128,11 @@ class TestFirstSuccessWins:
             assert response.latency_s < 0.6
             assert router.counters["hedge_wins"] == 1
 
-    def test_primary_win_keeps_hedged_flag_without_hedge_won(self):
+    def test_primary_win_keeps_hedged_flag_without_hedge_won(self, monkeypatch):
         # Backup is much slower than the primary: the hedge fires but
         # loses, and the response says so.
-        with make_router(delay_a=0.15, delay_b=0.8,
-                         hedge_delay_s=0.03) as router:
+        set_policy(monkeypatch, HEDGE_INITIAL_DELAY_S=0.03)
+        with make_router(delay_a=0.15, delay_b=0.8) as router:
             key = key_with_primary(router, "a")
             response = router.encode(TENSOR, key)
             assert response.ok and response.shard == "a"
@@ -140,21 +153,21 @@ class TestFirstSuccessWins:
 
 
 class TestDerivedDelay:
-    def test_initial_delay_until_enough_samples(self):
-        with make_router(hedge_delay_s=None,
-                         hedge_initial_delay_s=0.07) as router:
+    def test_initial_delay_until_enough_samples(self, monkeypatch):
+        set_policy(monkeypatch, HEDGE_INITIAL_DELAY_S=0.07)
+        with make_router() as router:
             assert router._hedge_delay() == 0.07
 
     def test_delay_tracks_the_configured_quantile(self):
-        with make_router(hedge_delay_s=None) as router:
+        with make_router() as router:
             samples = [0.01 + 0.001 * i for i in range(100)]
             router._latencies.extend(samples)
             expected = _nearest_rank(sorted(samples), 95.0)
             assert abs(router._hedge_delay() - expected) < 1e-12
 
-    def test_delay_floors_at_min_delay(self):
-        with make_router(hedge_delay_s=None,
-                         hedge_min_delay_s=0.02) as router:
+    def test_delay_floors_at_min_delay(self, monkeypatch):
+        set_policy(monkeypatch, HEDGE_MIN_DELAY_S=0.02)
+        with make_router() as router:
             router._latencies.extend([0.001] * 100)
             assert router._hedge_delay() == 0.02
 
@@ -181,7 +194,8 @@ class TestDerivedDelay:
             router_mod, "_nearest_rank",
             lambda samples, q: sorts.append(len(samples)) or _nearest_rank(samples, q),
         )
-        with make_router(hedge_delay_s=None, hedge_min_delay_s=0.0) as router:
+        set_policy(monkeypatch, HEDGE_MIN_DELAY_S=0.0)
+        with make_router() as router:
             self._commit(router, 0.001, 512)
             fast = router._hedge_delay()
             assert 0.001 <= fast < 0.01
@@ -195,9 +209,10 @@ class TestDerivedDelay:
 
 
 class TestHedgeBudget:
-    def test_zero_budget_denies_every_hedge(self):
-        with make_router(delay_a=0.3, hedge_delay_s=0.05,
-                         hedge_budget=0.0, hedge_budget_burst=0) as router:
+    def test_zero_budget_denies_every_hedge(self, monkeypatch):
+        set_policy(monkeypatch, HEDGE_INITIAL_DELAY_S=0.05,
+                   HEDGE_BUDGET=0.0, HEDGE_BUDGET_BURST=0)
+        with make_router(delay_a=0.3) as router:
             key = key_with_primary(router, "a")
             response = router.encode(TENSOR, key)
             # The slow primary still answers; the hedge was denied, not
@@ -207,9 +222,10 @@ class TestHedgeBudget:
             assert router.counters["hedges_denied_budget"] >= 1
             assert router.shard("b").calls == 0
 
-    def test_burst_allowance_then_denial(self):
-        with make_router(delay_a=0.2, hedge_delay_s=0.03,
-                         hedge_budget=0.0, hedge_budget_burst=2) as router:
+    def test_burst_allowance_then_denial(self, monkeypatch):
+        set_policy(monkeypatch, HEDGE_INITIAL_DELAY_S=0.03,
+                   HEDGE_BUDGET=0.0, HEDGE_BUDGET_BURST=2)
+        with make_router(delay_a=0.2) as router:
             key = key_with_primary(router, "a")
             for _ in range(4):
                 assert router.encode(TENSOR, key).ok
@@ -218,9 +234,9 @@ class TestHedgeBudget:
             assert router.counters["hedges"] == 2
             assert router.counters["hedges_denied_budget"] >= 2
 
-    def test_budget_scales_with_request_count(self):
-        with make_router(delay_a=0.0, hedge_budget=0.5,
-                         hedge_budget_burst=0) as router:
+    def test_budget_scales_with_request_count(self, monkeypatch):
+        set_policy(monkeypatch, HEDGE_BUDGET=0.5, HEDGE_BUDGET_BURST=0)
+        with make_router(delay_a=0.0) as router:
             key = key_with_primary(router, "a")
             for _ in range(20):
                 assert router.encode(TENSOR, key).ok
@@ -231,11 +247,53 @@ class TestHedgeBudget:
             assert router.counters["hedges"] == 1
             assert router.counters["hedges_denied_budget"] == 0
 
+    def test_concurrent_hedgers_pass_one_budget_check(self, monkeypatch):
+        # Regression: the budget was checked under the router's lock but
+        # charged only after the request's lock was taken, so hedgers
+        # waiting on their requests' locks all passed the same check.
+        set_policy(monkeypatch, HEDGE_BUDGET=0.0, HEDGE_BUDGET_BURST=1)
+        hedgers = 6
+        with make_router() as router:
+            requests = []
+            for index in range(hedgers):
+                req = router_mod._Request(
+                    index, "encode", mint_trace("hedge-race"),
+                    Deadline.after(3.0), ("a", "b"),
+                    lambda shard, budget_s, ctx: shard.encode(TENSOR),
+                )
+                req.tried.add("a")
+                req.lock.acquire()
+                requests.append(req)
+            threads = [
+                threading.Thread(
+                    target=router._fire_hedge, args=(req,), daemon=True
+                )
+                for req in requests
+            ]
+            try:
+                for thread in threads:
+                    thread.start()
+                wait_until(
+                    lambda: router.counters["hedges_denied_budget"]
+                    == hedgers - 1,
+                    timeout_s=1.0,
+                )
+            finally:
+                for req in requests:
+                    req.lock.release()
+            for thread in threads:
+                thread.join(timeout=5.0)
+                assert not thread.is_alive()
+            assert router.counters["hedges"] == 1
+            assert router.counters["hedges_denied_budget"] == hedgers - 1
+            assert sum(req.hedged for req in requests) == 1
+
 
 class TestContractUnderStragglers:
-    def test_every_response_ok_or_typed(self):
+    def test_every_response_ok_or_typed(self, monkeypatch):
         rng = random.Random(7)
-        with make_router(hedge_delay_s=0.05, deadline_s=1.5) as router:
+        set_policy(monkeypatch, HEDGE_INITIAL_DELAY_S=0.05)
+        with make_router(deadline_s=1.5) as router:
             shards = [router.shard("a"), router.shard("b")]
 
             responses = []

@@ -14,6 +14,8 @@ import time
 
 import pytest
 
+from repro.cluster import health as health_mod
+from repro.cluster import router as router_mod
 from repro.cluster import (
     ClusterConfig,
     ClusterRouter,
@@ -27,17 +29,21 @@ from repro.cluster.store import PUT_STAGES
 from repro.resilience.faults import FaultInjector
 
 
+@pytest.fixture(autouse=True)
+def repair_policy(monkeypatch):
+    """16 vnodes a shard; 2 failures drain a shard for 50 ms."""
+    monkeypatch.setattr(router_mod, "VNODES", 16)
+    monkeypatch.setattr(health_mod, "FAILURE_THRESHOLD", 2)
+    monkeypatch.setattr(health_mod, "COOLDOWN_S", 0.05)
+
+
 def make_router(tmp_path, **overrides):
     settings = dict(
         shards=3,
         replication=2,
-        vnodes=16,
-        hedge=False,
         deadline_s=5.0,
         store_root=str(tmp_path / "stores"),
         store_fsync=False,
-        failure_threshold=2,
-        cooldown_s=0.05,
     )
     settings.update(overrides)
     return ClusterRouter(ClusterConfig(**settings))
@@ -56,7 +62,7 @@ def owners_of(router, key):
 
 def drain(router, shard_id):
     with router._lock:
-        for _ in range(router.config.failure_threshold + 1):
+        for _ in range(health_mod.FAILURE_THRESHOLD + 1):
             router.health[shard_id].record(False)
         router._sync_ring_locked(shard_id)
     assert shard_id not in router.ring
@@ -167,7 +173,7 @@ class TestVerifiedGet:
         assert router.counters["store_get_misses"] == 1
 
     def test_store_errors_do_not_poison_shard_health(self, router):
-        for _ in range(5 * router.config.failure_threshold):
+        for _ in range(5 * health_mod.FAILURE_THRESHOLD):
             router.get("never-written")
         # Misses are correct answers: nobody gets drained for them.
         assert router.counters["shard_drained"] == 0

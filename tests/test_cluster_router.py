@@ -6,14 +6,23 @@ re-admission, and the typed-response guarantee when every replica is
 gone.
 """
 
+import hashlib
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.cluster import health as health_mod
+from repro.cluster import router as router_mod
 from repro.cluster.chaos import CLUSTER_TYPED_ERRORS
-from repro.cluster.router import ClusterConfig, ClusterRouter, ClusterUnavailable
+from repro.cluster.router import (
+    ClusterConfig,
+    ClusterRouter,
+    ClusterUnavailable,
+    WriteQuorumFailed,
+)
+from repro.serving.slo import _nearest_rank
 from repro.cluster.shard import ShardDown
 from repro.resilience.deadline import DeadlineExceeded
 from repro.serving.service import ServeResponse
@@ -67,14 +76,17 @@ def shard_down(shard_id):
     )
 
 
-def make_router(script_a=None, script_b=None, **overrides):
-    defaults = dict(
-        replication=2, hedge=False, cooldown_s=0.15,
-        probe_timeout_s=0.08, deadline_s=2.0,
-    )
-    defaults.update(overrides)
+@pytest.fixture
+def fast_readmission(monkeypatch):
+    """A drained shard may be probed after 0.15 s; a probe gets 0.08 s."""
+    monkeypatch.setattr(health_mod, "COOLDOWN_S", 0.15)
+    monkeypatch.setattr(router_mod, "PROBE_TIMEOUT_S", 0.08)
+
+
+def make_router(script_a=None, script_b=None, deadline_s=2.0):
     shards = [FakeShard("a", script_a), FakeShard("b", script_b)]
-    return ClusterRouter(ClusterConfig(**defaults), shards=shards)
+    config = ClusterConfig(replication=2, deadline_s=deadline_s)
+    return ClusterRouter(config, shards=shards)
 
 
 def key_with_primary(router, shard_id):
@@ -94,6 +106,7 @@ def wait_until(predicate, timeout_s=3.0):
     return predicate()
 
 
+@pytest.mark.usefixtures("fast_readmission", "no_hedges")
 class TestRouting:
     def test_roundtrip_commits_primary(self):
         with make_router() as router:
@@ -116,6 +129,7 @@ class TestRouting:
             assert router.decode(b"blob", key).shard == "a"
 
 
+@pytest.mark.usefixtures("fast_readmission", "no_hedges")
 class TestFailover:
     def test_shard_down_fails_over_within_the_request(self):
         with make_router(script_a=shard_down("a")) as router:
@@ -157,14 +171,13 @@ class TestFailover:
             assert isinstance(response.error, DeadlineExceeded)
 
 
+@pytest.mark.usefixtures("fast_readmission")
 class TestDedupe:
     def test_at_most_one_commit_per_request(self):
         # Primary is slow-but-healthy; the hedge answers first.  Both
         # results eventually arrive; exactly one is committed and the
         # loser is dropped and counted (satellite 1).
-        with make_router(
-            hedge=True, hedge_delay_s=0.05, deadline_s=3.0
-        ) as router:
+        with make_router(deadline_s=3.0) as router:
             key = key_with_primary(router, "a")
             router.shard("a").delay_s = 0.6
             response = router.encode(TENSOR, key)
@@ -176,7 +189,7 @@ class TestDedupe:
             assert router.counters["duplicate_results_dropped"] >= 1
             assert router.counters["hedge_wins"] == 1
 
-    def test_dispatch_never_reuses_a_shard(self):
+    def test_dispatch_never_reuses_a_shard(self, no_hedges):
         # Failover has nowhere to go once both replicas were tried:
         # the request resolves typed instead of re-dispatching.
         with make_router(
@@ -189,9 +202,10 @@ class TestDedupe:
             ) == 2
 
 
+@pytest.mark.usefixtures("fast_readmission", "no_hedges")
 class TestHealthAndProbes:
     def _drain_primary(self, router, key):
-        for _ in range(3):  # failure_threshold
+        for _ in range(health_mod.FAILURE_THRESHOLD):
             router.encode(TENSOR, key)
         assert "a" not in router.ring
         assert router.counters["shard_drained"] == 1
@@ -212,23 +226,23 @@ class TestHealthAndProbes:
             router.shard("a").script = lambda kind: ServeResponse(
                 ok=True, kind=kind, value=b"a", rung="fake"
             )
-            time.sleep(router.config.cooldown_s + 0.05)
+            time.sleep(health_mod.COOLDOWN_S + 0.05)
             router.encode(TENSOR, key)  # triggers _maybe_probe
             assert wait_until(lambda: "a" in router.ring)
             assert router.counters["probes"] == 1
             assert router.counters["shard_readmitted"] == 1
 
     def test_probe_carries_child_deadline(self):
-        # Satellite 2: the half-open probe is budgeted at
-        # probe_timeout_s regardless of the live request's deadline.
+        # The half-open probe is budgeted at PROBE_TIMEOUT_S
+        # regardless of the live request's deadline.
         with make_router(script_a=shard_down("a")) as router:
             key = key_with_primary(router, "a")
             self._drain_primary(router, key)
-            time.sleep(router.config.cooldown_s + 0.05)
+            time.sleep(health_mod.COOLDOWN_S + 0.05)
             router.encode(TENSOR, key, deadline_s=30.0)
             assert wait_until(lambda: router.shard("a").probe_budgets)
             budget = router.shard("a").probe_budgets[0]
-            assert 0 < budget <= router.config.probe_timeout_s
+            assert 0 < budget <= router_mod.PROBE_TIMEOUT_S
 
     def test_hung_probe_counts_a_probe_timeout(self):
         with make_router(script_a=shard_down("a")) as router:
@@ -238,7 +252,7 @@ class TestHealthAndProbes:
                 ok=False, kind=kind,
                 error=DeadlineExceeded("probe deadline exceeded"),
             )
-            time.sleep(router.config.cooldown_s + 0.05)
+            time.sleep(health_mod.COOLDOWN_S + 0.05)
             router.encode(TENSOR, key)
             assert wait_until(
                 lambda: router.counters["probe_timeouts"] >= 1
@@ -265,16 +279,16 @@ class TestConfig:
             ClusterRouter(ClusterConfig(), shards=[])
 
     def test_io_pool_sized_from_shard_envelope(self):
-        cfg = ClusterConfig(shards=4, shard_max_inflight=4)
-        assert cfg.resolved_io_workers() == 20
-        assert ClusterConfig(io_workers=3).resolved_io_workers() == 3
+        # Four shards x (4 admission slots + 1 probe or repair).
+        with ClusterRouter(ClusterConfig(shards=4)) as router:
+            assert router._executor._max_workers == 20
 
     def test_per_shard_service_seeds_differ(self):
         cfg = ClusterConfig(seed=5)
         assert cfg.service_config(0).seed == 5
         assert cfg.service_config(3).seed == 8
 
-    def test_stats_document_shape(self):
+    def test_stats_document_shape(self, fast_readmission, no_hedges):
         with make_router() as router:
             router.encode(TENSOR, "k0")
             doc = router.stats()
@@ -282,3 +296,56 @@ class TestConfig:
             assert set(doc["ring"]["members"]) == {"a", "b"}
             assert doc["router"]["requests"] == 1
             assert "a" in doc["health"] and "b" in doc["shards"]
+
+
+class TestDefaults:
+    """``ClusterRouter(ClusterConfig())`` routes, hedges, acknowledges and
+    drains as it did when these values were config fields."""
+
+    def test_defaults_are_pinned(self, tmp_path):
+        with ClusterRouter(ClusterConfig()) as router:
+            pairs = "\n".join(
+                ",".join(router.ring.replicas(f"tensor-{i}", 2))
+                for i in range(1000)
+            )
+            assert hashlib.sha256(pairs.encode()).hexdigest() == (
+                "48875e0e1f83e6ed572286bd13ad897e5fd4519a34d6e2545b46202deefc912a"
+            )
+            # 0.05 s until 32 latencies are in, then p95 floored at 5 ms.
+            self._add_latencies(router, [0.001] * 31)
+            assert router._hedge_delay() == 0.05
+            self._add_latencies(router, [0.001])
+            assert router._hedge_delay() == 0.005
+            self._add_latencies(router, [0.010 + 0.001 * i for i in range(64)])
+            expected = _nearest_rank(sorted(router._latencies), 95.0)
+            assert expected > 0.005
+            assert router._hedge_delay() == expected
+            # Breaker: 3 consecutive infrastructure failures drain.
+            health = router.health["shard-0"]
+            for _ in range(2):
+                health.record(False)
+            assert health.healthy
+            health.record(False)
+            assert not health.healthy
+            # EWMA: 4 load failures (1 - 0.8**4 ~ 0.59 >= 0.5) drain, 3 do not.
+            health = router.health["shard-1"]
+            for _ in range(3):
+                health.record_load_failure()
+            assert health.healthy
+            health.record_load_failure()
+            assert not health.healthy
+
+        with ClusterRouter(ClusterConfig(store_root=str(tmp_path))) as router:
+            key = "tensor-0"
+            second = router.ring.replicas(key, 2)[1]
+            router.shard(second).kill()
+            response = router.put(b"payload", key)
+            assert not response.ok
+            assert isinstance(response.error, WriteQuorumFailed)
+            assert response.error.quorum == 2
+            assert response.error.acked == 1
+
+    @staticmethod
+    def _add_latencies(router, latencies):
+        router._latencies.extend(latencies)
+        router._latencies_seen += len(latencies)

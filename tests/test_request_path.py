@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 
 import repro.telemetry as telemetry
+from repro.cluster import health as health_mod
+from repro.cluster import router as router_mod
 from repro.cluster.router import ClusterConfig, ClusterRouter, ClusterUnavailable
 from repro.resilience.deadline import Deadline, DeadlineExceeded
 from repro.resilience.faults import RetryPolicy
@@ -74,13 +76,18 @@ def spy(monkeypatch):
 
 @pytest.fixture(scope="module")
 def router():
-    with ClusterRouter(ClusterConfig(shards=2, hedge=False)) as router:
-        # Warm: kernels loaded, pools built, first-op costs paid.
-        blob = router.encode(PAGE, "warm").value.to_bytes()
-        assert router.decode(blob, "warm").ok
+    with ClusterRouter(ClusterConfig(shards=2)) as router:
+        # Warm: kernels loaded, pools built, first-op costs paid.  The
+        # tests that use this router run with ``no_hedges`` as well.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(router_mod, "HEDGE_BUDGET", 0.0)
+            patch.setattr(router_mod, "HEDGE_BUDGET_BURST", 0)
+            blob = router.encode(PAGE, "warm").value.to_bytes()
+            assert router.decode(blob, "warm").ok
         yield router
 
 
+@pytest.mark.usefixtures("no_hedges")
 class TestTheCount:
     """Per untraced request: 1 router submit, 0 supervisor submits,
     0 ``Registry`` / ``EncodeStats`` / ``DecodeStats`` (two hand-offs
@@ -197,11 +204,12 @@ class TestInlineAttempts:
         assert spy["Registry"] == 1  # the session's own
 
 
-def _ewma_trips_after(config):
+def _ewma_trips_after():
     """Load failures until the EWMA alone drains a shard."""
+    alpha = health_mod.EWMA_ALPHA
     ewma, count = 0.0, 0
-    while ewma < config.ewma_unhealthy:
-        ewma = (1 - config.ewma_alpha) * ewma + config.ewma_alpha
+    while ewma < health_mod.EWMA_UNHEALTHY:
+        ewma = (1 - alpha) * ewma + alpha
         count += 1
     return count
 
@@ -218,15 +226,16 @@ class SlowShard:
         return ServeResponse(ok=True, kind="encode", value=b"x", rung="fake")
 
 
+@pytest.mark.usefixtures("no_hedges")
 class TestRouterClock:
     def test_hung_primary_drains_and_its_late_answer_readmits_nothing(self):
-        config = ClusterConfig(shards=2, hedge=False, deadline_s=0.1)
+        config = ClusterConfig(shards=2, deadline_s=0.1)
         with ClusterRouter(config) as router:
             shard = router.shard("shard-0")
             key = primary_key(router, "shard-0")
             assert router.encode(PAGE, key, deadline_s=5.0).ok  # warm
             served = shard.service.slo.snapshot()["requests"]
-            needed = _ewma_trips_after(config)
+            needed = _ewma_trips_after()
             shard.hang(0.6 + needed * config.deadline_s)
             for sent in range(1, needed + 1):
                 response = router.encode(PAGE, key)
@@ -249,38 +258,42 @@ class TestRouterClock:
             assert router.health["shard-0"].ewma == charged
             assert router.counters["shard_readmitted"] == 0
 
-    def test_answer_after_attempt_timeout_is_charged_not_credited(self):
-        config = ClusterConfig(
-            replication=1, hedge=False, attempt_timeout_s=0.05
-        )
+    def test_answer_after_attempt_timeout_is_charged_not_credited(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(router_mod, "ATTEMPT_TIMEOUT_S", 0.05)
+        config = ClusterConfig(replication=1)
         with ClusterRouter(config, shards=[SlowShard("a", 0.15)]) as router:
             response = router.encode(PAGE, "k0")
             assert response.ok  # the result still commits...
             # ...but health hears a hang, once.
-            assert router.health["a"].ewma == pytest.approx(config.ewma_alpha)
+            assert router.health["a"].ewma == pytest.approx(
+                health_mod.EWMA_ALPHA
+            )
 
     def test_in_flight_at_deadline_is_charged_once(self):
-        config = ClusterConfig(replication=1, hedge=False, deadline_s=0.05)
+        config = ClusterConfig(replication=1, deadline_s=0.05)
         with ClusterRouter(config, shards=[SlowShard("a", 0.2)]) as router:
             response = router.encode(PAGE, "k0")
             assert isinstance(response.error, DeadlineExceeded)
             assert wait_until(lambda: router.counters["losers_discarded"])
-            assert router.health["a"].ewma == pytest.approx(config.ewma_alpha)
+            assert router.health["a"].ewma == pytest.approx(
+                health_mod.EWMA_ALPHA
+            )
 
-    def test_hung_probe_counts_a_probe_timeout(self):
-        config = ClusterConfig(
-            shards=2, cooldown_s=0.1, probe_timeout_s=0.05, hedge=False
-        )
-        with ClusterRouter(config) as router:
+    def test_hung_probe_counts_a_probe_timeout(self, monkeypatch):
+        monkeypatch.setattr(health_mod, "COOLDOWN_S", 0.1)
+        monkeypatch.setattr(router_mod, "PROBE_TIMEOUT_S", 0.05)
+        with ClusterRouter(ClusterConfig(shards=2)) as router:
             shard = router.shard("shard-0")
             key = primary_key(router, "shard-0")
             shard.kill()
-            for _ in range(config.failure_threshold):
+            for _ in range(health_mod.FAILURE_THRESHOLD):
                 assert router.encode(PAGE, key).ok  # failed over
             assert "shard-0" not in router.ring
             shard.revive()
             shard.hang(0.4)
-            time.sleep(config.cooldown_s + 0.02)
+            time.sleep(health_mod.COOLDOWN_S + 0.02)
             assert router.encode(PAGE, key).ok  # fires the probe
             assert router.counters["probes"] == 1
             assert wait_until(lambda: router.counters["probe_timeouts"] == 1)
@@ -346,7 +359,8 @@ def test_request_racing_close_answers_typed(tmp_path, kind):
 def test_hedge_racing_close_answers_typed(monkeypatch):
     # The primary shuts the pool from its own dispatch thread and holds
     # on; the hedge then finds no pool to run on.
-    router = ClusterRouter(ClusterConfig(shards=2, hedge_delay_s=0.02))
+    monkeypatch.setattr(router_mod, "HEDGE_INITIAL_DELAY_S", 0.02)
+    router = ClusterRouter(ClusterConfig(shards=2))
     release = threading.Event()
     key = primary_key(router, "shard-0")
 

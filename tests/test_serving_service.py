@@ -13,6 +13,7 @@ from repro.resilience.errors import CorruptStreamError
 from repro.resilience.faults import RetryPolicy
 from repro.serving import (
     CodecService,
+    DegradationLadder,
     Overloaded,
     RetriesExhausted,
     ServiceConfig,
@@ -27,14 +28,11 @@ def tensor():
 
 
 def make_service(**overrides):
-    defaults = dict(
-        tile=32,
-        deadline_s=10.0,
-        attempt_timeout_s=1.0,
-        retry=RetryPolicy(max_retries=2, backoff_base_s=0.001),
-    )
+    defaults = dict(tile=32, deadline_s=10.0, attempt_timeout_s=1.0)
     defaults.update(overrides)
-    return CodecService(ServiceConfig(**defaults))
+    service = CodecService(ServiceConfig(**defaults))
+    service.supervisor.retry = RetryPolicy(max_retries=2, backoff_base_s=0.001)
+    return service
 
 
 class GateScript:
@@ -124,6 +122,24 @@ class TestFaultRecovery:
         assert response.rung == "serial"
         assert service.ladder.breakers[0].stats()["consecutive_failures"] == 1
 
+    def test_input_errors_after_a_step_down_report_the_step(self, tensor):
+        # Regression: the ValueError and concealment answers said
+        # ladder_steps=0 although the turbo rung had failed first.
+        down = [_raise(RuntimeError("backend down"))] * 3
+        service = make_service()
+        response = service.encode(tensor, qp=99.0, fault_gate=GateScript(*down))
+        assert isinstance(response.error, ValueError)
+        assert response.rung == "serial" and response.ladder_steps == 1
+        assert service.slo.snapshot()["ladder_steps"] == 1
+
+        blob = bytearray(TensorCodec(tile=32).encode(tensor, qp=26.0).to_bytes())
+        blob[-30] ^= 0x40  # inside the frame-slice payload
+        service = make_service()
+        response = service.decode(bytes(blob), fault_gate=GateScript(*down))
+        assert response.ok and response.rung == "concealed"
+        assert response.ladder_steps == 1
+        assert service.slo.snapshot()["ladder_steps"] == 1
+
     def test_total_failure_is_typed_retries_exhausted(self, tensor):
         gate = GateScript(*[_raise(RuntimeError("down"))] * 99)
         service = make_service()
@@ -133,8 +149,8 @@ class TestFaultRecovery:
         assert response.rung == "python"  # fell all the way down
 
     def test_breaker_trips_and_turbo_is_skipped(self, tensor):
-        service = make_service(breaker_failure_threshold=1,
-                               breaker_cooldown_s=60.0)
+        service = make_service()
+        service.ladder = DegradationLadder(failure_threshold=1, cooldown_s=60.0)
         gate = GateScript(*[_raise(RuntimeError("down"))] * 3)
         first = service.encode(tensor, qp=26.0, fault_gate=gate)
         assert first.ok and first.rung == "serial"
