@@ -345,10 +345,8 @@ def _print_stats(
     from repro.codec.entropy import native as _native
 
     print("-- native kernels --")
-    for name, state in _native.kernel_status().items():
-        print(f"{name + ' kernel':<18s} {state:>14s}")
-    lanes = _native.simd_lanes()
-    print(f"{'simd lanes':<18s} cost {lanes['cost']}, encode {lanes['encode']}")
+    print(f"{'kernels':<18s} {_native.kernel_status()['library']:>14s}")
+    print(f"{'simd lanes':<18s} {_native.simd_lanes():>14s}")
     print()
 
     print("-- session telemetry (all encodes incl. rate-control search) --")

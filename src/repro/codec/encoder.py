@@ -338,7 +338,7 @@ def _pass1_pick(
         )
         if out is not None:
             return out
-        if native.kernel_status(resolve=False)["cost"] == "ready":
+        if native.available():
             telemetry.count("encode.kernel_refusals")
     n_blocks, n_modes, width = pred.shape
     flat = ((coeffs[:, None, :] - pred) * inv_step[:, None, None]).reshape(-1, width)
@@ -718,7 +718,7 @@ class FrameEncoder:
             # GEMMs and the whole-slice kernel.  The twin's per-leaf
             # Python measured slower under threads than serial.
             and self._native_ok
-            and native.encode_available()
+            and native.available()
         )
         if par_capable and not use_parallel:
             telemetry.count("encode.parallel_threshold_fallbacks")
@@ -911,7 +911,7 @@ class FrameEncoder:
             bits,
         )
         if report is None:
-            if native.kernel_status(resolve=False)["encode"] == "ready":
+            if native.available():
                 telemetry.count("encode.kernel_refusals", count)
             return [None] * count
         if stats is not None:

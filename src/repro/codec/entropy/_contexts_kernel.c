@@ -1,11 +1,10 @@
-/* The range coder's constants and the layout of CodecContexts, shared by
- * the slice-decode and slice-encode kernels.
+/* The layouts every kernel of the library shares: the range coder's
+ * constants, the context layout of CodecContexts and a slice's starting
+ * contexts, the intra mode numbers, the leaf-plan rows and the mode map.
  *
- * Not a kernel of its own: _slice_kernel.c and _encode_kernel.c each
- * #include this file (it is part of both content hashes, see
- * native._Kernel.includes), so a slice's starting contexts -- every
- * probability equiprobable, the banks laid out in CodecContexts.banks()
- * order -- have one C definition, the twin of CodecContexts().
+ * Not a kernel of its own: _kernels.c includes it first, so each of
+ * these has one C definition -- the slice decoder, the reconstruction
+ * and the slice encoder all read them from here.
  */
 
 #include <stdint.h>
@@ -30,6 +29,27 @@ enum { B_SPLIT, B_PRED, B_MPM_FLAG, B_MPM_INDEX, B_CBF, B_LAST, B_SIG,
 static const int BANK_SIZES[N_BANKS] = {6, 1, 1, 2, 2, 50, 15, 15, 8};
 #define BANK_TOTAL 100
 
+/* Intra modes (repro.codec.intra): planar, DC, then the 33 angular ones. */
+#define MODE_PLANAR 0
+#define MODE_DC 1
+#define ANGULAR_FIRST 2
+#define ANGULAR_LAST 34
+#define N_ANGULAR 33
+
+/* Leaf-plan rows, in the order of native.PLAN_FIELDS. */
+enum {
+    P_Y0,
+    P_X0,
+    P_SIZE,
+    P_MODE,
+    P_INTER,
+    P_RY,
+    P_RX,
+    P_CTU,
+    P_COEFF,
+    PLAN_ROWS
+};
+
 /* CodecContexts(): the BANK_TOTAL contexts of one slice in `bank`, every
  * one equiprobable; banks[b] is left pointing at bank b. */
 static void fresh_contexts(int32_t *bank, int32_t **banks)
@@ -42,4 +62,15 @@ static void fresh_contexts(int32_t *bank, int32_t **banks)
         banks[i] = bank;
         bank += BANK_SIZES[i];
     }
+}
+
+/* The mode of the leaf covering sample (y, x) on a mode map of one cell
+ * per 4x4 samples, map_w cells a row (FrameDecoder._neighbor_mode);
+ * -1 outside the frame. */
+static inline int neighbor_mode(const int8_t *mode_map, int64_t map_w,
+                                int64_t y, int64_t x)
+{
+    if (y < 0 || x < 0)
+        return -1;
+    return mode_map[(y >> 2) * map_w + (x >> 2)];
 }

@@ -58,8 +58,6 @@
 #include <math.h>
 #include <stdint.h>
 
-#include "_simd_kernel.c"
-
 /* Largest n * n of any profile (64 x 64 CTU). */
 #define MAX_WIDTH 4096
 

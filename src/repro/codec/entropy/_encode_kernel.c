@@ -17,17 +17,15 @@
  *      the fused coefficient scan into the range coder, adapting the
  *      slice's own CodecContexts, then the coder's flush.
  *
- * Five other files reach the compiler through this one and are part
- * of its content hash (native._Kernel.includes): the coder constants
- * and starting contexts of _contexts_kernel.c (the decode kernel's
- * too), the range coder and the block writer of _write_kernel.c, the
- * reference gather and intra predictors of _recon_kernel.c, the
- * codec's order-defined DCT pair of _transform_kernel.c (the
- * reconstruct kernel's too: the decoder's inverse transform is this
- * file's) and the run-time vector-width choice of _simd_kernel.c (the
- * cost kernel's too).  With the predictors, the transform and the clip
- * being the decoder's own code, the float64 plane produced here is the
- * plane the decoder reconstructs, bit for bit.
+ * It is the last file _kernels.c includes, because it builds on four
+ * of the others: the coder constants and starting contexts of
+ * _contexts_kernel.c (the decode kernel's too), the range coder and
+ * the block writer of _write_kernel.c, the reference gather and intra
+ * predictors of _recon_kernel.c and the codec's order-defined DCT pair
+ * of _transform_kernel.c (the decoder's inverse transform is this
+ * file's).  With the predictors, the transform and the clip being the
+ * decoder's own code, the float64 plane produced here is the plane the
+ * decoder reconstructs, bit for bit.
  *
  * Every write is capacity-checked and nothing is formatted here: a
  * non-zero slice status makes the caller re-code that slice with the
@@ -44,23 +42,15 @@
 #include <math.h>
 #include <stdint.h>
 
-#include "_contexts_kernel.c"
-#include "_recon_kernel.c"
-#include "_simd_kernel.c"
-#include "_transform_kernel.c"
-#include "_write_kernel.c"
-
-#define N_ANGULAR 33
-
 #define MAX_DEPTH 5 /* a 64 CTU split down to 4 */
 #define MAX_NODES 341 /* 1 + 4 + 16 + 64 + 256 */
 
-enum { ST_OK, ST_BYTES, ST_CAPACITY, ST_GEOMETRY, ST_MODE, ST_LEVEL };
+enum { ES_OK, ES_BYTES, ES_CAPACITY, ES_GEOMETRY, ES_MODE, ES_LEVEL };
 
 /* -- the slice ------------------------------------------------------------ */
 
 typedef struct {
-    coder c;
+    enc_coder c;
     /* The current slice's source, reconstruction and coverage planes. */
     const double *frame;
     double *recon;
@@ -124,13 +114,6 @@ static double choose(enc_slice *s, int64_t y0, int64_t x0, int64_t size,
     return split_cost;
 }
 
-static inline int neighbor_mode(const enc_slice *s, int64_t y, int64_t x)
-{
-    if (y < 0 || x < 0)
-        return -1;
-    return s->mode_map[(y >> 2) * s->map_w + (x >> 2)];
-}
-
 /* intra.most_probable_modes + syntax.encode_intra_mode. */
 static int write_intra_mode(enc_slice *s, int left, int top, int mode)
 {
@@ -139,7 +122,7 @@ static int write_intra_mode(enc_slice *s, int left, int top, int mode)
     int b = top >= 0 ? top : MODE_DC;
     int mpm[3];
     int64_t i, remaining = 0, index = -1, width = 1;
-    coder *c = &s->c;
+    enc_coder *c = &s->c;
 
     if (a == b) {
         if (a < ANGULAR_FIRST) {
@@ -167,8 +150,8 @@ static int write_intra_mode(enc_slice *s, int left, int top, int mode)
             if (ctx_bin(c, s->banks[B_MPM_FLAG], 0, 1) ||
                 ctx_bin(c, s->banks[B_MPM_INDEX], 0, i > 0) ||
                 (i > 0 && ctx_bin(c, s->banks[B_MPM_INDEX], 1, (int)i - 1)))
-                return ST_BYTES;
-            return ST_OK;
+                return ES_BYTES;
+            return ES_OK;
         }
     /* Index among the profile's modes outside the MPM set, coded in
      * max(1, (remaining - 1).bit_length()) bypass bins, msb first. */
@@ -181,15 +164,15 @@ static int write_intra_mode(enc_slice *s, int left, int top, int mode)
         remaining++;
     }
     if (index < 0)
-        return ST_MODE;
+        return ES_MODE;
     while (((int64_t)1 << width) < remaining)
         width++;
     if (ctx_bin(c, s->banks[B_MPM_FLAG], 0, 0))
-        return ST_BYTES;
+        return ES_BYTES;
     for (i = width - 1; i >= 0; i--)
         if (bypass_bin(c, (int)((index >> i) & 1)))
-            return ST_BYTES;
-    return ST_OK;
+            return ES_BYTES;
+    return ES_OK;
 }
 
 /* FrameEncoder._code_leaf_fixed_mode + the leaf half of _write_cu. */
@@ -209,12 +192,12 @@ static int code_leaf(enc_slice *s, int64_t y0, int64_t x0, int64_t n,
     int status;
 
     if (cls < 0 || !s->basis[cls] || !s->zigzag[cls])
-        return ST_GEOMETRY;
+        return ES_GEOMETRY;
     if (s->n_leaves >= s->leaf_cap)
-        return ST_CAPACITY;
+        return ES_CAPACITY;
     mode = s->best_mode[depth][(y0 / n) * (width / n) + x0 / n];
     if (mode < 0 || mode > ANGULAR_LAST)
-        return ST_MODE;
+        return ES_MODE;
     basis = s->basis[cls];
     zigzag = s->zigzag[cls];
     basis_t = basis_t_of(&s->basis_t, basis, cls);
@@ -233,7 +216,7 @@ static int code_leaf(enc_slice *s, int64_t y0, int64_t x0, int64_t n,
                            ? trunc(scaled + copysign(off, scaled))
                            : rint(scaled);
         if (!(fabs(level) < 9.0e18))
-            return ST_LEVEL;
+            return ES_LEVEL;
         quant[i] = (int64_t)level;
         work[i] = (double)quant[i] * step;
     }
@@ -256,8 +239,9 @@ static int code_leaf(enc_slice *s, int64_t y0, int64_t x0, int64_t n,
         for (x = x0 >> 2; x < (x0 + n) >> 2; x++)
             s->mode_map[y * s->map_w + x] = (int8_t)mode;
 
-    status = write_intra_mode(s, neighbor_mode(s, y0, x0 - 1),
-                              neighbor_mode(s, y0 - 1, x0), (int)mode);
+    status = write_intra_mode(
+        s, neighbor_mode(s->mode_map, s->map_w, y0, x0 - 1),
+        neighbor_mode(s->mode_map, s->map_w, y0 - 1, x0), (int)mode);
     if (status)
         return status;
     charge(&s->c, E_INTRA_MODE);
@@ -268,12 +252,12 @@ static int code_leaf(enc_slice *s, int64_t y0, int64_t x0, int64_t n,
         }
     if (last < 0) {
         if (ctx_bin(&s->c, s->banks[B_CBF], 0, 0))
-            return ST_BYTES;
+            return ES_BYTES;
         charge(&s->c, E_CBF);
     } else {
         int64_t *scanned = s->levels + s->n_levels;
         if (s->n_levels + area > s->level_cap)
-            return ST_CAPACITY;
+            return ES_CAPACITY;
         for (i = 0; i < area; i++)
             scanned[i] = quant[zigzag[i]];
         if (coeff_block(&s->c, scanned, last, n, s->banks[B_CBF],
@@ -281,7 +265,7 @@ static int code_leaf(enc_slice *s, int64_t y0, int64_t x0, int64_t n,
                         UEG_K, s->banks[B_SIG] + cls * SIG_CTX_PER_CLASS,
                         s->banks[B_LEVEL] + cls * LEVEL_PREFIX, LEVEL_PREFIX,
                         UEG_K))
-            return ST_BYTES;
+            return ES_BYTES;
         coeff = s->n_levels;
         s->n_levels += area;
     }
@@ -295,7 +279,7 @@ static int code_leaf(enc_slice *s, int64_t y0, int64_t x0, int64_t n,
     s->plan[P_RX * s->leaf_cap + col] = 0;
     s->plan[P_CTU * s->leaf_cap + col] = s->ctu_index;
     s->plan[P_COEFF * s->leaf_cap + col] = coeff;
-    return ST_OK;
+    return ES_OK;
 }
 
 /* FrameEncoder._turbo_commit + _write_cu over the DP's decisions. */
@@ -308,7 +292,7 @@ static int code_cu(enc_slice *s, int64_t y0, int64_t x0, int64_t size,
         int q, status;
         if (ctx_bin(&s->c, s->banks[B_SPLIT], depth < 5 ? depth : 5,
                     is_split))
-            return ST_BYTES;
+            return ES_BYTES;
         charge(&s->c, E_SPLIT);
         if (is_split) {
             for (q = 0; q < 4; q++) {
@@ -318,14 +302,14 @@ static int code_cu(enc_slice *s, int64_t y0, int64_t x0, int64_t size,
                 if (status)
                     return status;
             }
-            return ST_OK;
+            return ES_OK;
         }
     }
     return code_leaf(s, y0, x0, size, depth);
 }
 
 /* Columns of the per-slice report (native.ENCODE_REPORT). */
-enum { R_STATUS, R_OUT_END, R_LEAF_END, R_LEVEL_END, REPORT_COLS };
+enum { ER_STATUS, ER_OUT_END, ER_LEAF_END, ER_LEVEL_END, ER_COLS };
 
 /* One slice on fresh entropy state -- BinaryEncoder() and, in `bank`,
  * CodecContexts() -- and an empty mode map: every CTU's DP and coding,
@@ -334,7 +318,7 @@ enum { R_STATUS, R_OUT_END, R_LEAF_END, R_LEVEL_END, REPORT_COLS };
 static int encode_slice(enc_slice *s, int64_t ctu, int32_t *bank)
 {
     int64_t i, y0, x0;
-    int status = ST_OK;
+    int status = ES_OK;
 
     s->c.low = 0;
     s->c.rng = 0xFFFFFFFFu;
@@ -353,7 +337,7 @@ static int encode_slice(enc_slice *s, int64_t ctu, int32_t *bank)
             s->ctu_index++;
         }
     if (!status && finish(&s->c))
-        status = ST_BYTES;
+        status = ES_BYTES;
     return status;
 }
 
@@ -368,7 +352,7 @@ static int encode_slice(enc_slice *s, int64_t ctu, int32_t *bank)
  * N_CLASSES entries (NULL where the size is unused).  The three
  * capacities are the group's.
  *
- * report (count x REPORT_COLS) receives per slice its status and the
+ * report (count x ER_COLS) receives per slice its status and the
  * running byte / leaf / level counts after it: slice k's finished bytes
  * are out[out_end[k - 1] .. out_end[k]].  A refused slice gives its
  * bytes, leaves and levels back -- the counts after it are the counts
@@ -395,7 +379,7 @@ int64_t llm265_encode_slices(
     enc_slice s;
     int64_t area = height * width, ctus = 0, depths = 1, size, k, d, i;
     int64_t refused = 0;
-    int geometry = ST_OK;
+    int geometry = ES_OK;
 
     s.c.out = out;
     s.c.cap = out_cap;
@@ -425,20 +409,20 @@ int64_t llm265_encode_slices(
 
     if (size_class(ctu) < 0 || height <= 0 || width <= 0 || height % ctu ||
         width % ctu)
-        geometry = ST_GEOMETRY;
+        geometry = ES_GEOMETRY;
     if (s.use_partition) {
         /* The tree bottoms out at min_cu after whole halvings. */
         for (size = ctu; size > min_cu; size /= 2)
             depths++;
         if (min_cu < 4 || depths > MAX_DEPTH ||
             (min_cu << (depths - 1)) != ctu)
-            geometry = ST_GEOMETRY;
+            geometry = ES_GEOMETRY;
     }
     if (!geometry)
         ctus = (height / ctu) * (width / ctu);
 
     for (k = 0; k < count; k++) {
-        int64_t *row = report + k * REPORT_COLS;
+        int64_t *row = report + k * ER_COLS;
         int64_t out_start = s.c.len, leaf_start = s.n_leaves;
         int64_t level_start = s.n_levels;
         int status = geometry;
@@ -464,10 +448,10 @@ int64_t llm265_encode_slices(
             s.n_levels = level_start;
             refused++;
         }
-        row[R_STATUS] = status;
-        row[R_OUT_END] = s.c.len;
-        row[R_LEAF_END] = s.n_leaves;
-        row[R_LEVEL_END] = s.n_levels;
+        row[ER_STATUS] = status;
+        row[ER_OUT_END] = s.c.len;
+        row[ER_LEAF_END] = s.n_leaves;
+        row[ER_LEVEL_END] = s.n_levels;
     }
     return refused;
 }

@@ -2,7 +2,7 @@
  * prediction, + residual, clip -- for every leaf of a slice plan, in
  * decode order, in one call.
  *
- * Three entry points share this translation unit:
+ * Three entry points:
  *
  * llm265_gather_refs        the HEVC-style boundary walk of
  *                           repro.codec.intra.gather_references, also
@@ -50,23 +50,12 @@
 
 #include <stdint.h>
 
-#include "_simd_kernel.c"
-#include "_transform_kernel.c"
-
 #define MAX_N 512
 #define DEFAULT_SAMPLE 128.0
-
-#define MODE_PLANAR 0
-#define MODE_DC 1
-#define ANGULAR_FIRST 2
-#define ANGULAR_LAST 34
 #define VERTICAL_FIRST 18
 
-/* Plan rows, in the order of native.PLAN_FIELDS. */
-enum { P_Y0, P_X0, P_SIZE, P_MODE, P_INTER, P_RY, P_RX, P_CTU, P_COEFF };
-
 /* HEVC intraPredAngle for modes 2..34 (intra._ANGLES). */
-static const int ANGLES[33] = {
+static const int ANGLES[N_ANGULAR] = {
     32, 26, 21, 17, 13, 9, 5, 2, 0, -2, -5, -9, -13, -17, -21, -26, -32,
     -26, -21, -17, -13, -9, -5, -2, 0, 2, 5, 9, 13, 17, 21, 26, 32,
 };

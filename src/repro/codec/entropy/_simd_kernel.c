@@ -1,5 +1,5 @@
-/* Run-time choice of vector width, shared by the cost, reconstruct and
- * encode kernels (#included by each; no kernel of its own).
+/* Run-time choice of vector width, shared by the cost pick and the
+ * ordered transform (no kernel of its own; _kernels.c includes it).
  *
  * native._CFLAGS stay at the architecture's baseline (plus SSE4.1 on
  * x86-64), so a cached object runs on every machine of the
@@ -14,9 +14,6 @@
  * wide with every output summed sequentially in k.  Four lanes compute
  * exactly those sums; eight (AVX-512) would have to change them.
  */
-
-#ifndef LLM265_SIMD_KERNEL_C
-#define LLM265_SIMD_KERNEL_C
 
 #include <stdint.h>
 
@@ -48,5 +45,3 @@ int64_t llm265_simd_lanes(void)
     return 1;
 #endif
 }
-
-#endif /* LLM265_SIMD_KERNEL_C */

@@ -40,36 +40,15 @@
 
 #include <stdint.h>
 
-#include "_contexts_kernel.c"
-
-#define MODE_PLANAR 0
-#define MODE_DC 1
-#define ANGULAR_FIRST 2
-#define N_ANGULAR 33
-
 enum {
-    ST_OK,
-    ST_UEG,
-    ST_OVERFLOW,
-    ST_LAST,
-    ST_MODE,
-    ST_MV,
-    ST_CAPACITY,
-    ST_GEOMETRY
-};
-
-/* Plan rows, in the order of native.PLAN_FIELDS. */
-enum {
-    P_Y0,
-    P_X0,
-    P_SIZE,
-    P_MODE,
-    P_INTER,
-    P_RY,
-    P_RX,
-    P_CTU,
-    P_COEFF,
-    PLAN_ROWS
+    DS_OK,
+    DS_UEG,
+    DS_OVERFLOW,
+    DS_LAST,
+    DS_MODE,
+    DS_MV,
+    DS_CAPACITY,
+    DS_GEOMETRY
 };
 
 /* The range decoder's state.  Every bin primitive below takes it by
@@ -79,10 +58,10 @@ typedef struct {
     const uint8_t *next; /* the next byte, while any are left */
     int64_t left; /* bytes not yet read; past the end the coder reads zeros */
     uint32_t rng, code;
-} coder;
+} dec_coder;
 
 typedef struct {
-    coder c;
+    dec_coder c;
     int64_t dlen; /* the slice's bytes: its position is dlen - c.left */
     int64_t bins; /* coefficient-scan bins, as BinaryDecoder.scan_bins */
     int32_t *const *banks;
@@ -103,7 +82,7 @@ typedef struct {
 /* One byte shift when the range drops below 2^24.  This branch stays:
  * its shift-by-mask form, with the byte read through a selected
  * pointer, measured 38 % slower on the whole scan (docs/PERFORMANCE.md). */
-INLINE void renorm(coder *c)
+INLINE void dec_renorm(dec_coder *c)
 {
     if (c->rng < TOP) {
         c->rng <<= 8;
@@ -121,7 +100,7 @@ INLINE void renorm(coder *c)
  * ADAPT_SHIFT) (an arithmetic shift, flooring) is p - (p >>
  * ADAPT_SHIFT) and p + ((PROB_ONE - p) >> ADAPT_SHIFT) respectively,
  * for every p in [31, 2017], the range the coder keeps them in. */
-INLINE uint32_t bin(coder *c, int32_t *prob)
+INLINE uint32_t bin(dec_coder *c, int32_t *prob)
 {
     int32_t p = *prob;
     uint32_t bound = (c->rng >> PROB_BITS) * (uint32_t)p;
@@ -131,19 +110,19 @@ INLINE uint32_t bin(coder *c, int32_t *prob)
     c->code = bit ? c->code - bound : c->code;
     c->rng = bit ? c->rng - bound : bound;
     *prob = p - ((p - target) >> ADAPT_SHIFT);
-    renorm(c);
+    dec_renorm(c);
     return bit;
 }
 
 /* BinaryDecoder.decode_bypass. */
-INLINE uint32_t bypass(coder *c)
+INLINE uint32_t bypass(dec_coder *c)
 {
     uint32_t bit;
 
     c->rng >>= 1;
     bit = c->code >= c->rng;
     c->code -= c->rng & (0u - bit);
-    renorm(c);
+    dec_renorm(c);
     return bit;
 }
 
@@ -160,26 +139,26 @@ static int small_ueg(slice *s, int32_t *probs, int64_t max_prefix,
         int64_t ctx = prefix < max_prefix - 1 ? prefix : max_prefix - 1;
         if (bin(&s->c, probs + ctx) == 0) {
             *value = prefix;
-            return ST_OK;
+            return DS_OK;
         }
         prefix++;
     }
     while (bypass(&s->c) == 0)
         if (++prefix_len > 60)
-            return ST_UEG;
+            return DS_UEG;
     for (j = 0; j < prefix_len; j++)
         shifted = (shifted << 1) | (uint64_t)bypass(&s->c);
     for (j = 0; j < UEG_K; j++)
         suffix = (suffix << 1) | (uint64_t)bypass(&s->c);
     *value = max_prefix + (int64_t)(((shifted - 1) << UEG_K) | suffix);
-    return ST_OK;
+    return DS_OK;
 }
 
 /* The level of one significant position: its adaptive truncated-unary
  * magnitude prefix on the class's three level contexts, an order-k
  * Exp-Golomb bypass suffix past them, then the sign bypass bin --
  * written to *out, its bins added to *bins. */
-INLINE int level(coder *c, int32_t *l0, int32_t *l1, int32_t *l2,
+INLINE int level(dec_coder *c, int32_t *l0, int32_t *l1, int32_t *l2,
                  int64_t *bins, int64_t *out)
 {
     uint64_t magnitude, negative;
@@ -201,7 +180,7 @@ INLINE int level(coder *c, int32_t *l0, int32_t *l1, int32_t *l2,
         int64_t prefix_len = 0, j;
         while (!bypass(c))
             if (UNLIKELY(++prefix_len > 64))
-                return ST_UEG;
+                return DS_UEG;
         for (j = 0; j < prefix_len + UEG_K; j++)
             shifted = (shifted << 1) | bypass(c);
         value = (unsigned __int128)LEVEL_PREFIX + shifted -
@@ -209,13 +188,13 @@ INLINE int level(coder *c, int32_t *l0, int32_t *l1, int32_t *l2,
         *bins += LEVEL_PREFIX + 2 * prefix_len + UEG_K + 2;
         if (UNLIKELY(value > (unsigned __int128)INT64_MAX)) {
             bypass(c); /* the sign, as the scan reads it before refusing */
-            return ST_OVERFLOW;
+            return DS_OVERFLOW;
         }
         magnitude = (uint64_t)value;
     }
     negative = 0u - (uint64_t)bypass(c);
     *out = (int64_t)((magnitude ^ negative) - negative);
-    return ST_OK;
+    return DS_OK;
 }
 
 /* BinaryDecoder.decode_coeff_scan -- the hot loop, ~99 % of a slice's
@@ -232,7 +211,7 @@ static __attribute__((noinline)) int coeff_scan(slice *s, int64_t n,
                                                 int64_t cls, int64_t last,
                                                 int64_t *out)
 {
-    coder c = s->c;
+    dec_coder c = s->c;
     int32_t *sig_probs = s->banks[B_SIG] + cls * SIG_CTX_PER_CLASS;
     int32_t *level_probs = s->banks[B_LEVEL] + cls * LEVEL_PREFIX;
     int32_t s0 = sig_probs[0], s1 = sig_probs[1], s2 = sig_probs[2];
@@ -268,14 +247,6 @@ done:
     level_probs[2] = l2;
     s->c = c;
     return status;
-}
-
-/* FrameDecoder._neighbor_mode on the 4x4-granular mode map. */
-static inline int neighbor_mode(const slice *s, int64_t y, int64_t x)
-{
-    if (y < 0 || x < 0)
-        return -1;
-    return s->mode_map[(y >> 2) * s->map_w + (x >> 2)];
 }
 
 static inline int in_mpm(const int *mpm, int mode)
@@ -318,25 +289,25 @@ static int intra_mode(slice *s, int left, int top, int64_t *mode_out)
             *mode_out = mpm[0];
         else
             *mode_out = mpm[1 + bin(&s->c, s->banks[B_MPM_INDEX] + 1)];
-        return ST_OK;
+        return DS_OK;
     }
     for (i = 0; i < s->n_modes; i++)
         if (!in_mpm(mpm, s->all_modes[i]))
             remaining++;
     if (remaining == 0)
-        return ST_MODE;
+        return DS_MODE;
     while (((int64_t)1 << width) < remaining)
         width++; /* max(1, (remaining - 1).bit_length()) */
     for (i = 0; i < width; i++)
         index = (index << 1) | bypass(&s->c);
     if (index >= remaining)
-        return ST_MODE;
+        return DS_MODE;
     for (i = 0; i < s->n_modes; i++)
         if (!in_mpm(mpm, s->all_modes[i]) && index-- == 0) {
             *mode_out = s->all_modes[i];
-            return ST_OK;
+            return DS_OK;
         }
-    return ST_MODE;
+    return DS_MODE;
 }
 
 /* FrameDecoder._plan_leaf. */
@@ -351,10 +322,10 @@ static int leaf(slice *s, int64_t y0, int64_t x0, int64_t size)
     case 16: cls = 2; break;
     case 32: cls = 3; break;
     case 64: cls = 4; break;
-    default: return ST_GEOMETRY;
+    default: return DS_GEOMETRY;
     }
     if (s->n_leaves >= s->leaf_cap)
-        return ST_CAPACITY;
+        return DS_CAPACITY;
     if (s->inter_allowed)
         is_inter = bin(&s->c, s->banks[B_PRED]);
     if (is_inter) {
@@ -373,10 +344,11 @@ static int leaf(slice *s, int64_t y0, int64_t x0, int64_t size)
         /* The reference frame has this slice's (padded) dimensions. */
         if (ry < 0 || ry > s->height - size || rx < 0 ||
             rx > s->width - size)
-            return ST_MV;
+            return DS_MV;
     } else if (s->use_intra) {
-        status = intra_mode(s, neighbor_mode(s, y0, x0 - 1),
-                            neighbor_mode(s, y0 - 1, x0), &mode);
+        status = intra_mode(
+            s, neighbor_mode(s->mode_map, s->map_w, y0, x0 - 1),
+            neighbor_mode(s->mode_map, s->map_w, y0 - 1, x0), &mode);
         if (status)
             return status;
     }
@@ -387,9 +359,9 @@ static int leaf(slice *s, int64_t y0, int64_t x0, int64_t size)
         if (status)
             return status;
         if (last >= size * size)
-            return ST_LAST;
+            return DS_LAST;
         if (s->n_levels + size * size > s->level_cap)
-            return ST_CAPACITY;
+            return DS_CAPACITY;
         coeff = s->n_levels;
         status = coeff_scan(s, size, cls, last, s->levels + coeff);
         if (status)
@@ -411,7 +383,7 @@ static int leaf(slice *s, int64_t y0, int64_t x0, int64_t size)
         for (x = x0 >> 2; x < (x0 + size) >> 2; x++)
             s->mode_map[y * s->map_w + x] =
                 (int8_t)(mode >= 0 ? mode : MODE_DC);
-    return ST_OK;
+    return DS_OK;
 }
 
 /* FrameDecoder._plan_cu.  Recursion is bounded: size starts at a CTU
@@ -423,21 +395,21 @@ static int cu(slice *s, int64_t y0, int64_t x0, int64_t size, int64_t depth)
         int64_t half = size / 2;
         int q, status;
         if (half < 4)
-            return ST_GEOMETRY;
+            return DS_GEOMETRY;
         for (q = 0; q < 4; q++) {
             status = cu(s, y0 + (q >> 1) * half, x0 + (q & 1) * half, half,
                         depth + 1);
             if (status)
                 return status;
         }
-        return ST_OK;
+        return DS_OK;
     }
     return leaf(s, y0, x0, size);
 }
 
 /* Columns of the per-slice report (native.SLICE_REPORT). */
-enum { R_STATUS, R_POS, R_RANGE, R_CODE, R_BINS, R_LEAF_END, R_LEVEL_END,
-       REPORT_COLS };
+enum { DR_STATUS, DR_POS, DR_RANGE, DR_CODE, DR_BINS, DR_LEAF_END,
+       DR_LEVEL_END, DR_COLS };
 
 /* One slice of the group on fresh entropy state: BinaryDecoder.__init__
  * (the first byte is the encoder's cache seed, four code bytes, zero
@@ -450,7 +422,7 @@ static int one_slice(slice *s, const uint8_t *data, int64_t dlen,
 {
     int32_t *banks[N_BANKS];
     int64_t i, y0, x0;
-    int status = ST_OK;
+    int status = DS_OK;
 
     s->dlen = dlen;
     s->c.next = dlen > 1 ? data + 1 : data;
@@ -481,7 +453,7 @@ static int one_slice(slice *s, const uint8_t *data, int64_t dlen,
  * and ctu_index numbers the group's CTUs slice after slice (the caller
  * keeps one QP per CTU of the group).  Both capacities are the group's.
  *
- * report (count x REPORT_COLS) receives per slice its status, the
+ * report (count x DR_COLS) receives per slice its status, the
  * coder's end state (position, range, code), its scan_bins and the
  * running leaf / level counts after it.  A slice that is refused gives
  * its columns back -- the counts after it are the counts before it, so
@@ -515,9 +487,9 @@ int64_t llm265_decode_slices(
     int64_t k, refused = 0;
 
     for (k = 0; k < count; k++) {
-        int64_t *row = report + k * REPORT_COLS;
+        int64_t *row = report + k * DR_COLS;
         int64_t leaf_start = s.n_leaves, level_start = s.n_levels;
-        int status = ST_GEOMETRY;
+        int status = DS_GEOMETRY;
 
         s.ctu_index = k * ctus;
         if (geometry)
@@ -528,13 +500,13 @@ int64_t llm265_decode_slices(
             s.n_levels = level_start;
             refused++;
         }
-        row[R_STATUS] = status;
-        row[R_POS] = s.dlen - s.c.left;
-        row[R_RANGE] = s.c.rng;
-        row[R_CODE] = s.c.code;
-        row[R_BINS] = s.bins;
-        row[R_LEAF_END] = s.n_leaves;
-        row[R_LEVEL_END] = s.n_levels;
+        row[DR_STATUS] = status;
+        row[DR_POS] = s.dlen - s.c.left;
+        row[DR_RANGE] = s.c.rng;
+        row[DR_CODE] = s.c.code;
+        row[DR_BINS] = s.bins;
+        row[DR_LEAF_END] = s.n_leaves;
+        row[DR_LEVEL_END] = s.n_levels;
     }
     return refused;
 }

@@ -1,6 +1,5 @@
 /* The codec's one order-defined 2-D DCT pair, shared by the reconstruct
- * and encode kernels (#included by both; no kernel of its own, part of
- * both content hashes, see native._Kernel.includes).
+ * and encode kernels (no kernel of its own; _kernels.c includes it).
  *
  * Forward basis @ x @ basis.T, inverse basis.T @ x @ basis, evaluated
  * left to right as two plain matrix products in which every output is
@@ -9,7 +8,7 @@
  * (j), four at a time at either vector width, never across k, and the
  * build forbids fused multiply-add (-ffp-contract=off), so the result
  * is bit-identical to the numpy definition in
- * transform._ordered_matmul -- checked when either library is loaded
+ * transform._ordered_matmul -- checked when the library is loaded
  * (native._check_dct).  The encoder's reconstruction and the decoder's
  * residual stage run this one body, so the float64 plane the encoder
  * builds is the plane the decoder reconstructs, bit for bit.
@@ -18,12 +17,7 @@
  * batch entry repro.codec.transform reaches through native.dct2.
  */
 
-#ifndef LLM265_TRANSFORM_KERNEL_C
-#define LLM265_TRANSFORM_KERNEL_C
-
 #include <stdint.h>
-
-#include "_simd_kernel.c"
 
 #define MAX_LEAF 64
 #define N_CLASSES 5 /* block sizes 4, 8, 16, 32, 64 */
@@ -181,5 +175,3 @@ int64_t llm265_dct2_batch_default(const double *x, double *out, int64_t count,
 {
     return dct2_batch(ordered_mm_default, x, out, count, n, basis, inverse);
 }
-
-#endif /* LLM265_TRANSFORM_KERNEL_C */

@@ -1,8 +1,7 @@
 /* Range coder and coefficient-block writer of the slice-encode kernel.
  *
- * Not a kernel of its own: _encode_kernel.c #includes this file (so it
- * is part of that kernel's content hash, see native._Kernel.includes).
- * coeff_block() codes one whole coefficient block exactly as
+ * Not a kernel of its own: _kernels.c includes it before
+ * _encode_kernel.c.  coeff_block() codes one whole coefficient block exactly as
  * syntax.encode_coeff_block does: the cbf=1 context bin, the
  * last-position adaptive-UEG code, then the fused significance /
  * level / sign scan of BinaryEncoder.encode_coeff_scan.  The range
@@ -21,8 +20,7 @@
  * 0 = ok, 1 = output buffer full (the slice kernel turns that into a
  * refusal and the Python twin re-codes the slice).
  *
- * The probability constants come from _contexts_kernel.c, which
- * _encode_kernel.c includes first.
+ * The probability constants come from _contexts_kernel.c.
  */
 
 #include <stdint.h>
@@ -43,12 +41,12 @@ typedef struct {
     int64_t len;
     int64_t *bits; /* int64[N_ELEMENTS] ledger, NULL = not instrumented */
     int64_t mark;  /* tell() where the last charged element ended */
-} coder;
+} enc_coder;
 
 /* BinaryEncoder.tell_bits for a coder whose `out` holds every byte
  * emitted so far; 32 - bit_length(rng) is clz (rng >= 2^24 between
  * bins, so never zero). */
-static inline int64_t tell(const coder *c)
+static inline int64_t tell(const enc_coder *c)
 {
     return 8 * (c->len + c->csize) + __builtin_clz(c->rng);
 }
@@ -56,7 +54,7 @@ static inline int64_t tell(const coder *c)
 /* Book the bits since the previous element boundary to one class: the
  * same telescoping tell_bits deltas the instrumented Python writer
  * takes around each element. */
-static inline void charge(coder *c, int element)
+static inline void charge(enc_coder *c, int element)
 {
     if (c->bits) {
         int64_t now = tell(c);
@@ -67,7 +65,7 @@ static inline void charge(coder *c, int element)
 
 /* BinaryEncoder._shift_low: flush the carry cache when low leaves the
  * [0xFF000000, 0xFFFFFFFF] pending window, then shift low up a byte. */
-static inline int shift_low(coder *c)
+static inline int shift_low(enc_coder *c)
 {
     if (c->low < 0xFF000000ull || c->low > MASK32) {
         uint64_t carry = c->low >> 32;
@@ -86,7 +84,7 @@ static inline int shift_low(coder *c)
 }
 
 /* The `while range < TOP` loop of BinaryEncoder._renorm. */
-static inline int renorm(coder *c)
+static inline int enc_renorm(enc_coder *c)
 {
     while (c->rng < TOP) {
         c->rng <<= 8; /* (rng << 8) & MASK32: uint32 wraps identically */
@@ -97,7 +95,7 @@ static inline int renorm(coder *c)
 }
 
 /* BinaryEncoder.finish: five shifts push the pending bytes and low out. */
-static int finish(coder *c)
+static int finish(enc_coder *c)
 {
     int i;
     for (i = 0; i < 5; i++)
@@ -107,7 +105,8 @@ static int finish(coder *c)
 }
 
 /* BinaryEncoder.encode_bit on localized state. */
-static inline int ctx_bin(coder *c, int32_t *probs, int64_t idx, int bit)
+static inline int ctx_bin(enc_coder *c, int32_t *probs, int64_t idx,
+                          int bit)
 {
     int32_t prob = probs[idx];
     uint32_t bound = (c->rng >> PROB_BITS) * (uint32_t)prob;
@@ -120,17 +119,17 @@ static inline int ctx_bin(coder *c, int32_t *probs, int64_t idx, int bit)
         probs[idx] = prob - (prob >> ADAPT_SHIFT);
     }
     if (c->rng < TOP)
-        return renorm(c);
+        return enc_renorm(c);
     return 0;
 }
 
-static inline int bypass_bin(coder *c, int bit)
+static inline int bypass_bin(enc_coder *c, int bit)
 {
     c->rng >>= 1;
     if (bit)
         c->low += c->rng;
     if (c->rng < TOP)
-        return renorm(c);
+        return enc_renorm(c);
     return 0;
 }
 
@@ -141,7 +140,7 @@ static inline int bypass_bin(coder *c, int bit)
  * by shifted msb-first in prefix_len + 1 bins; shifted >> shift is
  * only evaluated for shift <= prefix_len (<= 63), mirroring Python's
  * short-circuit -- a shift of 64+ on uint64 would be undefined. */
-static inline int ueg(coder *c, int32_t *probs, int64_t base,
+static inline int ueg(enc_coder *c, int32_t *probs, int64_t base,
                       uint64_t value, int64_t max_prefix, int64_t k)
 {
     int64_t top_ctx = max_prefix - 1;
@@ -177,7 +176,7 @@ static inline int ueg(coder *c, int32_t *probs, int64_t base,
  * pointers address the block's own contexts (class offsets applied by
  * the caller); the significance context of scan position i is bucket
  * 0 (i < 2), 1 (i < n) or 2, syntax._sig_buckets. */
-static int coeff_block(coder *c, const int64_t *scanned, int64_t last,
+static int coeff_block(enc_coder *c, const int64_t *scanned, int64_t last,
                        int64_t n, int32_t *cbf_prob, int32_t *last_probs,
                        int64_t last_max_prefix, int64_t last_k,
                        int32_t *sig_probs, int32_t *level_probs,

@@ -1,64 +1,61 @@
 """Optional native kernels for the codec hot loops.
 
-Five kernels, built from four C files by one self-building pipeline
-(four more are only ever ``#include``d: ``_write_kernel.c``, the range
-coder and the coefficient-block writer, ``_contexts_kernel.c``, the
-coder constants and a slice's starting contexts, which the slice and
-encode kernels share, ``_transform_kernel.c``, the codec's
-order-defined DCT pair, which the reconstruct and encode kernels share,
-and ``_simd_kernel.c``, the run-time choice of vector width the
-transform and the cost kernel use -- :func:`simd_lanes`):
+One C library, built by one self-building pipeline: ``_kernels.c``
+includes each of the codec's eight C files once, in dependency order,
+and compiles to one shared object that exports every entry below.
+``_contexts_kernel.c`` holds what the others share (the coder
+constants, a slice's starting contexts, the intra modes, the leaf-plan
+rows), ``_write_kernel.c`` the range encoder and block writer,
+``_transform_kernel.c`` the codec's order-defined DCT pair and
+``_simd_kernel.c`` the run-time choice of vector width
+(:func:`simd_lanes`).  The entries:
 
-``slice``  ``_slice_kernel.c`` -- whole-slice entropy *decode*: one
-           call walks the CTU quadtree of every slice of a group (split
-           flags, modes, motion vectors, cbf, last position, fused
-           coefficient scan), each from a fresh coder and fresh
-           contexts, and fills the group's flat leaf plan
-           (:class:`repro.codec.decoder.LeafPlan`).
-``recon``  ``_recon_kernel.c`` -- whole-slice *reconstruction* over that
-           plan: per leaf the residual (dequantize, unscan, ordered
-           inverse DCT, made where it is added), reference gather,
-           planar / DC / angular / inter prediction, + residual, clip,
-           for every leaf of every slice of the group in one call, one
-           plane per slice.
-``refs``   the same ``_recon_kernel.c`` (one shared object, second
-           symbol) -- intra reference gather with boundary
-           substitution, on its own for the encoder.
-``encode`` ``_encode_kernel.c`` -- whole-slice intra *encode*: for
-           every slice of a group, from a fresh coder and fresh
-           contexts, the quadtree DP over the turbo search's pass-1
-           tables, exact coding of every chosen leaf (predict, ordered
-           DCT, quantize, reconstruct) and all of the slice's entropy
-           coding, in one call.  It ``#include``s the range coder and
-           block writer of ``_write_kernel.c`` (the mirror of the fused path in
-           :func:`repro.codec.syntax.encode_coeff_block`), the
-           predictors of the recon kernel and the ordered transform of
-           ``_transform_kernel.c``, whose batch entry :func:`dct2`
-           serves :mod:`repro.codec.transform`.
-``cost``   ``_cost_kernel.c`` -- pass 1's RD costing: quantize -> rate
-           -> distortion -> argmin over every candidate of a block size
-           (:func:`cost_pick`: one mode and one cost per block come
-           back, nothing else), checked against the numpy twin when
-           the library is loaded.
+- :func:`plan_slices` (``_slice_kernel.c``): whole-slice entropy
+  *decode*.  One call walks the CTU quadtree of every slice of a group
+  (split flags, modes, motion vectors, cbf, last position, fused
+  coefficient scan), each from a fresh coder and fresh contexts, and
+  fills the group's flat leaf plan
+  (:class:`repro.codec.decoder.LeafPlan`).
+- :func:`reconstruct_slices` (``_recon_kernel.c``): whole-slice
+  *reconstruction* over that plan.  Per leaf the residual (dequantize,
+  unscan, ordered inverse DCT, made where it is added), reference
+  gather, planar / DC / angular / inter prediction, + residual, clip,
+  for every leaf of every slice of the group in one call, one plane per
+  slice.
+- :func:`refs` (``_recon_kernel.c``): the intra reference gather with
+  boundary substitution, on its own for the encoder.
+- :func:`encode_slices` (``_encode_kernel.c``): whole-slice intra
+  *encode*.  For every slice of a group, from a fresh coder and fresh
+  contexts, the quadtree DP over the turbo search's pass-1 tables,
+  exact coding of every chosen leaf (the recon file's predictors,
+  ordered DCT, quantize, reconstruct) and all of the slice's entropy
+  coding (the mirror of the fused path in
+  :func:`repro.codec.syntax.encode_coeff_block`), in one call.
+- :func:`dct2` (``_transform_kernel.c``): the ordered DCT's batch entry,
+  which serves :mod:`repro.codec.transform`.
+- :func:`cost_pick` (``_cost_kernel.c``): pass 1's RD costing, quantize
+  -> rate -> distortion -> argmin over every candidate of a block size
+  (one mode and one cost per block come back, nothing else).
 
-Each C file is compiled with the system C compiler the first time one
-of its kernels is needed and cached under ``_build/`` keyed by a content
-hash of every file that reaches the compiler -- its own source and the
-files it ``#include``s -- so an edit rebuilds exactly the objects that
-contain it.  Shared objects whose hash no longer matches any current source
-are pruned on first use (counted by the ``native.cache_pruned``
-telemetry counter) so the cache cannot accumulate orphans across source
-edits.
+The library is compiled with the system C compiler the first time an
+entry is needed and cached under ``_build/`` keyed by one content hash
+of every ``_*.c`` file and the compiler flags, so any edit rebuilds it.
+Shared objects whose hash no longer matches are pruned on first use
+(counted by the ``native.cache_pruned`` telemetry counter) so the cache
+cannot accumulate orphans across source edits.
 
-Everything degrades gracefully and *per kernel*: no compiler, a failed
-build, a failed ``dlopen``, a failed load-time self-check, or
-``LLM265_PURE_PYTHON=1`` in the environment make the corresponding
-dispatch helper decline and the caller silently uses the pure-Python
-path instead (same bits out, slower).  A failure is recorded once per
-kernel per process -- one ``native.build_failed`` flight-recorder event
-and counter, never a retry per call.  Nothing is downloaded and no
-third-party package is involved -- the kernels are C files, ``cc``, and
-``ctypes``.
+Loading runs every self-check once -- the DC sum against numpy's, the
+ordered DCT against its numpy definition, the pick rows against their
+twin -- and ends in one state: ``ready``, ``pure-python``
+(``LLM265_PURE_PYTHON=1`` in the environment), ``no-compiler`` or
+``failed`` (a failed build, ``dlopen`` or check).  Anything but
+``ready`` makes *every* entry decline and each caller silently uses its
+pure-Python path instead (same bits out, slower): the entries share
+code, so a check that fails condemns them all.  A failure is recorded
+once per process -- one ``native.build_failed`` flight-recorder event,
+naming the stage or check that failed, and counter -- never a retry per
+call.  Nothing is downloaded and no third-party package is involved --
+the kernels are C files, ``cc``, and ``ctypes``.
 
 The kernels release the GIL for the duration of each call (plain
 ``ctypes.CDLL`` behaviour).  That only buys thread parallelism where a
@@ -74,6 +71,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import glob
 import hashlib
 import os
 import platform
@@ -82,8 +80,7 @@ import subprocess
 import tempfile
 import threading
 from array import array
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,7 +90,6 @@ __all__ = [
     "simd_lanes",
     "plan_slices",
     "reconstruct_slices",
-    "encode_available",
     "encode_slices",
     "dct2",
     "cost_pick",
@@ -215,6 +211,19 @@ _PICK_ARGTYPES = [
 ]
 
 
+#: Every entry the wrappers call, with its argument types (each returns
+#: an int64), declared once when the library is loaded.
+_ENTRIES = {
+    "llm265_decode_slices": _SLICE_ARGTYPES,
+    "llm265_reconstruct_slices": _RECON_ARGTYPES,
+    "llm265_gather_refs": _REFS_ARGTYPES,
+    "llm265_encode_slices": _ENCODE_ARGTYPES,
+    "llm265_dct2_batch": _DCT_ARGTYPES,
+    "llm265_cost_pick": _PICK_ARGTYPES,
+    "llm265_simd_lanes": [],
+}
+
+
 def _dc_sum(lib, values: np.ndarray) -> float:
     """The reconstruct kernel's DC reduction of a float64 vector."""
     fn = lib.llm265_dc_sum
@@ -227,12 +236,12 @@ def _dc_sum(lib, values: np.ndarray) -> float:
 def _check_dc_sum(lib) -> None:
     """Load-time self-check of the one numpy-internal dependency.
 
-    DC prediction is the only reduction on the reconstruct path, and
-    the kernel reproduces the summation order of *this* numpy build's
-    ``np.sum`` (pairwise, eight lanes).  A numpy that sums differently
-    would make the kernel's samples drift from the Python path's, so
-    the kernel is refused instead: 64 non-representable doubles whose
-    sum depends on the order, compared bit for bit.
+    DC prediction is the only reduction on the reconstruct and encode
+    paths, and the kernel reproduces the summation order of *this*
+    numpy build's ``np.sum`` (pairwise, eight lanes).  A numpy that sums
+    differently would make the kernels' samples drift from the Python
+    paths', so the library is refused instead: 64 non-representable
+    doubles whose sum depends on the order, compared bit for bit.
     """
     values = np.arange(1, 65, dtype=np.float64) / 7.0 + 1e-3
     for n in (4, 8, 16, 32, 64):
@@ -243,7 +252,7 @@ def _check_dc_sum(lib) -> None:
 
 
 def _dct2(lib, blocks: np.ndarray, basis: np.ndarray, inverse: bool) -> np.ndarray:
-    """A library's ordered 2-D DCT of ``(count, n, n)`` blocks."""
+    """The library's ordered 2-D DCT of ``(count, n, n)`` blocks."""
     out = np.empty_like(blocks)
     n = blocks.shape[-1]
     status = lib.llm265_dct2_batch(
@@ -256,40 +265,25 @@ def _dct2(lib, blocks: np.ndarray, basis: np.ndarray, inverse: bool) -> np.ndarr
 
 
 def _check_dct(lib) -> None:
-    """Declare the library's DCT entries and check them against the definition.
+    """Check the library's DCT entry against the definition.
 
     The numpy twin (:func:`repro.codec.transform._ordered_dct2`) *is*
     the definition of the codec's DCT pair; a library that disagrees
     with it on any size -- a compiler that fused or reassociated the
     accumulation -- would make kernel-coded or kernel-decoded
     reconstructions drift from the twin's, so it is refused instead and
-    every caller stays on the twin.  Both libraries that contain
-    ``_transform_kernel.c`` are checked: the encode kernel's and the
-    reconstruct kernel's.
+    every caller stays on the twin.
     """
-    lib.llm265_dct2_batch.restype = ctypes.c_int64
-    lib.llm265_dct2_batch.argtypes = _DCT_ARGTYPES
-    for n, blocks, basis, inverse, want in _dct_cases():
-        if _dct2(lib, blocks, basis, inverse).tobytes() != want:
-            raise RuntimeError(f"ordered DCT disagrees with numpy at n={n}")
-
-
-@functools.lru_cache(maxsize=None)
-def _dct_cases() -> tuple:
-    """``(n, blocks, basis, inverse, the definition's bytes)`` per size and
-    direction: what :func:`_check_dct` compares, computed once for both
-    libraries."""
     from repro.codec import transform
 
-    cases = []
     for n in transform.SUPPORTED_SIZES:
         blocks = (np.arange(3 * n * n, dtype=np.float64) % 61.0 - 30.0) / 7.0
         blocks = blocks.reshape(3, n, n) + 1e-3
         basis = transform.dct_matrix(n)
         for inverse in (False, True):
-            want = transform._ordered_dct2(blocks, basis, inverse).tobytes()
-            cases.append((n, blocks, basis, inverse, want))
-    return tuple(cases)
+            want = transform._ordered_dct2(blocks, basis, inverse)
+            if _dct2(lib, blocks, basis, inverse).tobytes() != want.tobytes():
+                raise RuntimeError(f"ordered DCT disagrees with numpy at n={n}")
 
 
 def _pick(fn, coeffs, pred, inv_step, step2, lam, mode_bits, deadzone, rate_table):
@@ -323,25 +317,23 @@ def _check_rows(width: int) -> tuple:
 
 
 def _check_pick(lib) -> None:
-    """Declare the library's pick entry and check it against the twin.
+    """Check the library's pick entry against the twin.
 
     The numpy form in :func:`repro.codec.encoder._pass1_pick` is the
     pick's definition, and the entry runs whichever row body the CPU
     selects; a library whose picks or costs differ from the twin's in
     one bit would make native and python streams part, so it is refused
-    instead and pass 1 stays on the twin.  Widths 16, 64 and 1024, dead
-    zones 0, 0.15 and 0.7 (a negative rounding offset).
+    instead and pass 1, like every caller, stays on its twin.  Widths
+    16, 64 and 1024, dead zones 0, 0.15 and 0.7 (a negative rounding
+    offset).
     """
     from repro.codec.encoder import _level_rate_table, _pass1_pick
 
-    fn = lib.llm265_cost_pick
-    fn.restype = ctypes.c_int64
-    fn.argtypes = _PICK_ARGTYPES
     for width in (16, 64, 1024):
         args = _check_rows(width)
         for deadzone in (0.0, 0.15, 0.7):
             want = _pass1_pick(*args, deadzone, False)
-            got = _pick(fn, *args, deadzone, _level_rate_table())
+            got = _pick(lib.llm265_cost_pick, *args, deadzone, _level_rate_table())
             if got is None or any(
                 a.tobytes() != b.astype(a.dtype).tobytes() for a, b in zip(got, want)
             ):
@@ -351,82 +343,12 @@ def _check_pick(lib) -> None:
                 )
 
 
-def _check_recon(lib) -> None:
-    """The reconstruct library's two definitions: numpy's DC sum and the
-    ordered inverse DCT it makes every coded leaf's residual with."""
-    _check_dc_sum(lib)
-    _check_dct(lib)
-
-
-#: What reaches the compiler beside ``_recon_kernel.c`` (its two kernels
-#: share one object, so they must share one content hash).
-_RECON_INCLUDES = ("_simd_kernel.c", "_transform_kernel.c")
-
-
-@dataclass
-class _Kernel:
-    name: str
-    source: str  # C file next to this module; kernels may share one
-    symbol: str
-    argtypes: list
-    check: Optional[Callable] = None  # load-time self-check of the library
-    includes: Tuple[str, ...] = ()  # C files the source #includes
-    state: str = "unloaded"  # unloaded | building | ready | pure-python
-    #                        | no-compiler | failed
-    lib: object = None
-    fn: object = None
-    lock: threading.Lock = field(default_factory=threading.Lock)
-
-
-_KERNELS: Dict[str, _Kernel] = {
-    k.name: k
-    for k in (
-        _Kernel(
-            "slice",
-            "_slice_kernel.c",
-            "llm265_decode_slices",
-            _SLICE_ARGTYPES,
-            includes=("_contexts_kernel.c",),
-        ),
-        _Kernel(
-            "recon",
-            "_recon_kernel.c",
-            "llm265_reconstruct_slices",
-            _RECON_ARGTYPES,
-            check=_check_recon,
-            includes=_RECON_INCLUDES,
-        ),
-        _Kernel(
-            "encode",
-            "_encode_kernel.c",
-            "llm265_encode_slices",
-            _ENCODE_ARGTYPES,
-            check=_check_dct,
-            includes=(
-                "_contexts_kernel.c",
-                "_recon_kernel.c",
-                "_simd_kernel.c",
-                "_transform_kernel.c",
-                "_write_kernel.c",
-            ),
-        ),
-        _Kernel(
-            "cost",
-            "_cost_kernel.c",
-            "llm265_cost_pick",
-            _PICK_ARGTYPES,
-            check=_check_pick,
-            includes=("_simd_kernel.c",),
-        ),
-        _Kernel(
-            "refs",
-            "_recon_kernel.c",
-            "llm265_gather_refs",
-            _REFS_ARGTYPES,
-            includes=_RECON_INCLUDES,
-        ),
-    )
-}
+#: The library's state for the process: ``unloaded`` until the first
+#: resolve, then ``ready`` | ``pure-python`` | ``no-compiler`` |
+#: ``failed``.  ``_lib`` is the loaded library while it is ``ready``.
+_state = "unloaded"
+_lib = None
+_lock = threading.Lock()
 
 
 def _compiler() -> Optional[str]:
@@ -434,18 +356,6 @@ def _compiler() -> Optional[str]:
         if cand and shutil.which(cand):
             return cand
     return None
-
-
-def _source_path(kernel: _Kernel) -> str:
-    return os.path.join(_SOURCE_DIR, kernel.source)
-
-
-def _compiled_files(kernel: _Kernel) -> List[str]:
-    """Every file that reaches the compiler for this kernel's object."""
-    return [
-        os.path.join(_SOURCE_DIR, name)
-        for name in (kernel.source, *kernel.includes)
-    ]
 
 
 # -fno-math-errno lets the compiler inline rint/trunc/copysign (their
@@ -473,20 +383,17 @@ _CFLAGS = (
 )
 
 
-def _source_tag(kernel: _Kernel) -> str:
+def _so_path() -> str:
+    """The cached library of the current sources: every ``_*.c`` file
+    reaches the compiler through ``_kernels.c``, so all of them -- and
+    the flags -- are hashed into its name."""
     digest = hashlib.sha256()
-    for path in _compiled_files(kernel):
+    for path in sorted(glob.glob(os.path.join(_SOURCE_DIR, "_*.c"))):
         with open(path, "rb") as fh:
             digest.update(fh.read())
     # Flags participate in the cache key: a flag change must rebuild.
     digest.update(" ".join(_CFLAGS).encode())
-    return digest.hexdigest()[:16]
-
-
-def _so_path(kernel: _Kernel) -> str:
-    """Cached shared object of a kernel's C file (shared by its kernels)."""
-    stem = os.path.splitext(kernel.source)[0].lstrip("_")
-    return os.path.join(_BUILD_DIR, f"{stem}_{_source_tag(kernel)}.so")
+    return os.path.join(_BUILD_DIR, f"kernels_{digest.hexdigest()[:16]}.so")
 
 
 _pruned = False
@@ -495,9 +402,9 @@ _pruned = False
 def _prune_stale() -> int:
     """Drop cached .so files whose content hash matches no current source.
 
-    Runs once per process, on the first kernel resolve that finds (or
-    creates) the build directory.  Idempotent and best-effort: a file
-    another process is mid-replace on simply survives until next time.
+    Runs once per process, after the first load that finds (or creates)
+    the build directory.  Idempotent and best-effort: a file another
+    process is mid-replace on simply survives until next time.
     """
     global _pruned
     if _pruned:
@@ -507,10 +414,10 @@ def _prune_stale() -> int:
         entries = os.listdir(_BUILD_DIR)
     except OSError:
         return 0
-    live = {os.path.basename(_so_path(k)) for k in _KERNELS.values()}
+    live = os.path.basename(_so_path())
     removed = 0
     for name in entries:
-        if not name.endswith(".so") or name in live:
+        if not name.endswith(".so") or name == live:
             continue
         try:
             os.unlink(os.path.join(_BUILD_DIR, name))
@@ -524,24 +431,22 @@ def _prune_stale() -> int:
     return removed
 
 
-def _record_failure(kernel: _Kernel, reason: str) -> None:
-    """One flight-recorder event per kernel per process, not per call."""
+def _record_failure(stage: str, reason: str) -> None:
+    """One flight-recorder event per process, not per call."""
     try:
         import repro.telemetry as telemetry
         from repro.telemetry import flightrecorder
 
-        flightrecorder.record(
-            "native.build_failed", kernel=kernel.name, reason=reason
-        )
+        flightrecorder.record("native.build_failed", stage=stage, reason=reason)
         telemetry.count("native.build_failed")
     except Exception:
         pass
 
 
-def _build_and_load(kernel: _Kernel):
-    """Compile (if not cached) and dlopen one kernel; may raise."""
-    src = _source_path(kernel)
-    so_path = _so_path(kernel)
+def _build() -> str:
+    """The cached library's path, compiled first if it is not there;
+    may raise (``FileNotFoundError`` when there is no compiler)."""
+    so_path = _so_path()
     if not os.path.exists(so_path):
         cc = _compiler()
         if cc is None:
@@ -554,7 +459,7 @@ def _build_and_load(kernel: _Kernel):
         os.close(fd)
         try:
             subprocess.run(
-                [cc, *_CFLAGS, "-o", tmp, src],
+                [cc, *_CFLAGS, "-o", tmp, os.path.join(_SOURCE_DIR, "_kernels.c")],
                 check=True,
                 capture_output=True,
                 timeout=120,
@@ -563,98 +468,86 @@ def _build_and_load(kernel: _Kernel):
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    lib = ctypes.CDLL(so_path)
-    if kernel.check is not None:
-        kernel.check(lib)
-    fn = getattr(lib, kernel.symbol)
-    fn.restype = ctypes.c_int64
-    fn.argtypes = kernel.argtypes
-    kernel.lib = lib
-    return fn
+    return so_path
 
 
-def _resolve(name: str):
-    """One-time lazy init for one kernel; never raises."""
-    kernel = _KERNELS[name]
-    if kernel.state not in ("unloaded", "building"):
-        return kernel.fn
-    with kernel.lock:
-        if kernel.state not in ("unloaded", "building"):
-            return kernel.fn
+def _resolve():
+    """The loaded library, or ``None``: built, loaded and checked once
+    per process; never raises."""
+    global _state, _lib
+    if _state != "unloaded":
+        return _lib
+    with _lock:
+        if _state != "unloaded":
+            return _lib
         if os.environ.get("LLM265_PURE_PYTHON"):
-            kernel.state = "pure-python"
+            _state = "pure-python"
             return None
-        kernel.state = "building"
+        stage = "build"
         try:
-            kernel.fn = _build_and_load(kernel)
-            kernel.state = "ready"
-            _prune_stale()
+            path = _build()
+            stage = "load"
+            lib = ctypes.CDLL(path)
+            for symbol, argtypes in _ENTRIES.items():
+                fn = getattr(lib, symbol)
+                fn.restype = ctypes.c_int64
+                fn.argtypes = argtypes
+            # `stage` names the check that raises.
+            for stage, check in (
+                ("dc_sum", _check_dc_sum),
+                ("dct", _check_dct),
+                ("pick", _check_pick),
+            ):
+                check(lib)
         except FileNotFoundError as exc:
-            kernel.fn = None
-            kernel.state = "no-compiler"
-            _record_failure(kernel, str(exc))
+            _state = "no-compiler"
+            _record_failure(stage, str(exc))
         except Exception as exc:
-            kernel.fn = None
-            kernel.state = "failed"
-            _record_failure(kernel, repr(exc))
-    return kernel.fn
+            _state = "failed"
+            _record_failure(stage, repr(exc))
+        else:
+            _lib = lib
+            _state = "ready"
+            _prune_stale()
+    return _lib
 
 
 def available() -> bool:
-    """True when both whole-slice decode kernels are loaded and usable.
+    """True when the library is loaded and passed its checks.
 
-    The decoder asks this once per group of slices (and once per fan-out
-    decision); tests monkeypatch it to force the pure-Python walk.  The
-    encoder's kernels are gated by :func:`encode_slices` /
-    :func:`cost_pick` / :func:`refs` declining instead.
+    The decoder asks this once per group of slices and the encoder once
+    per fan-out decision (threads only overlap work coded in GIL-free
+    calls); tests monkeypatch it to force the pure-Python paths.  Every
+    entry also declines on its own while the library is not loaded.
     """
-    return _resolve("slice") is not None and _resolve("recon") is not None
-
-
-def encode_available() -> bool:
-    """True when the whole-slice encode kernel is loaded and usable.
-
-    The encoder asks this once per fan-out decision (threads only
-    overlap slices that are coded in one GIL-free call) and once per
-    group through :func:`encode_slices` declining.
-    """
-    return _resolve("encode") is not None
+    return _resolve() is not None
 
 
 def kernel_status(resolve: bool = True) -> Dict[str, str]:
-    """Per-kernel state map for ``llm265 stats`` and the stack benchmark.
+    """``{"library": state}`` for ``llm265 stats`` and the stack benchmark.
 
-    States: ``ready`` / ``building`` / ``pure-python`` / ``no-compiler``
-    / ``failed`` (plus ``unloaded`` when ``resolve=False``).
+    States: ``ready`` / ``pure-python`` / ``no-compiler`` / ``failed``
+    (plus ``unloaded`` when ``resolve=False`` and nothing has loaded it).
     """
     if resolve:
-        for name in _KERNELS:
-            _resolve(name)
-    return {name: k.state for name, k in _KERNELS.items()}
+        _resolve()
+    return {"library": _state}
 
 
 #: What ``llm265_simd_lanes`` answers, for humans.
 _LANES = {4: "4 (avx2)", 2: "2 (sse4.1)", 1: "1"}
 
 
-def simd_lanes() -> Dict[str, str]:
-    """Lanes the ``cost`` and ``encode`` kernels' vector bodies run at.
+def simd_lanes() -> str:
+    """Lanes the library's vector bodies run at.
 
-    Each library chooses its body per call (``_simd_kernel.c``) and says
-    which one through ``llm265_simd_lanes``: ``4 (avx2)``,
-    ``2 (sse4.1)`` or ``1``.  A kernel that is not loaded reads as its
-    :func:`kernel_status` state.
+    The pick row and the ordered transform choose their body per call
+    (``_simd_kernel.c``); ``llm265_simd_lanes`` says which:
+    ``4 (avx2)``, ``2 (sse4.1)`` or ``1``.  A library that is not loaded
+    reads as its :func:`kernel_status` state.
     """
-    lanes = {}
-    for name in ("cost", "encode"):
-        if _resolve(name) is None:
-            lanes[name] = _KERNELS[name].state
-            continue
-        fn = _KERNELS[name].lib.llm265_simd_lanes
-        fn.restype = ctypes.c_int64
-        fn.argtypes = []
-        lanes[name] = _LANES[fn()]
-    return lanes
+    lib = _resolve()
+    return _state if lib is None else _LANES[lib.llm265_simd_lanes()]
 
 
 #: Length of each context bank in the order of ``CodecContexts.banks()``
@@ -664,10 +557,10 @@ def simd_lanes() -> Dict[str, str]:
 _SLICE_BANK_SIZES = (6, 1, 1, 2, 2, 50, 15, 15, 8)
 BANK_TOTAL = sum(_SLICE_BANK_SIZES)
 
-#: Columns of :func:`plan_slices`' per-slice report (``R_*`` in the C file).
+#: Columns of :func:`plan_slices`' per-slice report (``DR_*`` in the C file).
 SLICE_REPORT = ("status", "pos", "range", "code", "scan_bins", "leaf_end", "level_end")
 
-#: Rows of a leaf-plan table, in order (``P_*`` in the two C files);
+#: Rows of a leaf-plan table, in order (``P_*`` in ``_contexts_kernel.c``);
 #: :class:`repro.codec.decoder.LeafPlan` documents their meaning.
 PLAN_FIELDS = (
     "y0", "x0", "size", "mode", "is_inter", "ry", "rx", "ctu_index",
@@ -735,8 +628,8 @@ def plan_slices(
     are still decoded, and the caller re-decodes it alone with the
     Python walk, which raises the canonical error.
     """
-    fn = _resolve("slice")
-    if fn is None:
+    lib = _resolve()
+    if lib is None:
         return None
     count = len(segments)
     if banks is None:
@@ -758,7 +651,7 @@ def plan_slices(
     modes = array("i", all_modes)
     mode_map = np.empty((height // 4) * (width // 4), dtype=np.int8)
     report = np.empty((count, len(SLICE_REPORT)), dtype=np.int64)
-    fn(
+    lib.llm265_decode_slices(
         (ctypes.c_char_p * count)(*segments),
         lengths.buffer_info()[0],
         count,
@@ -814,8 +707,8 @@ def reconstruct_slices(
     plane, so ``False`` (kernel unavailable, unsuitable arrays, or a
     plan it refuses) leaves the stacks untouched for the Python loop.
     """
-    fn = _resolve("recon")
-    if fn is None:
+    lib = _resolve()
+    if lib is None:
         return False
     if not (
         _c_array(recon, np.float64, 3)
@@ -834,7 +727,7 @@ def reconstruct_slices(
     ):
         return False
     basis, zigzag = _transform_tables()
-    status = fn(
+    status = lib.llm265_reconstruct_slices(
         recon.ctypes.data,
         mask.ctypes.data,
         count,
@@ -874,7 +767,7 @@ def _transform_tables():
 #: order (a subset of ``telemetry.codecstats.BIT_CLASSES``).
 ENCODE_BIT_CLASSES = ("split", "intra_mode", "cbf", "last", "sig", "level")
 
-#: Columns of :func:`encode_slices`' per-slice report (``R_*`` in the C file).
+#: Columns of :func:`encode_slices`' per-slice report (``ER_*`` in the C file).
 ENCODE_REPORT = ("status", "out_end", "leaf_end", "level_end")
 
 
@@ -936,8 +829,8 @@ def encode_slices(
     part-written, the slices behind it are still coded, and the caller
     re-codes it alone with the twin.
     """
-    fn = _resolve("encode")
-    if fn is None:
+    lib = _resolve()
+    if lib is None:
         return None
     if not (_c_array(frames, np.float64, 3) and frames.size):
         return None
@@ -1001,7 +894,7 @@ def encode_slices(
     modes = array("i", all_modes)
     mode_map = np.empty((height // 4) * (width // 4), dtype=np.int8)
     report = np.empty((count, len(ENCODE_REPORT)), dtype=np.int64)
-    fn(
+    lib.llm265_encode_slices(
         frames.ctypes.data,
         count,
         height,
@@ -1039,11 +932,12 @@ def dct2(blocks: np.ndarray, basis: np.ndarray, inverse: bool) -> Optional[np.nd
 
     The C form of :func:`repro.codec.transform._ordered_dct2` (forward
     ``basis @ x @ basis.T``, inverse ``basis.T @ x @ basis``, every
-    output accumulated sequentially in ``k``) from the encode kernel's
-    library -- bit-identical to the numpy definition, which the
-    library is checked against when it is loaded.
+    output accumulated sequentially in ``k``) -- bit-identical to the
+    numpy definition, which the library is checked against when it is
+    loaded.
     """
-    if _resolve("encode") is None:
+    lib = _resolve()
+    if lib is None:
         return None
     n = basis.shape[0]
     if (
@@ -1053,9 +947,7 @@ def dct2(blocks: np.ndarray, basis: np.ndarray, inverse: bool) -> Optional[np.nd
         or not _c_array(basis, np.float64, 2)
     ):
         return None
-    return _dct2(
-        _KERNELS["encode"].lib, np.ascontiguousarray(blocks), basis, inverse
-    )
+    return _dct2(lib, np.ascontiguousarray(blocks), basis, inverse)
 
 
 def cost_pick(
@@ -1079,8 +971,8 @@ def cost_pick(
     the numpy form in :func:`repro.codec.encoder._pass1_pick` computes.
     The candidate rows, their levels and their errors never leave C.
     """
-    fn = _resolve("cost")
-    if fn is None:
+    lib = _resolve()
+    if lib is None:
         return None
     if not (
         _c_array(coeffs, np.float64, 2)
@@ -1095,7 +987,8 @@ def cost_pick(
     ):
         return None
     return _pick(
-        fn, coeffs, pred, inv_step, step2, lam, mode_bits, deadzone, rate_table
+        lib.llm265_cost_pick, coeffs, pred, inv_step, step2, lam, mode_bits,
+        deadzone, rate_table,
     )
 
 
@@ -1114,8 +1007,8 @@ def refs(
     and the kernel is safe on every path (it does not participate in
     the native-vs-python encode identity split).
     """
-    fn = _resolve("refs")
-    if fn is None:
+    lib = _resolve()
+    if lib is None:
         return None
     if (
         recon.dtype != np.float64
@@ -1127,7 +1020,7 @@ def refs(
     top = np.empty(2 * n + 1, dtype=np.float64)
     left = np.empty(2 * n + 1, dtype=np.float64)
     height, width = recon.shape
-    status = fn(
+    status = lib.llm265_gather_refs(
         recon.ctypes.data,
         mask.ctypes.data,
         height,

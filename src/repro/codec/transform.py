@@ -9,10 +9,9 @@ The transform pair has one *order-defined* definition
 (:func:`_ordered_dct2`): two plain matrix products evaluated left to
 right, every output accumulated from +0.0 sequentially in ``k``, every
 product rounded to double before it is added.  Encoder and decoder
-reconstructions go through it -- in C when the kernels are loaded
-(``_transform_kernel.c``, in the encode and the reconstruct library,
-each checked against the definition at load; ``native.dct2`` here), in
-numpy otherwise -- so the float64 planes they build agree bit for bit
+reconstructions go through it -- in C when the kernel library is
+loaded (``_transform_kernel.c``, checked against the definition at
+load; ``native.dct2`` here), in numpy otherwise -- so the float64 planes they build agree bit for bit
 on every machine and path instead of following whatever order a BLAS
 happens to sum in.
 """

@@ -416,7 +416,7 @@ def _raw_plan(segments, header, profile, padded, leaf_cap, level_cap):
     mode_map = np.full((height // 4) * (width // 4) + 8, 0x5A, dtype=np.int8)
     lengths = np.array([len(s) for s in segments], dtype=np.int64)
     modes = np.array(profile.all_modes, dtype=np.int32)
-    native._KERNELS["slice"].fn(
+    native._resolve().llm265_decode_slices(
         (ctypes.c_char_p * count)(*segments), lengths.ctypes.data, count,
         report.ctypes.data, banks.ctypes.data, height, width,
         header["ctu"], header["min_cu"], header["use_partition"], header["use_intra"],

@@ -29,12 +29,8 @@ pytestmark = [
     pytest.mark.fuzz,
     pytest.mark.pure_python,
     pytest.mark.skipif(
-        any(
-            state != "ready"
-            for name, state in native.kernel_status().items()
-            if name in ("encode", "cost", "refs")
-        ),
-        reason="native encode kernels unavailable (no compiler or pure-python)",
+        not native.available(),
+        reason="kernel library unavailable (no compiler or pure-python)",
     ),
 ]
 
@@ -67,7 +63,7 @@ def _reference_pair(frames, **kw):
     config = EncoderConfig(**kw)
     loaded = reference.encode_frames(frames, config)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(native, "_resolve", lambda name: None)
+        patch.setattr(native, "_resolve", lambda: None)
         bare = reference.encode_frames(frames, config)
     return loaded, bare
 
@@ -145,10 +141,7 @@ class TestEncodeFuzz:
         frames = _frames(70, n=2)
         ref = FrameEncoder(EncoderConfig(qp=28.0)).encode(frames).data
         monkeypatch.setenv("LLM265_PURE_PYTHON", "1")
-        for kernel in native._KERNELS.values():
-            monkeypatch.setattr(kernel, "state", "unloaded")
-            monkeypatch.setattr(kernel, "fn", None)
-        assert native.kernel_status() == {
-            name: "pure-python" for name in native._KERNELS
-        }
+        monkeypatch.setattr(native, "_state", "unloaded")
+        monkeypatch.setattr(native, "_lib", None)
+        assert native.kernel_status() == {"library": "pure-python"}
         assert FrameEncoder(EncoderConfig(qp=28.0)).encode(frames).data == ref

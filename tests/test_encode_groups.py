@@ -52,7 +52,7 @@ from repro.codec.syntax import CodecContexts
 pytestmark = [pytest.mark.fuzz, pytest.mark.pure_python]
 
 needs_kernel = pytest.mark.skipif(
-    native.kernel_status().get("encode") != "ready",
+    not native.available(),
     reason="slice-encode kernel unavailable (no compiler or pure-python)",
 )
 
@@ -131,7 +131,7 @@ def _cases():
     """The identity matrix's profile x QP x shape; the twin never sees a
     group (it codes slice by slice whatever the bound), so without the
     kernel only the dithered QP is tried."""
-    ready = native.kernel_status().get("encode") == "ready"
+    ready = native.available()
     return [
         pytest.param(profile, qp, shape, id=f"{profile.name}-{qp}-{shape[0]}x{shape[1]}")
         for profile in PROFILES

@@ -435,7 +435,7 @@ class TestReconstructKernel:
             assert not recon.any() and not mask.any()
 
     def test_dc_sum_is_numpys_sum(self):
-        lib = native._KERNELS["recon"].lib
+        lib = native._resolve()
         rng = np.random.default_rng(7)
         for n in [4, 8, 16, 32, 64] + list(range(1, 129, 7)):
             for _ in range(200):
@@ -443,17 +443,21 @@ class TestReconstructKernel:
                 values = padded[1 : n + 1]  # a view, as predict_dc sums
                 assert native._dc_sum(lib, values) == values.sum(), n
 
-    def test_self_check_failure_falls_back_to_the_twin(self, monkeypatch):
-        # "Same samples" must not depend on which numpy is installed: a
-        # DC reduction that disagrees with np.sum refuses the kernel.
+    @staticmethod
+    def _skew_dc_sum(monkeypatch):
+        """Reload the library with a DC sum that disagrees with numpy's."""
         monkeypatch.delenv("LLM265_PURE_PYTHON", raising=False)
-        kernel = native._KERNELS["recon"]
-        for attr, value in (("state", "unloaded"), ("fn", None), ("lib", None)):
-            monkeypatch.setattr(kernel, attr, value)
+        monkeypatch.setattr(native, "_state", "unloaded")
+        monkeypatch.setattr(native, "_lib", None)
         real = native._dc_sum
         monkeypatch.setattr(
             native, "_dc_sum", lambda lib, values: real(lib, values) + 1e-9
         )
+
+    def test_self_check_failure_falls_back_to_the_twin(self, monkeypatch):
+        # "Same samples" must not depend on which numpy is installed: a
+        # DC reduction that disagrees with np.sum refuses the library.
+        self._skew_dc_sum(monkeypatch)
         recorder = flightrecorder.FlightRecorder()
         previous = flightrecorder.set_recorder(recorder)
         try:
@@ -461,15 +465,32 @@ class TestReconstructKernel:
             assert not native.available()  # resolved once, no retry
         finally:
             flightrecorder.set_recorder(previous)
-        assert kernel.state == "failed"
+        assert native.kernel_status() == {"library": "failed"}
         events = [
             e for e in recorder.snapshot() if e["kind"] == "native.build_failed"
         ]
-        assert len(events) == 1 and events[0]["fields"]["kernel"] == "recon"
-        assert native.kernel_status()["refs"] == "ready"  # same .so, no check
+        assert len(events) == 1 and events[0]["fields"]["stage"] == "dc_sum"
         data = FrameEncoder(EncoderConfig(qp=24.0)).encode(_frames(n=1)).data
         for a, b in zip(decode_frames(data), reference.decode_frames(data)):
             np.testing.assert_array_equal(a, b)
+
+    def test_dc_sum_check_guards_the_encoder(self, monkeypatch):
+        # The encode kernel predicts DC leaves with the same reduction,
+        # so the check that refuses the decoder must refuse it too.
+        self._skew_dc_sum(monkeypatch)
+        reports = []
+        real_encode = native.encode_slices
+
+        def spy(*args, **kwargs):
+            reports.append(real_encode(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(native, "encode_slices", spy)
+        frames = _frames(n=2)
+        coded = FrameEncoder(EncoderConfig(qp=24.0)).encode(frames).data
+        assert reports and all(report is None for report in reports)
+        twin = FrameEncoder(EncoderConfig(qp=24.0, encode="python")).encode(frames)
+        assert coded == twin.data
 
 
 class TestResidualKernel:

@@ -49,10 +49,10 @@ def test_vectors_cover_the_edge_cases():
 
 
 def _scalar_pick(*args):
-    """The scalar row's entry; the twin when the kernel is not loaded."""
-    if native.kernel_status().get("cost") != "ready":
+    """The scalar row's entry; the twin when the library is not loaded."""
+    if not native.available():
         return _pass1_pick(*args, False)
-    fn = native._KERNELS["cost"].lib.llm265_cost_pick_scalar
+    fn = native._resolve().llm265_cost_pick_scalar
     fn.restype = ctypes.c_int64
     fn.argtypes = native._PICK_ARGTYPES
     return native._pick(fn, *args, _level_rate_table())

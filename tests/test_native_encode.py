@@ -10,8 +10,9 @@ Covers, kernel by kernel, the exactness contracts the fuzz suite
   frames across profiles / sizes / dead zones / QPs);
 - the mode-operator builder against the per-mode probe it replaced;
 - the refs kernel against the original scalar boundary walk;
-- the build pipeline: per-kernel status, cache GC accounting, and the
-  degrade-once-with-one-event behaviour on build failure;
+- the build pipeline: the one library's status, cache GC accounting,
+  and the degrade-once-with-one-event behaviour when a build or a
+  check fails, for every entry at once;
 - the parallel-encode dispatch thresholds and fallback accounting;
 - the ``encode=`` plumbing through config, codec, and serving rungs.
 """
@@ -19,6 +20,7 @@ Covers, kernel by kernel, the exactness contracts the fuzz suite
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import os
 
 import numpy as np
@@ -56,15 +58,8 @@ from repro.tensor.codec import TensorCodec
 
 pytestmark = pytest.mark.pure_python
 
-_READY = native.kernel_status()
-needs_cost = pytest.mark.skipif(
-    _READY.get("cost") != "ready", reason="cost kernel unavailable"
-)
-needs_refs = pytest.mark.skipif(
-    _READY.get("refs") != "ready", reason="refs kernel unavailable"
-)
-needs_encode = pytest.mark.skipif(
-    _READY.get("encode") != "ready", reason="slice-encode kernel unavailable"
+needs_library = pytest.mark.skipif(
+    not native.available(), reason="kernel library unavailable"
 )
 
 
@@ -118,7 +113,7 @@ class TestWriteKernel:
 
 
 class TestCostKernel:
-    @needs_cost
+    @needs_library
     @pytest.mark.parametrize("deadzone", [0.0, 0.25])
     def test_fused_matches_numpy_bitwise(self, deadzone):
         rng = np.random.default_rng(13)
@@ -136,7 +131,7 @@ class TestCostKernel:
         assert rate.tolist() == [3 * int(table[-1])]
         assert nnz.tolist() == [3] and last.tolist() == [3]
 
-    @needs_cost
+    @needs_library
     def test_fused_rejects_noncontiguous(self):
         coeffs = np.zeros((4, 128))[:, ::2]
         params = _two_qp_params(np.random.default_rng(1), 4, 3)
@@ -166,7 +161,7 @@ def _assert_pick_identical(*args):
     return twin
 
 
-@needs_cost
+@needs_library
 class TestPickKernel:
     def test_exact_tie_goes_to_the_earlier_candidate(self):
         rng = np.random.default_rng(5)
@@ -316,7 +311,7 @@ class TestModeOperators:
 
 
 class TestRefsKernel:
-    @needs_refs
+    @needs_library
     def test_fuzz_against_scalar_walk(self):
         rng = np.random.default_rng(17)
         for _ in range(150):
@@ -334,14 +329,14 @@ class TestRefsKernel:
             np.testing.assert_array_equal(top, ref_top)
             np.testing.assert_array_equal(left, ref_left)
 
-    @needs_refs
+    @needs_library
     def test_all_unavailable_is_midgrey(self):
         recon = np.zeros((16, 16))
         mask = np.zeros((16, 16), dtype=bool)
         top, left = gather_references(recon, mask, 0, 0, 8)
         assert (top == 128.0).all() and (left == 128.0).all()
 
-    @needs_refs
+    @needs_library
     def test_guards_fall_back(self):
         mask = np.ones((16, 16), dtype=bool)
         # Wrong dtype and oversized block both decline, never crash.
@@ -352,9 +347,8 @@ class TestRefsKernel:
 class TestBuildPipeline:
     def test_kernel_status_shape(self):
         status = native.kernel_status(resolve=False)
-        assert set(status) == {"slice", "recon", "encode", "cost", "refs"}
-        allowed = {"unloaded", "building", "ready", "pure-python",
-                   "no-compiler", "failed"}
+        assert set(status) == {"library"}
+        allowed = {"unloaded", "ready", "pure-python", "no-compiler", "failed"}
         assert set(status.values()) <= allowed
 
     def test_cache_gc_prunes_stale_objects(self, monkeypatch):
@@ -372,21 +366,26 @@ class TestBuildPipeline:
             assert not os.path.exists(stale)
             assert os.path.exists(keep)  # only .so files are GC'd
             assert registry.counters.get("native.cache_pruned", 0) >= 1
-            # Live kernels survived the sweep.
-            for kernel in native._KERNELS.values():
-                if kernel.state == "ready":
-                    assert os.path.exists(native._so_path(kernel))
+            # The live library survived the sweep.
+            if native.kernel_status(resolve=False)["library"] == "ready":
+                assert os.path.exists(native._so_path())
         finally:
             for path in (stale, keep):
                 if os.path.exists(path):
                     os.unlink(path)
 
-    def test_refs_and_recon_share_one_object(self):
-        # The reference gather exists once: in the reconstruct kernel's
-        # translation unit, exported a second time for the encoder.
-        recon, refs = native._KERNELS["recon"], native._KERNELS["refs"]
-        assert native._so_path(recon) == native._so_path(refs)
-        assert os.path.basename(native._so_path(recon)).startswith("recon_kernel_")
+    @needs_library
+    def test_a_resolve_leaves_one_object(self, monkeypatch):
+        # Every entry lives in one shared object: after a load and the
+        # sweep, the build directory holds it and nothing else.
+        assert native._resolve() is not None
+        stale = os.path.join(native._BUILD_DIR, "kernels_0000dead0000.so")
+        with open(stale, "w") as fh:
+            fh.write("x")
+        monkeypatch.setattr(native, "_pruned", False)
+        native._prune_stale()
+        objects = [n for n in os.listdir(native._BUILD_DIR) if n.endswith(".so")]
+        assert objects == [os.path.basename(native._so_path())]
 
     def test_gc_runs_once_per_process(self, monkeypatch):
         monkeypatch.setattr(native, "_pruned", True)
@@ -396,31 +395,72 @@ class TestBuildPipeline:
         # The pure-python opt-out short-circuits before any build is
         # attempted; lift it so the failure path actually runs.
         monkeypatch.delenv("LLM265_PURE_PYTHON", raising=False)
-        kernel = native._KERNELS["cost"]
-        monkeypatch.setattr(kernel, "state", "unloaded")
-        monkeypatch.setattr(kernel, "fn", None)
+        monkeypatch.setattr(native, "_state", "unloaded")
+        monkeypatch.setattr(native, "_lib", None)
 
-        def boom(_kernel):
+        def boom():
             raise FileNotFoundError("no C compiler on PATH")
 
-        monkeypatch.setattr(native, "_build_and_load", boom)
+        monkeypatch.setattr(native, "_build", boom)
         recorder = flightrecorder.FlightRecorder()
         previous = flightrecorder.set_recorder(recorder)
         try:
             with telemetry.session() as registry:
-                assert native._resolve("cost") is None
-                assert kernel.state == "no-compiler"
+                assert native._resolve() is None
+                assert native.kernel_status() == {"library": "no-compiler"}
                 # Repeated resolves degrade silently: still one event.
-                assert native._resolve("cost") is None
+                assert native._resolve() is None
                 events = [
                     e for e in recorder.snapshot()
                     if e["kind"] == "native.build_failed"
                 ]
                 assert len(events) == 1
-                assert events[0]["fields"]["kernel"] == "cost"
+                assert events[0]["fields"]["stage"] == "build"
                 assert registry.counters.get("native.build_failed") == 1
         finally:
             flightrecorder.set_recorder(previous)
+
+    @needs_library
+    def test_a_failing_check_declines_every_entry(self, monkeypatch):
+        # The entries share code, so one failed check -- here the last,
+        # the pick's -- refuses all of them, the decoder's too: each
+        # declines before it reads an argument.
+        monkeypatch.delenv("LLM265_PURE_PYTHON", raising=False)
+        monkeypatch.setattr(native, "_state", "unloaded")
+        monkeypatch.setattr(native, "_lib", None)
+
+        def disagree(_lib):
+            raise RuntimeError("cost pick disagrees with numpy")
+
+        monkeypatch.setattr(native, "_check_pick", disagree)
+        entries = (
+            native.plan_slices,
+            native.reconstruct_slices,
+            native.encode_slices,
+            native.cost_pick,
+            native.refs,
+            native.dct2,
+        )
+        recorder = flightrecorder.FlightRecorder()
+        previous = flightrecorder.set_recorder(recorder)
+        try:
+            with telemetry.session() as registry:
+                for _ in range(2):  # the second round retries nothing
+                    for entry in entries:
+                        required = [
+                            p for p in inspect.signature(entry).parameters.values()
+                            if p.default is p.empty
+                        ]
+                        assert not entry(*[None] * len(required)), entry.__name__
+                assert registry.counters.get("native.build_failed") == 1
+            events = [
+                e for e in recorder.snapshot() if e["kind"] == "native.build_failed"
+            ]
+            assert len(events) == 1 and events[0]["fields"]["stage"] == "pick"
+        finally:
+            flightrecorder.set_recorder(previous)
+        assert native.kernel_status() == {"library": "failed"}
+        assert not native.available()
 
     def test_missing_kernel_never_blocks_encode(self, monkeypatch):
         # encode="native" with the pick / slice-encode kernels
@@ -475,7 +515,7 @@ class TestParallelDispatch:
         serial = FrameEncoder(EncoderConfig(qp=24.0)).encode(frames)
         assert got.data == serial.data
 
-    @needs_encode
+    @needs_library
     def test_parallel_stream_identical_when_dispatched(self, monkeypatch):
         import repro.codec.encoder as encoder_mod
 

@@ -46,7 +46,7 @@ from repro.resilience.deadline import Deadline, DeadlineExceeded
 pytestmark = [pytest.mark.fuzz, pytest.mark.pure_python]
 
 needs_kernel = pytest.mark.skipif(
-    native.kernel_status().get("encode") != "ready",
+    not native.available(),
     reason="slice-encode kernel unavailable (no compiler or pure-python)",
 )
 
@@ -202,7 +202,7 @@ class TestFanOut:
         # Above the slice and byte thresholds, but one group of four:
         # nothing to hand a second worker.
         monkeypatch.setattr(encoder_mod, "_effective_cpus", lambda: 4)
-        monkeypatch.setattr(native, "encode_available", lambda: True)
+        monkeypatch.setattr(native, "available", lambda: True)
         frames = _frames((128, 128), 4)
         fanned, counters = _encode_counted(
             frames, ParallelConfig(workers=2)

@@ -251,9 +251,8 @@ def test_tensor_codec_matches_bisection(
 ):
     if kernels == "pure":  # every compiled kernel off, as the env switch does
         monkeypatch.setenv("LLM265_PURE_PYTHON", "1")
-        for kernel in native._KERNELS.values():
-            monkeypatch.setattr(kernel, "state", "unloaded")
-            monkeypatch.setattr(kernel, "fn", None)
+        monkeypatch.setattr(native, "_state", "unloaded")
+        monkeypatch.setattr(native, "_lib", None)
     tensor = weight_like(*shape, seed=shape[0]).astype(np.float32)
     codec = TensorCodec(profile=PROFILES[profile], alignment=alignment)
     layout, encode_at, runs = memoised_encoder(codec, tensor)

@@ -2,9 +2,9 @@
 
 The pick kernel (``_cost_kernel.c``) has a scalar row, the definition,
 and a fused AVX2 row that ``llm265_cost_pick`` runs on a CPU with AVX2.
-The ordered transform (``_encode_kernel.c``) has one body compiled twice:
-at the baseline and for AVX2.  Each library also exports its narrow
-entry (``llm265_cost_pick_scalar``, ``llm265_dct2_batch_default``), so on
+The ordered transform (``_transform_kernel.c``) has one body compiled
+twice: at the baseline and for AVX2.  The library also exports the narrow
+entries (``llm265_cost_pick_scalar``, ``llm265_dct2_batch_default``), so on
 an AVX2 machine these tests hold wide == narrow == numpy definition bit
 for bit.  Elsewhere both entries run the narrow body, and the tests
 still pin it to the definition.  Around that: the load-time pick check
@@ -28,14 +28,10 @@ from repro.codec.quantizer import qstep, rd_lambda
 
 pytestmark = pytest.mark.fuzz
 
-_READY = native.kernel_status()
+_STATE = native.kernel_status()["library"]
 #: A library that failed its load-time check is a failure here, not a skip.
-_NO_KERNELS = ("pure-python", "no-compiler")
-needs_cost = pytest.mark.skipif(
-    _READY.get("cost") in _NO_KERNELS, reason="cost kernel unavailable"
-)
-needs_encode = pytest.mark.skipif(
-    _READY.get("encode") in _NO_KERNELS, reason="encode kernel unavailable"
+needs_library = pytest.mark.skipif(
+    _STATE in ("pure-python", "no-compiler"), reason="kernel library unavailable"
 )
 
 #: Pick entries: the one pass 1 calls (widest body) and the scalar row.
@@ -44,8 +40,8 @@ PICKS = ("llm265_cost_pick", "llm265_cost_pick_scalar")
 DCTS = ("llm265_dct2_batch", "llm265_dct2_batch_default")
 
 
-def _entry(kernel: str, symbol: str, argtypes):
-    fn = getattr(native._KERNELS[kernel].lib, symbol)
+def _entry(symbol: str, argtypes):
+    fn = getattr(native._resolve(), symbol)
     fn.restype = ctypes.c_int64
     fn.argtypes = argtypes
     return fn
@@ -93,7 +89,7 @@ def _rows(width: int, seed: int):
 
 def _pick(symbol, args, deadzone):
     return native._pick(
-        _entry("cost", symbol, native._PICK_ARGTYPES), *args, deadzone,
+        _entry(symbol, native._PICK_ARGTYPES), *args, deadzone,
         _level_rate_table(),
     )
 
@@ -104,7 +100,7 @@ def _assert_same(got, want):
     assert got[1].tobytes() == want[1].tobytes()  # +0.0 / -0.0 differ
 
 
-@needs_cost
+@needs_library
 class TestPickRows:
     @pytest.mark.parametrize("deadzone", [0.0, 0.15, 0.7])
     @pytest.mark.parametrize("width", [16, 64, 256, 1024, 4096])
@@ -141,13 +137,13 @@ class TestPickRows:
         # Zero levels must cost nothing for a body to skip them.
         table = np.array(_level_rate_table())
         table[0] = 1
-        fn = _entry("cost", symbol, native._PICK_ARGTYPES)
+        fn = _entry(symbol, native._PICK_ARGTYPES)
         args = _rows(16, seed=2)
         assert native._pick(fn, *args, 0.15, table) is None
         assert native._pick(fn, *args, 0.15, _level_rate_table()) is not None
 
 
-@needs_encode
+@needs_library
 class TestOrderedTransformWidths:
     @pytest.mark.parametrize("inverse", [False, True])
     @pytest.mark.parametrize("n", transform.SUPPORTED_SIZES)
@@ -160,7 +156,7 @@ class TestOrderedTransformWidths:
         want = transform._ordered_dct2(blocks, basis, inverse).tobytes()
         for symbol in DCTS:
             out = np.empty_like(blocks)
-            fn = _entry("encode", symbol, native._DCT_ARGTYPES)
+            fn = _entry(symbol, native._DCT_ARGTYPES)
             assert fn(blocks.ctypes.data, out.ctypes.data, len(blocks), n,
                       basis.ctypes.data, inverse) == 0
             assert out.tobytes() == want, symbol
@@ -180,13 +176,13 @@ class _Skewed:
         return status
 
 
-@needs_cost
+@needs_library
 class TestLoadTimeCheck:
     def test_loaded_library_passes(self):
-        native._check_pick(native._KERNELS["cost"].lib)
+        native._check_pick(native._resolve())
 
     def test_disagreeing_library_is_refused(self):
-        real = _entry("cost", "llm265_cost_pick", native._PICK_ARGTYPES)
+        real = _entry("llm265_cost_pick", native._PICK_ARGTYPES)
         with pytest.raises(RuntimeError, match="cost pick disagrees"):
             native._check_pick(types.SimpleNamespace(llm265_cost_pick=_Skewed(real)))
         with pytest.raises(RuntimeError, match="cost pick disagrees"):
@@ -196,29 +192,28 @@ class TestLoadTimeCheck:
 
     def test_refused_library_leaves_pass1_on_the_twin(self, monkeypatch):
         monkeypatch.delenv("LLM265_PURE_PYTHON", raising=False)
-        kernel = native._KERNELS["cost"]
-        monkeypatch.setattr(kernel, "state", "unloaded")
-        monkeypatch.setattr(kernel, "fn", None)
+        monkeypatch.setattr(native, "_state", "unloaded")
+        monkeypatch.setattr(native, "_lib", None)
+        check = native._check_pick
 
-        def fake_load(k):
-            # What _build_and_load does after dlopen: run the check.
-            k.check(types.SimpleNamespace(llm265_cost_pick=lambda *args: 1))
+        def refusing_check(_lib):
+            # The load-time check, run on a library whose pick refuses.
+            check(types.SimpleNamespace(llm265_cost_pick=lambda *args: 1))
 
-        monkeypatch.setattr(native, "_build_and_load", fake_load)
+        monkeypatch.setattr(native, "_check_pick", refusing_check)
         args = _rows(64, seed=3)
         with telemetry.session() as registry:
             got = _pass1_pick(*args, 0.15, True)
             assert registry.counters.get("native.build_failed") == 1
-        assert kernel.state == "failed"
+        assert native.kernel_status() == {"library": "failed"}
         assert "encode.kernel_refusals" not in registry.counters
         _assert_same(got, _pass1_pick(*args, 0.15, False))
 
 
 def test_lanes_are_reported_for_both_kernels():
+    # One value: the pick row and the ordered transform choose alike.
     lanes = native.simd_lanes()
-    assert set(lanes) == {"cost", "encode"}
-    for name, value in lanes.items():
-        if _READY.get(name) == "ready":
-            assert value in ("4 (avx2)", "2 (sse4.1)", "1")
-        else:
-            assert value == _READY.get(name)
+    if _STATE == "ready":
+        assert lanes in ("4 (avx2)", "2 (sse4.1)", "1")
+    else:
+        assert lanes == _STATE

@@ -18,6 +18,7 @@ is tests/test_encode_groups.py's.
 
 from __future__ import annotations
 
+import glob
 import os
 import shutil
 
@@ -49,8 +50,8 @@ from repro.telemetry import flightrecorder
 pytestmark = [pytest.mark.fuzz, pytest.mark.pure_python]
 
 needs_kernel = pytest.mark.skipif(
-    native.kernel_status().get("encode") != "ready",
-    reason="slice-encode kernel unavailable (no compiler or pure-python)",
+    not native.available(),
+    reason="kernel library unavailable (no compiler or pure-python)",
 )
 
 
@@ -233,33 +234,27 @@ class TestOrderedTransform:
 
     def test_failed_self_check_falls_back_to_the_twin(self, monkeypatch):
         monkeypatch.delenv("LLM265_PURE_PYTHON", raising=False)
-        kernel = native._KERNELS["encode"]
-        monkeypatch.setattr(kernel, "state", "unloaded")
-        monkeypatch.setattr(kernel, "fn", None)
+        monkeypatch.setattr(native, "_state", "unloaded")
+        monkeypatch.setattr(native, "_lib", None)
 
         def disagree(_lib):
             raise RuntimeError("ordered DCT disagrees with numpy at n=8")
 
-        def fake_load(k):
-            # What _build_and_load does after dlopen: run the check.
-            k.check(None)
-
-        monkeypatch.setattr(kernel, "check", disagree)
-        monkeypatch.setattr(native, "_build_and_load", fake_load)
+        monkeypatch.setattr(native, "_check_dct", disagree)
         recorder = flightrecorder.FlightRecorder()
         previous = flightrecorder.set_recorder(recorder)
         try:
             with telemetry.session() as registry:
-                assert not native.encode_available()
-                assert not native.encode_available()  # no retry, no 2nd event
+                assert not native.available()
+                assert not native.available()  # no retry, no 2nd event
                 assert registry.counters.get("native.build_failed") == 1
             events = [
                 e for e in recorder.snapshot() if e["kind"] == "native.build_failed"
             ]
-            assert len(events) == 1 and events[0]["fields"]["kernel"] == "encode"
+            assert len(events) == 1 and events[0]["fields"]["stage"] == "dct"
         finally:
             flightrecorder.set_recorder(previous)
-        assert kernel.state == "failed"
+        assert native.kernel_status() == {"library": "failed"}
         blocks = _noninteger_blocks(8)
         basis = transform.dct_matrix(8)
         assert native.dct2(blocks, basis, False) is None
@@ -465,7 +460,7 @@ class TestFanOut:
     )
     def test_threads_only_with_the_kernel(self, config, ready, monkeypatch):
         monkeypatch.setattr(encoder_mod, "_effective_cpus", lambda: 4)
-        monkeypatch.setattr(native, "encode_available", lambda: ready)
+        monkeypatch.setattr(native, "available", lambda: ready)
         if not ready:
             monkeypatch.setattr(native, "encode_slices", lambda *a, **k: None)
         frames = _fanout_frames()
@@ -486,38 +481,21 @@ class TestFanOut:
 # -- the content hash covers every file that reaches the compiler ------------------------
 
 
+_C_FILES = sorted(
+    os.path.basename(path)
+    for path in glob.glob(os.path.join(native._SOURCE_DIR, "_*.c"))
+)
+
+
 class TestSourceTag:
-    def test_editing_a_shared_file_changes_the_object_path(self, tmp_path, monkeypatch):
-        for name in os.listdir(native._SOURCE_DIR):
-            if name.endswith(".c"):
-                shutil.copy(os.path.join(native._SOURCE_DIR, name), tmp_path / name)
+    @pytest.mark.parametrize("edited", _C_FILES)
+    def test_editing_any_c_file_changes_the_library_path(
+        self, edited, tmp_path, monkeypatch
+    ):
+        for name in _C_FILES:
+            shutil.copy(os.path.join(native._SOURCE_DIR, name), tmp_path / name)
         monkeypatch.setattr(native, "_SOURCE_DIR", str(tmp_path))
-        kernels = native._KERNELS
-        before = {name: native._so_path(k) for name, k in kernels.items()}
-
-        with open(tmp_path / "_write_kernel.c", "a") as fh:
+        before = native._so_path()
+        with open(tmp_path / edited, "a") as fh:
             fh.write("/* edited */\n")
-        after = {name: native._so_path(k) for name, k in kernels.items()}
-        changed = {name for name in kernels if before[name] != after[name]}
-        assert changed == {"encode"}  # only ever #included
-
-        with open(tmp_path / "_recon_kernel.c", "a") as fh:
-            fh.write("/* edited */\n")
-        again = {name: native._so_path(k) for name, k in kernels.items()}
-        changed = {name for name in kernels if after[name] != again[name]}
-        assert changed == {"recon", "refs", "encode"}
-
-        with open(tmp_path / "_contexts_kernel.c", "a") as fh:
-            fh.write("/* edited */\n")
-        last = {name: native._so_path(k) for name, k in kernels.items()}
-        changed = {name for name in kernels if again[name] != last[name]}
-        assert changed == {"slice", "encode"}  # one definition of a slice's contexts
-
-    def test_includes_name_real_files(self):
-        for kernel in native._KERNELS.values():
-            source = open(native._source_path(kernel)).read()
-            for path in native._compiled_files(kernel)[1:]:
-                assert os.path.exists(path)
-                assert f'#include "{os.path.basename(path)}"' in source
-            # ...and nothing reaches the compiler that the tag does not hash.
-            assert source.count('#include "') == len(kernel.includes), kernel.name
+        assert native._so_path() != before
