@@ -1,11 +1,14 @@
-"""Shared machinery for the model-compression benchmarks.
+"""Shared machinery for the per-figure/table benchmarks.
 
-Implements the "apply method X to every weight matrix, then evaluate"
-loop that Figures 5-8 and Table 1 all share.
+Sizes are laptop-scale; set ``REPRO_BENCH_FAST=1`` to shrink them
+further (:func:`scaled`).  Every benchmark prints its rows through
+:func:`print_table`.  Also the "apply method X to every weight matrix,
+then evaluate" loop that Figures 5-8 and Table 1 all share.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,6 +21,28 @@ from repro.quant.gptq import gptq_quantize
 from repro.quant.rtn import rtn_roundtrip
 from repro.tensor.allocation import search_allocation
 from repro.tensor.codec import TensorCodec
+
+
+def fast_mode() -> bool:
+    return os.environ.get("REPRO_BENCH_FAST", "") not in ("", "0")
+
+
+def scaled(normal: int, fast: int) -> int:
+    return fast if fast_mode() else normal
+
+
+def print_table(title: str, header, rows) -> None:
+    """Uniform fixed-width table output for every benchmark."""
+    print(f"\n=== {title} ===")
+    widths = [
+        max(len(str(header[i])), *(len(str(r[i])) for r in rows)) if rows else len(str(header[i]))
+        for i in range(len(header))
+    ]
+    line = "  ".join(str(h).ljust(w) for h, w in zip(header, widths))
+    print(line)
+    print("-" * len(line))
+    for row in rows:
+        print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
 
 
 def fresh(model_name: str):

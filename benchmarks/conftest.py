@@ -1,25 +1,18 @@
-"""Shared fixtures + helpers for the per-figure/table benchmarks.
+"""Shared fixtures for the per-figure/table benchmarks.
 
 Every benchmark regenerates one of the paper's tables or figures and
-prints the rows it reports.  Sizes are laptop-scale; set
-``REPRO_BENCH_FAST=1`` to shrink them further.  Heavy artefacts (the
-trained stand-in models) are cached under ``.repro_cache``.
+prints the rows it reports; the helpers they share (``scaled``,
+``print_table``) are in ``bench_helpers.py``.  Only fixtures live here:
+``benchmarks/stack/tests`` has a ``conftest`` module of its own, and
+both are collected in one run.  Heavy artefacts (the trained stand-in
+models) are cached under ``.repro_cache``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable
 
 import pytest
-
-
-def fast_mode() -> bool:
-    return os.environ.get("REPRO_BENCH_FAST", "") not in ("", "0")
-
-
-def scaled(normal: int, fast: int) -> int:
-    return fast if fast_mode() else normal
 
 
 @pytest.fixture()
@@ -30,20 +23,6 @@ def run_once(benchmark):
         return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
     return runner
-
-
-def print_table(title: str, header, rows) -> None:
-    """Uniform fixed-width table output for every benchmark."""
-    print(f"\n=== {title} ===")
-    widths = [
-        max(len(str(header[i])), *(len(str(r[i])) for r in rows)) if rows else len(str(header[i]))
-        for i in range(len(header))
-    ]
-    line = "  ".join(str(h).ljust(w) for h, w in zip(header, widths))
-    print(line)
-    print("-" * len(line))
-    for row in rows:
-        print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
 
 
 @pytest.fixture(scope="session")

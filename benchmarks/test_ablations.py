@@ -12,7 +12,7 @@ so the defaults are justified by measurement rather than folklore:
 import numpy as np
 import pytest
 
-from conftest import print_table, scaled
+from bench_helpers import print_table, scaled
 
 from repro.codec.encoder import EncoderConfig, encode_frames
 from repro.codec.profiles import H265_PROFILE, CodecProfile

@@ -7,7 +7,7 @@ does *not* reduce the rate.
 
 import numpy as np
 
-from conftest import print_table, scaled
+from bench_helpers import print_table, scaled
 
 from repro.codec.pipeline import PipelineStage, run_pipeline_ablation
 from repro.models.synthetic_weights import weight_like

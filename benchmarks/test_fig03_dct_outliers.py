@@ -7,7 +7,7 @@ whole block's coefficients.
 
 import numpy as np
 
-from conftest import print_table
+from bench_helpers import print_table
 
 from repro.codec.transform import forward_dct2
 from repro.quant.rotation import incoherence

@@ -7,7 +7,7 @@ coefficients of that residual.
 
 import numpy as np
 
-from conftest import print_table
+from bench_helpers import print_table
 
 from repro.codec import intra
 from repro.codec.quantizer import quantize

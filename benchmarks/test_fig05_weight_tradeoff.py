@@ -23,8 +23,9 @@ from bench_helpers import (
     calibration_inputs,
     eval_accuracy,
     fresh,
+    print_table,
+    scaled,
 )
-from conftest import print_table, scaled
 
 from repro.evals import COMMONSENSE_SUITE, build_suite
 

@@ -8,8 +8,7 @@ why H.265 is chosen for its availability and resolution support.
 import numpy as np
 import pytest
 
-from bench_helpers import eval_accuracy, fresh
-from conftest import print_table, scaled
+from bench_helpers import eval_accuracy, fresh, print_table, scaled
 
 from repro.codec.profiles import AV1_PROFILE, H264_PROFILE, H265_PROFILE
 from repro.evals import COMMONSENSE_SUITE, build_suite

@@ -8,7 +8,7 @@ bit budget LLM.265 should match or beat RTN and NF4 on accuracy.
 import numpy as np
 import pytest
 
-from conftest import print_table, scaled
+from bench_helpers import print_table, scaled
 
 from repro.evals.extra_tasks import (
     image_classification_task,

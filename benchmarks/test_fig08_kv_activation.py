@@ -10,8 +10,7 @@ while 3-bit RTN KV quantization nearly destroys the model.
 import numpy as np
 import pytest
 
-from bench_helpers import fresh
-from conftest import print_table, scaled
+from bench_helpers import fresh, print_table, scaled
 
 from repro.evals import build_suite
 from repro.evals.harness import evaluate_suite

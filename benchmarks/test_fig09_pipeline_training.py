@@ -14,7 +14,7 @@ average.
 import numpy as np
 import pytest
 
-from conftest import print_table, scaled
+from bench_helpers import print_table, scaled
 
 from repro.distributed import Channel, CodecCompressor, PipelineParallelTrainer, ResidualCompressor, RTNCompressor
 from repro.models.zoo import SPECS

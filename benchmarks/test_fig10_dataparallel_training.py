@@ -13,7 +13,7 @@ uncompressed at a fraction of the bits.
 import numpy as np
 import pytest
 
-from conftest import print_table, scaled
+from bench_helpers import print_table, scaled
 
 from repro.distributed import Channel, CodecCompressor, DataParallelTrainer, RTNCompressor
 from repro.models.zoo import SPECS

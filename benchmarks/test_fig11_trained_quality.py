@@ -9,7 +9,7 @@ suites.  Paper result: LLM.265(1.4b) keeps >=95.2% and LLM.265(2.6b)
 import numpy as np
 import pytest
 
-from conftest import print_table, scaled
+from bench_helpers import print_table, scaled
 
 from repro.distributed import Channel, CodecCompressor, DataParallelTrainer
 from repro.evals import COMMONSENSE_SUITE, build_suite

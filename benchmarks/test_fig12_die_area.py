@@ -8,7 +8,7 @@ the frame buffer, the blocks tensors do not need.
 
 import pytest
 
-from conftest import print_table
+from bench_helpers import print_table
 
 from repro.hardware.components import (
     CODEC_COMPONENTS,

@@ -14,7 +14,7 @@ Two halves:
 import numpy as np
 import pytest
 
-from conftest import print_table, scaled
+from bench_helpers import print_table, scaled
 
 from repro.codec.decoder import decode_frames
 from repro.codec import reference

@@ -13,8 +13,7 @@ and keeps higher accuracy at lower bitrates.
 import numpy as np
 import pytest
 
-from bench_helpers import eval_accuracy, fresh
-from conftest import print_table, scaled
+from bench_helpers import eval_accuracy, fresh, print_table, scaled
 
 from repro.codec.entropy.bytecoder import byte_arith_encode
 from repro.codec.entropy.deflate import deflate_compress

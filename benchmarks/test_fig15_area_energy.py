@@ -13,7 +13,7 @@ NIC, the dominant area/power term.
 import numpy as np
 import pytest
 
-from conftest import print_table, scaled
+from bench_helpers import print_table, scaled
 
 from repro.codec.entropy.bytecoder import byte_arith_encode
 from repro.codec.entropy.deflate import deflate_compress

@@ -17,7 +17,7 @@ sitting between the curves.
 import numpy as np
 import pytest
 
-from conftest import print_table
+from bench_helpers import print_table
 
 from repro.hardware.cluster import (
     NVENC_OPTION,

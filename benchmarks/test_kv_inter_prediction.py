@@ -26,8 +26,7 @@ P-frames): turbo's ±1 % would be the size of the effect being measured.
 
 import numpy as np
 
-from bench_helpers import fresh
-from conftest import print_table, scaled
+from bench_helpers import fresh, print_table, scaled
 
 from repro.codec.encoder import _HEADER_SIZE, EncoderConfig
 from repro.codec.reference import ReferenceEncoder

@@ -7,7 +7,7 @@ of weights + ~1.8 GB of cache per device ~= 8 GB.
 
 import pytest
 
-from conftest import print_table
+from bench_helpers import print_table
 
 from repro.analysis.memory import (
     LLAMA3_70B,

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import print_table, scaled
+from bench_helpers import print_table, scaled
 
 from repro.codec.decoder import decode_frames
 from repro.codec.encoder import EncoderConfig, encode_frames

@@ -16,8 +16,9 @@ from bench_helpers import (
     apply_gptq,
     calibration_inputs,
     fresh,
+    print_table,
+    scaled,
 )
-from conftest import print_table, scaled
 
 from repro.evals import build_suite
 from repro.evals.harness import evaluate_suite

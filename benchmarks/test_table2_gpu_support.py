@@ -4,7 +4,7 @@ Static data reproduced verbatim, plus the selection logic of Section
 4.1.1 (H.265 is the codec that works everywhere at 8K both ways).
 """
 
-from conftest import print_table
+from bench_helpers import print_table
 
 from repro.gpu.capabilities import GPU_CODEC_SUPPORT, best_codec_for, supports
 

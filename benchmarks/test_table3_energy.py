@@ -8,7 +8,7 @@ yields a 4.32x end-to-end energy win.
 
 import pytest
 
-from conftest import print_table
+from bench_helpers import print_table
 
 from repro.hardware.components import CODEC_COMPONENTS
 from repro.hardware.energy import (

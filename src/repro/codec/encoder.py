@@ -1,17 +1,20 @@
 """RD-optimised intra frame encoder (two-pass search, quad-tree CUs).
 
 Every frame is an intra slice, coded in two passes, both once per
-*group* of consecutive frames (:data:`GROUP_SAMPLES`).  Pass 1 costs
-every (block, size, mode) candidate of the group at once against
-*source* references, through cached prediction -> coefficient
-operators; its padding, reference windows and per-block quantizers are
-gathers through cached indices.  Pass 2 runs the quadtree DP over those
-costs, re-codes only the chosen leaves against the true reconstruction
-and writes each slice with the CABAC-style arithmetic coder -- one C
-call for the whole group with ``encode="native"``, the Python twin for
-any slice it refuses (see :meth:`FrameEncoder._turbo_pass2`).  The
-decoder in :mod:`repro.codec.decoder` replays the same syntax, so
-reconstructions are bit-exact on both sides.
+*group* of consecutive frames (:data:`GROUP_SAMPLES`).  Pass 1
+(:mod:`repro.codec.pass1`) costs every (block, size, mode) candidate of
+the group at once against *source* references: a QP-independent
+analysis (block DCT, reference windows @ the mode operator) that a rate
+search holds across its probes (:data:`HELD_ANALYSIS_BYTES`), then the
+pick at each CTU's step and Lagrangian.  Pass 2 runs the quadtree DP
+over those costs, re-codes only the chosen leaves against the true
+reconstruction and writes each slice with the CABAC-style arithmetic
+coder -- one C call for the whole group with ``encode="native"``, the
+Python twin for any slice it refuses (see
+:meth:`FrameEncoder._turbo_pass2`).  This module also owns the stream
+format: header, QP dither and slice framing.  The decoder in
+:mod:`repro.codec.decoder` replays the same syntax, so reconstructions
+are bit-exact on both sides.
 
 ``use_partition=False`` (a fixed CU grid) is served here too.  The
 other stage ablations of Figure 2(b) -- inter prediction, intra
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import os
 import struct
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
@@ -33,7 +35,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 import repro.telemetry as telemetry
-from repro.codec import intra
+from repro.codec import intra, pass1
 from repro.codec.entropy import native
 from repro.codec.entropy.arithmetic import BinaryEncoder
 from repro.codec.profiles import H265_PROFILE, CodecProfile
@@ -46,12 +48,7 @@ from repro.resilience.errors import (
 )
 from repro.resilience.framing import SLICE_OVERHEAD, crc32, frame_slice
 from repro.codec.quantizer import check_qp, qstep, rd_lambda
-from repro.codec.syntax import (
-    CodecContexts,
-    encode_coeff_block,
-    encode_intra_mode,
-    estimate_mode_bits_many,
-)
+from repro.codec.syntax import CodecContexts, encode_coeff_block, encode_intra_mode
 from repro.codec.transform import (
     SUPPORTED_SIZES,
     dct_matrix,
@@ -97,6 +94,11 @@ _PARALLEL_MIN_BYTES = 1 << 16
 #: bound (its two stages run once per group), so the name is neither
 #: side's.
 GROUP_SAMPLES = 1 << 16
+#: Bytes of pass-1 analysis a rate search may hold across its probes
+#: (:class:`repro.codec.pass1.HeldAnalysis`): one full 256 x 256 H.265
+#: group -- 3 CU sizes x (1 + 11 candidates) x 65 536 float64.  Groups
+#: past it are analysed again by every probe.
+HELD_ANALYSIS_BYTES = 18 << 20
 
 
 def _effective_cpus() -> int:
@@ -105,102 +107,6 @@ def _effective_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without affinity masks
         return os.cpu_count() or 1
-
-
-#: (mode, size) -> linear operator, filled a candidate set at a time
-#: (under the lock: a hedged first request would build the set twice).
-_MODE_COEFF: Dict[Tuple[int, int], np.ndarray] = {}
-_MODE_COEFF_LOCK = threading.Lock()
-
-
-def _mode_coeff_matrices(modes: Sequence[int], n: int) -> List[np.ndarray]:
-    """Linear operators: reference boundary -> zigzag-ordered DCT
-    coefficients of each mode's prediction.
-
-    Every intra predictor (planar, DC, angular) is linear in the
-    ``(top, left)`` reference vector, and the DCT + zigzag scan are
-    linear too, so their composition is one ``(n^2, 4n + 2)`` matrix.
-    Built by probing :func:`repro.codec.intra.predict_many` with basis
-    vectors -- one probe yields that column of every missing mode -- and
-    cached per (mode, size) for the life of the process.
-    """
-    with _MODE_COEFF_LOCK:
-        missing = [m for m in dict.fromkeys(modes) if (m, n) not in _MODE_COEFF]
-        if missing:
-            basis = dct_matrix(n)
-            zz = zigzag_order(n)
-            width = 4 * n + 2  # top (2n + 1) then left (2n + 1)
-            # ``intra.predict`` hands the horizontal family out as transposed
-            # views, and BLAS rounds a transposed operand differently in the
-            # last bit: those planes are transformed in that layout, so the
-            # operators are bit for bit the ones a per-mode probe builds.
-            horizontal = [
-                i for i, m in enumerate(missing) if intra.ANGULAR_FIRST <= m < 18
-            ]
-            built = np.empty((len(missing), n * n, width), dtype=np.float64)
-            refs = np.zeros(width, dtype=np.float64)
-            for j in range(width):
-                refs[j] = 1.0
-                preds = intra.predict_many(refs[: 2 * n + 1], refs[2 * n + 1 :], missing, n)
-                coeffs = np.matmul(np.matmul(basis, preds), basis.T)
-                flipped = np.ascontiguousarray(preds[horizontal].transpose(0, 2, 1))
-                coeffs[horizontal] = np.matmul(
-                    np.matmul(basis, flipped.transpose(0, 2, 1)), basis.T
-                )
-                built[:, :, j] = coeffs.reshape(len(missing), n * n)[:, zz]
-                refs[j] = 0.0
-            built.setflags(write=False)
-            _MODE_COEFF.update(((m, n), matrix) for m, matrix in zip(missing, built))
-    return [_MODE_COEFF[m, n] for m in modes]
-
-
-@lru_cache(maxsize=None)
-def _mode_coeff_operator(modes: Tuple[int, ...], n: int) -> np.ndarray:
-    """Per-mode operators stacked for one candidate list, shape
-    ``(m * n^2, 4n + 2)`` -- pass 1's candidate predictions for every
-    block of a group are then one GEMM against the stacked references."""
-    stacked = np.concatenate(_mode_coeff_matrices(modes, n), axis=0)
-    stacked.setflags(write=False)
-    return stacked
-
-
-@lru_cache(maxsize=None)
-def _anchor_mode_bits(modes: Tuple[int, ...]) -> np.ndarray:
-    """Neighbour-free mode signalling rate used by the turbo pre-pass.
-
-    The batched pre-pass scores every block of a frame before any mode
-    has been committed, so the adaptive MPM context is unknown; the
-    no-neighbour estimate keeps the usual bias towards the default
-    most-probable modes without sequentialising the pass.
-    """
-    bits = estimate_mode_bits_many(list(modes), None, None)
-    bits.setflags(write=False)
-    return bits
-
-
-#: Fixed-point scale of the level-rate table: rates are stored as
-#: ``round(log2(m + 1) * 2**15)`` so per-row sums are *integer* sums --
-#: order-independent, hence bitwise identical between the C cost kernel
-#: and the numpy fallback -- while staying within 2**-15 bits per
-#: coefficient of the float proxy they replace (``2*log2(m+1)`` per
-#: level, converted back via one exact power-of-two division).
-_RATE_SCALE_BITS = 15
-
-
-@lru_cache(maxsize=None)
-def _level_rate_table() -> np.ndarray:
-    """Level magnitude -> fixed-point rate, int64, length 65536.
-
-    Entry 0 is exactly 0, so zero coefficients can be summed without
-    masking; magnitudes beyond the table share the top entry (the RD
-    search only needs relative order up there).
-    """
-    mags = np.arange(1 << 16, dtype=np.float64)
-    table = np.round(np.log2(mags + 1.0) * (1 << _RATE_SCALE_BITS)).astype(
-        np.int64
-    )
-    table.setflags(write=False)
-    return table
 
 
 @lru_cache(maxsize=None)
@@ -220,141 +126,6 @@ def _transform_tables(sizes: Tuple[int, ...]) -> tuple:
 #: the doubles :func:`qstep` / :func:`rd_lambda` return.
 _QSTEPS = np.array([qstep(qp) for qp in range(256)], dtype=np.float64)
 _LAMBDAS = np.array([rd_lambda(qp) for qp in range(256)], dtype=np.float64)
-
-
-@lru_cache(maxsize=None)
-def _pad_index(height: int, width: int, multiple: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Row and column indices that edge-pad a ``height x width`` frame to
-    a multiple of ``multiple``.
-
-    Edge padding repeats the last row and column, so the padded frame is
-    the frame gathered through row and column ranges clamped to it.
-    """
-    rows = np.minimum(np.arange(height + -height % multiple), height - 1)
-    cols = np.minimum(np.arange(width + -width % multiple), width - 1)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
-def _padded_planes(frames: Sequence[np.ndarray], multiple: int) -> np.ndarray:
-    """Equal-shape frames edge-padded to a multiple of ``multiple`` and
-    stacked: one ``(frames, rows, cols)`` float64 array, C-contiguous as
-    pass 2's kernel takes it (it declines any other layout)."""
-    rows, cols = _pad_index(*frames[0].shape, multiple)
-    padded = np.take(np.take(np.stack(frames), rows, axis=1), cols, axis=2)
-    return padded.astype(np.float64, order="C")
-
-
-@lru_cache(maxsize=None)
-def _window_index(height: int, width: int, n: int) -> np.ndarray:
-    """Flat index into a ``height x width`` plane of every ``n x n``
-    block's pass-1 reference window, ``(blocks, 4n + 2)`` in raster
-    order: the top row then the left column, each from the corner
-    outside the block and ``2n`` samples along it.  Indices are clamped
-    to the plane: what the windows read from an edge-padded plane.
-    """
-    along = np.arange(-1, 2 * n)
-    y0 = (np.arange(height // n) * n)[:, None, None]
-    x0 = (np.arange(width // n) * n)[None, :, None]
-    top = np.clip(y0 - 1, 0, height - 1) * width + np.clip(x0 + along, 0, width - 1)
-    left = np.clip(y0 + along, 0, height - 1) * width + np.clip(x0 - 1, 0, width - 1)
-    index = np.concatenate([top, left], axis=2).reshape(-1, 4 * n + 2)
-    index.setflags(write=False)
-    return index
-
-
-def _reference_windows(planes: np.ndarray, n: int) -> np.ndarray:
-    """Every ``n x n`` block's reference window, frame by frame in raster
-    order: ``(frames * blocks, 4n + 2)``, C-contiguous."""
-    count, height, width = planes.shape
-    refs = np.take(
-        planes.reshape(count, height * width), _window_index(height, width, n), axis=1
-    )
-    return refs.reshape(-1, 4 * n + 2)
-
-
-@lru_cache(maxsize=None)
-def _block_ctus(height: int, width: int, ctu: int, n: int) -> np.ndarray:
-    """Each ``n x n`` block's CTU within a ``height x width`` plane, both
-    counted in raster order."""
-    rows = np.arange(height // n) * n // ctu
-    cols = np.arange(width // n) * n // ctu
-    index = (rows[:, None] * (width // ctu) + cols).ravel()
-    index.setflags(write=False)
-    return index
-
-
-def _quantize_costs(
-    flat: np.ndarray, deadzone: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Quantize a ``(rows, width)`` batch and gather its rate statistics.
-
-    Returns ``(levels, rate, nnz, last)``: float64 levels, the int64
-    fixed-point rate sums over :func:`_level_rate_table`, nonzero counts,
-    and the highest nonzero index per row (-1 when empty).  Integer rate
-    sums and a quantizer built from exactly-rounded primitives: the pick
-    kernel's ``level_stats`` computes the same numbers bit for bit.
-    """
-    table = _level_rate_table()
-    if deadzone:
-        # sign(x) * floor(|x| + c)  ==  trunc(x + copysign(c, x))
-        levels = np.trunc(flat + np.copysign(0.5 - deadzone, flat))
-    else:
-        levels = np.rint(flat)
-    mags = np.abs(levels)
-    nonzero = mags > 0.0
-    nnz = nonzero.sum(axis=1)
-    width = flat.shape[1]
-    last = np.where(nnz > 0, width - 1 - np.argmax(nonzero[:, ::-1], axis=1), -1)
-    idx = np.minimum(mags, float(len(table) - 1)).astype(np.int64)
-    rate = np.take(table, idx).sum(axis=1)
-    return levels, rate, nnz.astype(np.int64), last.astype(np.int64)
-
-
-def _pass1_pick(
-    coeffs: np.ndarray,
-    pred: np.ndarray,
-    inv_step: np.ndarray,
-    step2: np.ndarray,
-    lam: np.ndarray,
-    mode_bits: np.ndarray,
-    deadzone: float,
-    native_ok: bool,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """First cheapest candidate and its RD cost for every pass-1 block.
-
-    Candidate ``(b, m)`` is ``(coeffs[b] - pred[b, m]) * inv_step[b]``.
-    The native kernel quantizes, costs and ranks it row by row; the
-    numpy form below materialises the candidate tensor and is the
-    kernel's definition -- the same exactly-rounded operations in the
-    same order, the SSE as four strided lanes each summed sequentially
-    -- so ``(pick, cost)`` is bitwise the same whichever ran.
-    """
-    if native_ok:
-        out = native.cost_pick(
-            coeffs, pred, inv_step, step2, lam, mode_bits, deadzone,
-            _level_rate_table(),
-        )
-        if out is not None:
-            return out
-        if native.available():
-            telemetry.count("encode.kernel_refusals")
-    n_blocks, n_modes, width = pred.shape
-    flat = ((coeffs[:, None, :] - pred) * inv_step[:, None, None]).reshape(-1, width)
-    levels, rate, nnz, last = _quantize_costs(flat, deadzone)
-    err = np.zeros((len(flat), width + -width % 4))
-    err[:, :width] = levels - flat
-    lanes = np.cumsum((err * err).reshape(len(flat), -1, 4), axis=1)[:, -1]
-    sse = (lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])
-    level_bits = rate / float(1 << (_RATE_SCALE_BITS - 1)) + 2.0 * nnz
-    bits = np.where(nnz > 0, 5.0 + last + level_bits, 1.0)
-    costs = (
-        sse.reshape(n_blocks, n_modes) * step2[:, None]
-        + lam[:, None] * bits.reshape(n_blocks, n_modes)
-    ) + lam[:, None] * mode_bits
-    pick = np.argmin(costs, axis=1)
-    return pick, costs[np.arange(n_blocks), pick]
 
 
 def _kernel_ledger(
@@ -671,8 +442,16 @@ class FrameEncoder:
 
     # -- public API ----------------------------------------------------
 
-    def encode(self, frames: Sequence[np.ndarray]) -> EncodeResult:
-        """Encode frames; returns bitstream + achieved distortion."""
+    def encode(
+        self, frames: Sequence[np.ndarray], held: Optional[pass1.HeldAnalysis] = None
+    ) -> EncodeResult:
+        """Encode frames; returns bitstream + achieved distortion.
+
+        ``held`` is a rate search's pass-1 analysis of these frames: its
+        first encode lays it out and fills it, later ones read it back
+        (:class:`repro.codec.pass1.HeldAnalysis`).  The bytes do not
+        depend on it.
+        """
         frames = [np.asarray(f) for f in frames]
         if not frames:
             raise ValueError("need at least one frame")
@@ -708,6 +487,17 @@ class FrameEncoder:
         # batches is what the serial loop batches.
         per_group = max(1, GROUP_SAMPLES // (pad_h * pad_w))
         groups = -(-len(frames) // per_group)
+        analyses: Optional[List[Optional[pass1.GroupAnalysis]]] = None
+        if held is not None:
+            analyses = held.groups(
+                [
+                    (len(frames[first : first + per_group]), pad_h, pad_w)
+                    for first in range(0, len(frames), per_group)
+                ],
+                self._sizes,
+                cfg.profile.coarse_modes(),
+                HELD_ANALYSIS_BYTES,
+            )
         use_parallel = (
             par_capable
             and len(frames) >= _PARALLEL_MIN_SLICES
@@ -738,6 +528,9 @@ class FrameEncoder:
                         qp_frac,
                         first * ctus_per_frame,
                         stats is not None,
+                        None
+                        if analyses is None
+                        else analyses[first // per_group : (first + run) // per_group],
                     )
                     for first in range(0, len(frames), run)
                 ]
@@ -755,7 +548,9 @@ class FrameEncoder:
             else:
                 if par is not None:
                     telemetry.count("parallel.serial_fallbacks")
-                coded = self._encode_run(frames, per_group, QpDither(qp_base, qp_frac))
+                coded = self._encode_run(
+                    frames, per_group, QpDither(qp_base, qp_frac), analyses
+                )
             payload = b"".join(slice_bytes for slice_bytes, _ in coded)
         # Summed in frame order on every path, so the float is the same.
         sse_total = 0.0
@@ -782,7 +577,11 @@ class FrameEncoder:
     # -- per group ------------------------------------------------------
 
     def _encode_run(
-        self, frames: Sequence[np.ndarray], per_group: int, dither: QpDither
+        self,
+        frames: Sequence[np.ndarray],
+        per_group: int,
+        dither: QpDither,
+        analyses: Optional[Sequence[Optional[pass1.GroupAnalysis]]] = None,
     ) -> List[Tuple[bytes, float]]:
         """Consecutive frames as framed slices: ``(slice bytes, frame SSE)`` each.
 
@@ -793,7 +592,8 @@ class FrameEncoder:
         make it independently decodable, so a damaged slice can be
         concealed without desynchronising the rest of the stream.  The
         deadline is polled at every group and every frame: at most one
-        256 x 256 slice's worth of work apart.
+        256 x 256 slice's worth of work apart.  ``analyses`` holds each
+        group's held pass-1 analysis, ``None`` where it has none.
         """
         deadline = self.config.deadline
         stats = self._stats
@@ -802,9 +602,10 @@ class FrameEncoder:
             group = frames[start : start + per_group]
             if deadline is not None:
                 deadline.check("frames.encode")
-            planes = _padded_planes(group, self._ctu)
+            planes = pass1._padded_planes(group, self._ctu)
+            analysis = analyses[start // per_group] if analyses else None
             with telemetry.span("group"):
-                slices = self._encode_group(planes, dither)
+                slices = self._encode_group(planes, dither, analysis)
                 for frame, plane, (payload, recon) in zip(group, planes, slices):
                     if deadline is not None:
                         deadline.check("frames.encode")
@@ -817,17 +618,21 @@ class FrameEncoder:
         return coded
 
     def _encode_group(
-        self, planes: np.ndarray, dither: QpDither
+        self,
+        planes: np.ndarray,
+        dither: QpDither,
+        analysis: Optional[pass1.GroupAnalysis] = None,
     ) -> Iterable[Tuple[bytes, np.ndarray]]:
         """One group's ``(frames, height, width)`` padded float64 planes
         as ``(slice payload, reconstruction plane)`` per frame, in order.
 
-        Pass 1 over the group, then pass 2 over the group.
+        Pass 1 over the group (reading ``analysis`` when a search holds
+        one), then pass 2 over the group.
         :class:`repro.codec.reference.ReferenceEncoder` replaces this
         with its serial frame-by-frame search; :meth:`_encode_run`
         consumes the pairs once, in order.
         """
-        return self._turbo_pass2(planes, self._turbo_pass1(planes, dither))
+        return self._turbo_pass2(planes, self._turbo_pass1(planes, dither, analysis))
 
     def _turbo_pass2(
         self, planes: np.ndarray, pass1: _Pass1
@@ -992,78 +797,51 @@ class FrameEncoder:
 
     # -- pass 1 --------------------------------------------------------------
 
-    def _turbo_pass1(self, planes: np.ndarray, dither: QpDither) -> _Pass1:
+    def _turbo_pass1(
+        self,
+        planes: np.ndarray,
+        dither: QpDither,
+        analysis: Optional[pass1.GroupAnalysis] = None,
+    ) -> _Pass1:
         """Turbo pass 1 over a group: ``(frames, height, width)`` float64 planes.
 
-        One :meth:`_turbo_pass1_size` per CU size over the stacked
-        blocks of every frame, each block with the step and Lagrangian
-        of its own CTU.  The dither is consumed for the whole group up
-        front, in the order the serial CTU loop would, so fractional QPs
-        dither across the frames of a group and streams are invariant
-        to the fan-out.
+        Per CU size, the group's analysis (:func:`repro.codec.pass1.analyse`,
+        or ``analysis``'s held copy) and one pick over the stacked blocks
+        of every frame, each block with the step and Lagrangian of its
+        own CTU.  The dither is consumed for the whole group up front, in
+        the order the serial CTU loop would, so fractional QPs dither
+        across the frames of a group and streams are invariant to the
+        fan-out.
         """
         stats = self._stats
         started = perf_counter() if stats is not None else 0.0
         count, height, width = planes.shape
         ctu = self._ctu
         qp = dither.take(planes.size // ctu**2).reshape(count, height // ctu, -1)
-        pass1 = _Pass1(qp, _QSTEPS[qp], _LAMBDAS[qp], {}, {})
-        step = pass1.step.reshape(count, -1)
-        lam = pass1.lam.reshape(count, -1)
+        tables = _Pass1(qp, _QSTEPS[qp], _LAMBDAS[qp], {}, {})
+        step = tables.step.reshape(count, -1)
+        lam = tables.lam.reshape(count, -1)
+        profile = self.config.profile
+        modes = profile.coarse_modes()
         for n in self._sizes:
-            blocks = _block_ctus(height, width, ctu, n)
-            modes, costs = self._turbo_pass1_size(
-                planes, n, step[:, blocks].ravel(), lam[:, blocks].ravel()
+            if analysis is None:
+                coeffs, pred = pass1.analyse(planes, n, modes)
+            else:
+                coeffs, pred = analysis.size(planes, n, modes)
+            blocks = pass1._block_ctus(height, width, ctu, n)
+            block_step = step[:, blocks].ravel()
+            pick, costs = pass1._pass1_pick(
+                coeffs, pred, 1.0 / block_step, block_step * block_step,
+                lam[:, blocks].ravel(), pass1._anchor_mode_bits(modes),
+                profile.deadzone, self._native_ok,
             )
-            pass1.modes[n] = modes.reshape(count, height // n, width // n)
-            pass1.costs[n] = costs.reshape(count, height // n, width // n)
+            del coeffs, pred  # a size's candidates go before the next size's
+            shape = (count, height // n, width // n)
+            tables.modes[n] = np.asarray(modes, dtype=np.int64)[pick].reshape(shape)
+            tables.costs[n] = costs.reshape(shape)
         if stats is not None:
             stats.add_seconds("plan", perf_counter() - started)
-        return pass1
-
-    def _turbo_pass1_size(
-        self, planes: np.ndarray, n: int, step: np.ndarray, lam: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Best coarse mode + RD cost for every ``n x n`` block at once.
-
-        References come from the source planes, clamped at their edges
-        (one row/column of context outside each frame, ``2n`` of
-        extension below/right exactly like the boundary walk reads
-        them: :func:`_reference_windows`), so the whole group's
-        candidate prediction collapses into one operator gemm instead of
-        a mat-vec per block; ``step`` / ``lam`` are every block's
-        quantizer step and Lagrangian, frame by frame in raster order.
-        """
-        count, height, width = planes.shape
-        by, bx = height // n, width // n
-        total = count * by * bx
-        basis = dct_matrix(n)
-        zz = zigzag_order(n)
-        blocks = planes.reshape(count, by, n, bx, n).transpose(0, 1, 3, 2, 4)
-        coeffs = np.matmul(np.matmul(basis, blocks), basis.T).reshape(total, n * n)
-        coeffs = np.take(coeffs, zz, axis=1)  # C-contiguous, unlike [:, zz]
-
-        refs = _reference_windows(planes, n)
-        if total == 1:
-            # BLAS answers one row with its GEMV kernel, which rounds
-            # the last bits differently from the GEMM rows the same
-            # block gets beside others: a lone block is computed as two
-            # rows, so a frame's bytes never depend on its group-mates.
-            refs = np.concatenate([refs, refs])
-
-        modes = self.config.profile.coarse_modes()
-        # Block-major gemm orientation: the (blocks, modes, n*n)
-        # prediction comes out C-contiguous, so the pick kernel walks it
-        # row by row -- no transpose copy of the candidate predictions.
-        pred = (refs @ _mode_coeff_operator(modes, n).T)[:total].reshape(
-            total, len(modes), n * n
-        )
-        pick, costs = _pass1_pick(
-            coeffs, pred, 1.0 / step, step * step, lam,
-            _anchor_mode_bits(modes), self.config.profile.deadzone,
-            self._native_ok,
-        )
-        return np.asarray(modes, dtype=np.int64)[pick], costs
+        return tables
 
     def _turbo_choose(
         self,
@@ -1248,7 +1026,8 @@ class FrameEncoder:
 
 
 def _encode_slices_worker(args):
-    """Encode a run of consecutive pass-1 groups (parallel worker body).
+    """Encode a run of consecutive pass-1 groups, with their held
+    analyses if a search holds any (parallel worker body).
 
     A fresh :class:`FrameEncoder` per run, so pool threads share no
     encoder state.  When instrumentation is on the worker builds an
@@ -1257,11 +1036,11 @@ def _encode_slices_worker(args):
 
     Returns ``([(framed_slice_bytes, frame_sse), ...], stats_or_None)``.
     """
-    config, frames, per_group, qp_base, qp_frac, steps, want_stats = args
+    config, frames, per_group, qp_base, qp_frac, steps, want_stats, analyses = args
     encoder = FrameEncoder(config)
     encoder._stats = telemetry.EncodeStats() if want_stats else None
     dither = QpDither.advanced(qp_base, qp_frac, steps)
-    return encoder._encode_run(frames, per_group, dither), encoder._stats
+    return encoder._encode_run(frames, per_group, dither, analyses), encoder._stats
 
 
 def encode_frames(

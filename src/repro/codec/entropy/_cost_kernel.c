@@ -36,7 +36,7 @@
  * and the first minimum in candidate order wins.  Every operation is an
  * exactly-rounded IEEE one (no libm transcendental, no BLAS; built with
  * -ffp-contract=off), so best_mode / best_cost are bitwise those of
- * repro.codec.encoder._pass1_pick's numpy form on any machine.
+ * repro.codec.pass1._pass1_pick's numpy form on any machine.
  *
  * Two bodies compute a row.  row_scalar, quantize_row + level_stats, is
  * the definition and runs everywhere.  row_avx2 (_simd_kernel.c: chosen

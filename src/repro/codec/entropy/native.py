@@ -319,7 +319,7 @@ def _check_rows(width: int) -> tuple:
 def _check_pick(lib) -> None:
     """Check the library's pick entry against the twin.
 
-    The numpy form in :func:`repro.codec.encoder._pass1_pick` is the
+    The numpy form in :func:`repro.codec.pass1._pass1_pick` is the
     pick's definition, and the entry runs whichever row body the CPU
     selects; a library whose picks or costs differ from the twin's in
     one bit would make native and python streams part, so it is refused
@@ -327,7 +327,7 @@ def _check_pick(lib) -> None:
     16, 64 and 1024, dead zones 0, 0.15 and 0.7 (a negative rounding
     offset).
     """
-    from repro.codec.encoder import _level_rate_table, _pass1_pick
+    from repro.codec.pass1 import _level_rate_table, _pass1_pick
 
     for width in (16, 64, 1024):
         args = _check_rows(width)
@@ -968,7 +968,7 @@ def cost_pick(
     ``1 / step``, ``step ** 2`` and Lagrangian, ``mode_bits`` every
     candidate's signalling rate.  Returns ``(pick, cost)``: per block the
     index of the first cheapest candidate and its RD cost, bitwise what
-    the numpy form in :func:`repro.codec.encoder._pass1_pick` computes.
+    the numpy form in :func:`repro.codec.pass1._pass1_pick` computes.
     The candidate rows, their levels and their errors never leave C.
     """
     lib = _resolve()

@@ -8,7 +8,10 @@ dithered across CTUs (see :class:`repro.codec.encoder.QpDither`).
 Every search in the repo (the two functions below,
 :class:`repro.tensor.codec.TensorCodec`'s two targets and the Figure
 2(b) ablation in :mod:`repro.codec.pipeline`) is one call to
-:func:`solve_qp`.
+:func:`solve_qp`.  The production searches encode the same frames at
+every probe, so each holds its frames' pass-1 analysis from the first
+probe to the last (:class:`repro.codec.pass1.HeldAnalysis`): later
+probes pay only the pick and pass 2, and the bytes do not move.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 
 import repro.telemetry as telemetry
 from repro.codec.encoder import EncodeResult, EncoderConfig, FrameEncoder
+from repro.codec.pass1 import HeldAnalysis
 from repro.resilience.deadline import Deadline
 
 MAX_QP = 51.0
@@ -41,6 +45,16 @@ def encode_at_qp(
     """Encode at a specific (possibly fractional) QP."""
     base = config or EncoderConfig()
     return FrameEncoder(replace(base, qp=qp)).encode(frames)
+
+
+def _held_probe(
+    frames: Sequence[np.ndarray], config: Optional[EncoderConfig]
+) -> Callable[[float], EncodeResult]:
+    """:func:`encode_at_qp` for one search: its probes share a held
+    pass-1 analysis, which lives as long as the returned function."""
+    base = config or EncoderConfig()
+    held = HeldAnalysis()
+    return lambda qp: FrameEncoder(replace(base, qp=qp)).encode(frames, held)
 
 
 def rate_law_qp(frames: Sequence[np.ndarray], bits_per_value: float) -> float:
@@ -188,7 +202,7 @@ def search_qp_for_mse(
     """
     with telemetry.span("ratecontrol.search_mse"):
         qp, result, met = solve_qp(
-            lambda qp: encode_at_qp(frames, qp, config),
+            _held_probe(frames, config),
             lambda result: result.mse,
             max_mse,
             precision,
@@ -214,7 +228,7 @@ def search_qp_for_bitrate(
     """
     with telemetry.span("ratecontrol.search_bitrate"):
         qp, result, met = solve_qp(
-            lambda qp: encode_at_qp(frames, qp, config),
+            _held_probe(frames, config),
             lambda result: result.bits_per_value,
             bits_per_value,
             precision,

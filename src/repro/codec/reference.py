@@ -194,11 +194,12 @@ class ReferenceEncoder(FrameEncoder):
     # -- per-frame ---------------------------------------------------------
 
     def _encode_group(
-        self, planes: np.ndarray, dither: QpDither
+        self, planes: np.ndarray, dither: QpDither, analysis=None
     ) -> Iterator[Tuple[bytes, np.ndarray]]:
         """No pass 1: the group's frames one at a time, each searched and
         written from a fresh coder and fresh contexts, yielded as it is
         done -- an inter frame needs the reconstruction of the one before.
+        A held pass-1 ``analysis`` has nothing to serve here and is ignored.
 
         ``dither.take`` is ``next`` repeated, so frames and CTUs draw the
         QPs in the order a CTU-by-CTU loop would.

@@ -10,7 +10,9 @@ Pipeline (Section 3.2 of the paper):
 
 Rate control supports three mutually exclusive targets: a raw ``qp``,
 a fractional ``bits_per_value`` budget, or a tensor-domain
-``target_mse``.
+``target_mse``.  A target is a QP search over the same frames, and the
+search holds pass 1's analysis of them from its first probe to its last
+(:class:`repro.codec.pass1.HeldAnalysis`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 import repro.telemetry as telemetry
 from repro.codec.decoder import FrameDecoder
 from repro.codec.encoder import ENCODES, EncoderConfig, FrameEncoder
+from repro.codec.pass1 import HeldAnalysis
 from repro.codec.profiles import H265_PROFILE, CodecProfile
 from repro.codec.quantizer import check_qp
 from repro.codec.ratecontrol import rate_law_qp, solve_qp
@@ -519,9 +522,12 @@ class TensorCodec:
     def _encode_at(
         self, frames, grids, layout, frame_shape, tensor, qp: float,
         deadline: Optional[Deadline] = None,
+        held: Optional[HeldAnalysis] = None,
     ) -> CompressedTensor:
+        """One encoder run at ``qp``; a search passes the pass-1 analysis
+        it holds across its probes as ``held``."""
         telemetry.count("tensor.encoder_runs")
-        result = FrameEncoder(self._encoder_config(qp, deadline)).encode(frames)
+        result = FrameEncoder(self._encoder_config(qp, deadline)).encode(frames, held)
         return CompressedTensor(
             data=result.data,
             layout=layout,
@@ -559,11 +565,15 @@ class TensorCodec:
         any QP that technically fits does so by obliterating the
         payload, not by coding it better.  Such budgets are declared
         unmeetable in spirit and also get the finest-encode fallback.
+
+        Every probe reads the pass-1 analysis the first one made
+        (:class:`~repro.codec.pass1.HeldAnalysis`); it goes with the search.
         """
+        held = HeldAnalysis()
 
         def encode_at(qp: float) -> CompressedTensor:
             return self._encode_at(
-                frames, grids, layout, frame_shape, tensor, qp, deadline
+                frames, grids, layout, frame_shape, tensor, qp, deadline, held
             )
 
         with telemetry.span("ratecontrol.search_bitrate"):
@@ -597,12 +607,14 @@ class TensorCodec:
         """Largest QP whose tensor-domain MSE stays within the budget.
 
         When even QP 0 misses the target that finest encode is returned,
-        best effort.
+        best effort.  Probes share one held pass-1 analysis, as in
+        :meth:`_search_bitrate`.
         """
+        held = HeldAnalysis()
         with telemetry.span("ratecontrol.search_mse"):
             _, best, met = solve_qp(
                 lambda qp: self._encode_at(
-                    frames, grids, layout, frame_shape, tensor, qp, deadline
+                    frames, grids, layout, frame_shape, tensor, qp, deadline, held
                 ),
                 lambda compressed: self._tensor_mse(compressed, tensor),
                 max_mse,

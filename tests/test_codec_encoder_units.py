@@ -8,10 +8,10 @@ from repro.codec.encoder import (
     EncodeResult,
     EncoderConfig,
     QpDither,
-    _padded_planes,
     pack_header,
     unpack_header,
 )
+from repro.codec.pass1 import _padded_planes
 from repro.codec.profiles import H264_PROFILE
 
 

@@ -40,10 +40,8 @@ from repro.codec.encoder import (
     EncoderConfig,
     FrameEncoder,
     QpDither,
-    _block_ctus,
-    _padded_planes,
-    _reference_windows,
 )
+from repro.codec.pass1 import _block_ctus, _padded_planes, _reference_windows
 from repro.codec.entropy import native
 from repro.codec.entropy.arithmetic import BinaryEncoder
 from repro.codec.quantizer import qstep, rd_lambda

@@ -1,7 +1,7 @@
 """Golden pass-1 pick vectors: the same bits on any machine, any month.
 
 The pick kernel (``llm265_cost_pick``) and its numpy twin
-(:func:`repro.codec.encoder._pass1_pick`) use only exactly-rounded IEEE
+(:func:`repro.codec.pass1._pass1_pick`) use only exactly-rounded IEEE
 operations in a stated order -- multiply, add, ``trunc`` / ``rint`` /
 ``copysign`` / ``fabs``; no BLAS, no libm transcendental -- so unlike a
 whole encoded stream (pass 1's operator GEMM is BLAS, its summation
@@ -22,7 +22,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.codec.encoder import _level_rate_table, _pass1_pick
+from repro.codec.pass1 import _level_rate_table, _pass1_pick
 from repro.codec.entropy import native
 
 pytestmark = [pytest.mark.fuzz, pytest.mark.pure_python]

@@ -34,8 +34,10 @@ from repro.codec.encoder import (
     ENCODES,
     EncoderConfig,
     FrameEncoder,
+)
+from repro.codec.pass1 import (
     _level_rate_table,
-    _mode_coeff_matrices,
+    _mode_coeff_operator,
     _pass1_pick,
     _quantize_costs,
 )
@@ -243,16 +245,16 @@ class TestPickKernel:
         # edge-padded to the CTU grid: flat borders tie candidates; the
         # fractional QP dithers two QPs into each slice), replayed
         # through kernel and twin.
-        import repro.codec.encoder as encoder_mod
+        import repro.codec.pass1 as pass1_mod
 
         calls = []
-        real = encoder_mod._pass1_pick
+        real = pass1_mod._pass1_pick
 
         def spy(*args):
             calls.append(args[:-1])
             return real(*args)
 
-        monkeypatch.setattr(encoder_mod, "_pass1_pick", spy)
+        monkeypatch.setattr(pass1_mod, "_pass1_pick", spy)
         rng = np.random.default_rng(31)
         config = EncoderConfig(
             profile=dataclasses.replace(profile, deadzone=deadzone), qp=qp
@@ -293,21 +295,16 @@ class TestModeOperators:
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
     def test_set_builder_equals_per_mode_probe(self, n, monkeypatch):
-        import repro.codec.encoder as encoder_mod
+        import repro.codec.pass1 as pass1_mod
 
-        monkeypatch.setattr(encoder_mod, "_MODE_COEFF", {})
-        every = H265_PROFILE.all_modes
-        coarse = H265_PROFILE.coarse_modes()
-        # The coarse set first, then every mode: the second call builds
-        # only what the first left missing and reads the rest back.
-        first = _mode_coeff_matrices(coarse, n)
-        both = _mode_coeff_matrices(every, n)
-        assert len(encoder_mod._MODE_COEFF) == len(every)
-        for mode, matrix in zip(every, both):
-            assert np.array_equal(matrix, self._probe_one_mode(mode, n)), mode
-            assert not matrix.flags.writeable
-        for mode, matrix in zip(coarse, first):
-            assert matrix is both[every.index(mode)]
+        monkeypatch.setattr(pass1_mod, "_OPERATORS", {})  # built here, dropped after
+        for modes in (H265_PROFILE.coarse_modes(), H265_PROFILE.all_modes):
+            operator = _mode_coeff_operator(modes, n)
+            assert operator.shape == (len(modes) * n * n, 4 * n + 2)
+            assert not operator.flags.writeable
+            # Every mode's row block, bit for bit.
+            for mode, rows in zip(modes, operator.reshape(len(modes), n * n, -1)):
+                assert rows.tobytes() == self._probe_one_mode(mode, n).tobytes(), mode
 
 
 class TestRefsKernel:

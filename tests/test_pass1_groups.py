@@ -29,12 +29,12 @@ import pytest
 
 import repro.telemetry as telemetry
 from repro.codec import encoder as encoder_mod
+from repro.codec import pass1 as pass1_mod
 from repro.codec.decoder import decode_frames
 from repro.codec.encoder import (
     GROUP_SAMPLES,
     EncoderConfig,
     FrameEncoder,
-    _mode_coeff_operator,
     unpack_header,
 )
 from repro.codec.entropy import native
@@ -236,13 +236,13 @@ class TestFanOut:
 def pick_calls(monkeypatch):
     """Positional arguments of every ``_pass1_pick`` call made in the test."""
     calls = []
-    real = encoder_mod._pass1_pick
+    real = pass1_mod._pass1_pick
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(encoder_mod, "_pass1_pick", spy)
+    monkeypatch.setattr(pass1_mod, "_pass1_pick", spy)
     return calls
 
 
@@ -276,7 +276,7 @@ class TestCanary:
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
     @pytest.mark.parametrize("profile", [H264_PROFILE, H265_PROFILE], ids=lambda p: p.name)
     def test_gemm_rows_do_not_depend_on_their_neighbours(self, profile, n):
-        operator = _mode_coeff_operator(profile.coarse_modes(), n)
+        operator = pass1_mod._mode_coeff_operator(profile.coarse_modes(), n)
         rng = np.random.default_rng(n)
         refs = rng.integers(0, 256, (257, 4 * n + 2)).astype(np.float64)
         want = refs @ operator.T

@@ -237,7 +237,7 @@ def memoised_encoder(codec, tensor):
             cache[qp] = encode(frames, grids, layout, frame_shape, tensor, qp)
         return dataclasses.replace(cache[qp])  # budget_met is set in place
 
-    def spy(frames, grids, layout, frame_shape, tensor, qp, deadline=None):
+    def spy(frames, grids, layout, frame_shape, tensor, qp, deadline=None, held=None):
         runs.append(qp)
         return encode_at(qp)
 

@@ -22,7 +22,7 @@ import pytest
 
 from repro import telemetry
 from repro.codec import transform
-from repro.codec.encoder import _level_rate_table, _pass1_pick
+from repro.codec.pass1 import _level_rate_table, _pass1_pick
 from repro.codec.entropy import native
 from repro.codec.quantizer import qstep, rd_lambda
 

@@ -37,9 +37,10 @@ from repro.codec.encoder import (
     EncoderConfig,
     FrameEncoder,
     QpDither,
-    _padded_planes,
     pack_header,
 )
+from repro.codec import pass1 as pass1_mod
+from repro.codec.pass1 import _padded_planes
 from repro.codec.entropy import native
 from repro.codec.entropy.arithmetic import BinaryEncoder
 from repro.codec.profiles import H264_PROFILE, H265_PROFILE
@@ -408,9 +409,9 @@ class TestHostileContract:
         # Planes the kernel cannot take (here: not C-contiguous) send the
         # slice to the twin; with the kernel loaded that is a hand-back
         # like any refusal, and must show.
-        padded = encoder_mod._padded_planes
+        padded = pass1_mod._padded_planes
         monkeypatch.setattr(
-            encoder_mod, "_padded_planes",
+            pass1_mod, "_padded_planes",
             lambda frames, multiple: np.asfortranarray(padded(frames, multiple)),
         )
         frames = [_frame((64, 64))]
