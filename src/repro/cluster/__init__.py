@@ -1,8 +1,9 @@
 """Sharded cluster serving for the codec.
 
 One :class:`~repro.cluster.router.ClusterRouter` fronts N
-:class:`~repro.cluster.shard.ClusterShard` instances (each a full
-:class:`~repro.serving.service.CodecService`):
+:class:`~repro.cluster.shard.ClusterShard` instances (each bounded
+admission around a thin :class:`~repro.serving.service.CodecService`);
+the router is the one resilience layer:
 
 - :mod:`repro.cluster.ring` -- consistent-hash routing with virtual
   nodes; ``tensor_id`` picks the replica set, membership changes move

@@ -1,8 +1,9 @@
 """Shard-kill chaos soak for :class:`~repro.cluster.router.ClusterRouter`.
 
-The serving-layer chaos harness (:mod:`repro.serving.chaos`) kills
-*workers inside* one service; this one kills the next failure domain
-up: whole shards, mid-soak, under open-loop load.  A seeded schedule
+The concealment soak (:mod:`repro.serving.chaos`) damages bytes and
+stalls requests inside one service; this one takes out the failure
+domain the router handles: whole shards, mid-soak, under open-loop
+load.  A seeded schedule
 SIGKILLs and hangs shards while the traffic generator keeps firing,
 and every response is checked against the typed-response contract
 (:func:`repro.harness.check_response`, with
@@ -116,7 +117,6 @@ class ClusterChaosConfig:
             tile=self.tile,
             default_qp=self.qp,
             deadline_s=self.deadline_s,
-            seed=self.seed,
         )
 
     def traffic_config(self) -> TrafficConfig:

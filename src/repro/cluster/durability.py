@@ -129,7 +129,6 @@ class DurabilityChaosConfig:
             replication=self.replication,
             deadline_s=self.deadline_s,
             store_root=store_root,
-            seed=self.seed,
         )
 
 

@@ -10,9 +10,9 @@ request flows through four mechanisms, each bounded and observable:
    membership is the health statement.
 
 2. **Replication & failover.**  The primary replica is dispatched
-   first.  A shard-level failure (:class:`ShardDown`, exhausted
-   retries, overload) fails over to the next replica *inside the same
-   request*; deterministic failures (corrupt payload, malformed
+   first.  A shard-level failure (:class:`ShardDown`, a ``CodecFault``,
+   overload) fails over to the next replica *inside the same request*;
+   deterministic failures (corrupt payload, malformed
    request) commit immediately -- they would fail identically
    everywhere, and retrying them against more shards is how retry
    storms start.
@@ -22,10 +22,9 @@ request flows through four mechanisms, each bounded and observable:
    floored and refreshed as latency moves -- a backup of the same
    request fires at the next replica, within :data:`HEDGE_BUDGET`.
    First *success* wins; at most one result is ever committed per
-   request id (the commit cell is the dedupe point: a
-   supervisor-retried primary and its hedge can both complete, and the
-   loser is cancelled if still queued, or discarded and counted if it
-   already ran).
+   request id (the commit cell is the dedupe point: a slow primary
+   and its hedge can both complete, and the loser is cancelled if
+   still queued, or discarded and counted if it already ran).
 
 4. **Health.**  Every attempt outcome feeds the shard's
    :class:`~repro.cluster.health.ShardHealth` (breaker +
@@ -36,7 +35,9 @@ request flows through four mechanisms, each bounded and observable:
    :data:`PROBE_TIMEOUT_S`, never a wedged probe path.
 
 Work executes on a router-owned thread pool, the request's one hand-off
-(shards run attempts inline on it, so the router's clock owns hangs).
+(a shard calls its codec inline on it, so the router's clock owns
+hangs).  This is the cluster's one resilience layer: nothing inside a
+shard retries, steps down or trips a breaker of its own.
 A caller with a live telemetry registry gets every dispatch wrapped in
 a :class:`~repro.telemetry.propagate.TracedTask` carrying the request's
 trace context, so shard-side spans merge back under the router's trace
@@ -74,7 +75,7 @@ from repro.serving.service import ServeResponse, ServiceConfig
 from repro.serving.slo import SloTracker, _nearest_rank
 from repro.cluster.health import ShardHealth
 from repro.cluster.ring import HashRing
-from repro.cluster.shard import ClusterShard, ShardDown
+from repro.cluster.shard import SHARD_MAX_INFLIGHT, ClusterShard, ShardDown
 from repro.cluster.store import NotFound, StoreError
 
 __all__ = [
@@ -124,16 +125,10 @@ _HEDGE_REFRESH = 32
 PROBE_TIMEOUT_S = 0.25
 
 #: A dispatch answering later than this is charged as a hang (the
-#: router's clock; shards run attempts inline).  Long: in-process
+#: router's clock; a shard calls its codec inline).  Long: in-process
 #: shards share one GIL, so a healthy-but-contended attempt easily runs
 #: several times its solo latency.
 ATTEMPT_TIMEOUT_S = 1.0
-
-#: Each shard's admission envelope.  The queue is deep enough to absorb
-#: open-loop bursts; the deadline, not the queue bound, is what limits
-#: worst-case latency.
-SHARD_MAX_INFLIGHT = 4
-SHARD_MAX_QUEUE = 64
 
 #: What health hears of a dispatch the router stopped waiting on (in
 #: flight at the deadline, or answering after :data:`ATTEMPT_TIMEOUT_S`).
@@ -192,17 +187,14 @@ class ClusterConfig:
     store_root: Optional[str] = None
     #: fsync the store's journal on the ack path (tests may disable).
     store_fsync: bool = True
-    seed: int = 0
 
     def service_config(self, shard_index: int) -> ServiceConfig:
+        """Every shard's service envelope (the same for each index; the
+        stack benchmark passes one)."""
         return ServiceConfig(
             tile=self.tile,
             default_qp=self.default_qp,
             deadline_s=self.deadline_s,
-            attempt_timeout_s=None,  # inline: the router's clock owns hangs
-            max_inflight=SHARD_MAX_INFLIGHT,
-            max_queue=SHARD_MAX_QUEUE,
-            seed=self.seed + shard_index,
         )
 
 
@@ -217,7 +209,7 @@ class ClusterResponse:
     degraded: bool = False
     error: Optional[BaseException] = None
     shard: str = ""  # shard whose result was committed
-    rung: str = ""  # ladder rung the committed shard served from
+    rung: str = ""  # codec record that answered, or "concealed"
     hedged: bool = False  # a backup dispatch fired
     hedge_won: bool = False  # ...and its result was the one committed
     failovers: int = 0  # replica-to-replica failover dispatches

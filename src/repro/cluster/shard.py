@@ -1,9 +1,11 @@
-"""One cluster shard: a :class:`CodecService` plus whole-shard fault modes.
+"""One cluster shard: admission, a :class:`CodecService`, a lifecycle.
 
-The serving layer's chaos kills *workers inside* a service; the
-cluster layer needs the next failure domain up: the whole shard
-process dying (SIGKILL) or wedging (hung event loop).  A
-:class:`ClusterShard` wraps one service with that lifecycle:
+A :class:`ClusterShard` models one shard process.  An encode or decode
+passes bounded admission (beyond :data:`SHARD_MAX_INFLIGHT` slots and
+:data:`SHARD_MAX_QUEUE` waiters it is shed, typed ``Overloaded``), then
+the service calls its codec once on the router's dispatch thread.
+Nothing in the shard retries; the lifecycle is the failure domain the
+router handles:
 
 - :meth:`kill` -- the shard is gone *now*.  New requests fail
   immediately with the typed :class:`ShardDown` (connection refused),
@@ -12,12 +14,11 @@ process dying (SIGKILL) or wedging (hung event loop).  A
   to finish after the kill is still answered :class:`ShardDown` -- a
   SIGKILLed process cannot have sent the response, and pretending
   otherwise would hide exactly the ambiguity failover must handle.
-- :meth:`hang` -- requests stall inside the supervised attempt until
-  the hang lifts.  From the shard's own view the stall is unbounded:
-  its service runs attempts inline on the router's dispatch thread,
-  so only the router's clock bounds it -- the request deadline, the
-  hedge, the per-dispatch ``ATTEMPT_TIMEOUT_S`` charge and the probe
-  budget -- which is the point.
+- :meth:`hang` -- requests stall before the codec call until the hang
+  lifts.  From the shard's own view the stall is unbounded: only the
+  router's clock bounds it -- the request deadline, the hedge, the
+  per-dispatch ``ATTEMPT_TIMEOUT_S`` charge and the probe budget --
+  which is the point.
 - :meth:`revive` -- the "process restarted" transition.  The shard
   first runs crash-consistent recovery on its durable store (journal
   replay, torn-tail truncation -- see :mod:`repro.cluster.store`) and
@@ -26,24 +27,22 @@ process dying (SIGKILL) or wedging (hung event loop).  A
   the router's health probe cannot re-admit it before its index is
   trustworthy.  Traffic returns after that probe succeeds.
 
-:class:`ShardDown` deliberately subclasses :class:`Exception`, not
-``RuntimeError``: the supervisor retries ``RETRYABLE`` (RuntimeError)
-faults *within* the shard, and retrying against a dead process from
-inside it is wasted budget -- failover to a replica is the router's
-job and needs the error surfaced immediately.
+:class:`ShardDown` subclasses :class:`Exception`, not ``RuntimeError``,
+which the service would answer as a ``CodecFault``.
 
 When constructed with a ``store_dir``, the shard also exposes the
 durable key/value surface (:meth:`put` / :meth:`get`) over a
-:class:`~repro.cluster.store.ShardStore`; :meth:`kill` crashes the
-store with the process (volatile index gone, disk keeps only what was
-flushed), and :meth:`arm_kill` lets the chaos harness schedule the
-kill at a precise mid-write stage (``"journal_partial"`` et al.) to
-manufacture genuinely torn writes.
+:class:`~repro.cluster.store.ShardStore`, outside admission;
+:meth:`kill` crashes the store with the process (volatile index gone,
+disk keeps only what was flushed), and :meth:`arm_kill` lets the chaos
+harness schedule the kill at a precise mid-write stage
+(``"journal_partial"`` et al.) to manufacture genuinely torn writes.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,6 +50,8 @@ import numpy as np
 import repro.telemetry as telemetry
 from repro.telemetry import flightrecorder
 from repro.telemetry.propagate import TraceContext
+from repro.resilience.deadline import Deadline, DeadlineExceeded
+from repro.serving.broker import Overloaded, RequestBroker
 from repro.serving.service import CodecService, ServeResponse, ServiceConfig
 from repro.cluster.store import (
     COMPACT_STAGES,
@@ -59,9 +60,15 @@ from repro.cluster.store import (
     StoreError,
 )
 
-__all__ = ["ClusterShard", "ShardDown"]
+__all__ = ["ClusterShard", "SHARD_MAX_INFLIGHT", "SHARD_MAX_QUEUE", "ShardDown"]
 
 FaultGate = Callable[[str], None]
+
+#: Each shard's admission envelope.  The queue is deep enough to absorb
+#: open-loop bursts; the deadline, not the queue bound, is what limits
+#: worst-case latency.
+SHARD_MAX_INFLIGHT = 4
+SHARD_MAX_QUEUE = 64
 
 
 class ShardDown(Exception):
@@ -73,7 +80,8 @@ class ShardDown(Exception):
 
 
 class ClusterShard:
-    """A :class:`CodecService` with a kill/hang/revive lifecycle."""
+    """Admission and a :class:`CodecService`, with a kill/hang/revive
+    lifecycle."""
 
     def __init__(
         self,
@@ -84,6 +92,7 @@ class ClusterShard:
     ) -> None:
         self.shard_id = shard_id
         self.service = CodecService(config)
+        self.broker = RequestBroker(SHARD_MAX_INFLIGHT, SHARD_MAX_QUEUE)
         self.store: Optional[ShardStore] = (
             ShardStore(store_dir, shard_id=shard_id, fsync=store_fsync)
             if store_dir is not None
@@ -177,14 +186,8 @@ class ClusterShard:
         fault_gate: Optional[FaultGate] = None,
         trace_ctx: Optional[TraceContext] = None,
     ) -> ServeResponse:
-        return self._call(
-            "encode",
-            lambda gate: self.service.encode(
-                tensor, qp=qp, deadline_s=deadline_s,
-                fault_gate=gate, trace_ctx=trace_ctx,
-            ),
-            fault_gate,
-        )
+        serve = partial(self.service.encode, tensor, qp=qp, trace_ctx=trace_ctx)
+        return self._admitted("encode", serve, deadline_s, fault_gate)
 
     def decode(
         self,
@@ -193,14 +196,8 @@ class ClusterShard:
         fault_gate: Optional[FaultGate] = None,
         trace_ctx: Optional[TraceContext] = None,
     ) -> ServeResponse:
-        return self._call(
-            "decode",
-            lambda gate: self.service.decode(
-                blob, deadline_s=deadline_s,
-                fault_gate=gate, trace_ctx=trace_ctx,
-            ),
-            fault_gate,
-        )
+        serve = partial(self.service.decode, blob, trace_ctx=trace_ctx)
+        return self._admitted("decode", serve, deadline_s, fault_gate)
 
     def probe(
         self, deadline_s: float, trace_ctx: Optional[TraceContext] = None
@@ -210,6 +207,32 @@ class ClusterShard:
         return self.encode(
             tensor, qp=32.0, deadline_s=deadline_s, trace_ctx=trace_ctx
         )
+
+    def _admitted(
+        self,
+        kind: str,
+        serve: Callable[..., ServeResponse],
+        deadline_s: Optional[float],
+        extra_gate: Optional[FaultGate],
+    ) -> ServeResponse:
+        """``serve`` behind the shard's bounded admission: a request
+        beyond both bounds is shed with a typed ``Overloaded``, and one
+        whose budget runs out while queued answers ``DeadlineExceeded``
+        without running."""
+
+        def run(gate: Optional[FaultGate]) -> ServeResponse:
+            deadline = Deadline.after(
+                self.service.config.deadline_s if deadline_s is None
+                else deadline_s,
+                label=kind,
+            )
+            try:
+                with self.broker.slot(deadline):
+                    return serve(deadline_s=deadline.remaining(), fault_gate=gate)
+            except (Overloaded, DeadlineExceeded) as exc:
+                return ServeResponse(ok=False, kind=kind, error=exc)
+
+        return self._call(kind, run, extra_gate)
 
     # -- durable key/value surface -------------------------------------
 
@@ -334,7 +357,7 @@ class ClusterShard:
             "served": self.served,
             "refused": self.refused,
             "slo": self.service.slo.snapshot(),
-            "breakers": self.service.ladder.stats()["breakers"],
+            "admission": self.broker.stats(),
         }
         if self.store is not None:
             info["store"] = self.store.stats()

@@ -10,7 +10,7 @@ ledger, verdict, postmortem, report text.
 every answer of every soak:
 
 - ``ok`` and not ``degraded``: the payload is *bit-exact* with a clean
-  serial run, whichever ladder rung, shard or replica served it
+  serial run, whichever shard or replica served it
   (encode: identical container bytes; decode: identical tensor; get:
   the bytes that were put).
 - ``ok`` and ``degraded``: only a decode whose input really was damaged,
@@ -59,8 +59,9 @@ def telemetry_scope():
 class ReferenceStore:
     """Clean serial encodes, one per key, built on first use.
 
-    Every ladder rung runs the same search, so one healthy serial
-    encode is the bit-exact reference for a response from any rung.
+    Every shard runs the same search, and its slice fan-out does not
+    change bytes, so one healthy serial encode is the bit-exact
+    reference for a response from any shard or replica.
     ``make_tensor(key)`` supplies the payload behind a key.  Locked:
     the client threads of an open-loop soak share one store.
     """
@@ -127,27 +128,18 @@ def fault_injector(seed: int, config, *knobs: str) -> FaultInjector:
 def fault_gate(
     injector: FaultInjector, sleep: Callable[[float], None] = time.sleep
 ) -> Callable[[str], None]:
-    """Worker-fault hook run at the top of every supervised attempt.
+    """Timing-fault hook run before every request's codec call.
 
-    Draws whichever of crash / raise / hang / straggler the injector's
-    config enables, in that order.  All randomness is drawn *before*
-    any sleep and under a lock, so neither an attempt the supervisor
-    abandoned mid-hang nor concurrent client threads touch the stream
+    Draws a hang, then a straggler delay, as the injector's config
+    enables them.  All randomness is drawn *before* any sleep and under
+    a lock, so concurrent client threads never touch the stream
     together -- the schedule stays seeded-deterministic.  The sleep
     (the actual fault) is outside the lock.
     """
-    # Imported here: repro.serving re-exports its chaos harness, which
-    # imports this module.
-    from repro.serving.supervisor import WorkerCrashed
-
     lock = threading.Lock()
 
     def gate(kind: str) -> None:
         with lock:
-            if injector.worker_crashes(step=0, worker=0):
-                raise WorkerCrashed(f"injected worker crash during {kind}")
-            if injector.worker_raises():
-                raise RuntimeError(f"injected worker exception during {kind}")
             stall = injector.worker_hang_s()
             delay = injector.straggler_delay()
         if stall:

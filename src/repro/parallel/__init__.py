@@ -8,9 +8,7 @@ to the serial path; see ``docs/PERFORMANCE.md``.
 """
 
 from repro.parallel.pool import (
-    BrokenPoolError,
     ParallelConfig,
-    WorkerTimeoutError,
     get_executor,
     parallel_map,
     pool_stats,
@@ -18,9 +16,7 @@ from repro.parallel.pool import (
 )
 
 __all__ = [
-    "BrokenPoolError",
     "ParallelConfig",
-    "WorkerTimeoutError",
     "get_executor",
     "parallel_map",
     "pool_stats",

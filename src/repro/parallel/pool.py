@@ -35,7 +35,7 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, TypeVar
@@ -45,9 +45,7 @@ from repro.resilience.deadline import Deadline, DeadlineExceeded
 from repro.telemetry.propagate import TracedTask, count_lost_deltas, merge_delta
 
 __all__ = [
-    "BrokenPoolError",
     "ParallelConfig",
-    "WorkerTimeoutError",
     "get_executor",
     "parallel_map",
     "pool_stats",
@@ -56,19 +54,6 @@ __all__ = [
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: The stdlib's "the executor can no longer run work" exception,
-#: re-exported so supervisors need no ``concurrent.futures`` imports.
-BrokenPoolError = BrokenExecutor
-
-
-class WorkerTimeoutError(TimeoutError):
-    """A supervised wait gave up on work that had not finished.
-
-    The abandoned thread may still be running (a thread cannot be
-    preempted); the child deadline it was handed stops it.
-    """
-
 
 @dataclass(frozen=True)
 class ParallelConfig:

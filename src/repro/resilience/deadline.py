@@ -63,19 +63,6 @@ class Deadline:
                 f"(overran by {now - self.expires_at:.3f}s)"
             )
 
-    def child(self, budget_s: float, label: str = "") -> "Deadline":
-        """A sub-deadline: ``budget_s`` from now, capped by this deadline.
-
-        Used for per-attempt budgets inside a retry loop -- an attempt
-        may be granted less than the request's remaining time but never
-        more, so an abandoned attempt always stops cooperating soon
-        after its supervisor gave up on it.
-        """
-        return Deadline(
-            min(self.expires_at, time.monotonic() + budget_s),
-            label=label or self.label,
-        )
-
     def __repr__(self) -> str:
         return f"Deadline({self.label!r}, remaining={self.remaining():.3f}s)"
 

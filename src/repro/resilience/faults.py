@@ -48,10 +48,9 @@ class FaultConfig:
     straggler_prob: float = 0.0  # delayed delivery (simulated seconds)
     crash_prob: float = 0.0  # per-(worker, step) crash probability
     hang_prob: float = 0.0  # worker stalls (unbounded from its own view)
-    raise_prob: float = 0.0  # worker raises an in-flight exception
     max_flips: int = 8
     straggler_delay_s: float = 0.25
-    hang_s: float = 0.25  # stall length the *supervisor* must bound
+    hang_s: float = 0.25  # stall length a deadline must bound
 
     def validate(self) -> None:
         for name in (
@@ -61,7 +60,6 @@ class FaultConfig:
             "straggler_prob",
             "crash_prob",
             "hang_prob",
-            "raise_prob",
         ):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -287,21 +285,15 @@ class FaultInjector:
         From the worker's own perspective the stall is unbounded -- it
         never voluntarily recovers; the returned duration exists only
         so a single-process simulation eventually frees the thread.
-        Supervision must detect the hang via its *own* timeout, never
-        by trusting this value.
+        Whoever waits on the work must bound the hang by its *own*
+        clock (a request deadline, the router's), never by trusting
+        this value.
         """
         cfg = self.config
         if cfg.hang_prob and self.rng.random() < cfg.hang_prob:
             self._record("faults.hangs")
             return cfg.hang_s * float(self.rng.random() + 0.5)
         return 0.0
-
-    def worker_raises(self) -> bool:
-        """Whether this unit of work dies with an in-worker exception."""
-        if self.config.raise_prob and self.rng.random() < self.config.raise_prob:
-            self._record("faults.raised_excs")
-            return True
-        return False
 
     # -- internals -----------------------------------------------------
 

@@ -5,16 +5,16 @@ injectable clock so tests and the chaos harness never sleep:
 
 - **closed** -- requests flow; consecutive failures are counted.
 - **open** -- after ``failure_threshold`` consecutive failures the
-  breaker trips: :meth:`allow` answers False until ``cooldown_s`` has
-  elapsed, so a struggling backend (a crash-looping pool, a rung
-  whose kernels keep dying) gets air instead of a retry storm.
+  breaker trips: :meth:`admit` answers ``"rejected"`` until ``cooldown_s`` has
+  elapsed, so a struggling backend (a dead or wedged shard) gets air
+  instead of a retry storm.
 - **half-open** -- after the cooldown a bounded number of probe
   requests are let through; one success re-closes the breaker, one
   failure re-opens it (with a fresh cooldown).
 
-In the serving layer each degradation-ladder rung owns one breaker, so
-"turbo keeps dying" trips only the turbo rung while serial and python
-keep serving.
+Each cluster shard's :class:`~repro.cluster.health.ShardHealth` owns
+one breaker, so "shard-2 keeps failing" drains only shard-2 while its
+replicas keep serving.
 """
 
 from __future__ import annotations
@@ -74,10 +74,6 @@ class CircuitBreaker:
             return HALF_OPEN
         return self._state
 
-    def allow(self) -> bool:
-        """Whether a request may be sent to this backend right now."""
-        return self.admit() != "rejected"
-
     def admit(self) -> str:
         """Admission verdict: ``"ok"``, ``"probe"``, or ``"rejected"``.
 
@@ -86,8 +82,7 @@ class CircuitBreaker:
         the caller must bound it (a short child
         :class:`~repro.resilience.deadline.Deadline`) -- a hung backend
         would otherwise wedge the probe slot and with it the whole
-        re-admission path.  Callers that cannot probe specially may
-        keep using :meth:`allow`.
+        re-admission path.
         """
         state = self.state
         if state == CLOSED:

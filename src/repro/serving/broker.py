@@ -1,6 +1,6 @@
 """Bounded admission: the request broker that makes overload loud.
 
-An unsupervised entry point under overload grows an unbounded queue
+An entry point without admission under overload grows an unbounded queue
 until memory dies; a production broker instead *sheds* -- the caller
 gets a typed :class:`Overloaded` immediately and can back off.  The
 broker tracks two bounded populations:

@@ -1,21 +1,20 @@
-"""Chaos soak for :class:`~repro.serving.service.CodecService`.
+"""Concealment soak for :class:`~repro.serving.service.CodecService`.
 
 :func:`run_chaos` drives a seeded storm of encode/decode requests
 through the service while a :class:`~repro.resilience.faults.FaultInjector`
-crashes workers, hangs attempts, raises in-flight exceptions, delays
-stragglers, and corrupts decode payloads -- then asserts the
-typed-response contract (:func:`repro.harness.check_response`, with
-:data:`TYPED_ERRORS` as the vocabulary) on **every** response.
+hangs and delays requests and corrupts decode payloads -- then asserts
+the typed-response contract (:func:`repro.harness.check_response`,
+with :data:`TYPED_ERRORS` as the vocabulary) on **every** response.
 
 A violation is a **silent corruption** or an untyped failure -- the
-outcomes the serving layer exists to make impossible -- and fails the
-run (and the CI gate).  Fault *sites* are chosen so the designed
-recovery path is exercised rather than bypassed: worker faults fire
-inside the supervised attempt (so supervision must catch them), and
-byte corruption lands only in the frame-slice region of the container
-(container metadata and the stream header are the regions concealment
-explicitly cannot patch; their damage paths fail loudly and are
-covered by the PR 2 fuzz suite).
+outcomes the service exists to make impossible -- and fails the run
+(and the CI gate).  Byte corruption lands only in the frame-slice
+region of the container, so the designed recovery path (concealment,
+a ``degraded`` answer with a report) is exercised rather than
+bypassed; container metadata and the stream header are the regions
+concealment explicitly cannot patch, and their damage paths fail
+loudly (covered by the fuzz suite).  A hang is bounded only by the
+request deadline.
 """
 
 from __future__ import annotations
@@ -42,8 +41,12 @@ from repro.harness import (
 from repro.resilience.deadline import DeadlineExceeded
 from repro.resilience.errors import CorruptStreamError
 from repro.serving.broker import Overloaded
-from repro.serving.service import CodecService, ServeResponse, ServiceConfig
-from repro.serving.supervisor import RetriesExhausted
+from repro.serving.service import (
+    CodecFault,
+    CodecService,
+    ServeResponse,
+    ServiceConfig,
+)
 from repro.tensor.codec import CompressedTensor
 
 __all__ = [
@@ -59,7 +62,7 @@ TYPED_ERRORS = (
     Overloaded,
     DeadlineExceeded,
     CorruptStreamError,
-    RetriesExhausted,
+    CodecFault,
     ValueError,
 )
 
@@ -75,11 +78,8 @@ class ChaosConfig:
     tile: int = 32
     qp: float = 26.0
     deadline_s: float = 2.0
-    attempt_timeout_s: float = 0.2
-    # Worker-level faults, evaluated inside each supervised attempt.
-    crash_prob: float = 0.04
+    # Timing faults, drawn before each request's codec call.
     hang_prob: float = 0.02
-    raise_prob: float = 0.04
     straggler_prob: float = 0.05
     hang_s: float = 0.3
     straggler_delay_s: float = 0.02
@@ -122,20 +122,13 @@ def run_chaos(config: Optional[ChaosConfig] = None) -> dict:
         for _ in range(config.num_tensors)
     ]
     service = CodecService(
-        ServiceConfig(
-            tile=config.tile,
-            default_qp=config.qp,
-            deadline_s=config.deadline_s,
-            attempt_timeout_s=config.attempt_timeout_s,
-            seed=config.seed,
-        )
+        ServiceConfig(config.tile, config.qp, config.deadline_s)
     )
     references = ReferenceStore(tensors.__getitem__, config.tile, config.qp)
 
     worker_faults = fault_injector(
         config.seed + 1, config,
-        "crash_prob", "hang_prob", "raise_prob", "straggler_prob",
-        "hang_s", "straggler_delay_s",
+        "hang_prob", "straggler_prob", "hang_s", "straggler_delay_s",
     )
     byte_faults = fault_injector(
         config.seed + 2, config, "bit_flip_prob", "truncate_prob"

@@ -12,7 +12,8 @@ Outcome vocabulary (one per request, disjoint):
 - ``ok``        -- full-fidelity success.
 - ``degraded``  -- explicit reduced-fidelity success (concealed decode);
   counts as *available* but is separately visible.
-- ``shed``      -- typed :class:`~repro.serving.broker.Overloaded`.
+- ``shed``      -- typed :class:`~repro.serving.broker.Overloaded`
+  (router only: a shard sheds before its service is called).
 - ``deadline``  -- typed deadline expiry.
 - ``error``     -- typed failure (e.g. corrupt input past concealment).
 
@@ -64,7 +65,6 @@ class SloTracker:
         self._ring_at = 0
         self._outcomes: Dict[str, int] = {name: 0 for name in OUTCOMES}
         self._retries = 0
-        self._ladder_steps = 0
         self._concealed = 0
 
     def record(
@@ -72,7 +72,6 @@ class SloTracker:
         outcome: str,
         latency_s: float,
         retries: int = 0,
-        ladder_steps: int = 0,
         concealed: int = 0,
     ) -> None:
         if outcome not in self._outcomes:
@@ -80,7 +79,6 @@ class SloTracker:
         with self._lock:
             self._outcomes[outcome] += 1
             self._retries += retries
-            self._ladder_steps += ladder_steps
             self._concealed += concealed
             if len(self._latencies) < MAX_SAMPLES:
                 self._latencies.append(latency_s)
@@ -91,8 +89,6 @@ class SloTracker:
         telemetry.count(f"serving.{outcome}")
         if retries:
             telemetry.count("serving.retries", retries)
-        if ladder_steps:
-            telemetry.count("serving.ladder_steps", ladder_steps)
         if concealed:
             telemetry.count("serving.concealed_tiles", concealed)
         telemetry.observe("serving.latency_s", latency_s)
@@ -127,7 +123,6 @@ class SloTracker:
             outcomes = dict(self._outcomes)
             samples = sorted(self._latencies)
             retries = self._retries
-            ladder_steps = self._ladder_steps
             concealed = self._concealed
         total = sum(outcomes.values())
 
@@ -138,7 +133,6 @@ class SloTracker:
                 (outcomes["ok"] + outcomes["degraded"]) / total if total else 1.0
             ),
             "retries": retries,
-            "ladder_steps": ladder_steps,
             "concealed_tiles": concealed,
             "latency_ms": {
                 "p50": 1e3 * _nearest_rank(samples, 50.0),

@@ -50,7 +50,6 @@ from repro.telemetry.flightrecorder import (
 from repro.telemetry.metrics import (
     METRICS_SCHEMA,
     MetricsSnapshot,
-    PeriodicSnapshotter,
     render_prometheus,
 )
 from repro.telemetry.propagate import (
@@ -74,7 +73,6 @@ __all__ = [
     "MAX_TRACE_EVENTS",
     "METRICS_SCHEMA",
     "MetricsSnapshot",
-    "PeriodicSnapshotter",
     "Registry",
     "SpanStat",
     "TraceContext",

@@ -44,7 +44,7 @@ def trace_tree(registry: Registry) -> dict:
     """The span aggregates as a nested tree (the request trace tree).
 
     Each node: ``{"name", "calls", "total_s", "children": [...]}``.
-    Paths like ``serving.encode/attempt[0]/frames.encode`` become the
+    Paths like ``cluster.encode/shard[shard-0]/serving.encode`` become the
     obvious nesting; interior nodes that were never themselves a span
     (only a reparenting point) carry zero calls.
     """

@@ -1,10 +1,10 @@
 """Flight recorder: a bounded ring of recent structured events.
 
 Telemetry aggregates answer "how much, how fast"; they cannot answer
-"what just happened" when a request fails non-retryably or the chaos
-harness catches a contract violation.  The flight recorder keeps the
-last N structured events -- rung changes, breaker trips, retries,
-typed errors, queue depths -- in a fixed-size ring that is always on
+"what just happened" when a request fails or the chaos harness catches
+a contract violation.  The flight recorder keeps the last N structured
+events -- breaker trips, failovers, hedges, sheds, typed errors -- in a
+fixed-size ring that is always on
 (one lock + one ``deque.append`` per event; the serving layer only
 records *notable* events, never per-span), so a postmortem can be
 assembled after the fact without having had tracing enabled.
@@ -12,10 +12,8 @@ assembled after the fact without having had tracing enabled.
 :func:`dump_bundle` writes the postmortem: the ring contents, a
 snapshot of the active telemetry registry, the request trace tree,
 and the seed that reproduces the run.  The chaos harness dumps one on
-any contract violation, :class:`~repro.serving.service.CodecService`
-dumps one when a request exhausts every retry and rung (when
-``postmortem_dir`` is configured), and ``llm265 chaos`` prints the
-bundle path on exit 2.  Bundle shape is documented in
+any contract violation, and ``llm265 chaos`` prints the bundle path on
+exit 2.  Bundle shape is documented in
 ``docs/OBSERVABILITY.md``.
 """
 

@@ -2,26 +2,18 @@
 
 One snapshot type serves every consumer: ``llm265 stats --format
 json`` emits it for a single CLI run, ``CodecService.stats()`` returns
-it with the serving components (SLO, broker, ladder, supervisor)
-attached, and :func:`render_prometheus` turns it into the standard
-text exposition format so an external scraper -- or a human with
-``curl`` -- reads the same numbers the JSON consumers do.
-
-:class:`PeriodicSnapshotter` is the push-side counterpart: a daemon
-thread that captures a snapshot every ``interval_s`` and writes it
-atomically to one file (rename over), giving long soaks a continuously
-fresh metrics file without any consumer in the loop.
+it with the service's SLO attached, and :func:`render_prometheus`
+turns it into the standard text exposition format so an external
+scraper -- or a human with ``curl`` -- reads the same numbers the JSON
+consumers do.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import re
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.telemetry import core
 from repro.telemetry.core import MAX_TRACE_EVENTS, Registry
@@ -31,7 +23,6 @@ from repro.telemetry.flightrecorder import get_recorder
 __all__ = [
     "METRICS_SCHEMA",
     "MetricsSnapshot",
-    "PeriodicSnapshotter",
     "render_prometheus",
 ]
 
@@ -46,9 +37,9 @@ class MetricsSnapshot:
     """One point-in-time capture of everything measurable.
 
     ``counters`` / ``histograms`` / ``spans`` mirror the telemetry
-    registry (empty when telemetry is disabled); the serving fields
-    are attached by :meth:`CodecService.snapshot
-    <repro.serving.service.CodecService.snapshot>` and ``None``
+    registry (empty when telemetry is disabled); ``slo`` is attached
+    by :meth:`CodecService.stats
+    <repro.serving.service.CodecService.stats>` and ``None``
     elsewhere.
     """
 
@@ -61,18 +52,12 @@ class MetricsSnapshot:
     max_trace_events: int = MAX_TRACE_EVENTS
     recorder: Optional[dict] = None
     slo: Optional[dict] = None
-    broker: Optional[dict] = None
-    ladder: Optional[dict] = None
-    supervisor: Optional[dict] = None
 
     @classmethod
     def capture(
         cls,
         registry: Optional[Registry] = None,
         slo: Optional[dict] = None,
-        broker: Optional[dict] = None,
-        ladder: Optional[dict] = None,
-        supervisor: Optional[dict] = None,
     ) -> "MetricsSnapshot":
         """Snapshot ``registry`` (default: the thread's active one)."""
         if registry is None:
@@ -87,15 +72,10 @@ class MetricsSnapshot:
             dropped_events=doc.get("dropped_events", 0),
             recorder=get_recorder().stats(),
             slo=slo,
-            broker=broker,
-            ladder=ladder,
-            supervisor=supervisor,
         )
 
     def to_dict(self) -> dict:
-        """JSON-ready document.  Serving keys (``slo``/``broker``/
-        ``ladder``/``supervisor``) stay top-level for compatibility
-        with the pre-snapshot ``CodecService.stats()`` shape."""
+        """JSON-ready document; ``slo`` is top-level when attached."""
         doc = {
             "schema": METRICS_SCHEMA,
             "created_unix": self.created_unix,
@@ -107,10 +87,8 @@ class MetricsSnapshot:
             "max_trace_events": self.max_trace_events,
             "recorder": self.recorder,
         }
-        for name in ("slo", "broker", "ladder", "supervisor"):
-            value = getattr(self, name)
-            if value is not None:
-                doc[name] = value
+        if self.slo is not None:
+            doc["slo"] = self.slo
         return doc
 
 
@@ -175,82 +153,5 @@ def render_prometheus(snapshot: MetricsSnapshot) -> str:
             lines.append(
                 f'llm265_slo_latency_ms{{quantile="{quantile}"}} {value}'
             )
-    if snapshot.broker:
-        for key in ("inflight", "queued", "admitted", "shed"):
-            emit(f"llm265_broker_{key}", snapshot.broker[key], "gauge")
-    if snapshot.ladder:
-        lines.append("# TYPE llm265_breaker_open gauge")
-        lines.append("# TYPE llm265_breaker_trips_total counter")
-        for breaker in snapshot.ladder.get("breakers", []):
-            label = '{rung="' + breaker["name"] + '"}'
-            is_open = 0 if breaker["state"] == "closed" else 1
-            lines.append(f"llm265_breaker_open{label} {is_open}")
-            lines.append(f"llm265_breaker_trips_total{label} {breaker['trips']}")
-    if snapshot.supervisor:
-        for key, value in sorted(snapshot.supervisor.items()):
-            emit(f"llm265_supervisor_{key}_total", value, "counter")
     return "\n".join(lines) + "\n"
 
-
-class PeriodicSnapshotter:
-    """Daemon thread writing a fresh snapshot to one file on a cadence.
-
-    ``capture`` is called on the snapshotter's thread every
-    ``interval_s`` and the result written atomically (tmp + rename) as
-    JSON (``render="json"``) or Prometheus text
-    (``render="prometheus"``).  ``stop()`` writes one final snapshot
-    so the file never lags a clean shutdown.
-    """
-
-    def __init__(
-        self,
-        capture: Callable[[], MetricsSnapshot],
-        path: str,
-        interval_s: float = 5.0,
-        render: str = "json",
-    ) -> None:
-        if render not in ("json", "prometheus"):
-            raise ValueError(f"render must be 'json' or 'prometheus', got {render!r}")
-        if interval_s <= 0:
-            raise ValueError("interval_s must be > 0")
-        self._capture = capture
-        self.path = path
-        self.interval_s = interval_s
-        self.render = render
-        self.writes = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def _write_once(self) -> None:
-        snapshot = self._capture()
-        if self.render == "prometheus":
-            payload = render_prometheus(snapshot)
-        else:
-            payload = json.dumps(snapshot.to_dict(), indent=2, default=repr) + "\n"
-        tmp = f"{self.path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        os.replace(tmp, self.path)
-        self.writes += 1
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            self._write_once()
-
-    def start(self) -> "PeriodicSnapshotter":
-        if self._thread is not None:
-            raise RuntimeError("snapshotter already started")
-        self._write_once()  # the file exists from the very first tick
-        self._thread = threading.Thread(
-            target=self._loop, name="llm265-snapshotter", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-        self._write_once()

@@ -2,7 +2,7 @@
 
 The registry in :mod:`repro.telemetry.core` is thread-local by design
 (zero overhead when disabled), which means spans and counters emitted
-on a *different* thread -- a pool worker, a supervised attempt --
+on a *different* thread -- a pool worker, a router dispatch --
 used to vanish silently.  This module closes
 that gap with two pieces:
 
@@ -270,7 +270,7 @@ class TracedTask:
         and must be accounted by the dispatcher.
     root:
         Optional span name wrapped around the whole call in the child
-        registry (e.g. ``"attempt[2]"``), so sibling dispatches of the
+        registry (e.g. ``"shard[shard-1]/hedge"``), so sibling dispatches of the
         same work stay distinguishable after the merge.
     """
 

@@ -42,9 +42,10 @@ class TestTypedVocabulary:
         assert ClusterUnavailable in CLUSTER_TYPED_ERRORS
 
     def test_shard_down_is_not_retryable_in_shard(self):
-        # The supervisor retries RuntimeError subclasses within a
-        # shard; ShardDown must surface to the router instead.
-        assert not issubclass(ShardDown, RuntimeError)
+        # The shard's service answers RuntimeError and OSError as a
+        # CodecFault; ShardDown must pass through it and reach the
+        # router as itself.
+        assert not issubclass(ShardDown, (RuntimeError, OSError))
 
 
 class TestSoak:

@@ -283,11 +283,6 @@ class TestConfig:
         with ClusterRouter(ClusterConfig(shards=4)) as router:
             assert router._executor._max_workers == 20
 
-    def test_per_shard_service_seeds_differ(self):
-        cfg = ClusterConfig(seed=5)
-        assert cfg.service_config(0).seed == 5
-        assert cfg.service_config(3).seed == 8
-
     def test_stats_document_shape(self, fast_readmission, no_hedges):
         with make_router() as router:
             router.encode(TENSOR, "k0")

@@ -870,13 +870,11 @@ class TestDecodePlumbing:
         with pytest.raises(TypeError, match="decode"):
             Rung("x", decode="vectorized")
 
-    def test_service_builds_per_rung_decoders(self):
+    def test_service_builds_its_codec_from_the_one_record(self):
+        (record,) = DEFAULT_LADDER
         service = CodecService()
-        for rung in DEFAULT_LADDER:
-            codec = service._codecs[rung.name]
-            assert (codec.encode_mode, codec.parallel) == (rung.encode, rung.parallel)
-        # Concealment is a plain serial codec.
-        assert service._conceal_codec.parallel is None
+        codec = service._codec
+        assert (codec.encode_mode, codec.parallel) == (record.encode, record.parallel)
         tensor = _tensor(seed=13, edge=32)
         encoded = service.encode(tensor, qp=24.0)
         assert encoded.ok

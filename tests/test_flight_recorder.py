@@ -134,8 +134,8 @@ class TestChaosDrill:
         from repro.serving.chaos import ChaosConfig, run_chaos
 
         report = run_chaos(ChaosConfig(
-            requests=6, crash_prob=0.0, hang_prob=0.0, raise_prob=0.0,
-            straggler_prob=0.0, bit_flip_prob=0.0, truncate_prob=0.0,
+            requests=6, hang_prob=0.0, straggler_prob=0.0,
+            bit_flip_prob=0.0, truncate_prob=0.0,
             postmortem_dir=str(tmp_path),
         ))
         assert report["invariant"]["passed"]
@@ -147,22 +147,17 @@ class TestServiceIntegration:
     def test_notable_serving_events_recorded(self, recorder):
         import numpy as np
 
-        from repro.serving.service import CodecService, ServiceConfig
+        from repro.serving.service import CodecFault, CodecService
 
-        service = CodecService(ServiceConfig(
-            tile=32, max_inflight=1, max_queue=0, seed=0,
-        ))
-        tensor = np.zeros((32, 32), dtype=np.float32)
-        service.broker.acquire()  # saturate so the next request sheds
-        try:
-            response = service.encode(tensor, qp=26.0)
-        finally:
-            service.broker.release()
-        assert not response.ok
-        kinds = [e["kind"] for e in recorder.snapshot()]
-        assert "broker.shed" in kinds
-        assert "serving.request_failed" in kinds
+        def failing_gate(kind):
+            raise RuntimeError("backend down")
+
+        response = CodecService().encode(
+            np.zeros((32, 32), dtype=np.float32), qp=26.0,
+            fault_gate=failing_gate,
+        )
+        assert isinstance(response.error, CodecFault)
         failed = [e for e in recorder.snapshot()
                   if e["kind"] == "serving.request_failed"][-1]
-        assert failed["fields"]["error_type"] == "Overloaded"
+        assert failed["fields"]["error_type"] == "CodecFault"
         assert failed["fields"]["trace"] == response.trace_id

@@ -31,7 +31,7 @@ from repro.harness import (
 from repro.resilience.errors import ConcealmentReport, CorruptStreamError
 from repro.serving.broker import Overloaded
 from repro.serving.chaos import TYPED_ERRORS
-from repro.serving.service import ServeResponse
+from repro.serving.service import CodecFault, ServeResponse
 from repro.telemetry import flightrecorder
 
 VOCABULARIES = {
@@ -116,6 +116,9 @@ ERRORS = {
     "Overloaded": (Overloaded("full"), {"serving", "cluster", "durability"}),
     "CorruptStreamError": (
         CorruptStreamError("bad crc"), {"serving", "cluster", "durability"},
+    ),
+    "CodecFault": (
+        CodecFault("encode failed"), {"serving", "cluster", "durability"},
     ),
     "ShardDown": (ShardDown("s1"), {"cluster", "durability"}),
     "ClusterUnavailable": (

@@ -1,15 +1,11 @@
-"""MetricsSnapshot capture, Prometheus rendering, periodic snapshotter."""
+"""MetricsSnapshot capture and Prometheus rendering."""
 
 import json
-import time
-
-import pytest
 
 import repro.telemetry as telemetry
 from repro.telemetry.metrics import (
     METRICS_SCHEMA,
     MetricsSnapshot,
-    PeriodicSnapshotter,
     render_prometheus,
 )
 
@@ -44,19 +40,13 @@ class TestCapture:
         assert {"counters", "histograms", "spans", "trace_events",
                 "dropped_events", "max_trace_events", "recorder",
                 "created_unix"} <= set(doc)
-        # No serving components attached -> their keys are absent, so
-        # the pre-snapshot CodecService.stats() key set stays honest.
-        assert "slo" not in doc and "broker" not in doc
+        # No SLO attached -> its key is absent.
+        assert "slo" not in doc
         json.dumps(doc)  # must be JSON-clean as-is
 
     def test_serving_sections_survive_top_level(self):
-        snapshot = MetricsSnapshot.capture(
-            slo={"requests": 1}, broker={"admitted": 1},
-            ladder={"rungs": []}, supervisor={"retries": 0},
-        )
-        doc = snapshot.to_dict()
+        doc = MetricsSnapshot.capture(slo={"requests": 1}).to_dict()
         assert doc["slo"] == {"requests": 1}
-        assert doc["broker"]["admitted"] == 1
 
     def test_dropped_events_and_cap_exported(self):
         with telemetry.session(trace=True) as registry:
@@ -75,12 +65,6 @@ class TestPrometheus:
             "outcomes": {"ok": 9, "error": 1},
             "latency_ms": {"p50": 1.0, "p99": 2.0},
         }
-        snapshot.broker = {"inflight": 0, "queued": 0,
-                          "admitted": 10, "shed": 1}
-        snapshot.ladder = {"breakers": [
-            {"name": "rung.turbo", "state": "open", "trips": 2},
-        ]}
-        snapshot.supervisor = {"retries": 3}
         text = render_prometheus(snapshot)
         assert "# TYPE llm265_encode_frames counter" in text
         assert "llm265_encode_frames 4" in text
@@ -88,10 +72,6 @@ class TestPrometheus:
         assert 'llm265_span_calls_total{path="tensor.encode"} 1' in text
         assert "llm265_slo_availability 0.99" in text
         assert 'llm265_slo_requests_total{outcome="ok"} 9' in text
-        assert "llm265_broker_shed 1" in text
-        assert 'llm265_breaker_open{rung="rung.turbo"} 1' in text
-        assert 'llm265_breaker_trips_total{rung="rung.turbo"} 2' in text
-        assert "llm265_supervisor_retries_total 3" in text
         assert text.endswith("\n")
 
     def test_metric_names_sanitized(self):
@@ -100,68 +80,3 @@ class TestPrometheus:
         text = render_prometheus(snapshot)
         assert "llm265_weird_metric_name 1" in text
 
-
-class TestPeriodicSnapshotter:
-    def test_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            PeriodicSnapshotter(MetricsSnapshot.capture,
-                                str(tmp_path / "m.json"), render="xml")
-        with pytest.raises(ValueError):
-            PeriodicSnapshotter(MetricsSnapshot.capture,
-                                str(tmp_path / "m.json"), interval_s=0)
-
-    def test_writes_on_start_and_stop(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        snapshotter = PeriodicSnapshotter(
-            MetricsSnapshot.capture, str(path), interval_s=60.0,
-        ).start()
-        try:
-            assert path.exists(), "start() writes immediately"
-            first = json.loads(path.read_text())
-            assert first["schema"] == METRICS_SCHEMA
-        finally:
-            snapshotter.stop()
-        assert snapshotter.writes == 2  # start + final flush
-        assert json.loads(path.read_text())["created_unix"] >= (
-            first["created_unix"]
-        )
-        assert not list(tmp_path.glob("*.tmp.*")), "writes are atomic"
-
-    def test_periodic_ticks(self, tmp_path):
-        path = tmp_path / "metrics.prom"
-        snapshotter = PeriodicSnapshotter(
-            MetricsSnapshot.capture, str(path), interval_s=0.02,
-            render="prometheus",
-        ).start()
-        try:
-            deadline = time.monotonic() + 2.0
-            while snapshotter.writes < 3 and time.monotonic() < deadline:
-                time.sleep(0.01)
-        finally:
-            snapshotter.stop()
-        assert snapshotter.writes >= 3
-        assert "llm265_trace_events" in path.read_text()
-
-    def test_double_start_rejected(self, tmp_path):
-        snapshotter = PeriodicSnapshotter(
-            MetricsSnapshot.capture, str(tmp_path / "m.json"),
-        ).start()
-        try:
-            with pytest.raises(RuntimeError):
-                snapshotter.start()
-        finally:
-            snapshotter.stop()
-
-    def test_service_snapshotter_roundtrip(self, tmp_path):
-        import numpy as np
-
-        from repro.serving.service import CodecService, ServiceConfig
-
-        service = CodecService(ServiceConfig(tile=32, seed=0))
-        service.encode(np.zeros((32, 32), dtype=np.float32), qp=26.0)
-        path = tmp_path / "service.json"
-        snapshotter = service.start_snapshotter(str(path), interval_s=60.0)
-        snapshotter.stop()
-        doc = json.loads(path.read_text())
-        assert doc["slo"]["requests"] == 1
-        assert doc["schema"] == METRICS_SCHEMA

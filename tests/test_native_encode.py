@@ -14,7 +14,7 @@ Covers, kernel by kernel, the exactness contracts the fuzz suite
   and the degrade-once-with-one-event behaviour when a build or a
   check fails, for every entry at once;
 - the parallel-encode dispatch thresholds and fallback accounting;
-- the ``encode=`` plumbing through config, codec, and serving rungs.
+- the ``encode=`` plumbing through config, codec, and the serving record.
 """
 
 from __future__ import annotations
@@ -575,11 +575,11 @@ class TestEncodePlumbing:
     def test_ladder_rungs_pin_backends(self):
         with pytest.raises(ValueError):
             Rung("bad", None, encode="bogus")
-        by_name = {rung.name: rung for rung in DEFAULT_LADDER}
-        assert by_name["turbo"].encode == "native"
-        assert by_name["serial"].encode == "native"
-        # The floor rung encodes with the kernels' pure-Python twin.
-        assert by_name["python"].encode == "python"
+        # One production record: kernels, two slice threads.  Without
+        # the kernels every entry falls back to the twin by itself.
+        (record,) = DEFAULT_LADDER
+        assert (record.name, record.encode) == ("turbo", "native")
+        assert record.parallel.workers == 2
 
     def test_encodes_tuple_is_closed(self):
         assert ENCODES == ("native", "python")

@@ -62,7 +62,7 @@ class TestOptionSurface:
                 build(rd_search="turbo")
         assert "use_inter" not in inspect.signature(TensorCodec).parameters
         assert TensorCodec().rd_search == "turbo"
-        assert {rung.rd_search for rung in DEFAULT_LADDER} == {"turbo"}
+        assert [rung.rd_search for rung in DEFAULT_LADDER] == ["turbo"]
 
     def test_no_decode_option_anywhere(self):
         assert not hasattr(decoder_mod, "DECODES")

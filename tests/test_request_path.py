@@ -1,11 +1,10 @@
 """One abandonable hop per cluster request, telemetry only when traced.
 
 A request routed by :class:`ClusterRouter` crosses exactly one thread
-hand-off -- the router's dispatch thread, which the shard's service
-runs its attempts inline on -- and, with telemetry off, builds no
-registry or codec stats object anywhere.  Hangs are charged by the
-router's clock with the same effect the supervisor's used to have: a
-hung primary still answers ``DeadlineExceeded``, drains after the same
+hand-off -- the router's dispatch thread, on which the shard calls its
+codec inline -- and, with telemetry off, builds no registry or codec
+stats object anywhere.  Hangs are charged by the router's clock: a
+hung primary answers ``DeadlineExceeded``, drains after a bounded
 number of requests, and its late answer re-admits nothing.  Also: a
 closed router answers typed and releases its journals.
 """
@@ -23,10 +22,8 @@ import repro.telemetry as telemetry
 from repro.cluster import health as health_mod
 from repro.cluster import router as router_mod
 from repro.cluster.router import ClusterConfig, ClusterRouter, ClusterUnavailable
-from repro.resilience.deadline import Deadline, DeadlineExceeded
-from repro.resilience.faults import RetryPolicy
-from repro.serving.service import CodecService, ServeResponse, ServiceConfig
-from repro.serving.supervisor import Supervisor
+from repro.resilience.deadline import DeadlineExceeded
+from repro.serving.service import CodecService, ServeResponse
 from repro.telemetry import codecstats, core
 
 PAGE = np.random.default_rng(0).normal(0, 1, (16, 128)).astype(np.float32)
@@ -89,9 +86,9 @@ def router():
 
 @pytest.mark.usefixtures("no_hedges")
 class TestTheCount:
-    """Per untraced request: 1 router submit, 0 supervisor submits,
-    0 ``Registry`` / ``EncodeStats`` / ``DecodeStats`` (two hand-offs
-    made 2 submits, 2 registries and 1 / 2 stats objects)."""
+    """Per untraced request: 1 router submit, 0 ``Registry`` /
+    ``EncodeStats`` / ``DecodeStats`` (two hand-offs made 2 submits,
+    2 registries and 1 / 2 stats objects)."""
 
     def test_untraced_encode_and_decode(self, router, spy):
         responses = [router.encode(PAGE, f"k{i}") for i in range(REQUESTS)]
@@ -116,7 +113,7 @@ class TestTheCount:
         assert spy["EncodeStats"] == 1 and spy["DecodeStats"] >= 1
         shard = f"shard[{encoded.shard}]"
         for kind, leaf in (("encode", "tensor.encode"), ("decode", "tensor.decode")):
-            path = f"cluster.{kind}/{shard}/serving.{kind}/attempt[0]/{leaf}"
+            path = f"cluster.{kind}/{shard}/serving.{kind}/{leaf}"
             assert registry.spans[path].calls == 1, sorted(registry.spans)
         # One merge per traced request: the router's, none in the shard.
         assert registry.counters["telemetry.worker_deltas_merged"] == 2
@@ -128,80 +125,13 @@ class TestTheCount:
         }
         assert traces == {encoded.trace_id}
 
-    def test_standalone_service_keeps_its_supervisor_hop(self, spy):
-        service = CodecService(ServiceConfig(attempt_timeout_s=5.0))
+    def test_standalone_service_calls_its_codec_inline(self, spy):
+        service = CodecService()
         assert service.encode(PAGE).ok
         spy.clear()
         for _ in range(REQUESTS):
             assert service.encode(PAGE).ok
-        assert spy["repro-parallel"] == REQUESTS
-        assert spy["Registry"] == 0
-
-
-class TestInlineAttempts:
-    def _supervisor(self, sleeps):
-        retry = RetryPolicy(max_retries=3, backoff_base_s=0.001)
-        return Supervisor(retry=retry, seed=3, sleep=sleeps.append)
-
-    def test_retryable_fault_retried_on_the_calling_thread(self, spy):
-        threads, sleeps = [], []
-
-        def work(deadline):
-            threads.append(threading.get_ident())
-            if len(threads) < 3:
-                raise RuntimeError("transient")
-            return "done"
-
-        supervisor = self._supervisor(sleeps)
-        result, attempts = supervisor.run(
-            work, attempt_timeout_s=None, deadline=Deadline.after(5.0)
-        )
-        assert (result, attempts) == ("done", 3)
-        assert set(threads) == {threading.get_ident()}
-        assert len(sleeps) == 2 and all(s > 0 for s in sleeps)
-        assert supervisor.retries == 2 and supervisor.timeouts == 0
-        assert not spy
-
-    def test_non_retryable_error_raised_unchanged(self):
-        error = ValueError("malformed request")
-        calls = []
-
-        def work(deadline):
-            calls.append(deadline)
-            raise error
-
-        with pytest.raises(ValueError) as raised:
-            self._supervisor([]).run(work, attempt_timeout_s=None)
-        assert raised.value is error and len(calls) == 1
-
-    def test_expired_deadline_is_not_a_worker_timeout(self):
-        deadline = Deadline.after(0.02)
-
-        def work(attempt_deadline):
-            time.sleep(0.05)
-            attempt_deadline.check("work")
-
-        supervisor = self._supervisor([])
-        with pytest.raises(DeadlineExceeded):
-            supervisor.run(work, attempt_timeout_s=None, deadline=deadline)
-        assert supervisor.timeouts == 0
-
-    def test_inline_attempts_record_on_the_callers_registry(self, spy):
-        calls = []
-
-        def work(deadline):
-            calls.append(deadline)
-            with telemetry.span("body"):
-                if len(calls) == 1:
-                    raise RuntimeError("transient")
-            return "ok"
-
-        with telemetry.session() as registry:
-            self._supervisor([]).run(work, attempt_timeout_s=None)
-        assert registry.spans["attempt[0]/body"].calls == 1
-        assert registry.spans["attempt[1]/body"].calls == 1
-        assert "telemetry.worker_deltas_merged" not in registry.counters
-        assert spy["Registry"] == 1  # the session's own
+        assert not spy  # no hand-off, no registry, no stats object
 
 
 def _ewma_trips_after():

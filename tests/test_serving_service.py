@@ -1,24 +1,16 @@
 """End-to-end tests of :class:`repro.serving.service.CodecService`:
-the typed-response contract, degradation, concealment, deadlines, and
-admission control."""
+the typed-response contract, infrastructure faults, concealment and
+deadlines."""
 
 import threading
-import time
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 import pytest
 
 from repro.resilience.deadline import DeadlineExceeded
 from repro.resilience.errors import CorruptStreamError
-from repro.resilience.faults import RetryPolicy
-from repro.serving import (
-    CodecService,
-    DegradationLadder,
-    Overloaded,
-    RetriesExhausted,
-    ServiceConfig,
-    WorkerCrashed,
-)
+from repro.serving import CodecFault, CodecService, ServiceConfig
 from repro.tensor.codec import CompressedTensor, TensorCodec
 
 
@@ -28,11 +20,9 @@ def tensor():
 
 
 def make_service(**overrides):
-    defaults = dict(tile=32, deadline_s=10.0, attempt_timeout_s=1.0)
+    defaults = dict(tile=32, deadline_s=10.0)
     defaults.update(overrides)
-    service = CodecService(ServiceConfig(**defaults))
-    service.supervisor.retry = RetryPolicy(max_retries=2, backoff_base_s=0.001)
-    return service
+    return CodecService(ServiceConfig(**defaults))
 
 
 class GateScript:
@@ -61,7 +51,7 @@ class TestHealthyPath:
         service = make_service()
         response = service.encode(tensor, qp=26.0)
         assert response.ok and not response.degraded
-        assert response.retries == 0
+        assert response.rung == "turbo"
         reference = TensorCodec(tile=32).encode(tensor, qp=26.0)
         assert response.value.to_bytes() == reference.to_bytes()
 
@@ -92,71 +82,50 @@ class TestHealthyPath:
         assert service.slo.snapshot()["outcomes"]["error"] == 1
 
 
-class TestFaultRecovery:
-    def test_injected_crash_recovered_by_retry(self, tensor):
-        gate = GateScript(_raise(WorkerCrashed("injected")))
-        service = make_service()
-        response = service.encode(tensor, qp=26.0, fault_gate=gate)
-        assert response.ok
-        assert response.retries == 1
-        assert gate.calls == 2
+class TestInfrastructureFaults:
+    """What the retry loop caught is answered once, typed, and chained."""
 
-    def test_hang_recovered_within_bounded_time(self, tensor):
-        gate = GateScript(lambda: time.sleep(1.0))
-        service = make_service(attempt_timeout_s=0.15)
-        started = time.perf_counter()
-        response = service.encode(tensor, qp=26.0, fault_gate=gate)
-        assert response.ok
-        assert response.retries >= 1
-        assert time.perf_counter() - started < 2.0
-
-    def test_persistent_failure_steps_down_ladder(self, tensor):
-        boom = RuntimeError("backend down")
-        # Enough failures to exhaust retries on the first rung, then
-        # succeed on the next one.
-        gate = GateScript(*[_raise(boom)] * 3)
-        service = make_service()
-        response = service.encode(tensor, qp=26.0, fault_gate=gate)
-        assert response.ok
-        assert response.ladder_steps == 1
-        assert response.rung == "serial"
-        assert service.ladder.breakers[0].stats()["consecutive_failures"] == 1
-
-    def test_input_errors_after_a_step_down_report_the_step(self, tensor):
-        # Regression: the ValueError and concealment answers said
-        # ladder_steps=0 although the turbo rung had failed first.
-        down = [_raise(RuntimeError("backend down"))] * 3
-        service = make_service()
-        response = service.encode(tensor, qp=99.0, fault_gate=GateScript(*down))
-        assert isinstance(response.error, ValueError)
-        assert response.rung == "serial" and response.ladder_steps == 1
-        assert service.slo.snapshot()["ladder_steps"] == 1
-
-        blob = bytearray(TensorCodec(tile=32).encode(tensor, qp=26.0).to_bytes())
-        blob[-30] ^= 0x40  # inside the frame-slice payload
-        service = make_service()
-        response = service.decode(bytes(blob), fault_gate=GateScript(*down))
-        assert response.ok and response.rung == "concealed"
-        assert response.ladder_steps == 1
-        assert service.slo.snapshot()["ladder_steps"] == 1
-
-    def test_total_failure_is_typed_retries_exhausted(self, tensor):
-        gate = GateScript(*[_raise(RuntimeError("down"))] * 99)
+    @pytest.mark.parametrize("error", [
+        RuntimeError("backend down"),
+        BrokenExecutor("pool died"),
+        OSError("disk gone"),
+    ])
+    def test_codec_fault_answered_without_retry(self, tensor, error):
+        gate = GateScript(_raise(error), _raise(error))
         service = make_service()
         response = service.encode(tensor, qp=26.0, fault_gate=gate)
         assert not response.ok
-        assert isinstance(response.error, RetriesExhausted)
-        assert response.rung == "python"  # fell all the way down
+        assert isinstance(response.error, CodecFault)
+        assert response.error.__cause__ is error
+        assert gate.calls == 1
+        assert service.slo.snapshot()["outcomes"]["error"] == 1
 
-    def test_breaker_trips_and_turbo_is_skipped(self, tensor):
+    def test_codec_fault_from_inside_the_codec(self, tensor, monkeypatch):
         service = make_service()
-        service.ladder = DegradationLadder(failure_threshold=1, cooldown_s=60.0)
-        gate = GateScript(*[_raise(RuntimeError("down"))] * 3)
-        first = service.encode(tensor, qp=26.0, fault_gate=gate)
-        assert first.ok and first.rung == "serial"
-        assert service.ladder.breakers[0].state == "open"
-        second = service.encode(tensor, qp=26.0)  # healthy gate
-        assert second.ok and second.rung == "serial"
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("kernel state lost")
+
+        monkeypatch.setattr(service._codec, "decode_with_report", broken)
+        blob = TensorCodec(tile=32).encode(tensor, qp=26.0).to_bytes()
+        response = service.decode(blob)
+        assert isinstance(response.error, CodecFault)
+        assert "kernel state lost" in str(response.error)
+
+    def test_deadline_inside_the_codec_stays_typed(self, tensor):
+        gate = GateScript(_raise(DeadlineExceeded("spent")))
+        response = make_service().encode(tensor, qp=26.0, fault_gate=gate)
+        assert isinstance(response.error, DeadlineExceeded)
+
+    def test_other_exceptions_are_not_answered(self, tensor):
+        # A shard's ShardDown is an Exception, neither a RuntimeError
+        # nor an OSError: it must reach the shard, not become a fault.
+        class Gone(Exception):
+            pass
+
+        gate = GateScript(_raise(Gone()))
+        with pytest.raises(Gone):
+            make_service().encode(tensor, qp=26.0, fault_gate=gate)
 
 
 class TestDamagedInputs:
@@ -196,8 +165,6 @@ class TestDamagedInputs:
 def _outcome(response):
     if response.ok:
         return "degraded" if response.degraded else "ok"
-    if isinstance(response.error, Overloaded):
-        return "shed"
     if isinstance(response.error, DeadlineExceeded):
         return "deadline"
     return "error"
@@ -205,7 +172,7 @@ def _outcome(response):
 
 class TestDeadlinesAndAdmission:
     def test_tiny_deadline_times_out_cleanly(self, tensor):
-        # A budget that is already spent at admission: the assertion is
+        # A budget that is already spent on arrival: the assertion is
         # about the typed DeadlineExceeded path, not about how fast the
         # encoder is (a 0.5 ms budget raced it, and lost more often the
         # faster encode got).
@@ -216,61 +183,39 @@ class TestDeadlinesAndAdmission:
         assert response.value is None
         assert service.slo.snapshot()["outcomes"]["deadline"] == 1
 
-    def test_saturated_service_sheds_typed(self, tensor):
-        service = make_service(max_inflight=1, max_queue=0)
-        service.broker.acquire()  # occupy the only slot
-        try:
-            response = service.encode(tensor, qp=26.0)
-        finally:
-            service.broker.release()
-        assert not response.ok
-        assert isinstance(response.error, Overloaded)
-        assert service.slo.snapshot()["outcomes"]["shed"] == 1
-
-    def test_threaded_burst_sheds_typed(self, tensor):
-        # A burst wider than the broker: whatever is not admitted must
-        # come back as a typed Overloaded, never an untyped error.
-        service = make_service(max_inflight=2, max_queue=4)
+    def test_standalone_service_has_no_admission(self, tensor):
+        # Admission belongs to the cluster shard: a burst wider than any
+        # queue is answered in full, never shed.
+        service = make_service()
         blob = TensorCodec(tile=32).encode(tensor, qp=26.0).to_bytes()
         responses = []
 
         def worker():
-            for turn in range(3):
-                if turn % 2:
-                    responses.append(service.decode(blob))
-                else:
-                    responses.append(service.encode(tensor, qp=26.0))
+            responses.append(service.encode(tensor, qp=26.0))
+            responses.append(service.decode(blob))
 
-        threads = [threading.Thread(target=worker) for _ in range(6)]
+        threads = [threading.Thread(target=worker) for _ in range(12)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert len(responses) == 6 * 3
-        for response in responses:
-            assert response.ok or isinstance(response.error, Overloaded)
-        outcomes = service.slo.snapshot()["outcomes"]
-        assert sum(outcomes.values()) == len(responses)
-        assert outcomes["error"] == 0
+        assert len(responses) == 24 and all(r.ok for r in responses)
+        assert service.slo.snapshot()["outcomes"]["shed"] == 0
 
     def test_stats_document_shape(self, tensor):
         service = make_service()
         service.encode(tensor, qp=26.0)
         stats = service.stats()
-        # The serving sections survive under their PR 4 keys; the
-        # document is now the llm265-metrics-v1 snapshot, which adds
-        # observability sections on top.
-        assert {"slo", "broker", "ladder", "supervisor"} <= set(stats)
         assert stats["schema"] == "llm265-metrics-v1"
         assert "counters" in stats and "recorder" in stats
         assert stats["slo"]["requests"] == 1
-        assert stats["broker"]["admitted"] == 1
+        assert stats["slo"]["retries"] == 0
+        assert not {"broker", "ladder", "supervisor"} & set(stats)
 
     def test_worker_spans_land_under_the_request_trace(self, tensor):
-        """The tentpole acceptance check: encode work executed on
-        supervised worker threads shows up in the dispatcher's registry
-        as child spans of the owning request, and its span events carry
-        the request's trace id."""
+        """Codec spans -- a slice pool's included, merged home by the
+        delta protocol -- nest under the request's ``serving.*`` span,
+        and their events carry its trace id."""
         import repro.telemetry as telemetry
 
         service = make_service()
@@ -282,30 +227,14 @@ class TestDeadlinesAndAdmission:
         assert encoded.trace_id.startswith("encode-")
         assert decoded.trace_id.startswith("decode-")
         assert encoded.trace_id != decoded.trace_id
-        # Worker-side codec spans, reparented under the request +
-        # attempt that dispatched them.
-        encode_paths = [p for p in registry.spans
-                        if p.startswith("serving.encode/attempt[")]
-        assert any("frames.encode" in p for p in encode_paths)
-        decode_paths = [p for p in registry.spans
-                        if p.startswith("serving.decode/attempt[")]
-        assert any("decode" in p.split("/", 2)[-1] for p in decode_paths)
+        assert registry.spans["serving.encode/tensor.encode"].calls == 1
+        assert any(p.startswith("serving.encode/tensor.encode/frames.encode")
+                   for p in registry.spans)
+        assert registry.spans["serving.decode/tensor.decode"].calls == 1
         # Every span event recorded inside the request carries its id.
         for trace_id, root in ((encoded.trace_id, "serving.encode"),
                                (decoded.trace_id, "serving.decode")):
             tagged = [e for e in registry.events
                       if e["args"].get("trace") == trace_id]
             assert any(e["args"]["path"] == root for e in tagged)
-            assert any("/" in e["args"]["path"] for e in tagged), (
-                "worker-side events must be tagged too")
-        assert registry.counters["telemetry.worker_deltas_merged"] >= 2
-
-    def test_stats_matches_snapshot_type(self, tensor):
-        service = make_service()
-        service.encode(tensor, qp=26.0)
-        snapshot = service.snapshot()
-        assert snapshot.slo["requests"] == 1
-        assert service.stats().keys() == snapshot.to_dict().keys()
-        text = service.metrics_text()
-        assert 'llm265_slo_requests_total{outcome="ok"} 1' in text
-        assert "llm265_slo_availability 1.0" in text
+            assert any("/" in e["args"]["path"] for e in tagged)
