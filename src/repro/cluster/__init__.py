@@ -8,9 +8,9 @@ the router is the one resilience layer:
 - :mod:`repro.cluster.ring` -- consistent-hash routing with virtual
   nodes; ``tensor_id`` picks the replica set, membership changes move
   only the departed shard's key range.
-- :mod:`repro.cluster.health` -- per-shard breaker + failure-rate
-  EWMA; unhealthy shards are drained from the ring and re-admitted by
-  bounded probes.
+- :mod:`repro.cluster.health` -- :class:`ShardHealth`, one per shard:
+  a breaker and a failure-rate EWMA; unhealthy shards are drained from
+  the ring and re-admitted by bounded probes.
 - :mod:`repro.cluster.router` -- replication with failover, hedged
   requests (p99-derived delay, commit-once dedupe), the typed cluster
   response contract; quorum-acknowledged durable ``put``/``get`` when

@@ -44,6 +44,7 @@ from repro.harness import (
 )
 from repro.resilience.faults import FaultInjector
 from repro.serving.chaos import TYPED_ERRORS
+from repro.serving.slo import SloTracker
 from repro.cluster.router import (
     ClusterConfig,
     ClusterResponse,
@@ -223,6 +224,9 @@ def run_cluster_chaos(config: Optional[ClusterChaosConfig] = None) -> dict:
 
     references.prebuild(arrivals)
     _warm_router(router, references)
+    # The report's SLO is the soak's traffic: the warm-up requests
+    # belong to startup, so their outcomes and latencies are dropped.
+    router.slo = SloTracker()
 
     chaos_injector = FaultInjector(seed=config.seed + 11)
     straggler_faults = fault_injector(
@@ -289,8 +293,6 @@ def run_cluster_chaos(config: Optional[ClusterChaosConfig] = None) -> dict:
             request=-1, kind="drill", tensor_id="drill",
         )
 
-    # Availability over the soak's own responses (the warmup requests
-    # sit in the router's SLO tracker but are not part of the claim).
     soak_responses = [r for r in responses if r is not None]
     availability = (
         sum(1 for r in soak_responses if r.ok) / len(soak_responses)

@@ -49,7 +49,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-import repro.telemetry as telemetry
 from repro.telemetry import flightrecorder
 from repro.harness import (
     ViolationLedger,
@@ -249,7 +248,6 @@ class _Controller:
         mid_write = not shard._alive
         if mid_write:
             self.kills_mid_write += 1
-            telemetry.count("chaos.durability.mid_write_kills")
         else:
             # No put reached the armed stage in time (traffic lull):
             # plain SIGKILL so the schedule still exercises recovery.

@@ -1,39 +1,50 @@
-"""Router-level shard health: circuit breaker + failure-rate EWMA.
+"""Router-level shard health: a circuit breaker and a failure-rate EWMA.
 
 A shard is drained from the hash ring when either signal says it is
 sick:
 
-- the per-shard :class:`~repro.serving.breaker.CircuitBreaker` trips
-  on *consecutive* infrastructure failures (the killed-shard case:
-  every request fails immediately), or
+- *consecutive* infrastructure failures reach :data:`FAILURE_THRESHOLD`
+  (the killed-shard case: every request fails immediately), or
 - the failure-rate **EWMA** crosses :data:`EWMA_UNHEALTHY` (the sick-shard
   case: enough intermittent failures to be unusable even though
-  successes keep resetting the consecutive counter).  An EWMA trip is
-  routed through :meth:`CircuitBreaker.trip` so there is exactly one
-  re-admission mechanism.
+  successes keep resetting the consecutive counter).
 
-Re-admission is probe-driven: once the breaker's cooldown elapses,
-:meth:`admit` answers ``"probe"`` and the router sends the drained
-shard one bounded synthetic request.  The probe carries a short child
-:class:`~repro.resilience.deadline.Deadline` -- a hung shard must cost
-the probe path the router's ``PROBE_TIMEOUT_S``, never wedge it
-(timeouts are counted in ``serving.breaker_probe_timeouts``).  One probe success
-re-closes the breaker, resets the EWMA, and re-admits the shard to the
-ring; one probe failure re-opens the breaker for a fresh cooldown.
+Both trip the same three-state breaker (Nygard's *Release It!*
+pattern), so there is exactly one re-admission mechanism:
+
+- **closed** -- requests flow; consecutive failures are counted.
+- **open** -- drained: :meth:`ShardHealth.admit` answers ``"rejected"``
+  until :data:`COOLDOWN_S` has elapsed, so a dead or wedged shard gets
+  air instead of a retry storm.
+- **half-open** -- the cooldown is up: :meth:`ShardHealth.admit`
+  answers ``"probe"`` once, and the router sends the drained shard one
+  bounded synthetic request.  The probe carries a short child
+  :class:`~repro.resilience.deadline.Deadline` -- a hung shard must
+  cost the probe path the router's ``PROBE_TIMEOUT_S``, never wedge it.
+  One probe success re-closes the breaker, resets the EWMA and
+  re-admits the shard to the ring; one probe failure re-opens it for a
+  fresh cooldown.
 
 Failure taxonomy matters here: only *infrastructure* outcomes
-(``ShardDown``, exhausted retries, probe timeouts) advance the
-breaker.  Deterministic request failures (corrupt payload, malformed
-targets) fail identically on every shard and teach nothing about this
-one; ``Overloaded`` is load, not sickness, and feeds only the EWMA so
-a persistently saturated shard still sheds routing weight.
+(``ShardDown``, a ``CodecFault``, probe timeouts) advance the breaker.
+Deterministic request failures (corrupt payload, malformed targets)
+fail identically on every shard and teach nothing about this one;
+``Overloaded`` is load, not sickness, and feeds only the EWMA so a
+persistently saturated shard still sheds routing weight.
+
+The counts live here and nowhere else: :meth:`ShardHealth.stats` (in
+``ClusterRouter.stats()["health"]``) holds trips, EWMA trips, probe
+timeouts and the failure streak; trips and closes are the flight
+recorder's ``breaker.trip`` / ``breaker.close`` events.  The injectable
+``clock`` lets tests step through cooldowns without sleeping.
 """
 
 from __future__ import annotations
 
-import repro.telemetry as telemetry
+import time
+from typing import Callable
+
 from repro.telemetry import flightrecorder
-from repro.serving.breaker import CircuitBreaker
 
 __all__ = ["ShardHealth"]
 
@@ -47,31 +58,61 @@ COOLDOWN_S = 0.5
 EWMA_ALPHA = 0.2
 EWMA_UNHEALTHY = 0.5
 
+CLOSED = "closed"
+OPEN = "open"
+HALF_OPEN = "half_open"
+
 
 class ShardHealth:
-    """One shard's admission verdict, fed by every attempt outcome."""
+    """One shard's admission verdict, fed by every attempt outcome.
 
-    def __init__(self, shard_id: str) -> None:
+    Not locked: the router calls it under its own lock.
+    """
+
+    def __init__(
+        self, shard_id: str, clock: Callable[[], float] = time.monotonic
+    ) -> None:
         self.shard_id = shard_id
-        self.breaker = CircuitBreaker(
-            name=f"shard.{shard_id}",
-            failure_threshold=FAILURE_THRESHOLD,
-            cooldown_s=COOLDOWN_S,
-        )
+        self._clock = clock
+        self._state = CLOSED
+        self._opened_at = 0.0
+        self._probing = False  # the one half-open probe is out
+        self.consecutive_failures = 0
         self.ewma = 0.0
+        self.trips = 0  # closed/half-open -> open transitions
         self.ewma_trips = 0
         self.probe_timeouts = 0
 
     # -- admission -----------------------------------------------------
 
-    def admit(self) -> str:
-        """``"ok"`` | ``"probe"`` | ``"rejected"`` for one request now."""
-        return self.breaker.admit()
+    @property
+    def state(self) -> str:
+        """Current state, accounting for an elapsed cooldown."""
+        if self._state == OPEN and (
+            self._clock() - self._opened_at >= COOLDOWN_S
+        ):
+            return HALF_OPEN
+        return self._state
 
     @property
     def healthy(self) -> bool:
         """Whether the router should keep this shard on the ring."""
-        return self.breaker.state == "closed"
+        return self.state == CLOSED
+
+    def admit(self) -> str:
+        """``"ok"`` | ``"probe"`` | ``"rejected"`` for one request now."""
+        state = self.state
+        if state == CLOSED:
+            return "ok"
+        if state == HALF_OPEN:
+            if self._state == OPEN:
+                # Cooldown just elapsed; materialise the transition.
+                self._state = HALF_OPEN
+                self._probing = False
+            if not self._probing:
+                self._probing = True
+                return "probe"
+        return "rejected"
 
     # -- evidence ------------------------------------------------------
 
@@ -80,18 +121,17 @@ class ShardHealth:
 
         ``infrastructure=False`` marks failures that say nothing about
         the shard (deterministic bad input): they advance neither
-        signal.  ``Overloaded`` callers pass ``infrastructure=False``
-        too but should call :meth:`record_load_failure` instead so the
-        EWMA still sees the saturation.
+        signal.  ``Overloaded`` outcomes go to
+        :meth:`record_load_failure` instead, so the EWMA still sees the
+        saturation.
         """
         if ok:
             self.ewma = (1.0 - EWMA_ALPHA) * self.ewma
-            self.breaker.record_success()
+            self._close()
             return
         if not infrastructure:
             return
-        self.ewma = (1.0 - EWMA_ALPHA) * self.ewma + EWMA_ALPHA
-        self.breaker.record_failure()
+        self._fail()
         self._check_ewma()
 
     def record_load_failure(self) -> None:
@@ -102,43 +142,71 @@ class ShardHealth:
     def record_probe_timeout(self) -> None:
         """A half-open probe hit its child deadline: the shard is hung.
 
-        Counted separately (``serving.breaker_probe_timeouts``) because
-        a wedged probe path is the failure mode the bounded probe
-        deadline exists to prevent.
+        Counted apart (``probe_timeouts``) because a wedged probe path
+        is the failure mode the bounded probe deadline exists to
+        prevent.
         """
         self.probe_timeouts += 1
-        telemetry.count("serving.breaker_probe_timeouts")
-        self.ewma = (1.0 - EWMA_ALPHA) * self.ewma + EWMA_ALPHA
-        self.breaker.record_failure()
+        self._fail()
 
     def reset(self) -> None:
         """A probe succeeded: full fresh start for the shard."""
         self.ewma = 0.0
-        self.breaker.record_success()
+        self._close()
+
+    # -- transitions ---------------------------------------------------
+
+    def _fail(self) -> None:
+        self.ewma = (1.0 - EWMA_ALPHA) * self.ewma + EWMA_ALPHA
+        self.consecutive_failures += 1
+        if self._state == HALF_OPEN or (
+            self.consecutive_failures >= FAILURE_THRESHOLD
+        ):
+            self._trip("consecutive-failures")
 
     def _check_ewma(self) -> None:
-        if self.ewma >= EWMA_UNHEALTHY and self.breaker.state == "closed":
+        if self.ewma >= EWMA_UNHEALTHY and self.state == CLOSED:
             self.ewma_trips += 1
-            telemetry.count("cluster.ewma_trips")
             flightrecorder.record(
                 "cluster.ewma_trip",
                 shard=self.shard_id,
                 ewma=round(self.ewma, 4),
             )
-            self.breaker.trip(reason="failure-rate-ewma")
+            self._trip("failure-rate-ewma")
+
+    def _trip(self, reason: str) -> None:
+        if self._state != OPEN:
+            self.trips += 1
+            flightrecorder.record(
+                "breaker.trip",
+                name=f"shard.{self.shard_id}",
+                consecutive_failures=self.consecutive_failures,
+                reason=reason,
+            )
+        self._state = OPEN
+        self._opened_at = self._clock()
+        self._probing = False
+
+    def _close(self) -> None:
+        if self._state == HALF_OPEN:
+            flightrecorder.record("breaker.close", name=f"shard.{self.shard_id}")
+        self._state = CLOSED
+        self.consecutive_failures = 0
+        self._probing = False
 
     def stats(self) -> dict:
         return {
             "shard": self.shard_id,
-            "state": self.breaker.state,
+            "state": self.state,
             "ewma": round(self.ewma, 4),
-            "trips": self.breaker.trips,
+            "trips": self.trips,
             "ewma_trips": self.ewma_trips,
             "probe_timeouts": self.probe_timeouts,
+            "consecutive_failures": self.consecutive_failures,
         }
 
     def __repr__(self) -> str:
         return (
-            f"ShardHealth({self.shard_id!r}, state={self.breaker.state}, "
+            f"ShardHealth({self.shard_id!r}, state={self.state}, "
             f"ewma={self.ewma:.3f})"
         )

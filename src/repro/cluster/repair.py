@@ -39,7 +39,6 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import repro.telemetry as telemetry
 from repro.telemetry import flightrecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -141,7 +140,6 @@ def run_anti_entropy(router: "ClusterRouter") -> RepairReport:
             # holder may still be clean.
         if payload is None:
             report.unrepairable.append(key)
-            telemetry.count("repair.unrepairable")
             flightrecorder.record(
                 "repair.unrepairable", key=key,
                 holders=len(holders), sources=len(sources),
@@ -154,14 +152,11 @@ def run_anti_entropy(router: "ClusterRouter") -> RepairReport:
             if outcome.ok:
                 report.copies_made += 1
                 router._count("repair_copies")
-                telemetry.count("repair.copies")
             else:
                 report.copy_failures += 1
-                telemetry.count("repair.copy_failures")
 
     report.elapsed_s = time.perf_counter() - started
     router._count("repair_passes")
-    telemetry.count("repair.passes")
     flightrecorder.record(
         "repair.pass_done",
         keys=report.keys_scanned,

@@ -27,11 +27,11 @@ request flows through four mechanisms, each bounded and observable:
    still queued, or discarded and counted if it already ran).
 
 4. **Health.**  Every attempt outcome feeds the shard's
-   :class:`~repro.cluster.health.ShardHealth` (breaker +
-   failure-rate EWMA).  An unhealthy shard is drained from the ring
-   (bounded churn: only its key range moves) and re-admitted by a
-   bounded probe request once its breaker half-opens -- the probe
-   carries a short child deadline so a hung shard costs
+   :class:`~repro.cluster.health.ShardHealth` (a consecutive-failure
+   breaker and a failure-rate EWMA in one object).  An unhealthy shard
+   is drained from the ring (bounded churn: only its key range moves)
+   and re-admitted by a bounded probe request once its cooldown is up
+   -- the probe carries a short child deadline so a hung shard costs
    :data:`PROBE_TIMEOUT_S`, never a wedged probe path.
 
 Work executes on a router-owned thread pool, the request's one hand-off
@@ -224,26 +224,6 @@ class ClusterResponse:
     def error_type(self) -> str:
         return type(self.error).__name__ if self.error is not None else ""
 
-    def summary(self) -> str:
-        if self.ok:
-            flags = "".join(
-                flag
-                for flag, on in (
-                    (" DEGRADED", self.degraded),
-                    (" hedged", self.hedged),
-                    (" hedge-won", self.hedge_won),
-                )
-                if on
-            )
-            return (
-                f"{self.kind} ok shard={self.shard} rung={self.rung}{flags} "
-                f"failovers={self.failovers} {1e3 * self.latency_s:.1f}ms"
-            )
-        return (
-            f"{self.kind} {self.error_type}: {self.error} "
-            f"({1e3 * self.latency_s:.1f}ms)"
-        )
-
 
 class _Request:
     """Per-request dispatch state; the commit cell is the dedupe point."""
@@ -342,7 +322,9 @@ class ClusterRouter:
         self._latencies_seen = 0  # ever appended: the deque's length saturates
         self._hedge_cache: Tuple[int, float] = (-1, HEDGE_INITIAL_DELAY_S)
         # Router-level counters, lock-protected so executor threads (no
-        # thread-local telemetry registry) never lose an event.
+        # thread-local telemetry registry) never lose an event.  They
+        # are the one record of these events: nothing mirrors them into
+        # a telemetry registry.
         self.counters: Dict[str, int] = {
             name: 0
             for name in (
@@ -459,7 +441,6 @@ class ClusterRouter:
         version = next(self._versions)
         self._count("requests")
         self._count("store_puts")
-        telemetry.count("cluster.store_puts")
         with trace_scope(ctx), telemetry.span("cluster.put"):
             self._maybe_probe(deadline)
             candidates = self._candidates(tensor_id)
@@ -513,7 +494,6 @@ class ClusterRouter:
                 )
             else:
                 self._count("store_put_quorum_failures")
-                telemetry.count("cluster.store_put_quorum_failures")
                 error = WriteQuorumFailed(tensor_id, len(acked), quorum)
                 if last_error is not None:
                     error.__cause__ = last_error
@@ -554,7 +534,6 @@ class ClusterRouter:
         request_id = next(self._request_ids)
         self._count("requests")
         self._count("store_gets")
-        telemetry.count("cluster.store_gets")
         with trace_scope(ctx), telemetry.span("cluster.get"):
             self._maybe_probe(deadline)
             candidates = self._candidates(tensor_id)
@@ -585,7 +564,6 @@ class ClusterRouter:
                 if position + 1 < len(candidates):
                     failovers += 1
                     self._count("store_get_failovers")
-                    telemetry.count("cluster.store_get_failovers")
             if all_missing:
                 self._count("store_get_misses")
                 last_error = NotFound(
@@ -695,7 +673,6 @@ class ClusterRouter:
         if target is None:
             self._count("hedges", -1)  # nothing to hedge: hand it back
             return
-        telemetry.count("cluster.hedges")
         flightrecorder.record(
             "cluster.hedge_fired",
             request=req.request_id, kind=req.kind, shard=target,
@@ -826,7 +803,6 @@ class ClusterRouter:
         if target is None:
             return
         self._count("failovers")
-        telemetry.count("cluster.failovers")
         flightrecorder.record(
             "cluster.failover",
             request=req.request_id, kind=req.kind,
@@ -950,13 +926,11 @@ class ClusterRouter:
         if healthy and shard_id not in self.ring:
             self.ring.add(shard_id)
             self._count_locked("shard_readmitted")
-            telemetry.count("cluster.shard_readmitted")
             flightrecorder.record("cluster.shard_readmitted", shard=shard_id)
             self._schedule_repair_locked(shard_id)
         elif not healthy and shard_id in self.ring:
             self.ring.remove(shard_id)
             self._count_locked("shard_drained")
-            telemetry.count("cluster.shard_drained")
             flightrecorder.record("cluster.shard_drained", shard=shard_id)
 
     def _schedule_repair_locked(self, shard_id: str) -> None:
@@ -1000,12 +974,11 @@ class ClusterRouter:
             return
         # The probe's budget is a short *child* of the live deadline:
         # a hung shard costs PROBE_TIMEOUT_S, never a wedged probe path
-        # (timeouts land in serving.breaker_probe_timeouts).
+        # (counted in ``probe_timeouts`` here and in its ShardHealth).
         budget_s = PROBE_TIMEOUT_S
         if deadline is not None:
             budget_s = min(budget_s, max(deadline.remaining(), 1e-3))
         self._count("probes")
-        telemetry.count("cluster.probes")
         flightrecorder.record("cluster.probe_fired", shard=target)
         ctx = mint_trace("cluster-probe", budget_s=budget_s)
         self._submit(self._run_probe, target, budget_s, ctx)

@@ -47,7 +47,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-import repro.telemetry as telemetry
 from repro.telemetry import flightrecorder
 from repro.telemetry.propagate import TraceContext
 from repro.resilience.deadline import Deadline, DeadlineExceeded
@@ -124,7 +123,6 @@ class ClusterShard:
         if self.store is not None:
             self.store.crash()
         self.kills += 1
-        telemetry.count("cluster.shard_kills")
         flightrecorder.record("cluster.shard_killed", shard=self.shard_id)
 
     def arm_kill(self, stage: str) -> None:
@@ -149,7 +147,6 @@ class ClusterShard:
         self._hang_until = max(
             self._hang_until, time.monotonic() + duration_s
         )
-        telemetry.count("cluster.shard_hangs")
         flightrecorder.record(
             "cluster.shard_hung", shard=self.shard_id, duration_s=duration_s
         )

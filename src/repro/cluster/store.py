@@ -38,9 +38,9 @@ costs that one key and none of its successors.
 
 **Recovery** (:meth:`recover`) streams the log record by record: a
 torn final record (the SIGKILL-mid-append case) is truncated away
-(``store.torn_tail_truncations``); a damaged header mid-log stops
+(``counters["torn_tail_truncations"]``); a damaged header mid-log stops
 replay there and truncates the untrusted suffix
-(``store.corrupt_records``) -- the keys it drops come back via
+(``counters["corrupt_records"]``) -- the keys it drops come back via
 anti-entropy from replicas (:mod:`repro.cluster.repair`).  A payload
 that fails its CRC during replay is indexed quarantined, never served
 and never invented.  **Quarantine** is a state, not a place: the entry
@@ -477,7 +477,6 @@ class ShardStore:
                     else "corrupt_records"
                 )
                 self.counters[kind] += 1
-                telemetry.count(f"store.{kind}")
                 if replay.end:
                     with open(self.journal_path, "r+b") as handle:
                         handle.truncate(replay.end)
@@ -508,7 +507,6 @@ class ShardStore:
             self._reader = open(self.journal_path, "rb", buffering=0)
             self._open = True
             self.counters["recoveries"] += 1
-            telemetry.count("store.recoveries")
             self.last_recovery = report
             flightrecorder.record(
                 "store.recovered", shard=self.shard_id, **report.to_dict()
@@ -974,8 +972,6 @@ class ShardStore:
         self, key: str, entry: StoreEntry, scrub: bool
     ) -> None:
         telemetry.count("store.payloads_quarantined")
-        if scrub:
-            telemetry.count("store.scrub_corrupt")
         flightrecorder.record(
             "store.payload_quarantined",
             shard=self.shard_id, key=key, offset=entry.offset,

@@ -336,7 +336,6 @@ class FrameDecoder:
         self.report.concealed.append((frame_index, reason))
         if self._registry is not None:
             self._registry.count("decode.slices_concealed")
-        telemetry.count("resilience.slices_concealed")
         if self._reference is not None:
             return self._reference  # neighbour (temporal) prediction
         return np.full((self._pad_h, self._pad_w), _CONCEAL_FILL, dtype=np.float64)

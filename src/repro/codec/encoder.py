@@ -546,8 +546,6 @@ class FrameEncoder:
                     for _, worker_stats in outcomes:
                         stats.merge(worker_stats)
             else:
-                if par is not None:
-                    telemetry.count("parallel.serial_fallbacks")
                 coded = self._encode_run(
                     frames, per_group, QpDither(qp_base, qp_frac), analyses
                 )

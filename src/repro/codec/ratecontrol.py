@@ -201,15 +201,13 @@ def search_qp_for_mse(
     best effort.
     """
     with telemetry.span("ratecontrol.search_mse"):
-        qp, result, met = solve_qp(
+        qp, result, _ = solve_qp(
             _held_probe(frames, config),
             lambda result: result.mse,
             max_mse,
             precision,
             distortion=True,
         )
-        if not met:
-            telemetry.count("ratecontrol.target_miss")
     return qp, result
 
 
@@ -227,13 +225,11 @@ def search_qp_for_bitrate(
     opposite choice for its own budgets, and says why.)
     """
     with telemetry.span("ratecontrol.search_bitrate"):
-        qp, result, met = solve_qp(
+        qp, result, _ = solve_qp(
             _held_probe(frames, config),
             lambda result: result.bits_per_value,
             bits_per_value,
             precision,
             guess=rate_law_qp(frames, bits_per_value),
         )
-        if not met:
-            telemetry.count("ratecontrol.target_miss")
     return qp, result

@@ -429,8 +429,6 @@ class ReferenceEncoder(FrameEncoder):
         first.
         """
         cfg = self.config
-        if self._stats is not None:
-            self._stats.add_count("residual_batches")
         size = orig.shape[0]
         residuals = orig[None] - predictions
         if cfg.use_transform:

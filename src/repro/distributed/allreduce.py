@@ -130,12 +130,8 @@ def _ring_allreduce(
     retransmissions = sum(link.total_retries for link in links)
     retransmitted_bytes = sum(link.total_retransmitted_bytes for link in links)
     registry = telemetry.current()
-    if registry is not None:
-        registry.count("allreduce.collectives")
-        registry.count("allreduce.steps", steps)
-        registry.observe("allreduce.bytes_per_worker", bytes_per_worker)
-        if retransmissions:
-            registry.count("allreduce.retransmissions", retransmissions)
+    if registry is not None and retransmissions:
+        registry.count("allreduce.retransmissions", retransmissions)
     return AllReduceResult(
         reduced=[f.reshape(shape) for f in flat],
         bytes_per_worker=bytes_per_worker,

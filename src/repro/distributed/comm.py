@@ -209,11 +209,6 @@ class Channel:
                 restored = self._transmit(restored, record, registry)
         finally:
             self.records.append(record)
-            if registry is not None:
-                registry.count("comm.sends")
-                registry.count("comm.bytes_raw", tensor.size * 2.0)
-                registry.count("comm.bytes_compressed", record.compressed_bytes)
-                registry.observe("comm.bits_per_value", bits)
         return restored
 
     # -- self-healing wire protocol ------------------------------------
@@ -249,7 +244,6 @@ class Channel:
                 if registry is not None:
                     registry.count("comm.retransmits")
                     registry.count("comm.retransmitted_bytes", attempt_bytes)
-                    registry.count("comm.backoff_seconds", backoff)
             received = injector.corrupt(wire)
             if received is None:
                 if registry is not None:
@@ -258,13 +252,9 @@ class Channel:
             try:
                 body = deframe_payload(received)
             except CorruptStreamError:
-                if registry is not None:
-                    registry.count("comm.crc_failures")
                 continue
             return self._wire_unpack(body)
         record.delivered = False
-        if registry is not None:
-            registry.count("comm.unrecoverable")
         raise TransportError(
             f"link lost {record.tag or 'payload'!r} at step {record.step} "
             f"after {self.retry.max_retries + 1} attempts"

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-import repro.telemetry as telemetry
 from repro.distributed.comm import Channel, TrafficRecord
 from repro.nn.optim import Adam
 from repro.nn.optim.onebit import _OneBitBase
@@ -141,7 +140,6 @@ class DataParallelTrainer:
             if self.fault_injector is not None and self.fault_injector.worker_crashes(
                 self.step_count, worker
             ):
-                telemetry.count("dp.worker_crashes")
                 continue  # crashed worker sits this step out
             grads = self._worker_gradients(shard_tokens, shard_targets)
             losses.append(self._last_loss)
@@ -160,7 +158,6 @@ class DataParallelTrainer:
                     # the lost gradient into its next step.
                     self._transport_residual[worker] = bucket
                     buckets_lost += 1
-                    telemetry.count("dp.buckets_lost")
                     received = np.zeros_like(bucket)
                 grads = self._unfuse(received, grads)
             worker_grads.append(grads)

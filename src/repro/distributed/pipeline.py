@@ -15,7 +15,6 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-import repro.telemetry as telemetry
 from repro.distributed.comm import Channel, TrafficRecord
 from repro.nn import autograd
 from repro.nn.autograd import Tensor
@@ -100,7 +99,6 @@ class PipelineParallelTrainer:
             return channel.send(tensor, step=self.step_count, tag=tag)
         except TransportError:
             self.slowpath_sends += 1
-            telemetry.count("pipeline.slowpath_sends")
             channel.records.append(
                 TrafficRecord(
                     tag=f"{tag}-slowpath",

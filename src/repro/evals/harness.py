@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, Mapping
 
 import numpy as np
@@ -17,13 +16,8 @@ def evaluate_suite(model: GPT, tasks: Mapping[str, ZeroShotTask]) -> Dict[str, f
     """Per-task accuracy (each task timed under an ``eval.task.<name>`` span)."""
     results: Dict[str, float] = {}
     for name, task in tasks.items():
-        start = perf_counter()
         with telemetry.span(f"eval.task.{name}"):
             results[name] = task.evaluate(model)
-        registry = telemetry.current()
-        if registry is not None:
-            registry.count("eval.tasks")
-            registry.observe("eval.task_seconds", perf_counter() - start)
     return results
 
 

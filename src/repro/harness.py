@@ -359,15 +359,21 @@ def availability_invariant(
 def attach_postmortem(report: dict, config, reason: str, **extra) -> dict:
     """Set ``report["postmortem"]`` and return ``report``: the path of a
     flight-recorder bundle (ring, the active registry's snapshot and
-    trace tree, seed, the invariant plus ``extra``) when the verdict
-    failed and ``config.postmortem_dir`` is set, else ``None``."""
+    trace tree, seed, the invariant, the report's ``slo`` and
+    ``cluster`` sections where it has them, plus ``extra``) when the
+    verdict failed and ``config.postmortem_dir`` is set, else ``None``.
+
+    The sections carry the outcome totals, hedges, failovers and store
+    counters, which the registry snapshot does not: those counts live
+    in their owners' records only."""
     report["postmortem"] = None
     if not report["invariant"]["passed"] and config.postmortem_dir:
+        sections = {k: report[k] for k in ("slo", "cluster") if k in report}
         report["postmortem"] = flightrecorder.dump_bundle(
             config.postmortem_dir,
             reason=reason,
             seed=config.seed,
-            extra={"invariant": report["invariant"], **extra},
+            extra={"invariant": report["invariant"], **sections, **extra},
         )
     return report
 

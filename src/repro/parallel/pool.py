@@ -24,8 +24,9 @@ Design rules:
   for the life of the process (``atexit`` tears it down).  A
   ``ThreadPoolExecutor`` starts a thread only when work arrives for
   one, so a short batch costs no more threads than it uses.
-- **Every dispatch is observable.**  ``parallel.*`` telemetry counters
-  and a span wrap each fan-out, and with telemetry live each worker's
+- **Every dispatch is observable.**  :func:`pool_stats` counts pooled
+  and serial calls, a span wraps each fan-out, and with telemetry live
+  each worker's
   counters and spans merge back under the dispatch's span, so a trace
   shows exactly which stages ran parallel and which fell back.
 """
@@ -156,11 +157,7 @@ def parallel_map(
     global _pool_dispatches, _pool_serial_fallbacks
     items = list(items)
     if config is None or config.is_serial() or len(items) <= 1:
-        if config is not None and not config.is_serial():
-            # A parallel policy that degenerated (single item).
-            telemetry.count("parallel.single_item")
         _pool_serial_fallbacks += 1
-        telemetry.count("parallel.serial_fallbacks")
         results: List[R] = []
         for item in items:
             if deadline is not None:
@@ -173,7 +170,6 @@ def parallel_map(
     _pool_dispatches += 1
     telemetry.count("parallel.dispatches")
     telemetry.count("parallel.tasks", len(items))
-    telemetry.observe("parallel.workers", min(config.resolved_workers(), len(items)))
     with telemetry.span(f"parallel.{label}"):
         parent = telemetry.current()
         task: Callable = fn

@@ -71,8 +71,8 @@ class RetryPolicy:
     """Bounded retransmission with exponential backoff.
 
     Backoff is *simulated*: the would-be sleep is recorded in the
-    traffic ledger and telemetry (``comm.backoff_seconds``) instead of
-    actually blocking the single-process simulation.
+    traffic ledger (``TrafficRecord.backoff_s``) instead of actually
+    blocking the single-process simulation.
     """
 
     max_retries: int = 4

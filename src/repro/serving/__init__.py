@@ -8,8 +8,6 @@
   production codec record.
 - :mod:`repro.serving.broker` -- bounded admission (typed
   :class:`Overloaded`), one per cluster shard.
-- :mod:`repro.serving.breaker` -- the circuit breaker behind the
-  router's per-shard health.
 - :mod:`repro.serving.slo` -- latency percentiles and availability.
 - :mod:`repro.serving.chaos` -- the concealment soak behind
   ``llm265 chaos``.

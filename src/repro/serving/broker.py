@@ -25,7 +25,6 @@ import threading
 from contextlib import contextmanager
 from typing import Optional
 
-import repro.telemetry as telemetry
 from repro.telemetry import flightrecorder
 from repro.resilience.deadline import Deadline, effective_timeout
 
@@ -103,7 +102,6 @@ class RequestBroker:
                 return
             if self._queued >= self.max_queue:
                 self.shed += 1
-                telemetry.count("serving.shed")
                 flightrecorder.record(
                     "broker.shed", inflight=self._inflight, queued=self._queued
                 )
@@ -115,12 +113,10 @@ class RequestBroker:
                 )
             self._queued += 1
             self.peak_queued = max(self.peak_queued, self._queued)
-            telemetry.count("serving.queued")
             try:
                 while self._inflight >= self.max_inflight:
                     wait_s = effective_timeout(deadline, None)
                     if wait_s is not None and wait_s <= 0.0:
-                        telemetry.count("serving.queue_deadline_expired")
                         flightrecorder.record(
                             "broker.queue_deadline_expired",
                             inflight=self._inflight, queued=self._queued,
@@ -128,7 +124,6 @@ class RequestBroker:
                         deadline.check("broker.queue")
                     if not self._slot_free.wait(timeout=wait_s):
                         # Timed out: the deadline expired while queued.
-                        telemetry.count("serving.queue_deadline_expired")
                         flightrecorder.record(
                             "broker.queue_deadline_expired",
                             inflight=self._inflight, queued=self._queued,

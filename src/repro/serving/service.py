@@ -140,13 +140,11 @@ class CodecService:
                 # designed fallback, never a silent patch -- the
                 # response is flagged degraded.  Metadata damage raises
                 # again here and is answered typed.
-                telemetry.count("serving.conceal_fallbacks")
                 compressed = CompressedTensor.from_bytes(blob, strict=False)
                 tensor, report = self._codec.decode_with_report(
                     compressed, conceal=True, deadline=deadline
                 )
                 if not report.clean:
-                    telemetry.count("serving.degraded_responses")
                     return ServeResponse(
                         ok=True, kind="decode", value=tensor, degraded=True,
                         rung="concealed", concealed=report.concealed_count,

@@ -4,8 +4,9 @@ The telemetry core (:mod:`repro.telemetry`) keeps streaming summaries
 (count/sum/min/max) -- enough for throughput work, not for SLOs, which
 are quantile statements ("p99 under 250 ms").  This tracker keeps the
 actual latency samples (bounded reservoir) so p50/p99 are exact for
-soak-sized runs, and mirrors every outcome into ``serving.*`` counters
-so traces and SLO reports cross-check.
+soak-sized runs.  It is the one record of outcomes: nothing mirrors
+them into the telemetry registry, so a router's tracker and its shards'
+trackers never add up twice.
 
 Outcome vocabulary (one per request, disjoint):
 
@@ -26,8 +27,6 @@ from __future__ import annotations
 import math
 import threading
 from typing import Dict, List
-
-import repro.telemetry as telemetry
 
 __all__ = ["OUTCOMES", "SloTracker"]
 
@@ -85,13 +84,6 @@ class SloTracker:
             else:
                 self._latencies[self._ring_at] = latency_s
                 self._ring_at = (self._ring_at + 1) % MAX_SAMPLES
-        telemetry.count("serving.requests")
-        telemetry.count(f"serving.{outcome}")
-        if retries:
-            telemetry.count("serving.retries", retries)
-        if concealed:
-            telemetry.count("serving.concealed_tiles", concealed)
-        telemetry.observe("serving.latency_s", latency_s)
 
     # -- reading -------------------------------------------------------
 

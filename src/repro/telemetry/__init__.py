@@ -11,8 +11,8 @@ Usage::
 
 Everything is a no-op (one thread-local lookup) until a registry is
 installed with :func:`enable` or :func:`session`, so instrumented code
-can stay instrumented in production.  See ``docs/TELEMETRY.md`` for
-the stable metric-name contract.
+can stay instrumented in production.  See ``docs/OBSERVABILITY.md``
+for the stable metric-name contract.
 """
 
 from repro.telemetry.codecstats import (

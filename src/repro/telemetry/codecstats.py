@@ -106,18 +106,18 @@ class EncodeStats:
             },
         }
 
-    def publish(self, registry: Optional[Registry], prefix: str = "encode") -> None:
-        """Merge this ledger into a registry's global aggregates."""
+    def publish(self, registry: Optional[Registry]) -> None:
+        """Merge this ledger into a registry's ``encode.*`` aggregates."""
         if registry is None:
             return
         for element, bits in self.bits.items():
-            registry.count(f"{prefix}.bits.{element}", bits)
+            registry.count(f"encode.bits.{element}", bits)
         for name, value in self.counts.items():
-            registry.count(f"{prefix}.{name}", value)
+            registry.count(f"encode.{name}", value)
         for stage, seconds in self.seconds.items():
-            registry.count(f"{prefix}.seconds.{stage}", seconds)
+            registry.count(f"encode.seconds.{stage}", seconds)
         for qp in self.qp_values:
-            registry.observe(f"{prefix}.qp", qp)
+            registry.observe("encode.qp", qp)
 
 
 #: Stage names of the default decoder, in pipeline order.
@@ -165,11 +165,11 @@ class DecodeStats:
         """Plain-data snapshot for reports and tests."""
         return {"counts": dict(self.counts), "seconds": dict(self.seconds)}
 
-    def publish(self, registry: Optional[Registry], prefix: str = "decode") -> None:
-        """Merge this ledger into a registry's global aggregates."""
+    def publish(self, registry: Optional[Registry]) -> None:
+        """Merge this ledger into a registry's ``decode.*`` aggregates."""
         if registry is None:
             return
         for name, value in self.counts.items():
-            registry.count(f"{prefix}.{name}", value)
+            registry.count(f"decode.{name}", value)
         for stage, seconds in self.seconds.items():
-            registry.count(f"{prefix}.seconds.{stage}", seconds)
+            registry.count(f"decode.seconds.{stage}", seconds)

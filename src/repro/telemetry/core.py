@@ -19,9 +19,9 @@ Three primitive instrument kinds:
 - **histograms** -- summary statistics (count/sum/min/max/mean) of an
   observed value stream (``encode.qp``).
 
-The stable metric names used across the codebase are documented in
-``docs/TELEMETRY.md``; they are a contract that perf PRs regress
-against.
+The stable metric names used across the codebase, each with its
+reader, are documented in ``docs/OBSERVABILITY.md``; they are a
+contract that perf PRs regress against.
 """
 
 from __future__ import annotations

@@ -104,7 +104,7 @@ def render_prometheus(snapshot: MetricsSnapshot) -> str:
     aggregates become two labelled totals, and the serving SLO becomes
     labelled gauges/counters.  Metric names are the telemetry names
     with ``.`` folded to ``_`` under an ``llm265_`` prefix, so the
-    stable-name contract of ``docs/TELEMETRY.md`` carries over.
+    stable-name contract of ``docs/OBSERVABILITY.md`` carries over.
     """
     lines = []
 

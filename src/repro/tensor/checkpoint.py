@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-import repro.telemetry as telemetry
 from repro.resilience.errors import (
     ChecksumError,
     CorruptStreamError,
@@ -187,7 +186,6 @@ def save_checkpoint(
         [_MAGIC, struct.pack("<BI", _VERSION, len(state))] + parts
     )
     _atomic_write(path, blob)
-    telemetry.count("checkpoint.saves")
 
     raw_fp16 = sum(np.asarray(t).size * 2 for t in state.values())
     return CheckpointStats(
@@ -296,6 +294,4 @@ def load_checkpoint_with_report(
         # Entries past the truncation point are unrecoverable; keep
         # what decoded cleanly and record the cut.
         report.skipped.append(("<rest of file>", str(exc)))
-    if report.skipped:
-        telemetry.count("checkpoint.entries_skipped", len(report.skipped))
     return state, report

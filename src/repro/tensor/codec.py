@@ -406,7 +406,6 @@ class TensorCodec:
                     frames, grids, layout, frame_shape, tensor, qp, deadline
                 )
             elif bits_per_value is not None:
-                telemetry.observe("ratecontrol.bits_requested", bits_per_value)
                 compressed = self._search_bitrate(
                     frames, grids, layout, frame_shape, tensor, bits_per_value,
                     deadline,
@@ -416,9 +415,6 @@ class TensorCodec:
                     frames, grids, layout, frame_shape, tensor, target_mse,
                     deadline,
                 )
-        telemetry.observe("tensor.bits_per_value", compressed.bits_per_value)
-        if not compressed.budget_met:
-            telemetry.count("ratecontrol.budget_miss")
         return compressed
 
     def decode(
@@ -451,7 +447,6 @@ class TensorCodec:
         predicted rather than decoded values.
         """
         with telemetry.span("tensor.decode"):
-            telemetry.count("tensor.decodes")
             decoder = FrameDecoder(
                 compressed.data,
                 conceal=conceal,
@@ -459,10 +454,6 @@ class TensorCodec:
                 deadline=deadline,
             )
             decoded_frames = decoder.decode()
-            if not decoder.report.clean:
-                telemetry.count(
-                    "tensor.tiles_concealed", decoder.report.concealed_count
-                )
             tiles: List[np.ndarray] = []
             for index, frame in enumerate(decoded_frames):
                 y0, x0, h, w = compressed.layout.tile_box(index)
@@ -612,7 +603,7 @@ class TensorCodec:
         """
         held = HeldAnalysis()
         with telemetry.span("ratecontrol.search_mse"):
-            _, best, met = solve_qp(
+            _, best, _ = solve_qp(
                 lambda qp: self._encode_at(
                     frames, grids, layout, frame_shape, tensor, qp, deadline, held
                 ),
@@ -622,6 +613,4 @@ class TensorCodec:
                 distortion=True,
                 deadline=deadline,
             )
-            if not met:
-                telemetry.count("ratecontrol.target_miss")
         return best

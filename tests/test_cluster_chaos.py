@@ -104,3 +104,9 @@ class TestDrill:
         assert "drill" in inv["violations"][0]["reason"]
         assert report["postmortem"] is not None
         assert os.path.exists(report["postmortem"])
+        # The bundle carries the counts that live only in their owners.
+        extra = json.load(open(report["postmortem"]))["extra"]
+        assert extra["slo"] == report["slo"]
+        assert extra["slo"]["requests"] == 40  # the soak's, no warm-up
+        assert extra["cluster"]["router"] == report["cluster"]["router"]
+        assert extra["cluster"]["health"] == report["cluster"]["health"]

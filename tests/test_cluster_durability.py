@@ -106,6 +106,7 @@ class TestDurabilitySoak:
         assert doc["reason"] == "durability-chaos-violation"
         assert doc["seed"] == 0
         assert doc["extra"]["invariant"]["passed"] is False
+        assert doc["extra"]["cluster"]["router"] == report["cluster"]["router"]
         assert "invariant: FAIL" in format_durability_report(report)
 
     def test_typed_error_vocabulary_covers_the_store(self):

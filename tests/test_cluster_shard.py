@@ -74,8 +74,8 @@ class TestCodecFaultFailsOver:
             assert response.value.to_bytes() == reference.to_bytes()
             assert len(calls) == 2
             # Charged to the primary's breaker, as a ShardDown would be.
-            breaker = router.health["shard-0"].breaker
-            assert breaker.stats()["consecutive_failures"] == 1
+            health = router.health["shard-0"].stats()
+            assert health["consecutive_failures"] == 1
 
 
 class TestAdmission:

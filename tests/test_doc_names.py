@@ -9,8 +9,14 @@ kinds of name, and each must resolve in this checkout:
 - a ``repro.<module>`` dotted name: the longest importable module
   prefix, then attributes;
 - an ``llm265 <subcommand>``.
+
+The counter and histogram tables of docs/OBSERVABILITY.md are held to
+the emit sites in ``src/`` in both directions: every name a row gives
+is emitted, every name ``src/`` emits has a row, and every row names
+its reader.
 """
 
+import ast
 import glob
 import importlib
 import itertools
@@ -74,6 +80,134 @@ def _names(pattern):
         for match in pattern.finditer(text):
             name = match.group(1) if pattern.groups else match.group(0)
             yield os.path.relpath(doc, ROOT), name
+
+
+OBSERVABILITY = os.path.join(ROOT, "docs", "OBSERVABILITY.md")
+METRIC_RE = re.compile(r"`([a-z][a-z0-9_]*(?:\.[a-z0-9_<>]+)+)`")
+PLACEHOLDER_RE = re.compile(r"<[a-z_]*>")
+#: Calls that emit a metric: ``telemetry.count`` / ``observe``, a
+#: registry's, and the fault injector's ``_record``.
+EMITTERS = {"count", "observe", "_record"}
+
+
+def _metric_rows():
+    """``{name: reader}`` from every table whose first header cell is
+    ``counter`` or ``histogram``."""
+    rows, header = {}, None
+    with open(OBSERVABILITY, encoding="utf-8") as handle:
+        for line in handle:
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if not line.startswith("|"):
+                header = None
+            elif header is None:
+                header = [cell.lower() for cell in cells]
+            elif header[0] in ("counter", "histogram") and set(cells[0]) != {"-"}:
+                reader = cells[header.index("reader")]
+                for name in METRIC_RE.findall(cells[0]):
+                    rows[name] = reader
+    return rows
+
+
+def _template(name):
+    """``encode.bits.<class>`` -> ``encode.bits.<>``."""
+    return PLACEHOLDER_RE.sub("<>", name)
+
+
+def _pattern(template):
+    parts = template.split("<>")
+    return re.compile("".join(
+        re.escape(part) + ("([a-z0-9_.]+)" if i < len(parts) - 1 else "")
+        for i, part in enumerate(parts)
+    ) + "$")
+
+
+def _emit_sites():
+    """(literal names, f-string templates, every string constant) in src/."""
+    literals, templates, constants = set(), set(), set()
+    for path in glob.glob(os.path.join(ROOT, "src", "**", "*.py"), recursive=True):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                constants.add(node.value)
+            if not (
+                isinstance(node, ast.Call) and node.args
+                and getattr(node.func, "attr", None) in EMITTERS
+            ):
+                continue
+            first = node.args[0]
+            if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                if "." in first.value:
+                    literals.add(first.value)
+            elif isinstance(first, ast.JoinedStr):
+                templates.add("".join(
+                    part.value if isinstance(part, ast.Constant) else "<>"
+                    for part in first.values
+                ))
+    return literals, templates, constants
+
+
+def _emitted(name, literals, templates, constants):
+    """Whether a documented name (maybe with ``<…>``) is emitted."""
+    if "<" in name:
+        pattern = _pattern(_template(name))
+        return _template(name) in templates or any(
+            pattern.match(literal) for literal in literals
+        )
+    if name in literals:
+        return True
+    for template in templates:
+        match = _pattern(template).match(name)
+        if match and all(fill in constants for fill in match.groups()):
+            return True
+    return False
+
+
+def _documented(emitted, rows):
+    """Whether a literal name or f-string template has a row."""
+    if "<>" in emitted:
+        pattern = _pattern(emitted)
+        return any(
+            _template(row) == emitted or pattern.match(row) for row in rows
+        )
+    return emitted in rows or any(
+        "<" in row and _pattern(_template(row)).match(emitted) for row in rows
+    )
+
+
+def test_every_documented_metric_is_emitted():
+    literals, templates, constants = _emit_sites()
+    rows = _metric_rows()
+    assert len(rows) > 40, sorted(rows)
+    missing = sorted(
+        name for name in rows
+        if not _emitted(name, literals, templates, constants)
+    )
+    assert not missing, missing
+
+
+def test_every_emitted_metric_has_a_row_with_a_reader():
+    literals, templates, _ = _emit_sites()
+    rows = _metric_rows()
+    missing = sorted(
+        name for name in literals | templates if not _documented(name, rows)
+    )
+    assert not missing, missing
+    unread = sorted(name for name, reader in rows.items() if reader in ("", "—"))
+    assert not unread, unread
+
+
+@pytest.mark.parametrize("name, emitted", [
+    ("decode.kernel_refusals", True),  # a literal
+    ("encode.bits.<class>", True),  # an f-string template
+    ("encode.cu.leaf", True),  # a template filled by a src constant
+    ("faults.<kind>", True),  # a family of literals
+    ("encode.no_such_count", False),
+    ("serving.requests", False),
+    ("parallel.single_item", False),
+])
+def test_metric_rules(name, emitted):
+    assert _emitted(name, *_emit_sites()) is emitted
 
 
 def test_the_docs_exist():

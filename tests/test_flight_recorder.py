@@ -121,6 +121,7 @@ class TestChaosDrill:
         assert bundle["schema"] == BUNDLE_SCHEMA
         assert bundle["seed"] == report["config"]["seed"]
         assert bundle["extra"]["invariant"]["violations"]
+        assert bundle["extra"]["slo"] == report["slo"]
         assert any(e["kind"] == "chaos.contract_violation"
                    for e in bundle["ring"])
         # The trace tree covers the soak's requests (telemetry was

@@ -24,6 +24,7 @@ from repro.cluster import router as router_mod
 from repro.cluster.router import ClusterConfig, ClusterRouter, ClusterUnavailable
 from repro.resilience.deadline import DeadlineExceeded
 from repro.serving.service import CodecService, ServeResponse
+from repro.tensor.codec import TensorCodec
 from repro.telemetry import codecstats, core
 
 PAGE = np.random.default_rng(0).normal(0, 1, (16, 128)).astype(np.float32)
@@ -82,6 +83,50 @@ def router():
             blob = router.encode(PAGE, "warm").value.to_bytes()
             assert router.decode(blob, "warm").ok
         yield router
+
+
+@pytest.mark.usefixtures("no_hedges")
+class TestOneRecordPerEvent:
+    """Each request-path count is kept once, by the object that owns it:
+    a traced caller's registry gets the codec's counters and spans, and
+    no ``serving.*`` / ``cluster.*`` / ``repair.*`` copy of what the
+    router, its SLO tracker, shard health or a shard already keeps."""
+
+    def test_traced_requests_leave_no_mirrors_in_the_callers_registry(
+        self, tmp_path
+    ):
+        config = ClusterConfig(
+            shards=3, store_root=str(tmp_path), store_fsync=False
+        )
+        # Kernels loaded before the first request's 2 s budget starts.
+        TensorCodec(tile=config.tile).encode(PAGE, qp=config.default_qp)
+        with ClusterRouter(config) as router:
+            victim = primary_key(router, "shard-0")
+            with telemetry.session() as registry:
+                for index in range(4):
+                    assert router.encode(PAGE, f"k{index}").ok
+                router.shard("shard-0").kill()
+                for _ in range(6):  # the first three fail over, then drain
+                    assert router.encode(PAGE, victim).ok
+                blob = router.encode(PAGE, victim).value.to_bytes()
+                assert router.decode(blob, victim).ok
+                assert router.put(blob, victim).ok
+                assert router.get(victim).ok
+            requests = 4 + 6 + 1 + 1 + 1 + 1
+            # The codec's own counters did cross the hop...
+            assert registry.counters["tensor.encodes"] == 11
+            # ...and none of the request path's did.
+            mirrored = sorted(
+                name for name in registry.counters
+                if name.split(".")[0] in ("serving", "cluster", "repair")
+            )
+            assert mirrored == []
+            assert router.slo.snapshot()["requests"] == requests
+            assert router.counters["requests"] == requests
+            assert router.counters["failovers"] == health_mod.FAILURE_THRESHOLD
+            assert router.counters["shard_drained"] == 1
+            assert router.health["shard-0"].stats()["trips"] == 1
+            assert router.shard("shard-0").stats()["kills"] == 1
 
 
 @pytest.mark.usefixtures("no_hedges")

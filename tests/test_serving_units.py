@@ -1,5 +1,5 @@
-"""Unit tests for the serving building blocks: deadline, broker,
-circuit breaker and SLO tracker."""
+"""Unit tests for the request-path building blocks: deadline, broker,
+the shard health breaker and SLO tracker."""
 
 import threading
 import time
@@ -7,7 +7,12 @@ import time
 import pytest
 
 from repro.resilience.deadline import Deadline, DeadlineExceeded, effective_timeout
-from repro.serving.breaker import CircuitBreaker
+from repro.cluster.health import (
+    COOLDOWN_S,
+    EWMA_UNHEALTHY,
+    FAILURE_THRESHOLD,
+    ShardHealth,
+)
 from repro.serving.broker import Overloaded, RequestBroker
 from repro.serving.slo import OUTCOMES, SloTracker
 
@@ -115,58 +120,72 @@ class FakeClock:
 
 
 class TestCircuitBreaker:
+    """The breaker inside :class:`ShardHealth`, stepped by a fake clock."""
+
     def test_trips_after_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, cooldown_s=10.0, clock=clock)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == "closed" and breaker.admit() == "ok"
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert breaker.admit() == "rejected"
-        assert breaker.trips == 1
+        health = ShardHealth("s", clock=FakeClock())
+        for _ in range(FAILURE_THRESHOLD - 1):
+            health.record(False)
+        assert health.state == "closed" and health.admit() == "ok"
+        health.record(False)
+        assert health.state == "open" and not health.healthy
+        assert health.admit() == "rejected"
+        assert health.stats()["trips"] == 1
 
     def test_success_resets_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2, clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
+        health = ShardHealth("s", clock=FakeClock())
+        for _ in range(FAILURE_THRESHOLD - 1):
+            health.record(False)
+        health.record(True)
+        assert health.stats()["consecutive_failures"] == 0
+        health.record(False)
+        assert health.stats()["consecutive_failures"] == 1
+        assert health.state == "closed"
 
     def test_half_open_probe_then_close(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=5.0, clock=clock)
-        breaker.record_failure()
-        assert breaker.admit() == "rejected"
-        clock.now = 6.0
-        assert breaker.state == "half_open"
-        assert breaker.admit() == "probe"  # the single probe
-        assert breaker.admit() == "rejected"  # probe budget spent
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.admit() == "ok"
+        health = ShardHealth("s", clock=clock)
+        for _ in range(FAILURE_THRESHOLD):
+            health.record(False)
+        assert health.admit() == "rejected"
+        clock.now = COOLDOWN_S
+        assert health.state == "half_open"
+        assert health.admit() == "probe"  # the single probe
+        assert health.admit() == "rejected"  # probe slot taken
+        health.reset()
+        assert health.state == "closed" and health.healthy
+        assert health.admit() == "ok"
 
     def test_half_open_failure_reopens_with_fresh_cooldown(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=5.0, clock=clock)
-        breaker.record_failure()
-        clock.now = 6.0
-        assert breaker.admit() == "probe"
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert breaker.trips == 2
-        clock.now = 10.0  # only 4s into the new cooldown
-        assert breaker.admit() == "rejected"
-        clock.now = 11.5
-        assert breaker.admit() == "probe"
+        health = ShardHealth("s", clock=clock)
+        for _ in range(FAILURE_THRESHOLD):
+            health.record(False)
+        clock.now = COOLDOWN_S
+        assert health.admit() == "probe"
+        health.record_probe_timeout()  # one failed probe re-opens
+        assert health.state == "open"
+        assert health.stats()["trips"] == 2
+        assert health.stats()["probe_timeouts"] == 1
+        clock.now = 1.5 * COOLDOWN_S  # only halfway into the new cooldown
+        assert health.admit() == "rejected"
+        clock.now = 2.0 * COOLDOWN_S
+        assert health.admit() == "probe"
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(cooldown_s=-1.0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(half_open_probes=0)
+    def test_ewma_forces_a_trip_without_a_streak(self):
+        clock = FakeClock()
+        health = ShardHealth("s", clock=clock)
+        # Load failures never advance the streak, only the EWMA.
+        while health.ewma < EWMA_UNHEALTHY:
+            assert health.healthy
+            health.record_load_failure()
+        stats = health.stats()
+        assert stats["state"] == "open" and stats["consecutive_failures"] == 0
+        assert stats["ewma_trips"] == 1 and stats["trips"] == 1
+        clock.now = COOLDOWN_S
+        assert health.admit() == "probe"
+        health.reset()
+        assert health.healthy and health.ewma == 0.0
 
 
 class TestSloTracker:
