@@ -252,12 +252,12 @@ def run_cluster_chaos(config: Optional[ClusterChaosConfig] = None) -> dict:
     def inject(event: dict) -> None:
         shard = router.shard(event["shard"])
         if event["action"] == "kill":
-            chaos_injector._record("faults.shard_kills")
+            chaos_injector.record()
             shard.kill()
         elif event["action"] == "revive":
             shard.revive()
         else:
-            chaos_injector._record("faults.shard_hangs")
+            chaos_injector.record()
             shard.hang(event["duration_s"])
 
     # Kills through the middle of the soak, the revive window plus

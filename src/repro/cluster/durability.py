@@ -253,7 +253,7 @@ class _Controller:
             # plain SIGKILL so the schedule still exercises recovery.
             shard.kill()
             self.kills_fallback += 1
-        self.injector._record("faults.shard_kills")
+        self.injector.record()
         flightrecorder.record(
             "durability_chaos.kill", shard=shard.shard_id,
             stage=event["stage"], mid_write=mid_write,

@@ -11,9 +11,10 @@ The package implements an H.264/H.265/AV1-flavoured block codec:
 - :mod:`repro.codec.encoder` / :mod:`repro.codec.decoder` -- the
   two-pass RD-optimised intra encoder and the bit-exact decoder (intra
   and motion-compensated inter).
-- :mod:`repro.codec.reference` -- the exact search, the stage
-  ablations (inter prediction among them) and the interleaved decoder,
-  for tests, benchmarks and the figures; nothing served imports it.
+- :mod:`repro.codec.reference` -- the exact search and the stage
+  ablations (inter prediction among them), for tests, benchmarks and the
+  figures; nothing served imports it.  Every stream, its streams too, is
+  read by the one decoder.
 - :mod:`repro.codec.image` -- still-image convenience path (AVC-I
   style), the three-in-one codec's image input.
 - :mod:`repro.codec.pipeline` -- the stage-by-stage ablation used for

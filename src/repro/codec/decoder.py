@@ -41,12 +41,15 @@ the group keep the kernel's result), so every error is raised by Python
 code.  Instrumented decodes take the same body.  A slice's samples do
 not depend on its group-mates (``tests/test_decode_groups.py``).
 
-The interleaved per-leaf decoder this design replaced lives in
-:mod:`repro.codec.reference`; it is sample-identical on every stream,
-including corrupt-stream and concealment behaviour --
-``tests/test_fast_decode.py``,
-``tests/test_decode_fuzz.py``, ``tests/test_decode_groups.py`` and the
-golden vectors enforce this.
+There are two decoders, and one decode process: the kernels and their
+twin read the same syntax into the same arrays.  They are held to each
+other on every stream, clean or hostile -- same plan, coder state,
+contexts and planes; the same typed error with the same message; the
+same concealment report (``tests/test_fast_decode.py``,
+``tests/test_decode_fuzz.py``, ``tests/test_decode_groups.py``) -- and
+both are held to what the encoders reconstructed
+(``tests/test_slice_encode.py``, ``tests/test_reference_encode.py``)
+and to the golden vectors (``tests/test_golden_decode.py``).
 """
 
 from __future__ import annotations
@@ -342,22 +345,23 @@ class FrameDecoder:
 
     # -- per group: entropy -> reconstruct --------------------------------
     #
-    # Bit-exactness argument, against the interleaved reference decoder
-    # (repro.codec.reference).  Stage one touches every adaptive context
-    # in exactly its order (the quadtree walk is identical; mode
-    # decoding depends only on *neighbour modes*, which the walk records
-    # leaf by leaf, never on pixels), so the entropy decode consumes
-    # identical bins and fails on identical inputs.  Stage two's
-    # dequantize is the same elementwise multiply the reference performs
-    # per leaf and the inverse DCT is the codec's one order-defined
-    # transform on every path (in C, the encoder's own body).  It
-    # replays prediction in decode order against a reconstruction mask
-    # that is, at every leaf, the exact mask the interleaved loop would
-    # have had; its C form evaluates the same expressions in the same
-    # order with no fused multiply-add (docs/PERFORMANCE.md).  A slice's
-    # leaves, levels and residual grids are elementwise functions of
-    # that slice alone, so which slices share its group cannot change a
-    # sample.
+    # Bit-exactness argument.  Against the encoder: stage one touches
+    # every adaptive context in the order the writer did (the quadtree
+    # walk is the writer's; mode decoding depends only on *neighbour
+    # modes*, which the walk records leaf by leaf, never on pixels), so
+    # it consumes exactly the bins written.  Stage two's dequantize is
+    # the elementwise multiply the encoder's reconstruction performs and
+    # the inverse DCT is the codec's one order-defined transform on
+    # every path (in C, the encoder's own body); it replays prediction
+    # in decode order against a reconstruction mask that is, at every
+    # leaf, the mask the encoder had there, so the decoder's plane is
+    # the encoder's, byte for byte.  Against the twin: the kernels run
+    # the same walk and the same expressions in the same order, with no
+    # fused multiply-add (docs/PERFORMANCE.md), and format no error --
+    # a slice they refuse is read again by the walk, which raises.  A
+    # slice's leaves, levels and residual grids are elementwise
+    # functions of that slice alone, so which slices share its group
+    # cannot change a sample.
 
     def _decode_group(
         self, segments: List[bytes], indices: List[int], qps: np.ndarray
@@ -481,7 +485,7 @@ class FrameDecoder:
         height, width = self._pad_h, self._pad_w
         ctu = self._header["ctu"]
         # The plan-time mask/mode maps drive neighbour-mode contexts
-        # exactly as the interleaved loop's post-leaf updates would.
+        # exactly as the encoder's post-leaf commits did.
         self._mask = np.zeros((height, width), dtype=bool)
         self._modes = np.full((height, width), -1, dtype=np.int16)
         leaves: List[tuple] = []
@@ -539,9 +543,9 @@ class FrameDecoder:
             mv = decode_mv(self._dec, self._ctx)
             ry, rx = y0 + mv[0], x0 + mv[1]
             ref_h, ref_w = self._reference.shape
-            # Validated at plan time so a corrupt MV surfaces at the
-            # same bin position (and with the same message) as the
-            # reference decoder.
+            # Validated at plan time, at the bin that names it: the
+            # kernel refuses the same vector (status 5) and leaves this
+            # message to the walk.
             if not (0 <= ry <= ref_h - size and 0 <= rx <= ref_w - size):
                 raise CorruptStreamError(
                     f"motion vector {mv} points outside the reference frame"
@@ -623,8 +627,8 @@ class FrameDecoder:
         shape = (len(leaf_end), self._pad_h, self._pad_w)
         recon = np.zeros(shape, dtype=np.float64)
         # Fresh masks: at leaf k a slice's holds exactly its leaves
-        # 0..k-1, which is what the interleaved loop's reference gather
-        # saw at leaf k.
+        # 0..k-1, which is what the encoder's reference gather saw at
+        # leaf k.
         mask = np.zeros(shape, dtype=bool)
         if native.available():
             reference = self._reference if self._inter_allowed else None
@@ -720,9 +724,10 @@ def _join_plans(
 def _count_structure(stats: DecodeStats, plan: LeafPlan, n_ctus: int) -> None:
     """Structural ``decode.*`` counters, derived from a finished plan.
 
-    The same numbers the reference decoder counts leaf by leaf; every
-    split turns one quadtree node into four, hence the split count.
-    Counters that would be zero are left absent, as it leaves them.
+    The numbers the encoder's ``encode.*`` ledger counts leaf by leaf
+    (``tests/test_telemetry_core.py``); every split turns one quadtree
+    node into four, hence the split count.  Counters that would be zero
+    are left absent, as the encoder leaves them.
     """
     n_inter = int(plan.field("is_inter").sum())
     for name, value in (

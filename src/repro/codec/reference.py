@@ -1,33 +1,31 @@
-"""The codec's reference implementations, and the ablations production refuses.
+"""The codec's reference encoder, and the ablations production refuses.
 
-The code production is compared against, the slow and obvious way: one
-scalar prediction per candidate mode, quantizer calls instead of
-inlined arithmetic, one primitive coder call per bin, and a decoder
-that interleaves entropy decoding with reconstruction leaf by leaf.  It
-exists so that tests and fuzzers have something independent to hold
-the production code to -- and so that the Figure 2(b) / Figure 13
-ablations have an encoder: :class:`repro.codec.encoder.FrameEncoder` is
-the two-pass intra search alone and refuses inter prediction, intra
-prediction off and the transform off.  ``codec.pipeline`` and the
-benchmarks that measure those stages call this module by name.
+The encoder production is compared against, the slow and obvious way:
+one scalar prediction per candidate mode, quantizer calls instead of
+inlined arithmetic and one primitive coder call per bin.  It exists so
+that tests and fuzzers have an independent encoder to hold the
+production code to -- its reconstruction is an oracle for the decoder's
+-- and so that the Figure 2(b) / Figure 13 ablations have an encoder:
+:class:`repro.codec.encoder.FrameEncoder` is the two-pass intra search
+alone and refuses inter prediction, intra prediction off and the
+transform off.  ``codec.pipeline`` and the benchmarks that measure
+those stages call this module by name.  There is no reference decoder:
+every stream is read by :class:`repro.codec.decoder.FrameDecoder`,
+through its C kernels or their pure-Python twin.
 
 Nothing that serves a request imports this module -- not
 ``repro.tensor``, ``repro.serving``, ``repro.cluster`` or ``repro.cli``
 (tests/test_reference_codec.py asserts it) -- and no option selects
 it: callers name it explicitly.
 
-- :class:`ReferenceEncoder` is the exact per-leaf search under every
-  stage flag: a quadtree recursion that costs each leaf against its
-  split, a scalar intra mode search (reference walk, per-mode
-  prediction, :func:`quantize` / :func:`dequantize` calls), a diamond
-  motion search for inter leaves, and the primitive-call coefficient
-  writer.  Header, slice framing, QP dither and the split / intra-mode
-  syntax are :class:`FrameEncoder`'s.  Its streams are pinned by hash
-  (tests/test_reference_encode.py).
-- :class:`ReferenceDecoder` is :class:`FrameDecoder` with its per-group
-  hook overridden by one interleaved loop per slice; header parsing,
-  slice framing, concealment and error wrapping are the production
-  decoder's.
+:class:`ReferenceEncoder` is the exact per-leaf search under every
+stage flag: a quadtree recursion that costs each leaf against its
+split, a scalar intra mode search (reference walk, per-mode prediction,
+:func:`quantize` / :func:`dequantize` calls), a diamond motion search
+for inter leaves, and the primitive-call coefficient writer.  Header,
+slice framing, QP dither and the split / intra-mode syntax are
+:class:`FrameEncoder`'s.  Its streams are pinned by hash
+(tests/test_reference_encode.py).
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.codec import intra
-from repro.codec.decoder import FrameDecoder
 from repro.codec.encoder import (
     EncodeResult,
     EncoderConfig,
@@ -47,35 +44,18 @@ from repro.codec.encoder import (
     QpDither,
     _Plan,
 )
-from repro.codec.entropy.arithmetic import BinaryDecoder, BinaryEncoder
+from repro.codec.entropy.arithmetic import BinaryEncoder
 from repro.codec.intra import _DEFAULT_SAMPLE, most_probable_modes, predict
 from repro.codec.quantizer import dequantize, qstep, quantize, rd_lambda
 from repro.codec.syntax import (
-    _LAST_PREFIX,
-    _LEVEL_PREFIX,
     CodecContexts,
-    _sig_ctx,
-    decode_intra_mode,
-    decode_mv,
     encode_coeff_block_primitive,
     encode_mv,
-    size_class,
 )
-from repro.codec.transform import (
-    forward_dct2_batch,
-    inverse_dct2_batch,
-    zigzag_order,
-    zigzag_unscan,
-)
-from repro.resilience.deadline import Deadline
-from repro.resilience.errors import ConcealmentReport, CorruptStreamError
+from repro.codec.transform import forward_dct2_batch, inverse_dct2_batch, zigzag_order
 
 __all__ = [
-    "ReferenceDecoder",
     "ReferenceEncoder",
-    "decode_coeff_block",
-    "decode_frames",
-    "decode_frames_with_report",
     "encode_frames",
     "estimate_mode_bits",
     "gather_references_scalar",
@@ -130,31 +110,6 @@ def predict_batch(
     :func:`repro.codec.intra.predict` call per mode (production batches
     them in :func:`repro.codec.intra.predict_many`)."""
     return np.stack([predict(top, left, mode, n) for mode in modes])
-
-
-def decode_coeff_block(
-    dec: BinaryDecoder, ctx: CodecContexts, n: int
-) -> np.ndarray:
-    """Primitive-call inverse of :func:`repro.codec.syntax.encode_coeff_block`;
-    returns an ``n`` x ``n`` grid."""
-    cls = size_class(n)
-    scanned = np.zeros(n * n, dtype=np.int64)
-    if dec.decode_bit(ctx.cbf, 0) == 0:
-        return zigzag_unscan(scanned, n)
-    last = dec.decode_ueg(ctx.last, cls * _LAST_PREFIX, _LAST_PREFIX, k=1)
-    if last >= n * n:
-        raise CorruptStreamError("corrupt stream: last coefficient out of range")
-    for i in range(last, -1, -1):
-        if i != last:
-            significant = dec.decode_bit(ctx.sig, _sig_ctx(cls, i, n))
-            if not significant:
-                continue
-        magnitude = (
-            dec.decode_ueg(ctx.level, cls * _LEVEL_PREFIX, _LEVEL_PREFIX, k=1) + 1
-        )
-        sign = dec.decode_bypass()
-        scanned[i] = -magnitude if sign else magnitude
-    return zigzag_unscan(scanned, n)
 
 
 def estimate_mode_bits(
@@ -519,142 +474,3 @@ def encode_frames(
 ) -> EncodeResult:
     """:func:`repro.codec.encoder.encode_frames` on the reference encoder."""
     return ReferenceEncoder(config).encode(frames)
-
-
-# -- decoder --------------------------------------------------------------
-
-
-class ReferenceDecoder(FrameDecoder):
-    """The interleaved decoder: per leaf, drain bins, dequantize,
-    inverse-transform, predict, write.  Serial only."""
-
-    def __init__(
-        self,
-        data: bytes,
-        conceal: bool = False,
-        deadline: Optional[Deadline] = None,
-    ) -> None:
-        super().__init__(data, conceal=conceal, deadline=deadline)
-
-    def _decode_group(
-        self, segments: List[bytes], indices: List[int], qps: np.ndarray
-    ) -> Tuple[np.ndarray, List[int]]:
-        """One slice at a time: fresh coder, fresh contexts, the dither
-        stepped CTU by CTU from the slice's first (``qps`` is not read)."""
-        h = self._header
-        planes = np.zeros((len(segments), self._pad_h, self._pad_w))
-        failed: List[int] = []
-        for position, (segment, frame_index) in enumerate(zip(segments, indices)):
-            self._dec = BinaryDecoder(segment)
-            self._ctx = CodecContexts()
-            dither = QpDither.advanced(
-                h["qp_base"], h["qp_frac"], frame_index * self._ctus
-            )
-            try:
-                planes[position] = self._decode_frame(
-                    self._pad_h, self._pad_w, frame_index, dither
-                )
-            except Exception as exc:
-                self._undecodable(exc, frame_index)
-                failed.append(position)
-        return planes, failed
-
-    def _decode_frame(
-        self, height: int, width: int, frame_index: int, dither: QpDither
-    ) -> np.ndarray:
-        h = self._header
-        ctu = h["ctu"]
-        self._recon = np.zeros((height, width), dtype=np.float64)
-        self._mask = np.zeros((height, width), dtype=bool)
-        self._modes = np.full((height, width), -1, dtype=np.int16)
-        self._inter_allowed = (
-            h["use_inter"] and frame_index > 0 and self._reference is not None
-        )
-        registry = self._registry
-        for y0 in range(0, height, ctu):
-            for x0 in range(0, width, ctu):
-                self._qp = dither.next()
-                if registry is not None:
-                    registry.count("decode.ctu")
-                    registry.observe("decode.qp", self._qp)
-                self._decode_cu(y0, x0, ctu, depth=0)
-        return self._recon
-
-    def _decode_cu(self, y0: int, x0: int, size: int, depth: int) -> None:
-        h = self._header
-        if h["use_partition"] and size > h["min_cu"]:
-            if self._dec.decode_bit(self._ctx.split, min(depth, 5)):
-                if self._registry is not None:
-                    self._registry.count("decode.cu.split")
-                half = size // 2
-                for qy in (0, 1):
-                    for qx in (0, 1):
-                        self._decode_cu(
-                            y0 + qy * half, x0 + qx * half, half, depth + 1
-                        )
-                return
-        self._decode_leaf(y0, x0, size)
-
-    def _decode_leaf(self, y0: int, x0: int, size: int) -> None:
-        h = self._header
-        is_inter = False
-        if self._inter_allowed:
-            is_inter = bool(self._dec.decode_bit(self._ctx.pred_flag, 0))
-        if self._registry is not None:
-            self._registry.count("decode.cu.leaf")
-            self._registry.count(
-                "decode.mode.inter" if is_inter else "decode.mode.intra"
-            )
-
-        mode: Optional[int] = None
-        if is_inter:
-            mv = decode_mv(self._dec, self._ctx)
-            ry, rx = y0 + mv[0], x0 + mv[1]
-            ref_h, ref_w = self._reference.shape
-            if not (0 <= ry <= ref_h - size and 0 <= rx <= ref_w - size):
-                raise CorruptStreamError(
-                    f"motion vector {mv} points outside the reference frame"
-                )
-            prediction = self._reference[ry : ry + size, rx : rx + size].astype(
-                np.float64
-            )
-        elif h["use_intra"]:
-            left_mode = self._neighbor_mode(y0, x0 - 1)
-            top_mode = self._neighbor_mode(y0 - 1, x0)
-            mode = decode_intra_mode(
-                self._dec, self._ctx, left_mode, top_mode, self._profile.all_modes
-            )
-            top, left = intra.gather_references(
-                self._recon, self._mask, y0, x0, size
-            )
-            prediction = intra.predict(top, left, mode, size)
-        else:
-            prediction = np.full((size, size), 128.0)
-
-        levels = decode_coeff_block(self._dec, self._ctx, size)
-        dequant = dequantize(levels[None], self._qp)
-        if h["use_transform"]:
-            residual = inverse_dct2_batch(dequant)[0]
-        else:
-            residual = dequant[0]
-        recon = np.clip(prediction + residual, 0.0, 255.0)
-
-        sl = (slice(y0, y0 + size), slice(x0, x0 + size))
-        self._recon[sl] = recon
-        self._mask[sl] = True
-        self._modes[sl] = mode if mode is not None else intra.DC
-
-
-def decode_frames(data: bytes, conceal: bool = False) -> List[np.ndarray]:
-    """:func:`repro.codec.decoder.decode_frames` on the reference decoder."""
-    return ReferenceDecoder(data, conceal=conceal).decode()
-
-
-def decode_frames_with_report(
-    data: bytes, conceal: bool = True
-) -> Tuple[List[np.ndarray], ConcealmentReport]:
-    """:func:`repro.codec.decoder.decode_frames_with_report` on the
-    reference decoder."""
-    decoder = ReferenceDecoder(data, conceal=conceal)
-    frames = decoder.decode()
-    return frames, decoder.report

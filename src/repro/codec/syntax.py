@@ -140,7 +140,8 @@ def encode_coeff_block_primitive(
     """:func:`encode_coeff_block` as one primitive coder call per bin.
 
     The definition of the block syntax, the writer of
-    :mod:`repro.codec.reference`, and the instrumented writer: ``stats``
+    :class:`repro.codec.reference.ReferenceEncoder`, and the
+    instrumented writer: ``stats``
     (or None) receives the exact bit split of this block over the
     ``cbf`` / ``last`` / ``sig`` / ``level`` element classes, measured
     with :meth:`BinaryEncoder.tell_bits` deltas (sign bins are folded
@@ -208,9 +209,10 @@ def decode_coeff_block_scanned(
     :meth:`BinaryDecoder.decode_coeff_scan` loop: this is the per-leaf
     step of the decoder's Python walk, the twin of the compiled
     whole-slice kernel (``native.plan_slices``), which contains the same
-    loop.  :func:`repro.codec.reference.decode_coeff_block` is the
-    primitive-call form (same contexts, same order, same
-    :class:`CorruptStreamError` conditions).
+    loop.  It is held to the writers' contexts and levels bin for bin
+    (``tests/test_fast_decode.py::TestFusedScan``), and its
+    :class:`CorruptStreamError` messages are pinned on crafted blocks
+    (``tests/test_decode_fuzz.py``).
     """
     cls = size_class(n)
     if dec.decode_bit(ctx.cbf, 0) == 0:

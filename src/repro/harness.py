@@ -160,11 +160,11 @@ def damage_payload(
     body = blob[payload_start:]
     if cfg.bit_flip_prob and body and rng.random() < cfg.bit_flip_prob:
         flips = int(rng.integers(1, cfg.max_flips + 1))
-        injector._record("faults.bit_flips")
+        injector.record()
         return blob[:payload_start] + injector.flip_bits(body, flips), True
     if cfg.truncate_prob and len(body) > 16 and rng.random() < cfg.truncate_prob:
         cut = int(rng.integers(8, len(body)))
-        injector._record("faults.truncations")
+        injector.record()
         return blob[:payload_start] + body[:cut], True
     return blob, False
 

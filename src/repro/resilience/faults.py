@@ -113,15 +113,15 @@ class FaultInjector:
         """
         cfg = self.config
         if cfg.drop_prob and self.rng.random() < cfg.drop_prob:
-            self._record("faults.drops")
+            self.record()
             return None
         if cfg.truncate_prob and self.rng.random() < cfg.truncate_prob and payload:
             cut = int(self.rng.integers(0, len(payload)))
-            self._record("faults.truncations")
+            self.record()
             payload = payload[:cut]
         if cfg.bit_flip_prob and self.rng.random() < cfg.bit_flip_prob and payload:
             payload = self.flip_bits(payload, int(self.rng.integers(1, cfg.max_flips + 1)))
-            self._record("faults.bit_flips")
+            self.record()
         return payload
 
     def flip_bits(self, payload: bytes, flips: int = 1) -> bytes:
@@ -159,7 +159,7 @@ class FaultInjector:
                 handle.write(self.flip_bits(blob, flips))
         except OSError:
             return 0
-        self._record("faults.disk.bit_flips")
+        self.record("disk.bit_flips")
         return flips
 
     def file_truncate(self, path: str, at: Optional[int] = None) -> int:
@@ -181,7 +181,7 @@ class FaultInjector:
                 handle.truncate(cut)
         except OSError:
             return 0
-        self._record("faults.disk.truncations")
+        self.record("disk.truncations")
         return size - cut
 
     def file_unlink(self, path: str) -> bool:
@@ -190,7 +190,7 @@ class FaultInjector:
             os.unlink(path)
         except OSError:
             return False
-        self._record("faults.disk.unlinks")
+        self.record("disk.unlinks")
         return True
 
     def damage_file(self, path: str, mode: Optional[str] = None) -> str:
@@ -255,10 +255,10 @@ class FaultInjector:
                 handle.write(damaged)
         except OSError:
             return ""
-        self._record({
-            "bit_flip": "faults.disk.bit_flips",
-            "truncate": "faults.disk.truncations",
-            "unlink": "faults.disk.unlinks",
+        self.record({
+            "bit_flip": "disk.bit_flips",
+            "truncate": "disk.truncations",
+            "unlink": "disk.unlinks",
         }[mode])
         return mode
 
@@ -268,14 +268,14 @@ class FaultInjector:
         """Simulated delivery delay in seconds for one send (0.0 = on time)."""
         cfg = self.config
         if cfg.straggler_prob and self.rng.random() < cfg.straggler_prob:
-            self._record("faults.stragglers")
+            self.record("stragglers")
             return cfg.straggler_delay_s * float(self.rng.random() + 0.5)
         return 0.0
 
     def worker_crashes(self, step: int, worker: int) -> bool:
         """Whether ``worker`` is down for ``step`` (transient crash)."""
         if self.config.crash_prob and self.rng.random() < self.config.crash_prob:
-            self._record("faults.worker_crashes")
+            self.record()
             return True
         return False
 
@@ -291,13 +291,21 @@ class FaultInjector:
         """
         cfg = self.config
         if cfg.hang_prob and self.rng.random() < cfg.hang_prob:
-            self._record("faults.hangs")
+            self.record("hangs")
             return cfg.hang_s * float(self.rng.random() + 0.5)
         return 0.0
 
-    # -- internals -----------------------------------------------------
+    # -- the ledger ----------------------------------------------------
 
-    def _record(self, counter: str) -> None:
+    def record(self, kind: Optional[str] = None) -> None:
+        """Count one injected fault, here or by a soak that injects its own.
+
+        Every fault adds to :attr:`injected` and ``faults.injected``; a
+        ``kind`` also counts ``faults.<kind>``.  Only the kinds something
+        reads are named (docs/OBSERVABILITY.md): hangs, stragglers and
+        the three on-disk modes.
+        """
         self.injected += 1
         telemetry.count("faults.injected")
-        telemetry.count(counter)
+        if kind is not None:
+            telemetry.count(f"faults.{kind}")

@@ -127,8 +127,8 @@ DECODE_STAGES = ("entropy", "reconstruct")
 class DecodeStats:
     """Per-decode ledger: stage timings + structural counters.
 
-    The decode-side sibling of :class:`EncodeStats`, filled by the
-    default :class:`~repro.codec.decoder.FrameDecoder` path: wall
+    The decode-side sibling of :class:`EncodeStats`, filled by
+    :class:`~repro.codec.decoder.FrameDecoder` (kernels or twin): wall
     seconds per whole-slice stage (``entropy`` -- draining the range
     decoder into the leaf plan, ``reconstruct`` -- every leaf's
     residual, prediction, add and clip in decode order) and counters:
@@ -137,9 +137,9 @@ class DecodeStats:
     ``mode.inter`` derived from each slice's finished plan.  Slice
     workers return theirs with the samples and the dispatcher merges
     them, so the published ledger is the same serial or fanned out.
-    The legacy interleaved path cannot split its stages, so it publishes
-    no ledger and counts the structural ``decode.*`` counters leaf by
-    leaf straight into the registry -- the same numbers.
+    The structural counts are the encoder's: ``decode.<name>`` equals
+    the ``encode.<name>`` its :class:`EncodeStats` counted leaf by leaf
+    (``tests/test_telemetry_core.py``).
     """
 
     __slots__ = ("counts", "seconds")

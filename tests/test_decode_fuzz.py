@@ -1,26 +1,31 @@
-"""Differential fuzz: reference vs. production decode on damaged streams.
+"""Differential fuzz: the two decoders on damaged streams.
 
-The production decoder (``"vectorized"`` below) is only a valid
-substitute if it is *indistinguishable* from the interleaved reference
-decoder (``repro.codec.reference``, ``"legacy"`` below) on hostile
-input, not just on clean streams: same typed error (``CorruptStreamError`` /
-``TruncatedStreamError`` / ...) in strict mode, and in concealment
-mode the same frames and the same per-slice concealment report.  This
-file drives both decoders over seeded bit-flips and truncations and
-asserts exactly that, for the whole-slice kernels and their
-pure-Python twin alike.
+The whole-slice kernels (``native``) and their pure-Python twin
+(``pure``) are the only decoders, so on hostile input they are held to
+each other: on the same damaged bytes, the same typed error
+(``CorruptStreamError`` / ``TruncatedStreamError`` / ...) *with the
+same message* in strict mode, and in concealment mode the same frames
+and the same per-slice concealment report.  The twin, which the
+``pure`` leg runs alone (as CI's pure-Python leg does), is held to what
+a decode must be on its own: only typed errors escape; a strict decode
+fails exactly when concealment had something to conceal, and agrees
+with it otherwise; a concealed frame repeats the frame before it (mid
+grey for the first).
 
 Slice CRCs stop most random damage before the entropy decoder sees it,
 so a second family of inputs damages slice *bodies* and re-frames them
 with a valid checksum: those reach the slice kernel, which must refuse
 them with a status and leave the error -- type *and message* -- to the
 twin's re-decode -- and count ``decode.kernel_refusals``, which stays
-absent on every stream the kernels accept.
+absent on every stream the kernels accept.  Hand-written slices pin
+each entropy-level error the format has, message and status, and the
+motion-vector bounds on both sides of the reference frame's edge.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 
@@ -29,12 +34,18 @@ import pytest
 
 import repro.telemetry as telemetry
 from repro.codec import reference
-from repro.codec.decoder import decode_frames, decode_frames_with_report
-from repro.codec.encoder import EncoderConfig, FrameEncoder, unpack_header
+from repro.codec.decoder import FrameDecoder, decode_frames, decode_frames_with_report
+from repro.codec.encoder import EncoderConfig, FrameEncoder, pack_header, unpack_header
 from repro.codec.entropy import native
 from repro.codec.entropy.arithmetic import BinaryEncoder
-from repro.codec.syntax import CodecContexts
-from repro.resilience.errors import TruncatedStreamError
+from repro.codec.profiles import H264_PROFILE
+from repro.codec.syntax import (
+    CodecContexts,
+    encode_coeff_block,
+    encode_intra_mode,
+    encode_mv,
+)
+from repro.resilience.errors import CorruptStreamError, TruncatedStreamError
 from repro.resilience.framing import deframe_slices, frame_slices
 
 pytestmark = [pytest.mark.fuzz, pytest.mark.pure_python]
@@ -83,22 +94,77 @@ def _damage_bodies(data: bytes, rng: np.random.Generator) -> bytes:
     return data[:size] + frame_slices(slices)
 
 
-_DECODERS = {
-    "vectorized": (decode_frames, decode_frames_with_report),
-    "legacy": (reference.decode_frames, reference.decode_frames_with_report),
-}
-
-
-def _strict_outcome(data: bytes, decode: str):
-    """("Type: message" | 'ok', frames) for a strict decode."""
-    try:
-        return "ok", _DECODERS[decode][0](data)
-    except Exception as exc:  # noqa: BLE001 -- type and text are the assertion
-        return f"{type(exc).__name__}: {exc}", None
-
-
 def _strict_message(data: bytes) -> str:
-    return _strict_outcome(data, "vectorized")[0]
+    """"ok" or "Type: message" of a strict decode."""
+    try:
+        decode_frames(data)
+    except Exception as exc:  # noqa: BLE001 -- type and text are the assertion
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+def _outcome(data: bytes):
+    """``(strict, frames, concealed, concealed_frames)`` of a strict and a
+    concealing decode: ``strict`` is "ok" or the "Type: message" of the
+    typed error it raised, ``concealed`` the report's ``(total_slices,
+    concealed)`` or the typed error a concealing decode raised too.  Any
+    other exception escapes and fails the test."""
+    try:
+        strict, frames = "ok", decode_frames(data)
+    except CorruptStreamError as exc:
+        strict, frames = f"{type(exc).__name__}: {exc}", None
+    try:
+        concealed_frames, report = decode_frames_with_report(data)
+    except CorruptStreamError as exc:
+        return strict, frames, f"{type(exc).__name__}: {exc}", None
+    return strict, frames, (report.total_slices, report.concealed), concealed_frames
+
+
+def _twin_outcome(data: bytes):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "available", lambda: False)
+        return _outcome(data)
+
+
+def _assert_same_frames(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+
+
+def _assert_consistent(outcome):
+    """What one decoder's outcome must be on its own (the ``pure`` leg)."""
+    strict, frames, concealed, concealed_frames = outcome
+    if isinstance(concealed, str):  # damage concealment cannot skip
+        assert concealed == strict != "ok"
+        return
+    total, patched = concealed
+    assert len(concealed_frames) == total
+    assert (strict == "ok") == (patched == [])
+    if strict == "ok":
+        _assert_same_frames(frames, concealed_frames)
+    for index, _ in patched:
+        want = (
+            concealed_frames[index - 1] if index
+            else np.full_like(concealed_frames[0], 128)
+        )
+        np.testing.assert_array_equal(concealed_frames[index], want)
+
+
+def _check(bad: bytes, scan_mode: str):
+    """Decode ``bad`` in ``scan_mode`` and hold the outcome to its oracle:
+    the kernels to the twin on the same bytes, the twin to itself."""
+    got = _outcome(bad)
+    if scan_mode == "native":
+        want = _twin_outcome(bad)
+        assert got[0] == want[0] and got[2] == want[2]
+        _assert_same_frames(got[1], want[1])
+        _assert_same_frames(got[3], want[3])
+    else:
+        _assert_consistent(got)
+    return got
 
 
 @pytest.fixture(params=["native", "pure"])
@@ -115,62 +181,34 @@ class TestDecodeFuzz:
     def test_strict_errors_match(self, scan_mode):
         data = _stream()
         rng = np.random.default_rng(0xFA57)
-        for trial in range(_TRIALS):
-            bad = _damage(data, rng)
-            legacy_kind, legacy_frames = _strict_outcome(bad, "legacy")
-            fast_kind, fast_frames = _strict_outcome(bad, "vectorized")
-            assert fast_kind == legacy_kind, f"trial {trial}: {bad[:16].hex()}"
-            if legacy_kind == "ok":
-                for a, b in zip(legacy_frames, fast_frames):
-                    np.testing.assert_array_equal(a, b)
+        for _ in range(_TRIALS):
+            _check(_damage(data, rng), scan_mode)
 
     def test_conceal_reports_match(self, scan_mode):
         data = _stream(seed=29)
         rng = np.random.default_rng(0xC0DEC)
         concealed_any = False
-        for trial in range(_TRIALS):
-            bad = _damage(data, rng)
-            legacy_frames, legacy_report = reference.decode_frames_with_report(bad)
-            fast_frames, fast_report = decode_frames_with_report(bad)
-            assert fast_report.total_slices == legacy_report.total_slices, (
-                f"trial {trial}"
+        for _ in range(_TRIALS):
+            _, _, concealed, _ = _check(_damage(data, rng), scan_mode)
+            concealed_any = concealed_any or (
+                not isinstance(concealed, str) and bool(concealed[1])
             )
-            assert fast_report.concealed == legacy_report.concealed, f"trial {trial}"
-            assert len(fast_frames) == len(legacy_frames)
-            for a, b in zip(legacy_frames, fast_frames):
-                np.testing.assert_array_equal(a, b)
-            concealed_any = concealed_any or not legacy_report.clean
         assert concealed_any  # the fuzz actually exercised concealment
 
     def test_inter_streams_fuzz(self, scan_mode):
         data = _stream(seed=37, use_inter=True)
         rng = np.random.default_rng(0x1E7E4)
-        for trial in range(_TRIALS // 2):
-            bad = _damage(data, rng)
-            legacy_kind, _ = _strict_outcome(bad, "legacy")
-            fast_kind, _ = _strict_outcome(bad, "vectorized")
-            assert fast_kind == legacy_kind, f"trial {trial}"
+        for _ in range(_TRIALS // 2):
+            _check(_damage(data, rng), scan_mode)
 
     @pytest.mark.parametrize("use_inter", [False, True])
-    def test_crc_valid_damage_matches_legacy(self, scan_mode, use_inter):
+    def test_crc_valid_damage_matches(self, scan_mode, use_inter):
         data = _stream(seed=53, n=3, use_inter=use_inter)
         rng = np.random.default_rng(0xB0D1E5)
         failed = 0
-        for trial in range(_TRIALS):
-            bad = _damage_bodies(data, rng)
-            legacy_kind, legacy_frames = _strict_outcome(bad, "legacy")
-            fast_kind, fast_frames = _strict_outcome(bad, "vectorized")
-            assert fast_kind == legacy_kind, f"trial {trial}"
-            if legacy_kind == "ok":
-                for a, b in zip(legacy_frames, fast_frames):
-                    np.testing.assert_array_equal(a, b)
-            else:
-                failed += 1
-            legacy_frames, legacy_report = reference.decode_frames_with_report(bad)
-            fast_frames, fast_report = decode_frames_with_report(bad)
-            assert fast_report.concealed == legacy_report.concealed, f"trial {trial}"
-            for a, b in zip(legacy_frames, fast_frames):
-                np.testing.assert_array_equal(a, b)
+        for _ in range(_TRIALS):
+            strict, _, _, _ = _check(_damage_bodies(data, rng), scan_mode)
+            failed += strict != "ok"
         # Garbage bins mostly parse as *something* on intra streams; on
         # inter streams a wild motion vector is near certain.
         assert failed or not use_inter
@@ -194,19 +232,20 @@ class TestDecodeFuzz:
         assert any(message != "ok" for message in via_kernels)
 
     def test_directed_refusals(self, scan_mode):
-        # One hand-written slice per entropy-level error the format
-        # has (a wild motion vector is the random fuzz's staple): the
-        # kernel answers each with its status, and the decode raises
-        # the twin's error -- same type as legacy, same message as the
-        # twin alone.
-        header = reference.ReferenceEncoder(
-            EncoderConfig(qp=24.0, use_partition=False, use_intra=False)
-        ).encode([np.full((32, 32), 128, dtype=np.uint8)]).data
-        header = header[: unpack_header(header)["header_size"]]
+        # One hand-written slice per coefficient-level error the format
+        # has: the kernel answers each with its status, and the decode
+        # raises the twin's error, pinned here type and message.
+        header = pack_header(
+            EncoderConfig(qp=24.0, use_partition=False, use_intra=False, fixed_cu_size=32),
+            32, 32, 1,
+        )
         level_base = 3 * 3  # size class of the one 32 x 32 leaf
 
         def last_out_of_range(enc, ctx):
             enc.encode_ueg(ctx.last, 30, 5000, 10, k=1)
+
+        def last_one_past_the_block(enc, ctx):
+            enc.encode_ueg(ctx.last, 30, 32 * 32, 10, k=1)
 
         def runaway_suffix(enc, ctx):
             enc.encode_ueg(ctx.last, 30, 0, 10, k=1)
@@ -220,35 +259,18 @@ class TestDecodeFuzz:
             enc.encode_ueg(ctx.level, level_base, 1 << 65, 3, k=1)
             enc.encode_bypass(1)
 
+        last = "CorruptStreamError: corrupt stream: last coefficient out of range"
         expected = {
-            last_out_of_range: (3, "last coefficient out of range"),
-            runaway_suffix: (1, "corrupt UEG suffix"),
-            level_beyond_int64: (2, "OverflowError"),
+            last_out_of_range: (3, last),
+            last_one_past_the_block: (3, last),
+            runaway_suffix: (1, _RUNAWAY),
+            level_beyond_int64: (2, _OVERFLOW),
         }
-        enc = BinaryEncoder()
-        enc.encode_bit(CodecContexts().cbf, 0, 0)
-        good = enc.finish()
+        good = _slice(lambda enc, ctx: enc.encode_bit(ctx.cbf, 0, 0))
         positions = np.random.default_rng(0x9A0)
-        for write, (status, text) in expected.items():
-            enc = BinaryEncoder()
-            ctx = CodecContexts()
-            enc.encode_bit(ctx.cbf, 0, 1)
-            write(enc, ctx)
-            body = enc.finish()
-            bad = header + frame_slices([body])
-            with telemetry.session() as registry:
-                message = _strict_message(bad)
-            assert message.startswith("CorruptStreamError") and text in message
-            # The refusal is counted; the twin alone refuses nothing.
-            assert registry.counters.get("decode.kernel_refusals", 0) == (
-                1 if scan_mode == "native" else 0
-            )
-            assert _strict_outcome(bad, "legacy")[0] == message
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(native, "available", lambda: False)
-                assert _strict_message(bad) == message
-            _, report = decode_frames_with_report(bad)
-            assert report.concealed == [(0, "undecodable slice")]
+        for write, (status, message) in expected.items():
+            body = _slice(lambda enc, ctx: enc.encode_bit(ctx.cbf, 0, 1), write)
+            _assert_refused(header + frame_slices([body]), message, scan_mode)
             if scan_mode == "native":
                 # Straight at the kernel, through the group entry: the
                 # slice at a drawn position in a group of four, its
@@ -264,18 +286,139 @@ class TestDecodeFuzz:
                 )
                 want = [0] * 4
                 want[position] = status
-                assert report[:, 0].tolist() == want
+                assert report[:, 0].tolist() == want, write.__name__
                 assert report[:, 5].tolist() == np.cumsum(report[:, 0] == 0).tolist()
+
+    def test_intra_mode_index_out_of_range(self, scan_mode):
+        # H.264 keeps 11 of the 35 modes, so two angular neighbours whose
+        # most probable modes leave the profile make 9 remaining modes
+        # and a 4-bit index: 8 is the last mode, 15 is no mode.
+        all_modes = H264_PROFILE.all_modes
+        config = EncoderConfig(profile=H264_PROFILE, qp=24.0, use_partition=False)
+
+        def stream(index):
+            def leaves(enc, ctx):
+                # Raster order: (0, 0), (0, 8), (8, 0), all mode 2, no residual.
+                for left, top in ((None, None), (2, None), (None, 2)):
+                    encode_intra_mode(enc, ctx, 2, left, top, all_modes)
+                    enc.encode_bit(ctx.cbf, 0, 0)
+                enc.encode_bit(ctx.mpm_flag, 0, 0)  # (8, 8): not a most probable mode
+                enc.encode_bypass_bits(index, 4)
+                enc.encode_bit(ctx.cbf, 0, 0)
+            return pack_header(config, 16, 16, 1) + frame_slices([_slice(leaves)])
+
+        with telemetry.session() as registry:
+            assert _check(stream(8), scan_mode)[0] == "ok"
+        assert "decode.kernel_refusals" not in registry.counters
+        _assert_refused(
+            stream(15),
+            "CorruptStreamError: corrupt stream: intra mode index out of range",
+            scan_mode, status=4,
+        )
+
+    def test_motion_vectors_at_the_reference_edge(self, scan_mode):
+        # Two 16 x 16 frames of four 8 x 8 leaves.  Frame 0 codes a DC
+        # level per leaf; frame 1's first leaf copies the block its
+        # vector names, the rest copy their own.  (8, 8) and (0, 8) end
+        # on the reference's last row or column and decode, with no
+        # refusal; one sample further is outside, the kernel's status 5
+        # and the twin's message.
+        config = EncoderConfig(
+            qp=24.0, use_partition=False, use_intra=False, use_inter=True
+        )
+
+        def stream(mv):
+            def intra(enc, ctx):
+                for k in range(4):
+                    levels = np.zeros((8, 8), dtype=np.int64)
+                    levels[0, 0] = 5 * k - 7
+                    encode_coeff_block(enc, ctx, levels)
+
+            def inter(enc, ctx):
+                for vector in (mv, (0, 0), (0, 0), (0, 0)):
+                    enc.encode_bit(ctx.pred_flag, 0, 1)
+                    encode_mv(enc, ctx, vector)
+                    enc.encode_bit(ctx.cbf, 0, 0)
+
+            return pack_header(config, 16, 16, 2) + frame_slices(
+                [_slice(intra), _slice(inter)]
+            )
+
+        for mv in ((8, 8), (0, 8), (8, 0)):
+            with telemetry.session() as registry:
+                strict, frames, _, _ = _check(stream(mv), scan_mode)
+            assert strict == "ok"
+            assert "decode.kernel_refusals" not in registry.counters
+            np.testing.assert_array_equal(
+                frames[1][:8, :8], frames[0][mv[0] : mv[0] + 8, mv[1] : mv[1] + 8]
+            )
+        for mv in ((9, 0), (0, 9), (-1, 0)):
+            _assert_refused(
+                stream(mv),
+                f"CorruptStreamError: motion vector {mv} points outside the "
+                "reference frame",
+                scan_mode, status=5, frame=1,
+            )
 
     def test_typed_errors_surface(self):
         data = _stream(seed=43)
         with pytest.raises(TruncatedStreamError):
             decode_frames(data[: len(data) // 3])
-        # Empty and garbage inputs fail identically across paths.
+        # Empty and garbage inputs fail typed, identically on both decoders.
         for bad in (b"", b"\x00" * 64):
-            legacy_kind, _ = _strict_outcome(bad, "legacy")
-            fast_kind, _ = _strict_outcome(bad, "vectorized")
-            assert fast_kind == legacy_kind
+            message = _strict_message(bad)
+            assert message.startswith(("CorruptStreamError", "TruncatedStreamError"))
+            assert _twin_outcome(bad)[0] == message
+
+
+#: The twin's messages for the two scan errors the kernel reports by
+#: status alone: a runaway Exp-Golomb suffix, and a level beyond int64
+#: (its detail is the int conversion's own text).
+_RUNAWAY = "CorruptStreamError: corrupt UEG suffix"
+_OVERFLOW = re.compile(
+    r"CorruptStreamError: slice 0: undecodable \(OverflowError: .+\)"
+)
+
+
+def _slice(*writes) -> bytes:
+    """One slice body: a fresh coder and fresh contexts, written by each
+    ``write(enc, ctx)`` in turn."""
+    enc = BinaryEncoder()
+    ctx = CodecContexts()
+    for write in writes:
+        write(enc, ctx)
+    return enc.finish()
+
+
+def _assert_refused(bad, message, scan_mode, status=None, frame=0):
+    """A crafted stream's strict decode raises exactly ``message`` (a
+    string, or a pattern the whole message matches); with
+    the kernels the slice is refused once (status ``status`` straight
+    from ``native.plan_slices``, for a lone slice) and the twin raises;
+    concealment patches that frame alone."""
+    with telemetry.session() as registry:
+        got = _strict_message(bad)
+    if isinstance(message, str):
+        assert got == message
+    else:
+        assert message.fullmatch(got), got
+    assert registry.counters.get("decode.kernel_refusals", 0) == (
+        1 if scan_mode == "native" else 0
+    )
+    _, _, concealed, _ = _check(bad, scan_mode)
+    assert concealed[1] == [(frame, "undecodable slice")]
+    if scan_mode == "native" and status is not None and frame == 0:
+        decoder = FrameDecoder(bad)
+        h = decoder._header
+        (segment,), _ = deframe_slices(decoder._payload, expected=1)
+        cap = (h["height"] // 4) * (h["width"] // 4)
+        report = native.plan_slices(
+            [segment], h["height"], h["width"], h["ctu"], h["min_cu"],
+            h["use_partition"], h["use_intra"], False, decoder._profile.all_modes,
+            np.empty((native.PLAN_ROWS, cap), dtype=np.int64),
+            np.empty(h["height"] * h["width"], dtype=np.int64),
+        )
+        assert report[0, 0] == status
 
 
 _OUTGROWN = """

@@ -1,16 +1,17 @@
-"""The decode path: whole-slice kernels, their twin, the reference decoder.
+"""The decode path: the whole-slice kernels and their twin, the two decoders.
 
-The contract under test: the entropy -> reconstruct decoder
--- through the two whole-slice C kernels AND through their pure-Python
-twin -- is *sample-identical* to the interleaved reference decoder
-(``repro.codec.reference``, "legacy" in the names below) on every
-profile, QP, frame shape and prediction mode: same ``uint8`` frames,
-same float64 reconstruction plane, same coder state and context
-probabilities left behind, and (kernels vs twin) the same leaf-plan
-arrays.  Plus the dispatch policy around it: parallel decode falls
-back to serial below the slice/byte/CPU thresholds (pinned here) and
-whenever the slice kernels are not usable; no public layer has a ``decode=`` option left; and the ``decode.*``
-telemetry ledger is the same serial or fanned out.
+The contract under test: the entropy -> reconstruct decoder through
+the two whole-slice C kernels is *identical* to its pure-Python twin
+on every profile, QP, frame shape and prediction mode -- same
+``uint8`` frames, float64 reconstruction planes, leaf-plan arrays,
+coder end state and context probabilities per slice -- and both are
+held to an independent side, the encoders: a slice's plane is the
+encoder's reconstruction of it, byte for byte, and its context banks
+end where the primitive-call writer left its own.  Plus the dispatch
+policy around it: parallel decode falls back to serial below the
+slice/byte/CPU thresholds (pinned here) and whenever the slice kernels
+are not usable; no public layer has a ``decode=`` option left; and the
+``decode.*`` telemetry ledger is the same serial or fanned out.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from repro.codec.encoder import EncoderConfig, FrameEncoder, pack_header
 from repro.codec.entropy import native
 from repro.codec.entropy.arithmetic import BinaryDecoder, BinaryEncoder
 from repro.codec.profiles import AV1_PROFILE, H264_PROFILE, H265_PROFILE
-from repro.codec.reference import decode_coeff_block
 from repro.codec.syntax import (
     CodecContexts,
     decode_coeff_block_scanned,
     encode_coeff_block,
+    encode_coeff_block_primitive,
 )
 from repro.codec.transform import zigzag_unscan
 from repro.resilience.framing import deframe_slices
@@ -68,18 +69,20 @@ def _tensor(seed=5, edge=64):
     return (u @ v + 0.2 * rng.standard_normal((edge, edge))).astype(np.float32)
 
 
-def _coeff_stream(seed=3, blocks=12, n=8, spread=9):
-    """Encode `blocks` random coefficient blocks; return (data, levels)."""
+def _coeff_stream(seed=3, blocks=12, n=8, spread=9, write=encode_coeff_block):
+    """Write `blocks` random coefficient blocks; return (data, levels,
+    the writer's context banks after each block)."""
     rng = np.random.default_rng(seed)
     enc = BinaryEncoder()
     ctx = CodecContexts()
-    all_levels = []
+    all_levels, banks = [], []
     for _ in range(blocks):
         levels = rng.integers(-spread, spread + 1, size=(n, n))
         levels[rng.random((n, n)) < 0.6] = 0
         all_levels.append(levels.astype(np.int64))
-        encode_coeff_block(enc, ctx, all_levels[-1])
-    return enc.finish(), all_levels
+        write(enc, ctx, all_levels[-1])
+        banks.append([list(bank) for bank in ctx.banks()])
+    return enc.finish(), all_levels, banks
 
 
 def _big_stream(qp=18.0):
@@ -159,35 +162,25 @@ class _Probe(FrameDecoder):
         return planes, failed
 
 
-class _ReferenceProbe(reference.ReferenceDecoder):
-    """The same record (no plan) from the interleaved decoder."""
+class _Writer(reference.ReferenceEncoder):
+    """The primitive-call writer, recording per slice its reconstruction
+    plane and where it left every context bank."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.slices = []
 
-    def _decode_frame(self, *args):
-        recon = super()._decode_frame(*args)
-        dec = self._dec
+    def _encode_frame(self, enc, ctx, frame, qps):
+        recon = super()._encode_frame(enc, ctx, frame, qps)
         self.slices.append(
-            {
-                "recon": recon.copy(),
-                "state": (dec._pos, dec._range, dec._code),
-                "bins": dec.scan_bins,
-                "banks": [list(bank) for bank in self._ctx.banks()],
-                "plan": None,
-            }
+            {"recon": recon.copy(), "banks": [list(bank) for bank in ctx.banks()]}
         )
         return recon
 
 
-def _probe(data, decoder=_Probe):
-    probe = decoder(data)
+def _probe(data):
+    probe = _Probe(data)
     return probe.decode(), probe.slices
-
-
-def _probe_legacy(data):
-    return _probe(data, _ReferenceProbe)
 
 
 def _probe_twin(data):
@@ -219,53 +212,45 @@ _STREAM_CONFIGS = [
 
 class TestFusedScan:
     def test_block_scan_matches_primitives(self):
-        # The twin's per-leaf step against the primitive-call decoder.
+        # The twin's per-leaf step against the primitive-call writer:
+        # every block reads back, and every context bank adapts as the
+        # writer's did, block after block.
         for n in (4, 8, 16):
-            data, all_levels = _coeff_stream(seed=n, n=n)
-            ref = BinaryDecoder(data)
-            ref_ctx = CodecContexts()
-            fast = BinaryDecoder(data)
-            fast_ctx = CodecContexts()
-            for levels in all_levels:
-                a = decode_coeff_block(ref, ref_ctx, n)
-                scanned = decode_coeff_block_scanned(fast, fast_ctx, n)
-                b = (
+            data, all_levels, banks = _coeff_stream(
+                seed=n, n=n, write=encode_coeff_block_primitive
+            )
+            dec = BinaryDecoder(data)
+            ctx = CodecContexts()
+            for levels, want in zip(all_levels, banks):
+                scanned = decode_coeff_block_scanned(dec, ctx, n)
+                got = (
                     np.zeros((n, n), dtype=np.int64)
                     if scanned is None
                     else zigzag_unscan(scanned, n)
                 )
-                np.testing.assert_array_equal(a, levels)
-                np.testing.assert_array_equal(b, levels)
-                assert (fast._pos, fast._range, fast._code) == (
-                    ref._pos,
-                    ref._range,
-                    ref._code,
-                )
-                assert fast_ctx.banks() == ref_ctx.banks()
+                np.testing.assert_array_equal(got, levels)
+                assert [list(bank) for bank in ctx.banks()] == want
 
     @pytest.mark.parametrize("force_pure", [True, False])
     def test_scanned_decode_matches_primitives(self, monkeypatch, force_pure):
         # After every slice the plan stage (kernel or twin) must leave
-        # the coder and *every* context bank exactly where the legacy
-        # decoder's primitive calls leave them, or later slices of a
-        # shared-state design -- and every identity claim -- would drift.
+        # *every* context bank exactly where the primitive-call writer
+        # left its own, and reconstruct the writer's plane, or later
+        # slices of a shared-state design -- and every identity claim --
+        # would drift.
         if force_pure:
             _force_pure(monkeypatch)
         elif not native.available():
             pytest.skip("slice kernels unavailable")
-        for encoder, config in _STREAM_CONFIGS:
-            data = encoder(EncoderConfig(**config)).encode(
-                _frames(n=3, h=48, w=80)
-            ).data
-            legacy_frames, legacy = _probe_legacy(data)
-            fast_frames, fast = _probe(data)
-            assert len(fast) == len(legacy) == 3
-            for a, b in zip(legacy, fast):
-                assert b["state"] == a["state"]
+        for _, config in _STREAM_CONFIGS:
+            writer = _Writer(EncoderConfig(**config))
+            data = writer.encode(_frames(n=3, h=48, w=80)).data
+            _, read = _probe(data)
+            assert len(read) == len(writer.slices) == 3
+            for a, b in zip(writer.slices, read):
                 assert b["banks"] == a["banks"]
+                assert b["recon"].shape == a["recon"].shape
                 assert b["recon"].tobytes() == a["recon"].tobytes()
-            for a, b in zip(legacy_frames, fast_frames):
-                np.testing.assert_array_equal(a, b)
 
     @needs_kernels
     def test_scan_bins_counted(self):
@@ -470,9 +455,12 @@ class TestReconstructKernel:
             e for e in recorder.snapshot() if e["kind"] == "native.build_failed"
         ]
         assert len(events) == 1 and events[0]["fields"]["stage"] == "dc_sum"
-        data = FrameEncoder(EncoderConfig(qp=24.0)).encode(_frames(n=1)).data
-        for a, b in zip(decode_frames(data), reference.decode_frames(data)):
-            np.testing.assert_array_equal(a, b)
+        # Both sides on their twins: the decoder still reads back the
+        # encoder's plane.
+        encoder = FrameEncoder(EncoderConfig(qp=24.0))
+        decoder = FrameDecoder(encoder.encode(_frames(n=1)).data)
+        decoder.decode()
+        assert decoder._reference.tobytes() == encoder._reference.tobytes()
 
     def test_dc_sum_check_guards_the_encoder(self, monkeypatch):
         # The encode kernel predicts DC leaves with the same reduction,
@@ -637,23 +625,28 @@ class TestResidualKernel:
 # -- whole-stream identity ---------------------------------------------
 
 
-def _assert_three_way_identity(data):
-    """kernels == twin == legacy: uint8 frames and float64 planes."""
-    legacy_frames, legacy = _probe_legacy(data)
+def _assert_decoders_agree(encoder, frames):
+    """Encode ``frames``, then decode them twice: kernels == twin, slice
+    by slice -- uint8 frames, float64 planes, leaf plans, coder end
+    state, scan bins and every context bank -- and the last plane is
+    the encoder's reconstruction, byte for byte."""
+    data = encoder.encode(frames).data
     twin_frames, twin = _probe_twin(data)
-    runs = [(twin_frames, twin)]
     if native.available():
         with telemetry.session() as registry:
-            runs.append(_probe(data))
+            frames, slices = _probe(data)
         # A clean stream is never handed back to the twin.
         assert "decode.kernel_refusals" not in registry.counters
-    for frames, slices in runs:
-        assert len(frames) == len(legacy_frames)
-        for a, b in zip(legacy_frames, frames):
+        assert len(frames) == len(twin_frames)
+        for a, b in zip(twin_frames, frames):
             assert b.dtype == np.uint8
             np.testing.assert_array_equal(a, b)
-        for a, b in zip(legacy, slices):
+        for a, b in zip(twin, slices):
+            _assert_same_plan(a["plan"], b["plan"])
+            assert (a["state"], a["bins"], a["banks"]) == (b["state"], b["bins"], b["banks"])
             assert b["recon"].tobytes() == a["recon"].tobytes()
+    assert len(twin_frames) == len(frames)
+    assert twin[-1]["recon"].tobytes() == encoder._reference.tobytes()
 
 
 class TestVectorizedIdentity:
@@ -662,15 +655,9 @@ class TestVectorizedIdentity:
     )
     @pytest.mark.parametrize("qp", [10.0, 24.0, 38.0])
     def test_identity_across_profiles_and_qps(self, profile, qp):
-        frames = _frames()
-        data = FrameEncoder(EncoderConfig(profile=profile, qp=qp)).encode(
-            frames
-        ).data
-        legacy = reference.decode_frames(data)
-        fast = decode_frames(data)
-        assert len(legacy) == len(fast)
-        for a, b in zip(legacy, fast):
-            np.testing.assert_array_equal(a, b)
+        _assert_decoders_agree(
+            FrameEncoder(EncoderConfig(profile=profile, qp=qp)), _frames()
+        )
 
     @pytest.mark.parametrize("profile", PROFILES)
     @pytest.mark.parametrize("qp", QPS)
@@ -680,10 +667,10 @@ class TestVectorizedIdentity:
         # works on the padded plane), integer and dithered QPs.
         encoder = reference.ReferenceEncoder if use_inter else FrameEncoder
         for h, w in SHAPES:
-            data = encoder(
-                EncoderConfig(profile=profile, qp=qp, use_inter=use_inter)
-            ).encode(_frames(n=3 if use_inter else 2, h=h, w=w, seed=h + w)).data
-            _assert_three_way_identity(data)
+            _assert_decoders_agree(
+                encoder(EncoderConfig(profile=profile, qp=qp, use_inter=use_inter)),
+                _frames(n=3 if use_inter else 2, h=h, w=w, seed=h + w),
+            )
 
     @pytest.mark.parametrize(
         "tool", ["use_partition", "use_intra", "use_transform"]
@@ -693,52 +680,38 @@ class TestVectorizedIdentity:
             # Production serves a fixed CU grid; the rest are ablations.
             served = tool == "use_partition" and not use_inter
             encoder = FrameEncoder if served else reference.ReferenceEncoder
-            data = encoder(
-                EncoderConfig(qp=24.5, use_inter=use_inter, **{tool: False})
-            ).encode(_frames(n=2, h=40, w=72, seed=3)).data
-            _assert_three_way_identity(data)
+            _assert_decoders_agree(
+                encoder(EncoderConfig(qp=24.5, use_inter=use_inter, **{tool: False})),
+                _frames(n=2, h=40, w=72, seed=3),
+            )
 
     def test_identity_with_inter_prediction(self):
-        frames = _frames(seed=23)
-        config = EncoderConfig(qp=22.0, use_inter=True)
-        data = reference.ReferenceEncoder(config).encode(frames).data
-        for a, b in zip(
-            reference.decode_frames(data),
-            decode_frames(data),
-        ):
-            np.testing.assert_array_equal(a, b)
+        _assert_decoders_agree(
+            reference.ReferenceEncoder(EncoderConfig(qp=22.0, use_inter=True)),
+            _frames(seed=23),
+        )
 
     def test_identity_fractional_qp(self):
-        frames = _frames(seed=31)
-        data = FrameEncoder(EncoderConfig(qp=25.37)).encode(frames).data
-        for a, b in zip(
-            reference.decode_frames(data),
-            decode_frames(data),
-        ):
-            np.testing.assert_array_equal(a, b)
+        _assert_decoders_agree(FrameEncoder(EncoderConfig(qp=25.37)), _frames(seed=31))
 
     def test_identity_pure_python_fallback(self, monkeypatch):
+        # Without the kernels both sides run their twins: the decoder
+        # still reads back the encoder's plane.
         _force_pure(monkeypatch)
-        frames = _frames(seed=41)
-        data = FrameEncoder(EncoderConfig(qp=24.0)).encode(frames).data
-        for a, b in zip(
-            reference.decode_frames(data),
-            decode_frames(data),
-        ):
-            np.testing.assert_array_equal(a, b)
+        _assert_decoders_agree(FrameEncoder(EncoderConfig(qp=24.0)), _frames(seed=41))
 
     def test_concealment_reports_identical(self):
         frames = _frames(seed=7)
         data = bytearray(FrameEncoder(EncoderConfig(qp=24.0)).encode(frames).data)
         data[len(data) // 2] ^= 0x40  # damage one slice body
-        legacy_frames, legacy_report = reference.decode_frames_with_report(
-            bytes(data)
-        )
-        fast_frames, fast_report = decode_frames_with_report(bytes(data))
-        assert legacy_report.concealed == fast_report.concealed
-        assert legacy_report.total_slices == fast_report.total_slices
-        assert legacy_report.concealed  # the flip actually hit something
-        for a, b in zip(legacy_frames, fast_frames):
+        kernel_frames, kernel_report = decode_frames_with_report(bytes(data))
+        with pytest.MonkeyPatch.context() as patch:
+            _force_pure(patch)
+            twin_frames, twin_report = decode_frames_with_report(bytes(data))
+        assert kernel_report.concealed == twin_report.concealed
+        assert kernel_report.total_slices == twin_report.total_slices
+        assert twin_report.concealed  # the flip actually hit something
+        for a, b in zip(twin_frames, kernel_frames):
             np.testing.assert_array_equal(a, b)
 
 
@@ -763,10 +736,7 @@ class TestParallelDecodeThresholds:
         for a, b in zip(decode_frames(data), par):
             np.testing.assert_array_equal(a, b)
 
-    # One id: the interleaved decoder, the other case this used to cover,
-    # left FrameDecoder for repro.codec.reference and has no fan-out.
-    @pytest.mark.parametrize("decode", ["vectorized"])
-    def test_threads_need_the_slice_kernels(self, monkeypatch, decode):
+    def test_threads_need_the_slice_kernels(self, monkeypatch):
         # Per-leaf Python holds the GIL, so a thread pool only slows it
         # down: without the kernels a parallel config stays serial and
         # says so.
@@ -939,39 +909,6 @@ class TestDecodeTelemetry:
         for stage in DECODE_STAGES:
             assert fanned[f"decode.seconds.{stage}"] > 0.0
         assert fanned_qp == serial_qp
-
-    def test_structural_counters_match_legacy(self):
-        # Derived from the plan arrays, not counted leaf by leaf -- and
-        # still the numbers the legacy walk counts.
-        names = (
-            "decode.ctu", "decode.cu.leaf", "decode.cu.split",
-            "decode.mode.intra", "decode.mode.inter",
-        )
-        for encoder, use_inter in (
-            (FrameEncoder, False),
-            (reference.ReferenceEncoder, True),
-        ):
-            data = encoder(
-                EncoderConfig(qp=24.0, use_inter=use_inter)
-            ).encode(_frames(n=3, seed=9)).data
-            seen = {}
-            for mode, decode in (
-                ("vectorized", decode_frames),
-                ("legacy", reference.decode_frames),
-            ):
-                with telemetry.session() as registry:
-                    decode(data)
-                seen[mode] = {name: registry.counters.get(name) for name in names}
-            assert seen["vectorized"] == seen["legacy"]
-            assert seen["legacy"]["decode.cu.leaf"] > 0
-
-    def test_legacy_publishes_no_stage_ledger(self):
-        frames = _frames()
-        data = FrameEncoder(EncoderConfig(qp=24.0)).encode(frames).data
-        with telemetry.session() as registry:
-            reference.decode_frames(data)
-        assert registry.counters["decode.frames"] == len(frames)
-        assert "decode.seconds.entropy" not in registry.counters
 
     def test_decode_stats_ledger(self):
         stats = DecodeStats()

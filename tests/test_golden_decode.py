@@ -5,10 +5,10 @@ stood before the reference implementations moved to
 :mod:`repro.codec.reference` (three profiles x {intra, inter}, each
 coding tool off once, a fractional QP), with the sha256 of the frames
 that commit's three decoders agreed on.  Every reconstruction site is
-order-defined, so the hashes are machine-stable: each surviving decoder
--- whole-slice kernels, their pure-Python twin, the interleaved
-reference -- must still read every stream to exactly those frames.
-Under ``LLM265_PURE_PYTHON=1`` the kernel leg runs the twin too.
+order-defined, so the hashes are machine-stable: both decoders there
+are -- the whole-slice kernels and their pure-Python twin -- must still
+read every stream to exactly those frames.  Under
+``LLM265_PURE_PYTHON=1`` the kernel leg runs the twin too.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.codec import reference
 from repro.codec.decoder import decode_frames
 from repro.codec.entropy import native
 
@@ -49,7 +48,6 @@ def _twin(data):
 _DECODERS = {
     "kernels": decode_frames,
     "twin": _twin,
-    "reference": reference.decode_frames,
 }
 
 

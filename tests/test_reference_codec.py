@@ -1,12 +1,12 @@
 """The reference module is for comparing against, never for serving.
 
-Sample identity of :mod:`repro.codec.reference`'s decoder with
-production, and the reference encoder's own streams, are held
-elsewhere (``test_fast_decode.py``, ``test_decode_fuzz.py``,
-``test_golden_decode.py``, ``test_reference_encode.py``,
-``test_vectorized_rd.py``).  This file pins the boundary: nothing a
-request runs through imports it, no option selects it, and the option
-surface that is left says only "production".
+The reference encoder's own streams are held elsewhere
+(``test_reference_encode.py``, ``test_vectorized_rd.py``), and so is
+the decoder they are read by (``test_fast_decode.py``,
+``test_decode_fuzz.py``, ``test_golden_decode.py``).  This file pins
+the boundary: nothing a request runs through imports the module, no
+option selects it, it has no decoder of its own, and the option surface
+that is left says only "production".
 """
 
 from __future__ import annotations
@@ -83,13 +83,28 @@ class TestReferenceIsSelfContained:
             for _ in range(3)
         ]
         config = EncoderConfig(qp=26.0, use_inter=True)
-        ref = reference.encode_frames(frames, config)
+        ref_encoder = reference.ReferenceEncoder(config)
+        ref = ref_encoder.encode(frames)
         with pytest.raises(ValueError, match="repro.codec.reference"):
             encode_frames(frames, config)  # production refuses inter
-        for a, b in zip(reference.decode_frames(ref.data), decode_frames(ref.data)):
-            np.testing.assert_array_equal(a, b)
+        # The one decoder reads the stream back to the encoder's plane.
+        decoder = FrameDecoder(ref.data)
+        assert len(decoder.decode()) == len(frames)
+        assert decoder._reference.tobytes() == ref_encoder._reference.tobytes()
 
-    def test_reference_decoder_has_no_fanout(self):
-        assert "parallel" not in inspect.signature(
-            reference.ReferenceDecoder.__init__
-        ).parameters
+    def test_reference_has_no_decoder(self):
+        # Two decoders, the kernels and their twin: the interleaved one
+        # and its primitive coefficient reader are gone, not moved.
+        assert reference.__all__ == [
+            "ReferenceEncoder",
+            "encode_frames",
+            "estimate_mode_bits",
+            "gather_references_scalar",
+            "predict_batch",
+        ]
+        for name in ("decode_frames", "decode_frames_with_report", "decode_coeff_block"):
+            assert not hasattr(reference, name), name
+        assert not any(
+            isinstance(value, type) and issubclass(value, FrameDecoder)
+            for value in vars(reference).values()
+        )

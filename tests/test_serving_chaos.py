@@ -41,6 +41,19 @@ class TestFaultModes:
         assert counters["faults.injected"] == 2
         assert injector.injected == 2
 
+    def test_unread_kinds_count_only_as_injected(self):
+        # Link damage, worker crashes and a soak's own kills name no kind.
+        with telemetry.session() as registry:
+            injector = FaultInjector(
+                seed=2, config=FaultConfig(drop_prob=1.0, crash_prob=1.0)
+            )
+            assert injector.corrupt(b"payload") is None
+            assert injector.worker_crashes(step=0, worker=0)
+            injector.record()
+            counters = dict(registry.counters)
+        assert counters == {"faults.injected": 3}
+        assert injector.injected == 3
+
     def test_invalid_probabilities_rejected(self):
         with pytest.raises(ValueError):
             FaultInjector(config=FaultConfig(hang_prob=1.5))

@@ -9,6 +9,7 @@ import pytest
 from repro import telemetry
 from repro.codec.decoder import decode_frames
 from repro.codec.encoder import EncoderConfig, encode_frames
+from repro.codec.reference import ReferenceEncoder
 from repro.models.synthetic_weights import weight_like
 from repro.tensor.precision import quantize_to_uint8
 
@@ -119,15 +120,31 @@ class TestCodecInstrumentation:
             assert registry.counters[f"encode.bits.{element}"] == value
 
     def test_counters_exact_across_roundtrip(self, frame):
-        with telemetry.session() as registry:
-            result = encode_frames([frame], EncoderConfig(qp=24))
-            decoded = decode_frames(result.data)
-        counters = registry.counters
-        assert np.array_equal(decoded[0], decode_frames(result.data)[0])
-        for structural in ("ctu", "cu.leaf", "cu.split", "mode.intra", "frames"):
-            assert counters[f"encode.{structural}"] == counters[
-                f"decode.{structural}"
-            ], structural
+        # The decoder derives its structural counts from each group's
+        # leaf plan; the encoders count leaf by leaf as they write.  The
+        # production intra encoder, then the reference encoder's inter
+        # stream (frames that move, so inter leaves are chosen).
+        moving = [frame, np.roll(frame, 2, axis=1), np.roll(frame, 3, axis=0)]
+        for encode, frames in (
+            (lambda f: encode_frames(f, EncoderConfig(qp=24)), [frame]),
+            (
+                lambda f: ReferenceEncoder(EncoderConfig(qp=24, use_inter=True)).encode(f),
+                moving,
+            ),
+        ):
+            with telemetry.session() as registry:
+                result = encode(frames)
+                decoded = decode_frames(result.data)
+            counters = registry.counters
+            assert np.array_equal(decoded[0], decode_frames(result.data)[0])
+            for structural in (
+                "ctu", "cu.leaf", "cu.split", "mode.intra", "mode.inter", "frames",
+            ):
+                assert counters.get(f"encode.{structural}") == counters.get(
+                    f"decode.{structural}"
+                ), structural
+            assert counters["decode.cu.leaf"] > 0
+        assert counters["decode.mode.inter"] > 0
 
     def test_qp_histogram_matches_dither(self, frame):
         with telemetry.session() as registry:
