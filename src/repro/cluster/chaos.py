@@ -224,9 +224,12 @@ def run_cluster_chaos(config: Optional[ClusterChaosConfig] = None) -> dict:
 
     references.prebuild(arrivals)
     _warm_router(router, references)
-    # The report's SLO is the soak's traffic: the warm-up requests
-    # belong to startup, so their outcomes and latencies are dropped.
+    # The report's SLO and router counts are the soak's traffic: the
+    # warm-up requests belong to startup, so their outcomes, latencies
+    # and counts are dropped.  The router's own accounting (the hedge
+    # budget) keeps them.
     router.slo = SloTracker()
+    warm_up = router.stats()["router"]
 
     chaos_injector = FaultInjector(seed=config.seed + 11)
     straggler_faults = fault_injector(
@@ -299,12 +302,17 @@ def run_cluster_chaos(config: Optional[ClusterChaosConfig] = None) -> dict:
         if soak_responses
         else 0.0
     )
+    cluster = router.stats()
+    cluster["router"] = {
+        name: count - warm_up.get(name, 0)
+        for name, count in cluster["router"].items()
+    }
     report = {
         "config": asdict(config),
         "elapsed_s": elapsed_s,
         "offered_duration_s": duration_s,
         "slo": router.slo.snapshot(),
-        "cluster": router.stats(),
+        "cluster": cluster,
         "schedule": schedule,
         "faults_injected": {
             "shard": chaos_injector.injected,

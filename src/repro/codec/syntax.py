@@ -24,6 +24,7 @@ _LAST_PREFIX = 10
 _SIG_CTX_PER_CLASS = 3
 _LEVEL_PREFIX = 3
 _RUN_PREFIX = 4
+_INT64_MAX = (1 << 63) - 1  # largest level magnitude a stream may carry
 
 
 def size_class(n: int) -> int:
@@ -231,6 +232,10 @@ def decode_coeff_block_scanned(
         _LEVEL_PREFIX,
         1,
     )
+    # The kernel refuses a magnitude beyond int64 (DS_OVERFLOW); the
+    # twin says so in the same words on every numpy build.
+    if max(scanned) > _INT64_MAX or min(scanned) < -_INT64_MAX:
+        raise CorruptStreamError("corrupt stream: coefficient level beyond int64")
     return np.asarray(scanned, dtype=np.int64)
 
 

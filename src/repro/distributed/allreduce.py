@@ -10,14 +10,13 @@ transmitted segment (how LLM.265 would sit inside a collective).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 import repro.telemetry as telemetry
 from repro.distributed.comm import Channel, Compressor
-from repro.resilience.faults import FaultInjector, RetryPolicy
 
 
 @dataclass
@@ -27,9 +26,6 @@ class AllReduceResult:
     reduced: List[np.ndarray]  # per-worker result (identical if lossless)
     bytes_per_worker: float
     steps: int
-    #: Retransmissions across *all* links (0 on a fault-free fabric).
-    retransmissions: int = 0
-    retransmitted_bytes: float = 0.0
 
     @property
     def textbook_bytes(self) -> float:
@@ -43,20 +39,12 @@ def ring_allreduce(
     tensors: Sequence[np.ndarray],
     compressor: Optional[Compressor] = None,
     average: bool = True,
-    fault_injector: Optional[FaultInjector] = None,
-    retry: Optional[RetryPolicy] = None,
 ) -> AllReduceResult:
     """Run ring all-reduce over per-worker tensors.
 
     ``tensors`` holds each worker's contribution (same shape).  Every
     hop crosses a :class:`Channel` with the given compressor, so lossy
     collectives (and their accumulated error) can be studied directly.
-
-    With a ``fault_injector``, every hop also crosses the faulty wire:
-    damaged segments are detected by the CRC framing and retransmitted
-    (bounded by ``retry``), so the collective's *result* is identical
-    to the fault-free run -- only the byte bill grows.  Exhausted
-    retries surface as :class:`~repro.resilience.errors.TransportError`.
     """
     workers = len(tensors)
     if workers < 2:
@@ -67,9 +55,7 @@ def ring_allreduce(
             raise ValueError("all workers must contribute the same shape")
 
     with telemetry.span("distributed.allreduce"):
-        return _ring_allreduce(
-            tensors, compressor, average, workers, shape, fault_injector, retry
-        )
+        return _ring_allreduce(tensors, compressor, average, workers, shape)
 
 
 def _ring_allreduce(
@@ -78,19 +64,10 @@ def _ring_allreduce(
     average: bool,
     workers: int,
     shape,
-    fault_injector: Optional[FaultInjector] = None,
-    retry: Optional[RetryPolicy] = None,
 ) -> AllReduceResult:
     flat = [np.asarray(t, dtype=np.float64).reshape(-1).copy() for t in tensors]
     segments = np.array_split(np.arange(flat[0].size), workers)
-    links = [  # link w -> w+1; all links share one injector (one fabric)
-        Channel(
-            compressor,
-            fault_injector=fault_injector,
-            retry=retry or RetryPolicy(),
-        )
-        for _ in range(workers)
-    ]
+    links = [Channel(compressor) for _ in range(workers)]  # link w -> w+1
     steps = 0
 
     # Phase 1: reduce-scatter.  After step s, worker w owns the partial
@@ -126,16 +103,8 @@ def _ring_allreduce(
         for worker in range(workers):
             flat[worker] /= workers
 
-    bytes_per_worker = links[0].total_compressed_bytes
-    retransmissions = sum(link.total_retries for link in links)
-    retransmitted_bytes = sum(link.total_retransmitted_bytes for link in links)
-    registry = telemetry.current()
-    if registry is not None and retransmissions:
-        registry.count("allreduce.retransmissions", retransmissions)
     return AllReduceResult(
         reduced=[f.reshape(shape) for f in flat],
-        bytes_per_worker=bytes_per_worker,
+        bytes_per_worker=links[0].total_compressed_bytes,
         steps=steps,
-        retransmissions=retransmissions,
-        retransmitted_bytes=retransmitted_bytes,
     )

@@ -5,31 +5,20 @@ attached compressor and returns what the *receiver* reconstructs, while
 tallying raw vs compressed traffic.  Compressors implement
 ``compress(tensor, step) -> (restored, bits_per_value)``.
 
-With a :class:`~repro.resilience.faults.FaultInjector` attached, the
-channel becomes a *self-healing* link: the payload crosses the wire as
-CRC32-framed chunks, the receiver verifies every chunk, and damaged or
-dropped transmissions are retransmitted under a bounded
-exponential-backoff :class:`~repro.resilience.faults.RetryPolicy`.
-Retransmitted bytes are charged to the traffic ledger (they are real
-traffic), and exhausting the retry budget raises
-:class:`~repro.resilience.errors.TransportError` -- which higher layers
-(data-parallel skip-and-compensate, pipeline slow-path) degrade around.
+The link itself is reliable: the paper's training figures plot
+communication volume and convergence, so a channel is a compressor plus
+a traffic ledger and nothing else.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
-import repro.telemetry as telemetry
 from repro.parallel import ParallelConfig
 from repro.quant.rtn import rtn_roundtrip
-from repro.resilience.errors import CorruptStreamError, TransportError
-from repro.resilience.faults import FaultInjector, RetryPolicy
-from repro.resilience.framing import deframe_payload, frame_payload
 from repro.tensor.codec import TensorCodec
 from repro.tensor.residual import ResidualGradientCompressor
 
@@ -146,27 +135,16 @@ class ResidualCompressor:
 
 @dataclass
 class TrafficRecord:
-    """One transmission's bookkeeping.
-
-    The resilience fields default to the fault-free values, so ledgers
-    from reliable links are byte-for-byte what they always were; only
-    an injected fault makes ``retries``/``retransmitted_bytes``
-    nonzero.
-    """
+    """One transmission's bookkeeping."""
 
     tag: str
     step: int
     num_values: int
     bits_per_value: float
-    retries: int = 0
-    retransmitted_bytes: float = 0.0
-    backoff_s: float = 0.0  # simulated retry backoff (not slept)
-    delay_s: float = 0.0  # simulated straggler delay
-    delivered: bool = True  # False when retries ran out (TransportError)
 
     @property
     def compressed_bytes(self) -> float:
-        return self.num_values * self.bits_per_value / 8.0 + self.retransmitted_bytes
+        return self.num_values * self.bits_per_value / 8.0
 
     @property
     def raw_bytes(self) -> float:
@@ -175,90 +153,22 @@ class TrafficRecord:
 
 @dataclass
 class Channel:
-    """One simulated link with an optional compressor.
-
-    ``fault_injector`` switches on the verify-and-retransmit wire
-    protocol; without one, ``send`` is the original reliable fast path.
-    """
+    """One simulated link with an optional compressor."""
 
     compressor: Optional[Compressor] = None
     records: List[TrafficRecord] = field(default_factory=list)
-    fault_injector: Optional[FaultInjector] = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    wire_chunk_bytes: int = 4096
 
     def send(self, tensor: np.ndarray, step: int = 0, tag: str = "") -> np.ndarray:
-        """Transmit; returns the receiver-side tensor.
-
-        Raises :class:`TransportError` when a fault injector is
-        attached and the bounded retries are exhausted; the failed
-        attempt still appears in the ledger (``delivered=False``) --
-        those bytes crossed the wire even though they never arrived.
-        """
+        """Transmit; returns the receiver-side tensor."""
         tensor = np.asarray(tensor, dtype=np.float64)
         if self.compressor is None:
             restored, bits = tensor, 16.0
         else:
             restored, bits = self.compressor.compress(tensor, step)
-        record = TrafficRecord(
-            tag=tag, step=step, num_values=tensor.size, bits_per_value=bits
+        self.records.append(
+            TrafficRecord(tag=tag, step=step, num_values=tensor.size, bits_per_value=bits)
         )
-        registry = telemetry.current()
-        try:
-            if self.fault_injector is not None:
-                restored = self._transmit(restored, record, registry)
-        finally:
-            self.records.append(record)
         return restored
-
-    # -- self-healing wire protocol ------------------------------------
-
-    def _wire_pack(self, tensor: np.ndarray) -> bytes:
-        """Receiver-bound bytes: self-describing header + CRC framing."""
-        header = struct.pack(f"<B{tensor.ndim}I", tensor.ndim, *tensor.shape)
-        return frame_payload(header + tensor.tobytes(), self.wire_chunk_bytes)
-
-    @staticmethod
-    def _wire_unpack(body: bytes) -> np.ndarray:
-        ndim = body[0]
-        shape = struct.unpack_from(f"<{ndim}I", body, 1) if ndim else ()
-        offset = 1 + 4 * ndim
-        return np.frombuffer(body[offset:], dtype=np.float64).reshape(shape).copy()
-
-    def _transmit(
-        self, tensor: np.ndarray, record: TrafficRecord, registry
-    ) -> np.ndarray:
-        """Verify-and-retransmit loop over the faulty wire."""
-        injector = self.fault_injector
-        wire = self._wire_pack(tensor)
-        # Retransmissions are charged at the *compressed* rate the
-        # ledger accounts in, so totals stay in one unit system.
-        attempt_bytes = record.num_values * record.bits_per_value / 8.0
-        record.delay_s += injector.straggler_delay()
-        for attempt in range(self.retry.max_retries + 1):
-            if attempt:
-                record.retries += 1
-                record.retransmitted_bytes += attempt_bytes
-                backoff = self.retry.backoff_s(attempt)
-                record.backoff_s += backoff
-                if registry is not None:
-                    registry.count("comm.retransmits")
-                    registry.count("comm.retransmitted_bytes", attempt_bytes)
-            received = injector.corrupt(wire)
-            if received is None:
-                if registry is not None:
-                    registry.count("comm.drops")
-                continue
-            try:
-                body = deframe_payload(received)
-            except CorruptStreamError:
-                continue
-            return self._wire_unpack(body)
-        record.delivered = False
-        raise TransportError(
-            f"link lost {record.tag or 'payload'!r} at step {record.step} "
-            f"after {self.retry.max_retries + 1} attempts"
-        )
 
     @property
     def total_raw_bytes(self) -> float:
@@ -267,14 +177,6 @@ class Channel:
     @property
     def total_compressed_bytes(self) -> float:
         return sum(r.compressed_bytes for r in self.records)
-
-    @property
-    def total_retransmitted_bytes(self) -> float:
-        return sum(r.retransmitted_bytes for r in self.records)
-
-    @property
-    def total_retries(self) -> int:
-        return sum(r.retries for r in self.records)
 
     @property
     def average_bits_per_value(self) -> float:

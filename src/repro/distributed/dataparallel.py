@@ -14,7 +14,7 @@ flat bucket per worker before compression (NCCL-style bucket fusion);
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from repro.distributed.comm import Channel, TrafficRecord
 from repro.nn.optim import Adam
 from repro.nn.optim.onebit import _OneBitBase
 from repro.nn.transformer import GPT
-from repro.resilience.errors import TransportError
-from repro.resilience.faults import FaultInjector
 
 
 @dataclass
@@ -33,8 +31,6 @@ class DPStepStats:
     step: int
     loss: float
     gradient_bytes: float
-    workers_participating: int = 0
-    buckets_lost: int = 0
 
 
 def _bucket_shape(size: int, width: int = 128) -> Tuple[int, int]:
@@ -44,16 +40,7 @@ def _bucket_shape(size: int, width: int = 128) -> Tuple[int, int]:
 
 
 class DataParallelTrainer:
-    """Single-process simulation of R-replica data parallelism.
-
-    With a :class:`FaultInjector` the trainer degrades instead of
-    dying: a crashed worker sits the step out (the average runs over
-    survivors), and a gradient bucket the self-healing channel still
-    could not deliver is *skipped and compensated* -- the lost bucket
-    is carried in a per-worker residual and added to that worker's next
-    contribution, so no gradient signal is permanently lost (the
-    error-feedback trick applied to transport failures).
-    """
+    """Single-process simulation of R-replica data parallelism."""
 
     def __init__(
         self,
@@ -63,19 +50,12 @@ class DataParallelTrainer:
         optimizer=None,
         lr: float = 3e-3,
         bucket_width: int = 128,
-        fault_injector: Optional[FaultInjector] = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError("need at least one worker")
         self.model = model
         self.num_workers = num_workers
         self.gradient_channel = gradient_channel or Channel()
-        if fault_injector is not None:
-            self.gradient_channel.fault_injector = fault_injector
-        self.fault_injector = self.gradient_channel.fault_injector
-        #: Skip-and-compensate residuals: lost bucket per worker, added
-        #: to that worker's next transmitted bucket.
-        self._transport_residual: Dict[int, np.ndarray] = {}
         self.bucket_width = bucket_width
         self.params = model.parameters()
         self._compressible = [p.data.ndim >= 2 for p in self.params]
@@ -133,48 +113,15 @@ class DataParallelTrainer:
         bytes_before = self.gradient_channel.total_compressed_bytes
         worker_grads: List[List[np.ndarray]] = []
         losses: List[float] = []
-        buckets_lost = 0
-        for worker, (shard_tokens, shard_targets) in enumerate(
-            zip(token_shards, target_shards)
-        ):
-            if self.fault_injector is not None and self.fault_injector.worker_crashes(
-                self.step_count, worker
-            ):
-                continue  # crashed worker sits this step out
+        for shard_tokens, shard_targets in zip(token_shards, target_shards):
             grads = self._worker_gradients(shard_tokens, shard_targets)
             losses.append(self._last_loss)
             if not self._onebit:
-                bucket = self._fuse(grads)
-                residual = self._transport_residual.pop(worker, None)
-                if residual is not None and residual.shape == bucket.shape:
-                    bucket = bucket + residual
-                try:
-                    received = self.gradient_channel.send(
-                        bucket, step=self.step_count, tag="wgrad"
-                    )
-                except TransportError:
-                    # Skip-and-compensate: the bucket never arrived, so
-                    # this worker contributes nothing now and carries
-                    # the lost gradient into its next step.
-                    self._transport_residual[worker] = bucket
-                    buckets_lost += 1
-                    received = np.zeros_like(bucket)
+                received = self.gradient_channel.send(
+                    self._fuse(grads), step=self.step_count, tag="wgrad"
+                )
                 grads = self._unfuse(received, grads)
             worker_grads.append(grads)
-
-        if not worker_grads:
-            # Every worker crashed; no update this step.
-            stats = DPStepStats(
-                step=self.step_count,
-                loss=float("nan"),
-                gradient_bytes=self.gradient_channel.total_compressed_bytes
-                - bytes_before,
-                workers_participating=0,
-                buckets_lost=buckets_lost,
-            )
-            self.history.append(stats)
-            self.step_count += 1
-            return stats.loss
 
         if self._onebit:
             # 1-bit optimizers own communication; account their bits.
@@ -202,8 +149,6 @@ class DataParallelTrainer:
             step=self.step_count,
             loss=float(np.mean(losses)),
             gradient_bytes=self.gradient_channel.total_compressed_bytes - bytes_before,
-            workers_participating=len(worker_grads),
-            buckets_lost=buckets_lost,
         )
         self.history.append(stats)
         self.step_count += 1

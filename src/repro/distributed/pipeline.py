@@ -15,12 +15,11 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.distributed.comm import Channel, TrafficRecord
+from repro.distributed.comm import Channel
 from repro.nn import autograd
 from repro.nn.autograd import Tensor
 from repro.nn.optim import Adam
 from repro.nn.transformer import GPT
-from repro.resilience.errors import TransportError
 
 
 @dataclass
@@ -57,7 +56,6 @@ class PipelineParallelTrainer:
         self.micro_batches = micro_batches
         self.step_count = 0
         self.history: List[StepStats] = []
-        self.slowpath_sends = 0
         # Assign blocks to stages as evenly as possible.
         per_stage = len(model.blocks) // num_stages
         extra = len(model.blocks) % num_stages
@@ -84,31 +82,6 @@ class PipelineParallelTrainer:
         logits = self.model.head(self.model.ln_f(x))
         return autograd.cross_entropy(logits, targets)
 
-    def _send(
-        self, channel: Channel, tensor: np.ndarray, tag: str
-    ) -> np.ndarray:
-        """Send over ``channel``; fall back to a reliable slow path.
-
-        A stage boundary cannot skip-and-compensate -- the next stage
-        needs *some* activation to run at all.  When the self-healing
-        channel gives up (:class:`TransportError`), the send is
-        repeated uncompressed over a reliable path, charged at the
-        16-bit reference rate.
-        """
-        try:
-            return channel.send(tensor, step=self.step_count, tag=tag)
-        except TransportError:
-            self.slowpath_sends += 1
-            channel.records.append(
-                TrafficRecord(
-                    tag=f"{tag}-slowpath",
-                    step=self.step_count,
-                    num_values=int(np.asarray(tensor).size),
-                    bits_per_value=16.0,
-                )
-            )
-            return np.asarray(tensor, dtype=np.float64)
-
     # -- training --------------------------------------------------------------
 
     def train_step(self, tokens: np.ndarray, targets: np.ndarray) -> float:
@@ -133,8 +106,8 @@ class PipelineParallelTrainer:
             for stage in range(self.num_stages):
                 out = self._stage_forward(stage, x, shard_tokens)
                 if stage < self.num_stages - 1:
-                    received = self._send(
-                        self.activation_channel, out.data, f"act-s{stage}"
+                    received = self.activation_channel.send(
+                        out.data, step=self.step_count, tag=f"act-s{stage}"
                     )
                     boundary_outputs.append(out)
                     x = Tensor(received, requires_grad=True)
@@ -147,8 +120,8 @@ class PipelineParallelTrainer:
             loss.backward(np.array(1.0 / len(token_shards)))
             for stage in range(self.num_stages - 2, -1, -1):
                 grad = boundary_inputs[stage].grad
-                received = self._send(
-                    self.gradient_channel, grad, f"grad-s{stage}"
+                received = self.gradient_channel.send(
+                    grad, step=self.step_count, tag=f"grad-s{stage}"
                 )
                 boundary_outputs[stage].backward(received)
 

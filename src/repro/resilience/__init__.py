@@ -1,17 +1,16 @@
-"""repro.resilience: error-resilient bitstreams and self-healing transport.
+"""repro.resilience: error-resilient bitstreams.
 
 What real video codecs ship and tensor codecs forget: independently
-decodable checksummed slices, a single loud error taxonomy, seeded
-fault injection, and verify-and-retransmit transport.  See
-``docs/RESILIENCE.md`` for the framing formats, concealment semantics,
-and retry policy.
+decodable checksummed slices, a single loud error taxonomy, and seeded
+fault injection.  See ``docs/RESILIENCE.md`` for the framing formats
+and concealment semantics.
 
 - :mod:`repro.resilience.errors` -- :class:`CorruptStreamError` and
   friends; every deserialization path in the repo raises these.
 - :mod:`repro.resilience.framing` -- CRC32 slice framing shared by the
-  frame bitstream, the tensor container, and the transport layer.
+  frame bitstream and the tensor container.
 - :mod:`repro.resilience.faults` -- deterministic seeded fault
-  injection (bit flips, truncation, drops, stragglers, crashes).
+  injection (bit flips, truncation, stragglers, hangs, disk faults).
 - :mod:`repro.resilience.verify` -- integrity checks behind
   ``llm265 verify``.
 """
@@ -22,16 +21,13 @@ from repro.resilience.errors import (
     ConcealmentReport,
     CorruptStreamError,
     DeadlineExceeded,
-    TransportError,
     TruncatedStreamError,
 )
-from repro.resilience.faults import FaultConfig, FaultInjector, RetryPolicy
+from repro.resilience.faults import FaultConfig, FaultInjector
 from repro.resilience.framing import (
     SLICE_OVERHEAD,
     crc32,
-    deframe_payload,
     deframe_slices,
-    frame_payload,
     frame_slice,
     frame_slices,
 )
@@ -44,14 +40,10 @@ __all__ = [
     "DeadlineExceeded",
     "FaultConfig",
     "FaultInjector",
-    "RetryPolicy",
     "SLICE_OVERHEAD",
-    "TransportError",
     "TruncatedStreamError",
     "crc32",
-    "deframe_payload",
     "deframe_slices",
-    "frame_payload",
     "frame_slice",
     "frame_slices",
     "verify_path",

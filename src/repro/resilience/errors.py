@@ -1,8 +1,8 @@
 """The error taxonomy every deserialization path funnels through.
 
 Real decoders distinguish *corrupt input* (the bytes are damaged, the
-caller may want to conceal) from *transport failure* (the link lost the
-payload and retries ran out).  Before this module existed, a flipped
+caller may want to conceal) from *running out of time* (the input was
+fine, the budget was not).  Before this module existed, a flipped
 byte could surface as ``IndexError``, ``EOFError`` or ``struct.error``
 from deep inside the arithmetic coder; now everything that parses
 untrusted bytes raises :class:`CorruptStreamError` (a ``ValueError``
@@ -20,7 +20,6 @@ __all__ = [
     "ConcealmentReport",
     "CorruptStreamError",
     "DeadlineExceeded",
-    "TransportError",
     "TruncatedStreamError",
 ]
 
@@ -55,15 +54,6 @@ class DeadlineExceeded(TimeoutError):
     Deliberately a ``TimeoutError`` (not a :class:`CorruptStreamError`):
     the input was fine, the time budget was not -- callers respond by
     shedding or degrading, never by concealing.
-    """
-
-
-class TransportError(RuntimeError):
-    """A simulated link lost a payload and bounded retries ran out.
-
-    Deliberately *not* a :class:`CorruptStreamError`: the bytes were
-    never delivered, so there is nothing to conceal -- callers must
-    degrade (skip-and-compensate) or abort.
     """
 
 

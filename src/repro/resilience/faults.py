@@ -1,16 +1,11 @@
-"""Deterministic, seeded fault injection for links, workers, and bytes.
+"""Deterministic, seeded fault injection for workers and bytes.
 
-One :class:`FaultInjector` models everything that goes wrong on a real
-cluster fabric: flipped bits, truncated or dropped segments, straggler
-delay, and whole-worker crashes.  Every decision comes from a single
-seeded ``numpy`` generator, so a test that injects faults is exactly
-reproducible -- same seed, same carnage.
-
-The injector is pluggable: :class:`repro.distributed.comm.Channel`
-calls :meth:`corrupt` on each transmission attempt, the data-parallel
-trainer consults :meth:`worker_crashes`, and anything byte-shaped can
-be damaged directly (checkpoint files, containers, frame streams) for
-fuzzing.
+One :class:`FaultInjector` models what the soaks and fuzzers inject:
+flipped bits, truncated payloads, straggler delay and worker hangs.
+Every decision comes from a single seeded ``numpy`` generator, so a
+test that injects faults is exactly reproducible -- same seed, same
+carnage.  Anything byte-shaped can be damaged directly (checkpoint
+files, containers, frame streams).
 
 Beyond in-flight bytes, the injector also damages bytes *at rest*:
 :meth:`file_bit_flip`, :meth:`file_truncate`, and :meth:`file_unlink`
@@ -32,7 +27,7 @@ import numpy as np
 
 import repro.telemetry as telemetry
 
-__all__ = ["DISK_FAULT_MODES", "FaultConfig", "FaultInjector", "RetryPolicy"]
+__all__ = ["DISK_FAULT_MODES", "FaultConfig", "FaultInjector"]
 
 #: On-disk fault modes :meth:`FaultInjector.damage_file` chooses among.
 DISK_FAULT_MODES = ("bit_flip", "truncate", "unlink")
@@ -40,48 +35,21 @@ DISK_FAULT_MODES = ("bit_flip", "truncate", "unlink")
 
 @dataclass
 class FaultConfig:
-    """Per-event-kind probabilities (independent, evaluated per send)."""
+    """Per-event-kind probabilities (independent, evaluated per draw)."""
 
     bit_flip_prob: float = 0.0  # flip 1..max_flips random bits
     truncate_prob: float = 0.0  # cut the payload at a random offset
-    drop_prob: float = 0.0  # lose the whole segment
     straggler_prob: float = 0.0  # delayed delivery (simulated seconds)
-    crash_prob: float = 0.0  # per-(worker, step) crash probability
     hang_prob: float = 0.0  # worker stalls (unbounded from its own view)
     max_flips: int = 8
     straggler_delay_s: float = 0.25
     hang_s: float = 0.25  # stall length a deadline must bound
 
     def validate(self) -> None:
-        for name in (
-            "bit_flip_prob",
-            "truncate_prob",
-            "drop_prob",
-            "straggler_prob",
-            "crash_prob",
-            "hang_prob",
-        ):
+        for name in ("bit_flip_prob", "truncate_prob", "straggler_prob", "hang_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-
-
-@dataclass
-class RetryPolicy:
-    """Bounded retransmission with exponential backoff.
-
-    Backoff is *simulated*: the would-be sleep is recorded in the
-    traffic ledger (``TrafficRecord.backoff_s``) instead of actually
-    blocking the single-process simulation.
-    """
-
-    max_retries: int = 4
-    backoff_base_s: float = 0.005
-    backoff_factor: float = 2.0
-
-    def backoff_s(self, attempt: int) -> float:
-        """Simulated backoff before retry number ``attempt`` (1-based)."""
-        return self.backoff_base_s * self.backoff_factor ** max(0, attempt - 1)
 
 
 class FaultInjector:
@@ -102,27 +70,7 @@ class FaultInjector:
         self.rng = np.random.default_rng(seed)
         self.injected = 0  # total fault events produced
 
-    # -- byte-level faults (links, files) ------------------------------
-
-    def corrupt(self, payload: bytes) -> Optional[bytes]:
-        """One transmission attempt: damaged payload, or ``None`` if dropped.
-
-        Each call advances the generator, so a retransmission of the
-        same payload faces fresh (independent) faults -- exactly like a
-        real lossy link.
-        """
-        cfg = self.config
-        if cfg.drop_prob and self.rng.random() < cfg.drop_prob:
-            self.record()
-            return None
-        if cfg.truncate_prob and self.rng.random() < cfg.truncate_prob and payload:
-            cut = int(self.rng.integers(0, len(payload)))
-            self.record()
-            payload = payload[:cut]
-        if cfg.bit_flip_prob and self.rng.random() < cfg.bit_flip_prob and payload:
-            payload = self.flip_bits(payload, int(self.rng.integers(1, cfg.max_flips + 1)))
-            self.record()
-        return payload
+    # -- byte-level faults ---------------------------------------------
 
     def flip_bits(self, payload: bytes, flips: int = 1) -> bytes:
         """Flip ``flips`` uniformly random bits (always applies, for fuzzing)."""
@@ -271,13 +219,6 @@ class FaultInjector:
             self.record("stragglers")
             return cfg.straggler_delay_s * float(self.rng.random() + 0.5)
         return 0.0
-
-    def worker_crashes(self, step: int, worker: int) -> bool:
-        """Whether ``worker`` is down for ``step`` (transient crash)."""
-        if self.config.crash_prob and self.rng.random() < self.config.crash_prob:
-            self.record()
-            return True
-        return False
 
     def worker_hang_s(self) -> float:
         """Stall length for one unit of work (0.0 = no hang).

@@ -6,9 +6,7 @@ is detected on arrival and either reported (strict) or concealed.  This
 module is that layer for every byte payload in the system:
 
 - the frame codec writes one slice per frame,
-- the tensor container protects its metadata with a trailing CRC,
-- the simulated transport chunks arbitrary payloads for the
-  verify-and-retransmit loop.
+- the tensor container protects its metadata with a trailing CRC.
 
 Wire format of one slice::
 
@@ -33,9 +31,7 @@ from repro.resilience.errors import (
 __all__ = [
     "SLICE_OVERHEAD",
     "crc32",
-    "deframe_payload",
     "deframe_slices",
-    "frame_payload",
     "frame_slices",
 ]
 
@@ -128,37 +124,3 @@ def deframe_slices(
             slices.append(None)
     return slices, damage
 
-
-def frame_payload(data: bytes, chunk_size: int = 4096) -> bytes:
-    """Chunk an arbitrary payload into framed slices (transport wire form).
-
-    A leading slice carries the total length so truncation of whole
-    trailing chunks is detectable.
-    """
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    chunks = [struct.pack("<Q", len(data))]
-    chunks.extend(
-        data[start : start + chunk_size] for start in range(0, len(data), chunk_size)
-    )
-    if not data:
-        chunks.append(b"")
-    return frame_slices(chunks)
-
-
-def deframe_payload(raw: bytes) -> bytes:
-    """Verify and reassemble a payload framed by :func:`frame_payload`.
-
-    Raises :class:`CorruptStreamError` (or a subclass) on any damage --
-    transport callers treat that as "retransmit".
-    """
-    slices, _ = deframe_slices(raw, strict=True)
-    if not slices or slices[0] is None or len(slices[0]) != 8:
-        raise CorruptStreamError("payload frame missing length prologue")
-    (total,) = struct.unpack("<Q", slices[0])
-    body = b"".join(s for s in slices[1:] if s is not None)
-    if len(body) != total:
-        raise TruncatedStreamError(
-            f"payload length mismatch: expected {total}, got {len(body)}"
-        )
-    return body

@@ -85,6 +85,11 @@ class TestSoak:
                         "shard_drained", "probe_timeouts"):
             assert counter in router
 
+    def test_router_counts_the_soak_only(self, report):
+        # The warm-up's requests are subtracted, as from the SLO.
+        router = report["cluster"]["router"]
+        assert router["requests"] == report["config"]["requests"]
+
     def test_report_is_json_serializable(self, report):
         json.dumps({k: v for k, v in report.items() if k != "config"})
 

@@ -42,13 +42,14 @@ class TestFaultModes:
         assert injector.injected == 2
 
     def test_unread_kinds_count_only_as_injected(self):
-        # Link damage, worker crashes and a soak's own kills name no kind.
+        # Payload damage and a soak's own kills name no kind.
         with telemetry.session() as registry:
             injector = FaultInjector(
-                seed=2, config=FaultConfig(drop_prob=1.0, crash_prob=1.0)
+                seed=2, config=FaultConfig(bit_flip_prob=1.0, truncate_prob=1.0)
             )
-            assert injector.corrupt(b"payload") is None
-            assert injector.worker_crashes(step=0, worker=0)
+            assert damage_payload(b"header" + bytes(64), 6, injector)[1]
+            injector.config.bit_flip_prob = 0.0
+            assert damage_payload(b"header" + bytes(64), 6, injector)[1]
             injector.record()
             counters = dict(registry.counters)
         assert counters == {"faults.injected": 3}
