@@ -25,11 +25,12 @@ the router is the one resilience layer:
   R-way invariant holds again after death/revive.
 - :mod:`repro.cluster.traffic` -- open-loop workload generation
   (bursty/diurnal arrivals, session affinity, mixed tensor sizes).
-- :mod:`repro.cluster.chaos` -- shard-kill/hang soak asserting the
-  typed-response contract and the availability SLO.
-- :mod:`repro.cluster.durability` -- durability soak: SIGKILL
-  mid-write + on-disk bit rot; acknowledged-write durability 100%,
-  no silent corruption, replication healed by anti-entropy.
+- :mod:`repro.cluster.chaos` -- the one soak behind ``llm265 chaos``:
+  every fault family at once (request hangs and stragglers, damaged
+  decode payloads, mid-write shard kills and hangs, disk rot) over a
+  durable router, asserting the typed-response contract, acknowledged-
+  write durability, healed replication and two availability floors.
+  Not imported here: nothing on the request path loads it.
 """
 
 from repro.cluster.health import ShardHealth

@@ -29,7 +29,7 @@ One pass converges unless shards fail mid-repair;
 :func:`repair_until_converged` loops passes until a clean one (no
 copies needed, nothing unrepairable) or a bounded pass budget.  The
 router schedules a pass automatically whenever a drained shard is
-re-admitted (always); the durability soak also runs a
+re-admitted (always); the chaos soak also runs a
 final converging sweep before checking the replication invariant.
 """
 

@@ -131,7 +131,7 @@ class ClusterShard:
         ``stage`` must be one of :data:`~repro.cluster.store.PUT_STAGES`
         or :data:`~repro.cluster.store.COMPACT_STAGES` (reached only by a
         put that compacts); the kill lands inside the next :meth:`put`
-        that reaches it, which is how the durability soak manufactures
+        that reaches it, which is how the chaos soak manufactures
         deterministic SIGKILL-mid-write crashes (torn journal tails
         included).
         """

@@ -115,7 +115,7 @@ _HEADER_FIXED = SLICE_OVERHEAD + _RECORD_PREFIX.size + _RECORD_SUFFIX.size
 
 #: Stages :meth:`ShardStore.put` announces to its crash gate, in order
 #: (the checkpoint writer's simulated crash surface,
-#: :mod:`repro.tensor.checkpoint`): the chaos harness SIGKILLs a shard
+#: :mod:`repro.tensor.checkpoint`): the chaos soak SIGKILLs a shard
 #: *mid-write* at one -- halfway through the header or the payload,
 #: which is what actually produces torn records on real machines.
 #: ``journal_synced`` is the acknowledgement point: a crash at any
@@ -644,7 +644,7 @@ class ShardStore:
         key's bytes until the block exits.
 
         For whoever writes to the span behind the store's back (the
-        durability soak's disk faults): a bare :meth:`payload_span`
+        chaos soak's disk faults): a bare :meth:`payload_span`
         can be stale by the time its caller opens the file.
         """
         with self._append_lock:

@@ -164,13 +164,9 @@ class OpenLoopDriver:
         self,
         send: Callable[[Arrival], object],
         client_threads: int = 32,
-        speed: float = 1.0,
     ) -> None:
-        if speed <= 0:
-            raise ValueError("speed must be > 0")
         self._send = send
         self._client_threads = client_threads
-        self._speed = speed
 
     def run(self, arrivals: Sequence[Arrival]) -> List[object]:
         """Issue every arrival; returns ``send`` results in arrival order."""
@@ -182,9 +178,7 @@ class OpenLoopDriver:
             start = time.perf_counter()
             futures = []
             for arrival in arrivals:
-                lag = arrival.at_s / self._speed - (
-                    time.perf_counter() - start
-                )
+                lag = arrival.at_s - (time.perf_counter() - start)
                 if lag > 0:
                     time.sleep(lag)
                 futures.append(pool.submit(self._send, arrival))

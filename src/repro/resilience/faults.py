@@ -1,6 +1,6 @@
 """Deterministic, seeded fault injection for workers and bytes.
 
-One :class:`FaultInjector` models what the soaks and fuzzers inject:
+One :class:`FaultInjector` models what the chaos soak and the fuzzers inject:
 flipped bits, truncated payloads, straggler delay and worker hangs.
 Every decision comes from a single seeded ``numpy`` generator, so a
 test that injects faults is exactly reproducible -- same seed, same

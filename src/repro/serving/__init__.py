@@ -9,8 +9,6 @@
 - :mod:`repro.serving.broker` -- bounded admission (typed
   :class:`Overloaded`), one per cluster shard.
 - :mod:`repro.serving.slo` -- latency percentiles and availability.
-- :mod:`repro.serving.chaos` -- the concealment soak behind
-  ``llm265 chaos``.
 
 A completed request is bit-exact with its serial reference, or a typed
 error, or explicitly flagged ``degraded=True`` -- never a silent wrong
@@ -18,7 +16,6 @@ answer.  See ``docs/CLUSTER.md``.
 """
 
 from repro.serving.broker import Overloaded
-from repro.serving.chaos import ChaosConfig, run_chaos
 from repro.serving.service import (
     CodecFault,
     CodecService,
@@ -27,11 +24,9 @@ from repro.serving.service import (
 )
 
 __all__ = [
-    "ChaosConfig",
     "CodecFault",
     "CodecService",
     "Overloaded",
     "ServeResponse",
     "ServiceConfig",
-    "run_chaos",
 ]

@@ -32,6 +32,7 @@ from repro.telemetry.core import (
     enable,
     enabled,
     observe,
+    scope,
     session,
     span,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "mint_trace",
     "observe",
     "render_prometheus",
+    "scope",
     "session",
     "snapshot_delta",
     "span",

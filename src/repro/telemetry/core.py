@@ -41,6 +41,7 @@ __all__ = [
     "enable",
     "enabled",
     "observe",
+    "scope",
     "session",
     "span",
 ]
@@ -91,6 +92,22 @@ def session(trace: bool = False):
         yield registry
     finally:
         _local.registry = previous
+
+
+@contextmanager
+def scope():
+    """Yield the active registry, else a fresh :func:`session`'s.
+
+    A run inside a caller's registry (the CLI's ``--trace`` session)
+    reports into it, so the trace file covers the run too; a run with
+    none still has a registry to report from.
+    """
+    active = current()
+    if active is not None:
+        yield active
+    else:
+        with session() as registry:
+            yield registry
 
 
 class Histogram:

@@ -1,7 +1,7 @@
 """Flight recorder: a bounded ring of recent structured events.
 
 Telemetry aggregates answer "how much, how fast"; they cannot answer
-"what just happened" when a request fails or the chaos harness catches
+"what just happened" when a request fails or the chaos soak catches
 a contract violation.  The flight recorder keeps the last N structured
 events -- breaker trips, failovers, hedges, sheds, typed errors -- in a
 fixed-size ring that is always on
@@ -11,8 +11,8 @@ assembled after the fact without having had tracing enabled.
 
 :func:`dump_bundle` writes the postmortem: the ring contents, a
 snapshot of the active telemetry registry, the request trace tree,
-and the seed that reproduces the run.  The chaos harness dumps one on
-any contract violation, and ``llm265 chaos`` prints the bundle path on
+and the seed that reproduces the run.  The chaos soak dumps one on
+any violation, and ``llm265 chaos`` prints the bundle path on
 exit 2.  Bundle shape is documented in
 ``docs/OBSERVABILITY.md``.
 """

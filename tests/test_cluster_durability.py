@@ -1,8 +1,10 @@
-"""Tests for the durability chaos soak and its CLI surfaces.
+"""The soak's durability family and the CLI surfaces.
 
-A scaled-down soak must hold the full invariant (0 acked writes lost,
-0 silent corruption, replication healed); the drill switch must
-exercise the violation/postmortem path without breaking anything; the
+The shared soak must hold the durability invariant (0 acked writes
+lost or corrupted, replication healed, the kill count reached) through
+mid-write kills and disk faults; its schedule and verdict must be
+seeded-reproducible; the drill must exercise the violation/postmortem
+path without breaking anything; ``llm265 chaos`` is one mode; the
 ``llm265 verify`` store scanner must map clean / torn / corrupt onto
 exit codes 0 / 3 / 2; and real container-v3 payloads must round-trip
 through the durable path bit-exact.
@@ -18,96 +20,81 @@ import pytest
 import repro.telemetry as telemetry
 from repro.cli import main
 from repro.cluster import ClusterConfig, ClusterRouter
-from repro.cluster.durability import (
-    DURABILITY_TYPED_ERRORS,
-    DurabilityChaosConfig,
-    format_durability_report,
-    run_durability_chaos,
+from repro.cluster.chaos import (
+    TYPED_ERRORS,
+    ChaosConfig,
+    format_report,
+    run_chaos,
 )
-from repro.cluster.store import ShardStore, StoreError
-
-
-def small_config(tmp_path, **overrides):
-    settings = dict(
-        shards=3,
-        replication=2,
-        ops=220,
-        seed=0,
-        base_rate_rps=150.0,
-        client_threads=6,
-        kills=2,
-        revive_after_s=0.25,
-        arm_timeout_s=1.0,
-        disk_faults=2,
-        scrub_interval_s=0.1,
-        store_root=str(tmp_path / "soak"),
-    )
-    settings.update(overrides)
-    return DurabilityChaosConfig(**settings)
+from repro.cluster.store import ShardStore
 
 
 class TestDurabilitySoak:
-    def test_small_soak_holds_the_full_invariant(self, tmp_path):
-        report = run_durability_chaos(small_config(tmp_path))
-        inv = report["invariant"]
+    def test_small_soak_holds_the_full_invariant(self, chaos_report):
+        inv = chaos_report["invariant"]
         assert inv["passed"], inv["violations"]
-        assert inv["acked_lost"] == []
-        assert inv["silent_corruptions"] == 0
-        assert inv["under_replicated"] == []
-        assert (
-            inv["mid_write_kills"] + inv["fallback_kills"]
-            >= inv["kills_required"]
-        )
-        assert inv["repair_converged"]
-        assert inv["acked_writes"] > 0
-        # Every scheduled operation ran and was judged.
-        assert report["checked"]["put"] + report["checked"]["get"] == 220
-        # The report is JSON-serialisable as-is (the CLI merges it).
-        json.dumps(report, default=str)
-        text = format_durability_report(report)
-        assert "invariant: PASS" in text
+        assert inv["durability"] == {
+            "acked_writes": inv["durability"]["acked_writes"],
+            "lost": 0, "corrupted": 0, "under_replicated": 0,
+            "repair_converged": True,
+        }
+        assert inv["durability"]["acked_writes"] > 0
+        assert inv["kills"]["mid_write"] + inv["kills"]["fallback"] >= (
+            inv["kills"]["required"])
+        # Disk faults landed, the scrubber and compaction ran beside
+        # the traffic, and repair ran on re-admission during it.
+        assert chaos_report["faults_injected"]["disk"] >= 1
+        assert chaos_report["scrub"]["checked"] > 0
+        assert chaos_report["compactions"] > 0
+        assert chaos_report["cluster"]["router"]["repair_passes"] >= 1
+        assert "durability: " in format_report(chaos_report)
 
-    def test_soak_is_seeded_reproducible(self, tmp_path):
-        first = run_durability_chaos(
-            small_config(tmp_path / "a", kills=1, disk_faults=1, ops=80)
-        )
-        second = run_durability_chaos(
-            small_config(tmp_path / "b", kills=1, disk_faults=1, ops=80)
-        )
-        # Same seed, same schedule: kill stages/targets and fault times
-        # are identical even though thread timing is not.
+    def test_soak_is_seeded_reproducible(self):
+        def run(seed):
+            return run_chaos(ChaosConfig(
+                requests=120, seed=seed, kills=1,
+            ))
+
+        first, second = run(3), run(3)
+        # Same seed, same stream and schedule: kill stages and targets,
+        # hang and disk-fault times, which decodes are damaged and how
+        # many requests of each kind ran -- and the same verdict, though
+        # thread timing is not the same.
         assert first["schedule"] == second["schedule"]
-        assert first["invariant"]["acked_writes"] == (
-            second["invariant"]["acked_writes"]
-        )
+        assert first["checked"] == second["checked"]
+        assert first["faults_injected"]["payload"] == (
+            second["faults_injected"]["payload"])
+        for key in ("passed", "counts", "contract"):
+            assert first["invariant"][key] == second["invariant"][key]
+        assert first["invariant"]["passed"]
+        other = run(4)
+        assert other["schedule"] != first["schedule"]
+        assert other["checked"] != first["checked"]
 
     def test_drill_violation_trips_verdict_and_postmortem(self, tmp_path):
         pm_dir = str(tmp_path / "pm")
-        report = run_durability_chaos(
-            small_config(
-                tmp_path,
-                ops=60,
-                kills=0,
-                disk_faults=0,
-                force_violation=True,
-                postmortem_dir=pm_dir,
-            )
-        )
+        report = run_chaos(ChaosConfig(
+            requests=60, kills=0,
+            force_violation=True, postmortem_dir=pm_dir,
+        ))
         inv = report["invariant"]
         assert not inv["passed"]
         assert any(
             v["reason"].startswith("drill") for v in inv["violations"]
         )
         # The drill is synthetic: nothing was actually lost.
-        assert inv["acked_lost"] == [] and inv["silent_corruptions"] == 0
+        assert inv["durability"]["lost"] == 0
+        assert inv["contract"]["silent_corruptions"] == 0
         bundle = report["postmortem"]
         assert bundle and os.path.exists(bundle)
-        doc = json.load(open(bundle))
-        assert doc["reason"] == "durability-chaos-violation"
+        with open(bundle) as handle:
+            doc = json.load(handle)
+        assert doc["reason"] == "chaos-violation"
         assert doc["seed"] == 0
         assert doc["extra"]["invariant"]["passed"] is False
         assert doc["extra"]["cluster"]["router"] == report["cluster"]["router"]
-        assert "invariant: FAIL" in format_durability_report(report)
+        assert "invariant: " in format_report(report)
+        assert "-> FAIL" in format_report(report)
 
     def test_typed_error_vocabulary_covers_the_store(self):
         from repro.cluster.router import WriteQuorumFailed
@@ -118,8 +105,10 @@ class TestDurabilitySoak:
             Quarantined("k", "checksum mismatch"),
             WriteQuorumFailed("k", 1, 2),
         ):
-            assert isinstance(error, DURABILITY_TYPED_ERRORS)
-        assert not isinstance(RuntimeError("x"), DURABILITY_TYPED_ERRORS)
+            assert isinstance(error, TYPED_ERRORS["get"])
+            assert isinstance(error, TYPED_ERRORS["put"])
+        assert not isinstance(RuntimeError("x"), TYPED_ERRORS["get"])
+        assert not isinstance(NotFound("k"), TYPED_ERRORS["encode"])
 
     def test_disk_fault_counters_are_recorded(self, tmp_path):
         from repro.resilience.faults import FaultInjector
@@ -226,24 +215,25 @@ class TestVerifyCli:
 
 
 class TestChaosCli:
-    def test_durability_quick_soak_passes_and_writes_json(
-        self, tmp_path, capsys
-    ):
+    def test_soak_passes_and_writes_json(self, tmp_path, capsys):
         out_json = str(tmp_path / "report.json")
         code = main([
-            "chaos", "--durability", "--quick", "--seed", "1",
+            "chaos", "--requests", "200", "--kills", "1", "--seed", "1",
             "--output", out_json,
         ])
         captured = capsys.readouterr().out
         assert code == 0, captured
-        assert "invariant: PASS" in captured
-        doc = json.load(open(out_json))
-        inv = doc["durability_chaos"]["invariant"]
-        assert inv["passed"] and inv["mid_write_kills"] >= 1
+        assert "-> PASS" in captured
+        with open(out_json) as handle:
+            inv = json.load(handle)["invariant"]
+        assert inv["passed"] and inv["kills"]["mid_write"] >= 1
 
-    def test_kills_default_is_resolved_per_soak_mode(self):
+    def test_one_mode_one_kills_default(self, capsys):
         from repro.cli import _build_parser
 
-        args = _build_parser().parse_args(["chaos", "--durability"])
-        assert args.durability
-        assert args.kills is None  # resolved per mode, 3 for durability
+        parser = _build_parser()
+        assert parser.parse_args(["chaos"]).kills == 3
+        for gone in ("--cluster", "--durability"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["chaos", gone])
+        assert "unrecognized arguments" in capsys.readouterr().err

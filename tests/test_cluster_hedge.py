@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster.chaos import CLUSTER_TYPED_ERRORS
+from repro.cluster.chaos import TYPED_ERRORS
 from repro.cluster import router as router_mod
 from repro.cluster.router import ClusterConfig, ClusterResponse, ClusterRouter
 from repro.resilience.deadline import Deadline
@@ -307,7 +307,7 @@ class TestContractUnderStragglers:
                 responses.append(router.encode(TENSOR, f"k{index}"))
             for response in responses:
                 assert response.ok or isinstance(
-                    response.error, CLUSTER_TYPED_ERRORS
+                    response.error, TYPED_ERRORS["encode"]
                 )
             # Exactly one commit per request, no silent duplicates.
             assert router.counters["requests"] == len(responses)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.cluster import health as health_mod
 from repro.cluster import router as router_mod
-from repro.cluster.chaos import CLUSTER_TYPED_ERRORS
+from repro.cluster.chaos import TYPED_ERRORS
 from repro.cluster.router import (
     ClusterConfig,
     ClusterRouter,
@@ -145,7 +145,7 @@ class TestFailover:
         ) as router:
             response = router.encode(TENSOR, "k0")
             assert not response.ok
-            assert isinstance(response.error, CLUSTER_TYPED_ERRORS)
+            assert isinstance(response.error, TYPED_ERRORS["encode"])
 
     def test_deterministic_error_commits_without_failover(self):
         bad = lambda kind: ServeResponse(
@@ -269,7 +269,7 @@ class TestHealthAndProbes:
             assert len(router.ring) == 0
             response = router.encode(TENSOR, "k1")
             assert not response.ok
-            assert isinstance(response.error, CLUSTER_TYPED_ERRORS)
+            assert isinstance(response.error, TYPED_ERRORS["encode"])
             assert router.counters["no_healthy_shards"] >= 1
 
 

@@ -8,7 +8,8 @@ kinds of name, and each must resolve in this checkout:
   expanded and ``*`` must match at least one file);
 - a ``repro.<module>`` dotted name: the longest importable module
   prefix, then attributes;
-- an ``llm265 <subcommand>``.
+- an ``llm265 <subcommand>``, and every ``--flag`` written after it
+  in the same command must be an option of that subcommand.
 
 The counter and histogram tables of docs/OBSERVABILITY.md are held to
 the emit sites in ``src/`` in both directions: every name a row gives
@@ -36,6 +37,9 @@ DOCS = sorted(
 PATH_RE = re.compile(r"`((?:src|tests|benchmarks|docs)/[^`\s]*)`")
 MODULE_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 COMMAND_RE = re.compile(r"\bllm265 ([a-z][a-z_-]*)")
+#: A command as written: the subcommand, then the rest of its line up
+#: to the closing backtick.
+INVOCATION_RE = re.compile(r"\bllm265 ([a-z][a-z_-]*)([^`\n]*)")
 
 
 def _expand(path):
@@ -231,6 +235,51 @@ def test_llm265_subcommands_exist():
     commands = set(cli._COMMANDS)
     missing = {(doc, c) for doc, c in _names(COMMAND_RE) if c not in commands}
     assert not missing, sorted(missing)
+
+
+def _flags(tail):
+    """The ``--flag`` tokens of a command's tail (``--a=1`` -> ``--a``)."""
+    return [
+        token.split("=")[0].rstrip(".,;:)]")
+        for token in re.findall(r"--[a-z][a-z0-9-]*(?:=\S*)?", tail)
+    ]
+
+
+def _subcommand_options():
+    parser = cli._build_parser()
+    (subparsers,) = [
+        action for action in parser._actions
+        if isinstance(action, type(parser._subparsers._group_actions[0]))
+    ]
+    return {
+        name: set(sub._option_string_actions)
+        for name, sub in subparsers.choices.items()
+    }
+
+
+def test_llm265_flags_exist():
+    options = _subcommand_options()
+    assert "--force-violation" in options["chaos"]
+    missing = set()
+    for doc in DOCS:
+        with open(doc, encoding="utf-8") as handle:
+            text = handle.read()
+        for command, tail in INVOCATION_RE.findall(text):
+            for flag in _flags(tail):
+                if command in options and flag not in options[command]:
+                    missing.add((os.path.relpath(doc, ROOT),
+                                 f"llm265 {command} {flag}"))
+    assert not missing, sorted(missing)
+
+
+@pytest.mark.parametrize("tail, flags", [
+    (" --quick --postmortem-dir pm", ["--quick", "--postmortem-dir"]),
+    (" [--cluster | --durability]", ["--cluster", "--durability"]),
+    (" w.npy --bits=3.0, then", ["--bits"]),
+    (" (no flags)", []),
+])
+def test_flag_rules(tail, flags):
+    assert _flags(tail) == flags
 
 
 @pytest.mark.parametrize("path, exists", [

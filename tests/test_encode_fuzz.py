@@ -8,7 +8,7 @@ the whole configuration space -- every profile and QP -- and the
 instrumented stats path reports the same exact ``tell_bits`` split.
 This file drives both backends over seeded random tensors and asserts
 exactly that.  The reference encoder (``repro.codec.reference``, the
-``legacy`` id; the only one that codes inter frames) is held to the
+``reference`` id; the only one that codes inter frames) is held to the
 same rule for the kernels it touches, the ordered DCT and the
 reference gather: loaded or not, the same bytes.
 """
@@ -70,12 +70,12 @@ def _reference_pair(frames, **kw):
 
 class TestEncodeFuzz:
     @pytest.mark.parametrize("profile", sorted(PROFILES_BY_NAME))
-    @pytest.mark.parametrize("search", ["legacy", "turbo"])
+    @pytest.mark.parametrize("search", ["reference", "production"])
     def test_streams_identical_across_profiles(self, profile, search):
-        # "turbo": production's two backends; "legacy": the reference
-        # encoder with and without the kernels.
+        # "production": production's two backends; "reference": the
+        # reference encoder with and without the kernels.
         frames = _frames(7)
-        pair = _reference_pair if search == "legacy" else _pair
+        pair = _reference_pair if search == "reference" else _pair
         for qp in _QPS:
             a, b = pair(frames, profile=PROFILES_BY_NAME[profile], qp=qp)
             assert a.data == b.data, f"{profile} {search} qp={qp}"

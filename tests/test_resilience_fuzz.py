@@ -14,7 +14,7 @@ from repro.codec.decoder import decode_frames, decode_frames_with_report
 from repro.codec.encoder import EncoderConfig, encode_frames, unpack_header
 from repro.codec.entropy.arithmetic import BinaryEncoder
 from repro.codec.syntax import CodecContexts
-from repro.harness import damage_payload
+from repro.cluster.chaos import damage_payload
 from repro.models.synthetic_weights import weight_like
 from repro.resilience import (
     ChecksumError,

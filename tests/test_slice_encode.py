@@ -275,16 +275,17 @@ class TestOrderedTransform:
 
 class TestReconInvariant:
     @pytest.mark.parametrize("pure", [False, True], ids=["native", "pure"])
-    @pytest.mark.parametrize("search", ["turbo", "legacy"])
+    @pytest.mark.parametrize("search", ["production", "reference"])
     def test_encoder_plane_is_the_decoder_plane(self, search, pure, monkeypatch):
-        # Kernels or twins on both sides; "legacy" names the reference
-        # encoder's exact search, an independent reconstruction.
+        # Kernels or twins on both sides; "reference" names the
+        # reference encoder's exact search, an independent
+        # reconstruction.
         if pure:
             monkeypatch.setattr(native, "available", lambda: False)
             monkeypatch.setattr(native, "dct2", lambda *a, **k: None)
         frames = [_frame((50, 70), seed) for seed in (11, 12)]
         for profile, qp in ((H265_PROFILE, 24.5), (H264_PROFILE, 18.0)):
-            if search == "legacy":
+            if search == "reference":
                 encoder = ReferenceEncoder(EncoderConfig(profile=profile, qp=qp))
             else:
                 encoder = FrameEncoder(
