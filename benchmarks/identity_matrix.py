@@ -1,10 +1,11 @@
 """Stream identity matrix: did a codec change move any bytes or samples?
 
-Encoded streams are not pinned by golden vectors (pass 1's operator
-GEMM is BLAS, so a stream is only reproducible on one box), so a
-pass-1 change is checked by hashing streams at the parent commit and at
-the change, on the same machine -- and a decoder change by hashing what
-those streams decode to::
+Every stage of the encoder is order-defined (no BLAS call is on its
+path), so a stream is the same bytes on every machine, and four are
+pinned as golden vectors (``tests/test_golden_encode.py``).  This
+matrix is the wide check: an encoder change is checked by hashing
+streams at the parent commit and at the change -- and a decoder change
+by hashing what those streams decode to::
 
     PYTHONPATH=<parent>/src python benchmarks/identity_matrix.py --write parent.json
     PYTHONPATH=src          python benchmarks/identity_matrix.py --against parent.json

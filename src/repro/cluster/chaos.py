@@ -460,6 +460,10 @@ class ViolationLedger:
         )
         #: damaged -> [usable, answered] over encode/decode requests.
         self.codec = {False: [0, 0], True: [0, 0]}
+        #: [acked, attempted] puts, and the puts refused typed
+        #: ``WriteQuorumFailed``.
+        self.puts = [0, 0]
+        self.write_quorum_failed = 0
         self._lock = threading.Lock()
 
     def judge(self, response, reference, damaged: bool = False, **where) -> None:
@@ -472,6 +476,12 @@ class ViolationLedger:
                 tally = self.codec[damaged]
                 tally[0] += int(response.ok)
                 tally[1] += 1
+            elif response.kind == "put":
+                self.puts[0] += int(response.ok)
+                self.puts[1] += 1
+                self.write_quorum_failed += int(
+                    response.error_type == "WriteQuorumFailed"
+                )
         if reason:
             self.record(reason, response, **where)
 
@@ -490,13 +500,16 @@ class ViolationLedger:
             if entry["reason"].startswith(prefixes)
         )
 
-    def availability(self) -> Tuple[float, float]:
-        """(undamaged, all) encode/decode availability; 1.0 if none."""
+    def availability(self) -> Tuple[float, float, float]:
+        """(undamaged, all) encode/decode availability and put
+        availability (acked / attempted); 1.0 where there were none."""
         clean, damaged = self.codec[False], self.codec[True]
         answered = clean[1] + damaged[1]
+        acked, attempted = self.puts
         return (
             clean[0] / clean[1] if clean[1] else 1.0,
             (clean[0] + damaged[0]) / answered if answered else 1.0,
+            acked / attempted if attempted else 1.0,
         )
 
 
@@ -539,7 +552,7 @@ def judge(
 ) -> dict:
     """Record the end-of-run reasons; return the invariant: a section
     per family, the counts by reason, the violations and ``passed``."""
-    undamaged, overall = ledger.availability()
+    undamaged, overall, puts = ledger.availability()
     for name, value, floor in (
         ("undamaged", undamaged, UNDAMAGED_FLOOR), ("all", overall, ALL_FLOOR)
     ):
@@ -561,6 +574,11 @@ def judge(
         "availability": {
             "undamaged": undamaged, "undamaged_floor": UNDAMAGED_FLOOR,
             "all": overall, "all_floor": ALL_FLOOR,
+            # Measured, not floored: a put needs every replica's ack,
+            # so one whose replica set holds a killed shard fails
+            # typed until health drains it (docs/CLUSTER.md).
+            "puts": puts,
+            "write_quorum_failed": ledger.write_quorum_failed,
         },
         "kills": dict(kills, required=kills_required),
         "durability": {
@@ -872,7 +890,9 @@ def format_report(report: dict) -> str:
         f"converged={repair['converged']}",
         f"availability: undamaged {availability['undamaged']:.4f} "
         f"(floor {availability['undamaged_floor']:g}), all "
-        f"{availability['all']:.4f} (floor {availability['all_floor']:g})",
+        f"{availability['all']:.4f} (floor {availability['all_floor']:g}), "
+        f"puts {availability['puts']:.4f} "
+        f"({availability['write_quorum_failed']} WriteQuorumFailed)",
         f"durability: {durability['acked_writes']} acked writes, "
         f"{durability['lost']} lost, {durability['corrupted']} corrupted, "
         f"{durability['under_replicated']} under-replicated",

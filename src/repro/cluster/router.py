@@ -60,6 +60,7 @@ import numpy as np
 
 import repro.telemetry as telemetry
 from repro.telemetry import flightrecorder
+from repro.parallel.awake import keep_awake
 from repro.telemetry.propagate import (
     TracedOutcome,
     TracedTask,
@@ -594,6 +595,9 @@ class ClusterRouter:
     ) -> ClusterResponse:
         if self._closed:
             return self._refuse(kind)
+        # Both hand-offs of this request wake a thread: find a running
+        # core (repro.parallel.awake).
+        keep_awake()
         cfg = self.config
         start_time = time.perf_counter()
         deadline = Deadline.after(

@@ -3,10 +3,11 @@
 Every frame is an intra slice, coded in two passes, both once per
 *group* of consecutive frames (:data:`GROUP_SAMPLES`).  Pass 1
 (:mod:`repro.codec.pass1`) costs every (block, size, mode) candidate of
-the group at once against *source* references: a QP-independent
-analysis (block DCT, reference windows @ the mode operator) that a rate
-search holds across its probes (:data:`HELD_ANALYSIS_BYTES`), then the
-pick at each CTU's step and Lagrangian.  Pass 2 runs the quadtree DP
+the group at once against *source* references, one kernel call per
+CU size: a QP-independent analysis (each block's clamped source
+window, every candidate's prediction, the ordered DCT of both), then
+the pick at each CTU's step and Lagrangian.  A rate search holds the
+analysis across its probes (:data:`HELD_ANALYSIS_BYTES`).  Pass 2 runs the quadtree DP
 over those costs, re-codes only the chosen leaves against the true
 reconstruction and writes each slice with the CABAC-style arithmetic
 coder -- one C call for the whole group with ``encode="native"``, the
@@ -86,17 +87,18 @@ _PARALLEL_MIN_SLICES = 4
 _PARALLEL_MIN_BYTES = 1 << 16
 #: Pass 1 predicts from source pixels, so it runs once per *group* of
 #: consecutive frames: as many as fit in this many padded samples, at
-#: least one.  That is one 256 x 256 slice, the largest candidate tensor
-#: pass 1 ever allocated, so peak memory keeps its bound while a KV
-#: page's four one-CTU slices share one DCT, GEMM and pick call per size
-#: and one pass-2 kernel call.  Groups depend on the frame list only,
+#: least one.  That is one 256 x 256 slice, so a rate search's held
+#: analysis keeps its bound while a KV page's four one-CTU slices share
+#: one pass-1 call per size and one pass-2 kernel call.  Groups depend on the frame list only,
 #: never on the worker count.  The decoder groups slices by the same
 #: bound (its two stages run once per group), so the name is neither
 #: side's.
 GROUP_SAMPLES = 1 << 16
 #: Bytes of pass-1 analysis a rate search may hold across its probes
 #: (:class:`repro.codec.pass1.HeldAnalysis`): one full 256 x 256 H.265
-#: group -- 3 CU sizes x (1 + 11 candidates) x 65 536 float64.  Groups
+#: group -- 3 CU sizes x (1 + 11 candidates) x 65 536 float64.  These
+#: are the only candidate rows pass 1 keeps: a fixed-QP encode ranks
+#: each block's candidates in the kernel's block-local scratch.  Groups
 #: past it are analysed again by every probe.
 HELD_ANALYSIS_BYTES = 18 << 20
 
@@ -505,8 +507,8 @@ class FrameEncoder:
             and groups > 1
             and _effective_cpus() > 1
             # Threads only overlap work that releases the GIL: pass 1's
-            # GEMMs and the whole-slice kernel.  The twin's per-leaf
-            # Python measured slower under threads than serial.
+            # group kernel and the whole-slice kernel.  The twin's
+            # per-leaf Python measured slower under threads than serial.
             and self._native_ok
             and native.available()
         )
@@ -755,7 +757,7 @@ class FrameEncoder:
         CTU by CTU over this frame's pass-1 tables (``pass1`` is
         :meth:`_Pass1.frame`'s), writing into ``enc`` and ``ctx``.
         Pass 1 (:meth:`_turbo_pass1`, once per group of frames) scored
-        every block of every CU size in a handful of stacked GEMMs using
+        every block of every CU size, one call per size, using
         *source* pixels as prediction references -- the classic encoder
         lookahead trick: at working QPs the reconstruction tracks the
         source closely, so decisions made against the source are
@@ -803,13 +805,13 @@ class FrameEncoder:
     ) -> _Pass1:
         """Turbo pass 1 over a group: ``(frames, height, width)`` float64 planes.
 
-        Per CU size, the group's analysis (:func:`repro.codec.pass1.analyse`,
-        or ``analysis``'s held copy) and one pick over the stacked blocks
-        of every frame, each block with the step and Lagrangian of its
-        own CTU.  The dither is consumed for the whole group up front, in
-        the order the serial CTU loop would, so fractional QPs dither
-        across the frames of a group and streams are invariant to the
-        fan-out.
+        Per CU size, one :func:`repro.codec.pass1.rank` over the stacked
+        blocks of every frame (one kernel call, or a pick over
+        ``analysis``'s held rows), each block with the step and
+        Lagrangian of its own CTU.  The dither is consumed for the whole
+        group up front, in the order the serial CTU loop would, so
+        fractional QPs dither across the frames of a group and streams
+        are invariant to the fan-out.
         """
         stats = self._stats
         started = perf_counter() if stats is not None else 0.0
@@ -822,18 +824,13 @@ class FrameEncoder:
         profile = self.config.profile
         modes = profile.coarse_modes()
         for n in self._sizes:
-            if analysis is None:
-                coeffs, pred = pass1.analyse(planes, n, modes)
-            else:
-                coeffs, pred = analysis.size(planes, n, modes)
             blocks = pass1._block_ctus(height, width, ctu, n)
             block_step = step[:, blocks].ravel()
-            pick, costs = pass1._pass1_pick(
-                coeffs, pred, 1.0 / block_step, block_step * block_step,
-                lam[:, blocks].ravel(), pass1._anchor_mode_bits(modes),
-                profile.deadzone, self._native_ok,
+            pick, costs = pass1.rank(
+                planes, n, modes, 1.0 / block_step, block_step * block_step,
+                lam[:, blocks].ravel(), profile.deadzone, self._native_ok,
+                analysis,
             )
-            del coeffs, pred  # a size's candidates go before the next size's
             shape = (count, height // n, width // n)
             tables.modes[n] = np.asarray(modes, dtype=np.int64)[pick].reshape(shape)
             tables.costs[n] = costs.reshape(shape)

@@ -57,6 +57,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 /* Largest n * n of any profile (64 x 64 CTU). */
 #define MAX_WIDTH 4096
@@ -196,6 +197,43 @@ static SIMD_AVX2 double row_avx2(
 }
 #endif
 
+/* What a pick refuses: a row wider than the stack level buffer, no
+ * mode, or a rate table that is empty, longer than 2^31 or whose entry
+ * 0 is not 0. */
+static int pick_refuses(int64_t width, int64_t n_modes,
+                        const int64_t *rate_table, int64_t table_len)
+{
+    return width < 1 || width > MAX_WIDTH || n_modes < 1 || table_len < 1
+        || table_len > INT32_MAX || rate_table[0] != 0;
+}
+
+/* The row body this machine runs. */
+static row_fn pick_row(void)
+{
+#ifdef HAVE_AVX2_BODY
+    if (simd_avx2())
+        return row_avx2;
+#endif
+    return row_scalar;
+}
+
+/* RD cost of candidate row p against source row c at one block's step
+ * and Lagrangian, in the twin's order. */
+static inline double row_cost(
+    row_fn row, const double *c, const double *p, double inv, double step2,
+    double lambda, double mode_bits, double off, int dead, int64_t width,
+    const int64_t *rate_table, int64_t table_len, double *lv)
+{
+    int64_t rate, nnz, last;
+    double sse = row(c, p, inv, off, dead, width, rate_table, table_len, lv,
+                     &rate, &nnz, &last);
+    double bits = 1.0;
+    if (nnz > 0)
+        bits = (5.0 + (double)last)
+            + ((double)rate / 16384.0 + 2.0 * (double)nnz);
+    return (sse * step2 + lambda * bits) + lambda * mode_bits;
+}
+
 static int64_t pick(
     row_fn row,
     const double *coeffs, const double *pred,
@@ -210,21 +248,16 @@ static int64_t pick(
     int dead = deadzone != 0.0;
     int64_t b, m;
 
-    if (width < 1 || width > MAX_WIDTH || n_modes < 1 || table_len < 1
-        || table_len > INT32_MAX || rate_table[0] != 0)
+    if (pick_refuses(width, n_modes, rate_table, table_len))
         return 1;
     for (b = 0; b < n_blocks; b++) {
         const double *c = coeffs + b * width;
         for (m = 0; m < n_modes; m++) {
-            const double *p = pred + (b * n_modes + m) * width;
-            int64_t rate, nnz, last;
-            double sse = row(c, p, inv_step[b], off, dead, width, rate_table,
-                             table_len, lv, &rate, &nnz, &last);
-            double bits = 1.0, cost;
-            if (nnz > 0)
-                bits = (5.0 + (double)last)
-                    + ((double)rate / 16384.0 + 2.0 * (double)nnz);
-            cost = (sse * step2[b] + lambda[b] * bits) + lambda[b] * mode_bits[m];
+            double cost = row_cost(
+                row, c, pred + (b * n_modes + m) * width, inv_step[b],
+                step2[b], lambda[b], mode_bits[m], off, dead, width,
+                rate_table, table_len, lv);
+            /* The first minimum in candidate order wins. */
             if (m == 0 || cost < best_cost[b]) {
                 best_cost[b] = cost;
                 best_mode[b] = m;
@@ -242,14 +275,9 @@ int64_t llm265_cost_pick(
     const int64_t *rate_table, int64_t table_len,
     int64_t *best_mode, double *best_cost)
 {
-    row_fn row = row_scalar;
-#ifdef HAVE_AVX2_BODY
-    if (simd_avx2())
-        row = row_avx2;
-#endif
-    return pick(row, coeffs, pred, n_blocks, n_modes, width, inv_step, step2,
-                lambda, mode_bits, deadzone, rate_table, table_len, best_mode,
-                best_cost);
+    return pick(pick_row(), coeffs, pred, n_blocks, n_modes, width, inv_step,
+                step2, lambda, mode_bits, deadzone, rate_table, table_len,
+                best_mode, best_cost);
 }
 
 int64_t llm265_cost_pick_scalar(
@@ -263,4 +291,125 @@ int64_t llm265_cost_pick_scalar(
     return pick(row_scalar, coeffs, pred, n_blocks, n_modes, width, inv_step,
                 step2, lambda, mode_bits, deadzone, rate_table, table_len,
                 best_mode, best_cost);
+}
+
+/* Pass 1 of a group of frames at one CU size (llm265_pass1_group).
+ *
+ * planes holds `count` padded source planes of height x width samples
+ * (float64), both multiples of n.  For every n x n block, frame by
+ * frame in raster order:
+ *
+ *   window      top[t] = plane[clamp(y0 - 1)][clamp(x0 - 1 + t)] and
+ *               left[t] = plane[clamp(y0 - 1 + t)][clamp(x0 - 1)] for
+ *               t = 0 .. 2n, clamped to the plane (pass1._window_index);
+ *   source      the block's ordered DCT (_transform_kernel.c) in zigzag
+ *               order;
+ *   candidates  each mode's prediction from the window (predict, the
+ *               reconstruction's predictors), its ordered DCT in zigzag
+ *               order.
+ *
+ * With coeffs and pred (C-contiguous (blocks, n^2) and (blocks,
+ * n_modes, n^2) doubles) the rows are written there -- a rate search's
+ * held analysis.  With best_mode / best_cost each block's candidates
+ * are ranked as llm265_cost_pick ranks them, at its own inv_step /
+ * step2 / lambda: without coeffs and pred only one source row and one
+ * candidate row of scratch exist at a time.  Every step is block-local,
+ * so no block's numbers depend on the blocks beside it, and each is
+ * the numpy twin's (pass1._analyse_twin + _pass1_pick) bit for bit --
+ * checked when the library loads (native._check_pass1).
+ *
+ * Status: 0 = ok, 1 = refused (a size the codec does not have, a plane
+ * that is not a whole number of blocks, a mode or zigzag entry out of
+ * range, nothing to write, or what llm265_cost_pick refuses), 2 = no
+ * memory for the scratch rows; nothing was written on a refusal. */
+int64_t llm265_pass1_group(
+    const double *planes, int64_t count, int64_t height, int64_t width,
+    int64_t n, const int64_t *modes, int64_t n_modes,
+    const double *basis, const int64_t *zigzag,
+    const double *inv_step, const double *step2, const double *lambda,
+    const double *mode_bits, double deadzone,
+    const int64_t *rate_table, int64_t table_len,
+    int64_t *best_mode, double *best_cost,
+    double *coeffs, double *pred)
+{
+    double basis_t[MAX_LEAF * MAX_LEAF], top[2 * MAX_LEAF + 1],
+        left[2 * MAX_LEAF + 1];
+    double off = 0.5 - deadzone, *scratch;
+    int dead = deadzone != 0.0, rank = best_mode != 0;
+    int64_t nn = n * n, rows, cols, b = 0, k, by, bx, y, t, m;
+    row_fn row = pick_row();
+    mm_fn mm = ordered_mm();
+
+    if (size_class(n) < 0 || count < 0 || height < n || width < n
+        || height % n || width % n || n_modes < 1 || (!coeffs != !pred)
+        || (!rank && !coeffs))
+        return 1;
+    if (rank && pick_refuses(nn, n_modes, rate_table, table_len))
+        return 1;
+    for (m = 0; m < n_modes; m++)
+        if (modes[m] < 0 || modes[m] > ANGULAR_LAST)
+            return 1;
+    for (t = 0; t < nn; t++)
+        if (zigzag[t] < 0 || zigzag[t] >= nn)
+            return 1;
+    /* The block, its transform, a prediction, the zigzagged source and
+     * candidate rows, the pick's levels. */
+    scratch = malloc(6 * nn * sizeof(double));
+    if (!scratch)
+        return 2;
+    transpose(basis, basis_t, n);
+    rows = height / n;
+    cols = width / n;
+    for (k = 0; k < count; k++) {
+        const double *plane = planes + k * height * width;
+        for (by = 0; by < rows; by++) {
+            int64_t y0 = by * n, above = y0 > 0 ? y0 - 1 : 0;
+            for (bx = 0; bx < cols; bx++, b++) {
+                int64_t x0 = bx * n, beside = x0 > 0 ? x0 - 1 : 0;
+                double *block = scratch, *dct = scratch + nn,
+                       *guess = scratch + 2 * nn, *lv = scratch + 5 * nn;
+                double *c = coeffs ? coeffs + b * nn : scratch + 3 * nn;
+                double best = 0.0;
+                int64_t pick_m = 0;
+
+                for (t = 0; t <= 2 * n; t++) {
+                    int64_t along = x0 - 1 + t, down = y0 - 1 + t;
+                    along = along < 0 ? 0 : along < width ? along : width - 1;
+                    down = down < 0 ? 0 : down < height ? down : height - 1;
+                    top[t] = plane[above * width + along];
+                    left[t] = plane[down * width + beside];
+                }
+                for (y = 0; y < n; y++)
+                    for (t = 0; t < n; t++)
+                        block[y * n + t] = plane[(y0 + y) * width + x0 + t];
+                dct2(mm, block, dct, n, basis, basis_t, 0);
+                for (t = 0; t < nn; t++)
+                    c[t] = dct[zigzag[t]];
+                for (m = 0; m < n_modes; m++) {
+                    double *p = pred ? pred + (b * n_modes + m) * nn
+                                     : scratch + 4 * nn;
+                    predict(top, left, (int)modes[m], n, guess);
+                    dct2(mm, guess, dct, n, basis, basis_t, 0);
+                    for (t = 0; t < nn; t++)
+                        p[t] = dct[zigzag[t]];
+                    if (rank) {
+                        double cost = row_cost(
+                            row, c, p, inv_step[b], step2[b], lambda[b],
+                            mode_bits[m], off, dead, nn, rate_table,
+                            table_len, lv);
+                        if (m == 0 || cost < best) {
+                            best = cost;
+                            pick_m = m;
+                        }
+                    }
+                }
+                if (rank) {
+                    best_mode[b] = pick_m;
+                    best_cost[b] = best;
+                }
+            }
+        }
+    }
+    free(scratch);
+    return 0;
 }

@@ -15,7 +15,9 @@
  * exactly those sums; eight (AVX-512) would have to change them.
  */
 
+#include <sched.h>
 #include <stdint.h>
+#include <time.h>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -44,4 +46,23 @@ int64_t llm265_simd_lanes(void)
 #else
     return 1;
 #endif
+}
+
+/* One machine primitive besides the vector width: spin until
+ * CLOCK_MONOTONIC reaches *deadline_ns, which the caller may move later
+ * while this runs (repro.parallel.awake keeps a core awake with it).
+ * Each turn yields, so any thread with work on this core runs first;
+ * with none, the core stays out of the idle loop.  No PAUSE: a
+ * hypervisor's pause-loop exiting takes a pause loop for lock spinning
+ * and may deschedule the vCPU this is here to keep running.  Returns 0. */
+int64_t llm265_spin_until(const volatile int64_t *deadline_ns)
+{
+    struct timespec now;
+
+    for (;;) {
+        clock_gettime(CLOCK_MONOTONIC, &now);
+        if ((int64_t)now.tv_sec * 1000000000 + now.tv_nsec >= *deadline_ns)
+            return 0;
+        sched_yield();
+    }
 }

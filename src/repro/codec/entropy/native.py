@@ -33,9 +33,18 @@ rows), ``_write_kernel.c`` the range encoder and block writer,
   :func:`repro.codec.syntax.encode_coeff_block`), in one call.
 - :func:`dct2` (``_transform_kernel.c``): the ordered DCT's batch entry,
   which serves :mod:`repro.codec.transform`.
+- :func:`pass1_rank` / :func:`pass1_analyse` (``_cost_kernel.c``): pass
+  1 of a group of frames at one CU size.  Per block the clamped source
+  reference window, every candidate mode's prediction (the recon
+  file's predictors), the ordered DCT of the block and of each
+  candidate in zigzag order, then either the ranking (one mode and one
+  cost per block come back, nothing else) or, for a rate search's held
+  analysis, the rows themselves.
 - :func:`cost_pick` (``_cost_kernel.c``): pass 1's RD costing, quantize
-  -> rate -> distortion -> argmin over every candidate of a block size
-  (one mode and one cost per block come back, nothing else).
+  -> rate -> distortion -> argmin over held candidate rows.
+- :func:`spin_until` (``_simd_kernel.c``): no codec work -- a
+  GIL-released spin to a deadline the caller may move, which
+  :mod:`repro.parallel.awake` keeps a core awake with.
 
 The library is compiled with the system C compiler the first time an
 entry is needed and cached under ``_build/`` keyed by one content hash
@@ -46,7 +55,7 @@ cannot accumulate orphans across source edits.
 
 Loading runs every self-check once -- the DC sum against numpy's, the
 ordered DCT against its numpy definition, the pick rows against their
-twin -- and ends in one state: ``ready``, ``pure-python``
+twin, pass 1 against its twin -- and ends in one state: ``ready``, ``pure-python``
 (``LLM265_PURE_PYTHON=1`` in the environment), ``no-compiler`` or
 ``failed`` (a failed build, ``dlopen`` or check).  Anything but
 ``ready`` makes *every* entry decline and each caller silently uses its
@@ -62,9 +71,9 @@ The kernels release the GIL for the duration of each call (plain
 call covers enough work: the whole-slice kernels do (a *group* of
 consecutive slices -- as many as fit in one 256 x 256 slice's samples,
 a KV page's four -- is one :func:`plan_slices` call and one
-:func:`reconstruct_slices` call to decode, and one
-:func:`encode_slices` call to encode after pass 1), the per-block
-kernels do not (see docs/PERFORMANCE.md).
+:func:`reconstruct_slices` call to decode, and one :func:`pass1_rank`
+call per CU size and one :func:`encode_slices` call to encode), the
+per-block kernels do not (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -93,6 +102,8 @@ __all__ = [
     "encode_slices",
     "dct2",
     "cost_pick",
+    "pass1_rank",
+    "pass1_analyse",
     "refs",
 ]
 
@@ -210,6 +221,29 @@ _PICK_ARGTYPES = [
     ctypes.c_void_p,  # best_cost out (float64)
 ]
 
+_PASS1_ARGTYPES = [
+    ctypes.c_void_p,  # planes (float64, count x height x width)
+    ctypes.c_int64,  # count
+    ctypes.c_int64,  # height
+    ctypes.c_int64,  # width
+    ctypes.c_int64,  # n
+    ctypes.c_void_p,  # modes (int64)
+    ctypes.c_int64,  # n_modes
+    ctypes.c_void_p,  # basis (float64, n x n)
+    ctypes.c_void_p,  # zigzag (int64, n * n)
+    ctypes.c_void_p,  # inv_step (float64, one per block; NULL = no ranking)
+    ctypes.c_void_p,  # step2 (float64, one per block)
+    ctypes.c_void_p,  # lambda (float64, one per block)
+    ctypes.c_void_p,  # mode_bits (float64, one per mode)
+    ctypes.c_double,  # deadzone
+    ctypes.c_void_p,  # rate_table (int64)
+    ctypes.c_int64,  # table_len
+    ctypes.c_void_p,  # best_mode out (int64, candidate index; NULL = none)
+    ctypes.c_void_p,  # best_cost out (float64)
+    ctypes.c_void_p,  # coeffs out (float64, blocks x n^2; NULL = not held)
+    ctypes.c_void_p,  # pred out (float64, blocks x modes x n^2)
+]
+
 
 #: Every entry the wrappers call, with its argument types (each returns
 #: an int64), declared once when the library is loaded.
@@ -220,7 +254,9 @@ _ENTRIES = {
     "llm265_encode_slices": _ENCODE_ARGTYPES,
     "llm265_dct2_batch": _DCT_ARGTYPES,
     "llm265_cost_pick": _PICK_ARGTYPES,
+    "llm265_pass1_group": _PASS1_ARGTYPES,
     "llm265_simd_lanes": [],
+    "llm265_spin_until": [ctypes.c_void_p],  # deadline (int64 ns, monotonic)
 }
 
 
@@ -341,6 +377,89 @@ def _check_pick(lib) -> None:
                     f"cost pick disagrees with numpy at width={width}, "
                     f"deadzone={deadzone}"
                 )
+
+
+def _pass1_call(fn, planes, n, modes, ranking=None, held=None) -> bool:
+    """One ``llm265_pass1_group`` call; True iff it ran.  ``ranking`` is
+    ``(inv_step, step2, lam, mode_bits, deadzone, rate_table, pick,
+    cost)``, ``held`` is ``(coeffs, pred)``; either may be ``None``."""
+    from repro.codec import transform
+
+    inv_step = step2 = lam = mode_bits = table = pick = cost = None
+    deadzone = 0.0
+    if ranking is not None:
+        inv_step, step2, lam, mode_bits, deadzone, table, pick, cost = ranking
+    coeffs, pred = (None, None) if held is None else held
+    modes = np.asarray(modes, dtype=np.int64)
+
+    def data(a):
+        return None if a is None else a.ctypes.data
+
+    return fn(
+        planes.ctypes.data, *planes.shape, n, modes.ctypes.data, len(modes),
+        data(transform.dct_matrix(n)), data(transform.zigzag_order(n)),
+        data(inv_step), data(step2), data(lam), data(mode_bits), deadzone,
+        data(table), 0 if table is None else len(table), data(pick),
+        data(cost), data(coeffs), data(pred),
+    ) == 0
+
+
+def _check_pass1(lib) -> None:
+    """Check the library's pass 1 against its twin.
+
+    The twin (:func:`repro.codec.pass1._analyse_twin` and
+    ``_pass1_pick``) is built from pairs the library is already held to
+    -- the predictors, the ordered DCT, the pick rows -- so this is the
+    composition's check: two frames of every CU size's blocks with the
+    planes' clamped edges, flat runs that tie candidates and lone
+    outliers, and every family of intra mode; the held rows and the
+    ranking, each bit for bit.
+    """
+    from repro.codec import pass1, transform
+
+    planes = (np.arange(2 * 64 * 64, dtype=np.float64) * 37.0 % 251.0).reshape(
+        2, 64, 64
+    )
+    planes[0, :, 40:] = 17.0
+    planes[1, ::9, ::11] = 255.0
+    planes[1, 0, 0] = planes[1, -1, -1] = 0.0
+    # Planar, DC and every angular family: both signs of angle, both
+    # orientations, pure horizontal / vertical and the diagonals.
+    modes = (0, 1, 2, 7, 10, 13, 17, 18, 21, 26, 29, 34)
+    mode_bits = np.linspace(1.0, 6.0, len(modes))
+    for n in transform.SUPPORTED_SIZES:
+        group = np.ascontiguousarray(planes[:, : max(n, 32)])
+        total = 2 * (len(group[0]) // n) * (64 // n)
+        step = np.resize([4.0, 0.75, 1.0 / 3e4, 23.0], total)
+        rows = (np.empty((total, n * n)), np.empty((total, len(modes), n * n)))
+        # The transform is the library's, which _check_dct has held to
+        # its numpy definition.
+        pass1._analyse_twin(
+            group, n, modes, *rows,
+            lambda blocks: _dct2(
+                lib, np.ascontiguousarray(blocks), transform.dct_matrix(n), False
+            ),
+        )
+        held = (np.empty_like(rows[0]), np.empty_like(rows[1]))
+        if not _pass1_call(lib.llm265_pass1_group, group, n, modes, None, held) or (
+            _differ(held, rows)
+        ):
+            raise RuntimeError(f"pass 1's rows disagree with numpy at n={n}")
+        for deadzone in (0.0, 0.15):
+            costing = (1.0 / step, step * step, 0.85 * step, mode_bits)
+            want = pass1._pass1_pick(*rows, *costing, deadzone, False)
+            got = (np.empty(total, dtype=np.int64), np.empty(total))
+            ranking = (*costing, deadzone, pass1._level_rate_table(), *got)
+            if not _pass1_call(lib.llm265_pass1_group, group, n, modes, ranking) or (
+                _differ(got, want)
+            ):
+                raise RuntimeError(
+                    f"pass 1's picks disagree with numpy at n={n}, deadzone={deadzone}"
+                )
+
+
+def _differ(got, want) -> bool:
+    return any(a.tobytes() != b.tobytes() for a, b in zip(got, want))
 
 
 #: The library's state for the process: ``unloaded`` until the first
@@ -497,6 +616,7 @@ def _resolve():
                 ("dc_sum", _check_dc_sum),
                 ("dct", _check_dct),
                 ("pick", _check_pick),
+                ("pass1", _check_pass1),
             ):
                 check(lib)
         except FileNotFoundError as exc:
@@ -548,6 +668,18 @@ def simd_lanes() -> str:
     """
     lib = _resolve()
     return _state if lib is None else _LANES[lib.llm265_simd_lanes()]
+
+
+def spin_until(deadline_ns: np.ndarray) -> bool:
+    """Spin, GIL released, until ``time.monotonic_ns()`` reaches
+    ``deadline_ns[0]`` (an int64 array the caller may move later while
+    this runs); False at once when the library is not loaded.  What
+    :mod:`repro.parallel.awake` keeps a core awake with."""
+    lib = _resolve()
+    if lib is None or not _c_array(deadline_ns, np.int64, 1):
+        return False
+    lib.llm265_spin_until(deadline_ns.ctypes.data)
+    return True
 
 
 #: Length of each context bank in the order of ``CodecContexts.banks()``
@@ -990,6 +1122,94 @@ def cost_pick(
         lib.llm265_cost_pick, coeffs, pred, inv_step, step2, lam, mode_bits,
         deadzone, rate_table,
     )
+
+
+def _pass1_args(planes: np.ndarray, n: int, modes: Sequence[int]) -> int:
+    """Blocks of a pass-1 call's planes, or 0 when the arguments do not
+    suit the kernel (which checks them again)."""
+    if not (_c_array(planes, np.float64, 3) and planes.size and modes):
+        return 0
+    count, height, width = planes.shape
+    if n not in (4, 8, 16, 32, 64) or height % n or width % n:
+        return 0
+    return count * (height // n) * (width // n)
+
+
+def pass1_rank(
+    planes: np.ndarray,
+    n: int,
+    modes: Sequence[int],
+    inv_step: np.ndarray,
+    step2: np.ndarray,
+    lam: np.ndarray,
+    mode_bits: np.ndarray,
+    deadzone: float,
+    rate_table: np.ndarray,
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Pass 1 of a group at one CU size in one call; None = use numpy.
+
+    ``planes`` is the group's ``(frames, height, width)`` float64 stack
+    of padded source planes, ``n`` the CU size; every ``n x n`` block,
+    frame by frame in raster order, has its candidates ``modes``
+    predicted from its clamped source window, transformed and ranked at
+    its own ``inv_step`` / ``step2`` / ``lam`` (``mode_bits`` per
+    candidate).  Returns ``(pick, cost)`` per block, bitwise what
+    :func:`repro.codec.pass1._analyse_twin` then
+    :func:`repro.codec.pass1._pass1_pick` compute.  No candidate row
+    leaves the kernel.
+    """
+    lib = _resolve()
+    if lib is None:
+        return None
+    total = _pass1_args(planes, n, modes)
+    if not (
+        total
+        and _c_array(mode_bits, np.float64, 1)
+        and len(mode_bits) == len(modes)
+        and all(
+            _c_array(per_block, np.float64, 1) and len(per_block) == total
+            for per_block in (inv_step, step2, lam)
+        )
+        and _c_array(rate_table, np.int64, 1)
+    ):
+        return None
+    out = (np.empty(total, dtype=np.int64), np.empty(total, dtype=np.float64))
+    ranking = (inv_step, step2, lam, mode_bits, deadzone, rate_table, *out)
+    if not _pass1_call(lib.llm265_pass1_group, planes, n, modes, ranking):
+        return None
+    return out
+
+
+def pass1_analyse(
+    planes: np.ndarray,
+    n: int,
+    modes: Sequence[int],
+    coeffs: np.ndarray,
+    pred: np.ndarray,
+) -> bool:
+    """Pass 1's rows of a group at one CU size into ``coeffs`` / ``pred``;
+    True iff written.
+
+    The arguments of :func:`pass1_rank` up to ``modes``; ``coeffs``
+    (``(blocks, n^2)``) receives every block's zigzag-ordered DCT and
+    ``pred`` (``(blocks, modes, n^2)``) every candidate's, both
+    C-contiguous float64 -- what a rate search holds across its probes
+    and hands :func:`cost_pick` at each.  Bitwise
+    :func:`repro.codec.pass1._analyse_twin`'s rows.
+    """
+    lib = _resolve()
+    if lib is None:
+        return False
+    total = _pass1_args(planes, n, modes)
+    if not (
+        total
+        and _c_array(coeffs, np.float64, 2)
+        and coeffs.shape == (total, n * n)
+        and _c_array(pred, np.float64, 3)
+        and pred.shape == (total, len(modes), n * n)
+    ):
+        return False
+    return _pass1_call(lib.llm265_pass1_group, planes, n, modes, None, (coeffs, pred))
 
 
 def refs(

@@ -123,9 +123,16 @@ def gather_references(
 
 
 def predict_dc(top: np.ndarray, left: np.ndarray, n: int) -> np.ndarray:
-    """DC prediction: mean of the immediate top row and left column."""
-    dc = (top[1 : n + 1].sum() + left[1 : n + 1].sum()) / (2 * n)
-    return np.full((n, n), dc, dtype=np.float64)
+    """DC prediction: mean of the immediate top row and left column.
+
+    ``top`` / ``left`` may carry leading batch axes (see
+    :func:`predict_many`)."""
+    dc = (top[..., 1 : n + 1].sum(axis=-1) + left[..., 1 : n + 1].sum(axis=-1)) / (
+        2 * n
+    )
+    out = np.empty(np.shape(dc) + (n, n), dtype=np.float64)
+    out[...] = np.asarray(dc)[..., None, None]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -143,14 +150,17 @@ def _planar_weights(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 
 
 def predict_planar(top: np.ndarray, left: np.ndarray, n: int) -> np.ndarray:
-    """HEVC planar prediction (bilinear blend toward top-right/bottom-left)."""
+    """HEVC planar prediction (bilinear blend toward top-right/bottom-left).
+
+    ``top`` / ``left`` may carry leading batch axes (see
+    :func:`predict_many`)."""
     far_x, near_x, far_y, near_y = _planar_weights(n)
-    top_row = top[1 : n + 1]
-    left_col = left[1 : n + 1]
-    top_right = top[n + 1]
-    bottom_left = left[n + 1]
-    horizontal = far_x * left_col[:, None] + near_x * bottom_left
-    vertical = far_y * top_row[None, :] + near_y * top_right
+    top_row = top[..., None, 1 : n + 1]
+    left_col = left[..., 1 : n + 1, None]
+    top_right = top[..., n + 1, None, None]
+    bottom_left = left[..., n + 1, None, None]
+    horizontal = far_x * left_col + near_x * bottom_left
+    vertical = far_y * top_row + near_y * top_right
     return (horizontal + vertical) / (2 * n)
 
 
@@ -276,21 +286,23 @@ def _angular_many(
 ) -> np.ndarray:
     """All angular predictions of one family in a single vectorised gather.
 
-    Bit-identical to calling :func:`_angular_from_main` per angle: the
+    Bit-identical to calling :func:`_angular_from_main` per angle (and
+    per block, over leading batch axes of ``main`` / ``side``): the
     extended reference rows and per-element blend arithmetic are the
-    same operations, just batched over the leading mode axis.
+    same operations, just batched over the leading axes.
     """
     ws, ws_inv, neg_lanes, proj_rev, flat_lo = _family_tables(angles, n)
-    m = len(angles)
-    ext = np.zeros((m, 3 * n + 2), dtype=np.float64)
-    ext[:, n : 3 * n + 1] = main
-    ext[:, 3 * n + 1] = main[2 * n]
+    batch = main.shape[:-1]
+    ext = np.zeros(batch + (len(angles), 3 * n + 2), dtype=np.float64)
+    ext[..., n : 3 * n + 1] = main[..., None, :]
+    ext[..., 3 * n + 1] = main[..., 2 * n, None]
     if neg_lanes.size:
         # ext[offset - k] = side[proj[k-1]] for k = 1..n, i.e. the
         # ascending slice ext[0:n] is the reversed projection.
-        ext[neg_lanes, :n] = side[proj_rev]
-    lo = np.take(ext, flat_lo)
-    hi = np.take(ext, flat_lo + 1)
+        ext[..., neg_lanes, :n] = side[..., proj_rev]
+    flat = ext.reshape(batch + (-1,))
+    lo = np.take(flat, flat_lo, axis=-1)
+    hi = np.take(flat, flat_lo + 1, axis=-1)
     return (ws_inv * lo + ws * hi) / 32.0
 
 
@@ -301,17 +313,21 @@ def predict_many(
 
     Angular modes are grouped by family (vertical / horizontal) and
     evaluated with a single batched gather each instead of one Python
-    dispatch per mode.
-    Each output plane is bit-identical to ``predict(top, left, mode, n)``.
+    dispatch per mode.  ``top`` / ``left`` may carry leading batch axes,
+    ``(..., 2n + 1)`` -- one block's references per row, as pass 1's
+    twin hands over every block of a group -- and the result is then
+    ``(..., m, n, n)``.  Each output plane is bit-identical to
+    ``predict(top, left, mode, n)`` of its own block's references.
     """
-    out = np.empty((len(modes), n, n), dtype=np.float64)
+    batch = top.shape[:-1]
+    out = np.empty(batch + (len(modes), n, n), dtype=np.float64)
     vertical: List[Tuple[int, int]] = []
     horizontal: List[Tuple[int, int]] = []
     for i, mode in enumerate(modes):
         if mode == PLANAR:
-            out[i] = predict_planar(top, left, n)
+            out[..., i, :, :] = predict_planar(top, left, n)
         elif mode == DC:
-            out[i] = predict_dc(top, left, n)
+            out[..., i, :, :] = predict_dc(top, left, n)
         elif mode >= 18:
             vertical.append((i, mode))
         else:
@@ -319,11 +335,11 @@ def predict_many(
     if vertical:
         idx = [i for i, _ in vertical]
         angles = tuple(mode_angle(mode) for _, mode in vertical)
-        out[idx] = _angular_many(top, left, angles, n)
+        out[..., idx, :, :] = _angular_many(top, left, angles, n)
     if horizontal:
         idx = [i for i, _ in horizontal]
         angles = tuple(mode_angle(mode) for _, mode in horizontal)
-        out[idx] = _angular_many(left, top, angles, n).transpose(0, 2, 1)
+        out[..., idx, :, :] = _angular_many(left, top, angles, n).swapaxes(-1, -2)
     return out
 
 

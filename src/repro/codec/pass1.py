@@ -2,32 +2,43 @@
 
 Pass 1 predicts from *source* pixels, so it runs once per group of
 consecutive frames (``encoder.GROUP_SAMPLES``) over the group's padded
-planes, and per CU size it is two halves:
+planes, and per CU size it is one call (:func:`rank`) that does, for
+every block of the group:
 
-* the **analysis** (:func:`analyse`): every block's DCT coefficients in
-  zigzag order and every candidate mode's predicted coefficients, one
-  GEMM of the blocks' reference windows against the mode operator
-  (:func:`_mode_coeff_operator`).  Neither depends on QP;
-* the **pick** (:func:`_pass1_pick`): quantize, cost and rank every
-  candidate at each block's step and Lagrangian -- the only half a QP
-  enters.
+* the **analysis**: the block's clamped source reference window
+  (:func:`_window_index`), every candidate mode's prediction from it,
+  and the ordered DCT of the block and of each prediction in zigzag
+  order.  None of it depends on QP;
+* the **pick**: quantize, cost and rank every candidate at the block's
+  step and Lagrangian -- the only half a QP enters.
+
+With the kernel library loaded that is one GIL-free
+``llm265_pass1_group`` call per group and size
+(:func:`repro.codec.entropy.native.pass1_rank`), which keeps one
+candidate row at a time and hands back ``(mode, cost)`` per block; no
+``(blocks, modes, n^2)`` candidate tensor exists.  Its twin
+(:func:`_analyse_twin`, then :func:`_pass1_pick`) is built from pairs
+the library is held to bit for bit -- :func:`repro.codec.intra.predict_many`,
+:func:`repro.codec.transform.forward_dct2_batch` and the pick -- so the
+two agree by construction, and the library is checked against it when
+it loads.  Every step is block-local, so no block's numbers depend on
+the blocks beside it or on the machine.
 
 A rate search encodes the same frames at several QPs, so it holds each
 group's analysis from its first probe to its last
-(:class:`HeldAnalysis`, one allocation per search) and every later
-probe runs only the pick and pass 2.  The picks read the same doubles
-either way, so no byte depends on whether an analysis was held.
+(:class:`HeldAnalysis`, one allocation per search): the first probe
+writes the rows there (:func:`analyse`) and every probe runs only the
+pick over them (:func:`repro.codec.entropy.native.cost_pick`) and pass
+2.  The picks read the same doubles either way, so no byte depends on
+whether an analysis was held.
 
-The pads, windows and CTU indices the analysis gathers through are
-lru-cached per shape; the operators are cached per candidate set for
-the life of the process.
+The pads, windows and CTU indices are lru-cached per shape.
 """
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,70 +46,17 @@ import repro.telemetry as telemetry
 from repro.codec import intra
 from repro.codec.entropy import native
 from repro.codec.syntax import estimate_mode_bits_many
-from repro.codec.transform import dct_matrix, zigzag_order
-
-#: (candidate modes, size) -> stacked operator, built under the lock (a
-#: hedged first request would build the set twice).
-_OPERATORS: Dict[Tuple[Tuple[int, ...], int], np.ndarray] = {}
-_OPERATORS_LOCK = threading.Lock()
-
-
-def _mode_coeff_operator(modes: Tuple[int, ...], n: int) -> np.ndarray:
-    """Linear operator: reference boundary -> zigzag-ordered DCT
-    coefficients of every candidate mode's prediction, the modes'
-    ``(n^2, 4n + 2)`` blocks stacked in order, shape ``(m * n^2, 4n + 2)``.
-
-    Every intra predictor (planar, DC, angular) is linear in the
-    ``(top, left)`` reference vector, and the DCT + zigzag scan are
-    linear too, so each mode's composition is one matrix, and pass 1's
-    candidate predictions for every block of a group are one GEMM
-    against the stacked references.  Built by probing
-    :func:`repro.codec.intra.predict_many` with basis vectors -- one
-    probe yields that column of every mode -- straight into the one
-    array that is cached per (set, size) for the life of the process.
-    """
-    key = (tuple(modes), n)
-    with _OPERATORS_LOCK:
-        operator = _OPERATORS.get(key)
-        if operator is None:
-            operator = _OPERATORS[key] = _build_operator(key[0], n)
-    return operator
-
-
-def _build_operator(modes: Tuple[int, ...], n: int) -> np.ndarray:
-    basis = dct_matrix(n)
-    zz = zigzag_order(n)
-    width = 4 * n + 2  # top (2n + 1) then left (2n + 1)
-    # ``intra.predict`` hands the horizontal family out as transposed
-    # views, and BLAS rounds a transposed operand differently in the
-    # last bit: those planes are transformed in that layout, so the
-    # operators are bit for bit the ones a per-mode probe builds.
-    horizontal = [i for i, m in enumerate(modes) if intra.ANGULAR_FIRST <= m < 18]
-    built = np.empty((len(modes), n * n, width), dtype=np.float64)
-    refs = np.zeros(width, dtype=np.float64)
-    for j in range(width):
-        refs[j] = 1.0
-        preds = intra.predict_many(refs[: 2 * n + 1], refs[2 * n + 1 :], modes, n)
-        coeffs = np.matmul(np.matmul(basis, preds), basis.T)
-        flipped = np.ascontiguousarray(preds[horizontal].transpose(0, 2, 1))
-        coeffs[horizontal] = np.matmul(
-            np.matmul(basis, flipped.transpose(0, 2, 1)), basis.T
-        )
-        built[:, :, j] = coeffs.reshape(len(modes), n * n)[:, zz]
-        refs[j] = 0.0
-    stacked = built.reshape(len(modes) * n * n, width)
-    stacked.setflags(write=False)
-    return stacked
+from repro.codec.transform import forward_dct2_batch, zigzag_order
 
 
 @lru_cache(maxsize=None)
 def _anchor_mode_bits(modes: Tuple[int, ...]) -> np.ndarray:
-    """Neighbour-free mode signalling rate used by the turbo pre-pass.
+    """Neighbour-free mode signalling rate used by pass 1's pick.
 
-    The batched pre-pass scores every block of a frame before any mode
-    has been committed, so the adaptive MPM context is unknown; the
-    no-neighbour estimate keeps the usual bias towards the default
-    most-probable modes without sequentialising the pass.
+    Pass 1 scores every block of a group before any mode has been
+    committed, so the adaptive MPM context is unknown; the no-neighbour
+    estimate keeps the usual bias towards the default most-probable
+    modes without sequentialising the pass.
     """
     bits = estimate_mode_bits_many(list(modes), None, None)
     bits.setflags(write=False)
@@ -148,7 +106,7 @@ def _pad_index(height: int, width: int, multiple: int) -> Tuple[np.ndarray, np.n
 def _padded_planes(frames: Sequence[np.ndarray], multiple: int) -> np.ndarray:
     """Equal-shape frames edge-padded to a multiple of ``multiple`` and
     stacked: one ``(frames, rows, cols)`` float64 array, C-contiguous as
-    pass 2's kernel takes it (it declines any other layout)."""
+    the pass-1 and pass-2 kernels take it."""
     rows, cols = _pad_index(*frames[0].shape, multiple)
     padded = np.take(np.take(np.stack(frames), rows, axis=1), cols, axis=2)
     return padded.astype(np.float64, order="C")
@@ -196,52 +154,107 @@ def _block_ctus(height: int, width: int, ctu: int, n: int) -> np.ndarray:
 # -- the analysis: QP-independent ------------------------------------------------
 
 
+def _analyse_twin(
+    planes: np.ndarray,
+    n: int,
+    modes: Tuple[int, ...],
+    coeffs: np.ndarray,
+    pred: np.ndarray,
+    dct2: Callable[[np.ndarray], np.ndarray] = forward_dct2_batch,
+) -> None:
+    """The kernel's analysis in numpy: ``coeffs`` ``(blocks, n^2)`` and
+    ``pred`` ``(blocks, modes, n^2)`` are filled with every block's and
+    every candidate's zigzag-ordered DCT.
+
+    Every block's candidates are predicted at once from its clamped
+    source window (:func:`_reference_windows`;
+    :func:`repro.codec.intra.predict_many` takes the windows as a
+    batch) and put through ``dct2``, the codec's ordered transform.
+    """
+    count, height, width = planes.shape
+    by, bx = height // n, width // n
+    zz = zigzag_order(n)
+    blocks = planes.reshape(count, by, n, bx, n).swapaxes(2, 3)
+    # "clip" writes into ``out`` unbuffered; every index is in range.
+    np.take(dct2(blocks).reshape(len(coeffs), n * n), zz, axis=1, out=coeffs, mode="clip")
+    refs = _reference_windows(planes, n)
+    preds = intra.predict_many(refs[:, : 2 * n + 1], refs[:, 2 * n + 1 :], modes, n)
+    np.take(dct2(preds).reshape(pred.shape), zz, axis=2, out=pred, mode="clip")
+
+
 def analyse(
     planes: np.ndarray,
     n: int,
     modes: Tuple[int, ...],
     coeffs_out: Optional[np.ndarray] = None,
     pred_out: Optional[np.ndarray] = None,
+    native_ok: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Every ``n x n`` block's ``(coeffs, pred)`` over a group's planes.
 
     ``coeffs`` is ``(blocks, n^2)``: each block's DCT in zigzag order;
     ``pred`` is ``(blocks, modes, n^2)``: each candidate's predicted
-    coefficients.  Blocks run frame by frame in raster order.
-    References come from the source planes, clamped at their edges
-    (one row/column of context outside each frame, ``2n`` of extension
-    below/right exactly like the boundary walk reads them:
-    :func:`_reference_windows`), so the whole group's candidate
-    prediction collapses into one operator GEMM instead of a mat-vec
-    per block.  With ``coeffs_out`` / ``pred_out`` (C-contiguous, of
-    those shapes) the arrays are written there, the same doubles.
+    coefficients.  Blocks run frame by frame in raster order.  With
+    ``coeffs_out`` / ``pred_out`` (C-contiguous, of those shapes) the
+    rows are written there -- a held analysis' views.  The kernel
+    writes them when ``native_ok`` and it is loaded, the twin
+    otherwise: the same doubles.
     """
     count, height, width = planes.shape
-    by, bx = height // n, width // n
-    total = count * by * bx
-    basis = dct_matrix(n)
-    blocks = planes.reshape(count, by, n, bx, n).transpose(0, 1, 3, 2, 4)
-    coeffs = np.matmul(np.matmul(basis, blocks), basis.T).reshape(total, n * n)
-    # C-contiguous, unlike [:, zz]; "clip" writes into ``out`` unbuffered.
-    coeffs = np.take(coeffs, zigzag_order(n), axis=1, out=coeffs_out, mode="clip")
+    total = count * (height // n) * (width // n)
+    coeffs = np.empty((total, n * n)) if coeffs_out is None else coeffs_out
+    pred = np.empty((total, len(modes), n * n)) if pred_out is None else pred_out
+    if not (native_ok and native.pass1_analyse(planes, n, modes, coeffs, pred)):
+        if native_ok and native.available():
+            telemetry.count("encode.kernel_refusals")
+        _analyse_twin(planes, n, modes, coeffs, pred)
+    return coeffs, pred
 
-    refs = _reference_windows(planes, n)
-    # Block-major GEMM orientation: the (blocks, modes, n*n) prediction
-    # comes out C-contiguous, so the pick kernel walks it row by row --
-    # no transpose copy of the candidate predictions.
-    operator = _mode_coeff_operator(modes, n).T
-    out = None if pred_out is None else pred_out.reshape(total, -1)
-    if total == 1:
-        # BLAS answers one row with its GEMV kernel, which rounds the
-        # last bits differently from the GEMM rows the same block gets
-        # beside others: a lone block is computed as two rows, so a
-        # frame's bytes never depend on its group-mates.
-        pred = (np.concatenate([refs, refs]) @ operator)[:total]
+
+def rank(
+    planes: np.ndarray,
+    n: int,
+    modes: Tuple[int, ...],
+    inv_step: np.ndarray,
+    step2: np.ndarray,
+    lam: np.ndarray,
+    deadzone: float,
+    native_ok: bool,
+    analysis: Optional["GroupAnalysis"] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pass 1 of a group at one CU size: per block, frame by frame in
+    raster order, the first cheapest candidate and its RD cost at its
+    ``inv_step`` / ``step2`` / ``lam``.
+
+    With ``analysis`` (a search's held analysis) the pick runs over its
+    rows, analysed on its first call.  Otherwise the kernel does the
+    whole pass in one call when ``native_ok`` and it is loaded, and the
+    twin -- :func:`_analyse_twin`, then :func:`_pass1_pick` -- does it
+    when not; ``(pick, cost)`` is bitwise the same whichever ran.
+    ``planes`` may have any layout (the kernel reads a C-contiguous
+    copy).
+    """
+    planes = np.ascontiguousarray(planes)
+    mode_bits = _anchor_mode_bits(modes)
+    if analysis is not None:
+        coeffs, pred = analysis.size(planes, n, modes, native_ok)
+        return _pass1_pick(
+            coeffs, pred, inv_step, step2, lam, mode_bits, deadzone, native_ok
+        )
+    if native_ok:
+        out = native.pass1_rank(
+            planes, n, modes, inv_step, step2, lam, mode_bits, deadzone,
+            _level_rate_table(),
+        )
         if out is not None:
-            out[...] = pred
-    else:
-        pred = np.matmul(refs, operator, out=out)
-    return coeffs, pred.reshape(total, len(modes), n * n)
+            return out
+        if native.available():
+            telemetry.count("encode.kernel_refusals")
+    total = len(inv_step)
+    coeffs = np.empty((total, n * n))
+    pred = np.empty((total, len(modes), n * n))
+    _analyse_twin(planes, n, modes, coeffs, pred)
+    return _pass1_pick(coeffs, pred, inv_step, step2, lam, mode_bits, deadzone, False)
 
 
 class GroupAnalysis:
@@ -258,12 +271,12 @@ class GroupAnalysis:
         self._done: set = set()
 
     def size(
-        self, planes: np.ndarray, n: int, modes: Tuple[int, ...]
+        self, planes: np.ndarray, n: int, modes: Tuple[int, ...], native_ok: bool
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``analyse(planes, n, modes)``, computed on the first call only."""
         coeffs, pred = self._views[n]
         if n not in self._done:
-            analyse(planes, n, modes, coeffs, pred)
+            analyse(planes, n, modes, coeffs, pred, native_ok)
             self._done.add(n)
         return coeffs, pred
 

@@ -40,17 +40,32 @@ def dct_matrix(n: int) -> np.ndarray:
 
 
 def _ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` over the last two axes with a defined summation order.
+    """``a @ b`` over the first two axes with a defined summation order.
 
-    ``out[..., i, j] = ((0 + a[i, 0] b[0, j]) + a[i, 1] b[1, j]) + ...``:
+    ``out[i, j, ...] = ((0 + a[i, 0] b[0, j]) + a[i, 1] b[1, j]) + ...``:
     one elementwise multiply and one elementwise add per ``k``, so no
     BLAS blocking, pairwise reduction or fused multiply-add can reorder
-    or re-round the sum.
+    or re-round the sum.  Trailing axes are a batch, so every one of
+    those operations sweeps the whole batch at once.  The first term
+    lands as ``product + 0.0``, which is ``0.0 + product`` in IEEE
+    arithmetic.
     """
-    acc = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.float64)
-    for k in range(a.shape[-1]):
-        acc += a[..., :, k, None] * b[..., k, None, :]
+    ndim = max(a.ndim, b.ndim)
+    a = a.reshape(a.shape + (1,) * (ndim - a.ndim))
+    b = b.reshape(b.shape + (1,) * (ndim - b.ndim))
+    acc = np.empty(np.broadcast_shapes(a[:, :1].shape, b[:1].shape))
+    term = np.empty_like(acc)
+    np.multiply(a[:, :1], b[:1], out=acc)
+    acc += 0.0
+    for k in range(1, a.shape[1]):
+        np.multiply(a[:, k : k + 1], b[k : k + 1], out=term)
+        acc += term
     return acc
+
+
+#: Bytes of blocks :func:`_ordered_dct2` transforms at a time, so its
+#: accumulators stay in cache.
+_DCT_RUN_BYTES = 1 << 20
 
 
 def _ordered_dct2(blocks: np.ndarray, basis: np.ndarray, inverse: bool) -> np.ndarray:
@@ -60,10 +75,20 @@ def _ordered_dct2(blocks: np.ndarray, basis: np.ndarray, inverse: bool) -> np.nd
     both as two :func:`_ordered_matmul` products evaluated left to
     right.  ``_transform_kernel.c`` implements exactly this and a
     library that contains it is refused at load if it ever disagrees.
+    Blocks are independent, so they are transformed a cache-sized run
+    at a time, with the run as the products' batch axis.
     """
-    if inverse:
-        return _ordered_matmul(_ordered_matmul(basis.T, blocks), basis)
-    return _ordered_matmul(_ordered_matmul(basis, blocks), basis.T)
+    left, right = (basis.T, basis) if inverse else (basis, basis.T)
+    n = basis.shape[0]
+    flat = np.asarray(blocks, dtype=np.float64).reshape(-1, n, n)
+    out = np.empty(flat.shape, dtype=np.float64)
+    run = max(1, _DCT_RUN_BYTES // (8 * n * n))
+    for start in range(0, len(flat), run):
+        x = np.ascontiguousarray(np.moveaxis(flat[start : start + run], 0, -1))
+        out[start : start + run] = np.moveaxis(
+            _ordered_matmul(_ordered_matmul(left, x), right), -1, 0
+        )
+    return out.reshape(np.shape(blocks))
 
 
 def _dct2_batch(blocks: np.ndarray, inverse: bool) -> np.ndarray:

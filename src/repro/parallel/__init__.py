@@ -7,6 +7,7 @@ the checkpoint writer.  Parallel output is guaranteed byte-identical
 to the serial path; see ``docs/PERFORMANCE.md``.
 """
 
+from repro.parallel.awake import awake_stats, keep_awake
 from repro.parallel.pool import (
     ParallelConfig,
     get_executor,
@@ -17,6 +18,8 @@ from repro.parallel.pool import (
 
 __all__ = [
     "ParallelConfig",
+    "awake_stats",
+    "keep_awake",
     "get_executor",
     "parallel_map",
     "pool_stats",

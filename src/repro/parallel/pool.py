@@ -10,7 +10,7 @@ ordering* -- and therefore every byte of output -- is identical to the
 serial path.
 
 Threads, because what a fan-out overlaps is the GIL-free work: the
-whole-slice C kernels and pass 1's BLAS GEMM.  The encoder and decoder
+whole-slice C kernels and pass 1's group kernel.  The encoder and decoder
 fan out only when their kernels are loaded; the pure-Python twin holds
 the GIL and stays serial.
 

@@ -36,7 +36,11 @@ from repro.cluster.chaos import (
     judge,
 )
 from repro.cluster.repair import RepairReport
-from repro.cluster.router import ClusterResponse, ClusterUnavailable
+from repro.cluster.router import (
+    ClusterResponse,
+    ClusterUnavailable,
+    WriteQuorumFailed,
+)
 from repro.cluster.shard import ShardDown
 from repro.cluster.store import NotFound
 from repro.resilience.errors import ConcealmentReport, CorruptStreamError
@@ -364,6 +368,21 @@ class TestLedger:
         assert not inv["passed"]
         assert [v["reason"] for v in inv["violations"]] == [
             "availability below floor: all 0.9800 < 0.99"]
+
+    def test_put_availability_is_measured_not_floored(self):
+        # Three puts acked, one refused typed because a replica of its
+        # set was killed and not yet drained: availability 0.75, one
+        # WriteQuorumFailed, and the verdict still passes.
+        ledger = ViolationLedger()
+        for _ in range(3):
+            ledger.judge(_ok("put", None), None)
+        ledger.judge(_failed("put", WriteQuorumFailed("k", 1, 2)), None)
+        ledger.judge(_failed("get", NotFound("k")), None)
+        inv = _verdict(ledger)
+        assert inv["availability"]["puts"] == 0.75
+        assert inv["availability"]["write_quorum_failed"] == 1
+        assert inv["passed"]
+        assert _verdict(ViolationLedger())["availability"]["puts"] == 1.0
 
     def test_entry_fields_come_from_the_response(self):
         ledger = ViolationLedger()

@@ -122,15 +122,23 @@ def test_frame_level_searches_write_what_a_fresh_encode_writes():
 
 @pytest.fixture
 def analysed(monkeypatch):
-    """The CU size of every ``pass1.analyse`` call made in the test."""
+    """The CU size of every pass-1 analysis made in the test: a
+    ``pass1.analyse`` into held views, or a ``pass1.rank`` that holds
+    nothing (the kernel's one call, or the twin)."""
     sizes = []
-    real = pass1_mod.analyse
+    real_analyse, real_rank = pass1_mod.analyse, pass1_mod.rank
 
-    def spy(planes, n, *args):
+    def analyse(planes, n, *args):
         sizes.append(n)
-        return real(planes, n, *args)
+        return real_analyse(planes, n, *args)
 
-    monkeypatch.setattr(pass1_mod, "analyse", spy)
+    def rank(planes, n, *args):
+        if args[-1] is None:  # no held analysis
+            sizes.append(n)
+        return real_rank(planes, n, *args)
+
+    monkeypatch.setattr(pass1_mod, "analyse", analyse)
+    monkeypatch.setattr(pass1_mod, "rank", rank)
     return sizes
 
 

@@ -8,7 +8,8 @@ Covers, kernel by kernel, the exactness contracts the fuzz suite
 - pass 1's pick kernel against its numpy twin, bitwise, on
   ``(best_mode, best_cost)`` (random grids, directed edge cases, real
   frames across profiles / sizes / dead zones / QPs);
-- the mode-operator builder against the per-mode probe it replaced;
+- pass 1's whole-group kernel: its refusals, and batched predictions
+  against the per-block predictor its twin is built from;
 - the refs kernel against the original scalar boundary walk;
 - the build pipeline: the one library's status, cache GC accounting,
   and the degrade-once-with-one-event behaviour when a build or a
@@ -35,12 +36,8 @@ from repro.codec.encoder import (
     EncoderConfig,
     FrameEncoder,
 )
-from repro.codec.pass1 import (
-    _level_rate_table,
-    _mode_coeff_operator,
-    _pass1_pick,
-    _quantize_costs,
-)
+from repro.codec import pass1 as pass1_mod
+from repro.codec.pass1 import _level_rate_table, _pass1_pick, _quantize_costs
 from repro.codec.entropy import native
 from repro.codec.entropy.arithmetic import BinaryEncoder
 from repro.codec.intra import gather_references
@@ -52,7 +49,6 @@ from repro.codec.syntax import (
     encode_coeff_block,
     encode_coeff_block_primitive,
 )
-from repro.codec.transform import dct_matrix, zigzag_order
 from repro.parallel import ParallelConfig
 from repro.serving.ladder import DEFAULT_LADDER, Rung
 from repro.telemetry import flightrecorder
@@ -241,12 +237,11 @@ class TestPickKernel:
         "profile", [H264_PROFILE, H265_PROFILE, AV1_PROFILE], ids=lambda p: p.name
     )
     def test_identical_on_real_frames(self, profile, deadzone, qp, monkeypatch):
-        # Every pass-1 call of real encodes (the 50 x 70 frame is
+        # Every pass-1 pick of real encodes (the 50 x 70 frame is
         # edge-padded to the CTU grid: flat borders tie candidates; the
         # fractional QP dithers two QPs into each slice), replayed
-        # through kernel and twin.
-        import repro.codec.pass1 as pass1_mod
-
+        # through kernel and twin.  The twin's encode hands the pick its
+        # candidate rows; the kernel's keeps them in C.
         calls = []
         real = pass1_mod._pass1_pick
 
@@ -257,7 +252,9 @@ class TestPickKernel:
         monkeypatch.setattr(pass1_mod, "_pass1_pick", spy)
         rng = np.random.default_rng(31)
         config = EncoderConfig(
-            profile=dataclasses.replace(profile, deadzone=deadzone), qp=qp
+            profile=dataclasses.replace(profile, deadzone=deadzone),
+            qp=qp,
+            encode="python",
         )
         with telemetry.session() as registry:
             for height, width in ((64, 64), (50, 70)):
@@ -277,34 +274,64 @@ class TestPickKernel:
             _assert_pick_identical(*args)
 
 
-class TestModeOperators:
-    @staticmethod
-    def _probe_one_mode(mode, n):
-        """The builder this PR replaced: one ``intra.predict`` per column."""
-        basis, zz, width = dct_matrix(n), zigzag_order(n), 4 * n + 2
-        matrix = np.empty((n * n, width), dtype=np.float64)
-        refs = np.zeros(width, dtype=np.float64)
-        for j in range(width):
-            refs[j] = 1.0
-            pred = intra.predict(refs[: 2 * n + 1], refs[2 * n + 1 :], mode, n)
-            matrix[:, j] = np.take(
-                np.matmul(np.matmul(basis, pred), basis.T).ravel(), zz
-            )
-            refs[j] = 0.0
-        return matrix
-
+class TestPass1Kernel:
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
-    def test_set_builder_equals_per_mode_probe(self, n, monkeypatch):
-        import repro.codec.pass1 as pass1_mod
+    def test_batched_predictions_equal_per_block_predict(self, n):
+        # The twin predicts every block of a group at once; each plane is
+        # what ``intra.predict`` makes of its own block's references.
+        rng = np.random.default_rng(n)
+        refs = rng.integers(0, 256, (5, 4 * n + 2)).astype(np.float64)
+        refs[1] = 77.0  # a flat window
+        top, left = refs[:, : 2 * n + 1], refs[:, 2 * n + 1 :]
+        modes = H265_PROFILE.all_modes
+        batched = intra.predict_many(top, left, modes, n)
+        assert batched.shape == (5, len(modes), n, n)
+        for b in range(5):
+            for m, mode in enumerate(modes):
+                want = intra.predict(top[b], left[b], mode, n)
+                assert batched[b, m].tobytes() == want.tobytes(), (b, mode)
 
-        monkeypatch.setattr(pass1_mod, "_OPERATORS", {})  # built here, dropped after
-        for modes in (H265_PROFILE.coarse_modes(), H265_PROFILE.all_modes):
-            operator = _mode_coeff_operator(modes, n)
-            assert operator.shape == (len(modes) * n * n, 4 * n + 2)
-            assert not operator.flags.writeable
-            # Every mode's row block, bit for bit.
-            for mode, rows in zip(modes, operator.reshape(len(modes), n * n, -1)):
-                assert rows.tobytes() == self._probe_one_mode(mode, n).tobytes(), mode
+    @needs_library
+    def test_declined_arguments_fall_back_counted(self):
+        rng = np.random.default_rng(4)
+        planes = rng.integers(0, 256, (2, 32, 48)).astype(np.float64)
+        modes = H265_PROFILE.coarse_modes()
+        inv_step, step2, lam, _ = _two_qp_params(rng, 2 * 4 * 6, len(modes))
+        args = (inv_step, step2, lam, 0.15)
+        want = pass1_mod.rank(planes, 8, modes, *args, native_ok=False)
+        costing = (*args[:3], pass1_mod._anchor_mode_bits(modes), 0.15)
+        costing += (_level_rate_table(),)
+        # A strided plane stack, a size the codec does not have, a plane
+        # that is not whole blocks: the kernel declines each.
+        assert native.pass1_rank(planes[:, :, ::2], 8, modes, *costing) is None
+        assert native.pass1_rank(planes, 12, modes, *costing) is None
+        assert native.pass1_rank(planes[:, :30].copy(), 8, modes, *costing) is None
+        assert not native.pass1_analyse(
+            planes, 8, modes, np.empty((48, 63)), np.empty((48, len(modes), 64))
+        )
+        got = native.pass1_rank(planes, 8, modes, *costing)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        # ``rank`` copies planes of any layout; a strided per-block array
+        # is declined, ranked by the twin and counted.
+        strided = np.repeat(inv_step, 2)[::2]
+        with telemetry.session() as registry:
+            fell_back = pass1_mod.rank(
+                np.asfortranarray(planes), 8, modes, strided, *args[1:],
+                native_ok=True,
+            )
+        assert registry.counters.get("encode.kernel_refusals") == 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(fell_back, want))
+
+    @needs_library
+    def test_c_refuses_out_of_range_modes(self):
+        # The entry's own trust boundary, past the wrapper's checks.
+        planes = np.zeros((1, 16, 16))
+        coeffs, pred = np.empty((4, 64)), np.empty((4, 2, 64))
+        call = native._resolve().llm265_pass1_group
+        assert not native._pass1_call(call, planes, 8, (0, 35), None, (coeffs, pred))
+        assert not native._pass1_call(call, planes, 8, (0, -1), None, (coeffs, pred))
+        assert not native._pass1_call(call, planes, 8, (0, 1), None, None)
+        assert native._pass1_call(call, planes, 8, (0, 1), None, (coeffs, pred))
 
 
 class TestRefsKernel:

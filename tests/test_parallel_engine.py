@@ -15,7 +15,9 @@ reproduce frame ``i``'s quantizer sequence without replaying frames
 from __future__ import annotations
 
 import dataclasses
+import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -30,7 +32,14 @@ from repro.codec.entropy import native
 from repro.codec.profiles import H265_PROFILE
 from repro.codec.reference import ReferenceEncoder
 from repro.distributed.comm import CodecCompressor
-from repro.parallel import ParallelConfig, parallel_map, pool_stats
+from repro.parallel import (
+    ParallelConfig,
+    awake_stats,
+    keep_awake,
+    parallel_map,
+    pool_stats,
+)
+from repro.parallel import awake as awake_mod
 from repro.parallel import pool as pool_mod
 from repro.tensor.checkpoint import load_checkpoint, save_checkpoint
 from repro.tensor.codec import TensorCodec
@@ -127,6 +136,38 @@ class TestParallelMap:
             assert parallel_map(_negate, range(size), cfg) == [-x for x in range(size)]
         assert set(pool_stats()["live_pools"]) - before <= {8}
         assert 8 in pool_stats()["live_pools"]
+
+
+class TestKeepAwake:
+    @pytest.mark.skipif(not native.available(), reason="kernel library unavailable")
+    def test_spin_follows_a_deadline_moved_while_it_runs(self):
+        deadline = np.array([time.monotonic_ns() + 20_000_000], dtype=np.int64)
+        moved = threading.Timer(
+            0.01, lambda: deadline.__setitem__(0, time.monotonic_ns() + 40_000_000)
+        )
+        started = time.monotonic()
+        moved.start()
+        assert native.spin_until(deadline)
+        assert time.monotonic() - started >= 0.045
+        assert time.monotonic_ns() >= deadline[0]
+
+    def test_spins_for_a_window_after_each_call_then_parks(self, monkeypatch):
+        monkeypatch.setattr(awake_mod, "_helper", None)
+        monkeypatch.setattr(awake_mod, "_wake", threading.Event())
+        monkeypatch.setattr(awake_mod, "AWAKE_WINDOW_S", 0.02)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        before = awake_stats()["spins"]
+        keep_awake()
+        time.sleep(0.1)
+        stats = awake_stats()
+        if not native.available() or cpus < 2:
+            # A spin in Python would hold the GIL; one core is the only core.
+            assert not stats["running"] and stats["spins"] == before
+            return
+        assert stats["running"] and stats["spins"] == before + 1
+        spun = stats["spin_s"]
+        time.sleep(0.05)  # parked: nothing more is spent
+        assert awake_stats()["spin_s"] == spun
 
 
 class TestQpDither:

@@ -9,10 +9,8 @@ samples: sixty-four one-CTU KV slices, four 128 x 128 tiles, one
   alone, first or last in a group, or either side of a group boundary;
 * *fan-out* -- workers are handed whole groups, so serial == thread,
   and fewer than two groups stay serial;
-* *call counts* -- a KV page's four slices share one pick call per CU
-  size, a 256 x 256 slice makes the calls it always made;
-* *canary* -- the BLAS property invariance rests on: a row of the
-  operator GEMM does not depend on the rows beside it;
+* *call counts* -- a KV page's four slices share one pass-1 call per
+  CU size, a 256 x 256 slice makes the calls it always made;
 * *deadline* -- an expiry inside a multi-group encode raises, nothing
   partial comes back.
 
@@ -134,8 +132,8 @@ class TestGroupInvariance:
     def test_native(self, profile, qp, shape, monkeypatch):
         _assert_group_invariant(monkeypatch, shape, _COUNTS, profile=profile, qp=qp)
 
-    # The twin differs from the kernels in pass 1's pick only: it takes
-    # three and five frames.
+    # The twin's pass 1 is numpy and its pass 2 per-leaf Python: it
+    # takes three and five frames.
     @pytest.mark.parametrize("profile, qp, shape", _cases(twin=True))
     def test_python(self, profile, qp, shape, monkeypatch):
         _assert_group_invariant(
@@ -234,15 +232,16 @@ class TestFanOut:
 
 @pytest.fixture
 def pick_calls(monkeypatch):
-    """Positional arguments of every ``_pass1_pick`` call made in the test."""
+    """``(blocks, n * n)`` of every ``pass1.rank`` call made in the test."""
     calls = []
-    real = pass1_mod._pass1_pick
+    real = pass1_mod.rank
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(planes, n, *args):
+        count, height, width = planes.shape
+        calls.append((count * (height // n) * (width // n), n * n))
+        return real(planes, n, *args)
 
-    monkeypatch.setattr(pass1_mod, "_pass1_pick", spy)
+    monkeypatch.setattr(pass1_mod, "rank", spy)
     return calls
 
 
@@ -251,57 +250,15 @@ class TestCallCounts:
         # Four 16 x 32 frames -> four padded 32 x 32 CTUs in one group:
         # 3 calls over 4, 16 and 64 blocks, where per-slice pass 1 made 12.
         FrameEncoder(EncoderConfig(qp=26.0)).encode(_frames((16, 32), 4))
-        assert [args[0].shape for args in pick_calls] == [
-            (4, 32 * 32), (16, 16 * 16), (64, 8 * 8),
-        ]
+        assert pick_calls == [(4, 32 * 32), (16, 16 * 16), (64, 8 * 8)]
 
     def test_256_square_frames_are_groups_of_one(self, pick_calls):
         frames = _frames((256, 256), 4)
         FrameEncoder(EncoderConfig(qp=26.0)).encode(frames)
-        assert [args[0].shape[0] for args in pick_calls] == [64, 256, 1024] * 4
+        assert [blocks for blocks, _ in pick_calls] == [64, 256, 1024] * 4
         del pick_calls[:]
         FrameEncoder(EncoderConfig(qp=26.0)).encode(frames[:1])
         assert len(pick_calls) == 3
-
-
-# -- the BLAS property invariance rests on ----------------------------------------
-
-_CANARY = (
-    "BLAS rounds a row by its neighbours here: frame bytes now depend on "
-    "group composition; serial == parallel still holds"
-)
-
-
-class TestCanary:
-    @pytest.mark.parametrize("n", [4, 8, 16, 32])
-    @pytest.mark.parametrize("profile", [H264_PROFILE, H265_PROFILE], ids=lambda p: p.name)
-    def test_gemm_rows_do_not_depend_on_their_neighbours(self, profile, n):
-        operator = pass1_mod._mode_coeff_operator(profile.coarse_modes(), n)
-        rng = np.random.default_rng(n)
-        refs = rng.integers(0, 256, (257, 4 * n + 2)).astype(np.float64)
-        want = refs @ operator.T
-        for rows in (2, 3, 4, 5, 7, 16, 64):
-            for offset in (0, 1, 6, 257 - rows):
-                got = refs[offset : offset + rows].copy() @ operator.T
-                assert np.array_equal(got, want[offset : offset + rows]), (
-                    f"{_CANARY} (n={n}, rows={rows}, offset={offset})"
-                )
-
-    @pytest.mark.parametrize("profile", _PROFILES, ids=lambda p: p.name)
-    def test_a_lone_block_is_a_gemm_row_too(self, profile, pick_calls):
-        # One CTU alone would be a one-row product (BLAS's GEMV kernel);
-        # pass 1 computes it as two rows, so its candidate predictions
-        # are the ones it gets as one of four.
-        frame = _frames((profile.ctu_size,) * 2, 1)[0]
-        config = EncoderConfig(profile=profile, qp=26.0)
-        FrameEncoder(config).encode([frame])
-        alone = pick_calls[0]
-        del pick_calls[:]
-        FrameEncoder(config).encode([frame] * 4)
-        grouped = pick_calls[0]
-        assert alone[1].shape[0] == 1 and grouped[1].shape[0] == 4
-        for row in grouped[1]:
-            assert np.array_equal(row, alone[1][0]), _CANARY
 
 
 # -- deadline ---------------------------------------------------------------------
