@@ -62,7 +62,7 @@ import numpy as np
 import repro.telemetry as telemetry
 from repro.codec import encoder as _encoder
 from repro.codec import intra
-from repro.codec.encoder import _QSTEPS, QpDither, _effective_cpus, unpack_header
+from repro.codec.encoder import _QSTEPS, QpDither, unpack_header
 from repro.codec.entropy import native
 from repro.codec.entropy.arithmetic import BinaryDecoder
 from repro.codec.profiles import PROFILES_BY_ID
@@ -73,7 +73,7 @@ from repro.codec.syntax import (
     decode_mv,
 )
 from repro.codec.transform import inverse_dct2_batch, zigzag_order
-from repro.parallel import ParallelConfig, parallel_map
+from repro.parallel import ParallelConfig, group_runs, parallel_map
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import ConcealmentReport, CorruptStreamError
 from repro.resilience.framing import deframe_slices
@@ -90,10 +90,11 @@ _STATUS, _POS, _RANGE, _CODE, _BINS, _LEAF_END, _LEVEL_END = range(
 _CTU_INDEX = native.PLAN_FIELDS.index("ctu_index")
 _COEFF_OFFSET = native.PLAN_FIELDS.index("coeff_offset")
 
-#: Parallel decode dispatch thresholds.  Below either bound the fan-out
-#: overhead (task submission, result hand-back, thread wake-up) costs
-#: more than the decode itself, so the decoder silently stays serial.
-#: Streams must have at least this many slices ...
+#: The decoder's own fan-out bounds, on top of the rule every fan-out
+#: keeps (:func:`repro.parallel.group_runs`).  Below either the fan-out
+#: (task submission, result hand-back, thread wake-up) costs more than
+#: the decode it splits (docs/PERFORMANCE.md, "The slice fan-out"), so
+#: the decoder stays serial.  A stream needs at least this many slices ...
 _PARALLEL_MIN_SLICES = 4
 #: ... and at least this many payload bytes (32 KiB) to fan out.
 _PARALLEL_MIN_BYTES = 1 << 15
@@ -206,57 +207,37 @@ class FrameDecoder:
         )
         groups = -(-n_frames // per_group)
 
-        par = self._parallel
-        # Eligibility (slice independence) and profitability (payload
-        # large enough to amortise fan-out) are separate questions: a
-        # parallel-capable stream below the dispatch thresholds decodes
-        # serially -- small payloads were measurably *slower* parallel.
-        par_capable = (
-            par is not None
-            and not par.is_serial()
-            and n_frames > 1
-            and not h["use_inter"]
+        # Every slice is independently decodable (fresh entropy state,
+        # per-CTU QPs in closed form) and, with inter prediction off,
+        # carries no cross-frame reference -- so runs of whole groups
+        # decode concurrently to the exact samples of the serial loop.
+        # Inter streams, concealment and damage stay serial, as do
+        # streams below the decoder's own bounds.
+        runs = None
+        if (
+            not h["use_inter"]
             and not self._conceal
             and not reasons
-        )
-        use_parallel = (
-            par_capable
             and n_frames >= _PARALLEL_MIN_SLICES
             and len(self._payload) >= _PARALLEL_MIN_BYTES
-            # A fan-out hands out whole groups, so what a worker batches
-            # is what the serial loop batches.
-            and groups > 1
-            # On a single-CPU machine fan-out is pure overhead no matter
-            # how large the payload: decode is CPU-bound end to end.
-            and _effective_cpus() > 1
-            # Threads only overlap work that releases the GIL: the two
-            # whole-slice kernels.  The per-leaf Python of the twin
-            # measured ~0.5x under threads.
-            and native.available()
-        )
-        if par_capable and not use_parallel:
-            telemetry.count("decode.parallel_threshold_fallbacks")
+        ):
+            runs = group_runs(self._parallel, groups, kernels=native.available())
         with telemetry.span("frames.decode"):
-            if use_parallel:
-                # Every slice is independently decodable (fresh entropy
-                # state, per-CTU QPs in closed form) and, with inter
-                # prediction off, carries no cross-frame reference -- so
-                # runs of groups decode concurrently to the exact samples
-                # of the serial loop.  Concealment and inter streams stay
-                # serial.  Tasks ship the raw header bytes (a worker
-                # parses them once per task).  One task per worker that
-                # can actually run (decode is CPU-bound),
-                # each a run of consecutive groups: dispatching a task
-                # costs about what a small slice takes to decode.
-                runs = min(par.resolved_workers(), _effective_cpus(), groups)
-                run = -(-groups // runs) * per_group
+            if runs:
+                # Tasks ship the raw header bytes (a worker parses them
+                # once per task).
                 outcomes = parallel_map(
                     _decode_run_worker,
                     [
-                        (self._raw_header, slices[first : first + run], first, per_group)
-                        for first in range(0, n_frames, run)
+                        (
+                            self._raw_header,
+                            slices[run.start * per_group : run.stop * per_group],
+                            run.start * per_group,
+                            per_group,
+                        )
+                        for run in runs
                     ],
-                    par,
+                    self._parallel,
                     label="decode",
                     deadline=self._deadline,
                 )
@@ -773,7 +754,7 @@ def decode_frames(
     :func:`decode_frames_with_report` when the concealment details
     matter.  ``parallel`` opts intra-only, undamaged streams into
     slice-parallel decoding (sample-identical to serial decode; streams
-    below the slice/byte dispatch thresholds stay serial).
+    below the decoder's slice / byte bounds stay serial).
     """
     return FrameDecoder(data, conceal=conceal, parallel=parallel).decode()
 

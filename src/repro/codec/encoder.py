@@ -26,7 +26,6 @@ are :class:`repro.codec.reference.ReferenceEncoder`'s alone;
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,7 +39,7 @@ from repro.codec import intra, pass1
 from repro.codec.entropy import native
 from repro.codec.entropy.arithmetic import BinaryEncoder
 from repro.codec.profiles import H265_PROFILE, CodecProfile
-from repro.parallel import ParallelConfig, parallel_map
+from repro.parallel import ParallelConfig, group_runs, parallel_map
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import (
     ChecksumError,
@@ -69,22 +68,6 @@ from repro.codec.transform import (
 #: test (tests/test_encode_fuzz.py, tests/test_native_encode.py).
 ENCODES = ("native", "python")
 
-#: Parallel encode dispatch thresholds, mirroring the decoder's.  Below
-#: either bound the fan-out overhead (task submission, per-worker
-#: encoder construction, result hand-back) costs more than the encode
-#: itself, so the encoder silently stays serial.  Encodes must have at
-#: least this many frames (= slices) ...
-_PARALLEL_MIN_SLICES = 4
-#: ... and at least this many raw sample bytes (4 x 128^2 tiles) to fan
-#: out.  The values mirror the decoder's pinned thresholds -- same
-#: fan-out machinery, same per-task overhead -- rather than a fresh
-#: measurement: on single-CPU hosts the ``_effective_cpus() > 1`` guard
-#: below makes the thresholds moot (parallel encode can never beat
-#: serial there, so the encoder always stays serial), and that guard is
-#: what the "parallel never loses to serial" claim leans on.
-#: tests/test_native_encode.py pins the constants and the fallback
-#: accounting.
-_PARALLEL_MIN_BYTES = 1 << 16
 #: Pass 1 predicts from source pixels, so it runs once per *group* of
 #: consecutive frames: as many as fit in this many padded samples, at
 #: least one.  That is one 256 x 256 slice, so a rate search's held
@@ -101,14 +84,6 @@ GROUP_SAMPLES = 1 << 16
 #: each block's candidates in the kernel's block-local scratch.  Groups
 #: past it are analysed again by every probe.
 HELD_ANALYSIS_BYTES = 18 << 20
-
-
-def _effective_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without affinity masks
-        return os.cpu_count() or 1
 
 
 @lru_cache(maxsize=None)
@@ -474,19 +449,8 @@ class FrameEncoder:
             telemetry.EncodeStats() if registry is not None else None
         )
         self._reference = None
-        par = cfg.parallel
-        # Frames are independent slices, so the parallel path is
-        # byte-identical to the serial loop: same per-frame coder and
-        # contexts, and the dither state for frame i is reconstructed in
-        # closed form (QpDither.advanced).  As on the decode side,
-        # eligibility and profitability are separate questions: a
-        # parallel-capable encode below the dispatch thresholds runs
-        # serially -- small inputs were measurably *slower* parallel.
-        par_capable = par is not None and not par.is_serial() and len(frames) > 1
         pad_h = height + (-height) % self._ctu
         pad_w = width + (-width) % self._ctu
-        # A fan-out hands out whole pass-1 groups, so what a worker
-        # batches is what the serial loop batches.
         per_group = max(1, GROUP_SAMPLES // (pad_h * pad_w))
         groups = -(-len(frames) // per_group)
         analyses: Optional[List[Optional[pass1.GroupAnalysis]]] = None
@@ -500,46 +464,34 @@ class FrameEncoder:
                 cfg.profile.coarse_modes(),
                 HELD_ANALYSIS_BYTES,
             )
-        use_parallel = (
-            par_capable
-            and len(frames) >= _PARALLEL_MIN_SLICES
-            and sum(f.nbytes for f in frames) >= _PARALLEL_MIN_BYTES
-            and groups > 1
-            and _effective_cpus() > 1
-            # Threads only overlap work that releases the GIL: pass 1's
-            # group kernel and the whole-slice kernel.  The twin's
-            # per-leaf Python measured slower under threads than serial.
-            and self._native_ok
-            and native.available()
+        # Frames are independent slices, so a fan-out is byte-identical
+        # to the serial loop: same per-frame coder and contexts, the
+        # dither state of a run's first frame in closed form
+        # (QpDither.advanced), and whole pass-1 groups per run, so what
+        # a worker batches is what the serial loop batches.
+        runs = group_runs(
+            cfg.parallel, groups, kernels=self._native_ok and native.available()
         )
-        if par_capable and not use_parallel:
-            telemetry.count("encode.parallel_threshold_fallbacks")
         with telemetry.span("frames.encode"):
-            if use_parallel:
+            if runs:
                 ctus_per_frame = (pad_h // self._ctu) * (pad_w // self._ctu)
-                # One task per worker that can actually run (encode is
-                # CPU-bound), each a run of consecutive groups.
-                runs = min(par.resolved_workers(), _effective_cpus(), groups)
-                run = -(-groups // runs) * per_group
                 tasks = [
                     (
                         cfg,
-                        frames[first : first + run],
+                        frames[run.start * per_group : run.stop * per_group],
                         per_group,
                         qp_base,
                         qp_frac,
-                        first * ctus_per_frame,
+                        run.start * per_group * ctus_per_frame,
                         stats is not None,
-                        None
-                        if analyses is None
-                        else analyses[first // per_group : (first + run) // per_group],
+                        None if analyses is None else analyses[run.start : run.stop],
                     )
-                    for first in range(0, len(frames), run)
+                    for run in runs
                 ]
                 outcomes = parallel_map(
                     _encode_slices_worker,
                     tasks,
-                    par,
+                    cfg.parallel,
                     label="encode",
                     deadline=cfg.deadline,
                 )

@@ -21,11 +21,12 @@ spins.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
 import numpy as np
+
+from repro.parallel import pool
 
 __all__ = ["AWAKE_WINDOW_S", "awake_stats", "keep_awake"]
 
@@ -60,11 +61,7 @@ def keep_awake() -> None:
 def _start():
     from repro.codec.entropy import native
 
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without affinity masks
-        cpus = os.cpu_count() or 1
-    if cpus < 2 or not native.available():
+    if pool.usable_cpus() < 2 or not native.available():
         return False
     helper = threading.Thread(
         target=_spin_loop, args=(native.spin_until,), name="keep-awake", daemon=True

@@ -1,18 +1,18 @@
-"""The thread-pool engine behind every slice/tensor fan-out.
+"""The thread-pool engine behind the slice fan-out.
 
 PR 2 made every frame an independently decodable slice (fresh entropy
 coder + contexts per frame), which is exactly the bitstream property
 real codecs exploit for slice/wavefront parallelism.  This module is
-the cash-in: a single, small engine that the frame encoder, the frame
-decoder, the tensor codec, and the checkpoint writer all use to fan
-work out over a pool of threads while guaranteeing that the *result
-ordering* -- and therefore every byte of output -- is identical to the
-serial path.
+the cash-in: a single, small engine that the frame encoder and the
+frame decoder use to code runs of slices side by side while
+guaranteeing that the *result ordering* -- and therefore every byte of
+output -- is identical to the serial path.  The tensor codec, the
+checkpoint writer and the serving ladder only hand a
+:class:`ParallelConfig` down to them.
 
 Threads, because what a fan-out overlaps is the GIL-free work: the
-whole-slice C kernels and pass 1's group kernel.  The encoder and decoder
-fan out only when their kernels are loaded; the pure-Python twin holds
-the GIL and stays serial.
+whole-slice C kernels and pass 1's group kernel.  Whether a call fans
+out at all, and into which runs, is one rule, :func:`group_runs`.
 
 Design rules:
 
@@ -47,20 +47,29 @@ from repro.telemetry.propagate import TracedTask, count_lost_deltas, merge_delta
 
 __all__ = [
     "ParallelConfig",
-    "get_executor",
+    "group_runs",
     "parallel_map",
     "pool_stats",
-    "shutdown_pools",
+    "usable_cpus",
 ]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where there is one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class ParallelConfig:
     """How many threads one fan-out may use.
 
-    ``workers=0`` resolves to ``os.cpu_count()``; ``1`` always means
+    ``workers=0`` resolves to :func:`usable_cpus`; ``1`` always means
     the serial path.
     """
 
@@ -71,14 +80,40 @@ class ParallelConfig:
             raise ValueError("workers must be >= 0 (0 = cpu count)")
 
     def resolved_workers(self) -> int:
-        """Concrete worker count (``workers=0`` -> CPU count)."""
+        """Concrete worker count (``workers=0`` -> usable CPUs)."""
         if self.workers == 0:
-            return os.cpu_count() or 1
+            return usable_cpus()
         return self.workers
 
     def is_serial(self) -> bool:
         """True when this config can never dispatch to a pool."""
         return self.resolved_workers() <= 1
+
+
+def group_runs(
+    config: Optional[ParallelConfig], groups: int, kernels: bool
+) -> Optional[List[range]]:
+    """The fan-out rule: the runs of whole groups to code side by side.
+
+    A *group* is pass 1's unit, the consecutive frames that fit in
+    ``encoder.GROUP_SAMPLES`` padded samples; the decoder's two stages
+    run once per group by the same bound.  A call fans out exactly when
+    the config allows more than one worker, the process may run on more
+    than one CPU (:func:`usable_cpus`), the kernel library is loaded
+    (``kernels``: threads overlap only the C calls that release the
+    GIL; the Python twins measured slower under threads than serial)
+    and there is more than one group.  Then the groups are cut into at
+    most ``min(workers, usable CPUs, groups)`` runs of consecutive
+    groups, all as long as the first but the last; otherwise the answer
+    is ``None``: serial.
+    """
+    if config is None or groups < 2 or not kernels:
+        return None
+    runs = min(config.resolved_workers(), usable_cpus(), groups)
+    if runs < 2:
+        return None
+    size = -(-groups // runs)
+    return [range(first, min(first + size, groups)) for first in range(0, groups, size)]
 
 
 # One shared pool per worker count; created lazily (under the lock, so
@@ -90,12 +125,8 @@ _pool_serial_fallbacks = 0
 
 
 def get_executor(config: ParallelConfig) -> ThreadPoolExecutor:
-    """The shared live pool for ``config`` (created on first use).
-
-    Supervision layers use this to submit individually-tracked futures
-    instead of whole batches; it is the pool :func:`parallel_map`
-    dispatches to for the same config.
-    """
+    """The shared live pool :func:`parallel_map` dispatches ``config``'s
+    work to (created on first use)."""
     if config.is_serial():
         raise ValueError("a serial ParallelConfig has no executor")
     workers = config.resolved_workers()

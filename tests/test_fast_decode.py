@@ -8,10 +8,9 @@ coder end state and context probabilities per slice -- and both are
 held to an independent side, the encoders: a slice's plane is the
 encoder's reconstruction of it, byte for byte, and its context banks
 end where the primitive-call writer left its own.  Plus the dispatch
-policy around it: parallel decode falls back to serial below the
-slice/byte/CPU thresholds (pinned here) and whenever the slice kernels
-are not usable; no public layer has a ``decode=`` option left; and the
-``decode.*`` telemetry ledger is the same serial or fanned out.
+layers around it: no public layer has a ``decode=`` option left, and
+the ``decode.*`` telemetry ledger is the same serial or fanned out
+(when a decode fans out is ``tests/test_fan_out_rule.py``'s).
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from repro.codec.syntax import (
 from repro.codec.transform import zigzag_unscan
 from repro.resilience.framing import deframe_slices
 from repro.parallel import ParallelConfig, pool_stats
+from repro.parallel import pool as pool_mod
 from repro.serving.ladder import DEFAULT_LADDER, Rung
 from repro.serving.service import CodecService
 from repro.telemetry import DECODE_STAGES, DecodeStats, flightrecorder
@@ -715,80 +715,6 @@ class TestVectorizedIdentity:
             np.testing.assert_array_equal(a, b)
 
 
-# -- parallel dispatch policy ------------------------------------------
-
-
-class TestParallelDecodeThresholds:
-    def test_threshold_constants_pinned(self):
-        # Chosen from measurement (docs/PERFORMANCE.md): below 4 slices
-        # or 32 KiB of payload, fan-out overhead beats the decode win.
-        assert decoder_mod._PARALLEL_MIN_SLICES == 4
-        assert decoder_mod._PARALLEL_MIN_BYTES == 32768
-
-    @needs_kernels
-    def test_dispatches_above_thresholds(self, monkeypatch):
-        monkeypatch.setattr(decoder_mod, "_effective_cpus", lambda: 8)
-        data = _big_stream()
-        pool = ParallelConfig(workers=2)
-        before = pool_stats()["dispatches"]
-        par = decode_frames(data, parallel=pool)
-        assert pool_stats()["dispatches"] == before + 1
-        for a, b in zip(decode_frames(data), par):
-            np.testing.assert_array_equal(a, b)
-
-    def test_threads_need_the_slice_kernels(self, monkeypatch):
-        # Per-leaf Python holds the GIL, so a thread pool only slows it
-        # down: without the kernels a parallel config stays serial and
-        # says so.
-        monkeypatch.setattr(decoder_mod, "_effective_cpus", lambda: 8)
-        _force_pure(monkeypatch)
-        data = _big_stream()
-        serial = decode_frames(data)
-        before = pool_stats()["dispatches"]
-        with telemetry.session() as registry:
-            threaded = decode_frames(data, parallel=ParallelConfig(workers=2))
-        assert pool_stats()["dispatches"] == before
-        assert registry.counters.get("decode.parallel_threshold_fallbacks") == 1
-        for a, b in zip(serial, threaded):
-            np.testing.assert_array_equal(a, b)
-
-    def test_small_slice_count_falls_back(self, monkeypatch):
-        monkeypatch.setattr(decoder_mod, "_effective_cpus", lambda: 8)
-        frames = _frames(n=2)
-        data = FrameEncoder(EncoderConfig(qp=24.0)).encode(frames).data
-        pool = ParallelConfig(workers=2)
-        before = pool_stats()["dispatches"]
-        with telemetry.session() as registry:
-            decode_frames(data, parallel=pool)
-        assert pool_stats()["dispatches"] == before
-        assert registry.counters.get("decode.parallel_threshold_fallbacks") == 1
-
-    def test_small_payload_falls_back(self, monkeypatch):
-        monkeypatch.setattr(decoder_mod, "_effective_cpus", lambda: 8)
-        frames = _frames(n=4)  # smooth 64x64 frames: well under 32 KiB
-        data = FrameEncoder(EncoderConfig(qp=30.0)).encode(frames).data
-        assert len(data) < decoder_mod._PARALLEL_MIN_BYTES
-        pool = ParallelConfig(workers=2)
-        before = pool_stats()["dispatches"]
-        with telemetry.session() as registry:
-            decode_frames(data, parallel=pool)
-        assert pool_stats()["dispatches"] == before
-        assert registry.counters.get("decode.parallel_threshold_fallbacks") == 1
-
-    def test_single_cpu_falls_back(self, monkeypatch):
-        monkeypatch.setattr(decoder_mod, "_effective_cpus", lambda: 1)
-        data = _big_stream()
-        pool = ParallelConfig(workers=2)
-        before = pool_stats()["dispatches"]
-        with telemetry.session() as registry:
-            serial = decode_frames(data)
-            par = decode_frames(data, parallel=pool)
-        assert pool_stats()["dispatches"] == before
-        assert registry.counters.get("decode.parallel_threshold_fallbacks") == 1
-        for a, b in zip(serial, par):
-            np.testing.assert_array_equal(a, b)
-
-
 # -- no decode= option: the decoder picks by what it observes -----------
 
 
@@ -883,7 +809,7 @@ class TestDecodeTelemetry:
         # equal).
         if not native.available():
             pytest.skip("threads dispatch only with the slice kernels")
-        monkeypatch.setattr(decoder_mod, "_effective_cpus", lambda: 8)
+        monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 8)
         data = _big_stream(qp=18.5)  # dithered: both QPs in decode.qp
 
         def counters(parallel):

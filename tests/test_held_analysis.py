@@ -34,6 +34,7 @@ from repro.codec.pass1 import HeldAnalysis
 from repro.codec.profiles import H264_PROFILE, H265_PROFILE
 from repro.codec.ratecontrol import encode_at_qp, search_qp_for_bitrate, search_qp_for_mse
 from repro.parallel import ParallelConfig
+from repro.parallel import pool as pool_mod
 from repro.resilience.deadline import Deadline, DeadlineExceeded
 from repro.tensor.codec import TensorCodec
 
@@ -93,7 +94,7 @@ def test_a_fanned_out_search_writes_what_a_fresh_encode_writes(
     # Eight 128 x 128 tiles: two groups of four, one per worker.  The
     # first fills the default budget exactly and the second is past it;
     # twice the budget holds both, the second in the second worker.
-    monkeypatch.setattr(encoder_mod, "_effective_cpus", lambda: 4)
+    monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 4)
     if budget is not None:
         monkeypatch.setattr(encoder_mod, "HELD_ANALYSIS_BYTES", budget)
     tensor = _weights((512, 256))

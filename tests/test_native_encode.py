@@ -14,7 +14,6 @@ Covers, kernel by kernel, the exactness contracts the fuzz suite
 - the build pipeline: the one library's status, cache GC accounting,
   and the degrade-once-with-one-event behaviour when a build or a
   check fails, for every entry at once;
-- the parallel-encode dispatch thresholds and fallback accounting;
 - the ``encode=`` plumbing through config, codec, and the serving record.
 """
 
@@ -29,13 +28,7 @@ import pytest
 
 from repro import telemetry
 from repro.codec import intra
-from repro.codec.encoder import (
-    _PARALLEL_MIN_BYTES,
-    _PARALLEL_MIN_SLICES,
-    ENCODES,
-    EncoderConfig,
-    FrameEncoder,
-)
+from repro.codec.encoder import ENCODES, EncoderConfig, FrameEncoder
 from repro.codec import pass1 as pass1_mod
 from repro.codec.pass1 import _level_rate_table, _pass1_pick, _quantize_costs
 from repro.codec.entropy import native
@@ -49,7 +42,6 @@ from repro.codec.syntax import (
     encode_coeff_block,
     encode_coeff_block_primitive,
 )
-from repro.parallel import ParallelConfig
 from repro.serving.ladder import DEFAULT_LADDER, Rung
 from repro.telemetry import flightrecorder
 from repro.tensor.codec import TensorCodec
@@ -495,76 +487,6 @@ class TestBuildPipeline:
         monkeypatch.setattr(native, "cost_pick", lambda *a, **k: None)
         got = FrameEncoder(EncoderConfig(qp=24.0, encode="native")).encode(frames)
         assert got.data == ref.data
-
-
-class TestParallelDispatch:
-    def test_thresholds_pinned(self):
-        # The dispatch gate (these constants + the >1 effective CPU
-        # guard) is what backs the "parallel encode never loses to
-        # serial" claim; changing either needs a deliberate re-measure.
-        assert _PARALLEL_MIN_SLICES == 4
-        assert _PARALLEL_MIN_BYTES == 1 << 16
-
-    @staticmethod
-    def _tiny_frames(n):
-        rng = np.random.default_rng(23)
-        return [
-            rng.integers(0, 255, (32, 32)).astype(np.uint8) for _ in range(n)
-        ]
-
-    def test_below_threshold_falls_back_serial(self):
-        frames = self._tiny_frames(2)  # < MIN_SLICES and < MIN_BYTES
-        par = ParallelConfig(workers=2)
-        with telemetry.session() as registry:
-            got = FrameEncoder(
-                EncoderConfig(qp=24.0, parallel=par)
-            ).encode(frames)
-        assert registry.counters.get("encode.parallel_threshold_fallbacks") == 1
-        serial = FrameEncoder(EncoderConfig(qp=24.0)).encode(frames)
-        assert got.data == serial.data
-
-    def test_single_cpu_falls_back_serial(self, monkeypatch):
-        import repro.codec.encoder as encoder_mod
-
-        monkeypatch.setattr(encoder_mod, "_effective_cpus", lambda: 1)
-        frames = [
-            np.zeros((128, 128), dtype=np.uint8) for _ in range(_PARALLEL_MIN_SLICES)
-        ]  # above both size thresholds; the CPU guard alone must trip
-        par = ParallelConfig(workers=2)
-        with telemetry.session() as registry:
-            got = FrameEncoder(
-                EncoderConfig(qp=24.0, parallel=par)
-            ).encode(frames)
-        assert registry.counters.get("encode.parallel_threshold_fallbacks") == 1
-        serial = FrameEncoder(EncoderConfig(qp=24.0)).encode(frames)
-        assert got.data == serial.data
-
-    @needs_library
-    def test_parallel_stream_identical_when_dispatched(self, monkeypatch):
-        import repro.codec.encoder as encoder_mod
-
-        monkeypatch.setattr(encoder_mod, "_effective_cpus", lambda: 4)
-        rng = np.random.default_rng(29)
-        # Two pass-1 groups of four 128 x 128 frames: a fan-out hands out
-        # whole groups, and one group alone stays serial
-        # (tests/test_pass1_groups.py).
-        frames = [
-            rng.integers(0, 255, (128, 128)).astype(np.uint8)
-            for _ in range(2 * _PARALLEL_MIN_SLICES)
-        ]
-        # Threads fan out only where a slice is one GIL-free kernel call
-        # (tests/test_slice_encode.py pins the rule).
-        par = ParallelConfig(workers=2)
-        with telemetry.session() as registry:
-            got = FrameEncoder(
-                EncoderConfig(qp=24.0, parallel=par)
-            ).encode(frames)
-            fallbacks = registry.counters.get(
-                "encode.parallel_threshold_fallbacks", 0
-            )
-        assert fallbacks == 0  # this one actually fanned out
-        serial = FrameEncoder(EncoderConfig(qp=24.0)).encode(frames)
-        assert got.data == serial.data and got.mse == serial.mse
 
 
 class TestEncodePlumbing:

@@ -15,7 +15,6 @@ reproduce frame ``i``'s quantizer sequence without replaying frames
 from __future__ import annotations
 
 import dataclasses
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,8 +23,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.codec import decoder as decoder_mod
-from repro.codec import encoder as encoder_mod
 from repro.codec.decoder import decode_frames
 from repro.codec.encoder import EncoderConfig, FrameEncoder, QpDither
 from repro.codec.entropy import native
@@ -155,7 +152,7 @@ class TestKeepAwake:
         monkeypatch.setattr(awake_mod, "_helper", None)
         monkeypatch.setattr(awake_mod, "_wake", threading.Event())
         monkeypatch.setattr(awake_mod, "AWAKE_WINDOW_S", 0.02)
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        cpus = pool_mod.usable_cpus()
         before = awake_stats()["spins"]
         keep_awake()
         time.sleep(0.1)
@@ -299,13 +296,12 @@ class TestTensorLayerIdentity:
         np.testing.assert_array_equal(a, b)
 
     def test_fan_out_runs_on_threads_only_with_kernels(self, monkeypatch):
-        # Eight 128 x 128 tiles are two pass-1 groups, above both
-        # dispatch thresholds: with the kernels loaded, encode and
+        # Eight 128 x 128 tiles are two pass-1 groups, above the
+        # decoder's bounds: with the kernels loaded, encode and
         # decode each dispatch once, to a thread pool; without them
         # (the pure-Python leg) both stay serial.  Bytes and samples
         # match the serial codec either way.
-        monkeypatch.setattr(encoder_mod, "_effective_cpus", lambda: 4)
-        monkeypatch.setattr(decoder_mod, "_effective_cpus", lambda: 4)
+        monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 4)
         tensor = np.random.default_rng(17).standard_normal((256, 512)).astype(np.float32)
         serial_codec = TensorCodec(tile=128)
         par_codec = TensorCodec(tile=128, parallel=ParallelConfig(workers=2))

@@ -7,7 +7,8 @@ import time
 import pytest
 
 import repro.telemetry as telemetry
-from repro.parallel import ParallelConfig, get_executor, parallel_map
+from repro.parallel import ParallelConfig, parallel_map
+from repro.parallel.pool import get_executor
 from repro.resilience.deadline import Deadline, DeadlineExceeded
 
 

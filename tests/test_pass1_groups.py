@@ -37,7 +37,8 @@ from repro.codec.encoder import (
 )
 from repro.codec.entropy import native
 from repro.codec.profiles import AV1_PROFILE, H264_PROFILE, H265_PROFILE
-from repro.parallel import ParallelConfig
+from repro.parallel import ParallelConfig, pool_stats
+from repro.parallel import pool as pool_mod
 from repro.resilience import deframe_slices
 from repro.resilience.deadline import Deadline, DeadlineExceeded
 
@@ -156,9 +157,11 @@ class TestGroupInvariance:
 
 
 def _encode_counted(frames, parallel):
-    with telemetry.session() as registry:
+    """The encode's result and how many times it dispatched to the pool."""
+    before = pool_stats()["dispatches"]
+    with telemetry.session():
         result = FrameEncoder(EncoderConfig(qp=24.5, parallel=parallel)).encode(frames)
-    return result, registry.counters
+    return result, pool_stats()["dispatches"] - before
 
 
 class TestFanOut:
@@ -169,7 +172,7 @@ class TestFanOut:
     def test_serial_thread_process_identical(self, shape, count, per_group, monkeypatch):
         # Frame counts that are no multiple of the group size, three
         # workers over three groups and two workers over three groups.
-        monkeypatch.setattr(encoder_mod, "_effective_cpus", lambda: 4)
+        monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 4)
         handed_out = []
         real = encoder_mod.parallel_map
 
@@ -181,8 +184,8 @@ class TestFanOut:
         frames = _frames(shape, count)
         serial, _ = _encode_counted(frames, None)
         for workers in (3, 2):
-            fanned, counters = _encode_counted(frames, ParallelConfig(workers=workers))
-            assert counters.get("encode.parallel_threshold_fallbacks", 0) == 0
+            fanned, dispatched = _encode_counted(frames, ParallelConfig(workers=workers))
+            assert dispatched == 1
             assert fanned.data == serial.data, workers
             assert fanned.mse == serial.mse, workers
             for key in ("bits", "counts", "qp"):
@@ -197,16 +200,12 @@ class TestFanOut:
             assert all(length % per_group == 0 for length, _ in tasks[:-1])
 
     def test_one_group_stays_serial(self, monkeypatch):
-        # Above the slice and byte thresholds, but one group of four:
-        # nothing to hand a second worker.
-        monkeypatch.setattr(encoder_mod, "_effective_cpus", lambda: 4)
+        # One group of four: nothing to hand a second worker.
+        monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 4)
         monkeypatch.setattr(native, "available", lambda: True)
         frames = _frames((128, 128), 4)
-        fanned, counters = _encode_counted(
-            frames, ParallelConfig(workers=2)
-        )
-        assert counters.get("encode.parallel_threshold_fallbacks") == 1
-        assert counters.get("parallel.dispatches", 0) == 0
+        fanned, dispatched = _encode_counted(frames, ParallelConfig(workers=2))
+        assert dispatched == 0
         serial, _ = _encode_counted(frames, None)
         assert fanned.data == serial.data and fanned.mse == serial.mse
         for key in ("bits", "counts", "qp"):

@@ -27,13 +27,11 @@ import pytest
 
 import repro.telemetry as telemetry
 from benchmarks.identity_matrix import PROFILES, QPS, SHAPES
-from repro.codec import encoder as encoder_mod
 from repro.codec import transform
 from repro.codec.decoder import FrameDecoder
 from repro.codec.reference import ReferenceEncoder
 from repro.codec.encoder import (
     _HEADER_BODY_SIZE,
-    _PARALLEL_MIN_SLICES,
     EncoderConfig,
     FrameEncoder,
     QpDither,
@@ -45,7 +43,8 @@ from repro.codec.entropy import native
 from repro.codec.entropy.arithmetic import BinaryEncoder
 from repro.codec.profiles import H264_PROFILE, H265_PROFILE
 from repro.codec.syntax import CodecContexts
-from repro.parallel import ParallelConfig
+from repro.parallel import ParallelConfig, pool_stats
+from repro.parallel import pool as pool_mod
 from repro.telemetry import flightrecorder
 
 pytestmark = [pytest.mark.fuzz, pytest.mark.pure_python]
@@ -425,24 +424,26 @@ class TestHostileContract:
 
 
 def _fanout_frames():
-    return [_frame((128, 128), seed) for seed in range(_PARALLEL_MIN_SLICES + 1)]
+    # Five 128 x 128 frames: two pass-1 groups (4 + 1).
+    return [_frame((128, 128), seed) for seed in range(5)]
 
 
 def _encode_with(parallel, **config):
+    before = pool_stats()["dispatches"]
     with telemetry.session() as registry:
         result = FrameEncoder(
             EncoderConfig(qp=24.5, parallel=parallel, **config)
         ).encode(_fanout_frames())
-    return result, registry.counters
+    return result, registry.counters, pool_stats()["dispatches"] - before
 
 
 class TestFanOut:
     @needs_kernel
     def test_serial_thread_process_identical(self, monkeypatch):
-        monkeypatch.setattr(encoder_mod, "_effective_cpus", lambda: 4)
-        serial, _ = _encode_with(None)
-        fanned, counters = _encode_with(ParallelConfig(workers=2))
-        assert counters.get("encode.parallel_threshold_fallbacks", 0) == 0
+        monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 4)
+        serial, _, _ = _encode_with(None)
+        fanned, counters, dispatched = _encode_with(ParallelConfig(workers=2))
+        assert dispatched == 1
         assert counters.get("encode.kernel_refusals", 0) == 0
         # One task per runnable worker, not one per slice.
         assert counters.get("parallel.tasks") == 2
@@ -459,11 +460,12 @@ class TestFanOut:
         ],
     )
     def test_threads_only_with_the_kernel(self, config, ready, monkeypatch):
-        monkeypatch.setattr(encoder_mod, "_effective_cpus", lambda: 4)
+        monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 4)
         monkeypatch.setattr(native, "available", lambda: ready)
         if not ready:
             monkeypatch.setattr(native, "encode_slices", lambda *a, **k: None)
         frames = _fanout_frames()
+        before = pool_stats()["dispatches"]
         with telemetry.session() as registry:
             threaded = FrameEncoder(
                 EncoderConfig(
@@ -472,7 +474,7 @@ class TestFanOut:
                     **config,
                 )
             ).encode(frames)
-        assert registry.counters.get("encode.parallel_threshold_fallbacks") == 1
+        assert pool_stats()["dispatches"] == before
         assert registry.counters.get("parallel.dispatches", 0) == 0
         serial = FrameEncoder(EncoderConfig(qp=24.0, **config)).encode(frames)
         assert threaded.data == serial.data and threaded.mse == serial.mse
